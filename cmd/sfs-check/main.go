@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"failstop"
+	"failstop/internal/checker"
 	"failstop/internal/model"
 	"failstop/internal/obs"
 	"failstop/internal/trace"
@@ -102,7 +103,7 @@ func run(args []string, out io.Writer) int {
 		}
 	}
 
-	ab := h.DropTags(*suspTag, "HB")
+	ab := checker.Abstract(h, *suspTag)
 	fsRun, err := failstop.RewriteToFS(ab)
 	if err != nil {
 		fmt.Fprintf(out, "indistinguishability: NO isomorphic fail-stop run (%v)\n", err)

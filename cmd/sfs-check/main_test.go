@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,5 +141,71 @@ func TestCheckMissingAndBadInputs(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-in", bad}, &out); code != 1 {
 		t.Errorf("bad trace: exit = %d, want 1", code)
+	}
+	// Negative process ids parse as JSON but name no process; they must be
+	// reported, not reach the checkers' id-indexed tables.
+	neg := filepath.Join(dir, "neg.json")
+	negTrace := `{"version":3,"n":3,"t":1,"protocol":"sfs","seed":1}
+{"seq":0,"proc":2,"kind":3,"time":5}
+{"seq":1,"proc":1,"kind":4,"target":-2,"time":6}
+`
+	if err := os.WriteFile(neg, []byte(negTrace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := run([]string{"-in", neg}, &out); code != 1 || !strings.Contains(out.String(), "history INVALID") {
+		t.Errorf("negative process id: exit = %d, want 1 with a validation error:\n%s", code, out.String())
+	}
+}
+
+// TestSimCheckRoundTripSameVerdicts: sfs-sim judges the run it just made,
+// sfs-check judges the trace of it; both must abstract the stack's own
+// traffic (SUSP, heartbeats, reliable acks, Byzantine echoes) the same way,
+// so every verdict line sfs-sim prints appears verbatim in sfs-check's
+// output. With only SUSP and heartbeats dropped, sfs-check read post-
+// detection acks as sFS2d contamination on exactly these scenarios.
+func TestSimCheckRoundTripSameVerdicts(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build sfs-sim")
+	}
+	dir := t.TempDir()
+	sim := filepath.Join(dir, "sfs-sim")
+	if msg, err := exec.Command(goTool, "build", "-o", sim, "failstop/cmd/sfs-sim").CombinedOutput(); err != nil {
+		t.Fatalf("building sfs-sim: %v\n%s", err, msg)
+	}
+	scenario := []string{"-n", "10", "-t", "3", "-max-retries", "5",
+		"-crash", "3@5", "-crash", "7@6", "-crash", "9@7",
+		"-suspect", "1:3@10", "-suspect", "1:7@11", "-suspect", "1:9@12"}
+	for _, layers := range [][]string{{"-reliable"}, {"-reliable", "-byz"}} {
+		for _, seed := range []string{"4", "5", "6"} {
+			in := filepath.Join(dir, "t.trace")
+			args := append(append([]string{"-seed", seed, "-o", in}, layers...), scenario...)
+			simOut, err := exec.Command(sim, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("sfs-sim %v: %v\n%s", args, err, simOut)
+			}
+			var checkOut bytes.Buffer
+			if code := run([]string{"-in", in}, &checkOut); code != 0 {
+				t.Errorf("%v seed %s: sfs-check exit = %d on a trace sfs-sim passed:\n%s", layers, seed, code, checkOut.String())
+			}
+			_, verdicts, found := strings.Cut(string(simOut), "verdicts:\n")
+			if !found {
+				t.Fatalf("sfs-sim printed no verdicts:\n%s", simOut)
+			}
+			lines := 0
+			for _, line := range strings.Split(verdicts, "\n") {
+				if !strings.HasPrefix(line, "  ") {
+					break // end of the indented verdict block
+				}
+				lines++
+				if !strings.Contains(checkOut.String(), line+"\n") {
+					t.Errorf("%v seed %s: sfs-sim says %q, sfs-check does not:\n%s", layers, seed, line, checkOut.String())
+				}
+			}
+			if lines != 7 {
+				t.Errorf("%v seed %s: compared %d verdict lines, want sfs-sim's 7:\n%s", layers, seed, lines, simOut)
+			}
+		}
 	}
 }

@@ -426,7 +426,7 @@ type Report struct {
 // Run executes the simulation and checks the paper's properties.
 func (c *Cluster) Run() Report {
 	res := c.inner.Run()
-	ab := res.History.DropTags(core.TagSusp, fd.TagHeartbeat, reliable.TagAck, byz.TagEcho)
+	ab := checker.Abstract(res.History, core.TagSusp)
 	verdicts := checker.SFS(ab)
 	verdicts = append(verdicts, checker.FS2(ab))
 	verdicts = append(verdicts, checker.WitnessProperty(res.History, core.TagSusp, c.opts.T))

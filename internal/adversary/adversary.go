@@ -37,6 +37,7 @@ import (
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/quorum"
 	"failstop/internal/sim"
 )
 
@@ -80,7 +81,7 @@ type CycleOutcome struct {
 	QuorumSizes []int
 	// RingQuorums are the completed ring detections' quorum sets — the
 	// family whose (non-)intersection Theorem 6 is about.
-	RingQuorums []map[model.ProcID]bool
+	RingQuorums []quorum.Set
 }
 
 // RunCycleScenario executes the Appendix A.3 schedule on n processes with a
@@ -124,11 +125,7 @@ func RunCycleScenario(n, k, quorumSize int, seed int64) CycleOutcome {
 			out.RingDetections++
 			q := c.Detectors[i].Quorums()[target]
 			out.QuorumSizes = append(out.QuorumSizes, len(q))
-			set := make(map[model.ProcID]bool, len(q))
-			for _, m := range q {
-				set[m] = true
-			}
-			out.RingQuorums = append(out.RingQuorums, set)
+			out.RingQuorums = append(out.RingQuorums, quorum.SetOf(q...))
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"failstop/internal/checker"
@@ -55,6 +57,28 @@ func TestCycleScenarioBelowBound(t *testing.T) {
 		sets := checker.QuorumSets(out.Result.History, "SUSP")
 		if quorum.SubfamiliesIntersect(sets, tc.k) {
 			t.Errorf("n=%d k=%d q=%d: quorum sets unexpectedly have witnesses", tc.n, tc.k, q)
+		}
+		// The W verdict explains itself: it names, in history order, at
+		// most k detections of the run whose quorum sets share no member.
+		v := checker.WitnessProperty(out.Result.History, "SUSP", tc.k)
+		sub := quorum.EmptySubfamily(sets, tc.k)
+		if v.Holds || len(sub) == 0 || len(sub) > tc.k {
+			t.Errorf("n=%d k=%d q=%d: W = %v, offending subfamily %v", tc.n, tc.k, q, v, sub)
+			continue
+		}
+		dets, named, at := out.Result.History.Detections(), make([]quorum.Set, len(sub)), 0
+		for i, d := range sub {
+			named[i] = sets[d]
+			name := fmt.Sprintf("failed_%d(%d) %v", dets[d].Detector, dets[d].Detected, sets[d])
+			pos := strings.Index(v.Detail[at:], name)
+			if pos < 0 {
+				t.Errorf("n=%d k=%d q=%d: W detail %q does not name %s in order", tc.n, tc.k, q, v.Detail, name)
+				break
+			}
+			at += pos + len(name)
+		}
+		if w, shared := quorum.Witness(named); shared {
+			t.Errorf("n=%d k=%d q=%d: the named quorum sets %v share member %d", tc.n, tc.k, q, named, w)
 		}
 	}
 }

@@ -16,9 +16,13 @@ package checker
 
 import (
 	"fmt"
+	"strings"
 
+	"failstop/internal/byz"
+	"failstop/internal/fd"
 	"failstop/internal/model"
 	"failstop/internal/quorum"
+	"failstop/internal/reliable"
 )
 
 // Verdict is the outcome of checking one property on one history.
@@ -68,19 +72,20 @@ func FS1(h model.History) Verdict {
 // drop it, together with its obligation to detect every down process
 // (the property would then pass vacuously). Callers that know the true
 // membership pass it here; silent processes count as live.
-func FS1At(h model.History, n int) Verdict {
-	down := h.DownAtEnd()
-	// Walk processes in id order, not map order, so the counterexample a
-	// failing run reports is the same on every execution.
+func FS1At(h model.History, n int) Verdict { return fs1At(model.NewIndex(h), n) }
+
+func fs1At(x *model.Index, n int) Verdict {
+	// Walk processes in id order, so the counterexample a failing run
+	// reports is the same on every execution.
 	for i := model.ProcID(1); int(i) <= n; i++ {
-		if !down[i] {
+		if !x.DownAtEnd(i) {
 			continue
 		}
 		for j := model.ProcID(1); int(j) <= n; j++ {
-			if j == i || down[j] {
+			if j == i || x.DownAtEnd(j) {
 				continue
 			}
-			if h.FailedIndex(j, i) < 0 {
+			if x.Detection(j, i) < 0 {
 				return bad("FS1", "crash_%d never detected by live process %d", i, j)
 			}
 		}
@@ -92,9 +97,11 @@ func FS1At(h model.History, n int) Verdict {
 // In history terms, crash_i precedes failed_j(i) for every detection.
 //
 //	FS2: ∀r,i,j: r ⊨ □(FAILED_j(i) ⇒ CRASH_i)
-func FS2(h model.History) Verdict {
-	for _, d := range h.Detections() {
-		ci := h.CrashIndex(d.Detected)
+func FS2(h model.History) Verdict { return fs2(model.NewIndex(h)) }
+
+func fs2(x *model.Index) Verdict {
+	for _, d := range x.Detections() {
+		ci := x.CrashIndex(d.Detected)
 		if ci < 0 || ci > d.Index {
 			return bad("FS2", "failed_%d(%d) at index %d precedes crash_%d (index %d)",
 				d.Detector, d.Detected, d.Index, d.Detected, ci)
@@ -127,9 +134,11 @@ func Accuracy(h model.History, allowed map[model.ProcID]bool) Verdict {
 //	sFS2a: ∀r,i,j: r ⊨ □(FAILED_i(j) ⇒ ◇CRASH_j)
 //
 // Meaningful on quiescent runs (the crash may be in flight otherwise).
-func SFS2a(h model.History) Verdict {
-	for _, d := range h.Detections() {
-		if h.CrashIndex(d.Detected) < 0 {
+func SFS2a(h model.History) Verdict { return sfs2a(model.NewIndex(h)) }
+
+func sfs2a(x *model.Index) Verdict {
+	for _, d := range x.Detections() {
+		if x.CrashIndex(d.Detected) < 0 {
 			return bad("sFS2a", "failed_%d(%d) but %d never crashes",
 				d.Detector, d.Detected, d.Detected)
 		}
@@ -149,8 +158,10 @@ func SFS2b(h model.History) Verdict {
 // SFS2c checks that no process detects its own failure:
 //
 //	sFS2c: ∀r,i: r ⊨ □¬FAILED_i(i)
-func SFS2c(h model.History) Verdict {
-	for _, d := range h.Detections() {
+func SFS2c(h model.History) Verdict { return sfs2c(h.Detections()) }
+
+func sfs2c(dets []model.Detection) Verdict {
+	for _, d := range dets {
 		if d.Detector == d.Detected {
 			return bad("sFS2c", "failed_%d(%d) at index %d", d.Detector, d.Detected, d.Index)
 		}
@@ -164,31 +175,34 @@ func SFS2c(h model.History) Verdict {
 //
 //	sFS2d: r ⊨ □[FAILED_i(j) ∧ ¬SEND_i(k,m) ⇒
 //	             □((SEND_i(k,m) ∧ RECV_k(i,m)) ⇒ FAILED_k(j))]
-func SFS2d(h model.History) Verdict {
-	// For each process i, the set of targets detected so far while scanning.
-	detectedBy := make(map[model.ProcID][]model.ProcID)
-	// sends tainted by a detection: msg id -> (sender's detected set at send).
-	taint := make(map[model.MsgID][]model.ProcID)
-	// detection index per (i,j) for the receive-side check.
-	failedIdx := make(map[[2]model.ProcID]int)
+func SFS2d(h model.History) Verdict { return sfs2d(h, model.NewIndex(h)) }
+
+func sfs2d(h model.History, x *model.Index) Verdict {
+	dets := x.Detections()
+	// detectedBy[i]: the targets i has detected so far in the scan.
+	detectedBy := make([][]model.ProcID, x.Processes()+1)
+	// A send is tainted by the detections its sender has already executed.
+	// detectedBy only grows, so the taint is a prefix length, not a copy.
+	type prefix struct {
+		from model.ProcID
+		n    int
+	}
+	taint := make(map[model.MsgID]prefix)
 
 	for idx, e := range h {
 		switch e.Kind {
 		case model.KindFailed:
 			detectedBy[e.Proc] = append(detectedBy[e.Proc], e.Target)
-			failedIdx[[2]model.ProcID{e.Proc, e.Target}] = idx
 		case model.KindSend:
-			if ds := detectedBy[e.Proc]; len(ds) > 0 {
-				cp := make([]model.ProcID, len(ds))
-				copy(cp, ds)
-				taint[e.Msg] = cp
+			if n := len(detectedBy[e.Proc]); n > 0 {
+				taint[e.Msg] = prefix{from: e.Proc, n: n}
 			}
 		case model.KindCrash, model.KindInternal:
 			// No contamination flows through crashes or internal events.
 		case model.KindRecv:
-			for _, j := range taint[e.Msg] {
-				fi, okd := failedIdx[[2]model.ProcID{e.Proc, j}]
-				if !okd || fi > idx {
+			tm := taint[e.Msg]
+			for _, j := range detectedBy[tm.from][:tm.n] {
+				if k := x.Detection(e.Proc, j); k < 0 || dets[k].Index > idx {
 					return bad("sFS2d",
 						"recv_%d(%d, m%d) at index %d before failed_%d(%d): message sent after sender detected %d",
 						e.Proc, e.Peer, e.Msg, idx, e.Proc, j, j)
@@ -202,24 +216,24 @@ func SFS2d(h model.History) Verdict {
 // Condition1 checks §3.2 Condition 1: if failed_i(j) occurs in the history
 // then crash_j occurs in the history. Operationally identical to sFS2a on a
 // finite horizon but reported under its own name.
-func Condition1(h model.History) Verdict {
-	v := SFS2a(h)
-	v.Property = "Condition1"
-	return v
-}
+func Condition1(h model.History) Verdict { return relabel(SFS2a(h), "Condition1") }
 
 // Condition2 checks §3.2 Condition 2: the failed-before relation is acyclic.
-func Condition2(h model.History) Verdict {
-	v := SFS2b(h)
-	v.Property = "Condition2"
+func Condition2(h model.History) Verdict { return relabel(SFS2b(h), "Condition2") }
+
+// relabel reports v under another property's name.
+func relabel(v Verdict, prop string) Verdict {
+	v.Property = prop
 	return v
 }
 
 // Condition3 checks §3.2 Condition 3: there is no event e of process j such
 // that failed_i(j) happens-before e.
-func Condition3(h model.History) Verdict {
+func Condition3(h model.History) Verdict { return condition3(h, h.Detections()) }
+
+func condition3(h model.History, dets []model.Detection) Verdict {
 	hb := model.NewHB(h)
-	for _, d := range h.Detections() {
+	for _, d := range dets {
 		for idx := d.Index + 1; idx < len(h); idx++ {
 			if h[idx].Proc != d.Detected {
 				continue
@@ -234,34 +248,34 @@ func Condition3(h model.History) Verdict {
 }
 
 // QuorumSets reconstructs, from the history alone, the quorum set Q_{i,j}
-// of every completed detection (Definition 5): the detector i itself plus
-// every process from which i received "j failed" (tag core SUSP) before
-// executing failed_i(j). The §5 protocol merges SUSP and ACK.SUSP, so
-// received suspicion messages are the acknowledgements.
-func QuorumSets(h model.History, suspTag string) []map[model.ProcID]bool {
-	// heard[i][j] = set of senders of "j failed" received by i so far.
-	heard := make(map[model.ProcID]map[model.ProcID]map[model.ProcID]bool)
-	var out []map[model.ProcID]bool
+// of every completed detection (Definition 5), in history order: the
+// detector i itself plus every process from which i received "j failed"
+// (tag core SUSP) before executing failed_i(j). The §5 protocol merges SUSP
+// and ACK.SUSP, so received suspicion messages are the acknowledgements.
+func QuorumSets(h model.History, suspTag string) []quorum.Set {
+	return quorumSets(h, model.NewIndex(h), suspTag)
+}
+
+func quorumSets(h model.History, x *model.Index, suspTag string) []quorum.Set {
+	// One backing array: the first nd rows are the returned sets, the next
+	// nd accumulate the senders heard so far per (i, j) pair, keyed by the
+	// pair's first detection — pairs that never detect need no row. Every
+	// id is at most x.Processes(), so Add never grows a row out of the array.
+	nd, words := len(x.Detections()), quorum.Words(x.Processes())
+	rows := make([]uint64, 2*nd*words)
+	row := func(r int) quorum.Set { return rows[r*words : (r+1)*words : (r+1)*words] }
+	out := make([]quorum.Set, 0, nd)
 	for _, e := range h {
 		switch {
 		case e.Kind == model.KindRecv && e.Tag == suspTag && e.Target != model.None:
-			m := heard[e.Proc]
-			if m == nil {
-				m = make(map[model.ProcID]map[model.ProcID]bool)
-				heard[e.Proc] = m
+			if k := x.Detection(e.Proc, e.Target); k >= 0 {
+				heard := row(nd + k)
+				heard.Add(e.Peer)
 			}
-			s := m[e.Target]
-			if s == nil {
-				s = make(map[model.ProcID]bool)
-				m[e.Target] = s
-			}
-			s[e.Peer] = true
 		case e.Kind == model.KindFailed:
-			q := map[model.ProcID]bool{e.Proc: true}
-			//sfs:allow detmaprange set-to-set copy; the quorum set is consumed by membership tests only
-			for sender := range heard[e.Proc][e.Target] {
-				q[sender] = true
-			}
+			q := row(len(out))
+			copy(q, row(nd+x.Detection(e.Proc, e.Target)))
+			q.Add(e.Proc)
 			out = append(out, q)
 		}
 	}
@@ -272,13 +286,22 @@ func QuorumSets(h model.History, suspTag string) []map[model.ProcID]bool {
 // reconstructed from the history, in the form Theorem 7's quorum size
 // guarantees and sFS2b requires: every subfamily of at most t quorum sets
 // has a common witness (a failed-before cycle involves at most t processes,
-// hence at most t quorum sets — larger subfamilies never matter).
+// hence at most t quorum sets — larger subfamilies never matter). A
+// violation names the offending detections, in history order.
 func WitnessProperty(h model.History, suspTag string, t int) Verdict {
-	sets := QuorumSets(h, suspTag)
-	if !quorum.SubfamiliesIntersect(sets, t) {
-		return bad("W", "some %d of the %d detections' quorum sets have empty intersection", t, len(sets))
+	x := model.NewIndex(h)
+	sets := quorumSets(h, x, suspTag)
+	sub := quorum.EmptySubfamily(sets, t)
+	if sub == nil {
+		return ok("W")
 	}
-	return ok("W")
+	names := make([]string, len(sub))
+	for i, k := range sub {
+		d := x.Detections()[k]
+		names[i] = fmt.Sprintf("failed_%d(%d) %v", d.Detector, d.Detected, sets[k])
+	}
+	return bad("W", "the quorum sets of %s share no member (%d of %d detections, t = %d)",
+		strings.Join(names, ", "), len(sub), len(sets), t)
 }
 
 // SFS checks the full simulated-fail-stop specification of Figure 1:
@@ -292,19 +315,38 @@ func FS(h model.History) []Verdict {
 	return []Verdict{FS1(h), FS2(h)}
 }
 
+// TransportTags lists the payload tags of the protocol stack's own traffic
+// — the detector's "j failed" round, fd heartbeats, reliable-delivery acks
+// and Byzantine witness echoes — that History.DropTags removes to obtain
+// the model-level history. suspTag is the detector's tag (core.TagSusp
+// unless a trace says otherwise). This is the one such list: the facade,
+// All, the sweep and sfs-check all abstract a history through it.
+func TransportTags(suspTag string) []string {
+	return []string{suspTag, fd.TagHeartbeat, reliable.TagAck, byz.TagEcho}
+}
+
+// Abstract returns the model-level history of h: h without its transport
+// traffic (TransportTags).
+func Abstract(h model.History, suspTag string) model.History {
+	return h.DropTags(TransportTags(suspTag)...)
+}
+
 // All checks every property this package knows about. The sFS and FS
-// properties are checked on the abstract (model-level) history — protocol
-// SUSP messages and fd heartbeats dropped per History.DropTags — while the
-// Witness property needs the full trace to reconstruct quorum sets.
+// properties are checked on the abstract (model-level) history, while the
+// Witness property needs the full trace to reconstruct quorum sets. What
+// the properties share — the membership size, the detections, the crash
+// and failed_i(j) lookups — is computed once, and Conditions 1 and 2
+// restate the sFS2a and sFS2b verdicts they are defined to equal.
 func All(h model.History, suspTag string, t int) []Verdict {
-	abstract := h.DropTags(suspTag, "HB")
-	out := []Verdict{
-		FS1(abstract), FS2(abstract),
-		SFS2a(abstract), SFS2b(abstract), SFS2c(abstract), SFS2d(abstract),
-		Condition1(abstract), Condition2(abstract), Condition3(abstract),
+	abstract := Abstract(h, suspTag)
+	x := model.NewIndex(abstract)
+	a, b := sfs2a(x), SFS2b(abstract)
+	return []Verdict{
+		fs1At(x, x.Processes()), fs2(x),
+		a, b, sfs2c(x.Detections()), sfs2d(abstract, x),
+		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(abstract, x.Detections()),
 		WitnessProperty(h, suspTag, t),
 	}
-	return out
 }
 
 // AllHold reports whether every verdict holds, and if not, the first

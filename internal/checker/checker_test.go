@@ -1,10 +1,12 @@
 package checker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"failstop/internal/model"
+	"failstop/internal/quorum"
 )
 
 func mustHold(t *testing.T, v Verdict) {
@@ -247,7 +249,7 @@ func TestQuorumSetsReconstruction(t *testing.T) {
 		t.Fatalf("got %d quorum sets, want 1", len(sets))
 	}
 	q := sets[0]
-	if !q[2] || !q[3] || !q[4] || len(q) != 3 {
+	if !q.Has(2) || !q.Has(3) || !q.Has(4) || q.Len() != 3 {
 		t.Errorf("quorum = %v, want {2,3,4}", q)
 	}
 	// Suspicion heard AFTER the detection must not count.
@@ -260,7 +262,7 @@ func TestQuorumSetsReconstruction(t *testing.T) {
 		model.Crash(1),
 	}.Normalize()
 	sets2 := QuorumSets(h2, "SUSP")
-	if len(sets2) != 1 || len(sets2[0]) != 2 {
+	if len(sets2) != 1 || sets2[0].Len() != 2 {
 		t.Errorf("quorum sets = %v, want one set of size 2", sets2)
 	}
 }
@@ -330,5 +332,100 @@ func TestVerdictString(t *testing.T) {
 func TestEmptyHistory(t *testing.T) {
 	for _, v := range All(model.History{}, "SUSP", 2) {
 		mustHold(t, v)
+	}
+}
+
+// historyOf records a run in which, for each quorum set of fam in turn,
+// the k-th ring member (fam[k] must contain it) hears "next ring member
+// failed" from every other process of the set and then detects it.
+func historyOf(fam []quorum.Set, ring []model.ProcID) model.History {
+	var h model.History
+	msg := model.MsgID(0)
+	for k, q := range fam {
+		i, j := ring[k], ring[(k+1)%len(ring)]
+		for _, from := range q.Members() {
+			if from != i {
+				msg++
+				h = append(h, model.Send(from, i, msg, "SUSP", j), model.Recv(i, from, msg, "SUSP", j))
+			}
+		}
+		h = append(h, model.Failed(i, j))
+	}
+	return h.Normalize()
+}
+
+// A W violation names the detections whose quorum sets share no member —
+// here the three sets of Theorem 7's adversarial family for n=9, t=3 —
+// in history order, and the same history passes at t=2.
+func TestWitnessPropertyNamesTheOffendingDetections(t *testing.T) {
+	fam := quorum.EmptyIntersectionFamily(9, 3) // {4..9}, {1,2,3,7,8,9}, {1..6}
+	h := historyOf(fam, []model.ProcID{4, 7, 1})
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for k, q := range QuorumSets(h, "SUSP") {
+		if q.String() != fam[k].String() {
+			t.Fatalf("reconstructed quorum set %d = %v, want %v", k, q, fam[k])
+		}
+	}
+	mustHold(t, WitnessProperty(h, "SUSP", 2))
+	v := WitnessProperty(h, "SUSP", 3)
+	mustViolate(t, v)
+	want := "the quorum sets of failed_4(7) [4 5 6 7 8 9], failed_7(1) [1 2 3 7 8 9], failed_1(4) [1 2 3 4 5 6] share no member (3 of 3 detections, t = 3)"
+	if v.Detail != want {
+		t.Errorf("W detail = %q\nwant       %q", v.Detail, want)
+	}
+	if vs := All(h, "SUSP", 3); vs[len(vs)-1].Detail != want {
+		t.Errorf("All reports W as %q", vs[len(vs)-1].Detail)
+	}
+}
+
+// A repeated failed_i(j) — only an invalid history has one — sees every
+// sender heard up to that point, as the streaming reconstruction always did.
+func TestQuorumSetsRepeatedDetection(t *testing.T) {
+	h := model.History{
+		model.Send(3, 2, 1, "SUSP", 1),
+		model.Recv(2, 3, 1, "SUSP", 1),
+		model.Failed(2, 1),
+		model.Send(4, 2, 2, "SUSP", 1),
+		model.Recv(2, 4, 2, "SUSP", 1),
+		model.Failed(2, 1),
+	}.Normalize()
+	sets := QuorumSets(h, "SUSP")
+	if fmt.Sprint(sets) != "[[2 3] [2 3 4]]" {
+		t.Errorf("quorum sets = %v, want [[2 3] [2 3 4]]", sets)
+	}
+}
+
+// The stack's own traffic — every layer's, not just the detector's and the
+// heartbeats' — is invisible to the model-level properties: a send that
+// follows a detection taints sFS2d only if it is an application message.
+func TestAllAbstractsEveryTransportTag(t *testing.T) {
+	for _, tag := range TransportTags("SUSP") {
+		h := model.History{
+			model.Crash(3),
+			model.Failed(1, 3),
+			model.Send(1, 2, 1, tag, model.None),
+			model.Recv(2, 1, 1, tag, model.None),
+			model.Failed(2, 3),
+		}.Normalize()
+		for _, v := range All(h, "SUSP", 1) {
+			if !v.Holds {
+				t.Errorf("transport tag %q leaked into the model-level history: %s", tag, v)
+			}
+		}
+		if ab := Abstract(h, "SUSP"); len(ab) != 3 {
+			t.Errorf("Abstract kept %d events of a history whose only traffic is %q, want 3", len(ab), tag)
+		}
+	}
+	app := model.History{
+		model.Crash(3),
+		model.Failed(1, 3),
+		model.Send(1, 2, 1, "app", model.None),
+		model.Recv(2, 1, 1, "app", model.None),
+		model.Failed(2, 3),
+	}.Normalize()
+	if v, allOK := AllHold(All(app, "SUSP", 1)); allOK || v.Property != "sFS2d" {
+		t.Errorf("an application message past the barrier must violate sFS2d, got %v", v)
 	}
 }

@@ -88,12 +88,12 @@ func TestQuickQuorumSnapshotsMatchTrace(t *testing.T) {
 			return false
 		}
 		// Compare as multisets of sorted memberships.
-		count := func(sets []map[model.ProcID]bool) map[string]int {
+		count := func(sets []quorum.Set) map[string]int {
 			out := map[string]int{}
 			for _, s := range sets {
 				key := ""
 				for p := model.ProcID(1); int(p) <= n; p++ {
-					if s[p] {
+					if s.Has(p) {
 						key += p.String() + ","
 					}
 				}

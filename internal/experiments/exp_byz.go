@@ -115,7 +115,7 @@ func E16() Result {
 			// Check on the application-visible history, as the facade
 			// does: the protocol's SUSP traffic and the interposer's echo
 			// broadcasts are transport, not observable behavior.
-			h := res.History.DropTags(core.TagSusp, byz.TagEcho)
+			h := checker.Abstract(res.History, core.TagSusp)
 			if checker.Accuracy(h, allowed).Holds {
 				cs.accuracy++
 			}

@@ -97,7 +97,7 @@ func E15() Result {
 			cs.restarts += res.Restarts
 			cs.recovered += res.Recovered
 
-			ab := res.History.DropTags(core.TagSusp, reliable.TagAck)
+			ab := checker.Abstract(res.History, core.TagSusp)
 			// FS1At, not FS1: under off/amnesia the bystanders {3,4,5} are
 			// entirely silent, so inferring n from the history would drop
 			// them and pass FS1 vacuously.

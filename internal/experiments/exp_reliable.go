@@ -95,7 +95,7 @@ func E13() Result {
 			if complete {
 				cs.complete++
 			}
-			ab := res.History.DropTags(core.TagSusp, reliable.TagAck)
+			ab := checker.Abstract(res.History, core.TagSusp)
 			if checker.FS1(ab).Holds {
 				cs.fs1++
 			}

@@ -93,16 +93,30 @@ func (h History) IsomorphicTo(o History) bool {
 // removes both the send and the matching receive, so the result is again a
 // valid history.
 func (h History) DropTags(tags ...string) History {
-	drop := make(map[string]bool, len(tags))
-	for _, t := range tags {
-		drop[t] = true
-	}
-	out := make(History, 0, len(h))
-	for _, e := range h {
-		if (e.Kind == KindSend || e.Kind == KindRecv) && drop[e.Tag] {
-			continue
+	dropped := func(e Event) bool {
+		if e.Kind != KindSend && e.Kind != KindRecv {
+			return false
 		}
-		out = append(out, e)
+		for _, t := range tags {
+			if e.Tag == t {
+				return true
+			}
+		}
+		return false
+	}
+	// Transport traffic is most of a protocol run's history, so size the
+	// result by what is kept, not by len(h).
+	keep := 0
+	for _, e := range h {
+		if !dropped(e) {
+			keep++
+		}
+	}
+	out := make(History, 0, keep)
+	for _, e := range h {
+		if !dropped(e) {
+			out = append(out, e)
+		}
 	}
 	return out.Normalize()
 }
@@ -227,7 +241,8 @@ func violation(idx int, rule, format string, args ...any) error {
 // Validate checks that h could be the history of a run of the system model
 // of §2 / Appendix A.1:
 //
-//   - every event has a valid kind and an actor process;
+//   - every event has a valid kind and an actor process, and no process id
+//     is negative (Index and the checkers' dense tables index by id);
 //   - each message id is sent at most once and received at most once;
 //   - every receive matches an earlier send with the same message id over
 //     the same channel (recv_i(j,m) requires an earlier send_j(i,m)), and
@@ -278,6 +293,9 @@ func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) 
 	for idx, e := range h {
 		if e.Proc == None {
 			return tampered, violation(idx, "actor", "event %s has no actor process", e)
+		}
+		if e.Proc < 0 || e.Peer < 0 || e.Target < 0 {
+			return tampered, violation(idx, "proc-id", "event %s has a negative process id", e)
 		}
 		switch e.Kind {
 		case KindSend, KindRecv, KindCrash, KindFailed, KindInternal:

@@ -69,6 +69,9 @@ func TestValidateRejectsInvalidHistories(t *testing.T) {
 	}{
 		{"no actor", History{{Kind: KindCrash}}, "actor"},
 		{"bad kind", History{{Proc: 1}}, "kind"},
+		{"negative actor", History{{Proc: -1, Kind: KindCrash}}, "proc-id"},
+		{"negative target", History{Failed(1, -2)}, "proc-id"},
+		{"negative peer", History{Send(1, -3, 1, "a", None)}, "proc-id"},
 		{"recv before send", History{Recv(2, 1, 1, "a", None)}, "recv-before-send"},
 		{"duplicate send", History{
 			Send(1, 2, 1, "a", None),
@@ -356,6 +359,54 @@ func TestGeneratedHistoriesSelfIsomorphic(t *testing.T) {
 		h := NewGen(seed).History(5, 120)
 		if !h.IsomorphicTo(h.Clone()) {
 			t.Fatalf("seed %d: history not isomorphic to its clone", seed)
+		}
+	}
+}
+
+// Property: Index answers exactly what the per-call History scans answer,
+// on generated histories and on one with restarts and a repeated detection.
+func TestIndexAgreesWithHistoryScans(t *testing.T) {
+	hs := []History{
+		nil,
+		{Crash(2), Restart(2), Failed(1, 2), Crash(2), Failed(3, 2), Failed(1, 2), Crash(3), Restart(3)},
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		hs = append(hs, NewGen(seed).History(3+int(seed%6), 120))
+	}
+	for hi, h := range hs {
+		x := NewIndex(h)
+		n := h.Processes()
+		if x.Processes() != n {
+			t.Fatalf("history %d: Processes = %d, want %d", hi, x.Processes(), n)
+		}
+		dets := h.Detections()
+		if len(x.Detections()) != len(dets) {
+			t.Fatalf("history %d: %d detections, want %d", hi, len(x.Detections()), len(dets))
+		}
+		for k, d := range dets {
+			if x.Detections()[k] != d {
+				t.Fatalf("history %d: detection %d = %+v, want %+v", hi, k, x.Detections()[k], d)
+			}
+		}
+		down := h.DownAtEnd()
+		// One id past each end: out-of-range lookups answer "none".
+		for i := ProcID(-1); int(i) <= n+1; i++ {
+			if got, want := x.CrashIndex(i), h.CrashIndex(i); got != want {
+				t.Errorf("history %d: CrashIndex(%d) = %d, want %d", hi, i, got, want)
+			}
+			if got := x.DownAtEnd(i); got != down[i] {
+				t.Errorf("history %d: DownAtEnd(%d) = %v, want %v", hi, i, got, down[i])
+			}
+			for j := ProcID(-1); int(j) <= n+1; j++ {
+				want := h.FailedIndex(i, j)
+				got := -1
+				if k := x.Detection(i, j); k >= 0 {
+					got = dets[k].Index
+				}
+				if got != want {
+					t.Errorf("history %d: failed_%d(%d) at %d, want %d", hi, i, j, got, want)
+				}
+			}
 		}
 	}
 }

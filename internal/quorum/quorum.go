@@ -6,7 +6,7 @@ package quorum
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"failstop/internal/model"
 )
@@ -55,29 +55,25 @@ func Progresses(n, t int) bool {
 // Witness reports whether the family of quorum sets satisfies the Witness
 // property W: the intersection of all quorum sets is nonempty (§4). The
 // family maps each detection to the set of processes whose acknowledgements
-// the detector collected.
-func Witness(quorums []map[model.ProcID]bool) (model.ProcID, bool) {
+// the detector collected. The reported witness is the smallest common
+// member.
+func Witness(quorums []Set) (model.ProcID, bool) {
 	if len(quorums) == 0 {
 		return model.None, true
 	}
-	// Intersect all sets against the first, candidates in ascending order
-	// so the reported witness is the smallest common member, not whichever
-	// the map yields first.
-	cands := make([]model.ProcID, 0, len(quorums[0]))
-	for w := range quorums[0] {
-		cands = append(cands, w)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, w := range cands {
-		inAll := true
-		for _, q := range quorums[1:] {
-			if !q[w] {
-				inAll = false
-				break
-			}
+	words := len(quorums[0])
+	for _, q := range quorums {
+		if len(q) < words {
+			words = len(q)
 		}
-		if inAll {
-			return w, true
+	}
+	for w := 0; w < words; w++ {
+		common := ^uint64(0)
+		for _, q := range quorums {
+			common &= q[w]
+		}
+		if common != 0 {
+			return model.ProcID(w*64 + bits.TrailingZeros64(common)), true
 		}
 	}
 	return model.None, false
@@ -91,33 +87,120 @@ func Witness(quorums []map[model.ProcID]bool) (model.ProcID, bool) {
 //
 // A family may have empty global intersection while every t-subfamily
 // intersects; such a family is still safe.
-func SubfamiliesIntersect(quorums []map[model.ProcID]bool, t int) bool {
+func SubfamiliesIntersect(quorums []Set, t int) bool {
+	return EmptySubfamily(quorums, t) == nil
+}
+
+// EmptySubfamily returns the indices, ascending, of at most t of the given
+// quorum sets whose intersection is empty — the first such subfamily in
+// index order among the sets the search keeps — or nil if every subfamily
+// of at most t sets has a common member (SubfamiliesIntersect).
+//
+// The search never enumerates the C(len, t) index tuples. It drops every
+// set that equals an earlier one or strictly contains another: swapping
+// such a set for the one it repeats or contains can only shrink an
+// intersection, so if any ≤ t sets have an empty intersection, some ≤ t of
+// the kept sets (distinct, inclusion-minimal) do. It then walks the kept
+// sets' index-ordered prefixes depth first to depth t, carrying the running
+// intersection, and stops at the first empty one. A prefix is not extended
+// when counting shows no extension can be empty: a set removes at most
+// miss members — the most any kept set lacks of their union — so an
+// intersection of more than r·miss members survives r more sets. That is
+// Theorem 7's own argument, t(n-q) < n, and it settles a family of
+// minimum-size quorums at the root. Worst case is still C(u, t) prefixes
+// over the u kept sets, one AND per word each; the search allocates three
+// slices whatever u and t are.
+func EmptySubfamily(quorums []Set, t int) []int {
 	if t <= 0 || len(quorums) <= 1 {
-		return true
+		return nil
 	}
 	if t > len(quorums) {
 		t = len(quorums)
 	}
-	idx := make([]int, t)
-	var rec func(pos, start int) bool
-	rec = func(pos, start int) bool {
-		if pos == t {
-			sub := make([]map[model.ProcID]bool, t)
-			for i, q := range idx {
-				sub[i] = quorums[q]
-			}
-			_, okW := Witness(sub)
-			return okW
+	s := search{fam: quorums, t: t, kept: minimal(quorums), path: make([]int, t)}
+	for _, i := range s.kept {
+		if len(quorums[i]) > s.words {
+			s.words = len(quorums[i])
 		}
-		for i := start; i <= len(quorums)-(t-pos); i++ {
-			idx[pos] = i
-			if !rec(pos+1, i+1) {
-				return false
-			}
-		}
-		return true
 	}
-	return rec(0, 0)
+	// Frame d of the stack is the intersection of the d sets on the path;
+	// frame 0, the empty path's, is the union of the kept sets.
+	s.stack = make([]uint64, (t+1)*s.words)
+	union, fewest := Set(s.stack[:s.words]), int(^uint(0)>>1)
+	for _, i := range s.kept {
+		for w, x := range quorums[i] {
+			union[w] |= x
+		}
+		if n := quorums[i].Len(); n < fewest {
+			fewest = n
+		}
+	}
+	s.miss = union.Len() - fewest
+	if n := s.descend(0, 0); n > 0 {
+		return s.path[:n]
+	}
+	return nil
+}
+
+// minimal returns the indices of the distinct, inclusion-minimal sets of
+// fam in index order: a set is dropped if another is a strict subset of it
+// or an earlier one equals it.
+func minimal(fam []Set) []int {
+	kept := make([]int, 0, len(fam))
+	for i, q := range fam {
+		redundant := false
+		for j, o := range fam {
+			if j != i && o.SubsetOf(q) && (j < i || !q.SubsetOf(o)) {
+				redundant = true
+				break
+			}
+		}
+		if !redundant {
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// search is the state of one EmptySubfamily walk.
+type search struct {
+	fam   []Set
+	kept  []int    // indices into fam the walk ranges over
+	t     int      // depth bound
+	words int      // frame width: the longest kept set
+	miss  int      // the most members of the kept sets' union any kept set lacks
+	stack []uint64 // t+1 frames of running intersections
+	path  []int    // fam indices of the current prefix
+}
+
+// descend extends the prefix of the given depth with each kept set from
+// position from on, and returns the length of the first prefix whose
+// intersection is empty (its indices are then in path), or 0 if none is.
+func (s *search) descend(depth, from int) int {
+	cur := s.stack[depth*s.words : (depth+1)*s.words]
+	if Set(cur).Len() > (s.t-depth)*s.miss {
+		return 0
+	}
+	next := s.stack[(depth+1)*s.words : (depth+2)*s.words]
+	for k := from; k < len(s.kept); k++ {
+		q := s.fam[s.kept[k]]
+		var any uint64
+		for w, x := range q {
+			next[w] = cur[w] & x
+			any |= next[w]
+		}
+		s.path[depth] = s.kept[k]
+		if any == 0 {
+			return depth + 1
+		}
+		if depth+1 < s.t {
+			clear(next[len(q):]) // a short set has no members there
+			if found := s.descend(depth+1, k+1); found > 0 {
+				return found
+			}
+		}
+	}
+	return 0
 }
 
 // EmptyIntersectionFamily constructs the Theorem 7 adversarial family: t
@@ -129,7 +212,7 @@ func SubfamiliesIntersect(quorums []map[model.ProcID]bool, t int) bool {
 //
 // This is the construction from the proof of Theorem 7:
 // Q_1 = P - {1..y}, Q_2 = P - {y+1..2y}, ..., with y = ⌈n/t⌉.
-func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
+func EmptyIntersectionFamily(n, t int) []Set {
 	if n < 1 || t < 1 {
 		return nil
 	}
@@ -140,7 +223,7 @@ func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
 		// or tiny n; callers treat it as "no interesting family").
 		return nil
 	}
-	fam := make([]map[model.ProcID]bool, 0, t)
+	fam := make([]Set, 0, t)
 	for i := 0; i < t; i++ {
 		lo, hi := i*y+1, (i+1)*y
 		if hi > n {
@@ -149,10 +232,10 @@ func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
 			// predecessor rather than shrinking.
 			lo, hi = n-y+1, n
 		}
-		q := make(map[model.ProcID]bool, n-y)
+		q := make(Set, Words(n))
 		for p := 1; p <= n; p++ {
 			if p < lo || p > hi {
-				q[model.ProcID(p)] = true
+				q.Add(model.ProcID(p))
 			}
 		}
 		fam = append(fam, q)

@@ -102,25 +102,17 @@ func TestProgressesEquivalentToCorollary8(t *testing.T) {
 	}
 }
 
-func setOf(ps ...model.ProcID) map[model.ProcID]bool {
-	m := make(map[model.ProcID]bool, len(ps))
-	for _, p := range ps {
-		m[p] = true
-	}
-	return m
-}
-
 func TestWitness(t *testing.T) {
 	tests := []struct {
 		name    string
-		quorums []map[model.ProcID]bool
+		quorums []Set
 		holds   bool
 	}{
 		{"empty family", nil, true},
-		{"single", []map[model.ProcID]bool{setOf(1, 2)}, true},
-		{"common witness", []map[model.ProcID]bool{setOf(1, 2, 3), setOf(3, 4), setOf(2, 3, 5)}, true},
-		{"pairwise but not global", []map[model.ProcID]bool{setOf(1, 2), setOf(2, 3), setOf(3, 1)}, false},
-		{"disjoint", []map[model.ProcID]bool{setOf(1), setOf(2)}, false},
+		{"single", []Set{SetOf(1, 2)}, true},
+		{"common witness", []Set{SetOf(1, 2, 3), SetOf(3, 4), SetOf(2, 3, 5)}, true},
+		{"pairwise but not global", []Set{SetOf(1, 2), SetOf(2, 3), SetOf(3, 1)}, false},
+		{"disjoint", []Set{SetOf(1), SetOf(2)}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -130,7 +122,7 @@ func TestWitness(t *testing.T) {
 			}
 			if ok && len(tt.quorums) > 0 {
 				for i, q := range tt.quorums {
-					if !q[w] {
+					if !q.Has(w) {
 						t.Errorf("claimed witness %d not in quorum %d", w, i)
 					}
 				}
@@ -152,9 +144,9 @@ func TestEmptyIntersectionFamily(t *testing.T) {
 		// at most MinSize-1 in the tight cases: the family demonstrates that
 		// quorums of size <= n(t-1)/t cannot guarantee W.
 		for i, q := range fam {
-			if len(q) > tc.n*(tc.t-1)/tc.t {
+			if q.Len() > tc.n*(tc.t-1)/tc.t {
 				t.Errorf("n=%d t=%d: quorum %d has size %d > n(t-1)/t = %d",
-					tc.n, tc.t, i, len(q), tc.n*(tc.t-1)/tc.t)
+					tc.n, tc.t, i, q.Len(), tc.n*(tc.t-1)/tc.t)
 			}
 		}
 	}
@@ -196,8 +188,8 @@ func TestMinSizeGuaranteesWitnessAdversarially(t *testing.T) {
 }
 
 func TestSubfamiliesIntersect(t *testing.T) {
-	pairwise := []map[model.ProcID]bool{
-		setOf(1, 2), setOf(2, 3), setOf(3, 1),
+	pairwise := []Set{
+		SetOf(1, 2), SetOf(2, 3), SetOf(3, 1),
 	}
 	if !SubfamiliesIntersect(pairwise, 2) {
 		t.Error("pairwise-intersecting family must pass t=2")
@@ -205,7 +197,7 @@ func TestSubfamiliesIntersect(t *testing.T) {
 	if SubfamiliesIntersect(pairwise, 3) {
 		t.Error("family with empty triple intersection must fail t=3")
 	}
-	disjoint := []map[model.ProcID]bool{setOf(1), setOf(2)}
+	disjoint := []Set{SetOf(1), SetOf(2)}
 	if SubfamiliesIntersect(disjoint, 2) {
 		t.Error("disjoint pair must fail t=2")
 	}
@@ -219,7 +211,7 @@ func TestSubfamiliesIntersect(t *testing.T) {
 	if !SubfamiliesIntersect(disjoint, 1) {
 		t.Error("singleton subfamilies always intersect (nonempty sets)")
 	}
-	single := []map[model.ProcID]bool{setOf(1, 2)}
+	single := []Set{SetOf(1, 2)}
 	if !SubfamiliesIntersect(single, 5) {
 		t.Error("t larger than the family must clamp")
 	}
@@ -236,15 +228,12 @@ func TestQuickMinSizeFamiliesAlwaysIntersect(t *testing.T) {
 			return true
 		}
 		rng := newTestRand(seed)
-		fam := make([]map[model.ProcID]bool, tt+2)
+		fam := make([]Set, tt+2)
 		for i := range fam {
 			// A random q-subset of 1..n.
-			perm := rng.Perm(n)
-			s := make(map[model.ProcID]bool, q)
-			for _, idx := range perm[:q] {
-				s[model.ProcID(idx+1)] = true
+			for _, idx := range rng.Perm(n)[:q] {
+				fam[i].Add(model.ProcID(idx + 1))
 			}
-			fam[i] = s
 		}
 		return SubfamiliesIntersect(fam, tt)
 	}
@@ -254,3 +243,44 @@ func TestQuickMinSizeFamiliesAlwaysIntersect(t *testing.T) {
 }
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func TestSet(t *testing.T) {
+	s := SetOf(3, 64, 130)
+	if got := s.String(); got != "[3 64 130]" || s.Len() != 3 || len(s.Members()) != 3 {
+		t.Errorf("SetOf(3, 64, 130) = %s, len %d, members %v", got, s.Len(), s.Members())
+	}
+	for _, p := range []model.ProcID{3, 64, 130} {
+		if !s.Has(p) {
+			t.Errorf("Has(%d) = false", p)
+		}
+	}
+	for _, p := range []model.ProcID{-1, 0, 2, 63, 65, 129, 131, 10000} {
+		if s.Has(p) {
+			t.Errorf("Has(%d) = true", p)
+		}
+	}
+	// Length is representation, not content: a set sized for a large n
+	// equals the same members grown by Add.
+	wide := make(Set, Words(10000))
+	wide.Add(3)
+	narrow := SetOf(3)
+	if !wide.SubsetOf(narrow) || !narrow.SubsetOf(wide) || !wide.SubsetOf(s) || s.SubsetOf(wide) {
+		t.Error("SubsetOf must compare members, not lengths")
+	}
+	var empty Set
+	if empty.Len() != 0 || empty.String() != "[]" || !empty.SubsetOf(s) || !(Set{0, 0}).SubsetOf(empty) {
+		t.Error("zero Set must be the empty set")
+	}
+	if w, ok := Witness([]Set{wide, s, SetOf(3, 9000)}); !ok || w != 3 {
+		t.Errorf("Witness across lengths = %d, %v; want 3", w, ok)
+	}
+	if w, ok := Witness([]Set{SetOf(5, 130, 131), SetOf(131, 130)}); !ok || w != 130 {
+		t.Errorf("Witness must be the smallest common member, got %d, %v", w, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add of a negative id must panic")
+		}
+	}()
+	empty.Add(-1)
+}

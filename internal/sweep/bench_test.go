@@ -47,13 +47,9 @@ func benchSweep(b *testing.B, workers int) {
 // BenchmarkSweepSerial is the baseline: the same grid on a single worker.
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 
-// BenchmarkSweepParallel runs the grid on a GOMAXPROCS-sized pool.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
-
 // BenchmarkSweepThroughput is the headline scale-out number: the bench
-// grid through the streaming engine on a full pool, reported as runs/s.
-// It is the same measurement as BenchmarkSweepParallel under the name CI
-// tracks in BENCH_scale.json.
+// grid through the streaming engine on a GOMAXPROCS-sized pool, reported
+// as runs/s under the name CI tracks in BENCH_scale.json.
 func BenchmarkSweepThroughput(b *testing.B) { benchSweep(b, 0) }
 
 // runViaChannel executes the spec the way the engine did before streaming

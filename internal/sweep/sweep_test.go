@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"failstop/internal/byz"
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/reliable"
 	"failstop/internal/sim"
 )
 
@@ -89,6 +91,43 @@ func TestSweepChecksProperties(t *testing.T) {
 	}
 	if c.Holds["FS2"] == c.Checked {
 		t.Error("FS2 held on every run despite false suspicions with slowed kill paths")
+	}
+}
+
+// TestSweepAbstractsInterposerTraffic: on a fault-free network the
+// reliable-delivery and Byzantine-validation layers change nothing the
+// model sees, so every property that holds on the bare cell holds on the
+// "rel", "byz" and "rel byz" cells. (The checker once dropped only SUSP and
+// heartbeat traffic, and read acks and echoes sent after a detection as
+// sFS2d contamination on 5 of 10 "crash rel" runs.)
+func TestSweepAbstractsInterposerTraffic(t *testing.T) {
+	falseSusp, _ := Builtin("false-suspicion")
+	crash, _ := Builtin("crash")
+	spec := Spec{
+		Grid:      []NT{{10, 3}},
+		Schedules: []Schedule{crash, falseSusp},
+		Reliable:  []reliable.Options{{}, {Enabled: true, MaxRetries: 5}},
+		Byzantine: []byz.Options{{}, {Enabled: true}},
+		Seeds:     SeedRange{Count: 10},
+		Check:     true,
+	}
+	rep, err := Run(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 8 {
+		t.Fatalf("%d cells, want 8", len(rep.Cells))
+	}
+	for i := range rep.Cells {
+		c := &rep.Cells[i]
+		if c.Checked != c.Runs {
+			t.Errorf("%s: %d/%d runs checked", c.Cell, c.Checked, c.Runs)
+		}
+		for _, prop := range []string{"FS1", "sFS2a", "sFS2b", "sFS2c", "sFS2d", "Condition3", "W"} {
+			if !c.HoldsAll(prop) {
+				t.Errorf("%s: %s held on %d/%d checked runs", c.Cell, prop, c.Holds[prop], c.Checked)
+			}
+		}
 	}
 }
 
