@@ -198,12 +198,12 @@ type Detector struct {
 	pool      quorum.Pool // quorum membership under cfg.Topology (set at Init)
 	threshold int         // FixedQuorum completion size for this process's pool
 	crashed   bool
-	suspected map[model.ProcID]bool                  // broadcast sent for target
-	counts    map[model.ProcID]map[model.ProcID]bool // target -> senders of "target failed" (incl. self)
-	detected  map[model.ProcID]bool                  // failed_self(target) executed
-	quorums   map[model.ProcID][]model.ProcID        // target -> quorum snapshot at detection
-	deferred  []deferredSend                         // app sends queued during detection
-	pending   []pendingCount                         // piggybacked counts awaiting dependencies
+	suspected map[model.ProcID]bool           // broadcast sent for target
+	counts    map[model.ProcID]quorum.Set     // target -> senders of "target failed" (incl. self)
+	detected  map[model.ProcID]bool           // failed_self(target) executed
+	quorums   map[model.ProcID][]model.ProcID // target -> quorum snapshot at detection
+	deferred  []deferredSend                  // app sends queued during detection
+	pending   []pendingCount                  // piggybacked counts awaiting dependencies
 }
 
 // pendingCount is a "j failed" from sender whose piggybacked dependencies
@@ -271,7 +271,7 @@ func (d *Detector) Snapshot() []byte {
 	}
 	for _, target := range sortedMapKeys(d.counts) {
 		snap.Counts = append(snap.Counts, countSnapshot{
-			Target: target, Senders: sortedTrueKeys(d.counts[target]),
+			Target: target, Senders: d.counts[target].Members(),
 		})
 	}
 	for _, target := range sortedMapKeys(d.quorums) {
@@ -297,7 +297,7 @@ func (d *Detector) Snapshot() []byte {
 func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 	d.crashed = false
 	d.suspected = make(map[model.ProcID]bool)
-	d.counts = make(map[model.ProcID]map[model.ProcID]bool)
+	d.counts = make(map[model.ProcID]quorum.Set)
 	d.detected = make(map[model.ProcID]bool)
 	d.quorums = make(map[model.ProcID][]model.ProcID)
 	d.deferred = nil
@@ -312,9 +312,13 @@ func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 				d.detected[j] = true
 			}
 			for _, c := range snap.Counts {
-				set := make(map[model.ProcID]bool, len(c.Senders))
+				set := d.newSenderSet()
 				for _, s := range c.Senders {
-					set[s] = true
+					// A snapshot is read back from storage: ids no process
+					// can have are dropped, not trusted.
+					if s >= 1 && int(s) <= d.cfg.N {
+						set.Add(s)
+					}
 				}
 				d.counts[c.Target] = set
 			}
@@ -365,7 +369,7 @@ func NewDetector(cfg Config, fd Component, app App) *Detector {
 		fd:        fd,
 		app:       app,
 		suspected: make(map[model.ProcID]bool),
-		counts:    make(map[model.ProcID]map[model.ProcID]bool),
+		counts:    make(map[model.ProcID]quorum.Set),
 		detected:  make(map[model.ProcID]bool),
 		quorums:   make(map[model.ProcID][]model.ProcID),
 	}
@@ -440,7 +444,7 @@ func (d *Detector) Accepts(from model.ProcID, p node.Payload) bool {
 		return !d.detecting()
 	}
 	for target, senders := range d.counts {
-		if senders[from] && !d.detected[target] {
+		if senders.Has(from) && !d.detected[target] {
 			return false
 		}
 	}
@@ -584,11 +588,17 @@ func (d *Detector) countSusp(ctx node.Context, j, sender model.ProcID) {
 	}
 	set := d.counts[j]
 	if set == nil {
-		set = make(map[model.ProcID]bool, d.pool.Size())
+		set = d.newSenderSet()
 		d.counts[j] = set
 	}
-	set[sender] = true
+	set.Add(sender) // in place: the set already spans every id pool.Counts admits
 	d.maybeComplete(ctx, j)
+}
+
+// newSenderSet returns an empty sender set wide enough for every process
+// id, so adding a sender never regrows it.
+func (d *Detector) newSenderSet() quorum.Set {
+	return make(quorum.Set, quorum.Words(d.cfg.N))
 }
 
 func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
@@ -598,14 +608,14 @@ func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
 	set := d.counts[j]
 	switch d.cfg.Policy {
 	case FixedQuorum:
-		if len(set) < d.threshold {
+		if set.Len() < d.threshold {
 			return
 		}
 	case AllButSuspected:
 		// Wait for "j failed" from every pool member not suspected by self.
 		complete := true
 		d.ForEachPeer(func(q model.ProcID) {
-			if complete && !d.suspected[q] && !set[q] {
+			if complete && !d.suspected[q] && !set.Has(q) {
 				complete = false
 			}
 		})
@@ -613,12 +623,7 @@ func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
 			return
 		}
 	}
-	members := make([]model.ProcID, 0, len(set))
-	for m := range set {
-		members = append(members, m)
-	}
-	sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-	d.complete(ctx, j, members)
+	d.complete(ctx, j, set.Members())
 }
 
 func (d *Detector) reevaluateAll(ctx node.Context) {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"failstop/internal/checker"
@@ -392,5 +393,41 @@ func TestWitnessHoldsAcrossSeeds(t *testing.T) {
 		if v := checker.WitnessProperty(res.History, core.TagSusp, 3); !v.Holds {
 			t.Errorf("seed %d: %s", seed, v)
 		}
+	}
+}
+
+// restartCtx is the little of node.Context that Detector.OnRestart touches.
+type restartCtx struct {
+	node.Context
+	self model.ProcID
+	n    int
+}
+
+func (c restartCtx) Self() model.ProcID { return c.self }
+func (c restartCtx) N() int             { return c.n }
+
+// TestSnapshotRestartRoundTrip: a detector restored from its own snapshot
+// re-encodes to the same bytes — sender sets, quorum snapshots and all —
+// and a snapshot naming process ids nobody has (storage is outside the
+// program) restores without them instead of panicking.
+func TestSnapshotRestartRoundTrip(t *testing.T) {
+	c := sfsCluster(5, 2, 5)
+	c.SuspectAt(5, 2, 1)
+	c.Run()
+	d := c.Detectors[2]
+	snap := d.Snapshot()
+	if !strings.Contains(string(snap), `"counts":[{"target":1,"senders":[`) {
+		t.Fatalf("snapshot carries no sender set: %s", snap)
+	}
+	fresh := core.NewDetector(d.Config(), nil, nil)
+	fresh.OnRestart(restartCtx{self: 2, n: 5}, snap)
+	if got := fresh.Snapshot(); string(got) != string(snap) {
+		t.Errorf("restored detector re-encodes differently:\n got %s\nwant %s", got, snap)
+	}
+
+	hostile := []byte(`{"suspected":[3],"counts":[{"target":3,"senders":[-7,2,4,99999]}]}`)
+	fresh.OnRestart(restartCtx{self: 2, n: 5}, hostile)
+	if got, want := string(fresh.Snapshot()), `{"suspected":[3],"counts":[{"target":3,"senders":[2,4]}]}`; got != want {
+		t.Errorf("hostile snapshot restored as %s, want %s", got, want)
 	}
 }

@@ -38,12 +38,42 @@
 // §5 protocol defers receive events to satisfy sFS2d. A run that ends with
 // gated channels still holding messages is reported as blocked, which is
 // itself a measurable outcome (Corollary 8 experiments).
+//
+// Data layout: nothing on the per-message path hashes, sorts through
+// reflection, or reallocates, and each structure keeps one ordering
+// contract that the recorded history depends on.
+//   - Rows. A link is a *channel that knows its endpoints. Sender p's
+//     links sit in rows[p], ascending by receiver and materialized on first
+//     traffic; Send finds the link by binary search and every later step
+//     (due batches, gate lists, delivery) carries the pointer. Walking the
+//     rows visits links in (from, to) order, which is the order of
+//     Result.Blocked.
+//   - Slab. In-flight messages live in one per-Sim slab, grown a page of
+//     slots at a time so a slot never moves; a channel is a singly linked
+//     list of slots (head, tail, count) and popped slots are cleared onto a
+//     free list. List order is FIFO order; LinkDecision.Reorder swaps the
+//     contents of a channel's last two slots.
+//   - Open batches. Channel heads due at the same (tick, receiver) share one
+//     event-queue occurrence. A receiver's open batches are kept sorted by
+//     time; a batch is pushed when it opens, detached before it drains — a
+//     head rescheduled to the same tick opens a fresh batch behind it — and
+//     drained in ascending sender order. Gated links are re-evaluated in
+//     ascending sender order too.
+//   - History. Events are recorded into one buffer, sized by historyHint
+//     and returned as it is when the run fits; a longer run doubles it, so
+//     what is recorded is re-copied at most once over and Result.History
+//     keeps under half its capacity as slack. The buffer is not trimmed to
+//     size at the end: a run-sized allocation as the last thing a run does
+//     is where the collector's trigger lands more often than not, and the
+//     cycle then runs into whatever the caller does next. Event.Seq is the
+//     index from the moment of recording.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -109,20 +139,42 @@ type Config struct {
 	Store recovery.Store
 }
 
-type chanKey struct{ from, to model.ProcID }
-
+// pendingMsg is one in-flight message copy: a slot of the per-Sim slab,
+// linked to the message behind it on the same channel (or, on the free list,
+// to the next free slot).
 type pendingMsg struct {
 	id      model.MsgID
 	payload node.Payload
 	readyAt int64 // delivery-ready time; -1 if parked forever
 	span    int64 // enqueue span id; 0 when the message is unsampled
+	next    int32 // slab index of the next slot; noSlot at the end of the list
 }
 
+// noSlot terminates a channel's message list and the slab's free list.
+const noSlot int32 = -1
+
+// The slab grows a page at a time and never moves a slot: one flat array
+// regrown by append re-copies every in-flight message at each step, which
+// at N=10,000 allocates 135 MB to end with a 24 MB slab.
+const (
+	slabPageBits = 8
+	slabPageLen  = 1 << slabPageBits
+)
+
+type slabPage [slabPageLen]pendingMsg
+
+// channel is the link C_{from,to}: a FIFO of slab slots. It is found by
+// (from, to) once, at Send time, and carried by pointer from then on.
 type channel struct {
-	queue     []pendingMsg
-	scheduled bool // a head-delivery occurrence is in the event queue
-	gated     bool // head was refused by the receiver's gate
+	from, to   model.ProcID
+	head, tail int32 // slab indices; noSlot when the channel is empty
+	n          int32 // messages queued
+	scheduled  bool  // a head-delivery occurrence is in the event queue
+	gated      bool  // head was refused by the receiver's gate
 }
+
+// byFrom orders the links into one receiver by ascending sender.
+func byFrom(a, b *channel) int { return cmp.Compare(a.from, b.from) }
 
 type occKind int
 
@@ -146,13 +198,13 @@ type occurrence struct {
 	lt   int                // occPlanCrash, occRestart: Config.Lifetimes index
 }
 
-// dueKey identifies one batched-delivery occurrence: every channel head due
-// at the same (time, receiver) coalesces into a single heap entry, so the
-// event queue holds O(active receivers) delivery occurrences per tick
-// instead of O(in-flight messages).
-type dueKey struct {
-	at int64
-	to model.ProcID
+// dueBatch is one batched-delivery occurrence: every channel head due at
+// the same (time, receiver) coalesces into a single heap entry, so the event
+// queue holds O(active receivers) delivery occurrences per tick instead of
+// O(in-flight messages).
+type dueBatch struct {
+	at    int64
+	links []*channel
 }
 
 // occHeap is a binary min-heap of occurrences ordered by (time, seq). It
@@ -352,21 +404,25 @@ type Sim struct {
 	rng      *rand.Rand
 	handlers []node.Handler // index 1..N
 	ctxs     []*procCtx
-	chans    map[chanKey]*channel
 	queue    occHeap
 	now      int64
 	seq      int64
 	nextMsg  model.MsgID
-	history  model.History
 	crashed  []bool
 	down     []bool // plan-crashed, restart possibly pending (crash-recovery)
 	failed   map[[2]model.ProcID]bool
-	timerGen map[timerID]int64
 	ran      bool
 
-	due       map[dueKey][]model.ProcID // senders whose channel heads are due at (time, receiver)
-	batchFree [][]model.ProcID          // recycled sender slices for due batches
-	gatedFrom [][]model.ProcID          // per-receiver senders of gated channels
+	rows      [][]*channel // per sender: its materialized links, ascending by receiver
+	linkArena []channel    // backing store the next new link is carved from
+	slab      []*slabPage  // every in-flight message copy, linked per channel
+	slots     int32        // slab slots handed out so far
+	free      int32        // head of the slab's free list
+	open      [][]dueBatch // per receiver: its open due batches, latest first
+	batchFree [][]*channel // recycled link slices for due batches
+	gatedFrom [][]*channel // per receiver: the links whose head its gate refused
+
+	history model.History
 
 	// Instruments live inline as values: zero-cost when no registry or
 	// recorder is attached, registered by pointer into Config.Metrics
@@ -419,7 +475,9 @@ func New(cfg Config) *Sim {
 		// Per-link state is lazy: a channel materializes on first traffic,
 		// so a sparse topology over a large N allocates O(active links), not
 		// the O(N²) a full-mesh presize would.
-		chans:     make(map[chanKey]*channel),
+		rows:      make([][]*channel, cfg.N+1),
+		free:      noSlot,
+		open:      make([][]dueBatch, cfg.N+1),
 		handlers:  make([]node.Handler, cfg.N+1),
 		ctxs:      make([]*procCtx, cfg.N+1),
 		queue:     make(occHeap, 0, 64),
@@ -427,12 +485,12 @@ func New(cfg Config) *Sim {
 		crashed:   make([]bool, cfg.N+1),
 		down:      make([]bool, cfg.N+1),
 		failed:    make(map[[2]model.ProcID]bool),
-		timerGen:  make(map[timerID]int64, 16),
-		due:       make(map[dueKey][]model.ProcID),
-		gatedFrom: make([][]model.ProcID, cfg.N+1),
+		gatedFrom: make([][]*channel, cfg.N+1),
 	}
+	ctxs := make([]procCtx, cfg.N+1)
 	for p := 1; p <= cfg.N; p++ {
-		s.ctxs[p] = &procCtx{s: s, p: model.ProcID(p)}
+		ctxs[p] = procCtx{s: s, p: model.ProcID(p)}
+		s.ctxs[p] = &ctxs[p]
 	}
 	if reg := cfg.Metrics; reg != nil {
 		reg.RegisterGauge("sim_links_live", &s.gLinks)
@@ -549,7 +607,7 @@ func (s *Sim) Run() *Result {
 		}
 	}
 
-	res.History = s.history.Normalize()
+	res.History = s.history
 	res.EndTime = s.now
 	res.Sent = int(s.cSent.Value())
 	res.Delivered = int(s.cDelivered.Value())
@@ -633,17 +691,15 @@ func (s *Sim) sampleTimeline(next int64) {
 	}
 }
 
-// maxBacklog returns the deepest link queue. A maximum is order-free, so
-// ranging the channel map directly is deterministic.
+// maxBacklog returns the deepest link queue.
 func (s *Sim) maxBacklog() int {
-	mx := 0
-	//sfs:allow detmaprange a maximum over queue depths is order-insensitive
-	for _, c := range s.chans {
-		if len(c.queue) > mx {
-			mx = len(c.queue)
+	mx := int32(0)
+	for _, row := range s.rows {
+		for _, c := range row {
+			mx = max(mx, c.n)
 		}
 	}
-	return mx
+	return int(mx)
 }
 
 // reliableStats is implemented by handlers that wrap a reliable-delivery
@@ -676,130 +732,223 @@ func findByzStats(h node.Handler) (byzStats, bool) {
 	return nil, false
 }
 
+// blockedChannels reports every link still holding messages, in (from, to)
+// order — the order the rows are kept in.
 func (s *Sim) blockedChannels() []BlockedChannel {
 	var out []BlockedChannel
-	var keys []chanKey
-	for k, c := range s.chans {
-		if len(c.queue) > 0 {
-			keys = append(keys, k)
+	for _, row := range s.rows {
+		for _, c := range row {
+			if c.n == 0 {
+				continue
+			}
+			reason := ReasonGated
+			switch {
+			// A process that is down at the end of the run is as gone as a
+			// crashed one: its leftovers are expected, not a liveness failure.
+			case s.crashed[c.to] || s.down[c.to]:
+				reason = ReasonReceiverCrashed
+			case s.slot(c.head).readyAt < 0:
+				reason = ReasonParked
+			}
+			out = append(out, BlockedChannel{From: c.from, To: c.to, Queued: int(c.n), Reason: reason})
 		}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].from != keys[b].from {
-			return keys[a].from < keys[b].from
-		}
-		return keys[a].to < keys[b].to
-	})
-	for _, k := range keys {
-		c := s.chans[k]
-		reason := ReasonGated
-		switch {
-		// A process that is down at the end of the run is as gone as a
-		// crashed one: its leftovers are expected, not a liveness failure.
-		case s.crashed[k.to] || s.down[k.to]:
-			reason = ReasonReceiverCrashed
-		case c.queue[0].readyAt < 0:
-			reason = ReasonParked
-		}
-		out = append(out, BlockedChannel{From: k.from, To: k.to, Queued: len(c.queue), Reason: reason})
 	}
 	return out
 }
 
-// scheduleDelivery enqueues channel k's head delivery at time at.
+// link returns the channel from→to, materializing it on first use. A
+// sender's row stays sorted by receiver, so the lookup is a binary search
+// and end-of-run walks see links in (from, to) order without sorting.
+func (s *Sim) link(from, to model.ProcID) *channel {
+	// The two searches on the per-message path are written out: through
+	// slices.BinarySearchFunc (a call per comparison) flood-mesh-n10 ran 6 %
+	// fewer runs per second.
+	row := s.rows[from]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid].to < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(row) && row[lo].to == to {
+		return row[lo]
+	}
+	// Links are carved from arena chunks that are never regrown, so a
+	// *channel stays valid for the run; a run pays one allocation per chunk
+	// instead of one per link.
+	if len(s.linkArena) == cap(s.linkArena) {
+		s.linkArena = make([]channel, 0, min(max(2*cap(s.linkArena), 16), 1024))
+	}
+	s.linkArena = append(s.linkArena, channel{from: from, to: to, head: noSlot, tail: noSlot})
+	c := &s.linkArena[len(s.linkArena)-1]
+	s.rows[from] = slices.Insert(row, lo, c)
+	s.gLinks.Add(1)
+	return c
+}
+
+// slot returns the slab slot with index idx.
+func (s *Sim) slot(idx int32) *pendingMsg {
+	return &s.slab[idx>>slabPageBits][idx&(slabPageLen-1)]
+}
+
+// enqueue appends msg to c's FIFO, taking a slot from the slab's free list
+// or growing the slab. With overtake set (and at least two messages already
+// queued) the new message lands immediately before the current tail: the
+// last two slots swap contents, a pairwise FIFO violation.
+func (s *Sim) enqueue(c *channel, msg pendingMsg, overtake bool) {
+	idx := s.free
+	if idx != noSlot {
+		s.free = s.slot(idx).next
+	} else {
+		idx = s.slots
+		if int(idx>>slabPageBits) == len(s.slab) {
+			s.slab = append(s.slab, new(slabPage))
+		}
+		s.slots++
+	}
+	msg.next = noSlot
+	if c.n == 0 {
+		c.head = idx
+	} else {
+		tail := s.slot(c.tail)
+		tail.next = idx
+		if overtake && c.n > 1 {
+			msg, *tail = *tail, msg
+			tail.next, msg.next = idx, noSlot
+		}
+	}
+	*s.slot(idx) = msg
+	c.tail = idx
+	c.n++
+}
+
+// dequeue removes and returns c's head message. The vacated slot is cleared
+// before it joins the free list, so a delivered payload is not pinned.
+func (s *Sim) dequeue(c *channel) pendingMsg {
+	idx := c.head
+	slot := s.slot(idx)
+	msg := *slot
+	*slot = pendingMsg{next: s.free}
+	s.free = idx
+	c.head = msg.next
+	if c.n--; c.n == 0 {
+		c.tail = noSlot
+	}
+	return msg
+}
+
+// scheduleDelivery enqueues channel c's head delivery at time at.
 // Deliveries sharing a (time, receiver) coalesce into one occurrence and
 // drain in ascending sender order — deterministic, and independent of the
-// order the batch was assembled in.
-func (s *Sim) scheduleDelivery(k chanKey, at int64) {
-	key := dueKey{at: at, to: k.to}
-	senders, ok := s.due[key]
-	if !ok {
-		if n := len(s.batchFree); n > 0 {
-			senders = s.batchFree[n-1][:0]
-			s.batchFree = s.batchFree[:n-1]
+// order the batch was assembled in. A receiver's open batches are kept
+// latest-first, so finding (or placing) the batch for at is a binary search
+// however many distinct due times the receiver holds, and the batch that
+// fires next is always the last one.
+func (s *Sim) scheduleDelivery(c *channel, at int64) {
+	open := s.open[c.to]
+	lo, hi := 0, len(open)
+	for lo < hi { // latest-first: search for the first batch not later than at
+		mid := int(uint(lo+hi) >> 1)
+		if open[mid].at > at {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		s.push(occurrence{time: at, kind: occDeliver, proc: k.to})
 	}
-	s.due[key] = append(senders, k.from)
+	if lo < len(open) && open[lo].at == at {
+		open[lo].links = append(open[lo].links, c)
+		return
+	}
+	var links []*channel
+	if n := len(s.batchFree); n > 0 {
+		links = s.batchFree[n-1]
+		s.batchFree = s.batchFree[:n-1]
+	} else {
+		links = make([]*channel, 0, 4) // most batches stay this small; skip the 1→2→4 regrowth
+	}
+	s.open[c.to] = slices.Insert(open, lo, dueBatch{at: at, links: append(links, c)})
+	s.push(occurrence{time: at, kind: occDeliver, proc: c.to})
 }
 
 // deliverBatch drains every channel head due for receiver to at the current
-// time. A head rescheduled to the same tick during the drain (the next
-// message of a channel whose head just delivered, or a channel un-gated by
-// one of these deliveries) opens a fresh batch behind this one.
+// time. Occurrences fire in time order and every open batch has one, so the
+// batch due now is the receiver's earliest — the last in its list. It is
+// detached before it drains: a head rescheduled to the same tick during the
+// drain (the next message of a channel whose head just delivered, or a
+// channel un-gated by one of these deliveries) opens a fresh batch behind
+// this one.
 func (s *Sim) deliverBatch(to model.ProcID) {
-	key := dueKey{at: s.now, to: to}
-	senders := s.due[key]
-	delete(s.due, key)
-	sort.Slice(senders, func(a, b int) bool { return senders[a] < senders[b] })
-	for _, from := range senders {
-		s.deliver(chanKey{from: from, to: to})
+	open := s.open[to]
+	last := len(open) - 1
+	links := open[last].links
+	open[last] = dueBatch{}
+	s.open[to] = open[:last]
+	slices.SortFunc(links, byFrom)
+	for _, c := range links {
+		s.deliver(c)
 	}
-	if senders != nil {
-		s.batchFree = append(s.batchFree, senders[:0])
-	}
+	s.batchFree = append(s.batchFree, links[:0])
 }
 
-// deliver attempts to deliver the head of channel k.
-func (s *Sim) deliver(k chanKey) {
-	c := s.chans[k]
-	if c == nil {
-		return
-	}
+// deliver attempts to deliver the head of channel c.
+func (s *Sim) deliver(c *channel) {
 	c.scheduled = false
-	if len(c.queue) == 0 || s.crashed[k.to] {
+	if c.n == 0 || s.crashed[c.to] {
 		return
 	}
-	head := c.queue[0]
 	// A reordered enqueue can put a not-yet-ready (or parked) message in
 	// front of the one this occurrence was scheduled for: re-anchor on the
 	// current head's ready time instead of delivering early.
-	if head.readyAt < 0 {
+	readyAt := s.slot(c.head).readyAt
+	if readyAt < 0 {
 		return // parked head; channel blocks
 	}
-	if head.readyAt > s.now {
+	if readyAt > s.now {
 		c.scheduled = true
-		s.scheduleDelivery(k, head.readyAt)
+		s.scheduleDelivery(c, readyAt)
 		return
 	}
-	if s.down[k.to] {
+	if s.down[c.to] {
 		// The message arrives while the receiver is down: it is lost, the
 		// way a datagram to a dead socket is. Messages still in flight may
 		// yet land after a restart, so loss is decided per arrival, here.
-		c.queue = c.queue[1:]
+		head := s.dequeue(c)
 		s.inflight--
 		if head.span != 0 {
 			s.cfg.Spans.Record(obs.Span{
 				Parent: head.span, Time: s.now, Kind: obs.SpanDrop,
-				Proc: k.to, Peer: k.from, Msg: head.id, Note: "receiver down",
+				Proc: c.to, Peer: c.from, Msg: head.id, Note: "receiver down",
 			})
 		}
-		s.scheduleHead(k)
+		s.scheduleHead(c)
 		return
 	}
-	h := s.handlers[k.to]
-	if g, ok := h.(node.Gate); ok && !g.Accepts(k.from, head.payload) {
+	h := s.handlers[c.to]
+	if g, ok := h.(node.Gate); ok && !g.Accepts(c.from, s.slot(c.head).payload) {
 		c.gated = true
-		s.gatedFrom[k.to] = append(s.gatedFrom[k.to], k.from)
+		s.gatedFrom[c.to] = append(s.gatedFrom[c.to], c)
 		return
 	}
 	c.gated = false
-	c.queue = c.queue[1:]
-	s.record(model.Recv(k.to, k.from, head.id, head.payload.Tag, head.payload.Subject))
+	head := s.dequeue(c)
+	s.record(model.Recv(c.to, c.from, head.id, head.payload.Tag, head.payload.Subject))
 	s.cDelivered.Inc()
 	s.inflight--
 	prevSpan := s.curSpan
 	if head.span != 0 {
 		s.curSpan = s.cfg.Spans.Record(obs.Span{
 			Parent: head.span, Time: s.now, Kind: obs.SpanDeliver,
-			Proc: k.to, Peer: k.from, Msg: head.id, Tag: head.payload.Tag,
+			Proc: c.to, Peer: c.from, Msg: head.id, Tag: head.payload.Tag,
 		})
 	} else {
 		s.curSpan = 0
 	}
-	s.scheduleHead(k)
-	h.OnMessage(s.ctxs[k.to], k.from, head.payload)
-	s.afterEvent(k.to)
+	s.scheduleHead(c)
+	h.OnMessage(s.ctxs[c.to], c.from, head.payload)
+	s.afterEvent(c.to)
 	s.curSpan = prevSpan
 }
 
@@ -815,67 +964,55 @@ func (s *Sim) afterEvent(p model.ProcID) {
 	if len(pending) == 0 {
 		return
 	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a] < pending[b] })
+	slices.SortFunc(pending, byFrom)
 	g, isGate := s.handlers[p].(node.Gate)
 	still := pending[:0]
-	for _, from := range pending {
-		k := chanKey{from: from, to: p}
-		c := s.chans[k]
-		if c == nil || !c.gated || len(c.queue) == 0 {
+	for _, c := range pending {
+		if !c.gated || c.n == 0 {
 			continue // stale entry; the channel was un-gated or drained
 		}
-		if isGate && !g.Accepts(from, c.queue[0].payload) {
-			still = append(still, from)
+		if isGate && !g.Accepts(c.from, s.slot(c.head).payload) {
+			still = append(still, c)
 			continue
 		}
 		c.gated = false
 		if !c.scheduled {
 			c.scheduled = true
-			s.scheduleDelivery(k, s.now)
+			s.scheduleDelivery(c, s.now)
 		}
 	}
 	s.gatedFrom[p] = still
 }
 
-// scheduleHead queues a delivery occurrence for the head of channel k, if
+// scheduleHead queues a delivery occurrence for the head of channel c, if
 // any and not parked.
-func (s *Sim) scheduleHead(k chanKey) {
-	c := s.chans[k]
-	if c == nil || c.scheduled || c.gated || len(c.queue) == 0 || s.crashed[k.to] {
+func (s *Sim) scheduleHead(c *channel) {
+	if c.scheduled || c.gated || c.n == 0 || s.crashed[c.to] {
 		return
 	}
-	head := c.queue[0]
-	if head.readyAt < 0 {
+	at := s.slot(c.head).readyAt
+	if at < 0 {
 		return // parked forever
 	}
-	at := head.readyAt
 	if at < s.now {
 		at = s.now
 	}
 	c.scheduled = true
-	s.scheduleDelivery(k, at)
+	s.scheduleDelivery(c, at)
 }
 
 func (s *Sim) fireTimer(o occurrence) {
 	if s.crashed[o.proc] || s.down[o.proc] {
 		return
 	}
-	key := timerID{proc: o.proc, name: o.name}
-	if s.timerGen[key] != o.gen {
+	ctx := s.ctxs[o.proc]
+	if gen, _ := ctx.timerGen(o.name); gen != o.gen {
 		return // cancelled or replaced
 	}
-	delete(s.timerGen, key)
+	delete(ctx.timers, o.name)
 	s.cTimersFired.Inc()
-	s.handlers[o.proc].OnTimer(s.ctxs[o.proc], o.name)
+	s.handlers[o.proc].OnTimer(ctx, o.name)
 	s.afterEvent(o.proc)
-}
-
-// timerID keys the per-process timer generation table. A struct key avoids
-// the string concatenation the old "proc/name" key allocated on every
-// SetTimer, CancelTimer, and timer fire.
-type timerID struct {
-	proc model.ProcID
-	name string
 }
 
 // planCrash executes one crash window of a lifetime: snapshot (durable),
@@ -907,12 +1044,7 @@ func (s *Sim) planCrash(o occurrence) {
 	}
 	s.down[p] = true
 	s.cPlanCrashes.Inc()
-	//sfs:allow detmaprange each timer generation is bumped independently
-	for k := range s.timerGen {
-		if k.proc == p {
-			s.timerGen[k]++ // outstanding timer occurrences become stale
-		}
-	}
+	s.ctxs[p].crashes++ // outstanding timer occurrences become stale
 	s.record(model.Crash(p))
 	if lis, ok := s.handlers[p].(node.CrashListener); ok {
 		lis.OnCrash(s.ctxs[p])
@@ -954,7 +1086,14 @@ func (s *Sim) restart(o occurrence) {
 	s.afterEvent(p)
 }
 
+// record appends e to the history. A full buffer doubles (append would grow
+// a large one by a quarter and re-copy the history four times over).
 func (s *Sim) record(e model.Event) {
+	if len(s.history) == cap(s.history) {
+		grown := make(model.History, len(s.history), 2*cap(s.history))
+		copy(grown, s.history)
+		s.history = grown
+	}
 	e.Time = s.now
 	e.Seq = len(s.history)
 	s.history = append(s.history, e)
@@ -983,6 +1122,36 @@ func (s *Sim) record(e model.Event) {
 type procCtx struct {
 	s *Sim
 	p model.ProcID
+
+	// timers holds the generation of each named timer that is set or was
+	// cancelled; a timer occurrence fires only if it carries the current
+	// one. A plan crash must stale every outstanding occurrence of the
+	// process: it bumps crashes, and an entry's generation counts the
+	// crashes since the entry was last written.
+	timers  map[string]timerEntry
+	crashes int64
+}
+
+type timerEntry struct {
+	gen     int64
+	crashes int64 // procCtx.crashes when gen was written
+}
+
+// timerGen returns the current generation of the named timer and whether
+// the table holds it.
+func (c *procCtx) timerGen(name string) (int64, bool) {
+	e, ok := c.timers[name]
+	if !ok {
+		return 0, false
+	}
+	return e.gen + c.crashes - e.crashes, true
+}
+
+func (c *procCtx) setTimerGen(name string, gen int64) {
+	if c.timers == nil {
+		c.timers = make(map[string]timerEntry)
+	}
+	c.timers[name] = timerEntry{gen: gen, crashes: c.crashes}
 }
 
 var _ node.Context = (*procCtx)(nil)
@@ -1043,29 +1212,19 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		wire = dec.Replace.Payload
 	}
 
-	k := chanKey{from: c.p, to: to}
-	ch := s.chans[k]
-	if ch == nil {
-		// A fresh channel rarely holds more than a few in-flight messages;
-		// seeding capacity avoids the first few append growth steps on
-		// every (sender, receiver) pair of every run.
-		ch = &channel{queue: make([]pendingMsg, 0, 8)}
-		s.chans[k] = ch
-		s.gLinks.Set(int64(len(s.chans)))
-	}
-	headChanged := false
-	enqueue := func(payload node.Payload, extra int64) {
+	ch := s.link(c.p, to)
+	wasEmpty := ch.n == 0
+	enqueueCopy := func(payload node.Payload, extra int64) {
 		var delay int64
 		if s.cfg.Delay != nil {
 			delay = s.cfg.Delay(c.p, to, p, s.now)
 		} else {
 			delay = s.cfg.MinDelay + s.rng.Int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		ready := int64(-1)
+		msg := pendingMsg{id: id, payload: payload, readyAt: -1}
 		if delay >= 0 && !dec.Park {
-			ready = s.now + delay + dec.ExtraDelay + extra
+			msg.readyAt = s.now + delay + dec.ExtraDelay + extra
 		}
-		msg := pendingMsg{id: id, payload: payload, readyAt: ready}
 		s.inflight++
 		if parentSpan != 0 {
 			msg.span = s.cfg.Spans.Record(obs.Span{
@@ -1073,28 +1232,18 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 				Proc: c.p, Peer: to, Msg: id,
 			})
 		}
-		if dec.Reorder && len(ch.queue) > 1 {
-			// Overtake the current tail: a pairwise FIFO violation.
-			tail := len(ch.queue) - 1
-			ch.queue = append(ch.queue, ch.queue[tail])
-			ch.queue[tail] = msg
-		} else {
-			ch.queue = append(ch.queue, msg)
-			if len(ch.queue) == 1 {
-				headChanged = true
-			}
-		}
+		s.enqueue(ch, msg, dec.Reorder)
 	}
 	for n := 0; n < dec.Copies(); n++ {
-		enqueue(wire, 0)
+		enqueueCopy(wire, 0)
 	}
 	if dec.Replay != nil {
 		// A Byzantine replay: a ghost copy of an earlier wire payload rides
 		// along, further delayed so it lands stale.
-		enqueue(dec.Replay.Payload, dec.Replay.Delay)
+		enqueueCopy(dec.Replay.Payload, dec.Replay.Delay)
 	}
-	if headChanged {
-		s.scheduleHead(k)
+	if wasEmpty {
+		s.scheduleHead(ch)
 	}
 }
 
@@ -1103,16 +1252,15 @@ func (c *procCtx) SetTimer(name string, delay int64) {
 	if s.crashed[c.p] || s.down[c.p] {
 		return
 	}
-	key := timerID{proc: c.p, name: name}
-	gen := s.timerGen[key] + 1
-	s.timerGen[key] = gen
+	gen, _ := c.timerGen(name)
+	gen++
+	c.setTimerGen(name, gen)
 	s.push(occurrence{time: s.now + delay, kind: occTimer, proc: c.p, name: name, gen: gen})
 }
 
 func (c *procCtx) CancelTimer(name string) {
-	key := timerID{proc: c.p, name: name}
-	if _, ok := c.s.timerGen[key]; ok {
-		c.s.timerGen[key]++ // outstanding occurrence becomes stale
+	if gen, ok := c.timerGen(name); ok {
+		c.setTimerGen(name, gen+1) // outstanding occurrence becomes stale
 	}
 }
 

@@ -167,13 +167,26 @@ func TestSpanCrossBackendAgreement(t *testing.T) {
 	})
 	lc.Start()
 	lc.Suspect(1, 4)
+	// The simulated run drains: p2 and p3 — p1's side of the cut — deliver
+	// each other's SUSP and execute their own failed(4) a beat after p1
+	// does. Stopping at failed_1(4) would cut those four spans off the live
+	// stream, so wait for all three detections, not just the suspecter's.
+	allFailed := func() bool {
+		h := lc.History()
+		for p := failstop.ProcID(1); p <= 3; p++ {
+			if h.FailedIndex(p, 4) < 0 {
+				return false
+			}
+		}
+		return true
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for lc.History().FailedIndex(1, 4) < 0 && time.Now().Before(deadline) {
+	for !allFailed() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
-	if lc.History().FailedIndex(1, 4) < 0 {
-		t.Fatal("live: detection did not complete")
+	if !allFailed() {
+		t.Fatal("live: detection did not complete on p1's side of the cut")
 	}
 
 	simProf, liveProf := spanProfile(rep.Spans), spanProfile(lc.Spans())
