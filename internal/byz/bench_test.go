@@ -12,10 +12,11 @@ import (
 // the per-message cost the interposer adds to every send and delivery.
 func BenchmarkSealOpen(b *testing.B) {
 	p := node.Payload{Tag: "SUSP", Subject: 3, Data: []byte(`{"suspect":3}`)}
+	body := make([]byte, headerLen+len(p.Data))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sealed := sealBody(2, uint64(i)+1, 1, p)
-		if _, _, _, ok := openBody(2, p.Tag, p.Subject, sealed); !ok {
+		sealBody(body, 2, uint64(i)+1, 1, p)
+		if _, _, _, ok := openBody(2, p.Tag, p.Subject, body); !ok {
 			b.Fatal("seal/open round trip failed")
 		}
 	}
@@ -54,7 +55,7 @@ func BenchmarkEndpointDeliver(b *testing.B) {
 	const window = 64
 	frames := make([][]byte, window)
 	for i := range frames {
-		frames[i] = sealBody(1, uint64(i)+1, 1, node.Payload{Tag: "APP", Data: []byte(`{"round":1}`)})
+		frames[i] = sealed(1, uint64(i)+1, 1, node.Payload{Tag: "APP", Data: []byte(`{"round":1}`)})
 	}
 	ep := Wrap(sink, Options{Enabled: true})
 	ep.Init(ctx)
@@ -71,5 +72,58 @@ func BenchmarkEndpointDeliver(b *testing.B) {
 	}
 	if sink.delivered == 0 {
 		b.Fatal("nothing delivered")
+	}
+}
+
+// heldRounds returns a receiving endpoint (process 2 of 5) that has been
+// handed one held-class broadcast from process 1 per round, each under its
+// own broadcast id. With witnesses = 1 every round is released on arrival
+// and settles; with a threshold no round can reach, every round stays open.
+func heldRounds(tb testing.TB, rounds, witnesses int) *Endpoint {
+	tb.Helper()
+	opts := Options{Enabled: true, Witnesses: witnesses}
+	wire := &byzFakeCtx{self: 1, n: 5}
+	sender := Wrap(&benchSink{}, opts)
+	sender.Init(wire)
+	for i := 0; i < rounds; i++ {
+		sender.Context(wire).Send(2, node.Payload{Tag: "SUSP", Subject: 3, Data: []byte{byte(i), byte(i >> 8)}})
+	}
+	sink := &benchSink{}
+	ep := Wrap(sink, opts)
+	ctx := benchCtx{self: 2}
+	ep.Init(ctx)
+	for _, s := range wire.sends {
+		ep.OnMessage(ctx, 1, s.p)
+	}
+	want := 0
+	if witnesses == 1 {
+		want = rounds
+	}
+	if sink.delivered != want {
+		tb.Fatalf("released %d of %d rounds at witnesses=%d, want %d", sink.delivered, rounds, witnesses, want)
+	}
+	return ep
+}
+
+// BenchmarkPumpSettled prices a timer at an endpoint whose 1,000 witness
+// rounds have all been released with a single digest: the pump has nothing
+// to look at.
+func BenchmarkPumpSettled(b *testing.B) {
+	ep, ctx := heldRounds(b, 1000, 1), benchCtx{self: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.OnTimer(ctx, "tick")
+	}
+}
+
+// BenchmarkPumpOpen prices a timer at an endpoint with 64 rounds still
+// waiting for their witness quorum: one pass over the worklist.
+func BenchmarkPumpOpen(b *testing.B) {
+	ep, ctx := heldRounds(b, 64, 4), benchCtx{self: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.OnTimer(ctx, "tick")
 	}
 }

@@ -67,18 +67,41 @@
 // counters (durable recovery) to restart cleanly. Held frames and echo
 // records are transient and die with a crash, like the reliable layer's
 // pending acks.
+//
+// Data layout. Witness rounds are found through a lazily grown origin → bid
+// table, but pump never walks that table: it walks a worklist of the open
+// rounds only, kept sorted by (origin, bid) — the order, and the
+// repeat-until-a-pass-changes-nothing rule, that a scan of every round in
+// sorted order would follow. A round is open until it has been released
+// with a single vouched digest; it goes back on the list if a later echo
+// vouches for a second digest (so the equivocation is still convicted), and
+// a conviction takes the culprit's rounds off it. Settled rounds therefore
+// cost a timer or an echo nothing. A round's vouchers are a short slice of
+// (digest, quorum.Set) pairs and the masked set is a quorum.Set. Sealed
+// bodies are carved from one node.Arena per destination rather than
+// allocated per frame; the arena only bumps forward, because the host (and
+// the reliable layer's unacked queue) may keep a sent body for as long as it
+// likes — and it is the destination's, not the endpoint's, so bodies that
+// are never let go of (unacked to a crashed peer) pin that link's chunks
+// and no other's. The inner handler sees one context wrapper per endpoint,
+// rebound to the host's context at every callback entry — node.Context
+// limits a context to the callback that received it, and hosts serialize a
+// process's callbacks.
 package byz
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/obs"
+	"failstop/internal/quorum"
 )
 
 // TagEcho marks witness echoes: sealed frames whose Subject names the
@@ -156,15 +179,42 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// voucher is one digest vouched for in a round, and by whom (self included).
+type voucher struct {
+	digest uint64
+	by     quorum.Set
+}
+
 // round is the witness state of one (origin, broadcast id): which digests
 // have been vouched for by whom, and the frames held pending release.
 type round struct {
-	digests  map[uint64]map[model.ProcID]bool // digest -> vouchers (incl. self)
-	held     []node.Payload                   // unsealed frames, arrival order
+	origin   model.ProcID
+	bid      uint64
+	digests  []voucher
+	held     []node.Payload // unsealed frames, arrival order
 	myDigest uint64
 	haveMine bool // we received the frame itself (not just echoes)
 	echoed   bool // our echo broadcast went out
 	released bool
+	open     bool // on the worklist: unreleased, or vouched for two digests
+}
+
+// vouched returns the round's record for digest, or nil if nobody has
+// vouched for it.
+func (r *round) vouched(digest uint64) *voucher {
+	for i := range r.digests {
+		if r.digests[i].digest == digest {
+			return &r.digests[i]
+		}
+	}
+	return nil
+}
+
+// link is the sender-side state of one destination, materialized on the
+// first send to it.
+type link struct {
+	seq   uint64     // last sequence number sent
+	arena node.Arena // sealed bodies sent
 }
 
 // Endpoint wraps a node.Handler with the validation layer on every link it
@@ -186,9 +236,9 @@ type Endpoint struct {
 	witnesses int
 	heldTags  map[string]bool
 
-	// Sender side: per-destination sequence counters and the broadcast-id
+	// Sender side: per-destination links and the broadcast-id
 	// content-equality state.
-	nextSeq     map[model.ProcID]uint64
+	links       map[model.ProcID]*link
 	bid         uint64
 	lastTag     string
 	lastSubject model.ProcID
@@ -197,8 +247,16 @@ type Endpoint struct {
 
 	// Receiver side.
 	seen   map[model.ProcID]map[uint64]int64 // sender -> seq -> first arrival
-	masked map[model.ProcID]bool
+	masked quorum.Set
 	rounds map[model.ProcID]map[uint64]*round // origin -> bid -> round
+	// open is pump's worklist: the open rounds in (origin, bid) order. A
+	// round that settles or is convicted is only marked (round.open) and
+	// the list is marked stale; pump sweeps it at the end of a pass.
+	open  []*round
+	stale bool
+
+	ctx  byzCtx   // the one context the inner handler sees
+	echo [16]byte // hold's scratch: the echo body being sealed
 
 	detected    obs.Counter // convictions
 	maskedCount obs.Counter // frames discarded from masked senders
@@ -222,15 +280,16 @@ func Wrap(inner node.Handler, opts Options) *Endpoint {
 	for _, tag := range opts.EchoTags {
 		held[tag] = true
 	}
-	return &Endpoint{
+	e := &Endpoint{
 		inner:    inner,
 		opts:     opts,
 		heldTags: held,
-		nextSeq:  make(map[model.ProcID]uint64),
+		links:    make(map[model.ProcID]*link),
 		seen:     make(map[model.ProcID]map[uint64]int64),
-		masked:   make(map[model.ProcID]bool),
 		rounds:   make(map[model.ProcID]map[uint64]*round),
 	}
+	e.ctx.e = e
+	return e
 }
 
 // Inner returns the wrapped handler.
@@ -244,7 +303,7 @@ func (e *Endpoint) ByzStats() (detected, masked int) {
 }
 
 // Masked reports whether this endpoint has convicted and masked p.
-func (e *Endpoint) Masked(p model.ProcID) bool { return e.masked[p] }
+func (e *Endpoint) Masked(p model.ProcID) bool { return e.masked.Has(p) }
 
 // SetSpans attaches a span recorder: every conviction records a
 // SpanByzDetect span (detection-grade, never sampled out). Call before the
@@ -259,9 +318,12 @@ func (e *Endpoint) SetConvict(fn func(ctx node.Context, culprit model.ProcID)) {
 
 // Context wraps a host context so that Send flows through the sealing
 // layer. Injected actions (SuspectAt and friends) must wrap the context
-// they are handed, or their sends would go out unsealed.
+// they are handed, or their sends would go out unsealed. The wrapper is the
+// endpoint's one context, rebound to host: like every node.Context it is
+// good for the current callback only.
 func (e *Endpoint) Context(host node.Context) node.Context {
-	return &byzCtx{Context: host, e: e}
+	e.ctx.Context = host
+	return &e.ctx
 }
 
 // byzCtx is the context the inner handler sees: everything forwards to the
@@ -310,8 +372,14 @@ func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
 		e.lastSubject = p.Subject
 		e.lastData = append(e.lastData[:0], p.Data...)
 	}
-	e.nextSeq[to]++
-	body := sealBody(host.Self(), e.nextSeq[to], e.bid, p)
+	l := e.links[to]
+	if l == nil {
+		l = &link{}
+		e.links[to] = l
+	}
+	l.seq++
+	body := l.arena.Alloc(headerLen + len(p.Data))
+	sealBody(body, host.Self(), l.seq, e.bid, p)
 	host.Send(to, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: body})
 }
 
@@ -338,7 +406,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		return
 	}
 	isEcho := p.Tag == TagEcho
-	if e.masked[from] && !isEcho {
+	if e.masked.Has(from) && !isEcho {
 		// Masked senders' protocol traffic is dead; their echoes below are
 		// still counted as testimony (see the package comment).
 		e.maskedCount.Add(1)
@@ -387,7 +455,7 @@ func (e *Endpoint) hold(ctx node.Context, origin model.ProcID, bid uint64, p nod
 	e.vouch(r, d, ctx.Self())
 	if !r.echoed {
 		r.echoed = true
-		data := make([]byte, 16)
+		data := e.echo[:] // send copies it into each sealed body
 		binary.BigEndian.PutUint64(data[0:8], bid)
 		binary.BigEndian.PutUint64(data[8:16], d)
 		for q := model.ProcID(1); int(q) <= ctx.N(); q++ {
@@ -399,9 +467,12 @@ func (e *Endpoint) hold(ctx node.Context, origin model.ProcID, bid uint64, p nod
 	}
 }
 
-// onEcho records one witness's testimony about (origin, bid).
+// onEcho records one witness's testimony about (origin, bid). The origin is
+// the echo's Subject, which the witness chose: one naming no process is
+// dropped, so a lying witness cannot open rounds for — or convict, and feed
+// the detector — an id outside 1..N.
 func (e *Endpoint) onEcho(ctx node.Context, witness, origin model.ProcID, data []byte) {
-	if len(data) != 16 || e.masked[origin] {
+	if len(data) != 16 || origin < 1 || int(origin) > ctx.N() || e.masked.Has(origin) {
 		return
 	}
 	bid := binary.BigEndian.Uint64(data[0:8])
@@ -418,57 +489,74 @@ func (e *Endpoint) round(origin model.ProcID, bid uint64) *round {
 	}
 	r := byBid[bid]
 	if r == nil {
-		r = &round{digests: make(map[uint64]map[model.ProcID]bool)}
+		r = &round{origin: origin, bid: bid}
 		byBid[bid] = r
+		e.enlist(r)
 	}
 	return r
 }
 
-func (e *Endpoint) vouch(r *round, digest uint64, by model.ProcID) {
-	set := r.digests[digest]
-	if set == nil {
-		set = make(map[model.ProcID]bool)
-		r.digests[digest] = set
-	}
-	set[by] = true
+// enlist puts r on the worklist at its (origin, bid) position.
+func (e *Endpoint) enlist(r *round) {
+	r.open = true
+	i, _ := slices.BinarySearchFunc(e.open, r, func(o, r *round) int {
+		return cmp.Or(cmp.Compare(o.origin, r.origin), cmp.Compare(o.bid, r.bid))
+	})
+	e.open = slices.Insert(e.open, i, r)
 }
 
-// pump re-evaluates every open round in deterministic order: conflicting
+func (e *Endpoint) vouch(r *round, digest uint64, by model.ProcID) {
+	if v := r.vouched(digest); v != nil {
+		v.by.Add(by)
+		return
+	}
+	r.digests = append(r.digests, voucher{digest: digest, by: quorum.SetOf(by)})
+	if !r.open {
+		// A second digest for a round that had settled: pump must see it
+		// again to convict the origin.
+		e.enlist(r)
+	}
+}
+
+// pump re-evaluates every open round in (origin, bid) order: conflicting
 // digests convict the origin of equivocation; a round whose own digest has
 // reached the witness threshold releases its held frames to the inner
 // handler (through the inner gate, so the §5 receive deferral keeps
 // working). Releasing or convicting can change what later rounds see, so
-// the scan repeats until a full pass changes nothing.
+// the scan repeats until a full pass changes nothing. Nothing pump calls
+// adds a round, so the list only changes by the marks swept here.
 func (e *Endpoint) pump(ctx node.Context) {
+	gate, _ := e.inner.(node.Gate)
 	for again := true; again; {
 		again = false
-		for _, origin := range sortedOrigins(e.rounds) {
-			if e.masked[origin] {
+		for _, r := range e.open {
+			if !r.open {
+				continue // settled or convicted earlier in this pass
+			}
+			if len(r.digests) > 1 {
+				// Two vouched digests for one broadcast: equivocation.
+				e.convictWith(ctx, r.origin, "equivocation")
+				again = true
 				continue
 			}
-			byBid := e.rounds[origin]
-			for _, bid := range sortedBids(byBid) {
-				r := byBid[bid]
-				if len(r.digests) > 1 {
-					// Two vouched digests for one broadcast: equivocation.
-					e.convictWith(ctx, origin, "equivocation")
-					again = true
-					break
-				}
-				if r.released || !r.haveMine || len(r.digests[r.myDigest]) < e.witnesses {
-					continue
-				}
-				if g, ok := e.inner.(node.Gate); ok && len(r.held) > 0 && !g.Accepts(origin, r.held[0]) {
-					continue // retry on the next pump
-				}
-				r.released = true
-				held := r.held
-				r.held = nil
-				for _, p := range held {
-					e.inner.OnMessage(e.Context(ctx), origin, p)
-				}
-				again = true
+			if !r.haveMine || r.vouched(r.myDigest).by.Len() < e.witnesses {
+				continue
 			}
+			if gate != nil && len(r.held) > 0 && !gate.Accepts(r.origin, r.held[0]) {
+				continue // retry on the next pump
+			}
+			r.released = true
+			r.open, e.stale = false, true
+			held := r.held
+			r.held = nil
+			for _, p := range held {
+				e.inner.OnMessage(e.Context(ctx), r.origin, p)
+			}
+			again = true
+		}
+		if e.stale {
+			e.stale = false
+			e.open = slices.DeleteFunc(e.open, func(r *round) bool { return !r.open })
 		}
 	}
 }
@@ -477,13 +565,17 @@ func (e *Endpoint) pump(ctx node.Context) {
 // its held frames are dropped, the conviction is counted and traced, and
 // the suspicion is fed to the masking sink (the fail-stop detector).
 func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason string) {
-	if e.masked[culprit] {
+	if e.masked.Has(culprit) {
 		return
 	}
-	e.masked[culprit] = true
+	e.masked.Add(culprit)
 	e.detected.Add(1)
-	for _, r := range e.rounds[culprit] { //sfs:allow detmaprange summing held-frame counts is order-insensitive
-		e.maskedCount.Add(int64(len(r.held)))
+	// Held frames sit in unreleased rounds only, and those are all open.
+	for _, r := range e.open {
+		if r.origin == culprit && r.open {
+			e.maskedCount.Add(int64(len(r.held)))
+			r.open, e.stale = false, true
+		}
 	}
 	delete(e.rounds, culprit)
 	if e.spans != nil {
@@ -511,7 +603,7 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
-	if !ok || p.Tag == TagEcho || e.masked[from] || e.heldTags[p.Tag] {
+	if !ok || p.Tag == TagEcho || e.masked.Has(from) || e.heldTags[p.Tag] {
 		return true
 	}
 	if sn := e.seen[from]; sn != nil {
@@ -554,20 +646,14 @@ type peerSeqSnapshot struct {
 // broadcasts with remembered ones) at every peer. It does not mutate the
 // endpoint.
 func (e *Endpoint) Snapshot() []byte {
-	snap := endpointSnapshot{Bid: e.bid}
-	for p, ok := range e.masked { //sfs:allow detmaprange collecting keys for the sort below
-		if ok {
-			snap.Masked = append(snap.Masked, p)
-		}
-	}
-	sort.Slice(snap.Masked, func(a, b int) bool { return snap.Masked[a] < snap.Masked[b] })
-	ids := make([]model.ProcID, 0, len(e.nextSeq))
-	for id := range e.nextSeq {
+	snap := endpointSnapshot{Bid: e.bid, Masked: e.masked.Members()}
+	ids := make([]model.ProcID, 0, len(e.links))
+	for id := range e.links {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	for _, id := range ids {
-		snap.Peers = append(snap.Peers, peerSeqSnapshot{Peer: id, NextSeq: e.nextSeq[id]})
+		snap.Peers = append(snap.Peers, peerSeqSnapshot{Peer: id, NextSeq: e.links[id].seq})
 	}
 	if r, ok := e.inner.(node.Restarter); ok {
 		snap.Inner = r.Snapshot()
@@ -585,29 +671,37 @@ func (e *Endpoint) Snapshot() []byte {
 // remember. A nil or undecodable state (amnesia) resets everything — and
 // an amnesiac restart therefore reuses spent sequence numbers, which peers
 // that remember the first incarnation convict as replays: the byz-layer
-// echo of the reliable layer's amnesia argument (experiment E15).
+// echo of the reliable layer's amnesia argument (experiment E15). The bytes
+// were read back from storage, so process ids outside 1..N are dropped
+// rather than trusted.
 func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	e.witnesses = 0
 	e.resolve(ctx)
-	e.nextSeq = make(map[model.ProcID]uint64)
+	e.links = make(map[model.ProcID]*link)
 	e.bid = 0
 	e.haveLast = false
 	e.lastTag = ""
 	e.lastSubject = model.None
 	e.lastData = nil
 	e.seen = make(map[model.ProcID]map[uint64]int64)
-	e.masked = make(map[model.ProcID]bool)
+	e.masked = nil
 	e.rounds = make(map[model.ProcID]map[uint64]*round)
+	e.open, e.stale = nil, false
 	var innerState []byte
 	if len(state) > 0 {
 		var snap endpointSnapshot
 		if err := json.Unmarshal(state, &snap); err == nil {
 			e.bid = snap.Bid
+			inRange := func(p model.ProcID) bool { return p >= 1 && int(p) <= ctx.N() }
 			for _, p := range snap.Masked {
-				e.masked[p] = true
+				if inRange(p) {
+					e.masked.Add(p)
+				}
 			}
 			for _, ps := range snap.Peers {
-				e.nextSeq[ps.Peer] = ps.NextSeq
+				if inRange(ps.Peer) {
+					e.links[ps.Peer] = &link{seq: ps.NextSeq}
+				}
 			}
 			innerState = snap.Inner
 		}
@@ -617,26 +711,6 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	} else {
 		e.inner.Init(e.Context(ctx))
 	}
-}
-
-// sortedOrigins returns the round table's origins, sorted.
-func sortedOrigins(m map[model.ProcID]map[uint64]*round) []model.ProcID {
-	out := make([]model.ProcID, 0, len(m))
-	for o := range m {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// sortedBids returns one origin's broadcast ids, sorted.
-func sortedBids(m map[uint64]*round) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // Sealed reports whether data carries this layer's frame header.
@@ -661,14 +735,14 @@ func Reseal(data []byte, sender model.ProcID, tag string, subject model.ProcID) 
 	return out, true
 }
 
-// sealBody frames p's data under the sender's MAC.
-func sealBody(sender model.ProcID, seq, bid uint64, p node.Payload) []byte {
-	body := make([]byte, headerLen, headerLen+len(p.Data))
+// sealBody frames p's data under the sender's MAC into body, which must be
+// headerLen+len(p.Data) bytes long.
+func sealBody(body []byte, sender model.ProcID, seq, bid uint64, p node.Payload) {
 	body[0] = kindSealed
 	binary.BigEndian.PutUint64(body[1:9], seq)
 	binary.BigEndian.PutUint64(body[9:17], bid)
 	binary.BigEndian.PutUint64(body[17:25], macOf(sender, seq, bid, p.Tag, p.Subject, p.Data))
-	return append(body, p.Data...)
+	copy(body[headerLen:], p.Data)
 }
 
 // openBody authenticates a sealed body against the claimed sender and the

@@ -56,9 +56,16 @@ func (sink) Init(node.Context)                                  {}
 func (sink) OnMessage(node.Context, model.ProcID, node.Payload) {}
 func (sink) OnTimer(node.Context, string)                       {}
 
+// sealed returns p sealed into a buffer of its own.
+func sealed(sender model.ProcID, seq, bid uint64, p node.Payload) []byte {
+	body := make([]byte, headerLen+len(p.Data))
+	sealBody(body, sender, seq, bid, p)
+	return body
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	p := node.Payload{Tag: "SUSP", Subject: 3, Data: []byte(`{"x":1}`)}
-	body := sealBody(2, 7, 4, p)
+	body := sealed(2, 7, 4, p)
 	if !Sealed(body) {
 		t.Fatal("sealed body not recognized as sealed")
 	}
@@ -73,7 +80,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestOpenRejectsTampering(t *testing.T) {
 	p := node.Payload{Tag: "SUSP", Subject: 3, Data: []byte(`{"x":1}`)}
-	body := sealBody(2, 7, 4, p)
+	body := sealed(2, 7, 4, p)
 	cases := []struct {
 		name    string
 		sender  model.ProcID
@@ -112,7 +119,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 // subject — the equivocation primitive the MAC cannot catch.
 func TestResealSignsTheLie(t *testing.T) {
 	p := node.Payload{Tag: "SUSP", Subject: 3, Data: []byte(`{"x":1}`)}
-	body := sealBody(2, 7, 4, p)
+	body := sealed(2, 7, 4, p)
 	forged, ok := Reseal(body, 2, "SUSP", 4)
 	if !ok {
 		t.Fatal("Reseal rejected a sealed body")
@@ -192,4 +199,168 @@ func TestSnapshotRestartRoundTrip(t *testing.T) {
 	if amnesiac.Masked(3) {
 		t.Error("amnesiac restart kept the masked set")
 	}
+}
+
+// TestPumpIgnoresSettledRounds: rounds released with a single digest leave
+// the worklist, so a timer at an endpoint that has settled 1,000 of them
+// visits no round and allocates nothing; a late conflicting echo puts its
+// round back, and the next pump convicts the origin.
+func TestPumpIgnoresSettledRounds(t *testing.T) {
+	ep, ctx := heldRounds(t, 1000, 1), benchCtx{self: 2}
+	if len(ep.open) != 0 {
+		t.Fatalf("worklist holds %d rounds after every round settled, want 0", len(ep.open))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ep.OnTimer(ctx, "tick") }); allocs != 0 {
+		t.Errorf("OnTimer over settled rounds: %.1f allocations, want 0", allocs)
+	}
+
+	// Process 3 echoes a digest for (origin 1, bid 7) that differs from the
+	// one this endpoint released.
+	wire := &byzFakeCtx{self: 3, n: 5}
+	witness := Wrap(sink{}, Options{Enabled: true})
+	witness.Init(wire)
+	echo := make([]byte, 16)
+	echo[7], echo[15] = 7, 0xEE
+	witness.Context(wire).Send(2, node.Payload{Tag: TagEcho, Subject: 1, Data: echo})
+	ep.OnMessage(ctx, 3, wire.sends[0].p)
+	if !ep.Masked(1) {
+		t.Error("a conflicting echo for a settled round did not convict the origin")
+	}
+	if len(ep.open) != 0 {
+		t.Errorf("worklist holds %d rounds after the conviction, want 0", len(ep.open))
+	}
+}
+
+// echoFrom returns the sealed echo witness would send about (origin, bid)
+// with the given digest byte — any peer can seal one naming any origin.
+func echoFrom(witness model.ProcID, seq uint64, origin model.ProcID, bid, digest byte) node.Payload {
+	body := make([]byte, 16)
+	body[7], body[15] = bid, digest
+	p := node.Payload{Tag: TagEcho, Subject: origin, Data: body}
+	p.Data = sealed(witness, seq, seq, p)
+	return p
+}
+
+// TestEchoNamingNoProcessIsDropped: an echo's Subject is whatever the witness
+// wrote, so two conflicting echoes naming an origin outside 1..N must not
+// reach the conviction path — a negative id would panic the masked bitset, a
+// huge one would size it in gigabytes, and either would be fed to the
+// detector as a suspect.
+func TestEchoNamingNoProcessIsDropped(t *testing.T) {
+	ctx := &byzFakeCtx{self: 2, n: 5}
+	e := Wrap(sink{}, Options{Enabled: true})
+	e.Init(ctx)
+	e.SetConvict(func(_ node.Context, culprit model.ProcID) {
+		t.Errorf("convicted %d on the word of one witness about no process", culprit)
+	})
+	seq := uint64(0)
+	for _, origin := range []model.ProcID{-1, 0, 6, 1 << 40} {
+		for _, digest := range []byte{0xAA, 0xBB} {
+			seq++
+			e.OnMessage(ctx, 3, echoFrom(3, seq, origin, 7, digest))
+		}
+		if e.Masked(origin) {
+			t.Errorf("origin %d masked", origin)
+		}
+	}
+	if len(e.open) != 0 || len(e.rounds) != 0 {
+		t.Errorf("%d open rounds and %d origins opened by echoes about no process, want none", len(e.open), len(e.rounds))
+	}
+	if detected, _ := e.ByzStats(); detected != 0 {
+		t.Errorf("%d convictions, want 0", detected)
+	}
+
+	// The same pair about a real origin still convicts it.
+	e.SetConvict(nil)
+	e.OnMessage(ctx, 3, echoFrom(3, seq+1, 1, 7, 0xAA))
+	e.OnMessage(ctx, 3, echoFrom(3, seq+2, 1, 7, 0xBB))
+	if !e.Masked(1) {
+		t.Error("conflicting echoes about origin 1 did not convict it")
+	}
+}
+
+// TestRestartDropsOutOfRangePeers: a snapshot is read back from storage, so
+// process ids it names outside 1..N are dropped instead of trusted (a
+// negative id would panic the masked bitset).
+func TestRestartDropsOutOfRangePeers(t *testing.T) {
+	ctx := &byzFakeCtx{self: 1, n: 3}
+	e := Wrap(sink{}, Options{Enabled: true})
+	e.OnRestart(ctx, []byte(`{"masked":[-3,2,9],"bid":4,"peers":[{"peer":-1,"next_seq":5},{"peer":3,"next_seq":6},{"peer":70000,"next_seq":7}]}`))
+	if !e.Masked(2) || e.Masked(-3) || e.Masked(9) {
+		t.Errorf("masked after restart: 2=%v -3=%v 9=%v, want only 2", e.Masked(2), e.Masked(-3), e.Masked(9))
+	}
+	if len(e.links) != 1 || e.links[3] == nil || e.links[3].seq != 6 {
+		t.Errorf("restored links %v, want only peer 3 at 6", e.links)
+	}
+	if got, want := string(e.Snapshot()), `{"masked":[2],"bid":4,"peers":[{"peer":3,"next_seq":6}]}`; got != want {
+		t.Errorf("snapshot after restart = %s, want %s", got, want)
+	}
+}
+
+// FuzzByzOnRestart: whatever bytes storage hands back, OnRestart must not
+// panic, and the endpoint must still seal what it sends and release what an
+// unmasked peer sends it.
+func FuzzByzOnRestart(f *testing.F) {
+	f.Add([]byte(`{"masked":[2],"bid":4,"peers":[{"peer":3,"next_seq":6}],"inner":"AQI="}`))
+	f.Add([]byte(`{"masked":[-3,2,9],"bid":4,"peers":[{"peer":-1,"next_seq":5},{"peer":70000,"next_seq":7}]}`))
+	f.Add([]byte(`{"masked":[-9223372036854775808],"bid":18446744073709551615,"peers":[{"peer":2,"next_seq":18446744073709551615}]}`))
+	f.Add([]byte(`{"masked":"all"}`))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, state []byte) {
+		ctx := &byzFakeCtx{self: 1, n: 3}
+		inner := &benchSink{}
+		e := Wrap(inner, Options{Enabled: true, Witnesses: 1})
+		e.OnRestart(ctx, state)
+		app := node.Payload{Tag: "APP", Data: []byte("after")}
+		e.Context(ctx).Send(2, app)
+		if len(ctx.sends) != 1 {
+			t.Fatal("restarted endpoint did not send")
+		}
+		if _, _, _, ok := openBody(1, "APP", model.None, ctx.sends[0].p.Data); !ok {
+			t.Fatal("restarted endpoint sent an unauthenticatable frame")
+		}
+		for _, from := range []model.ProcID{2, 3} {
+			if e.Masked(from) {
+				continue
+			}
+			before := inner.delivered
+			e.OnMessage(ctx, from, node.Payload{Tag: "APP", Data: sealed(from, 1, 1, app)})
+			e.OnMessage(ctx, from, node.Payload{Tag: "SUSP", Subject: 3, Data: sealed(from, 2, 2, node.Payload{Tag: "SUSP", Subject: 3})})
+			if inner.delivered != before+2 {
+				t.Fatalf("restarted endpoint released %d of 2 frames from %d", inner.delivered-before, from)
+			}
+		}
+	})
+}
+
+// FuzzByzOnMessage: whatever a peer seals — keys are public, so every field
+// of an authentic frame is the sender's to choose — OnMessage must not panic,
+// and only processes can end up convicted. Each input is delivered twice with
+// the last data byte flipped, so echo inputs arrive as conflicting pairs.
+func FuzzByzOnMessage(f *testing.F) {
+	echo := make([]byte, 16)
+	echo[7], echo[15] = 7, 0xAA
+	f.Add(TagEcho, int64(-1), uint64(1), uint64(1), echo)
+	f.Add(TagEcho, int64(1)<<40, uint64(1), uint64(1), echo)
+	f.Add(TagEcho, int64(1), uint64(1), uint64(1), echo)
+	f.Add("SUSP", int64(-7), uint64(3), uint64(1<<63), []byte(nil))
+	f.Add("APP", int64(0), uint64(0), uint64(0), []byte("x"))
+	f.Fuzz(func(t *testing.T, tag string, subject int64, seq, bid uint64, data []byte) {
+		ctx := &byzFakeCtx{self: 2, n: 5}
+		e := Wrap(sink{}, Options{Enabled: true, Witnesses: 2})
+		e.Init(ctx)
+		e.SetConvict(func(_ node.Context, culprit model.ProcID) {
+			if culprit < 1 || int(culprit) > ctx.n {
+				t.Errorf("convicted %d, which is no process", culprit)
+			}
+		})
+		p := node.Payload{Tag: tag, Subject: model.ProcID(subject), Data: data}
+		e.OnMessage(ctx, 3, node.Payload{Tag: tag, Subject: p.Subject, Data: sealed(3, seq, bid, p)})
+		if len(data) > 0 {
+			p.Data = append([]byte(nil), data...)
+			p.Data[len(data)-1] ^= 1
+		}
+		e.OnMessage(ctx, 4, node.Payload{Tag: tag, Subject: p.Subject, Data: sealed(4, seq+1, bid, p)})
+		e.OnTimer(ctx, "tick")
+	})
 }

@@ -24,6 +24,13 @@ type Payload struct {
 // Context is the capability a host hands to a Handler. All methods must be
 // called only from within a Handler callback (hosts serialize callbacks per
 // process). After CrashSelf returns, all further calls are no-ops.
+//
+// A Context is valid only for the callback (or injected action) that
+// received it: a Handler must not keep one in a field and use it from a
+// later callback. Hosts and interposers rely on this — the live runtime
+// builds a fresh context per callback, and the reliable and byz endpoints
+// each hand their inner handler one wrapper that is rebound to the host's
+// context at every callback entry.
 type Context interface {
 	// Self returns the process id of this handler.
 	Self() model.ProcID

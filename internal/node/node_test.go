@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 
 	"failstop/internal/model"
@@ -94,5 +95,41 @@ func TestPayloadValueSemantics(t *testing.T) {
 	q.Data[0] = 9
 	if p.Data[0] != 9 {
 		t.Error("Data is expected to alias (documented sharing); copy-on-write happened")
+	}
+}
+
+// TestArenaCarvesDisjointCappedSlices: slices carved from one chunk do not
+// overlap and cannot grow into each other; chunks start at 256 B and double
+// to 4 KiB; an oversized request is served on its own without retiring the
+// current chunk.
+func TestArenaCarvesDisjointCappedSlices(t *testing.T) {
+	var a Arena
+	x, y := a.Alloc(25), a.Alloc(32)
+	if len(a.free) != 256-25-32 {
+		t.Errorf("%d B left after two small frames, want the rest of one 256 B chunk", len(a.free))
+	}
+	if len(x) != 25 || cap(x) != 25 || len(y) != 32 || cap(y) != 32 {
+		t.Errorf("carved (len %d cap %d) and (len %d cap %d), want caps equal to lens", len(x), cap(x), len(y), cap(y))
+	}
+	x = append(x, 0xFF) // must reallocate, not write into y
+	if y[0] != 0 {
+		t.Error("appending to one frame wrote into its neighbour")
+	}
+	left := len(a.free)
+	if big := a.Alloc(10000); len(big) != 10000 || len(a.free) != left {
+		t.Errorf("oversized frame: len %d, %d B left in the chunk, want 10000 and %d (served on its own)", len(big), len(a.free), left)
+	}
+	// Each new chunk shows as a jump in what is left: 512, 1024, 2048, 4096,
+	// and 4096 from there on.
+	var chunks []int
+	for len(chunks) < 6 {
+		before := len(a.free)
+		a.Alloc(100)
+		if len(a.free) > before {
+			chunks = append(chunks, len(a.free)+100)
+		}
+	}
+	if want := []int{512, 1024, 2048, 4096, 4096, 4096}; !slices.Equal(chunks, want) {
+		t.Errorf("chunk sizes after the first %v, want %v", chunks, want)
 	}
 }

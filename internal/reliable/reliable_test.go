@@ -175,6 +175,7 @@ type fakeCtx struct {
 		p  node.Payload
 	}
 	timers map[string]int64
+	now    int64
 }
 
 func newFakeCtx(self model.ProcID) *fakeCtx {
@@ -183,7 +184,7 @@ func newFakeCtx(self model.ProcID) *fakeCtx {
 
 func (c *fakeCtx) Self() model.ProcID { return c.self }
 func (c *fakeCtx) N() int             { return 3 }
-func (c *fakeCtx) Now() int64         { return 0 }
+func (c *fakeCtx) Now() int64         { return c.now }
 func (c *fakeCtx) Send(to model.ProcID, p node.Payload) {
 	c.sends = append(c.sends, struct {
 		to model.ProcID

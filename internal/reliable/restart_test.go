@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -115,4 +116,88 @@ func TestAmnesiaRestartLosesPostRestartSends(t *testing.T) {
 	if res.AckedDuplicates == 0 {
 		t.Error("no suppressed duplicates: the amnesia pathology did not manifest")
 	}
+}
+
+// hostileSnapshot is what a damaged store could hand back: peers this
+// process cannot send to (negative, beyond N, itself), and for the one valid
+// peer an unacked list out of order with a zero and a never-assigned
+// sequence number in it.
+const hostileSnapshot = `{"peers":[
+ {"peer":-3,"next_seq":2,"next_expected":1,"unacked":[{"seq":1,"tag":"APP"}]},
+ {"peer":9,"next_seq":2,"next_expected":1,"unacked":[{"seq":1,"tag":"APP"}]},
+ {"peer":1,"next_seq":2,"next_expected":1,"unacked":[{"seq":1,"tag":"APP"}]},
+ {"peer":2,"next_seq":3,"next_expected":0,"unacked":[{"seq":3,"tag":"APP","data":"Yw=="},{"seq":99,"tag":"APP"},{"seq":1,"tag":"APP","data":"YQ=="},{"seq":0,"tag":"APP"}]}]}`
+
+// TestRestartDropsOutOfRangePeers: a snapshot is read back from storage, so
+// OnRestart drops what it cannot trust — a retry armed for peer -3 used to
+// die in the host's "send to invalid process" — and restores the rest in
+// sequence order, the invariant the prefix-retiring ack path leans on.
+func TestRestartDropsOutOfRangePeers(t *testing.T) {
+	ctx := newFakeCtx(1)
+	e := Wrap(&recorder{}, Options{Enabled: true})
+	e.OnRestart(ctx, []byte(hostileSnapshot))
+	if len(ctx.timers) != 1 || ctx.timers["rel/2"] == 0 {
+		t.Fatalf("timers armed after restart: %v, want only rel/2", ctx.timers)
+	}
+	e.OnTimer(ctx, "rel/2")
+	var seqs []uint64
+	for _, s := range ctx.sends {
+		if s.to != 2 {
+			t.Fatalf("retransmission to process %d, want only 2", s.to)
+		}
+		wf, ok := decodeFrame(s.p.Data)
+		if !ok {
+			t.Fatal("retransmitted an undecodable frame")
+		}
+		seqs = append(seqs, wf.seq)
+	}
+	if fmt.Sprint(seqs) != "[1 3]" {
+		t.Errorf("retransmitted seqs %v, want [1 3] (ascending; 0 and 99 dropped)", seqs)
+	}
+	// A cumulative ack for 1 retires exactly the head.
+	e.processAck(e.peer(2), 1)
+	if q := e.peers[2].unacked; len(q) != 1 || q[0].seq != 3 {
+		t.Errorf("unacked after ack 1: %+v, want only seq 3", q)
+	}
+}
+
+// FuzzReliableOnRestart: whatever bytes storage hands back, OnRestart must
+// not panic or arm a retry the host would reject, and the endpoint must
+// still send and release afterwards.
+func FuzzReliableOnRestart(f *testing.F) {
+	f.Add([]byte(hostileSnapshot))
+	f.Add([]byte(`{"peers":[{"peer":2,"next_seq":2,"next_expected":3,"unacked":[{"seq":2,"tag":"SUSP","subject":3,"retries":1}]}],"inner":"AQI="}`))
+	f.Add([]byte(`{"peers":[{"peer":2,"next_seq":18446744073709551615,"next_expected":18446744073709551615}]}`))
+	f.Add([]byte(`{"peers":7}`))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, state []byte) {
+		ctx := newFakeCtx(1)
+		rec := &recorder{}
+		e := Wrap(rec, Options{Enabled: true, MaxRetries: 2})
+		e.OnRestart(ctx, state)
+		for round := 0; round < 4; round++ {
+			for name := range ctx.timers {
+				delete(ctx.timers, name)
+				e.OnTimer(ctx, name)
+			}
+		}
+		sent := len(ctx.sends)
+		e.Context(ctx).Send(2, node.Payload{Tag: "APP", Data: []byte("after")})
+		if len(ctx.sends) != sent+1 {
+			t.Fatal("restarted endpoint did not send")
+		}
+		for _, s := range ctx.sends {
+			if s.to < 2 || s.to > 3 {
+				t.Fatalf("send to process %d: the host would reject it", s.to)
+			}
+		}
+		// The next in-sequence frame from peer 3 is released.
+		hdr := make([]byte, headerLen)
+		hdr[0] = kindData
+		binary.BigEndian.PutUint64(hdr[1:9], e.peer(3).nextExpected)
+		e.OnMessage(ctx, 3, node.Payload{Tag: "APP", Data: hdr})
+		if len(rec.released) != 1 {
+			t.Fatalf("restarted endpoint released %d frames, want 1", len(rec.released))
+		}
+	})
 }
