@@ -263,40 +263,52 @@ type Options struct {
 	Timeline *Timeline
 }
 
-// Validate reports the first problem with the options, or nil:
-// N must be at least 2; heartbeats re-arm forever, so HeartbeatEvery > 0
-// requires a MaxTime horizon; a fault plan must be well-formed for N.
+// Validate reports the first problem with the options, or nil: everything
+// LiveOptions.Validate checks, and — because a simulated run must drain on
+// its own — a MaxTime horizon wherever something re-arms forever
+// (heartbeats, unbounded retransmission, an unbounded restart storm).
 func (o Options) Validate() error {
-	if o.N < 2 {
-		return fmt.Errorf("failstop: Options.N = %d; need at least 2 processes", o.N)
-	}
-	if o.T < 0 {
-		return fmt.Errorf("failstop: Options.T = %d; the failure bound cannot be negative", o.T)
+	if err := validateStack("Options", o.N, o.T, o.Topology, o.Faults, o.Reliable, o.Byzantine); err != nil {
+		return err
 	}
 	if o.HeartbeatEvery > 0 && o.MaxTime <= 0 {
 		return fmt.Errorf("failstop: Options.HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever, so the run would never drain)", o.HeartbeatEvery)
-	}
-	if o.Topology != nil {
-		if _, err := topo.New(*o.Topology, o.N); err != nil {
-			return fmt.Errorf("failstop: Options.Topology: %w", err)
-		}
-	}
-	if o.Faults != nil {
-		if err := o.Faults.Validate(o.N); err != nil {
-			return fmt.Errorf("failstop: Options.Faults: %w", err)
-		}
-	}
-	if err := o.Reliable.Validate(); err != nil {
-		return fmt.Errorf("failstop: Options.Reliable: %w", err)
-	}
-	if err := o.Byzantine.Validate(); err != nil {
-		return fmt.Errorf("failstop: Options.Byzantine: %w", err)
 	}
 	if o.Reliable.Enabled && o.Reliable.MaxRetries == 0 && o.MaxTime <= 0 {
 		return fmt.Errorf("failstop: Options.Reliable retries forever (MaxRetries = 0); set MaxTime so runs with crashed peers terminate")
 	}
 	if o.Faults != nil && o.Faults.UnboundedProcs() && o.Recovery != RecoveryOff && o.MaxTime <= 0 {
 		return fmt.Errorf("failstop: Options.Faults plan %q restarts processes forever; set MaxTime so the run terminates", o.Faults.Name)
+	}
+	return nil
+}
+
+// validateStack is what both backends require of the protocol stack's
+// configuration: N at least 2, a non-negative failure bound, a topology and
+// a fault plan well-formed for N, and valid interposer options. kind
+// ("Options" or "LiveOptions") names the struct in the error.
+func validateStack(kind string, n, t int, tp *TopoSpec, faults *FaultPlan, rel ReliableOptions, bz ByzantineOptions) error {
+	if n < 2 {
+		return fmt.Errorf("failstop: %s.N = %d; need at least 2 processes", kind, n)
+	}
+	if t < 0 {
+		return fmt.Errorf("failstop: %s.T = %d; the failure bound cannot be negative", kind, t)
+	}
+	if tp != nil {
+		if _, err := topo.New(*tp, n); err != nil {
+			return fmt.Errorf("failstop: %s.Topology: %w", kind, err)
+		}
+	}
+	if faults != nil {
+		if err := faults.Validate(n); err != nil {
+			return fmt.Errorf("failstop: %s.Faults: %w", kind, err)
+		}
+	}
+	if err := rel.Validate(); err != nil {
+		return fmt.Errorf("failstop: %s.Reliable: %w", kind, err)
+	}
+	if err := bz.Validate(); err != nil {
+		return fmt.Errorf("failstop: %s.Byzantine: %w", kind, err)
 	}
 	return nil
 }
@@ -602,6 +614,14 @@ type LiveOptions struct {
 	MetricsAddr string
 }
 
+// Validate reports the first problem with the options, or nil: N must be
+// at least 2, T non-negative, and the topology, fault plan and interposer
+// options well-formed — the checks Options.Validate makes of the same
+// fields. A live run is bounded by Stop, so nothing here needs a horizon.
+func (o LiveOptions) Validate() error {
+	return validateStack("LiveOptions", o.N, o.T, o.Topology, o.Faults, o.Reliable, o.Byzantine)
+}
+
 // LiveCluster runs the same protocol stack on real goroutines.
 type LiveCluster struct {
 	net   *runtime.Net
@@ -615,7 +635,9 @@ type LiveCluster struct {
 
 // NewLiveCluster builds a live cluster. Call Start, drive it with Suspect
 // and Crash, then Stop; History returns the recorded run at any point.
-// Like NewCluster, it panics on invalid options (N < 2, ill-formed plan).
+// Like NewCluster, it panics with the LiveOptions.Validate error when the
+// options are invalid — call Validate first to reject untrusted
+// configuration gracefully.
 func NewLiveCluster(opts LiveOptions) *LiveCluster {
 	if opts.T == 0 {
 		opts.T = 1
@@ -623,29 +645,15 @@ func NewLiveCluster(opts LiveOptions) *LiveCluster {
 	if opts.Protocol == 0 {
 		opts.Protocol = SFS
 	}
-	if opts.N < 2 {
-		panic(fmt.Errorf("failstop: LiveOptions.N = %d; need at least 2 processes", opts.N))
-	}
-	if opts.Topology != nil {
-		if _, err := topo.New(*opts.Topology, opts.N); err != nil {
-			panic(fmt.Errorf("failstop: LiveOptions.Topology: %w", err))
-		}
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
 	var link node.LinkFn
 	var plane *netadv.Plane
 	if opts.Faults != nil {
-		if err := opts.Faults.Validate(opts.N); err != nil {
-			panic(fmt.Errorf("failstop: LiveOptions.Faults: %w", err))
-		}
 		plane = netadv.NewPlane(*opts.Faults, opts.N, opts.Seed)
 		plane.Register(opts.Metrics)
 		link = plane.Decide
-	}
-	if err := opts.Reliable.Validate(); err != nil {
-		panic(fmt.Errorf("failstop: LiveOptions.Reliable: %w", err))
-	}
-	if err := opts.Byzantine.Validate(); err != nil {
-		panic(fmt.Errorf("failstop: LiveOptions.Byzantine: %w", err))
 	}
 	var lifetimes []recovery.Lifetime
 	if opts.Faults != nil {

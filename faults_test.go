@@ -1,6 +1,7 @@
 package failstop_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,52 @@ func TestNewLiveClusterPanicsOnTooFewProcesses(t *testing.T) {
 		}
 	}()
 	failstop.NewLiveCluster(failstop.LiveOptions{N: 1})
+}
+
+// TestFacadesRejectTheSameInputs: Options and LiveOptions validate N, T,
+// Topology, Faults, Reliable and Byzantine by one shared check, so a bad
+// value draws the same words from both, after the struct's name — and
+// NewLiveCluster panics with exactly that error, as NewCluster does.
+func TestFacadesRejectTheSameInputs(t *testing.T) {
+	badPlan := &failstop.FaultPlan{Rules: []failstop.FaultRule{{Drop: 2}}}
+	cases := []struct {
+		name string
+		sim  failstop.Options
+		live failstop.LiveOptions
+		want string
+	}{
+		{"n", failstop.Options{N: 1}, failstop.LiveOptions{N: 1}, "at least 2"},
+		{"t", failstop.Options{N: 4, T: -1}, failstop.LiveOptions{N: 4, T: -1}, "cannot be negative"},
+		{"topology", failstop.Options{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}},
+			failstop.LiveOptions{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, "Topology"},
+		{"faults", failstop.Options{N: 4, Faults: badPlan}, failstop.LiveOptions{N: 4, Faults: badPlan}, "outside [0,1]"},
+		{"reliable", failstop.Options{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}},
+			failstop.LiveOptions{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}}, "Reliable"},
+		{"byzantine", failstop.Options{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, Witnesses: -1}},
+			failstop.LiveOptions{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, Witnesses: -1}}, "Byzantine"},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			simErr, liveErr := tt.sim.Validate(), tt.live.Validate()
+			if simErr == nil || liveErr == nil {
+				t.Fatalf("Options.Validate() = %v, LiveOptions.Validate() = %v; want both to fail", simErr, liveErr)
+			}
+			if !strings.Contains(liveErr.Error(), tt.want) {
+				t.Errorf("LiveOptions.Validate() = %v, want it to contain %q", liveErr, tt.want)
+			}
+			simTail, ok1 := strings.CutPrefix(simErr.Error(), "failstop: Options.")
+			liveTail, ok2 := strings.CutPrefix(liveErr.Error(), "failstop: LiveOptions.")
+			if !ok1 || !ok2 || simTail != liveTail {
+				t.Errorf("the facades word it differently:\n  %v\n  %v", simErr, liveErr)
+			}
+			defer func() {
+				if got := recover(); fmt.Sprint(got) != liveErr.Error() {
+					t.Errorf("NewLiveCluster panicked with %v, want %v", got, liveErr)
+				}
+			}()
+			failstop.NewLiveCluster(tt.live)
+		})
+	}
 }
 
 func TestBuiltinFaultPlans(t *testing.T) {

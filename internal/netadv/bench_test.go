@@ -35,8 +35,7 @@ func BenchmarkDecideFaulty(b *testing.B) {
 
 // BenchmarkDecideByzQuiet prices the tax Byzantine rules levy on traffic
 // they never touch: the plan carries a corruptor and an equivocator, but
-// the benchmark's frames miss every selector. CI exports this (with
-// BenchmarkDecideByzFaulty) as BENCH_byz.json.
+// the benchmark's frames miss every selector.
 func BenchmarkDecideByzQuiet(b *testing.B) {
 	pl := NewPlane(Plan{Byz: []ByzRule{
 		{Victim: 5, Tags: []string{"SUSP"}, Corrupt: 1},
@@ -62,7 +61,7 @@ func BenchmarkDecideByzFaulty(b *testing.B) {
 	}
 }
 
-// TestByzDecideAllocBudget is the CI gate behind BENCH_byz.json: a plan
+// TestByzDecideAllocBudget is the CI gate on that tax: a plan
 // that carries Byzantine rules may add at most 5% allocations to the
 // decision path of traffic those rules never match — the fault plane's
 // fast path must not pay for a feature the frame doesn't use.

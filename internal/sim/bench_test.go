@@ -179,7 +179,6 @@ func TestSimWideDelayAllocBudget(t *testing.T) {
 // lifetimes under durable recovery, so each iteration pays for the down
 // transitions, snapshot save/restore round trips, in-flight delivery
 // drops, and timer-generation sweeps on top of the ordinary hot path.
-// CI exports this as BENCH_recovery.json.
 func BenchmarkSimRestartStorm(b *testing.B) {
 	const n, rounds = 10, 30
 	run := func(seed int64) *Result {

@@ -1,8 +1,9 @@
 // Large-N scaling benchmarks: the simulator's cost at cluster sizes where
 // the full mesh is off the table (10⁴ processes and up). The workload
 // floods along a sparse gossip overlay, so the lazy per-link state and
-// the batched delivery path — not the handlers — set the bill. CI exports
-// BenchmarkSimLargeN10k as BENCH_topo.json and gates its allocs/op.
+// the batched delivery path — not the handlers — set the bill. CI gates the
+// allocations (TestSimLargeNAllocBudget); bench/ tracks the same regime as
+// its flood-gossip-n10k workload.
 //
 // Run with: go test ./internal/sim -bench=SimLargeN -benchmem
 package sim

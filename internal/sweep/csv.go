@@ -50,12 +50,13 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		"topo", "links", "fanout", "reliable", "recovery", "byzantine",
 		"runs", "quiescent", "blocked_runs", "checked",
 		"stop_drained", "stop_max_time", "stop_max_events",
-		"dropped", "duplicated", "retransmits", "acked_duplicates",
-		"plan_crashes", "restarts", "recovered",
-		"byz_detected", "byz_masked", "corrupted", "equivocated", "replayed",
-		"events_p50", "events_p95", "events_p99", "events_p999", "events_max",
-		"end_time_p50", "end_time_p95",
 	}
+	for _, col := range columns {
+		header = append(header, col.csv)
+	}
+	header = append(header,
+		"events_p50", "events_p95", "events_p99", "events_p999", "events_max",
+		"end_time_p50", "end_time_p95")
 	for _, m := range metrics {
 		header = append(header, "metric_"+m, "metric_"+m+"_rate")
 	}
@@ -84,15 +85,14 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			strconv.Itoa(c.Stops[sim.StopDrained]),
 			strconv.Itoa(c.Stops[sim.StopMaxTime]),
 			strconv.Itoa(c.Stops[sim.StopMaxEvents]),
-			strconv.Itoa(c.Dropped), strconv.Itoa(c.Duplicated),
-			strconv.Itoa(c.Retransmits), strconv.Itoa(c.AckedDuplicates),
-			strconv.Itoa(c.PlanCrashes), strconv.Itoa(c.Restarts), strconv.Itoa(c.Recovered),
-			strconv.Itoa(c.ByzDetected), strconv.Itoa(c.ByzMasked),
-			strconv.Itoa(c.Corrupted), strconv.Itoa(c.Equivocated), strconv.Itoa(c.Replayed),
+		}
+		for _, col := range columns {
+			row = append(row, strconv.FormatInt(c.Obs[col.metric], 10))
+		}
+		row = append(row,
 			csvFloat(c.Events.Median), csvFloat(c.Events.P95),
 			csvFloat(c.Events.P99), csvFloat(c.Events.P999), csvFloat(c.Events.Max),
-			csvFloat(c.EndTimes.Median), csvFloat(c.EndTimes.P95),
-		}
+			csvFloat(c.EndTimes.Median), csvFloat(c.EndTimes.P95))
 		for _, m := range metrics {
 			n := c.Metrics[m]
 			rate := 0.0

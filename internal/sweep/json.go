@@ -42,8 +42,9 @@ func ReadJSON(r io.Reader) (*Report, error) {
 // Merge rejects mismatches rather than guessing: reports must agree
 // cell-for-cell on identity and order, and their Shard identities must
 // cover a k-shard stream exactly — every index 0..k-1 once, no duplicated
-// artifact, no missing shard — so a doubled or dropped shard file fails
-// loudly instead of silently skewing every count.
+// artifact, no missing shard — and every cell must carry one run-length
+// sample per run, so a doubled, dropped or truncated shard file fails
+// loudly instead of silently skewing every count and percentile.
 func Merge(reports ...*Report) (*Report, error) {
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("sweep: Merge needs at least one report")
@@ -68,6 +69,15 @@ func Merge(reports ...*Report) (*Report, error) {
 			return nil, fmt.Errorf("sweep: shard %d/%d appears twice (duplicated report file?)", sh.Index, k)
 		}
 		seen[sh.Index] = true
+		for j := range r.Cells {
+			// Percentiles come from the samples, tallies from Runs: a file
+			// where they disagree would merge into a report that does too.
+			c := &r.Cells[j]
+			if len(c.EventSamples) != c.Runs || len(c.EndTimeSamples) != c.Runs {
+				return nil, fmt.Errorf("sweep: report %d cell %d (%v) has %d runs but %d event samples and %d end-time samples (truncated or edited file?)",
+					i, j, c.Cell, c.Runs, len(c.EventSamples), len(c.EndTimeSamples))
+			}
+		}
 	}
 	base := reports[0]
 	for i, r := range reports[1:] {
@@ -85,49 +95,15 @@ func Merge(reports ...*Report) (*Report, error) {
 	// The merged report covers the whole stream: its shard identity is the
 	// unsharded one, which is also what makes it merge-equal (and
 	// DeepEqual) to a sweep run without sharding.
-	out := &Report{Shard: Shard{Index: 0, Count: 1}, Cells: make([]CellResult, 0, len(base.Cells))}
+	out := &Report{Shard: Shard{Index: 0, Count: 1}, Cells: make([]CellResult, len(base.Cells))}
 	for j := range base.Cells {
-		a := newAccumulator(base.Cells[j].Cell, base.Cells[j].Links, base.Cells[j].Fanout, 0)
+		out.Cells[j] = newCellResult(base.Cells[j].Cell, base.Cells[j].Links, base.Cells[j].Fanout, 0)
+		c := &out.Cells[j]
 		for _, r := range reports {
-			a.merge(cellAccumulator(&r.Cells[j]))
+			c.merge(&r.Cells[j])
 		}
-		out.Cells = append(out.Cells, a.result())
-		out.Runs += a.runs
+		c.finalize()
+		out.Runs += c.Runs
 	}
 	return out, nil
-}
-
-// cellAccumulator reopens a finalized CellResult as an accumulator, the
-// inverse of accumulator.result — possible because CellResult retains its
-// raw sample sets. The returned accumulator aliases the cell's maps and
-// slices; it must only be read (merged from), never added to.
-func cellAccumulator(c *CellResult) *accumulator {
-	return &accumulator{
-		cell:        c.Cell,
-		links:       c.Links,
-		fanout:      c.Fanout,
-		runs:        c.Runs,
-		stops:       c.Stops,
-		quiet:       c.Quiescent,
-		blocked:     c.BlockedRuns,
-		checked:     c.Checked,
-		dropped:     c.Dropped,
-		duplicated:  c.Duplicated,
-		retransmits: c.Retransmits,
-		ackedDups:   c.AckedDuplicates,
-		planCrashes: c.PlanCrashes,
-		restarts:    c.Restarts,
-		recovered:   c.Recovered,
-		byzDetected: c.ByzDetected,
-		byzMasked:   c.ByzMasked,
-		corrupted:   c.Corrupted,
-		equivocated: c.Equivocated,
-		replayed:    c.Replayed,
-		holds:       c.Holds,
-		metrics:     c.Metrics,
-		obsTotals:   c.Obs,
-		tseries:     c.TimeseriesSamples,
-		events:      c.EventSamples,
-		ends:        c.EndTimeSamples,
-	}
 }

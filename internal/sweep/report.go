@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"failstop/internal/checker"
 	"failstop/internal/recovery"
 	"failstop/internal/sim"
 	"failstop/internal/stats"
@@ -80,7 +81,9 @@ type CellResult struct {
 	// Obs totals the runs' observability counters (the simulator's
 	// snapshot merged, under a fault plan, with the fault plane's) over
 	// all runs of the cell, keyed by metric name. Histogram-kind metrics
-	// carry no total and are not aggregated here.
+	// carry no total and are not aggregated here. It is the source of
+	// every counter column of the report and of the twelve counter fields
+	// above, which are copies kept for the wire format (see columns).
 	Obs map[string]int64 `json:"obs"`
 	// Events and EndTimes summarize run length in events and virtual time.
 	Events   stats.Summary `json:"events"`
@@ -174,47 +177,87 @@ func (r *Report) PropertyTable() string {
 	return tbl.String()
 }
 
+// group names what some cell of a report must have run with for a
+// column to show in the text table (the CSV always carries every column).
+type group int
+
+const (
+	groupPlan     group = iota // a network fault plan
+	groupReliable              // the reliable-delivery layer
+	groupRecovery              // a recovering crash-recovery mode
+	groupByz                   // the validation interposer, or a plan that injected Byzantine faults
+	numGroups
+)
+
+// column is one per-cell counter of the report, read from CellResult.Obs.
+// The table is the one place a counter is named: a metric some layer
+// already exports becomes a text and CSV column by adding a row. field is
+// set for the counters that are also CellResult fields (the -json wire
+// format predates Obs); finalize fills it from Obs.
+type column struct {
+	metric  string // key in CellResult.Obs
+	heading string // CellTable heading
+	csv     string // WriteCSV column name
+	group   group
+	field   func(*CellResult) *int
+}
+
+var columns = []column{
+	{"sim_dropped_total", "dropped", "dropped", groupPlan, func(c *CellResult) *int { return &c.Dropped }},
+	{"sim_duplicated_total", "duplicated", "duplicated", groupPlan, func(c *CellResult) *int { return &c.Duplicated }},
+	{"reliable_retransmits_total", "retransmits", "retransmits", groupReliable, func(c *CellResult) *int { return &c.Retransmits }},
+	{"reliable_acked_duplicates_total", "acked-dup", "acked_duplicates", groupReliable, func(c *CellResult) *int { return &c.AckedDuplicates }},
+	{"sim_plan_crashes_total", "crashes", "plan_crashes", groupRecovery, func(c *CellResult) *int { return &c.PlanCrashes }},
+	{"sim_restarts_total", "restarts", "restarts", groupRecovery, func(c *CellResult) *int { return &c.Restarts }},
+	{"sim_recovered_total", "recovered", "recovered", groupRecovery, func(c *CellResult) *int { return &c.Recovered }},
+	{"byz_detected_total", "byz-detected", "byz_detected", groupByz, func(c *CellResult) *int { return &c.ByzDetected }},
+	{"byz_masked_total", "byz-masked", "byz_masked", groupByz, func(c *CellResult) *int { return &c.ByzMasked }},
+	{"plane_byz_corrupted_total", "corrupted", "corrupted", groupByz, func(c *CellResult) *int { return &c.Corrupted }},
+	{"plane_byz_equivocated_total", "equivocated", "equivocated", groupByz, func(c *CellResult) *int { return &c.Equivocated }},
+	{"plane_byz_replayed_total", "replayed", "replayed", groupByz, func(c *CellResult) *int { return &c.Replayed }},
+}
+
+// groups reports which column groups the report's cells light.
+func (r *Report) groups() (lit [numGroups]bool) {
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		lit[groupPlan] = lit[groupPlan] || c.Cell.Plan != ""
+		lit[groupReliable] = lit[groupReliable] || c.Cell.Reliable
+		lit[groupRecovery] = lit[groupRecovery] || c.Cell.Recovery != recovery.Off
+		lit[groupByz] = lit[groupByz] || c.Cell.Byzantine
+		for _, col := range columns {
+			// The interposer's own counters are zero without it, so this
+			// is the plan's injections showing with the interposer off.
+			if col.group == groupByz && c.Obs[col.metric] > 0 {
+				lit[groupByz] = true
+			}
+		}
+	}
+	return lit
+}
+
 // CellTable renders one row per cell: outcome tallies, event-count
-// percentiles, network-fault tallies (when any cell ran under a fault
-// plan), and any custom metrics.
+// percentiles, topology scale (when any cell ran a partial topology), the
+// counter columns whose group some cell lights, and any custom metrics.
 func (r *Report) CellTable() string {
 	var allMetrics []map[string]int
-	faulty, topos, rel, rec, byz := false, false, false, false, false
+	topos := false
 	for i := range r.Cells {
 		allMetrics = append(allMetrics, r.Cells[i].Metrics)
-		if r.Cells[i].Cell.Plan != "" {
-			faulty = true
-		}
 		if r.Cells[i].Cell.Topo != "" {
 			topos = true
 		}
-		if r.Cells[i].Cell.Reliable {
-			rel = true
-		}
-		if r.Cells[i].Cell.Recovery != recovery.Off {
-			rec = true
-		}
-		if r.Cells[i].Cell.Byzantine || r.Cells[i].Corrupted > 0 ||
-			r.Cells[i].Equivocated > 0 || r.Cells[i].Replayed > 0 {
-			byz = true
-		}
 	}
 	names := metricNames(allMetrics...)
+	lit := r.groups()
 	headers := []string{"cell", "runs", "quiescent", "blocked", "max-time", "max-events", "events p50", "events p95"}
 	if topos {
 		headers = append(headers, "links", "fanout")
 	}
-	if faulty {
-		headers = append(headers, "dropped", "duplicated")
-	}
-	if rel {
-		headers = append(headers, "retransmits", "acked-dup")
-	}
-	if rec {
-		headers = append(headers, "crashes", "restarts", "recovered")
-	}
-	if byz {
-		headers = append(headers, "byz-detected", "byz-masked", "corrupted", "equivocated", "replayed")
+	for _, col := range columns {
+		if lit[col.group] {
+			headers = append(headers, col.heading)
+		}
 	}
 	headers = append(headers, names...)
 	tbl := stats.NewTable(headers...)
@@ -228,17 +271,10 @@ func (r *Report) CellTable() string {
 		if topos {
 			row = append(row, c.Links, c.Fanout)
 		}
-		if faulty {
-			row = append(row, c.Dropped, c.Duplicated)
-		}
-		if rel {
-			row = append(row, c.Retransmits, c.AckedDuplicates)
-		}
-		if rec {
-			row = append(row, c.PlanCrashes, c.Restarts, c.Recovered)
-		}
-		if byz {
-			row = append(row, c.ByzDetected, c.ByzMasked, c.Corrupted, c.Equivocated, c.Replayed)
+		for _, col := range columns {
+			if lit[col.group] {
+				row = append(row, c.Obs[col.metric])
+			}
 		}
 		for _, m := range names {
 			row = append(row, fmt.Sprintf("%d/%d", c.Metrics[m], c.Runs))
@@ -264,203 +300,122 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// accumulator builds one CellResult incrementally. Each worker owns a
-// private set of accumulators (no locking on the add path); sets combine
-// with merge, which is commutative and associative over everything result
-// reports, so the final CellResult is independent of which worker ran
-// which job.
-type accumulator struct {
-	cell        Cell
-	links       int64
-	fanout      int
-	runs        int
-	stops       map[sim.StopReason]int
-	quiet       int
-	blocked     int
-	checked     int
-	dropped     int
-	duplicated  int
-	retransmits int
-	ackedDups   int
-	planCrashes int
-	restarts    int
-	recovered   int
-	byzDetected int
-	byzMasked   int
-	corrupted   int
-	equivocated int
-	replayed    int
-	holds       map[string]int
-	metrics     map[string]int
-	obsTotals   map[string]int64
-	tseries     map[string][]float64
-	events      []float64
-	ends        []float64
-}
-
-// newAccumulator creates one empty accumulator; sampleHint presizes the
-// run-length sample slices (the former per-run record traffic, now
-// buffered in place).
-func newAccumulator(cell Cell, links int64, fanout, sampleHint int) *accumulator {
-	return &accumulator{
-		cell:      cell,
-		links:     links,
-		fanout:    fanout,
-		stops:     make(map[sim.StopReason]int, 3),
-		holds:     make(map[string]int, len(Properties)),
-		metrics:   map[string]int{},
-		obsTotals: map[string]int64{},
-		tseries:   map[string][]float64{},
-		events:    make([]float64, 0, sampleHint),
-		ends:      make([]float64, 0, sampleHint),
+// newCellResult opens an empty aggregate for one cell. A CellResult under
+// construction is the engine's accumulator: each worker owns a private set
+// (no locking on the add path), sets combine with merge — commutative and
+// associative over everything it touches — and finalize derives the rest,
+// so the published CellResult is independent of which worker ran which
+// job. sampleHint presizes the run-length sample slices.
+func newCellResult(cell Cell, links int64, fanout, sampleHint int) CellResult {
+	return CellResult{
+		Cell:              cell,
+		Links:             links,
+		Fanout:            fanout,
+		Stops:             make(map[sim.StopReason]int, 3),
+		Holds:             make(map[string]int, len(Properties)),
+		Metrics:           map[string]int{},
+		Obs:               map[string]int64{},
+		TimeseriesSamples: map[string][]float64{},
+		EventSamples:      make([]float64, 0, sampleHint),
+		EndTimeSamples:    make([]float64, 0, sampleHint),
 	}
 }
 
-func newAccumulators(cells []cellSpec) []*accumulator {
-	out := make([]*accumulator, len(cells))
-	for i, cs := range cells {
-		out[i] = newAccumulator(cs.cell, cs.links, cs.fanout, 0)
+// add folds one run into the aggregate; verdicts is nil for an unchecked
+// run.
+func (c *CellResult) add(out RunOutput, verdicts []checker.Verdict) {
+	res := out.Result
+	c.Runs++
+	c.Stops[res.Stop]++
+	if res.Quiescent() {
+		c.Quiescent++
 	}
-	return out
-}
-
-func (a *accumulator) add(rec runRecord) {
-	a.runs++
-	a.stops[rec.stop]++
-	if rec.quiescent {
-		a.quiet++
+	if res.BlockedLive() {
+		c.BlockedRuns++
 	}
-	if rec.blocked {
-		a.blocked++
-	}
-	a.dropped += rec.dropped
-	a.duplicated += rec.duplicated
-	a.retransmits += rec.retransmits
-	a.ackedDups += rec.ackedDups
-	a.planCrashes += rec.planCrashes
-	a.restarts += rec.restarts
-	a.recovered += rec.recovered
-	a.byzDetected += rec.byzDetected
-	a.byzMasked += rec.byzMasked
-	a.corrupted += rec.corrupted
-	a.equivocated += rec.equivocated
-	a.replayed += rec.replayed
-	if rec.verdicts != nil {
-		a.checked++
-		for _, v := range rec.verdicts {
+	if verdicts != nil {
+		c.Checked++
+		for _, v := range verdicts {
 			if v.Holds {
-				a.holds[v.Property]++
+				c.Holds[v.Property]++
 			}
 		}
 	}
 	//sfs:allow detmaprange commutative tally into a map; rendering sorts via metricNames
-	for name, val := range rec.metrics {
+	for name, val := range out.Metrics {
 		if val {
-			a.metrics[name]++
+			c.Metrics[name]++
 		} else {
-			a.metrics[name] += 0 // record the name so 0-counts render
+			c.Metrics[name] += 0 // record the name so 0-counts render
 		}
 	}
-	// rec.obs is a sorted slice, rec.peaks a name-sorted snapshot: both
+	// out.Obs is a sorted slice, res.Timeline a name-sorted snapshot: both
 	// iterate deterministically. Histogram metrics carry no summable value.
-	for _, m := range rec.obs {
+	for _, m := range out.Obs {
 		if m.Summary == nil {
-			a.obsTotals[m.Name] += m.Value
+			c.Obs[m.Name] += m.Value
 		}
 	}
-	for _, s := range rec.peaks {
-		a.tseries[s.Name] = append(a.tseries[s.Name], s.Max())
+	for _, s := range res.Timeline {
+		c.TimeseriesSamples[s.Name] = append(c.TimeseriesSamples[s.Name], s.Max())
 	}
-	a.events = append(a.events, rec.events)
-	a.ends = append(a.ends, rec.endTime)
+	c.EventSamples = append(c.EventSamples, float64(len(res.History)))
+	c.EndTimeSamples = append(c.EndTimeSamples, float64(res.EndTime))
 }
 
-// merge folds b into a. All aggregates are commutative sums (map keys
-// union; samples concatenate and are sorted by result), so merging the
-// per-worker accumulators in any order produces the same CellResult.
-func (a *accumulator) merge(b *accumulator) {
-	a.runs += b.runs
+// merge folds b — another worker's aggregate, or a finalized one read back
+// from a shard file — into c. Everything folded is a commutative sum (map
+// keys union; samples concatenate and are sorted by finalize), so merging
+// in any order produces the same CellResult. What finalize derives is not
+// read from b.
+func (c *CellResult) merge(b *CellResult) {
+	c.Runs += b.Runs
 	//sfs:allow detmaprange commutative sum into a map; emission renders by keyed lookup
-	for k, v := range b.stops {
-		a.stops[k] += v
+	for k, v := range b.Stops {
+		c.Stops[k] += v
 	}
-	a.quiet += b.quiet
-	a.blocked += b.blocked
-	a.checked += b.checked
-	a.dropped += b.dropped
-	a.duplicated += b.duplicated
-	a.retransmits += b.retransmits
-	a.ackedDups += b.ackedDups
-	a.planCrashes += b.planCrashes
-	a.restarts += b.restarts
-	a.recovered += b.recovered
-	a.byzDetected += b.byzDetected
-	a.byzMasked += b.byzMasked
-	a.corrupted += b.corrupted
-	a.equivocated += b.equivocated
-	a.replayed += b.replayed
+	c.Quiescent += b.Quiescent
+	c.BlockedRuns += b.BlockedRuns
+	c.Checked += b.Checked
 	//sfs:allow detmaprange commutative sum into a map; emission renders via the sorted Properties list
-	for k, v := range b.holds {
-		a.holds[k] += v
+	for k, v := range b.Holds {
+		c.Holds[k] += v
 	}
 	//sfs:allow detmaprange commutative sum into a map; rendering sorts via metricNames
-	for k, v := range b.metrics {
-		a.metrics[k] += v
+	for k, v := range b.Metrics {
+		c.Metrics[k] += v
 	}
 	//sfs:allow detmaprange commutative sum into a map; rendering sorts via metricNames
-	for k, v := range b.obsTotals {
-		a.obsTotals[k] += v
+	for k, v := range b.Obs {
+		c.Obs[k] += v
 	}
-	//sfs:allow detmaprange keyed sample-set concatenation; result sorts every set before publishing
-	for k, v := range b.tseries {
-		a.tseries[k] = append(a.tseries[k], v...)
+	//sfs:allow detmaprange keyed sample-set concatenation; finalize sorts every set before publishing
+	for k, v := range b.TimeseriesSamples {
+		c.TimeseriesSamples[k] = append(c.TimeseriesSamples[k], v...)
 	}
-	a.events = append(a.events, b.events...)
-	a.ends = append(a.ends, b.ends...)
+	c.EventSamples = append(c.EventSamples, b.EventSamples...)
+	c.EndTimeSamples = append(c.EndTimeSamples, b.EndTimeSamples...)
 }
 
-// result finalizes the accumulator. Samples are sorted here — not in
+// finalize derives what add and merge leave alone: the sample summaries
+// and the counter fields that mirror Obs. Samples are sorted here — not in
 // arrival order — so the published CellResult (and anything derived from
 // it, like a shard report on disk) is identical no matter how jobs were
 // scheduled across workers.
-func (a *accumulator) result() CellResult {
-	sort.Float64s(a.events)
-	sort.Float64s(a.ends)
-	ts := make(map[string]stats.Summary, len(a.tseries))
+func (c *CellResult) finalize() {
+	sort.Float64s(c.EventSamples)
+	sort.Float64s(c.EndTimeSamples)
+	c.Events = stats.Summarize(c.EventSamples)
+	c.EndTimes = stats.Summarize(c.EndTimeSamples)
+	c.Timeseries = make(map[string]stats.Summary, len(c.TimeseriesSamples))
 	//sfs:allow detmaprange per-key sort and summarize; keyed output is independent of visit order
-	for name, samples := range a.tseries {
+	for name, samples := range c.TimeseriesSamples {
 		sort.Float64s(samples)
-		ts[name] = stats.Summarize(samples)
+		c.Timeseries[name] = stats.Summarize(samples)
 	}
-	return CellResult{
-		Cell:              a.cell,
-		Links:             a.links,
-		Fanout:            a.fanout,
-		Runs:              a.runs,
-		Stops:             a.stops,
-		Quiescent:         a.quiet,
-		BlockedRuns:       a.blocked,
-		Checked:           a.checked,
-		Dropped:           a.dropped,
-		Duplicated:        a.duplicated,
-		Retransmits:       a.retransmits,
-		AckedDuplicates:   a.ackedDups,
-		PlanCrashes:       a.planCrashes,
-		Restarts:          a.restarts,
-		Recovered:         a.recovered,
-		ByzDetected:       a.byzDetected,
-		ByzMasked:         a.byzMasked,
-		Corrupted:         a.corrupted,
-		Equivocated:       a.equivocated,
-		Replayed:          a.replayed,
-		Holds:             a.holds,
-		Metrics:           a.metrics,
-		Obs:               a.obsTotals,
-		Events:            stats.Summarize(a.events),
-		EndTimes:          stats.Summarize(a.ends),
-		EventSamples:      a.events,
-		EndTimeSamples:    a.ends,
-		Timeseries:        ts,
-		TimeseriesSamples: a.tseries,
+	for _, col := range columns {
+		if col.field != nil {
+			*col.field(c) = int(c.Obs[col.metric])
+		}
 	}
 }

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"failstop/internal/byz"
@@ -206,10 +208,72 @@ func TestMergeRejectsMismatchedReports(t *testing.T) {
 		t.Error("Merge accepted a report without shard identity")
 	}
 
+	// A cell whose run-length samples do not number its runs (here: five
+	// runs claimed over the one recorded sample) would skew percentiles.
+	skewed := *a1
+	skewed.Cells = append([]CellResult(nil), a1.Cells...)
+	skewed.Cells[0].Runs = 5
+	_, err := Merge(a0, &skewed)
+	if err == nil {
+		t.Error("Merge accepted a cell with 5 runs and fewer run-length samples")
+	} else if !strings.Contains(err.Error(), "report 1 cell 0") {
+		t.Errorf("sample-count mismatch error %q does not name the file index and cell", err)
+	}
+
 	// The complete, well-formed set still merges.
 	if _, err := Merge(a0, a1); err != nil {
 		t.Errorf("Merge rejected a complete shard set: %v", err)
 	}
+}
+
+// shardJSON runs shard i of k of the spec and returns the report file a
+// shard job would write.
+func shardJSON(t testing.TB, spec Spec, i, k int) []byte {
+	t.Helper()
+	spec.Shard = Shard{Index: i, Count: k}
+	rep, err := Run(spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("shard %d/%d: %v", i, k, err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatalf("shard %d/%d: WriteJSON: %v", i, k, err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadJSONMerge feeds ReadJSON arbitrary bytes and merges whatever
+// decodes with itself, re-labelled as the two shards of one stream: Merge
+// must either refuse or return a report that renders. Seeded with a real
+// two-shard report, so mutations start from well-formed files — of one
+// grid point, because the fuzzer minimizes every input that reaches new
+// code and a 50 KB file stalls it there.
+func FuzzReadJSONMerge(f *testing.F) {
+	spec := shardSpec()
+	spec.Grid = spec.Grid[:1]
+	spec.Seeds.Count = 3
+	spec.Timeline = true
+	for i := 0; i < 2; i++ {
+		f.Add(shardJSON(f, spec, i, 2))
+	}
+	f.Add([]byte(`{"cells":[{"cell":{"nt":{"n":5,"t":2},"recovery":"durable"},"runs":5,"event_samples":[1,2],"end_time_samples":[3]}],"shard":{"index":0,"count":2}}`))
+	f.Add([]byte(`{"cells":[{"cell":{"protocol":9},"runs":1,"event_samples":[1e308],"end_time_samples":[-2],"stops":{"drained":-1},"metrics":{"m":3},"obs":{"sim_dropped_total":-7},"timeseries_samples":{"s":[]}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		a, b := *rep, *rep
+		a.Shard, b.Shard = Shard{Index: 0, Count: 2}, Shard{Index: 1, Count: 2}
+		merged, err := Merge(&a, &b)
+		if err != nil {
+			return
+		}
+		_ = merged.String()
+		if err := merged.WriteCSV(io.Discard); err != nil {
+			t.Fatalf("WriteCSV of a merged report: %v", err)
+		}
+	})
 }
 
 // TestMergeSingleUnshardedIdentity: a single unsharded report merges to

@@ -172,7 +172,8 @@ func (c Cell) String() string {
 // Cluster nil; Metrics carries named boolean outcomes to aggregate beyond
 // the checker's verdicts; Obs carries the run's observability counters
 // (the default runner merges the simulator's snapshot with the fault
-// plane's, when one was active) to total per cell.
+// plane's, when one was active) to total per cell, and a nil Obs is read
+// as Result.Metrics, the simulator's own snapshot.
 type RunOutput struct {
 	Result  *sim.Result
 	Cluster *cluster.Cluster
@@ -656,43 +657,17 @@ func quorumStarved(c *cluster.Cluster) bool {
 	return false
 }
 
-// runRecord is one run's contribution to its cell's aggregate.
-type runRecord struct {
-	cellIdx     int
-	stop        sim.StopReason
-	quiescent   bool
-	blocked     bool
-	dropped     int
-	duplicated  int
-	retransmits int
-	ackedDups   int
-	planCrashes int
-	restarts    int
-	recovered   int
-	byzDetected int
-	byzMasked   int
-	corrupted   int
-	equivocated int
-	replayed    int
-	events      float64
-	endTime     float64
-	verdicts    []checker.Verdict // nil when unchecked
-	metrics     map[string]bool
-	obs         obs.Metrics
-	peaks       []obs.TimelineSeries // run timeline, reduced per-series to peaks by the accumulator
-}
-
 // Run expands the spec and executes every scenario (this shard's slice,
 // when Spec.Shard is set) on a pool of opts.Workers workers, returning the
 // aggregated report. The report is independent of worker count and
 // scheduling order.
 //
 // Aggregation streams: each worker folds every run it executes straight
-// into its own accumulator array, with no cross-goroutine record traffic;
-// the per-worker arrays merge after the pool drains. Merging is
-// order-independent — counters add commutatively and run-length samples
-// are sorted at finalization — which is what keeps the report identical
-// across worker counts.
+// into its own array of CellResults under construction, with no
+// cross-goroutine traffic; the per-worker arrays merge into the report's
+// cells after the pool drains. Merging is order-independent — counters add
+// commutatively and run-length samples are sorted at finalization — which
+// is what keeps the report identical across worker counts.
 func Run(spec Spec, opts Options) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -715,7 +690,7 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	// accumulators for cells the scheduler (or the shard filter) never
 	// hands it.
 	sampleHint := spec.Seeds.Count/workers + 1
-	perWorker := make([][]*accumulator, workers)
+	perWorker := make([][]*CellResult, workers)
 	// done[w] counts worker w's completed runs; the progress reporter (when
 	// enabled) reads them concurrently, so they are atomic counters. The
 	// counts feed stderr only, never the report.
@@ -723,21 +698,20 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	stopProgress := startProgress(opts, spec.Runs(), done)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		mine := make([]*accumulator, len(cells))
+		mine := make([]*CellResult, len(cells))
 		perWorker[w] = mine
 		mydone := &done[w]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				rec := execute(spec, cells[j.cellIdx], j.cellIdx, j.seed)
-				a := mine[j.cellIdx]
-				if a == nil {
-					cs := cells[j.cellIdx]
-					a = newAccumulator(cs.cell, cs.links, cs.fanout, sampleHint)
-					mine[j.cellIdx] = a
+				cs := cells[j.cellIdx]
+				out, verdicts := execute(spec, cs, j.seed)
+				if mine[j.cellIdx] == nil {
+					c := newCellResult(cs.cell, cs.links, cs.fanout, sampleHint)
+					mine[j.cellIdx] = &c
 				}
-				a.add(rec)
+				mine[j.cellIdx].add(out, verdicts)
 				mydone.Inc()
 			}
 		}()
@@ -751,19 +725,18 @@ func Run(spec Spec, opts Options) (*Report, error) {
 
 	// Merge worker arrays in worker order. Any fixed order yields the same
 	// report; fixing one anyway keeps the merge itself deterministic.
-	acc := newAccumulators(cells)
-	for _, mine := range perWorker {
-		for i, a := range mine {
-			if a != nil {
-				acc[i].merge(a)
+	rep := &Report{Shard: spec.Shard, Workers: workers}
+	rep.Cells = make([]CellResult, len(cells))
+	for i, cs := range cells {
+		rep.Cells[i] = newCellResult(cs.cell, cs.links, cs.fanout, 0)
+		c := &rep.Cells[i]
+		for _, mine := range perWorker {
+			if mine[i] != nil {
+				c.merge(mine[i])
 			}
 		}
-	}
-	rep := &Report{Shard: spec.Shard, Workers: workers}
-	rep.Cells = make([]CellResult, 0, len(acc))
-	for _, a := range acc {
-		rep.Cells = append(rep.Cells, a.result())
-		rep.Runs += a.runs
+		c.finalize()
+		rep.Runs += c.Runs
 	}
 	return rep, nil
 }
@@ -822,70 +795,43 @@ func startProgress(opts Options, total int, done []obs.Counter) (stop func()) {
 	}
 }
 
-// execute runs one scenario and reduces it to its aggregate contribution.
-func execute(spec Spec, cs cellSpec, cellIdx int, seed int64) runRecord {
+// execute runs one scenario and returns what its cell aggregates: the
+// run's output — Obs defaulted, Metrics joined with Spec.Observe's — and
+// the checker's verdicts (nil when the run was not checked).
+func execute(spec Spec, cs cellSpec, seed int64) (RunOutput, []checker.Verdict) {
 	var out RunOutput
 	if spec.Runner != nil {
 		out = spec.Runner(cs.cell, seed)
 	} else {
 		out = defaultRun(spec, cs, seed)
 	}
-	res := out.Result
-	rec := runRecord{
-		cellIdx:     cellIdx,
-		stop:        res.Stop,
-		quiescent:   res.Quiescent(),
-		dropped:     res.Dropped,
-		duplicated:  res.Duplicated,
-		retransmits: res.Retransmits,
-		ackedDups:   res.AckedDuplicates,
-		planCrashes: res.PlanCrashes,
-		restarts:    res.Restarts,
-		recovered:   res.Recovered,
-		byzDetected: res.ByzDetected,
-		byzMasked:   res.ByzMasked,
-		corrupted:   obsCounter(out.Obs, "plane_byz_corrupted_total"),
-		equivocated: obsCounter(out.Obs, "plane_byz_equivocated_total"),
-		replayed:    obsCounter(out.Obs, "plane_byz_replayed_total"),
-		events:      float64(len(res.History)),
-		endTime:     float64(res.EndTime),
-		metrics:     out.Metrics,
-		obs:         out.Obs,
-		peaks:       res.Timeline,
+	if out.Obs == nil {
+		// The report's counter columns are read from Obs: a custom runner
+		// that assembles no snapshot still reports the simulator's.
+		out.Obs = out.Result.Metrics
 	}
-	rec.blocked = res.BlockedLive()
-	if spec.Check && rec.quiescent {
-		rec.verdicts = checker.All(res.History, core.TagSusp, cs.cell.NT.T)
+	var verdicts []checker.Verdict
+	if spec.Check && out.Result.Quiescent() {
+		verdicts = checker.All(out.Result.History, core.TagSusp, cs.cell.NT.T)
 	}
 	if spec.Observe != nil {
 		extra := spec.Observe(cs.cell, seed, out)
-		if rec.metrics == nil {
-			rec.metrics = extra
+		if out.Metrics == nil {
+			out.Metrics = extra
 		} else {
-			merged := make(map[string]bool, len(rec.metrics)+len(extra))
+			merged := make(map[string]bool, len(out.Metrics)+len(extra))
 			//sfs:allow detmaprange map-to-map copy; insertion order is invisible
-			for k, v := range rec.metrics {
+			for k, v := range out.Metrics {
 				merged[k] = v
 			}
 			//sfs:allow detmaprange map-to-map copy; Observe overrides defaults regardless of order
 			for k, v := range extra {
 				merged[k] = v
 			}
-			rec.metrics = merged
+			out.Metrics = merged
 		}
 	}
-	return rec
-}
-
-// obsCounter returns the value of the named counter in ms, or 0 when the
-// run's registry never registered it (e.g. plans without Byzantine rules).
-func obsCounter(ms obs.Metrics, name string) int {
-	for _, m := range ms {
-		if m.Name == name {
-			return int(m.Value)
-		}
-	}
-	return 0
+	return out, verdicts
 }
 
 // metricNames returns the sorted union of metric names in ms.

@@ -274,6 +274,59 @@ func (nopHandler) Init(node.Context)                                  {}
 func (nopHandler) OnMessage(node.Context, model.ProcID, node.Payload) {}
 func (nopHandler) OnTimer(node.Context, string)                       {}
 
+// helloHandler sends one message to every peer at start-up.
+type helloHandler struct{ nopHandler }
+
+func (helloHandler) Init(ctx node.Context) {
+	for q := 1; q <= ctx.N(); q++ {
+		if model.ProcID(q) != ctx.Self() {
+			ctx.Send(model.ProcID(q), node.Payload{Tag: "HELLO"})
+		}
+	}
+}
+
+// TestCustomRunnerNilObsReadsSimMetrics: a custom runner that leaves
+// RunOutput.Obs nil (the E7 cycle adversary's shape) still gets its counter
+// columns, read from the simulator's own snapshot. Here every message to
+// process 1 is lost: 4 senders × 3 seeds.
+func TestCustomRunnerNilObsReadsSimMetrics(t *testing.T) {
+	rep, err := Run(Spec{
+		Grid:  []NT{{5, 2}},
+		Seeds: SeedRange{Count: 3},
+		Runner: func(cell Cell, seed int64) RunOutput {
+			s := sim.New(sim.Config{N: cell.NT.N, Seed: seed,
+				Link: func(from, to model.ProcID, p node.Payload, at int64) node.LinkDecision {
+					return node.LinkDecision{Drop: to == 1}
+				}})
+			for p := 1; p <= cell.NT.N; p++ {
+				s.SetHandler(model.ProcID(p), helloHandler{})
+			}
+			return RunOutput{Result: s.Run()}
+		},
+	}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &rep.Cells[0]
+	if c.Dropped != 12 || c.Obs["sim_dropped_total"] != 12 {
+		t.Errorf("Dropped = %d, Obs[sim_dropped_total] = %d, want 12 and 12", c.Dropped, c.Obs["sim_dropped_total"])
+	}
+	if c.Obs["sim_sent_total"] != 60 {
+		t.Errorf("Obs[sim_sent_total] = %d, want 60 (the cell gains the simulator's totals)", c.Obs["sim_sent_total"])
+	}
+	var csv strings.Builder
+	if err := rep.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(csv.String(), "\n")
+	header, row := strings.Split(lines[0], ","), strings.Split(lines[1], ",")
+	for i, h := range header {
+		if h == "dropped" && row[i] != "12" {
+			t.Errorf("CSV dropped column = %s, want 12", row[i])
+		}
+	}
+}
+
 // TestMixedScheduleSmallClusters is a regression test: mixedFaults used to
 // draw a crash-noticing accuser from {1, 2, 3} regardless of n, which
 // panicked sweeps over 2- and 3-process grids.
