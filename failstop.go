@@ -324,26 +324,7 @@ type Cluster struct {
 // Options.Validate error when the options are invalid — call Validate first
 // to reject untrusted configuration gracefully.
 func NewCluster(opts Options) *Cluster {
-	if opts.T == 0 {
-		opts.T = 1
-	}
-	if opts.Protocol == 0 {
-		opts.Protocol = SFS
-	}
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
-	var link node.LinkFn
-	var plane *netadv.Plane
-	if opts.Faults != nil {
-		plane = netadv.NewPlane(*opts.Faults, opts.N, opts.Seed)
-		plane.Register(opts.Metrics)
-		link = plane.Decide
-	}
-	var lifetimes []recovery.Lifetime
-	if opts.Faults != nil {
-		lifetimes = opts.Faults.Lifetimes()
-	}
+	det, plane, link := stackConfig(opts.Validate(), opts.N, &opts.T, &opts.Protocol, opts.Seed, opts.Topology, opts.Faults, opts.Metrics)
 	co := cluster.Options{
 		Sim: sim.Config{
 			N: opts.N, Seed: opts.Seed,
@@ -351,9 +332,9 @@ func NewCluster(opts Options) *Cluster {
 			MaxTime: opts.MaxTime,
 			Link:    link,
 			Metrics: opts.Metrics, Spans: opts.Spans, Timeline: opts.Timeline,
-			Lifetimes: lifetimes, Recovery: opts.Recovery,
+			Lifetimes: plane.Lifetimes(), Recovery: opts.Recovery,
 		},
-		Det:       core.Config{N: opts.N, T: opts.T, Protocol: opts.Protocol, Topology: resolveTopo(opts.Topology, opts.N)},
+		Det:       det,
 		App:       opts.NewApp,
 		Reliable:  opts.Reliable,
 		Byzantine: opts.Byzantine,
@@ -364,6 +345,30 @@ func NewCluster(opts Options) *Cluster {
 		}
 	}
 	return &Cluster{inner: cluster.New(co), opts: opts, plane: plane}
+}
+
+// stackConfig is the preamble NewCluster and NewLiveCluster share. It panics
+// with invalid, the options' Validate error; defaults *t and *proto in place;
+// instantiates the fault plan with seed and registers its counters in reg
+// (plane and link stay nil without a plan); and returns the configuration of
+// every detector, its topology resolved once.
+func stackConfig(invalid error, n int, t *int, proto *Protocol, seed int64, tp *TopoSpec, faults *FaultPlan,
+	reg *MetricsRegistry) (det core.Config, plane *netadv.Plane, link node.LinkFn) {
+	if invalid != nil {
+		panic(invalid)
+	}
+	if *t == 0 {
+		*t = 1
+	}
+	if *proto == 0 {
+		*proto = SFS
+	}
+	if faults != nil {
+		plane = netadv.NewPlane(*faults, n, seed)
+		plane.Register(reg)
+		link = plane.Decide
+	}
+	return core.Config{N: n, T: *t, Protocol: *proto, Topology: resolveTopo(tp, n)}, plane, link
 }
 
 // resolveTopo builds the one shared *topo.Topology every detector in a
@@ -625,10 +630,8 @@ func (o LiveOptions) Validate() error {
 // LiveCluster runs the same protocol stack on real goroutines.
 type LiveCluster struct {
 	net   *runtime.Net
-	dets  []*core.Detector
-	eps   []*reliable.Endpoint // nil entries when the layer is off
-	bzs   []*byz.Endpoint      // nil entries when the interposer is off
-	plane *netadv.Plane        // nil without LiveOptions.Faults
+	stack cluster.Stack
+	plane *netadv.Plane // nil without LiveOptions.Faults
 	opts  LiveOptions
 	msrv  *obshttp.Server // nil unless MetricsAddr is set and Start ran
 }
@@ -639,26 +642,7 @@ type LiveCluster struct {
 // options are invalid — call Validate first to reject untrusted
 // configuration gracefully.
 func NewLiveCluster(opts LiveOptions) *LiveCluster {
-	if opts.T == 0 {
-		opts.T = 1
-	}
-	if opts.Protocol == 0 {
-		opts.Protocol = SFS
-	}
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
-	var link node.LinkFn
-	var plane *netadv.Plane
-	if opts.Faults != nil {
-		plane = netadv.NewPlane(*opts.Faults, opts.N, opts.Seed)
-		plane.Register(opts.Metrics)
-		link = plane.Decide
-	}
-	var lifetimes []recovery.Lifetime
-	if opts.Faults != nil {
-		lifetimes = opts.Faults.Lifetimes()
-	}
+	det, plane, link := stackConfig(opts.Validate(), opts.N, &opts.T, &opts.Protocol, opts.Seed, opts.Topology, opts.Faults, opts.Metrics)
 	var store recovery.Store
 	if opts.Recovery == RecoveryDurable && opts.RecoveryDir != "" {
 		fs, err := recovery.NewFileStore(opts.RecoveryDir)
@@ -673,43 +657,12 @@ func NewLiveCluster(opts LiveOptions) *LiveCluster {
 		Tick:    opts.Tick,
 		Link:    link,
 		Metrics: opts.Metrics, Spans: opts.Spans,
-		Lifetimes: lifetimes, Recovery: opts.Recovery, Store: store,
+		Lifetimes: plane.Lifetimes(), Recovery: opts.Recovery, Store: store,
 	})
-	lc := &LiveCluster{
-		net:   net,
-		dets:  make([]*core.Detector, opts.N+1),
-		eps:   make([]*reliable.Endpoint, opts.N+1),
-		bzs:   make([]*byz.Endpoint, opts.N+1),
-		plane: plane,
-		opts:  opts,
-	}
-	top := resolveTopo(opts.Topology, opts.N)
-	for p := 1; p <= opts.N; p++ {
-		var app App
-		if opts.NewApp != nil {
-			app = opts.NewApp(ProcID(p))
-		}
-		d := core.NewDetector(core.Config{N: opts.N, T: opts.T, Protocol: opts.Protocol, Topology: top}, nil, app)
-		lc.dets[p] = d
-		var h node.Handler = d
-		if opts.Byzantine.Enabled {
-			bz := byz.Wrap(d, opts.Byzantine)
-			bz.SetSpans(opts.Spans)
-			bz.SetConvict(func(ctx node.Context, culprit ProcID) {
-				d.Suspect(ctx, culprit)
-			})
-			lc.bzs[p] = bz
-			h = bz
-		}
-		if opts.Reliable.Enabled {
-			ep := reliable.Wrap(h, opts.Reliable)
-			ep.SetSpans(opts.Spans)
-			lc.eps[p] = ep
-			h = ep
-		}
-		net.SetHandler(ProcID(p), h)
-	}
-	return lc
+	stack := cluster.Build(net, cluster.Options{
+		Det: det, App: opts.NewApp, Reliable: opts.Reliable, Byzantine: opts.Byzantine,
+	}, opts.Spans)
+	return &LiveCluster{net: net, stack: stack, plane: plane, opts: opts}
 }
 
 // Start launches the cluster's goroutines and, with
@@ -742,20 +695,7 @@ func (lc *LiveCluster) Stop() {
 // The injected broadcast flows through i's reliable-delivery endpoint when
 // the layer is enabled.
 func (lc *LiveCluster) Suspect(i, j ProcID) {
-	d := lc.dets[i]
-	ep := lc.eps[i]
-	bz := lc.bzs[i]
-	lc.net.Do(i, func(ctx node.Context) {
-		// Mirror the wrap order: the reliable layer is outermost, so its
-		// context wraps first and the interposer's sends flow through it.
-		if ep != nil {
-			ctx = ep.Context(ctx)
-		}
-		if bz != nil {
-			ctx = bz.Context(ctx)
-		}
-		d.Suspect(ctx, j)
-	})
+	lc.net.Do(i, func(ctx node.Context) { lc.stack.Suspect(ctx, i, j) })
 }
 
 // Crash crashes process p.

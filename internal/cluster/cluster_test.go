@@ -1,12 +1,17 @@
 package cluster_test
 
 import (
+	"reflect"
 	"testing"
 
+	"failstop/internal/byz"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
+	"failstop/internal/fd"
 	"failstop/internal/model"
+	"failstop/internal/node"
 	"failstop/internal/quorum"
+	"failstop/internal/reliable"
 	"failstop/internal/sim"
 )
 
@@ -69,4 +74,49 @@ func TestCrashAndSuspectInjection(t *testing.T) {
 		t.Error("injected suspicion did not lead to detection")
 	}
 	_ = model.History(res.History)
+}
+
+// attached is a bare Host: it only remembers what Build hands it.
+type attached map[model.ProcID]node.Handler
+
+func (a attached) SetHandler(p model.ProcID, h node.Handler) { a[p] = h }
+
+// TestBuildStackOrder: Build attaches one handler per process to any host —
+// the detector itself with no interposer, and with both on the reliable
+// endpoint outermost, the byz endpoint inside it, the detector innermost —
+// and asks for the fd component and the application once per process.
+func TestBuildStackOrder(t *testing.T) {
+	bare := attached{}
+	st := cluster.Build(bare, cluster.Options{Det: core.Config{N: 3, T: 1}}, nil)
+	for p := model.ProcID(1); p <= 3; p++ {
+		if bare[p] != node.Handler(st.Detectors[p]) {
+			t.Errorf("process %d: a stack without interposers must attach the detector itself", p)
+		}
+	}
+
+	full := attached{}
+	var fds, apps []model.ProcID
+	st = cluster.Build(full, cluster.Options{
+		Det:       core.Config{N: 3, T: 1},
+		FD:        func(p model.ProcID) core.Component { fds = append(fds, p); return &fd.Heartbeat{Interval: 10} },
+		App:       func(p model.ProcID) core.App { apps = append(apps, p); return nil },
+		Reliable:  reliable.Options{Enabled: true},
+		Byzantine: byz.Options{Enabled: true},
+	}, nil)
+	for p := model.ProcID(1); p <= 3; p++ {
+		rel, ok := full[p].(*reliable.Endpoint)
+		if !ok {
+			t.Fatalf("process %d: outermost handler is %T, want the reliable endpoint", p, full[p])
+		}
+		bz, ok := rel.Inner().(*byz.Endpoint)
+		if !ok {
+			t.Fatalf("process %d: inside the reliable endpoint sits %T, want the byz endpoint", p, rel.Inner())
+		}
+		if bz.Inner() != node.Handler(st.Detectors[p]) {
+			t.Errorf("process %d: the byz endpoint does not wrap the process's detector", p)
+		}
+	}
+	if want := []model.ProcID{1, 2, 3}; !reflect.DeepEqual(fds, want) || !reflect.DeepEqual(apps, want) {
+		t.Errorf("fd built for %v, app for %v, want each for %v", fds, apps, want)
+	}
 }

@@ -94,7 +94,7 @@ func E16() Result {
 			plan := netadv.Plan{Name: "e16-" + m.name, Byz: m.rules}
 			plane := netadv.NewPlane(plan, n, seed)
 			c := cluster.New(cluster.Options{
-				Sim:       sim.Config{N: n, Seed: seed, MaxTime: 5000, Link: plane.Decide},
+				Sim:       sim.Config{N: n, Seed: seed, MaxTime: 5000, Link: plane.Decide, Lifetimes: plane.Lifetimes()},
 				Det:       core.Config{N: n, T: t},
 				Byzantine: byz.Options{Enabled: interpose},
 			})

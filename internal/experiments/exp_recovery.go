@@ -83,7 +83,7 @@ func E15() Result {
 			c := cluster.New(cluster.Options{
 				Sim: sim.Config{
 					N: n, Seed: seed, Link: plane.Decide,
-					Lifetimes: plan.Lifetimes(), Recovery: mode,
+					Lifetimes: plane.Lifetimes(), Recovery: mode,
 				},
 				Det: core.Config{N: n, T: t},
 				// Bounded stubbornness, as in E13: enough rounds to outlive

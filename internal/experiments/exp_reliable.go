@@ -68,7 +68,7 @@ func E13() Result {
 		for seed := int64(1); seed <= seeds; seed++ {
 			plane := netadv.NewPlane(plan, n, seed)
 			opts := cluster.Options{
-				Sim: sim.Config{N: n, Seed: seed, Link: plane.Decide},
+				Sim: sim.Config{N: n, Seed: seed, Link: plane.Decide, Lifetimes: plane.Lifetimes()},
 				Det: core.Config{N: n, T: t},
 			}
 			if rel {

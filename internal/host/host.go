@@ -1,0 +1,269 @@
+// Package host is what the two hosts of a protocol stack — the deterministic
+// simulator (internal/sim) and the live goroutine runtime (internal/runtime)
+// — share, so that "the same network" is one piece of code: how a link
+// decision becomes queued copies, counters and spans; what a plan-driven
+// crash and a restart do to a process; which counters a host keeps; what the
+// interposer layers report. Everything here is clock-free: the current tick
+// is an argument, and a backend — which still owns its clock, queues,
+// wake-ups, locking and timer table — is reached only through its callbacks.
+package host
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"failstop/internal/model"
+	"failstop/internal/node"
+	"failstop/internal/obs"
+	"failstop/internal/recovery"
+)
+
+// Counters are the instruments every host keeps. They are values: zero-cost
+// without a registry, registered by pointer with one. The process-fault
+// counters are reported only for runs that have lifetimes, so fault-free
+// snapshots never grow.
+type Counters struct {
+	Sent, Delivered, Dropped, Duplicated, TimersFired obs.Counter
+	PlanCrashes, Restarts, Recovered                  obs.Counter
+}
+
+// Names holds a host's metric names in Counters order; the first alwaysNamed
+// need no lifetimes. A backend builds its table once, at package level, so no
+// run pays for the concatenations.
+type Names [8]string
+
+const alwaysNamed = 5
+
+// MetricNames returns the counter names under prefix ("sim_", "net_").
+func MetricNames(prefix string) *Names {
+	names := Names{"sent_total", "delivered_total", "dropped_total", "duplicated_total",
+		"timers_fired_total", "plan_crashes_total", "restarts_total", "recovered_total"}
+	for i := range names {
+		names[i] = prefix + names[i]
+	}
+	return &names
+}
+
+// Core is what a host holds of the shared machinery. A backend fills the
+// exported fields from its own Config, then calls Init.
+type Core struct {
+	Names     *Names
+	Link      node.LinkFn
+	Spans     *obs.SpanRecorder
+	Lifetimes []recovery.Lifetime
+	Recovery  recovery.Mode
+	Store     recovery.Store
+	Counters
+}
+
+// each calls f with every counter this run reports, in Names order.
+func (c *Core) each(f func(name string, ctr *obs.Counter)) {
+	all := [...]*obs.Counter{&c.Sent, &c.Delivered, &c.Dropped, &c.Duplicated,
+		&c.TimersFired, &c.PlanCrashes, &c.Restarts, &c.Recovered}
+	n := len(all)
+	if len(c.Lifetimes) == 0 {
+		n = alwaysNamed
+	}
+	for i, ctr := range all[:n] {
+		f(c.Names[i], ctr)
+	}
+}
+
+// Init checks the lifetimes against the process count n (who prefixes the
+// panic), gives durable recovery its default in-memory store, and registers
+// the counters in reg, which may be nil.
+func (c *Core) Init(who string, n int, reg *obs.Registry) {
+	for i, l := range c.Lifetimes {
+		if l.Proc < 1 || int(l.Proc) > n {
+			panic(fmt.Sprintf("%s: lifetime %d names process %d of %d", who, i, l.Proc, n))
+		}
+	}
+	if c.Recovery == recovery.Durable && c.Store == nil {
+		c.Store = recovery.NewMemStore()
+	}
+	c.each(reg.RegisterCounter)
+}
+
+// Layers is what the interposers of a run report, summed over its processes.
+type Layers struct {
+	Reliable, Byz                bool // some handler carries the layer
+	Retransmits, AckedDuplicates int
+	ByzDetected, ByzMasked       int
+}
+
+// LayerStats reads the layers of handlers (nil entries are skipped). They are
+// discovered structurally, so no host imports one: ReliableStats on the
+// outermost handler, ByzStats anywhere down its Inner() chain.
+func LayerStats(handlers []node.Handler) Layers {
+	var l Layers
+	for _, h := range handlers {
+		if rs, ok := h.(interface{ ReliableStats() (int, int) }); ok {
+			l.Reliable = true
+			r, d := rs.ReliableStats()
+			l.Retransmits += r
+			l.AckedDuplicates += d
+		}
+		for h != nil {
+			if bs, ok := h.(interface{ ByzStats() (int, int) }); ok {
+				l.Byz = true
+				d, m := bs.ByzStats()
+				l.ByzDetected += d
+				l.ByzMasked += m
+				break
+			}
+			w, ok := h.(interface{ Inner() node.Handler })
+			if !ok {
+				break
+			}
+			h = w.Inner()
+		}
+	}
+	return l
+}
+
+// Snapshot returns the name-sorted readings of the counters, of the layers
+// that are present, and of extra (a backend's own instruments).
+func (c *Core) Snapshot(l Layers, extra ...obs.Metric) obs.Metrics {
+	ms := make(obs.Metrics, 0, len(c.Names)+4+len(extra))
+	counter := func(name string, v int64) {
+		ms = append(ms, obs.Metric{Name: name, Kind: obs.KindCounter, Value: v})
+	}
+	c.each(func(name string, ctr *obs.Counter) { counter(name, ctr.Value()) })
+	if l.Reliable {
+		counter("reliable_acked_duplicates_total", int64(l.AckedDuplicates))
+		counter("reliable_retransmits_total", int64(l.Retransmits))
+	}
+	if l.Byz {
+		counter("byz_detected_total", int64(l.ByzDetected))
+		counter("byz_masked_total", int64(l.ByzMasked))
+	}
+	ms = append(ms, extra...)
+	slices.SortFunc(ms, func(a, b obs.Metric) int { return strings.Compare(a.Name, b.Name) })
+	return ms
+}
+
+// Route is a send after the host has recorded the send event: it counts it,
+// asks the link for the message's fate, records the send → fate → drop or
+// enqueue spans of a sampled message (cur is the span of the callback doing
+// the send), and calls enqueue once per copy the network delivers — Copies()
+// of the (possibly replaced) wire payload, then the replay ghost — with that
+// copy's enqueue span (0 when unsampled). The host draws its base delay, adds
+// extra ticks, and queues the copy at the tail, or one before it under
+// reorder. The decision goes over by value: a pointer to it would make every
+// send allocate. Live hosts hold no process lock here: Link takes the plane's.
+func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload,
+	enqueue func(wire node.Payload, span int64, park, reorder bool, extra int64)) {
+	c.Sent.Inc()
+	var dec node.LinkDecision
+	if c.Link != nil {
+		dec = c.Link(from, to, p, now)
+	}
+	var parent int64
+	if c.Spans != nil && c.Spans.Sampled(id) {
+		parent = c.Spans.Record(obs.Span{
+			Parent: cur, Time: now, Kind: obs.SpanSend,
+			Proc: from, Peer: to, Msg: id, Tag: p.Tag, Target: p.Subject,
+		})
+		if note := dec.Note(); note != "" {
+			parent = c.Spans.Record(obs.Span{Parent: parent, Time: now, Kind: obs.SpanFate, Proc: from, Peer: to, Msg: id, Note: note})
+		}
+	}
+	// follow records what ends the chain so far: the drop, or a copy's enqueue.
+	follow := func(kind obs.SpanKind) int64 {
+		if parent == 0 {
+			return 0
+		}
+		return c.Spans.Record(obs.Span{Parent: parent, Time: now, Kind: kind, Proc: from, Peer: to, Msg: id})
+	}
+	if dec.Drop {
+		c.Dropped.Inc()
+		follow(obs.SpanDrop)
+		return
+	}
+	c.Duplicated.Add(int64(dec.Duplicates))
+	// A Byzantine network may substitute what the channel carries; the send
+	// event still records the payload the sender actually passed in.
+	wire := p
+	if dec.Replace != nil {
+		wire = dec.Replace.Payload
+	}
+	for n := dec.Copies(); n > 0; n-- {
+		enqueue(wire, follow(obs.SpanEnqueue), dec.Park, dec.Reorder, dec.ExtraDelay)
+	}
+	if dec.Replay != nil {
+		// A ghost of an earlier wire payload, further delayed so it lands stale.
+		enqueue(dec.Replay.Payload, follow(obs.SpanEnqueue), dec.Park, dec.Reorder, dec.ExtraDelay+dec.Replay.Delay)
+	}
+}
+
+// Crash executes the crash window of lifetime i due at tick at, at tick now,
+// on a process the host has already taken down (ctx is dead, its timers
+// stale). It asks schedule for the next window of a periodic lifetime, saves
+// the durable snapshot before OnCrash can perturb it, asks for the restart
+// (downtime counts from now, so a late crash keeps its full window), then
+// counts, records and announces the crash. The next window comes before the
+// restart: on the simulator that order is the event queue's tie-break.
+func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
+	schedule func(at int64, restart bool), record func(model.Event)) {
+	l := c.Lifetimes[i]
+	if l.Period > 0 && c.Recovery != recovery.Off {
+		if next := at + l.Period; l.Until == 0 || next <= l.Until {
+			schedule(next, false)
+		}
+	}
+	if r, ok := h.(node.Restarter); ok && c.Recovery == recovery.Durable {
+		c.Store.Save(l.Proc, r.Snapshot())
+	}
+	if downFor := l.Restart - l.Crash; c.Recovery != recovery.Off && downFor > 0 {
+		schedule(now+downFor, true)
+	}
+	c.PlanCrashes.Inc()
+	record(model.Crash(l.Proc))
+	if lis, ok := h.(node.CrashListener); ok {
+		lis.OnCrash(ctx)
+	}
+}
+
+// Restart brings p back once the host has marked it up: it records and
+// counts the restart, then hands the handler its crash-time snapshot
+// (node.Restarter; nil state unless recovery is durable) or re-initializes
+// a handler with no restart support.
+func (c *Core) Restart(p model.ProcID, now int64, h node.Handler, ctx node.Context, record func(model.Event)) {
+	var st []byte
+	if c.Recovery == recovery.Durable {
+		st, _ = c.Store.Load(p)
+	}
+	record(model.Restart(p))
+	c.Restarts.Inc()
+	if len(st) > 0 {
+		c.Recovered.Inc()
+	}
+	// Like detection spans, restart spans are never sampled out: they are
+	// rare, and exactly what recovery experiments grep for.
+	if c.Spans != nil {
+		note := "recovery=" + c.Recovery.String()
+		if c.Recovery == recovery.Durable {
+			note = fmt.Sprintf("%s snapshot=%dB", note, len(st))
+		}
+		c.Spans.Record(obs.Span{Time: now, Kind: obs.SpanRestart, Proc: p, Note: note})
+	}
+	if r, ok := h.(node.Restarter); ok {
+		r.OnRestart(ctx, st)
+	} else {
+		h.Init(ctx)
+	}
+}
+
+// Detection records the span of a just-recorded suspicion or failed_i(j) under
+// cur, the span of the callback that executed it. These are never sampled
+// out: they are the events the paper's properties are about.
+func (c *Core) Detection(now, cur int64, e model.Event) {
+	switch {
+	case c.Spans == nil:
+	case e.Kind == model.KindInternal && e.Tag == "suspect":
+		c.Spans.Record(obs.Span{Parent: cur, Time: now, Kind: obs.SpanSuspect, Proc: e.Proc, Target: e.Target, Tag: e.Tag})
+	case e.Kind == model.KindFailed:
+		c.Spans.Record(obs.Span{Parent: cur, Time: now, Kind: obs.SpanCrashConfirm, Proc: e.Proc, Target: e.Target})
+	}
+}

@@ -1,0 +1,169 @@
+package host_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"failstop/internal/host"
+	"failstop/internal/model"
+	"failstop/internal/node"
+	"failstop/internal/obs"
+	"failstop/internal/recovery"
+)
+
+// layer is a handler wearing the interposers' structural contract.
+type layer struct {
+	node.Handler
+	inner         node.Handler
+	reliable, byz [2]int
+}
+
+func (l *layer) Inner() node.Handler { return l.inner }
+
+type relLayer struct{ *layer }
+
+func (r relLayer) ReliableStats() (int, int) { return r.reliable[0], r.reliable[1] }
+
+type byzLayer struct{ *layer }
+
+func (b byzLayer) ByzStats() (int, int) { return b.byz[0], b.byz[1] }
+
+// TestLayerStats: ReliableStats counts on the outermost handler only, ByzStats
+// anywhere down the Inner() chain, and nil handlers are skipped.
+func TestLayerStats(t *testing.T) {
+	bz := byzLayer{&layer{byz: [2]int{2, 7}}}
+	outer := relLayer{&layer{inner: bz, reliable: [2]int{5, 1}}}
+	buried := &layer{inner: relLayer{&layer{reliable: [2]int{100, 100}}}}
+	got := host.LayerStats([]node.Handler{nil, outer, bz, buried})
+	want := host.Layers{Reliable: true, Byz: true, Retransmits: 5, AckedDuplicates: 1, ByzDetected: 4, ByzMasked: 14}
+	if got != want {
+		t.Errorf("LayerStats = %+v, want %+v", got, want)
+	}
+	if got := host.LayerStats([]node.Handler{nil, &layer{}}); got != (host.Layers{}) {
+		t.Errorf("LayerStats of bare handlers = %+v, want zero", got)
+	}
+}
+
+// TestSnapshotNames: the snapshot is name-sorted under the host's prefix,
+// grows the process-fault counters only with lifetimes and a layer's only
+// when the layer is there, and the registry sees the same names.
+func TestSnapshotNames(t *testing.T) {
+	names := func(ms obs.Metrics) (out []string) {
+		for _, m := range ms {
+			out = append(out, m.Name)
+		}
+		return out
+	}
+	plain := host.Core{Names: host.MetricNames("x_")}
+	reg := obs.NewRegistry()
+	plain.Init("test", 2, reg)
+	plain.Sent.Add(3)
+	want := []string{"x_delivered_total", "x_dropped_total", "x_duplicated_total", "x_sent_total", "x_timers_fired_total"}
+	if got := names(plain.Snapshot(host.Layers{})); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot names = %v, want %v", got, want)
+	}
+	if got := names(reg.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Errorf("registry names = %v, want %v", got, want)
+	}
+	if got := reg.Snapshot().Value("x_sent_total"); got != 3 {
+		t.Errorf("registered x_sent_total = %d, want 3", got)
+	}
+
+	full := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: 5}}}
+	full.Init("test", 2, nil)
+	got := full.Snapshot(host.Layers{Reliable: true, Byz: true, Retransmits: 9},
+		obs.Metric{Name: "x_links_live", Kind: obs.KindGauge, Value: 4})
+	want = []string{"byz_detected_total", "byz_masked_total", "reliable_acked_duplicates_total",
+		"reliable_retransmits_total", "x_delivered_total", "x_dropped_total", "x_duplicated_total", "x_links_live",
+		"x_plan_crashes_total", "x_recovered_total", "x_restarts_total", "x_sent_total", "x_timers_fired_total"}
+	if !reflect.DeepEqual(names(got), want) {
+		t.Errorf("snapshot names = %v, want %v", names(got), want)
+	}
+	if got.Value("reliable_retransmits_total") != 9 || got.Value("x_links_live") != 4 {
+		t.Errorf("snapshot values wrong: %v", got)
+	}
+}
+
+// TestInitRejectsStrayLifetime: a lifetime naming a process outside 1..n is
+// a programming error, reported under the host's name.
+func TestInitRejectsStrayLifetime(t *testing.T) {
+	defer func() {
+		if got, want := fmt.Sprint(recover()), "test: lifetime 0 names process 3 of 2"; got != want {
+			t.Errorf("panic = %q, want %q", got, want)
+		}
+	}()
+	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 3, Crash: 1}}}
+	c.Init("test", 2, nil)
+}
+
+// restarter logs the lifetime callbacks it receives.
+type restarter struct {
+	layer
+	log *[]string
+}
+
+func (r *restarter) Init(node.Context)    { *r.log = append(*r.log, "init") }
+func (r *restarter) OnCrash(node.Context) { *r.log = append(*r.log, "oncrash") }
+func (r *restarter) Snapshot() []byte     { *r.log = append(*r.log, "snapshot"); return []byte("state") }
+func (r *restarter) OnRestart(_ node.Context, st []byte) {
+	*r.log = append(*r.log, fmt.Sprintf("onrestart(%s)", st))
+}
+
+// TestCrashAndRestartSteps pins the order of the lifetime steps — the next
+// periodic window is scheduled before the restart (the simulator's tie-break
+// depends on it), the snapshot is taken before OnCrash — and what each
+// recovery mode hands a restarted handler.
+func TestCrashAndRestartSteps(t *testing.T) {
+	for _, tc := range []struct {
+		mode recovery.Mode
+		want []string
+	}{
+		{recovery.Off, []string{"crash@1", "oncrash"}},
+		{recovery.Amnesia, []string{"window@130", "restart@42", "crash@1", "oncrash",
+			"restart@1", "onrestart()", "span:recovery=amnesia"}},
+		{recovery.Durable, []string{"window@130", "snapshot", "restart@42", "crash@1", "oncrash",
+			"restart@1", "onrestart(state)", "span:recovery=durable snapshot=5B"}},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			var log []string
+			c := host.Core{
+				Names: host.MetricNames("x_"), Spans: obs.NewSpanRecorder(1, 0), Recovery: tc.mode,
+				Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: 30, Restart: 40, Period: 100, Until: 500}},
+			}
+			c.Init("test", 2, nil)
+			h := &restarter{log: &log}
+			record := func(e model.Event) {
+				kind := "crash"
+				if e.Kind != model.KindCrash {
+					kind = "restart"
+				}
+				log = append(log, fmt.Sprintf("%s@%d", kind, e.Proc))
+			}
+			// The window due at 30 executes late, at 32.
+			c.Crash(0, 30, 32, h, nil, func(at int64, restart bool) {
+				kind := "window"
+				if restart {
+					kind = "restart"
+				}
+				log = append(log, fmt.Sprintf("%s@%d", kind, at))
+			}, record)
+			if tc.mode != recovery.Off {
+				c.Restart(1, 42, h, nil, record)
+				for _, s := range c.Spans.Spans() {
+					log = append(log, "span:"+s.Note)
+				}
+			}
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Errorf("steps = %v\n want %v", log, tc.want)
+			}
+			wantRecovered := int64(0)
+			if tc.mode == recovery.Durable {
+				wantRecovered = 1
+			}
+			if c.PlanCrashes.Value() != 1 || c.Recovered.Value() != wantRecovered {
+				t.Errorf("plan crashes = %d, recovered = %d, want 1, %d", c.PlanCrashes.Value(), c.Recovered.Value(), wantRecovered)
+			}
+		})
+	}
+}

@@ -626,6 +626,16 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 // Plan returns the plan the plane was built from.
 func (pl *Plane) Plan() Plan { return pl.plan }
 
+// Lifetimes returns the process-fault schedule of the plane's plan (see
+// Plan.Lifetimes), so a host is configured from the plane alone: Decide as
+// its link function, Lifetimes as its process faults. A nil plane has none.
+func (pl *Plane) Lifetimes() []recovery.Lifetime {
+	if pl == nil {
+		return nil
+	}
+	return pl.plan.Lifetimes()
+}
+
 // Register exposes the plane's fate counters through reg under plane_*
 // names. A no-op on a nil registry.
 func (pl *Plane) Register(reg *obs.Registry) {

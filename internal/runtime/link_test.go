@@ -1,114 +1,272 @@
 package runtime_test
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
-	"failstop/internal/netadv"
 	"failstop/internal/node"
+	"failstop/internal/obs"
 	"failstop/internal/runtime"
+	"failstop/internal/sim"
 )
 
-// TestLiveLinkDrop verifies the transport hook: a plan that cuts 1->2
-// suppresses every delivery on that link while the reverse direction still
-// flows, and the drop counter reflects it.
-func TestLiveLinkDrop(t *testing.T) {
-	cfg := fastCfg(2, 3)
-	plane := netadv.NewPlane(netadv.Plan{Name: "cut", Rules: []netadv.Rule{
-		{Cut: true, Links: netadv.LinkSet{Pairs: []netadv.Link{{From: 1, To: 2}}}},
-	}}, 2, 3)
-	cfg.Link = plane.Decide
-	net := runtime.New(cfg)
-	c1, c2 := &collector{}, &collector{}
-	net.SetHandler(1, c1)
-	net.SetHandler(2, c2)
-	net.Start()
-	for i := 0; i < 5; i++ {
-		net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "DOOMED"}) })
-		net.Do(2, func(ctx node.Context) { ctx.Send(1, node.Payload{Tag: "OK"}) })
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(c1.tags()) < 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	net.Stop()
-	if got := c2.tags(); len(got) != 0 {
-		t.Errorf("process 2 received %v across a cut link", got)
-	}
-	if got := c1.tags(); len(got) != 5 {
-		t.Errorf("process 1 received %d messages, want 5", len(got))
-	}
-	dropped, duplicated := net.Stats()
-	if dropped != 5 || duplicated != 0 {
-		t.Errorf("Stats() = (%d, %d), want (5, 0)", dropped, duplicated)
-	}
-	// The recorded history shows the sends but no receive on the cut link.
-	for _, e := range net.History() {
-		if e.Kind == model.KindRecv && e.Peer == 1 && e.Proc == 2 {
-			t.Errorf("history records a receive across the cut link: %s", e)
-		}
-	}
+// fateSend is one scripted send: from sends tag to its peer (the test runs
+// two processes), and the link decides dec for it.
+type fateSend struct {
+	from model.ProcID
+	tag  string
+	dec  node.LinkDecision
 }
 
-// TestLiveLinkDuplicate verifies duplication: every copy of a duplicated
-// message is delivered and counted.
-func TestLiveLinkDuplicate(t *testing.T) {
-	cfg := fastCfg(2, 4)
-	plane := netadv.NewPlane(netadv.Plan{Name: "dup", Rules: []netadv.Rule{
-		{Duplicate: 1}, // every message duplicated once
-	}}, 2, 4)
-	cfg.Link = plane.Decide
-	net := runtime.New(cfg)
-	c1, c2 := &collector{}, &collector{}
-	net.SetHandler(1, c1)
-	net.SetHandler(2, c2)
-	net.Start()
-	for i := 0; i < 3; i++ {
-		net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "D"}) })
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(c2.tags()) < 6 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	net.Stop()
-	if got := c2.tags(); len(got) != 6 {
-		t.Errorf("process 2 received %d copies, want 6 (3 messages duplicated)", len(got))
-	}
-	if _, duplicated := net.Stats(); duplicated != 3 {
-		t.Errorf("duplicated = %d, want 3", duplicated)
-	}
+// fateOutcome is what a fate script does to a network, in terms both
+// backends (and the shared fate function on its own) can be read in.
+type fateOutcome struct {
+	// Delivered holds, per link "from->to", the payload tags received, in
+	// order.
+	Delivered map[string][]string
+	// Sent, Received, Dropped and Duplicated are the host counters.
+	Sent, Received, Dropped, Duplicated int64
+	// Chains holds, per message (named by the tag it was sent with), the
+	// kinds of its spans in record order.
+	Chains map[string][]obs.SpanKind
 }
 
-// TestLiveLinkPark verifies a parked message blocks its channel without
-// stopping the rest of the network.
-func TestLiveLinkPark(t *testing.T) {
-	cfg := fastCfg(2, 5)
-	parkFirst := func(from, to model.ProcID, p node.Payload, at int64) node.LinkDecision {
-		if p.Tag == "PARKED" {
-			return node.LinkDecision{Park: true}
+var (
+	forged = &node.Replacement{Payload: node.Payload{Tag: "forged"}, Note: "corrupt"}
+	ghost  = &node.ReplayedCopy{Payload: node.Payload{Tag: "ghost"}, Delay: 3}
+)
+
+// fateCases is the table: a script, and what each link must deliver under it
+// — written out, so that the shared fate function is held to the contract and
+// not only to agreeing with itself.
+var fateCases = []struct {
+	name      string
+	sends     []fateSend
+	delivered map[string][]string
+}{
+	{"zero", []fateSend{{1, "a", node.LinkDecision{}}, {2, "b", node.LinkDecision{}}},
+		map[string][]string{"1->2": {"a"}, "2->1": {"b"}}},
+	// The reverse direction still flows past a dropping link.
+	{"drop", []fateSend{
+		{1, "a", node.LinkDecision{Drop: true}}, {2, "ok", node.LinkDecision{}}, {1, "b", node.LinkDecision{Drop: true}},
+	}, map[string][]string{"2->1": {"ok"}}},
+	// A parked head blocks its channel, and only its channel.
+	{"park", []fateSend{
+		{1, "a", node.LinkDecision{}}, {1, "parked", node.LinkDecision{Park: true}},
+		{1, "behind", node.LinkDecision{}}, {2, "ok", node.LinkDecision{}},
+	}, map[string][]string{"1->2": {"a"}, "2->1": {"ok"}}},
+	{"duplicates", []fateSend{{1, "a", node.LinkDecision{Duplicates: 2}}, {1, "b", node.LinkDecision{}}},
+		map[string][]string{"1->2": {"a", "a", "a", "b"}}},
+	{"reorder", []fateSend{
+		{1, "a", node.LinkDecision{}}, {1, "b", node.LinkDecision{}}, {1, "c", node.LinkDecision{Reorder: true}},
+	}, map[string][]string{"1->2": {"a", "c", "b"}}},
+	// With fewer than two queued there is no tail to overtake.
+	{"reorder on a short queue", []fateSend{
+		{1, "a", node.LinkDecision{Reorder: true}}, {1, "b", node.LinkDecision{Reorder: true}},
+	}, map[string][]string{"1->2": {"a", "b"}}},
+	// FIFO holds whatever the delays: b waits behind a.
+	{"extra delay", []fateSend{{1, "a", node.LinkDecision{ExtraDelay: 5}}, {1, "b", node.LinkDecision{}}},
+		map[string][]string{"1->2": {"a", "b"}}},
+	{"replace", []fateSend{{1, "a", node.LinkDecision{Replace: forged}}, {1, "b", node.LinkDecision{}}},
+		map[string][]string{"1->2": {"forged", "b"}}},
+	{"replay", []fateSend{{1, "a", node.LinkDecision{}}, {1, "b", node.LinkDecision{Replay: ghost}}},
+		map[string][]string{"1->2": {"a", "b", "ghost"}}},
+	// Each copy overtakes the tail of its moment: c, then c again, ahead of b.
+	{"duplicates+reorder", []fateSend{
+		{1, "a", node.LinkDecision{}}, {1, "b", node.LinkDecision{}},
+		{1, "c", node.LinkDecision{Duplicates: 1, Reorder: true}},
+	}, map[string][]string{"1->2": {"a", "c", "c", "b"}}},
+	{"park+duplicates", []fateSend{
+		{1, "a", node.LinkDecision{}}, {1, "parked", node.LinkDecision{Park: true, Duplicates: 1}}, {1, "behind", node.LinkDecision{}},
+	}, map[string][]string{"1->2": {"a"}}},
+	{"replace+replay", []fateSend{{1, "a", node.LinkDecision{Replace: forged, Replay: ghost}}},
+		map[string][]string{"1->2": {"forged", "ghost"}}},
+	{"drop wins over replace", []fateSend{{1, "a", node.LinkDecision{Drop: true, Replace: forged}}, {1, "b", node.LinkDecision{}}},
+		map[string][]string{"1->2": {"b"}}},
+}
+
+// script returns the link function of a fate script: the decision of the
+// send with the payload's tag. It only reads, so the live backend's
+// concurrent senders may share it.
+func script(sends []fateSend) node.LinkFn {
+	byTag := make(map[string]node.LinkDecision, len(sends))
+	for _, s := range sends {
+		byTag[s.tag] = s.dec
+	}
+	return func(_, _ model.ProcID, p node.Payload, _ int64) node.LinkDecision { return byTag[p.Tag] }
+}
+
+func linkName(from, to model.ProcID) string { return fmt.Sprintf("%d->%d", from, to) }
+
+// chains groups spans by message, naming each message by its send span's tag.
+func chains(spans []obs.Span) map[string][]obs.SpanKind {
+	tagOf := map[model.MsgID]string{}
+	for _, s := range spans {
+		if s.Kind == obs.SpanSend {
+			tagOf[s.Msg] = s.Tag
 		}
-		return node.LinkDecision{}
 	}
-	cfg.Link = parkFirst
+	out := map[string][]obs.SpanKind{}
+	for _, s := range spans {
+		out[tagOf[s.Msg]] = append(out[tagOf[s.Msg]], s.Kind)
+	}
+	return out
+}
+
+// modelFates drives the script through the shared fate function alone, with
+// an enqueue that keeps the per-link queues a host would: a copy joins the
+// tail, or lands one before it under reorder; the copies ahead of the first
+// parked one are delivered.
+func modelFates(sends []fateSend) fateOutcome {
+	type copyOf struct {
+		sent, wire string
+		parked     bool
+	}
+	core := host.Core{Names: host.MetricNames("model_"), Link: script(sends), Spans: obs.NewSpanRecorder(1, 1)}
+	queues := map[string][]copyOf{}
+	for i, s := range sends {
+		link := linkName(s.from, 3-s.from)
+		core.Route(0, 0, s.from, 3-s.from, model.MsgID(i+1), node.Payload{Tag: s.tag},
+			func(wire node.Payload, span int64, park, reorder bool, extra int64) {
+				q := append(queues[link], copyOf{s.tag, wire.Tag, park})
+				if n := len(q); reorder && n > 2 {
+					q[n-1], q[n-2] = q[n-2], q[n-1]
+				}
+				queues[link] = q
+			})
+	}
+	out := fateOutcome{
+		Delivered: map[string][]string{},
+		Sent:      core.Sent.Value(), Dropped: core.Dropped.Value(), Duplicated: core.Duplicated.Value(),
+		Chains: chains(core.Spans.Spans()),
+	}
+	for link, q := range queues {
+		for _, c := range q {
+			if c.parked {
+				break
+			}
+			out.Delivered[link] = append(out.Delivered[link], c.wire)
+			out.Chains[c.sent] = append(out.Chains[c.sent], obs.SpanDeliver)
+			out.Received++
+		}
+	}
+	return out
+}
+
+// receiver records what arrives, per link.
+type receiver struct {
+	collector
+	self model.ProcID
+	into func(link, tag string)
+}
+
+func (r *receiver) OnMessage(_ node.Context, from model.ProcID, p node.Payload) {
+	r.into(linkName(from, r.self), p.Tag)
+}
+
+// simFates runs the script on the simulator: every send at tick 0.
+func simFates(sends []fateSend) fateOutcome {
+	spans := obs.NewSpanRecorder(1, 1)
+	s := sim.New(sim.Config{N: 2, Seed: 1, Link: script(sends), Spans: spans})
+	out := fateOutcome{Delivered: map[string][]string{}}
+	for p := model.ProcID(1); p <= 2; p++ {
+		s.SetHandler(p, &receiver{self: p, into: func(link, tag string) {
+			out.Delivered[link] = append(out.Delivered[link], tag)
+		}})
+		s.At(0, p, func(ctx node.Context) {
+			for _, snd := range sends {
+				if snd.from == p {
+					ctx.Send(3-p, node.Payload{Tag: snd.tag})
+				}
+			}
+		})
+	}
+	res := s.Run()
+	out.Sent, out.Received = int64(res.Sent), int64(res.Delivered)
+	out.Dropped, out.Duplicated = int64(res.Dropped), int64(res.Duplicated)
+	out.Chains = chains(spans.Spans())
+	return out
+}
+
+// liveFates runs the script on the live runtime until want copies have
+// arrived, plus a grace period in which nothing more may. Each process sends
+// its share from one injected callback, and no callback returns before every
+// process has sent: a worker inside a callback delivers nothing, so — as on
+// the simulator, where every send happens at tick 0 — each copy is queued
+// behind all the copies sent before it.
+func liveFates(sends []fateSend, want int64) fateOutcome {
+	spans := obs.NewSpanRecorder(1, 1)
+	cfg := fastCfg(2, 1)
+	cfg.Link, cfg.Spans = script(sends), spans
 	net := runtime.New(cfg)
-	c1, c2 := &collector{}, &collector{}
-	net.SetHandler(1, c1)
-	net.SetHandler(2, c2)
+	out := fateOutcome{Delivered: map[string][]string{}}
+	arrived := make(chan struct{}, 64) // more than any script delivers
+	var mu sync.Mutex                  // orders the two receivers' writes
+	for p := model.ProcID(1); p <= 2; p++ {
+		net.SetHandler(p, &receiver{self: p, into: func(link, tag string) {
+			mu.Lock()
+			out.Delivered[link] = append(out.Delivered[link], tag)
+			mu.Unlock()
+			arrived <- struct{}{}
+		}})
+	}
 	net.Start()
-	net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "PARKED"}) })
-	net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "BEHIND"}) })
-	net.Do(2, func(ctx node.Context) { ctx.Send(1, node.Payload{Tag: "OK"}) })
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for len(c1.tags()) < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	var inside, sent sync.WaitGroup
+	inside.Add(2)
+	sent.Add(2)
+	for p := model.ProcID(1); p <= 2; p++ {
+		net.Do(p, func(ctx node.Context) {
+			inside.Done()
+			inside.Wait()
+			for _, snd := range sends {
+				if snd.from == p {
+					ctx.Send(3-p, node.Payload{Tag: snd.tag})
+				}
+			}
+			sent.Done()
+			sent.Wait()
+		})
 	}
-	time.Sleep(20 * time.Millisecond) // grace: nothing on 1->2 should move
+	timeout := time.After(5 * time.Second)
+wait:
+	for got := int64(0); got < want; got++ {
+		select {
+		case <-arrived:
+		case <-timeout:
+			break wait
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
 	net.Stop()
-	if got := c2.tags(); len(got) != 0 {
-		t.Errorf("process 2 received %v behind a parked head", got)
-	}
-	if got := c1.tags(); len(got) != 1 || got[0] != "OK" {
-		t.Errorf("process 1 got %v, want [OK]", got)
+	ms := net.Metrics()
+	out.Sent, out.Received = ms.Value("net_sent_total"), ms.Value("net_delivered_total")
+	out.Dropped, out.Duplicated = ms.Value("net_dropped_total"), ms.Value("net_duplicated_total")
+	out.Chains = chains(spans.Spans())
+	return out
+}
+
+// TestLinkFates drives every shape of node.LinkDecision through the shared
+// fate function, the simulator and the live runtime, and requires the three
+// to agree on what each link delivered, on the host counters, and on every
+// message's span chain (send → fate → enqueue… → deliver…, or → drop).
+func TestLinkFates(t *testing.T) {
+	for _, tc := range fateCases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := modelFates(tc.sends)
+			if !reflect.DeepEqual(want.Delivered, tc.delivered) {
+				t.Errorf("shared fate function: delivers %v, want %v", want.Delivered, tc.delivered)
+			}
+			if got := simFates(tc.sends); !reflect.DeepEqual(got, want) {
+				t.Errorf("simulator:\n got %+v\nwant %+v", got, want)
+			}
+			if got := liveFates(tc.sends, want.Received); !reflect.DeepEqual(got, want) {
+				t.Errorf("live runtime:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/obs"
@@ -87,21 +88,15 @@ type Net struct {
 	history model.History
 	nextMsg model.MsgID
 
-	// Counters are atomic, so they are read live (Stats, Metrics, the
-	// /metrics endpoint) without touching the recorder lock.
-	cSent        obs.Counter
-	cDelivered   obs.Counter
-	cDropped     obs.Counter
-	cDuplicated  obs.Counter
-	cTimersFired obs.Counter
-	cPlanCrashes obs.Counter
-	cRestarts    obs.Counter
-	cRecovered   obs.Counter
+	// core is what this host shares with the simulator: fate application,
+	// process lifetimes, the host counters and their snapshot. The counters
+	// are atomic, so they are read live (Stats, Metrics, the /metrics
+	// endpoint) without touching the recorder lock.
+	core host.Core
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	wg          sync.WaitGroup
 	stopCh      chan struct{}
 	started     bool
 	stopped     bool
@@ -123,16 +118,12 @@ func New(cfg Config) *Net {
 	if cfg.Tick == 0 {
 		cfg.Tick = time.Millisecond
 	}
-	for i, l := range cfg.Lifetimes {
-		if l.Proc < 1 || int(l.Proc) > cfg.N {
-			panic(fmt.Sprintf("runtime: lifetime %d names process %d of %d", i, l.Proc, cfg.N))
-		}
-	}
-	if cfg.Recovery == recovery.Durable && cfg.Store == nil {
-		cfg.Store = recovery.NewMemStore()
-	}
 	n := &Net{
-		cfg:      cfg,
+		cfg: cfg,
+		core: host.Core{
+			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
+			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
+		},
 		handlers: make([]node.Handler, cfg.N+1),
 		procs:    make([]*proc, cfg.N+1),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -141,22 +132,12 @@ func New(cfg Config) *Net {
 	for p := 1; p <= cfg.N; p++ {
 		n.procs[p] = newProc(n, model.ProcID(p))
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.RegisterCounter("net_sent_total", &n.cSent)
-		reg.RegisterCounter("net_delivered_total", &n.cDelivered)
-		reg.RegisterCounter("net_dropped_total", &n.cDropped)
-		reg.RegisterCounter("net_duplicated_total", &n.cDuplicated)
-		reg.RegisterCounter("net_timers_fired_total", &n.cTimersFired)
-		// Recovery counters only exist when lifetimes do, mirroring the
-		// simulator: fault-free registry snapshots stay byte-identical.
-		if len(cfg.Lifetimes) > 0 {
-			reg.RegisterCounter("net_plan_crashes_total", &n.cPlanCrashes)
-			reg.RegisterCounter("net_restarts_total", &n.cRestarts)
-			reg.RegisterCounter("net_recovered_total", &n.cRecovered)
-		}
-	}
+	n.core.Init("runtime", cfg.N, cfg.Metrics)
 	return n
 }
+
+// metricNames are the host counters' names on this backend.
+var metricNames = host.MetricNames("net_")
 
 // SetHandler attaches the handler for process p. Must be called before
 // Start.
@@ -166,25 +147,24 @@ func (n *Net) SetHandler(p model.ProcID, h node.Handler) {
 
 // Start initializes every handler and launches the worker goroutines.
 func (n *Net) Start() {
-	n.mu.Lock()
-	if n.started {
-		n.mu.Unlock()
-		panic("runtime: Start called twice")
-	}
-	n.started = true
-	n.start = time.Now()
-	n.mu.Unlock()
 	for p := 1; p <= n.cfg.N; p++ {
 		if n.handlers[p] == nil {
 			panic(fmt.Sprintf("runtime: no handler for process %d", p))
 		}
 	}
+	n.mu.Lock()
+	if n.started {
+		n.mu.Unlock()
+		panic("runtime: Start called twice")
+	}
+	n.started = true // from here on Stop waits for the workers
+	n.start = time.Now()
+	n.mu.Unlock()
 	for p := 1; p <= n.cfg.N; p++ {
 		n.procs[p].ctxDo(func(ctx node.Context) { n.handlers[p].Init(ctx) })
 	}
 	for p := 1; p <= n.cfg.N; p++ {
-		n.wg.Add(1)
-		go n.procs[p].loop(&n.wg)
+		go n.procs[p].loop()
 	}
 	for i := range n.cfg.Lifetimes {
 		idx, l := i, n.cfg.Lifetimes[i]
@@ -200,6 +180,7 @@ func (n *Net) Stop() {
 		return
 	}
 	n.stopped = true
+	started := n.started
 	timers := n.faultTimers
 	n.faultTimers = nil
 	n.mu.Unlock()
@@ -210,7 +191,9 @@ func (n *Net) Stop() {
 	for p := 1; p <= n.cfg.N; p++ {
 		n.procs[p].wake()
 	}
-	n.wg.Wait()
+	for p := 1; started && p <= n.cfg.N; p++ {
+		<-n.procs[p].done
+	}
 }
 
 // Run is a convenience for examples: Start, let the network run for d,
@@ -261,68 +244,21 @@ func (n *Net) delay() time.Duration {
 // Stats returns the network-fault counters: messages dropped by Config.Link
 // and extra copies it injected.
 func (n *Net) Stats() (dropped, duplicated int) {
-	return int(n.cDropped.Value()), int(n.cDuplicated.Value())
+	return int(n.core.Dropped.Value()), int(n.core.Duplicated.Value())
 }
 
 // Metrics returns a name-sorted live snapshot of the runtime's counters,
-// including the reliable layer's when any handler carries it. Safe to call
-// while the network runs.
+// including the interposer layers' when any handler carries them. Safe to
+// call while the network runs.
 func (n *Net) Metrics() obs.Metrics {
-	ms := obs.Metrics{
-		{Name: "net_delivered_total", Kind: obs.KindCounter, Value: n.cDelivered.Value()},
-		{Name: "net_dropped_total", Kind: obs.KindCounter, Value: n.cDropped.Value()},
-		{Name: "net_duplicated_total", Kind: obs.KindCounter, Value: n.cDuplicated.Value()},
-		{Name: "net_sent_total", Kind: obs.KindCounter, Value: n.cSent.Value()},
-		{Name: "net_timers_fired_total", Kind: obs.KindCounter, Value: n.cTimersFired.Value()},
-	}
-	hasReliable := false
-	for p := 1; p <= n.cfg.N; p++ {
-		if _, ok := n.handlers[p].(reliableStats); ok {
-			hasReliable = true
-			break
-		}
-	}
-	if hasReliable {
-		r, d := n.ReliableStats()
-		ms = append(ms,
-			obs.Metric{Name: "reliable_acked_duplicates_total", Kind: obs.KindCounter, Value: int64(d)},
-			obs.Metric{Name: "reliable_retransmits_total", Kind: obs.KindCounter, Value: int64(r)},
-		)
-	}
-	hasByz := false
-	for p := 1; p <= n.cfg.N; p++ {
-		if _, ok := findByzStats(n.handlers[p]); ok {
-			hasByz = true
-			break
-		}
-	}
-	if hasByz {
-		d, m := n.ByzStats()
-		ms = append(ms,
-			obs.Metric{Name: "byz_detected_total", Kind: obs.KindCounter, Value: int64(d)},
-			obs.Metric{Name: "byz_masked_total", Kind: obs.KindCounter, Value: int64(m)},
-		)
-	}
-	// Mirroring the simulator's snapshot: recovery metrics appear only when
-	// the run has lifetimes, keeping fault-free snapshots byte-stable.
-	if len(n.cfg.Lifetimes) > 0 {
-		ms = append(ms,
-			obs.Metric{Name: "net_plan_crashes_total", Kind: obs.KindCounter, Value: n.cPlanCrashes.Value()},
-			obs.Metric{Name: "net_recovered_total", Kind: obs.KindCounter, Value: n.cRecovered.Value()},
-			obs.Metric{Name: "net_restarts_total", Kind: obs.KindCounter, Value: n.cRestarts.Value()},
-		)
-	}
-	if hasReliable || hasByz || len(n.cfg.Lifetimes) > 0 {
-		ms.Sort()
-	}
-	return ms
+	return n.core.Snapshot(host.LayerStats(n.handlers))
 }
 
 // RecoveryStats returns the process-fault counters: crashes executed from
 // Config.Lifetimes, restarts that followed, and restarts that restored a
 // non-empty durable snapshot. Safe to call while the network runs.
 func (n *Net) RecoveryStats() (planCrashes, restarts, recovered int) {
-	return int(n.cPlanCrashes.Value()), int(n.cRestarts.Value()), int(n.cRecovered.Value())
+	return int(n.core.PlanCrashes.Value()), int(n.core.Restarts.Value()), int(n.core.Recovered.Value())
 }
 
 // afterTicks schedules fn after d ticks, retaining the timer so Stop can
@@ -341,101 +277,29 @@ func (n *Net) afterTicks(d int64, fn func()) {
 	n.mu.Unlock()
 }
 
-// planCrash routes one crash window of lifetime idx through the victim's
-// injection queue, so the crash serializes with its handler callbacks (a
-// durable snapshot must not race a half-applied message). The inject is
-// silently dropped if the process crashed terminally first — which also
-// stops the periodic chain, matching the simulator.
+// planCrash routes the crash window of lifetime idx due at tick at through
+// the victim's injection queue, so the crash serializes with its handler
+// callbacks (a durable snapshot must not race a half-applied message). The
+// inject is silently dropped if the process crashed terminally first — which
+// also stops the periodic chain, matching the simulator.
 func (n *Net) planCrash(idx int, at int64) {
-	l := n.cfg.Lifetimes[idx]
-	p := n.procs[l.Proc]
-	p.inject(func(node.Context) { n.executePlanCrash(idx, at, p, l) })
-}
-
-// executePlanCrash runs on the victim's worker: snapshot (durable), take
-// the process down, kill timers and queued work, record the crash, then
-// schedule the restart and the next periodic window.
-func (n *Net) executePlanCrash(idx int, at int64, p *proc, l recovery.Lifetime) {
-	mode := n.cfg.Recovery
-	if mode == recovery.Durable {
-		// Snapshot before OnCrash: the crash notification must not be able
-		// to perturb what the process will remember.
-		if r, ok := n.handlers[p.self].(node.Restarter); ok {
-			n.cfg.Store.Save(p.self, r.Snapshot())
-		}
-	}
-	p.mu.Lock()
-	p.down = true
-	p.revive = false
-	p.injects = nil
-	p.dueTimer = nil
-	for _, lt := range p.timers {
-		lt.gen++
-		if lt.timer != nil {
-			lt.timer.Stop()
-		}
-	}
-	p.mu.Unlock()
-	n.cPlanCrashes.Inc()
-	n.record(model.Crash(p.self))
-	if lis, ok := n.handlers[p.self].(node.CrashListener); ok {
-		lis.OnCrash(&liveCtx{p: p})
-	}
-	if downFor := l.Restart - l.Crash; mode != recovery.Off && downFor > 0 {
-		// Downtime is measured from the crash's execution, so a late crash
-		// still keeps the process down for the plan's full window.
-		n.afterTicks(downFor, func() {
-			p.mu.Lock()
-			if p.down {
-				p.revive = true
+	p := n.procs[n.cfg.Lifetimes[idx].Proc]
+	p.inject(func(ctx node.Context) {
+		p.mu.Lock()
+		p.down = true
+		p.revive = false
+		p.injects = nil
+		p.dueTimer = nil
+		p.stopTimers()
+		p.mu.Unlock()
+		n.core.Crash(idx, at, n.nowTicks(), n.handlers[p.self], ctx, func(when int64, restart bool) {
+			due := func() { n.planCrash(idx, when) } // the next window, on the plan's absolute cadence
+			if restart {
+				due = p.restartDue
 			}
-			p.mu.Unlock()
-			p.wake()
-		})
-	}
-	if l.Period > 0 && mode != recovery.Off {
-		if next := at + l.Period; l.Until == 0 || next <= l.Until {
-			// The next window stays on the plan's absolute cadence.
-			n.afterTicks(next-n.nowTicks(), func() { n.planCrash(idx, next) })
-		}
-	}
-}
-
-// finishRestart runs on the worker once the revive flag is consumed: record
-// the restart, then hand the handler its crash-time snapshot (durable) or
-// re-initialize it blank.
-func (n *Net) finishRestart(p *proc) {
-	var st []byte
-	if n.cfg.Recovery == recovery.Durable {
-		st, _ = n.cfg.Store.Load(p.self)
-	}
-	n.record(model.Restart(p.self))
-	n.cRestarts.Inc()
-	if len(st) > 0 {
-		n.cRecovered.Inc()
-	}
-	// Restart spans are detection-grade, never sampled out — same rule as
-	// the simulator's.
-	if n.cfg.Spans != nil {
-		note := "recovery=" + n.cfg.Recovery.String()
-		if n.cfg.Recovery == recovery.Durable {
-			note = fmt.Sprintf("%s snapshot=%dB", note, len(st))
-		}
-		n.cfg.Spans.Record(obs.Span{Time: n.nowTicks(), Kind: obs.SpanRestart, Proc: p.self, Note: note})
-	}
-	ctx := &liveCtx{p: p}
-	if r, ok := n.handlers[p.self].(node.Restarter); ok {
-		r.OnRestart(ctx, st)
-	} else {
-		n.handlers[p.self].Init(ctx)
-	}
-}
-
-// reliableStats is implemented by handlers that wrap a reliable-delivery
-// layer (internal/reliable.Endpoint); the runtime discovers it structurally
-// to avoid depending on the layer.
-type reliableStats interface {
-	ReliableStats() (retransmits, ackedDuplicates int)
+			n.afterTicks(when-n.nowTicks(), due)
+		}, n.record)
+	})
 }
 
 // ReliableStats aggregates the reliable-delivery counters across every
@@ -444,37 +308,8 @@ type reliableStats interface {
 // an Endpoint. Safe to call while the network runs — the layer's counters
 // are atomic.
 func (n *Net) ReliableStats() (retransmits, ackedDuplicates int) {
-	for p := 1; p <= n.cfg.N; p++ {
-		if rs, ok := n.handlers[p].(reliableStats); ok {
-			r, d := rs.ReliableStats()
-			retransmits += r
-			ackedDuplicates += d
-		}
-	}
-	return retransmits, ackedDuplicates
-}
-
-// byzStats is implemented by the Byzantine validation interposer
-// (internal/byz.Endpoint), discovered structurally like reliableStats.
-type byzStats interface {
-	ByzStats() (detected, masked int)
-}
-
-// findByzStats walks a handler's wrapper chain outermost-first — the
-// interposer sits inside the reliable layer when both are enabled — until
-// it finds the validation interposer or runs out of wrappers.
-func findByzStats(h node.Handler) (byzStats, bool) {
-	for h != nil {
-		if bs, ok := h.(byzStats); ok {
-			return bs, true
-		}
-		iw, ok := h.(interface{ Inner() node.Handler })
-		if !ok {
-			return nil, false
-		}
-		h = iw.Inner()
-	}
-	return nil, false
+	l := host.LayerStats(n.handlers)
+	return l.Retransmits, l.AckedDuplicates
 }
 
 // ByzStats aggregates the Byzantine validation interposer's counters
@@ -482,14 +317,8 @@ func findByzStats(h node.Handler) (byzStats, bool) {
 // and frames discarded from convicted senders. Both are 0 when no handler
 // wraps one. Safe to call while the network runs.
 func (n *Net) ByzStats() (detected, masked int) {
-	for p := 1; p <= n.cfg.N; p++ {
-		if bs, ok := findByzStats(n.handlers[p]); ok {
-			d, m := bs.ByzStats()
-			detected += d
-			masked += m
-		}
-	}
-	return detected, masked
+	l := host.LayerStats(n.handlers)
+	return l.ByzDetected, l.ByzMasked
 }
 
 // liveMsg is a queued message on a live channel.
@@ -516,6 +345,7 @@ type proc struct {
 	down     bool // plan-crashed, restart possibly pending (crash-recovery)
 	revive   bool // restart timer elapsed; worker finishes the restart
 	wakeCh   chan struct{}
+	done     chan struct{} // closed when the worker has returned
 
 	// curSpan frames the handler callback currently running on this
 	// process's worker. Only the worker goroutine touches it (callbacks are
@@ -536,6 +366,17 @@ func newProc(n *Net, self model.ProcID) *proc {
 		timers:  make(map[string]*liveTimer),
 		emitted: make(map[model.ProcID]bool),
 		wakeCh:  make(chan struct{}, 1),
+		done:    make(chan struct{}),
+	}
+}
+
+// stopTimers makes every outstanding timer of p stale. Callers hold p.mu.
+func (p *proc) stopTimers() {
+	for _, lt := range p.timers {
+		lt.gen++
+		if lt.timer != nil {
+			lt.timer.Stop()
+		}
 	}
 }
 
@@ -544,6 +385,16 @@ func (p *proc) wake() {
 	case p.wakeCh <- struct{}{}:
 	default:
 	}
+}
+
+// restartDue tells p's worker, if p is still down, to finish the restart.
+func (p *proc) restartDue() {
+	p.mu.Lock()
+	if p.down {
+		p.revive = true
+	}
+	p.mu.Unlock()
+	p.wake()
 }
 
 // inject schedules fn for serialized execution on p's worker. Injections
@@ -566,16 +417,21 @@ func (p *proc) ctxDo(fn func(node.Context)) {
 }
 
 // loop is the worker: deliver injections, due timers, and ready channel
-// heads until the network stops or the process crashes.
-func (p *proc) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
+// heads until the network stops or the process crashes terminally (a
+// plan-crashed process keeps waiting, for its revive).
+func (p *proc) loop() {
+	defer close(p.done)
 	for {
 		select {
 		case <-p.net.stopCh:
 			return
 		default:
 		}
-		if !p.step() {
+		did, alive := p.step()
+		if !alive {
+			return
+		}
+		if !did {
 			// Nothing deliverable: wait for a wake-up or shutdown.
 			select {
 			case <-p.net.stopCh:
@@ -588,20 +444,22 @@ func (p *proc) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// step delivers at most one pending item; it reports whether it did.
-func (p *proc) step() bool {
+// step delivers at most one pending item; it reports whether it did, and
+// whether the process is still there to be stepped again.
+func (p *proc) step() (did, alive bool) {
 	p.mu.Lock()
 	if p.crashed {
 		p.mu.Unlock()
-		return false
+		return false, false
 	}
 	if p.down {
 		if p.revive {
 			p.revive = false
 			p.down = false
 			p.mu.Unlock()
-			p.net.finishRestart(p)
-			return true
+			n := p.net
+			n.core.Restart(p.self, n.nowTicks(), n.handlers[p.self], &liveCtx{p: p}, n.record)
+			return true, true
 		}
 		// Arrival at a down process is loss, same rule as the simulator:
 		// discard every head that became ready, then go back to sleep.
@@ -619,7 +477,7 @@ func (p *proc) step() bool {
 			p.queues[from] = q
 		}
 		p.mu.Unlock()
-		return false
+		return false, true
 	}
 	// 1. Injections.
 	if len(p.injects) > 0 {
@@ -627,16 +485,16 @@ func (p *proc) step() bool {
 		p.injects = p.injects[1:]
 		p.mu.Unlock()
 		fn(&liveCtx{p: p})
-		return true
+		return true, true
 	}
 	// 2. Due timers.
 	if len(p.dueTimer) > 0 {
 		name := p.dueTimer[0]
 		p.dueTimer = p.dueTimer[1:]
 		p.mu.Unlock()
-		p.net.cTimersFired.Inc()
+		p.net.core.TimersFired.Inc()
 		p.net.handlers[p.self].OnTimer(&liveCtx{p: p}, name)
-		return true
+		return true, true
 	}
 	// 3. Ready channel heads, in sender order for fairness determinism.
 	now := time.Now()
@@ -659,7 +517,7 @@ func (p *proc) step() bool {
 		p.queues[from] = p.queues[from][1:]
 		p.mu.Unlock()
 		p.net.record(model.Recv(p.self, from, head.id, head.payload.Tag, head.payload.Subject))
-		p.net.cDelivered.Inc()
+		p.net.core.Delivered.Inc()
 		if head.span != 0 {
 			p.curSpan = p.net.cfg.Spans.Record(obs.Span{
 				Parent: head.span, Time: p.net.nowTicks(), Kind: obs.SpanDeliver,
@@ -670,10 +528,10 @@ func (p *proc) step() bool {
 		}
 		p.net.handlers[p.self].OnMessage(&liveCtx{p: p}, from, head.payload)
 		p.curSpan = 0
-		return true
+		return true, true
 	}
 	p.mu.Unlock()
-	return false
+	return false, true
 }
 
 // liveCtx implements node.Context for one process of a live network.
@@ -710,66 +568,25 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	e.Seq = len(net.history)
 	net.history = append(net.history, e)
 	net.recMu.Unlock()
-	net.cSent.Inc()
 
-	var dec node.LinkDecision
-	if net.cfg.Link != nil {
-		dec = net.cfg.Link(p.self, to, pl, net.nowTicks())
-	}
-	var parentSpan int64
-	if net.cfg.Spans != nil && net.cfg.Spans.Sampled(id) {
-		parentSpan = net.cfg.Spans.Record(obs.Span{
-			Parent: p.curSpan, Time: net.nowTicks(), Kind: obs.SpanSend,
-			Proc: p.self, Peer: to, Msg: id, Tag: pl.Tag, Target: pl.Subject,
-		})
-		if note := dec.Note(); note != "" {
-			parentSpan = net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanFate,
-				Proc: p.self, Peer: to, Msg: id, Note: note,
-			})
-		}
-	}
-	if dec.Drop {
-		net.cDropped.Inc()
-		if parentSpan != 0 {
-			net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanDrop,
-				Proc: p.self, Peer: to, Msg: id,
-			})
-		}
-		return
-	}
-	net.cDuplicated.Add(int64(dec.Duplicates))
-
-	// A Byzantine network may substitute what the channel carries; the send
-	// event above still records the payload the sender actually passed in.
-	wire := pl
-	if dec.Replace != nil {
-		wire = dec.Replace.Payload
-	}
-
+	// Route asks the link function, which takes the fault plane's lock: the
+	// destination's is taken with the first copy, not before.
 	dst := net.procs[to]
+	locked := false
 	var maxDelay time.Duration
-	dst.mu.Lock()
-	enqueue := func(payload node.Payload, extraTicks int64) {
-		d := net.delay() + time.Duration(dec.ExtraDelay+extraTicks)*net.cfg.Tick
-		if d > maxDelay {
-			maxDelay = d
+	net.core.Route(net.nowTicks(), p.curSpan, p.self, to, id, pl, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
+		if !locked {
+			dst.mu.Lock()
+			locked = true
 		}
-		msg := liveMsg{
-			id:      id,
-			payload: payload,
-			readyAt: time.Now().Add(d),
-			parked:  dec.Park,
+		if dst.crashed {
+			return // sent, counted and traced like any other, but nobody is left to queue it for
 		}
-		if parentSpan != 0 {
-			msg.span = net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanEnqueue,
-				Proc: p.self, Peer: to, Msg: id,
-			})
-		}
+		d := net.delay() + time.Duration(extra)*net.cfg.Tick
+		maxDelay = max(maxDelay, d)
+		msg := liveMsg{id: id, payload: wire, readyAt: time.Now().Add(d), parked: park, span: span}
 		q := dst.queues[p.self]
-		if dec.Reorder && len(q) > 1 {
+		if reorder && len(q) > 1 {
 			// Overtake the current tail: a pairwise FIFO violation.
 			tail := len(q) - 1
 			q = append(q, q[tail])
@@ -778,16 +595,15 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 			q = append(q, msg)
 		}
 		dst.queues[p.self] = q
+	})
+	if !locked {
+		return // dropped
 	}
-	for c := 0; c < dec.Copies(); c++ {
-		enqueue(wire, 0)
-	}
-	if dec.Replay != nil {
-		// A Byzantine replay: a ghost copy of an earlier wire payload rides
-		// along, further delayed so it lands stale.
-		enqueue(dec.Replay.Payload, dec.Replay.Delay)
-	}
+	gone := dst.crashed
 	dst.mu.Unlock()
+	if gone {
+		return
+	}
 	dst.wake()
 	// Ensure a re-check once the delay elapses even if nothing else wakes
 	// the destination.
@@ -845,14 +661,7 @@ func (c *liveCtx) EmitFailed(j model.ProcID) {
 	}
 	p.emitted[j] = true
 	p.mu.Unlock()
-	p.net.record(model.Failed(p.self, j))
-	// Detection spans are recorded unconditionally, like the simulator's.
-	if p.net.cfg.Spans != nil {
-		p.net.cfg.Spans.Record(obs.Span{
-			Parent: p.curSpan, Time: p.net.nowTicks(), Kind: obs.SpanCrashConfirm,
-			Proc: p.self, Target: j,
-		})
-	}
+	p.emit(model.Failed(p.self, j))
 }
 
 func (c *liveCtx) CrashSelf() {
@@ -863,12 +672,9 @@ func (c *liveCtx) CrashSelf() {
 		return
 	}
 	p.crashed = true
-	for _, lt := range p.timers {
-		lt.gen++
-		if lt.timer != nil {
-			lt.timer.Stop()
-		}
-	}
+	// Nothing reads a terminally crashed process's queued work again.
+	p.queues, p.injects, p.dueTimer = nil, nil, nil
+	p.stopTimers()
 	p.mu.Unlock()
 	p.net.record(model.Crash(p.self))
 	if l, ok := p.net.handlers[p.self].(node.CrashListener); ok {
@@ -885,11 +691,11 @@ func (c *liveCtx) EmitInternal(tag string, subject model.ProcID) {
 	if dead {
 		return
 	}
-	p.net.record(model.Internal(p.self, tag, subject))
-	if tag == "suspect" && p.net.cfg.Spans != nil {
-		p.net.cfg.Spans.Record(obs.Span{
-			Parent: p.curSpan, Time: p.net.nowTicks(), Kind: obs.SpanSuspect,
-			Proc: p.self, Target: subject, Tag: tag,
-		})
-	}
+	p.emit(model.Internal(p.self, tag, subject))
+}
+
+// emit records e and, for a suspicion or a detection, its span.
+func (p *proc) emit(e model.Event) {
+	p.net.record(e)
+	p.net.core.Detection(p.net.nowTicks(), p.curSpan, e)
 }

@@ -191,6 +191,9 @@ func (h *timerHandler) Init(node.Context)                                  {}
 func (h *timerHandler) OnMessage(node.Context, model.ProcID, node.Payload) {}
 func (h *timerHandler) OnTimer(_ node.Context, name string)                { h.onTimer(name) }
 
+// TestLiveCrashStopsProcess: a terminally crashed process receives nothing,
+// and the runtime lets go of it — its worker returns without waiting for
+// Stop, and sends to it are recorded and counted but no longer queued.
 func TestLiveCrashStopsProcess(t *testing.T) {
 	net := runtime.New(fastCfg(2, 5))
 	c2 := &collector{}
@@ -198,9 +201,27 @@ func TestLiveCrashStopsProcess(t *testing.T) {
 	net.SetHandler(2, c2)
 	net.Start()
 	net.Do(2, func(ctx node.Context) { ctx.CrashSelf() })
+	select {
+	case <-net.WorkerDone(2):
+	case <-time.After(2 * time.Second):
+		t.Fatal("the crashed process's worker is still running")
+	}
+	const sends = 1000
+	sent := make(chan struct{})
+	net.Do(1, func(ctx node.Context) {
+		for i := 0; i < sends; i++ {
+			ctx.Send(2, node.Payload{Tag: "X"})
+		}
+		close(sent)
+	})
+	<-sent
+	if q := net.Queued(2); q != 0 {
+		t.Errorf("%d copies queued for the crashed process, want 0", q)
+	}
+	if got := net.Metrics().Value("net_sent_total"); got != sends {
+		t.Errorf("net_sent_total = %d, want %d: a send to a crashed process still counts", got, sends)
+	}
 	time.Sleep(5 * time.Millisecond)
-	net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "X"}) })
-	time.Sleep(20 * time.Millisecond)
 	net.Stop()
 	if got := c2.tags(); len(got) != 0 {
 		t.Errorf("crashed process received %v", got)
@@ -211,6 +232,15 @@ func TestLiveCrashStopsProcess(t *testing.T) {
 	}
 	if h.CrashIndex(2) < 0 {
 		t.Error("crash not recorded")
+	}
+	recorded := 0
+	for _, e := range h {
+		if e.Kind == model.KindSend {
+			recorded++
+		}
+	}
+	if recorded != sends {
+		t.Errorf("history holds %d sends, want %d", recorded, sends)
 	}
 }
 

@@ -75,6 +75,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/obs"
@@ -424,18 +425,10 @@ type Sim struct {
 
 	history model.History
 
-	// Instruments live inline as values: zero-cost when no registry or
-	// recorder is attached, registered by pointer into Config.Metrics
-	// otherwise.
-	cSent        obs.Counter
-	cDelivered   obs.Counter
-	cDropped     obs.Counter
-	cDuplicated  obs.Counter
-	cTimersFired obs.Counter
-	cPlanCrashes obs.Counter
-	cRestarts    obs.Counter
-	cRecovered   obs.Counter
-	gLinks       obs.Gauge // live (materialized) channel count
+	// core is what this host shares with the live runtime: fate application,
+	// process lifetimes, the host counters and their snapshot.
+	core   host.Core
+	gLinks obs.Gauge // live (materialized) channel count
 
 	curSpan    int64 // span framing the handler callback now running, or 0
 	inflight   int   // enqueued-but-undelivered message copies
@@ -458,19 +451,12 @@ func New(cfg Config) *Sim {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 1 << 20
 	}
-	for i, l := range cfg.Lifetimes {
-		if l.Proc < 1 || int(l.Proc) > cfg.N {
-			panic(fmt.Sprintf("sim: lifetime %d names process %d of %d", i, l.Proc, cfg.N))
-		}
-		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
-			panic(fmt.Sprintf("sim: lifetime %d is unbounded (period %d, no until); set MaxTime", i, l.Period))
-		}
-	}
-	if cfg.Recovery == recovery.Durable && cfg.Store == nil {
-		cfg.Store = recovery.NewMemStore()
-	}
 	s := &Sim{
 		cfg: cfg,
+		core: host.Core{
+			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
+			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
+		},
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		// Per-link state is lazy: a channel materializes on first traffic,
 		// so a sparse topology over a large N allocates O(active links), not
@@ -492,24 +478,18 @@ func New(cfg Config) *Sim {
 		ctxs[p] = procCtx{s: s, p: model.ProcID(p)}
 		s.ctxs[p] = &ctxs[p]
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.RegisterGauge("sim_links_live", &s.gLinks)
-		reg.RegisterCounter("sim_sent_total", &s.cSent)
-		reg.RegisterCounter("sim_delivered_total", &s.cDelivered)
-		reg.RegisterCounter("sim_dropped_total", &s.cDropped)
-		reg.RegisterCounter("sim_duplicated_total", &s.cDuplicated)
-		reg.RegisterCounter("sim_timers_fired_total", &s.cTimersFired)
-		// Recovery counters only exist when lifetimes do: runs without
-		// process faults keep their registry snapshots byte-identical to
-		// pre-recovery builds.
-		if len(cfg.Lifetimes) > 0 {
-			reg.RegisterCounter("sim_plan_crashes_total", &s.cPlanCrashes)
-			reg.RegisterCounter("sim_restarts_total", &s.cRestarts)
-			reg.RegisterCounter("sim_recovered_total", &s.cRecovered)
+	s.core.Init("sim", cfg.N, cfg.Metrics)
+	for i, l := range cfg.Lifetimes {
+		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
+			panic(fmt.Sprintf("sim: lifetime %d is unbounded (period %d, no until); set MaxTime", i, l.Period))
 		}
 	}
+	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
 }
+
+// metricNames are the host counters' names on this backend.
+var metricNames = host.MetricNames("sim_")
 
 // historyHint sizes the history buffer up front. Protocol runs record on
 // the order of a few broadcast rounds per detection — O(n²) events — so
@@ -609,73 +589,23 @@ func (s *Sim) Run() *Result {
 
 	res.History = s.history
 	res.EndTime = s.now
-	res.Sent = int(s.cSent.Value())
-	res.Delivered = int(s.cDelivered.Value())
-	res.Dropped = int(s.cDropped.Value())
-	res.Duplicated = int(s.cDuplicated.Value())
-	res.PlanCrashes = int(s.cPlanCrashes.Value())
-	res.Restarts = int(s.cRestarts.Value())
-	res.Recovered = int(s.cRecovered.Value())
+	res.Sent = int(s.core.Sent.Value())
+	res.Delivered = int(s.core.Delivered.Value())
+	res.Dropped = int(s.core.Dropped.Value())
+	res.Duplicated = int(s.core.Duplicated.Value())
+	res.PlanCrashes = int(s.core.PlanCrashes.Value())
+	res.Restarts = int(s.core.Restarts.Value())
+	res.Recovered = int(s.core.Recovered.Value())
 	res.Blocked = s.blockedChannels()
-	hasReliable := false
-	hasByz := false
-	for p := 1; p <= s.cfg.N; p++ {
-		if rs, ok := s.handlers[p].(reliableStats); ok {
-			hasReliable = true
-			r, d := rs.ReliableStats()
-			res.Retransmits += r
-			res.AckedDuplicates += d
-		}
-		if bs, ok := findByzStats(s.handlers[p]); ok {
-			hasByz = true
-			d, m := bs.ByzStats()
-			res.ByzDetected += d
-			res.ByzMasked += m
-		}
-	}
-	res.Metrics = s.snapshotMetrics(res, hasReliable, hasByz)
+	layers := host.LayerStats(s.handlers)
+	res.Retransmits, res.AckedDuplicates = layers.Retransmits, layers.AckedDuplicates
+	res.ByzDetected, res.ByzMasked = layers.ByzDetected, layers.ByzMasked
+	res.Metrics = s.core.Snapshot(layers,
+		obs.Metric{Name: "sim_links_live", Kind: obs.KindGauge, Value: s.gLinks.Value()})
 	if s.cfg.Timeline != nil {
 		res.Timeline = s.cfg.Timeline.Snapshot()
 	}
 	return res
-}
-
-// snapshotMetrics builds the run's metric snapshot directly from the
-// inline counters — already name-sorted, so no sort pass is needed.
-func (s *Sim) snapshotMetrics(res *Result, hasReliable, hasByz bool) obs.Metrics {
-	ms := obs.Metrics{
-		{Name: "sim_delivered_total", Kind: obs.KindCounter, Value: s.cDelivered.Value()},
-		{Name: "sim_dropped_total", Kind: obs.KindCounter, Value: s.cDropped.Value()},
-		{Name: "sim_duplicated_total", Kind: obs.KindCounter, Value: s.cDuplicated.Value()},
-		{Name: "sim_links_live", Kind: obs.KindGauge, Value: s.gLinks.Value()},
-		{Name: "sim_sent_total", Kind: obs.KindCounter, Value: s.cSent.Value()},
-		{Name: "sim_timers_fired_total", Kind: obs.KindCounter, Value: s.cTimersFired.Value()},
-	}
-	if hasReliable {
-		ms = append(ms,
-			obs.Metric{Name: "reliable_acked_duplicates_total", Kind: obs.KindCounter, Value: int64(res.AckedDuplicates)},
-			obs.Metric{Name: "reliable_retransmits_total", Kind: obs.KindCounter, Value: int64(res.Retransmits)},
-		)
-	}
-	if hasByz {
-		ms = append(ms,
-			obs.Metric{Name: "byz_detected_total", Kind: obs.KindCounter, Value: int64(res.ByzDetected)},
-			obs.Metric{Name: "byz_masked_total", Kind: obs.KindCounter, Value: int64(res.ByzMasked)},
-		)
-	}
-	// Like the registry, the snapshot grows recovery metrics only when the
-	// run actually had lifetimes, keeping fault-free snapshots byte-stable.
-	if len(s.cfg.Lifetimes) > 0 {
-		ms = append(ms,
-			obs.Metric{Name: "sim_plan_crashes_total", Kind: obs.KindCounter, Value: s.cPlanCrashes.Value()},
-			obs.Metric{Name: "sim_recovered_total", Kind: obs.KindCounter, Value: s.cRecovered.Value()},
-			obs.Metric{Name: "sim_restarts_total", Kind: obs.KindCounter, Value: s.cRestarts.Value()},
-		)
-	}
-	if hasReliable || hasByz || len(s.cfg.Lifetimes) > 0 {
-		ms.Sort()
-	}
-	return ms
 }
 
 // sampleTimeline emits one point per series at every sampling boundary
@@ -700,36 +630,6 @@ func (s *Sim) maxBacklog() int {
 		}
 	}
 	return int(mx)
-}
-
-// reliableStats is implemented by handlers that wrap a reliable-delivery
-// layer (internal/reliable.Endpoint); the simulator discovers it
-// structurally to avoid depending on the layer.
-type reliableStats interface {
-	ReliableStats() (retransmits, ackedDuplicates int)
-}
-
-// byzStats is implemented by the Byzantine validation interposer
-// (internal/byz.Endpoint), discovered structurally like reliableStats.
-type byzStats interface {
-	ByzStats() (detected, masked int)
-}
-
-// findByzStats walks a handler's wrapper chain outermost-first — the
-// interposer sits inside the reliable layer when both are enabled — until
-// it finds the validation interposer or runs out of wrappers.
-func findByzStats(h node.Handler) (byzStats, bool) {
-	for h != nil {
-		if bs, ok := h.(byzStats); ok {
-			return bs, true
-		}
-		iw, ok := h.(interface{ Inner() node.Handler })
-		if !ok {
-			return nil, false
-		}
-		h = iw.Inner()
-	}
-	return nil, false
 }
 
 // blockedChannels reports every link still holding messages, in (from, to)
@@ -935,7 +835,7 @@ func (s *Sim) deliver(c *channel) {
 	c.gated = false
 	head := s.dequeue(c)
 	s.record(model.Recv(c.to, c.from, head.id, head.payload.Tag, head.payload.Subject))
-	s.cDelivered.Inc()
+	s.core.Delivered.Inc()
 	s.inflight--
 	prevSpan := s.curSpan
 	if head.span != 0 {
@@ -1010,79 +910,40 @@ func (s *Sim) fireTimer(o occurrence) {
 		return // cancelled or replaced
 	}
 	delete(ctx.timers, o.name)
-	s.cTimersFired.Inc()
+	s.core.TimersFired.Inc()
 	s.handlers[o.proc].OnTimer(ctx, o.name)
 	s.afterEvent(o.proc)
 }
 
-// planCrash executes one crash window of a lifetime: snapshot (durable),
-// take the process down, kill its timers, record the crash, and schedule
-// the matching restart and — for periodic lifetimes — the next window.
-// A process that already crashed terminally (CrashSelf) or is still down
-// from an earlier window skips the whole window, restart included.
+// planCrash executes one crash window of a lifetime: take the process down
+// and kill its timers, then run the shared crash step, which schedules the
+// next window and the restart as occurrences. A process that already crashed
+// terminally (CrashSelf) or is still down from an earlier window skips the
+// whole window, restart included.
 func (s *Sim) planCrash(o occurrence) {
-	l := s.cfg.Lifetimes[o.lt]
-	p := l.Proc
+	p := o.proc
 	if s.crashed[p] || s.down[p] {
 		return
 	}
-	mode := s.cfg.Recovery
-	if l.Period > 0 && mode != recovery.Off {
-		if next := o.time + l.Period; l.Until == 0 || next <= l.Until {
-			s.push(occurrence{time: next, kind: occPlanCrash, proc: p, lt: o.lt})
-		}
-	}
-	if mode == recovery.Durable {
-		// Snapshot before OnCrash: the crash notification must not be able
-		// to perturb what the process will remember.
-		if r, ok := s.handlers[p].(node.Restarter); ok {
-			s.cfg.Store.Save(p, r.Snapshot())
-		}
-	}
-	if downFor := l.Restart - l.Crash; mode != recovery.Off && downFor > 0 {
-		s.push(occurrence{time: o.time + downFor, kind: occRestart, proc: p, lt: o.lt})
-	}
 	s.down[p] = true
-	s.cPlanCrashes.Inc()
 	s.ctxs[p].crashes++ // outstanding timer occurrences become stale
-	s.record(model.Crash(p))
-	if lis, ok := s.handlers[p].(node.CrashListener); ok {
-		lis.OnCrash(s.ctxs[p])
-	}
+	s.core.Crash(o.lt, o.time, s.now, s.handlers[p], s.ctxs[p], func(at int64, restart bool) {
+		kind := occPlanCrash
+		if restart {
+			kind = occRestart
+		}
+		s.push(occurrence{time: at, kind: kind, proc: p, lt: o.lt})
+	}, s.record)
 }
 
-// restart brings a down process back: record the restart event, then hand
-// the handler its crash-time snapshot (node.Restarter, durable) or
-// re-initialize it blank (amnesia, or a handler with no restart support).
+// restart brings a down process back.
 func (s *Sim) restart(o occurrence) {
 	p := o.proc
 	if s.crashed[p] || !s.down[p] {
 		return
 	}
 	s.down[p] = false
-	var st []byte
-	if s.cfg.Recovery == recovery.Durable {
-		st, _ = s.cfg.Store.Load(p)
-	}
-	s.record(model.Restart(p))
-	s.cRestarts.Inc()
-	if len(st) > 0 {
-		s.cRecovered.Inc()
-	}
-	// Restart spans are detection-grade: rare, and exactly what recovery
-	// experiments grep for — never sampled out.
-	if s.cfg.Spans != nil {
-		note := "recovery=" + s.cfg.Recovery.String()
-		if s.cfg.Recovery == recovery.Durable {
-			note = fmt.Sprintf("%s snapshot=%dB", note, len(st))
-		}
-		s.cfg.Spans.Record(obs.Span{Time: s.now, Kind: obs.SpanRestart, Proc: p, Note: note})
-	}
-	if r, ok := s.handlers[p].(node.Restarter); ok {
-		r.OnRestart(s.ctxs[p], st)
-	} else {
-		s.handlers[p].Init(s.ctxs[p])
-	}
+	s.core.Restart(p, s.now, s.handlers[p], s.ctxs[p], s.record)
 	s.afterEvent(p)
 }
 
@@ -1097,24 +958,11 @@ func (s *Sim) record(e model.Event) {
 	e.Time = s.now
 	e.Seq = len(s.history)
 	s.history = append(s.history, e)
-	switch {
-	case e.Kind == model.KindInternal && e.Tag == "suspect":
+	if e.Kind == model.KindInternal && e.Tag == "suspect" {
 		s.suspects++
-		// Detection spans are recorded unconditionally: they are rare and
-		// are the events the paper's properties are about.
-		if s.cfg.Spans != nil {
-			s.cfg.Spans.Record(obs.Span{
-				Parent: s.curSpan, Time: s.now, Kind: obs.SpanSuspect,
-				Proc: e.Proc, Target: e.Target, Tag: e.Tag,
-			})
-		}
-	case e.Kind == model.KindFailed:
-		if s.cfg.Spans != nil {
-			s.cfg.Spans.Record(obs.Span{
-				Parent: s.curSpan, Time: s.now, Kind: obs.SpanCrashConfirm,
-				Proc: e.Proc, Target: e.Target,
-			})
-		}
+	}
+	if s.cfg.Spans != nil { // checked here too: it keeps the call off the per-event path
+		s.core.Detection(s.now, s.curSpan, e)
 	}
 }
 
@@ -1174,74 +1022,29 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	s.nextMsg++
 	id := s.nextMsg
 	s.record(model.Send(c.p, to, id, p.Tag, p.Subject))
-	s.cSent.Inc()
 
-	var dec node.LinkDecision
-	if s.cfg.Link != nil {
-		dec = s.cfg.Link(c.p, to, p, s.now)
-	}
-	var parentSpan int64
-	if s.cfg.Spans != nil && s.cfg.Spans.Sampled(id) {
-		parentSpan = s.cfg.Spans.Record(obs.Span{
-			Parent: s.curSpan, Time: s.now, Kind: obs.SpanSend,
-			Proc: c.p, Peer: to, Msg: id, Tag: p.Tag, Target: p.Subject,
-		})
-		if note := dec.Note(); note != "" {
-			parentSpan = s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanFate,
-				Proc: c.p, Peer: to, Msg: id, Note: note,
-			})
+	// The link materializes with the first copy, not before: a dropped send
+	// creates no channel.
+	var ch *channel
+	var wasEmpty bool
+	s.core.Route(s.now, s.curSpan, c.p, to, id, p, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
+		if ch == nil {
+			ch = s.link(c.p, to)
+			wasEmpty = ch.n == 0
 		}
-	}
-	if dec.Drop {
-		s.cDropped.Inc()
-		if parentSpan != 0 {
-			s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanDrop,
-				Proc: c.p, Peer: to, Msg: id,
-			})
-		}
-		return
-	}
-	s.cDuplicated.Add(int64(dec.Duplicates))
-
-	// A Byzantine network may substitute what the channel carries; the send
-	// event above still records the payload the sender actually passed in.
-	wire := p
-	if dec.Replace != nil {
-		wire = dec.Replace.Payload
-	}
-
-	ch := s.link(c.p, to)
-	wasEmpty := ch.n == 0
-	enqueueCopy := func(payload node.Payload, extra int64) {
 		var delay int64
 		if s.cfg.Delay != nil {
 			delay = s.cfg.Delay(c.p, to, p, s.now)
 		} else {
 			delay = s.cfg.MinDelay + s.rng.Int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		msg := pendingMsg{id: id, payload: payload, readyAt: -1}
-		if delay >= 0 && !dec.Park {
-			msg.readyAt = s.now + delay + dec.ExtraDelay + extra
+		msg := pendingMsg{id: id, payload: wire, readyAt: -1, span: span}
+		if delay >= 0 && !park {
+			msg.readyAt = s.now + delay + extra
 		}
 		s.inflight++
-		if parentSpan != 0 {
-			msg.span = s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanEnqueue,
-				Proc: c.p, Peer: to, Msg: id,
-			})
-		}
-		s.enqueue(ch, msg, dec.Reorder)
-	}
-	for n := 0; n < dec.Copies(); n++ {
-		enqueueCopy(wire, 0)
-	}
-	if dec.Replay != nil {
-		// A Byzantine replay: a ghost copy of an earlier wire payload rides
-		// along, further delayed so it lands stale.
-		enqueueCopy(dec.Replay.Payload, dec.Replay.Delay)
-	}
+		s.enqueue(ch, msg, reorder)
+	})
 	if wasEmpty {
 		s.scheduleHead(ch)
 	}

@@ -553,12 +553,9 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 	}
 	var link node.LinkFn
 	var plane *netadv.Plane
-	var lifetimes []recovery.Lifetime
 	if cs.plan.Make != nil {
-		pl := cs.plan.Make(cell.NT.N, cell.NT.T)
-		plane = netadv.NewPlane(pl, cell.NT.N, seed)
+		plane = netadv.NewPlane(cs.plan.Make(cell.NT.N, cell.NT.T), cell.NT.N, seed)
 		link = plane.Decide
-		lifetimes = pl.Lifetimes()
 	}
 	qsize := 0
 	if cell.QuorumDelta != 0 {
@@ -578,7 +575,7 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 			Delay: delay, Link: link,
 			MaxTime: spec.MaxTime, MaxEvents: spec.MaxEvents,
 			Timeline:  timeline,
-			Lifetimes: lifetimes, Recovery: cell.Recovery,
+			Lifetimes: plane.Lifetimes(), Recovery: cell.Recovery,
 		},
 		Det: core.Config{
 			N: cell.NT.N, T: cell.NT.T,
