@@ -8,7 +8,7 @@
 //	sfs-bench                # run everything
 //	sfs-bench -run E7        # a single experiment
 //	sfs-bench -run E6,E7,E8  # a subset
-//	sfs-bench -list          # list experiment ids and titles
+//	sfs-bench -list          # list experiment ids
 package main
 
 import (
@@ -30,7 +30,7 @@ func run(args []string, out io.Writer) int {
 	fs.SetOutput(out)
 	var (
 		runIDs = fs.String("run", "", "comma-separated experiment ids (default: all)")
-		list   = fs.Bool("list", false, "list experiments and exit")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -38,9 +38,7 @@ func run(args []string, out io.Writer) int {
 	reg := experiments.Registry()
 	if *list {
 		for _, id := range experiments.IDs() {
-			res := reg[id]
-			_ = res
-			fmt.Fprintf(out, "%s\n", id)
+			fmt.Fprintln(out, id)
 		}
 		return 0
 	}

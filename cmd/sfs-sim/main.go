@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"failstop"
+	"failstop/internal/core"
 	"failstop/internal/trace"
 )
 
@@ -86,16 +87,9 @@ func run(args []string, out io.Writer) int {
 		return 2
 	}
 
-	var proto failstop.Protocol
-	switch *protoStr {
-	case "sfs":
-		proto = failstop.SFS
-	case "cheap":
-		proto = failstop.Cheap
-	case "unilateral":
-		proto = failstop.Unilateral
-	default:
-		fmt.Fprintf(out, "unknown protocol %q\n", *protoStr)
+	proto, err := core.ParseProtocol(*protoStr)
+	if err != nil {
+		fmt.Fprintln(out, err)
 		return 2
 	}
 
@@ -223,7 +217,7 @@ func run(args []string, out io.Writer) int {
 
 	rep := c.Run()
 	fmt.Fprintf(out, "run: n=%d t=%d protocol=%s seed=%d events=%d sent=%d delivered=%d quiescent=%v end=%d\n",
-		*n, *t, *protoStr, *seed, len(rep.History), rep.Sent, rep.Delivered, rep.Quiescent, rep.EndTime)
+		*n, *t, proto, *seed, len(rep.History), rep.Sent, rep.Delivered, rep.Quiescent, rep.EndTime)
 	if opts.Topology != nil && !opts.Topology.IsFull() {
 		fmt.Fprintf(out, "topology: %s\n", opts.Topology.Name())
 	}
@@ -281,7 +275,7 @@ func run(args []string, out io.Writer) int {
 			sched = append(sched, "suspect "+s)
 		}
 		hdr := trace.Header{
-			N: *n, T: *t, Protocol: *protoStr, Seed: *seed,
+			N: *n, T: *t, Protocol: proto.String(), Seed: *seed,
 			Schedule: strings.Join(sched, "; "), Plan: planLabel,
 			// The fully serialized plan, not just its name, so the trace
 			// replays without access to the builtin registry.

@@ -47,7 +47,7 @@ func TestRunWritesTrace(t *testing.T) {
 
 func TestRunCheapProtocolAndCrash(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-n", "4", "-t", "2", "-protocol", "cheap", "-crash", "1@5", "-suspect", "2:1@20"}, &out)
+	code := run([]string{"-n", "4", "-t", "2", "-protocol", "Cheap", "-crash", "1@5", "-suspect", "2:1@20"}, &out)
 	if code != 0 {
 		t.Fatalf("exit = %d:\n%s", code, out.String())
 	}

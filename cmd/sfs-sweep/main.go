@@ -110,6 +110,11 @@ func run(args []string, out io.Writer) int {
 	if *merge {
 		return runMerge(fs.Args(), *jsonOut, *csvOut, out)
 	}
+	// Spec defaulting reads a zero count as "unset" and would run one seed.
+	if *seeds < 1 {
+		fmt.Fprintf(out, "sfs-sweep: -seeds %d: need at least 1 seed per cell\n", *seeds)
+		return 2
+	}
 
 	spec := sweep.Spec{
 		Seeds:            sweep.SeedRange{Start: *seedStart, Count: *seeds},
@@ -216,34 +221,30 @@ func run(args []string, out io.Writer) int {
 // emit writes the report: text to out, and — when jsonPath or csvPath is
 // set — the machine-readable forms to those files. A path of "-" streams
 // that form to out instead, replacing the text report (at most one of the
-// two may claim stdout).
+// two may claim stdout). Every file is written before anything goes to out.
 func emit(rep *sweep.Report, jsonPath, csvPath string, out io.Writer) int {
 	if jsonPath == "-" && csvPath == "-" {
 		fmt.Fprintln(out, "sfs-sweep: -json - and -csv - both claim stdout; write at least one to a file")
 		return 2
 	}
-	if csvPath != "" && csvPath != "-" {
-		if code := writeFile(csvPath, rep.WriteCSV, out); code != 0 {
-			return code
+	forms := []struct {
+		path  string
+		write func(io.Writer) error
+	}{{csvPath, rep.WriteCSV}, {jsonPath, rep.WriteJSON}}
+	for _, f := range forms {
+		if f.path != "" && f.path != "-" {
+			if code := writeFile(f.path, f.write, out); code != 0 {
+				return code
+			}
 		}
 	}
-	if csvPath == "-" {
-		if err := rep.WriteCSV(out); err != nil {
-			fmt.Fprintln(out, err)
-			return 2
-		}
-		return 0
-	}
-	if jsonPath == "-" {
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(out, err)
-			return 2
-		}
-		return 0
-	}
-	if jsonPath != "" {
-		if code := writeFile(jsonPath, rep.WriteJSON, out); code != 0 {
-			return code
+	for _, f := range forms {
+		if f.path == "-" {
+			if err := f.write(out); err != nil {
+				fmt.Fprintln(out, err)
+				return 2
+			}
+			return 0
 		}
 	}
 	fmt.Fprintln(out, rep)
@@ -343,16 +344,11 @@ func parseGrid(s string) ([]sweep.NT, error) {
 func parseProtocols(s string) ([]core.Protocol, error) {
 	var out []core.Protocol
 	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "sfs", "simulated-fail-stop":
-			out = append(out, core.SimulatedFailStop)
-		case "cheap":
-			out = append(out, core.Cheap)
-		case "unilateral":
-			out = append(out, core.Unilateral)
-		default:
-			return nil, fmt.Errorf("unknown protocol %q (have sfs, cheap, unilateral)", name)
+		p, err := core.ParseProtocol(name)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }

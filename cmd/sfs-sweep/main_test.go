@@ -166,6 +166,79 @@ func TestSweepJSONStdout(t *testing.T) {
 	}
 }
 
+// TestSweepStdoutFormLeavesTheFile: with one form on stdout and the other
+// bound for a file — in either pairing, from a sweep or from -merge — the
+// file holds exactly the bytes that form has on its own, and stdout exactly
+// the other form.
+func TestSweepStdoutFormLeavesTheFile(t *testing.T) {
+	dir := t.TempDir()
+	shard := filepath.Join(dir, "shard.json")
+	var out bytes.Buffer
+	if code := run([]string{"-grid", "5:2", "-seeds", "2", "-json", shard}, &out); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, out.String())
+	}
+	for name, base := range map[string][]string{
+		"sweep": {"-grid", "5:2", "-seeds", "2"},
+		"merge": {"-merge", shard},
+	} {
+		alone := map[string]string{}
+		for _, form := range []string{"-json", "-csv"} {
+			var out bytes.Buffer
+			if code := run(append([]string{form, "-"}, base...), &out); code != 0 {
+				t.Fatalf("%s %s -: exit = %d:\n%s", name, form, code, out.String())
+			}
+			alone[form] = out.String()
+		}
+		for _, pair := range [][2]string{{"-csv", "-json"}, {"-json", "-csv"}} {
+			toStdout, toFile := pair[0], pair[1]
+			file := filepath.Join(dir, name+toFile)
+			var out bytes.Buffer
+			if code := run(append([]string{toStdout, "-", toFile, file}, base...), &out); code != 0 {
+				t.Fatalf("%s %s - %s f: exit = %d:\n%s", name, toStdout, toFile, code, out.String())
+			}
+			if out.String() != alone[toStdout] {
+				t.Errorf("%s %s - %s f: stdout is not the %s form alone:\n%s", name, toStdout, toFile, toStdout, out.String())
+			}
+			got, err := os.ReadFile(file)
+			if err != nil {
+				t.Errorf("%s %s - %s f: %v", name, toStdout, toFile, err)
+			} else if string(got) != alone[toFile] {
+				t.Errorf("%s %s - %s f: the file differs from the %s form alone", name, toStdout, toFile, toFile)
+			}
+		}
+	}
+}
+
+// TestSweepSeedsFlagNamed: a seed count below 1 is refused by name instead
+// of being defaulted to one seed per cell.
+func TestSweepSeedsFlagNamed(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-grid", "5:2", "-seeds", "0"}, &out); code != 2 || !strings.Contains(out.String(), "-seeds") {
+		t.Errorf("-seeds 0: exit = %d, output %q; want 2 and a message naming -seeds", code, out.String())
+	}
+}
+
+// TestSweepProtocolNames: -protocols goes through core.ParseProtocol — the
+// long alias and any letter case name the same cells as the short names.
+func TestSweepProtocolNames(t *testing.T) {
+	var long, short bytes.Buffer
+	base := []string{"-grid", "5:2", "-seeds", "2", "-schedules", "crash"}
+	if code := run(append([]string{"-protocols", " simulated-fail-stop,CHEAP"}, base...), &long); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, long.String())
+	}
+	if code := run(append([]string{"-protocols", "sfs,cheap"}, base...), &short); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, short.String())
+	}
+	if long.String() != short.String() || !strings.Contains(long.String(), "proto=cheap") {
+		t.Errorf("alias and upper-case names ran a different sweep:\n%s\n--- sfs,cheap\n%s", long.String(), short.String())
+	}
+	var bad bytes.Buffer
+	run([]string{"-protocols", "raft"}, &bad)
+	if !strings.Contains(bad.String(), "sfs, cheap, unilateral") {
+		t.Errorf("unknown protocol's message does not list the choices: %q", bad.String())
+	}
+}
+
 // TestSweepProfileFlags: -cpuprofile and -memprofile write non-empty pprof
 // files without disturbing the sweep.
 func TestSweepProfileFlags(t *testing.T) {
@@ -202,6 +275,7 @@ func TestSweepBadFlags(t *testing.T) {
 		{"-shard", "4/4"},
 		{"-shard", "-1/4"},
 		{"-shard", "0/0"}, // must not silently run the whole grid
+		{"-seeds", "-3"},
 		{"-merge"},
 		{"-merge", "/no/such/report.json"},
 	}

@@ -9,6 +9,7 @@ import (
 	"failstop"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
+	"failstop/internal/obs"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -202,8 +203,7 @@ func TestFaultPlanCrossBackend(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
-	dropped, _ := lc.Stats()
-	checkSplitBrainSemantics(t, "live", lc.History(), dropped)
+	checkSplitBrainSemantics(t, "live", lc.History(), int(lc.Metrics().Value("net_dropped_total")))
 }
 
 // TestFaultPlanDeterministicRuns: identical options including a
@@ -317,7 +317,7 @@ func TestReliableHealingPartitionCrossBackend(t *testing.T) {
 			t.Errorf("live with reliable delivery: failed_%d(1) never completed", p)
 		}
 	}
-	if retr, _ := lc.ReliableStats(); retr == 0 {
+	if lc.Metrics().Value("reliable_retransmits_total") == 0 {
 		t.Error("live backend detected across the heal without retransmitting")
 	}
 }
@@ -689,6 +689,54 @@ func TestByzantineCrossBackend(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
-	detected, _ := lc.ByzStats()
-	checkByzantineSemantics(t, "live", lc.History(), detected)
+	checkByzantineSemantics(t, "live", lc.History(), int(lc.Metrics().Value("byz_detected_total")))
+}
+
+// TestLiveMetricsCarryEveryCounter: LiveCluster.Metrics is the only way a
+// counter leaves a live run, so it must name everything the simulated run's
+// Report.Metrics names. With a process-fault plan, the reliable layer and
+// the interposer all on, every sim_/reliable_/byz_ counter of the simulated
+// snapshot has its live reading under net_/reliable_/byz_.
+func TestLiveMetricsCarryEveryCounter(t *testing.T) {
+	plan, err := failstop.BuiltinFaultPlan("restart-storm", 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := failstop.ReliableOptions{Enabled: true, MaxRetries: 3}
+	bz := failstop.ByzantineOptions{Enabled: true}
+	rep := failstop.NewCluster(failstop.Options{
+		N: 5, T: 2, Seed: 11, MaxTime: 600, Faults: &plan,
+		Recovery: failstop.RecoveryDurable, Reliable: rel, Byzantine: bz,
+	}).Run()
+
+	lc := failstop.NewLiveCluster(failstop.LiveOptions{
+		N: 5, T: 2, Seed: 11, Faults: &plan,
+		Recovery: failstop.RecoveryDurable, Reliable: rel, Byzantine: bz,
+		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+		Tick: 100 * time.Microsecond,
+	})
+	lc.Start()
+	lc.Stop()
+	live := lc.Metrics()
+
+	compared := 0
+	for _, m := range rep.Metrics {
+		name := m.Name
+		if rest, ok := strings.CutPrefix(name, "sim_"); ok {
+			name = "net_" + rest
+		} else if !strings.HasPrefix(name, "reliable_") && !strings.HasPrefix(name, "byz_") {
+			continue
+		}
+		if m.Kind != obs.KindCounter {
+			continue // sim_links_live: the simulator's lazy link table has no live counterpart
+		}
+		compared++
+		if _, ok := live.Get(name); !ok {
+			t.Errorf("the simulated run reports %s; the live snapshot has no %s", m.Name, name)
+		}
+	}
+	// 8 host counters + 2 reliable + 2 byz at the time of writing.
+	if compared < 12 {
+		t.Errorf("compared %d counters, want at least 12 (did a layer stop exporting on both backends?)", compared)
+	}
 }

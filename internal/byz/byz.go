@@ -772,50 +772,42 @@ const keySalt = 0x5b7a9e24c16f03d8
 // keyFor derives sender p's MAC key. Keys are deterministic and public:
 // the layer models integrity against third-party tampering, not secrecy.
 func keyFor(p model.ProcID) uint64 {
-	return mix(keySalt ^ uint64(p)*0x9e3779b97f4a7c15)
+	return model.Mix(keySalt ^ uint64(p)*0x9e3779b97f4a7c15)
 }
 
 // macOf authenticates one frame: a splitmix64 fold over the sender's key,
 // the header fields, and the outer payload identity.
 func macOf(sender model.ProcID, seq, bid uint64, tag string, subject model.ProcID, data []byte) uint64 {
 	h := keyFor(sender)
-	h = mix(h ^ seq)
-	h = mix(h ^ bid)
-	h = mix(h ^ hashString(tag))
-	h = mix(h ^ uint64(subject))
-	return mix(h ^ hashBytes(data))
+	h = model.Mix(h ^ seq)
+	h = model.Mix(h ^ bid)
+	h = model.Mix(h ^ hashString(tag))
+	h = model.Mix(h ^ uint64(subject))
+	return model.Mix(h ^ hashBytes(data))
 }
 
 // digestOf is the unkeyed content digest witnesses vouch for: equal
 // payloads digest equally at every receiver.
 func digestOf(tag string, subject model.ProcID, data []byte) uint64 {
-	h := mix(hashString(tag))
-	h = mix(h ^ uint64(subject))
-	return mix(h ^ hashBytes(data))
+	h := model.Mix(hashString(tag))
+	h = model.Mix(h ^ uint64(subject))
+	return model.Mix(h ^ hashBytes(data))
 }
 
 // hashString folds a string through the mixer, length-prefixed.
 func hashString(s string) uint64 {
-	h := mix(uint64(len(s)))
+	h := model.Mix(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
-		h = mix(h ^ uint64(s[i]))
+		h = model.Mix(h ^ uint64(s[i]))
 	}
 	return h
 }
 
 // hashBytes folds a byte slice through the mixer, length-prefixed.
 func hashBytes(b []byte) uint64 {
-	h := mix(uint64(len(b)))
+	h := model.Mix(uint64(len(b)))
 	for _, x := range b {
-		h = mix(h ^ uint64(x))
+		h = model.Mix(h ^ uint64(x))
 	}
 	return h
-}
-
-// mix is splitmix64's output mix — the module's standard bit mixer.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

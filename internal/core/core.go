@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -65,18 +66,41 @@ const (
 	Unilateral
 )
 
+// protocolNames is the one name↔value table: String renders a row's first
+// name, ParseProtocol accepts any of them.
+var protocolNames = []struct {
+	p     Protocol
+	names []string
+}{
+	{SimulatedFailStop, []string{"sfs", "simulated-fail-stop"}},
+	{Cheap, []string{"cheap"}},
+	{Unilateral, []string{"unilateral"}},
+}
+
 // String names the protocol.
 func (p Protocol) String() string {
-	switch p {
-	case SimulatedFailStop:
-		return "sfs"
-	case Cheap:
-		return "cheap"
-	case Unilateral:
-		return "unilateral"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(p))
+	for _, row := range protocolNames {
+		if row.p == p {
+			return row.names[0]
+		}
 	}
+	return fmt.Sprintf("protocol(%d)", int(p))
+}
+
+// ParseProtocol is the inverse of String. Names are trimmed and matched
+// case-insensitively.
+func ParseProtocol(s string) (Protocol, error) {
+	name := strings.ToLower(strings.TrimSpace(s))
+	var have []string
+	for _, row := range protocolNames {
+		for _, n := range row.names {
+			if n == name {
+				return row.p, nil
+			}
+		}
+		have = append(have, row.names[0])
+	}
+	return 0, fmt.Errorf("unknown protocol %q (have %s)", s, strings.Join(have, ", "))
 }
 
 // QuorumPolicy selects how the §5 protocol decides a quorum is complete.
@@ -514,11 +538,6 @@ func (d *Detector) ForEachPeer(fn func(q model.ProcID)) {
 // counts toward this detector's quorums — N under the complete graph, the
 // neighborhood size plus one under a partial topology. Valid after Init.
 func (d *Detector) PoolSize() int { return d.pool.Size() }
-
-// QuorumThreshold returns the effective FixedQuorum completion size for
-// this process: Config.QuorumSize if set, else the Theorem 7 minimum over
-// the process's pool. Valid after Init.
-func (d *Detector) QuorumThreshold() int { return d.threshold }
 
 // encodeProcIDs packs process ids one byte each (ids are <= 255).
 func encodeProcIDs(ps []model.ProcID) []byte {

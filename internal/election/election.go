@@ -48,12 +48,11 @@ type Election struct {
 	// broadcasts. 0 disables claiming (pure list maintenance).
 	ClaimInterval int64
 
-	self        model.ProcID
-	n           int
-	removed     map[model.ProcID]bool
-	leader      bool
-	staleClaims int
-	claimsSeen  int
+	self       model.ProcID
+	n          int
+	removed    map[model.ProcID]bool
+	leader     bool
+	claimsSeen int
 }
 
 var _ core.App = (*Election)(nil)
@@ -83,10 +82,6 @@ func (e *Election) Head() model.ProcID {
 // Leader reports whether this process currently believes it is the leader.
 func (e *Election) Leader() bool { return e.leader }
 
-// StaleClaims returns the number of leadership claims this process received
-// from a claimant it did not consider leader.
-func (e *Election) StaleClaims() int { return e.staleClaims }
-
 // ClaimsSeen returns the number of leadership claims received.
 func (e *Election) ClaimsSeen() int { return e.claimsSeen }
 
@@ -111,7 +106,6 @@ func (e *Election) OnAppMessage(ctx node.Context, d *core.Detector, from model.P
 	}
 	e.claimsSeen++
 	if e.Head() != from {
-		e.staleClaims++
 		ctx.EmitInternal(StaleClaimTag, from)
 	}
 }

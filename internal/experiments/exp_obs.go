@@ -72,7 +72,7 @@ func E14() Result {
 			p := drops[i%len(drops)]
 			fs := cell.Metrics["false-suspicion"]
 			rates[to][p] = fs
-			tbl.Row(to, fmt.Sprintf("%.2f", p), fmt.Sprintf("%d/%d", fs, cell.Runs), cell.Dropped)
+			tbl.Row(to, fmt.Sprintf("%.2f", p), fmt.Sprintf("%d/%d", fs, cell.Runs), cell.Obs["sim_dropped_total"])
 		}
 	}
 

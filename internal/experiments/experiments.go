@@ -13,7 +13,7 @@ import (
 
 // Result is the outcome of one experiment.
 type Result struct {
-	// ID is the experiment identifier (E1..E15).
+	// ID is the experiment identifier (E1..E16, A1..A3).
 	ID string
 	// Title names the paper artifact being reproduced.
 	Title string
@@ -94,14 +94,4 @@ func IDs() []string {
 		return na < nb
 	})
 	return ids
-}
-
-// All runs every experiment in order.
-func All() []Result {
-	out := make([]Result, 0, len(Registry()))
-	reg := Registry()
-	for _, id := range IDs() {
-		out = append(out, reg[id]())
-	}
-	return out
 }

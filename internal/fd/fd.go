@@ -17,8 +17,6 @@
 package fd
 
 import (
-	"fmt"
-
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -223,15 +221,4 @@ func (a *Adaptive) OnTimer(ctx node.Context, d *core.Detector, name string) {
 		})
 		ctx.SetTimer(timerCheck, a.Interval)
 	}
-}
-
-// Describe returns a short human-readable description of the component,
-// used in experiment table headers.
-func (h *Heartbeat) Describe() string {
-	return fmt.Sprintf("heartbeat(interval=%d, timeout=%d)", h.Interval, h.Timeout)
-}
-
-// Describe returns a short human-readable description of the component.
-func (a *Adaptive) Describe() string {
-	return fmt.Sprintf("adaptive(interval=%d, phi=%.1f)", a.Interval, a.Phi)
 }

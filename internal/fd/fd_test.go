@@ -164,14 +164,3 @@ func TestHeartbeatPanicsWithoutInterval(t *testing.T) {
 		sim.Config{N: 2, Seed: 1, MaxTime: 10})
 	c.Run()
 }
-
-func TestDescribe(t *testing.T) {
-	h := &fd.Heartbeat{Interval: 10, Timeout: 50}
-	if h.Describe() != "heartbeat(interval=10, timeout=50)" {
-		t.Errorf("Describe() = %q", h.Describe())
-	}
-	a := &fd.Adaptive{Interval: 10, Phi: 3}
-	if a.Describe() != "adaptive(interval=10, phi=3.0)" {
-		t.Errorf("Describe() = %q", a.Describe())
-	}
-}

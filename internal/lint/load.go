@@ -57,9 +57,6 @@ type Package struct {
 	prog *Program
 }
 
-// Fset returns the file set all positions in the package resolve against.
-func (p *Package) Fset() *token.FileSet { return fset }
-
 // Program loads and caches the packages of one module. It implements
 // types.Importer for module-local and standard-library paths.
 type Program struct {

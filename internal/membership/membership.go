@@ -38,11 +38,10 @@ type Service struct {
 	// 0 disables gossip.
 	GossipInterval int64
 
-	self       model.ProcID
-	n          int
-	out        map[model.ProcID]bool // processes removed from the view
-	violations int
-	gossips    int
+	self    model.ProcID
+	n       int
+	out     map[model.ProcID]bool // processes removed from the view
+	gossips int
 }
 
 var _ core.App = (*Service)(nil)
@@ -68,9 +67,6 @@ func (s *Service) View() []model.ProcID {
 	return view
 }
 
-// Violations returns the number of monotonicity violations observed.
-func (s *Service) Violations() int { return s.violations }
-
 // GossipsReceived returns the number of view messages received.
 func (s *Service) GossipsReceived() int { return s.gossips }
 
@@ -93,7 +89,6 @@ func (s *Service) OnAppMessage(ctx node.Context, d *core.Detector, from model.Pr
 			// The sender had removed p when it sent this message, yet we
 			// still consider p alive: information traveled slower than the
 			// message — impossible under sFS2d.
-			s.violations++
 			ctx.EmitInternal(ViolationTag, p)
 		}
 	}

@@ -142,45 +142,12 @@ func (h History) FailedIndex(i, j ProcID) int {
 	return -1
 }
 
-// SendIndex returns the index of the send event for message id, or -1.
-func (h History) SendIndex(id MsgID) int {
-	for i, e := range h {
-		if e.Kind == KindSend && e.Msg == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// RecvIndex returns the index of the receive event for message id, or -1.
-func (h History) RecvIndex(id MsgID) int {
-	for i, e := range h {
-		if e.Kind == KindRecv && e.Msg == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// Crashed returns the set of processes that crash in h at least once —
-// including processes that later restart. For the set still down when the
-// history ends, use DownAtEnd.
-func (h History) Crashed() map[ProcID]bool {
-	out := make(map[ProcID]bool)
-	for _, e := range h {
-		if e.Kind == KindCrash {
-			out[e.Proc] = true
-		}
-	}
-	return out
-}
-
 // DownAtEnd returns the set of processes that are crashed when the history
 // ends: a crash puts a process in the set, a restart (internal TagRestart
-// event) takes it out again. For histories without restarts this equals
-// Crashed. FS1-style completeness accounting uses this set on both sides:
-// a process that crashed but restarted is live again, so it neither needs
-// detecting nor is excused from detecting others.
+// event) takes it out again. For histories without restarts this is every
+// process that crashed. FS1-style completeness accounting uses this set on
+// both sides: a process that crashed but restarted is live again, so it
+// neither needs detecting nor is excused from detecting others.
 func (h History) DownAtEnd() map[ProcID]bool {
 	out := make(map[ProcID]bool)
 	for _, e := range h {

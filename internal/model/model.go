@@ -177,14 +177,13 @@ func (e Event) Same(o Event) bool {
 		e.Target == o.Target && e.Msg == o.Msg && e.Tag == o.Tag
 }
 
-// IsSend reports whether the event is a send event.
-func (e Event) IsSend() bool { return e.Kind == KindSend }
-
-// IsRecv reports whether the event is a receive event.
-func (e Event) IsRecv() bool { return e.Kind == KindRecv }
-
-// IsCrash reports whether the event is a crash event.
-func (e Event) IsCrash() bool { return e.Kind == KindCrash }
-
-// IsFailed reports whether the event is a failure-detection event.
-func (e Event) IsFailed() bool { return e.Kind == KindFailed }
+// Mix is splitmix64's output mix, the module's one bit mixer: the fault
+// plane's decision streams, the interposer's MACs, span sampling and gossip
+// peer draws are all functions of it, so recorded runs depend on its exact
+// constants.
+func Mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -69,18 +69,6 @@ func TestEventSame(t *testing.T) {
 	}
 }
 
-func TestEventPredicates(t *testing.T) {
-	if !Send(1, 2, 1, "x", None).IsSend() || Send(1, 2, 1, "x", None).IsRecv() {
-		t.Error("IsSend/IsRecv misclassify send")
-	}
-	if !Recv(1, 2, 1, "x", None).IsRecv() {
-		t.Error("IsRecv misclassifies recv")
-	}
-	if !Crash(1).IsCrash() || !Failed(1, 2).IsFailed() {
-		t.Error("IsCrash/IsFailed misclassify")
-	}
-}
-
 func TestHistoryString(t *testing.T) {
 	h := History{Failed(2, 1), Crash(1)}
 	s := h.String()

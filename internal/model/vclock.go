@@ -7,13 +7,6 @@ type VClock []int64
 // NewVClock returns a zeroed vector clock for n processes.
 func NewVClock(n int) VClock { return make(VClock, n+1) }
 
-// Clone returns a copy of the clock.
-func (v VClock) Clone() VClock {
-	c := make(VClock, len(v))
-	copy(c, v)
-	return c
-}
-
 // Join sets v to the componentwise maximum of v and o.
 func (v VClock) Join(o VClock) {
 	for i := range v {
@@ -21,20 +14,6 @@ func (v VClock) Join(o VClock) {
 			v[i] = o[i]
 		}
 	}
-}
-
-// LessEq reports whether v ≤ o componentwise.
-func (v VClock) LessEq(o VClock) bool {
-	for i := range v {
-		var ov int64
-		if i < len(o) {
-			ov = o[i]
-		}
-		if v[i] > ov {
-			return false
-		}
-	}
-	return true
 }
 
 // HB computes happens-before over a history. It is built once per history
@@ -90,15 +69,6 @@ func (hb *HB) Before(a, b int) bool {
 	}
 	return hb.clocks[a][pa] <= cb[pa]
 }
-
-// Concurrent reports whether the events at indexes a and b are unordered by
-// happens-before.
-func (hb *HB) Concurrent(a, b int) bool {
-	return a != b && !hb.Before(a, b) && !hb.Before(b, a)
-}
-
-// Clock returns the vector clock of the event at index k (shared, not a copy).
-func (hb *HB) Clock(k int) VClock { return hb.clocks[k] }
 
 // BeforeBFS is a reference implementation of happens-before that walks the
 // event DAG (program-order edges plus send→receive edges) instead of using

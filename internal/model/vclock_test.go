@@ -13,31 +13,9 @@ func TestVClockBasics(t *testing.T) {
 	v[1], v[2] = 5, 1
 	o := NewVClock(3)
 	o[1], o[3] = 2, 7
-	j := v.Clone()
-	j.Join(o)
-	if j[1] != 5 || j[2] != 1 || j[3] != 7 {
-		t.Errorf("Join = %v", j)
-	}
-	if !v.LessEq(j) || !o.LessEq(j) {
-		t.Error("join must dominate both operands")
-	}
-	if j.LessEq(v) {
-		t.Error("j must not be <= v")
-	}
-	// Clone independence.
-	c := v.Clone()
-	c[1] = 100
-	if v[1] == 100 {
-		t.Error("Clone shares storage")
-	}
-	// LessEq with shorter other: missing components are zero.
-	long := VClock{0, 1, 0}
-	short := VClock{0}
-	if long.LessEq(short) {
-		t.Error("nonzero clock must not be <= zero clock")
-	}
-	if !short.LessEq(long) {
-		t.Error("zero clock must be <= any clock")
+	v.Join(o)
+	if v[1] != 5 || v[2] != 1 || v[3] != 7 {
+		t.Errorf("Join = %v", v)
 	}
 }
 
@@ -81,14 +59,12 @@ func TestHappensBeforeConcurrency(t *testing.T) {
 		Recv(2, 1, 1, "a", None), // 2
 	}.Normalize()
 	hb := NewHB(h)
-	if !hb.Concurrent(0, 1) || !hb.Concurrent(1, 2) {
+	concurrent := func(a, b int) bool { return !hb.Before(a, b) && !hb.Before(b, a) }
+	if !concurrent(0, 1) || !concurrent(1, 2) {
 		t.Error("events of isolated process must be concurrent with others")
 	}
-	if hb.Concurrent(0, 2) {
+	if concurrent(0, 2) {
 		t.Error("send and matching recv are ordered")
-	}
-	if hb.Concurrent(0, 0) {
-		t.Error("an event is not concurrent with itself")
 	}
 	if !hb.Before(0, 0) {
 		t.Error("happens-before is reflexive (paper convention)")
@@ -105,16 +81,6 @@ func TestHappensBeforeReflexive(t *testing.T) {
 		if !BeforeBFS(h, i, i) {
 			t.Errorf("BeforeBFS(%d,%d) = false, want reflexive true", i, i)
 		}
-	}
-}
-
-func TestClockExposed(t *testing.T) {
-	h := chainHistory()
-	hb := NewHB(h)
-	c := hb.Clock(5)
-	// Event 5 is causally after one event of 1, two of 2, and two of 3.
-	if c[1] != 2 || c[2] != 2 || c[3] != 2 {
-		t.Errorf("Clock(5) = %v, want [_, 2, 2, 2]", c)
 	}
 }
 

@@ -303,5 +303,5 @@ func sealedBodyOffset(data []byte) (off int, ok bool) {
 // rules' shared stream and of every other Byzantine rule.
 func newByzStream(seed int64, rule int, l Link, idx uint64) stream {
 	const byzSalt = 0x7c3d1e9a55f20b64
-	return newStream(int64(mix(uint64(seed)^byzSalt^uint64(rule)*0x9e3779b97f4a7c15)), l, idx)
+	return newStream(int64(model.Mix(uint64(seed)^byzSalt^uint64(rule)*0x9e3779b97f4a7c15)), l, idx)
 }

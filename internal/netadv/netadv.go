@@ -623,9 +623,6 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 	return pl
 }
 
-// Plan returns the plan the plane was built from.
-func (pl *Plane) Plan() Plan { return pl.plan }
-
 // Lifetimes returns the process-fault schedule of the plane's plan (see
 // Plan.Lifetimes), so a host is configured from the plane alone: Decide as
 // its link function, Lifetimes as its process faults. A nil plane has none.
@@ -805,21 +802,14 @@ type stream struct{ x uint64 }
 
 func newStream(seed int64, l Link, idx uint64) stream {
 	x := uint64(seed)
-	x = mix(x ^ uint64(l.From)*0x9e3779b97f4a7c15)
-	x = mix(x ^ uint64(l.To)*0xbf58476d1ce4e5b9)
-	x = mix(x ^ idx*0x94d049bb133111eb)
+	x = model.Mix(x ^ uint64(l.From)*0x9e3779b97f4a7c15)
+	x = model.Mix(x ^ uint64(l.To)*0xbf58476d1ce4e5b9)
+	x = model.Mix(x ^ idx*0x94d049bb133111eb)
 	return stream{x: x}
 }
 
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 func (s *stream) uint64() uint64 {
-	s.x = mix(s.x)
+	s.x = model.Mix(s.x)
 	return s.x
 }
 

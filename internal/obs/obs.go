@@ -149,11 +149,6 @@ type Metric struct {
 // Metrics is a snapshot: a name-sorted list of metric readings.
 type Metrics []Metric
 
-// Sort orders the snapshot by name (the canonical rendering order).
-func (ms Metrics) Sort() {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-}
-
 // Get returns the metric with the given name, if present.
 func (ms Metrics) Get(name string) (Metric, bool) {
 	for _, m := range ms {
@@ -335,14 +330,6 @@ func (r *Registry) RegisterGauge(name string, g *Gauge) {
 		return
 	}
 	r.register(name, &entry{kind: KindGauge, g: g})
-}
-
-// RegisterHistogram exposes an externally-owned histogram under name.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	if r == nil {
-		return
-	}
-	r.register(name, &entry{kind: KindHistogram, h: h})
 }
 
 // Snapshot reads every instrument and returns a name-sorted Metrics. A nil

@@ -227,7 +227,7 @@ func TestSpanRecorderSequentialIDs(t *testing.T) {
 		t.Errorf("ids = %d, %d, want 1, 2", id1, id2)
 	}
 	spans := r.Spans()
-	if len(spans) != 2 || r.Len() != 2 {
+	if len(spans) != 2 {
 		t.Fatalf("recorded %d spans, want 2", len(spans))
 	}
 	if spans[0].ID != 1 || spans[1].ID != 2 || spans[1].Parent != 1 {
@@ -243,7 +243,7 @@ func TestNilSpanRecorderSafe(t *testing.T) {
 	if id := r.Record(Span{Kind: SpanSend}); id != 0 {
 		t.Errorf("nil recorder returned id %d", id)
 	}
-	if r.Len() != 0 || r.Spans() != nil || r.Rate() != 0 {
+	if r.Spans() != nil {
 		t.Error("nil recorder not inert")
 	}
 }

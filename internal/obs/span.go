@@ -95,23 +95,6 @@ func NewSpanRecorder(seed int64, rate float64) *SpanRecorder {
 	return &SpanRecorder{seed: uint64(seed), rate: rate}
 }
 
-// Rate returns the sampling rate the recorder was built with.
-func (r *SpanRecorder) Rate() float64 {
-	if r == nil {
-		return 0
-	}
-	return r.rate
-}
-
-// mixSpan is splitmix64's output mix, the same generator family the fault
-// plane uses; one application turns (seed, msg) into an unbiased word.
-func mixSpan(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Sampled reports whether msg's lifecycle is recorded under this
 // recorder's (seed, rate).
 func (r *SpanRecorder) Sampled(msg model.MsgID) bool {
@@ -121,7 +104,7 @@ func (r *SpanRecorder) Sampled(msg model.MsgID) bool {
 	if r.rate >= 1 {
 		return true
 	}
-	u := mixSpan(r.seed ^ mixSpan(uint64(msg)))
+	u := model.Mix(r.seed ^ model.Mix(uint64(msg)))
 	return float64(u>>11)/(1<<53) < r.rate
 }
 
@@ -138,16 +121,6 @@ func (r *SpanRecorder) Record(s Span) int64 {
 	r.spans = append(r.spans, s)
 	r.mu.Unlock()
 	return s.ID
-}
-
-// Len returns the number of spans recorded so far.
-func (r *SpanRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
 }
 
 // Spans returns a copy of the recorded spans in ID order.

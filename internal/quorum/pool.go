@@ -62,7 +62,3 @@ func (p Pool) Counts(q model.ProcID) bool {
 	}
 	return p.top.Contains(p.self, q)
 }
-
-// Partial reports whether the pool is a strict neighborhood rather than
-// the global membership.
-func (p Pool) Partial() bool { return p.top != nil }

@@ -10,7 +10,7 @@ import (
 func TestPoolGlobal(t *testing.T) {
 	for _, top := range []*topo.Topology{nil, topo.MustNew(topo.Spec{}, 10)} {
 		p := PoolOf(top, 3, 10, 3)
-		if p.Partial() {
+		if p.top != nil {
 			t.Fatalf("full-mesh pool reports Partial")
 		}
 		if p.Size() != 10 {
@@ -29,7 +29,7 @@ func TestPoolPartial(t *testing.T) {
 	top := topo.MustNew(topo.Spec{Kind: topo.KindGossip, Fanout: 3, Seed: 5}, 50)
 	self := model.ProcID(7)
 	p := PoolOf(top, self, 50, 3)
-	if !p.Partial() {
+	if p.top == nil {
 		t.Fatal("gossip pool not Partial")
 	}
 	deg := top.Degree(self)

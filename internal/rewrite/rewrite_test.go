@@ -48,7 +48,7 @@ func TestGraphRewriteSimple(t *testing.T) {
 	if err := rewrite.Verify(h, out); err != nil {
 		t.Fatal(err)
 	}
-	if !out[0].IsCrash() {
+	if out[0].Kind != model.KindCrash {
 		t.Errorf("crash must come first, got %s", out[0])
 	}
 }

@@ -196,15 +196,6 @@ func (n *Net) Stop() {
 	}
 }
 
-// Run is a convenience for examples: Start, let the network run for d,
-// then Stop and return the recorded history.
-func (n *Net) Run(d time.Duration) model.History {
-	n.Start()
-	time.Sleep(d)
-	n.Stop()
-	return n.History()
-}
-
 // History returns a snapshot of the recorded history.
 func (n *Net) History() model.History {
 	n.recMu.Lock()
@@ -241,24 +232,11 @@ func (n *Net) delay() time.Duration {
 	return n.cfg.MinDelay + time.Duration(n.rng.Int63n(span+1))
 }
 
-// Stats returns the network-fault counters: messages dropped by Config.Link
-// and extra copies it injected.
-func (n *Net) Stats() (dropped, duplicated int) {
-	return int(n.core.Dropped.Value()), int(n.core.Duplicated.Value())
-}
-
 // Metrics returns a name-sorted live snapshot of the runtime's counters,
 // including the interposer layers' when any handler carries them. Safe to
 // call while the network runs.
 func (n *Net) Metrics() obs.Metrics {
 	return n.core.Snapshot(host.LayerStats(n.handlers))
-}
-
-// RecoveryStats returns the process-fault counters: crashes executed from
-// Config.Lifetimes, restarts that followed, and restarts that restored a
-// non-empty durable snapshot. Safe to call while the network runs.
-func (n *Net) RecoveryStats() (planCrashes, restarts, recovered int) {
-	return int(n.core.PlanCrashes.Value()), int(n.core.Restarts.Value()), int(n.core.Recovered.Value())
 }
 
 // afterTicks schedules fn after d ticks, retaining the timer so Stop can
@@ -300,25 +278,6 @@ func (n *Net) planCrash(idx int, at int64) {
 			n.afterTicks(when-n.nowTicks(), due)
 		}, n.record)
 	})
-}
-
-// ReliableStats aggregates the reliable-delivery counters across every
-// handler that carries the layer: frames retransmitted, and received
-// duplicates suppressed after re-acking. Both are 0 when no handler wraps
-// an Endpoint. Safe to call while the network runs — the layer's counters
-// are atomic.
-func (n *Net) ReliableStats() (retransmits, ackedDuplicates int) {
-	l := host.LayerStats(n.handlers)
-	return l.Retransmits, l.AckedDuplicates
-}
-
-// ByzStats aggregates the Byzantine validation interposer's counters
-// across every handler that carries the layer: misbehavior convictions,
-// and frames discarded from convicted senders. Both are 0 when no handler
-// wraps one. Safe to call while the network runs.
-func (n *Net) ByzStats() (detected, masked int) {
-	l := host.LayerStats(n.handlers)
-	return l.ByzDetected, l.ByzMasked
 }
 
 // liveMsg is a queued message on a live channel.

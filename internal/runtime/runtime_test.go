@@ -251,14 +251,3 @@ func TestStopIdempotent(t *testing.T) {
 	net.Stop()
 	net.Stop() // must not panic or deadlock
 }
-
-func TestRunConvenience(t *testing.T) {
-	net := runtime.New(fastCfg(2, 7))
-	net.SetHandler(1, &collector{})
-	net.SetHandler(2, &collector{})
-	net.Do(1, func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "X"}) })
-	h := net.Run(20 * time.Millisecond)
-	if err := h.Validate(); err != nil {
-		t.Errorf("invalid history: %v", err)
-	}
-}

@@ -511,9 +511,6 @@ func (s *Sim) SetHandler(p model.ProcID, h node.Handler) {
 	s.handlers[p] = h
 }
 
-// Handler returns the handler attached to p.
-func (s *Sim) Handler(p model.ProcID) node.Handler { return s.handlers[p] }
-
 // At schedules fn to run in the context of process p at virtual time t.
 // If p has crashed by then, fn is skipped. Injections at equal times run in
 // the order they were registered.

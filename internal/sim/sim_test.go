@@ -209,7 +209,7 @@ func TestCrashedProcessActsNoMore(t *testing.T) {
 	if err := res.History.Validate(); err != nil {
 		t.Fatalf("invalid history: %v\n%s", err, res.History)
 	}
-	if len(res.History) != 1 || !res.History[0].IsCrash() {
+	if len(res.History) != 1 || res.History[0].Kind != model.KindCrash {
 		t.Errorf("history = %s, want exactly crash_1", res.History)
 	}
 }
@@ -318,10 +318,10 @@ func TestGateDefersReceiveUntilStateChanges(t *testing.T) {
 	// recorded history, even though APP was sent first.
 	appIdx, openIdx := -1, -1
 	for i, e := range res.History {
-		if e.IsRecv() && e.Tag == "APP" {
+		if e.Kind == model.KindRecv && e.Tag == "APP" {
 			appIdx = i
 		}
-		if e.IsRecv() && e.Tag == "OPEN" {
+		if e.Kind == model.KindRecv && e.Tag == "OPEN" {
 			openIdx = i
 		}
 	}

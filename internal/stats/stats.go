@@ -81,15 +81,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ints converts integer samples for Summarize.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // Table renders fixed-width text tables.
 type Table struct {
 	headers []string

@@ -46,13 +46,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestInts(t *testing.T) {
-	xs := Ints([]int{1, 2})
-	if len(xs) != 2 || xs[0] != 1 || xs[1] != 2 {
-		t.Errorf("Ints = %v", xs)
-	}
-}
-
 // Property: Min <= Median <= P95 <= P99 <= P999 <= Max and Mean within
 // [Min, Max] — the full quantile ladder the observability plane exposes.
 func TestSummaryOrdering(t *testing.T) {

@@ -183,14 +183,14 @@ func TestByzantineAxisStableAcrossWorkers(t *testing.T) {
 	}
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
-		if c.Corrupted == 0 && c.Equivocated == 0 {
+		if c.Obs["plane_byz_corrupted_total"] == 0 && c.Obs["plane_byz_equivocated_total"] == 0 {
 			t.Errorf("cell %q: plan injected no Byzantine faults", c.Cell.String())
 		}
-		if c.Cell.Byzantine && c.ByzDetected == 0 {
+		if c.Cell.Byzantine && c.Obs["byz_detected_total"] == 0 {
 			t.Errorf("cell %q: interposer on but no convictions", c.Cell.String())
 		}
-		if !c.Cell.Byzantine && (c.ByzDetected != 0 || c.ByzMasked != 0) {
-			t.Errorf("cell %q: interposer off but det=%d masked=%d", c.Cell.String(), c.ByzDetected, c.ByzMasked)
+		if !c.Cell.Byzantine && (c.Obs["byz_detected_total"] != 0 || c.Obs["byz_masked_total"] != 0) {
+			t.Errorf("cell %q: interposer off but det=%d masked=%d", c.Cell.String(), c.Obs["byz_detected_total"], c.Obs["byz_masked_total"])
 		}
 	}
 	for _, c := range []struct{ procs, workers int }{{1, 4}, {runtime.NumCPU(), 8}} {

@@ -118,11 +118,11 @@ func TestSplitBrainStarvesMinorityQuorum(t *testing.T) {
 		t.Errorf("quorum-starved on %d/%d runs, want all: minimum quorum is 3 but the minority half has 2",
 			c.Metrics["quorum-starved"], c.Runs)
 	}
-	if c.Dropped == 0 {
+	if c.Obs["sim_dropped_total"] == 0 {
 		t.Error("no dropped messages despite a permanent partition")
 	}
-	if c.Duplicated != 0 {
-		t.Errorf("split-brain duplicated %d messages", c.Duplicated)
+	if c.Obs["sim_duplicated_total"] != 0 {
+		t.Errorf("split-brain duplicated %d messages", c.Obs["sim_duplicated_total"])
 	}
 }
 
@@ -160,11 +160,11 @@ func TestHealingPartitionUnstarves(t *testing.T) {
 		t.Errorf("with reliable delivery: quorum-starved on %d/%d runs after the heal, want none",
 			rel.Metrics["quorum-starved"], rel.Runs)
 	}
-	if rel.Retransmits == 0 {
+	if rel.Obs["reliable_retransmits_total"] == 0 {
 		t.Error("reliable cell recovered the detection without retransmitting anything")
 	}
-	if bare.Retransmits != 0 {
-		t.Errorf("bare cell reported %d retransmits", bare.Retransmits)
+	if bare.Obs["reliable_retransmits_total"] != 0 {
+		t.Errorf("bare cell reported %d retransmits", bare.Obs["reliable_retransmits_total"])
 	}
 }
 
@@ -211,7 +211,7 @@ func TestFlakyQuorumDropsAndStillCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &rep.Cells[0]
-	if c.Dropped == 0 {
+	if c.Obs["sim_dropped_total"] == 0 {
 		t.Error("flaky-quorum dropped nothing")
 	}
 	if _, ok := c.Metrics["quorum-starved"]; !ok {

@@ -49,31 +49,6 @@ type CellResult struct {
 	// Checked counts runs whose history went through the checker (the
 	// quiescent runs, when Spec.Check is set).
 	Checked int `json:"checked"`
-	// Dropped and Duplicated total the messages the network fault plan
-	// discarded and the extra copies it injected, over all runs of the cell.
-	Dropped    int `json:"dropped"`
-	Duplicated int `json:"duplicated"`
-	// Retransmits and AckedDuplicates total the reliable-delivery layer's
-	// counters over all runs of the cell (0 for cells without the layer).
-	Retransmits     int `json:"retransmits"`
-	AckedDuplicates int `json:"acked_duplicates"`
-	// PlanCrashes, Restarts, and Recovered total the crash-recovery
-	// subsystem's counters over all runs of the cell: plan-scheduled
-	// crashes executed, restarts executed, and restarts that restored a
-	// non-empty durable snapshot (0 for cells without process faults).
-	PlanCrashes int `json:"plan_crashes"`
-	Restarts    int `json:"restarts"`
-	Recovered   int `json:"recovered"`
-	// ByzDetected and ByzMasked total the validation interposer's counters
-	// over all runs of the cell: convictions issued and forged/duplicate/
-	// masked-sender frames discarded (0 for cells without the interposer).
-	// Corrupted, Equivocated, and Replayed total the fault plane's
-	// Byzantine injection counters (0 for plans without Byzantine rules).
-	ByzDetected int `json:"byz_detected"`
-	ByzMasked   int `json:"byz_masked"`
-	Corrupted   int `json:"corrupted"`
-	Equivocated int `json:"equivocated"`
-	Replayed    int `json:"replayed"`
 	// Holds counts, per property, the checked runs on which it held.
 	Holds map[string]int `json:"holds"`
 	// Metrics counts, per custom metric, the runs on which it was true.
@@ -81,9 +56,9 @@ type CellResult struct {
 	// Obs totals the runs' observability counters (the simulator's
 	// snapshot merged, under a fault plan, with the fault plane's) over
 	// all runs of the cell, keyed by metric name. Histogram-kind metrics
-	// carry no total and are not aggregated here. It is the source of
-	// every counter column of the report and of the twelve counter fields
-	// above, which are copies kept for the wire format (see columns).
+	// carry no total and are not aggregated here. It is the one place a
+	// counter total lives: every counter column of the report reads it
+	// (see columns).
 	Obs map[string]int64 `json:"obs"`
 	// Events and EndTimes summarize run length in events and virtual time.
 	Events   stats.Summary `json:"events"`
@@ -191,30 +166,27 @@ const (
 
 // column is one per-cell counter of the report, read from CellResult.Obs.
 // The table is the one place a counter is named: a metric some layer
-// already exports becomes a text and CSV column by adding a row. field is
-// set for the counters that are also CellResult fields (the -json wire
-// format predates Obs); finalize fills it from Obs.
+// already exports becomes a text and CSV column by adding a row.
 type column struct {
 	metric  string // key in CellResult.Obs
 	heading string // CellTable heading
 	csv     string // WriteCSV column name
 	group   group
-	field   func(*CellResult) *int
 }
 
 var columns = []column{
-	{"sim_dropped_total", "dropped", "dropped", groupPlan, func(c *CellResult) *int { return &c.Dropped }},
-	{"sim_duplicated_total", "duplicated", "duplicated", groupPlan, func(c *CellResult) *int { return &c.Duplicated }},
-	{"reliable_retransmits_total", "retransmits", "retransmits", groupReliable, func(c *CellResult) *int { return &c.Retransmits }},
-	{"reliable_acked_duplicates_total", "acked-dup", "acked_duplicates", groupReliable, func(c *CellResult) *int { return &c.AckedDuplicates }},
-	{"sim_plan_crashes_total", "crashes", "plan_crashes", groupRecovery, func(c *CellResult) *int { return &c.PlanCrashes }},
-	{"sim_restarts_total", "restarts", "restarts", groupRecovery, func(c *CellResult) *int { return &c.Restarts }},
-	{"sim_recovered_total", "recovered", "recovered", groupRecovery, func(c *CellResult) *int { return &c.Recovered }},
-	{"byz_detected_total", "byz-detected", "byz_detected", groupByz, func(c *CellResult) *int { return &c.ByzDetected }},
-	{"byz_masked_total", "byz-masked", "byz_masked", groupByz, func(c *CellResult) *int { return &c.ByzMasked }},
-	{"plane_byz_corrupted_total", "corrupted", "corrupted", groupByz, func(c *CellResult) *int { return &c.Corrupted }},
-	{"plane_byz_equivocated_total", "equivocated", "equivocated", groupByz, func(c *CellResult) *int { return &c.Equivocated }},
-	{"plane_byz_replayed_total", "replayed", "replayed", groupByz, func(c *CellResult) *int { return &c.Replayed }},
+	{"sim_dropped_total", "dropped", "dropped", groupPlan},
+	{"sim_duplicated_total", "duplicated", "duplicated", groupPlan},
+	{"reliable_retransmits_total", "retransmits", "retransmits", groupReliable},
+	{"reliable_acked_duplicates_total", "acked-dup", "acked_duplicates", groupReliable},
+	{"sim_plan_crashes_total", "crashes", "plan_crashes", groupRecovery},
+	{"sim_restarts_total", "restarts", "restarts", groupRecovery},
+	{"sim_recovered_total", "recovered", "recovered", groupRecovery},
+	{"byz_detected_total", "byz-detected", "byz_detected", groupByz},
+	{"byz_masked_total", "byz-masked", "byz_masked", groupByz},
+	{"plane_byz_corrupted_total", "corrupted", "corrupted", groupByz},
+	{"plane_byz_equivocated_total", "equivocated", "equivocated", groupByz},
+	{"plane_byz_replayed_total", "replayed", "replayed", groupByz},
 }
 
 // groups reports which column groups the report's cells light.
@@ -397,11 +369,10 @@ func (c *CellResult) merge(b *CellResult) {
 	c.EndTimeSamples = append(c.EndTimeSamples, b.EndTimeSamples...)
 }
 
-// finalize derives what add and merge leave alone: the sample summaries
-// and the counter fields that mirror Obs. Samples are sorted here — not in
-// arrival order — so the published CellResult (and anything derived from
-// it, like a shard report on disk) is identical no matter how jobs were
-// scheduled across workers.
+// finalize derives what add and merge leave alone: the sample summaries.
+// Samples are sorted here — not in arrival order — so the published
+// CellResult (and anything derived from it, like a shard report on disk)
+// is identical no matter how jobs were scheduled across workers.
 func (c *CellResult) finalize() {
 	sort.Float64s(c.EventSamples)
 	sort.Float64s(c.EndTimeSamples)
@@ -412,10 +383,5 @@ func (c *CellResult) finalize() {
 	for name, samples := range c.TimeseriesSamples {
 		sort.Float64s(samples)
 		c.Timeseries[name] = stats.Summarize(samples)
-	}
-	for _, col := range columns {
-		if col.field != nil {
-			*col.field(c) = int(c.Obs[col.metric])
-		}
 	}
 }

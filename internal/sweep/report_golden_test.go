@@ -112,6 +112,31 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
+// TestEveryColumnHasAProducer ties each row of the column table to the layer
+// that exports its metric. The name is the only link between the two: a
+// misspelt one would print a column of zeros. Over goldenReportSpec, which
+// lights every group, each metric is totalled in some cell and non-zero in
+// some cell.
+func TestEveryColumnHasAProducer(t *testing.T) {
+	rep, err := Run(goldenReportSpec(), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range columns {
+		present, nonZero := false, false
+		for i := range rep.Cells {
+			v, ok := rep.Cells[i].Obs[col.metric]
+			present = present || ok
+			nonZero = nonZero || v != 0
+		}
+		if !present {
+			t.Errorf("column %q reads %q, which no run exports", col.heading, col.metric)
+		} else if !nonZero {
+			t.Errorf("column %q (%s) is zero in every cell of a spec meant to light it", col.heading, col.metric)
+		}
+	}
+}
+
 // TestOneRowAddsAColumn is the "adding a counter is a one-line change"
 // proof: a metric the simulator already exports, with no CellResult field,
 // becomes a text column (gated on its row's group) and a CSV column by

@@ -96,20 +96,20 @@ func TestRecoverySweepStableAcrossWorkersAndShards(t *testing.T) {
 	// The storm must actually execute, and durable restarts must recover.
 	for _, c := range base.Cells {
 		if c.Cell.Recovery == recovery.Off {
-			if c.Restarts != 0 {
-				t.Errorf("off cell restarted %d times", c.Restarts)
+			if c.Obs["sim_restarts_total"] != 0 {
+				t.Errorf("off cell restarted %d times", c.Obs["sim_restarts_total"])
 			}
 			continue
 		}
-		if c.PlanCrashes == 0 || c.Restarts == 0 {
-			t.Errorf("%v: PlanCrashes=%d Restarts=%d, want both > 0", c.Cell, c.PlanCrashes, c.Restarts)
+		if c.Obs["sim_plan_crashes_total"] == 0 || c.Obs["sim_restarts_total"] == 0 {
+			t.Errorf("%v: PlanCrashes=%d Restarts=%d, want both > 0", c.Cell, c.Obs["sim_plan_crashes_total"], c.Obs["sim_restarts_total"])
 		}
-		wantRecovered := 0
+		wantRecovered := int64(0)
 		if c.Cell.Recovery == recovery.Durable {
-			wantRecovered = c.Restarts
+			wantRecovered = c.Obs["sim_restarts_total"]
 		}
-		if c.Recovered != wantRecovered {
-			t.Errorf("%v: Recovered=%d, want %d", c.Cell, c.Recovered, wantRecovered)
+		if c.Obs["sim_recovered_total"] != wantRecovered {
+			t.Errorf("%v: Recovered=%d, want %d", c.Cell, c.Obs["sim_recovered_total"], wantRecovered)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -240,6 +241,60 @@ func shardJSON(t testing.TB, spec Spec, i, k int) []byte {
 		t.Fatalf("shard %d/%d: WriteJSON: %v", i, k, err)
 	}
 	return buf.Bytes()
+}
+
+// TestMergeIgnoresRetiredCounterKeys: shard files written before the twelve
+// counter fields left CellResult still merge. The retired keys are spliced
+// back into every cell of shard 0 the way an older binary wrote them — with
+// wrong values, so a reader that honoured them would show — and the merged
+// report still renders exactly as the unsharded run does.
+func TestMergeIgnoresRetiredCounterKeys(t *testing.T) {
+	falseSusp, _ := Builtin("false-suspicion")
+	spec := Spec{
+		Grid:      []NT{{5, 2}},
+		Schedules: []Schedule{falseSusp},
+		Plans:     builtinPlans("split-brain"),
+		Seeds:     SeedRange{Count: 5},
+		MaxTime:   3000,
+		Check:     true,
+	}
+	unsharded, err := Run(spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := ""
+	for _, key := range []string{"dropped", "duplicated", "retransmits", "acked_duplicates", "plan_crashes", "restarts",
+		"recovered", "byz_detected", "byz_masked", "corrupted", "equivocated", "replayed"} {
+		retired += "\n      \"" + key + "\": 999999,"
+	}
+	checked := regexp.MustCompile(`\n +"checked": \d+,`)
+	old := shardJSON(t, spec, 0, 2)
+	if n := len(checked.FindAll(old, -1)); n != len(unsharded.Cells) {
+		t.Fatalf("found %d cells to splice the retired keys into, want %d", n, len(unsharded.Cells))
+	}
+	old = checked.ReplaceAll(old, []byte("$0"+retired))
+
+	var shards []*Report
+	for _, file := range [][]byte{old, shardJSON(t, spec, 1, 2)} {
+		rep, err := ReadJSON(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, rep)
+	}
+	merged, err := Merge(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsharded.Cells[0].Obs["sim_dropped_total"] == 0 {
+		t.Fatal("split-brain dropped nothing; the comparison proves nothing")
+	}
+	want, got := renderings(t, unsharded), renderings(t, merged)
+	for _, form := range []string{"txt", "csv"} {
+		if !bytes.Equal(got[form], want[form]) {
+			t.Errorf("%s of the merged report differs from the unsharded run's:\n%s\n--- unsharded\n%s", form, got[form], want[form])
+		}
+	}
 }
 
 // FuzzReadJSONMerge feeds ReadJSON arbitrary bytes and merges whatever

@@ -308,8 +308,8 @@ func TestCustomRunnerNilObsReadsSimMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &rep.Cells[0]
-	if c.Dropped != 12 || c.Obs["sim_dropped_total"] != 12 {
-		t.Errorf("Dropped = %d, Obs[sim_dropped_total] = %d, want 12 and 12", c.Dropped, c.Obs["sim_dropped_total"])
+	if c.Obs["sim_dropped_total"] != 12 {
+		t.Errorf("Obs[sim_dropped_total] = %d, want 12", c.Obs["sim_dropped_total"])
 	}
 	if c.Obs["sim_sent_total"] != 60 {
 		t.Errorf("Obs[sim_sent_total] = %d, want 60 (the cell gains the simulator's totals)", c.Obs["sim_sent_total"])

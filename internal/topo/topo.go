@@ -217,15 +217,6 @@ func MustNew(sp Spec, n int) *Topology {
 	return t
 }
 
-// Spec returns the spec the topology was built from.
-func (t *Topology) Spec() Spec { return t.spec }
-
-// N returns the process count the topology was resolved against.
-func (t *Topology) N() int { return t.n }
-
-// Name returns the spec's compact name.
-func (t *Topology) Name() string { return t.spec.Name() }
-
 // IsFull reports whether the topology is the complete graph, in which case
 // hosts may keep their existing all-pairs code paths.
 func (t *Topology) IsFull() bool { return t.spec.IsFull() }
@@ -472,15 +463,7 @@ const gossipSalt = 0x3fb49ac77d5e0281
 
 // gossipDraw is one sample of process p's peer stream.
 func gossipDraw(seed int64, p int, attempt uint64) uint64 {
-	h := mix(uint64(seed) ^ gossipSalt)
-	h = mix(h ^ uint64(p)*0x9e3779b97f4a7c15)
-	return mix(h ^ attempt)
-}
-
-// mix is splitmix64's output mix — the module's standard bit mixer.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := model.Mix(uint64(seed) ^ gossipSalt)
+	h = model.Mix(h ^ uint64(p)*0x9e3779b97f4a7c15)
+	return model.Mix(h ^ attempt)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,32 +67,29 @@ func TestWriteWithoutSpansStaysSpanFree(t *testing.T) {
 	}
 }
 
-// TestReadVersion2 verifies a version-2 trace (fault metadata, no spans)
-// reads under the version-3 reader with nil spans.
+// TestReadVersion2: a version-2 trace (fault metadata, no spans) is refused
+// like every version but the current one.
 func TestReadVersion2(t *testing.T) {
 	in := `{"version":2,"n":2,"t":1,"protocol":"sfs","seed":7,"schedule":"mutual","plan":"split-brain"}` + "\n" +
 		`{"seq":0,"proc":1,"kind":3}` + "\n"
-	hdr, h, spans, err := ReadSpans(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+	_, h, spans, err := ReadSpans(strings.NewReader(in))
+	if !errors.Is(err, ErrBadTrace) || h != nil || spans != nil {
+		t.Fatalf("version-2 trace: err = %v, h = %v, spans = %v; want ErrBadTrace and nothing else", err, h, spans)
 	}
-	if hdr.Version != 2 || hdr.Schedule != "mutual" || hdr.Plan != "split-brain" {
-		t.Errorf("header = %+v", hdr)
-	}
-	if len(h) != 1 || spans != nil {
-		t.Errorf("h=%v spans=%v", h, spans)
+	if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "version 3") {
+		t.Errorf("error %q does not name versions 2 and 3", msg)
 	}
 }
 
-// TestVersion1SpanLinesAreEvents: pre-v3 readers never wrote span lines, so
-// a v1/v2 trace containing one is malformed input, not a silent span — the
-// {"span":...} fast path must not fire below version 3.
+// TestVersion1SpanLinesAreEvents: an old-version header is refused before
+// any line below it is looked at, so span lines under one never come back
+// as spans.
 func TestVersion1SpanLinesAreEvents(t *testing.T) {
 	in := `{"version":1,"n":2}` + "\n" +
 		`{"span":{"id":1,"kind":"send"}}` + "\n"
 	_, _, spans, err := ReadSpans(strings.NewReader(in))
-	if err == nil && len(spans) > 0 {
-		t.Error("version-1 trace yielded spans")
+	if !errors.Is(err, ErrBadTrace) || spans != nil {
+		t.Errorf("version-1 trace with a span line: err = %v, spans = %v", err, spans)
 	}
 }
 

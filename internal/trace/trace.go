@@ -34,35 +34,32 @@ type Header struct {
 	Protocol string `json:"protocol,omitempty"`
 	// Seed is the simulation seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Schedule names the fault-injection schedule the run used, if any
-	// (format version 2).
+	// Schedule names the fault-injection schedule the run used, if any.
 	Schedule string `json:"schedule,omitempty"`
-	// Plan names the network fault plan the run used, if any (format
-	// version 2). A trace with a plan may legitimately fail strict model
-	// validation: loss, duplication, and reorder leave the reliable-channel
-	// model, and this field records that context.
+	// Plan names the network fault plan the run used, if any. A trace with
+	// a plan may legitimately fail strict model validation: loss,
+	// duplication, and reorder leave the reliable-channel model, and this
+	// field records that context.
 	Plan string `json:"plan,omitempty"`
-	// FaultPlan carries the full serialized fault plan (format version 2),
-	// not just its name, so a trace replays without access to the builtin
-	// registry that generated it.
+	// FaultPlan carries the full serialized fault plan, not just its name,
+	// so a trace replays without access to the builtin registry that
+	// generated it.
 	FaultPlan *netadv.Plan `json:"fault_plan,omitempty"`
 	// Note is free-form commentary.
 	Note string `json:"note,omitempty"`
-	// SpanCount is the number of lifecycle spans appended after the events
-	// (format version 3). 0 means the trace carries no spans.
+	// SpanCount is the number of lifecycle spans appended after the events.
+	// 0 means the trace carries no spans.
 	SpanCount int `json:"span_count,omitempty"`
 	// SpanRate is the seed-deterministic sampling rate the spans were
-	// recorded at (format version 3).
+	// recorded at.
 	SpanRate float64 `json:"span_rate,omitempty"`
 }
 
-// FormatVersion is the current trace format version. Version 2 added the
-// Schedule and Plan metadata, including the optional fully-serialized
-// FaultPlan. Version 3 appends message-lifecycle spans after the event
-// lines, each wrapped as {"span":{...}} so event lines stay unchanged,
-// with SpanCount and SpanRate in the header. Readers accept every version
-// up to and including the current one; version-1 traces simply carry no
-// fault context, version-2 traces no spans.
+// FormatVersion is the trace format version, the only one Write produces
+// and ReadSpans accepts: a header with fault context (Schedule, Plan, the
+// optional fully-serialized FaultPlan), event lines, then message-lifecycle
+// spans each wrapped as {"span":{...}} so event lines stay unchanged, with
+// SpanCount and SpanRate in the header.
 const FormatVersion = 3
 
 // Write streams a header and history to w (with no spans).
@@ -117,8 +114,8 @@ func Read(r io.Reader) (Header, model.History, error) {
 }
 
 // ReadSpans parses a trace and returns its header, history, and lifecycle
-// spans. Version 1 and 2 traces parse with nil spans; a version-3 trace's
-// span lines follow its event lines, each wrapped as {"span":{...}}.
+// spans (nil when the trace carries none). Span lines follow the event
+// lines, each wrapped as {"span":{...}}.
 func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 	var hdr Header
 	sc := bufio.NewScanner(r)
@@ -132,8 +129,8 @@ func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return hdr, nil, nil, fmt.Errorf("%w: header: %w", ErrBadTrace, err)
 	}
-	if hdr.Version < 1 || hdr.Version > FormatVersion {
-		return hdr, nil, nil, fmt.Errorf("%w: unsupported version %d (this reader handles 1..%d)", ErrBadTrace, hdr.Version, FormatVersion)
+	if hdr.Version != FormatVersion {
+		return hdr, nil, nil, fmt.Errorf("%w: unsupported version %d (this reader handles version %d only)", ErrBadTrace, hdr.Version, FormatVersion)
 	}
 	var h model.History
 	var spans []obs.Span
@@ -144,7 +141,7 @@ func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 		if len(b) == 0 {
 			continue
 		}
-		if hdr.Version >= 3 && bytes.HasPrefix(b, spanPrefix) {
+		if bytes.HasPrefix(b, spanPrefix) {
 			var sl spanLine
 			if err := json.Unmarshal(b, &sl); err != nil {
 				return hdr, nil, nil, fmt.Errorf("%w: line %d: %w", ErrBadTrace, line, err)

@@ -67,7 +67,7 @@ func TestReadErrors(t *testing.T) {
 		"empty":       "",
 		"bad header":  "not json\n",
 		"bad version": `{"version":99}` + "\n",
-		"bad event":   `{"version":1,"n":2}` + "\nnope\n",
+		"bad event":   `{"version":3,"n":2}` + "\nnope\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -79,33 +79,28 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-// TestReadVersion1 verifies backward compatibility: a version-1 trace (no
-// schedule/plan metadata) still reads cleanly under the version-2 reader.
+// TestReadVersion1: nothing has written version 1 (no schedule/plan
+// metadata) since the format gained fault context; the reader refuses it,
+// naming the version it found and the one it handles.
 func TestReadVersion1(t *testing.T) {
 	in := `{"version":1,"n":2,"t":1,"protocol":"sfs","seed":7}` + "\n" +
 		`{"seq":0,"proc":1,"kind":3}` + "\n"
-	hdr, h, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+	_, h, err := Read(strings.NewReader(in))
+	if !errors.Is(err, ErrBadTrace) || h != nil {
+		t.Fatalf("version-1 trace: err = %v, history = %v; want ErrBadTrace and no history", err, h)
 	}
-	if hdr.Version != 1 || hdr.N != 2 || hdr.Protocol != "sfs" || hdr.Seed != 7 {
-		t.Errorf("header = %+v", hdr)
-	}
-	if hdr.Schedule != "" || hdr.Plan != "" {
-		t.Errorf("version-1 trace sprouted fault metadata: %+v", hdr)
-	}
-	if len(h) != 1 || !h[0].IsCrash() {
-		t.Errorf("history = %v", h)
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 3") {
+		t.Errorf("error %q does not name versions 1 and 3", msg)
 	}
 }
 
 func TestBlankLinesTolerated(t *testing.T) {
-	in := `{"version":1,"n":2}` + "\n\n" + `{"seq":0,"proc":1,"kind":3}` + "\n"
+	in := `{"version":3,"n":2}` + "\n\n" + `{"seq":0,"proc":1,"kind":3}` + "\n"
 	_, h, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h) != 1 || !h[0].IsCrash() {
+	if len(h) != 1 || h[0].Kind != model.KindCrash {
 		t.Errorf("history = %v", h)
 	}
 }
@@ -174,8 +169,7 @@ func TestFaultPlanRoundTrip(t *testing.T) {
 		t.Errorf("recovered plan does not validate: %v", err)
 	}
 
-	// Headers without the field (version-2 traces written before it
-	// existed, and every version-1 trace) read back as nil.
+	// Headers without the field read back as nil.
 	buf.Reset()
 	if err := Write(&buf, Header{N: 3, T: 1, Plan: "split-brain"}, sample()); err != nil {
 		t.Fatal(err)
