@@ -141,36 +141,38 @@ func allocsAndKiB(runs int, fn func()) (allocs, kib float64) {
 }
 
 // TestSimHotPathAllocBudget pins the sweep-cell-sized run's allocation
-// floor in absolute terms: the n=10 × 20-round flood (1,800 messages) stays
-// under 600 allocations and 1,000 KiB, and once the links exist a message
-// costs no allocation of its own — doubling the rounds adds only the
-// history, slab and heap growth steps.
+// floor in absolute terms, at what it measures plus a tenth: the n=10 ×
+// 20-round flood (1,800 messages) takes 231 allocations and 352 KiB, 253 of
+// them the history it returns, and once the links exist a message costs no
+// allocation of its own — doubling the rounds adds 16, the slab, heap and
+// page-table growth steps (and a record page or two when a collection has
+// just emptied the pool, which is what the budget rounds up for).
 func TestSimHotPathAllocBudget(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")
 	}
 	const n = 10
 	allocs20, kib20 := allocsAndKiB(20, func() { runFlood(n, 20, 1) })
-	if allocs20 > 600 || kib20 > 1000 {
-		t.Errorf("n=%d × 20 rounds allocates %.0f times, %.0f KiB per run: over the 600 / 1,000 KiB budget", n, allocs20, kib20)
+	if allocs20 > 255 || kib20 > 390 {
+		t.Errorf("n=%d × 20 rounds allocates %.0f times, %.0f KiB per run: over the 255 / 390 KiB budget", n, allocs20, kib20)
 	}
 	allocs40, _ := allocsAndKiB(20, func() { runFlood(n, 40, 1) })
-	if extra := allocs40 - allocs20; extra > 40 {
-		t.Errorf("1,800 more messages cost %.0f more allocations (%.0f -> %.0f), want <= 40: a message allocates again",
+	if extra := allocs40 - allocs20; extra > 20 {
+		t.Errorf("1,800 more messages cost %.0f more allocations (%.0f -> %.0f), want <= 20: a message allocates again",
 			extra, allocs20, allocs40)
 	}
 }
 
 // TestSimWideDelayAllocBudget is the wide-delay regime's floor: with nearly
-// every message its own delivery batch, a run still allocates less than
-// once per message.
+// every message its own delivery batch, a run allocates about once per four
+// messages (5,090 for 20,160, plus a tenth).
 func TestSimWideDelayAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
 	allocs := testing.AllocsPerRun(3, func() { runWideDelay(1) })
-	if allocs > wideDelayMsgs {
-		t.Errorf("wide-delay flood allocates %.0f times for %d messages: over one allocation per message", allocs, wideDelayMsgs)
+	if allocs > 5600 {
+		t.Errorf("wide-delay flood allocates %.0f times for %d messages: over the 5,600 budget", allocs, wideDelayMsgs)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Golden histories: "byte-identical" as a tier-1 property. Every digest in
 // the table below was captured at the commit before the transport state was
-// rebuilt (rows, message slab, recycled batches, doubling history), over
+// rebuilt (rows, message slab, recycled batches) and held through the
+// rebuild of the event queue, the timer table and the recording (32-byte
+// occurrences, slot-indexed timers, paged records materialised once), over
 // scenarios chosen to reach each ordering contract the simulator keeps:
 // same-(tick, receiver) batches draining in ascending sender order, gated
 // channels re-evaluated in ascending sender order, the reorder-before-tail
@@ -12,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"failstop/internal/model"
@@ -214,43 +217,73 @@ func (h *restartTicker) OnRestart(ctx node.Context, state []byte) {
 	h.Init(ctx)
 }
 
+// goldenCases is the table of pinned runs: a scenario and the digest it must
+// produce.
+var goldenCases = []struct {
+	name string
+	run  func() string
+	want string
+}{
+	{"flood n=10 rounds=20", func() string { return digestResult(runFlood(10, 20, 1)) }, "9b0e9ed0cf30b78b/3600"},
+	{"flood n=10 rounds=40 long delays", func() string {
+		return digestResult(runFloodCfg(Config{N: 10, Seed: 5, MinDelay: 1, MaxDelay: 200}, 40))
+	}, "e61fbbd73242d7d4/7200"},
+	{"chatter n=5 seed=99", func() string { return digestResult(chatterSim(5, 99).Run()) }, "a067285ef182c9a5/385"},
+	{"gated until timer", func() string {
+		res, got := goldenGated()
+		return digestResult(res, got)
+	}, "c048fbf16466b2ee/126"},
+	{"link mix same channel same tick", func() string {
+		res, spans := goldenLinkMix()
+		return digestResult(res, spans)
+	}, "c998d1f23697380e/764"},
+	{"durable restart storm", func() string {
+		res, counts := goldenRestartStorm()
+		return digestResult(res, counts)
+	}, "e02839ee29ea6ab9/4318"},
+	{"max-events truncated", func() string {
+		return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxEvents: 777}, 20))
+	}, "f473cf5cb1d47b06/781"},
+	{"max-time truncated", func() string {
+		return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxTime: 13}, 20))
+	}, "ad375b9fa854738a/1690"},
+	{"gossip n=500 fanout=6", func() string {
+		res, _ := runTopoFlood(500, 6, 3, 4, nil)
+		return digestResult(res)
+	}, "86d1ec8916dd1305/35820"},
+}
+
 func TestGoldenHistories(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func() string
-		want string
-	}{
-		{"flood n=10 rounds=20", func() string { return digestResult(runFlood(10, 20, 1)) }, "9b0e9ed0cf30b78b/3600"},
-		{"flood n=10 rounds=40 long delays", func() string {
-			return digestResult(runFloodCfg(Config{N: 10, Seed: 5, MinDelay: 1, MaxDelay: 200}, 40))
-		}, "e61fbbd73242d7d4/7200"},
-		{"chatter n=5 seed=99", func() string { return digestResult(chatterSim(5, 99).Run()) }, "a067285ef182c9a5/385"},
-		{"gated until timer", func() string {
-			res, got := goldenGated()
-			return digestResult(res, got)
-		}, "c048fbf16466b2ee/126"},
-		{"link mix same channel same tick", func() string {
-			res, spans := goldenLinkMix()
-			return digestResult(res, spans)
-		}, "c998d1f23697380e/764"},
-		{"durable restart storm", func() string {
-			res, counts := goldenRestartStorm()
-			return digestResult(res, counts)
-		}, "e02839ee29ea6ab9/4318"},
-		{"max-events truncated", func() string {
-			return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxEvents: 777}, 20))
-		}, "f473cf5cb1d47b06/781"},
-		{"max-time truncated", func() string {
-			return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxTime: 13}, 20))
-		}, "ad375b9fa854738a/1690"},
-		{"gossip n=500 fanout=6", func() string {
-			res, _ := runTopoFlood(500, 6, 3, 4, nil)
-			return digestResult(res)
-		}, "86d1ec8916dd1305/35820"},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		if got := tc.run(); got != tc.want {
 			t.Errorf("%s: digest %q, want %q", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestGoldenHistoriesFromPoisonedPages runs the pinned scenarios on several
+// goroutines at once, out of record pages filled with garbage: a record read
+// before the run wrote it, or a page two live runs share, moves a digest (or
+// indexes the tag table out of range). Run it under -race.
+func TestGoldenHistoriesFromPoisonedPages(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		pg := new(recPage)
+		for j := range pg {
+			pg[j] = rec{time: -1, msg: -1, proc: -1, peer: -1, target: -1, kindTag: ^uint32(0)}
+		}
+		recPages.Put(pg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tc := range goldenCases {
+				if got := tc.run(); got != tc.want {
+					t.Errorf("%s: digest %q from poisoned pages, want %q", tc.name, got, tc.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,0 +1,8 @@
+//go:build race
+
+package sim
+
+// raceEnabled: under the race detector sync.Pool drops a quarter of what is
+// put into it, so a run allocates record pages a plain build recycles and the
+// byte budgets do not hold.
+const raceEnabled = true

@@ -1,0 +1,176 @@
+// Tests of the recording and the event queue as data: what a compact record
+// must give back, how big the two per-event structures may be, and what a
+// run's history may cost in bytes.
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"failstop/internal/model"
+	"failstop/internal/node"
+)
+
+// TestRecordedEventsEqualConstructors drives every event kind through the
+// recording, one event per occurrence, until the run stops at exactly
+// MaxEvents two page boundaries later, and requires each materialised event
+// to equal what model.Send/Recv/Crash/Failed/Internal build — Seq the index,
+// Time the tick — including targets no 32-bit field holds.
+func TestRecordedEventsEqualConstructors(t *testing.T) {
+	const maxEvents = 2*recPageLen + 452
+	var want model.History
+	log := func(ctx node.Context, e model.Event) {
+		e.Seq, e.Time = len(want), ctx.Now()
+		want = append(want, e)
+	}
+	s := New(Config{N: 3, Seed: 1, MinDelay: 2, MaxDelay: 2, MaxEvents: maxEvents})
+	var k, sent, got int
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) { ctx.SetTimer("step", 1) },
+		onTimer: func(ctx node.Context, _ string) {
+			subject := model.ProcID(k % 5)
+			switch k % 6 {
+			case 0:
+				tag := fmt.Sprintf("t%d", k%40)
+				ctx.EmitInternal(tag, subject)
+				log(ctx, model.Internal(1, tag, subject))
+			case 1, 2:
+				sent++
+				ctx.Send(2, node.Payload{Tag: "M", Subject: subject})
+				log(ctx, model.Send(1, 2, model.MsgID(sent), "M", subject))
+			case 3:
+				ctx.EmitFailed(model.ProcID(k))
+				log(ctx, model.Failed(1, model.ProcID(k)))
+			case 4:
+				wide := model.ProcID(1)<<40 + model.ProcID(k)
+				ctx.EmitInternal("", wide)
+				log(ctx, model.Internal(1, "", wide))
+			case 5:
+				ctx.EmitInternal("neg", -model.ProcID(k))
+				log(ctx, model.Internal(1, "neg", -model.ProcID(k)))
+			}
+			k++
+			ctx.SetTimer("step", 3)
+		},
+	})
+	s.SetHandler(2, &scriptHandler{
+		onMsg: func(ctx node.Context, from model.ProcID, p node.Payload) {
+			got++
+			log(ctx, model.Recv(2, from, model.MsgID(got), p.Tag, p.Subject))
+		},
+	})
+	s.SetHandler(3, &scriptHandler{
+		init: func(ctx node.Context) { ctx.SetTimer("die", recPageLen+7) },
+		onTimer: func(ctx node.Context, _ string) {
+			ctx.CrashSelf()
+			log(ctx, model.Crash(3))
+		},
+	})
+	res := s.Run()
+	if res.Stop != StopMaxEvents || len(res.History) != maxEvents {
+		t.Fatalf("stop = %v with %d events, want max-events at exactly %d", res.Stop, len(res.History), maxEvents)
+	}
+	if len(want) != maxEvents {
+		t.Fatalf("handlers logged %d events, the run recorded %d", len(want), maxEvents)
+	}
+	for i, e := range res.History {
+		if e != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+}
+
+// TestHostileTags: a run that never stops inventing tags records and gives
+// back each of them, the empty tag among them — the tag table neither wraps
+// at 65,536 nor is searched linearly.
+func TestHostileTags(t *testing.T) {
+	const tags = 70_000
+	s := New(Config{N: 2, Seed: 1})
+	s.SetHandler(1, &scriptHandler{init: func(ctx node.Context) {
+		for i := 0; i < tags; i++ {
+			ctx.Send(2, node.Payload{Tag: fmt.Sprintf("tag-%d", i)})
+			ctx.EmitInternal("", 0)
+		}
+	}})
+	s.SetHandler(2, idle())
+	res := s.Run()
+	if len(res.History) != 3*tags {
+		t.Fatalf("recorded %d events, want %d", len(res.History), 3*tags)
+	}
+	sends, recvs := 0, 0
+	for _, e := range res.History {
+		switch e.Kind {
+		case model.KindSend:
+			if want := fmt.Sprintf("tag-%d", sends); e.Tag != want {
+				t.Fatalf("send %d carries tag %q, want %q", sends, e.Tag, want)
+			}
+			sends++
+		case model.KindRecv:
+			if want := fmt.Sprintf("tag-%d", recvs); e.Tag != want {
+				t.Fatalf("receive %d carries tag %q, want %q", recvs, e.Tag, want)
+			}
+			recvs++
+		default:
+			if e.Tag != "" {
+				t.Fatalf("event %d carries tag %q, want the empty tag", e.Seq, e.Tag)
+			}
+		}
+	}
+	if sends != tags || recvs != tags {
+		t.Errorf("%d sends and %d receives, want %d of each", sends, recvs, tags)
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the collector
+// must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestQueueAndRecordLayout holds the two structures written once per event
+// to half a cache line and no pointers: the heap array and the record pages
+// are never scanned, and the pages may be reused without being cleared.
+func TestQueueAndRecordLayout(t *testing.T) {
+	for _, v := range []any{occurrence{}, rec{}} {
+		typ := reflect.TypeOf(v)
+		if typ.Size() > 32 {
+			t.Errorf("%v is %d bytes, want <= 32", typ, typ.Size())
+		}
+		if hasPointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// TestSimHistoryBytesBudget: once the record pages are warm, a run allocates
+// little more than the history it returns — no buffer it outgrows, no second
+// copy. The constant covers what does not grow with the history: the Sim,
+// its links, the message slab and the event queue at n=10.
+func TestSimHistoryBytesBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation measurement")
+	}
+	for _, rounds := range []int{20, 80} {
+		var events int
+		_, kib := allocsAndKiB(20, func() { events = len(runFlood(10, rounds, 1).History) })
+		history := float64(events) * float64(unsafe.Sizeof(model.Event{})) / 1024
+		if budget := 1.5*history + 64; kib > budget {
+			t.Errorf("%d rounds: %.0f KiB allocated for a %.0f KiB history, budget %.0f", rounds, kib, history, budget)
+		}
+	}
+}
