@@ -302,3 +302,37 @@ func TestRestartTimersCancelled(t *testing.T) {
 		t.Errorf("timer fired %d times, want 1 (pre-crash timer cancelled)", fired)
 	}
 }
+
+// TestRestartDeadIncarnationTimerNeverFires: a timer armed before a crash
+// stays dead in the next incarnation even after that incarnation has fired
+// and re-armed the same name. The restarted process arms "x" for t=70 and,
+// when it fires, for t=120; the first incarnation's occurrence at t=100 sits
+// in the queue throughout and must not be taken for the second.
+func TestRestartDeadIncarnationTimerNeverFires(t *testing.T) {
+	var fired []int64
+	s := New(Config{
+		N: 2, Seed: 1, MaxTime: 500,
+		Lifetimes: []recovery.Lifetime{{Proc: 2, Crash: 50, Restart: 60}},
+		Recovery:  recovery.Amnesia,
+	})
+	s.SetHandler(1, idle())
+	s.SetHandler(2, &scriptHandler{
+		init: func(ctx node.Context) {
+			if ctx.Now() == 0 {
+				ctx.SetTimer("x", 100)
+			} else {
+				ctx.SetTimer("x", 10)
+			}
+		},
+		onTimer: func(ctx node.Context, name string) {
+			fired = append(fired, ctx.Now())
+			if ctx.Now() == 70 {
+				ctx.SetTimer("x", 50)
+			}
+		},
+	})
+	s.Run()
+	if want := []int64{70, 120}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("timer fired at %v, want %v", fired, want)
+	}
+}

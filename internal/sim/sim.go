@@ -67,8 +67,10 @@
 //     scans the heap array.
 //   - Timers. A process's named timers are slots of a small per-process
 //     table, found by scanning the names on set and cancel and by index on
-//     fire; a timer occurrence fires only while it carries its slot's
-//     current generation.
+//     fire. A slot remembers the insertion sequence of the occurrence that
+//     is to fire it, and sequence numbers are never reused: an occurrence
+//     that was replaced, cancelled, or armed by an incarnation that has
+//     since crashed matches no slot, whatever the name is used for later.
 //   - History. Each event is written once, as a 32-byte pointer-free record
 //     (its Seq is its index, its Tag an index into a per-run tag table), into
 //     fixed-size pages that runs hand to one another through a pool and never
@@ -206,7 +208,6 @@ type occurrence struct {
 	seq  int64 // insertion order; total tie-break
 	proc int32 // occDeliver (batch receiver), occTimer, occInject, occPlanCrash, occRestart
 	ref  int32 // occTimer: slot in the process's timer table; occInject: Sim.injects index; occPlanCrash, occRestart: Config.Lifetimes index
-	gen  int32 // occTimer: generation, stale timers are skipped
 	kind occKind
 }
 
@@ -433,9 +434,9 @@ type Sim struct {
 	batchFree [][]*channel // recycled link slices for due batches
 	gatedFrom [][]*channel // per receiver: the links whose head its gate refused
 
-	// The recording: nrec compact records in pages, the last of them page.
-	// pages, tags and injects start out carved from the arrays below, so a
-	// sweep-cell-sized run allocates none of the three.
+	// The recording: nrec records in pages, the last of them page. pages,
+	// tags and injects start out in the arrays below: a sweep-cell-sized
+	// run allocates none of the three.
 	pages     []*recPage
 	page      *recPage
 	nrec      int
@@ -913,10 +914,10 @@ func (s *Sim) fireTimer(o occurrence) {
 	}
 	ctx := &s.ctxs[p]
 	t := &ctx.timers[o.ref]
-	if ctx.timerGen(t) != o.gen {
-		return // cancelled or replaced
+	if t.armed != o.seq {
+		return // cancelled, replaced, or armed before a crash
 	}
-	t.held = false
+	t.armed = unarmed
 	s.core.TimersFired.Inc()
 	s.handlers[p].OnTimer(ctx, t.name)
 	s.afterEvent(p)
@@ -933,7 +934,9 @@ func (s *Sim) planCrash(o occurrence) {
 		return
 	}
 	s.down[p] = true
-	s.ctxs[p].crashes++ // outstanding timer occurrences become stale
+	for i := range s.ctxs[p].timers {
+		s.ctxs[p].timers[i].armed = unarmed
+	}
 	s.core.Crash(int(o.ref), o.time, s.now, s.handlers[p], &s.ctxs[p], func(at int64, restart bool) {
 		kind := occPlanCrash
 		if restart {
@@ -954,10 +957,9 @@ func (s *Sim) restart(o occurrence) {
 	s.afterEvent(p)
 }
 
-// rec is one recorded event, 32 bytes and pointer-free: the event's Seq is
-// its index, its Tag an index into Sim.tags. A Target that does not fit (no
-// process id does that; a handler may still name one) is kept in Sim.wide
-// and target is its index there.
+// rec is one recorded event (see the package comment). A Target that does
+// not fit — no process id does that, a handler may still name one — is kept
+// in Sim.wide, and target is its index there.
 type rec struct {
 	time               int64
 	msg                model.MsgID
@@ -1009,8 +1011,7 @@ func (s *Sim) record(e model.Event) {
 // tagID returns tag's index in the tag table, adding it if it is new. A run
 // uses a handful of tags and finds one by scanning them (equal tags are
 // nearly always the same constant, so a comparison is a pointer check); a
-// run that keeps inventing tags has outgrown the table's first array, and
-// gets a map to look them up in.
+// run that outgrows the table's first array gets a map to look them up in.
 func (s *Sim) tagID(tag string) uint32 {
 	if s.tagIdx == nil {
 		for id, t := range s.tags {
@@ -1066,32 +1067,22 @@ type procCtx struct {
 	s *Sim
 	p model.ProcID
 
-	// timers is the process's timer table: a slot per name it has ever set,
-	// found by scanning on set and cancel (a process has a few names, and the
-	// one it re-arms is nearly always the same constant) and by index on fire.
-	// A timer occurrence fires only if it carries the slot's current
-	// generation. A plan crash must stale every outstanding occurrence of the
-	// process: it bumps crashes, and a slot's generation counts the crashes
-	// since the slot was last written.
+	// timers is the process's timer table. An unarmed slot is taken over by
+	// the next new name, so the table is as long as the most timers the
+	// process had armed at once and the scan that finds a name stays short.
 	timers   []timerSlot
-	timerBuf [2]timerSlot // where timers starts out: most processes never set a third name
-	crashes  int32
+	timerBuf [2]timerSlot // where timers starts out: most processes never arm a third
 }
 
+// timerSlot is one named timer: armed is the insertion sequence of the
+// occurrence that fires it, unarmed when it has fired, was cancelled, or died
+// in a plan crash.
 type timerSlot struct {
-	name    string
-	gen     int32
-	crashes int32 // procCtx.crashes when gen was written
-	held    bool  // set or cancelled, and not fired since
+	name  string
+	armed int64
 }
 
-// timerGen returns the current generation of slot t.
-func (c *procCtx) timerGen(t *timerSlot) int32 {
-	if !t.held {
-		return 0
-	}
-	return t.gen + c.crashes - t.crashes
-}
+const unarmed int64 = -1
 
 // timer returns the index of the named timer's slot, or -1.
 func (c *procCtx) timer(name string) int {
@@ -1157,19 +1148,20 @@ func (c *procCtx) SetTimer(name string, delay int64) {
 		return
 	}
 	i := c.timer(name)
+	if i < 0 { // a new name takes over an unarmed slot, or a new one
+		i = slices.IndexFunc(c.timers, func(t timerSlot) bool { return t.armed == unarmed })
+	}
 	if i < 0 {
 		i = len(c.timers)
-		c.timers = append(c.timers, timerSlot{name: name})
+		c.timers = append(c.timers, timerSlot{})
 	}
-	t := &c.timers[i]
-	*t = timerSlot{name: name, gen: c.timerGen(t) + 1, crashes: c.crashes, held: true}
-	s.push(occurrence{time: s.now + delay, kind: occTimer, proc: int32(c.p), ref: int32(i), gen: t.gen})
+	c.timers[i] = timerSlot{name: name, armed: s.seq} // the sequence number push gives the occurrence
+	s.push(occurrence{time: s.now + delay, kind: occTimer, proc: int32(c.p), ref: int32(i)})
 }
 
 func (c *procCtx) CancelTimer(name string) {
-	if i := c.timer(name); i >= 0 && c.timers[i].held {
-		t := &c.timers[i]
-		t.gen, t.crashes = c.timerGen(t)+1, c.crashes // outstanding occurrence becomes stale
+	if i := c.timer(name); i >= 0 {
+		c.timers[i].armed = unarmed
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -235,6 +236,64 @@ func TestTimersFireReplaceAndCancel(t *testing.T) {
 	}
 	if res.EndTime != 20 {
 		t.Errorf("EndTime = %d, want 20 (replaced timer)", res.EndTime)
+	}
+}
+
+// TestStaleTimerNeverFires: an occurrence that was cancelled or replaced
+// stays dead however the name is used afterwards. Firing a timer used to
+// forget its generation, so the next SetTimer of the name restarted at 1 and
+// the cancelled 100-tick occurrence fired in place of the 500-tick one.
+func TestStaleTimerNeverFires(t *testing.T) {
+	s := New(Config{N: 1, Seed: 1})
+	var fired []int64
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) {
+			ctx.SetTimer("x", 100)
+			ctx.CancelTimer("x")
+			ctx.SetTimer("x", 1)
+		},
+		onTimer: func(ctx node.Context, name string) {
+			fired = append(fired, ctx.Now())
+			if ctx.Now() == 1 {
+				ctx.SetTimer("x", 500)
+			}
+		},
+	})
+	s.Run()
+	if want := []int64{1, 501}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("timer fired at %v, want %v", fired, want)
+	}
+}
+
+// TestTimerSlotsTakenOver: a process that names every timer afresh keeps a
+// table as long as the timers it has armed at once, and an occurrence whose
+// slot has gone to another name fires neither.
+func TestTimerSlotsTakenOver(t *testing.T) {
+	s := New(Config{N: 1, Seed: 1})
+	var fired []string
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) {
+			ctx.SetTimer("old", 500)
+			ctx.CancelTimer("old") // its occurrence stays queued; by t=500 its slot is another timer's
+			ctx.SetTimer("t0", 1)
+		},
+		onTimer: func(ctx node.Context, name string) {
+			fired = append(fired, name)
+			if n := len(fired); n < 1000 {
+				ctx.SetTimer(fmt.Sprintf("t%d", n), 1)
+				ctx.SetTimer("keep", 5000) // re-armed throughout: holds the other slot
+			}
+		},
+	})
+	res := s.Run()
+	if len(fired) != 1001 || fired[999] != "t999" || fired[1000] != "keep" {
+		t.Errorf("fired %d timers ending %v, want t0..t999 then keep", len(fired), fired[max(0, len(fired)-2):])
+	}
+	if res.EndTime != 999+5000 {
+		t.Errorf("EndTime = %d, want %d", res.EndTime, 999+5000)
+	}
+	if n := len(s.ctxs[1].timers); n > 2 {
+		t.Errorf("timer table grew to %d slots for 2 timers armed at once", n)
 	}
 }
 
