@@ -633,7 +633,8 @@ type LiveCluster struct {
 	stack cluster.Stack
 	plane *netadv.Plane // nil without LiveOptions.Faults
 	opts  LiveOptions
-	msrv  *obshttp.Server // nil unless MetricsAddr is set and Start ran
+	msrv  *obshttp.Server     // nil unless MetricsAddr is set and Start ran
+	files *recovery.FileStore // nil unless RecoveryDir holds the snapshots
 }
 
 // NewLiveCluster builds a live cluster. Call Start, drive it with Suspect
@@ -644,12 +645,13 @@ type LiveCluster struct {
 func NewLiveCluster(opts LiveOptions) *LiveCluster {
 	det, plane, link := stackConfig(opts.Validate(), opts.N, &opts.T, &opts.Protocol, opts.Seed, opts.Topology, opts.Faults, opts.Metrics)
 	var store recovery.Store
+	var files *recovery.FileStore
 	if opts.Recovery == RecoveryDurable && opts.RecoveryDir != "" {
-		fs, err := recovery.NewFileStore(opts.RecoveryDir)
-		if err != nil {
+		var err error
+		if files, err = recovery.NewFileStore(opts.RecoveryDir); err != nil {
 			panic(fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err))
 		}
-		store = fs
+		store = files
 	}
 	net := runtime.New(runtime.Config{
 		N: opts.N, Seed: opts.Seed,
@@ -662,7 +664,7 @@ func NewLiveCluster(opts LiveOptions) *LiveCluster {
 	stack := cluster.Build(net, cluster.Options{
 		Det: det, App: opts.NewApp, Reliable: opts.Reliable, Byzantine: opts.Byzantine,
 	}, opts.Spans)
-	return &LiveCluster{net: net, stack: stack, plane: plane, opts: opts}
+	return &LiveCluster{net: net, stack: stack, plane: plane, opts: opts, files: files}
 }
 
 // Start launches the cluster's goroutines and, with
@@ -682,13 +684,22 @@ func (lc *LiveCluster) Start() {
 }
 
 // Stop shuts the cluster down and waits for its goroutines, closing the
-// /metrics endpoint first so no scrape observes a stopped cluster.
-func (lc *LiveCluster) Stop() {
+// /metrics endpoint first so no scrape observes a stopped cluster. With
+// LiveOptions.RecoveryDir it returns the first crash-time snapshot that could
+// not be written: the restart that needed it came back empty, or will in the
+// next run of the host program. Otherwise the error is nil.
+func (lc *LiveCluster) Stop() error {
 	if lc.msrv != nil {
 		_ = lc.msrv.Close()
 		lc.msrv = nil
 	}
 	lc.net.Stop()
+	if lc.files != nil {
+		if err := lc.files.Err(); err != nil {
+			return fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err)
+		}
+	}
+	return nil
 }
 
 // Suspect makes process i suspect j (serialized with i's other events).

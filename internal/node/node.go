@@ -44,7 +44,8 @@ type Context interface {
 	// own quorum directly, which hosts model without a loopback channel.
 	Send(to model.ProcID, p Payload)
 	// SetTimer schedules OnTimer(name) after delay ticks, replacing any
-	// pending timer with the same name.
+	// pending timer with the same name. A negative delay is a delay of 0: the
+	// timer is due now, and fires after whatever else is already due.
 	SetTimer(name string, delay int64)
 	// CancelTimer cancels the pending timer with the given name, if any.
 	CancelTimer(name string)

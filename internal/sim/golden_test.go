@@ -2,7 +2,8 @@
 // the table below was captured at the commit before the transport state was
 // rebuilt (rows, message slab, recycled batches) and held through the
 // rebuild of the event queue, the timer table and the recording (32-byte
-// occurrences, slot-indexed timers, paged records materialised once), over
+// occurrences, slot-indexed timers, paged records materialised once) and the
+// move to tick order (calendar queue, intrusive batches, one-line slots), over
 // scenarios chosen to reach each ordering contract the simulator keeps:
 // same-(tick, receiver) batches draining in ascending sender order, gated
 // channels re-evaluated in ascending sender order, the reorder-before-tail
@@ -262,10 +263,12 @@ func TestGoldenHistories(t *testing.T) {
 }
 
 // TestGoldenHistoriesFromPoisonedPages runs the pinned scenarios on several
-// goroutines at once, out of record pages filled with garbage: a record read
-// before the run wrote it, or a page two live runs share, moves a digest (or
-// indexes the tag table out of range). Run it under -race.
+// goroutines at once, out of record pages and occurrence pages filled with
+// garbage: a record or a bucket entry read before the run wrote it, or a page
+// two live runs share, moves a digest (or indexes a table out of range). Run
+// it under -race.
 func TestGoldenHistoriesFromPoisonedPages(t *testing.T) {
+	poisonOccPages(256)
 	for i := 0; i < 256; i++ {
 		pg := new(recPage)
 		for j := range pg {

@@ -3,6 +3,6 @@
 package sim
 
 // raceEnabled: under the race detector sync.Pool drops a quarter of what is
-// put into it, so a run allocates record pages a plain build recycles and the
-// byte budgets do not hold.
+// put into it, so a run allocates record and occurrence pages a plain build
+// recycles and the allocation budgets do not hold.
 const raceEnabled = true

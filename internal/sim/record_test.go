@@ -143,8 +143,10 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestQueueAndRecordLayout holds the two structures written once per event
-// to half a cache line and no pointers: the heap array and the record pages
-// are never scanned, and the pages may be reused without being cleared.
+// to half a cache line and no pointers — the queue's entries and the record
+// pages are never scanned, and the pages may be reused without being cleared
+// — an occurrence to the four fields the compiler will keep in registers, a
+// message slot to exactly one cache line and a due batch to a quarter of one.
 func TestQueueAndRecordLayout(t *testing.T) {
 	for _, v := range []any{occurrence{}, rec{}} {
 		typ := reflect.TypeOf(v)
@@ -154,6 +156,15 @@ func TestQueueAndRecordLayout(t *testing.T) {
 		if hasPointers(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}
+	}
+	if n := reflect.TypeOf(occurrence{}).NumField(); n > 4 {
+		t.Errorf("occurrence has %d fields, want <= 4: every copy of one goes through memory", n)
+	}
+	if size := unsafe.Sizeof(pendingMsg{}); size != 64 {
+		t.Errorf("pendingMsg is %d bytes, want exactly 64", size)
+	}
+	if size := unsafe.Sizeof(dueBatch{}); size != 16 {
+		t.Errorf("dueBatch is %d bytes, want exactly 16", size)
 	}
 }
 

@@ -42,29 +42,46 @@
 // Data layout: nothing on the per-message path hashes, sorts through
 // reflection, or reallocates, and each structure keeps one ordering
 // contract that the recorded history depends on.
-//   - Rows. A link is a *channel that knows its endpoints. Sender p's
-//     links sit in rows[p], ascending by receiver and materialized on first
+//   - Processes. What the simulator keeps per process — whether it is up,
+//     its handler and the gate asked for once at Run, the links its gate
+//     refused, its open batches (the first twelve inline) and its row of links
+//     — is one procCtx, the node.Context its handler is given: a delivery
+//     reads one or two adjacent cache lines of its receiver, and a receiver's
+//     list of open batches allocates nothing at the default delay range.
+//   - Rows. A link is a *channel that knows its endpoints. A sender's links
+//     sit in its row, ascending by receiver and materialized on first
 //     traffic; Send finds the link by binary search and every later step
 //     (due batches, gate lists, delivery) carries the pointer. Walking the
 //     rows visits links in (from, to) order, which is the order of
 //     Result.Blocked.
-//   - Slab. In-flight messages live in one per-Sim slab, grown a page of
-//     slots at a time so a slot never moves; a channel is a singly linked
-//     list of slots (head, tail, count) and popped slots are cleared onto a
-//     free list. List order is FIFO order; LinkDecision.Reorder swaps the
-//     contents of a channel's last two slots.
+//   - Slab. In-flight messages live in one per-Sim slab of 64-byte slots —
+//     payload, ready time, a 32-bit id, the next slot — grown a page at a time
+//     so a slot never moves; a channel is a singly linked list of slots (head,
+//     tail, count) and popped slots are cleared onto a free list. List order
+//     is FIFO order; LinkDecision.Reorder swaps the contents of a channel's
+//     last two slots. Span ids sit in a slice beside the slab that exists only
+//     with Config.Spans.
 //   - Open batches. Channel heads due at the same (tick, receiver) share one
-//     event-queue occurrence. A receiver's open batches are kept sorted by
-//     time; a batch is pushed when it opens, detached before it drains — a
-//     head rescheduled to the same tick opens a fresh batch behind it — and
-//     drained in ascending sender order. Gated links are re-evaluated in
+//     event-queue occurrence: a 16-byte (time, first link) entry in the
+//     receiver's list, the links chained through the channels themselves. A
+//     receiver's open batches are kept sorted by time; a batch is pushed when
+//     it opens, detached before it drains — a head rescheduled to the same
+//     tick opens a fresh batch behind it — and drained in ascending sender
+//     order, whatever order it was chained in. Gated links are re-evaluated in
 //     ascending sender order too.
-//   - Event queue. A binary heap of 32-byte, pointer-free occurrences
-//     ordered by (time, insertion sequence). What an occurrence would point
-//     at — a timer's name, an injected function, a lifetime — sits in a table
-//     and the occurrence carries its index, so a sift moves half a cache line
-//     per level, a popped slot needs no clearing, and the collector never
-//     scans the heap array.
+//   - Event queue. Virtual time is integer ticks and nearly every occurrence
+//     lands a few ticks ahead, so the queue is a calendar: a ring of 256
+//     buckets, one per tick, each a FIFO of 32-byte, pointer-free occurrences
+//     in pooled pages that are never cleared. Insertion sequence only grows,
+//     so appending to a bucket keeps (time, sequence) order with no
+//     comparison. An occurrence 256 ticks ahead or more waits in a binary heap
+//     — the only use a heap still has — and moves into the ring when its tick
+//     enters the window, before anything of that tick runs and before anything
+//     can be pushed to that tick directly. An occurrence pushed for a tick
+//     already passed belongs to the current one, behind what it already holds.
+//     What an occurrence would point at — a timer's name, an injected
+//     function, a lifetime — sits in a table and the occurrence carries its
+//     index.
 //   - Timers. A process's named timers are slots of a small per-process
 //     table, found by scanning the names on set and cancel and by index on
 //     fire. A slot remembers the insertion sequence of the occurrence that
@@ -85,6 +102,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -155,14 +173,14 @@ type Config struct {
 }
 
 // pendingMsg is one in-flight message copy: a slot of the per-Sim slab,
-// linked to the message behind it on the same channel (or, on the free list,
-// to the next free slot).
+// exactly one cache line, linked to the message behind it on the same channel
+// (or, on the free list, to the next free slot). The enqueue span of a sampled
+// message sits beside the slab, in Sim.spanOf.
 type pendingMsg struct {
-	id      model.MsgID
 	payload node.Payload
-	readyAt int64 // delivery-ready time; -1 if parked forever
-	span    int64 // enqueue span id; 0 when the message is unsampled
-	next    int32 // slab index of the next slot; noSlot at the end of the list
+	readyAt int64  // delivery-ready time; -1 if parked forever
+	id      uint32 // the model.MsgID; Send refuses to count past what fits
+	next    int32  // slab index of the next slot; noSlot at the end of the list
 }
 
 // noSlot terminates a channel's message list and the slab's free list.
@@ -182,14 +200,12 @@ type slabPage [slabPageLen]pendingMsg
 // (from, to) once, at Send time, and carried by pointer from then on.
 type channel struct {
 	from, to   model.ProcID
-	head, tail int32 // slab indices; noSlot when the channel is empty
-	n          int32 // messages queued
-	scheduled  bool  // a head-delivery occurrence is in the event queue
-	gated      bool  // head was refused by the receiver's gate
+	due        *channel // the next link of the due batch this one waits in
+	head, tail int32    // slab indices; noSlot when the channel is empty
+	n          int32    // messages queued
+	scheduled  bool     // a head-delivery occurrence is in the event queue
+	gated      bool     // head was refused by the receiver's gate
 }
-
-// byFrom orders the links into one receiver by ascending sender.
-func byFrom(a, b *channel) int { return cmp.Compare(a.from, b.from) }
 
 type occKind uint8
 
@@ -201,31 +217,43 @@ const (
 	occRestart
 )
 
-// occurrence is one event-queue entry: 32 bytes, no pointers (see the
-// package comment; TestQueueAndRecordLayout holds it there).
+// occurrence is one event-queue entry: 32 bytes, no pointers, and the four
+// fields the compiler will still keep in registers — with a fifth, every copy
+// goes through memory in pieces (TestQueueAndRecordLayout holds all three).
 type occurrence struct {
 	time int64
-	seq  int64 // insertion order; total tie-break
-	proc int32 // occDeliver (batch receiver), occTimer, occInject, occPlanCrash, occRestart
-	ref  int32 // occTimer: slot in the process's timer table; occInject: Sim.injects index; occPlanCrash, occRestart: Config.Lifetimes index
-	kind occKind
+	seq  int64  // insertion order; total tie-break
+	proc int32  // the batch receiver of an occDeliver; the process of any other
+	what uint32 // the occKind in the low occKindBits, the ref above them
 }
+
+const occKindBits = 3
+
+// occ builds an occurrence; push numbers it. ref is an occTimer's slot in the
+// process's timer table, an occInject's index in Sim.injects, an occPlanCrash's
+// or occRestart's in Config.Lifetimes: memory holds fewer than 2²⁹ of any.
+func occ(time int64, kind occKind, proc model.ProcID, ref int) occurrence {
+	return occurrence{time: time, proc: int32(proc), what: uint32(kind) | uint32(ref)<<occKindBits}
+}
+
+func (o occurrence) kind() occKind { return occKind(o.what & (1<<occKindBits - 1)) }
+func (o occurrence) ref() int      { return int(o.what >> occKindBits) }
 
 // dueBatch is one batched-delivery occurrence: every channel head due at
-// the same (time, receiver) coalesces into a single heap entry, so the event
+// the same (time, receiver) coalesces into a single event-queue entry, so the
 // queue holds O(active receivers) delivery occurrences per tick instead of
-// O(in-flight messages).
+// O(in-flight messages). The batch is the chain of its links through
+// channel.due, in no particular order.
 type dueBatch struct {
-	at    int64
-	links []*channel
+	at   int64
+	head *channel
 }
 
-// occHeap is a binary min-heap of occurrences ordered by (time, seq). It
-// stores values, not pointers, and implements push/pop directly instead of
-// through container/heap: the interface-based API boxes every occurrence
-// into an allocation per push, which on the sweep hot path (one push per
-// send, timer, and rescheduled delivery) dominated the per-run allocation
-// budget.
+// occHeap is a binary min-heap of occurrences ordered by (time, seq): the
+// calendar's overflow, for occurrences beyond its window. It stores values,
+// not pointers, and implements push/pop directly instead of through
+// container/heap, whose interface-based API boxes every occurrence into an
+// allocation per push.
 type occHeap []occurrence
 
 func (h occHeap) less(i, j int) bool {
@@ -273,6 +301,114 @@ func (h *occHeap) popOcc() occurrence {
 		i = j
 	}
 	return top
+}
+
+const (
+	calLen     = 256 // ticks the calendar's ring looks ahead
+	occPageLen = 63  // with its header a page is 2 KiB
+)
+
+// occPage is a page of one tick's occurrences. Like the record pages, occPages
+// pass from run to run through a pool, never cleared: no entry at or above n
+// is read.
+type occPage struct {
+	next *occPage // first, so it is the only word of a page the collector reads
+	n    int      // entries written
+	occ  [occPageLen]occurrence
+}
+
+var occPages = sync.Pool{New: func() any { return new(occPage) }}
+
+// calendar is the event queue (see the package comment). Every occurrence in
+// far is at least calLen ticks ahead of now, so the earliest one is in the
+// ring whenever the ring holds any.
+type calendar struct {
+	now   int64 // the tick being drained; its bucket is ring[now&(calLen-1)]
+	rd    int   // entries already popped from that bucket's head page
+	held  int   // occurrences in the ring
+	ring  [calLen]struct{ head, tail *occPage }
+	far   occHeap
+	spare *occPage // the page released last: a sparse tick goes round no pool
+}
+
+func (q *calendar) len() int { return q.held + len(q.far) }
+
+// push queues o, a time already passed counting as the current tick.
+func (q *calendar) push(o occurrence) {
+	if o.time < q.now {
+		o.time = q.now
+	}
+	if o.time-q.now >= calLen {
+		q.far.pushOcc(o)
+		return
+	}
+	b := &q.ring[o.time&(calLen-1)]
+	pg := b.tail
+	if pg == nil || pg.n == occPageLen {
+		np := q.spare
+		if q.spare = nil; np == nil {
+			np = occPages.Get().(*occPage)
+		}
+		np.next, np.n = nil, 0
+		if pg == nil {
+			b.head = np
+		} else {
+			pg.next = np
+		}
+		b.tail, pg = np, np
+	}
+	pg.occ[pg.n] = o
+	pg.n++
+	q.held++
+}
+
+// pop removes and returns the earliest occurrence of a queue that holds one,
+// moving now to its tick. When that leaves the current tick, the far
+// occurrences whose ticks enter the window move into the ring first, in the
+// heap's order: nothing could be pushed to those ticks directly before.
+func (q *calendar) pop() occurrence {
+	b := &q.ring[q.now&(calLen-1)]
+	if b.head == nil {
+		if q.held > 0 {
+			for q.now++; q.ring[q.now&(calLen-1)].head == nil; q.now++ {
+			}
+		} else {
+			q.now = q.far[0].time
+		}
+		for len(q.far) > 0 && q.far[0].time-q.now < calLen {
+			q.push(q.far.popOcc())
+		}
+		b = &q.ring[q.now&(calLen-1)]
+	}
+	pg := b.head
+	o := pg.occ[q.rd]
+	q.held--
+	if q.rd++; q.rd == pg.n { // read out: a later push to this tick starts a new page
+		if b.head = pg.next; b.head == nil {
+			b.tail = nil
+		}
+		q.rd = 0
+		if q.spare == nil {
+			q.spare = pg
+		} else {
+			occPages.Put(pg)
+		}
+	}
+	return o
+}
+
+// release hands every page still held to the next run.
+func (q *calendar) release() {
+	for i := range q.ring {
+		for pg := q.ring[i].head; pg != nil; {
+			next := pg.next
+			occPages.Put(pg)
+			pg = next
+		}
+	}
+	if q.spare != nil {
+		occPages.Put(q.spare)
+	}
 }
 
 // StopReason states why a run ended. The zero value, StopDrained, means the
@@ -414,25 +550,21 @@ func (r *Result) Quiescent() bool {
 type Sim struct {
 	cfg      Config
 	rng      *rand.Rand
-	handlers []node.Handler // index 1..N
+	handlers []node.Handler // index 1..N; Run copies each into its procCtx
 	ctxs     []procCtx      // index 1..N
-	queue    occHeap
+	queue    calendar
 	now      int64
 	seq      int64
 	nextMsg  model.MsgID
-	crashed  []bool
-	down     []bool // plan-crashed, restart possibly pending (crash-recovery)
 	failed   map[[2]model.ProcID]bool
 	ran      bool
 
-	rows      [][]*channel // per sender: its materialized links, ascending by receiver
-	linkArena []channel    // backing store the next new link is carved from
-	slab      []*slabPage  // every in-flight message copy, linked per channel
-	slots     int32        // slab slots handed out so far
-	free      int32        // head of the slab's free list
-	open      [][]dueBatch // per receiver: its open due batches, latest first
-	batchFree [][]*channel // recycled link slices for due batches
-	gatedFrom [][]*channel // per receiver: the links whose head its gate refused
+	linkArena []channel   // backing store the next new link is carved from
+	slab      []*slabPage // every in-flight message copy, linked per channel
+	slots     int32       // slab slots handed out so far
+	free      int32       // head of the slab's free list
+	spanOf    []int64     // per slab slot: its message's enqueue span id; nil without Config.Spans
+	drain     []*channel  // deliverBatch's scratch: the batch being drained, sorted
 
 	// The recording: nrec records in pages, the last of them page. pages,
 	// tags and injects start out in the arrays below: a sweep-cell-sized
@@ -480,25 +612,16 @@ func New(cfg Config) *Sim {
 			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
 			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
 		},
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		// Per-link state is lazy: a channel materializes on first traffic,
-		// so a sparse topology over a large N allocates O(active links), not
-		// the O(N²) a full-mesh presize would.
-		rows:      make([][]*channel, cfg.N+1),
-		free:      noSlot,
-		open:      make([][]dueBatch, cfg.N+1),
-		handlers:  make([]node.Handler, cfg.N+1),
-		ctxs:      make([]procCtx, cfg.N+1),
-		queue:     make(occHeap, 0, 128),
-		crashed:   make([]bool, cfg.N+1),
-		down:      make([]bool, cfg.N+1),
-		failed:    make(map[[2]model.ProcID]bool),
-		gatedFrom: make([][]*channel, cfg.N+1),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		free:     noSlot,
+		handlers: make([]node.Handler, cfg.N+1),
+		ctxs:     make([]procCtx, cfg.N+1),
+		failed:   make(map[[2]model.ProcID]bool),
 	}
 	s.pages, s.tags, s.injects = s.pageBuf[:0], s.tagBuf[:1], s.injectBuf[:0]
 	for p := 1; p <= cfg.N; p++ {
 		c := &s.ctxs[p]
-		c.s, c.p, c.timers = s, model.ProcID(p), c.timerBuf[:0]
+		c.s, c.p, c.open, c.timers = s, model.ProcID(p), c.openBuf[:0], c.timerBuf[:0]
 	}
 	s.core.Init("sim", cfg.N, cfg.Metrics)
 	for i, l := range cfg.Lifetimes {
@@ -522,7 +645,7 @@ func (s *Sim) SetHandler(p model.ProcID, h node.Handler) {
 // If p has crashed by then, fn is skipped. Injections at equal times run in
 // the order they were registered.
 func (s *Sim) At(t int64, p model.ProcID, fn func(node.Context)) {
-	s.push(occurrence{time: t, kind: occInject, proc: int32(p), ref: int32(len(s.injects))})
+	s.push(occ(t, occInject, p, len(s.injects)))
 	s.injects = append(s.injects, fn)
 }
 
@@ -534,7 +657,7 @@ func (s *Sim) CrashAt(t int64, p model.ProcID) {
 func (s *Sim) push(o occurrence) {
 	o.seq = s.seq
 	s.seq++
-	s.queue.pushOcc(o)
+	s.queue.push(o)
 }
 
 // Run executes the simulation to quiescence or horizon and returns the
@@ -545,26 +668,29 @@ func (s *Sim) Run() *Result {
 	}
 	s.ran = true
 	for p := 1; p <= s.cfg.N; p++ {
-		if s.handlers[p] == nil {
+		c := &s.ctxs[p]
+		if c.h = s.handlers[p]; c.h == nil {
 			panic(fmt.Sprintf("sim: no handler for process %d", p))
 		}
+		c.gate, _ = c.h.(node.Gate)
 	}
 
 	res := &Result{}
 	for i, l := range s.cfg.Lifetimes {
-		s.push(occurrence{time: l.Crash, kind: occPlanCrash, proc: int32(l.Proc), ref: int32(i)})
+		s.push(occ(l.Crash, occPlanCrash, l.Proc, i))
 	}
-	for p := model.ProcID(1); int(p) <= s.cfg.N; p++ {
-		s.handlers[p].Init(&s.ctxs[p])
-		s.afterEvent(p)
+	for p := 1; p <= s.cfg.N; p++ {
+		c := &s.ctxs[p]
+		c.h.Init(c)
+		s.afterEvent(c)
 	}
 
-	for len(s.queue) > 0 {
+	for s.queue.len() > 0 {
 		if s.nrec >= s.cfg.MaxEvents {
 			res.Stop = StopMaxEvents
 			break
 		}
-		o := s.queue.popOcc()
+		o := s.queue.pop()
 		if s.cfg.MaxTime > 0 && o.time > s.cfg.MaxTime {
 			res.Stop = StopMaxTime
 			break
@@ -575,23 +701,24 @@ func (s *Sim) Run() *Result {
 			}
 			s.now = o.time
 		}
-		p := model.ProcID(o.proc)
-		switch o.kind {
+		c := &s.ctxs[o.proc]
+		switch o.kind() {
 		case occDeliver:
-			s.deliverBatch(p)
+			s.deliverBatch(c)
 		case occTimer:
-			s.fireTimer(o)
+			s.fireTimer(c, o)
 		case occInject:
-			if !s.crashed[p] && !s.down[p] {
-				s.injects[o.ref](&s.ctxs[p])
-				s.afterEvent(p)
+			if !c.gone() {
+				s.injects[o.ref()](c)
+				s.afterEvent(c)
 			}
 		case occPlanCrash:
-			s.planCrash(o)
+			s.planCrash(c, o)
 		case occRestart:
-			s.restart(o)
+			s.restart(c)
 		}
 	}
+	s.queue.release()
 
 	res.History = s.materialize()
 	res.EndTime = s.now
@@ -630,8 +757,8 @@ func (s *Sim) sampleTimeline(next int64) {
 // maxBacklog returns the deepest link queue.
 func (s *Sim) maxBacklog() int {
 	mx := int32(0)
-	for _, row := range s.rows {
-		for _, c := range row {
+	for p := range s.ctxs {
+		for _, c := range s.ctxs[p].row {
 			mx = max(mx, c.n)
 		}
 	}
@@ -642,8 +769,8 @@ func (s *Sim) maxBacklog() int {
 // order — the order the rows are kept in.
 func (s *Sim) blockedChannels() []BlockedChannel {
 	var out []BlockedChannel
-	for _, row := range s.rows {
-		for _, c := range row {
+	for p := range s.ctxs {
+		for _, c := range s.ctxs[p].row {
 			if c.n == 0 {
 				continue
 			}
@@ -651,7 +778,7 @@ func (s *Sim) blockedChannels() []BlockedChannel {
 			switch {
 			// A process that is down at the end of the run is as gone as a
 			// crashed one: its leftovers are expected, not a liveness failure.
-			case s.crashed[c.to] || s.down[c.to]:
+			case s.ctxs[c.to].gone():
 				reason = ReasonReceiverCrashed
 			case s.slot(c.head).readyAt < 0:
 				reason = ReasonParked
@@ -662,14 +789,16 @@ func (s *Sim) blockedChannels() []BlockedChannel {
 	return out
 }
 
-// link returns the channel from→to, materializing it on first use. A
-// sender's row stays sorted by receiver, so the lookup is a binary search
-// and end-of-run walks see links in (from, to) order without sorting.
-func (s *Sim) link(from, to model.ProcID) *channel {
+// link returns the channel c.p→to, materializing it on first use: per-link
+// state is lazy, so a sparse topology over a large N allocates O(active
+// links), not the O(N²) of a full mesh. A sender's row stays sorted by
+// receiver, so the lookup is a binary search and end-of-run walks see links
+// in (from, to) order without sorting.
+func (c *procCtx) link(to model.ProcID) *channel {
 	// The two searches on the per-message path are written out: through
 	// slices.BinarySearchFunc (a call per comparison) flood-mesh-n10 ran 6 %
 	// fewer runs per second.
-	row := s.rows[from]
+	s, row := c.s, c.row
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -688,11 +817,11 @@ func (s *Sim) link(from, to model.ProcID) *channel {
 	if len(s.linkArena) == cap(s.linkArena) {
 		s.linkArena = make([]channel, 0, min(max(2*cap(s.linkArena), 16), 1024))
 	}
-	s.linkArena = append(s.linkArena, channel{from: from, to: to, head: noSlot, tail: noSlot})
-	c := &s.linkArena[len(s.linkArena)-1]
-	s.rows[from] = slices.Insert(row, lo, c)
+	s.linkArena = append(s.linkArena, channel{from: c.p, to: to, head: noSlot, tail: noSlot})
+	ch := &s.linkArena[len(s.linkArena)-1]
+	c.row = slices.Insert(row, lo, ch)
 	s.gLinks.Add(1)
-	return c
+	return ch
 }
 
 // slot returns the slab slot with index idx.
@@ -700,11 +829,12 @@ func (s *Sim) slot(idx int32) *pendingMsg {
 	return &s.slab[idx>>slabPageBits][idx&(slabPageLen-1)]
 }
 
-// enqueue appends msg to c's FIFO, taking a slot from the slab's free list
-// or growing the slab. With overtake set (and at least two messages already
-// queued) the new message lands immediately before the current tail: the
-// last two slots swap contents, a pairwise FIFO violation.
-func (s *Sim) enqueue(c *channel, msg pendingMsg, overtake bool) {
+// enqueue appends msg, whose enqueue span is span, to c's FIFO, taking a slot
+// from the slab's free list or growing the slab. With overtake set (and at
+// least two messages already queued) the new message lands immediately before
+// the current tail: the last two slots swap contents, a pairwise FIFO
+// violation.
+func (s *Sim) enqueue(c *channel, msg pendingMsg, span int64, overtake bool) {
 	idx := s.free
 	if idx != noSlot {
 		s.free = s.slot(idx).next
@@ -712,6 +842,9 @@ func (s *Sim) enqueue(c *channel, msg pendingMsg, overtake bool) {
 		idx = s.slots
 		if int(idx>>slabPageBits) == len(s.slab) {
 			s.slab = append(s.slab, new(slabPage))
+			if s.cfg.Spans != nil {
+				s.spanOf = append(s.spanOf, make([]int64, slabPageLen)...)
+			}
 		}
 		s.slots++
 	}
@@ -724,37 +857,48 @@ func (s *Sim) enqueue(c *channel, msg pendingMsg, overtake bool) {
 		if overtake && c.n > 1 {
 			msg, *tail = *tail, msg
 			tail.next, msg.next = idx, noSlot
+			if s.spanOf != nil {
+				span, s.spanOf[c.tail] = s.spanOf[c.tail], span
+			}
 		}
 	}
 	*s.slot(idx) = msg
+	if s.spanOf != nil {
+		s.spanOf[idx] = span
+	}
 	c.tail = idx
 	c.n++
 }
 
-// dequeue removes and returns c's head message. The vacated slot is cleared
-// before it joins the free list, so a delivered payload is not pinned.
-func (s *Sim) dequeue(c *channel) pendingMsg {
+// dequeue removes and returns c's head message and its enqueue span. The
+// vacated slot is cleared before it joins the free list, so a delivered
+// payload is not pinned.
+func (s *Sim) dequeue(c *channel) (msg pendingMsg, span int64) {
 	idx := c.head
 	slot := s.slot(idx)
-	msg := *slot
+	msg = *slot
 	*slot = pendingMsg{next: s.free}
 	s.free = idx
 	c.head = msg.next
 	if c.n--; c.n == 0 {
 		c.tail = noSlot
 	}
-	return msg
+	if s.spanOf != nil {
+		span = s.spanOf[idx]
+	}
+	return msg, span
 }
 
-// scheduleDelivery enqueues channel c's head delivery at time at.
-// Deliveries sharing a (time, receiver) coalesce into one occurrence and
-// drain in ascending sender order — deterministic, and independent of the
-// order the batch was assembled in. A receiver's open batches are kept
-// latest-first, so finding (or placing) the batch for at is a binary search
-// however many distinct due times the receiver holds, and the batch that
-// fires next is always the last one.
+// scheduleDelivery enqueues channel c's head delivery at time at, not
+// earlier than now. Deliveries sharing a (time, receiver) coalesce into one
+// occurrence and drain in ascending sender order — deterministic, and
+// independent of the order the batch was assembled in. A receiver's open
+// batches are kept latest-first, so finding (or placing) the batch for at is
+// a binary search however many distinct due times the receiver holds, and
+// the batch that fires next is always the last one.
 func (s *Sim) scheduleDelivery(c *channel, at int64) {
-	open := s.open[c.to]
+	rc := &s.ctxs[c.to]
+	open := rc.open
 	lo, hi := 0, len(open)
 	for lo < hi { // latest-first: search for the first batch not later than at
 		mid := int(uint(lo+hi) >> 1)
@@ -765,162 +909,157 @@ func (s *Sim) scheduleDelivery(c *channel, at int64) {
 		}
 	}
 	if lo < len(open) && open[lo].at == at {
-		open[lo].links = append(open[lo].links, c)
+		c.due, open[lo].head = open[lo].head, c
 		return
 	}
-	var links []*channel
-	if n := len(s.batchFree); n > 0 {
-		links = s.batchFree[n-1]
-		s.batchFree = s.batchFree[:n-1]
-	} else {
-		links = make([]*channel, 0, 4) // most batches stay this small; skip the 1→2→4 regrowth
-	}
-	s.open[c.to] = slices.Insert(open, lo, dueBatch{at: at, links: append(links, c)})
-	s.push(occurrence{time: at, kind: occDeliver, proc: int32(c.to)})
+	c.due = nil
+	rc.open = slices.Insert(open, lo, dueBatch{at: at, head: c})
+	s.push(occ(at, occDeliver, c.to, 0))
 }
 
-// deliverBatch drains every channel head due for receiver to at the current
+// deliverBatch drains every channel head due for receiver rc at the current
 // time. Occurrences fire in time order and every open batch has one, so the
 // batch due now is the receiver's earliest — the last in its list. It is
 // detached before it drains: a head rescheduled to the same tick during the
 // drain (the next message of a channel whose head just delivered, or a
 // channel un-gated by one of these deliveries) opens a fresh batch behind
 // this one.
-func (s *Sim) deliverBatch(to model.ProcID) {
-	open := s.open[to]
-	last := len(open) - 1
-	links := open[last].links
-	open[last] = dueBatch{}
-	s.open[to] = open[:last]
-	slices.SortFunc(links, byFrom)
-	for _, c := range links {
-		s.deliver(c)
+func (s *Sim) deliverBatch(rc *procCtx) {
+	last := len(rc.open) - 1
+	c := rc.open[last].head
+	rc.open = rc.open[:last]
+	if c.due == nil {
+		s.deliver(rc, c)
+		return
 	}
-	s.batchFree = append(s.batchFree, links[:0])
+	// Sorted descending: that is how senders acting in id order chain up, so
+	// a link then costs one append. Nothing re-enters deliverBatch as it drains.
+	links := s.drain[:0]
+	for ; c != nil; c = c.due {
+		i := len(links)
+		links = append(links, c)
+		for ; i > 0 && links[i-1].from < c.from; i-- {
+			links[i] = links[i-1]
+		}
+		links[i] = c
+	}
+	s.drain = links
+	for i := len(links) - 1; i >= 0; i-- {
+		s.deliver(rc, links[i])
+	}
 }
 
-// deliver attempts to deliver the head of channel c.
-func (s *Sim) deliver(c *channel) {
+// deliver attempts to deliver the head of channel c to its receiver rc.
+func (s *Sim) deliver(rc *procCtx, c *channel) {
 	c.scheduled = false
-	if c.n == 0 || s.crashed[c.to] {
+	if c.n == 0 || rc.crashed {
 		return
 	}
 	// A reordered enqueue can put a not-yet-ready (or parked) message in
 	// front of the one this occurrence was scheduled for: re-anchor on the
 	// current head's ready time instead of delivering early.
-	readyAt := s.slot(c.head).readyAt
-	if readyAt < 0 {
+	slot := s.slot(c.head)
+	if slot.readyAt < 0 {
 		return // parked head; channel blocks
 	}
-	if readyAt > s.now {
+	if slot.readyAt > s.now {
 		c.scheduled = true
-		s.scheduleDelivery(c, readyAt)
+		s.scheduleDelivery(c, slot.readyAt)
 		return
 	}
-	if s.down[c.to] {
+	if rc.down {
 		// The message arrives while the receiver is down: it is lost, the
 		// way a datagram to a dead socket is. Messages still in flight may
 		// yet land after a restart, so loss is decided per arrival, here.
-		head := s.dequeue(c)
+		head, span := s.dequeue(c)
 		s.inflight--
-		if head.span != 0 {
+		if span != 0 {
 			s.cfg.Spans.Record(obs.Span{
-				Parent: head.span, Time: s.now, Kind: obs.SpanDrop,
-				Proc: c.to, Peer: c.from, Msg: head.id, Note: "receiver down",
+				Parent: span, Time: s.now, Kind: obs.SpanDrop,
+				Proc: c.to, Peer: c.from, Msg: model.MsgID(head.id), Note: "receiver down",
 			})
 		}
 		s.scheduleHead(c)
 		return
 	}
-	h := s.handlers[c.to]
-	if g, ok := h.(node.Gate); ok && !g.Accepts(c.from, s.slot(c.head).payload) {
+	if rc.gate != nil && !rc.gate.Accepts(c.from, slot.payload) {
 		c.gated = true
-		s.gatedFrom[c.to] = append(s.gatedFrom[c.to], c)
+		rc.gated = append(rc.gated, c)
 		return
 	}
 	c.gated = false
-	head := s.dequeue(c)
-	s.record(model.Recv(c.to, c.from, head.id, head.payload.Tag, head.payload.Subject))
+	head, span := s.dequeue(c)
+	s.record(model.Recv(c.to, c.from, model.MsgID(head.id), head.payload.Tag, head.payload.Subject))
 	s.core.Delivered.Inc()
 	s.inflight--
 	prevSpan := s.curSpan
-	if head.span != 0 {
+	if span != 0 {
 		s.curSpan = s.cfg.Spans.Record(obs.Span{
-			Parent: head.span, Time: s.now, Kind: obs.SpanDeliver,
-			Proc: c.to, Peer: c.from, Msg: head.id, Tag: head.payload.Tag,
+			Parent: span, Time: s.now, Kind: obs.SpanDeliver,
+			Proc: c.to, Peer: c.from, Msg: model.MsgID(head.id), Tag: head.payload.Tag,
 		})
 	} else {
 		s.curSpan = 0
 	}
 	s.scheduleHead(c)
-	h.OnMessage(&s.ctxs[c.to], c.from, head.payload)
-	s.afterEvent(c.to)
+	rc.h.OnMessage(rc, c.from, head.payload)
+	s.afterEvent(rc)
 	s.curSpan = prevSpan
 }
 
-// afterEvent re-evaluates gated channels into p after any event of p: the
+// afterEvent re-evaluates gated channels into c after any event of c: the
 // gate's answer may have changed (e.g. a detection completed). Gated
-// channels are tracked per receiver, so the pass costs O(channels gated
-// into p), not a scan of every live link in the run.
-func (s *Sim) afterEvent(p model.ProcID) {
-	if s.crashed[p] || s.down[p] {
+// channels are tracked per receiver, in ascending sender order, so the pass
+// costs O(channels gated into c), not a scan of every live link in the run.
+func (s *Sim) afterEvent(c *procCtx) {
+	if len(c.gated) == 0 || c.gone() {
 		return
 	}
-	pending := s.gatedFrom[p]
-	if len(pending) == 0 {
-		return
-	}
-	slices.SortFunc(pending, byFrom)
-	g, isGate := s.handlers[p].(node.Gate)
-	still := pending[:0]
-	for _, c := range pending {
-		if !c.gated || c.n == 0 {
+	slices.SortFunc(c.gated, func(a, b *channel) int { return cmp.Compare(a.from, b.from) })
+	still := c.gated[:0]
+	for _, ch := range c.gated {
+		if !ch.gated || ch.n == 0 {
 			continue // stale entry; the channel was un-gated or drained
 		}
-		if isGate && !g.Accepts(c.from, s.slot(c.head).payload) {
-			still = append(still, c)
+		if !c.gate.Accepts(ch.from, s.slot(ch.head).payload) {
+			still = append(still, ch)
 			continue
 		}
-		c.gated = false
-		if !c.scheduled {
-			c.scheduled = true
-			s.scheduleDelivery(c, s.now)
+		ch.gated = false
+		if !ch.scheduled {
+			ch.scheduled = true
+			s.scheduleDelivery(ch, s.now)
 		}
 	}
-	s.gatedFrom[p] = still
+	c.gated = still
 }
 
 // scheduleHead queues a delivery occurrence for the head of channel c, if
 // any and not parked.
 func (s *Sim) scheduleHead(c *channel) {
-	if c.scheduled || c.gated || c.n == 0 || s.crashed[c.to] {
+	if c.scheduled || c.gated || c.n == 0 || s.ctxs[c.to].crashed {
 		return
 	}
 	at := s.slot(c.head).readyAt
 	if at < 0 {
 		return // parked forever
 	}
-	if at < s.now {
-		at = s.now
-	}
 	c.scheduled = true
-	s.scheduleDelivery(c, at)
+	s.scheduleDelivery(c, max(at, s.now))
 }
 
-func (s *Sim) fireTimer(o occurrence) {
-	p := model.ProcID(o.proc)
-	if s.crashed[p] || s.down[p] {
+func (s *Sim) fireTimer(c *procCtx, o occurrence) {
+	if c.gone() {
 		return
 	}
-	ctx := &s.ctxs[p]
-	t := &ctx.timers[o.ref]
+	t := &c.timers[o.ref()]
 	if t.armed != o.seq {
 		return // cancelled, replaced, or armed before a crash
 	}
 	t.armed = unarmed
 	s.core.TimersFired.Inc()
-	s.handlers[p].OnTimer(ctx, t.name)
-	s.afterEvent(p)
+	c.h.OnTimer(c, t.name)
+	s.afterEvent(c)
 }
 
 // planCrash executes one crash window of a lifetime: take the process down
@@ -928,33 +1067,31 @@ func (s *Sim) fireTimer(o occurrence) {
 // next window and the restart as occurrences. A process that already crashed
 // terminally (CrashSelf) or is still down from an earlier window skips the
 // whole window, restart included.
-func (s *Sim) planCrash(o occurrence) {
-	p := model.ProcID(o.proc)
-	if s.crashed[p] || s.down[p] {
+func (s *Sim) planCrash(c *procCtx, o occurrence) {
+	if c.gone() {
 		return
 	}
-	s.down[p] = true
-	for i := range s.ctxs[p].timers {
-		s.ctxs[p].timers[i].armed = unarmed
+	c.down = true
+	for i := range c.timers {
+		c.timers[i].armed = unarmed
 	}
-	s.core.Crash(int(o.ref), o.time, s.now, s.handlers[p], &s.ctxs[p], func(at int64, restart bool) {
+	s.core.Crash(o.ref(), o.time, s.now, c.h, c, func(at int64, restart bool) {
 		kind := occPlanCrash
 		if restart {
 			kind = occRestart
 		}
-		s.push(occurrence{time: at, kind: kind, proc: o.proc, ref: o.ref})
+		s.push(occ(at, kind, c.p, o.ref()))
 	}, s.record)
 }
 
 // restart brings a down process back.
-func (s *Sim) restart(o occurrence) {
-	p := model.ProcID(o.proc)
-	if s.crashed[p] || !s.down[p] {
+func (s *Sim) restart(c *procCtx) {
+	if c.crashed || !c.down {
 		return
 	}
-	s.down[p] = false
-	s.core.Restart(p, s.now, s.handlers[p], &s.ctxs[p], s.record)
-	s.afterEvent(p)
+	c.down = false
+	s.core.Restart(c.p, s.now, c.h, c, s.record)
+	s.afterEvent(c)
 }
 
 // rec is one recorded event (see the package comment). A Target that does
@@ -1062,10 +1199,20 @@ func (s *Sim) materialize() model.History {
 	return h
 }
 
-// procCtx implements node.Context for one process.
+// procCtx is one process: its node.Context and everything the simulator
+// keeps per process, the fields a delivery reads first and next to each other.
 type procCtx struct {
 	s *Sim
 	p model.ProcID
+
+	crashed bool // CrashSelf: terminal
+	down    bool // plan-crashed, restart possibly pending (crash-recovery)
+	h       node.Handler
+	gate    node.Gate    // h, when it gates its receives; nil otherwise
+	gated   []*channel   // the links whose head the gate refused
+	open    []dueBatch   // open due batches, latest first
+	openBuf [12]dueBatch // where open starts out: more due times than the default delay range spreads a receiver's mail over
+	row     []*channel   // materialized outgoing links, ascending by receiver
 
 	// timers is the process's timer table. An unarmed slot is taken over by
 	// the next new name, so the table is as long as the most timers the
@@ -1083,6 +1230,9 @@ type timerSlot struct {
 }
 
 const unarmed int64 = -1
+
+// gone reports that the process takes no step now: crashed, or down.
+func (c *procCtx) gone() bool { return c.crashed || c.down }
 
 // timer returns the index of the named timer's slot, or -1.
 func (c *procCtx) timer(name string) int {
@@ -1102,7 +1252,7 @@ func (c *procCtx) Now() int64         { return c.s.now }
 
 func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	s := c.s
-	if s.crashed[c.p] || s.down[c.p] {
+	if c.gone() {
 		return
 	}
 	if to == c.p {
@@ -1110,6 +1260,9 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	}
 	if to < 1 || int(to) > s.cfg.N {
 		panic(fmt.Sprintf("sim: send to invalid process %d", to))
+	}
+	if s.nextMsg >= math.MaxUint32 {
+		panic("sim: more messages than a message slot's id can number")
 	}
 	s.nextMsg++
 	id := s.nextMsg
@@ -1121,7 +1274,7 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	var wasEmpty bool
 	s.core.Route(s.now, s.curSpan, c.p, to, id, p, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
 		if ch == nil {
-			ch = s.link(c.p, to)
+			ch = c.link(to)
 			wasEmpty = ch.n == 0
 		}
 		var delay int64
@@ -1130,12 +1283,12 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		} else {
 			delay = s.cfg.MinDelay + s.rng.Int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		msg := pendingMsg{id: id, payload: wire, readyAt: -1, span: span}
+		msg := pendingMsg{id: uint32(id), payload: wire, readyAt: -1}
 		if delay >= 0 && !park {
 			msg.readyAt = s.now + delay + extra
 		}
 		s.inflight++
-		s.enqueue(ch, msg, reorder)
+		s.enqueue(ch, msg, span, reorder)
 	})
 	if wasEmpty {
 		s.scheduleHead(ch)
@@ -1144,7 +1297,7 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 
 func (c *procCtx) SetTimer(name string, delay int64) {
 	s := c.s
-	if s.crashed[c.p] || s.down[c.p] {
+	if c.gone() {
 		return
 	}
 	i := c.timer(name)
@@ -1156,7 +1309,7 @@ func (c *procCtx) SetTimer(name string, delay int64) {
 		c.timers = append(c.timers, timerSlot{})
 	}
 	c.timers[i] = timerSlot{name: name, armed: s.seq} // the sequence number push gives the occurrence
-	s.push(occurrence{time: s.now + delay, kind: occTimer, proc: int32(c.p), ref: int32(i)})
+	s.push(occ(s.now+delay, occTimer, c.p, i))
 }
 
 func (c *procCtx) CancelTimer(name string) {
@@ -1167,7 +1320,7 @@ func (c *procCtx) CancelTimer(name string) {
 
 func (c *procCtx) EmitFailed(j model.ProcID) {
 	s := c.s
-	if s.crashed[c.p] || s.down[c.p] {
+	if c.gone() {
 		return
 	}
 	key := [2]model.ProcID{c.p, j}
@@ -1180,19 +1333,19 @@ func (c *procCtx) EmitFailed(j model.ProcID) {
 
 func (c *procCtx) CrashSelf() {
 	s := c.s
-	if s.crashed[c.p] || s.down[c.p] {
+	if c.gone() {
 		return
 	}
 	s.record(model.Crash(c.p))
-	s.crashed[c.p] = true
-	if l, ok := s.handlers[c.p].(node.CrashListener); ok {
+	c.crashed = true
+	if l, ok := c.h.(node.CrashListener); ok {
 		l.OnCrash(c)
 	}
 }
 
 func (c *procCtx) EmitInternal(tag string, subject model.ProcID) {
 	s := c.s
-	if s.crashed[c.p] || s.down[c.p] {
+	if c.gone() {
 		return
 	}
 	s.record(model.Internal(c.p, tag, subject))

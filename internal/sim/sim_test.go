@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"failstop/internal/model"
@@ -294,6 +297,60 @@ func TestTimerSlotsTakenOver(t *testing.T) {
 	}
 	if n := len(s.ctxs[1].timers); n > 2 {
 		t.Errorf("timer table grew to %d slots for 2 timers armed at once", n)
+	}
+}
+
+// TestPastOccurrenceFiresThisTickInOrder: a timer set with a negative delay,
+// or an injection scheduled for a tick already passed, is due in the current
+// tick and waits its turn behind what that tick already holds — what
+// time.AfterFunc does with a negative duration on the live runtime.
+func TestPastOccurrenceFiresThisTickInOrder(t *testing.T) {
+	s := newSim(t, 2, 1)
+	var got []string
+	log := func(ctx node.Context, what string) {
+		got = append(got, fmt.Sprintf("%d:%s@%d", ctx.Self(), what, ctx.Now()))
+	}
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) { ctx.SetTimer("go", 5) },
+		onTimer: func(ctx node.Context, name string) {
+			log(ctx, name)
+			if name == "go" {
+				ctx.SetTimer("past", -3)
+				s.At(2, 2, func(ctx node.Context) { log(ctx, "inject") })
+				ctx.SetTimer("now", 0)
+			}
+		},
+	})
+	s.SetHandler(2, &scriptHandler{
+		init:    func(ctx node.Context) { ctx.SetTimer("queued", 5) },
+		onTimer: func(ctx node.Context, name string) { log(ctx, name) },
+	})
+	s.Run()
+	want := []string{"1:go@5", "2:queued@5", "1:past@5", "2:inject@5", "1:now@5"}
+	if !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+}
+
+// TestMessageIDsFitTheSlot: the last id a message slot can hold is sent and
+// delivered under its own number; the send after it panics instead of
+// wrapping onto id 0.
+func TestMessageIDsFitTheSlot(t *testing.T) {
+	s := newSim(t, 2, 1)
+	s.nextMsg = math.MaxUint32 - 1
+	var second any
+	s.SetHandler(1, &scriptHandler{init: func(ctx node.Context) {
+		ctx.Send(2, node.Payload{Tag: "last"})
+		defer func() { second = recover() }()
+		ctx.Send(2, node.Payload{Tag: "one too many"})
+	}})
+	s.SetHandler(2, idle())
+	res := s.Run()
+	if len(res.History) != 2 || res.History[1].Kind != model.KindRecv || res.History[1].Msg != math.MaxUint32 {
+		t.Errorf("history = %+v, want the send and the receive of message %d", res.History, uint32(math.MaxUint32))
+	}
+	if msg, _ := second.(string); !strings.Contains(msg, "more messages") {
+		t.Errorf("the send past the last id panicked with %v, want the slot-id guard", second)
 	}
 }
 

@@ -1,6 +1,8 @@
 package failstop_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -104,6 +106,52 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 			if f.fate.restarted[p] != stormProcs[p] {
 				t.Errorf("%s: proc %d restarted=%v, want %v", f.name, p, f.fate.restarted[p], stormProcs[p])
 			}
+		}
+	}
+}
+
+// TestLiveStopReportsFailedDurableWrite: with LiveOptions.RecoveryDir, a
+// crash-time snapshot that could not be written is what Stop returns, and a
+// run whose snapshots all landed returns nil. The directory is replaced by a
+// regular file once the cluster runs (a permission change would not stop
+// root), so every later write fails.
+func TestLiveStopReportsFailedDurableWrite(t *testing.T) {
+	const n, tt = 5, 2
+	plan, err := failstop.BuiltinFaultPlan("restart-storm", n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sabotage := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "snapshots")
+		lc := failstop.NewLiveCluster(failstop.LiveOptions{
+			N: n, T: tt, Seed: 11, Faults: &plan,
+			Recovery: failstop.RecoveryDurable, RecoveryDir: dir,
+			MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+			Tick: 100 * time.Microsecond,
+		})
+		lc.Start()
+		if sabotage {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen := lc.Metrics().Value("net_plan_crashes_total")
+		deadline := time.Now().Add(2 * time.Second)
+		for lc.Metrics().Value("net_plan_crashes_total") == seen && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		crashed := lc.Metrics().Value("net_plan_crashes_total") > seen
+		err := lc.Stop()
+		switch {
+		case !crashed:
+			t.Fatalf("sabotage=%v: no plan crash within the deadline", sabotage)
+		case sabotage && err == nil:
+			t.Error("Stop returned nil although the recovery directory was gone when a process crashed")
+		case !sabotage && err != nil:
+			t.Errorf("Stop = %v with the recovery directory intact", err)
 		}
 	}
 }

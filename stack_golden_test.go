@@ -194,10 +194,13 @@ func TestGoldenStackRuns(t *testing.T) {
 
 // TestStackFaultyAllocBudget gates the committed benchmark's stack-faulty op
 // (flaky-quorum at n=10, heartbeats, reliable + byz, p10 crashed at 100,
-// 1,500 ticks ≈ 20,600 messages) at 5,300 allocations a run: the ≈ 4,830 it
+// 1,500 ticks ≈ 20,600 messages) at 5,200 allocations a run: the ≈ 4,720 it
 // measures plus a tenth. It took ≈ 94,000 while pump re-sorted every round
 // on every timer and echo and each frame header was its own allocation.
 func TestStackFaultyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
 	plan, err := failstop.BuiltinFaultPlan("flaky-quorum", 10, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +216,8 @@ func TestStackFaultyAllocBudget(t *testing.T) {
 			t.Fatal("no retransmissions: the op is not the benchmark's")
 		}
 	})
-	if allocs > 5300 {
-		t.Errorf("stack-faulty op: %.0f allocations per run, budget 5300", allocs)
+	if allocs > 5200 {
+		t.Errorf("stack-faulty op: %.0f allocations per run, budget 5200", allocs)
 	}
 	t.Logf("stack-faulty op: %.0f allocations per run", allocs)
 }
