@@ -123,9 +123,10 @@ func LayerStats(handlers []node.Handler) Layers {
 }
 
 // Snapshot returns the name-sorted readings of the counters, of the layers
-// that are present, and of extra (a backend's own instruments).
-func (c *Core) Snapshot(l Layers, extra ...obs.Metric) obs.Metrics {
-	ms := make(obs.Metrics, 0, len(c.Names)+4+len(extra))
+// that are present, and of extra (a backend's own instruments), in into's
+// array when that is long enough.
+func (c *Core) Snapshot(into obs.Metrics, l Layers, extra ...obs.Metric) obs.Metrics {
+	ms := slices.Grow(into[:0], len(c.Names)+4+len(extra))
 	counter := func(name string, v int64) {
 		ms = append(ms, obs.Metric{Name: name, Kind: obs.KindCounter, Value: v})
 	}

@@ -60,7 +60,7 @@ func TestSnapshotNames(t *testing.T) {
 	plain.Init("test", 2, reg)
 	plain.Sent.Add(3)
 	want := []string{"x_delivered_total", "x_dropped_total", "x_duplicated_total", "x_sent_total", "x_timers_fired_total"}
-	if got := names(plain.Snapshot(host.Layers{})); !reflect.DeepEqual(got, want) {
+	if got := names(plain.Snapshot(nil, host.Layers{})); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot names = %v, want %v", got, want)
 	}
 	if got := names(reg.Snapshot()); !reflect.DeepEqual(got, want) {
@@ -72,7 +72,7 @@ func TestSnapshotNames(t *testing.T) {
 
 	full := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: 5}}}
 	full.Init("test", 2, nil)
-	got := full.Snapshot(host.Layers{Reliable: true, Byz: true, Retransmits: 9},
+	got := full.Snapshot(nil, host.Layers{Reliable: true, Byz: true, Retransmits: 9},
 		obs.Metric{Name: "x_links_live", Kind: obs.KindGauge, Value: 4})
 	want = []string{"byz_detected_total", "byz_masked_total", "reliable_acked_duplicates_total",
 		"reliable_retransmits_total", "x_delivered_total", "x_dropped_total", "x_duplicated_total", "x_links_live",

@@ -236,7 +236,7 @@ func (n *Net) delay() time.Duration {
 // including the interposer layers' when any handler carries them. Safe to
 // call while the network runs.
 func (n *Net) Metrics() obs.Metrics {
-	return n.core.Snapshot(host.LayerStats(n.handlers))
+	return n.core.Snapshot(nil, host.LayerStats(n.handlers))
 }
 
 // afterTicks schedules fn after d ticks, retaining the timer so Stop can

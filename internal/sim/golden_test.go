@@ -218,6 +218,39 @@ func (h *restartTicker) OnRestart(ctx node.Context, state []byte) {
 	h.Init(ctx)
 }
 
+// goldenFailed: every process declares each of the others failed twice over
+// (failed_i(j) is single-shot, so half of them record nothing), tells it so,
+// and one crashes itself mid-way; what arrives at the crashed one stays queued.
+// Its digest was captured at 299166e, before runs recycled one another's
+// failed sets and crash flags.
+func goldenFailed() *Result {
+	const n = 6
+	s := New(Config{N: n, Seed: 21, MinDelay: 1, MaxDelay: 5})
+	for p := model.ProcID(1); p <= n; p++ {
+		p := p
+		s.SetHandler(p, &scriptHandler{
+			init: func(ctx node.Context) { ctx.SetTimer("accuse", int64(p)) },
+			onTimer: func(ctx node.Context, _ string) {
+				for q := model.ProcID(1); q <= n; q++ {
+					if q == p {
+						continue
+					}
+					ctx.EmitFailed(q)
+					ctx.Send(q, node.Payload{Tag: "F", Subject: q})
+					ctx.EmitFailed(q)
+				}
+				if p == 3 {
+					ctx.CrashSelf()
+				}
+			},
+			onMsg: func(ctx node.Context, from model.ProcID, pl node.Payload) {
+				ctx.EmitInternal("accused", from)
+			},
+		})
+	}
+	return s.Run()
+}
+
 // goldenCases is the table of pinned runs: a scenario and the digest it must
 // produce.
 var goldenCases = []struct {
@@ -248,6 +281,7 @@ var goldenCases = []struct {
 	{"max-time truncated", func() string {
 		return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxTime: 13}, 20))
 	}, "ad375b9fa854738a/1690"},
+	{"failed twice and a crash", func() string { return digestResult(goldenFailed()) }, "31b87425723b5cb4/111"},
 	{"gossip n=500 fanout=6", func() string {
 		res, _ := runTopoFlood(500, 6, 3, 4, nil)
 		return digestResult(res)

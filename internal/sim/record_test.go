@@ -168,10 +168,11 @@ func TestQueueAndRecordLayout(t *testing.T) {
 	}
 }
 
-// TestSimHistoryBytesBudget: once the record pages are warm, a run allocates
-// little more than the history it returns — no buffer it outgrows, no second
-// copy. The constant covers what does not grow with the history: the Sim,
-// its links, the message slab and the event queue at n=10.
+// TestSimHistoryBytesBudget: once the pools are warm, a run that keeps its
+// Result allocates the history it returns and 9 KiB more — no buffer it
+// outgrows, no second copy. The constant covers what does not grow with the
+// history: the Sim with its calendar ring, the Result and the handlers at
+// n=10; the budget is a tenth over both.
 func TestSimHistoryBytesBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")
@@ -180,7 +181,7 @@ func TestSimHistoryBytesBudget(t *testing.T) {
 		var events int
 		_, kib := allocsAndKiB(20, func() { events = len(runFlood(10, rounds, 1).History) })
 		history := float64(events) * float64(unsafe.Sizeof(model.Event{})) / 1024
-		if budget := 1.5*history + 64; kib > budget {
+		if budget := 1.1 * (history + 10); kib > budget {
 			t.Errorf("%d rounds: %.0f KiB allocated for a %.0f KiB history, budget %.0f", rounds, kib, history, budget)
 		}
 	}

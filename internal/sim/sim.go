@@ -96,7 +96,26 @@
 //     pages once, at its exact length. That one run-sized allocation is the
 //     recording's main cost: the runtime clears it before it is filled, and
 //     the two passes are ≈ 9 % of a run at N=10,000 (46 MB) and ≈ 15 % at
-//     n=10 (253 KiB).
+//     n=10 (253 KiB) — unless a released Result left an array long enough,
+//     which is then filled in place.
+//   - Recycling. A Sim is single-use, but what it built is not: the process
+//     table with each row's and gate list's capacity, the handler table, the
+//     slab's pages, the link arena's chunks, the overflow heap's array, the
+//     failed set and the generator are one bulk, which Run retires to a pool
+//     as its last step and New draws from. New resets what it draws as if it
+//     were garbage — each process's flags, lists and tables emptied (its
+//     handler and gate are set by Run), the failed set cleared, the generator
+//     re-seeded, the arena re-carved from its first chunk, every slot and link
+//     written before it is read — and relies on retirement for one thing, a
+//     nil handler table; retirement also drops what would pin
+//     another run's objects (each process's handler and Sim, payloads still
+//     queued). A run that panics retires nothing. The *Sim is never pooled:
+//     its counters are what a Config.Metrics registry reads, and a span
+//     recorder or a timeline belongs to the caller in the same way. Once Run
+//     has returned, At, CrashAt and SetHandler panic, and a node.Context — the
+//     procCtx — is some other run's: it was already valid only for the callback
+//     it was handed to. A Result is its caller's for good unless the caller
+//     gives it back with Release.
 package sim
 
 import (
@@ -521,7 +540,11 @@ type Result struct {
 	// Timeline holds the sampled per-tick series when Config.Timeline was
 	// set; nil otherwise.
 	Timeline []obs.TimelineSeries
+
+	released bool // in results, or drawn from it by a Run that has not returned
 }
+
+var results sync.Pool // of *Result, each released by its sole owner
 
 // HitHorizon reports that the run stopped at MaxTime or MaxEvents rather
 // than by draining the event queue.
@@ -545,26 +568,52 @@ func (r *Result) Quiescent() bool {
 	return !r.HitHorizon() && !r.BlockedLive()
 }
 
-// Sim is a single-use simulator instance: configure, attach handlers,
-// inject actions, then call Run exactly once.
-type Sim struct {
-	cfg      Config
+// bulk is everything run-sized that is dead when Run returns. Run retires it to
+// bulks as its last step and New draws from there, so a run inherits the
+// capacity of the one before it (see Recycling in the package comment).
+type bulk struct {
 	rng      *rand.Rand
 	handlers []node.Handler // index 1..N; Run copies each into its procCtx
 	ctxs     []procCtx      // index 1..N
-	queue    calendar
-	now      int64
-	seq      int64
-	nextMsg  model.MsgID
 	failed   map[[2]model.ProcID]bool
-	ran      bool
+	arenas   [][]channel // every chunk links are carved from, in carving order
+	slab     []*slabPage // every in-flight message copy, linked per channel
+	drain    []*channel  // deliverBatch's scratch: the batch being drained, sorted
+	far      occHeap     // the calendar's overflow array, while no run holds it
+}
 
-	linkArena []channel   // backing store the next new link is carved from
-	slab      []*slabPage // every in-flight message copy, linked per channel
-	slots     int32       // slab slots handed out so far
-	free      int32       // head of the slab's free list
-	spanOf    []int64     // per slab slot: its message's enqueue span id; nil without Config.Spans
-	drain     []*channel  // deliverBatch's scratch: the batch being drained, sorted
+var bulks sync.Pool // of *bulk
+
+// Release gives the result's memory — the arrays of History, Blocked and
+// Metrics — to a later Run. Only the sole owner of the result may call it, and
+// the caller must not read the result, its History included, afterwards: any
+// Run on any goroutine may be rewriting it. Nothing requires the call; a
+// result that is not released is the garbage collector's, as ever. Releasing a
+// zero Result is harmless; releasing one twice panics.
+func (r *Result) Release() {
+	if r.released {
+		panic("sim: Result released twice")
+	}
+	*r = Result{History: r.History[:0], Blocked: r.Blocked[:0], Metrics: r.Metrics[:0], released: true}
+	results.Put(r)
+}
+
+// Sim is a single-use simulator instance: configure, attach handlers,
+// inject actions, then call Run exactly once.
+type Sim struct {
+	cfg     Config
+	bulk    // drawn by New, retired by Run; zero from then on
+	queue   calendar
+	now     int64
+	seq     int64
+	nextMsg model.MsgID
+	ran     bool
+
+	linkArena []channel // the chunk the next new link is carved from
+	chunks    int       // arenas carved from so far, linkArena the last
+	slots     int32     // slab slots handed out so far
+	free      int32     // head of the slab's free list
+	spanOf    []int64   // per slab slot: its message's enqueue span id; nil without Config.Spans
 
 	// The recording: nrec records in pages, the last of them page. pages,
 	// tags and injects start out in the arrays below: a sweep-cell-sized
@@ -606,29 +655,46 @@ func New(cfg Config) *Sim {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 1 << 20
 	}
+	for i, l := range cfg.Lifetimes {
+		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
+			panic(fmt.Sprintf("sim: lifetime %d is unbounded (period %d, no until); set MaxTime", i, l.Period))
+		}
+	}
 	s := &Sim{
 		cfg: cfg,
 		core: host.Core{
 			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
 			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
 		},
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		free:     noSlot,
-		handlers: make([]node.Handler, cfg.N+1),
-		ctxs:     make([]procCtx, cfg.N+1),
-		failed:   make(map[[2]model.ProcID]bool),
+		free: noSlot,
+	}
+	if b, _ := bulks.Get().(*bulk); b != nil {
+		s.bulk = *b
+		s.rng.Seed(cfg.Seed) // the stream rand.NewSource(cfg.Seed) starts
+		clear(s.failed)
+	} else {
+		s.rng, s.failed = rand.New(rand.NewSource(cfg.Seed)), make(map[[2]model.ProcID]bool)
+	}
+	// Retirement left handlers nil; every other inherited entry is written
+	// before it is read. A ctxs too short is dropped, not grown: a procCtx
+	// points into itself and must not be copied.
+	if cap(s.handlers) <= cfg.N {
+		s.handlers = make([]node.Handler, cfg.N+1)
+	}
+	if cap(s.ctxs) <= cfg.N {
+		s.ctxs = make([]procCtx, cfg.N+1)
+	}
+	s.handlers, s.ctxs, s.queue.far = s.handlers[:cfg.N+1], s.ctxs[:cfg.N+1], s.far[:0]
+	if cfg.Spans != nil {
+		s.spanOf = make([]int64, len(s.slab)*slabPageLen)
 	}
 	s.pages, s.tags, s.injects = s.pageBuf[:0], s.tagBuf[:1], s.injectBuf[:0]
-	for p := 1; p <= cfg.N; p++ {
+	for p := range s.ctxs {
 		c := &s.ctxs[p]
-		c.s, c.p, c.open, c.timers = s, model.ProcID(p), c.openBuf[:0], c.timerBuf[:0]
+		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
+		c.gated, c.row, c.open, c.timers = c.gated[:0], c.row[:0], c.openBuf[:0], c.timerBuf[:0]
 	}
 	s.core.Init("sim", cfg.N, cfg.Metrics)
-	for i, l := range cfg.Lifetimes {
-		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
-			panic(fmt.Sprintf("sim: lifetime %d is unbounded (period %d, no until); set MaxTime", i, l.Period))
-		}
-	}
 	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
 }
@@ -638,19 +704,30 @@ var metricNames = host.MetricNames("sim_")
 
 // SetHandler attaches the handler for process p (1..N).
 func (s *Sim) SetHandler(p model.ProcID, h node.Handler) {
+	s.live("SetHandler")
 	s.handlers[p] = h
+}
+
+// live panics once Run has retired the bulk: what the call would write to is
+// another run's by now.
+func (s *Sim) live(call string) {
+	if s.ctxs == nil {
+		panic("sim: " + call + " after Run")
+	}
 }
 
 // At schedules fn to run in the context of process p at virtual time t.
 // If p has crashed by then, fn is skipped. Injections at equal times run in
 // the order they were registered.
 func (s *Sim) At(t int64, p model.ProcID, fn func(node.Context)) {
+	s.live("At")
 	s.push(occ(t, occInject, p, len(s.injects)))
 	s.injects = append(s.injects, fn)
 }
 
 // CrashAt injects a genuine (spontaneous) crash of p at time t.
 func (s *Sim) CrashAt(t int64, p model.ProcID) {
+	s.live("CrashAt")
 	s.At(t, p, func(ctx node.Context) { ctx.CrashSelf() })
 }
 
@@ -675,7 +752,11 @@ func (s *Sim) Run() *Result {
 		c.gate, _ = c.h.(node.Gate)
 	}
 
-	res := &Result{}
+	res, _ := results.Get().(*Result)
+	if res == nil {
+		res = &Result{}
+	}
+	res.released = false
 	for i, l := range s.cfg.Lifetimes {
 		s.push(occ(l.Crash, occPlanCrash, l.Proc, i))
 	}
@@ -720,7 +801,7 @@ func (s *Sim) Run() *Result {
 	}
 	s.queue.release()
 
-	res.History = s.materialize()
+	res.History = s.materialize(res.History)
 	res.EndTime = s.now
 	res.Sent = int(s.core.Sent.Value())
 	res.Delivered = int(s.core.Delivered.Value())
@@ -729,16 +810,30 @@ func (s *Sim) Run() *Result {
 	res.PlanCrashes = int(s.core.PlanCrashes.Value())
 	res.Restarts = int(s.core.Restarts.Value())
 	res.Recovered = int(s.core.Recovered.Value())
-	res.Blocked = s.blockedChannels()
+	res.Blocked = s.blockedChannels(res.Blocked)
 	layers := host.LayerStats(s.handlers)
 	res.Retransmits, res.AckedDuplicates = layers.Retransmits, layers.AckedDuplicates
 	res.ByzDetected, res.ByzMasked = layers.ByzDetected, layers.ByzMasked
-	res.Metrics = s.core.Snapshot(layers,
+	res.Metrics = s.core.Snapshot(res.Metrics, layers,
 		obs.Metric{Name: "sim_links_live", Kind: obs.KindGauge, Value: s.gLinks.Value()})
 	if s.cfg.Timeline != nil {
 		res.Timeline = s.cfg.Timeline.Snapshot()
 	}
+	s.retire()
 	return res
+}
+
+// retire hands the bulk to the next run. It is Run's last step and no
+// deferred one: a run that panicked retires nothing. blockedChannels has
+// already let go of the handlers' contexts and the queued payloads; with the
+// handlers cleared the bulk points at nothing outside itself, and with its
+// fields nil on s a late At, SetHandler or CrashAt panics.
+func (s *Sim) retire() {
+	clear(s.handlers)
+	s.far, s.queue.far = s.queue.far, nil
+	b := s.bulk
+	s.bulk = bulk{}
+	bulks.Put(&b)
 }
 
 // sampleTimeline emits one point per series at every sampling boundary
@@ -766,11 +861,28 @@ func (s *Sim) maxBacklog() int {
 }
 
 // blockedChannels reports every link still holding messages, in (from, to)
-// order — the order the rows are kept in.
-func (s *Sim) blockedChannels() []BlockedChannel {
-	var out []BlockedChannel
+// order — the order the rows are kept in — into out's array when that is long
+// enough, nil when there are none. It is the last walk over the processes and
+// their links, so it is also where they let go of what a retired bulk must not
+// pin: the handler and the Sim of each process, the payloads still queued.
+func (s *Sim) blockedChannels(out []BlockedChannel) []BlockedChannel {
+	n := 0
 	for p := range s.ctxs {
 		for _, c := range s.ctxs[p].row {
+			if c.n != 0 {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		out = nil
+	} else {
+		out = slices.Grow(out[:0], n)
+	}
+	for p := range s.ctxs {
+		pc := &s.ctxs[p]
+		pc.s, pc.h, pc.gate = nil, nil, nil
+		for _, c := range pc.row {
 			if c.n == 0 {
 				continue
 			}
@@ -784,6 +896,10 @@ func (s *Sim) blockedChannels() []BlockedChannel {
 				reason = ReasonParked
 			}
 			out = append(out, BlockedChannel{From: c.from, To: c.to, Queued: int(c.n), Reason: reason})
+			for idx := c.head; idx != noSlot; {
+				slot := s.slot(idx)
+				idx, *slot = slot.next, pendingMsg{}
+			}
 		}
 	}
 	return out
@@ -815,7 +931,11 @@ func (c *procCtx) link(to model.ProcID) *channel {
 	// *channel stays valid for the run; a run pays one allocation per chunk
 	// instead of one per link.
 	if len(s.linkArena) == cap(s.linkArena) {
-		s.linkArena = make([]channel, 0, min(max(2*cap(s.linkArena), 16), 1024))
+		if s.chunks == len(s.arenas) {
+			s.arenas = append(s.arenas, make([]channel, 0, min(max(2*cap(s.linkArena), 16), 1024)))
+		}
+		s.linkArena = s.arenas[s.chunks][:0]
+		s.chunks++
 	}
 	s.linkArena = append(s.linkArena, channel{from: c.p, to: to, head: noSlot, tail: noSlot})
 	ch := &s.linkArena[len(s.linkArena)-1]
@@ -1176,9 +1296,13 @@ func (s *Sim) tagID(tag string) uint32 {
 }
 
 // materialize builds the history from the recording, once and at its exact
-// length, and hands the pages on to the next run.
-func (s *Sim) materialize() model.History {
-	h := make(model.History, s.nrec)
+// length — in h's array when a released Result left one long enough — and
+// hands the pages on to the next run.
+func (s *Sim) materialize(h model.History) model.History {
+	if h == nil || cap(h) < s.nrec {
+		h = make(model.History, s.nrec)
+	}
+	h = h[:s.nrec]
 	for pi, pg := range s.pages {
 		out := h[pi<<recPageBits:]
 		for i := range out[:min(len(out), recPageLen)] {

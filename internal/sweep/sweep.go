@@ -709,6 +709,9 @@ func Run(spec Spec, opts Options) (*Report, error) {
 					mine[j.cellIdx] = &c
 				}
 				mine[j.cellIdx].add(out, verdicts)
+				if spec.Runner == nil && spec.Observe == nil { // defaultRun's, shown to no hook: ours alone
+					out.Result.Release()
+				}
 				mydone.Inc()
 			}
 		}()
