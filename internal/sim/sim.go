@@ -101,15 +101,21 @@
 //   - Recycling. A Sim is single-use, but what it built is not: the process
 //     table with each row's and gate list's capacity, the handler table, the
 //     slab's pages, the link arena's chunks, the overflow heap's array, the
-//     failed set and the generator are one bulk, which Run retires to a pool
-//     as its last step and New draws from. New resets what it draws as if it
-//     were garbage — each process's flags, lists and tables emptied (its
-//     handler and gate are set by Run), the failed set cleared, the generator
-//     re-seeded, the arena re-carved from its first chunk, every slot and link
-//     written before it is read — and relies on retirement for one thing, a
-//     nil handler table; retirement also drops what would pin
-//     another run's objects (each process's handler and Sim, payloads still
-//     queued). A run that panics retires nothing. The *Sim is never pooled:
+//     failed set and the generator are one bulk, which Run retires as its last
+//     step and New draws. One retired bulk is held by a plain pointer and any
+//     retired while that is taken go to a pool, which New asks first: runs one
+//     after another hand the same bulk on whenever the collector runs and
+//     whichever P they are on, so what they allocate is the same every time,
+//     and concurrent runs find their own in the pool. The price is that a
+//     process keeps one bulk (≈ 38 MB after a run at N=10,000) until another
+//     run draws it.
+//     New resets what it draws as if it were garbage — each process's flags,
+//     lists and tables emptied (its handler and gate are set by Run), the
+//     failed set cleared, the generator re-seeded, the arena re-carved from its
+//     first chunk, every slot and link written before it is read — and relies
+//     on retirement for one thing, a nil handler table; retirement also drops
+//     what would pin another run's objects (each process's handler and Sim,
+//     payloads still queued). A run that panics retires nothing. The *Sim is never pooled:
 //     its counters are what a Config.Metrics registry reads, and a span
 //     recorder or a timeline belongs to the caller in the same way. Once Run
 //     has returned, At, CrashAt and SetHandler panic, and a node.Context — the
@@ -125,6 +131,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"failstop/internal/host"
 	"failstop/internal/model"
@@ -568,9 +575,9 @@ func (r *Result) Quiescent() bool {
 	return !r.HitHorizon() && !r.BlockedLive()
 }
 
-// bulk is everything run-sized that is dead when Run returns. Run retires it to
-// bulks as its last step and New draws from there, so a run inherits the
-// capacity of the one before it (see Recycling in the package comment).
+// bulk is everything run-sized that is dead when Run returns. Run retires it as
+// its last step and New draws one, so a run inherits the capacity of the one
+// before it (see Recycling in the package comment).
 type bulk struct {
 	rng      *rand.Rand
 	handlers []node.Handler // index 1..N; Run copies each into its procCtx
@@ -582,7 +589,24 @@ type bulk struct {
 	far      occHeap     // the calendar's overflow array, while no run holds it
 }
 
-var bulks sync.Pool // of *bulk
+// A retired bulk waits in lastBulk when that is empty and in bulks otherwise.
+// The pool drops what it holds at a collection and hides it from a goroutine
+// that has changed Ps; lastBulk does neither, so runs one after another always
+// hand their bulk on and what they allocate does not depend on the collector
+// or the scheduler. Concurrent runs fill lastBulk once and from then on find
+// their own bulks, warm, in the pool, which New asks first.
+var (
+	lastBulk atomic.Pointer[bulk]
+	bulks    sync.Pool // of *bulk
+)
+
+// drawBulk returns a retired bulk, or nil when there is none.
+func drawBulk() *bulk {
+	if b, _ := bulks.Get().(*bulk); b != nil {
+		return b
+	}
+	return lastBulk.Swap(nil)
+}
 
 // Release gives the result's memory — the arrays of History, Blocked and
 // Metrics — to a later Run. Only the sole owner of the result may call it, and
@@ -668,7 +692,7 @@ func New(cfg Config) *Sim {
 		},
 		free: noSlot,
 	}
-	if b, _ := bulks.Get().(*bulk); b != nil {
+	if b := drawBulk(); b != nil {
 		s.bulk = *b
 		s.rng.Seed(cfg.Seed) // the stream rand.NewSource(cfg.Seed) starts
 		clear(s.failed)
@@ -833,7 +857,9 @@ func (s *Sim) retire() {
 	s.far, s.queue.far = s.queue.far, nil
 	b := s.bulk
 	s.bulk = bulk{}
-	bulks.Put(&b)
+	if !lastBulk.CompareAndSwap(nil, &b) {
+		bulks.Put(&b)
+	}
 }
 
 // sampleTimeline emits one point per series at every sampling boundary
