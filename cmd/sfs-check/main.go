@@ -92,8 +92,10 @@ func run(args []string, out io.Writer) int {
 		}
 		fmt.Fprintf(out, "spans: %d valid (rate %g):%s\n", len(spans), hdr.SpanRate, spanKindCounts(spans))
 	}
+	// One reading gives the verdicts and the history the witness is built from.
+	scan := model.NewScan(h, *suspTag, checker.TransportTags(*suspTag)...)
 	bad := 0
-	for _, v := range failstop.CheckAll(h, *suspTag, *tFlag) {
+	for _, v := range checker.AllOf(scan, *tFlag) {
 		fmt.Fprintf(out, "  %s\n", v)
 		// FS2 (strong accuracy) need not hold on §5-protocol runs — that is
 		// the paper's Figure 1 split and E2's claim — so, as in sfs-sim, a
@@ -103,8 +105,7 @@ func run(args []string, out io.Writer) int {
 		}
 	}
 
-	ab := checker.Abstract(h, *suspTag)
-	fsRun, err := failstop.RewriteToFS(ab)
+	fsRun, err := failstop.RewriteToFS(scan.Abstract)
 	if err != nil {
 		fmt.Fprintf(out, "indistinguishability: NO isomorphic fail-stop run (%v)\n", err)
 	} else {

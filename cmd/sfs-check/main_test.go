@@ -43,6 +43,19 @@ func TestCheckValidTrace(t *testing.T) {
 	}
 }
 
+// A trace naming process 2⁴⁰ is an invalid history — Validate's proc-id
+// rule — not tables sized for 2⁴⁰ processes: before model.MaxProcs the
+// file passed validation and the check died out of memory.
+func TestCheckRejectsHugeProcessID(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-in", "testdata/huge-proc-id.trace"}, &out); code != 1 {
+		t.Fatalf("exit = %d, want 1:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "history INVALID") || !strings.Contains(out.String(), "proc-id") {
+		t.Errorf("want the history reported INVALID under the proc-id rule:\n%s", out.String())
+	}
+}
+
 func TestCheckWritesWitness(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "trace.json")

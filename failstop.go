@@ -443,10 +443,11 @@ type Report struct {
 // Run executes the simulation and checks the paper's properties.
 func (c *Cluster) Run() Report {
 	res := c.inner.Run()
-	ab := checker.Abstract(res.History, core.TagSusp)
-	verdicts := checker.SFS(ab)
-	verdicts = append(verdicts, checker.FS2(ab))
-	verdicts = append(verdicts, checker.WitnessProperty(res.History, core.TagSusp, c.opts.T))
+	// One reading of the run gives the abstraction and every verdict; the
+	// report's are the checker's ten less Conditions 1–3, FS2 behind sFS2d.
+	scan := model.NewScan(res.History, core.TagSusp, checker.TransportTags(core.TagSusp)...)
+	all := checker.AllOf(scan, c.opts.T)
+	verdicts := []Verdict{all[0], all[2], all[3], all[4], all[5], all[1], all[9]}
 	metrics := res.Metrics
 	if c.plane != nil {
 		metrics = obs.Merge(metrics, c.plane.Metrics())
@@ -461,7 +462,7 @@ func (c *Cluster) Run() Report {
 	}
 	return Report{
 		History:         res.History,
-		Abstract:        ab,
+		Abstract:        scan.Abstract,
 		Verdicts:        verdicts,
 		Quiescent:       res.Quiescent(),
 		Sent:            res.Sent,

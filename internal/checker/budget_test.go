@@ -42,9 +42,13 @@ func crashHistory(tb testing.TB, n, t int) model.History {
 
 // The checker runs once per sweep run, so its allocation count is a sweep
 // cost: with map-of-bools quorum families and a per-tuple Witness search it
-// was 84,265 on this history, most of a sweep's total. The budget leaves
-// room over the measured count and none for a return of either.
+// was 84,265 on this history, most of a sweep's total, and 243 while the run
+// was read six times into per-event clocks, per-process slices and maps. One
+// scan over dense tables measures 28; the budget is that plus a tenth.
 func TestAllAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
 	h := crashHistory(t, 20, 3)
 	var vs []checker.Verdict
 	allocs := testing.AllocsPerRun(5, func() { vs = checker.All(h, core.TagSusp, 3) })
@@ -52,8 +56,8 @@ func TestAllAllocBudget(t *testing.T) {
 		t.Fatalf("n=20 t=3 crash history: %s", v)
 	}
 	t.Logf("checker.All on %d events: %.0f allocs", len(h), allocs)
-	if allocs > 500 {
-		t.Errorf("checker.All allocated %.0f times on the n=20 t=3 crash history, budget 500", allocs)
+	if allocs > 31 {
+		t.Errorf("checker.All allocated %.0f times on the n=20 t=3 crash history, budget 31", allocs)
 	}
 }
 

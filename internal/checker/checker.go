@@ -12,6 +12,17 @@
 //     of the history, which is sound when the history was run to quiescence
 //     (nothing in flight can change the outcome); callers should check
 //     sim.Result.Quiescent before trusting a liveness verdict.
+//
+// Reading a run. A recorded run is mostly the stack's own traffic, so it is
+// read once: model.NewScan walks the full history twice (size, fill) and
+// yields the abstract history without TransportTags, the model.Index over it
+// (detections, first crash, down at end, the failed_i(j) lookup) and each
+// detection's quorum set; AllOf reads the ten verdicts off that, walking
+// only the abstract history again. The facade's Run, the sweep (through All)
+// and sfs-check share that one call; the per-property functions index the
+// model-level history they are given the same way. A history naming a
+// process outside 0..model.MaxProcs is not indexed, and every property
+// reports that proc-id violation instead of holding.
 package checker
 
 import (
@@ -45,6 +56,16 @@ func (v Verdict) String() string {
 
 func ok(prop string) Verdict { return Verdict{Property: prop, Holds: true} }
 
+// holds is the verdict of a check that found no violation in what x indexes:
+// ok — unless x indexes nothing (Index.Err), so that every lookup answered
+// "none" and the check saw nothing; the verdict is then that violation.
+func holds(prop string, x *model.Index) Verdict {
+	if err := x.Err(); err != nil {
+		return bad(prop, "%v", err)
+	}
+	return ok(prop)
+}
+
 func bad(prop, format string, args ...any) Verdict {
 	return Verdict{Property: prop, Detail: fmt.Sprintf(format, args...)}
 }
@@ -62,7 +83,8 @@ func bad(prop, format string, args ...any) Verdict {
 //
 //	FS1: ∀r,i: r ⊨ □(CRASH_i ⇒ ∀j: ◇(CRASH_j ∨ FAILED_j(i)))
 func FS1(h model.History) Verdict {
-	return FS1At(h, h.Processes())
+	x := model.NewIndex(h)
+	return fs1At(x, x.Processes())
 }
 
 // FS1At is FS1 with the membership size given explicitly. FS1 infers n
@@ -90,7 +112,7 @@ func fs1At(x *model.Index, n int) Verdict {
 			}
 		}
 	}
-	return ok("FS1")
+	return holds("FS1", x)
 }
 
 // FS2 checks strong accuracy: no process is detected before it has crashed.
@@ -107,7 +129,7 @@ func fs2(x *model.Index) Verdict {
 				d.Detector, d.Detected, d.Index, d.Detected, ci)
 		}
 	}
-	return ok("FS2")
+	return holds("FS2", x)
 }
 
 // Accuracy checks ground-truth accuracy against an external allow-set: every
@@ -143,30 +165,31 @@ func sfs2a(x *model.Index) Verdict {
 				d.Detector, d.Detected, d.Detected)
 		}
 	}
-	return ok("sFS2a")
+	return holds("sFS2a", x)
 }
 
 // SFS2b checks that the failed-before relation is acyclic (Condition 2).
-func SFS2b(h model.History) Verdict {
-	fb := model.NewFailedBefore(h)
-	if cyc := fb.Cycle(); cyc != nil {
+func SFS2b(h model.History) Verdict { return sfs2b(model.NewIndex(h)) }
+
+func sfs2b(x *model.Index) Verdict {
+	if cyc := x.FailedBefore().Cycle(); cyc != nil {
 		return bad("sFS2b", "failed-before cycle %v", cyc)
 	}
-	return ok("sFS2b")
+	return holds("sFS2b", x)
 }
 
 // SFS2c checks that no process detects its own failure:
 //
 //	sFS2c: ∀r,i: r ⊨ □¬FAILED_i(i)
-func SFS2c(h model.History) Verdict { return sfs2c(h.Detections()) }
+func SFS2c(h model.History) Verdict { return sfs2c(model.NewIndex(h)) }
 
-func sfs2c(dets []model.Detection) Verdict {
-	for _, d := range dets {
+func sfs2c(x *model.Index) Verdict {
+	for _, d := range x.Detections() {
 		if d.Detector == d.Detected {
 			return bad("sFS2c", "failed_%d(%d) at index %d", d.Detector, d.Detected, d.Index)
 		}
 	}
-	return ok("sFS2c")
+	return holds("sFS2c", x)
 }
 
 // SFS2d checks the contamination barrier: once i has executed failed_i(j),
@@ -179,38 +202,47 @@ func SFS2d(h model.History) Verdict { return sfs2d(h, model.NewIndex(h)) }
 
 func sfs2d(h model.History, x *model.Index) Verdict {
 	dets := x.Detections()
-	// detectedBy[i]: the targets i has detected so far in the scan.
-	detectedBy := make([][]model.ProcID, x.Processes()+1)
-	// A send is tainted by the detections its sender has already executed.
-	// detectedBy only grows, so the taint is a prefix length, not a copy.
-	type prefix struct {
-		from model.ProcID
-		n    int
+	if len(dets) == 0 {
+		return holds("sFS2d", x)
 	}
-	taint := make(map[model.MsgID]prefix)
+	// The detections i has executed so far are a chain through dets:
+	// lastBy[i] is 1 + the position of i's latest, prev[k] the same for the
+	// one i executed before dets[k]. A send is tainted by its sender's chain
+	// at that moment, which later detections only extend at the head.
+	tab := make([]int32, len(dets)+x.Processes()+1)
+	prev, lastBy := tab[:len(dets)], tab[len(dets):]
+	taint, seen := map[model.MsgID]int32{}, 0
 
-	for idx, e := range h {
+	for idx := range h {
+		e := &h[idx]
 		switch e.Kind {
 		case model.KindFailed:
-			detectedBy[e.Proc] = append(detectedBy[e.Proc], e.Target)
+			prev[seen], lastBy[e.Proc] = lastBy[e.Proc], int32(seen+1)
+			seen++
 		case model.KindSend:
-			if n := len(detectedBy[e.Proc]); n > 0 {
-				taint[e.Msg] = prefix{from: e.Proc, n: n}
+			if k := lastBy[e.Proc]; k != 0 {
+				taint[e.Msg] = k
 			}
 		case model.KindCrash, model.KindInternal:
 			// No contamination flows through crashes or internal events.
 		case model.KindRecv:
-			tm := taint[e.Msg]
-			for _, j := range detectedBy[tm.from][:tm.n] {
-				if k := x.Detection(e.Proc, j); k < 0 || dets[k].Index > idx {
-					return bad("sFS2d",
-						"recv_%d(%d, m%d) at index %d before failed_%d(%d): message sent after sender detected %d",
-						e.Proc, e.Peer, e.Msg, idx, e.Proc, j, j)
+			// The chain runs latest first; the violation reported is the
+			// sender's earliest detection the receiver has not caught up on.
+			missing := model.ProcID(-1)
+			for k := taint[e.Msg]; k != 0; k = prev[k-1] {
+				j := dets[k-1].Detected
+				if at := x.Detection(e.Proc, j); at < 0 || dets[at].Index > idx {
+					missing = j
 				}
+			}
+			if missing >= 0 {
+				return bad("sFS2d",
+					"recv_%d(%d, m%d) at index %d before failed_%d(%d): message sent after sender detected %d",
+					e.Proc, e.Peer, e.Msg, idx, e.Proc, missing, missing)
 			}
 		}
 	}
-	return ok("sFS2d")
+	return holds("sFS2d", x)
 }
 
 // Condition1 checks §3.2 Condition 1: if failed_i(j) occurs in the history
@@ -229,14 +261,19 @@ func relabel(v Verdict, prop string) Verdict {
 
 // Condition3 checks §3.2 Condition 3: there is no event e of process j such
 // that failed_i(j) happens-before e.
-func Condition3(h model.History) Verdict { return condition3(h, h.Detections()) }
+func Condition3(h model.History) Verdict { return condition3(h, model.NewIndex(h)) }
 
-func condition3(h model.History, dets []model.Detection) Verdict {
-	hb := model.NewHB(h)
-	for _, d := range dets {
+func condition3(h model.History, x *model.Index) Verdict {
+	// Built only when a detected process goes on to execute something: a run
+	// whose crashes all precede their detections needs no clocks.
+	var hb *model.HB
+	for _, d := range x.Detections() {
 		for idx := d.Index + 1; idx < len(h); idx++ {
 			if h[idx].Proc != d.Detected {
 				continue
+			}
+			if hb == nil {
+				hb = model.NewHB(h)
 			}
 			if hb.Before(d.Index, idx) {
 				return bad("Condition3", "failed_%d(%d) at %d happens-before %s at %d",
@@ -244,7 +281,7 @@ func condition3(h model.History, dets []model.Detection) Verdict {
 			}
 		}
 	}
-	return ok("Condition3")
+	return holds("Condition3", x)
 }
 
 // QuorumSets reconstructs, from the history alone, the quorum set Q_{i,j}
@@ -253,31 +290,14 @@ func condition3(h model.History, dets []model.Detection) Verdict {
 // (tag core SUSP) before executing failed_i(j). The §5 protocol merges SUSP
 // and ACK.SUSP, so received suspicion messages are the acknowledgements.
 func QuorumSets(h model.History, suspTag string) []quorum.Set {
-	return quorumSets(h, model.NewIndex(h), suspTag)
+	return quorumSets(model.NewScan(h, suspTag, TransportTags(suspTag)...))
 }
 
-func quorumSets(h model.History, x *model.Index, suspTag string) []quorum.Set {
-	// One backing array: the first nd rows are the returned sets, the next
-	// nd accumulate the senders heard so far per (i, j) pair, keyed by the
-	// pair's first detection — pairs that never detect need no row. Every
-	// id is at most x.Processes(), so Add never grows a row out of the array.
-	nd, words := len(x.Detections()), quorum.Words(x.Processes())
-	rows := make([]uint64, 2*nd*words)
-	row := func(r int) quorum.Set { return rows[r*words : (r+1)*words : (r+1)*words] }
-	out := make([]quorum.Set, 0, nd)
-	for _, e := range h {
-		switch {
-		case e.Kind == model.KindRecv && e.Tag == suspTag && e.Target != model.None:
-			if k := x.Detection(e.Proc, e.Target); k >= 0 {
-				heard := row(nd + k)
-				heard.Add(e.Peer)
-			}
-		case e.Kind == model.KindFailed:
-			q := row(len(out))
-			copy(q, row(nd+x.Detection(e.Proc, e.Target)))
-			q.Add(e.Proc)
-			out = append(out, q)
-		}
+// quorumSets slices the scan's quorum rows into sets, one per detection.
+func quorumSets(s *model.Scan) []quorum.Set {
+	out := make([]quorum.Set, len(s.Index.Detections()))
+	for k := range out {
+		out[k] = s.Quorums[k*s.Words : (k+1)*s.Words : (k+1)*s.Words]
 	}
 	return out
 }
@@ -289,15 +309,18 @@ func quorumSets(h model.History, x *model.Index, suspTag string) []quorum.Set {
 // hence at most t quorum sets — larger subfamilies never matter). A
 // violation names the offending detections, in history order.
 func WitnessProperty(h model.History, suspTag string, t int) Verdict {
-	x := model.NewIndex(h)
-	sets := quorumSets(h, x, suspTag)
+	return witness(model.NewScan(h, suspTag, TransportTags(suspTag)...), t)
+}
+
+func witness(s *model.Scan, t int) Verdict {
+	sets := quorumSets(s)
 	sub := quorum.EmptySubfamily(sets, t)
 	if sub == nil {
-		return ok("W")
+		return holds("W", s.Index)
 	}
 	names := make([]string, len(sub))
 	for i, k := range sub {
-		d := x.Detections()[k]
+		d := s.Index.Detections()[k]
 		names[i] = fmt.Sprintf("failed_%d(%d) %v", d.Detector, d.Detected, sets[k])
 	}
 	return bad("W", "the quorum sets of %s share no member (%d of %d detections, t = %d)",
@@ -307,12 +330,14 @@ func WitnessProperty(h model.History, suspTag string, t int) Verdict {
 // SFS checks the full simulated-fail-stop specification of Figure 1:
 // FS1 + sFS2a + sFS2b + sFS2c + sFS2d.
 func SFS(h model.History) []Verdict {
-	return []Verdict{FS1(h), SFS2a(h), SFS2b(h), SFS2c(h), SFS2d(h)}
+	x := model.NewIndex(h)
+	return []Verdict{fs1At(x, x.Processes()), sfs2a(x), sfs2b(x), sfs2c(x), sfs2d(h, x)}
 }
 
 // FS checks the fail-stop specification: FS1 + FS2.
 func FS(h model.History) []Verdict {
-	return []Verdict{FS1(h), FS2(h)}
+	x := model.NewIndex(h)
+	return []Verdict{fs1At(x, x.Processes()), fs2(x)}
 }
 
 // TransportTags lists the payload tags of the protocol stack's own traffic
@@ -326,26 +351,30 @@ func TransportTags(suspTag string) []string {
 }
 
 // Abstract returns the model-level history of h: h without its transport
-// traffic (TransportTags).
+// traffic (TransportTags); a caller that wants verdicts too takes both from
+// one model.NewScan.
 func Abstract(h model.History, suspTag string) model.History {
 	return h.DropTags(TransportTags(suspTag)...)
 }
 
-// All checks every property this package knows about. The sFS and FS
-// properties are checked on the abstract (model-level) history, while the
-// Witness property needs the full trace to reconstruct quorum sets. What
-// the properties share — the membership size, the detections, the crash
-// and failed_i(j) lookups — is computed once, and Conditions 1 and 2
-// restate the sFS2a and sFS2b verdicts they are defined to equal.
+// All checks every property this package knows about on the recorded run h.
 func All(h model.History, suspTag string, t int) []Verdict {
-	abstract := Abstract(h, suspTag)
-	x := model.NewIndex(abstract)
-	a, b := sfs2a(x), SFS2b(abstract)
+	return AllOf(model.NewScan(h, suspTag, TransportTags(suspTag)...), t)
+}
+
+// AllOf reads All's ten verdicts off a scan already made: the sFS and FS
+// properties from the abstract (model-level) history and its index, the
+// Witness property from the quorum rows, which needed the full trace.
+// Conditions 1 and 2 restate the sFS2a and sFS2b verdicts they are defined
+// to equal.
+func AllOf(s *model.Scan, t int) []Verdict {
+	x := s.Index
+	a, b := sfs2a(x), sfs2b(x)
 	return []Verdict{
 		fs1At(x, x.Processes()), fs2(x),
-		a, b, sfs2c(x.Detections()), sfs2d(abstract, x),
-		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(abstract, x.Detections()),
-		WitnessProperty(h, suspTag, t),
+		a, b, sfs2c(x), sfs2d(s.Abstract, x),
+		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(s.Abstract, x),
+		witness(s, t),
 	}
 }
 

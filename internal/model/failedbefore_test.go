@@ -153,3 +153,84 @@ func TestFailedBeforeSelfLoop(t *testing.T) {
 		t.Errorf("Cycle() = %v, want [1]", cyc)
 	}
 }
+
+// Property: the relation read off the index equals the one a plain walk of
+// the detections gives — the same pairs in the same order, the same Holds —
+// and Cycle returns a cycle exactly when repeatedly removing processes
+// nobody failed before leaves something behind.
+func TestFailedBeforeMatchesDetections(t *testing.T) {
+	cyclic := 0
+	for seed := int64(0); seed < 200; seed++ {
+		n := 3 + int(seed%6)
+		g := NewGen(seed)
+		g.FailedWeight = 5 + int(seed%4)*10
+		h := g.History(n, 150)
+		fb := NewFailedBefore(h)
+
+		holds := map[[2]ProcID]bool{}
+		for _, d := range h.Detections() {
+			holds[[2]ProcID{d.Detected, d.Detector}] = true
+		}
+		var want [][2]ProcID
+		for i := ProcID(0); int(i) <= n; i++ {
+			for j := ProcID(0); int(j) <= n; j++ {
+				if holds[[2]ProcID{i, j}] {
+					want = append(want, [2]ProcID{i, j})
+				}
+				if fb.Holds(i, j) != holds[[2]ProcID{i, j}] {
+					t.Fatalf("seed %d: Holds(%d, %d) = %v", seed, i, j, fb.Holds(i, j))
+				}
+			}
+		}
+		if got := fb.Pairs(); len(got) != len(want) {
+			t.Fatalf("seed %d: Pairs() = %v, want %v", seed, got, want)
+		} else {
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("seed %d: Pairs() = %v, want %v", seed, got, want)
+				}
+			}
+		}
+
+		// Peel off processes with no incoming edge until none is left.
+		left := map[ProcID]bool{}
+		for _, p := range want {
+			left[p[0]], left[p[1]] = true, true
+		}
+		for peeled := true; peeled; {
+			peeled = false
+			for v := ProcID(0); int(v) <= n; v++ {
+				if !left[v] {
+					continue
+				}
+				incoming := false
+				for _, p := range want {
+					incoming = incoming || (p[1] == v && left[p[0]])
+				}
+				if !incoming {
+					delete(left, v)
+					peeled = true
+				}
+			}
+		}
+		cyc := fb.Cycle()
+		if (cyc != nil) != (len(left) > 0) {
+			t.Fatalf("seed %d: Cycle() = %v, but peeling leaves %v", seed, cyc, left)
+		}
+		if cyc != nil {
+			assertIsCycle(t, fb, cyc)
+			cyclic++
+		}
+	}
+	if cyclic == 0 || cyclic == 200 {
+		t.Errorf("%d of 200 relations were cyclic; the test needs both kinds", cyclic)
+	}
+}
+
+// The relation of a history that could not be indexed is empty, not a panic.
+func TestFailedBeforeOfUnindexedHistory(t *testing.T) {
+	fb := NewFailedBefore(History{Failed(-1, 2), Failed(2, -1)})
+	if fb.Pairs() != nil || fb.Cycle() != nil || !fb.Transitive() || fb.Holds(2, -1) || fb.String() != "" {
+		t.Errorf("relation of a history with negative ids: pairs %v, cycle %v", fb.Pairs(), fb.Cycle())
+	}
+}

@@ -59,21 +59,37 @@ func (h History) Projection(p ProcID) []Event {
 
 // IsomorphicTo reports whether h =_P h': every process executes the same
 // events in the same order in both histories (Definition 4's r =_P r').
+// Histories of unequal length are not isomorphic. Every event is compared
+// under its Proc, whatever that is — an event without an actor is
+// Validate's business and is matched like any other — except that a history
+// naming an actor outside 0..MaxProcs is isomorphic to nothing. One pass
+// over each history with a cursor per process: O(|h| + n).
 func (h History) IsomorphicTo(o History) bool {
-	n := h.Processes()
-	if on := o.Processes(); on > n {
-		n = on
+	if len(h) != len(o) {
+		return false
 	}
-	for p := ProcID(1); p <= ProcID(n); p++ {
-		a, b := h.Projection(p), o.Projection(p)
-		if len(a) != len(b) {
+	lo, n := ProcID(0), ProcID(0)
+	for i := range h {
+		lo, n = min(lo, h[i].Proc, o[i].Proc), max(n, h[i].Proc, o[i].Proc)
+	}
+	if lo < 0 || n > MaxProcs {
+		return false
+	}
+	// head[p] is 1 + the index of p's next unmatched event in o, next[k]
+	// the same for the event that follows o[k] at its process.
+	tab := make([]int32, int(n)+1+len(o))
+	head, next := tab[:n+1], tab[n+1:]
+	for k := len(o) - 1; k >= 0; k-- {
+		p := o[k].Proc
+		next[k], head[p] = head[p], int32(k+1)
+	}
+	for i := range h {
+		e := &h[i]
+		k := head[e.Proc]
+		if k == 0 || !e.Same(o[k-1]) {
 			return false
 		}
-		for i := range a {
-			if !a[i].Same(b[i]) {
-				return false
-			}
-		}
+		head[e.Proc] = next[k-1]
 	}
 	return true
 }
@@ -91,34 +107,11 @@ func (h History) IsomorphicTo(o History) bool {
 // messages ... before executing failed_i(j)"; those messages realize the
 // event, they are not events the model reasons about.) Dropping a tag
 // removes both the send and the matching receive, so the result is again a
-// valid history.
+// valid history. It is the scan's abstraction (NewScan) without the rest; a
+// history naming a process outside 0..MaxProcs has none, and the result is
+// nil.
 func (h History) DropTags(tags ...string) History {
-	dropped := func(e Event) bool {
-		if e.Kind != KindSend && e.Kind != KindRecv {
-			return false
-		}
-		for _, t := range tags {
-			if e.Tag == t {
-				return true
-			}
-		}
-		return false
-	}
-	// Transport traffic is most of a protocol run's history, so size the
-	// result by what is kept, not by len(h).
-	keep := 0
-	for _, e := range h {
-		if !dropped(e) {
-			keep++
-		}
-	}
-	out := make(History, 0, keep)
-	for _, e := range h {
-		if !dropped(e) {
-			out = append(out, e)
-		}
-	}
-	return out.Normalize()
+	return scan(h, tags, "", true, false).Abstract
 }
 
 // CrashIndex returns the index of crash_p in h, or -1 if p never crashes.
@@ -208,8 +201,9 @@ func violation(idx int, rule, format string, args ...any) error {
 // Validate checks that h could be the history of a run of the system model
 // of §2 / Appendix A.1:
 //
-//   - every event has a valid kind and an actor process, and no process id
-//     is negative (Index and the checkers' dense tables index by id);
+//   - every event has a valid kind and an actor process, and every process
+//     id lies in 0..MaxProcs (Index and the checkers' dense tables index by
+//     id);
 //   - each message id is sent at most once and received at most once;
 //   - every receive matches an earlier send with the same message id over
 //     the same channel (recv_i(j,m) requires an earlier send_j(i,m)), and
@@ -248,30 +242,49 @@ func (h History) ValidateUnderByz(victims map[ProcID]bool) (tampered int, err er
 	return h.validate(victims)
 }
 
-func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) {
-	type chanKey struct{ from, to ProcID }
-	sendIdx := make(map[MsgID]int)         // message id -> send event index
-	recvSeen := make(map[MsgID]bool)       // message id -> received already
-	sendOrder := make(map[chanKey][]MsgID) // per-channel send order
-	recvCursor := make(map[chanKey]int)    // per-channel next expected send position
-	crashed := make(map[ProcID]bool)       // processes that have crashed
-	detected := make(map[[2]ProcID]bool)   // (i,j) -> failed_i(j) seen
+// outOfRange reports whether e names a process outside 0..MaxProcs.
+func (e *Event) outOfRange() bool {
+	return min(e.Proc, e.Peer, e.Target) < 0 || max(e.Proc, e.Peer, e.Target) > MaxProcs
+}
 
-	for idx, e := range h {
-		if e.Proc == None {
-			return tampered, violation(idx, "actor", "event %s has no actor process", e)
+func procIDViolation(idx int, e *Event) error {
+	return violation(idx, "proc-id", "event %s names a process outside 0..%d", *e, MaxProcs)
+}
+
+func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) {
+	var kinds [KindInternal + 1]int // events of each kind: what the maps are sized from
+	for i := range h {
+		if k := h[i].Kind; k > 0 && k <= KindInternal {
+			kinds[k]++
 		}
-		if e.Proc < 0 || e.Peer < 0 || e.Target < 0 {
-			return tampered, violation(idx, "proc-id", "event %s has a negative process id", e)
+	}
+	// Message ids in a decoded trace are arbitrary, so these two cannot be
+	// dense. msgs[m] is the index of send m, doubled, plus one once m has
+	// been received. Sends on one channel happen in history order, so its
+	// FIFO cursor is a history index: cursor[C_{j,i}] is the first position
+	// a send may have and still be receivable on the channel.
+	msgs := make(map[MsgID]int, kinds[KindSend])
+	cursor := make(map[[2]ProcID]int, min(kinds[KindRecv], 64))
+	detected := make(map[[2]ProcID]struct{}, kinds[KindFailed]) // (i,j) with failed_i(j) seen
+	var crashed []bool                                          // crashed[p]: p has crashed and not restarted; grown on demand
+
+	for idx := range h {
+		e := &h[idx]
+		if e.Proc == None {
+			return tampered, violation(idx, "actor", "event %s has no actor process", *e)
+		}
+		if e.outOfRange() {
+			return tampered, procIDViolation(idx, e)
 		}
 		switch e.Kind {
 		case KindSend, KindRecv, KindCrash, KindFailed, KindInternal:
 		default:
 			return tampered, violation(idx, "kind", "event has invalid kind %d", int(e.Kind))
 		}
-		if restart := e.Kind == KindInternal && e.Tag == TagRestart; crashed[e.Proc] {
+		down := int(e.Proc) < len(crashed) && crashed[e.Proc]
+		if restart := e.Kind == KindInternal && e.Tag == TagRestart; down {
 			if !restart {
-				return tampered, violation(idx, "crash-finality", "process %d executes %s after crashing", e.Proc, e)
+				return tampered, violation(idx, "crash-finality", "process %d executes %s after crashing", e.Proc, *e)
 			}
 			crashed[e.Proc] = false
 		} else if restart {
@@ -283,24 +296,22 @@ func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) 
 			// actor/finality checks above.
 		case KindSend:
 			if e.Peer == None || e.Msg == 0 {
-				return tampered, violation(idx, "send", "send event %s lacks destination or message id", e)
+				return tampered, violation(idx, "send", "send event %s lacks destination or message id", *e)
 			}
-			if prev, dup := sendIdx[e.Msg]; dup {
-				return tampered, violation(idx, "unique-msg", "message m%d sent twice (first at %d)", e.Msg, prev)
+			if prev, dup := msgs[e.Msg]; dup {
+				return tampered, violation(idx, "unique-msg", "message m%d sent twice (first at %d)", e.Msg, prev/2)
 			}
-			sendIdx[e.Msg] = idx
-			k := chanKey{from: e.Proc, to: e.Peer}
-			sendOrder[k] = append(sendOrder[k], e.Msg)
+			msgs[e.Msg] = 2 * idx
 		case KindRecv:
 			if e.Peer == None || e.Msg == 0 {
-				return tampered, violation(idx, "recv", "receive event %s lacks source or message id", e)
+				return tampered, violation(idx, "recv", "receive event %s lacks source or message id", *e)
 			}
-			si, ok := sendIdx[e.Msg]
+			m, ok := msgs[e.Msg]
 			if !ok {
 				return tampered, violation(idx, "recv-before-send", "message m%d received but never sent earlier", e.Msg)
 			}
 			fromByz := byzSenders[e.Peer]
-			if recvSeen[e.Msg] {
+			if m&1 != 0 {
 				if fromByz {
 					// A replay ghost: the plan re-injected an already
 					// delivered wire payload on the victim's link.
@@ -309,7 +320,8 @@ func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) 
 				}
 				return tampered, violation(idx, "unique-recv", "message m%d received twice", e.Msg)
 			}
-			s := h[si]
+			si := m / 2
+			s := &h[si]
 			if s.Proc != e.Peer || s.Peer != e.Proc {
 				return tampered, violation(idx, "channel", "message m%d sent on C_{%d,%d} but received as if on C_{%d,%d}",
 					e.Msg, s.Proc, s.Peer, e.Peer, e.Proc)
@@ -324,42 +336,34 @@ func (h History) validate(byzSenders map[ProcID]bool) (tampered int, err error) 
 				// what the plan put on the wire.
 				tampered++
 			}
-			k := chanKey{from: e.Peer, to: e.Proc}
-			cur := recvCursor[k]
-			order := sendOrder[k]
-			// Scan forward from the cursor: sends skipped over are lost
-			// messages (allowed); a message behind the cursor was overtaken
-			// by a later one — a FIFO violation.
-			pos := -1
-			for i := cur; i < len(order); i++ {
-				if order[i] == e.Msg {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
+			// Sends the cursor skips over are lost messages (allowed); a
+			// send behind it was overtaken by a later one — a FIFO violation.
+			k := [2]ProcID{e.Peer, e.Proc}
+			msgs[e.Msg] = m | 1
+			if si < cursor[k] {
 				if fromByz {
 					// A delayed replay ghost of a never-delivered original
 					// lands behind the channel cursor.
 					tampered++
-					recvSeen[e.Msg] = true
 					continue
 				}
 				return tampered, violation(idx, "fifo", "message m%d received out of FIFO order on C_{%d,%d}", e.Msg, e.Peer, e.Proc)
 			}
-			recvCursor[k] = pos + 1
-			recvSeen[e.Msg] = true
+			cursor[k] = si + 1
 		case KindCrash:
+			if int(e.Proc) >= len(crashed) {
+				crashed = append(crashed, make([]bool, int(e.Proc)+1-len(crashed))...)
+			}
 			crashed[e.Proc] = true
 		case KindFailed:
 			if e.Target == None {
 				return tampered, violation(idx, "failed", "failed event of %d lacks a target", e.Proc)
 			}
 			key := [2]ProcID{e.Proc, e.Target}
-			if detected[key] {
+			if _, dup := detected[key]; dup {
 				return tampered, violation(idx, "failed-once", "failed_%d(%d) executed twice", e.Proc, e.Target)
 			}
-			detected[key] = true
+			detected[key] = struct{}{}
 		}
 	}
 	return tampered, nil

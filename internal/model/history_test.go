@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -392,5 +393,320 @@ func TestIndexAgreesWithHistoryScans(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// isomorphicByProjection is IsomorphicTo as it was written before the
+// one-pass version — one Projection per process per side, O(n·|H|) — kept
+// as the oracle, with the two rules the doc comment now states made
+// explicit: lengths must agree, and process 0's events count.
+func isomorphicByProjection(h, o History) bool {
+	if len(h) != len(o) {
+		return false
+	}
+	n := h.Processes()
+	if on := o.Processes(); on > n {
+		n = on
+	}
+	for p := ProcID(0); p <= ProcID(n); p++ {
+		a, b := h.Projection(p), o.Projection(p)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !a[i].Same(b[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// perturb applies one single-event mutation that keeps ids in 1..n.
+func perturb(h History, n int, rng *rand.Rand) History {
+	out := h.Clone()
+	if len(out) < 2 {
+		return out
+	}
+	k := rng.Intn(len(out) - 1)
+	switch rng.Intn(7) {
+	case 0: // drop an event
+		out = append(out[:k], out[k+1:]...)
+	case 1: // swap two neighbours
+		out[k], out[k+1] = out[k+1], out[k]
+	case 2: // repeat an event
+		out = append(out[:k+1], out[k:]...)
+	case 3: // name another subject
+		out[k].Target = ProcID(rng.Intn(n) + 1)
+	case 4: // hand the event to another process
+		out[k].Proc = ProcID(rng.Intn(n) + 1)
+	case 5: // change the payload
+		out[k].Tag += "'"
+	case 6: // swap two receives of one channel
+		for ; k < len(out) && out[k].Kind != KindRecv; k++ {
+		}
+		for l := k + 1; l < len(out); l++ {
+			if out[l].Kind == KindRecv && out[l].Proc == out[k].Proc && out[l].Peer == out[k].Peer {
+				out[k], out[l] = out[l], out[k]
+				break
+			}
+		}
+	}
+	return out.Normalize()
+}
+
+// Property: the one-pass IsomorphicTo answers what the Projection-based one
+// does — on generated histories against themselves, against shuffles that
+// keep each process's order (isomorphic by construction) and ones that do
+// not, and against single-event mutations.
+func TestIsomorphicToMatchesProjectionOracle(t *testing.T) {
+	check := func(name string, a, b History) {
+		t.Helper()
+		want := isomorphicByProjection(a, b)
+		if got := a.IsomorphicTo(b); got != want {
+			t.Errorf("%s: IsomorphicTo = %v, Projection oracle = %v", name, got, want)
+		}
+		if got := b.IsomorphicTo(a); got != want {
+			t.Errorf("%s (swapped): IsomorphicTo = %v, Projection oracle = %v", name, got, want)
+		}
+	}
+	yes, no := 0, 0
+	for seed := int64(0); seed < 60; seed++ {
+		n := 2 + int(seed%7)
+		h := NewGen(seed).History(n, 150)
+		rng := rand.New(rand.NewSource(seed))
+		check("self", h, h.Clone())
+
+		// Interleave the per-process projections in a random order: the
+		// result is isomorphic to h whatever the order.
+		queues := make([][]Event, n+1)
+		for p := range queues {
+			queues[p] = h.Projection(ProcID(p))
+		}
+		var merged History
+		for len(merged) < len(h) {
+			if p := rng.Intn(n + 1); len(queues[p]) > 0 {
+				merged, queues[p] = append(merged, queues[p][0]), queues[p][1:]
+			}
+		}
+		if !isomorphicByProjection(h, merged) {
+			t.Fatalf("seed %d: a per-process-order-preserving shuffle must be isomorphic", seed)
+		}
+		check("merge", h, merged)
+
+		shuffled := h.Clone()
+		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		check("shuffle", h, shuffled)
+
+		for m := 0; m < 8; m++ {
+			mut := perturb(h, n, rng)
+			check("mutation", h, mut)
+			check("mutation of merge", merged, mut)
+			if isomorphicByProjection(h, mut) {
+				yes++
+			} else {
+				no++
+			}
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Errorf("mutations were isomorphic %d times and not %d times; the test needs both", yes, no)
+	}
+
+	// An event without an actor is compared like any other: the parent's
+	// loop started at process 1 and called these two isomorphic.
+	a := History{Internal(1, "x", None), Internal(0, "y", None)}
+	b := History{Internal(1, "x", None), Internal(0, "z", None)}
+	if a.IsomorphicTo(b) || isomorphicByProjection(a, b) {
+		t.Error("histories differing in an actor-less event must not be isomorphic")
+	}
+	if !a.IsomorphicTo(a.Clone()) {
+		t.Error("a history with an actor-less event is isomorphic to itself")
+	}
+	// Unequal lengths are never isomorphic, even when only process 0 differs.
+	if a.IsomorphicTo(a[:1]) || a[:1].IsomorphicTo(a) {
+		t.Error("histories of unequal length must not be isomorphic")
+	}
+	// An actor outside 0..MaxProcs makes a history isomorphic to nothing,
+	// instead of indexing a table with it.
+	for _, p := range []ProcID{-1, MaxProcs + 1, 1 << 40} {
+		bad := History{Crash(p)}
+		if bad.IsomorphicTo(bad) {
+			t.Errorf("a history naming process %d must be isomorphic to nothing", p)
+		}
+	}
+}
+
+// validateByMaps is validate as it was written before the dense version —
+// six maps, per-channel send-order slices — kept as the oracle for which
+// event breaks which rule first. The proc-id rule is stated as it is now.
+func validateByMaps(h History, byzSenders map[ProcID]bool) (tampered, index int, rule string) {
+	type chanKey struct{ from, to ProcID }
+	sendIdx := make(map[MsgID]int)
+	recvSeen := make(map[MsgID]bool)
+	sendOrder := make(map[chanKey][]MsgID)
+	recvCursor := make(map[chanKey]int)
+	crashed := make(map[ProcID]bool)
+	detected := make(map[[2]ProcID]bool)
+
+	for idx, e := range h {
+		if e.Proc == None {
+			return tampered, idx, "actor"
+		}
+		for _, p := range [...]ProcID{e.Proc, e.Peer, e.Target} {
+			if p < 0 || p > MaxProcs {
+				return tampered, idx, "proc-id"
+			}
+		}
+		switch e.Kind {
+		case KindSend, KindRecv, KindCrash, KindFailed, KindInternal:
+		default:
+			return tampered, idx, "kind"
+		}
+		if restart := e.Kind == KindInternal && e.Tag == TagRestart; crashed[e.Proc] {
+			if !restart {
+				return tampered, idx, "crash-finality"
+			}
+			crashed[e.Proc] = false
+		} else if restart {
+			return tampered, idx, "restart-without-crash"
+		}
+		switch e.Kind {
+		case KindInternal:
+		case KindSend:
+			if e.Peer == None || e.Msg == 0 {
+				return tampered, idx, "send"
+			}
+			if _, dup := sendIdx[e.Msg]; dup {
+				return tampered, idx, "unique-msg"
+			}
+			sendIdx[e.Msg] = idx
+			k := chanKey{from: e.Proc, to: e.Peer}
+			sendOrder[k] = append(sendOrder[k], e.Msg)
+		case KindRecv:
+			if e.Peer == None || e.Msg == 0 {
+				return tampered, idx, "recv"
+			}
+			si, ok := sendIdx[e.Msg]
+			if !ok {
+				return tampered, idx, "recv-before-send"
+			}
+			fromByz := byzSenders[e.Peer]
+			if recvSeen[e.Msg] {
+				if fromByz {
+					tampered++
+					continue
+				}
+				return tampered, idx, "unique-recv"
+			}
+			s := h[si]
+			if s.Proc != e.Peer || s.Peer != e.Proc {
+				return tampered, idx, "channel"
+			}
+			if s.Tag != e.Tag || s.Target != e.Target {
+				if !fromByz {
+					return tampered, idx, "garble"
+				}
+				tampered++
+			}
+			k := chanKey{from: e.Peer, to: e.Proc}
+			pos := -1
+			for i := recvCursor[k]; i < len(sendOrder[k]); i++ {
+				if sendOrder[k][i] == e.Msg {
+					pos = i
+					break
+				}
+			}
+			if pos < 0 {
+				if fromByz {
+					tampered++
+					recvSeen[e.Msg] = true
+					continue
+				}
+				return tampered, idx, "fifo"
+			}
+			recvCursor[k] = pos + 1
+			recvSeen[e.Msg] = true
+		case KindCrash:
+			crashed[e.Proc] = true
+		case KindFailed:
+			if e.Target == None {
+				return tampered, idx, "failed"
+			}
+			key := [2]ProcID{e.Proc, e.Target}
+			if detected[key] {
+				return tampered, idx, "failed-once"
+			}
+			detected[key] = true
+		}
+	}
+	return tampered, -1, ""
+}
+
+// Property: Validate and ValidateUnderByz name the same first violation —
+// event index and rule — and count the same tampered receives as the
+// map-based validator, on generated histories mutated up to three times.
+func TestValidateMatchesMapOracle(t *testing.T) {
+	rules, ghosts := map[string]int{}, 0
+	for seed := int64(0); seed < 1000; seed++ {
+		n := 2 + int(seed%7)
+		h := NewGen(seed).History(n, 120)
+		rng := rand.New(rand.NewSource(seed))
+		for m := rng.Intn(4); m > 0; m-- {
+			h = perturb(h, n, rng)
+		}
+		if seed%10 == 0 && len(h) > 0 {
+			h[rng.Intn(len(h))].Peer = MaxProcs + 1 + ProcID(rng.Intn(2))*(1<<40)
+		}
+		var victims map[ProcID]bool
+		if seed%2 == 1 {
+			victims = map[ProcID]bool{ProcID(rng.Intn(n) + 1): true, ProcID(rng.Intn(n) + 1): true}
+		}
+		wantTampered, wantIdx, wantRule := validateByMaps(h, victims)
+		tampered, err := h.ValidateUnderByz(victims)
+		gotIdx, gotRule := -1, ""
+		var verr *ValidationError
+		if errors.As(err, &verr) {
+			gotIdx, gotRule = verr.Index, verr.Rule
+		} else if err != nil {
+			t.Fatalf("seed %d: error %v carries no *ValidationError", seed, err)
+		}
+		if gotIdx != wantIdx || gotRule != wantRule || tampered != wantTampered {
+			t.Errorf("seed %d: Validate = (%d, %q, tampered %d), oracle (%d, %q, tampered %d)",
+				seed, gotIdx, gotRule, tampered, wantIdx, wantRule, wantTampered)
+		}
+		rules[wantRule]++
+		ghosts += wantTampered
+	}
+	if ghosts == 0 {
+		t.Error("no receive was tolerated as scripted tampering; the Byzantine-tolerant path was not compared")
+	}
+	for _, rule := range []string{"", "proc-id", "crash-finality", "unique-msg", "recv-before-send",
+		"unique-recv", "channel", "garble", "fifo", "failed-once"} {
+		if rules[rule] == 0 {
+			t.Errorf("no mutated history ended in rule %q; the comparison does not reach it", rule)
+		}
+	}
+	t.Logf("first violations: %v; %d receives tolerated as tampering", rules, ghosts)
+}
+
+// An id past MaxProcs is a proc-id violation wherever it sits, and costs
+// nothing to reject: no table is sized from it.
+func TestValidateBoundsProcessIDs(t *testing.T) {
+	for _, h := range []History{
+		{Internal(1<<40, "x", None)},
+		{Failed(1, MaxProcs+1)},
+		{Send(1, MaxProcs+1, 1, "a", None)},
+	} {
+		var verr *ValidationError
+		if err := h.Validate(); !errors.As(err, &verr) || verr.Rule != "proc-id" {
+			t.Errorf("Validate(%v) = %v, want a proc-id violation", h, err)
+		}
+		if x := NewIndex(h); x.Err() == nil || !errors.Is(x.Err(), ErrInvalidHistory) || x.Processes() != 0 {
+			t.Errorf("NewIndex(%v): Err = %v, Processes = %d; want the proc-id violation and no tables", h, x.Err(), x.Processes())
+		}
+	}
+	if err := (History{Internal(MaxProcs, "x", None)}).Validate(); err != nil {
+		t.Errorf("process MaxProcs itself is in range: %v", err)
 	}
 }

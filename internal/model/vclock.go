@@ -22,36 +22,47 @@ func (v VClock) Join(o VClock) {
 // transitive closure — and, like the paper's, it is reflexive.
 type HB struct {
 	h      History
-	clocks []VClock // clocks[k] is the vector clock of event k
+	stride int    // n+1: one component per process id 0..n
+	clocks VClock // the slab every clock is carved from: event k's is clock(k)
 }
 
-// NewHB computes vector clocks for every event of h in a single pass.
-// h must be a valid history (receives matched to earlier sends); NewHB does
-// not re-validate.
-func NewHB(h History) *HB {
-	n := h.Processes()
-	clocks := make([]VClock, len(h))
-	last := make([]VClock, n+1) // last[p]: clock of p's most recent event
-	sendClock := make(map[MsgID]VClock, len(h)/2)
+func (hb *HB) clock(k int) VClock { return hb.clocks[k*hb.stride:][:hb.stride] }
 
-	for k, e := range h {
-		c := NewVClock(n)
-		if prev := last[e.Proc]; prev != nil {
-			copy(c, prev)
+// NewHB computes vector clocks for every event of h in a single pass, all
+// carved from one slab. h must be a valid history (ids in range, receives
+// matched to earlier sends); NewHB does not re-validate.
+func NewHB(h History) *HB {
+	n, sends := ProcID(0), 0
+	for i := range h {
+		e := &h[i]
+		n = max(n, e.Proc)
+		if e.Kind == KindSend {
+			sends++
+		}
+	}
+	w := int(n) + 1
+	hb := &HB{h: h, stride: w, clocks: make(VClock, len(h)*w)}
+	last := make([]int32, w)               // last[p]: 1 + index of p's most recent event
+	sendAt := make(map[MsgID]int32, sends) // message id -> 1 + index of its send
+
+	for k := range h {
+		e := &h[k]
+		c := hb.clock(k)
+		if prev := last[e.Proc]; prev != 0 {
+			copy(c, hb.clock(int(prev-1)))
 		}
 		if e.Kind == KindRecv {
-			if sc := sendClock[e.Msg]; sc != nil {
-				c.Join(sc)
+			if s := sendAt[e.Msg]; s != 0 {
+				c.Join(hb.clock(int(s - 1)))
 			}
 		}
 		c[e.Proc]++
-		clocks[k] = c
-		last[e.Proc] = c
+		last[e.Proc] = int32(k + 1)
 		if e.Kind == KindSend {
-			sendClock[e.Msg] = c
+			sendAt[e.Msg] = int32(k + 1)
 		}
 	}
-	return &HB{h: h, clocks: clocks}
+	return hb
 }
 
 // Before reports whether event at index a happens-before the event at index
@@ -60,14 +71,9 @@ func (hb *HB) Before(a, b int) bool {
 	if a == b {
 		return true
 	}
-	ea := hb.h[a]
 	// Standard vector-clock test: a -> b iff VC(a)[proc(a)] <= VC(b)[proc(a)].
-	pa := int(ea.Proc)
-	cb := hb.clocks[b]
-	if pa >= len(cb) {
-		return false
-	}
-	return hb.clocks[a][pa] <= cb[pa]
+	pa := hb.h[a].Proc
+	return hb.clock(a)[pa] <= hb.clock(b)[pa]
 }
 
 // BeforeBFS is a reference implementation of happens-before that walks the

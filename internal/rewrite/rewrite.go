@@ -26,7 +26,6 @@
 package rewrite
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -56,72 +55,88 @@ type Stats struct {
 // Graph rewrites h into an isomorphic history satisfying FS2, using the
 // constraint-graph topological sort. The input must be a valid history
 // (model.History.Validate) whose detections all have a crash event
-// (checker.SFS2a); otherwise an error is returned. On success the result
-// is valid, isomorphic to h w.r.t. every process, and satisfies FS2.
+// (checker.SFS2a); otherwise an error is returned — wrapping
+// model.ErrInvalidHistory when h names a process outside 0..model.MaxProcs.
+// On success the result is valid, isomorphic to h w.r.t. every process, and
+// satisfies FS2.
 func Graph(h model.History) (model.History, Stats, error) {
 	var st Stats
-	n := len(h)
-	adj := make([][]int, n) // adj[a] = successors of a
-	indeg := make([]int, n)
-
-	addEdge := func(a, b int) {
-		adj[a] = append(adj[a], b)
+	x := model.NewIndex(h)
+	if err := x.Err(); err != nil {
+		return nil, st, fmt.Errorf("rewrite: %w", err)
+	}
+	n, dets, p := len(h), x.Detections(), x.Processes()+1
+	sends := 0
+	for k := range h {
+		if h[k].Kind == model.KindSend {
+			sends++
+		}
+	}
+	// An event has at most one program-order predecessor and one matching
+	// send, and a detection one crash: at most 2n + |dets| edges. Edge e
+	// leads to to[e-1]; the edges out of event a are chained from head[a]
+	// through next. All of it, and the ready heap, is carved from one array.
+	maxEdges := 2*n + len(dets)
+	tab := make([]int32, p+3*n+2*maxEdges)
+	lastOf, head, indeg := tab[:p], tab[p:p+n], tab[p+n:p+2*n] // lastOf[q]: 1 + index of q's latest event so far
+	ready := minHeap(tab[p+2*n : p+2*n : p+3*n])
+	to, next := tab[p+3*n:][:0:maxEdges], tab[p+3*n+maxEdges:][:0]
+	addEdge := func(a, b int32) {
+		to, next = append(to, b), append(next, head[a])
+		head[a] = int32(len(to))
 		indeg[b]++
 	}
 
 	// Program-order edges.
-	lastOf := make(map[model.ProcID]int)
-	for k, e := range h {
-		if prev, okP := lastOf[e.Proc]; okP {
-			addEdge(prev, k)
+	sendAt := make(map[model.MsgID]int32, sends)
+	for k := range h {
+		e := &h[k]
+		if prev := lastOf[e.Proc]; prev != 0 {
+			addEdge(prev-1, int32(k))
 		}
-		lastOf[e.Proc] = k
+		lastOf[e.Proc] = int32(k + 1)
+		if e.Kind == model.KindSend {
+			sendAt[e.Msg] = int32(k)
+		}
 	}
 	// Message edges.
-	sendAt := make(map[model.MsgID]int)
-	for k, e := range h {
-		if e.Kind == model.KindSend {
-			sendAt[e.Msg] = k
-		}
-	}
-	for k, e := range h {
-		if e.Kind == model.KindRecv {
+	for k := range h {
+		if e := &h[k]; e.Kind == model.KindRecv {
 			s, okS := sendAt[e.Msg]
 			if !okS {
 				return nil, st, fmt.Errorf("rewrite: receive of m%d without send (invalid history)", e.Msg)
 			}
-			addEdge(s, k)
+			addEdge(s, int32(k))
 		}
 	}
 	// FS2 edges: crash_i before failed_j(i).
-	for _, d := range h.Detections() {
-		ci := h.CrashIndex(d.Detected)
+	for _, d := range dets {
+		ci := x.CrashIndex(d.Detected)
 		if ci < 0 {
 			return nil, st, fmt.Errorf("%w: failed_%d(%d)", ErrNoCrash, d.Detector, d.Detected)
 		}
 		if ci > d.Index {
 			st.BadPairs++
 		}
-		addEdge(ci, d.Index)
+		addEdge(int32(ci), int32(d.Index))
 	}
 
 	// Kahn's algorithm with a min-heap on original index: the output is the
 	// lexicographically earliest topological order, i.e. as close to the
 	// original interleaving as the constraints allow.
-	pq := &intHeap{}
 	for k := 0; k < n; k++ {
 		if indeg[k] == 0 {
-			heap.Push(pq, k)
+			ready.push(int32(k))
 		}
 	}
 	out := make(model.History, 0, n)
-	for pq.Len() > 0 {
-		k := heap.Pop(pq).(int)
+	for len(ready) > 0 {
+		k := ready.pop()
 		out = append(out, h[k])
-		for _, succ := range adj[k] {
-			indeg[succ]--
-			if indeg[succ] == 0 {
-				heap.Push(pq, succ)
+		for e := head[k]; e != 0; e = next[e-1] {
+			succ := to[e-1]
+			if indeg[succ]--; indeg[succ] == 0 {
+				ready.push(succ)
 			}
 		}
 	}
@@ -130,6 +145,34 @@ func Graph(h model.History) (model.History, Stats, error) {
 	}
 	st.Moves = n
 	return out.Normalize(), st, nil
+}
+
+// minHeap is a binary min-heap of event indexes.
+type minHeap []int32
+
+func (h *minHeap) push(v int32) {
+	s := append(*h, v)
+	for i := len(s) - 1; i > 0 && s[(i-1)/2] > s[i]; i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+	*h = s
+}
+
+func (h *minHeap) pop() int32 {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	for i, kid := 0, 1; kid < n; i, kid = kid, 2*kid+1 {
+		if kid+1 < n && s[kid+1] < s[kid] {
+			kid++
+		}
+		if s[i] <= s[kid] {
+			break
+		}
+		s[i], s[kid] = s[kid], s[i]
+	}
+	*h = s[:n]
+	return top
 }
 
 // Realizable reports whether an isomorphic fail-stop history exists for h:
@@ -161,9 +204,14 @@ func Swaps(h model.History) (model.History, Stats, error) {
 	var st Stats
 	cur := h.Clone().Normalize()
 
-	// Precondition shared with Graph: every detected process crashes.
-	for _, d := range cur.Detections() {
-		if cur.CrashIndex(d.Detected) < 0 {
+	// Preconditions shared with Graph: ids in range, and every detected
+	// process crashes.
+	x := model.NewIndex(cur)
+	if err := x.Err(); err != nil {
+		return nil, st, fmt.Errorf("rewrite: %w", err)
+	}
+	for _, d := range x.Detections() {
+		if x.CrashIndex(d.Detected) < 0 {
 			return nil, st, fmt.Errorf("%w: failed_%d(%d)", ErrNoCrash, d.Detector, d.Detected)
 		}
 	}
@@ -260,26 +308,13 @@ func Verify(original, rewritten model.History) error {
 	if !original.IsomorphicTo(rewritten) {
 		return errors.New("rewrite: result not isomorphic to original")
 	}
-	for _, d := range rewritten.Detections() {
-		ci := rewritten.CrashIndex(d.Detected)
+	x := model.NewIndex(rewritten)
+	for _, d := range x.Detections() {
+		ci := x.CrashIndex(d.Detected)
 		if ci < 0 || ci > d.Index {
 			return fmt.Errorf("rewrite: FS2 violated in result: failed_%d(%d) at %d, crash at %d",
 				d.Detector, d.Detected, d.Index, ci)
 		}
 	}
 	return nil
-}
-
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -11,6 +11,7 @@ import (
 	"failstop/internal/model"
 	"failstop/internal/rewrite"
 	"failstop/internal/sim"
+	"failstop/internal/sweep"
 )
 
 // falseSuspicionHistory runs the §5 protocol with erroneous suspicions and
@@ -364,5 +365,49 @@ func TestQuickRealizabilityStableUnderRewrite(t *testing.T) {
 		if !rewrite.Realizable(out) {
 			t.Fatalf("seed %d: rewritten FS history not realizable", seed)
 		}
+	}
+}
+
+// TestRewriteAllocBudget pins what the rewriter costs the allocator on the
+// abstract history of an n=20, t=3 run under the sweep's "crash" schedule
+// (105 events, 51 detections) — the check-replay benchmark's shape — at what
+// it measures plus a tenth: Graph 10 (the index's eight, one array carved
+// into edge lists, offsets, in-degrees and heap, the output) and Verify 13
+// (Validate's maps, IsomorphicTo's cursors, the index). With per-node
+// adjacency slices, a boxed container/heap, Validate's six maps and a
+// Projection per process they were 125 and 156.
+func TestRewriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
+	sched, ok := sweep.Builtin("crash")
+	if !ok {
+		t.Fatal("no builtin crash schedule")
+	}
+	c := cluster.New(cluster.Options{
+		Sim: sim.Config{N: 20, Seed: 1},
+		Det: core.Config{N: 20, T: 3, Protocol: core.SimulatedFailStop},
+	})
+	for _, f := range sched.Faults(sweep.NT{N: 20, T: 3}, 1) {
+		switch f.Kind {
+		case sweep.FaultCrash:
+			c.CrashAt(f.At, f.Proc)
+		case sweep.FaultSuspect:
+			c.SuspectAt(f.At, f.Proc, f.Target)
+		}
+	}
+	h := checker.Abstract(c.Run().History, core.TagSusp)
+	out, _, err := rewrite.Graph(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := testing.AllocsPerRun(5, func() { _, _, _ = rewrite.Graph(h) })
+	verify := testing.AllocsPerRun(5, func() { err = rewrite.Verify(h, out) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d events: Graph %.0f allocations, Verify %.0f", len(h), graph, verify)
+	if graph > 11 || verify > 14 {
+		t.Errorf("Graph allocated %.0f times and Verify %.0f, budgets 11 and 14", graph, verify)
 	}
 }
