@@ -195,7 +195,18 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	c := failstop.NewCluster(opts)
+	// Every injection is parsed and its process ids checked against -n before
+	// the cluster exists: an id naming nobody is a usage error here, not a
+	// panic inside the run or an event no checker accepts.
+	named := func(ps ...int) bool {
+		for _, p := range ps {
+			if p < 1 || p > *n {
+				return false
+			}
+		}
+		return true
+	}
+	var inject []func(*failstop.Cluster)
 	for _, s := range suspects.vals {
 		var i, j int
 		var at int64
@@ -203,7 +214,11 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -suspect %q (want i:j@t): %v\n", s, err)
 			return 2
 		}
-		c.SuspectAt(at, failstop.ProcID(i), failstop.ProcID(j))
+		if !named(i, j) {
+			fmt.Fprintf(out, "bad -suspect %q: processes are 1..%d (-n)\n", s, *n)
+			return 2
+		}
+		inject = append(inject, func(c *failstop.Cluster) { c.SuspectAt(at, failstop.ProcID(i), failstop.ProcID(j)) })
 	}
 	for _, s := range crashes.vals {
 		var p int
@@ -212,7 +227,15 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -crash %q (want p@t): %v\n", s, err)
 			return 2
 		}
-		c.CrashAt(at, failstop.ProcID(p))
+		if !named(p) {
+			fmt.Fprintf(out, "bad -crash %q: processes are 1..%d (-n)\n", s, *n)
+			return 2
+		}
+		inject = append(inject, func(c *failstop.Cluster) { c.CrashAt(at, failstop.ProcID(p)) })
+	}
+	c := failstop.NewCluster(opts)
+	for _, in := range inject {
+		in(c)
 	}
 
 	rep := c.Run()

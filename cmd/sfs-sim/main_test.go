@@ -128,6 +128,26 @@ func TestRunBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIDsNamingNoProcess: an injection whose process ids are not
+// among 1..n is a usage error named in one line. At -n 5, "-suspect 9:1@5"
+// used to die with an index out of range inside Run, "-crash 0@5" recorded a
+// crash_0 that Validate rejects and exited 0, and "-suspect 2:9@5" had three
+// processes execute failed_i(9).
+func TestRunRejectsIDsNamingNoProcess(t *testing.T) {
+	for _, args := range [][]string{
+		{"-suspect", "9:1@5"},
+		{"-crash", "0@5"},
+		{"-suspect", "2:9@5"},
+		{"-suspect", "2:1@5", "-crash", "6@9"},
+	} {
+		var out bytes.Buffer
+		code := run(append([]string{"-n", "5"}, args...), &out)
+		if got := out.String(); code != 2 || strings.Count(got, "\n") != 1 || !strings.Contains(got, "bad "+args[len(args)-2]+" ") || !strings.Contains(got, "1..5") {
+			t.Errorf("run(-n 5 %v) = %d, printing %q; want 2 and one line naming the flag and the range", args, code, got)
+		}
+	}
+}
+
 func TestRunUnilateralFailsVerdicts(t *testing.T) {
 	var out bytes.Buffer
 	code := run([]string{"-n", "3", "-t", "1", "-protocol", "unilateral", "-suspect", "2:1@5"}, &out)

@@ -268,7 +268,7 @@ type Options struct {
 // its own — a MaxTime horizon wherever something re-arms forever
 // (heartbeats, unbounded retransmission, an unbounded restart storm).
 func (o Options) Validate() error {
-	if err := validateStack("Options", o.N, o.T, o.Topology, o.Faults, o.Reliable, o.Byzantine); err != nil {
+	if err := validateStack("Options", o.N, o.T, o.MinDelay, o.MaxDelay, o.Topology, o.Faults, o.Reliable, o.Byzantine); err != nil {
 		return err
 	}
 	if o.HeartbeatEvery > 0 && o.MaxTime <= 0 {
@@ -284,15 +284,19 @@ func (o Options) Validate() error {
 }
 
 // validateStack is what both backends require of the protocol stack's
-// configuration: N at least 2, a non-negative failure bound, a topology and
-// a fault plan well-formed for N, and valid interposer options. kind
+// configuration: N at least 2, a non-negative failure bound, non-negative
+// delay bounds, a topology and a fault plan well-formed for N, and valid
+// interposer options. kind
 // ("Options" or "LiveOptions") names the struct in the error.
-func validateStack(kind string, n, t int, tp *TopoSpec, faults *FaultPlan, rel ReliableOptions, bz ByzantineOptions) error {
+func validateStack(kind string, n, t int, minDelay, maxDelay int64, tp *TopoSpec, faults *FaultPlan, rel ReliableOptions, bz ByzantineOptions) error {
 	if n < 2 {
 		return fmt.Errorf("failstop: %s.N = %d; need at least 2 processes", kind, n)
 	}
 	if t < 0 {
 		return fmt.Errorf("failstop: %s.T = %d; the failure bound cannot be negative", kind, t)
+	}
+	if err := sim.CheckDelayBounds(minDelay, maxDelay); err != nil {
+		return fmt.Errorf("failstop: %s.%w", kind, err)
 	}
 	if tp != nil {
 		if _, err := topo.New(*tp, n); err != nil {
@@ -625,7 +629,7 @@ type LiveOptions struct {
 // options well-formed — the checks Options.Validate makes of the same
 // fields. A live run is bounded by Stop, so nothing here needs a horizon.
 func (o LiveOptions) Validate() error {
-	return validateStack("LiveOptions", o.N, o.T, o.Topology, o.Faults, o.Reliable, o.Byzantine)
+	return validateStack("LiveOptions", o.N, o.T, int64(o.MinDelay), int64(o.MaxDelay), o.Topology, o.Faults, o.Reliable, o.Byzantine)
 }
 
 // LiveCluster runs the same protocol stack on real goroutines.

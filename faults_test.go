@@ -74,8 +74,8 @@ func TestNewLiveClusterPanicsOnTooFewProcesses(t *testing.T) {
 	failstop.NewLiveCluster(failstop.LiveOptions{N: 1})
 }
 
-// TestFacadesRejectTheSameInputs: Options and LiveOptions validate N, T,
-// Topology, Faults, Reliable and Byzantine by one shared check, so a bad
+// TestFacadesRejectTheSameInputs: Options and LiveOptions validate N, T, the
+// delay bounds, Topology, Faults, Reliable and Byzantine by one shared check, so a bad
 // value draws the same words from both, after the struct's name — and
 // NewLiveCluster panics with exactly that error, as NewCluster does.
 func TestFacadesRejectTheSameInputs(t *testing.T) {
@@ -88,6 +88,8 @@ func TestFacadesRejectTheSameInputs(t *testing.T) {
 	}{
 		{"n", failstop.Options{N: 1}, failstop.LiveOptions{N: 1}, "at least 2"},
 		{"t", failstop.Options{N: 4, T: -1}, failstop.LiveOptions{N: 4, T: -1}, "cannot be negative"},
+		{"min delay", failstop.Options{N: 4, MinDelay: -5, MaxDelay: -1}, failstop.LiveOptions{N: 4, MinDelay: -5, MaxDelay: -1}, "delay bound cannot be negative"},
+		{"max delay", failstop.Options{N: 4, MaxDelay: -1}, failstop.LiveOptions{N: 4, MaxDelay: -1}, "delay bound cannot be negative"},
 		{"topology", failstop.Options{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}},
 			failstop.LiveOptions{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, "Topology"},
 		{"faults", failstop.Options{N: 4, Faults: badPlan}, failstop.LiveOptions{N: 4, Faults: badPlan}, "outside [0,1]"},

@@ -28,9 +28,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"failstop/internal/model"
@@ -222,12 +223,55 @@ type Detector struct {
 	pool      quorum.Pool // quorum membership under cfg.Topology (set at Init)
 	threshold int         // FixedQuorum completion size for this process's pool
 	crashed   bool
-	suspected map[model.ProcID]bool           // broadcast sent for target
-	counts    map[model.ProcID]quorum.Set     // target -> senders of "target failed" (incl. self)
-	detected  map[model.ProcID]bool           // failed_self(target) executed
-	quorums   map[model.ProcID][]model.ProcID // target -> quorum snapshot at detection
-	deferred  []deferredSend                  // app sends queued during detection
-	pending   []pendingCount                  // piggybacked counts awaiting dependencies
+	rounds    []round        // one per target ever suspected, ascending by target
+	deferred  []deferredSend // app sends queued during detection
+	pending   []pendingCount // piggybacked counts awaiting dependencies
+}
+
+// round is the §5 protocol's state for one target j. senders is who has
+// been heard saying "j failed" (self included); it stops growing when
+// failed_self(j) executes, so from then on it is the quorum Q_{self,j} of
+// Definition 5. A *round is good only until the next insertion into
+// Detector.rounds, and an App.OnFailed may suspect: nothing holds one
+// across a call that can reach complete.
+type round struct {
+	target              model.ProcID
+	suspected, detected bool // broadcast sent; failed_self(target) executed
+	senders             quorum.Set
+}
+
+// names reports whether p is the id of one of the N processes.
+func (d *Detector) names(p model.ProcID) bool { return p >= 1 && int(p) <= d.cfg.N }
+
+// at returns the index of j's round, or the index to insert it at.
+func (d *Detector) at(j model.ProcID) (int, bool) {
+	return slices.BinarySearchFunc(d.rounds, j, func(r round, j model.ProcID) int { return cmp.Compare(r.target, j) })
+}
+
+// find returns j's round, or nil if j was never suspected.
+func (d *Detector) find(j model.ProcID) *round {
+	if i, ok := d.at(j); ok {
+		return &d.rounds[i]
+	}
+	return nil
+}
+
+// round returns j's round, opening it if need be.
+func (d *Detector) round(j model.ProcID) *round {
+	i, ok := d.at(j)
+	if !ok {
+		d.rounds = slices.Insert(d.rounds, i, round{target: j})
+	}
+	return &d.rounds[i]
+}
+
+// hear adds sender to r's sender set, which is made wide enough for every
+// process id so that no later sender regrows it.
+func (d *Detector) hear(r *round, sender model.ProcID) {
+	if r.senders == nil {
+		r.senders = make(quorum.Set, quorum.Words(d.cfg.N))
+	}
+	r.senders.Add(sender)
 }
 
 // pendingCount is a "j failed" from sender whose piggybacked dependencies
@@ -289,19 +333,21 @@ type countSnapshot struct {
 // state (suspicions, quorum counts, completed detections with their quorum
 // snapshots) at crash time. It does not mutate the detector.
 func (d *Detector) Snapshot() []byte {
-	snap := detectorSnapshot{
-		Suspected: sortedTrueKeys(d.suspected),
-		Detected:  d.DetectedSet(),
-	}
-	for _, target := range sortedMapKeys(d.counts) {
-		snap.Counts = append(snap.Counts, countSnapshot{
-			Target: target, Senders: d.counts[target].Members(),
-		})
-	}
-	for _, target := range sortedMapKeys(d.quorums) {
-		members := make([]model.ProcID, len(d.quorums[target]))
-		copy(members, d.quorums[target])
-		snap.Quorums = append(snap.Quorums, countSnapshot{Target: target, Senders: members})
+	var snap detectorSnapshot
+	for _, r := range d.rounds {
+		if r.suspected {
+			snap.Suspected = append(snap.Suspected, r.target)
+		}
+		if r.detected {
+			snap.Detected = append(snap.Detected, r.target)
+		}
+		if r.senders != nil {
+			c := countSnapshot{Target: r.target, Senders: r.senders.Members()}
+			snap.Counts = append(snap.Counts, c)
+			if r.detected {
+				snap.Quorums = append(snap.Quorums, c)
+			}
+		}
 	}
 	b, err := json.Marshal(snap)
 	if err != nil {
@@ -320,62 +366,34 @@ func (d *Detector) Snapshot() []byte {
 // undecodable snapshot degrades to amnesia rather than wedging the restart.
 func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 	d.crashed = false
-	d.suspected = make(map[model.ProcID]bool)
-	d.counts = make(map[model.ProcID]quorum.Set)
-	d.detected = make(map[model.ProcID]bool)
-	d.quorums = make(map[model.ProcID][]model.ProcID)
+	d.rounds = nil
 	d.deferred = nil
 	d.pending = nil
-	if len(state) > 0 {
-		var snap detectorSnapshot
-		if err := json.Unmarshal(state, &snap); err == nil {
-			for _, j := range snap.Suspected {
-				d.suspected[j] = true
-			}
-			for _, j := range snap.Detected {
-				d.detected[j] = true
-			}
-			for _, c := range snap.Counts {
-				set := d.newSenderSet()
-				for _, s := range c.Senders {
-					// A snapshot is read back from storage: ids no process
-					// can have are dropped, not trusted.
-					if s >= 1 && int(s) <= d.cfg.N {
-						set.Add(s)
-					}
-				}
-				d.counts[c.Target] = set
-			}
-			for _, q := range snap.Quorums {
-				members := make([]model.ProcID, len(q.Senders))
-				copy(members, q.Senders)
-				d.quorums[q.Target] = members
+	var snap detectorSnapshot
+	if json.Unmarshal(state, &snap) != nil {
+		snap = detectorSnapshot{}
+	}
+	// A snapshot is read back from storage: a target no round can have (self,
+	// an id no process has) or a sender no process has is dropped, not trusted.
+	target := func(j model.ProcID) bool { return d.names(j) && j != ctx.Self() }
+	for _, j := range snap.Suspected {
+		if target(j) {
+			d.round(j).suspected = true
+		}
+	}
+	for _, j := range snap.Detected {
+		if target(j) {
+			d.round(j).detected = true
+		}
+	}
+	for _, c := range append(snap.Counts, snap.Quorums...) {
+		for _, s := range c.Senders {
+			if target(c.Target) && d.names(s) {
+				d.hear(d.round(c.Target), s)
 			}
 		}
 	}
 	d.Init(ctx)
-}
-
-// sortedTrueKeys returns the keys mapped to true, sorted.
-func sortedTrueKeys(m map[model.ProcID]bool) []model.ProcID {
-	var out []model.ProcID
-	for j, ok := range m {
-		if ok {
-			out = append(out, j)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// sortedMapKeys returns m's keys, sorted.
-func sortedMapKeys[V any](m map[model.ProcID]V) []model.ProcID {
-	out := make([]model.ProcID, 0, len(m))
-	for j := range m {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // NewDetector builds a detector with the given configuration, optional fd
@@ -388,15 +406,7 @@ func NewDetector(cfg Config, fd Component, app App) *Detector {
 	if cfg.T < 1 {
 		panic("core: T must be at least 1")
 	}
-	return &Detector{
-		cfg:       cfg,
-		fd:        fd,
-		app:       app,
-		suspected: make(map[model.ProcID]bool),
-		counts:    make(map[model.ProcID]quorum.Set),
-		detected:  make(map[model.ProcID]bool),
-		quorums:   make(map[model.ProcID][]model.ProcID),
-	}
+	return &Detector{cfg: cfg, fd: fd, app: app}
 }
 
 // Config returns the detector's effective configuration.
@@ -465,10 +475,10 @@ func (d *Detector) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	if d.cfg.StrictGating {
-		return !d.detecting()
+		return !d.Detecting()
 	}
-	for target, senders := range d.counts {
-		if senders.Has(from) && !d.detected[target] {
+	for _, r := range d.rounds {
+		if !r.detected && r.senders.Has(from) {
 			return false
 		}
 	}
@@ -477,28 +487,31 @@ func (d *Detector) Accepts(from model.ProcID, p node.Payload) bool {
 
 // Suspect initiates the failure-detection protocol for target j, e.g. on a
 // timeout (the paper's "process i suspects the failure of process j").
-// Suspecting oneself or an already-detected process is a no-op.
+// Suspecting oneself, an id no process has, or an already-suspected or
+// already-detected process is a no-op.
 func (d *Detector) Suspect(ctx node.Context, j model.ProcID) {
-	if d.crashed || j == d.self || j == model.None || d.suspected[j] || d.detected[j] {
+	if d.crashed || j == d.self || !d.names(j) {
 		return
 	}
-	d.suspected[j] = true
+	r := d.round(j)
+	if r.suspected || r.detected {
+		return
+	}
+	r.suspected = true
+	if d.cfg.Protocol != SimulatedFailStop {
+		d.hear(r, d.self) // a baseline counts nobody: its quorum is {self}
+	}
 	ctx.EmitInternal("suspect", j)
 	switch d.cfg.Protocol {
 	case Unilateral:
 		// §4 strawman: no communication at all.
-		d.complete(ctx, j, []model.ProcID{d.self})
-		return
-	case SimulatedFailStop, Cheap:
-		d.broadcastSusp(ctx, j)
-	}
-	switch d.cfg.Protocol {
-	case Unilateral:
-		// Unreachable: the Unilateral arm above returned.
+		d.complete(ctx, j)
 	case Cheap:
 		// §6: detect immediately after the broadcast; no quorum wait.
-		d.complete(ctx, j, []model.ProcID{d.self})
+		d.broadcastSusp(ctx, j)
+		d.complete(ctx, j)
 	case SimulatedFailStop:
+		d.broadcastSusp(ctx, j)
 		d.countSusp(ctx, j, d.self)
 		// A new suspicion shrinks the AllButSuspected requirement for every
 		// in-flight detection: re-evaluate them all.
@@ -569,6 +582,9 @@ func (d *Detector) onSusp(ctx node.Context, sender, x model.ProcID, data []byte)
 		d.crashed = true
 		return
 	}
+	if !d.names(x) {
+		return // a message off the wire naming nobody: nothing to join or count
+	}
 	switch d.cfg.Protocol {
 	case SimulatedFailStop:
 		// "When process x receives a message of the form 'y failed', x
@@ -602,39 +618,29 @@ func (d *Detector) onSusp(ctx node.Context, sender, x model.ProcID, data []byte)
 // this process's quorum, which is what keeps the intersection guarantee
 // scoped to the pool.
 func (d *Detector) countSusp(ctx node.Context, j, sender model.ProcID) {
-	if d.detected[j] || !d.pool.Counts(sender) {
+	r := d.round(j)
+	if r.detected || !d.pool.Counts(sender) {
 		return
 	}
-	set := d.counts[j]
-	if set == nil {
-		set = d.newSenderSet()
-		d.counts[j] = set
-	}
-	set.Add(sender) // in place: the set already spans every id pool.Counts admits
+	d.hear(r, sender)
 	d.maybeComplete(ctx, j)
 }
 
-// newSenderSet returns an empty sender set wide enough for every process
-// id, so adding a sender never regrows it.
-func (d *Detector) newSenderSet() quorum.Set {
-	return make(quorum.Set, quorum.Words(d.cfg.N))
-}
-
 func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
-	if d.crashed || d.detected[j] || !d.suspected[j] {
+	r := d.find(j)
+	if d.crashed || r == nil || r.detected || !r.suspected {
 		return
 	}
-	set := d.counts[j]
 	switch d.cfg.Policy {
 	case FixedQuorum:
-		if set.Len() < d.threshold {
+		if r.senders.Len() < d.threshold {
 			return
 		}
 	case AllButSuspected:
 		// Wait for "j failed" from every pool member not suspected by self.
 		complete := true
 		d.ForEachPeer(func(q model.ProcID) {
-			if complete && !d.suspected[q] && !set.Has(q) {
+			if complete && !d.Suspects(q) && !r.senders.Has(q) {
 				complete = false
 			}
 		})
@@ -642,26 +648,24 @@ func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
 			return
 		}
 	}
-	d.complete(ctx, j, set.Members())
+	d.complete(ctx, j)
 }
 
+// reevaluateAll offers every open round its completion, in ascending target
+// id. A completion may open rounds (OnFailed may suspect), which moves the
+// ones above them: the walk finds its place again by id.
 func (d *Detector) reevaluateAll(ctx node.Context) {
-	// Walk the suspected set in id order (not 1..N): O(open detections)
-	// per call, and deterministic despite the map.
-	for _, j := range sortedTrueKeys(d.suspected) {
-		if d.crashed {
-			return
-		}
-		if !d.detected[j] {
-			d.maybeComplete(ctx, j)
+	for i := 0; i < len(d.rounds) && !d.crashed; i++ {
+		if r := d.rounds[i]; r.suspected && !r.detected {
+			d.maybeComplete(ctx, r.target)
+			i, _ = d.at(r.target)
 		}
 	}
 }
 
-// complete executes failed_self(j) with the given quorum snapshot.
-func (d *Detector) complete(ctx node.Context, j model.ProcID, quorumSet []model.ProcID) {
-	d.detected[j] = true
-	d.quorums[j] = quorumSet
+// complete executes failed_self(j); j's sender set is its quorum from here on.
+func (d *Detector) complete(ctx node.Context, j model.ProcID) {
+	d.round(j).detected = true
 	ctx.EmitFailed(j)
 	if d.app != nil {
 		d.app.OnFailed(ctx, d, j)
@@ -669,7 +673,7 @@ func (d *Detector) complete(ctx node.Context, j model.ProcID, quorumSet []model.
 	if d.cfg.Piggyback {
 		d.drainPending(ctx)
 	}
-	if !d.detecting() {
+	if !d.Detecting() {
 		d.flushDeferred(ctx)
 	}
 }
@@ -682,7 +686,7 @@ func (d *Detector) unmetDeps(data []byte) []model.ProcID {
 	}
 	var out []model.ProcID
 	for _, dep := range decodeProcIDs(data) {
-		if !d.detected[dep] && dep != d.self {
+		if !d.Detected(dep) && dep != d.self {
 			out = append(out, dep)
 		}
 	}
@@ -702,7 +706,7 @@ func (d *Detector) drainPending(ctx node.Context) {
 			}
 			met := true
 			for _, dep := range pc.deps {
-				if !d.detected[dep] {
+				if !d.Detected(dep) {
 					met = false
 					break
 				}
@@ -723,14 +727,11 @@ func (d *Detector) drainPending(ctx node.Context) {
 
 // Detecting reports whether any detection is in progress: some target is
 // suspected (broadcast sent) but failed_self(target) has not executed. It
-// walks only the suspicion set, so callers can poll it per process without
+// walks only the rounds opened, so callers can poll it per process without
 // an O(N) scan over candidate targets.
-func (d *Detector) Detecting() bool { return d.detecting() }
-
-// detecting reports whether any detection is in progress.
-func (d *Detector) detecting() bool {
-	for j, susp := range d.suspected {
-		if susp && !d.detected[j] {
+func (d *Detector) Detecting() bool {
+	for _, r := range d.rounds {
+		if r.suspected && !r.detected {
 			return true
 		}
 	}
@@ -752,7 +753,7 @@ func (d *Detector) SendApp(ctx node.Context, to model.ProcID, data []byte) {
 	if d.crashed {
 		return
 	}
-	if d.cfg.DeferAppSends && d.detecting() {
+	if d.cfg.DeferAppSends && d.Detecting() {
 		buf := make([]byte, len(data))
 		copy(buf, data)
 		d.deferred = append(d.deferred, deferredSend{to: to, data: buf})
@@ -762,23 +763,22 @@ func (d *Detector) SendApp(ctx node.Context, to model.ProcID, data []byte) {
 }
 
 // Detected reports whether failed_self(j) has executed.
-func (d *Detector) Detected(j model.ProcID) bool { return d.detected[j] }
+func (d *Detector) Detected(j model.ProcID) bool { r := d.find(j); return r != nil && r.detected }
 
 // Suspects reports whether self has suspected j (broadcast issued).
-func (d *Detector) Suspects(j model.ProcID) bool { return d.suspected[j] }
+func (d *Detector) Suspects(j model.ProcID) bool { r := d.find(j); return r != nil && r.suspected }
 
 // Crashed reports whether the process crashed.
 func (d *Detector) Crashed() bool { return d.crashed }
 
 // DetectedSet returns the sorted set of processes detected so far.
 func (d *Detector) DetectedSet() []model.ProcID {
-	out := make([]model.ProcID, 0, len(d.detected))
-	for j, ok := range d.detected {
-		if ok {
-			out = append(out, j)
+	out := make([]model.ProcID, 0, len(d.rounds))
+	for _, r := range d.rounds {
+		if r.detected {
+			out = append(out, r.target)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -786,11 +786,11 @@ func (d *Detector) DetectedSet() []model.ProcID {
 // detection: the set Q_{self,j} of Definition 5 (senders of "j failed"
 // heard before failed_self(j), including self).
 func (d *Detector) Quorums() map[model.ProcID][]model.ProcID {
-	out := make(map[model.ProcID][]model.ProcID, len(d.quorums))
-	for j, q := range d.quorums {
-		cp := make([]model.ProcID, len(q))
-		copy(cp, q)
-		out[j] = cp
+	out := make(map[model.ProcID][]model.ProcID)
+	for _, r := range d.rounds {
+		if r.detected {
+			out[r.target] = r.senders.Members()
+		}
 	}
 	return out
 }

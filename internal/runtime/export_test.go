@@ -17,3 +17,10 @@ func (n *Net) Queued(p model.ProcID) int {
 	}
 	return total
 }
+
+// FaultTimers returns how many lifetime crash/restart timers the net holds.
+func (n *Net) FaultTimers() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.faultTimers)
+}

@@ -23,6 +23,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,7 +101,7 @@ type Net struct {
 	stopCh      chan struct{}
 	started     bool
 	stopped     bool
-	faultTimers []*time.Timer // outstanding lifetime crash/restart timers
+	faultTimers []*time.Timer // pending lifetime crash/restart timers; a fired one removes itself
 	mu          sync.Mutex
 }
 
@@ -239,20 +240,27 @@ func (n *Net) Metrics() obs.Metrics {
 	return n.core.Snapshot(nil, host.LayerStats(n.handlers))
 }
 
-// afterTicks schedules fn after d ticks, retaining the timer so Stop can
-// cancel the fault plan's outstanding work. No-op once the net stopped.
+// afterTicks schedules fn after d ticks, retaining the timer until it fires
+// so Stop can cancel the fault plan's outstanding work: a lifetime has at
+// most two pending, its next crash and its restart, however long it recurs.
+// No-op once the net stopped.
 func (n *Net) afterTicks(d int64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.stopped {
-		n.mu.Unlock()
 		return
 	}
-	t := time.AfterFunc(time.Duration(d)*n.cfg.Tick, fn)
+	var t *time.Timer
+	t = time.AfterFunc(time.Duration(d)*n.cfg.Tick, func() {
+		n.mu.Lock() // not before afterTicks has stored t
+		n.faultTimers = slices.DeleteFunc(n.faultTimers, func(x *time.Timer) bool { return x == t })
+		n.mu.Unlock()
+		fn()
+	})
 	n.faultTimers = append(n.faultTimers, t)
-	n.mu.Unlock()
 }
 
 // planCrash routes the crash window of lifetime idx due at tick at through

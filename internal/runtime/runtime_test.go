@@ -9,6 +9,7 @@ import (
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/recovery"
 	"failstop/internal/runtime"
 )
 
@@ -250,4 +251,54 @@ func TestStopIdempotent(t *testing.T) {
 	net.Start()
 	net.Stop()
 	net.Stop() // must not panic or deadlock
+}
+
+// TestFaultTimersStayBounded: a recurring lifetime holds its pending timers
+// only — the next crash and the restart — not one per window since Start.
+// (Every fired timer used to stay in the list until Stop: 101 after 50
+// windows of one such storm.) A storm can end early here: a host stalled past
+// a whole downtime fires a restart and the next crash together, the window
+// finds its process still down and is skipped, chain and all, as on the
+// simulator. Such a run proves nothing about 50 windows and is made again.
+func TestFaultTimersStayBounded(t *testing.T) {
+	const windows, attempts = 50, 8
+	for attempt := 1; ; attempt++ {
+		got := stormWindows(t, windows)
+		if got >= windows {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("no storm reached %d windows in %d attempts (the last ended after %d)", windows, attempts, got)
+		}
+		t.Logf("attempt %d: the storms ended after %d windows", attempt, got)
+	}
+}
+
+// stormWindows runs six staggered restart storms until they have crashed
+// want times between them or all have ended, failing the test the moment the
+// net holds more than two fault timers a lifetime. It returns the crashes.
+func stormWindows(t *testing.T, want int64) int64 {
+	cfg := fastCfg(7, 7)
+	cfg.Tick = 200 * time.Microsecond
+	cfg.Recovery = recovery.Amnesia
+	for p := model.ProcID(2); p <= 7; p++ {
+		cfg.Lifetimes = append(cfg.Lifetimes, recovery.Lifetime{Proc: p, Crash: 5 * int64(p), Restart: 5*int64(p) + 10, Period: 40})
+	}
+	net := runtime.New(cfg)
+	for p := model.ProcID(1); p <= 7; p++ {
+		net.SetHandler(p, &collector{})
+	}
+	net.Start()
+	defer net.Stop()
+	got, progress := int64(0), time.Now()
+	for got < want && time.Since(progress) < 25*40*cfg.Tick {
+		if now := net.Metrics().Value("net_plan_crashes_total"); now > got {
+			got, progress = now, time.Now()
+		}
+		if held, max := net.FaultTimers(), 2*len(cfg.Lifetimes); held > max {
+			t.Fatalf("net holds %d fault timers after %d windows, want at most %d", held, got, max)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return got
 }

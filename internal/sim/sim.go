@@ -145,6 +145,18 @@ import (
 // channel behind it) for the remainder of the run.
 type DelayFn func(from, to model.ProcID, p node.Payload, at int64) int64
 
+// CheckDelayBounds rejects a negative MinDelay or MaxDelay. A DelayFn may
+// park one message with a negative delay; a negative bound would have the
+// default distribution park every message of the run. It is the one check
+// behind Options.Validate, LiveOptions.Validate, sweep.Spec.Validate and New;
+// each puts the name of its own struct and a dot before the error.
+func CheckDelayBounds(min, max int64) error {
+	if min < 0 || max < 0 {
+		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot be negative (no message arrives before it is sent)", min, max)
+	}
+	return nil
+}
+
 // Config parameterizes a simulation.
 type Config struct {
 	// N is the number of processes (ids 1..N). Required.
@@ -670,6 +682,9 @@ func New(cfg Config) *Sim {
 	if cfg.N <= 0 {
 		panic("sim: Config.N must be positive")
 	}
+	if err := CheckDelayBounds(cfg.MinDelay, cfg.MaxDelay); err != nil {
+		panic("sim: Config." + err.Error())
+	}
 	if cfg.MinDelay == 0 && cfg.MaxDelay == 0 {
 		cfg.MinDelay, cfg.MaxDelay = 1, 10
 	}
@@ -742,9 +757,13 @@ func (s *Sim) live(call string) {
 
 // At schedules fn to run in the context of process p at virtual time t.
 // If p has crashed by then, fn is skipped. Injections at equal times run in
-// the order they were registered.
+// the order they were registered. A p that is not one of 1..N panics here,
+// at the call, as Send does for such a receiver.
 func (s *Sim) At(t int64, p model.ProcID, fn func(node.Context)) {
 	s.live("At")
+	if p < 1 || int(p) > s.cfg.N {
+		panic(fmt.Sprintf("sim: At for invalid process %d (have 1..%d)", p, s.cfg.N))
+	}
 	s.push(occ(t, occInject, p, len(s.injects)))
 	s.injects = append(s.injects, fn)
 }

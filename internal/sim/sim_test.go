@@ -556,6 +556,34 @@ func TestSendToSelfPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestBadCallsPanicAtTheCall: an injection for a process nobody is, and a
+// negative delay bound, panic where they are written — At(t, 9, …) used to die
+// with an index out of range deep inside Run, CrashAt(t, 0) recorded a crash_0
+// no checker accepts, and a negative bound parked every message of the run.
+func TestBadCallsPanicAtTheCall(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		call func()
+	}{
+		{"sim: At for invalid process 0 (have 1..2)", func() { newSim(t, 2, 1).At(5, 0, func(node.Context) {}) }},
+		{"sim: At for invalid process 3 (have 1..2)", func() { newSim(t, 2, 1).At(5, 3, func(node.Context) {}) }},
+		{"sim: At for invalid process -1 (have 1..2)", func() { newSim(t, 2, 1).CrashAt(5, -1) }},
+		{"sim: Config.MinDelay = -5, MaxDelay = -1: a delay bound cannot be negative (no message arrives before it is sent)",
+			func() { New(Config{N: 2, MinDelay: -5, MaxDelay: -1}) }},
+		{"sim: Config.MinDelay = 0, MaxDelay = -1: a delay bound cannot be negative (no message arrives before it is sent)",
+			func() { New(Config{N: 2, MaxDelay: -1}) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("recovered %v, want %q", r, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
 func TestRunTwicePanics(t *testing.T) {
 	s := newSim(t, 1, 1)
 	s.Run()

@@ -57,12 +57,14 @@ func TestShardPartitionDisjointExhaustive(t *testing.T) {
 		cellIdx int
 		seed    int64
 	}
+	stream := numCells * spec.Seeds.Count
 	var all []jobKey
-	spec.forEachJob(numCells, func(cellIdx int, seed int64) {
+	for g := 0; g < stream; g++ {
+		cellIdx, seed, ours := spec.job(g)
+		if !ours || cellIdx != g/spec.Seeds.Count || seed < spec.Seeds.Start || seed >= spec.Seeds.Start+int64(spec.Seeds.Count) {
+			t.Fatalf("unsharded job(%d) = cell %d, seed %d, ours %v", g, cellIdx, seed, ours)
+		}
 		all = append(all, jobKey{cellIdx, seed})
-	})
-	if want := numCells * spec.Seeds.Count; len(all) != want {
-		t.Fatalf("unsharded stream has %d jobs, want %d", len(all), want)
 	}
 
 	for _, k := range []int{1, 2, 3, 4, 5, 13, 100} {
@@ -72,10 +74,12 @@ func TestShardPartitionDisjointExhaustive(t *testing.T) {
 			s := spec
 			s.Shard = Shard{Index: i, Count: k}
 			count := 0
-			s.forEachJob(numCells, func(cellIdx int, seed int64) {
-				seen[jobKey{cellIdx, seed}]++
-				count++
-			})
+			for g := 0; g < stream; g++ {
+				if cellIdx, seed, ours := s.job(g); ours {
+					seen[jobKey{cellIdx, seed}]++
+					count++
+				}
+			}
 			if count != s.Runs() {
 				t.Errorf("k=%d shard %d: emitted %d jobs, Runs() = %d", k, i, count, s.Runs())
 			}

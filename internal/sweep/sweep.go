@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"failstop/internal/byz"
@@ -335,6 +336,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: invalid grid point %v (need n >= 2, t >= 1)", nt)
 		}
 	}
+	if err := sim.CheckDelayBounds(s.MinDelay, s.MaxDelay); err != nil {
+		return fmt.Errorf("sweep: Spec.%w", err)
+	}
 	if s.Seeds.Count < 0 {
 		return fmt.Errorf("sweep: negative seed count %d", s.Seeds.Count)
 	}
@@ -444,7 +448,8 @@ type cellSpec struct {
 }
 
 // Cells expands the grid axes (everything but the seed) in deterministic
-// order: grid point, then protocol, then quorum delta, then schedule.
+// order: grid point, then protocol, then quorum delta, then schedule. A spec
+// whose topologies do not fit its grid (Validate says which) has no cells.
 func (s Spec) Cells() []Cell {
 	var out []Cell
 	for _, cs := range s.withDefaults().cells() {
@@ -462,8 +467,12 @@ func (s Spec) cells() []cellSpec {
 		// must not be paid per seed.
 		tops := make([]*topo.Topology, len(s.Topologies))
 		for i, tp := range s.Topologies {
-			if !tp.IsFull() {
-				tops[i] = topo.MustNew(tp, nt.N) // Validate resolved it already
+			if tp.IsFull() {
+				continue
+			}
+			var err error
+			if tops[i], err = topo.New(tp, nt.N); err != nil {
+				return nil // a spec Validate rejects (it names the error) has no cells
 			}
 		}
 		for _, proto := range s.Protocols {
@@ -526,22 +535,14 @@ func (s Spec) Runs() int {
 	return n
 }
 
-// forEachJob walks this shard's slice of the (cell, seed) job stream in
-// deterministic order: cells in cells() order, seeds ascending within each
-// cell, keeping every job whose global stream index is congruent to
-// Shard.Index mod Shard.Count. Disjointness and exhaustiveness across the
-// k shards of a stream follow directly from the residue classes mod k.
-// The spec must already have defaults applied.
-func (s Spec) forEachJob(numCells int, emit func(cellIdx int, seed int64)) {
-	g := 0
-	for idx := 0; idx < numCells; idx++ {
-		for i := 0; i < s.Seeds.Count; i++ {
-			if g%s.Shard.Count == s.Shard.Index {
-				emit(idx, s.Seeds.Start+int64(i))
-			}
-			g++
-		}
-	}
+// job is the (cell, seed) job stream as a pure rule: index g — cells in
+// cells() order, seeds ascending within each cell — names cell g/Seeds.Count
+// at seed Start + g%Seeds.Count, and is this shard's iff g is congruent to
+// Shard.Index mod Shard.Count. Disjointness and exhaustiveness across the k
+// shards of a stream follow directly from the residue classes mod k. The
+// spec must already have defaults applied.
+func (s Spec) job(g int) (cellIdx int, seed int64, ours bool) {
+	return g / s.Seeds.Count, s.Seeds.Start + int64(g%s.Seeds.Count), g%s.Shard.Count == s.Shard.Index
 }
 
 // defaultRun builds and runs one scenario with the standard cluster stack.
@@ -675,12 +676,10 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cells := spec.cells()
-
-	type job struct {
-		cellIdx int
-		seed    int64
-	}
-	jobs := make(chan job, workers)
+	// Workers draw stream indexes from one shared cursor: which worker runs
+	// which job is the scheduler's choice, and the report cannot tell.
+	var cursor atomic.Int64
+	stream := int64(len(cells) * spec.Seeds.Count)
 
 	// Per-cell sample slices are sized for an even split of the seed axis
 	// over the pool; lazy creation keeps a worker from allocating
@@ -701,14 +700,18 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				cs := cells[j.cellIdx]
-				out, verdicts := execute(spec, cs, j.seed)
-				if mine[j.cellIdx] == nil {
-					c := newCellResult(cs.cell, cs.links, cs.fanout, sampleHint)
-					mine[j.cellIdx] = &c
+			for g := cursor.Add(1) - 1; g < stream; g = cursor.Add(1) - 1 {
+				idx, seed, ours := spec.job(int(g))
+				if !ours {
+					continue
 				}
-				mine[j.cellIdx].add(out, verdicts)
+				cs := cells[idx]
+				out, verdicts := execute(spec, cs, seed)
+				if mine[idx] == nil {
+					c := newCellResult(cs.cell, cs.links, cs.fanout, sampleHint)
+					mine[idx] = &c
+				}
+				mine[idx].add(out, verdicts)
 				if spec.Runner == nil && spec.Observe == nil { // defaultRun's, shown to no hook: ours alone
 					out.Result.Release()
 				}
@@ -716,10 +719,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 			}
 		}()
 	}
-	spec.forEachJob(len(cells), func(cellIdx int, seed int64) {
-		jobs <- job{cellIdx: cellIdx, seed: seed}
-	})
-	close(jobs)
 	wg.Wait()
 	stopProgress()
 

@@ -11,6 +11,7 @@ import (
 	"failstop/internal/node"
 	"failstop/internal/reliable"
 	"failstop/internal/sim"
+	"failstop/internal/topo"
 )
 
 func TestSpecExpansion(t *testing.T) {
@@ -54,11 +55,31 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Grid: []NT{{1, 1}}},
 		{Grid: []NT{{5, 0}}},
 		{Grid: []NT{{5, 2}}, Schedules: []Schedule{{Name: "x"}, {Name: "x"}}},
+		// A negative bound had the default distribution park every message:
+		// the crash cell reported 2/2 runs blocked, exit status 0.
+		{Grid: []NT{{5, 2}}, MinDelay: -5, MaxDelay: -1},
+		{Grid: []NT{{5, 2}}, MaxDelay: -1},
 	}
 	for i, spec := range cases {
 		if err := spec.withDefaults().Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, spec)
 		}
+		if _, err := Run(spec, Options{Workers: 1}); err == nil {
+			t.Errorf("case %d: Run accepted %+v", i, spec)
+		}
+	}
+}
+
+// TestCellsAndRunsOfARejectedSpec: the exported expansions return nothing for
+// a spec whose topology fits no grid point — they used to panic in
+// topo.MustNew, trusting a Validate their callers never ran.
+func TestCellsAndRunsOfARejectedSpec(t *testing.T) {
+	spec := Spec{Grid: []NT{{5, 2}}, Topologies: []topo.Spec{{Kind: topo.KindGossip, Fanout: 9}}, Seeds: SeedRange{Count: 4}}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted gossip:9 at n=5")
+	}
+	if cells, runs := spec.Cells(), spec.Runs(); len(cells) != 0 || runs != 0 {
+		t.Errorf("rejected spec expands to %d cells, %d runs; want none", len(cells), runs)
 	}
 }
 
