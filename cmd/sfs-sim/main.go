@@ -195,18 +195,9 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	// Every injection is parsed and its process ids checked against -n before
-	// the cluster exists: an id naming nobody is a usage error here, not a
-	// panic inside the run or an event no checker accepts.
-	named := func(ps ...int) bool {
-		for _, p := range ps {
-			if p < 1 || p > *n {
-				return false
-			}
-		}
-		return true
-	}
-	var inject []func(*failstop.Cluster)
+	c := failstop.NewCluster(opts)
+	// An id naming nobody is a usage error here, not a panic inside the run
+	// or an event no checker accepts.
 	for _, s := range suspects.vals {
 		var i, j int
 		var at int64
@@ -214,11 +205,11 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -suspect %q (want i:j@t): %v\n", s, err)
 			return 2
 		}
-		if !named(i, j) {
+		if i < 1 || i > *n || j < 1 || j > *n {
 			fmt.Fprintf(out, "bad -suspect %q: processes are 1..%d (-n)\n", s, *n)
 			return 2
 		}
-		inject = append(inject, func(c *failstop.Cluster) { c.SuspectAt(at, failstop.ProcID(i), failstop.ProcID(j)) })
+		c.SuspectAt(at, failstop.ProcID(i), failstop.ProcID(j))
 	}
 	for _, s := range crashes.vals {
 		var p int
@@ -227,15 +218,11 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -crash %q (want p@t): %v\n", s, err)
 			return 2
 		}
-		if !named(p) {
+		if p < 1 || p > *n {
 			fmt.Fprintf(out, "bad -crash %q: processes are 1..%d (-n)\n", s, *n)
 			return 2
 		}
-		inject = append(inject, func(c *failstop.Cluster) { c.CrashAt(at, failstop.ProcID(p)) })
-	}
-	c := failstop.NewCluster(opts)
-	for _, in := range inject {
-		in(c)
+		c.CrashAt(at, failstop.ProcID(p))
 	}
 
 	rep := c.Run()

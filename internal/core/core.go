@@ -499,7 +499,7 @@ func (d *Detector) Suspect(ctx node.Context, j model.ProcID) {
 	}
 	r.suspected = true
 	if d.cfg.Protocol != SimulatedFailStop {
-		d.hear(r, d.self) // a baseline counts nobody: its quorum is {self}
+		r.senders.Add(d.self) // a baseline counts nobody: its quorum is {self} and never grows
 	}
 	ctx.EmitInternal("suspect", j)
 	switch d.cfg.Protocol {
