@@ -14,8 +14,8 @@
 //     sim.Result.Quiescent before trusting a liveness verdict.
 //
 // Reading a run. A recorded run is mostly the stack's own traffic, so it is
-// read once: model.NewScan walks the full history twice (size, fill) and
-// yields the abstract history without TransportTags, the model.Index over it
+// read once: model.NewScan walks the full history once and yields the
+// abstract history without TransportTags, the model.Index over it
 // (detections, first crash, down at end, the failed_i(j) lookup) and each
 // detection's quorum set; AllOf reads the ten verdicts off that, walking
 // only the abstract history again. The facade's Run, the sweep (through All)

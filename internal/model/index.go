@@ -1,6 +1,9 @@
 package model
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // MaxProcs is the largest process id a history may name: the readers'
 // tables are dense over the ids, so Validate's proc-id rule and the scan
@@ -29,8 +32,8 @@ type Index struct {
 }
 
 // Scan is one reading of a recorded run: what the property checkers want
-// from the full history, taken in two walks over it (one to size the
-// tables, one to fill them) however many properties are then read off.
+// from the full history, taken in one walk over it however many properties
+// are then read off, and cut to size once the walk knows the sizes.
 type Scan struct {
 	// Abstract is the model-level history: the run without its transport
 	// traffic, renumbered, at its exact length (History.DropTags).
@@ -56,9 +59,73 @@ func NewScan(h History, suspTag string, transport ...string) *Scan {
 // NewIndex indexes h as it stands (see Index.Err for ids out of range).
 func NewIndex(h History) *Index { return scan(h, nil, "", false, false).Index }
 
-// transport reports whether e is a send or receive carrying one of tags.
-func (e *Event) transport(tags []string) bool {
-	return (e.Kind == KindSend || e.Kind == KindRecv) && slices.Contains(tags, e.Tag)
+// scratch is what one scan works in and nothing outside it sees: tables
+// indexed by process id, widened as ids are named, and lists grown as the
+// history is read. A scan draws one from scratchPool, trusts nothing in it
+// (reset) and copies what it found out at exact size before putting it back.
+type scratch struct {
+	ids   int         // width of the id tables: a power of two, 64 or more, above every id read so far
+	crash []int32     // [ids] Index.crash
+	down  []bool      // [ids] Index.down
+	hcol  []int32     // [ids] 1 + target j's block of hrow, 0 before any suspTag receive about j
+	hrow  []int32     // [block][ids] 1 + the row of heard holding what i has heard about j
+	heard []uint64    // [row][ids/64] senders as a bitset; a detection's quorum set is a row of its own
+	qrow  []int32     // the row of heard that is detection k's quorum set
+	keep  []int32     // positions in h of the events kept
+	dets  []Detection // Index.dets
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grown returns s at length n, zeroed past its old length: what lies between
+// a pooled slice's length and its capacity is another scan's.
+func grown[T any](s []T, n int) []T {
+	old := len(s)
+	s = slices.Grow(s, n-old)[:n]
+	clear(s[old:])
+	return s
+}
+
+// restride returns the rows of s, each from wide, at to wide, zero-filled.
+func restride[T any](s []T, from, to int) []T {
+	rows := len(s) / from
+	s = grown(s, rows*to)
+	for r := rows - 1; r >= 0; r-- { // last row first: a row moves up, past no row still to move
+		copy(s[r*to:], s[r*from:(r+1)*from])
+		clear(s[r*to+from : (r+1)*to])
+	}
+	return s
+}
+
+func (w *scratch) reset() {
+	*w = scratch{ids: 64, crash: grown(w.crash[:0], 64), down: grown(w.down[:0], 64), hcol: grown(w.hcol[:0], 64),
+		hrow: w.hrow[:0], heard: w.heard[:0], qrow: w.qrow[:0], keep: w.keep[:0], dets: w.dets[:0]}
+}
+
+// widen makes room for process id top in every id-indexed table.
+func (w *scratch) widen(top int) {
+	old := w.ids
+	for w.ids <= top {
+		w.ids *= 2
+	}
+	w.crash, w.down, w.hcol = grown(w.crash, w.ids), grown(w.down, w.ids), grown(w.hcol, w.ids)
+	w.hrow, w.heard = restride(w.hrow, old, w.ids), restride(w.heard, old/64, w.ids/64)
+}
+
+// Classes of a send's or receive's tag.
+const (
+	tagDropped = 1 << iota // transport traffic: the event is not in the abstract history
+	tagSusp                // a receive of it is i hearing from Peer that Target is suspected
+)
+
+func tagClass(tag string, drop []string, suspTag string, quorums bool) (c uint8) {
+	if slices.Contains(drop, tag) {
+		c = tagDropped
+	}
+	if quorums && tag == suspTag {
+		c |= tagSusp
+	}
+	return c
 }
 
 // scan is the one walk every reader shares: where "what is transport
@@ -66,96 +133,120 @@ func (e *Event) transport(tags []string) bool {
 // written. abstract asks for the kept events as a history (the index then
 // holds positions in it, otherwise in h), quorums for the quorum rows.
 func scan(h History, drop []string, suspTag string, abstract, quorums bool) *Scan {
-	// Size: the largest id anywhere (quorum rows name senders of dropped
-	// traffic), the largest kept (the abstract history's membership), and
-	// how many events and detections are kept.
+	w := scratchPool.Get().(*scratch)
+	s := w.scan(h, drop, suspTag, abstract, quorums)
+	scratchPool.Put(w)
+	return s
+}
+
+// scan is the walk, in w: whatever w holds on entry, the result is the same.
+func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quorums bool) *Scan {
+	w.reset()
+	// The largest id anywhere (quorum rows name senders of dropped traffic)
+	// and the largest kept (the abstract history's membership).
 	var all, kept ProcID
-	nkeep, nd := 0, 0
+	// Runs of one tag are the rule, and a tag is classified when it changes.
+	tag, class := "", tagClass("", drop, suspTag, quorums)
+	ids, words := w.ids, w.ids/64
 	for i := range h {
 		e := &h[i]
-		if e.outOfRange() {
-			return &Scan{Index: &Index{err: procIDViolation(i, e)}}
-		}
 		top := max(e.Proc, e.Peer, e.Target)
-		all = max(all, top)
-		if e.transport(drop) {
-			continue
+		if top > all || e.Proc|e.Peer|e.Target < 0 {
+			if e.outOfRange() {
+				return &Scan{Index: &Index{err: procIDViolation(i, e)}}
+			}
+			if all = top; int(top) >= ids {
+				w.widen(int(top))
+				ids, words = w.ids, w.ids/64
+			}
+		}
+		if e.Kind == KindSend || e.Kind == KindRecv {
+			if e.Tag != tag {
+				tag, class = e.Tag, tagClass(e.Tag, drop, suspTag, quorums)
+			}
+			if class&tagSusp != 0 && e.Kind == KindRecv && e.Target != None {
+				// Blocks and rows are added when a target or a pair is first named.
+				if w.hcol[e.Target] == 0 {
+					w.hrow = grown(w.hrow, len(w.hrow)+ids)
+					w.hcol[e.Target] = int32(len(w.hrow) / ids)
+				}
+				slot := &w.hrow[int(w.hcol[e.Target]-1)*ids+int(e.Proc)]
+				if *slot == 0 {
+					w.heard = grown(w.heard, len(w.heard)+words)
+					*slot = int32(len(w.heard) / words)
+				}
+				w.heard[(int(*slot)-1)*words+int(e.Peer)/64] |= 1 << (uint(e.Peer) % 64)
+			}
+			if class&tagDropped != 0 {
+				continue
+			}
 		}
 		kept = max(kept, top)
-		nkeep++
-		if e.Kind == KindFailed {
-			nd++
-		}
-	}
-
-	n := int(kept)
-	tab := make([]int32, 2*(n+1))
-	x := &Index{n: n, crash: tab[:n+1], col: tab[n+1:], down: make([]bool, n+1), dets: make([]Detection, 0, nd)}
-	s := &Scan{Index: x}
-	if abstract {
-		s.Abstract = make(History, 0, nkeep)
-	}
-	// What i has heard about j accumulates in a row of heard, found through
-	// hcol[j] (1 + j's block of hrow) and hrow[block*stride+i] (1 + the row):
-	// blocks and rows are added when a target or a pair is first named.
-	var hcol, hrow []int32
-	var heard []uint64
-	stride, words := int(all)+1, int(all)/64+1
-	if quorums {
-		hcol = make([]int32, stride)
-		s.Quorums, s.Words = make([]uint64, nd*words), words
-	}
-
-	for i := range h {
-		e := &h[i]
-		if quorums && e.Kind == KindRecv && e.Tag == suspTag && e.Target != None {
-			if hcol[e.Target] == 0 {
-				hrow = append(hrow, make([]int32, stride)...)
-				hcol[e.Target] = int32(len(hrow) / stride)
-			}
-			slot := &hrow[int(hcol[e.Target]-1)*stride+int(e.Proc)]
-			if *slot == 0 {
-				heard = append(heard, make([]uint64, words)...)
-				*slot = int32(len(heard) / words)
-			}
-			heard[(int(*slot)-1)*words+int(e.Peer)/64] |= 1 << (uint(e.Peer) % 64)
-		}
-		if e.transport(drop) {
-			continue
-		}
 		pos := i
 		if abstract {
-			pos = len(s.Abstract)
-			s.Abstract = append(s.Abstract, *e)
-			s.Abstract[pos].Seq = pos
+			pos = len(w.keep)
+			w.keep = append(w.keep, int32(i))
 		}
 		switch {
 		case e.Kind == KindCrash:
-			if x.crash[e.Proc] == 0 {
-				x.crash[e.Proc] = int32(pos + 1)
+			if w.crash[e.Proc] == 0 {
+				w.crash[e.Proc] = int32(pos + 1)
 			}
-			x.down[e.Proc] = true
+			w.down[e.Proc] = true
 		case e.Kind == KindInternal && e.Tag == TagRestart:
-			x.down[e.Proc] = false
+			w.down[e.Proc] = false
 		case e.Kind == KindFailed:
 			if quorums {
 				// The quorum set is what has been heard so far, copied out.
-				q := s.Quorums[len(x.dets)*words:][:words]
-				if c := hcol[e.Target]; c != 0 {
-					if r := hrow[int(c-1)*stride+int(e.Proc)]; r != 0 {
-						copy(q, heard[int(r-1)*words:][:words])
+				row := len(w.heard)
+				w.heard = grown(w.heard, row+words)
+				if c := w.hcol[e.Target]; c != 0 {
+					if r := w.hrow[int(c-1)*ids+int(e.Proc)]; r != 0 {
+						copy(w.heard[row:], w.heard[int(r-1)*words:][:words])
 					}
 				}
-				q[int(e.Proc)/64] |= 1 << (uint(e.Proc) % 64)
+				w.heard[row+int(e.Proc)/64] |= 1 << (uint(e.Proc) % 64)
+				w.qrow = append(w.qrow, int32(row/words))
 			}
-			if x.col[e.Target] == 0 {
-				x.first = append(x.first, make([]int32, n+1)...)
-				x.col[e.Target] = int32(len(x.first) / (n + 1))
-			}
-			if slot := &x.first[int(x.col[e.Target]-1)*(n+1)+int(e.Proc)]; *slot == 0 {
-				*slot = int32(len(x.dets) + 1)
-			}
-			x.dets = append(x.dets, Detection{Detector: e.Proc, Detected: e.Target, Index: pos})
+			w.dets = append(w.dets, Detection{Detector: e.Proc, Detected: e.Target, Index: pos})
+		}
+	}
+
+	// Sizes known: everything the caller gets is cut to them.
+	n := int(kept)
+	tab := make([]int32, 2*(n+1))
+	x := &Index{n: n, crash: tab[:n+1], col: tab[n+1:], down: make([]bool, n+1),
+		dets: append(make([]Detection, 0, len(w.dets)), w.dets...)}
+	copy(x.crash, w.crash)
+	copy(x.down, w.down)
+	cols := 0
+	for _, d := range x.dets {
+		if x.col[d.Detected] == 0 {
+			cols++
+			x.col[d.Detected] = int32(cols)
+		}
+	}
+	if cols > 0 {
+		x.first = make([]int32, cols*(n+1))
+	}
+	for k, d := range x.dets {
+		if slot := &x.first[int(x.col[d.Detected]-1)*(n+1)+int(d.Detector)]; *slot == 0 {
+			*slot = int32(k + 1)
+		}
+	}
+	s := &Scan{Index: x}
+	if abstract {
+		s.Abstract = make(History, len(w.keep))
+		for k, i := range w.keep {
+			s.Abstract[k] = h[i]
+			s.Abstract[k].Seq = k
+		}
+	}
+	if quorums {
+		s.Words = int(all)/64 + 1
+		s.Quorums = make([]uint64, len(x.dets)*s.Words)
+		for k, r := range w.qrow {
+			copy(s.Quorums[k*s.Words:][:s.Words], w.heard[int(r)*words:])
 		}
 	}
 	return s

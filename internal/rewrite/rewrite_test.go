@@ -371,8 +371,8 @@ func TestQuickRealizabilityStableUnderRewrite(t *testing.T) {
 // TestRewriteAllocBudget pins what the rewriter costs the allocator on the
 // abstract history of an n=20, t=3 run under the sweep's "crash" schedule
 // (105 events, 51 detections) — the check-replay benchmark's shape — at what
-// it measures plus a tenth: Graph 10 (the index's eight, one array carved
-// into edge lists, offsets, in-degrees and heap, the output) and Verify 13
+// it measures plus a tenth: Graph 8 (the index's six, one array carved
+// into edge lists, offsets, in-degrees and heap, the output) and Verify 11
 // (Validate's maps, IsomorphicTo's cursors, the index). With per-node
 // adjacency slices, a boxed container/heap, Validate's six maps and a
 // Projection per process they were 125 and 156.
@@ -407,7 +407,7 @@ func TestRewriteAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d events: Graph %.0f allocations, Verify %.0f", len(h), graph, verify)
-	if graph > 11 || verify > 14 {
-		t.Errorf("Graph allocated %.0f times and Verify %.0f, budgets 11 and 14", graph, verify)
+	if graph > 9 || verify > 12 {
+		t.Errorf("Graph allocated %.0f times and Verify %.0f, budgets 9 and 12", graph, verify)
 	}
 }

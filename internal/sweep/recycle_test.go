@@ -45,11 +45,12 @@ func TestObservedResultIsNotReleased(t *testing.T) {
 }
 
 // TestSweepCellAllocBudget pins what one run of the bench grid costs the
-// allocator on one worker, at what it measures plus a tenth: 88 allocations
-// and 18.0 KiB, none of it the simulator's bulk or the Result, which the run
+// allocator on one worker, at what it measures plus a tenth: 79 allocations
+// and 17.2 KiB, none of it the simulator's bulk or the Result, which the run
 // before handed over (110 KiB and 335 allocations when each run made its own),
-// 28 of it the checker's (262 and 37.7 KiB while the checker read a run six
-// times over per-event clocks and per-process slices), and one per detector
+// 15 of it the checker's (262 and 37.7 KiB while the checker read a run six
+// times over per-event clocks and per-process slices; 88 and 18.0 KiB while
+// its scan walked a run twice), and one per detector
 // plus two per round where each detector made four maps (171 and 28.1 KiB).
 // What is left is the abstract history, the detectors' rounds and the Sim
 // itself.
@@ -76,7 +77,7 @@ func TestSweepCellAllocBudget(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / runs
 	t.Logf("%.1f allocations, %.1f KiB per run", allocs, kib)
-	if allocs > 97 || kib > 19.8 {
-		t.Errorf("a bench-grid run allocates %.0f times, %.1f KiB: over the 97 / 19.8 KiB budget", allocs, kib)
+	if allocs > 87 || kib > 18.9 {
+		t.Errorf("a bench-grid run allocates %.0f times, %.1f KiB: over the 87 / 18.9 KiB budget", allocs, kib)
 	}
 }

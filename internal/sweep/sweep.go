@@ -620,19 +620,24 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 		// False-suspicion diagnostic: a timeout fired on a process that had
 		// not crashed (Theorem 1's dilemma — under loss, every finite
 		// timeout eventually accuses the living).
-		out.Metrics["false-suspicion"] = falseSuspicion(out.Result.History)
+		out.Metrics["false-suspicion"] = falseSuspicion(out.Result.History, c.N())
 	}
 	return out
 }
 
-// falseSuspicion reports whether the history contains a suspicion of a
-// process that had not crashed when the suspicion was raised: the target
-// either never crashes, or its crash appears later in the history (a
-// genuine post-crash timeout suspicion orders the other way).
-func falseSuspicion(h model.History) bool {
-	for idx, e := range h {
-		if e.Kind == model.KindInternal && e.Tag == "suspect" {
-			if ci := h.CrashIndex(e.Target); ci < 0 || ci > idx {
+// falseSuspicion reports whether the history of n processes contains a
+// suspicion of a process that had not crashed when the suspicion was raised:
+// the target either never crashes, or its first crash appears later in the
+// history (a genuine post-crash timeout suspicion orders the other way, and
+// still does after the target restarts).
+func falseSuspicion(h model.History, n int) bool {
+	crashed := make([]bool, n+1) // crashed[p]: crash_p has occurred, whatever followed it
+	for i := range h {
+		switch e := &h[i]; {
+		case e.Kind == model.KindCrash && e.Proc > 0 && int(e.Proc) <= n:
+			crashed[e.Proc] = true
+		case e.Kind == model.KindInternal && e.Tag == "suspect":
+			if e.Target <= 0 || int(e.Target) > n || !crashed[e.Target] {
 				return true
 			}
 		}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -382,5 +383,73 @@ func TestMixedScheduleSmallClusters(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// falseSuspicionByRescan is falseSuspicion as it was before the one pass:
+// one search of the whole history for the target's first crash per suspicion.
+func falseSuspicionByRescan(h model.History) bool {
+	for idx, e := range h {
+		if e.Kind == model.KindInternal && e.Tag == "suspect" {
+			if ci := h.CrashIndex(e.Target); ci < 0 || ci > idx {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// One pass carrying "has crashed so far" answers what a rescan per suspicion
+// answers; a restart between the crash and the suspicion changes nothing.
+func TestFalseSuspicionMatchesRescan(t *testing.T) {
+	suspect := func(i, j model.ProcID) model.Event { return model.Internal(i, "suspect", j) }
+	for _, c := range []struct {
+		h    model.History
+		want bool
+	}{
+		{nil, false},
+		{model.History{model.Crash(2), suspect(1, 2)}, false},
+		{model.History{suspect(1, 2), model.Crash(2)}, true},
+		{model.History{suspect(1, 2)}, true},
+		{model.History{model.Crash(2), model.Restart(2), suspect(1, 2)}, false}, // crashed once: not false, restarted or not
+		{model.History{model.Crash(2), model.Restart(2), suspect(1, 2), model.Crash(2), suspect(3, 2)}, false},
+		{model.History{model.Crash(2), suspect(1, 2), suspect(1, 3), model.Crash(3)}, true},
+		{model.History{model.Crash(2), suspect(1, model.None)}, true},
+	} {
+		if got := falseSuspicion(c.h, 3); got != c.want || falseSuspicionByRescan(c.h) != c.want {
+			t.Errorf("falseSuspicion(%v) = %v, by rescan %v, want %v", c.h, got, falseSuspicionByRescan(c.h), c.want)
+		}
+	}
+	// Generated: crashes, restarts and suspicions of any process in any order,
+	// early enough suspicions rare enough that both answers occur.
+	answers := map[bool]int{}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(6)
+		h := model.NewGen(seed).History(n, 30)
+		down := make([]bool, n+1)
+		for k := rng.Intn(12); k > 0; k-- {
+			p := model.ProcID(1 + rng.Intn(n))
+			switch r := rng.Intn(10); {
+			case r < 3 && !down[p]:
+				h, down[p] = append(h, model.Crash(p)), true
+			case r < 5 && down[p]:
+				h, down[p] = append(h, model.Restart(p)), false
+			case r < 6:
+				h = append(h, suspect(model.ProcID(1+rng.Intn(n)), p))
+			default:
+				if q := model.ProcID(1 + rng.Intn(n)); down[q] || h.CrashIndex(q) >= 0 {
+					h = append(h, suspect(p, q))
+				}
+			}
+		}
+		got, want := falseSuspicion(h, n), falseSuspicionByRescan(h)
+		if got != want {
+			t.Fatalf("seed %d: falseSuspicion = %v, by rescan %v, on %v", seed, got, want, h)
+		}
+		answers[want]++
+	}
+	if answers[true] < 40 || answers[false] < 40 {
+		t.Errorf("generated histories answered %v: one side is barely compared", answers)
 	}
 }

@@ -134,6 +134,10 @@ func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 	}
 	var h model.History
 	var spans []obs.Span
+	// A run has a handful of distinct tags, and the decoder hands every event
+	// a copy of its own: keep the first, so equal tags share their bytes as
+	// they do in a history straight out of the simulator.
+	tags := make(map[string]string)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -155,6 +159,11 @@ func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 		var e model.Event
 		if err := json.Unmarshal(b, &e); err != nil {
 			return hdr, nil, nil, fmt.Errorf("%w: line %d: %w", ErrBadTrace, line, err)
+		}
+		if t, ok := tags[e.Tag]; ok {
+			e.Tag = t
+		} else {
+			tags[e.Tag] = e.Tag
 		}
 		h = append(h, e)
 	}

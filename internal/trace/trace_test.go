@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"failstop/internal/model"
 	"failstop/internal/netadv"
@@ -44,6 +45,34 @@ func TestRoundTrip(t *testing.T) {
 	for i := range h {
 		if !h[i].Same(gh[i]) {
 			t.Errorf("event %d: %s != %s", i, h[i], gh[i])
+		}
+	}
+}
+
+// Equal tags of a history read from disk are one string, as they are in a
+// history out of the simulator: the readers' tag comparisons stop at the
+// pointer, and a trace holds one copy of "SUSP", not one per event.
+func TestReadSharesTagBytes(t *testing.T) {
+	var h model.History
+	for m := model.MsgID(1); m <= 50; m++ {
+		tag := []string{"SUSP", "APP", ""}[m%3]
+		h = append(h, model.Send(1, 2, m, tag, 3), model.Recv(2, 1, m, tag, 3))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{N: 3}, h.Normalize()); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := Read(&buf)
+	if err != nil || !got.IsomorphicTo(h) {
+		t.Fatalf("Read: %v; history %v", err, got)
+	}
+	first := map[string]*byte{}
+	for i := range got {
+		p, ok := first[got[i].Tag]
+		if !ok {
+			first[got[i].Tag] = unsafe.StringData(got[i].Tag)
+		} else if p != unsafe.StringData(got[i].Tag) {
+			t.Fatalf("event %d carries its own copy of tag %q", i, got[i].Tag)
 		}
 	}
 }
