@@ -86,6 +86,10 @@ func run(args []string, out io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !(*spanRate >= 0 && *spanRate <= 1) { // NaN too
+		fmt.Fprintf(out, "bad -span-rate %g: want a rate in [0,1]\n", *spanRate)
+		return 2
+	}
 
 	proto, err := core.ParseProtocol(*protoStr)
 	if err != nil {

@@ -119,6 +119,13 @@ func TestRunBadInputs(t *testing.T) {
 		{"-badflag"},
 		{"-plan", "nope"},
 		{"-n", "1"},
+		// Each of these ran, exit 0: no fd layer, never suspect, no horizon,
+		// every message sampled.
+		{"-n", "5", "-heartbeat", "-3", "-timeout", "5", "-maxtime", "100"},
+		{"-n", "5", "-heartbeat", "5", "-timeout", "-5", "-maxtime", "100"},
+		{"-n", "5", "-maxtime", "-5"},
+		{"-n", "5", "-span-rate", "7"},
+		{"-n", "5", "-spans", "-span-rate", "NaN"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

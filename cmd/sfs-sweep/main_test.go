@@ -278,6 +278,10 @@ func TestSweepBadFlags(t *testing.T) {
 		{"-seeds", "-3"},
 		{"-merge"},
 		{"-merge", "/no/such/report.json"},
+		// The first panicked on a worker's goroutine; the second exited 0
+		// with every run blocked.
+		{"-grid", "5:2", "-seeds", "2", "-schedules", "crash", "-max-delay", "9223372036854775807"},
+		{"-grid", "5:2", "-seeds", "2", "-schedules", "crash", "-max-delay", "9223372036854775806"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -264,12 +264,22 @@ type Options struct {
 }
 
 // Validate reports the first problem with the options, or nil: everything
-// LiveOptions.Validate checks, and — because a simulated run must drain on
-// its own — a MaxTime horizon wherever something re-arms forever
-// (heartbeats, unbounded retransmission, an unbounded restart storm).
+// LiveOptions.Validate checks, no negative HeartbeatEvery, HeartbeatTimeout or
+// MaxTime (each would silently read as its zero: no fd layer, never suspect,
+// no horizon), and — because a simulated run must drain on its own — a
+// MaxTime horizon wherever something re-arms forever (heartbeats, unbounded
+// retransmission, an unbounded restart storm).
 func (o Options) Validate() error {
 	if err := validateStack("Options", o.N, o.T, o.MinDelay, o.MaxDelay, o.Topology, o.Faults, o.Reliable, o.Byzantine); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"HeartbeatEvery", o.HeartbeatEvery}, {"HeartbeatTimeout", o.HeartbeatTimeout}, {"MaxTime", o.MaxTime}} {
+		if f.v < 0 {
+			return fmt.Errorf("failstop: Options.%s = %d; it cannot be negative (0 turns it off)", f.name, f.v)
+		}
 	}
 	if o.HeartbeatEvery > 0 && o.MaxTime <= 0 {
 		return fmt.Errorf("failstop: Options.HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever, so the run would never drain)", o.HeartbeatEvery)

@@ -1,7 +1,9 @@
 package failstop_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,8 @@ import (
 	"failstop/internal/model"
 	"failstop/internal/netadv"
 	"failstop/internal/obs"
+	"failstop/internal/sim"
+	"failstop/internal/sweep"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -30,6 +34,9 @@ func TestOptionsValidate(t *testing.T) {
 				Groups: [][]failstop.ProcID{{1, 9}},
 			}}},
 		}}, "outside 1..5"},
+		{"negative heartbeat interval", failstop.Options{N: 5, HeartbeatEvery: -3, HeartbeatTimeout: 5, MaxTime: 100}, "Options.HeartbeatEvery = -3"},
+		{"negative heartbeat timeout", failstop.Options{N: 5, HeartbeatEvery: 5, HeartbeatTimeout: -5, MaxTime: 100}, "Options.HeartbeatTimeout = -5"},
+		{"negative horizon", failstop.Options{N: 5, MaxTime: -5}, "Options.MaxTime = -5"},
 		{"valid minimal", failstop.Options{N: 2}, ""},
 		{"valid heartbeats", failstop.Options{N: 5, HeartbeatEvery: 10, MaxTime: 1000}, ""},
 	}
@@ -119,6 +126,56 @@ func TestFacadesRejectTheSameInputs(t *testing.T) {
 			}()
 			failstop.NewLiveCluster(tt.live)
 		})
+	}
+}
+
+// TestDelayBoundsAtEveryEntryPoint: the four places a delay bound comes in —
+// Options, LiveOptions, a sweep Spec and sim.New — reject the same pairs in the
+// same words after their own prefix, and accept the same ones. A MaxDelay of
+// MaxInt64 used to panic inside the run ("invalid argument to Int63n": the
+// width overflowed), and MaxInt64-1 to wrap the clock negative, which parks.
+func TestDelayBoundsAtEveryEntryPoint(t *testing.T) {
+	for _, tc := range []struct {
+		min, max int64
+		want     string // what the error says after "MinDelay = …, MaxDelay = …: "; "" means accepted
+	}{
+		{0, 0, ""},
+		{1, 10, ""},
+		{7, 3, ""}, // MaxDelay below MinDelay means MinDelay
+		{1 << 40, 1 << 40, ""},
+		{-5, -1, "a delay bound cannot be negative"},
+		{0, -1, "a delay bound cannot be negative"},
+		{0, math.MaxInt64, "a delay bound cannot exceed 1099511627776"},
+		{0, math.MaxInt64 - 1, "a delay bound cannot exceed 1099511627776"},
+		{0, 1<<40 + 1, "a delay bound cannot exceed 1099511627776"},
+		{1<<40 + 1, 0, "a delay bound cannot exceed 1099511627776"},
+	} {
+		newSim := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = errors.New(r.(string))
+				}
+			}()
+			sim.New(sim.Config{N: 2, MinDelay: tc.min, MaxDelay: tc.max})
+			return nil
+		}
+		for _, entry := range []struct {
+			prefix string
+			err    error
+		}{
+			{"failstop: Options.", failstop.Options{N: 4, MinDelay: tc.min, MaxDelay: tc.max}.Validate()},
+			{"failstop: LiveOptions.", failstop.LiveOptions{N: 4, MinDelay: time.Duration(tc.min), MaxDelay: time.Duration(tc.max)}.Validate()},
+			{"sweep: Spec.", sweep.Spec{Grid: []sweep.NT{{N: 5, T: 2}}, MinDelay: tc.min, MaxDelay: tc.max}.Validate()},
+			{"sim: Config.", newSim()},
+		} {
+			want := ""
+			if tc.want != "" {
+				want = fmt.Sprintf("%sMinDelay = %d, MaxDelay = %d: %s", entry.prefix, tc.min, tc.max, tc.want)
+			}
+			if got := fmt.Sprint(entry.err); (want == "") != (entry.err == nil) || !strings.HasPrefix(got, want) {
+				t.Errorf("%s with MinDelay %d, MaxDelay %d: error %q, want %q", entry.prefix, tc.min, tc.max, got, want)
+			}
+		}
 	}
 }
 

@@ -28,7 +28,6 @@
 package core
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -245,7 +244,11 @@ func (d *Detector) names(p model.ProcID) bool { return p >= 1 && int(p) <= d.cfg
 
 // at returns the index of j's round, or the index to insert it at.
 func (d *Detector) at(j model.ProcID) (int, bool) {
-	return slices.BinarySearchFunc(d.rounds, j, func(r round, j model.ProcID) int { return cmp.Compare(r.target, j) })
+	i := 0
+	for i < len(d.rounds) && d.rounds[i].target < j {
+		i++
+	}
+	return i, i < len(d.rounds) && d.rounds[i].target == j
 }
 
 // find returns j's round, or nil if j was never suspected.

@@ -490,23 +490,7 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 			// which complete — and so nest — far more often.
 			cfg.QuorumSize = script % 3
 			chain := script%2 == 1
-			app := chainApp{n: n}
-
-			var det *Detector
-			if chain {
-				det = NewDetector(cfg, nil, app)
-			} else {
-				det = NewDetector(cfg, nil, nil)
-			}
-			ref := newMapDetector(cfg)
-			if chain {
-				ref.onFailed = func(ctx node.Context, j model.ProcID) { ref.Suspect(ctx, app.next(j)) }
-			}
-			dctx := &scriptCtx{self: self, n: n}
-			rctx := &scriptCtx{self: self, n: n}
-			det.Init(dctx)
-			ref.Init(rctx)
-
+			det, dctx, ref, rctx := oraclePair(cfg, self, chain)
 			for step := 0; step < steps; step++ {
 				what := runOracleStep(rng, n, det, dctx, ref, rctx)
 				if err := compareLayers(cfg, n, det, dctx, ref, rctx); err != nil {
@@ -515,6 +499,80 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// The ordered scripts: eleven rounds, one for each other process of
+	// twelve, opened in descending, ascending and outside-in target order —
+	// at the front, the end and the middle of the table — by a suspicion of
+	// self's and by a neighbour's "j failed" in turn (a Unilateral detector
+	// ignores those: it suspects every time); then each target is announced by
+	// one more sender, which finds every round again.
+	const wide, wideSelf = 12, model.ProcID(6)
+	next := func(p model.ProcID) model.ProcID { // the process after p that is not self
+		if p = p%wide + 1; p == wideSelf {
+			p++
+		}
+		return p
+	}
+	var down, up, inward []model.ProcID
+	for j := next(wide); len(up) < wide-1; j = next(j) {
+		down, up = append([]model.ProcID{j}, down...), append(up, j)
+	}
+	for i := range up {
+		if i%2 == 0 {
+			inward = append(inward, up[i/2])
+		} else {
+			inward = append(inward, down[i/2])
+		}
+	}
+	for ci, cfg := range oracleConfigs(wide, 3) {
+		for oi, order := range [][]model.ProcID{down, up, inward} {
+			chain := (ci+oi)%2 == 1
+			det, dctx, ref, rctx := oraclePair(cfg, wideSelf, chain)
+			both := func(f func(l protocolLayer, ctx *scriptCtx)) { f(det, dctx); f(ref, rctx) }
+			for lap := 0; lap < 2; lap++ {
+				for i, j := range order {
+					if lap == 0 && (i%2 == 0 || cfg.Protocol == Unilateral) {
+						both(func(l protocolLayer, ctx *scriptCtx) { l.Suspect(ctx, j) })
+					} else {
+						from := next(j)
+						if lap == 1 {
+							from = next(from)
+						}
+						both(func(l protocolLayer, ctx *scriptCtx) {
+							l.OnMessage(ctx, from, node.Payload{Tag: TagSusp, Subject: j})
+						})
+					}
+					if err := compareLayers(cfg, wide, det, dctx, ref, rctx); err != nil {
+						t.Fatalf("config %d (%+v) chain=%v order %v lap %d target %d: %v", ci, cfg, chain, order, lap, j, err)
+					}
+				}
+				if len(det.rounds) != len(order) {
+					t.Fatalf("config %d (%+v) chain=%v order %v: %d rounds after lap %d, want %d", ci, cfg, chain, order, len(det.rounds), lap, len(order))
+				}
+			}
+		}
+	}
+}
+
+// oraclePair returns the table and the maps for one script of self's, each
+// with its own context and initialized, under the chaining application or none.
+func oraclePair(cfg Config, self model.ProcID, chain bool) (*Detector, *scriptCtx, *mapDetector, *scriptCtx) {
+	app := chainApp{n: cfg.N}
+	var det *Detector
+	if chain {
+		det = NewDetector(cfg, nil, app)
+	} else {
+		det = NewDetector(cfg, nil, nil)
+	}
+	ref := newMapDetector(cfg)
+	if chain {
+		ref.onFailed = func(ctx node.Context, j model.ProcID) { ref.Suspect(ctx, app.next(j)) }
+	}
+	dctx := &scriptCtx{self: self, n: cfg.N}
+	rctx := &scriptCtx{self: self, n: cfg.N}
+	det.Init(dctx)
+	ref.Init(rctx)
+	return det, dctx, ref, rctx
 }
 
 // runOracleStep applies one generated step to both layers and names it.

@@ -134,6 +134,10 @@ func scribble(b *bulk) {
 			b.failed[[2]model.ProcID{i, j}] = true
 		}
 	}
+	*b.rng = delayRand{seed: -1, filled: true, tap: 1 << 20, feed: -1}
+	for i := range b.rng.vec {
+		b.rng.vec[i] = -1
+	}
 }
 
 // TestGoldenHistoriesFromPoisonedBulk runs every pinned scenario out of the

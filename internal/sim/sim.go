@@ -111,8 +111,8 @@
 //     run draws it.
 //     New resets what it draws as if it were garbage — each process's flags,
 //     lists and tables emptied (its handler and gate are set by Run), the
-//     failed set cleared, the generator re-seeded, the arena re-carved from its
-//     first chunk, every slot and link written before it is read — and relies
+//     failed set cleared, the generator told its seed, the arena re-carved from
+//     its first chunk, every slot and link written before it is read — and relies
 //     on retirement for one thing, a nil handler table; retirement also drops
 //     what would pin another run's objects (each process's handler and Sim,
 //     payloads still queued). A run that panics retires nothing. The *Sim is never pooled:
@@ -122,13 +122,18 @@
 //     procCtx — is some other run's: it was already valid only for the callback
 //     it was handed to. A Result is its caller's for good unless the caller
 //     gives it back with Release.
+//     The generator's stream is rand.New(rand.NewSource(Seed))'s, draw for
+//     draw — every pinned history was recorded from it, so it is reproduced
+//     (rng.go), not replaced — but its 607-word register is filled at the
+//     first draw, not by New: a run whose delays all come from Config.Delay
+//     never pays for it, and one that draws pays a fifth of what math/rand's
+//     seeding costs.
 package sim
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -145,14 +150,25 @@ import (
 // channel behind it) for the remainder of the run.
 type DelayFn func(from, to model.ProcID, p node.Payload, at int64) int64
 
-// CheckDelayBounds rejects a negative MinDelay or MaxDelay. A DelayFn may
-// park one message with a negative delay; a negative bound would have the
-// default distribution park every message of the run. It is the one check
-// behind Options.Validate, LiveOptions.Validate, sweep.Spec.Validate and New;
-// each puts the name of its own struct and a dot before the error.
+// maxDelayBound is the largest MinDelay or MaxDelay accepted. The clock is a
+// sum of delays, one an event at most: at the default MaxEvents (2²⁰) no run
+// under this bound carries it past 2⁶⁰.
+const maxDelayBound = 1 << 40
+
+// CheckDelayBounds rejects a MinDelay or MaxDelay that is negative or above
+// 2⁴⁰. A DelayFn may park one message with a negative delay; a negative bound
+// would have the default distribution park every message of the run. A bound
+// near MaxInt64 overflows the width the distribution draws from, or carries
+// the clock past MaxInt64 to a negative time, which reads as "parked". It is
+// the one check behind Options.Validate, LiveOptions.Validate,
+// sweep.Spec.Validate and New; each puts the name of its own struct and a dot
+// before the error.
 func CheckDelayBounds(min, max int64) error {
 	if min < 0 || max < 0 {
 		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot be negative (no message arrives before it is sent)", min, max)
+	}
+	if min > maxDelayBound || max > maxDelayBound {
+		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot exceed %d (2^40: the clock is a sum of delays and must not overflow)", min, max, int64(maxDelayBound))
 	}
 	return nil
 }
@@ -591,7 +607,7 @@ func (r *Result) Quiescent() bool {
 // its last step and New draws one, so a run inherits the capacity of the one
 // before it (see Recycling in the package comment).
 type bulk struct {
-	rng      *rand.Rand
+	rng      *delayRand
 	handlers []node.Handler // index 1..N; Run copies each into its procCtx
 	ctxs     []procCtx      // index 1..N
 	failed   map[[2]model.ProcID]bool
@@ -709,11 +725,11 @@ func New(cfg Config) *Sim {
 	}
 	if b := drawBulk(); b != nil {
 		s.bulk = *b
-		s.rng.Seed(cfg.Seed) // the stream rand.NewSource(cfg.Seed) starts
 		clear(s.failed)
 	} else {
-		s.rng, s.failed = rand.New(rand.NewSource(cfg.Seed)), make(map[[2]model.ProcID]bool)
+		s.rng, s.failed = new(delayRand), make(map[[2]model.ProcID]bool)
 	}
+	s.rng.reseed(cfg.Seed) // notes the seed; the first draw fills the register
 	// Retirement left handlers nil; every other inherited entry is written
 	// before it is read. A ctxs too short is dropped, not grown: a procCtx
 	// points into itself and must not be copied.
@@ -1450,7 +1466,7 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		if s.cfg.Delay != nil {
 			delay = s.cfg.Delay(c.p, to, p, s.now)
 		} else {
-			delay = s.cfg.MinDelay + s.rng.Int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
+			delay = s.cfg.MinDelay + s.rng.int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
 		msg := pendingMsg{id: uint32(id), payload: wire, readyAt: -1}
 		if delay >= 0 && !park {
