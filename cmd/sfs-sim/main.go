@@ -178,13 +178,11 @@ func run(args []string, out io.Writer) int {
 		}
 		return 0
 	}
-	if *maxTime == 0 && (*hbEvery > 0 || (*reliable && *maxRetry == 0) ||
-		(opts.Faults != nil && opts.Faults.UnboundedProcs() && recMode != failstop.RecoveryOff)) {
-		// Heartbeats, unbounded stubborn links, and unbounded restart storms
-		// under a recovering mode re-arm forever; pick a horizon so the run
-		// terminates.
-		*maxTime = 5000
-		opts.MaxTime = *maxTime
+	// -maxtime left at 0 where a horizon is all the options lack: 5,000 ticks.
+	bounded := opts
+	bounded.MaxTime = 5000
+	if *maxTime == 0 && opts.Validate() != nil && bounded.Validate() == nil {
+		opts = bounded
 	}
 	if *spans {
 		// The recorder is seeded with the simulation seed, so the sampled

@@ -3,14 +3,56 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"failstop"
 )
+
+// TestMain runs the command itself when SFS_SWEEP_ARGS is set, so a test can
+// watch a whole process: its exit status and all it prints, a panic on a
+// worker goroutine included.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("SFS_SWEEP_ARGS"); ok {
+		os.Args = append([]string{"sfs-sweep"}, strings.Fields(args)...)
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// TestSweepRejectsRunConfigurations: each of these was accepted while the
+// sweep restated the facade's rules — the first four exited 0 (no fd layer;
+// every run stopped at 0 events; every run taken to 2^20 events, twice) and
+// the last panicked on a worker goroutine. The one rule set in
+// cluster.Options makes each a usage error: exit 2, one line naming the field.
+func TestSweepRejectsRunConfigurations(t *testing.T) {
+	for _, tc := range []struct{ args, field string }{
+		{"-heartbeat -3 -hb-timeout 5 -max-time 100", "HeartbeatEvery"},
+		{"-max-events -5", "MaxEvents"},
+		{"-heartbeat 5 -hb-timeout 20 -max-time -5", "MaxTime"},
+		{"-reliable on -max-time -5", "MaxTime"},
+		{"-plan restart-storm -recovery amnesia -max-time -5", "MaxTime"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "SFS_SWEEP_ARGS=-grid 5:2 -seeds 1 -schedules crash "+tc.args)
+		out, err := cmd.CombinedOutput()
+		code := 0
+		if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+		if code != 2 || len(lines) != 1 || !strings.Contains(lines[0], tc.field) || strings.Contains(string(out), "goroutine ") {
+			t.Errorf("sfs-sweep %s: exit %d, want 2 and one line naming %s:\n%s", tc.args, code, tc.field, out)
+		}
+	}
+}
 
 func TestSweepDefaultGrid(t *testing.T) {
 	var out bytes.Buffer

@@ -34,7 +34,6 @@ import (
 	"failstop/internal/checker"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
-	"failstop/internal/fd"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
 	"failstop/internal/node"
@@ -263,136 +262,73 @@ type Options struct {
 	Timeline *Timeline
 }
 
-// Validate reports the first problem with the options, or nil: everything
-// LiveOptions.Validate checks, no negative HeartbeatEvery, HeartbeatTimeout or
-// MaxTime (each would silently read as its zero: no fd layer, never suspect,
-// no horizon), and — because a simulated run must drain on its own — a
-// MaxTime horizon wherever something re-arms forever (heartbeats, unbounded
-// retransmission, an unbounded restart storm).
+// Validate reports the first problem with the options, or nil: what
+// cluster.Options.Validate and CheckHorizon reject, or a Topology that does
+// not fit N.
 func (o Options) Validate() error {
-	if err := validateStack("Options", o.N, o.T, o.MinDelay, o.MaxDelay, o.Topology, o.Faults, o.Reliable, o.Byzantine); err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"HeartbeatEvery", o.HeartbeatEvery}, {"HeartbeatTimeout", o.HeartbeatTimeout}, {"MaxTime", o.MaxTime}} {
-		if f.v < 0 {
-			return fmt.Errorf("failstop: Options.%s = %d; it cannot be negative (0 turns it off)", f.name, f.v)
-		}
-	}
-	if o.HeartbeatEvery > 0 && o.MaxTime <= 0 {
-		return fmt.Errorf("failstop: Options.HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever, so the run would never drain)", o.HeartbeatEvery)
-	}
-	if o.Reliable.Enabled && o.Reliable.MaxRetries == 0 && o.MaxTime <= 0 {
-		return fmt.Errorf("failstop: Options.Reliable retries forever (MaxRetries = 0); set MaxTime so runs with crashed peers terminate")
-	}
-	if o.Faults != nil && o.Faults.UnboundedProcs() && o.Recovery != RecoveryOff && o.MaxTime <= 0 {
-		return fmt.Errorf("failstop: Options.Faults plan %q restarts processes forever; set MaxTime so the run terminates", o.Faults.Name)
-	}
-	return nil
+	_, err := o.cluster()
+	return err
 }
 
-// validateStack is what both backends require of the protocol stack's
-// configuration: N at least 2, a non-negative failure bound, non-negative
-// delay bounds, a topology and a fault plan well-formed for N, and valid
-// interposer options. kind
-// ("Options" or "LiveOptions") names the struct in the error.
-func validateStack(kind string, n, t int, minDelay, maxDelay int64, tp *TopoSpec, faults *FaultPlan, rel ReliableOptions, bz ByzantineOptions) error {
-	if n < 2 {
-		return fmt.Errorf("failstop: %s.N = %d; need at least 2 processes", kind, n)
+// cluster translates and checks the options, horizon included.
+func (o Options) cluster() (cluster.Options, error) {
+	co, err := o.stack()
+	if err == nil {
+		err = co.CheckHorizon()
 	}
-	if t < 0 {
-		return fmt.Errorf("failstop: %s.T = %d; the failure bound cannot be negative", kind, t)
+	if err != nil {
+		return co, fmt.Errorf("failstop: Options.%w", err)
 	}
-	if err := sim.CheckDelayBounds(minDelay, maxDelay); err != nil {
-		return fmt.Errorf("failstop: %s.%w", kind, err)
+	return co, nil
+}
+
+// stack is the translation both facades share: T defaulted, the rules of
+// either host checked, then the topology resolved against N, once.
+func (o Options) stack() (cluster.Options, error) {
+	if o.T == 0 {
+		o.T = 1
 	}
-	if tp != nil {
-		if _, err := topo.New(*tp, n); err != nil {
-			return fmt.Errorf("failstop: %s.Topology: %w", kind, err)
+	co := cluster.Options{
+		Sim: sim.Config{
+			N: o.N, Seed: o.Seed,
+			MinDelay: o.MinDelay, MaxDelay: o.MaxDelay,
+			MaxTime: o.MaxTime,
+			Metrics: o.Metrics, Spans: o.Spans, Timeline: o.Timeline,
+			Recovery: o.Recovery,
+		},
+		Det:    core.Config{N: o.N, T: o.T, Protocol: o.Protocol},
+		Faults: o.Faults, HeartbeatEvery: o.HeartbeatEvery, HeartbeatTimeout: o.HeartbeatTimeout,
+		App: o.NewApp, Reliable: o.Reliable, Byzantine: o.Byzantine,
+	}
+	if err := co.Validate(); err != nil {
+		return co, err
+	}
+	if o.Topology != nil && !o.Topology.IsFull() {
+		top, err := topo.New(*o.Topology, o.N)
+		if err != nil {
+			return co, fmt.Errorf("Topology: %w", err)
 		}
+		co.Det.Topology = top
 	}
-	if faults != nil {
-		if err := faults.Validate(n); err != nil {
-			return fmt.Errorf("failstop: %s.Faults: %w", kind, err)
-		}
-	}
-	if err := rel.Validate(); err != nil {
-		return fmt.Errorf("failstop: %s.Reliable: %w", kind, err)
-	}
-	if err := bz.Validate(); err != nil {
-		return fmt.Errorf("failstop: %s.Byzantine: %w", kind, err)
-	}
-	return nil
+	return co, nil
 }
 
 // Cluster is a deterministic simulated cluster.
 type Cluster struct {
 	inner *cluster.Cluster
-	opts  Options
-	plane *netadv.Plane // nil without Options.Faults
+	t     int // the failure bound the Witness verdict is checked against
+	spans *SpanRecorder
 }
 
 // NewCluster builds a simulated cluster per opts. It panics with the
 // Options.Validate error when the options are invalid — call Validate first
 // to reject untrusted configuration gracefully.
 func NewCluster(opts Options) *Cluster {
-	det, plane, link := stackConfig(opts.Validate(), opts.N, &opts.T, &opts.Protocol, opts.Seed, opts.Topology, opts.Faults, opts.Metrics)
-	co := cluster.Options{
-		Sim: sim.Config{
-			N: opts.N, Seed: opts.Seed,
-			MinDelay: opts.MinDelay, MaxDelay: opts.MaxDelay,
-			MaxTime: opts.MaxTime,
-			Link:    link,
-			Metrics: opts.Metrics, Spans: opts.Spans, Timeline: opts.Timeline,
-			Lifetimes: plane.Lifetimes(), Recovery: opts.Recovery,
-		},
-		Det:       det,
-		App:       opts.NewApp,
-		Reliable:  opts.Reliable,
-		Byzantine: opts.Byzantine,
+	co, err := opts.cluster()
+	if err != nil {
+		panic(err)
 	}
-	if opts.HeartbeatEvery > 0 {
-		co.FD = func(ProcID) core.Component {
-			return &fd.Heartbeat{Interval: opts.HeartbeatEvery, Timeout: opts.HeartbeatTimeout}
-		}
-	}
-	return &Cluster{inner: cluster.New(co), opts: opts, plane: plane}
-}
-
-// stackConfig is the preamble NewCluster and NewLiveCluster share. It panics
-// with invalid, the options' Validate error; defaults *t and *proto in place;
-// instantiates the fault plan with seed and registers its counters in reg
-// (plane and link stay nil without a plan); and returns the configuration of
-// every detector, its topology resolved once.
-func stackConfig(invalid error, n int, t *int, proto *Protocol, seed int64, tp *TopoSpec, faults *FaultPlan,
-	reg *MetricsRegistry) (det core.Config, plane *netadv.Plane, link node.LinkFn) {
-	if invalid != nil {
-		panic(invalid)
-	}
-	if *t == 0 {
-		*t = 1
-	}
-	if *proto == 0 {
-		*proto = SFS
-	}
-	if faults != nil {
-		plane = netadv.NewPlane(*faults, n, seed)
-		plane.Register(reg)
-		link = plane.Decide
-	}
-	return core.Config{N: n, T: *t, Protocol: *proto, Topology: resolveTopo(tp, n)}, plane, link
-}
-
-// resolveTopo builds the one shared *topo.Topology every detector in a
-// cluster consumes, or nil for the complete graph (validated upstream, so
-// MustNew cannot fail here).
-func resolveTopo(sp *TopoSpec, n int) *topo.Topology {
-	if sp == nil || sp.IsFull() {
-		return nil
-	}
-	return topo.MustNew(*sp, n)
+	return &Cluster{inner: cluster.New(co), t: co.Det.T, spans: opts.Spans}
 }
 
 // Detector returns process p's detector (for state inspection after Run).
@@ -460,19 +396,17 @@ func (c *Cluster) Run() Report {
 	// One reading of the run gives the abstraction and every verdict; the
 	// report's are the checker's ten less Conditions 1–3, FS2 behind sFS2d.
 	scan := model.NewScan(res.History, core.TagSusp, checker.TransportTags(core.TagSusp)...)
-	all := checker.AllOf(scan, c.opts.T)
+	all := checker.AllOf(scan, c.t)
 	verdicts := []Verdict{all[0], all[2], all[3], all[4], all[5], all[1], all[9]}
 	metrics := res.Metrics
-	if c.plane != nil {
-		metrics = obs.Merge(metrics, c.plane.Metrics())
+	var corrupted, equivocated, replayed int64
+	if plane := c.inner.Plane; plane != nil {
+		metrics = obs.Merge(metrics, plane.Metrics())
+		corrupted, equivocated, replayed = plane.ByzFates()
 	}
 	var spans []Span
-	if c.opts.Spans != nil {
-		spans = c.opts.Spans.Spans()
-	}
-	var corrupted, equivocated, replayed int64
-	if c.plane != nil {
-		corrupted, equivocated, replayed = c.plane.ByzFates()
+	if c.spans != nil {
+		spans = c.spans.Spans()
 	}
 	return Report{
 		History:         res.History,
@@ -634,12 +568,22 @@ type LiveOptions struct {
 	MetricsAddr string
 }
 
-// Validate reports the first problem with the options, or nil: N must be
-// at least 2, T non-negative, and the topology, fault plan and interposer
-// options well-formed — the checks Options.Validate makes of the same
-// fields. A live run is bounded by Stop, so nothing here needs a horizon.
+// Validate is Options.Validate of the same fields without the horizon: Stop
+// ends a live run.
 func (o LiveOptions) Validate() error {
-	return validateStack("LiveOptions", o.N, o.T, int64(o.MinDelay), int64(o.MaxDelay), o.Topology, o.Faults, o.Reliable, o.Byzantine)
+	_, err := o.cluster()
+	return err
+}
+
+// cluster is Options.cluster without the horizon.
+func (o LiveOptions) cluster() (cluster.Options, error) {
+	co, err := Options{N: o.N, T: o.T, Protocol: o.Protocol, MinDelay: int64(o.MinDelay), MaxDelay: int64(o.MaxDelay),
+		Topology: o.Topology, Faults: o.Faults, Reliable: o.Reliable, Byzantine: o.Byzantine, Recovery: o.Recovery,
+		NewApp: o.NewApp}.stack()
+	if err != nil {
+		return co, fmt.Errorf("failstop: LiveOptions.%w", err)
+	}
+	return co, nil
 }
 
 // LiveCluster runs the same protocol stack on real goroutines.
@@ -658,27 +602,32 @@ type LiveCluster struct {
 // options are invalid — call Validate first to reject untrusted
 // configuration gracefully.
 func NewLiveCluster(opts LiveOptions) *LiveCluster {
-	det, plane, link := stackConfig(opts.Validate(), opts.N, &opts.T, &opts.Protocol, opts.Seed, opts.Topology, opts.Faults, opts.Metrics)
-	var store recovery.Store
-	var files *recovery.FileStore
-	if opts.Recovery == RecoveryDurable && opts.RecoveryDir != "" {
-		var err error
-		if files, err = recovery.NewFileStore(opts.RecoveryDir); err != nil {
-			panic(fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err))
-		}
-		store = files
+	co, err := opts.cluster()
+	if err != nil {
+		panic(err)
 	}
-	net := runtime.New(runtime.Config{
+	// The plan is wired as cluster.New wires it for a simulator.
+	cfg := runtime.Config{
 		N: opts.N, Seed: opts.Seed,
 		MinDelay: opts.MinDelay, MaxDelay: opts.MaxDelay,
 		Tick:    opts.Tick,
-		Link:    link,
-		Metrics: opts.Metrics, Spans: opts.Spans,
-		Lifetimes: plane.Lifetimes(), Recovery: opts.Recovery, Store: store,
-	})
-	stack := cluster.Build(net, cluster.Options{
-		Det: det, App: opts.NewApp, Reliable: opts.Reliable, Byzantine: opts.Byzantine,
-	}, opts.Spans)
+		Metrics: opts.Metrics, Spans: opts.Spans, Recovery: opts.Recovery,
+	}
+	var plane *netadv.Plane
+	if co.Faults != nil {
+		plane = netadv.NewPlane(*co.Faults, opts.N, opts.Seed)
+		plane.Register(opts.Metrics)
+		cfg.Link, cfg.Lifetimes = plane.Decide, co.Faults.Lifetimes()
+	}
+	var files *recovery.FileStore
+	if opts.Recovery == RecoveryDurable && opts.RecoveryDir != "" {
+		if files, err = recovery.NewFileStore(opts.RecoveryDir); err != nil {
+			panic(fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err))
+		}
+		cfg.Store = files
+	}
+	net := runtime.New(cfg)
+	stack := cluster.Build(net, co, opts.Spans)
 	return &LiveCluster{net: net, stack: stack, plane: plane, opts: opts, files: files}
 }
 

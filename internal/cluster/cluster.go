@@ -1,14 +1,25 @@
 // Package cluster is the one place a protocol stack is assembled, for either
-// host: Build wires n core.Detector instances — with optional fd components,
-// applications and the byz and reliable interposers — onto anything that
-// takes a handler per process. New is Build over a fresh simulator: the
-// common harness of tests, the experiment generators, and the public facade.
+// host, and its configuration checked. Build wires n core.Detector instances
+// — with optional fd components, applications and the byz and reliable
+// interposers — onto anything that takes a handler per process. New is Build
+// over a fresh simulator with the fault plan wired in: the common harness of
+// tests, the experiment generators, the sweep and the public facade.
+//
+// Options.Validate and CheckHorizon state every rule once, and New calls
+// neither. Each entry point calls them, prefixes the error with its own name
+// and adds only its own rules: the facade's Options a Topology that fits N
+// (LiveOptions too, but skips CheckHorizon), sweep.Spec its grid (t >= 1),
+// seeds, shard, axis names and a HeartbeatTimeout with heartbeats.
 package cluster
 
 import (
+	"fmt"
+
 	"failstop/internal/byz"
 	"failstop/internal/core"
+	"failstop/internal/fd"
 	"failstop/internal/model"
+	"failstop/internal/netadv"
 	"failstop/internal/node"
 	"failstop/internal/obs"
 	"failstop/internal/quorum"
@@ -24,6 +35,12 @@ type Options struct {
 	// when set, is shared by reference across all detectors (a Topology is
 	// immutable after construction, so one instance serves any N).
 	Det core.Config
+	// Faults, when non-nil, is the fault plan New instantiates with Sim.Seed,
+	// registers in Sim.Metrics and takes Sim.Link and Sim.Lifetimes from.
+	Faults *netadv.Plan
+	// HeartbeatEvery, when positive and FD is nil, gives every process an
+	// fd.Heartbeat every that many ticks, suspecting after HeartbeatTimeout.
+	HeartbeatEvery, HeartbeatTimeout int64
 	// FD, when non-nil, constructs the fd component for each process.
 	FD func(p model.ProcID) core.Component
 	// App, when non-nil, constructs the application for each process.
@@ -41,6 +58,72 @@ type Options struct {
 	Byzantine byz.Options
 }
 
+// Validate reports the first problem either host would have, naming the field
+// first: N below 2, a negative T, bad delay bounds, a fault plan that does not
+// fit N or comes with Sim.Link or Sim.Lifetimes, invalid interposer options,
+// or a negative heartbeat number, MaxTime or MaxEvents (each would silently
+// read as its zero: no fd layer, never suspect, no horizon, the default cap).
+func (o Options) Validate() error {
+	if o.Det.N < 2 {
+		return fmt.Errorf("N = %d; need at least 2 processes", o.Det.N)
+	}
+	if o.Det.T < 0 {
+		return fmt.Errorf("T = %d; the failure bound cannot be negative", o.Det.T)
+	}
+	if err := sim.CheckDelayBounds(o.Sim.MinDelay, o.Sim.MaxDelay); err != nil {
+		return err
+	}
+	if o.Faults != nil {
+		if err := o.Faults.Validate(o.Det.N); err != nil {
+			return fmt.Errorf("Faults: %w", err)
+		}
+		if o.Sim.Link != nil || o.Sim.Lifetimes != nil {
+			return fmt.Errorf("Faults: plan %q sets Sim.Link and Sim.Lifetimes itself; leave them nil", o.Faults.Name)
+		}
+	}
+	if err := o.Reliable.Validate(); err != nil {
+		return fmt.Errorf("Reliable: %w", err)
+	}
+	if err := o.Byzantine.Validate(); err != nil {
+		return fmt.Errorf("Byzantine: %w", err)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"HeartbeatEvery", o.HeartbeatEvery}, {"HeartbeatTimeout", o.HeartbeatTimeout}, {"MaxTime", o.Sim.MaxTime}, {"MaxEvents", int64(o.Sim.MaxEvents)}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s = %d; it cannot be negative (0 is its default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// CheckHorizon reports a simulated run that re-arms forever with no MaxTime to
+// end it — an fd component, a reliable link with no MaxRetries, a restart
+// storm under a recovering mode (sim.Config.CheckHorizon) — and so would never
+// reach the quiescence the liveness verdicts need.
+func (o Options) CheckHorizon() error {
+	if o.Sim.MaxTime > 0 {
+		return nil
+	}
+	switch {
+	case o.FD != nil:
+		return fmt.Errorf("FD requires MaxTime > 0 (an fd component re-arms its timers forever, so the run would never drain)")
+	case o.HeartbeatEvery > 0:
+		return fmt.Errorf("HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever, so the run would never drain)", o.HeartbeatEvery)
+	case o.Reliable.Enabled && o.Reliable.MaxRetries == 0:
+		return fmt.Errorf("Reliable retries forever (MaxRetries = 0); set MaxTime so runs with crashed peers terminate")
+	case o.Faults != nil:
+		cfg := o.Sim
+		cfg.Lifetimes = o.Faults.Lifetimes()
+		if err := cfg.CheckHorizon(); err != nil {
+			return fmt.Errorf("Faults: plan %q: %w", o.Faults.Name, err)
+		}
+		return nil
+	}
+	return o.Sim.CheckHorizon()
+}
+
 // Stack is the protocol stack of every process, bottom (the network) to top:
 // an optional reliable-delivery endpoint, an optional Byzantine validation
 // endpoint, the detector with its optional fd component and application.
@@ -56,9 +139,9 @@ type Host interface {
 	SetHandler(model.ProcID, node.Handler)
 }
 
-// Build assembles the stack opts describes (opts.Sim is New's alone) and
-// attaches each process's outermost handler to h. The interposers record
-// their spans in spans, if non-nil.
+// Build assembles the stack opts describes (opts.Sim and opts.Faults are
+// New's alone) and attaches each process's outermost handler to h. The
+// interposers record their spans in spans, if non-nil.
 func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 	n := opts.Det.N
 	st := Stack{
@@ -67,15 +150,18 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 		byzants:   make([]*byz.Endpoint, n+1),
 	}
 	for p := model.ProcID(1); int(p) <= n; p++ {
-		var fd core.Component
-		if opts.FD != nil {
-			fd = opts.FD(p)
+		var comp core.Component
+		switch {
+		case opts.FD != nil:
+			comp = opts.FD(p)
+		case opts.HeartbeatEvery > 0:
+			comp = &fd.Heartbeat{Interval: opts.HeartbeatEvery, Timeout: opts.HeartbeatTimeout}
 		}
 		var app core.App
 		if opts.App != nil {
 			app = opts.App(p)
 		}
-		d := core.NewDetector(opts.Det, fd, app)
+		d := core.NewDetector(opts.Det, comp, app)
 		st.Detectors[p] = d
 		var top node.Handler = d
 		if opts.Byzantine.Enabled {
@@ -119,16 +205,25 @@ func (st *Stack) Suspect(ctx node.Context, i, j model.ProcID) {
 type Cluster struct {
 	// Sim is the underlying simulator; use it for custom injections.
 	Sim *sim.Sim
+	// Plane is the instantiated Options.Faults, nil without a plan.
+	Plane *netadv.Plane
 	Stack
 }
 
-// New builds a cluster: a simulator with the stack attached.
+// New builds a cluster: a simulator, with the fault plan's plane as its link
+// and process faults, and the stack attached. It does not call Validate.
 func New(opts Options) *Cluster {
 	if opts.Sim.N == 0 {
 		opts.Sim.N = opts.Det.N
 	}
+	var plane *netadv.Plane
+	if opts.Faults != nil {
+		plane = netadv.NewPlane(*opts.Faults, opts.Sim.N, opts.Sim.Seed)
+		plane.Register(opts.Sim.Metrics)
+		opts.Sim.Link, opts.Sim.Lifetimes = plane.Decide, opts.Faults.Lifetimes()
+	}
 	s := sim.New(opts.Sim)
-	return &Cluster{Sim: s, Stack: Build(s, opts, opts.Sim.Spans)}
+	return &Cluster{Sim: s, Plane: plane, Stack: Build(s, opts, opts.Sim.Spans)}
 }
 
 // N returns the number of processes.

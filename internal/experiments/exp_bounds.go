@@ -47,11 +47,10 @@ func E1() Result {
 			return 2
 		}
 		c := cluster.New(cluster.Options{
-			Sim: sim.Config{N: n, Seed: 7, Delay: delay, MaxTime: horizon},
-			Det: core.Config{N: n, T: t},
-			FD: func(model.ProcID) core.Component {
-				return &fd.Heartbeat{Interval: hbEvery, Timeout: timeout}
-			},
+			Sim:              sim.Config{N: n, Seed: 7, Delay: delay, MaxTime: horizon},
+			Det:              core.Config{N: n, T: t},
+			HeartbeatEvery:   hbEvery,
+			HeartbeatTimeout: timeout,
 		})
 		if !spike {
 			c.CrashAt(100, 1)

@@ -92,10 +92,10 @@ func E16() Result {
 		var cs cellStats
 		for seed := int64(1); seed <= seeds; seed++ {
 			plan := netadv.Plan{Name: "e16-" + m.name, Byz: m.rules}
-			plane := netadv.NewPlane(plan, n, seed)
 			c := cluster.New(cluster.Options{
-				Sim:       sim.Config{N: n, Seed: seed, MaxTime: 5000, Link: plane.Decide, Lifetimes: plane.Lifetimes()},
+				Sim:       sim.Config{N: n, Seed: seed, MaxTime: 5000},
 				Det:       core.Config{N: n, T: t},
+				Faults:    &plan,
 				Byzantine: byz.Options{Enabled: interpose},
 			})
 			allowed := map[model.ProcID]bool{}

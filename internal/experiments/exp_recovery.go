@@ -79,13 +79,10 @@ func E15() Result {
 			} else {
 				plan.Procs = []netadv.ProcRule{{Proc: 2, CrashAt: 30, RestartAt: 80}}
 			}
-			plane := netadv.NewPlane(plan, n, seed)
 			c := cluster.New(cluster.Options{
-				Sim: sim.Config{
-					N: n, Seed: seed, Link: plane.Decide,
-					Lifetimes: plane.Lifetimes(), Recovery: mode,
-				},
-				Det: core.Config{N: n, T: t},
+				Sim:    sim.Config{N: n, Seed: seed, Recovery: mode},
+				Det:    core.Config{N: n, T: t},
+				Faults: &plan,
 				// Bounded stubbornness, as in E13: enough rounds to outlive
 				// the tick-60 heal and every storm window, while letting
 				// runs drain.

@@ -66,10 +66,10 @@ func E13() Result {
 	run := func(plan netadv.Plan, rel bool) cellStats {
 		var cs cellStats
 		for seed := int64(1); seed <= seeds; seed++ {
-			plane := netadv.NewPlane(plan, n, seed)
 			opts := cluster.Options{
-				Sim: sim.Config{N: n, Seed: seed, Link: plane.Decide, Lifetimes: plane.Lifetimes()},
-				Det: core.Config{N: n, T: t},
+				Sim:    sim.Config{N: n, Seed: seed},
+				Det:    core.Config{N: n, T: t},
+				Faults: &plan,
 			}
 			if rel {
 				// Bounded stubbornness: 8 rounds with the default 40-tick

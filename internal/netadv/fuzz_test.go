@@ -52,7 +52,7 @@ func FuzzReadPlan(f *testing.F) {
 			plane := NewPlane(plan, n, 7)
 			var dec node.LinkDecision
 			core := host.Core{
-				Names: host.MetricNames("fuzz_"), Lifetimes: plane.Lifetimes(),
+				Names: host.MetricNames("fuzz_"), Lifetimes: plan.Lifetimes(),
 				Link: func(from, to model.ProcID, p node.Payload, at int64) node.LinkDecision {
 					dec = plane.Decide(from, to, p, at)
 					return dec

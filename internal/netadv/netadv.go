@@ -233,18 +233,6 @@ func (p Plan) Lifetimes() []recovery.Lifetime {
 	return out
 }
 
-// UnboundedProcs reports whether any process-fault rule generates crashes
-// forever (periodic with no Until): such a plan never lets a run quiesce,
-// so hosts require an explicit horizon to execute it.
-func (p Plan) UnboundedProcs() bool {
-	for _, r := range p.Procs {
-		if r.Period > 0 && r.Until == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate reports the first problem with the plan for a cluster of n
 // processes, or nil. Process-fault rules are checked structurally:
 // restarts without a crash window, overlapping lifetimes for one process,
@@ -621,16 +609,6 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 		pl.byzRules = append(pl.byzRules, cb)
 	}
 	return pl
-}
-
-// Lifetimes returns the process-fault schedule of the plane's plan (see
-// Plan.Lifetimes), so a host is configured from the plane alone: Decide as
-// its link function, Lifetimes as its process faults. A nil plane has none.
-func (pl *Plane) Lifetimes() []recovery.Lifetime {
-	if pl == nil {
-		return nil
-	}
-	return pl.plan.Lifetimes()
 }
 
 // Register exposes the plane's fate counters through reg under plane_*

@@ -252,11 +252,8 @@ func TestProcRuleValidate(t *testing.T) {
 	if err := ok.Validate(5); err != nil {
 		t.Errorf("valid proc plan rejected: %v", err)
 	}
-	if !ok.UnboundedProcs() {
-		t.Error("UnboundedProcs() = false with an unbounded storm present")
-	}
-	if bounded := (Plan{Procs: []ProcRule{{Proc: 1, CrashAt: 5, Period: 50, ActiveFor: 10, Until: 400}}}); bounded.UnboundedProcs() {
-		t.Error("UnboundedProcs() = true for a bounded storm")
+	if lts := ok.Lifetimes(); !lts[5].Unbounded() || lts[6].Unbounded() {
+		t.Errorf("Lifetimes() = %+v: want the storm without Until unbounded, the one with it bounded", lts[5:])
 	}
 }
 

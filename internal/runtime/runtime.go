@@ -399,13 +399,13 @@ func (p *proc) loop() {
 			return
 		}
 		if !did {
-			// Nothing deliverable: wait for a wake-up or shutdown.
+			// Nothing deliverable: a send (also once its delay elapses), a
+			// timer, an injection, a restart or Stop wakes us; a gate's
+			// answer changes only in our own callbacks.
 			select {
 			case <-p.net.stopCh:
 				return
 			case <-p.wakeCh:
-			case <-time.After(p.net.cfg.MaxDelay):
-				// Periodic re-check: a head may have become ready.
 			}
 		}
 	}

@@ -160,9 +160,9 @@ const maxDelayBound = 1 << 40
 // would have the default distribution park every message of the run. A bound
 // near MaxInt64 overflows the width the distribution draws from, or carries
 // the clock past MaxInt64 to a negative time, which reads as "parked". It is
-// the one check behind Options.Validate, LiveOptions.Validate,
-// sweep.Spec.Validate and New; each puts the name of its own struct and a dot
-// before the error.
+// the one check behind New and cluster.Options.Validate (and so the facade's
+// Options and LiveOptions and sweep.Spec); each entry point puts the name of
+// its own struct and a dot before the error.
 func CheckDelayBounds(min, max int64) error {
 	if min < 0 || max < 0 {
 		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot be negative (no message arrives before it is sent)", min, max)
@@ -224,6 +224,18 @@ type Config struct {
 	// Store persists crash-time snapshots under Durable recovery. Nil
 	// defaults to a fresh in-memory store private to this run.
 	Store recovery.Store
+}
+
+// CheckHorizon rejects an unbounded lifetime under a recovering mode without
+// a MaxTime: it restarts its process forever. New panics on it; it is the
+// simulator's part of cluster.Options.CheckHorizon.
+func (cfg Config) CheckHorizon() error {
+	for i, l := range cfg.Lifetimes {
+		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
+			return fmt.Errorf("Lifetimes[%d] restarts process %d forever (period %d, no until); set MaxTime so the run terminates", i, l.Proc, l.Period)
+		}
+	}
+	return nil
 }
 
 // pendingMsg is one in-flight message copy: a slot of the per-Sim slab,
@@ -710,10 +722,8 @@ func New(cfg Config) *Sim {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 1 << 20
 	}
-	for i, l := range cfg.Lifetimes {
-		if l.Unbounded() && cfg.Recovery != recovery.Off && cfg.MaxTime <= 0 {
-			panic(fmt.Sprintf("sim: lifetime %d is unbounded (period %d, no until); set MaxTime", i, l.Period))
-		}
+	if err := cfg.CheckHorizon(); err != nil {
+		panic("sim: Config." + err.Error())
 	}
 	s := &Sim{
 		cfg: cfg,

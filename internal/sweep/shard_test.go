@@ -51,7 +51,7 @@ func builtinPlans(names ...string) []netadv.Generator {
 // stream.
 func TestShardPartitionDisjointExhaustive(t *testing.T) {
 	spec := shardSpec().withDefaults()
-	numCells := len(spec.cells())
+	numCells := len(spec.Cells())
 
 	type jobKey struct {
 		cellIdx int

@@ -33,10 +33,8 @@ import (
 	"failstop/internal/checker"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
-	"failstop/internal/fd"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
-	"failstop/internal/node"
 	"failstop/internal/obs"
 	"failstop/internal/quorum"
 	"failstop/internal/recovery"
@@ -206,7 +204,7 @@ type Spec struct {
 	// Schedules lists the fault schedules. Default: one quiet schedule.
 	Schedules []Schedule
 	// Plans lists the network fault plans (netadv generators, instantiated
-	// per grid cell and seed). Default: one fault-free network. Runs with a
+	// once per grid point). Default: one fault-free network. Runs with a
 	// non-empty plan additionally aggregate dropped/duplicated counts and a
 	// quorum-starvation diagnostic (a live process left with a detection it
 	// began but could not complete).
@@ -326,120 +324,85 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate reports the first problem with the spec, or nil.
+// Validate reports the first problem with the spec, or nil: its own rules (a
+// grid with n >= 2 and t >= 1, seeds, shard, duplicate names, each plan's Make
+// named, a HeartbeatTimeout with heartbeats), a topology that does not fit a
+// grid point, or what cluster.Options.Validate and CheckHorizon reject of a cell.
 func (s Spec) Validate() error {
+	_, err := s.withDefaults().expand()
+	return err
+}
+
+// expand validates the spec, defaults applied, and returns its cells: the one
+// validation Validate and Run share.
+func (s Spec) expand() ([]cellSpec, error) {
 	if len(s.Grid) == 0 {
-		return fmt.Errorf("sweep: Spec.Grid is empty")
+		return nil, fmt.Errorf("sweep: Spec.Grid is empty")
 	}
 	for _, nt := range s.Grid {
 		if nt.N < 2 || nt.T < 1 {
-			return fmt.Errorf("sweep: invalid grid point %v (need n >= 2, t >= 1)", nt)
+			return nil, fmt.Errorf("sweep: invalid grid point %v (need n >= 2, t >= 1)", nt)
 		}
-	}
-	if err := sim.CheckDelayBounds(s.MinDelay, s.MaxDelay); err != nil {
-		return fmt.Errorf("sweep: Spec.%w", err)
 	}
 	if s.Seeds.Count < 0 {
-		return fmt.Errorf("sweep: negative seed count %d", s.Seeds.Count)
+		return nil, fmt.Errorf("sweep: negative seed count %d", s.Seeds.Count)
 	}
-	if s.Shard.Count < 0 {
-		return fmt.Errorf("sweep: negative shard count %d", s.Shard.Count)
+	if s.Shard.Count < 1 || s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {
+		return nil, fmt.Errorf("sweep: shard %d of %d out of range (want 0 <= index < count)", s.Shard.Index, s.Shard.Count)
 	}
-	if s.Shard.Count > 0 && (s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count) {
-		return fmt.Errorf("sweep: shard index %d out of range [0, %d)", s.Shard.Index, s.Shard.Count)
-	}
-	seen := map[string]bool{}
+	var names []string // each axis entry's name, as a duplicate is reported
 	for _, sc := range s.Schedules {
-		if seen[sc.Name] {
-			return fmt.Errorf("sweep: duplicate schedule name %q", sc.Name)
-		}
-		seen[sc.Name] = true
+		names = append(names, fmt.Sprintf("schedule name %q", sc.Name))
 	}
-	seenPlan := map[string]bool{}
 	for _, pg := range s.Plans {
-		if seenPlan[pg.Name] {
-			return fmt.Errorf("sweep: duplicate plan name %q", pg.Name)
-		}
-		seenPlan[pg.Name] = true
+		names = append(names, fmt.Sprintf("plan name %q", pg.Name))
 		if pg.Name != "" && pg.Make == nil {
-			return fmt.Errorf("sweep: plan %q has no Make function", pg.Name)
+			return nil, fmt.Errorf("sweep: plan %q has no Make function", pg.Name)
 		}
 		if pg.Name == "" && pg.Make != nil {
 			// Plan names key cell identity and the report's fault columns;
 			// an anonymous plan would run its faults invisibly.
-			return fmt.Errorf("sweep: plan with a Make function needs a name")
-		}
-		if pg.Make == nil {
-			continue
-		}
-		// Instantiate the plan at every grid point up front: a plan that
-		// does not fit some cell (file-loaded plans name concrete process
-		// ids) must fail the sweep with one clear error, not panic a worker
-		// goroutine mid-run.
-		for _, nt := range s.Grid {
-			p := pg.Make(nt.N, nt.T)
-			if err := p.Validate(nt.N); err != nil {
-				return fmt.Errorf("sweep: plan %q at %v: %w", pg.Name, nt, err)
-			}
-			if p.UnboundedProcs() && s.MaxTime == 0 {
-				for _, m := range s.Recovery {
-					if m != recovery.Off {
-						// Under Off the first crash window is terminal, so the
-						// run still quiesces; a recovering mode restarts the
-						// process forever.
-						return fmt.Errorf("sweep: plan %q restarts processes forever under recovery mode %v; set Spec.MaxTime so runs terminate", pg.Name, m)
-					}
-				}
-			}
+			return nil, fmt.Errorf("sweep: plan with a Make function needs a name")
 		}
 	}
-	seenTopo := map[string]bool{}
 	for _, tp := range s.Topologies {
-		name := tp.Name()
-		if seenTopo[name] {
-			return fmt.Errorf("sweep: duplicate topology %q", name)
-		}
-		seenTopo[name] = true
-		// Resolve the topology at every grid point up front: a gossip
-		// fanout or hierarchy shape that cannot fit some cell's n must
-		// fail the sweep with one clear error, not panic a worker.
-		for _, nt := range s.Grid {
-			if _, err := topo.New(tp, nt.N); err != nil {
-				return fmt.Errorf("sweep: topology %q at %v: %w", name, nt, err)
-			}
-		}
+		names = append(names, fmt.Sprintf("topology %q", tp.Name()))
 	}
-	for i, bo := range s.Byzantine {
-		if err := bo.Validate(); err != nil {
-			return fmt.Errorf("sweep: Byzantine[%d]: %w", i, err)
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			return nil, fmt.Errorf("sweep: duplicate %s", name)
 		}
-	}
-	for i, ro := range s.Reliable {
-		if err := ro.Validate(); err != nil {
-			return fmt.Errorf("sweep: Reliable[%d]: %w", i, err)
-		}
-		if ro.Enabled && ro.MaxRetries == 0 && s.MaxTime == 0 {
-			// A stubborn link to a crashed peer retransmits forever.
-			return fmt.Errorf("sweep: Reliable[%d] retries forever (MaxRetries=0); set Spec.MaxTime so runs terminate", i)
-		}
-	}
-	if s.HeartbeatEvery > 0 && s.MaxTime == 0 {
-		return fmt.Errorf("sweep: HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever)", s.HeartbeatEvery)
+		seen[name] = true
 	}
 	if s.HeartbeatEvery > 0 && s.HeartbeatTimeout <= 0 {
 		// fd.Heartbeat with Timeout 0 is a pure sender that never suspects:
 		// the false-suspicion column would read 0/N no matter the loss.
-		return fmt.Errorf("sweep: HeartbeatEvery = %d requires HeartbeatTimeout > 0 (a timeout-less detector never suspects, so the false-suspicion metric would be vacuous)", s.HeartbeatEvery)
+		return nil, fmt.Errorf("sweep: Spec.HeartbeatTimeout = %d: heartbeats (HeartbeatEvery = %d) need a timeout > 0 (a timeout-less detector never suspects, so the false-suspicion metric would be vacuous)", s.HeartbeatTimeout, s.HeartbeatEvery)
 	}
-	return nil
+	cells, err := s.cells()
+	if err != nil {
+		return nil, err
+	}
+	for _, cs := range cells {
+		co := s.options(cs, s.Seeds.Start)
+		err := co.Validate()
+		if err == nil {
+			err = co.CheckHorizon()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sweep: Spec.%w (cell %v)", err, cs.cell)
+		}
+	}
+	return cells, nil
 }
 
-// cellSpec pairs a Cell with its resolved schedule, plan generator,
-// topology, and reliable-delivery configuration.
+// cellSpec pairs a Cell with its resolved schedule, fault plan, topology,
+// and interposer configurations.
 type cellSpec struct {
 	cell   Cell
 	sched  Schedule
-	plan   netadv.Generator
+	faults *netadv.Plan   // the plan generator's instance at the grid point; nil for none
 	top    *topo.Topology // nil for the complete graph
 	links  int64          // directed link count of the cell's topology
 	fanout int            // gossip sample fanout; 0 for the other kinds
@@ -451,20 +414,23 @@ type cellSpec struct {
 // order: grid point, then protocol, then quorum delta, then schedule. A spec
 // whose topologies do not fit its grid (Validate says which) has no cells.
 func (s Spec) Cells() []Cell {
+	cells, _ := s.withDefaults().cells()
 	var out []Cell
-	for _, cs := range s.withDefaults().cells() {
+	for _, cs := range cells {
 		out = append(out, cs.cell)
 	}
 	return out
 }
 
-func (s Spec) cells() []cellSpec {
+// cells expands the grid, or reports a topology that does not fit a point.
+func (s Spec) cells() ([]cellSpec, error) {
 	var out []cellSpec
 	for _, nt := range s.Grid {
 		// Resolve each topology once per grid point and share the instance
 		// across the point's cells and all their runs (a Topology is
 		// immutable): gossip adjacency is O(N·Fanout) to materialize, which
-		// must not be paid per seed.
+		// must not be paid per seed. Plans are data, instantiated once per
+		// grid point the same way.
 		tops := make([]*topo.Topology, len(s.Topologies))
 		for i, tp := range s.Topologies {
 			if tp.IsFull() {
@@ -472,13 +438,20 @@ func (s Spec) cells() []cellSpec {
 			}
 			var err error
 			if tops[i], err = topo.New(tp, nt.N); err != nil {
-				return nil // a spec Validate rejects (it names the error) has no cells
+				return nil, fmt.Errorf("sweep: Spec.Topology %q at %v: %w", tp.Name(), nt, err)
+			}
+		}
+		plans := make([]*netadv.Plan, len(s.Plans))
+		for i, pg := range s.Plans {
+			if pg.Make != nil {
+				p := pg.Make(nt.N, nt.T)
+				plans[i] = &p
 			}
 		}
 		for _, proto := range s.Protocols {
 			for _, qd := range s.QuorumDeltas {
 				for _, sched := range s.Schedules {
-					for _, pg := range s.Plans {
+					for pi, pg := range s.Plans {
 						for ti, tp := range s.Topologies {
 							topName := ""
 							links := int64(nt.N) * int64(nt.N-1)
@@ -500,7 +473,7 @@ func (s Spec) cells() []cellSpec {
 												Byzantine: bo.Enabled,
 											},
 											sched:  sched,
-											plan:   pg,
+											faults: plans[pi],
 											top:    tops[ti],
 											links:  links,
 											fanout: fanout,
@@ -516,7 +489,7 @@ func (s Spec) cells() []cellSpec {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Runs returns the number of scenario runs the spec expands to. When the
@@ -524,7 +497,13 @@ func (s Spec) cells() []cellSpec {
 // grid.
 func (s Spec) Runs() int {
 	s = s.withDefaults()
-	total := len(s.cells()) * s.Seeds.Count
+	cells, _ := s.cells()
+	return s.runs(len(cells))
+}
+
+// runs is this shard's share of ncells cells' runs (defaults applied).
+func (s Spec) runs(ncells int) int {
+	total := ncells * s.Seeds.Count
 	if s.Shard.Count <= 1 {
 		return total
 	}
@@ -545,18 +524,13 @@ func (s Spec) job(g int) (cellIdx int, seed int64, ours bool) {
 	return g / s.Seeds.Count, s.Seeds.Start + int64(g%s.Seeds.Count), g%s.Shard.Count == s.Shard.Index
 }
 
-// defaultRun builds and runs one scenario with the standard cluster stack.
-func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
+// options is the configuration of a run of cell cs at seed: what defaultRun
+// runs and, at the first seed, what Validate checks.
+func (s Spec) options(cs cellSpec, seed int64) cluster.Options {
 	cell := cs.cell
 	var delay sim.DelayFn
 	if cs.sched.Delay != nil {
 		delay = cs.sched.Delay(cell.NT, seed)
-	}
-	var link node.LinkFn
-	var plane *netadv.Plane
-	if cs.plan.Make != nil {
-		plane = netadv.NewPlane(cs.plan.Make(cell.NT.N, cell.NT.T), cell.NT.N, seed)
-		link = plane.Decide
 	}
 	qsize := 0
 	if cell.QuorumDelta != 0 {
@@ -566,32 +540,32 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 		}
 	}
 	var timeline *obs.Timeline
-	if spec.Timeline {
-		timeline = obs.NewTimeline(spec.TimelineEvery, 0)
+	if s.Timeline {
+		timeline = obs.NewTimeline(s.TimelineEvery, 0)
 	}
-	co := cluster.Options{
+	return cluster.Options{
 		Sim: sim.Config{
 			N: cell.NT.N, Seed: seed,
-			MinDelay: spec.MinDelay, MaxDelay: spec.MaxDelay,
-			Delay: delay, Link: link,
-			MaxTime: spec.MaxTime, MaxEvents: spec.MaxEvents,
-			Timeline:  timeline,
-			Lifetimes: plane.Lifetimes(), Recovery: cell.Recovery,
+			MinDelay: s.MinDelay, MaxDelay: s.MaxDelay,
+			Delay:   delay,
+			MaxTime: s.MaxTime, MaxEvents: s.MaxEvents,
+			Timeline: timeline,
+			Recovery: cell.Recovery,
 		},
 		Det: core.Config{
 			N: cell.NT.N, T: cell.NT.T,
 			Protocol: cell.Protocol, QuorumSize: qsize,
 			Topology: cs.top,
 		},
-		Reliable:  cs.rel,
-		Byzantine: cs.byz,
+		Faults: cs.faults, HeartbeatEvery: s.HeartbeatEvery, HeartbeatTimeout: s.HeartbeatTimeout,
+		Reliable: cs.rel, Byzantine: cs.byz,
 	}
-	if spec.HeartbeatEvery > 0 {
-		co.FD = func(model.ProcID) core.Component {
-			return &fd.Heartbeat{Interval: spec.HeartbeatEvery, Timeout: spec.HeartbeatTimeout}
-		}
-	}
-	c := cluster.New(co)
+}
+
+// defaultRun builds and runs one scenario with the standard cluster stack.
+func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
+	cell := cs.cell
+	c := cluster.New(spec.options(cs, seed))
 	if cs.sched.Faults != nil {
 		for _, f := range cs.sched.Faults(cell.NT, seed) {
 			switch f.Kind {
@@ -604,13 +578,11 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 	}
 	out := RunOutput{Result: c.Run(), Cluster: c}
 	out.Obs = out.Result.Metrics
-	if plane != nil {
-		out.Obs = obs.Merge(out.Obs, plane.Metrics())
-	}
-	if cs.plan.Make != nil || spec.HeartbeatEvery > 0 {
+	if c.Plane != nil || spec.HeartbeatEvery > 0 {
 		out.Metrics = map[string]bool{}
 	}
-	if cs.plan.Make != nil {
+	if c.Plane != nil {
+		out.Obs = obs.Merge(out.Obs, c.Plane.Metrics())
 		// Quorum-starvation diagnostic: a live process began a detection the
 		// (faulty) network never let it complete — the liveness failure mode
 		// partitions and lossy links induce in the §5 protocol.
@@ -673,14 +645,14 @@ func quorumStarved(c *cluster.Cluster) bool {
 // is what keeps the report identical across worker counts.
 func Run(spec Spec, opts Options) (*Report, error) {
 	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
+	cells, err := spec.expand()
+	if err != nil {
 		return nil, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cells := spec.cells()
 	// Workers draw stream indexes from one shared cursor: which worker runs
 	// which job is the scheduler's choice, and the report cannot tell.
 	var cursor atomic.Int64
@@ -696,7 +668,7 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	// enabled) reads them concurrently, so they are atomic counters. The
 	// counts feed stderr only, never the report.
 	done := make([]obs.Counter, workers)
-	stopProgress := startProgress(opts, spec.Runs(), done)
+	stopProgress := startProgress(opts, spec.runs(len(cells)), done)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		mine := make([]*CellResult, len(cells))
