@@ -1,6 +1,7 @@
 package byz
 
 import (
+	"runtime"
 	"testing"
 
 	"failstop/internal/model"
@@ -125,5 +126,47 @@ func BenchmarkPumpOpen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ep.OnTimer(ctx, "tick")
+	}
+}
+
+// TestEndpointFootprintLinear: an endpoint at process 1 of 10,000 that seals
+// one frame to each of 16 peers whose ids are spread over 1..10,000 and
+// opens one from each costs under 1 KiB a peer (≈ 10,700 B in all, ≈ 10,800 B
+// while Go maps held the peers), most of it the 256-byte first arena chunk
+// of each link and the sequence map of each sender: a table sized by n or by
+// the largest id, both 10,000, would add at least 5 KiB a peer.
+func TestEndpointFootprintLinear(t *testing.T) {
+	ctx := &byzFakeCtx{self: 1, n: 10_000}
+	app := node.Payload{Tag: "APP", Data: []byte("payload")}
+	peers := make([]model.ProcID, 16)
+	frames := make([][]byte, len(peers))
+	for i := range peers {
+		peers[i] = model.ProcID(10_000 - 613*i)
+		frames[i] = sealed(peers[i], 1, 1, app)
+	}
+	sink := &benchSink{}
+	build := func() {
+		e := Wrap(sink, Options{Enabled: true})
+		e.Init(ctx)
+		for i, p := range peers {
+			e.Context(ctx).Send(p, app)
+			e.OnMessage(ctx, p, node.Payload{Tag: app.Tag, Data: frames[i]})
+		}
+		ctx.sends = ctx.sends[:0]
+	}
+	build() // size the fake context's send log
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2000; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if sink.delivered != 2001*len(peers) {
+		t.Fatalf("released %d frames, want %d", sink.delivered, 2001*len(peers))
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / 2000
+	t.Logf("an endpoint that exchanged a frame with each of %d peers allocated %d B", len(peers), per)
+	if bound := uint64(1024 * len(peers)); per >= bound {
+		t.Errorf("an endpoint that exchanged a frame with each of %d peers allocated %d B, want < %d", len(peers), per, bound)
 	}
 }

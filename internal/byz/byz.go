@@ -68,25 +68,32 @@
 // records are transient and die with a crash, like the reliable layer's
 // pending acks.
 //
-// Data layout. Witness rounds are found through a lazily grown origin → bid
-// table, but pump never walks that table: it walks a worklist of the open
-// rounds only, kept sorted by (origin, bid) — the order, and the
-// repeat-until-a-pass-changes-nothing rule, that a scan of every round in
-// sorted order would follow. A round is open until it has been released
-// with a single vouched digest; it goes back on the list if a later echo
-// vouches for a second digest (so the equivocation is still convicted), and
-// a conviction takes the culprit's rounds off it. Settled rounds therefore
-// cost a timer or an echo nothing. A round's vouchers are a short slice of
-// (digest, quorum.Set) pairs and the masked set is a quorum.Set. Sealed
-// bodies are carved from one node.Arena per destination rather than
-// allocated per frame; the arena only bumps forward, because the host (and
-// the reliable layer's unacked queue) may keep a sent body for as long as it
-// likes — and it is the destination's, not the endpoint's, so bodies that
-// are never let go of (unacked to a crashed peer) pin that link's chunks
-// and no other's. The inner handler sees one context wrapper per endpoint,
-// rebound to the host's context at every callback entry — node.Context
-// limits a context to the callback that received it, and hosts serialize a
-// process's callbacks.
+// Data layout. Per-peer state lives in two node.Tables keyed by the peer's
+// id, each record made on first use: links holds what this endpoint sends to
+// a destination (its sequence counter and arena), heard what it has had
+// from a sender or about an origin (the sequence numbers seen and the
+// witness rounds by broadcast id). A full mesh's peers sit in their home
+// slots, so a frame finds its sender's record without hashing; the inner
+// maps stay maps, because their keys are sequence numbers and broadcast ids
+// a Byzantine sender chooses. Whether a tag is held is a scan of
+// Options.EchoTags, a list of one by default. pump never walks the rounds:
+// it walks a worklist of the open rounds only, kept sorted by (origin, bid)
+// — the order, and the repeat-until-a-pass-changes-nothing rule, that a scan
+// of every round in sorted order would follow. A round is open until it has
+// been released with a single vouched digest; it goes back on the list if a
+// later echo vouches for a second digest (so the equivocation is still
+// convicted), and a conviction takes the culprit's rounds off it. Settled
+// rounds therefore cost a timer or an echo nothing. A round's vouchers are a
+// short slice of (digest, quorum.Set) pairs and the masked set is a
+// quorum.Set. Sealed bodies are carved from one node.Arena per destination
+// rather than allocated per frame; the arena only bumps forward, because the
+// host (and the reliable layer's unacked queue) may keep a sent body for as
+// long as it likes — and it is the destination's, not the endpoint's, so
+// bodies that are never let go of (unacked to a crashed peer) pin that
+// link's chunks and no other's. The inner handler sees one context wrapper
+// per endpoint, rebound to the host's context at every callback entry —
+// node.Context limits a context to the callback that received it, and hosts
+// serialize a process's callbacks.
 package byz
 
 import (
@@ -96,7 +103,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -217,6 +223,13 @@ type link struct {
 	arena node.Arena // sealed bodies sent
 }
 
+// inbound is the receiver-side state of one peer, materialized on the first
+// frame from it or echo about it.
+type inbound struct {
+	seen   map[uint64]int64  // seq -> first arrival of each frame it sent
+	rounds map[uint64]*round // bid -> witness round of each broadcast it originated
+}
+
 // Endpoint wraps a node.Handler with the validation layer on every link it
 // speaks. It implements node.Handler, node.Gate, node.CrashListener, and
 // node.Restarter; hosts treat it exactly like the handler it wraps.
@@ -234,11 +247,10 @@ type Endpoint struct {
 	convict func(ctx node.Context, culprit model.ProcID)
 
 	witnesses int
-	heldTags  map[string]bool
 
 	// Sender side: per-destination links and the broadcast-id
 	// content-equality state.
-	links       map[model.ProcID]*link
+	links       node.Table[link]
 	bid         uint64
 	lastTag     string
 	lastSubject model.ProcID
@@ -246,9 +258,8 @@ type Endpoint struct {
 	haveLast    bool
 
 	// Receiver side.
-	seen   map[model.ProcID]map[uint64]int64 // sender -> seq -> first arrival
+	heard  node.Table[inbound] // per sender, or origin of witness rounds
 	masked quorum.Set
-	rounds map[model.ProcID]map[uint64]*round // origin -> bid -> round
 	// open is pump's worklist: the open rounds in (origin, bid) order. A
 	// round that settles or is convicted is only marked (round.open) and
 	// the list is marked stale; pump sweeps it at the end of a pass.
@@ -275,19 +286,7 @@ func Wrap(inner node.Handler, opts Options) *Endpoint {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	opts = opts.withDefaults()
-	held := make(map[string]bool, len(opts.EchoTags))
-	for _, tag := range opts.EchoTags {
-		held[tag] = true
-	}
-	e := &Endpoint{
-		inner:    inner,
-		opts:     opts,
-		heldTags: held,
-		links:    make(map[model.ProcID]*link),
-		seen:     make(map[model.ProcID]map[uint64]int64),
-		rounds:   make(map[model.ProcID]map[uint64]*round),
-	}
+	e := &Endpoint{inner: inner, opts: opts.withDefaults()}
 	e.ctx.e = e
 	return e
 }
@@ -372,11 +371,7 @@ func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
 		e.lastSubject = p.Subject
 		e.lastData = append(e.lastData[:0], p.Data...)
 	}
-	l := e.links[to]
-	if l == nil {
-		l = &link{}
-		e.links[to] = l
-	}
+	l, _ := e.links.Add(to)
 	l.seq++
 	body := l.arena.Alloc(headerLen + len(p.Data))
 	sealBody(body, host.Self(), l.seq, e.bid, p)
@@ -412,26 +407,25 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		e.maskedCount.Add(1)
 		return
 	}
-	sn := e.seen[from]
-	if sn == nil {
-		sn = make(map[uint64]int64)
-		e.seen[from] = sn
+	in, _ := e.heard.Add(from)
+	if in.seen == nil {
+		in.seen = make(map[uint64]int64)
 	}
 	now := ctx.Now()
-	if first, dup := sn[seq]; dup {
+	if first, dup := in.seen[seq]; dup {
 		if now-first > e.opts.ReplayHorizon {
 			e.convictWith(ctx, from, "replay")
 		}
 		// Within the horizon: a benign network duplicate.
 		return
 	}
-	sn[seq] = now
+	in.seen[seq] = now
 	if isEcho {
 		e.onEcho(ctx, from, p.Subject, data)
 		return
 	}
 	inner := node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data}
-	if !e.heldTags[p.Tag] {
+	if !slices.Contains(e.opts.EchoTags, p.Tag) {
 		e.inner.OnMessage(e.Context(ctx), from, inner)
 		return
 	}
@@ -482,15 +476,14 @@ func (e *Endpoint) onEcho(ctx node.Context, witness, origin model.ProcID, data [
 }
 
 func (e *Endpoint) round(origin model.ProcID, bid uint64) *round {
-	byBid := e.rounds[origin]
-	if byBid == nil {
-		byBid = make(map[uint64]*round)
-		e.rounds[origin] = byBid
+	in, _ := e.heard.Add(origin)
+	if in.rounds == nil {
+		in.rounds = make(map[uint64]*round)
 	}
-	r := byBid[bid]
+	r := in.rounds[bid]
 	if r == nil {
 		r = &round{origin: origin, bid: bid}
-		byBid[bid] = r
+		in.rounds[bid] = r
 		e.enlist(r)
 	}
 	return r
@@ -577,7 +570,9 @@ func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason st
 			r.open, e.stale = false, true
 		}
 	}
-	delete(e.rounds, culprit)
+	if in := e.heard.Get(culprit); in != nil {
+		in.rounds = nil
+	}
 	if e.spans != nil {
 		e.spans.Record(obs.Span{
 			Time: ctx.Now(), Kind: obs.SpanByzDetect,
@@ -603,11 +598,11 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
-	if !ok || p.Tag == TagEcho || e.masked.Has(from) || e.heldTags[p.Tag] {
+	if !ok || p.Tag == TagEcho || e.masked.Has(from) || slices.Contains(e.opts.EchoTags, p.Tag) {
 		return true
 	}
-	if sn := e.seen[from]; sn != nil {
-		if _, dup := sn[seq]; dup {
+	if in := e.heard.Get(from); in != nil {
+		if _, dup := in.seen[seq]; dup {
 			return true // duplicate or replay: consumed internally
 		}
 	}
@@ -647,13 +642,8 @@ type peerSeqSnapshot struct {
 // endpoint.
 func (e *Endpoint) Snapshot() []byte {
 	snap := endpointSnapshot{Bid: e.bid, Masked: e.masked.Members()}
-	ids := make([]model.ProcID, 0, len(e.links))
-	for id := range e.links {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		snap.Peers = append(snap.Peers, peerSeqSnapshot{Peer: id, NextSeq: e.links[id].seq})
+	for _, id := range e.links.IDs(nil) {
+		snap.Peers = append(snap.Peers, peerSeqSnapshot{Peer: id, NextSeq: e.links.Get(id).seq})
 	}
 	if r, ok := e.inner.(node.Restarter); ok {
 		snap.Inner = r.Snapshot()
@@ -673,19 +663,18 @@ func (e *Endpoint) Snapshot() []byte {
 // that remember the first incarnation convict as replays: the byz-layer
 // echo of the reliable layer's amnesia argument (experiment E15). The bytes
 // were read back from storage, so process ids outside 1..N are dropped
-// rather than trusted.
+// rather than trusted; a peer the snapshot names twice gets its last entry.
 func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	e.witnesses = 0
 	e.resolve(ctx)
-	e.links = make(map[model.ProcID]*link)
+	e.links = node.Table[link]{}
 	e.bid = 0
 	e.haveLast = false
 	e.lastTag = ""
 	e.lastSubject = model.None
 	e.lastData = nil
-	e.seen = make(map[model.ProcID]map[uint64]int64)
+	e.heard = node.Table[inbound]{}
 	e.masked = nil
-	e.rounds = make(map[model.ProcID]map[uint64]*round)
 	e.open, e.stale = nil, false
 	var innerState []byte
 	if len(state) > 0 {
@@ -700,7 +689,8 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 			}
 			for _, ps := range snap.Peers {
 				if inRange(ps.Peer) {
-					e.links[ps.Peer] = &link{seq: ps.NextSeq}
+					l, _ := e.links.Add(ps.Peer)
+					*l = link{seq: ps.NextSeq}
 				}
 			}
 			innerState = snap.Inner

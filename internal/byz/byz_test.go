@@ -1,6 +1,7 @@
 package byz
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -263,8 +264,14 @@ func TestEchoNamingNoProcessIsDropped(t *testing.T) {
 			t.Errorf("origin %d masked", origin)
 		}
 	}
-	if len(e.open) != 0 || len(e.rounds) != 0 {
-		t.Errorf("%d open rounds and %d origins opened by echoes about no process, want none", len(e.open), len(e.rounds))
+	opened := 0
+	for _, id := range e.heard.IDs(nil) {
+		if e.heard.Get(id).rounds != nil {
+			opened++
+		}
+	}
+	if len(e.open) != 0 || opened != 0 {
+		t.Errorf("%d open rounds and %d origins opened by echoes about no process, want none", len(e.open), opened)
 	}
 	if detected, _ := e.ByzStats(); detected != 0 {
 		t.Errorf("%d convictions, want 0", detected)
@@ -289,28 +296,69 @@ func TestRestartDropsOutOfRangePeers(t *testing.T) {
 	if !e.Masked(2) || e.Masked(-3) || e.Masked(9) {
 		t.Errorf("masked after restart: 2=%v -3=%v 9=%v, want only 2", e.Masked(2), e.Masked(-3), e.Masked(9))
 	}
-	if len(e.links) != 1 || e.links[3] == nil || e.links[3].seq != 6 {
-		t.Errorf("restored links %v, want only peer 3 at 6", e.links)
+	if l := e.links.Get(3); e.links.Len() != 1 || l == nil || l.seq != 6 {
+		t.Errorf("restored links to %v, want only peer 3 at 6", e.links.IDs(nil))
 	}
 	if got, want := string(e.Snapshot()), `{"masked":[2],"bid":4,"peers":[{"peer":3,"next_seq":6}]}`; got != want {
 		t.Errorf("snapshot after restart = %s, want %s", got, want)
 	}
 }
 
+// restoredSnapshot is what Snapshot must return right after OnRestart(state)
+// in an n-process system: the stored masked set and links read into Go maps
+// — so the last entry for a peer wins — keeping ids in 1..n, and listed once
+// each in id order.
+func restoredSnapshot(n int, state []byte) string {
+	var snap endpointSnapshot
+	if len(state) == 0 || json.Unmarshal(state, &snap) != nil {
+		return "{}"
+	}
+	masked, seq := map[model.ProcID]bool{}, map[model.ProcID]uint64{}
+	for _, p := range snap.Masked {
+		masked[p] = true
+	}
+	for _, ps := range snap.Peers {
+		seq[ps.Peer] = ps.NextSeq
+	}
+	out := endpointSnapshot{Bid: snap.Bid}
+	for id := model.ProcID(1); int(id) <= n; id++ {
+		if masked[id] {
+			out.Masked = append(out.Masked, id)
+		}
+		if s, ok := seq[id]; ok {
+			out.Peers = append(out.Peers, peerSeqSnapshot{Peer: id, NextSeq: s})
+		}
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
 // FuzzByzOnRestart: whatever bytes storage hands back, OnRestart must not
-// panic, and the endpoint must still seal what it sends and release what an
-// unmasked peer sends it.
+// panic, must keep one sequence counter per peer — the snapshot's last entry
+// for it — so that Snapshot then lists each peer once, in id order, and the
+// endpoint must still seal what it sends and release what an unmasked peer
+// sends it.
 func FuzzByzOnRestart(f *testing.F) {
 	f.Add([]byte(`{"masked":[2],"bid":4,"peers":[{"peer":3,"next_seq":6}],"inner":"AQI="}`))
 	f.Add([]byte(`{"masked":[-3,2,9],"bid":4,"peers":[{"peer":-1,"next_seq":5},{"peer":70000,"next_seq":7}]}`))
 	f.Add([]byte(`{"masked":[-9223372036854775808],"bid":18446744073709551615,"peers":[{"peer":2,"next_seq":18446744073709551615}]}`))
 	f.Add([]byte(`{"masked":"all"}`))
 	f.Add([]byte(nil))
+	// Peer 3 named twice around peer 2, and 2 masked twice: one counter per
+	// peer, the last one stored.
+	f.Add([]byte(`{"masked":[3,2,3],"bid":9,"peers":[{"peer":3,"next_seq":8},{"peer":2,"next_seq":1},{"peer":3,"next_seq":5}]}`))
+	f.Add([]byte(`{"bid":2,"peers":[{"peer":2,"next_seq":4},{"peer":3,"next_seq":6},{"peer":2,"next_seq":0}]}`))
 	f.Fuzz(func(t *testing.T, state []byte) {
 		ctx := &byzFakeCtx{self: 1, n: 3}
 		inner := &benchSink{}
 		e := Wrap(inner, Options{Enabled: true, Witnesses: 1})
 		e.OnRestart(ctx, state)
+		if got, want := string(e.Snapshot()), restoredSnapshot(ctx.n, state); got != want {
+			t.Fatalf("snapshot after restart = %s, want %s", got, want)
+		}
 		app := node.Payload{Tag: "APP", Data: []byte("after")}
 		e.Context(ctx).Send(2, app)
 		if len(ctx.sends) != 1 {

@@ -550,11 +550,6 @@ func (d *Detector) ForEachPeer(fn func(q model.ProcID)) {
 	}
 }
 
-// PoolSize returns the number of processes (self included) whose testimony
-// counts toward this detector's quorums — N under the complete graph, the
-// neighborhood size plus one under a partial topology. Valid after Init.
-func (d *Detector) PoolSize() int { return d.pool.Size() }
-
 // encodeProcIDs packs process ids one byte each (ids are <= 255).
 func encodeProcIDs(ps []model.ProcID) []byte {
 	if len(ps) == 0 {

@@ -41,7 +41,10 @@ type Heartbeat struct {
 	// which lets experiments demonstrate the FS1 violation directly).
 	Timeout int64
 
-	lastHeard map[model.ProcID]int64
+	// lastHeard is, per monitored peer, when its last heartbeat arrived (or
+	// Init ran). Heartbeats from anyone else are not recorded: no check
+	// reads them.
+	lastHeard node.Table[int64]
 }
 
 var _ core.Component = (*Heartbeat)(nil)
@@ -53,9 +56,10 @@ func (h *Heartbeat) Init(ctx node.Context, d *core.Detector) {
 	}
 	// Monitor the detector's broadcast peers — the whole cluster under the
 	// complete graph, the topology neighborhood under a partial one.
-	h.lastHeard = make(map[model.ProcID]int64, d.PoolSize())
+	h.lastHeard = node.Table[int64]{}
 	d.ForEachPeer(func(p model.ProcID) {
-		h.lastHeard[p] = ctx.Now()
+		last, _ := h.lastHeard.Add(p)
+		*last = ctx.Now()
 	})
 	ctx.SetTimer(timerBeat, h.Interval)
 	if h.Timeout > 0 {
@@ -75,8 +79,11 @@ func (h *Heartbeat) checkEvery() int64 {
 
 // OnMessage implements core.Component: records heartbeat arrivals.
 func (h *Heartbeat) OnMessage(ctx node.Context, d *core.Detector, from model.ProcID, p node.Payload) {
-	if p.Tag == TagHeartbeat {
-		h.lastHeard[from] = ctx.Now()
+	if p.Tag != TagHeartbeat {
+		return
+	}
+	if last := h.lastHeard.Get(from); last != nil {
+		*last = ctx.Now()
 	}
 }
 
@@ -90,17 +97,16 @@ func (h *Heartbeat) OnTimer(ctx node.Context, d *core.Detector, name string) {
 		})
 		ctx.SetTimer(timerBeat, h.Interval)
 	case timerCheck:
-		// Walk peers in PID order (ForEachPeer is ascending), not map
+		// Walk peers in PID order (ForEachPeer is ascending), not table
 		// order: when several peers time out on the same check tick, the
-		// order of Suspect calls orders their protocol messages, and a map
-		// range would make the whole run nondeterministic.
+		// order of Suspect calls orders their protocol messages.
 		now := ctx.Now()
 		d.ForEachPeer(func(p model.ProcID) {
-			last, ok := h.lastHeard[p]
-			if !ok || d.Detected(p) || d.Suspects(p) {
+			last := h.lastHeard.Get(p)
+			if last == nil || d.Detected(p) || d.Suspects(p) {
 				return
 			}
-			if now-last >= h.Timeout {
+			if now-*last >= h.Timeout {
 				d.Suspect(ctx, p)
 			}
 		})
@@ -122,8 +128,16 @@ type Adaptive struct {
 	// MinTimeout floors the computed timeout. Default 2*Interval.
 	MinTimeout int64
 
-	stats     map[model.ProcID]*arrivalStats
-	lastHeard map[model.ProcID]int64
+	// peers holds, per monitored peer, its heartbeat arrivals. Heartbeats
+	// from anyone else are not recorded: no check reads them.
+	peers node.Table[arrivals]
+}
+
+// arrivals is one peer's heartbeat history: when the last one arrived (or
+// Init ran), and the inter-arrival times since.
+type arrivals struct {
+	last  int64
+	stats arrivalStats
 }
 
 type arrivalStats struct {
@@ -168,11 +182,10 @@ func (a *Adaptive) Init(ctx node.Context, d *core.Detector) {
 	if a.MinTimeout == 0 {
 		a.MinTimeout = 2 * a.Interval
 	}
-	a.stats = make(map[model.ProcID]*arrivalStats, d.PoolSize())
-	a.lastHeard = make(map[model.ProcID]int64, d.PoolSize())
+	a.peers = node.Table[arrivals]{}
 	d.ForEachPeer(func(p model.ProcID) {
-		a.lastHeard[p] = ctx.Now()
-		a.stats[p] = &arrivalStats{}
+		pa, _ := a.peers.Add(p)
+		pa.last = ctx.Now()
 	})
 	ctx.SetTimer(timerBeat, a.Interval)
 	ctx.SetTimer(timerCheck, a.Interval)
@@ -183,11 +196,11 @@ func (a *Adaptive) OnMessage(ctx node.Context, d *core.Detector, from model.Proc
 	if p.Tag != TagHeartbeat {
 		return
 	}
-	now := ctx.Now()
-	if last, ok := a.lastHeard[from]; ok {
-		a.stats[from].add(float64(now - last))
+	if pa := a.peers.Get(from); pa != nil {
+		now := ctx.Now()
+		pa.stats.add(float64(now - pa.last))
+		pa.last = now
 	}
-	a.lastHeard[from] = now
 }
 
 // OnTimer implements core.Component.
@@ -203,11 +216,11 @@ func (a *Adaptive) OnTimer(ctx node.Context, d *core.Detector, name string) {
 		// timeouts must suspect in a deterministic order.
 		now := ctx.Now()
 		d.ForEachPeer(func(p model.ProcID) {
-			last, ok := a.lastHeard[p]
-			if !ok || d.Detected(p) || d.Suspects(p) {
+			pa := a.peers.Get(p)
+			if pa == nil || d.Detected(p) || d.Suspects(p) {
 				return
 			}
-			st := a.stats[p]
+			last, st := pa.last, &pa.stats
 			limit := float64(a.MinTimeout)
 			if st.n >= 2 {
 				adaptive := st.mean + a.Phi*st.stddev()

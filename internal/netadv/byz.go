@@ -2,6 +2,7 @@ package netadv
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"failstop/internal/byz"
@@ -156,12 +157,14 @@ func (p Plan) validateByz(n int) error {
 	return nil
 }
 
-// compiledByz is a ByzRule with its selectors resolved into constant-time
-// lookups.
+// compiledByz is a ByzRule with its equivocation groups resolved into a
+// constant-time lookup; its Tags, a short list, are scanned.
 type compiledByz struct {
 	ByzRule
-	tags    map[string]bool
-	groupOf map[model.ProcID]int // receiver -> equivocation group
+	groupOf node.Table[int] // receiver -> equivocation group
+	// replayMem is, per directed link, the last matching wire payload — the
+	// frame the rule's replays re-inject.
+	replayMem node.Table[node.Payload]
 }
 
 func (cb *compiledByz) activeAt(at int64) bool {
@@ -172,14 +175,7 @@ func (cb *compiledByz) matches(from model.ProcID, tag string) bool {
 	if from != cb.Victim {
 		return false
 	}
-	return len(cb.tags) == 0 || cb.tags[tag]
-}
-
-// byzKey identifies one Byzantine rule's replay memory on one directed
-// link.
-type byzKey struct {
-	rule int
-	link Link
+	return len(cb.Tags) == 0 || slices.Contains(cb.Tags, tag)
 }
 
 // applyByz applies the plan's Byzantine rules to one decided message,
@@ -188,7 +184,7 @@ type byzKey struct {
 // stream over (seed, rule, link, index) — separate from the network rules'
 // shared stream, so adding Byzantine rules to a plan never shifts the
 // fates its existing rules assign.
-func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.Payload, link Link, idx uint64, at int64) {
+func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.Payload, idx uint64, at int64) {
 	if len(pl.byzRules) == 0 || dec.Drop {
 		return
 	}
@@ -199,11 +195,11 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 		if !cb.activeAt(at) || !cb.matches(from, p.Tag) {
 			continue
 		}
-		brng := newByzStream(pl.seed, bi, link, idx)
+		brng := newByzStream(pl.seed, bi, from, to, idx)
 		corruptRoll := brng.float64()
 		replayRoll := brng.float64()
 		delta := 1 + int(brng.uint64()%uint64(pl.n-1))
-		if g, ok := cb.groupOf[to]; ok && g > 0 {
+		if g := groupIndex(&cb.groupOf, to); g > 0 {
 			// Equivocation: this receiver's group sees the subject rotated
 			// by the group index, resealed so the variant authenticates.
 			wire = equivocatePayload(wire, from, g, pl.n)
@@ -218,10 +214,10 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 		}
 		if cb.Replay > 0 && replayRoll < cb.Replay {
 			pl.mu.Lock()
-			mem, ok := pl.replayMem[byzKey{rule: bi, link: link}]
+			mem := cb.replayMem.GetLink(from, to)
 			pl.mu.Unlock()
-			if ok {
-				dec.Replay = &node.ReplayedCopy{Payload: mem, Delay: cb.ReplayDelay}
+			if mem != nil {
+				dec.Replay = &node.ReplayedCopy{Payload: *mem, Delay: cb.ReplayDelay}
 				pl.cReplayed.Inc()
 			}
 			anyReplay = true
@@ -239,7 +235,8 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 	for bi := range pl.byzRules {
 		cb := &pl.byzRules[bi]
 		if cb.Replay > 0 && cb.activeAt(at) && cb.matches(from, p.Tag) {
-			pl.replayMem[byzKey{rule: bi, link: link}] = wire
+			mem, _ := cb.replayMem.AddLink(from, to)
+			*mem = wire
 		}
 	}
 	pl.mu.Unlock()
@@ -301,7 +298,7 @@ func sealedBodyOffset(data []byte) (off int, ok bool) {
 // newByzStream seeds one Byzantine rule's lazy fate stream for one message:
 // a distinct salt and the rule index keep it independent of the network
 // rules' shared stream and of every other Byzantine rule.
-func newByzStream(seed int64, rule int, l Link, idx uint64) stream {
+func newByzStream(seed int64, rule int, from, to model.ProcID, idx uint64) stream {
 	const byzSalt = 0x7c3d1e9a55f20b64
-	return newStream(int64(model.Mix(uint64(seed)^byzSalt^uint64(rule)*0x9e3779b97f4a7c15)), l, idx)
+	return newStream(int64(model.Mix(uint64(seed)^byzSalt^uint64(rule)*0x9e3779b97f4a7c15)), from, to, idx)
 }

@@ -23,6 +23,7 @@ package netadv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -409,19 +410,23 @@ func (p Plan) Validate(n int) error {
 	return p.validateByz(n)
 }
 
-// compiledRule is a Rule with its link and tag selectors resolved into
-// constant-time lookups. A rule whose window was already over when the
-// plane was built compiles dead: its selector maps are never allocated and
-// activeAt short-circuits — but it keeps its slot in the rule list, because
-// Decide's PRNG stream draws per compiled rule and removing one would shift
-// the fates every later rule assigns.
+// compiledRule is a Rule with its link selectors resolved into constant-time
+// lookups; its Tags, a short list, are scanned. A rule whose window was
+// already over when the plane was built compiles dead: its selector tables
+// are never built and activeAt short-circuits — but it keeps its slot in the
+// rule list, because Decide's PRNG stream draws per compiled rule and
+// removing one would shift the fates every later rule assigns.
 type compiledRule struct {
 	Rule
 	dead    bool
-	groupOf map[model.ProcID]int // proc -> group index; absent = residual
-	pairs   map[Link]bool
-	tags    map[string]bool
-	top     *topo.Topology // resolves Regions/Racks selectors; nil otherwise
+	groupOf node.Table[int]      // proc -> group index; absent = residual
+	pairs   node.Table[struct{}] // the Pairs links
+	top     *topo.Topology       // resolves Regions/Racks selectors; nil otherwise
+	// busyUntil is, per directed link, the virtual time at which the link's
+	// in-flight backlog under the rule's QueueDelay drains: each charged
+	// message occupies the link for QueueDelay ticks, so the current queue
+	// depth is ceil((busyUntil - now) / QueueDelay).
+	busyUntil node.Table[int64]
 }
 
 func (cr *compiledRule) activeAt(at int64) bool {
@@ -449,13 +454,13 @@ func (cr *compiledRule) healAt(at int64) int64 {
 }
 
 func (cr *compiledRule) matches(from, to model.ProcID, tag string) bool {
-	if len(cr.tags) > 0 && !cr.tags[tag] {
+	if len(cr.Tags) > 0 && !slices.Contains(cr.Tags, tag) {
 		return false
 	}
 	if cr.Links.Empty() {
 		return true
 	}
-	if cr.pairs[Link{From: from, To: to}] {
+	if cr.pairs.GetLink(from, to) != nil {
 		return true
 	}
 	if cr.top != nil {
@@ -472,27 +477,43 @@ func (cr *compiledRule) matches(from, to model.ProcID, tag string) bool {
 			}
 		}
 	}
-	if len(cr.groupOf) > 0 {
-		// Unlisted processes share the residual group (index -1).
-		gf, okf := cr.groupOf[from]
-		gt, okt := cr.groupOf[to]
-		if !okf {
-			gf = -1
-		}
-		if !okt {
-			gt = -1
-		}
-		if gf != gt {
-			return true
-		}
+	if cr.groupOf.Len() > 0 {
+		return groupIndex(&cr.groupOf, from) != groupIndex(&cr.groupOf, to)
 	}
 	return false
+}
+
+// groupIndex returns p's group in a compiled group selector: its index, or -1
+// for the residual group of processes no group lists.
+func groupIndex(groups *node.Table[int], p model.ProcID) int {
+	if g := groups.Get(p); g != nil {
+		return *g
+	}
+	return -1
+}
+
+// compileGroups resolves process groups into the table groupIndex reads.
+func compileGroups(groups [][]model.ProcID) node.Table[int] {
+	var t node.Table[int]
+	for gi, g := range groups {
+		for _, proc := range g {
+			rec, _ := t.Add(proc)
+			*rec = gi
+		}
+	}
+	return t
 }
 
 // Plane is a Plan instantiated for one run of a concrete cluster: it tracks
 // per-link message indices and derives every probabilistic fate from them
 // and the seed. A Plane is goroutine-safe and implements node.LinkFn via
 // its Decide method.
+//
+// What the plane remembers per directed link — the message index here, a
+// shaping backlog or a replay memory in the rule that keeps it — sits in a
+// node.Table keyed by the link and made on the link's first use, so a run
+// pays for the links its processes actually use. The mutex guards every
+// one of those tables.
 type Plane struct {
 	plan     Plan
 	n        int
@@ -501,15 +522,7 @@ type Plane struct {
 	byzRules []compiledByz
 
 	mu  sync.Mutex
-	seq map[Link]uint64
-	// busyUntil tracks, per (QueueDelay rule, link), the virtual time at
-	// which the link's in-flight backlog drains: each charged message
-	// occupies the link for QueueDelay ticks, so the current queue depth is
-	// ceil((busyUntil - now) / QueueDelay).
-	busyUntil map[busyKey]int64
-	// replayMem remembers, per (Replay rule, link), the last matching wire
-	// payload — the frame a Byzantine replay re-injects.
-	replayMem map[byzKey]node.Payload
+	seq node.Table[uint64] // per directed link: the messages it has carried
 
 	// Fate counters, incremented once per decided message from the final
 	// decision (never per rule), so composed rules do not double-count.
@@ -524,12 +537,6 @@ type Plane struct {
 	cCorrupted   obs.Counter
 	cEquivocated obs.Counter
 	cReplayed    obs.Counter
-}
-
-// busyKey identifies one shaping rule's queue on one directed link.
-type busyKey struct {
-	rule int
-	link Link
 }
 
 // NewPlane instantiates plan for a cluster of n processes, deriving all
@@ -549,11 +556,7 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 	if err := plan.Validate(n); err != nil {
 		panic(err)
 	}
-	pl := &Plane{
-		plan: plan, n: n, seed: seed,
-		seq: make(map[Link]uint64), busyUntil: make(map[busyKey]int64),
-		replayMem: make(map[byzKey]node.Payload),
-	}
+	pl := &Plane{plan: plan, n: n, seed: seed, seq: node.NewLinkTable[uint64](n)}
 	var top *topo.Topology
 	if plan.Topo != nil {
 		top = topo.MustNew(*plan.Topo, n) // validated above
@@ -565,25 +568,11 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 			pl.rules = append(pl.rules, cr)
 			continue
 		}
-		if len(r.Links.Groups) > 0 {
-			cr.groupOf = make(map[model.ProcID]int)
-			for gi, g := range r.Links.Groups {
-				for _, proc := range g {
-					cr.groupOf[proc] = gi
-				}
-			}
-		}
-		if len(r.Links.Pairs) > 0 {
-			cr.pairs = make(map[Link]bool, len(r.Links.Pairs))
-			for _, l := range r.Links.Pairs {
-				cr.pairs[l] = true
-			}
-		}
-		if len(r.Tags) > 0 {
-			cr.tags = make(map[string]bool, len(r.Tags))
-			for _, t := range r.Tags {
-				cr.tags[t] = true
-			}
+		cr.groupOf = compileGroups(r.Links.Groups)
+		cr.busyUntil = node.NewLinkTable[int64](n)
+		cr.pairs = node.NewLinkTable[struct{}](n)
+		for _, l := range r.Links.Pairs {
+			cr.pairs.AddLink(l.From, l.To)
 		}
 		if len(r.Links.Regions) > 0 || len(r.Links.Racks) > 0 {
 			cr.top = top
@@ -592,20 +581,8 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 	}
 	for _, b := range plan.Byz {
 		cb := compiledByz{ByzRule: b}
-		if len(b.Tags) > 0 {
-			cb.tags = make(map[string]bool, len(b.Tags))
-			for _, t := range b.Tags {
-				cb.tags[t] = true
-			}
-		}
-		if len(b.Equivocate) > 0 {
-			cb.groupOf = make(map[model.ProcID]int)
-			for gi, g := range b.Equivocate {
-				for _, proc := range g {
-					cb.groupOf[proc] = gi
-				}
-			}
-		}
+		cb.groupOf = compileGroups(b.Equivocate)
+		cb.replayMem = node.NewLinkTable[node.Payload](n)
 		pl.byzRules = append(pl.byzRules, cb)
 	}
 	return pl
@@ -684,10 +661,10 @@ func (pl *Plane) Decide(from, to model.ProcID, p node.Payload, at int64) node.Li
 	// position in the link's send sequence, never on how rule windows
 	// happened to line up with (wall-clock-derived) send times. This is
 	// what keeps fates reproducible on the live runtime.
-	link := Link{From: from, To: to}
 	pl.mu.Lock()
-	idx := pl.seq[link]
-	pl.seq[link] = idx + 1
+	seq, _ := pl.seq.AddLink(from, to)
+	idx := *seq
+	*seq++
 	pl.mu.Unlock()
 
 	// Fast path: no rule (network or Byzantine) is active and matching.
@@ -712,7 +689,7 @@ func (pl *Plane) Decide(from, to model.ProcID, p node.Payload, at int64) node.Li
 
 	var held int64
 	if anyMatch {
-		rng := newStream(pl.seed, link, idx)
+		rng := newStream(pl.seed, from, to, idx)
 		for i := range pl.rules {
 			cr := &pl.rules[i]
 			// Consume the stream identically whether or not the rule is
@@ -747,29 +724,26 @@ func (pl *Plane) Decide(from, to model.ProcID, p node.Payload, at int64) node.Li
 				dec.ExtraDelay += int64(jit % uint64(cr.JitterMax+1))
 			}
 			if cr.QueueDelay > 0 {
-				dec.ExtraDelay += pl.shape(i, link, at, cr.QueueDelay)
+				dec.ExtraDelay += pl.shape(cr, from, to, at)
 			}
 		}
 	}
-	pl.applyByz(&dec, from, to, p, link, idx, at)
+	pl.applyByz(&dec, from, to, p, idx, at)
 	pl.count(dec, held)
 	return dec
 }
 
-// shape charges one message of per ticks of link time against rule ri's
-// queue on link l and returns how long the message waits for the backlog
-// ahead of it to drain. The wait is a pure function of the link's send
-// times, not of the PRNG stream, so shaping composes with the
+// shape charges one message of QueueDelay ticks of link time against rule
+// cr's queue on the link from → to and returns how long the message waits
+// for the backlog ahead of it to drain. The wait is a pure function of the
+// link's send times, not of the PRNG stream, so shaping composes with the
 // probabilistic fates without shifting them.
-func (pl *Plane) shape(ri int, l Link, at, per int64) int64 {
+func (pl *Plane) shape(cr *compiledRule, from, to model.ProcID, at int64) int64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	k := busyKey{rule: ri, link: l}
-	wait := pl.busyUntil[k] - at
-	if wait < 0 {
-		wait = 0
-	}
-	pl.busyUntil[k] = at + wait + per
+	busy, _ := cr.busyUntil.AddLink(from, to)
+	wait := max(*busy-at, 0)
+	*busy = at + wait + cr.QueueDelay
 	return wait
 }
 
@@ -778,10 +752,10 @@ func (pl *Plane) shape(ri int, l Link, at, per int64) int64 {
 // platform-independent, unlike math/rand, so fates are stable everywhere.
 type stream struct{ x uint64 }
 
-func newStream(seed int64, l Link, idx uint64) stream {
+func newStream(seed int64, from, to model.ProcID, idx uint64) stream {
 	x := uint64(seed)
-	x = model.Mix(x ^ uint64(l.From)*0x9e3779b97f4a7c15)
-	x = model.Mix(x ^ uint64(l.To)*0xbf58476d1ce4e5b9)
+	x = model.Mix(x ^ uint64(from)*0x9e3779b97f4a7c15)
+	x = model.Mix(x ^ uint64(to)*0xbf58476d1ce4e5b9)
 	x = model.Mix(x ^ idx*0x94d049bb133111eb)
 	return stream{x: x}
 }

@@ -31,9 +31,8 @@ func TestDeadRuleCompileSkipsMaps(t *testing.T) {
 	if !dead.dead {
 		t.Fatal("expired rule did not compile dead")
 	}
-	if dead.groupOf != nil || dead.pairs != nil || dead.tags != nil {
-		t.Errorf("dead rule allocated selector maps: groupOf=%v pairs=%v tags=%v",
-			dead.groupOf, dead.pairs, dead.tags)
+	if dead.groupOf.Len() != 0 || dead.pairs.Len() != 0 {
+		t.Errorf("dead rule built selectors: %d groupOf entries, %d pairs", dead.groupOf.Len(), dead.pairs.Len())
 	}
 	if pl.rules[1].dead {
 		t.Error("live rule compiled dead")

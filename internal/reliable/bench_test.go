@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/sim"
 )
@@ -76,29 +77,51 @@ func TestReliableDrop0AllocBudget(t *testing.T) {
 
 // TestEndpointFootprintSmall: what an endpoint reserves stays proportional
 // to what it actually sends — 2,000 endpoints that each put three frames on
-// the wire cost under 2 KiB apiece all told. About 1 KiB of that is the
-// endpoint, its one link and the unacked queue, so the bound holds the link's
-// arena under 1 KiB — a page-sized first chunk would triple the figure.
+// the wire cost under 2 KiB apiece all told. About 1.5 KiB of that is the
+// endpoint, its peer table (whose first chunk holds six links' records) and
+// the unacked queue, so the bound holds the link's arena under 0.5 KiB — a
+// page-sized first chunk would triple the figure. An
+// endpoint that sends three frames to each of 16 peers whose ids are spread
+// over 1..10,000 costs under 1 KiB a peer more (≈ 16,600 B in all, ≈ 16,000 B
+// while a Go map held the peers): a table sized by n or by the largest id,
+// both 10,000, would add at least 5 KiB a peer.
 func TestEndpointFootprintSmall(t *testing.T) {
-	ctx := newFakeCtx(1)
-	build := func() {
-		e := Wrap(idle{}, Options{Enabled: true})
-		for k := 0; k < 3; k++ {
-			e.Context(ctx).Send(2, node.Payload{Tag: "APP", Data: []byte("payload")})
+	spread := make([]model.ProcID, 16)
+	for i := range spread {
+		spread[i] = model.ProcID(10_000 - 613*i)
+	}
+	for _, tc := range []struct {
+		name  string
+		peers []model.ProcID
+		bound uint64
+	}{
+		{"one peer", []model.ProcID{2}, 2048},
+		{"16 peers spread over 1..10,000", spread, 2048 + 16*1024},
+	} {
+		ctx := newFakeCtx(1)
+		ctx.n = 10_000
+		build := func() {
+			e := Wrap(idle{}, Options{Enabled: true})
+			for _, p := range tc.peers {
+				for k := 0; k < 3; k++ {
+					e.Context(ctx).Send(p, node.Payload{Tag: "APP", Data: []byte("payload")})
+				}
+			}
+			ctx.sends = ctx.sends[:0]
+			clear(ctx.timers)
 		}
-		ctx.sends = ctx.sends[:0]
-	}
-	build() // size the fake context's send log
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 2000; i++ {
-		build()
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / 2000
-	t.Logf("an endpoint that sent 3 frames allocated %d B", per)
-	if per >= 2048 {
-		t.Errorf("an endpoint that sent 3 frames allocated %d B, want < 2048", per)
+		build() // size the fake context's send log and timer map
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 2000; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / 2000
+		t.Logf("%s: an endpoint that sent 3 frames to each allocated %d B", tc.name, per)
+		if per >= tc.bound {
+			t.Errorf("%s: an endpoint that sent 3 frames to each allocated %d B, want < %d", tc.name, per, tc.bound)
+		}
 	}
 }
 

@@ -34,22 +34,26 @@
 // with the same semantics.
 //
 // Data layout. Per-peer state is materialized on first use, so an endpoint
-// costs what the links it actually speaks cost. Each link's unacked queue is
-// ascending by sequence number by construction (send appends the next
-// number; OnRestart sorts what it reads back), which is what lets a
-// cumulative ack return at once when it covers nothing and otherwise retire
-// a prefix, and lets a retry round update due frames where they lie —
-// the queue is compacted only when the retry budget abandons a frame, and
-// retired slots are cleared so acked payloads are not pinned. Wire bytes
-// (the 25-byte header plus the payload, and every ack) are carved from one
-// node.Arena per link rather than allocated per frame; the arena only bumps
-// forward, because the host may keep a sent frame for as long as it likes —
-// and it is the link's, not the endpoint's, so frames a host never lets go
-// of (in flight to a crashed peer) pin that link's chunks and no other's.
-// The "rel/<peer>" timer name is built once per peer. The inner
-// handler sees one context wrapper per endpoint, rebound to the host's
-// context at every callback entry — node.Context limits a context to the
-// callback that received it, and hosts serialize a process's callbacks.
+// costs what the links it actually speaks cost, and is found in a node.Table
+// keyed by the peer's id: a full mesh's peers sit in their home slots, so a
+// frame finds its link without hashing, and a record never moves, so a
+// callback may keep one peer's state while the inner handler's sends add
+// another. Each link's unacked queue is ascending by sequence number by
+// construction (send appends the next number; OnRestart sorts what it reads
+// back), which is what lets a cumulative ack return at once when it covers
+// nothing and otherwise retire a prefix, and lets a retry round update due
+// frames where they lie — the queue is compacted only when the retry budget
+// abandons a frame, and retired slots are cleared so acked payloads are not
+// pinned. Wire bytes (the 25-byte header plus the payload, and every ack)
+// are carved from one node.Arena per link rather than allocated per frame;
+// the arena only bumps forward, because the host may keep a sent frame for
+// as long as it likes — and it is the link's, not the endpoint's, so frames
+// a host never lets go of (in flight to a crashed peer) pin that link's
+// chunks and no other's. The "rel/<peer>" timer name is built once per
+// peer. The inner handler sees one context wrapper per endpoint, rebound to
+// the host's context at every callback entry — node.Context limits a context
+// to the callback that received it, and hosts serialize a process's
+// callbacks.
 package reliable
 
 import (
@@ -192,7 +196,7 @@ func (ps *peerState) base() uint64 {
 type Endpoint struct {
 	inner node.Handler
 	opts  Options
-	peers map[model.ProcID]*peerState
+	peers node.Table[peerState]
 	spans *obs.SpanRecorder
 
 	ctx    relCtx // the one context the inner handler sees
@@ -215,11 +219,7 @@ func Wrap(inner node.Handler, opts Options) *Endpoint {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	e := &Endpoint{
-		inner: inner,
-		opts:  opts.withDefaults(),
-		peers: make(map[model.ProcID]*peerState),
-	}
+	e := &Endpoint{inner: inner, opts: opts.withDefaults()}
 	e.ctx.e = e
 	return e
 }
@@ -261,22 +261,22 @@ func (c *relCtx) Send(to model.ProcID, p node.Payload) {
 	c.e.send(c.Context, to, p)
 }
 
+// peer returns the state of the link to p, made on first use.
 func (e *Endpoint) peer(p model.ProcID) *peerState {
-	ps := e.peers[p]
-	if ps == nil {
-		ps = e.newPeer(p)
+	ps, added := e.peers.Add(p)
+	if added {
+		e.resetPeer(ps, p)
 	}
 	return ps
 }
 
-func (e *Endpoint) newPeer(p model.ProcID) *peerState {
-	ps := &peerState{
+// resetPeer makes ps the state of a link to p that has carried nothing.
+func (e *Endpoint) resetPeer(ps *peerState, p model.ProcID) {
+	*ps = peerState{
 		interval:     e.opts.RetryInterval,
 		timer:        timerPrefix + strconv.Itoa(int(p)),
 		nextExpected: 1,
 	}
-	e.peers[p] = ps
-	return ps
 }
 
 // Init implements node.Handler.
@@ -334,13 +334,8 @@ type frameSnapshot struct {
 // does not mutate the endpoint.
 func (e *Endpoint) Snapshot() []byte {
 	var snap endpointSnapshot
-	ids := make([]model.ProcID, 0, len(e.peers))
-	for id := range e.peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		ps := e.peers[id]
+	for _, id := range e.peers.IDs(nil) {
+		ps := e.peers.Get(id)
 		p := peerSnapshot{Peer: id, NextSeq: ps.nextSeq, NextExpected: ps.nextExpected}
 		for _, f := range ps.unacked {
 			p.Unacked = append(p.Unacked, frameSnapshot{
@@ -368,14 +363,15 @@ func (e *Endpoint) Snapshot() []byte {
 // interrupted. The bytes were read back from storage, so what they name is
 // checked before it is trusted: peers this process cannot send to and frames
 // outside the sequence space the snapshot itself claims are dropped, and the
-// rest are put in sequence order (the unacked queue's invariant). A nil or
-// undecodable state (amnesia) resets every link —
+// rest are put in sequence order (the unacked queue's invariant); a peer the
+// snapshot names twice gets its last entry. A nil or undecodable state
+// (amnesia) resets every link —
 // which also means a restarted amnesiac sender reuses sequence numbers its
 // peers have already seen, and its new frames die as duplicates until its
 // counters catch up: the classic argument for persistence-mediated
 // recovery, observable in experiment E15.
 func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
-	e.peers = make(map[model.ProcID]*peerState)
+	e.peers = node.Table[peerState]{}
 	var innerState []byte
 	if len(state) > 0 {
 		var snap endpointSnapshot
@@ -384,7 +380,8 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 				if p.Peer < 1 || int(p.Peer) > ctx.N() || p.Peer == ctx.Self() {
 					continue
 				}
-				ps := e.newPeer(p.Peer)
+				ps, _ := e.peers.Add(p.Peer)
+				e.resetPeer(ps, p.Peer)
 				ps.nextSeq, ps.nextExpected = p.NextSeq, max(p.NextExpected, 1)
 				for _, f := range p.Unacked {
 					if f.Seq == 0 || f.Seq > p.NextSeq {
@@ -620,7 +617,7 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	expected := uint64(1)
-	if ps := e.peers[from]; ps != nil {
+	if ps := e.peers.Get(from); ps != nil {
 		expected = ps.nextExpected
 	}
 	if wf.base > expected {

@@ -167,9 +167,12 @@ func TestMaxRetriesAbandonsIntoPermanentCut(t *testing.T) {
 	}
 }
 
-// fakeCtx is a minimal host context for unit-level endpoint tests.
+// fakeCtx is a minimal host context for unit-level endpoint tests: process
+// self of n (3 unless a test says otherwise), recording what is sent and
+// which timers are set.
 type fakeCtx struct {
 	self  model.ProcID
+	n     int
 	sends []struct {
 		to model.ProcID
 		p  node.Payload
@@ -179,11 +182,11 @@ type fakeCtx struct {
 }
 
 func newFakeCtx(self model.ProcID) *fakeCtx {
-	return &fakeCtx{self: self, timers: map[string]int64{}}
+	return &fakeCtx{self: self, n: 3, timers: map[string]int64{}}
 }
 
 func (c *fakeCtx) Self() model.ProcID { return c.self }
-func (c *fakeCtx) N() int             { return 3 }
+func (c *fakeCtx) N() int             { return c.n }
 func (c *fakeCtx) Now() int64         { return c.now }
 func (c *fakeCtx) Send(to model.ProcID, p node.Payload) {
 	c.sends = append(c.sends, struct {

@@ -2,9 +2,12 @@ package reliable
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
 
+	"failstop/internal/model"
 	"failstop/internal/netadv"
 	"failstop/internal/node"
 	"failstop/internal/recovery"
@@ -156,25 +159,72 @@ func TestRestartDropsOutOfRangePeers(t *testing.T) {
 	}
 	// A cumulative ack for 1 retires exactly the head.
 	e.processAck(e.peer(2), 1)
-	if q := e.peers[2].unacked; len(q) != 1 || q[0].seq != 3 {
+	if q := e.peers.Get(2).unacked; len(q) != 1 || q[0].seq != 3 {
 		t.Errorf("unacked after ack 1: %+v, want only seq 3", q)
 	}
 }
 
+// restoredSnapshot is what Snapshot must return right after OnRestart(state)
+// at process self of n: the stored peers read into a Go map — so the last
+// entry for a peer wins — after the checks OnRestart makes of stored bytes,
+// and listed once each in id order.
+func restoredSnapshot(self model.ProcID, n int, state []byte) string {
+	var snap endpointSnapshot
+	if len(state) == 0 || json.Unmarshal(state, &snap) != nil {
+		return "{}"
+	}
+	byPeer := map[model.ProcID]peerSnapshot{}
+	for _, p := range snap.Peers {
+		if p.Peer < 1 || int(p.Peer) > n || p.Peer == self {
+			continue
+		}
+		p.NextExpected = max(p.NextExpected, 1)
+		var kept []frameSnapshot
+		for _, f := range p.Unacked {
+			if f.Seq != 0 && f.Seq <= p.NextSeq {
+				kept = append(kept, f)
+			}
+		}
+		sort.Slice(kept, func(a, b int) bool { return kept[a].Seq < kept[b].Seq })
+		p.Unacked = kept
+		byPeer[p.Peer] = p
+	}
+	var out endpointSnapshot
+	for id := model.ProcID(1); int(id) <= n; id++ {
+		if p, ok := byPeer[id]; ok {
+			out.Peers = append(out.Peers, p)
+		}
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
 // FuzzReliableOnRestart: whatever bytes storage hands back, OnRestart must
-// not panic or arm a retry the host would reject, and the endpoint must
-// still send and release afterwards.
+// not panic or arm a retry the host would reject, must keep one state per
+// peer — the snapshot's last entry for it — so that Snapshot then lists each
+// peer once, in id order, and the endpoint must still send and release
+// afterwards.
 func FuzzReliableOnRestart(f *testing.F) {
 	f.Add([]byte(hostileSnapshot))
 	f.Add([]byte(`{"peers":[{"peer":2,"next_seq":2,"next_expected":3,"unacked":[{"seq":2,"tag":"SUSP","subject":3,"retries":1}]}],"inner":"AQI="}`))
 	f.Add([]byte(`{"peers":[{"peer":2,"next_seq":18446744073709551615,"next_expected":18446744073709551615}]}`))
 	f.Add([]byte(`{"peers":7}`))
 	f.Add([]byte(nil))
+	// Peer 3 named twice around peer 2: the second entry must replace the
+	// first whole, not add its frames to it.
+	f.Add([]byte(`{"peers":[{"peer":3,"next_seq":4,"next_expected":2,"unacked":[{"seq":4,"tag":"APP","retries":1},{"seq":3,"tag":"APP"}]},{"peer":2,"next_seq":1,"next_expected":1},{"peer":3,"next_seq":7,"next_expected":5,"unacked":[{"seq":6,"tag":"SUSP","subject":2}]}]}`))
+	f.Add([]byte(`{"peers":[{"peer":2,"next_seq":5,"next_expected":1,"unacked":[{"seq":5,"tag":"APP"}]},{"peer":2,"next_seq":2,"next_expected":9}]}`))
 	f.Fuzz(func(t *testing.T, state []byte) {
 		ctx := newFakeCtx(1)
 		rec := &recorder{}
 		e := Wrap(rec, Options{Enabled: true, MaxRetries: 2})
 		e.OnRestart(ctx, state)
+		if got, want := string(e.Snapshot()), restoredSnapshot(1, ctx.N(), state); got != want {
+			t.Fatalf("snapshot after restart = %s, want %s", got, want)
+		}
 		for round := 0; round < 4; round++ {
 			for name := range ctx.timers {
 				delete(ctx.timers, name)
