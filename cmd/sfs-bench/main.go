@@ -1,7 +1,8 @@
 // Command sfs-bench regenerates the paper-reproduction tables: one
-// experiment per theorem, figure, and worked example of the paper (the
-// E1..E12 index of DESIGN.md). Output is the data recorded in
-// EXPERIMENTS.md.
+// experiment per theorem, figure, and worked example of the paper (E1..E12),
+// the post-paper measurements E13..E16 and the ablations A1..A3, as listed
+// in the README's Experiments section. A full run prints exactly
+// internal/experiments/testdata/experiments.golden.
 //
 // Usage:
 //

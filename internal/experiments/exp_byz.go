@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
 	"failstop/internal/byz"
 	"failstop/internal/checker"
-	"failstop/internal/cluster"
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
-	"failstop/internal/sim"
 	"failstop/internal/stats"
+	"failstop/internal/sweep"
 )
 
 // E16 measures the Byzantine-to-crash demotion the validation interposer
@@ -40,6 +37,7 @@ func E16() Result {
 		n, t  = 5, 2
 		seeds = 10
 	)
+	const title = "Byzantine demotion: accuracy under a corruption/equivocation/replay ladder, interposer off vs. on"
 	// Each mix spends the failure budget t on Byzantine victims alone:
 	// every demotion removes an echo witness from the quorum of
 	// (n-1)/2+1, so a ladder that also crashed an honest process would
@@ -84,99 +82,82 @@ func E16() Result {
 		},
 	}
 
-	type cellStats struct {
-		accuracy, safety, demoted int // runs on which each held
-		detected, masked          int // interposer counter totals
-	}
-	run := func(m mix, interpose bool) cellStats {
-		var cs cellStats
-		for seed := int64(1); seed <= seeds; seed++ {
-			plan := netadv.Plan{Name: "e16-" + m.name, Byz: m.rules}
-			c := cluster.New(cluster.Options{
-				Sim:       sim.Config{N: n, Seed: seed, MaxTime: 5000},
-				Det:       core.Config{N: n, T: t},
-				Faults:    &plan,
-				Byzantine: byz.Options{Enabled: interpose},
-			})
-			allowed := map[model.ProcID]bool{}
-			for _, v := range m.victims {
-				allowed[v] = true
-			}
-			// The Byzantine victims lie: false suspicions of honest
-			// processes, mutated in flight by the plan.
-			c.SuspectAt(20, 5, 3)
-			if len(m.victims) > 1 {
-				c.SuspectAt(24, 4, 2)
-			}
-			res := c.Run()
-			cs.detected += res.ByzDetected
-			cs.masked += res.ByzMasked
-
-			// Check on the application-visible history, as the facade
-			// does: the protocol's SUSP traffic and the interposer's echo
-			// broadcasts are transport, not observable behavior.
-			h := checker.Abstract(res.History, core.TagSusp)
-			if checker.Accuracy(h, allowed).Holds {
-				cs.accuracy++
-			}
-			safe := true
-			for _, v := range []checker.Verdict{
-				checker.SFS2b(h), checker.SFS2c(h), checker.SFS2d(h),
-			} {
-				safe = safe && v.Holds
-			}
-			if safe {
-				cs.safety++
-			}
-			// Demotion: every Byzantine victim ends up detected as a
-			// crashed process by some honest survivor.
-			demoted := true
-			for _, v := range m.victims {
-				found := false
-				for honest := model.ProcID(1); honest <= n; honest++ {
-					if honest != v && !allowed[honest] && h.FailedIndex(honest, v) >= 0 {
-						found = true
-						break
-					}
-				}
-				demoted = demoted && found
-			}
-			if interpose && demoted {
-				cs.demoted++
-			}
-		}
-		return cs
-	}
-
-	frac := func(k int) string { return fmt.Sprintf("%d/%d", k, seeds) }
 	tbl := stats.NewTable("mix", "interposer", "accuracy", "sFS2b-d", "demoted", "byz detected", "byz masked")
 	ok := true
 	for _, m := range mixes {
-		for _, interpose := range []bool{false, true} {
-			cs := run(m, interpose)
+		allowed := map[model.ProcID]bool{}
+		for _, v := range m.victims {
+			allowed[v] = true
+		}
+		rep, err := sweep.Run(sweep.Spec{
+			Grid: []sweep.NT{{N: n, T: t}},
+			// The Byzantine victims lie: false suspicions of honest
+			// processes, mutated in flight by the plan.
+			Schedules: []sweep.Schedule{{Name: "lies", Faults: func(sweep.NT, int64) []sweep.Fault {
+				fs := []sweep.Fault{{Kind: sweep.FaultSuspect, At: 20, Proc: 5, Target: 3}}
+				if len(m.victims) > 1 {
+					fs = append(fs, sweep.Fault{Kind: sweep.FaultSuspect, At: 24, Proc: 4, Target: 2})
+				}
+				return fs
+			}}},
+			Plans:     []netadv.Generator{netadv.Fixed(netadv.Plan{Name: "e16-" + m.name, Byz: m.rules})},
+			Byzantine: []byz.Options{{}, {Enabled: true}},
+			Seeds:     sweep.SeedRange{Start: 1, Count: seeds},
+			MaxTime:   5000,
+			Observe: func(cell sweep.Cell, _ int64, out sweep.RunOutput) map[string]bool {
+				// Check on the application-visible history, as the facade
+				// does: the protocol's SUSP traffic and the interposer's echo
+				// broadcasts are transport, not observable behavior.
+				h := checker.Abstract(out.Result.History, core.TagSusp)
+				// Demotion: every Byzantine victim ends up detected as a
+				// crashed process by some honest survivor.
+				demoted := true
+				for _, v := range m.victims {
+					found := false
+					for honest := model.ProcID(1); honest <= n; honest++ {
+						if honest != v && !allowed[honest] && h.FailedIndex(honest, v) >= 0 {
+							found = true
+							break
+						}
+					}
+					demoted = demoted && found
+				}
+				return map[string]bool{
+					"accuracy": checker.Accuracy(h, allowed).Holds,
+					"safety":   checker.SFS2b(h).Holds && checker.SFS2c(h).Holds && checker.SFS2d(h).Holds,
+					"demoted":  cell.Byzantine && demoted,
+				}
+			},
+		}, sweep.Options{})
+		if err != nil {
+			return Result{ID: "E16", Title: title, Notes: []string{err.Error()}}
+		}
+		for i := range rep.Cells { // the interposer off, then on
+			c := &rep.Cells[i]
 			mode := "off"
-			if interpose {
+			if c.Cell.Byzantine {
 				mode = "on"
 			}
-			tbl.Row(m.name, mode, frac(cs.accuracy), frac(cs.safety), frac(cs.demoted), cs.detected, cs.masked)
-			if interpose {
+			detected, masked := c.Obs["byz_detected_total"], c.Obs["byz_masked_total"]
+			tbl.Row(m.name, mode, frac(c, "accuracy"), frac(c, "safety"), frac(c, "demoted"), detected, masked)
+			if c.Cell.Byzantine {
 				// Masking restores accuracy and safety on every seed,
 				// convicts in every cell, and demotes every victim to a
 				// detected crash.
-				ok = ok && cs.accuracy == seeds && cs.safety == seeds &&
-					cs.demoted == seeds && cs.detected > 0
+				ok = ok && c.MetricAll("accuracy") && c.MetricAll("safety") &&
+					c.MetricAll("demoted") && detected > 0
 			} else {
 				// Bare detectors adopt forged suspicions: accuracy is
 				// violated on at least one seed of every mix, and the
 				// interposer counters stay silent.
-				ok = ok && cs.accuracy < seeds && cs.detected == 0 && cs.masked == 0
+				ok = ok && !c.MetricAll("accuracy") && detected == 0 && masked == 0
 			}
 		}
 	}
 
 	return Result{
 		ID:    "E16",
-		Title: "Byzantine demotion: accuracy under a corruption/equivocation/replay ladder, interposer off vs. on",
+		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

@@ -73,20 +73,24 @@ func e2Scenarios() []scenario {
 	}
 }
 
-// e2Schedules converts the scenario mix into sweep fault schedules sharing
-// protoRun's injection times (scenario.faults) and delay distribution, so
-// the engine's runs are event-for-event identical to protoRun's.
+// schedule is the scenario as a sweep fault schedule sharing protoRun's
+// injection times (scenario.faults) and delay distribution, so the engine's
+// runs are event-for-event identical to protoRun's.
+func (sc scenario) schedule() sweep.Schedule {
+	return sweep.Schedule{
+		Name:   sc.name,
+		Faults: func(sweep.NT, int64) []sweep.Fault { return sc.faults() },
+		Delay: func(nt sweep.NT, seed int64) sim.DelayFn {
+			return sweep.SlowKillDelay(seed, sc.slowKill...)
+		},
+	}
+}
+
+// e2Schedules is the scenario mix as sweep fault schedules.
 func e2Schedules() []sweep.Schedule {
 	var out []sweep.Schedule
 	for _, sc := range e2Scenarios() {
-		sc := sc
-		out = append(out, sweep.Schedule{
-			Name:   sc.name,
-			Faults: func(sweep.NT, int64) []sweep.Fault { return sc.faults() },
-			Delay: func(nt sweep.NT, seed int64) sim.DelayFn {
-				return sweep.SlowKillDelay(seed, sc.slowKill...)
-			},
-		})
+		out = append(out, sc.schedule())
 	}
 	return out
 }
@@ -127,59 +131,56 @@ func E2() Result {
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
-			fmt.Sprintf("n=%d, t=%d, %d quiescent runs over 5 scenario families (false, genuine, mutual, concurrent, mixed), swept on %d workers", n, t, total, rep.Workers),
+			fmt.Sprintf("n=%d, t=%d, %d quiescent runs over 5 scenario families (false, genuine, mutual, concurrent, mixed)", n, t, total),
 		},
 	}
 }
 
 // E3 verifies Theorem 2: Conditions 1–3 are necessary for
 // indistinguishability — they hold on every §5 run, and the unilateral
-// strawman (which is distinguishable) breaks Condition 1.
+// strawman (which is distinguishable) breaks Condition 1. Both protocols
+// run one false-suspicion pair through the sweep engine; an Observe hook
+// judges each run's abstract history.
 func E3() Result {
-	const n, seeds = 10, 10
+	const n, t, seeds = 10, 3, 10
+	const title = "Theorem 2: Conditions 1–3 are necessary — §5 satisfies them, the unilateral strawman breaks Condition 1"
+	sc := scenario{name: "false-pair", susp: [][2]model.ProcID{{2, 1}, {4, 3}}, slowKill: []model.ProcID{1, 3}}
+	protos := []core.Protocol{core.SimulatedFailStop, core.Unilateral}
+	rep, err := sweep.Run(sweep.Spec{
+		Grid:      []sweep.NT{{N: n, T: t}},
+		Protocols: protos,
+		Schedules: []sweep.Schedule{sc.schedule()},
+		Seeds:     sweep.SeedRange{Count: seeds},
+		Observe: func(_ sweep.Cell, _ int64, out sweep.RunOutput) map[string]bool {
+			ab := out.Result.History.DropTags(core.TagSusp)
+			return map[string]bool{
+				"Condition1": checker.Condition1(ab).Holds,
+				"Condition2": checker.Condition2(ab).Holds,
+				"Condition3": checker.Condition3(ab).Holds,
+				"realizable": rewrite.Realizable(ab),
+			}
+		},
+	}, sweep.Options{})
+	if err != nil {
+		return Result{ID: "E3", Title: title, Notes: []string{err.Error()}}
+	}
 	tbl := stats.NewTable("protocol", "Condition1", "Condition2", "Condition3", "FS-realizable")
 	ok := true
-	for _, proto := range []core.Protocol{core.SimulatedFailStop, core.Unilateral} {
-		c1, c2, c3, rl, total := 0, 0, 0, 0, 0
-		for seed := int64(0); seed < seeds; seed++ {
-			res := protoRun(proto, n, 3, seed, scenario{susp: [][2]model.ProcID{{2, 1}, {4, 3}}, slowKill: []model.ProcID{1, 3}})
-			total++
-			ab := res.History.DropTags(core.TagSusp)
-			if checker.Condition1(ab).Holds {
-				c1++
-			}
-			if checker.Condition2(ab).Holds {
-				c2++
-			}
-			if checker.Condition3(ab).Holds {
-				c3++
-			}
-			if rewrite.Realizable(ab) {
-				rl++
-			}
-		}
-		tbl.Row(proto.String(),
-			fmt.Sprintf("%d/%d", c1, total), fmt.Sprintf("%d/%d", c2, total),
-			fmt.Sprintf("%d/%d", c3, total), fmt.Sprintf("%d/%d", rl, total))
+	for i, proto := range protos {
+		c := &rep.Cells[i] // cells in protocol order: the only axis with two entries
+		tbl.Row(proto.String(), frac(c, "Condition1"), frac(c, "Condition2"), frac(c, "Condition3"), frac(c, "realizable"))
 		switch proto {
 		case core.SimulatedFailStop:
-			if c1 != total || c2 != total || c3 != total || rl != total {
-				ok = false
-			}
+			ok = ok && c.MetricAll("Condition1") && c.MetricAll("Condition2") &&
+				c.MetricAll("Condition3") && c.MetricAll("realizable")
 		case core.Unilateral:
-			if c1 != 0 || rl != 0 {
-				ok = false // every unilateral run breaks Condition 1 here
-			}
+			// every unilateral run breaks Condition 1 here
+			ok = ok && c.MetricNone("Condition1") && c.MetricNone("realizable")
 		default:
 			// E3 states no expectation for other protocols (Cheap is E11's).
 		}
 	}
-	return Result{
-		ID:    "E3",
-		Title: "Theorem 2: Conditions 1–3 are necessary — §5 satisfies them, the unilateral strawman breaks Condition 1",
-		Table: tbl.String(),
-		OK:    ok,
-	}
+	return Result{ID: "E3", Title: title, Table: tbl.String(), OK: ok}
 }
 
 // E4 verifies Theorem 3: the exact counterexample history satisfies

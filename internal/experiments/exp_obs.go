@@ -30,18 +30,6 @@ func E14() Result {
 	timeouts := []int64{40, 80, 160}
 	drops := []float64{0, 0.15, 0.35}
 
-	dropGen := func(p float64) netadv.Generator {
-		name := fmt.Sprintf("drop-%.2f", p)
-		return netadv.Generator{Name: name, Make: func(n, t int) netadv.Plan {
-			plan := netadv.Plan{Name: name}
-			if p > 0 {
-				// Drop 0 is the fault-free baseline: an empty plan, since a
-				// rule with no effect does not validate.
-				plan.Rules = []netadv.Rule{{Drop: p}}
-			}
-			return plan
-		}}
-	}
 	quiet, _ := sweep.Builtin("quiet")
 
 	// rate[timeout][drop] = accusing runs / runs.
@@ -51,7 +39,7 @@ func E14() Result {
 		rates[to] = map[float64]int{}
 		gens := make([]netadv.Generator, 0, len(drops))
 		for _, p := range drops {
-			gens = append(gens, dropGen(p))
+			gens = append(gens, dropPlan(p))
 		}
 		rep, err := sweep.Run(sweep.Spec{
 			Grid:             []sweep.NT{{N: n, T: t}},

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
 	"failstop/internal/checker"
-	"failstop/internal/cluster"
 	"failstop/internal/core"
 	"failstop/internal/netadv"
 	"failstop/internal/recovery"
 	"failstop/internal/reliable"
-	"failstop/internal/sim"
 	"failstop/internal/stats"
+	"failstop/internal/sweep"
 )
 
 // E15 measures which of Figure 1's properties survive crash-recovery, and
@@ -43,6 +40,7 @@ func E15() Result {
 		n, t  = 5, 2
 		seeds = 10
 	)
+	const title = "Figure 1 properties under crash-recovery: amnesia vs. durable state across a restart-frequency x drop ladder"
 	type scenario struct {
 		name string
 		// storm: 0 is the one-shot crash/restart; otherwise process 2
@@ -57,79 +55,65 @@ func E15() Result {
 		{"storm /300 drop 0.20", 300, 0.20},
 		{"storm /150 drop 0.20", 150, 0.20},
 	}
-
-	type cellStats struct {
-		fs1, safety         int // runs on which each held
-		restarts, recovered int
-	}
-	run := func(sc scenario, mode recovery.Mode) cellStats {
-		var cs cellStats
-		for seed := int64(1); seed <= seeds; seed++ {
-			// The witness trap: cut 2 -> {3,4,5} from before the suspicion
-			// until after the environment crash, so the SUSP broadcast is
-			// still unacked when 2 goes down at tick 30.
-			plan := netadv.Plan{Name: "witness-trap"}
-			pairs := []netadv.Link{{From: 2, To: 3}, {From: 2, To: 4}, {From: 2, To: 5}}
-			plan.Rules = []netadv.Rule{{From: 15, Until: 60, Cut: true, Links: netadv.LinkSet{Pairs: pairs}}}
-			if sc.drop > 0 {
-				plan.Rules = append(plan.Rules, netadv.Rule{Drop: sc.drop})
-			}
-			if sc.storm > 0 {
-				plan.Procs = []netadv.ProcRule{{Proc: 2, CrashAt: 30, Period: sc.storm, ActiveFor: 50, Until: 1500}}
-			} else {
-				plan.Procs = []netadv.ProcRule{{Proc: 2, CrashAt: 30, RestartAt: 80}}
-			}
-			c := cluster.New(cluster.Options{
-				Sim:    sim.Config{N: n, Seed: seed, Recovery: mode},
-				Det:    core.Config{N: n, T: t},
-				Faults: &plan,
-				// Bounded stubbornness, as in E13: enough rounds to outlive
-				// the tick-60 heal and every storm window, while letting
-				// runs drain.
-				Reliable: reliable.Options{Enabled: true, MaxRetries: 8},
-			})
-			c.CrashAt(15, 1)
-			c.SuspectAt(20, 2, 1)
-			res := c.Run()
-			cs.restarts += res.Restarts
-			cs.recovered += res.Recovered
-
-			ab := checker.Abstract(res.History, core.TagSusp)
-			// FS1At, not FS1: under off/amnesia the bystanders {3,4,5} are
-			// entirely silent, so inferring n from the history would drop
-			// them and pass FS1 vacuously.
-			if checker.FS1At(ab, n).Holds {
-				cs.fs1++
-			}
-			safe := checker.FS2(ab).Holds
-			for _, v := range []checker.Verdict{
-				checker.SFS2a(ab), checker.SFS2b(ab), checker.SFS2c(ab), checker.SFS2d(ab),
-			} {
-				safe = safe && v.Holds
-			}
-			if safe {
-				cs.safety++
-			}
+	plans := make([]netadv.Generator, len(scenarios))
+	for i, sc := range scenarios {
+		// The witness trap: cut 2 -> {3,4,5} from before the suspicion
+		// until after the environment crash, so the SUSP broadcast is
+		// still unacked when 2 goes down at tick 30.
+		pairs := []netadv.Link{{From: 2, To: 3}, {From: 2, To: 4}, {From: 2, To: 5}}
+		plan := netadv.Plan{Name: sc.name, Rules: []netadv.Rule{{From: 15, Until: 60, Cut: true, Links: netadv.LinkSet{Pairs: pairs}}}}
+		if sc.drop > 0 {
+			plan.Rules = append(plan.Rules, netadv.Rule{Drop: sc.drop})
 		}
-		return cs
+		if sc.storm > 0 {
+			plan.Procs = []netadv.ProcRule{{Proc: 2, CrashAt: 30, Period: sc.storm, ActiveFor: 50, Until: 1500}}
+		} else {
+			plan.Procs = []netadv.ProcRule{{Proc: 2, CrashAt: 30, RestartAt: 80}}
+		}
+		plans[i] = netadv.Fixed(plan)
+	}
+	modes := []recovery.Mode{recovery.Off, recovery.Amnesia, recovery.Durable}
+
+	rep, err := sweep.Run(sweep.Spec{
+		Grid:      []sweep.NT{{N: n, T: t}},
+		Schedules: []sweep.Schedule{crashOne(2)},
+		Plans:     plans,
+		// Bounded stubbornness, as in E13: enough rounds to outlive the
+		// tick-60 heal and every storm window, while letting runs drain.
+		Reliable: []reliable.Options{{Enabled: true, MaxRetries: 8}},
+		Recovery: modes,
+		Seeds:    sweep.SeedRange{Start: 1, Count: seeds},
+		Observe: func(_ sweep.Cell, _ int64, out sweep.RunOutput) map[string]bool {
+			ab := checker.Abstract(out.Result.History, core.TagSusp)
+			return map[string]bool{
+				// FS1At, not FS1: under off/amnesia the bystanders {3,4,5}
+				// are entirely silent, so inferring n from the history would
+				// drop them and pass FS1 vacuously.
+				"FS1":    checker.FS1At(ab, n).Holds,
+				"safety": safe(ab),
+			}
+		},
+	}, sweep.Options{})
+	if err != nil {
+		return Result{ID: "E15", Title: title, Notes: []string{err.Error()}}
 	}
 
-	frac := func(k int) string { return fmt.Sprintf("%d/%d", k, seeds) }
 	tbl := stats.NewTable("scenario", "recovery", "FS1", "FS2+sFS2a-d", "restarts", "recovered")
 	ok := true
-	for _, sc := range scenarios {
-		for _, mode := range []recovery.Mode{recovery.Off, recovery.Amnesia, recovery.Durable} {
-			cs := run(sc, mode)
-			tbl.Row(sc.name, mode.String(), frac(cs.fs1), frac(cs.safety), cs.restarts, cs.recovered)
+	for i, sc := range scenarios {
+		for j, mode := range modes {
+			c := &rep.Cells[len(modes)*i+j] // plan-major, then recovery mode
+			restarts, recovered := c.Obs["sim_restarts_total"], c.Obs["sim_recovered_total"]
+			tbl.Row(sc.name, mode.String(), frac(c, "FS1"), frac(c, "safety"), restarts, recovered)
 			// Safety survives every mode; FS1 survives exactly durable.
-			ok = ok && cs.safety == seeds
+			ok = ok && c.MetricAll("safety")
 			switch mode {
 			case recovery.Durable:
-				ok = ok && cs.fs1 == seeds && cs.recovered == cs.restarts && cs.restarts > 0
+				ok = ok && c.MetricAll("FS1") && recovered == restarts && restarts > 0
 			case recovery.Amnesia:
-				ok = ok && cs.fs1 == 0 && cs.recovered == 0 && cs.restarts > 0
+				ok = ok && c.MetricNone("FS1") && recovered == 0 && restarts > 0
 			case recovery.Off:
-				ok = ok && cs.fs1 == 0 && cs.restarts == 0
+				ok = ok && c.MetricNone("FS1") && restarts == 0
 			}
 		}
 	}
@@ -138,7 +122,7 @@ func E15() Result {
 	// under durable recovery and fails under amnesia, in every cell.
 	return Result{
 		ID:    "E15",
-		Title: "Figure 1 properties under crash-recovery: amnesia vs. durable state across a restart-frequency x drop ladder",
+		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"failstop/internal/checker"
-	"failstop/internal/cluster"
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
 	"failstop/internal/reliable"
-	"failstop/internal/sim"
 	"failstop/internal/stats"
+	"failstop/internal/sweep"
 )
 
 // E13 measures which of Figure 1's properties survive lossy asynchrony and
@@ -32,22 +31,14 @@ func E13() Result {
 		n, t  = 5, 2
 		seeds = 12
 	)
+	const title = "Figure 1 properties under lossy links, with and without reliable channels (ack/retransmit layer)"
 	type scenario struct {
 		name string
-		plan netadv.Plan
+		plan netadv.Generator
 		// wantFS1Bare / wantFS1Rel: must FS1 hold on every seed without /
 		// with reliable channels ("all"), fail on every seed ("none"), or
 		// fail at least once ("some-fail")?
 		wantFS1Bare, wantFS1Rel string
-	}
-	dropPlan := func(p float64) netadv.Plan {
-		plan := netadv.Plan{Name: fmt.Sprintf("drop-%.2f", p)}
-		if p > 0 {
-			// Drop 0 is the fault-free baseline: an empty plan, since a rule
-			// with no effect no longer validates.
-			plan.Rules = []netadv.Rule{{Drop: p}}
-		}
-		return plan
 	}
 	healing, _ := netadv.Builtin("healing-partition")
 	splitBrain, _ := netadv.Builtin("split-brain")
@@ -55,70 +46,44 @@ func E13() Result {
 		{"drop 0.00", dropPlan(0), "all", "all"},
 		{"drop 0.15", dropPlan(0.15), "some-fail", "all"},
 		{"drop 0.35", dropPlan(0.35), "some-fail", "all"},
-		{"healing-partition", healing.Make(n, t), "none", "all"},
-		{"split-brain", splitBrain.Make(n, t), "none", "none"},
+		{"healing-partition", healing, "none", "all"},
+		{"split-brain", splitBrain, "none", "none"},
+	}
+	plans := make([]netadv.Generator, len(scenarios))
+	for i, sc := range scenarios {
+		plans[i] = sc.plan
 	}
 
-	type cellStats struct {
-		complete, fs1, safety int // runs on which each held
-		retransmits, sent     int
-	}
-	run := func(plan netadv.Plan, rel bool) cellStats {
-		var cs cellStats
-		for seed := int64(1); seed <= seeds; seed++ {
-			opts := cluster.Options{
-				Sim:    sim.Config{N: n, Seed: seed},
-				Det:    core.Config{N: n, T: t},
-				Faults: &plan,
-			}
-			if rel {
-				// Bounded stubbornness: 8 rounds with the default 40-tick
-				// interval and 2x backoff span >3000 ticks, far past the
-				// healing partition's tick-200 heal, while letting every
-				// run drain (an unbounded link to the crashed process
-				// would retransmit forever).
-				opts.Reliable = reliable.Options{Enabled: true, MaxRetries: 8}
-			}
-			c := cluster.New(opts)
-			c.CrashAt(15, 1)
-			c.SuspectAt(20, 5, 1)
-			res := c.Run()
-			cs.retransmits += res.Retransmits
-			cs.sent += res.Sent
-
+	rep, err := sweep.Run(sweep.Spec{
+		Grid:      []sweep.NT{{N: n, T: t}},
+		Schedules: []sweep.Schedule{crashOne(5)},
+		Plans:     plans,
+		// Bounded stubbornness: 8 rounds with the default 40-tick interval
+		// and 2x backoff span >3000 ticks, far past the healing partition's
+		// tick-200 heal, while letting every run drain (an unbounded link to
+		// the crashed process would retransmit forever).
+		Reliable: []reliable.Options{{}, {Enabled: true, MaxRetries: 8}},
+		Seeds:    sweep.SeedRange{Start: 1, Count: seeds},
+		Observe: func(_ sweep.Cell, _ int64, out sweep.RunOutput) map[string]bool {
+			h := out.Result.History
 			complete := true
 			for p := model.ProcID(2); p <= n; p++ {
-				if res.History.FailedIndex(p, 1) < 0 {
+				if h.FailedIndex(p, 1) < 0 {
 					complete = false
 				}
 			}
-			if complete {
-				cs.complete++
+			ab := checker.Abstract(h, core.TagSusp)
+			return map[string]bool{
+				"complete": complete,
+				"FS1":      checker.FS1(ab).Holds,
+				"safety":   safe(ab),
 			}
-			ab := checker.Abstract(res.History, core.TagSusp)
-			if checker.FS1(ab).Holds {
-				cs.fs1++
-			}
-			safe := checker.FS2(ab).Holds
-			for _, v := range []checker.Verdict{
-				checker.SFS2a(ab), checker.SFS2b(ab), checker.SFS2c(ab), checker.SFS2d(ab),
-			} {
-				safe = safe && v.Holds
-			}
-			if safe {
-				cs.safety++
-			}
-		}
-		return cs
+		},
+	}, sweep.Options{})
+	if err != nil {
+		return Result{ID: "E13", Title: title, Notes: []string{err.Error()}}
 	}
 
-	frac := func(k int) string { return fmt.Sprintf("%d/%d", k, seeds) }
-	overhead := func(cs cellStats) string {
-		if cs.sent == 0 {
-			return "0.0%"
-		}
-		return fmt.Sprintf("%.1f%%", 100*float64(cs.retransmits)/float64(cs.sent))
-	}
 	meets := func(want string, held int) bool {
 		switch want {
 		case "all":
@@ -133,22 +98,33 @@ func E13() Result {
 
 	tbl := stats.NewTable("scenario", "reliable", "crash detected by all", "FS1", "FS2+sFS2a-d", "retransmits", "overhead")
 	ok := true
-	for _, sc := range scenarios {
-		bare := run(sc.plan, false)
-		rel := run(sc.plan, true)
-		tbl.Row(sc.name, "off", frac(bare.complete), frac(bare.fs1), frac(bare.safety), bare.retransmits, overhead(bare))
-		tbl.Row(sc.name, "on", frac(rel.complete), frac(rel.fs1), frac(rel.safety), rel.retransmits, overhead(rel))
+	for i, sc := range scenarios {
+		// Cells run plan-major, reliable off then on within each plan.
+		bare, rel := &rep.Cells[2*i], &rep.Cells[2*i+1]
+		for _, c := range []*sweep.CellResult{bare, rel} {
+			mode := "off"
+			if c.Cell.Reliable {
+				mode = "on"
+			}
+			retransmits, sent := c.Obs["reliable_retransmits_total"], c.Obs["sim_sent_total"]
+			overhead := "0.0%"
+			if sent > 0 {
+				overhead = fmt.Sprintf("%.1f%%", 100*float64(retransmits)/float64(sent))
+			}
+			tbl.Row(sc.name, mode, frac(c, "complete"), frac(c, "FS1"), frac(c, "safety"), retransmits, overhead)
+		}
 		ok = ok &&
-			bare.safety == seeds && rel.safety == seeds && // safety is loss-immune
-			meets(sc.wantFS1Bare, bare.fs1) &&
-			meets(sc.wantFS1Rel, rel.fs1) &&
-			bare.fs1 == bare.complete && rel.fs1 == rel.complete && // FS1 == completeness here: 1 crash, 0 false suspicions
-			bare.retransmits == 0 // the disabled layer must do no work
+			bare.MetricAll("safety") && rel.MetricAll("safety") && // safety is loss-immune
+			meets(sc.wantFS1Bare, bare.Metrics["FS1"]) &&
+			meets(sc.wantFS1Rel, rel.Metrics["FS1"]) &&
+			// FS1 == completeness here: 1 crash, 0 false suspicions
+			bare.Metrics["FS1"] == bare.Metrics["complete"] && rel.Metrics["FS1"] == rel.Metrics["complete"] &&
+			bare.Obs["reliable_retransmits_total"] == 0 // the disabled layer must do no work
 	}
 
 	return Result{
 		ID:    "E13",
-		Title: "Figure 1 properties under lossy links, with and without reliable channels (ack/retransmit layer)",
+		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -159,4 +135,44 @@ func E13() Result {
 			"overhead = retransmitted frames / total sends; nonzero even at drop 0 because the layer keeps re-offering frames to the crashed process until MaxRetries",
 		},
 	}
+}
+
+// crashOne is E13's and E15's fault script: process 1 crashes at tick 15
+// and witness suspects it at tick 20.
+func crashOne(witness model.ProcID) sweep.Schedule {
+	return sweep.Schedule{
+		Name: "crash_1@15",
+		Faults: func(sweep.NT, int64) []sweep.Fault {
+			return []sweep.Fault{
+				{Kind: sweep.FaultCrash, At: 15, Proc: 1},
+				{Kind: sweep.FaultSuspect, At: 20, Proc: witness, Target: 1},
+			}
+		},
+	}
+}
+
+// dropPlan is the drop-ladder plan that loses every message with
+// probability p. Drop 0 is the fault-free baseline: an empty plan, since a
+// rule with no effect does not validate.
+func dropPlan(p float64) netadv.Generator {
+	name := fmt.Sprintf("drop-%.2f", p)
+	return netadv.Generator{Name: name, Make: func(n, t int) netadv.Plan {
+		plan := netadv.Plan{Name: name}
+		if p > 0 {
+			plan.Rules = []netadv.Rule{{Drop: p}}
+		}
+		return plan
+	}}
+}
+
+// safe reports the safety conjunction FS2 ∧ sFS2a–d on an abstract history.
+func safe(ab model.History) bool {
+	for _, v := range []checker.Verdict{
+		checker.FS2(ab), checker.SFS2a(ab), checker.SFS2b(ab), checker.SFS2c(ab), checker.SFS2d(ab),
+	} {
+		if !v.Holds {
+			return false
+		}
+	}
+	return true
 }

@@ -1,14 +1,16 @@
 // Package experiments reproduces every theorem, figure, and worked example
-// of the paper as a runnable experiment (the index lives in DESIGN.md §4
-// and the outcomes in EXPERIMENTS.md). Each generator returns a Result
-// with a rendered table and an OK flag stating whether the paper's claim
-// held in this reproduction; cmd/sfs-bench prints them and the test suite
-// asserts every OK.
+// of the paper as a runnable experiment (the index is the README's
+// Experiments section; cmd/sfs-bench runs them). Each generator returns a
+// Result with a rendered table and an OK flag stating whether the paper's
+// claim held in this reproduction; cmd/sfs-bench prints them, the test
+// suite asserts every OK, and testdata/experiments.golden pins the output.
 package experiments
 
 import (
 	"fmt"
 	"sort"
+
+	"failstop/internal/sweep"
 )
 
 // Result is the outcome of one experiment.
@@ -36,6 +38,11 @@ func (r Result) String() string {
 		out += "   note: " + n + "\n"
 	}
 	return out
+}
+
+// frac renders on how many of a cell's runs a custom metric held, as "k/runs".
+func frac(c *sweep.CellResult, metric string) string {
+	return fmt.Sprintf("%d/%d", c.Metrics[metric], c.Runs)
 }
 
 // Runner produces a Result.

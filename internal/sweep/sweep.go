@@ -192,8 +192,9 @@ type RunnerFn func(cell Cell, seed int64) RunOutput
 type ObserveFn func(cell Cell, seed int64, out RunOutput) map[string]bool
 
 // Spec is the declarative scenario grid. Cells are the cross product
-// Grid × Protocols × QuorumDeltas × Schedules; each cell runs once per
-// seed in Seeds.
+// Grid × Protocols × QuorumDeltas × Schedules × Plans × Topologies ×
+// Reliable × Recovery × Byzantine, in the order Cells gives; each cell runs
+// once per seed in Seeds.
 type Spec struct {
 	// Grid lists the (n, t) points. Required.
 	Grid []NT
@@ -411,8 +412,10 @@ type cellSpec struct {
 }
 
 // Cells expands the grid axes (everything but the seed) in deterministic
-// order: grid point, then protocol, then quorum delta, then schedule. A spec
-// whose topologies do not fit its grid (Validate says which) has no cells.
+// order: grid point, then protocol, quorum delta, schedule, plan, topology,
+// reliable, recovery and byzantine, the last varying fastest. Report.Cells
+// follows the same order. A spec whose topologies do not fit its grid
+// (Validate says which) has no cells.
 func (s Spec) Cells() []Cell {
 	cells, _ := s.withDefaults().cells()
 	var out []Cell

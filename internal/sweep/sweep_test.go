@@ -9,7 +9,9 @@ import (
 	"failstop/internal/byz"
 	"failstop/internal/core"
 	"failstop/internal/model"
+	"failstop/internal/netadv"
 	"failstop/internal/node"
+	"failstop/internal/recovery"
 	"failstop/internal/reliable"
 	"failstop/internal/sim"
 	"failstop/internal/topo"
@@ -33,6 +35,45 @@ func TestSpecExpansion(t *testing.T) {
 	want := Cell{NT: NT{5, 2}, Protocol: core.SimulatedFailStop, QuorumDelta: -1, Schedule: "a"}
 	if first != want {
 		t.Errorf("first cell = %+v, want %+v", first, want)
+	}
+}
+
+// TestCellsOrderAcrossAllAxes pins the documented cell order over all nine
+// axes, two entries each: grid, protocol, quorum delta, schedule, plan,
+// topology, reliable, recovery, byzantine — the last varying fastest.
+// Callers index Report.Cells by it.
+func TestCellsOrderAcrossAllAxes(t *testing.T) {
+	spec := Spec{
+		Grid:         []NT{{5, 2}, {6, 2}},
+		Protocols:    []core.Protocol{core.SimulatedFailStop, core.Cheap},
+		QuorumDeltas: []int{0, 1},
+		Schedules:    []Schedule{{Name: "a"}, {Name: "b"}},
+		Plans:        []netadv.Generator{{}, netadv.Fixed(netadv.Plan{Name: "p"})},
+		Topologies:   []topo.Spec{{}, {Kind: topo.KindGossip, Fanout: 2}},
+		Reliable:     []reliable.Options{{}, {Enabled: true}},
+		Recovery:     []recovery.Mode{recovery.Off, recovery.Durable},
+		Byzantine:    []byz.Options{{}, {Enabled: true}},
+	}
+	cells := spec.Cells()
+	if len(cells) != 1<<9 {
+		t.Fatalf("cells = %d, want %d", len(cells), 1<<9)
+	}
+	for i, got := range cells {
+		bit := func(axis int) int { return i >> (8 - axis) & 1 } // axis 0 varies slowest
+		want := Cell{
+			NT:          spec.Grid[bit(0)],
+			Protocol:    spec.Protocols[bit(1)],
+			QuorumDelta: spec.QuorumDeltas[bit(2)],
+			Schedule:    spec.Schedules[bit(3)].Name,
+			Plan:        spec.Plans[bit(4)].Name,
+			Topo:        []string{"", "gossip:2"}[bit(5)],
+			Reliable:    bit(6) == 1,
+			Recovery:    spec.Recovery[bit(7)],
+			Byzantine:   bit(8) == 1,
+		}
+		if got != want {
+			t.Fatalf("cell %d = %v, want %v", i, got, want)
+		}
 	}
 }
 
