@@ -47,7 +47,7 @@
 // consistent suspicion, which the §5 protocol already tolerates by design.
 //
 // Replay. Receivers remember each sender's delivered sequence numbers. A
-// frame re-arriving within Options.ReplayHorizon ticks of its first
+// frame re-arriving within ReplayHorizon ticks of its first
 // delivery is a benign network duplicate and is discarded silently; beyond
 // the horizon it is a replay attack and convicts the sender. (Under the
 // reliable layer, receiver-side dedup retires duplicates before this
@@ -115,11 +115,11 @@ import (
 // (broadcast id, digest) pair. Echoes are never themselves held.
 const TagEcho = "BYZ.ECHO"
 
-// DefaultReplayHorizon is the replay watermark in ticks: a sequence number
-// seen again within the horizon is a network duplicate, beyond it a
-// replay attack. Comfortably above any plausible duplicate's extra delay
-// under the default fault plans.
-const DefaultReplayHorizon = 100
+// ReplayHorizon is the replay watermark in ticks: a sequence number seen
+// again within the horizon is a network duplicate, beyond it a replay
+// attack. Comfortably above any plausible duplicate's extra delay under the
+// default fault plans.
+const ReplayHorizon = 100
 
 // Wire layout: a 25-byte header followed by the original payload bytes.
 // kindSealed is distinct from the reliable layer's frame kinds (1, 2) and
@@ -144,9 +144,6 @@ type Options struct {
 	// a majority of the n-1 potential receivers, (n-1)/2+1, resolved when
 	// the host initializes the endpoint.
 	Witnesses int
-	// ReplayHorizon is the replay watermark in ticks.
-	// Default: DefaultReplayHorizon.
-	ReplayHorizon int64
 }
 
 func (o Options) withDefaults() Options {
@@ -155,9 +152,6 @@ func (o Options) withDefaults() Options {
 		// protocol-agnostic (no import of internal/core).
 		o.EchoTags = []string{"SUSP"}
 	}
-	if o.ReplayHorizon == 0 {
-		o.ReplayHorizon = DefaultReplayHorizon
-	}
 	return o
 }
 
@@ -165,9 +159,6 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	if o.Witnesses < 0 {
 		return fmt.Errorf("byz: negative Witnesses %d", o.Witnesses)
-	}
-	if o.ReplayHorizon < 0 {
-		return fmt.Errorf("byz: negative ReplayHorizon %d", o.ReplayHorizon)
 	}
 	seen := map[string]bool{}
 	for _, tag := range o.EchoTags {
@@ -413,7 +404,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	}
 	now := ctx.Now()
 	if first, dup := in.seen[seq]; dup {
-		if now-first > e.opts.ReplayHorizon {
+		if now-first > ReplayHorizon {
 			e.convictWith(ctx, from, "replay")
 		}
 		// Within the horizon: a benign network duplicate.

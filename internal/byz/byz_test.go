@@ -1,6 +1,8 @@
 package byz
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -17,10 +19,9 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, ""},
 		{"enabled defaults", Options{Enabled: true}, ""},
-		{"explicit sane", Options{Enabled: true, EchoTags: []string{"SUSP", "APP"}, Witnesses: 2, ReplayHorizon: 50}, ""},
+		{"explicit sane", Options{Enabled: true, EchoTags: []string{"SUSP", "APP"}, Witnesses: 2}, ""},
 		{"hold nothing", Options{Enabled: true, EchoTags: []string{}}, ""},
 		{"negative witnesses", Options{Witnesses: -1}, "negative Witnesses"},
-		{"negative horizon", Options{ReplayHorizon: -5}, "negative ReplayHorizon"},
 		{"empty echo tag", Options{EchoTags: []string{""}}, "empty tag"},
 		{"echoing echoes", Options{EchoTags: []string{TagEcho}}, "recurse"},
 		{"duplicate echo tag", Options{EchoTags: []string{"SUSP", "SUSP"}}, "duplicate tag"},
@@ -410,5 +411,35 @@ func FuzzByzOnMessage(f *testing.F) {
 		}
 		e.OnMessage(ctx, 4, node.Payload{Tag: tag, Subject: p.Subject, Data: sealed(4, seq+1, bid, p)})
 		e.OnTimer(ctx, "tick")
+	})
+}
+
+// FuzzByzOpenBody: openBody never panics on bytes off the wire, whatever
+// sender, tag and subject they claim; what it accepts is a sealed header whose
+// fields it returns as they stand; and a body sealBody built for any (sender,
+// seq, bid, tag, subject, data) opens to exactly those fields.
+func FuzzByzOpenBody(f *testing.F) {
+	authentic := sealed(2, 7, 4, node.Payload{Tag: "SUSP", Subject: 3, Data: []byte(`{"x":1}`)})
+	short := make([]byte, headerLen-1)
+	short[0] = kindSealed
+	wrongKind := append([]byte(nil), authentic...)
+	wrongKind[0] = '{'
+	f.Add(int64(2), "SUSP", int64(3), uint64(7), uint64(4), []byte(`{"x":1}`), []byte(nil))
+	f.Add(int64(2), "SUSP", int64(3), uint64(7), uint64(4), []byte(`{"x":1}`), short)
+	f.Add(int64(2), "SUSP", int64(3), uint64(7), uint64(4), []byte(`{"x":1}`), wrongKind)
+	f.Add(int64(2), "SUSP", int64(3), uint64(7), uint64(4), []byte(`{"x":1}`), authentic)
+	f.Fuzz(func(t *testing.T, sender int64, tag string, subject int64, seq, bid uint64, data, body []byte) {
+		from, about := model.ProcID(sender), model.ProcID(subject)
+		if gotSeq, gotBid, got, ok := openBody(from, tag, about, body); ok {
+			if !Sealed(body) || gotSeq != binary.BigEndian.Uint64(body[1:9]) ||
+				gotBid != binary.BigEndian.Uint64(body[9:17]) || !bytes.Equal(got, body[headerLen:]) {
+				t.Fatalf("openBody accepted %x as (%d, %d, %x)", body, gotSeq, gotBid, got)
+			}
+		}
+		frame := sealed(from, seq, bid, node.Payload{Tag: tag, Subject: about, Data: data})
+		gotSeq, gotBid, got, ok := openBody(from, tag, about, frame)
+		if !ok || gotSeq != seq || gotBid != bid || !bytes.Equal(got, data) {
+			t.Fatalf("sealed (%d, %d, %x) opened to (%d, %d, %x, %v)", seq, bid, data, gotSeq, gotBid, got, ok)
+		}
 	})
 }

@@ -138,10 +138,6 @@ type Config struct {
 	// only those from senders with outstanding detections. Both settings
 	// satisfy sFS2d; the strict one blocks more.
 	StrictGating bool
-	// DeferAppSends, when true, queues outgoing application messages while
-	// any detection is in progress and flushes them on completion — the
-	// sending half of §5's "takes no other action".
-	DeferAppSends bool
 	// Topology, when non-nil and not the complete graph, scopes the §5
 	// protocol to each process's neighborhood: SUSP broadcasts go to
 	// topology peers only, and quorums complete over the process's pool
@@ -223,7 +219,6 @@ type Detector struct {
 	threshold int         // FixedQuorum completion size for this process's pool
 	crashed   bool
 	rounds    []round        // one per target ever suspected, ascending by target
-	deferred  []deferredSend // app sends queued during detection
 	pending   []pendingCount // piggybacked counts awaiting dependencies
 }
 
@@ -284,11 +279,6 @@ type pendingCount struct {
 	deps           []model.ProcID
 }
 
-type deferredSend struct {
-	to   model.ProcID
-	data []byte
-}
-
 // Interface conformance.
 var (
 	_ node.Handler       = (*Detector)(nil)
@@ -310,10 +300,9 @@ func (d *Detector) OnCrash(ctx node.Context) {
 // detectorSnapshot is the durable-state wire form of a Detector
 // (internal/recovery): what the §5 layer remembers across a crash-restart
 // cycle under durable recovery. Everything is in sorted-slice form so equal
-// detector states encode to byte-identical snapshots. Two things are
-// deliberately transient and absent: deferred application sends and pending
-// piggybacked counts — both are in-flight work whose messages crash-time
-// semantics say are lost, not remembered.
+// detector states encode to byte-identical snapshots. Pending piggybacked
+// counts are deliberately transient and absent: they are in-flight work
+// whose messages crash-time semantics say are lost, not remembered.
 //
 //sfs:wire
 type detectorSnapshot struct {
@@ -370,7 +359,6 @@ func (d *Detector) Snapshot() []byte {
 func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 	d.crashed = false
 	d.rounds = nil
-	d.deferred = nil
 	d.pending = nil
 	var snap detectorSnapshot
 	if json.Unmarshal(state, &snap) != nil {
@@ -671,9 +659,6 @@ func (d *Detector) complete(ctx node.Context, j model.ProcID) {
 	if d.cfg.Piggyback {
 		d.drainPending(ctx)
 	}
-	if !d.Detecting() {
-		d.flushDeferred(ctx)
-	}
 }
 
 // unmetDeps returns the piggybacked detections (if any) that this process
@@ -736,25 +721,10 @@ func (d *Detector) Detecting() bool {
 	return false
 }
 
-func (d *Detector) flushDeferred(ctx node.Context) {
-	pending := d.deferred
-	d.deferred = nil
-	for _, s := range pending {
-		ctx.Send(s.to, node.Payload{Tag: TagApp, Data: s.data})
-	}
-}
-
 // SendApp sends an application payload to another process through the
-// detector layer. With Config.DeferAppSends, sends issued while a detection
-// is in progress are queued and flushed when the protocol completes.
+// detector layer.
 func (d *Detector) SendApp(ctx node.Context, to model.ProcID, data []byte) {
 	if d.crashed {
-		return
-	}
-	if d.cfg.DeferAppSends && d.Detecting() {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		d.deferred = append(d.deferred, deferredSend{to: to, data: buf})
 		return
 	}
 	ctx.Send(to, node.Payload{Tag: TagApp, Data: data})

@@ -69,48 +69,6 @@ func TestStrictGatingStillSFS(t *testing.T) {
 	}
 }
 
-func TestDeferAppSendsQueuedAndFlushed(t *testing.T) {
-	apps := make([]*echoApp, 6)
-	c := cluster.New(cluster.Options{
-		Sim: sim.Config{N: 5, Seed: 3, MinDelay: 2, MaxDelay: 4},
-		Det: core.Config{N: 5, T: 2, DeferAppSends: true},
-		App: func(p model.ProcID) core.App {
-			a := &echoApp{}
-			apps[p] = a
-			return a
-		},
-	})
-	d2 := c.Detectors[2]
-	// Suspect, then immediately try to send app traffic from the same
-	// process: the send must be deferred until the detection completes, and
-	// then flushed.
-	c.Sim.At(5, 2, func(ctx node.Context) {
-		d2.Suspect(ctx, 1)
-		d2.SendApp(ctx, 3, []byte{0x01})
-		d2.SendApp(ctx, 4, []byte{0x02})
-	})
-	res := c.Run()
-	if !res.Quiescent() {
-		t.Fatalf("not quiescent: %+v", res.Blocked)
-	}
-	if len(apps[3].got) != 1 || apps[3].got[0][0] != 0x01 {
-		t.Errorf("process 3 got %v", apps[3].got)
-	}
-	if len(apps[4].got) != 1 || apps[4].got[0][0] != 0x02 {
-		t.Errorf("process 4 got %v", apps[4].got)
-	}
-	// The APP sends must appear in the history AFTER failed_2(1).
-	fi := res.History.FailedIndex(2, 1)
-	for _, e := range res.History {
-		if e.Kind == model.KindSend && e.Tag == core.TagApp && e.Proc == 2 {
-			if e.Seq < fi {
-				t.Errorf("deferred app send at %d precedes detection at %d", e.Seq, fi)
-			}
-		}
-	}
-	assertSFS(t, res.History)
-}
-
 func TestPiggybackPreservesSFS(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := cluster.New(cluster.Options{

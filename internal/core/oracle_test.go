@@ -31,7 +31,6 @@ type mapDetector struct {
 	counts    map[model.ProcID]quorum.Set
 	detected  map[model.ProcID]bool
 	quorums   map[model.ProcID][]model.ProcID
-	deferred  []deferredSend
 	pending   []pendingCount
 }
 
@@ -75,7 +74,6 @@ func (d *mapDetector) OnRestart(ctx node.Context, state []byte) {
 	d.counts = make(map[model.ProcID]quorum.Set)
 	d.detected = make(map[model.ProcID]bool)
 	d.quorums = make(map[model.ProcID][]model.ProcID)
-	d.deferred = nil
 	d.pending = nil
 	if len(state) > 0 {
 		var snap detectorSnapshot
@@ -289,9 +287,6 @@ func (d *mapDetector) complete(ctx node.Context, j model.ProcID, quorumSet []mod
 	if d.cfg.Piggyback {
 		d.drainPending(ctx)
 	}
-	if !d.Detecting() {
-		d.flushDeferred(ctx)
-	}
 }
 
 func (d *mapDetector) unmetDeps(data []byte) []model.ProcID {
@@ -345,22 +340,8 @@ func (d *mapDetector) Detecting() bool {
 	return false
 }
 
-func (d *mapDetector) flushDeferred(ctx node.Context) {
-	pending := d.deferred
-	d.deferred = nil
-	for _, s := range pending {
-		ctx.Send(s.to, node.Payload{Tag: TagApp, Data: s.data})
-	}
-}
-
 func (d *mapDetector) SendApp(ctx node.Context, to model.ProcID, data []byte) {
 	if d.crashed {
-		return
-	}
-	if d.cfg.DeferAppSends && d.Detecting() {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		d.deferred = append(d.deferred, deferredSend{to: to, data: buf})
 		return
 	}
 	ctx.Send(to, node.Payload{Tag: TagApp, Data: data})
@@ -447,17 +428,17 @@ func (a chainApp) OnFailed(ctx node.Context, d *Detector, j model.ProcID) {
 
 // oracleConfigs is the product the script runs over: protocol × policy ×
 // Piggyback × StrictGating × {complete graph, gossip pool}, each with and
-// without the chaining application and deferred application sends.
+// without the chaining application.
 func oracleConfigs(n, t int) []Config {
 	gossip := topo.MustNew(topo.Spec{Kind: topo.KindGossip, Fanout: 2, Seed: 5}, n)
 	var out []Config
 	for _, proto := range []Protocol{SimulatedFailStop, Cheap, Unilateral} {
 		for _, policy := range []QuorumPolicy{FixedQuorum, AllButSuspected} {
 			for _, top := range []*topo.Topology{nil, gossip} {
-				for bits := 0; bits < 8; bits++ {
+				for bits := 0; bits < 4; bits++ {
 					out = append(out, Config{
 						N: n, T: t, Protocol: proto, Policy: policy, Topology: top,
-						Piggyback: bits&1 != 0, StrictGating: bits&2 != 0, DeferAppSends: bits&4 != 0,
+						Piggyback: bits&1 != 0, StrictGating: bits&2 != 0,
 					})
 				}
 			}

@@ -324,7 +324,7 @@ func TestBuiltinByzantineMinority(t *testing.T) {
 			t.Errorf("n=%d t=%d: %d byz rules, want %d (a minority of forgers)", g.n, g.t, len(plan.Byz), want)
 		}
 		for i, b := range plan.Byz {
-			if b.Replay > 0 && b.ReplayDelay <= byz.DefaultReplayHorizon {
+			if b.Replay > 0 && b.ReplayDelay <= byz.ReplayHorizon {
 				t.Errorf("n=%d t=%d rule %d: ReplayDelay %d inside the replay horizon; the builtin must model a stale replay", g.n, g.t, i, b.ReplayDelay)
 			}
 		}

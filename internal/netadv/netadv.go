@@ -411,14 +411,9 @@ func (p Plan) Validate(n int) error {
 }
 
 // compiledRule is a Rule with its link selectors resolved into constant-time
-// lookups; its Tags, a short list, are scanned. A rule whose window was
-// already over when the plane was built compiles dead: its selector tables
-// are never built and activeAt short-circuits — but it keeps its slot in the
-// rule list, because Decide's PRNG stream draws per compiled rule and
-// removing one would shift the fates every later rule assigns.
+// lookups; its Tags, a short list, are scanned.
 type compiledRule struct {
 	Rule
-	dead    bool
 	groupOf node.Table[int]      // proc -> group index; absent = residual
 	pairs   node.Table[struct{}] // the Pairs links
 	top     *topo.Topology       // resolves Regions/Racks selectors; nil otherwise
@@ -430,7 +425,7 @@ type compiledRule struct {
 }
 
 func (cr *compiledRule) activeAt(at int64) bool {
-	if cr.dead || at < cr.From || (cr.Until != 0 && at >= cr.Until) {
+	if at < cr.From || (cr.Until != 0 && at >= cr.Until) {
 		return false
 	}
 	if cr.Period > 0 {
@@ -543,16 +538,6 @@ type Plane struct {
 // randomness from seed. It panics if the plan does not validate — plans are
 // authored, not computed, so an invalid one is a programming error.
 func NewPlane(plan Plan, n int, seed int64) *Plane {
-	return NewPlaneAt(plan, n, seed, 0)
-}
-
-// NewPlaneAt is NewPlane for a run whose clock starts at tick start rather
-// than 0 (a resumed or sharded scenario window). Rules whose Until is
-// already past at start compile dead: they keep their rule slot — the PRNG
-// stream draws per compiled rule, so dropping one would shift every later
-// rule's fates — but their selector lookup maps are never allocated and
-// they are skipped without a window check on every send.
-func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 	if err := plan.Validate(n); err != nil {
 		panic(err)
 	}
@@ -563,11 +548,6 @@ func NewPlaneAt(plan Plan, n int, seed, start int64) *Plane {
 	}
 	for _, r := range plan.Rules {
 		cr := compiledRule{Rule: r}
-		if r.Until != 0 && r.Until <= start {
-			cr.dead = true
-			pl.rules = append(pl.rules, cr)
-			continue
-		}
 		cr.groupOf = compileGroups(r.Links.Groups)
 		cr.busyUntil = node.NewLinkTable[int64](n)
 		cr.pairs = node.NewLinkTable[struct{}](n)

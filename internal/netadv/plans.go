@@ -221,7 +221,7 @@ const (
 
 // ByzReplayDelay is how late the byzantine-minority builtin's replayed
 // frames arrive beyond the base delay, in ticks — chosen well past the
-// interposer's default replay horizon (byz.DefaultReplayHorizon), so the
+// interposer's fixed replay horizon (byz.ReplayHorizon), so the
 // ghosts register as stale replays rather than fresh duplicates.
 const ByzReplayDelay = 400
 

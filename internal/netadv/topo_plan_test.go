@@ -8,51 +8,6 @@ import (
 	"failstop/internal/topo"
 )
 
-// TestDeadRuleCompileSkipsMaps is the regression test for the eager-compile
-// fix: a rule whose Until is already past when the plane is built must not
-// allocate its selector lookup maps — but it must keep its rule slot, so
-// the PRNG stream positions of every later rule are unshifted.
-func TestDeadRuleCompileSkipsMaps(t *testing.T) {
-	plan := Plan{
-		Name: "dead-rule",
-		Rules: []Rule{
-			// Expired before the start tick below: compiles dead.
-			{From: 10, Until: 50, Cut: true, Tags: []string{"SUSP"},
-				Links: LinkSet{
-					Groups: [][]model.ProcID{{1}, {2}},
-					Pairs:  []Link{{From: 1, To: 3}},
-				}},
-			// Still live at the start tick.
-			{From: 10, Drop: 0.5, JitterMax: 3},
-		},
-	}
-	pl := NewPlaneAt(plan, 4, 7, 100)
-	dead := &pl.rules[0]
-	if !dead.dead {
-		t.Fatal("expired rule did not compile dead")
-	}
-	if dead.groupOf.Len() != 0 || dead.pairs.Len() != 0 {
-		t.Errorf("dead rule built selectors: %d groupOf entries, %d pairs", dead.groupOf.Len(), dead.pairs.Len())
-	}
-	if pl.rules[1].dead {
-		t.Error("live rule compiled dead")
-	}
-
-	// Fates must be identical to a plane built at tick 0, where the same
-	// rule is compiled live but inactive at the send times: both planes
-	// consume the stream identically per rule slot.
-	ref := NewPlane(plan, 4, 7)
-	p := node.Payload{Tag: "SUSP"}
-	for i := 0; i < 200; i++ {
-		at := int64(100 + i)
-		got := pl.Decide(1, 2, p, at)
-		want := ref.Decide(1, 2, p, at)
-		if got != want {
-			t.Fatalf("msg %d: dead-rule plane decided %+v, live-but-inactive plane %+v", i, got, want)
-		}
-	}
-}
-
 // TestRegionRackSelectors pins the correlated-failure selectors: a rule
 // cutting region 1's boundary (resp. rack 3's) drops exactly the links with
 // one endpoint inside. Topology: 12 processes, hier 2x2 (rack size 3), so

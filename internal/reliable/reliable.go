@@ -74,27 +74,20 @@ import (
 // lost ack only costs a retransmission, which is re-acknowledged.
 const TagAck = "REL.ACK"
 
-// Defaults for Options.
-const (
-	// DefaultRetryInterval is the initial retransmit interval in ticks:
-	// comfortably above a default-delay round trip, so a fault-free link
-	// sees zero retransmissions.
-	DefaultRetryInterval = 40
-	// DefaultBackoff doubles the retry interval after every round.
-	DefaultBackoff = 2.0
-)
+// DefaultRetryInterval is the initial retransmit interval in ticks:
+// comfortably above a default-delay round trip, so a fault-free link sees
+// zero retransmissions.
+const DefaultRetryInterval = 40
 
 // Options configures the reliable-delivery layer.
 type Options struct {
 	// Enabled turns the layer on. The zero Options leave the network bare.
 	Enabled bool
-	// RetryInterval is the initial retransmission interval in ticks.
-	// Default: DefaultRetryInterval.
+	// RetryInterval is the initial retransmission interval in ticks; it
+	// doubles after each retransmission round on a link (exponential
+	// backoff). Default: DefaultRetryInterval.
 	RetryInterval int64
-	// Backoff multiplies the retry interval after each retransmission round
-	// on a link (exponential backoff). Default: DefaultBackoff.
-	Backoff float64
-	// MaxInterval caps the backed-off retry interval. Default:
+	// MaxInterval caps the doubled retry interval. Default:
 	// 16 * RetryInterval.
 	MaxInterval int64
 	// MaxRetries bounds how many times one frame is retransmitted before
@@ -108,9 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryInterval == 0 {
 		o.RetryInterval = DefaultRetryInterval
 	}
-	if o.Backoff == 0 {
-		o.Backoff = DefaultBackoff
-	}
 	if o.MaxInterval == 0 {
 		o.MaxInterval = 16 * o.RetryInterval
 	}
@@ -121,9 +111,6 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	if o.RetryInterval < 0 {
 		return fmt.Errorf("reliable: negative RetryInterval %d", o.RetryInterval)
-	}
-	if o.Backoff != 0 && o.Backoff < 1 {
-		return fmt.Errorf("reliable: Backoff %v < 1 would shrink the retry interval", o.Backoff)
 	}
 	if o.MaxInterval < 0 {
 		return fmt.Errorf("reliable: negative MaxInterval %d", o.MaxInterval)
@@ -505,10 +492,7 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 		host.Send(to, e.frameData(ps, f))
 	}
 	if len(resend) > 0 {
-		next := int64(float64(ps.interval) * e.opts.Backoff)
-		if next > e.opts.MaxInterval {
-			next = e.opts.MaxInterval
-		}
+		next := min(2*ps.interval, e.opts.MaxInterval)
 		if next < ps.interval {
 			next = ps.interval
 		}

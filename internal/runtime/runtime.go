@@ -140,10 +140,18 @@ func New(cfg Config) *Net {
 // metricNames are the host counters' names on this backend.
 var metricNames = host.MetricNames("net_")
 
-// SetHandler attaches the handler for process p. Must be called before
-// Start.
+// SetHandler attaches the handler for process p (1..N); any other p panics.
+// Must be called before Start.
 func (n *Net) SetHandler(p model.ProcID, h node.Handler) {
+	n.checkProc("SetHandler", p)
 	n.handlers[p] = h
+}
+
+// checkProc panics unless p is one of the processes 1..N.
+func (n *Net) checkProc(call string, p model.ProcID) {
+	if p < 1 || int(p) > n.cfg.N {
+		panic(fmt.Sprintf("runtime: %s for invalid process %d (have 1..%d)", call, p, n.cfg.N))
+	}
 }
 
 // Start initializes every handler and launches the worker goroutines.
@@ -206,8 +214,9 @@ func (n *Net) History() model.History {
 
 // Do runs fn in the context of process p (serialized with its deliveries),
 // e.g. to inject a suspicion: net.Do(2, func(ctx){ det.Suspect(ctx, 1) }).
-// It is a no-op if p has crashed.
+// It is a no-op if p has crashed; a p that is not one of 1..N panics.
 func (n *Net) Do(p model.ProcID, fn func(node.Context)) {
+	n.checkProc("Do", p)
 	n.procs[p].inject(fn)
 }
 
@@ -531,6 +540,7 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	net.nextMsg++
 	id := net.nextMsg
 	e := model.Send(p.self, to, id, pl.Tag, pl.Subject)
+	// One reading of the clock: Route judges the send at the tick its event shows.
 	e.Time = net.nowTicks()
 	e.Seq = len(net.history)
 	net.history = append(net.history, e)
@@ -541,7 +551,7 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	dst := net.procs[to]
 	locked := false
 	var maxDelay time.Duration
-	net.core.Route(net.nowTicks(), p.curSpan, p.self, to, id, pl, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
+	net.core.Route(e.Time, p.curSpan, p.self, to, id, pl, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
 		if !locked {
 			dst.mu.Lock()
 			locked = true

@@ -302,3 +302,79 @@ func stormWindows(t *testing.T, want int64) int64 {
 	}
 	return got
 }
+
+// sender sends count messages to process 2 from Init.
+type sender struct{ count int }
+
+func (s sender) Init(ctx node.Context) {
+	for i := 0; i < s.count; i++ {
+		ctx.Send(2, node.Payload{Tag: "M"})
+	}
+}
+func (sender) OnMessage(node.Context, model.ProcID, node.Payload) {}
+func (sender) OnTimer(node.Context, string)                       {}
+
+// TestSendFateJudgedAtRecordedTick: the fault plane decides a live send at
+// the tick its send event carries. The clock used to be read twice, once for
+// the history and once for the link function, so at a fine tick a rule window
+// could be judged at a tick the history never shows.
+func TestSendFateJudgedAtRecordedTick(t *testing.T) {
+	const sends = 300
+	cfg := fastCfg(2, 1)
+	cfg.Tick = 50 * time.Nanosecond
+	var ats []int64
+	cfg.Link = func(_, _ model.ProcID, _ node.Payload, at int64) node.LinkDecision {
+		ats = append(ats, at) // Init runs on the caller of Start: no other sender
+		return node.LinkDecision{}
+	}
+	net := runtime.New(cfg)
+	net.SetHandler(1, sender{count: sends})
+	net.SetHandler(2, &collector{})
+	net.Start()
+	net.Stop()
+	var times []int64
+	for _, e := range net.History() {
+		if e.Kind == model.KindSend {
+			times = append(times, e.Time)
+		}
+	}
+	if len(ats) != sends || len(times) != sends {
+		t.Fatalf("%d link calls and %d send events, want %d of each", len(ats), len(times), sends)
+	}
+	differ := 0
+	for k := range ats {
+		if ats[k] != times[k] {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d sends judged at another tick than their send event's (first: link %d, event %d)",
+			differ, sends, ats[0], times[0])
+	}
+}
+
+// TestBadCallsPanicAtTheCall: a call naming a process nobody is panics with
+// its name, where it is written. Do(0, …) — LiveCluster.Crash(0) — used to die
+// on a nil process and Do(n+1, …) or SetHandler(n+1, …) with an index out of
+// range; SetHandler(0, …) was silently accepted.
+func TestBadCallsPanicAtTheCall(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		call func(*runtime.Net)
+	}{
+		{"runtime: Do for invalid process 0 (have 1..3)", func(n *runtime.Net) { n.Do(0, func(node.Context) {}) }},
+		{"runtime: Do for invalid process 4 (have 1..3)", func(n *runtime.Net) { n.Do(4, func(node.Context) {}) }},
+		{"runtime: Do for invalid process -1 (have 1..3)", func(n *runtime.Net) { n.Do(-1, func(node.Context) {}) }},
+		{"runtime: SetHandler for invalid process 0 (have 1..3)", func(n *runtime.Net) { n.SetHandler(0, &collector{}) }},
+		{"runtime: SetHandler for invalid process 4 (have 1..3)", func(n *runtime.Net) { n.SetHandler(4, &collector{}) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("recovered %v, want %q", r, tc.want)
+				}
+			}()
+			tc.call(runtime.New(fastCfg(3, 1)))
+		}()
+	}
+}

@@ -219,11 +219,8 @@ type Config struct {
 	// Recovery selects what a restarted process remembers: Off disables
 	// restarts entirely, Amnesia restarts handlers blank (Init, or
 	// OnRestart with nil state), Durable restores the snapshot taken at
-	// crash time through Store.
+	// crash time from an in-memory store private to this run.
 	Recovery recovery.Mode
-	// Store persists crash-time snapshots under Durable recovery. Nil
-	// defaults to a fresh in-memory store private to this run.
-	Store recovery.Store
 }
 
 // CheckHorizon rejects an unbounded lifetime under a recovering mode without
@@ -729,7 +726,7 @@ func New(cfg Config) *Sim {
 		cfg: cfg,
 		core: host.Core{
 			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
-			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
+			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery,
 		},
 		free: noSlot,
 	}
@@ -767,9 +764,10 @@ func New(cfg Config) *Sim {
 // metricNames are the host counters' names on this backend.
 var metricNames = host.MetricNames("sim_")
 
-// SetHandler attaches the handler for process p (1..N).
+// SetHandler attaches the handler for process p (1..N); any other p panics.
 func (s *Sim) SetHandler(p model.ProcID, h node.Handler) {
 	s.live("SetHandler")
+	s.checkProc("SetHandler", p)
 	s.handlers[p] = h
 }
 
@@ -781,15 +779,20 @@ func (s *Sim) live(call string) {
 	}
 }
 
+// checkProc panics unless p is one of the processes 1..N.
+func (s *Sim) checkProc(call string, p model.ProcID) {
+	if p < 1 || int(p) > s.cfg.N {
+		panic(fmt.Sprintf("sim: %s for invalid process %d (have 1..%d)", call, p, s.cfg.N))
+	}
+}
+
 // At schedules fn to run in the context of process p at virtual time t.
 // If p has crashed by then, fn is skipped. Injections at equal times run in
 // the order they were registered. A p that is not one of 1..N panics here,
 // at the call, as Send does for such a receiver.
 func (s *Sim) At(t int64, p model.ProcID, fn func(node.Context)) {
 	s.live("At")
-	if p < 1 || int(p) > s.cfg.N {
-		panic(fmt.Sprintf("sim: At for invalid process %d (have 1..%d)", p, s.cfg.N))
-	}
+	s.checkProc("At", p)
 	s.push(occ(t, occInject, p, len(s.injects)))
 	s.injects = append(s.injects, fn)
 }

@@ -556,10 +556,12 @@ func TestSendToSelfPanics(t *testing.T) {
 	s.Run()
 }
 
-// TestBadCallsPanicAtTheCall: an injection for a process nobody is, and a
-// negative delay bound, panic where they are written — At(t, 9, …) used to die
-// with an index out of range deep inside Run, CrashAt(t, 0) recorded a crash_0
-// no checker accepts, and a negative bound parked every message of the run.
+// TestBadCallsPanicAtTheCall: an injection or a handler for a process nobody
+// is, and a negative delay bound, panic where they are written — At(t, 9, …)
+// used to die with an index out of range deep inside Run, CrashAt(t, 0)
+// recorded a crash_0 no checker accepts, SetHandler(0, …) was silently
+// accepted and SetHandler(3, …) died with an index out of range, and a
+// negative bound parked every message of the run.
 func TestBadCallsPanicAtTheCall(t *testing.T) {
 	for _, tc := range []struct {
 		want string
@@ -568,6 +570,8 @@ func TestBadCallsPanicAtTheCall(t *testing.T) {
 		{"sim: At for invalid process 0 (have 1..2)", func() { newSim(t, 2, 1).At(5, 0, func(node.Context) {}) }},
 		{"sim: At for invalid process 3 (have 1..2)", func() { newSim(t, 2, 1).At(5, 3, func(node.Context) {}) }},
 		{"sim: At for invalid process -1 (have 1..2)", func() { newSim(t, 2, 1).CrashAt(5, -1) }},
+		{"sim: SetHandler for invalid process 0 (have 1..2)", func() { newSim(t, 2, 1).SetHandler(0, idle()) }},
+		{"sim: SetHandler for invalid process 3 (have 1..2)", func() { newSim(t, 2, 1).SetHandler(3, idle()) }},
 		{"sim: Config.MinDelay = -5, MaxDelay = -1: a delay bound cannot be negative (no message arrives before it is sent)",
 			func() { New(Config{N: 2, MinDelay: -5, MaxDelay: -1}) }},
 		{"sim: Config.MinDelay = 0, MaxDelay = -1: a delay bound cannot be negative (no message arrives before it is sent)",

@@ -281,14 +281,12 @@ type Options struct {
 	// Workers sizes the worker pool. 0 means GOMAXPROCS; 1 is the serial
 	// baseline.
 	Workers int
-	// Progress, when non-nil, receives periodic per-worker progress and
-	// throughput lines while the sweep runs (cmd/sfs-sweep points it at
+	// Progress, when non-nil, receives a per-worker progress and throughput
+	// line once a second while the sweep runs (cmd/sfs-sweep points it at
 	// stderr under -progress). Progress output is execution bookkeeping —
 	// wall-clock pacing, worker attribution — and never reaches the
 	// report, so enabling it cannot perturb results.
 	Progress io.Writer
-	// ProgressEvery is the reporting interval; 0 means one second.
-	ProgressEvery time.Duration
 }
 
 func (s Spec) withDefaults() Spec {
@@ -729,10 +727,6 @@ func startProgress(opts Options, total int, done []obs.Counter) (stop func()) {
 	if opts.Progress == nil {
 		return func() {}
 	}
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = time.Second
-	}
 	//sfs:allow detwallclock progress throughput needs a wall-clock epoch; output is stderr bookkeeping, never the report
 	start := time.Now()
 	report := func() {
@@ -752,7 +746,7 @@ func startProgress(opts Options, total int, done []obs.Counter) (stop func()) {
 		fmt.Fprintf(opts.Progress, "sweep: %d/%d runs, %.1f runs/s,%s\n", sum, total, rate, b)
 	}
 	//sfs:allow detwallclock progress pacing runs on real time; output is stderr bookkeeping, never the report
-	tick := time.NewTicker(every)
+	tick := time.NewTicker(time.Second)
 	quit := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
