@@ -53,24 +53,35 @@ func (in *injections) Set(s string) error {
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("sfs-sim", flag.ContinueOnError)
 	fs.SetOutput(out)
+	opts := failstop.Options{Protocol: failstop.SFS}
+	fs.IntVar(&opts.N, "n", 5, "number of processes")
+	fs.IntVar(&opts.T, "t", 2, "maximum failures, including erroneous detections")
+	fs.Func("protocol", `protocol: sfs, cheap, or unilateral (default "sfs")`, func(s string) (err error) {
+		opts.Protocol, err = core.ParseProtocol(s)
+		return err
+	})
+	fs.Int64Var(&opts.Seed, "seed", 1, "simulation seed")
+	fs.Int64Var(&opts.MaxTime, "maxtime", 0, "virtual-time horizon (0 = run to quiescence)")
+	fs.Int64Var(&opts.HeartbeatEvery, "heartbeat", 0, "heartbeat interval in ticks (0 = no fd layer)")
+	fs.Int64Var(&opts.HeartbeatTimeout, "timeout", 0, "suspicion timeout in ticks (with -heartbeat)")
+	fs.Func("topo", "cluster topology: full, gossip:F[@SEED], or hier:RxK (empty: full mesh)", func(s string) error {
+		tp, err := failstop.ParseTopo(s)
+		opts.Topology = &tp
+		return err
+	})
+	fs.Func("recovery", `crash-recovery mode for plan-scheduled process faults: off, amnesia, or durable (default "off")`, func(s string) (err error) {
+		opts.Recovery, err = failstop.ParseRecoveryMode(s)
+		return err
+	})
+	fs.BoolVar(&opts.Reliable.Enabled, "reliable", false, "interpose the reliable-delivery layer (acks, retransmission, dedup, in-order release) under every process")
+	fs.BoolVar(&opts.Byzantine.Enabled, "byz", false, "interpose the Byzantine validation layer (per-sender MACs, echo quorums, replay watermark) under every process; convictions are masked into crashes")
+	fs.Int64Var(&opts.Reliable.RetryInterval, "retry-interval", 0, "initial retransmit interval in ticks with -reliable (0: layer default)")
+	fs.IntVar(&opts.Reliable.MaxRetries, "max-retries", 0, "retransmissions per frame before the link gives up with -reliable (0: retry forever)")
 	var (
-		n        = fs.Int("n", 5, "number of processes")
-		t        = fs.Int("t", 2, "maximum failures, including erroneous detections")
-		protoStr = fs.String("protocol", "sfs", "protocol: sfs, cheap, or unilateral")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		maxTime  = fs.Int64("maxtime", 0, "virtual-time horizon (0 = run to quiescence)")
-		hbEvery  = fs.Int64("heartbeat", 0, "heartbeat interval in ticks (0 = no fd layer)")
-		hbTo     = fs.Int64("timeout", 0, "suspicion timeout in ticks (with -heartbeat)")
-		topoStr  = fs.String("topo", "", "cluster topology: full, gossip:F[@SEED], or hier:RxK (empty: full mesh)")
 		planName = fs.String("plan", "", "built-in network fault plan ("+strings.Join(failstop.FaultPlanNames(), ", ")+")")
 		planFile = fs.String("plan-file", "", "load the network fault plan from this JSON file (see examples/plans; mutually exclusive with -plan)")
 		lintPlan = fs.Bool("validate-plan", false, "validate the plan (-plan or -plan-file) against -n and exit without simulating")
 		dumpPlan = fs.Bool("dump-plan", false, "print the plan (-plan or -plan-file) as plan-file JSON and exit without simulating")
-		recStr   = fs.String("recovery", "off", "crash-recovery mode for plan-scheduled process faults: off, amnesia, or durable")
-		reliable = fs.Bool("reliable", false, "interpose the reliable-delivery layer (acks, retransmission, dedup, in-order release) under every process")
-		byzFlag  = fs.Bool("byz", false, "interpose the Byzantine validation layer (per-sender MACs, echo quorums, replay watermark) under every process; convictions are masked into crashes")
-		retryInt = fs.Int64("retry-interval", 0, "initial retransmit interval in ticks with -reliable (0: layer default)")
-		maxRetry = fs.Int("max-retries", 0, "retransmissions per frame before the link gives up with -reliable (0: retry forever)")
 		outPath  = fs.String("o", "", "write the recorded trace to this file (JSON lines)")
 		spans    = fs.Bool("spans", false, "record message-lifecycle spans (written into the -o trace as format v3)")
 		spanRate = fs.Float64("span-rate", 1.0, "seed-deterministic span sampling rate in [0,1] with -spans")
@@ -90,34 +101,9 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintf(out, "bad -span-rate %g: want a rate in [0,1]\n", *spanRate)
 		return 2
 	}
-
-	proto, err := core.ParseProtocol(*protoStr)
-	if err != nil {
-		fmt.Fprintln(out, err)
+	if *tlEvery < 0 {
+		fmt.Fprintf(out, "bad -timeline-every %d: want a sampling cadence of at least 0 ticks\n", *tlEvery)
 		return 2
-	}
-
-	recMode, err := failstop.ParseRecoveryMode(*recStr)
-	if err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	opts := failstop.Options{
-		N: *n, T: *t, Protocol: proto, Seed: *seed, MaxTime: *maxTime,
-		HeartbeatEvery: *hbEvery, HeartbeatTimeout: *hbTo,
-		Recovery: recMode,
-		Reliable: failstop.ReliableOptions{
-			Enabled: *reliable, RetryInterval: *retryInt, MaxRetries: *maxRetry,
-		},
-		Byzantine: failstop.ByzantineOptions{Enabled: *byzFlag},
-	}
-	if *topoStr != "" {
-		tp, err := failstop.ParseTopo(*topoStr)
-		if err != nil {
-			fmt.Fprintln(out, err)
-			return 2
-		}
-		opts.Topology = &tp
 	}
 	planLabel := *planName
 	switch {
@@ -125,7 +111,7 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(out, "use -plan or -plan-file, not both")
 		return 2
 	case *planName != "":
-		plan, err := failstop.BuiltinFaultPlan(*planName, *n, *t)
+		plan, err := failstop.BuiltinFaultPlan(*planName, opts.N, opts.T)
 		if err != nil {
 			fmt.Fprintln(out, err)
 			return 2
@@ -153,12 +139,12 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintln(out, "-validate-plan needs -plan or -plan-file")
 			return 2
 		}
-		if err := opts.Faults.Validate(*n); err != nil {
+		if err := opts.Faults.Validate(opts.N); err != nil {
 			fmt.Fprintln(out, err)
 			return 1
 		}
 		fmt.Fprintf(out, "plan %q: %d rules, %d proc rules, %d byz rules, valid for n=%d\n",
-			planLabel, len(opts.Faults.Rules), len(opts.Faults.Procs), len(opts.Faults.Byz), *n)
+			planLabel, len(opts.Faults.Rules), len(opts.Faults.Procs), len(opts.Faults.Byz), opts.N)
 		return 0
 	}
 	if *dumpPlan {
@@ -168,7 +154,7 @@ func run(args []string, out io.Writer) int {
 		}
 		// Never emit a plan file the other entry points (and -validate-plan
 		// itself) would reject.
-		if err := opts.Faults.Validate(*n); err != nil {
+		if err := opts.Faults.Validate(opts.N); err != nil {
 			fmt.Fprintln(out, err)
 			return 1
 		}
@@ -181,14 +167,14 @@ func run(args []string, out io.Writer) int {
 	// -maxtime left at 0 where a horizon is all the options lack: 5,000 ticks.
 	bounded := opts
 	bounded.MaxTime = 5000
-	if *maxTime == 0 && opts.Validate() != nil && bounded.Validate() == nil {
+	if opts.MaxTime == 0 && opts.Validate() != nil && bounded.Validate() == nil {
 		opts = bounded
 	}
 	if *spans {
 		// The recorder is seeded with the simulation seed, so the sampled
 		// message set — and therefore the span stream — is a pure function
 		// of (options, seed): running twice yields byte-identical spans.
-		opts.Spans = failstop.NewSpanRecorder(*seed, *spanRate)
+		opts.Spans = failstop.NewSpanRecorder(opts.Seed, *spanRate)
 	}
 	if *tlPath != "" {
 		opts.Timeline = failstop.NewTimeline(*tlEvery, 0)
@@ -207,8 +193,8 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -suspect %q (want i:j@t): %v\n", s, err)
 			return 2
 		}
-		if i < 1 || i > *n || j < 1 || j > *n {
-			fmt.Fprintf(out, "bad -suspect %q: processes are 1..%d (-n)\n", s, *n)
+		if i < 1 || i > opts.N || j < 1 || j > opts.N {
+			fmt.Fprintf(out, "bad -suspect %q: processes are 1..%d (-n)\n", s, opts.N)
 			return 2
 		}
 		c.SuspectAt(at, failstop.ProcID(i), failstop.ProcID(j))
@@ -220,8 +206,8 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "bad -crash %q (want p@t): %v\n", s, err)
 			return 2
 		}
-		if p < 1 || p > *n {
-			fmt.Fprintf(out, "bad -crash %q: processes are 1..%d (-n)\n", s, *n)
+		if p < 1 || p > opts.N {
+			fmt.Fprintf(out, "bad -crash %q: processes are 1..%d (-n)\n", s, opts.N)
 			return 2
 		}
 		c.CrashAt(at, failstop.ProcID(p))
@@ -229,21 +215,21 @@ func run(args []string, out io.Writer) int {
 
 	rep := c.Run()
 	fmt.Fprintf(out, "run: n=%d t=%d protocol=%s seed=%d events=%d sent=%d delivered=%d quiescent=%v end=%d\n",
-		*n, *t, proto, *seed, len(rep.History), rep.Sent, rep.Delivered, rep.Quiescent, rep.EndTime)
+		opts.N, opts.T, opts.Protocol, opts.Seed, len(rep.History), rep.Sent, rep.Delivered, rep.Quiescent, rep.EndTime)
 	if opts.Topology != nil && !opts.Topology.IsFull() {
 		fmt.Fprintf(out, "topology: %s\n", opts.Topology.Name())
 	}
 	if opts.Faults != nil {
 		fmt.Fprintf(out, "faults: plan=%s dropped=%d duplicated=%d\n", planLabel, rep.Dropped, rep.Duplicated)
 	}
-	if recMode != failstop.RecoveryOff || rep.PlanCrashes > 0 {
+	if opts.Recovery != failstop.RecoveryOff || rep.PlanCrashes > 0 {
 		fmt.Fprintf(out, "recovery: mode=%s plan-crashes=%d restarts=%d recovered=%d\n",
-			recMode, rep.PlanCrashes, rep.Restarts, rep.Recovered)
+			opts.Recovery, rep.PlanCrashes, rep.Restarts, rep.Recovered)
 	}
-	if *reliable {
+	if opts.Reliable.Enabled {
 		fmt.Fprintf(out, "reliable: retransmits=%d acked-duplicates=%d\n", rep.Retransmits, rep.AckedDuplicates)
 	}
-	if *byzFlag || (opts.Faults != nil && len(opts.Faults.Byz) > 0) {
+	if opts.Byzantine.Enabled || (opts.Faults != nil && len(opts.Faults.Byz) > 0) {
 		fmt.Fprintf(out, "byzantine: detected=%d masked=%d corrupted=%d equivocated=%d replayed=%d\n",
 			rep.ByzDetected, rep.ByzMasked, rep.Corrupted, rep.Equivocated, rep.Replayed)
 	}
@@ -287,7 +273,7 @@ func run(args []string, out io.Writer) int {
 			sched = append(sched, "suspect "+s)
 		}
 		hdr := trace.Header{
-			N: *n, T: *t, Protocol: proto.String(), Seed: *seed,
+			N: opts.N, T: opts.T, Protocol: opts.Protocol.String(), Seed: opts.Seed,
 			Schedule: strings.Join(sched, "; "), Plan: planLabel,
 			// The fully serialized plan, not just its name, so the trace
 			// replays without access to the builtin registry.

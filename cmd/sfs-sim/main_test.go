@@ -126,6 +126,8 @@ func TestRunBadInputs(t *testing.T) {
 		{"-n", "5", "-maxtime", "-5"},
 		{"-n", "5", "-span-rate", "7"},
 		{"-n", "5", "-spans", "-span-rate", "NaN"},
+		// Ran as -timeline-every 1.
+		{"-n", "5", "-timeline", filepath.Join(t.TempDir(), "tl.json"), "-timeline-every", "-3", "-suspect", "2:1@5"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -39,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -59,33 +60,46 @@ func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("sfs-sweep", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		grid      = fs.String("grid", "10:3", "comma-separated n:t cells, e.g. 10:3,12:3,15:4")
-		seeds     = fs.Int("seeds", 25, "seeds per cell")
-		seedStart = fs.Int64("seed-start", 0, "first seed")
-		protocols = fs.String("protocols", "sfs", "comma-separated protocols: sfs, cheap, unilateral")
-		schedules = fs.String("schedules", "false-suspicion,crash,mutual", "comma-separated built-in fault schedules")
-		plans     = fs.String("plan", "", "comma-separated built-in network fault plans (empty: fault-free network)")
-		topos     = fs.String("topo", "", "comma-separated topology axis: full, gossip:F[@SEED], hier:RxK (empty: full mesh only)")
-		planFiles = fs.String("plan-file", "", "comma-separated JSON fault-plan files to add to the plan axis (see examples/plans)")
-		reliab    = fs.String("reliable", "off", "reliable-delivery axis: off, on, or both (grid every cell with and without the layer)")
-		recov     = fs.String("recovery", "off", "crash-recovery axis: off, amnesia, durable, or all (grid every cell over all three modes)")
-		byzMode   = fs.String("byz", "off", "Byzantine validation-interposer axis: off, on, or both (grid every cell with and without misbehavior masking)")
-		maxRetry  = fs.Int("max-retries", 0, "retransmissions per frame before a reliable link gives up (0: retry forever, needs -max-time)")
-		hbEvery   = fs.Int64("heartbeat", 0, "heartbeat interval in ticks (0: no fd layer); adds a false-suspicion column, needs -max-time")
-		hbTimeout = fs.Int64("hb-timeout", 0, "heartbeat suspicion timeout in ticks (with -heartbeat)")
-		qDeltas   = fs.String("q-delta", "0", "comma-separated quorum-size offsets from the Theorem 7 minimum")
-		minDelay  = fs.Int64("min-delay", 0, "minimum uniform message delay (0: simulator default)")
-		maxDelay  = fs.Int64("max-delay", 0, "maximum uniform message delay (0: simulator default)")
-		maxTime   = fs.Int64("max-time", 0, "virtual-time horizon per run (0: run to quiescence)")
-		maxEvents = fs.Int("max-events", 0, "event cap per run (0: simulator default)")
-		workers   = fs.Int("workers", 0, "worker pool size (0: GOMAXPROCS, 1: serial)")
-		check     = fs.Bool("check", true, "check every quiescent history against the paper's properties")
-		shard     = fs.String("shard", "", "run one shard i/k of the (cell, seed) stream, e.g. -shard 0/4")
+		spec       sweep.Spec
+		filePlans  []netadv.Generator // follow the builtin plans on the plan axis
+		maxRetries int
+		workers    int
+	)
+	listFlag(fs, &spec.Grid, "grid", "10:3", "comma-separated n:t cells, e.g. 10:3,12:3,15:4", parseNT)
+	fs.IntVar(&spec.Seeds.Count, "seeds", 25, "seeds per cell")
+	fs.Int64Var(&spec.Seeds.Start, "seed-start", 0, "first seed")
+	listFlag(fs, &spec.Protocols, "protocols", "sfs", "comma-separated protocols: sfs, cheap, unilateral", core.ParseProtocol)
+	listFlag(fs, &spec.Schedules, "schedules", "false-suspicion,crash,mutual", "comma-separated built-in fault schedules", builtinSchedule)
+	listFlag(fs, &spec.Plans, "plan", "", "comma-separated built-in network fault plans (empty: fault-free network)", builtinPlan)
+	listFlag(fs, &spec.Topologies, "topo", "", "comma-separated topology axis: full, gossip:F[@SEED], hier:RxK (empty: full mesh only)", topo.ParseSpec)
+	listFlag(fs, &filePlans, "plan-file", "", "comma-separated JSON fault-plan files to add to the plan axis (see examples/plans)", planFile)
+	modeFlag(fs, &spec.Reliable, "reliable", "reliable-delivery axis: off, on, or both (grid every cell with and without the layer)",
+		map[string][]reliable.Options{"off": nil, "on": {{Enabled: true}}, "both": {{}, {Enabled: true}}})
+	modeFlag(fs, &spec.Recovery, "recovery", "crash-recovery axis: off, amnesia, durable, or all (grid every cell over all three modes)",
+		map[string][]recovery.Mode{"off": nil, "amnesia": {recovery.Amnesia}, "durable": {recovery.Durable},
+			"all": {recovery.Off, recovery.Amnesia, recovery.Durable}})
+	modeFlag(fs, &spec.Byzantine, "byz", "Byzantine validation-interposer axis: off, on, or both (grid every cell with and without misbehavior masking)",
+		map[string][]byz.Options{"off": nil, "on": {{Enabled: true}}, "both": {{}, {Enabled: true}}})
+	fs.IntVar(&maxRetries, "max-retries", 0, "retransmissions per frame before a reliable link gives up (0: retry forever, needs -max-time)")
+	fs.Int64Var(&spec.HeartbeatEvery, "heartbeat", 0, "heartbeat interval in ticks (0: no fd layer); adds a false-suspicion column, needs -max-time")
+	fs.Int64Var(&spec.HeartbeatTimeout, "hb-timeout", 0, "heartbeat suspicion timeout in ticks (with -heartbeat)")
+	listFlag(fs, &spec.QuorumDeltas, "q-delta", "0", "comma-separated quorum-size offsets from the Theorem 7 minimum", strconv.Atoi)
+	fs.Int64Var(&spec.MinDelay, "min-delay", 0, "minimum uniform message delay (0: simulator default)")
+	fs.Int64Var(&spec.MaxDelay, "max-delay", 0, "maximum uniform message delay (0: simulator default)")
+	fs.Int64Var(&spec.MaxTime, "max-time", 0, "virtual-time horizon per run (0: run to quiescence)")
+	fs.IntVar(&spec.MaxEvents, "max-events", 0, "event cap per run (0: simulator default)")
+	fs.IntVar(&workers, "workers", 0, "worker pool size (0: GOMAXPROCS, 1: serial)")
+	fs.BoolVar(&spec.Check, "check", true, "check every quiescent history against the paper's properties")
+	fs.Func("shard", "run one shard i/k of the (cell, seed) stream, e.g. -shard 0/4", func(s string) (err error) {
+		spec.Shard, err = parseShard(s)
+		return err
+	})
+	fs.BoolVar(&spec.Timeline, "timeline", false, "sample per-tick timeseries in every run and aggregate per-run peaks into the report")
+	fs.Int64Var(&spec.TimelineEvery, "timeline-every", 1, "timeline sampling cadence in ticks with -timeline")
+	var (
 		jsonOut   = fs.String("json", "", "also write the report as JSON to this file (\"-\": stdout, replacing the text report)")
 		csvOut    = fs.String("csv", "", "also write the report as CSV to this file (\"-\": stdout), one row per cell, for charting")
 		progress  = fs.Bool("progress", false, "print per-worker progress and throughput to stderr while the sweep runs")
-		timeline  = fs.Bool("timeline", false, "sample per-tick timeseries in every run and aggregate per-run peaks into the report")
-		tlEvery   = fs.Int64("timeline-every", 1, "timeline sampling cadence in ticks with -timeline")
 		merge     = fs.Bool("merge", false, "merge shard reports (the JSON files given as arguments) instead of sweeping")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
@@ -111,69 +125,15 @@ func run(args []string, out io.Writer) int {
 		return runMerge(fs.Args(), *jsonOut, *csvOut, out)
 	}
 	// Spec defaulting reads a zero count as "unset" and would run one seed.
-	if *seeds < 1 {
-		fmt.Fprintf(out, "sfs-sweep: -seeds %d: need at least 1 seed per cell\n", *seeds)
-		return 2
-	}
-
-	spec := sweep.Spec{
-		Seeds:            sweep.SeedRange{Start: *seedStart, Count: *seeds},
-		MinDelay:         *minDelay,
-		MaxDelay:         *maxDelay,
-		MaxTime:          *maxTime,
-		MaxEvents:        *maxEvents,
-		Check:            *check,
-		HeartbeatEvery:   *hbEvery,
-		HeartbeatTimeout: *hbTimeout,
-		Timeline:         *timeline,
-		TimelineEvery:    *tlEvery,
-	}
-	var err error
-	if spec.Reliable, err = parseReliable(*reliab, *maxRetry); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Recovery, err = parseRecovery(*recov); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Byzantine, err = parseByzantine(*byzMode); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Grid, err = parseGrid(*grid); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Protocols, err = parseProtocols(*protocols); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Schedules, err = parseSchedules(*schedules); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Plans, err = parsePlans(*plans); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Topologies, err = parseTopos(*topos); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	filePlans, err := parsePlanFiles(*planFiles)
-	if err != nil {
-		fmt.Fprintln(out, err)
+	if spec.Seeds.Count < 1 {
+		fmt.Fprintf(out, "sfs-sweep: -seeds %d: need at least 1 seed per cell\n", spec.Seeds.Count)
 		return 2
 	}
 	spec.Plans = append(spec.Plans, filePlans...)
-	if spec.QuorumDeltas, err = parseInts(*qDeltas); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	if spec.Shard, err = parseShard(*shard); err != nil {
-		fmt.Fprintln(out, err)
-		return 2
+	for i := range spec.Reliable {
+		if spec.Reliable[i].Enabled {
+			spec.Reliable[i].MaxRetries = maxRetries
+		}
 	}
 
 	if *cpuProf != "" {
@@ -190,7 +150,7 @@ func run(args []string, out io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := sweep.Options{Workers: *workers}
+	opts := sweep.Options{Workers: workers}
 	if *progress {
 		// Progress goes to stderr, never to out: the text/JSON/CSV reports
 		// must stay byte-identical with and without -progress.
@@ -307,170 +267,102 @@ func parseShard(s string) (sweep.Shard, error) {
 	}
 	i, k, ok := strings.Cut(s, "/")
 	if !ok {
-		return sweep.Shard{}, fmt.Errorf("bad -shard %q (want i/k, e.g. 0/4)", s)
+		return sweep.Shard{}, fmt.Errorf("bad shard %q (want i/k, e.g. 0/4)", s)
 	}
 	idx, err1 := strconv.Atoi(strings.TrimSpace(i))
 	cnt, err2 := strconv.Atoi(strings.TrimSpace(k))
 	if err1 != nil || err2 != nil {
-		return sweep.Shard{}, fmt.Errorf("bad -shard %q (want i/k, e.g. 0/4)", s)
+		return sweep.Shard{}, fmt.Errorf("bad shard %q (want i/k, e.g. 0/4)", s)
 	}
 	// Reject out-of-range values here, before Spec defaulting rewrites a
 	// typo like 0/0 into a full unsharded run (which would then merge
 	// into doubled counts).
 	if cnt < 1 || idx < 0 || idx >= cnt {
-		return sweep.Shard{}, fmt.Errorf("bad -shard %q: index must be in [0, count), count at least 1", s)
+		return sweep.Shard{}, fmt.Errorf("bad shard %q: index must be in [0, count), count at least 1", s)
 	}
 	return sweep.Shard{Index: idx, Count: cnt}, nil
 }
 
-func parseGrid(s string) ([]sweep.NT, error) {
-	var out []sweep.NT
-	for _, cell := range strings.Split(s, ",") {
-		cell = strings.TrimSpace(cell)
-		n, t, ok := strings.Cut(cell, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad grid cell %q (want n:t)", cell)
+// listFlag declares -name, a comma-separated list whose entries parse reads,
+// stored in *dst; the default is parsed the same way. A flag whose default
+// is blank (an axis that is off unless asked for) also takes a blank value,
+// as nil.
+func listFlag[T any](fs *flag.FlagSet, dst *[]T, name, def, usage string, parse func(string) (T, error)) {
+	set := func(s string) error {
+		var list []T
+		if def != "" || strings.TrimSpace(s) != "" {
+			for _, entry := range strings.Split(s, ",") {
+				v, err := parse(strings.TrimSpace(entry))
+				if err != nil {
+					return err
+				}
+				list = append(list, v)
+			}
 		}
-		ni, err1 := strconv.Atoi(n)
-		ti, err2 := strconv.Atoi(t)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad grid cell %q (want n:t)", cell)
-		}
-		out = append(out, sweep.NT{N: ni, T: ti})
+		*dst = list
+		return nil
 	}
-	return out, nil
+	if err := set(def); err != nil {
+		panic(fmt.Sprintf("sfs-sweep: default of -%s: %v", name, err))
+	}
+	if def != "" {
+		usage += fmt.Sprintf(" (default %q)", def)
+	}
+	fs.Func(name, usage, set)
 }
 
-func parseProtocols(s string) ([]core.Protocol, error) {
-	var out []core.Protocol
-	for _, name := range strings.Split(s, ",") {
-		p, err := core.ParseProtocol(name)
-		if err != nil {
-			return nil, err
+// modeFlag declares -name, whose value names one of modes and stores that
+// mode's axis entries in *dst. The default, "off", is the nil *dst starts as;
+// a blank value is off too.
+func modeFlag[T any](fs *flag.FlagSet, dst *[]T, name, usage string, modes map[string][]T) {
+	fs.Func(name, usage+` (default "off")`, func(s string) error {
+		mode := strings.ToLower(strings.TrimSpace(s))
+		list, ok := modes[mode]
+		if !ok && mode != "" {
+			var want []string
+			for m := range modes {
+				want = append(want, m)
+			}
+			sort.Strings(want)
+			return fmt.Errorf("unknown mode %q (want %s)", s, strings.Join(want, ", "))
 		}
-		out = append(out, p)
-	}
-	return out, nil
+		*dst = list
+		return nil
+	})
 }
 
-func parseSchedules(s string) ([]sweep.Schedule, error) {
-	var out []sweep.Schedule
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		sched, ok := sweep.Builtin(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown schedule %q (have %s)", name, strings.Join(sweep.BuiltinNames(), ", "))
-		}
-		out = append(out, sched)
+// parseNT parses one n:t grid point.
+func parseNT(s string) (sweep.NT, error) {
+	n, t, ok := strings.Cut(s, ":")
+	ni, err1 := strconv.Atoi(n)
+	ti, err2 := strconv.Atoi(t)
+	if !ok || err1 != nil || err2 != nil {
+		return sweep.NT{}, fmt.Errorf("bad grid cell %q (want n:t)", s)
 	}
-	return out, nil
+	return sweep.NT{N: ni, T: ti}, nil
 }
 
-func parsePlans(s string) ([]netadv.Generator, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
+// builtinSchedule looks a fault schedule up by name.
+func builtinSchedule(name string) (sweep.Schedule, error) {
+	sched, ok := sweep.Builtin(name)
+	if !ok {
+		return sched, fmt.Errorf("unknown schedule %q (have %s)", name, strings.Join(sweep.BuiltinNames(), ", "))
 	}
-	var out []netadv.Generator
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		g, ok := netadv.Builtin(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown plan %q (have %s)", name, strings.Join(netadv.BuiltinNames(), ", "))
-		}
-		out = append(out, g)
-	}
-	return out, nil
+	return sched, nil
 }
 
-// parsePlanFiles loads user-authored fault plans, each wrapped as a fixed
-// generator on the plan axis. Structural validation against every grid
-// point happens in sweep.Spec.Validate, so a plan that does not fit some
-// cell fails the sweep up front with a clear error.
-func parsePlanFiles(s string) ([]netadv.Generator, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
+// builtinPlan looks a network fault plan up by name.
+func builtinPlan(name string) (netadv.Generator, error) {
+	g, ok := netadv.Builtin(name)
+	if !ok {
+		return g, fmt.Errorf("unknown plan %q (have %s)", name, strings.Join(netadv.BuiltinNames(), ", "))
 	}
-	var out []netadv.Generator
-	for _, path := range strings.Split(s, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			return nil, fmt.Errorf("empty entry in -plan-file %q", s)
-		}
-		plan, err := netadv.ReadPlanFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, netadv.Fixed(plan))
-	}
-	return out, nil
+	return g, nil
 }
 
-// parseTopos parses the comma-separated -topo axis. Feasibility against
-// every grid point (fanout vs. n, regions×racks vs. n) is checked in
-// sweep.Spec.Validate, alongside the duplicate-topology guard.
-func parseTopos(s string) ([]topo.Spec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []topo.Spec
-	for _, name := range strings.Split(s, ",") {
-		sp, err := topo.ParseSpec(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sp)
-	}
-	return out, nil
-}
-
-func parseRecovery(mode string) ([]recovery.Mode, error) {
-	switch strings.TrimSpace(strings.ToLower(mode)) {
-	case "", "off":
-		return nil, nil
-	case "all":
-		return []recovery.Mode{recovery.Off, recovery.Amnesia, recovery.Durable}, nil
-	}
-	m, err := recovery.ParseMode(strings.TrimSpace(strings.ToLower(mode)))
-	if err != nil {
-		return nil, fmt.Errorf("bad -recovery %q (want off, amnesia, durable, or all)", mode)
-	}
-	return []recovery.Mode{m}, nil
-}
-
-func parseReliable(mode string, maxRetries int) ([]reliable.Options, error) {
-	on := reliable.Options{Enabled: true, MaxRetries: maxRetries}
-	switch strings.TrimSpace(strings.ToLower(mode)) {
-	case "off", "":
-		return nil, nil
-	case "on":
-		return []reliable.Options{on}, nil
-	case "both":
-		return []reliable.Options{{}, on}, nil
-	}
-	return nil, fmt.Errorf("bad -reliable %q (want off, on, or both)", mode)
-}
-
-func parseByzantine(mode string) ([]byz.Options, error) {
-	on := byz.Options{Enabled: true}
-	switch strings.TrimSpace(strings.ToLower(mode)) {
-	case "off", "":
-		return nil, nil
-	case "on":
-		return []byz.Options{on}, nil
-	case "both":
-		return []byz.Options{{}, on}, nil
-	}
-	return nil, fmt.Errorf("bad -byz %q (want off, on, or both)", mode)
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+// planFile loads a user-authored fault plan as a fixed generator on the plan
+// axis. Whether it fits every grid point is sweep.Spec.Validate's to say.
+func planFile(path string) (netadv.Generator, error) {
+	plan, err := netadv.ReadPlanFile(path)
+	return netadv.Fixed(plan), err
 }

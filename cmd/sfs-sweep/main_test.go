@@ -37,6 +37,8 @@ func TestSweepRejectsRunConfigurations(t *testing.T) {
 		{"-heartbeat 5 -hb-timeout 20 -max-time -5", "MaxTime"},
 		{"-reliable on -max-time -5", "MaxTime"},
 		{"-plan restart-storm -recovery amnesia -max-time -5", "MaxTime"},
+		// Read as a cadence of 1 tick: the report was -timeline-every 1's.
+		{"-timeline -timeline-every -5 -csv -", "TimelineEvery"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "SFS_SWEEP_ARGS=-grid 5:2 -seeds 1 -schedules crash "+tc.args)
@@ -64,6 +66,56 @@ func TestSweepDefaultGrid(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestSweepDefaultsGoThroughTheParsers: each list flag's default is parsed
+// the way a value on the command line is, so spelling the defaults out runs
+// the same sweep.
+func TestSweepDefaultsGoThroughTheParsers(t *testing.T) {
+	var implicit, explicit bytes.Buffer
+	if code := run([]string{"-seeds", "4"}, &implicit); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, implicit.String())
+	}
+	args := []string{"-seeds", "4", "-grid", "10:3", "-protocols", "sfs",
+		"-schedules", "false-suspicion,crash,mutual", "-q-delta", "0"}
+	if code := run(args, &explicit); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, explicit.String())
+	}
+	if implicit.String() != explicit.String() {
+		t.Errorf("defaults spelled out ran a different sweep:\n--- -seeds 4\n%s\n--- %v\n%s", implicit.String(), args, explicit.String())
+	}
+}
+
+// TestSweepFlagOrder: file plans follow the builtin plans on the plan axis,
+// and -max-retries bounds the enabled reliable entry, whichever flag comes
+// first. The run without -max-retries differs, so a dropped bound shows.
+func TestSweepFlagOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "my-cut.json")
+	body := `{"rules":[{"from":5,"cut":true,"links":{"groups":[[1,2],[3,4]]}}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		base := []string{"-grid", "5:2", "-seeds", "3", "-schedules", "crash"}
+		if code := run(append(base, args...), &out); code != 0 {
+			t.Fatalf("%v: exit = %d:\n%s", args, code, out.String())
+		}
+		return out.String()
+	}
+	if a, b := sweep("-plan-file", path, "-plan", "split-brain"), sweep("-plan", "split-brain", "-plan-file", path); a != b {
+		t.Errorf("-plan-file before -plan ran a different sweep:\n%s\n--- -plan first\n%s", a, b)
+	}
+	healing := []string{"-plan", "healing-partition", "-max-time", "3000"}
+	retriesFirst := sweep(append([]string{"-max-retries", "1", "-reliable", "on"}, healing...)...)
+	reliableFirst := sweep(append([]string{"-reliable", "on", "-max-retries", "1"}, healing...)...)
+	if retriesFirst != reliableFirst {
+		t.Errorf("-max-retries before -reliable ran a different sweep:\n%s\n--- -reliable first\n%s", retriesFirst, reliableFirst)
+	}
+	if unbounded := sweep(append([]string{"-reliable", "on"}, healing...)...); unbounded == reliableFirst {
+		t.Errorf("-max-retries 1 changed nothing:\n%s", unbounded)
 	}
 }
 
@@ -324,6 +376,9 @@ func TestSweepBadFlags(t *testing.T) {
 		// with every run blocked.
 		{"-grid", "5:2", "-seeds", "2", "-schedules", "crash", "-max-delay", "9223372036854775807"},
 		{"-grid", "5:2", "-seeds", "2", "-schedules", "crash", "-max-delay", "9223372036854775806"},
+		// Exited 0, printing eight equal rows and counting two runs sixteen
+		// times.
+		{"-grid", "5:2,5:2", "-seeds", "2", "-protocols", "sfs,sfs", "-q-delta", "0,0", "-schedules", "crash"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

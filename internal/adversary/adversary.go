@@ -92,14 +92,8 @@ func RunCycleScenario(n, k, quorumSize int, seed int64) CycleOutcome {
 	if k < 2 || k > n {
 		panic("adversary: need 2 <= k <= n")
 	}
-	parkOwn := func(from, to model.ProcID, p node.Payload, at int64) int64 {
-		if p.Tag == core.TagSusp && p.Subject == to {
-			return -1 // the death sentence never arrives: FIFO parks the rest
-		}
-		return 1000 // uniform: deliveries happen after all scripted suspicions
-	}
 	c := cluster.New(cluster.Options{
-		Sim: sim.Config{N: n, Seed: seed, Delay: parkOwn},
+		Sim: sim.Config{N: n, Seed: seed, Delay: ParkedHeadDelay},
 		Det: core.Config{N: n, T: k, Protocol: core.SimulatedFailStop, QuorumSize: quorumSize},
 	})
 
@@ -129,6 +123,17 @@ func RunCycleScenario(n, k, quorumSize int, seed int64) CycleOutcome {
 		}
 	}
 	return out
+}
+
+// ParkedHeadDelay is the Appendix A.3 schedule's delay: every "you failed"
+// message is parked forever (the death sentence never arrives, and FIFO then
+// parks everything queued behind it), and all other messages are delayed
+// uniformly past the scripted suspicions.
+func ParkedHeadDelay(from, to model.ProcID, p node.Payload, at int64) int64 {
+	if p.Tag == core.TagSusp && p.Subject == to {
+		return -1
+	}
+	return 1000
 }
 
 // descendingFrom returns the ring targets 1..k in descending rotation order

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"failstop/internal/adversary"
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -27,19 +28,6 @@ func SlowKillDelay(seed int64, victims ...model.ProcID) sim.DelayFn {
 			return 150
 		}
 		return 1 + (at*7+int64(from)*13+int64(to)*5+seed)%15
-	}
-}
-
-// ParkedHeadDelay returns the Appendix A.3 adversary's delay: every "you
-// failed" message is parked forever (FIFO then parks everything queued
-// behind it), and all other messages are delayed uniformly past the
-// scripted suspicions.
-func ParkedHeadDelay() sim.DelayFn {
-	return func(from, to model.ProcID, p node.Payload, at int64) int64 {
-		if p.Tag == core.TagSusp && p.Subject == to {
-			return -1
-		}
-		return 1000
 	}
 }
 
@@ -138,7 +126,7 @@ func Builtins() []Schedule {
 				return fs
 			},
 			Delay: func(nt NT, seed int64) sim.DelayFn {
-				return ParkedHeadDelay()
+				return adversary.ParkedHeadDelay
 			},
 		},
 	}

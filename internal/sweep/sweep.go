@@ -324,9 +324,10 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate reports the first problem with the spec, or nil: its own rules (a
-// grid with n >= 2 and t >= 1, seeds, shard, duplicate names, each plan's Make
-// named, a HeartbeatTimeout with heartbeats), a topology that does not fit a
-// grid point, or what cluster.Options.Validate and CheckHorizon reject of a cell.
+// grid with n >= 2 and t >= 1, seeds, shard, each plan's Make named, a
+// TimelineEvery >= 0, a HeartbeatTimeout with heartbeats, no two equal cells),
+// a topology that does not fit a grid point, or what cluster.Options.Validate
+// and CheckHorizon reject of a cell.
 func (s Spec) Validate() error {
 	_, err := s.withDefaults().expand()
 	return err
@@ -349,12 +350,7 @@ func (s Spec) expand() ([]cellSpec, error) {
 	if s.Shard.Count < 1 || s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {
 		return nil, fmt.Errorf("sweep: shard %d of %d out of range (want 0 <= index < count)", s.Shard.Index, s.Shard.Count)
 	}
-	var names []string // each axis entry's name, as a duplicate is reported
-	for _, sc := range s.Schedules {
-		names = append(names, fmt.Sprintf("schedule name %q", sc.Name))
-	}
 	for _, pg := range s.Plans {
-		names = append(names, fmt.Sprintf("plan name %q", pg.Name))
 		if pg.Name != "" && pg.Make == nil {
 			return nil, fmt.Errorf("sweep: plan %q has no Make function", pg.Name)
 		}
@@ -364,15 +360,8 @@ func (s Spec) expand() ([]cellSpec, error) {
 			return nil, fmt.Errorf("sweep: plan with a Make function needs a name")
 		}
 	}
-	for _, tp := range s.Topologies {
-		names = append(names, fmt.Sprintf("topology %q", tp.Name()))
-	}
-	seen := map[string]bool{}
-	for _, name := range names {
-		if seen[name] {
-			return nil, fmt.Errorf("sweep: duplicate %s", name)
-		}
-		seen[name] = true
+	if s.TimelineEvery < 0 {
+		return nil, fmt.Errorf("sweep: Spec.TimelineEvery = %d: want a sampling cadence of at least 0 ticks (0: every tick)", s.TimelineEvery)
 	}
 	if s.HeartbeatEvery > 0 && s.HeartbeatTimeout <= 0 {
 		// fd.Heartbeat with Timeout 0 is a pure sender that never suspects:
@@ -383,7 +372,14 @@ func (s Spec) expand() ([]cellSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	seen := make(map[Cell]bool, len(cells))
 	for _, cs := range cells {
+		// Two equal cells would run the same scenarios twice and count them
+		// twice in every sweep-wide tally.
+		if seen[cs.cell] {
+			return nil, fmt.Errorf("sweep: duplicate cell %v", cs.cell)
+		}
+		seen[cs.cell] = true
 		co := s.options(cs, s.Seeds.Start)
 		err := co.Validate()
 		if err == nil {

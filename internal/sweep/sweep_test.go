@@ -92,11 +92,23 @@ func TestSpecDefaults(t *testing.T) {
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
+	splitBrain, _ := netadv.Builtin("split-brain")
 	cases := []Spec{
 		{},
 		{Grid: []NT{{1, 1}}},
 		{Grid: []NT{{5, 0}}},
+		// Two equal entries on any axis make equal cells, whose runs a sweep
+		// used to repeat and count twice in every tally.
+		{Grid: []NT{{5, 2}, {5, 2}}},
+		{Grid: []NT{{5, 2}}, Protocols: []core.Protocol{core.SimulatedFailStop, core.SimulatedFailStop}},
+		{Grid: []NT{{5, 2}}, QuorumDeltas: []int{0, 0}},
 		{Grid: []NT{{5, 2}}, Schedules: []Schedule{{Name: "x"}, {Name: "x"}}},
+		{Grid: []NT{{5, 2}}, Plans: []netadv.Generator{splitBrain, splitBrain}},
+		{Grid: []NT{{5, 2}}, Topologies: []topo.Spec{{Kind: topo.KindGossip, Fanout: 2}, {Kind: topo.KindGossip, Fanout: 2}}},
+		{Grid: []NT{{5, 2}}, Reliable: []reliable.Options{{Enabled: true, MaxRetries: 3}, {Enabled: true, MaxRetries: 5}}},
+		{Grid: []NT{{5, 2}}, Recovery: []recovery.Mode{recovery.Durable, recovery.Durable}},
+		{Grid: []NT{{5, 2}}, Byzantine: []byz.Options{{Enabled: true}, {Enabled: true}}},
+		{Grid: []NT{{5, 2}}, Timeline: true, TimelineEvery: -5},
 		// A negative bound had the default distribution park every message:
 		// the crash cell reported 2/2 runs blocked, exit status 0.
 		{Grid: []NT{{5, 2}}, MinDelay: -5, MaxDelay: -1},
