@@ -5,10 +5,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"failstop"
+	"failstop/internal/model"
 	"failstop/internal/trace"
 )
 
@@ -43,16 +45,36 @@ func TestCheckValidTrace(t *testing.T) {
 	}
 }
 
-// A trace naming process 2⁴⁰ is an invalid history — Validate's proc-id
-// rule — not tables sized for 2⁴⁰ processes: before model.MaxProcs the
-// file passed validation and the check died out of memory.
+// A trace naming a process past model.MaxProcs is an invalid history —
+// Validate's proc-id rule — not tables sized for it: before model.MaxProcs
+// the file passed validation and the check died out of memory. An id no
+// model.ProcID holds, 2⁴⁰, is a malformed trace: the reader names the line
+// and the field rather than truncate the id into range.
 func TestCheckRejectsHugeProcessID(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-in", "testdata/huge-proc-id.trace"}, &out); code != 1 {
-		t.Fatalf("exit = %d, want 1:\n%s", code, out.String())
+	recorded, err := os.ReadFile("testdata/huge-proc-id.trace")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "history INVALID") || !strings.Contains(out.String(), "proc-id") {
-		t.Errorf("want the history reported INVALID under the proc-id rule:\n%s", out.String())
+	for _, tc := range []struct {
+		id   string
+		want []string
+	}{
+		{strconv.Itoa(model.MaxProcs + 1), []string{"history INVALID", "proc-id"}},
+		{"1099511627776", []string{"reading trace", "malformed trace: line 25", "Event.proc"}},
+	} {
+		in := filepath.Join(t.TempDir(), "trace.json")
+		if err := os.WriteFile(in, bytes.Replace(recorded, []byte("1099511627776"), []byte(tc.id), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if code := run([]string{"-in", in}, &out); code != 1 {
+			t.Fatalf("process %s: exit = %d, want 1:\n%s", tc.id, code, out.String())
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("process %s: output lacks %q:\n%s", tc.id, want, out.String())
+			}
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"too few processes", failstop.Options{N: 1}, "at least 2"},
 		{"zero processes", failstop.Options{N: 0}, "at least 2"},
+		{"more processes than a history names", failstop.Options{N: model.MaxProcs + 1, T: 1}, "at most 1048576"},
 		{"negative t", failstop.Options{N: 5, T: -1}, "cannot be negative"},
 		{"heartbeats without horizon", failstop.Options{N: 5, HeartbeatEvery: 10}, "MaxTime"},
 		{"bad fault plan", failstop.Options{N: 5, Faults: &failstop.FaultPlan{
@@ -94,6 +95,7 @@ func TestFacadesRejectTheSameInputs(t *testing.T) {
 		want string
 	}{
 		{"n", failstop.Options{N: 1}, failstop.LiveOptions{N: 1}, "at least 2"},
+		{"n above MaxProcs", failstop.Options{N: model.MaxProcs + 1}, failstop.LiveOptions{N: model.MaxProcs + 1}, "at most 1048576"},
 		{"t", failstop.Options{N: 4, T: -1}, failstop.LiveOptions{N: 4, T: -1}, "cannot be negative"},
 		{"min delay", failstop.Options{N: 4, MinDelay: -5, MaxDelay: -1}, failstop.LiveOptions{N: 4, MinDelay: -5, MaxDelay: -1}, "delay bound cannot be negative"},
 		{"max delay", failstop.Options{N: 4, MaxDelay: -1}, failstop.LiveOptions{N: 4, MaxDelay: -1}, "delay bound cannot be negative"},

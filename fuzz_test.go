@@ -3,6 +3,7 @@ package failstop_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestCheckersSurviveHostileHistories(t *testing.T) {
 	for _, h := range []failstop.History{
 		{model.Failed(-1, 2), model.Crash(2)},
 		{model.Failed(1, -2)},
-		{model.Crash(2), model.Failed(1, 2), model.Internal(1<<40, "x", model.None)},
+		{model.Crash(2), model.Failed(1, 2), model.Internal(math.MaxInt32, "x", model.None)},
 		{model.Recv(2, model.MaxProcs+1, 1, failstop.DefaultSuspTag, 1)},
 	} {
 		vs := failstop.CheckSFS(h)

@@ -2,6 +2,7 @@ package checker_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -176,7 +177,7 @@ func TestHostileProcessIDs(t *testing.T) {
 	for _, h := range []model.History{
 		{model.Failed(-1, 2), model.Crash(2)},
 		{model.Failed(1, -2)},
-		{model.Crash(1), model.Internal(1<<40, "x", model.None)},
+		{model.Crash(1), model.Internal(math.MaxInt32, "x", model.None)},
 		{model.Send(1, model.MaxProcs+1, 1, core.TagSusp, 2)},
 	} {
 		vs := checker.All(h, core.TagSusp, 1)

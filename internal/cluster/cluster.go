@@ -59,13 +59,14 @@ type Options struct {
 }
 
 // Validate reports the first problem either host would have, naming the field
-// first: N below 2, a negative T, bad delay bounds, a fault plan that does not
-// fit N or comes with Sim.Link or Sim.Lifetimes, invalid interposer options,
-// or a negative heartbeat number, MaxTime or MaxEvents (each would silently
-// read as its zero: no fd layer, never suspect, no horizon, the default cap).
+// first: N outside 2..model.MaxProcs, a negative T, bad delay bounds, a fault
+// plan that does not fit N or comes with Sim.Link or Sim.Lifetimes, invalid
+// interposer options, or a negative heartbeat number, MaxTime or MaxEvents
+// (each would silently read as its zero: no fd layer, never suspect, no
+// horizon, the default cap).
 func (o Options) Validate() error {
-	if o.Det.N < 2 {
-		return fmt.Errorf("N = %d; need at least 2 processes", o.Det.N)
+	if o.Det.N < 2 || o.Det.N > model.MaxProcs {
+		return fmt.Errorf("N = %d; need at least 2 processes and at most %d (model.MaxProcs, the largest id a history may name)", o.Det.N, model.MaxProcs)
 	}
 	if o.Det.T < 0 {
 		return fmt.Errorf("T = %d; the failure bound cannot be negative", o.Det.T)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"failstop/internal/model"
@@ -31,7 +32,7 @@ func TestNamesNoProcess(t *testing.T) {
 		d := NewDetector(Config{N: 5, T: 2, Protocol: proto}, nil, nil)
 		ctx := &scriptCtx{self: 2, n: 5}
 		d.Init(ctx)
-		for _, j := range []model.ProcID{-3, model.None, 6, 9, 1 << 40} {
+		for _, j := range []model.ProcID{-3, model.None, 6, 9, math.MaxInt32} {
 			d.Suspect(ctx, j)
 			d.OnMessage(ctx, 4, node.Payload{Tag: TagSusp, Subject: j})
 			if d.Suspects(j) || d.Detected(j) {

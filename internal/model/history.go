@@ -15,7 +15,7 @@ type History []Event
 // Normalize assigns each event's Seq field to its index and returns h.
 func (h History) Normalize() History {
 	for i := range h {
-		h[i].Seq = i
+		h[i].Seq = int32(i)
 	}
 	return h
 }

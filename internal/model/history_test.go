@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -318,7 +319,7 @@ func TestNormalizeAssignsSeq(t *testing.T) {
 	h := History{Crash(1), Crash(2), Crash(3)}
 	h.Normalize()
 	for i, e := range h {
-		if e.Seq != i {
+		if int(e.Seq) != i {
 			t.Errorf("event %d has Seq %d", i, e.Seq)
 		}
 	}
@@ -529,7 +530,7 @@ func TestIsomorphicToMatchesProjectionOracle(t *testing.T) {
 	}
 	// An actor outside 0..MaxProcs makes a history isomorphic to nothing,
 	// instead of indexing a table with it.
-	for _, p := range []ProcID{-1, MaxProcs + 1, 1 << 40} {
+	for _, p := range []ProcID{-1, MaxProcs + 1, math.MaxInt32} {
 		bad := History{Crash(p)}
 		if bad.IsomorphicTo(bad) {
 			t.Errorf("a history naming process %d must be isomorphic to nothing", p)
@@ -656,7 +657,7 @@ func TestValidateMatchesMapOracle(t *testing.T) {
 			h = perturb(h, n, rng)
 		}
 		if seed%10 == 0 && len(h) > 0 {
-			h[rng.Intn(len(h))].Peer = MaxProcs + 1 + ProcID(rng.Intn(2))*(1<<40)
+			h[rng.Intn(len(h))].Peer = MaxProcs + 1 + ProcID(rng.Intn(2))*(math.MaxInt32-MaxProcs-1)
 		}
 		var victims map[ProcID]bool
 		if seed%2 == 1 {
@@ -694,7 +695,7 @@ func TestValidateMatchesMapOracle(t *testing.T) {
 // nothing to reject: no table is sized from it.
 func TestValidateBoundsProcessIDs(t *testing.T) {
 	for _, h := range []History{
-		{Internal(1<<40, "x", None)},
+		{Internal(math.MaxInt32, "x", None)},
 		{Failed(1, MaxProcs+1)},
 		{Send(1, MaxProcs+1, 1, "a", None)},
 	} {

@@ -8,8 +8,8 @@ import (
 // MaxProcs is the largest process id a history may name: the readers'
 // tables are dense over the ids, so Validate's proc-id rule and the scan
 // enforce a bound — a hundred times the largest membership any workload
-// here runs — and a trace naming process 2⁴⁰ is an invalid history, not an
-// allocation.
+// here runs — and a trace naming process 2²⁰+1 is an invalid history, not an
+// allocation. An id past a ProcID's 32 bits, such as 2⁴⁰, does not decode.
 const MaxProcs = 1 << 20
 
 // Index is a summary of a history that answers in O(1) what the property
@@ -239,7 +239,7 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 		s.Abstract = make(History, len(w.keep))
 		for k, i := range w.keep {
 			s.Abstract[k] = h[i]
-			s.Abstract[k].Seq = k
+			s.Abstract[k].Seq = int32(k)
 		}
 	}
 	if quorums {

@@ -20,8 +20,11 @@ import (
 )
 
 // ProcID identifies a process. Valid process ids are 1..n; 0 is reserved as
-// "no process" for event fields that do not apply.
-type ProcID int
+// "no process" for event fields that do not apply. It is 32 bits wide: a
+// valid history names no process above MaxProcs (2²⁰) and every configured n
+// is at most MaxProcs, so every id a run records fits — and an Event, with
+// its 32-bit MsgID and Seq, is 48 bytes.
+type ProcID int32
 
 // None is the zero ProcID, used when an event field carries no process.
 const None ProcID = 0
@@ -32,11 +35,12 @@ func (p ProcID) String() string { return strconv.Itoa(int(p)) }
 // MsgID uniquely identifies a message within a history. The paper assumes
 // all messages are unique ("they can easily be made so by including in m its
 // source and a sequence number"); we realize that assumption with a
-// history-wide counter. 0 means "no message".
-type MsgID int64
+// history-wide counter. 0 means "no message". It is 32 bits wide, like
+// ProcID: the simulator refuses a send past math.MaxInt32 rather than wrap.
+type MsgID int32
 
 // Kind enumerates the event kinds of the paper's formal model.
-type Kind int
+type Kind uint8
 
 // Event kinds. Values start at 1 so that the zero Kind is invalid and
 // accidental zero-valued events are caught by validation.
@@ -94,7 +98,7 @@ func (k Kind) String() string {
 // executed the event; it is informational only and plays no role in the
 // formal model or in any property checker.
 type Event struct {
-	Seq    int    `json:"seq"`
+	Seq    int32  `json:"seq"`
 	Proc   ProcID `json:"proc"`
 	Kind   Kind   `json:"kind"`
 	Peer   ProcID `json:"peer,omitempty"`

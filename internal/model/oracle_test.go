@@ -72,7 +72,7 @@ func scanTwoWalk(h History, drop []string, suspTag string, abstract, quorums boo
 		if abstract {
 			pos = len(s.Abstract)
 			s.Abstract = append(s.Abstract, *e)
-			s.Abstract[pos].Seq = pos
+			s.Abstract[pos].Seq = int32(pos)
 		}
 		switch {
 		case e.Kind == KindCrash:

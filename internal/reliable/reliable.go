@@ -433,7 +433,7 @@ func (e *Endpoint) arm(host node.Context, ps *peerState, delay int64) {
 // everything else forwards to the inner handler.
 func (e *Endpoint) OnTimer(ctx node.Context, name string) {
 	if peerStr, ok := strings.CutPrefix(name, timerPrefix); ok {
-		if id, err := strconv.Atoi(peerStr); err == nil {
+		if id, err := strconv.ParseInt(peerStr, 10, 32); err == nil {
 			e.onRetry(ctx, model.ProcID(id))
 		}
 		return

@@ -107,8 +107,8 @@ type Net struct {
 
 // New creates a live network.
 func New(cfg Config) *Net {
-	if cfg.N <= 0 {
-		panic("runtime: Config.N must be positive")
+	if cfg.N <= 0 || cfg.N > model.MaxProcs {
+		panic("runtime: Config.N must be in 1..model.MaxProcs")
 	}
 	if cfg.MinDelay == 0 && cfg.MaxDelay == 0 {
 		cfg.MinDelay, cfg.MaxDelay = 100*time.Microsecond, 2*time.Millisecond
@@ -227,7 +227,7 @@ func (n *Net) nowTicks() int64 {
 func (n *Net) record(e model.Event) {
 	n.recMu.Lock()
 	e.Time = n.nowTicks()
-	e.Seq = len(n.history)
+	e.Seq = int32(len(n.history))
 	n.history = append(n.history, e)
 	n.recMu.Unlock()
 }
@@ -542,7 +542,7 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	e := model.Send(p.self, to, id, pl.Tag, pl.Subject)
 	// One reading of the clock: Route judges the send at the tick its event shows.
 	e.Time = net.nowTicks()
-	e.Seq = len(net.history)
+	e.Seq = int32(len(net.history))
 	net.history = append(net.history, e)
 	net.recMu.Unlock()
 

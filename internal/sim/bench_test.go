@@ -148,7 +148,7 @@ func allocsAndKiB(runs int, fn func()) (allocs, kib float64) {
 // TestSimHotPathAllocBudget pins the sweep-cell-sized run's allocation
 // floor in absolute terms, at what it measures plus a tenth: out of the bulk
 // of the run before it, the n=10 × 20-round flood (1,800 messages) takes 16
-// allocations and 262 KiB, 253 of them the history it returns and does not
+// allocations and 183 KiB, 169 of them the history it returns and does not
 // release — the Sim, its Result and snapshot, the bulk's box in the pool, the
 // ten handlers — where a run that built its own bulk took 84 and 334 KiB. A
 // message costs no allocation of its own: doubling the rounds adds one or two,
@@ -161,8 +161,8 @@ func TestSimHotPathAllocBudget(t *testing.T) {
 	}
 	const n = 10
 	allocs20, kib20 := allocsAndKiB(20, func() { runFlood(n, 20, 1) })
-	if allocs20 > 18 || kib20 > 289 {
-		t.Errorf("n=%d × 20 rounds allocates %.0f times, %.0f KiB per run: over the 18 / 289 KiB budget", n, allocs20, kib20)
+	if allocs20 > 18 || kib20 > 201 {
+		t.Errorf("n=%d × 20 rounds allocates %.0f times, %.0f KiB per run: over the 18 / 201 KiB budget", n, allocs20, kib20)
 	}
 	allocs40, _ := allocsAndKiB(20, func() { runFlood(n, 40, 1) })
 	if extra := allocs40 - allocs20; extra > 8 {

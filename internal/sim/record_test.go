@@ -5,7 +5,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -17,12 +19,12 @@ import (
 // recording, one event per occurrence, until the run stops at exactly
 // MaxEvents two page boundaries later, and requires each materialised event
 // to equal what model.Send/Recv/Crash/Failed/Internal build — Seq the index,
-// Time the tick — including targets no 32-bit field holds.
+// Time the tick — including targets at both ends of a process id's range.
 func TestRecordedEventsEqualConstructors(t *testing.T) {
 	const maxEvents = 2*recPageLen + 452
 	var want model.History
 	log := func(ctx node.Context, e model.Event) {
-		e.Seq, e.Time = len(want), ctx.Now()
+		e.Seq, e.Time = int32(len(want)), ctx.Now()
 		want = append(want, e)
 	}
 	s := New(Config{N: 3, Seed: 1, MinDelay: 2, MaxDelay: 2, MaxEvents: maxEvents})
@@ -44,12 +46,12 @@ func TestRecordedEventsEqualConstructors(t *testing.T) {
 				ctx.EmitFailed(model.ProcID(k))
 				log(ctx, model.Failed(1, model.ProcID(k)))
 			case 4:
-				wide := model.ProcID(1)<<40 + model.ProcID(k)
-				ctx.EmitInternal("", wide)
-				log(ctx, model.Internal(1, "", wide))
+				top := math.MaxInt32 - model.ProcID(k)
+				ctx.EmitInternal("", top)
+				log(ctx, model.Internal(1, "", top))
 			case 5:
-				ctx.EmitInternal("neg", -model.ProcID(k))
-				log(ctx, model.Internal(1, "neg", -model.ProcID(k)))
+				ctx.EmitInternal("neg", math.MinInt32+model.ProcID(k))
+				log(ctx, model.Internal(1, "neg", math.MinInt32+model.ProcID(k)))
 			}
 			k++
 			ctx.SetTimer("step", 3)
@@ -146,7 +148,10 @@ func hasPointers(t reflect.Type) bool {
 // to half a cache line and no pointers — the queue's entries and the record
 // pages are never scanned, and the pages may be reused without being cleared
 // — an occurrence to the four fields the compiler will keep in registers, a
-// message slot to exactly one cache line and a due batch to a quarter of one.
+// message slot to exactly one cache line, a due batch to a quarter of one and
+// a link to half of one. It also holds model.Event, which every history is an
+// array of, to 48 bytes and its fields to their order, which is the key order
+// of every trace: a field added or widened there grows every recorded run.
 func TestQueueAndRecordLayout(t *testing.T) {
 	for _, v := range []any{occurrence{}, rec{}} {
 		typ := reflect.TypeOf(v)
@@ -165,6 +170,19 @@ func TestQueueAndRecordLayout(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(dueBatch{}); size != 16 {
 		t.Errorf("dueBatch is %d bytes, want exactly 16", size)
+	}
+	if size := unsafe.Sizeof(channel{}); size != 32 {
+		t.Errorf("channel is %d bytes, want exactly 32", size)
+	}
+	if size := unsafe.Sizeof(model.Event{}); size != 48 {
+		t.Errorf("model.Event is %d bytes, want exactly 48", size)
+	}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(model.Event{})) {
+		fields = append(fields, f.Name)
+	}
+	if got, want := strings.Join(fields, " "), "Seq Proc Kind Peer Target Msg Tag Time"; got != want {
+		t.Errorf("model.Event fields are %q, want %q: trace lines key their fields in this order", got, want)
 	}
 }
 

@@ -112,7 +112,7 @@ func scribble(b *bulk) {
 	}
 	for _, pg := range b.slab {
 		for j := range pg {
-			pg[j] = pendingMsg{payload: node.Payload{Tag: "POISON", Subject: -1}, readyAt: -7, id: ^uint32(0), next: 1 << 20}
+			pg[j] = pendingMsg{payload: node.Payload{Tag: "POISON", Subject: -1}, readyAt: -7, id: -1, next: 1 << 20}
 		}
 	}
 	for i := range b.arenas {
@@ -228,7 +228,7 @@ func TestReleasedResultIsRewritten(t *testing.T) {
 		t.Errorf("history capacity %d: the released %d-event array was not drawn", cap(short.History), longLen)
 	}
 	for i, e := range short.History {
-		if e.Seq != i {
+		if int(e.Seq) != i {
 			t.Fatalf("History[%d].Seq = %d", i, e.Seq)
 		}
 	}

@@ -95,9 +95,10 @@
 //     and nothing recorded is scanned. Run builds Result.History from the
 //     pages once, at its exact length. That one run-sized allocation is the
 //     recording's main cost: the runtime clears it before it is filled, and
-//     the two passes are ≈ 9 % of a run at N=10,000 (46 MB) and ≈ 15 % at
-//     n=10 (253 KiB) — unless a released Result left an array long enough,
-//     which is then filled in place.
+//     the two passes are ≈ 6 % of a run at N=10,000 (31 MB) and ≈ 13 % at
+//     n=10 (169 KiB) — unless a released Result left an array long enough,
+//     which is then filled in place. A record holds every id a model.Event
+//     can: both are 32 bits wide.
 //   - Recycling. A Sim is single-use, but what it built is not: the process
 //     table with each row's and gate list's capacity, the handler table, the
 //     slab's pages, the link arena's chunks, the overflow heap's array, the
@@ -107,7 +108,7 @@
 //     after another hand the same bulk on whenever the collector runs and
 //     whichever P they are on, so what they allocate is the same every time,
 //     and concurrent runs find their own in the pool. The price is that a
-//     process keeps one bulk (≈ 38 MB after a run at N=10,000) until another
+//     process keeps one bulk (≈ 33 MB after a run at N=10,000) until another
 //     run draws it.
 //     New resets what it draws as if it were garbage — each process's flags,
 //     lists and tables emptied (its handler and gate are set by Run), the
@@ -241,9 +242,9 @@ func (cfg Config) CheckHorizon() error {
 // message sits beside the slab, in Sim.spanOf.
 type pendingMsg struct {
 	payload node.Payload
-	readyAt int64  // delivery-ready time; -1 if parked forever
-	id      uint32 // the model.MsgID; Send refuses to count past what fits
-	next    int32  // slab index of the next slot; noSlot at the end of the list
+	readyAt int64 // delivery-ready time; -1 if parked forever
+	id      model.MsgID
+	next    int32 // slab index of the next slot; noSlot at the end of the list
 }
 
 // noSlot terminates a channel's message list and the slab's free list.
@@ -684,7 +685,6 @@ type Sim struct {
 	nrec      int
 	tags      []string          // tag table; tags[0] is the empty tag
 	tagIdx    map[string]uint32 // index into tags, once a scan of it would be long
-	wide      []model.ProcID    // event targets too wide for a record
 	injects   []func(node.Context)
 	pageBuf   [8]*recPage
 	tagBuf    [16]string
@@ -704,8 +704,8 @@ type Sim struct {
 // New creates a simulator for cfg.N processes. Handlers must be attached
 // with SetHandler before Run.
 func New(cfg Config) *Sim {
-	if cfg.N <= 0 {
-		panic("sim: Config.N must be positive")
+	if cfg.N <= 0 || cfg.N > model.MaxProcs {
+		panic("sim: Config.N must be in 1..model.MaxProcs")
 	}
 	if err := CheckDelayBounds(cfg.MinDelay, cfg.MaxDelay); err != nil {
 		panic("sim: Config." + err.Error())
@@ -1170,7 +1170,7 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 		if span != 0 {
 			s.cfg.Spans.Record(obs.Span{
 				Parent: span, Time: s.now, Kind: obs.SpanDrop,
-				Proc: c.to, Peer: c.from, Msg: model.MsgID(head.id), Note: "receiver down",
+				Proc: c.to, Peer: c.from, Msg: head.id, Note: "receiver down",
 			})
 		}
 		s.scheduleHead(c)
@@ -1183,14 +1183,14 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 	}
 	c.gated = false
 	head, span := s.dequeue(c)
-	s.record(model.Recv(c.to, c.from, model.MsgID(head.id), head.payload.Tag, head.payload.Subject))
+	s.record(model.Recv(c.to, c.from, head.id, head.payload.Tag, head.payload.Subject))
 	s.core.Delivered.Inc()
 	s.inflight--
 	prevSpan := s.curSpan
 	if span != 0 {
 		s.curSpan = s.cfg.Spans.Record(obs.Span{
 			Parent: span, Time: s.now, Kind: obs.SpanDeliver,
-			Proc: c.to, Peer: c.from, Msg: model.MsgID(head.id), Tag: head.payload.Tag,
+			Proc: c.to, Peer: c.from, Msg: head.id, Tag: head.payload.Tag,
 		})
 	} else {
 		s.curSpan = 0
@@ -1288,20 +1288,16 @@ func (s *Sim) restart(c *procCtx) {
 	s.afterEvent(c)
 }
 
-// rec is one recorded event (see the package comment). A Target that does
-// not fit — no process id does that, a handler may still name one — is kept
-// in Sim.wide, and target is its index there.
+// rec is one recorded event (see the package comment).
 type rec struct {
 	time               int64
 	msg                model.MsgID
-	proc, peer, target int32
-	kindTag            uint32 // model.Kind in the low recKindBits, recWide, then the tag index
+	proc, peer, target model.ProcID
+	kindTag            uint32 // model.Kind in the low recKindBits, then the tag index
 }
 
 const (
 	recKindBits = 3
-	recWide     = 1 << recKindBits
-	recTagShift = recKindBits + 1
 
 	recPageBits = 10
 	recPageLen  = 1 << recPageBits
@@ -1321,15 +1317,10 @@ func (s *Sim) record(e model.Event) {
 		s.page = recPages.Get().(*recPage)
 		s.pages = append(s.pages, s.page)
 	}
-	r := rec{
-		time: s.now, msg: e.Msg, proc: int32(e.Proc), peer: int32(e.Peer), target: int32(e.Target),
-		kindTag: uint32(e.Kind) | s.tagID(e.Tag)<<recTagShift,
+	s.page[i] = rec{
+		time: s.now, msg: e.Msg, proc: e.Proc, peer: e.Peer, target: e.Target,
+		kindTag: uint32(e.Kind) | s.tagID(e.Tag)<<recKindBits,
 	}
-	if model.ProcID(r.target) != e.Target {
-		r.target, r.kindTag = int32(len(s.wide)), r.kindTag|recWide
-		s.wide = append(s.wide, e.Target)
-	}
-	s.page[i] = r
 	s.nrec++
 	if e.Kind == model.KindInternal && e.Tag == "suspect" {
 		s.suspects++
@@ -1354,7 +1345,7 @@ func (s *Sim) tagID(tag string) uint32 {
 		return id
 	}
 	id := uint32(len(s.tags))
-	if id >= 1<<(32-recTagShift) {
+	if id >= 1<<(32-recKindBits) {
 		panic("sim: more distinct tags than a record can index")
 	}
 	s.tags = append(s.tags, tag)
@@ -1381,14 +1372,10 @@ func (s *Sim) materialize(h model.History) model.History {
 		out := h[pi<<recPageBits:]
 		for i := range out[:min(len(out), recPageLen)] {
 			r := &pg[i]
-			target := model.ProcID(r.target)
-			if r.kindTag&recWide != 0 {
-				target = s.wide[r.target]
-			}
 			out[i] = model.Event{
-				Seq: pi<<recPageBits + i, Proc: model.ProcID(r.proc), Kind: model.Kind(r.kindTag & (recWide - 1)),
-				Peer: model.ProcID(r.peer), Target: target, Msg: r.msg,
-				Tag: s.tags[r.kindTag>>recTagShift], Time: r.time,
+				Seq: int32(pi<<recPageBits + i), Proc: r.proc, Kind: model.Kind(r.kindTag & (1<<recKindBits - 1)),
+				Peer: r.peer, Target: r.target, Msg: r.msg,
+				Tag: s.tags[r.kindTag>>recKindBits], Time: r.time,
 			}
 		}
 		recPages.Put(pg)
@@ -1459,8 +1446,8 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	if to < 1 || int(to) > s.cfg.N {
 		panic(fmt.Sprintf("sim: send to invalid process %d", to))
 	}
-	if s.nextMsg >= math.MaxUint32 {
-		panic("sim: more messages than a message slot's id can number")
+	if s.nextMsg >= math.MaxInt32 {
+		panic("sim: more messages than a model.MsgID can number")
 	}
 	s.nextMsg++
 	id := s.nextMsg
@@ -1481,7 +1468,7 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		} else {
 			delay = s.cfg.MinDelay + s.rng.int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		msg := pendingMsg{id: uint32(id), payload: wire, readyAt: -1}
+		msg := pendingMsg{id: id, payload: wire, readyAt: -1}
 		if delay >= 0 && !park {
 			msg.readyAt = s.now + delay + extra
 		}

@@ -334,12 +334,12 @@ func TestPastOccurrenceFiresThisTickInOrder(t *testing.T) {
 	}
 }
 
-// TestMessageIDsFitTheSlot: the last id a message slot can hold is sent and
+// TestMessageIDsFitTheSlot: the last id a model.MsgID can hold is sent and
 // delivered under its own number; the send after it panics instead of
-// wrapping onto id 0.
+// wrapping onto a negative id.
 func TestMessageIDsFitTheSlot(t *testing.T) {
 	s := newSim(t, 2, 1)
-	s.nextMsg = math.MaxUint32 - 1
+	s.nextMsg = math.MaxInt32 - 1
 	var second any
 	s.SetHandler(1, &scriptHandler{init: func(ctx node.Context) {
 		ctx.Send(2, node.Payload{Tag: "last"})
@@ -348,8 +348,8 @@ func TestMessageIDsFitTheSlot(t *testing.T) {
 	}})
 	s.SetHandler(2, idle())
 	res := s.Run()
-	if len(res.History) != 2 || res.History[1].Kind != model.KindRecv || res.History[1].Msg != math.MaxUint32 {
-		t.Errorf("history = %+v, want the send and the receive of message %d", res.History, uint32(math.MaxUint32))
+	if len(res.History) != 2 || res.History[1].Kind != model.KindRecv || res.History[1].Msg != math.MaxInt32 {
+		t.Errorf("history = %+v, want the send and the receive of message %d", res.History, math.MaxInt32)
 	}
 	if msg, _ := second.(string); !strings.Contains(msg, "more messages") {
 		t.Errorf("the send past the last id panicked with %v, want the slot-id guard", second)

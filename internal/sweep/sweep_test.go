@@ -97,6 +97,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{},
 		{Grid: []NT{{1, 1}}},
 		{Grid: []NT{{5, 0}}},
+		{Grid: []NT{{model.MaxProcs + 1, 1}}},
 		// Two equal entries on any axis make equal cells, whose runs a sweep
 		// used to repeat and count twice in every tally.
 		{Grid: []NT{{5, 2}, {5, 2}}},

@@ -42,6 +42,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		simOnly   bool             // a horizon rule: a live run ends at Stop
 		field     string           // named by every entry point; "" means all accept
 	}{
+		{name: "more processes than a history names", opts: failstop.Options{N: model.MaxProcs + 1, T: 1}, field: "N"},
 		{name: "negative MaxTime", opts: failstop.Options{MaxTime: -5}, field: "MaxTime"},
 		{name: "zero MaxTime", opts: failstop.Options{}},
 		{name: "negative MaxEvents", maxEvents: -5, field: "MaxEvents"},
@@ -71,7 +72,9 @@ func TestEntryPointsAgree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
-			o.N, o.T = 5, 2
+			if o.N == 0 {
+				o.N, o.T = 5, 2
+			}
 			type entry struct {
 				name, prefix string
 				err          error
