@@ -105,8 +105,9 @@ type (
 	Metric = obs.Metric
 	// Metrics is a name-sorted metric snapshot.
 	Metrics = obs.Metrics
-	// MetricsRegistry collects instruments by name; pass one in
-	// Options.Metrics / LiveOptions.Metrics to observe a run's counters
+	// MetricsRegistry is a name table of the counters and gauges a run's
+	// layers register (the simulator or live runtime, the fault plane);
+	// pass one in Options.Metrics / LiveOptions.Metrics to observe them
 	// live (they are atomic) rather than only in the final report.
 	MetricsRegistry = obs.Registry
 	// Span is one message-lifecycle trace span (send, fault fate, enqueue,

@@ -31,17 +31,7 @@ func A1() Result {
 			c.SuspectAt(100, 1, 2)
 			c.SuspectAt(140, 3, 4)
 			res := c.Run()
-			sendTimes := map[model.MsgID]int64{}
-			for _, e := range res.History {
-				switch {
-				case e.Kind == model.KindSend && e.Tag == core.TagApp:
-					sendTimes[e.Msg] = e.Time
-				case e.Kind == model.KindRecv && e.Tag == core.TagApp:
-					if st, okT := sendTimes[e.Msg]; okT {
-						appLat = append(appLat, float64(e.Time-st))
-					}
-				}
-			}
+			appLat = append(appLat, appLatencies(res.History)...)
 			violations += membership.ObservedViolations(res.History)
 		}
 		return appLat, violations
@@ -86,16 +76,9 @@ func A2() Result {
 			})
 			c.SuspectAt(10, 2, 1)
 			res := c.Run()
-			var suspTime int64 = -1
-			for _, e := range res.History {
-				switch {
-				case e.Kind == model.KindInternal && e.Tag == "suspect" && suspTime < 0:
-					suspTime = e.Time
-				case e.Kind == model.KindFailed:
-					detections++
-					lats = append(lats, float64(e.Time-suspTime))
-				}
-			}
+			l := detectionLatencies(res.History)
+			detections += len(l)
+			lats = append(lats, l...)
 			for p := 1; p <= n; p++ {
 				for _, q := range c.Detectors[p].Quorums() {
 					qsizes = append(qsizes, float64(len(q)))

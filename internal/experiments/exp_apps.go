@@ -31,20 +31,13 @@ func E9() Result {
 		c.SuspectAt(10, 2, 1)
 		res := c.Run()
 		suspMsgs := 0
-		var suspTime int64 = -1
-		var latencies []float64
-		detections := 0
 		for _, e := range res.History {
-			switch {
-			case e.Kind == model.KindSend && e.Tag == core.TagSusp:
+			if e.Kind == model.KindSend && e.Tag == core.TagSusp {
 				suspMsgs++
-			case e.Kind == model.KindInternal && e.Tag == "suspect" && suspTime < 0:
-				suspTime = e.Time
-			case e.Kind == model.KindFailed:
-				detections++
-				latencies = append(latencies, float64(e.Time-suspTime))
 			}
 		}
+		latencies := detectionLatencies(res.History)
+		detections := len(latencies)
 		lat := stats.Summarize(latencies)
 		perDet := float64(suspMsgs) / float64(detections)
 		tbl.Row(n, t, c.Detectors[2].Config().QuorumSize, suspMsgs,
@@ -226,7 +219,6 @@ func E12() Result {
 		appLatency []float64
 		cycles     int
 		violations int
-		detections int
 	}
 	measure := func(proto core.Protocol) row {
 		var r row
@@ -241,25 +233,13 @@ func E12() Result {
 			c.SuspectAt(100, 1, 2)
 			c.SuspectAt(100, 2, 1)
 			res := c.Run()
-			var firstSuspect int64 = -1
-			sendTimes := map[model.MsgID]int64{}
 			for _, e := range res.History {
-				switch {
-				case e.Kind == model.KindInternal && e.Tag == "suspect" && firstSuspect < 0:
-					firstSuspect = e.Time
-				case e.Kind == model.KindSend && e.Tag == core.TagSusp:
+				if e.Kind == model.KindSend && e.Tag == core.TagSusp {
 					r.suspMsgs++
-				case e.Kind == model.KindSend && e.Tag == core.TagApp:
-					sendTimes[e.Msg] = e.Time
-				case e.Kind == model.KindRecv && e.Tag == core.TagApp:
-					if st, okT := sendTimes[e.Msg]; okT {
-						r.appLatency = append(r.appLatency, float64(e.Time-st))
-					}
-				case e.Kind == model.KindFailed:
-					r.detections++
-					r.detLatency = append(r.detLatency, float64(e.Time-firstSuspect))
 				}
 			}
+			r.detLatency = append(r.detLatency, detectionLatencies(res.History)...)
+			r.appLatency = append(r.appLatency, appLatencies(res.History)...)
 			if !model.NewFailedBefore(res.History).Acyclic() {
 				r.cycles++
 			}

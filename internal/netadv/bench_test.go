@@ -1,10 +1,12 @@
 package netadv
 
 import (
+	"reflect"
 	"testing"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/obs"
 )
 
 // BenchmarkDecideQuiet measures the fast path: no rule active or matching.
@@ -90,5 +92,34 @@ func TestByzDecideAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(20, run(withByz))
 	if got > base*1.05+1 {
 		t.Errorf("byz-rule plan allocates %.0f/run on unmatched traffic, bare plan %.0f/run: over the 5%% budget", got, base)
+	}
+}
+
+// TestPlaneMetricsMatchRegistry: a plane reports the same counters, in name
+// order, through Metrics as through a registry it registered into, the
+// plane_byz_* three only for a plan with Byz rules; and a Metrics call
+// allocates once, for the slice it returns.
+func TestPlaneMetricsMatchRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want int
+	}{
+		{Plan{Rules: []Rule{{Cut: true}}}, 6},
+		{Plan{Byz: []ByzRule{{Victim: 1, Tags: []string{"APP"}, Corrupt: 1}}}, 9},
+	} {
+		pl := NewPlane(tc.plan, 10, 1)
+		pl.Decide(1, 2, node.Payload{Tag: "APP"}, 0)
+		reg := obs.NewRegistry()
+		pl.Register(reg)
+		got := pl.Metrics()
+		if len(got) != tc.want || !reflect.DeepEqual(got, reg.Snapshot()) {
+			t.Errorf("Metrics() = %v, registry snapshot %v; want %d counters in both", got, reg.Snapshot(), tc.want)
+		}
+		if got.Value("plane_decided_total") != 1 {
+			t.Errorf("plane_decided_total = %d after one decision", got.Value("plane_decided_total"))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { pl.Metrics() }); allocs > 1 {
+			t.Errorf("Metrics() allocates %.0f times, want 1", allocs)
+		}
 	}
 }

@@ -568,41 +568,50 @@ func NewPlane(plan Plan, n int, seed int64) *Plane {
 	return pl
 }
 
+// namedCounter is one fate counter of a plane and the name it reports under.
+type namedCounter struct {
+	name string
+	c    *obs.Counter
+}
+
+// counters lists the plane's fate counters in name order, with the index of
+// the first one the plane reports: the three plane_byz_* counters lead the
+// list and are reported only for plans that carry Byz rules.
+func (pl *Plane) counters() (all [9]namedCounter, first int) {
+	all = [...]namedCounter{
+		{"plane_byz_corrupted_total", &pl.cCorrupted},
+		{"plane_byz_equivocated_total", &pl.cEquivocated},
+		{"plane_byz_replayed_total", &pl.cReplayed},
+		{"plane_decided_total", &pl.cDecided},
+		{"plane_dropped_total", &pl.cDropped},
+		{"plane_duplicated_total", &pl.cDuplicated},
+		{"plane_extra_delay_ticks_total", &pl.cShapedWait},
+		{"plane_held_ticks_total", &pl.cHeld},
+		{"plane_reordered_total", &pl.cReordered},
+	}
+	if len(pl.plan.Byz) == 0 {
+		first = 3
+	}
+	return all, first
+}
+
 // Register exposes the plane's fate counters through reg under plane_*
 // names. A no-op on a nil registry.
 func (pl *Plane) Register(reg *obs.Registry) {
-	reg.RegisterCounter("plane_decided_total", &pl.cDecided)
-	reg.RegisterCounter("plane_dropped_total", &pl.cDropped)
-	reg.RegisterCounter("plane_held_ticks_total", &pl.cHeld)
-	reg.RegisterCounter("plane_duplicated_total", &pl.cDuplicated)
-	reg.RegisterCounter("plane_reordered_total", &pl.cReordered)
-	reg.RegisterCounter("plane_extra_delay_ticks_total", &pl.cShapedWait)
-	if len(pl.plan.Byz) > 0 {
-		reg.RegisterCounter("plane_byz_corrupted_total", &pl.cCorrupted)
-		reg.RegisterCounter("plane_byz_equivocated_total", &pl.cEquivocated)
-		reg.RegisterCounter("plane_byz_replayed_total", &pl.cReplayed)
+	all, first := pl.counters()
+	for _, nc := range all[first:] {
+		reg.RegisterCounter(nc.name, nc.c)
 	}
 }
 
 // Metrics returns a name-sorted snapshot of the plane's fate counters.
-// Byzantine counters appear only for plans that carry Byz rules.
 func (pl *Plane) Metrics() obs.Metrics {
-	var ms obs.Metrics
-	if len(pl.plan.Byz) > 0 {
-		ms = obs.Metrics{
-			{Name: "plane_byz_corrupted_total", Kind: obs.KindCounter, Value: pl.cCorrupted.Value()},
-			{Name: "plane_byz_equivocated_total", Kind: obs.KindCounter, Value: pl.cEquivocated.Value()},
-			{Name: "plane_byz_replayed_total", Kind: obs.KindCounter, Value: pl.cReplayed.Value()},
-		}
+	all, first := pl.counters()
+	ms := make(obs.Metrics, 0, len(all)-first)
+	for _, nc := range all[first:] {
+		ms = append(ms, obs.Metric{Name: nc.name, Kind: obs.KindCounter, Value: nc.c.Value()})
 	}
-	return append(ms, obs.Metrics{
-		{Name: "plane_decided_total", Kind: obs.KindCounter, Value: pl.cDecided.Value()},
-		{Name: "plane_dropped_total", Kind: obs.KindCounter, Value: pl.cDropped.Value()},
-		{Name: "plane_duplicated_total", Kind: obs.KindCounter, Value: pl.cDuplicated.Value()},
-		{Name: "plane_extra_delay_ticks_total", Kind: obs.KindCounter, Value: pl.cShapedWait.Value()},
-		{Name: "plane_held_ticks_total", Kind: obs.KindCounter, Value: pl.cHeld.Value()},
-		{Name: "plane_reordered_total", Kind: obs.KindCounter, Value: pl.cReordered.Value()},
-	}...)
+	return ms
 }
 
 // ByzFates returns how many messages the plane has corrupted, equivocated,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,10 +11,13 @@ import (
 
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zeta_total").Add(3)
-	r.Gauge("alpha_level").Set(-2)
-	r.Histogram("mid_hist").Observe(1.5)
-	r.Histogram("mid_hist").Observe(2.5)
+	var zeta, mid Counter
+	var alpha Gauge
+	r.RegisterCounter("zeta_total", &zeta)
+	r.RegisterGauge("alpha_level", &alpha)
+	r.RegisterCounter("mid_total", &mid)
+	zeta.Add(3)
+	alpha.Set(-2)
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -30,34 +34,12 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	if v := snap.Value("alpha_level"); v != -2 {
 		t.Errorf("alpha_level = %d, want -2", v)
 	}
-	m, ok := snap.Get("mid_hist")
-	if !ok || m.Summary == nil || m.Summary.N != 2 || m.Summary.Mean != 2.0 {
-		t.Errorf("mid_hist = %+v", m)
+	if m, ok := snap.Get("mid_total"); !ok || m.Kind != KindCounter || m.Value != 0 {
+		t.Errorf("mid_total = %+v", m)
 	}
-}
-
-func TestRegistryGetOrCreateIdentity(t *testing.T) {
-	r := NewRegistry()
-	if r.Counter("c_total") != r.Counter("c_total") {
-		t.Error("Counter did not return the same instrument twice")
+	if m, _ := snap.Get("alpha_level"); m.Kind != KindGauge {
+		t.Errorf("alpha_level kind = %s, want gauge", m.Kind)
 	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Error("Gauge did not return the same instrument twice")
-	}
-	if r.Histogram("h") != r.Histogram("h") {
-		t.Error("Histogram did not return the same instrument twice")
-	}
-}
-
-func TestRegistryKindConflictPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("requesting a counter name as a gauge did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("clash")
-	r.Gauge("clash")
 }
 
 func TestRegistryDuplicateRegistrationPanics(t *testing.T) {
@@ -80,18 +62,18 @@ func TestRegistryBadNamePanics(t *testing.T) {
 					t.Errorf("name %q did not panic", name)
 				}
 			}()
-			NewRegistry().Counter(name)
+			var c Counter
+			NewRegistry().RegisterCounter(name, &c)
 		}()
 	}
 }
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(5)
-	r.Histogram("z").Observe(1)
 	var c Counter
+	var g Gauge
 	r.RegisterCounter("w", &c)
+	r.RegisterGauge("x", &g)
 	if snap := r.Snapshot(); snap != nil {
 		t.Errorf("nil registry snapshot = %v, want nil", snap)
 	}
@@ -141,8 +123,12 @@ func TestMergeSumsAndSorts(t *testing.T) {
 
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("sent_total").Add(9)
-	r.Histogram("delay").Observe(3)
+	var sent Counter
+	var inflight Gauge
+	r.RegisterCounter("sent_total", &sent)
+	r.RegisterGauge("inflight", &inflight)
+	sent.Add(9)
+	inflight.Set(4)
 	snap := r.Snapshot()
 	raw, err := json.Marshal(snap)
 	if err != nil {
@@ -155,19 +141,17 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back.Value("sent_total") != 9 {
-		t.Errorf("round trip = %+v", back)
-	}
-	m, _ := back.Get("delay")
-	if m.Kind != KindHistogram || m.Summary == nil || m.Summary.N != 1 {
-		t.Errorf("histogram round trip = %+v", m)
+	if !reflect.DeepEqual(back, snap) {
+		t.Errorf("round trip = %+v, want %+v", back, snap)
 	}
 }
 
 func TestKindUnmarshalRejectsUnknown(t *testing.T) {
-	var k Kind
-	if err := k.UnmarshalText([]byte("exotic")); err == nil {
-		t.Error("unknown kind decoded without error")
+	for _, name := range []string{"exotic", "histogram"} {
+		var k Kind
+		if err := k.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("kind %q decoded without error, as %s", name, k)
+		}
 	}
 	if _, err := Kind(0).MarshalText(); err == nil {
 		t.Error("invalid kind encoded without error")
@@ -279,8 +263,27 @@ func TestTimelineCadenceAndSnapshot(t *testing.T) {
 	if in.Every != 10 || len(in.Points) != 2 || in.Points[1].Value != 3 {
 		t.Errorf("inflight = %+v", in)
 	}
-	if mx := in.Max(); mx != 3 {
-		t.Errorf("Max = %g, want 3", mx)
+	if in.Peak != 3 {
+		t.Errorf("Peak = %g, want 3", in.Peak)
+	}
+}
+
+// TestTimelinePeakOutlivesEviction: a series' peak is the largest value it
+// was ever given, even once the ring has evicted that point, and a series
+// that only ever falls peaks at its first value.
+func TestTimelinePeakOutlivesEviction(t *testing.T) {
+	tl := NewTimeline(1, 2)
+	for i, v := range []float64{1, 7, 2, 3} {
+		tl.Observe("rise", int64(i), v)
+		tl.Observe("fall", int64(i), -v)
+	}
+	snap := tl.Snapshot()
+	fall, rise := snap[0], snap[1]
+	if rise.Peak != 7 || rise.Dropped != 2 || rise.Points[0].Value != 2 || rise.Points[1].Value != 3 {
+		t.Errorf("rise = %+v, want peak 7 over surviving points 2, 3", rise)
+	}
+	if fall.Peak != -1 {
+		t.Errorf("fall peak = %g, want -1", fall.Peak)
 	}
 }
 
@@ -324,29 +327,21 @@ func TestNilTimelineSafe(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("sent_total").Add(12)
-	r.Gauge("inflight").Set(4)
-	h := r.Histogram("delay_ticks")
-	for _, v := range []float64{1, 2, 3, 4} {
-		h.Observe(v)
-	}
+	var sent Counter
+	var inflight Gauge
+	r.RegisterCounter("sent_total", &sent)
+	r.RegisterGauge("inflight", &inflight)
+	sent.Add(12)
+	inflight.Set(4)
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+	// A metric of no valid kind is skipped rather than rendered unparsable.
+	if err := WritePrometheus(&b, append(r.Snapshot(), Metric{Name: "bad", Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{
-		"# TYPE sent_total counter\nsent_total 12\n",
-		"# TYPE inflight gauge\ninflight 4\n",
-		"# TYPE delay_ticks summary\n",
-		`delay_ticks{quantile="0.5"} 2.5`,
-		`delay_ticks{quantile="0.999"}`,
-		"delay_ticks_sum 10\n",
-		"delay_ticks_count 4\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+	if want := "# TYPE inflight gauge\ninflight 4\n" +
+		"# TYPE sent_total counter\nsent_total 12\n"; out != want {
+		t.Errorf("output = %q, want %q", out, want)
 	}
 	// Rendering the same snapshot twice is byte-identical.
 	var b2 strings.Builder
@@ -358,23 +353,16 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusEmptyHistogram(t *testing.T) {
-	var b strings.Builder
-	ms := Metrics{{Name: "empty_hist", Kind: KindHistogram}}
-	if err := WritePrometheus(&b, ms); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "empty_hist_count 0\n") {
-		t.Errorf("summary-less histogram rendered as %q", b.String())
-	}
-}
-
 func TestMetricsString(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total").Add(3)
-	r.Histogram("b_hist").Observe(2)
+	var a Counter
+	var b Gauge
+	r.RegisterCounter("a_total", &a)
+	r.RegisterGauge("b_level", &b)
+	a.Add(3)
+	b.Set(-1)
 	got := r.Snapshot().String()
-	if got != "a_total=3\nb_hist=~2.00/1\n" {
+	if got != "a_total=3\nb_level=-1\n" {
 		t.Errorf("String() = %q", got)
 	}
 }

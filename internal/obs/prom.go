@@ -7,44 +7,17 @@ import (
 )
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single samples,
-// histograms as summaries with median/p95/p99/p999 quantiles plus _sum
-// and _count. Input order is preserved, so a sorted Metrics renders
+// format (version 0.0.4): each counter and gauge as one sample under its
+// TYPE line. Input order is preserved, so a sorted Metrics renders
 // deterministically.
 func WritePrometheus(w io.Writer, ms Metrics) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range ms {
-		switch m.Kind {
-		case KindCounter, KindGauge:
-			typ := "counter"
-			if m.Kind == KindGauge {
-				typ = "gauge"
-			}
-			bw.WriteString("# TYPE " + m.Name + " " + typ + "\n")
-			bw.WriteString(m.Name + " " + strconv.FormatInt(m.Value, 10) + "\n")
-		case KindHistogram:
-			bw.WriteString("# TYPE " + m.Name + " summary\n")
-			if m.Summary == nil {
-				bw.WriteString(m.Name + "_count 0\n")
-				continue
-			}
-			s := m.Summary
-			writeQuantile := func(q string, v float64) {
-				bw.WriteString(m.Name + `{quantile="` + q + `"} ` + promFloat(v) + "\n")
-			}
-			writeQuantile("0.5", s.Median)
-			writeQuantile("0.95", s.P95)
-			writeQuantile("0.99", s.P99)
-			writeQuantile("0.999", s.P999)
-			bw.WriteString(m.Name + "_sum " + promFloat(s.Mean*float64(s.N)) + "\n")
-			bw.WriteString(m.Name + "_count " + strconv.Itoa(s.N) + "\n")
-		default:
-			// skip invalid kinds rather than emit unparsable text
+		if m.Kind != KindCounter && m.Kind != KindGauge {
+			continue // skip invalid kinds rather than emit unparsable text
 		}
+		bw.WriteString("# TYPE " + m.Name + " " + m.Kind.String() + "\n")
+		bw.WriteString(m.Name + " " + strconv.FormatInt(m.Value, 10) + "\n")
 	}
 	return bw.Flush()
-}
-
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -15,36 +15,32 @@ type TimelinePoint struct {
 
 // TimelineSeries is one named series of a timeline snapshot. Dropped
 // counts the oldest points evicted by the ring's capacity; Points holds
-// the survivors in time order.
+// the survivors in time order. Peak is the largest value the series was
+// ever given, evicted points included.
 //
 //sfs:wire
 type TimelineSeries struct {
 	Name    string          `json:"name"`
 	Every   int64           `json:"every"`
 	Dropped int             `json:"dropped,omitempty"`
+	Peak    float64         `json:"peak"`
 	Points  []TimelinePoint `json:"points"`
 }
 
-// Max returns the largest point value of the series (0 if empty).
-func (s TimelineSeries) Max() float64 {
-	var mx float64
-	for i, p := range s.Points {
-		if i == 0 || p.Value > mx {
-			mx = p.Value
-		}
-	}
-	return mx
-}
-
-// ring is a fixed-capacity point buffer that evicts its oldest entries.
+// ring is a fixed-capacity point buffer that evicts its oldest entries
+// but keeps the largest value it was ever given.
 type ring struct {
 	points  []TimelinePoint
 	start   int
 	n       int
 	dropped int
+	peak    float64
 }
 
 func (r *ring) push(p TimelinePoint) {
+	if r.n == 0 || p.Value > r.peak {
+		r.peak = p.Value
+	}
 	if r.n < len(r.points) {
 		r.points[(r.start+r.n)%len(r.points)] = p
 		r.n++
@@ -55,12 +51,12 @@ func (r *ring) push(p TimelinePoint) {
 	r.dropped++
 }
 
-func (r *ring) snapshot() ([]TimelinePoint, int) {
+func (r *ring) snapshot(name string, every int64) TimelineSeries {
 	out := make([]TimelinePoint, r.n)
 	for i := 0; i < r.n; i++ {
 		out[i] = r.points[(r.start+i)%len(r.points)]
 	}
-	return out, r.dropped
+	return TimelineSeries{Name: name, Every: every, Dropped: r.dropped, Peak: r.peak, Points: out}
 }
 
 // Timeline holds ring-buffered per-tick series: the host samples each
@@ -131,8 +127,7 @@ func (t *Timeline) Snapshot() []TimelineSeries {
 	sort.Strings(names)
 	out := make([]TimelineSeries, 0, len(names))
 	for _, n := range names {
-		pts, dropped := t.series[n].snapshot()
-		out = append(out, TimelineSeries{Name: n, Every: t.every, Dropped: dropped, Points: pts})
+		out = append(out, t.series[n].snapshot(n, t.every))
 	}
 	return out
 }

@@ -11,7 +11,9 @@ import (
 
 func TestServeMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("scrapes_total").Add(3)
+	var scrapes obs.Counter
+	reg.RegisterCounter("scrapes_total", &scrapes)
+	scrapes.Add(3)
 	srv, err := Start("127.0.0.1:0", reg.Snapshot)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +44,7 @@ func TestServeMetrics(t *testing.T) {
 	}
 
 	// The source is re-snapshotted per scrape: a later increment is visible.
-	reg.Counter("scrapes_total").Inc()
+	scrapes.Inc()
 	resp2, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -37,11 +37,28 @@ func digestResult(res *Result, extras ...any) string {
 	fmt.Fprintf(h, "end=%d stop=%d\n", res.EndTime, res.Stop)
 	fmt.Fprintf(h, "blocked=%+v\n", res.Blocked)
 	fmt.Fprintf(h, "metrics=%+v\n", res.Metrics)
-	fmt.Fprintf(h, "timeline=%+v\n", res.Timeline)
+	fmt.Fprintf(h, "timeline=%+v\n", capturedTimeline(res.Timeline))
 	for _, x := range extras {
 		fmt.Fprintf(h, "extra=%+v\n", x)
 	}
 	return fmt.Sprintf("%016x/%d", h.Sum64(), len(res.History))
+}
+
+// capturedTimeline is the timeline as the digests were captured: each
+// series' name, cadence, evictions and points, without the Peak the series
+// gained later.
+func capturedTimeline(tl []obs.TimelineSeries) any {
+	type series struct {
+		Name    string
+		Every   int64
+		Dropped int
+		Points  []obs.TimelinePoint
+	}
+	out := make([]series, len(tl))
+	for i, s := range tl {
+		out[i] = series{s.Name, s.Every, s.Dropped, s.Points}
+	}
+	return out
 }
 
 // timedGate refuses APP messages from every sender above its `trusted`

@@ -116,7 +116,7 @@ func TestSimLargeNLiveLinksGauge(t *testing.T) {
 	if res.Stop != StopDrained {
 		t.Fatalf("stop = %v", res.Stop)
 	}
-	live := reg.Gauge("sim_links_live").Value()
+	live := reg.Snapshot().Value("sim_links_live")
 	if live != top.Links() {
 		t.Errorf("sim_links_live = %d, want the overlay's %d directed links", live, top.Links())
 	}

@@ -96,9 +96,9 @@ func TestSummarizeTailQuantiles(t *testing.T) {
 	}
 }
 
-// TestSummaryJSONRoundTrip: Summary is a wire struct (sweep shard reports,
-// obs histogram snapshots); every field — including the tail quantiles —
-// must survive encoding.
+// TestSummaryJSONRoundTrip: Summary is a wire struct (sweep shard
+// reports); every field — including the tail quantiles — must survive
+// encoding.
 func TestSummaryJSONRoundTrip(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5, 100})
 	raw, err := json.Marshal(s)

@@ -195,6 +195,40 @@ func TestBufferingPartitionUnstarvesWithoutRetransmission(t *testing.T) {
 	}
 }
 
+// TestTimelinePeakOutlivesEviction: a cell's timeline peaks are the largest
+// value each run's series ever took. The buffering partition builds its
+// backlog early; a longer horizon pushes those samples out of the timeline
+// ring (4096 points), but the runs' first 4000 ticks are the same, so their
+// peaks must be too.
+func TestTimelinePeakOutlivesEviction(t *testing.T) {
+	peaks := func(maxTime int64) (inflight, backlog float64) {
+		rep, err := Run(Spec{
+			Grid:             []NT{{5, 2}},
+			Plans:            plansByName(t, "buffering-partition"),
+			Seeds:            SeedRange{Count: 4},
+			MaxTime:          maxTime,
+			HeartbeatEvery:   25,
+			HeartbeatTimeout: 400,
+			Timeline:         true,
+		}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := rep.Cells[0].Timeseries
+		return ts["inflight"].Max, ts["link_backlog_max"].Max
+	}
+	in4, backlog4 := peaks(4000)
+	if in4 == 0 || backlog4 == 0 {
+		t.Fatalf("no traffic held at 4000 ticks: inflight peak %g, backlog peak %g", in4, backlog4)
+	}
+	for _, horizon := range []int64{6000, 9000} {
+		if in, backlog := peaks(horizon); in != in4 || backlog != backlog4 {
+			t.Errorf("at %d ticks: inflight peak %g, backlog peak %g; at 4000: %g, %g",
+				horizon, in, backlog, in4, backlog4)
+		}
+	}
+}
+
 // TestFlakyQuorumDropsAndStillCounts verifies probabilistic loss shows up
 // in the dropped tally.
 func TestFlakyQuorumDropsAndStillCounts(t *testing.T) {

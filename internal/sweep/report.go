@@ -55,8 +55,7 @@ type CellResult struct {
 	Metrics map[string]int `json:"metrics"`
 	// Obs totals the runs' observability counters (the simulator's
 	// snapshot merged, under a fault plan, with the fault plane's) over
-	// all runs of the cell, keyed by metric name. Histogram-kind metrics
-	// carry no total and are not aggregated here. It is the one place a
+	// all runs of the cell, keyed by metric name. It is the one place a
 	// counter total lives: every counter column of the report reads it
 	// (see columns).
 	Obs map[string]int64 `json:"obs"`
@@ -322,14 +321,12 @@ func (c *CellResult) add(out RunOutput, verdicts []checker.Verdict) {
 		}
 	}
 	// out.Obs is a sorted slice, res.Timeline a name-sorted snapshot: both
-	// iterate deterministically. Histogram metrics carry no summable value.
+	// iterate deterministically.
 	for _, m := range out.Obs {
-		if m.Summary == nil {
-			c.Obs[m.Name] += m.Value
-		}
+		c.Obs[m.Name] += m.Value
 	}
 	for _, s := range res.Timeline {
-		c.TimeseriesSamples[s.Name] = append(c.TimeseriesSamples[s.Name], s.Max())
+		c.TimeseriesSamples[s.Name] = append(c.TimeseriesSamples[s.Name], s.Peak)
 	}
 	c.EventSamples = append(c.EventSamples, float64(len(res.History)))
 	c.EndTimeSamples = append(c.EndTimeSamples, float64(res.EndTime))

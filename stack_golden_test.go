@@ -70,11 +70,7 @@ func stackDigest(t *testing.T, opts failstop.Options, plan string, inject func(c
 		rep.EndTime, rep.Sent, rep.Delivered, rep.Dropped, rep.Duplicated,
 		rep.Retransmits, rep.AckedDuplicates, rep.ByzDetected, rep.ByzMasked)
 	for _, m := range rep.Metrics {
-		fmt.Fprintf(h, "m %s %d %d", m.Name, m.Kind, m.Value)
-		if m.Summary != nil {
-			fmt.Fprintf(h, " %+v", *m.Summary)
-		}
-		fmt.Fprintln(h)
+		fmt.Fprintf(h, "m %s %d %d\n", m.Name, m.Kind, m.Value)
 	}
 	for p := failstop.ProcID(1); int(p) <= opts.N; p++ {
 		qs := c.Detector(p).Quorums()
