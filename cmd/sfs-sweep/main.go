@@ -83,7 +83,7 @@ func run(args []string, out io.Writer) int {
 	fs.IntVar(&maxRetries, "max-retries", 0, "retransmissions per frame before a reliable link gives up (0: retry forever, needs -max-time)")
 	fs.Int64Var(&spec.HeartbeatEvery, "heartbeat", 0, "heartbeat interval in ticks (0: no fd layer); adds a false-suspicion column, needs -max-time")
 	fs.Int64Var(&spec.HeartbeatTimeout, "hb-timeout", 0, "heartbeat suspicion timeout in ticks (with -heartbeat)")
-	listFlag(fs, &spec.QuorumDeltas, "q-delta", "0", "comma-separated quorum-size offsets from the Theorem 7 minimum", strconv.Atoi)
+	listFlag(fs, &spec.QuorumDeltas, "q-delta", "0", "comma-separated quorum-size offsets from the Theorem 7 minimum (sfs over the complete graph only; the quorum must stay at least 1)", strconv.Atoi)
 	fs.Int64Var(&spec.MinDelay, "min-delay", 0, "minimum uniform message delay (0: simulator default)")
 	fs.Int64Var(&spec.MaxDelay, "max-delay", 0, "maximum uniform message delay (0: simulator default)")
 	fs.Int64Var(&spec.MaxTime, "max-time", 0, "virtual-time horizon per run (0: run to quiescence)")

@@ -379,6 +379,10 @@ func TestSweepBadFlags(t *testing.T) {
 		// Exited 0, printing eight equal rows and counting two runs sixteen
 		// times.
 		{"-grid", "5:2,5:2", "-seeds", "2", "-protocols", "sfs,sfs", "-q-delta", "0,0", "-schedules", "crash"},
+		// Exited 0: three cells that all ran quorum 1, and a fixed quorum of
+		// 51 over gossip pools of 9–17 processes.
+		{"-grid", "5:2", "-q-delta", "-2,-3,-4", "-schedules", "crash", "-seeds", "4"},
+		{"-grid", "64:5", "-topo", "gossip:8", "-q-delta", "-1,0,1", "-schedules", "crash"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -8,8 +8,9 @@
 // Options.Validate and CheckHorizon state every rule once, and New calls
 // neither. Each entry point calls them, prefixes the error with its own name
 // and adds only its own rules: the facade's Options a Topology that fits N
-// (LiveOptions too, but skips CheckHorizon), sweep.Spec its grid (t >= 1),
-// seeds, shard, axis names and a HeartbeatTimeout with heartbeats.
+// (LiveOptions too, but skips CheckHorizon), sweep.Spec its grid (t >= 1, a
+// quorum >= 1 under every delta), seeds, shard, axis names and a
+// HeartbeatTimeout with heartbeats.
 package cluster
 
 import (
@@ -59,9 +60,11 @@ type Options struct {
 }
 
 // Validate reports the first problem either host would have, naming the field
-// first: N outside 2..model.MaxProcs, a negative T, bad delay bounds, a fault
-// plan that does not fit N or comes with Sim.Link or Sim.Lifetimes, invalid
-// interposer options, or a negative heartbeat number, MaxTime or MaxEvents
+// first: N outside 2..model.MaxProcs, a negative T, a QuorumSize that is
+// negative or set where no §5 FixedQuorum threshold over the complete graph
+// reads it, bad delay bounds, a fault plan that does not fit N or comes with
+// Sim.Link or Sim.Lifetimes, invalid interposer options, or a negative
+// heartbeat number, MaxTime or MaxEvents
 // (each would silently read as its zero: no fd layer, never suspect, no
 // horizon, the default cap).
 func (o Options) Validate() error {
@@ -70,6 +73,21 @@ func (o Options) Validate() error {
 	}
 	if o.Det.T < 0 {
 		return fmt.Errorf("T = %d; the failure bound cannot be negative", o.Det.T)
+	}
+	if q := o.Det.QuorumSize; q != 0 {
+		// A fixed size is the §5 FixedQuorum threshold over all N processes:
+		// cheap and unilateral never read it, and under a partial topology it
+		// would override every pool's own minimum.
+		switch top := o.Det.Topology; {
+		case q < 0:
+			return fmt.Errorf("QuorumSize = %d; a quorum needs at least 1 process (0 is the Theorem 7 minimum)", q)
+		case o.Det.Protocol != 0 && o.Det.Protocol != core.SimulatedFailStop:
+			return fmt.Errorf("QuorumSize = %d applies to the sfs protocol only; %v never reads it", q, o.Det.Protocol)
+		case o.Det.Policy != 0 && o.Det.Policy != core.FixedQuorum:
+			return fmt.Errorf("QuorumSize = %d applies to the FixedQuorum policy only", q)
+		case top != nil && !top.IsFull():
+			return fmt.Errorf("QuorumSize = %d applies over the complete graph only; under a partial topology each pool has its own minimum", q)
+		}
 	}
 	if err := sim.CheckDelayBounds(o.Sim.MinDelay, o.Sim.MaxDelay); err != nil {
 		return err

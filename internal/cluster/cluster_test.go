@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"failstop/internal/byz"
@@ -13,6 +14,7 @@ import (
 	"failstop/internal/quorum"
 	"failstop/internal/reliable"
 	"failstop/internal/sim"
+	"failstop/internal/topo"
 )
 
 func TestNewWiresAllProcesses(t *testing.T) {
@@ -74,6 +76,34 @@ func TestCrashAndSuspectInjection(t *testing.T) {
 		t.Error("injected suspicion did not lead to detection")
 	}
 	_ = model.History(res.History)
+}
+
+// TestOptionsValidate: a fixed QuorumSize is the §5 FixedQuorum threshold
+// over the complete graph; anywhere else nothing reads it, or it overrides
+// what each pool computes for itself.
+func TestOptionsValidate(t *testing.T) {
+	gossip := topo.MustNew(topo.Spec{Kind: topo.KindGossip, Fanout: 2}, 6)
+	for _, c := range []struct {
+		name string
+		det  core.Config
+		want string // "" means valid
+	}{
+		{"default quorum", core.Config{N: 6, T: 2}, ""},
+		{"sfs below the bound", core.Config{N: 6, T: 2, QuorumSize: 3}, ""},
+		{"sfs fixed, named", core.Config{N: 6, T: 2, Protocol: core.SimulatedFailStop, Policy: core.FixedQuorum, QuorumSize: 5}, ""},
+		{"complete graph topology", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: topo.MustNew(topo.Spec{}, 6)}, ""},
+		{"default quorum under gossip", core.Config{N: 6, T: 2, Topology: gossip}, ""},
+		{"negative", core.Config{N: 6, T: 2, QuorumSize: -1}, "QuorumSize = -1"},
+		{"cheap", core.Config{N: 6, T: 2, Protocol: core.Cheap, QuorumSize: 3}, "QuorumSize = 3 applies to the sfs protocol only; cheap"},
+		{"unilateral", core.Config{N: 6, T: 2, Protocol: core.Unilateral, QuorumSize: 3}, "unilateral never reads it"},
+		{"all but suspected", core.Config{N: 6, T: 2, Policy: core.AllButSuspected, QuorumSize: 3}, "FixedQuorum"},
+		{"gossip", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: gossip}, "complete graph"},
+	} {
+		err := cluster.Options{Det: c.det}.Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
 }
 
 // attached is a bare Host: it only remembers what Build hands it.

@@ -79,31 +79,25 @@ func Merge(reports ...*Report) (*Report, error) {
 			}
 		}
 	}
-	base := reports[0]
+	base := reports[0].Cells
 	for i, r := range reports[1:] {
-		if len(r.Cells) != len(base.Cells) {
+		if len(r.Cells) != len(base) {
 			return nil, fmt.Errorf("sweep: report %d has %d cells, report 0 has %d (different specs?)",
-				i+1, len(r.Cells), len(base.Cells))
+				i+1, len(r.Cells), len(base))
 		}
 		for j := range r.Cells {
-			if r.Cells[j].Cell != base.Cells[j].Cell {
+			if r.Cells[j].Cell != base[j].Cell {
 				return nil, fmt.Errorf("sweep: report %d cell %d is %v, report 0 has %v (different specs?)",
-					i+1, j, r.Cells[j].Cell, base.Cells[j].Cell)
+					i+1, j, r.Cells[j].Cell, base[j].Cell)
 			}
 		}
 	}
 	// The merged report covers the whole stream: its shard identity is the
 	// unsharded one, which is also what makes it merge-equal (and
 	// DeepEqual) to a sweep run without sharding.
-	out := &Report{Shard: Shard{Index: 0, Count: 1}, Cells: make([]CellResult, len(base.Cells))}
-	for j := range base.Cells {
-		out.Cells[j] = newCellResult(base.Cells[j].Cell, base.Cells[j].Links, base.Cells[j].Fanout, 0)
-		c := &out.Cells[j]
-		for _, r := range reports {
-			c.merge(&r.Cells[j])
-		}
-		c.finalize()
-		out.Runs += c.Runs
-	}
+	out := &Report{Shard: Shard{Index: 0, Count: 1}}
+	out.fold(len(base), k,
+		func(j int) CellResult { return newCellResult(base[j].Cell, base[j].Links, base[j].Fanout, 0) },
+		func(j, i int) *CellResult { return &reports[i].Cells[j] })
 	return out, nil
 }

@@ -366,6 +366,23 @@ func (c *CellResult) merge(b *CellResult) {
 	c.EndTimeSamples = append(c.EndTimeSamples, b.EndTimeSamples...)
 }
 
+// fold sets r's n cells — each open(i), merged with every non-nil part(i, k),
+// k < parts, and finalized — and their Runs: Run's fold and Merge's.
+func (r *Report) fold(n, parts int, open func(i int) CellResult, part func(i, k int) *CellResult) {
+	r.Cells = make([]CellResult, n)
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		*c = open(i)
+		for k := 0; k < parts; k++ {
+			if p := part(i, k); p != nil {
+				c.merge(p)
+			}
+		}
+		c.finalize()
+		r.Runs += c.Runs
+	}
+}
+
 // finalize derives what add and merge leave alone: the sample summaries.
 // Samples are sorted here — not in arrival order — so the published
 // CellResult (and anything derived from it, like a shard report on disk)

@@ -23,7 +23,9 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -200,7 +202,9 @@ type Spec struct {
 	Grid []NT
 	// Protocols lists the protocol variants. Default: SimulatedFailStop.
 	Protocols []core.Protocol
-	// QuorumDeltas lists offsets from the minimum quorum size. Default: {0}.
+	// QuorumDeltas lists offsets from the Theorem 7 minimum quorum size,
+	// quorum.MinSize(n, t), for sfs over the complete graph only; the quorum
+	// must stay at least 1 at every grid point. Default: {0}.
 	QuorumDeltas []int
 	// Schedules lists the fault schedules. Default: one quiet schedule.
 	Schedules []Schedule
@@ -290,30 +294,14 @@ type Options struct {
 }
 
 func (s Spec) withDefaults() Spec {
-	if len(s.Protocols) == 0 {
-		s.Protocols = []core.Protocol{core.SimulatedFailStop}
-	}
-	if len(s.QuorumDeltas) == 0 {
-		s.QuorumDeltas = []int{0}
-	}
-	if len(s.Schedules) == 0 {
-		s.Schedules = []Schedule{{Name: "quiet"}}
-	}
-	if len(s.Plans) == 0 {
-		s.Plans = []netadv.Generator{{}}
-	}
-	if len(s.Topologies) == 0 {
-		s.Topologies = []topo.Spec{{}}
-	}
-	if len(s.Reliable) == 0 {
-		s.Reliable = []reliable.Options{{}}
-	}
-	if len(s.Recovery) == 0 {
-		s.Recovery = []recovery.Mode{recovery.Off}
-	}
-	if len(s.Byzantine) == 0 {
-		s.Byzantine = []byz.Options{{}}
-	}
+	s.Protocols = orDefault(s.Protocols, core.SimulatedFailStop)
+	s.QuorumDeltas = orDefault(s.QuorumDeltas, 0)
+	s.Schedules = orDefault(s.Schedules, Schedule{Name: "quiet"})
+	s.Plans = orDefault(s.Plans, netadv.Generator{})
+	s.Topologies = orDefault(s.Topologies, topo.Spec{})
+	s.Reliable = orDefault(s.Reliable, reliable.Options{})
+	s.Recovery = orDefault(s.Recovery, recovery.Off)
+	s.Byzantine = orDefault(s.Byzantine, byz.Options{})
 	if s.Seeds.Count == 0 {
 		s.Seeds.Count = 1
 	}
@@ -323,11 +311,19 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// orDefault is an axis with its one default entry when it lists none.
+func orDefault[T any](axis []T, def T) []T {
+	if len(axis) == 0 {
+		return []T{def}
+	}
+	return axis
+}
+
 // Validate reports the first problem with the spec, or nil: its own rules (a
-// grid with n >= 2 and t >= 1, seeds, shard, each plan's Make named, a
-// TimelineEvery >= 0, a HeartbeatTimeout with heartbeats, no two equal cells),
-// a topology that does not fit a grid point, or what cluster.Options.Validate
-// and CheckHorizon reject of a cell.
+// grid with n >= 2 and t >= 1, a quorum >= 1 under every delta, seeds, shard,
+// each plan's Make named, a TimelineEvery >= 0, a HeartbeatTimeout with
+// heartbeats, no two equal cells), a topology that does not fit a grid point,
+// or what cluster.Options.Validate and CheckHorizon reject of a cell.
 func (s Spec) Validate() error {
 	_, err := s.withDefaults().expand()
 	return err
@@ -342,6 +338,10 @@ func (s Spec) expand() ([]cellSpec, error) {
 	for _, nt := range s.Grid {
 		if nt.N < 2 || nt.T < 1 {
 			return nil, fmt.Errorf("sweep: invalid grid point %v (need n >= 2, t >= 1)", nt)
+		}
+		// (a QuorumSize of 0 would silently read as the default size)
+		if qd, q := slices.Min(s.QuorumDeltas), quorum.MinSize(nt.N, nt.T); q+qd < 1 {
+			return nil, fmt.Errorf("sweep: Spec.QuorumDeltas: delta %d leaves a quorum of %d at %v (minimum %d); a quorum needs at least 1 process", qd, q+qd, nt, q)
 		}
 	}
 	if s.Seeds.Count < 0 {
@@ -392,17 +392,15 @@ func (s Spec) expand() ([]cellSpec, error) {
 	return cells, nil
 }
 
-// cellSpec pairs a Cell with its resolved schedule, fault plan, topology,
-// and interposer configurations.
+// cellSpec pairs a Cell with the configuration every run of it shares: opts
+// lacks only what a seed sets (see options), and sched's Faults and Delay are
+// called per seed.
 type cellSpec struct {
 	cell   Cell
+	opts   cluster.Options
 	sched  Schedule
-	faults *netadv.Plan   // the plan generator's instance at the grid point; nil for none
-	top    *topo.Topology // nil for the complete graph
-	links  int64          // directed link count of the cell's topology
-	fanout int            // gossip sample fanout; 0 for the other kinds
-	rel    reliable.Options
-	byz    byz.Options
+	links  int64 // directed link count of the cell's topology
+	fanout int   // gossip sample fanout; 0 for the other kinds
 }
 
 // Cells expands the grid axes (everything but the seed) in deterministic
@@ -420,8 +418,14 @@ func (s Spec) Cells() []Cell {
 }
 
 // cells expands the grid, or reports a topology that does not fit a point.
+// Each grid point starts as one cell holding the spec-wide options, and each
+// axis in turn multiplies the cells so far, setting the Cell field and the
+// option it drives.
 func (s Spec) cells() ([]cellSpec, error) {
-	var out []cellSpec
+	// A grid point's cells grow in place in out's tail, sized once for all.
+	per := len(s.Protocols) * len(s.QuorumDeltas) * len(s.Schedules) * len(s.Plans) *
+		len(s.Topologies) * len(s.Reliable) * len(s.Recovery) * len(s.Byzantine)
+	out := make([]cellSpec, 0, len(s.Grid)*per)
 	for _, nt := range s.Grid {
 		// Resolve each topology once per grid point and share the instance
 		// across the point's cells and all their runs (a Topology is
@@ -445,57 +449,53 @@ func (s Spec) cells() ([]cellSpec, error) {
 				plans[i] = &p
 			}
 		}
-		for _, proto := range s.Protocols {
-			for _, qd := range s.QuorumDeltas {
-				for _, sched := range s.Schedules {
-					for pi, pg := range s.Plans {
-						for ti, tp := range s.Topologies {
-							topName := ""
-							links := int64(nt.N) * int64(nt.N-1)
-							if tops[ti] != nil {
-								topName = tp.Name()
-								links = tops[ti].Links()
-							}
-							fanout := tp.Fanout
-							for _, ro := range s.Reliable {
-								for _, rm := range s.Recovery {
-									for _, bo := range s.Byzantine {
-										out = append(out, cellSpec{
-											cell: Cell{
-												NT: nt, Protocol: proto, QuorumDelta: qd,
-												Schedule: sched.Name, Plan: pg.Name,
-												Topo:      topName,
-												Reliable:  ro.Enabled,
-												Recovery:  rm,
-												Byzantine: bo.Enabled,
-											},
-											sched:  sched,
-											faults: plans[pi],
-											top:    tops[ti],
-											links:  links,
-											fanout: fanout,
-											rel:    ro,
-											byz:    bo,
-										})
-									}
-								}
-							}
-						}
-					}
-				}
+		cells := append(out[len(out):], cellSpec{cell: Cell{NT: nt}, opts: cluster.Options{
+			Sim: sim.Config{N: nt.N, MinDelay: s.MinDelay, MaxDelay: s.MaxDelay, MaxTime: s.MaxTime, MaxEvents: s.MaxEvents},
+			Det: core.Config{N: nt.N, T: nt.T}, HeartbeatEvery: s.HeartbeatEvery, HeartbeatTimeout: s.HeartbeatTimeout,
+		}})
+		cells = grow(cells, s.Protocols, func(cs *cellSpec, _ int, p core.Protocol) { cs.cell.Protocol, cs.opts.Det.Protocol = p, p })
+		cells = grow(cells, s.QuorumDeltas, func(cs *cellSpec, _ int, qd int) {
+			cs.cell.QuorumDelta = qd
+			if qd != 0 {
+				cs.opts.Det.QuorumSize = quorum.MinSize(nt.N, nt.T) + qd
 			}
-		}
+		})
+		cells = grow(cells, s.Schedules, func(cs *cellSpec, _ int, sched Schedule) { cs.cell.Schedule, cs.sched = sched.Name, sched })
+		cells = grow(cells, s.Plans, func(cs *cellSpec, i int, pg netadv.Generator) { cs.cell.Plan, cs.opts.Faults = pg.Name, plans[i] })
+		cells = grow(cells, s.Topologies, func(cs *cellSpec, i int, tp topo.Spec) {
+			cs.opts.Det.Topology, cs.links, cs.fanout = tops[i], int64(nt.N)*int64(nt.N-1), tp.Fanout
+			if tops[i] != nil {
+				cs.cell.Topo, cs.links = tp.Name(), tops[i].Links()
+			}
+		})
+		cells = grow(cells, s.Reliable, func(cs *cellSpec, _ int, ro reliable.Options) { cs.cell.Reliable, cs.opts.Reliable = ro.Enabled, ro })
+		cells = grow(cells, s.Recovery, func(cs *cellSpec, _ int, rm recovery.Mode) { cs.cell.Recovery, cs.opts.Sim.Recovery = rm, rm })
+		cells = grow(cells, s.Byzantine, func(cs *cellSpec, _ int, bo byz.Options) { cs.cell.Byzantine, cs.opts.Byzantine = bo.Enabled, bo })
+		out = out[:len(out)+len(cells)]
 	}
 	return out, nil
+}
+
+// grow multiplies cells by one axis in place, within their capacity: cell j
+// becomes cells j·k … j·k+k-1, copies of it that set gives entries 0 … k-1.
+func grow[T any](cells []cellSpec, axis []T, set func(cs *cellSpec, i int, entry T)) []cellSpec {
+	m, k := len(cells), len(axis)
+	cells = cells[:m*k]
+	for j := m - 1; j >= 0; j-- { // from the back: cell j is read before its copies overwrite it
+		cs := cells[j]
+		for i, e := range axis {
+			cells[j*k+i] = cs
+			set(&cells[j*k+i], i, e)
+		}
+	}
+	return cells
 }
 
 // Runs returns the number of scenario runs the spec expands to. When the
 // spec is sharded, that is this shard's slice of the stream, not the whole
 // grid.
 func (s Spec) Runs() int {
-	s = s.withDefaults()
-	cells, _ := s.cells()
-	return s.runs(len(cells))
+	return s.withDefaults().runs(len(s.Cells()))
 }
 
 // runs is this shard's share of ncells cells' runs (defaults applied).
@@ -522,49 +522,26 @@ func (s Spec) job(g int) (cellIdx int, seed int64, ours bool) {
 }
 
 // options is the configuration of a run of cell cs at seed: what defaultRun
-// runs and, at the first seed, what Validate checks.
+// runs and, at the first seed, what Validate checks. It adds to the cell's
+// shared options what the seed changes: the seed, the schedule's delay at it,
+// and a timeline of the run's own.
 func (s Spec) options(cs cellSpec, seed int64) cluster.Options {
-	cell := cs.cell
-	var delay sim.DelayFn
+	o := cs.opts
+	o.Sim.Seed = seed
 	if cs.sched.Delay != nil {
-		delay = cs.sched.Delay(cell.NT, seed)
+		o.Sim.Delay = cs.sched.Delay(cs.cell.NT, seed)
 	}
-	qsize := 0
-	if cell.QuorumDelta != 0 {
-		qsize = quorum.MinSize(cell.NT.N, cell.NT.T) + cell.QuorumDelta
-		if qsize < 1 {
-			qsize = 1
-		}
-	}
-	var timeline *obs.Timeline
 	if s.Timeline {
-		timeline = obs.NewTimeline(s.TimelineEvery, 0)
+		o.Sim.Timeline = obs.NewTimeline(s.TimelineEvery, 0)
 	}
-	return cluster.Options{
-		Sim: sim.Config{
-			N: cell.NT.N, Seed: seed,
-			MinDelay: s.MinDelay, MaxDelay: s.MaxDelay,
-			Delay:   delay,
-			MaxTime: s.MaxTime, MaxEvents: s.MaxEvents,
-			Timeline: timeline,
-			Recovery: cell.Recovery,
-		},
-		Det: core.Config{
-			N: cell.NT.N, T: cell.NT.T,
-			Protocol: cell.Protocol, QuorumSize: qsize,
-			Topology: cs.top,
-		},
-		Faults: cs.faults, HeartbeatEvery: s.HeartbeatEvery, HeartbeatTimeout: s.HeartbeatTimeout,
-		Reliable: cs.rel, Byzantine: cs.byz,
-	}
+	return o
 }
 
 // defaultRun builds and runs one scenario with the standard cluster stack.
 func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
-	cell := cs.cell
 	c := cluster.New(spec.options(cs, seed))
 	if cs.sched.Faults != nil {
-		for _, f := range cs.sched.Faults(cell.NT, seed) {
+		for _, f := range cs.sched.Faults(cs.cell.NT, seed) {
 			switch f.Kind {
 			case FaultCrash:
 				c.CrashAt(f.At, f.Proc)
@@ -574,12 +551,11 @@ func defaultRun(spec Spec, cs cellSpec, seed int64) RunOutput {
 		}
 	}
 	out := RunOutput{Result: c.Run(), Cluster: c}
-	out.Obs = out.Result.Metrics
 	if c.Plane != nil || spec.HeartbeatEvery > 0 {
 		out.Metrics = map[string]bool{}
 	}
 	if c.Plane != nil {
-		out.Obs = obs.Merge(out.Obs, c.Plane.Metrics())
+		out.Obs = obs.Merge(out.Result.Metrics, c.Plane.Metrics())
 		// Quorum-starvation diagnostic: a live process began a detection the
 		// (faulty) network never let it complete — the liveness failure mode
 		// partitions and lossy links induce in the §5 protocol.
@@ -699,18 +675,9 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	// Merge worker arrays in worker order. Any fixed order yields the same
 	// report; fixing one anyway keeps the merge itself deterministic.
 	rep := &Report{Shard: spec.Shard, Workers: workers}
-	rep.Cells = make([]CellResult, len(cells))
-	for i, cs := range cells {
-		rep.Cells[i] = newCellResult(cs.cell, cs.links, cs.fanout, 0)
-		c := &rep.Cells[i]
-		for _, mine := range perWorker {
-			if mine[i] != nil {
-				c.merge(mine[i])
-			}
-		}
-		c.finalize()
-		rep.Runs += c.Runs
-	}
+	rep.fold(len(cells), workers,
+		func(i int) CellResult { return newCellResult(cells[i].cell, cells[i].links, cells[i].fanout, 0) },
+		func(i, w int) *CellResult { return perWorker[w][i] })
 	return rep, nil
 }
 
@@ -775,8 +742,8 @@ func execute(spec Spec, cs cellSpec, seed int64) (RunOutput, []checker.Verdict) 
 		out = defaultRun(spec, cs, seed)
 	}
 	if out.Obs == nil {
-		// The report's counter columns are read from Obs: a custom runner
-		// that assembles no snapshot still reports the simulator's.
+		// The report's counter columns are read from Obs: a run that
+		// assembles no snapshot of its own reports the simulator's.
 		out.Obs = out.Result.Metrics
 	}
 	var verdicts []checker.Verdict
@@ -784,21 +751,12 @@ func execute(spec Spec, cs cellSpec, seed int64) (RunOutput, []checker.Verdict) 
 		verdicts = checker.All(out.Result.History, core.TagSusp, cs.cell.NT.T)
 	}
 	if spec.Observe != nil {
-		extra := spec.Observe(cs.cell, seed, out)
-		if out.Metrics == nil {
-			out.Metrics = extra
-		} else {
-			merged := make(map[string]bool, len(out.Metrics)+len(extra))
-			//sfs:allow detmaprange map-to-map copy; insertion order is invisible
-			for k, v := range out.Metrics {
-				merged[k] = v
-			}
-			//sfs:allow detmaprange map-to-map copy; Observe overrides defaults regardless of order
-			for k, v := range extra {
-				merged[k] = v
-			}
-			out.Metrics = merged
-		}
+		// Observe's outcomes join the run's own, overriding a name both set,
+		// in a map of the sweep's own: neither side's map is written.
+		merged := make(map[string]bool, len(out.Metrics))
+		maps.Copy(merged, out.Metrics)
+		maps.Copy(merged, spec.Observe(cs.cell, seed, out))
+		out.Metrics = merged
 	}
 	return out, verdicts
 }

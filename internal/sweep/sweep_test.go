@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"failstop/internal/byz"
+	"failstop/internal/cluster"
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/netadv"
@@ -114,6 +115,14 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		// the crash cell reported 2/2 runs blocked, exit status 0.
 		{Grid: []NT{{5, 2}}, MinDelay: -5, MaxDelay: -1},
 		{Grid: []NT{{5, 2}}, MaxDelay: -1},
+		// MinSize(5, 2) = 3: the last two deltas were clamped to quorum 1 and
+		// ran the first one's scenario under two more names.
+		{Grid: []NT{{5, 2}}, QuorumDeltas: []int{-2, -3, -4}},
+		{Grid: []NT{{6, 1}}, QuorumDeltas: []int{-1}},
+		// A fixed size overrode every gossip pool's own minimum (51 of pools
+		// of 9–17), and cheap never reads it.
+		{Grid: []NT{{64, 5}}, Topologies: []topo.Spec{{Kind: topo.KindGossip, Fanout: 8}}, QuorumDeltas: []int{-1, 0, 1}},
+		{Grid: []NT{{5, 2}}, Protocols: []core.Protocol{core.Cheap}, QuorumDeltas: []int{0, 1}},
 	}
 	for i, spec := range cases {
 		if err := spec.withDefaults().Validate(); err == nil {
@@ -122,6 +131,89 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		if _, err := Run(spec, Options{Workers: 1}); err == nil {
 			t.Errorf("case %d: Run accepted %+v", i, spec)
 		}
+	}
+}
+
+// TestQuorumDeltaErrorsNameTheCell: a rejected delta is named with the grid
+// point it fails at, and a QuorumSize the detector would not read with the
+// cell it was set for.
+func TestQuorumDeltaErrorsNameTheCell(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want []string
+	}{
+		{Spec{Grid: []NT{{5, 2}}, QuorumDeltas: []int{-2, -3, -4}}, []string{"QuorumDeltas", "delta -4", "n=5 t=2"}},
+		{Spec{Grid: []NT{{64, 5}}, Topologies: []topo.Spec{{Kind: topo.KindGossip, Fanout: 8}}, QuorumDeltas: []int{-1, 0, 1}},
+			[]string{"QuorumSize = 51", "complete graph", "cell n=64 t=5 proto=sfs q-1 sched=quiet topo=gossip:8"}},
+		{Spec{Grid: []NT{{5, 2}}, Protocols: []core.Protocol{core.Cheap}, QuorumDeltas: []int{0, 1}},
+			[]string{"QuorumSize = 4", "cheap", "cell n=5 t=2 proto=cheap q+1"}},
+	} {
+		err := c.spec.Validate()
+		for _, w := range c.want {
+			if err == nil || !strings.Contains(err.Error(), w) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("Validate(%+v) = %v; want one line naming %q", c.spec, err, w)
+			}
+		}
+	}
+}
+
+// TestOptionsPerSeed: a cell's runs share what was resolved once per grid
+// point — its topology and its plan instance — and each seed adds only its
+// own seed, its schedule delay and a timeline of its own, which must never
+// sit in the shared template: workers would record into it concurrently.
+func TestOptionsPerSeed(t *testing.T) {
+	splitBrain, _ := netadv.Builtin("split-brain")
+	delayed := map[int64]int{}
+	sched := Schedule{
+		Name:   "s",
+		Faults: func(NT, int64) []Fault { return nil },
+		Delay: func(_ NT, seed int64) sim.DelayFn {
+			delayed[seed]++
+			return func(model.ProcID, model.ProcID, node.Payload, int64) int64 { return seed }
+		},
+	}
+	spec := Spec{
+		Grid:       []NT{{6, 2}},
+		Protocols:  []core.Protocol{core.SimulatedFailStop},
+		Schedules:  []Schedule{sched},
+		Plans:      []netadv.Generator{splitBrain},
+		Topologies: []topo.Spec{{Kind: topo.KindGossip, Fanout: 2}},
+		Reliable:   []reliable.Options{{Enabled: true, MaxRetries: 3}},
+		Recovery:   []recovery.Mode{recovery.Durable},
+		Byzantine:  []byz.Options{{Enabled: true}},
+		MinDelay:   2, MaxDelay: 9, MaxTime: 1500, MaxEvents: 1 << 16,
+		HeartbeatEvery: 25, HeartbeatTimeout: 80,
+		Timeline: true, TimelineEvery: 5,
+	}.withDefaults()
+	cells, err := spec.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cells[0]
+	a, b := spec.options(cs, 11), spec.options(cs, 12)
+	if a.Det.Topology == nil || a.Det.Topology != b.Det.Topology || a.Faults == nil || a.Faults != b.Faults {
+		t.Errorf("seeds do not share the grid point's topology (%p, %p) and plan (%p, %p)", a.Det.Topology, b.Det.Topology, a.Faults, b.Faults)
+	}
+	if a.Sim.Seed != 11 || b.Sim.Seed != 12 {
+		t.Errorf("seeds %d, %d; want 11, 12", a.Sim.Seed, b.Sim.Seed)
+	}
+	if a.Sim.Delay == nil || a.Sim.Delay(1, 2, node.Payload{}, 0) != 11 || b.Sim.Delay(1, 2, node.Payload{}, 0) != 12 || delayed[11] != 1 || delayed[12] != 1 {
+		t.Errorf("each seed must get the schedule's delay at that seed (calls per seed: %v)", delayed)
+	}
+	if a.Sim.Timeline == nil || a.Sim.Timeline == b.Sim.Timeline || cs.opts.Sim.Timeline != nil {
+		t.Errorf("timelines %p, %p, template %p: want one per run and none shared", a.Sim.Timeline, b.Sim.Timeline, cs.opts.Sim.Timeline)
+	}
+	// Everything else is the template, and the template is what the old
+	// per-run rebuild wrote field by field.
+	a.Sim.Delay, a.Sim.Timeline = nil, nil
+	want := cluster.Options{
+		Sim:    sim.Config{N: 6, Seed: 11, MinDelay: 2, MaxDelay: 9, MaxTime: 1500, MaxEvents: 1 << 16, Recovery: recovery.Durable},
+		Det:    core.Config{N: 6, T: 2, Protocol: core.SimulatedFailStop, Topology: a.Det.Topology},
+		Faults: a.Faults, HeartbeatEvery: 25, HeartbeatTimeout: 80,
+		Reliable: spec.Reliable[0], Byzantine: spec.Byzantine[0],
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("options = %+v\nwant      %+v", a, want)
 	}
 }
 
