@@ -23,7 +23,6 @@ import (
 	"failstop/internal/netadv"
 	"failstop/internal/node"
 	"failstop/internal/obs"
-	"failstop/internal/quorum"
 	"failstop/internal/reliable"
 	"failstop/internal/sim"
 )
@@ -262,16 +261,3 @@ func (c *Cluster) CrashAt(t int64, p model.ProcID) {
 
 // Run executes the simulation and returns its result.
 func (c *Cluster) Run() *sim.Result { return c.Sim.Run() }
-
-// QuorumSets aggregates the quorum snapshots of every completed detection
-// across all processes, as sets, for Witness-property checking (§4,
-// Definition 5).
-func (c *Cluster) QuorumSets() []quorum.Set {
-	var out []quorum.Set
-	for _, d := range c.Detectors[1:] {
-		for _, q := range d.Quorums() {
-			out = append(out, quorum.SetOf(q...))
-		}
-	}
-	return out
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"failstop/internal/byz"
+	"failstop/internal/checker"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
 	"failstop/internal/fd"
@@ -45,8 +46,8 @@ func TestQuorumSetsAggregation(t *testing.T) {
 		Sim: sim.Config{Seed: 2, MinDelay: 1, MaxDelay: 5},
 	})
 	c.SuspectAt(5, 2, 1)
-	c.Run()
-	sets := c.QuorumSets()
+	res := c.Run()
+	sets := checker.QuorumSets(res.History, core.TagSusp)
 	if len(sets) != 4 { // processes 2..5 each detected 1
 		t.Fatalf("got %d quorum sets, want 4", len(sets))
 	}

@@ -200,19 +200,16 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 
 // Crash executes the crash window of lifetime i due at tick at, at tick now,
 // on a process the host has already taken down (ctx is dead, its timers
-// stale). It asks schedule for the next window of a periodic lifetime, saves
-// the durable snapshot before OnCrash can perturb it, asks for the restart
-// (downtime counts from now, so a late crash keeps its full window), then
-// counts, records and announces the crash. The next window comes before the
-// restart: on the simulator that order is the event queue's tie-break.
+// stale). It asks schedule for the next window of a periodic lifetime (as
+// Skip does), saves the durable snapshot before OnCrash can perturb it, asks
+// for the restart (downtime counts from now, so a late crash keeps its full
+// window), then counts, records and announces the crash. The next window
+// comes before the restart: on the simulator that order is the event queue's
+// tie-break.
 func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
 	schedule func(at int64, restart bool), record func(model.Event)) {
+	c.Skip(i, at, schedule)
 	l := c.Lifetimes[i]
-	if l.Period > 0 && c.Recovery != recovery.Off {
-		if next := at + l.Period; l.Until == 0 || next <= l.Until {
-			schedule(next, false)
-		}
-	}
 	if r, ok := h.(node.Restarter); ok && c.Recovery == recovery.Durable {
 		c.Store.Save(l.Proc, r.Snapshot())
 	}
@@ -223,6 +220,20 @@ func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
 	record(model.Crash(l.Proc))
 	if lis, ok := h.(node.CrashListener); ok {
 		lis.OnCrash(ctx)
+	}
+}
+
+// Skip passes over the crash window of lifetime i due at tick at when it
+// finds its process still down from an earlier window, which only a host
+// stalled past a whole uptime sees: a late crash restarts after its
+// successor is due. The window is lost, the lifetime is not — Skip asks
+// schedule for the next window of a periodic lifetime, as if this one had
+// run, and nothing is counted or recorded.
+func (c *Core) Skip(i int, at int64, schedule func(at int64, restart bool)) {
+	if l := c.Lifetimes[i]; l.Period > 0 && c.Recovery != recovery.Off {
+		if next := at + l.Period; l.Until == 0 || next <= l.Until {
+			schedule(next, false)
+		}
 	}
 }
 

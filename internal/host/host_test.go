@@ -167,3 +167,39 @@ func TestCrashAndRestartSteps(t *testing.T) {
 		})
 	}
 }
+
+// TestSkipKeepsTheChain: a crash window that finds its process still down is
+// lost on its own — a periodic lifetime's next window is still scheduled,
+// within Until and unless recovery is off — and nothing is counted or
+// recorded for it.
+func TestSkipKeepsTheChain(t *testing.T) {
+	storm := recovery.Lifetime{Proc: 1, Crash: 30, Restart: 40, Period: 100, Until: 500}
+	for _, tc := range []struct {
+		mode recovery.Mode
+		l    recovery.Lifetime
+		at   int64
+		want []string
+	}{
+		{recovery.Amnesia, storm, 130, []string{"window@230"}},
+		{recovery.Durable, storm, 130, []string{"window@230"}},
+		{recovery.Amnesia, storm, 430, nil}, // 530 is past Until
+		{recovery.Off, storm, 130, nil},
+		{recovery.Amnesia, recovery.Lifetime{Proc: 1, Crash: 30, Restart: 40}, 30, nil},
+	} {
+		c := host.Core{Names: host.MetricNames("x_"), Recovery: tc.mode, Lifetimes: []recovery.Lifetime{tc.l}}
+		c.Init("test", 2, nil)
+		var log []string
+		c.Skip(0, tc.at, func(at int64, restart bool) {
+			log = append(log, fmt.Sprintf("window@%d", at))
+			if restart {
+				t.Errorf("%v at %d: Skip scheduled a restart", tc.mode, tc.at)
+			}
+		})
+		if !reflect.DeepEqual(log, tc.want) {
+			t.Errorf("%v %+v skipped at %d: scheduled %v, want %v", tc.mode, tc.l, tc.at, log, tc.want)
+		}
+		if c.PlanCrashes.Value() != 0 || c.Restarts.Value() != 0 {
+			t.Errorf("%v: a skipped window counted %d crashes, %d restarts", tc.mode, c.PlanCrashes.Value(), c.Restarts.Value())
+		}
+	}
+}

@@ -18,9 +18,14 @@ func (n *Net) Queued(p model.ProcID) int {
 	return total
 }
 
-// FaultTimers returns how many lifetime crash/restart timers the net holds.
-func (n *Net) FaultTimers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.faultTimers)
+// LifetimeDeadlines returns how many crash windows and restarts p's deadline
+// queue holds. The queue is its worker's: call it once Stop has returned.
+func (n *Net) LifetimeDeadlines(p model.ProcID) int {
+	held := 0
+	for _, d := range n.procs[p].due {
+		if d.kind != timerDeadline {
+			held++
+		}
+	}
+	return held
 }

@@ -9,22 +9,32 @@
 // only schedule-independent properties (the sFS conditions hold on the
 // recorded history of every schedule).
 //
-// Concurrency design: one worker goroutine per process delivers messages
-// and timers serially, so handler callbacks are never concurrent for the
-// same process. Senders enqueue onto per-channel FIFO queues with a
-// delivery-ready timestamp; the worker picks the earliest ready channel
-// head its gate accepts. A global recorder assigns history order by lock
-// acquisition, which is consistent with every per-process and per-channel
-// order — recorded histories are valid model histories.
+// Concurrency design: one worker goroutine per process takes that process's
+// steps serially, so handler callbacks are never concurrent for the same
+// process. Senders enqueue onto per-sender FIFO queues with a delivery-ready
+// time and wake the worker; so do Do and Stop. Everything else that comes due
+// for a process — its named timers, its lifetime's crash windows and its
+// restarts — waits in one queue of deadlines, ordered by (deadline,
+// insertion) as the simulator orders occurrences. Only the worker touches
+// that queue (SetTimer, CancelTimer, plan crashes and restarts all run on
+// it), so it needs no lock. A step is the oldest injection, else a due
+// deadline, else the ready channel head of the lowest sender the gate
+// accepts. With no step to take, the worker sleeps on one time.Timer until
+// the earlier of the queue's head and the ready time of a channel head that
+// is neither parked nor gated (a gate's answer changes only in the process's
+// own callbacks), or until a send, an injection or Stop wakes it. A global
+// recorder assigns history order by lock acquisition, which is consistent
+// with every per-process and per-channel order — recorded histories are
+// valid model histories.
 package runtime
 
 //sfs:allow detwallclock live backend: real time is this package's whole point — ticks, delays, and timers are wall-clock by design
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -98,11 +108,10 @@ type Net struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	stopCh      chan struct{}
-	started     bool
-	stopped     bool
-	faultTimers []*time.Timer // pending lifetime crash/restart timers; a fired one removes itself
-	mu          sync.Mutex
+	stopCh  chan struct{}
+	started bool
+	stopped bool
+	mu      sync.Mutex
 }
 
 // New creates a live network.
@@ -131,7 +140,13 @@ func New(cfg Config) *Net {
 		stopCh:   make(chan struct{}),
 	}
 	for p := 1; p <= cfg.N; p++ {
-		n.procs[p] = newProc(n, model.ProcID(p))
+		n.procs[p] = &proc{
+			net:     n,
+			self:    model.ProcID(p),
+			emitted: make(map[model.ProcID]bool),
+			wakeCh:  make(chan struct{}, 1),
+			done:    make(chan struct{}),
+		}
 	}
 	n.core.Init("runtime", cfg.N, cfg.Metrics)
 	return n
@@ -154,7 +169,8 @@ func (n *Net) checkProc(call string, p model.ProcID) {
 	}
 }
 
-// Start initializes every handler and launches the worker goroutines.
+// Start initializes every handler, queues each lifetime's first crash window
+// and launches the worker goroutines.
 func (n *Net) Start() {
 	for p := 1; p <= n.cfg.N; p++ {
 		if n.handlers[p] == nil {
@@ -169,15 +185,16 @@ func (n *Net) Start() {
 	n.started = true // from here on Stop waits for the workers
 	n.start = time.Now()
 	n.mu.Unlock()
-	for p := 1; p <= n.cfg.N; p++ {
-		n.procs[p].ctxDo(func(ctx node.Context) { n.handlers[p].Init(ctx) })
+	for _, p := range n.procs[1:] {
+		p.h = n.handlers[p.self]
+		p.gate, _ = p.h.(node.Gate)
+		p.h.Init(p)
 	}
-	for p := 1; p <= n.cfg.N; p++ {
-		go n.procs[p].loop()
+	for i, l := range n.cfg.Lifetimes {
+		n.procs[l.Proc].push(deadline{at: n.at(l.Crash), kind: windowDeadline, life: i, tick: l.Crash})
 	}
-	for i := range n.cfg.Lifetimes {
-		idx, l := i, n.cfg.Lifetimes[i]
-		n.afterTicks(l.Crash, func() { n.planCrash(idx, l.Crash) })
+	for _, p := range n.procs[1:] {
+		go p.loop()
 	}
 }
 
@@ -190,12 +207,7 @@ func (n *Net) Stop() {
 	}
 	n.stopped = true
 	started := n.started
-	timers := n.faultTimers
-	n.faultTimers = nil
 	n.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 	close(n.stopCh)
 	for p := 1; p <= n.cfg.N; p++ {
 		n.procs[p].wake()
@@ -220,8 +232,14 @@ func (n *Net) Do(p model.ProcID, fn func(node.Context)) {
 	n.procs[p].inject(fn)
 }
 
+// elapsed is the net's clock: the time since Start.
+func (n *Net) elapsed() time.Duration { return time.Since(n.start) }
+
+// at is the time since Start at which tick begins.
+func (n *Net) at(tick int64) time.Duration { return time.Duration(tick) * n.cfg.Tick }
+
 func (n *Net) nowTicks() int64 {
-	return int64(time.Since(n.start) / n.cfg.Tick)
+	return int64(n.elapsed() / n.cfg.Tick)
 }
 
 func (n *Net) record(e model.Event) {
@@ -249,128 +267,72 @@ func (n *Net) Metrics() obs.Metrics {
 	return n.core.Snapshot(nil, host.LayerStats(n.handlers))
 }
 
-// afterTicks schedules fn after d ticks, retaining the timer until it fires
-// so Stop can cancel the fault plan's outstanding work: a lifetime has at
-// most two pending, its next crash and its restart, however long it recurs.
-// No-op once the net stopped.
-func (n *Net) afterTicks(d int64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(time.Duration(d)*n.cfg.Tick, func() {
-		n.mu.Lock() // not before afterTicks has stored t
-		n.faultTimers = slices.DeleteFunc(n.faultTimers, func(x *time.Timer) bool { return x == t })
-		n.mu.Unlock()
-		fn()
-	})
-	n.faultTimers = append(n.faultTimers, t)
-}
-
-// planCrash routes the crash window of lifetime idx due at tick at through
-// the victim's injection queue, so the crash serializes with its handler
-// callbacks (a durable snapshot must not race a half-applied message). The
-// inject is silently dropped if the process crashed terminally first — which
-// also stops the periodic chain, matching the simulator.
-func (n *Net) planCrash(idx int, at int64) {
-	p := n.procs[n.cfg.Lifetimes[idx].Proc]
-	p.inject(func(ctx node.Context) {
-		p.mu.Lock()
-		p.down = true
-		p.revive = false
-		p.injects = nil
-		p.dueTimer = nil
-		p.stopTimers()
-		p.mu.Unlock()
-		n.core.Crash(idx, at, n.nowTicks(), n.handlers[p.self], ctx, func(when int64, restart bool) {
-			due := func() { n.planCrash(idx, when) } // the next window, on the plan's absolute cadence
-			if restart {
-				due = p.restartDue
-			}
-			n.afterTicks(when-n.nowTicks(), due)
-		}, n.record)
-	})
-}
-
 // liveMsg is a queued message on a live channel.
 type liveMsg struct {
 	id      model.MsgID
 	payload node.Payload
-	readyAt time.Time
-	parked  bool  // held forever; blocks the channel behind it
-	span    int64 // enqueue span id; 0 when the message is unsampled
+	readyAt time.Duration // since Start
+	parked  bool          // held forever; blocks the channel behind it
+	span    int64         // enqueue span id; 0 when the message is unsampled
 }
 
-// proc is the per-process worker state.
+// deadline is one entry of a process's deadline queue: a named timer, or a
+// crash window or restart of the lifetime at index life of Config.Lifetimes.
+type deadline struct {
+	at   time.Duration // since Start
+	kind deadlineKind
+	name string // a timer's
+	life int    // a window's or a restart's lifetime
+	tick int64  // a window's due tick, on the plan's absolute cadence
+}
+
+type deadlineKind uint8
+
+const (
+	timerDeadline deadlineKind = iota
+	windowDeadline
+	restartDeadline
+)
+
+// never is the wake time of a worker that only a send, an injection or Stop
+// can give a step.
+const never = time.Duration(math.MaxInt64)
+
+// proc is one process: its node.Context and the worker state behind it.
 type proc struct {
 	net  *Net
 	self model.ProcID
+	h    node.Handler
+	gate node.Gate // h, when it gates its receives; nil otherwise
 
-	mu       sync.Mutex
-	queues   map[model.ProcID][]liveMsg // per-sender FIFO
-	injects  []func(node.Context)
-	timers   map[string]*liveTimer
-	dueTimer []string              // timer names that have fired, in order
-	emitted  map[model.ProcID]bool // failed_self(j) already recorded
-	crashed  bool
-	down     bool // plan-crashed, restart possibly pending (crash-recovery)
-	revive   bool // restart timer elapsed; worker finishes the restart
-	wakeCh   chan struct{}
-	done     chan struct{} // closed when the worker has returned
+	// mu guards what senders, Do and Stop share with the worker. The worker
+	// is the only writer of crashed and down, so it reads them unlocked.
+	mu      sync.Mutex
+	queues  [][]liveMsg // per-sender FIFO, indexed by sender id; made by the first send
+	injects []func(node.Context)
+	crashed bool // CrashSelf: terminal
+	down    bool // plan-crashed, restart possibly pending (crash-recovery)
+	wakeCh  chan struct{}
+	done    chan struct{} // closed when the worker has returned
 
-	// curSpan frames the handler callback currently running on this
-	// process's worker. Only the worker goroutine touches it (callbacks are
-	// serialized per process), so it needs no lock.
+	// The rest is the worker's alone (callbacks are serialized per process,
+	// and Init runs before the worker starts), so it needs no lock.
+	due     []deadline            // ascending by (at, insertion)
+	emitted map[model.ProcID]bool // failed_self(j) already recorded
+	// curSpan frames the handler callback currently running.
 	curSpan int64
 }
 
-type liveTimer struct {
-	gen   int64
-	timer *time.Timer
-}
+var _ node.Context = (*proc)(nil)
 
-func newProc(n *Net, self model.ProcID) *proc {
-	return &proc{
-		net:     n,
-		self:    self,
-		queues:  make(map[model.ProcID][]liveMsg),
-		timers:  make(map[string]*liveTimer),
-		emitted: make(map[model.ProcID]bool),
-		wakeCh:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-}
-
-// stopTimers makes every outstanding timer of p stale. Callers hold p.mu.
-func (p *proc) stopTimers() {
-	for _, lt := range p.timers {
-		lt.gen++
-		if lt.timer != nil {
-			lt.timer.Stop()
-		}
-	}
-}
+// gone reports that the process takes no step now: crashed, or down.
+func (p *proc) gone() bool { return p.crashed || p.down }
 
 func (p *proc) wake() {
 	select {
 	case p.wakeCh <- struct{}{}:
 	default:
 	}
-}
-
-// restartDue tells p's worker, if p is still down, to finish the restart.
-func (p *proc) restartDue() {
-	p.mu.Lock()
-	if p.down {
-		p.revive = true
-	}
-	p.mu.Unlock()
-	p.wake()
 }
 
 // inject schedules fn for serialized execution on p's worker. Injections
@@ -386,148 +348,170 @@ func (p *proc) inject(fn func(node.Context)) {
 	p.wake()
 }
 
-// ctxDo runs fn synchronously in p's context (used for Init before the
-// workers start).
-func (p *proc) ctxDo(fn func(node.Context)) {
-	fn(&liveCtx{p: p})
+// push queues d behind every deadline due no later than it.
+func (p *proc) push(d deadline) {
+	i := slices.IndexFunc(p.due, func(e deadline) bool { return e.at > d.at })
+	if i < 0 {
+		i = len(p.due)
+	}
+	p.due = slices.Insert(p.due, i, d)
 }
 
-// loop is the worker: deliver injections, due timers, and ready channel
-// heads until the network stops or the process crashes terminally (a
-// plan-crashed process keeps waiting, for its revive).
+// loop is the worker: take steps until the network stops or the process
+// crashes terminally (a plan-crashed process keeps waiting, for its restart).
 func (p *proc) loop() {
 	defer close(p.done)
-	for {
+	sleep := time.NewTimer(never)
+	defer sleep.Stop()
+	for !p.crashed {
 		select {
 		case <-p.net.stopCh:
 			return
 		default:
 		}
-		did, alive := p.step()
-		if !alive {
+		next, did := p.step()
+		if did {
+			continue
+		}
+		if next != never {
+			sleep.Reset(next - p.net.elapsed())
+		}
+		select {
+		case <-p.net.stopCh:
 			return
+		case <-p.wakeCh:
+		case <-sleep.C:
 		}
-		if !did {
-			// Nothing deliverable: a send (also once its delay elapses), a
-			// timer, an injection, a restart or Stop wakes us; a gate's
-			// answer changes only in our own callbacks.
-			select {
-			case <-p.net.stopCh:
-				return
-			case <-p.wakeCh:
-			}
-		}
+		sleep.Stop() // a tick it sent already wakes the worker once more, for nothing
 	}
 }
 
-// step delivers at most one pending item; it reports whether it did, and
-// whether the process is still there to be stepped again.
-func (p *proc) step() (did, alive bool) {
+// step takes at most one step and reports whether it did; when it did not,
+// next is when the earliest deadline or channel head it holds comes due.
+func (p *proc) step() (next time.Duration, did bool) {
+	now := p.net.elapsed()
+	next = never
+	if len(p.due) > 0 {
+		next = p.due[0].at
+	}
+	expired := next <= now
 	p.mu.Lock()
-	if p.crashed {
-		p.mu.Unlock()
-		return false, false
-	}
-	if p.down {
-		if p.revive {
-			p.revive = false
-			p.down = false
-			p.mu.Unlock()
-			n := p.net
-			n.core.Restart(p.self, n.nowTicks(), n.handlers[p.self], &liveCtx{p: p}, n.record)
-			return true, true
-		}
-		// Arrival at a down process is loss, same rule as the simulator:
-		// discard every head that became ready, then go back to sleep.
-		now := time.Now()
-		for from, q := range p.queues {
-			for len(q) > 0 && !q[0].parked && !q[0].readyAt.After(now) {
-				if q[0].span != 0 {
-					p.net.cfg.Spans.Record(obs.Span{
-						Parent: q[0].span, Time: p.net.nowTicks(), Kind: obs.SpanDrop,
-						Proc: p.self, Peer: from, Msg: q[0].id, Note: "receiver down",
-					})
-				}
-				q = q[1:]
-			}
-			p.queues[from] = q
-		}
-		p.mu.Unlock()
-		return false, true
-	}
-	// 1. Injections.
-	if len(p.injects) > 0 {
+	switch {
+	case p.down:
+		// Arrival at a down process is loss, the simulator's rule too: every
+		// head that arrived by now, or by a due restart, is discarded.
+		next = min(next, p.discard(min(now, next)))
+	case len(p.injects) > 0:
 		fn := p.injects[0]
 		p.injects = p.injects[1:]
 		p.mu.Unlock()
-		fn(&liveCtx{p: p})
-		return true, true
-	}
-	// 2. Due timers.
-	if len(p.dueTimer) > 0 {
-		name := p.dueTimer[0]
-		p.dueTimer = p.dueTimer[1:]
-		p.mu.Unlock()
-		p.net.core.TimersFired.Inc()
-		p.net.handlers[p.self].OnTimer(&liveCtx{p: p}, name)
-		return true, true
-	}
-	// 3. Ready channel heads, in sender order for fairness determinism.
-	now := time.Now()
-	gate, _ := p.net.handlers[p.self].(node.Gate)
-	senders := make([]model.ProcID, 0, len(p.queues))
-	for from := range p.queues {
-		if len(p.queues[from]) > 0 {
-			senders = append(senders, from)
+		fn(p)
+		return next, true
+	case !expired:
+		for from, q := range p.queues {
+			switch {
+			case len(q) == 0 || q[0].parked:
+			case q[0].readyAt > now:
+				next = min(next, q[0].readyAt)
+			case p.gate == nil || p.gate.Accepts(model.ProcID(from), q[0].payload):
+				p.queues[from] = q[1:]
+				p.mu.Unlock()
+				p.deliver(model.ProcID(from), q[0])
+				return next, true
+			}
 		}
-	}
-	sort.Slice(senders, func(a, b int) bool { return senders[a] < senders[b] })
-	for _, from := range senders {
-		head := p.queues[from][0]
-		if head.parked || head.readyAt.After(now) {
-			continue
-		}
-		if gate != nil && !gate.Accepts(from, head.payload) {
-			continue
-		}
-		p.queues[from] = p.queues[from][1:]
-		p.mu.Unlock()
-		p.net.record(model.Recv(p.self, from, head.id, head.payload.Tag, head.payload.Subject))
-		p.net.core.Delivered.Inc()
-		if head.span != 0 {
-			p.curSpan = p.net.cfg.Spans.Record(obs.Span{
-				Parent: head.span, Time: p.net.nowTicks(), Kind: obs.SpanDeliver,
-				Proc: p.self, Peer: from, Msg: head.id, Tag: head.payload.Tag,
-			})
-		} else {
-			p.curSpan = 0
-		}
-		p.net.handlers[p.self].OnMessage(&liveCtx{p: p}, from, head.payload)
-		p.curSpan = 0
-		return true, true
 	}
 	p.mu.Unlock()
-	return false, true
+	if expired {
+		p.fire()
+	}
+	return next, expired
 }
 
-// liveCtx implements node.Context for one process of a live network.
-type liveCtx struct {
-	p *proc
+// discard drops every channel head that arrived by cut and returns when the
+// next one arrives. Callers hold p.mu.
+func (p *proc) discard(cut time.Duration) time.Duration {
+	next := never
+	for from, q := range p.queues {
+		for len(q) > 0 && !q[0].parked && q[0].readyAt <= cut {
+			if q[0].span != 0 {
+				p.net.cfg.Spans.Record(obs.Span{
+					Parent: q[0].span, Time: p.net.nowTicks(), Kind: obs.SpanDrop,
+					Proc: p.self, Peer: model.ProcID(from), Msg: q[0].id, Note: "receiver down",
+				})
+			}
+			q = q[1:]
+		}
+		p.queues[from] = q
+		if len(q) > 0 && !q[0].parked {
+			next = min(next, q[0].readyAt)
+		}
+	}
+	return next
 }
 
-var _ node.Context = (*liveCtx)(nil)
+// deliver hands p's handler the message m from.
+func (p *proc) deliver(from model.ProcID, m liveMsg) {
+	n := p.net
+	n.record(model.Recv(p.self, from, m.id, m.payload.Tag, m.payload.Subject))
+	n.core.Delivered.Inc()
+	if m.span != 0 {
+		p.curSpan = n.cfg.Spans.Record(obs.Span{
+			Parent: m.span, Time: n.nowTicks(), Kind: obs.SpanDeliver,
+			Proc: p.self, Peer: from, Msg: m.id, Tag: m.payload.Tag,
+		})
+	}
+	p.h.OnMessage(p, from, m.payload)
+	p.curSpan = 0
+}
 
-func (c *liveCtx) Self() model.ProcID { return c.p.self }
-func (c *liveCtx) N() int             { return c.p.net.cfg.N }
-func (c *liveCtx) Now() int64         { return c.p.net.nowTicks() }
+// fire takes the head off the deadline queue and runs it: a timer, a crash
+// window or a restart.
+func (p *proc) fire() {
+	n := p.net
+	d := p.due[0]
+	p.due = p.due[1:]
+	schedule := func(tick int64, restart bool) {
+		next := deadline{at: n.at(tick), kind: windowDeadline, life: d.life, tick: tick}
+		if restart {
+			next.kind = restartDeadline
+		}
+		p.push(next)
+	}
+	switch {
+	case d.kind == timerDeadline:
+		n.core.TimersFired.Inc()
+		p.h.OnTimer(p, d.name)
+	case d.kind == restartDeadline:
+		p.setDown(false)
+		n.core.Restart(p.self, n.nowTicks(), p.h, p, n.record)
+	case p.down:
+		n.core.Skip(d.life, d.tick, schedule)
+	default:
+		// A crash window runs on the worker, so the crash serializes with the
+		// handler's callbacks (a durable snapshot must not race a half-applied
+		// message). The process's timers die with it.
+		p.setDown(true)
+		p.due = slices.DeleteFunc(p.due, func(d deadline) bool { return d.kind == timerDeadline })
+		n.core.Crash(d.life, d.tick, n.nowTicks(), p.h, p, schedule, n.record)
+	}
+}
 
-func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
-	p := c.p
-	net := p.net
+// setDown takes p down, dropping its pending injections, or brings it back.
+func (p *proc) setDown(down bool) {
 	p.mu.Lock()
-	dead := p.crashed || p.down
+	p.down = down
+	p.injects = nil
 	p.mu.Unlock()
-	if dead {
+}
+
+func (p *proc) Self() model.ProcID { return p.self }
+func (p *proc) N() int             { return p.net.cfg.N }
+func (p *proc) Now() int64         { return p.net.nowTicks() }
+
+func (p *proc) Send(to model.ProcID, pl node.Payload) {
+	net := p.net
+	if p.gone() {
 		return
 	}
 	if to == p.self {
@@ -550,7 +534,6 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	// destination's is taken with the first copy, not before.
 	dst := net.procs[to]
 	locked := false
-	var maxDelay time.Duration
 	net.core.Route(e.Time, p.curSpan, p.self, to, id, pl, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
 		if !locked {
 			dst.mu.Lock()
@@ -559,9 +542,11 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 		if dst.crashed {
 			return // sent, counted and traced like any other, but nobody is left to queue it for
 		}
+		if dst.queues == nil {
+			dst.queues = make([][]liveMsg, net.cfg.N+1)
+		}
 		d := net.delay() + time.Duration(extra)*net.cfg.Tick
-		maxDelay = max(maxDelay, d)
-		msg := liveMsg{id: id, payload: wire, readyAt: time.Now().Add(d), parked: park, span: span}
+		msg := liveMsg{id: id, payload: wire, readyAt: net.elapsed() + d, parked: park, span: span}
 		q := dst.queues[p.self]
 		if reorder && len(q) > 1 {
 			// Overtake the current tail: a pairwise FIFO violation.
@@ -578,94 +563,49 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	}
 	gone := dst.crashed
 	dst.mu.Unlock()
-	if gone {
+	if !gone {
+		dst.wake()
+	}
+}
+
+func (p *proc) SetTimer(name string, delayTicks int64) {
+	if p.gone() {
 		return
 	}
-	dst.wake()
-	// Ensure a re-check once the delay elapses even if nothing else wakes
-	// the destination.
-	time.AfterFunc(maxDelay, dst.wake)
+	p.CancelTimer(name)
+	p.push(deadline{at: p.net.elapsed() + p.net.at(delayTicks), kind: timerDeadline, name: name})
 }
 
-func (c *liveCtx) SetTimer(name string, delayTicks int64) {
-	p := c.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.crashed || p.down {
-		return
-	}
-	lt := p.timers[name]
-	if lt == nil {
-		lt = &liveTimer{}
-		p.timers[name] = lt
-	} else if lt.timer != nil {
-		lt.timer.Stop()
-	}
-	lt.gen++
-	gen := lt.gen
-	d := time.Duration(delayTicks) * p.net.cfg.Tick
-	lt.timer = time.AfterFunc(d, func() {
-		p.mu.Lock()
-		cur := p.timers[name]
-		if p.crashed || cur == nil || cur.gen != gen {
-			p.mu.Unlock()
-			return
-		}
-		p.dueTimer = append(p.dueTimer, name)
-		p.mu.Unlock()
-		p.wake()
-	})
+func (p *proc) CancelTimer(name string) {
+	p.due = slices.DeleteFunc(p.due, func(d deadline) bool { return d.kind == timerDeadline && d.name == name })
 }
 
-func (c *liveCtx) CancelTimer(name string) {
-	p := c.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if lt := p.timers[name]; lt != nil {
-		lt.gen++
-		if lt.timer != nil {
-			lt.timer.Stop()
-		}
-	}
-}
-
-func (c *liveCtx) EmitFailed(j model.ProcID) {
-	p := c.p
-	p.mu.Lock()
-	if p.crashed || p.down || p.emitted[j] {
-		p.mu.Unlock()
+func (p *proc) EmitFailed(j model.ProcID) {
+	if p.gone() || p.emitted[j] {
 		return
 	}
 	p.emitted[j] = true
-	p.mu.Unlock()
 	p.emit(model.Failed(p.self, j))
 }
 
-func (c *liveCtx) CrashSelf() {
-	p := c.p
-	p.mu.Lock()
-	if p.crashed || p.down {
-		p.mu.Unlock()
+func (p *proc) CrashSelf() {
+	if p.gone() {
 		return
 	}
+	p.mu.Lock()
 	p.crashed = true
 	// Nothing reads a terminally crashed process's queued work again.
-	p.queues, p.injects, p.dueTimer = nil, nil, nil
-	p.stopTimers()
+	p.queues, p.injects = nil, nil
 	p.mu.Unlock()
+	p.due = nil
 	p.net.record(model.Crash(p.self))
-	if l, ok := p.net.handlers[p.self].(node.CrashListener); ok {
-		l.OnCrash(c)
+	if l, ok := p.h.(node.CrashListener); ok {
+		l.OnCrash(p)
 	}
-	p.wake()
 }
 
-func (c *liveCtx) EmitInternal(tag string, subject model.ProcID) {
-	p := c.p
-	p.mu.Lock()
-	dead := p.crashed || p.down
-	p.mu.Unlock()
-	if dead {
+func (p *proc) EmitInternal(tag string, subject model.ProcID) {
+	if p.gone() {
 		return
 	}
 	p.emit(model.Internal(p.self, tag, subject))

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"failstop/internal/node"
 	"failstop/internal/recovery"
 	"failstop/internal/runtime"
+	"failstop/internal/sim"
 )
 
 // collector records message tags it received, thread-safely for assertions
@@ -152,13 +154,19 @@ func TestLiveSFSProtocol(t *testing.T) {
 	}
 }
 
+// TestLiveTimers: timers fire in deadline order, a name armed again fires
+// once, at its new deadline, and a cancelled timer never fires.
 func TestLiveTimers(t *testing.T) {
 	net := runtime.New(fastCfg(1, 4))
 	var mu sync.Mutex
 	var fired []string
-	h := &timerHandler{onTimer: func(name string) {
+	var aAt int64
+	h := &timerHandler{onTimer: func(ctx node.Context, name string) {
 		mu.Lock()
 		fired = append(fired, name)
+		if name == "a" {
+			aAt = ctx.Now()
+		}
 		mu.Unlock()
 	}}
 	net.SetHandler(1, h)
@@ -167,30 +175,31 @@ func TestLiveTimers(t *testing.T) {
 		// Generous spacing: under the race scheduler, goroutine wakeups can
 		// be delayed by milliseconds, and a cancel must not lose the race
 		// against its own timer's firing.
-		ctx.SetTimer("a", 200) // 20ms
+		ctx.SetTimer("a", 100) // 10ms, armed again below
 		ctx.SetTimer("b", 50)  // 5ms
 		ctx.SetTimer("c", 400) // 40ms, cancelled immediately below
+		ctx.SetTimer("a", 200) // 20ms
 		ctx.CancelTimer("c")
 	})
 	time.Sleep(80 * time.Millisecond)
 	net.Stop()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(fired) != 2 {
+	if len(fired) != 2 || fired[0] != "b" || fired[1] != "a" {
 		t.Fatalf("fired = %v, want [b a]", fired)
 	}
-	if fired[0] != "b" || fired[1] != "a" {
-		t.Errorf("fired = %v, want [b a]", fired)
+	if aAt < 200 {
+		t.Errorf("a fired at tick %d, before the deadline it was armed again with (200)", aAt)
 	}
 }
 
 type timerHandler struct {
-	onTimer func(string)
+	onTimer func(node.Context, string)
 }
 
 func (h *timerHandler) Init(node.Context)                                  {}
 func (h *timerHandler) OnMessage(node.Context, model.ProcID, node.Payload) {}
-func (h *timerHandler) OnTimer(_ node.Context, name string)                { h.onTimer(name) }
+func (h *timerHandler) OnTimer(ctx node.Context, name string)              { h.onTimer(ctx, name) }
 
 // TestLiveCrashStopsProcess: a terminally crashed process receives nothing,
 // and the runtime lets go of it — its worker returns without waiting for
@@ -253,31 +262,12 @@ func TestStopIdempotent(t *testing.T) {
 	net.Stop() // must not panic or deadlock
 }
 
-// TestFaultTimersStayBounded: a recurring lifetime holds its pending timers
-// only — the next crash and the restart — not one per window since Start.
-// (Every fired timer used to stay in the list until Stop: 101 after 50
-// windows of one such storm.) A storm can end early here: a host stalled past
-// a whole downtime fires a restart and the next crash together, the window
-// finds its process still down and is skipped, chain and all, as on the
-// simulator. Such a run proves nothing about 50 windows and is made again.
+// TestFaultTimersStayBounded: a recurring lifetime holds its pending
+// deadlines only — the next crash window and the restart — not one per window
+// since Start. (Every fired fault timer used to stay held until Stop: 101
+// after 50 windows of one such storm.)
 func TestFaultTimersStayBounded(t *testing.T) {
-	const windows, attempts = 50, 8
-	for attempt := 1; ; attempt++ {
-		got := stormWindows(t, windows)
-		if got >= windows {
-			return
-		}
-		if attempt == attempts {
-			t.Fatalf("no storm reached %d windows in %d attempts (the last ended after %d)", windows, attempts, got)
-		}
-		t.Logf("attempt %d: the storms ended after %d windows", attempt, got)
-	}
-}
-
-// stormWindows runs six staggered restart storms until they have crashed
-// want times between them or all have ended, failing the test the moment the
-// net holds more than two fault timers a lifetime. It returns the crashes.
-func stormWindows(t *testing.T, want int64) int64 {
+	const windows = 50
 	cfg := fastCfg(7, 7)
 	cfg.Tick = 200 * time.Microsecond
 	cfg.Recovery = recovery.Amnesia
@@ -289,18 +279,148 @@ func stormWindows(t *testing.T, want int64) int64 {
 		net.SetHandler(p, &collector{})
 	}
 	net.Start()
-	defer net.Stop()
 	got, progress := int64(0), time.Now()
-	for got < want && time.Since(progress) < 25*40*cfg.Tick {
+	for got < windows && time.Since(progress) < 25*40*cfg.Tick {
 		if now := net.Metrics().Value("net_plan_crashes_total"); now > got {
 			got, progress = now, time.Now()
 		}
-		if held, max := net.FaultTimers(), 2*len(cfg.Lifetimes); held > max {
-			t.Fatalf("net holds %d fault timers after %d windows, want at most %d", held, got, max)
-		}
 		time.Sleep(time.Millisecond)
 	}
-	return got
+	net.Stop()
+	if got < windows {
+		t.Fatalf("the storms ended after %d windows, want %d", got, windows)
+	}
+	for _, l := range cfg.Lifetimes {
+		if held := net.LifetimeDeadlines(l.Proc); held > 2 {
+			t.Errorf("process %d holds %d lifetime deadlines after %d windows, want at most 2", l.Proc, held, got)
+		}
+	}
+}
+
+// TestStalledHostKeepsTheStorm: a worker stalled past a whole uptime runs its
+// crash window late, so the restart comes after the next window is due. That
+// window finds its process still down and is skipped, and the storm goes on
+// to its last windows. (The skipped window used to take the rest of the chain
+// with it: the storm ended at the stall.)
+func TestStalledHostKeepsTheStorm(t *testing.T) {
+	cfg := fastCfg(2, 8)
+	cfg.Tick = time.Millisecond
+	cfg.Recovery = recovery.Amnesia
+	// Windows at 20, 60, …, 380, each 10 ticks down and 30 up.
+	cfg.Lifetimes = []recovery.Lifetime{{Proc: 2, Crash: 20, Restart: 30, Period: 40, Until: 380}}
+	net := runtime.New(cfg)
+	net.SetHandler(1, &collector{})
+	net.SetHandler(2, &collector{})
+	net.Start()
+	defer net.Stop()
+	stalled := make(chan struct{})
+	net.Do(2, func(node.Context) {
+		time.Sleep(100 * cfg.Tick) // past the first window and the second
+		close(stalled)
+	})
+	select {
+	case <-stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stall never ran")
+	}
+	lastCrash := func() int64 {
+		at := int64(-1)
+		for _, e := range net.History() {
+			if e.Kind == model.KindCrash {
+				at = e.Time
+			}
+		}
+		return at
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for lastCrash() < 340 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if at := lastCrash(); at < 340 {
+		t.Fatalf("the storm's last crash was at tick %d, want one of its last windows (340, 380)", at)
+	}
+	if err := net.History().Validate(); err != nil {
+		t.Errorf("invalid history: %v", err)
+	}
+}
+
+// TestDeadlineTiesBreakByInsertion: deadlines due at the same instant run in
+// the order they were queued, as the simulator's occurrences do. The second
+// window, queued at Start, is due at the tick the first window's restart is:
+// it runs first, finds its process still down and is skipped, so both hosts
+// record one crash and one restart.
+func TestDeadlineTiesBreakByInsertion(t *testing.T) {
+	lifetimes := []recovery.Lifetime{{Proc: 2, Crash: 10, Restart: 20}, {Proc: 2, Crash: 20, Restart: 30}}
+	lifeEvents := func(h model.History) (out []string) {
+		for _, e := range h {
+			if e.Kind == model.KindCrash || e.Tag == model.TagRestart {
+				out = append(out, e.String())
+			}
+		}
+		return out
+	}
+	s := sim.New(sim.Config{N: 2, Seed: 1, Lifetimes: lifetimes, Recovery: recovery.Amnesia})
+	s.SetHandler(1, &collector{})
+	s.SetHandler(2, &collector{})
+	want := lifeEvents(s.Run().History)
+	if len(want) != 2 {
+		t.Fatalf("simulator: lifetime events %v, want a crash and a restart", want)
+	}
+
+	cfg := fastCfg(2, 10)
+	cfg.Tick = 5 * time.Millisecond // the first crash runs within its tick, so its restart ties the second window
+	cfg.Lifetimes, cfg.Recovery = lifetimes, recovery.Amnesia
+	net := runtime.New(cfg)
+	net.SetHandler(1, &collector{})
+	net.SetHandler(2, &collector{})
+	net.Start()
+	time.Sleep(40 * cfg.Tick) // past the second window's restart, had it crashed
+	net.Stop()
+	if got := lifeEvents(net.History()); !reflect.DeepEqual(got, want) {
+		t.Errorf("live lifetime events %v, want the simulator's %v", got, want)
+	}
+}
+
+// restartTimers arms "old" from Init, which runs once, and "new" on each
+// restart, and logs every timer that fires.
+type restartTimers struct {
+	fired chan string
+}
+
+func (h *restartTimers) Init(ctx node.Context)                              { ctx.SetTimer("old", 60) }
+func (h *restartTimers) OnMessage(node.Context, model.ProcID, node.Payload) {}
+func (h *restartTimers) OnTimer(_ node.Context, name string)                { h.fired <- name }
+func (h *restartTimers) Snapshot() []byte                                   { return nil }
+func (h *restartTimers) OnRestart(ctx node.Context, _ []byte)               { ctx.SetTimer("new", 10) }
+
+// TestLiveRestartDeadIncarnationTimerNeverFires: a timer armed before a plan
+// crash dies with the incarnation that armed it, even when its deadline falls
+// after the restart; the restarted process's own timer fires.
+func TestLiveRestartDeadIncarnationTimerNeverFires(t *testing.T) {
+	cfg := fastCfg(2, 9)
+	cfg.Tick = time.Millisecond
+	cfg.Recovery = recovery.Amnesia
+	cfg.Lifetimes = []recovery.Lifetime{{Proc: 2, Crash: 20, Restart: 30}}
+	net := runtime.New(cfg)
+	h := &restartTimers{fired: make(chan string, 4)}
+	net.SetHandler(1, &collector{})
+	net.SetHandler(2, h)
+	started := time.Now()
+	net.Start()
+	select {
+	case name := <-h.fired:
+		if name != "new" {
+			t.Errorf("timer %q fired first, want the restarted process's %q", name, "new")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the restarted process's timer never fired")
+	}
+	time.Sleep(time.Until(started.Add(80 * cfg.Tick))) // past the dead timer's deadline, at 60
+	net.Stop()
+	close(h.fired)
+	for name := range h.fired {
+		t.Errorf("timer %q fired after the restarted process's", name)
+	}
 }
 
 // sender sends count messages to process 2 from Init.

@@ -1258,24 +1258,31 @@ func (s *Sim) fireTimer(c *procCtx, o occurrence) {
 
 // planCrash executes one crash window of a lifetime: take the process down
 // and kill its timers, then run the shared crash step, which schedules the
-// next window and the restart as occurrences. A process that already crashed
-// terminally (CrashSelf) or is still down from an earlier window skips the
-// whole window, restart included.
+// next window and the restart as occurrences. A window that finds its process
+// crashed terminally (CrashSelf) ends the lifetime; one that finds it still
+// down from an earlier window is skipped by the hosts' shared rule, which no
+// valid plan reaches here (a storm restarts its process before its next
+// window, and a process's one-shot windows are disjoint).
 func (s *Sim) planCrash(c *procCtx, o occurrence) {
-	if c.gone() {
+	if c.crashed {
+		return
+	}
+	schedule := func(at int64, restart bool) {
+		kind := occPlanCrash
+		if restart {
+			kind = occRestart
+		}
+		s.push(occ(at, kind, c.p, o.ref()))
+	}
+	if c.down {
+		s.core.Skip(o.ref(), o.time, schedule)
 		return
 	}
 	c.down = true
 	for i := range c.timers {
 		c.timers[i].armed = unarmed
 	}
-	s.core.Crash(o.ref(), o.time, s.now, c.h, c, func(at int64, restart bool) {
-		kind := occPlanCrash
-		if restart {
-			kind = occRestart
-		}
-		s.push(occ(at, kind, c.p, o.ref()))
-	}, s.record)
+	s.core.Crash(o.ref(), o.time, s.now, c.h, c, schedule, s.record)
 }
 
 // restart brings a down process back.
