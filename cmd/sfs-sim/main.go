@@ -50,6 +50,18 @@ func (in *injections) Set(s string) error {
 	return nil
 }
 
+// scanAll is fmt.Sscanf over the whole of s. Sscanf alone ignores what follows
+// its format: "2:1@10,4:3@20" read as 2:1@10.
+func scanAll(s, format string, args ...any) error {
+	var rest string
+	if n, err := fmt.Sscanf(s, format+"%s", append(args, &rest)...); n < len(args) {
+		return err
+	} else if n > len(args) {
+		return fmt.Errorf("unexpected %q after it", rest)
+	}
+	return nil
+}
+
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("sfs-sim", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -189,7 +201,7 @@ func run(args []string, out io.Writer) int {
 	for _, s := range suspects.vals {
 		var i, j int
 		var at int64
-		if _, err := fmt.Sscanf(s, "%d:%d@%d", &i, &j, &at); err != nil {
+		if err := scanAll(s, "%d:%d@%d", &i, &j, &at); err != nil {
 			fmt.Fprintf(out, "bad -suspect %q (want i:j@t): %v\n", s, err)
 			return 2
 		}
@@ -202,7 +214,7 @@ func run(args []string, out io.Writer) int {
 	for _, s := range crashes.vals {
 		var p int
 		var at int64
-		if _, err := fmt.Sscanf(s, "%d@%d", &p, &at); err != nil {
+		if err := scanAll(s, "%d@%d", &p, &at); err != nil {
 			fmt.Fprintf(out, "bad -crash %q (want p@t): %v\n", s, err)
 			return 2
 		}

@@ -128,6 +128,10 @@ func TestRunBadInputs(t *testing.T) {
 		{"-n", "5", "-spans", "-span-rate", "NaN"},
 		// Ran as -timeline-every 1.
 		{"-n", "5", "-timeline", filepath.Join(t.TempDir(), "tl.json"), "-timeline-every", "-3", "-suspect", "2:1@5"},
+		// Ran only the 2->1 suspicion, and a crash at 50: fmt.Sscanf ignored
+		// whatever followed its format.
+		{"-n", "5", "-t", "2", "-suspect", "2:1@10,4:3@20"},
+		{"-n", "5", "-crash", "3@50x"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -38,11 +38,9 @@ type Options struct {
 	// Faults, when non-nil, is the fault plan New instantiates with Sim.Seed,
 	// registers in Sim.Metrics and takes Sim.Link and Sim.Lifetimes from.
 	Faults *netadv.Plan
-	// HeartbeatEvery, when positive and FD is nil, gives every process an
-	// fd.Heartbeat every that many ticks, suspecting after HeartbeatTimeout.
+	// HeartbeatEvery, when positive, gives every process an fd.Heartbeat
+	// every that many ticks, suspecting after HeartbeatTimeout.
 	HeartbeatEvery, HeartbeatTimeout int64
-	// FD, when non-nil, constructs the fd component for each process.
-	FD func(p model.ProcID) core.Component
 	// App, when non-nil, constructs the application for each process.
 	App func(p model.ProcID) core.App
 	// Reliable, when Enabled, interposes a reliable-delivery endpoint
@@ -117,7 +115,7 @@ func (o Options) Validate() error {
 }
 
 // CheckHorizon reports a simulated run that re-arms forever with no MaxTime to
-// end it — an fd component, a reliable link with no MaxRetries, a restart
+// end it — heartbeats, a reliable link with no MaxRetries, a restart
 // storm under a recovering mode (sim.Config.CheckHorizon) — and so would never
 // reach the quiescence the liveness verdicts need.
 func (o Options) CheckHorizon() error {
@@ -125,8 +123,6 @@ func (o Options) CheckHorizon() error {
 		return nil
 	}
 	switch {
-	case o.FD != nil:
-		return fmt.Errorf("FD requires MaxTime > 0 (an fd component re-arms its timers forever, so the run would never drain)")
 	case o.HeartbeatEvery > 0:
 		return fmt.Errorf("HeartbeatEvery = %d requires MaxTime > 0 (heartbeats re-arm forever, so the run would never drain)", o.HeartbeatEvery)
 	case o.Reliable.Enabled && o.Reliable.MaxRetries == 0:
@@ -169,10 +165,7 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 	}
 	for p := model.ProcID(1); int(p) <= n; p++ {
 		var comp core.Component
-		switch {
-		case opts.FD != nil:
-			comp = opts.FD(p)
-		case opts.HeartbeatEvery > 0:
+		if opts.HeartbeatEvery > 0 {
 			comp = &fd.Heartbeat{Interval: opts.HeartbeatEvery, Timeout: opts.HeartbeatTimeout}
 		}
 		var app core.App

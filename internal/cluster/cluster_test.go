@@ -9,7 +9,6 @@ import (
 	"failstop/internal/checker"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
-	"failstop/internal/fd"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/quorum"
@@ -112,10 +111,23 @@ type attached map[model.ProcID]node.Handler
 
 func (a attached) SetHandler(p model.ProcID, h node.Handler) { a[p] = h }
 
+// armed is a context that only notes, per process, the timers armed in it.
+type armed struct {
+	node.Context
+	p     model.ProcID
+	names map[model.ProcID][]string
+}
+
+func (c armed) Self() model.ProcID            { return c.p }
+func (c armed) N() int                        { return 3 }
+func (c armed) Now() int64                    { return 0 }
+func (c armed) SetTimer(name string, _ int64) { c.names[c.p] = append(c.names[c.p], name) }
+
 // TestBuildStackOrder: Build attaches one handler per process to any host —
 // the detector itself with no interposer, and with both on the reliable
 // endpoint outermost, the byz endpoint inside it, the detector innermost —
-// and asks for the fd component and the application once per process.
+// and gives every process an fd component of its own, which arms its
+// heartbeat at Init, and asks for the application once per process.
 func TestBuildStackOrder(t *testing.T) {
 	bare := attached{}
 	st := cluster.Build(bare, cluster.Options{Det: core.Config{N: 3, T: 1}}, nil)
@@ -126,14 +138,15 @@ func TestBuildStackOrder(t *testing.T) {
 	}
 
 	full := attached{}
-	var fds, apps []model.ProcID
+	var apps []model.ProcID
 	st = cluster.Build(full, cluster.Options{
-		Det:       core.Config{N: 3, T: 1},
-		FD:        func(p model.ProcID) core.Component { fds = append(fds, p); return &fd.Heartbeat{Interval: 10} },
-		App:       func(p model.ProcID) core.App { apps = append(apps, p); return nil },
-		Reliable:  reliable.Options{Enabled: true},
-		Byzantine: byz.Options{Enabled: true},
+		Det:            core.Config{N: 3, T: 1},
+		HeartbeatEvery: 10,
+		App:            func(p model.ProcID) core.App { apps = append(apps, p); return nil },
+		Reliable:       reliable.Options{Enabled: true},
+		Byzantine:      byz.Options{Enabled: true},
 	}, nil)
+	fds := map[model.ProcID][]string{}
 	for p := model.ProcID(1); p <= 3; p++ {
 		rel, ok := full[p].(*reliable.Endpoint)
 		if !ok {
@@ -146,8 +159,10 @@ func TestBuildStackOrder(t *testing.T) {
 		if bz.Inner() != node.Handler(st.Detectors[p]) {
 			t.Errorf("process %d: the byz endpoint does not wrap the process's detector", p)
 		}
+		full[p].Init(armed{p: p, names: fds})
 	}
-	if want := []model.ProcID{1, 2, 3}; !reflect.DeepEqual(fds, want) || !reflect.DeepEqual(apps, want) {
-		t.Errorf("fd built for %v, app for %v, want each for %v", fds, apps, want)
+	beat := []string{"fd/beat"} // the heartbeat's timer; with no timeout it checks nothing
+	if want := []model.ProcID{1, 2, 3}; !reflect.DeepEqual(fds, map[model.ProcID][]string{1: beat, 2: beat, 3: beat}) || !reflect.DeepEqual(apps, want) {
+		t.Errorf("fd timers armed %v, app built for %v, want an fd heartbeat and an app for each of %v", fds, apps, want)
 	}
 }

@@ -248,13 +248,11 @@ func TestDetectorTimerRouting(t *testing.T) {
 	fdGot, appGot := []string{}, []string{}
 	comp := &timerComponent{got: &fdGot}
 	app := &timerApp{got: &appGot}
-	c := cluster.New(cluster.Options{
-		Sim: sim.Config{N: 2, Seed: 1, MaxTime: 100},
-		Det: core.Config{N: 2, T: 1},
-		FD:  func(model.ProcID) core.Component { return comp },
-		App: func(model.ProcID) core.App { return app },
-	})
-	c.Run()
+	s := sim.New(sim.Config{N: 2, Seed: 1, MaxTime: 100})
+	for p := model.ProcID(1); p <= 2; p++ {
+		s.SetHandler(p, core.NewDetector(core.Config{N: 2, T: 1}, comp, app))
+	}
+	s.Run()
 	foundFD, foundApp := false, false
 	for _, name := range fdGot {
 		if name == "fd/ping" {

@@ -13,18 +13,18 @@ import (
 	"failstop/internal/sim"
 )
 
-func hbCluster(n, t int, hb func(model.ProcID) core.Component, simCfg sim.Config) *cluster.Cluster {
+// hbCluster gives every process an fd.Heartbeat beating every interval ticks
+// and suspecting after timeout (never, at 0).
+func hbCluster(n, t int, interval, timeout int64, simCfg sim.Config) *cluster.Cluster {
 	return cluster.New(cluster.Options{
-		Sim: simCfg,
-		Det: core.Config{N: n, T: t, Protocol: core.SimulatedFailStop},
-		FD:  hb,
+		Sim:            simCfg,
+		Det:            core.Config{N: n, T: t, Protocol: core.SimulatedFailStop},
+		HeartbeatEvery: interval, HeartbeatTimeout: timeout,
 	})
 }
 
 func TestHeartbeatDetectsGenuineCrash(t *testing.T) {
-	c := hbCluster(5, 2,
-		func(model.ProcID) core.Component { return &fd.Heartbeat{Interval: 10, Timeout: 50} },
-		sim.Config{N: 5, Seed: 1, MinDelay: 1, MaxDelay: 3, MaxTime: 2000})
+	c := hbCluster(5, 2, 10, 50, sim.Config{N: 5, Seed: 1, MinDelay: 1, MaxDelay: 3, MaxTime: 2000})
 	c.CrashAt(100, 5)
 	res := c.Run()
 	for p := model.ProcID(1); p <= 4; p++ {
@@ -63,9 +63,7 @@ func TestHeartbeatFalseSuspicionUnderSpike(t *testing.T) {
 		}
 		return spike(from, to, p, at)
 	}
-	c := hbCluster(5, 2,
-		func(model.ProcID) core.Component { return &fd.Heartbeat{Interval: 10, Timeout: 60} },
-		sim.Config{N: 5, Seed: 2, Delay: delay, MaxTime: 4000})
+	c := hbCluster(5, 2, 10, 60, sim.Config{N: 5, Seed: 2, Delay: delay, MaxTime: 4000})
 	res := c.Run()
 	if res.History.CrashIndex(1) < 0 {
 		t.Fatal("spiked process was not killed (no false suspicion?)")
@@ -88,9 +86,7 @@ func TestHeartbeatFalseSuspicionUnderSpike(t *testing.T) {
 // With no timeout (Timeout = 0) crashes are never suspected: FS1 is
 // violated — the other horn of the Theorem 1 dilemma.
 func TestNoTimeoutViolatesFS1(t *testing.T) {
-	c := hbCluster(4, 1,
-		func(model.ProcID) core.Component { return &fd.Heartbeat{Interval: 10} },
-		sim.Config{N: 4, Seed: 3, MinDelay: 1, MaxDelay: 3, MaxTime: 1000})
+	c := hbCluster(4, 1, 10, 0, sim.Config{N: 4, Seed: 3, MinDelay: 1, MaxDelay: 3, MaxTime: 1000})
 	c.CrashAt(100, 4)
 	res := c.Run()
 	ab := res.History.DropTags(core.TagSusp, fd.TagHeartbeat)
@@ -106,17 +102,15 @@ func TestNoTimeoutViolatesFS1(t *testing.T) {
 // every survivor's check timer finds both silent at once; the full history
 // must come out byte-identical on every run.
 func TestSimultaneousTimeoutsDeterministic(t *testing.T) {
-	run := func(mk func(model.ProcID) core.Component) string {
-		c := hbCluster(5, 2, mk,
-			sim.Config{N: 5, Seed: 6, MinDelay: 1, MaxDelay: 3, MaxTime: 2000})
+	run := func() string {
+		c := hbCluster(5, 2, 10, 50, sim.Config{N: 5, Seed: 6, MinDelay: 1, MaxDelay: 3, MaxTime: 2000})
 		c.CrashAt(100, 4)
 		c.CrashAt(100, 5)
 		return c.Run().History.String()
 	}
-	fixed := func(model.ProcID) core.Component { return &fd.Heartbeat{Interval: 10, Timeout: 50} }
-	base := run(fixed)
+	base := run()
 	for i := 0; i < 20; i++ {
-		if got := run(fixed); got != base {
+		if got := run(); got != base {
 			t.Fatalf("run %d: fixed-timeout history diverged (map-order suspicion?)", i)
 		}
 	}
@@ -128,8 +122,11 @@ func TestHeartbeatPanicsWithoutInterval(t *testing.T) {
 			t.Error("expected panic for Interval = 0")
 		}
 	}()
-	c := hbCluster(2, 1,
-		func(model.ProcID) core.Component { return &fd.Heartbeat{} },
-		sim.Config{N: 2, Seed: 1, MaxTime: 10})
-	c.Run()
+	// HeartbeatEvery 0 means no fd layer, so the component is assembled by
+	// hand over a bare simulator.
+	s := sim.New(sim.Config{N: 2, Seed: 1, MaxTime: 10})
+	for p := model.ProcID(1); p <= 2; p++ {
+		s.SetHandler(p, core.NewDetector(core.Config{N: 2, T: 1}, &fd.Heartbeat{}, nil))
+	}
+	s.Run()
 }

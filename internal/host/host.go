@@ -1,15 +1,16 @@
 // Package host is what the two hosts of a protocol stack — the deterministic
 // simulator (internal/sim) and the live goroutine runtime (internal/runtime)
-// — share, so that "the same network" is one piece of code: how a link
-// decision becomes queued copies, counters and spans; what a plan-driven
-// crash and a restart do to a process; which counters a host keeps; what the
-// interposer layers report. Everything here is clock-free: the current tick
-// is an argument, and a backend — which still owns its clock, queues,
-// wake-ups, locking and timer table — is reached only through its callbacks.
+// — share: every rule both apply to a message or a process. A send's checks,
+// id and fate (Route returns the copies to queue), a receive, a loss at a down
+// receiver, a crash, a restart, the id and size checks, the counters and what
+// the interposers report are each one piece of code here, clock-free and
+// lock-free: the tick is an argument, events go to the recorder a host passes
+// in, and a host owns only when each step runs (clock, queues, wake-ups, locks).
 package host
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -55,6 +56,8 @@ type Core struct {
 	Recovery  recovery.Mode
 	Store     recovery.Store
 	Counters
+	who string // the host's name, which prefixes its panics
+	n   int    // the processes are 1..n
 }
 
 // each calls f with every counter this run reports, in Names order.
@@ -70,10 +73,14 @@ func (c *Core) each(f func(name string, ctr *obs.Counter)) {
 	}
 }
 
-// Init checks the lifetimes against the process count n (who prefixes the
-// panic), gives durable recovery its default in-memory store, and registers
-// the counters in reg, which may be nil.
+// Init checks the process count n, before the host sizes anything by it, and
+// the lifetimes against it (who, the host, prefixes every panic of the core),
+// gives durable recovery its default store, and registers the counters in reg.
 func (c *Core) Init(who string, n int, reg *obs.Registry) {
+	if n <= 0 || n > model.MaxProcs {
+		panic(who + ": Config.N must be in 1..model.MaxProcs")
+	}
+	c.who, c.n = who, n
 	for i, l := range c.Lifetimes {
 		if l.Proc < 1 || int(l.Proc) > n {
 			panic(fmt.Sprintf("%s: lifetime %d names process %d of %d", who, i, l.Proc, n))
@@ -83,6 +90,35 @@ func (c *Core) Init(who string, n int, reg *obs.Registry) {
 		c.Store = recovery.NewMemStore()
 	}
 	c.each(reg.RegisterCounter)
+}
+
+// CheckProc panics unless p, handed to the host's method call, is in 1..n.
+func (c *Core) CheckProc(call string, p model.ProcID) {
+	if p < 1 || int(p) > c.n {
+		panic(fmt.Sprintf("%s: %s for invalid process %d (have 1..%d)", c.who, call, p, c.n))
+	}
+}
+
+// CheckSend panics on a send to oneself, to no process, or past the last id a
+// model.MsgID holds. A live host calls it before it takes its recorder lock,
+// so a recovered panic cannot leave that held (and two live senders racing
+// for the last id can both pass).
+func (c *Core) CheckSend(from, to model.ProcID) {
+	switch {
+	case to == from:
+		panic(c.who + ": send to self not supported (count self-quorum locally)")
+	case to < 1 || int(to) > c.n:
+		panic(fmt.Sprintf("%s: send to invalid process %d", c.who, to))
+	case c.Sent.Value() >= math.MaxInt32:
+		panic(c.who + ": more messages than a model.MsgID can number")
+	}
+}
+
+// Number counts a checked send and returns its id, the send's ordinal. A live
+// host calls it under its recorder lock, so id order is history order.
+func (c *Core) Number() model.MsgID {
+	c.Sent.Inc()
+	return model.MsgID(c.Sent.Value())
 }
 
 // Layers is what the interposers of a run report, summed over its processes.
@@ -144,18 +180,24 @@ func (c *Core) Snapshot(into obs.Metrics, l Layers, extra ...obs.Metric) obs.Met
 	return ms
 }
 
-// Route is a send after the host has recorded the send event: it counts it,
+// Copy is a copy of a routed message the network delivers.
+type Copy struct {
+	Wire          node.Payload // what the channel carries
+	Span          int64        // its enqueue span; 0 when unsampled
+	Extra         int64        // ticks the link adds to the host's base delay
+	Park, Reorder bool         // it parks its channel; it overtakes the tail
+}
+
+// Route is a numbered send after the host has recorded its send event: it
 // asks the link for the message's fate, records the send → fate → drop or
 // enqueue spans of a sampled message (cur is the span of the callback doing
-// the send), and calls enqueue once per copy the network delivers — Copies()
-// of the (possibly replaced) wire payload, then the replay ghost — with that
-// copy's enqueue span (0 when unsampled). The host draws its base delay, adds
-// extra ticks, and queues the copy at the tail, or one before it under
-// reorder. The decision goes over by value: a pointer to it would make every
-// send allocate. Live hosts hold no process lock here: Link takes the plane's.
-func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload,
-	enqueue func(wire node.Payload, span int64, park, reorder bool, extra int64)) {
-	c.Sent.Inc()
+// the send), and returns in into's array the copies the network delivers —
+// Copies() of the (possibly replaced) wire payload, then the replay ghost.
+// The host queues them in order, each after its base delay plus Extra, at the
+// tail or under Reorder one before it. The decision stays a value: a pointer
+// would make every send allocate. Live hosts hold no process lock here.
+func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload, into []Copy) []Copy {
+	into = into[:0]
 	var dec node.LinkDecision
 	if c.Link != nil {
 		dec = c.Link(from, to, p, now)
@@ -180,9 +222,11 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 	if dec.Drop {
 		c.Dropped.Inc()
 		follow(obs.SpanDrop)
-		return
+		return into
 	}
-	c.Duplicated.Add(int64(dec.Duplicates))
+	if dec.Duplicates != 0 { // most sends have none: spare them the locked add
+		c.Duplicated.Add(int64(dec.Duplicates))
+	}
 	// A Byzantine network may substitute what the channel carries; the send
 	// event still records the payload the sender actually passed in.
 	wire := p
@@ -190,11 +234,34 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 		wire = dec.Replace.Payload
 	}
 	for n := dec.Copies(); n > 0; n-- {
-		enqueue(wire, follow(obs.SpanEnqueue), dec.Park, dec.Reorder, dec.ExtraDelay)
+		into = append(into, Copy{Wire: wire, Span: follow(obs.SpanEnqueue), Extra: dec.ExtraDelay, Park: dec.Park, Reorder: dec.Reorder})
 	}
 	if dec.Replay != nil {
 		// A ghost of an earlier wire payload, further delayed so it lands stale.
-		enqueue(dec.Replay.Payload, follow(obs.SpanEnqueue), dec.Park, dec.Reorder, dec.ExtraDelay+dec.Replay.Delay)
+		into = append(into, Copy{Wire: dec.Replay.Payload, Span: follow(obs.SpanEnqueue),
+			Extra: dec.ExtraDelay + dec.Replay.Delay, Park: dec.Park, Reorder: dec.Reorder})
+	}
+	return into
+}
+
+// Receive takes message id, p, enqueued under span, from the head of channel
+// from → to at tick now: it records the receive event through record and its
+// deliver span, and counts it. It returns the span that frames OnMessage, 0
+// for an unsampled message.
+func (c *Core) Receive(now int64, from, to model.ProcID, id model.MsgID, p node.Payload, span int64, record func(model.Event)) int64 {
+	record(model.Recv(to, from, id, p.Tag, p.Subject))
+	c.Delivered.Inc()
+	if span == 0 {
+		return 0
+	}
+	return c.Spans.Record(obs.Span{Parent: span, Time: now, Kind: obs.SpanDeliver, Proc: to, Peer: from, Msg: id, Tag: p.Tag})
+}
+
+// Lose drops message id, enqueued under span, at the head of channel from →
+// to at a down receiver, the way a datagram to a dead socket is lost.
+func (c *Core) Lose(now int64, from, to model.ProcID, id model.MsgID, span int64) {
+	if span != 0 {
+		c.Spans.Record(obs.Span{Parent: span, Time: now, Kind: obs.SpanDrop, Proc: to, Peer: from, Msg: id, Note: "receiver down"})
 	}
 }
 
@@ -203,7 +270,7 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 // stale). It asks schedule for the next window of a periodic lifetime (as
 // Skip does), saves the durable snapshot before OnCrash can perturb it, asks
 // for the restart (downtime counts from now, so a late crash keeps its full
-// window), then counts, records and announces the crash. The next window
+// window), then counts the crash and takes the CrashSelf step. The next window
 // comes before the restart: on the simulator that order is the event queue's
 // tie-break.
 func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
@@ -217,7 +284,14 @@ func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
 		schedule(now+downFor, true)
 	}
 	c.PlanCrashes.Inc()
-	record(model.Crash(l.Proc))
+	c.CrashSelf(l.Proc, h, ctx, record)
+}
+
+// CrashSelf records the crash of p, which the host has taken down, and
+// announces it to a node.CrashListener: all of a crash_self, and a plan
+// crash's last step.
+func (c *Core) CrashSelf(p model.ProcID, h node.Handler, ctx node.Context, record func(model.Event)) {
+	record(model.Crash(p))
 	if lis, ok := h.(node.CrashListener); ok {
 		lis.OnCrash(ctx)
 	}

@@ -2,6 +2,7 @@ package host_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -165,6 +166,121 @@ func TestCrashAndRestartSteps(t *testing.T) {
 				t.Errorf("plan crashes = %d, recovered = %d, want 1, %d", c.PlanCrashes.Value(), c.Recovered.Value(), wantRecovered)
 			}
 		})
+	}
+}
+
+// panicOf runs f and returns what it panicked with, as text ("" if nothing).
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestChecksPanicUnderTheHostName: the size, process-id and send checks
+// panic under the name Init was given, and numbering runs to the last id a
+// model.MsgID can hold and refuses the send after it.
+func TestChecksPanicUnderTheHostName(t *testing.T) {
+	for _, n := range []int{0, -1, model.MaxProcs + 1} {
+		c := host.Core{Names: host.MetricNames("x_")}
+		if got, want := panicOf(func() { c.Init("test", n, nil) }), "test: Config.N must be in 1..model.MaxProcs"; got != want {
+			t.Errorf("Init(n = %d) panicked with %q, want %q", n, got, want)
+		}
+	}
+	c := host.Core{Names: host.MetricNames("x_")}
+	c.Init("test", 3, nil)
+	for _, tc := range []struct {
+		call func()
+		want string
+	}{
+		{func() { c.CheckProc("At", 0) }, "test: At for invalid process 0 (have 1..3)"},
+		{func() { c.CheckProc("Do", 4) }, "test: Do for invalid process 4 (have 1..3)"},
+		{func() { c.CheckProc("Do", 3) }, ""},
+		{func() { c.CheckSend(2, 2) }, "test: send to self not supported (count self-quorum locally)"},
+		{func() { c.CheckSend(2, 0) }, "test: send to invalid process 0"},
+		{func() { c.CheckSend(2, 4) }, "test: send to invalid process 4"},
+		{func() { c.CheckSend(2, 3) }, ""},
+	} {
+		if got := panicOf(tc.call); got != tc.want {
+			t.Errorf("panicked with %q, want %q", got, tc.want)
+		}
+	}
+	if c.Sent.Value() != 0 {
+		t.Errorf("the checks counted %d sends", c.Sent.Value())
+	}
+	if id := c.Number(); id != 1 {
+		t.Errorf("first id = %d, want 1", id)
+	}
+	c.Sent.Add(math.MaxInt32 - 2)
+	if got := panicOf(func() { c.CheckSend(1, 2) }); got != "" {
+		t.Errorf("the send of the last id panicked with %q", got)
+	}
+	if id := c.Number(); id != math.MaxInt32 {
+		t.Errorf("last id = %d, want %d", id, math.MaxInt32)
+	}
+	if got, want := panicOf(func() { c.CheckSend(1, 2) }), "test: more messages than a model.MsgID can number"; got != want {
+		t.Errorf("the send past the last id panicked with %q, want %q", got, want)
+	}
+}
+
+// TestReceiveAndLose: a received head records its event and counts it, and a
+// sampled one records its deliver span under its enqueue span and returns it
+// to frame OnMessage; a head lost at a down receiver records only a sampled
+// message's drop span. An unsampled message records no span either way.
+func TestReceiveAndLose(t *testing.T) {
+	c := host.Core{Names: host.MetricNames("x_"), Spans: obs.NewSpanRecorder(1, 1)}
+	c.Init("test", 2, nil)
+	p := node.Payload{Tag: "M", Subject: 2}
+	enq := c.Route(3, 0, 1, 2, c.Number(), p, nil)[0].Span
+	if enq == 0 {
+		t.Fatal("a sampled send returned no enqueue span")
+	}
+	var got model.History
+	record := func(e model.Event) { got = append(got, e) }
+
+	if span := c.Receive(7, 1, 2, 1, p, enq, record); span == 0 || c.Spans.Spans()[span-1] != (obs.Span{
+		ID: span, Parent: enq, Time: 7, Kind: obs.SpanDeliver, Proc: 2, Peer: 1, Msg: 1, Tag: "M",
+	}) {
+		t.Errorf("Receive returned span %d of %+v, want the deliver span under %d", span, c.Spans.Spans(), enq)
+	}
+	before := len(c.Spans.Spans())
+	if span := c.Receive(8, 1, 2, 9, p, 0, record); span != 0 || len(c.Spans.Spans()) != before {
+		t.Errorf("an unsampled receive returned span %d and recorded %d spans", span, len(c.Spans.Spans())-before)
+	}
+	want := model.History{model.Recv(2, 1, 1, "M", 2), model.Recv(2, 1, 9, "M", 2)}
+	if !reflect.DeepEqual(got, want) || c.Delivered.Value() != 2 {
+		t.Errorf("recorded %v, delivered %d; want %v, 2", got, c.Delivered.Value(), want)
+	}
+
+	c.Lose(9, 1, 2, 9, 0)
+	if n := len(c.Spans.Spans()); n != before {
+		t.Errorf("an unsampled loss recorded %d spans", n-before)
+	}
+	c.Lose(9, 1, 2, 1, enq)
+	if spans := c.Spans.Spans(); len(spans) != before+1 || spans[before] != (obs.Span{
+		ID: spans[before].ID, Parent: enq, Time: 9, Kind: obs.SpanDrop, Proc: 2, Peer: 1, Msg: 1, Note: "receiver down",
+	}) {
+		t.Errorf("a sampled loss recorded %+v, want one receiver-down drop under %d", spans[before:], enq)
+	}
+	if len(got) != 2 || c.Delivered.Value() != 2 || c.Dropped.Value() != 0 {
+		t.Errorf("a loss recorded events or counted: %v, delivered %d, dropped %d", got, c.Delivered.Value(), c.Dropped.Value())
+	}
+}
+
+// TestCrashSelf: a crash_self records the crash and announces it, the last
+// step of a plan crash, and counts no plan crash.
+func TestCrashSelf(t *testing.T) {
+	var log []string
+	c := host.Core{Names: host.MetricNames("x_")}
+	c.Init("test", 2, nil)
+	c.CrashSelf(2, &restarter{log: &log}, nil, func(e model.Event) {
+		log = append(log, fmt.Sprintf("%v@%d", e.Kind, e.Proc))
+	})
+	if want := []string{fmt.Sprintf("%v@2", model.KindCrash), "oncrash"}; !reflect.DeepEqual(log, want) || c.PlanCrashes.Value() != 0 {
+		t.Errorf("steps = %v, plan crashes %d; want %v, 0", log, c.PlanCrashes.Value(), want)
 	}
 }
 

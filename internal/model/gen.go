@@ -53,7 +53,7 @@ func (g *Gen) History(n, steps int) History {
 	tags := [...]string{"APP", "SUSP", "HB", "DATA"}
 
 	var h History
-	var nextMsg MsgID
+	var sent MsgID
 	alive := func() []ProcID {
 		out := make([]ProcID, 0, n)
 		for p := ProcID(1); p <= ProcID(n); p++ {
@@ -80,13 +80,13 @@ func (g *Gen) History(n, steps int) History {
 			if to == from {
 				continue
 			}
-			nextMsg++
+			sent++
 			subject := ProcID(0)
 			tag := tags[g.rng.Intn(len(tags))]
 			if tag == "SUSP" {
 				subject = ProcID(g.rng.Intn(n) + 1)
 			}
-			ev := Send(from, to, nextMsg, tag, subject)
+			ev := Send(from, to, sent, tag, subject)
 			h = append(h, ev)
 			k := chanKey{from, to}
 			if len(inflight[k]) == 0 {

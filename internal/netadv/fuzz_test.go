@@ -59,6 +59,7 @@ func FuzzReadPlan(f *testing.F) {
 				},
 			}
 			core.Init("fuzz", n, nil) // panics on a lifetime Validate should have refused
+			var copies []host.Copy
 			for i := 0; i < 256; i++ {
 				// i walks the n(n-1) links; the ticks and the payload class
 				// move at other strides, so every link sees every tick.
@@ -69,19 +70,18 @@ func FuzzReadPlan(f *testing.F) {
 					p.Tag = "SUSP"
 				}
 				at := ticks[i%len(ticks)] + int64(i/len(ticks))
-				copies := 0
-				core.Route(at, 0, from, to, model.MsgID(i+1), p, func(_ node.Payload, _ int64, _, _ bool, extra int64) {
-					copies++
-					if extra < 0 {
-						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks early: %+v", n, i, from, to, at, -extra, dec)
+				copies = core.Route(at, 0, from, to, model.MsgID(i+1), p, copies)
+				for _, c := range copies {
+					if c.Extra < 0 {
+						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks early: %+v", n, i, from, to, at, -c.Extra, dec)
 					}
-				})
+				}
 				want := dec.Copies()
 				if dec.Replay != nil && !dec.Drop {
 					want++
 				}
-				if dec.Duplicates < 0 || dec.ExtraDelay < 0 || copies != want {
-					t.Fatalf("n=%d message %d (%d->%d at %d): %d copies queued for decision %+v", n, i, from, to, at, copies, dec)
+				if dec.Duplicates < 0 || dec.ExtraDelay < 0 || len(copies) != want {
+					t.Fatalf("n=%d message %d (%d->%d at %d): %d copies queued for decision %+v", n, i, from, to, at, len(copies), dec)
 				}
 			}
 		}

@@ -27,10 +27,11 @@ type Payload struct {
 //
 // A Context is valid only for the callback (or injected action) that
 // received it: a Handler must not keep one in a field and use it from a
-// later callback. Hosts and interposers rely on this — the live runtime
-// builds a fresh context per callback, and the reliable and byz endpoints
-// each hand their inner handler one wrapper that is rebound to the host's
-// context at every callback entry.
+// later callback. Hosts and interposers rely on this — a process of either
+// host is its own context, which a simulator hands on to the next run once
+// its own has returned, and the reliable and byz endpoints each hand their
+// inner handler one wrapper that is rebound to the host's context at every
+// callback entry.
 type Context interface {
 	// Self returns the process id of this handler.
 	Self() model.ProcID

@@ -118,27 +118,31 @@ func chains(spans []obs.Span) map[string][]obs.SpanKind {
 	return out
 }
 
-// modelFates drives the script through the shared fate function alone, with
-// an enqueue that keeps the per-link queues a host would: a copy joins the
-// tail, or lands one before it under reorder; the copies ahead of the first
-// parked one are delivered.
+// modelFates drives the script through the shared fate function alone and
+// queues the copies it returns as a host would: a copy joins its link's tail,
+// or lands one before it under reorder; the copies ahead of the first parked
+// one are delivered.
 func modelFates(sends []fateSend) fateOutcome {
 	type copyOf struct {
 		sent, wire string
 		parked     bool
 	}
 	core := host.Core{Names: host.MetricNames("model_"), Link: script(sends), Spans: obs.NewSpanRecorder(1, 1)}
+	core.Init("model", 2, nil)
 	queues := map[string][]copyOf{}
-	for i, s := range sends {
-		link := linkName(s.from, 3-s.from)
-		core.Route(0, 0, s.from, 3-s.from, model.MsgID(i+1), node.Payload{Tag: s.tag},
-			func(wire node.Payload, span int64, park, reorder bool, extra int64) {
-				q := append(queues[link], copyOf{s.tag, wire.Tag, park})
-				if n := len(q); reorder && n > 2 {
-					q[n-1], q[n-2] = q[n-2], q[n-1]
-				}
-				queues[link] = q
-			})
+	var copies []host.Copy
+	for _, s := range sends {
+		to := 3 - s.from
+		core.CheckSend(s.from, to)
+		link := linkName(s.from, to)
+		copies = core.Route(0, 0, s.from, to, core.Number(), node.Payload{Tag: s.tag}, copies)
+		for _, c := range copies {
+			q := append(queues[link], copyOf{s.tag, c.Wire.Tag, c.Park})
+			if n := len(q); c.Reorder && n > 2 {
+				q[n-1], q[n-2] = q[n-2], q[n-1]
+			}
+			queues[link] = q
+		}
 	}
 	out := fateOutcome{
 		Delivered: map[string][]string{},

@@ -1,7 +1,8 @@
 // Package runtime is the live counterpart of internal/sim: the same
 // node.Handler/node.Context contract, executed by real goroutines over
 // mutex-guarded FIFO queues with randomized real-time delays, instead of a
-// deterministic virtual-time scheduler.
+// deterministic virtual-time scheduler. What a send, a receive, a loss, a
+// crash and a restart record and count is internal/host's, as there.
 //
 // It exists to show that the protocol stack is a real implementation, not a
 // simulator artifact: the §5 detector, fd layer, and applications run here
@@ -97,11 +98,10 @@ type Net struct {
 
 	recMu   sync.Mutex
 	history model.History
-	nextMsg model.MsgID
 
-	// core is what this host shares with the simulator: fate application,
-	// process lifetimes, the host counters and their snapshot. The counters
-	// are atomic, so they are read live (Stats, Metrics, the /metrics
+	// core is what this host shares with the simulator: the rules of a
+	// message's and a process's life, the host counters and their snapshot.
+	// The counters are atomic, so they are read live (Metrics, the /metrics
 	// endpoint) without touching the recorder lock.
 	core host.Core
 
@@ -116,9 +116,11 @@ type Net struct {
 
 // New creates a live network.
 func New(cfg Config) *Net {
-	if cfg.N <= 0 || cfg.N > model.MaxProcs {
-		panic("runtime: Config.N must be in 1..model.MaxProcs")
-	}
+	n := &Net{core: host.Core{
+		Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
+		Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
+	}}
+	n.core.Init("runtime", cfg.N, cfg.Metrics) // first: it checks N
 	if cfg.MinDelay == 0 && cfg.MaxDelay == 0 {
 		cfg.MinDelay, cfg.MaxDelay = 100*time.Microsecond, 2*time.Millisecond
 	}
@@ -128,17 +130,8 @@ func New(cfg Config) *Net {
 	if cfg.Tick == 0 {
 		cfg.Tick = time.Millisecond
 	}
-	n := &Net{
-		cfg: cfg,
-		core: host.Core{
-			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
-			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery, Store: cfg.Store,
-		},
-		handlers: make([]node.Handler, cfg.N+1),
-		procs:    make([]*proc, cfg.N+1),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		stopCh:   make(chan struct{}),
-	}
+	n.cfg, n.handlers, n.procs = cfg, make([]node.Handler, cfg.N+1), make([]*proc, cfg.N+1)
+	n.rng, n.stopCh = rand.New(rand.NewSource(cfg.Seed)), make(chan struct{})
 	for p := 1; p <= cfg.N; p++ {
 		n.procs[p] = &proc{
 			net:     n,
@@ -146,9 +139,9 @@ func New(cfg Config) *Net {
 			emitted: make(map[model.ProcID]bool),
 			wakeCh:  make(chan struct{}, 1),
 			done:    make(chan struct{}),
+			copies:  make([]host.Copy, 0, 2),
 		}
 	}
-	n.core.Init("runtime", cfg.N, cfg.Metrics)
 	return n
 }
 
@@ -158,15 +151,8 @@ var metricNames = host.MetricNames("net_")
 // SetHandler attaches the handler for process p (1..N); any other p panics.
 // Must be called before Start.
 func (n *Net) SetHandler(p model.ProcID, h node.Handler) {
-	n.checkProc("SetHandler", p)
+	n.core.CheckProc("SetHandler", p)
 	n.handlers[p] = h
-}
-
-// checkProc panics unless p is one of the processes 1..N.
-func (n *Net) checkProc(call string, p model.ProcID) {
-	if p < 1 || int(p) > n.cfg.N {
-		panic(fmt.Sprintf("runtime: %s for invalid process %d (have 1..%d)", call, p, n.cfg.N))
-	}
 }
 
 // Start initializes every handler, queues each lifetime's first crash window
@@ -228,7 +214,7 @@ func (n *Net) History() model.History {
 // e.g. to inject a suspicion: net.Do(2, func(ctx){ det.Suspect(ctx, 1) }).
 // It is a no-op if p has crashed; a p that is not one of 1..N panics.
 func (n *Net) Do(p model.ProcID, fn func(node.Context)) {
-	n.checkProc("Do", p)
+	n.core.CheckProc("Do", p)
 	n.procs[p].inject(fn)
 }
 
@@ -321,6 +307,7 @@ type proc struct {
 	emitted map[model.ProcID]bool // failed_self(j) already recorded
 	// curSpan frames the handler callback currently running.
 	curSpan int64
+	copies  []host.Copy // the buffer Route returns this process's sends' copies in
 }
 
 var _ node.Context = (*proc)(nil)
@@ -434,12 +421,7 @@ func (p *proc) discard(cut time.Duration) time.Duration {
 	next := never
 	for from, q := range p.queues {
 		for len(q) > 0 && !q[0].parked && q[0].readyAt <= cut {
-			if q[0].span != 0 {
-				p.net.cfg.Spans.Record(obs.Span{
-					Parent: q[0].span, Time: p.net.nowTicks(), Kind: obs.SpanDrop,
-					Proc: p.self, Peer: model.ProcID(from), Msg: q[0].id, Note: "receiver down",
-				})
-			}
+			p.net.core.Lose(p.net.nowTicks(), model.ProcID(from), p.self, q[0].id, q[0].span)
 			q = q[1:]
 		}
 		p.queues[from] = q
@@ -452,15 +434,7 @@ func (p *proc) discard(cut time.Duration) time.Duration {
 
 // deliver hands p's handler the message m from.
 func (p *proc) deliver(from model.ProcID, m liveMsg) {
-	n := p.net
-	n.record(model.Recv(p.self, from, m.id, m.payload.Tag, m.payload.Subject))
-	n.core.Delivered.Inc()
-	if m.span != 0 {
-		p.curSpan = n.cfg.Spans.Record(obs.Span{
-			Parent: m.span, Time: n.nowTicks(), Kind: obs.SpanDeliver,
-			Proc: p.self, Peer: from, Msg: m.id, Tag: m.payload.Tag,
-		})
-	}
+	p.curSpan = p.net.core.Receive(p.net.nowTicks(), from, p.self, m.id, m.payload, m.span, p.net.record)
 	p.h.OnMessage(p, from, m.payload)
 	p.curSpan = 0
 }
@@ -514,15 +488,9 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 	if p.gone() {
 		return
 	}
-	if to == p.self {
-		panic("runtime: send to self not supported")
-	}
-	if to < 1 || int(to) > net.cfg.N {
-		panic(fmt.Sprintf("runtime: send to invalid process %d", to))
-	}
+	net.core.CheckSend(p.self, to) // panics here, never under the lock
 	net.recMu.Lock()
-	net.nextMsg++
-	id := net.nextMsg
+	id := net.core.Number()
 	e := model.Send(p.self, to, id, pl.Tag, pl.Subject)
 	// One reading of the clock: Route judges the send at the tick its event shows.
 	e.Time = net.nowTicks()
@@ -531,24 +499,25 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 	net.recMu.Unlock()
 
 	// Route asks the link function, which takes the fault plane's lock: the
-	// destination's is taken with the first copy, not before.
+	// destination's is taken after it, and only for a copy to queue.
+	p.copies = net.core.Route(e.Time, p.curSpan, p.self, to, id, pl, p.copies)
+	if len(p.copies) == 0 {
+		return // dropped
+	}
 	dst := net.procs[to]
-	locked := false
-	net.core.Route(e.Time, p.curSpan, p.self, to, id, pl, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
-		if !locked {
-			dst.mu.Lock()
-			locked = true
-		}
-		if dst.crashed {
-			return // sent, counted and traced like any other, but nobody is left to queue it for
-		}
-		if dst.queues == nil {
-			dst.queues = make([][]liveMsg, net.cfg.N+1)
-		}
-		d := net.delay() + time.Duration(extra)*net.cfg.Tick
-		msg := liveMsg{id: id, payload: wire, readyAt: net.elapsed() + d, parked: park, span: span}
-		q := dst.queues[p.self]
-		if reorder && len(q) > 1 {
+	dst.mu.Lock()
+	if dst.crashed {
+		dst.mu.Unlock()
+		return // sent, counted and traced like any other, but nobody is left to queue it for
+	}
+	if dst.queues == nil {
+		dst.queues = make([][]liveMsg, net.cfg.N+1)
+	}
+	q := dst.queues[p.self]
+	for _, c := range p.copies {
+		d := net.delay() + time.Duration(c.Extra)*net.cfg.Tick
+		msg := liveMsg{id: id, payload: c.Wire, readyAt: net.elapsed() + d, parked: c.Park, span: c.Span}
+		if c.Reorder && len(q) > 1 {
 			// Overtake the current tail: a pairwise FIFO violation.
 			tail := len(q) - 1
 			q = append(q, q[tail])
@@ -556,16 +525,10 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 		} else {
 			q = append(q, msg)
 		}
-		dst.queues[p.self] = q
-	})
-	if !locked {
-		return // dropped
 	}
-	gone := dst.crashed
+	dst.queues[p.self] = q
 	dst.mu.Unlock()
-	if !gone {
-		dst.wake()
-	}
+	dst.wake()
 }
 
 func (p *proc) SetTimer(name string, delayTicks int64) {
@@ -598,10 +561,7 @@ func (p *proc) CrashSelf() {
 	p.queues, p.injects = nil, nil
 	p.mu.Unlock()
 	p.due = nil
-	p.net.record(model.Crash(p.self))
-	if l, ok := p.h.(node.CrashListener); ok {
-		l.OnCrash(p)
-	}
+	p.net.core.CrashSelf(p.self, p.h, p, p.net.record)
 }
 
 func (p *proc) EmitInternal(tag string, subject model.ProcID) {

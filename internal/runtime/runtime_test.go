@@ -1,7 +1,10 @@
 package runtime_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -496,5 +499,71 @@ func TestBadCallsPanicAtTheCall(t *testing.T) {
 			}()
 			tc.call(runtime.New(fastCfg(3, 1)))
 		}()
+	}
+}
+
+// initOnly runs init as its Init and nothing else.
+type initOnly struct{ init func(node.Context) }
+
+func (h initOnly) Init(ctx node.Context)                            { h.init(ctx) }
+func (initOnly) OnMessage(node.Context, model.ProcID, node.Payload) {}
+func (initOnly) OnTimer(node.Context, string)                       {}
+
+// recoverSend runs send and returns what it panicked with, nil if nothing.
+func recoverSend(send func()) (r any) {
+	defer func() { r = recover() }()
+	send()
+	return nil
+}
+
+// TestMessageIDsFitTheSlot, the live twin of the simulator's: the last id a
+// model.MsgID can hold is sent and delivered under its own number; the send
+// after it panics — before the recorder lock is taken, so the run goes on —
+// instead of wrapping onto a negative id.
+func TestMessageIDsFitTheSlot(t *testing.T) {
+	net := runtime.New(fastCfg(2, 1))
+	net.PresetSent(math.MaxInt32 - 1)
+	var second any
+	net.SetHandler(1, initOnly{func(ctx node.Context) {
+		ctx.Send(2, node.Payload{Tag: "last"})
+		second = recoverSend(func() { ctx.Send(2, node.Payload{Tag: "one too many"}) })
+	}})
+	c2 := &collector{}
+	net.SetHandler(2, c2)
+	net.Start() // Init runs on this goroutine
+	deadline := time.Now().Add(2 * time.Second)
+	for len(c2.tags()) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	net.Stop()
+	h := net.History()
+	if len(h) != 2 || h[0].Kind != model.KindSend || h[1].Kind != model.KindRecv || h[0].Msg != math.MaxInt32 || h[1].Msg != math.MaxInt32 {
+		t.Errorf("history = %v, want the send and the receive of message %d", h, math.MaxInt32)
+	}
+	if msg, _ := second.(string); !strings.Contains(msg, "more messages") {
+		t.Errorf("the send past the last id panicked with %v, want the slot-id guard", second)
+	}
+}
+
+// TestSendToSelfPanics, the live twin of the simulator's: a send to oneself
+// or to no process panics at the call.
+func TestSendToSelfPanics(t *testing.T) {
+	net := runtime.New(fastCfg(2, 1))
+	var got []string
+	net.SetHandler(1, initOnly{func(ctx node.Context) {
+		for _, to := range []model.ProcID{1, 0, 3} {
+			got = append(got, fmt.Sprint(recoverSend(func() { ctx.Send(to, node.Payload{Tag: "X"}) })))
+		}
+	}})
+	net.SetHandler(2, &collector{})
+	net.Start()
+	net.Stop()
+	want := []string{"runtime: send to self not supported (count self-quorum locally)",
+		"runtime: send to invalid process 0", "runtime: send to invalid process 3"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("panics = %q, want %q", got, want)
+	}
+	if h := net.History(); len(h) != 0 {
+		t.Errorf("refused sends recorded %v", h)
 	}
 }

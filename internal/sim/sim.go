@@ -30,7 +30,9 @@
 // A restart re-initializes the handler: blank under amnesia, from the
 // crash-time snapshot (node.Restarter) under durable recovery. Under
 // recovery mode Off every lifetime is terminal at its first crash, which
-// is the fail-stop reading of the same plan.
+// is the fail-stop reading of the same plan. What a send, a receive, a loss,
+// a crash and a restart record and count is internal/host's, as on the live
+// runtime: this package decides when each runs, and where a copy waits.
 //
 // Receive gating: handlers implementing node.Gate can refuse the message at
 // the head of a channel; the channel blocks until a later event of the
@@ -134,7 +136,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -663,13 +664,12 @@ func (r *Result) Release() {
 // Sim is a single-use simulator instance: configure, attach handlers,
 // inject actions, then call Run exactly once.
 type Sim struct {
-	cfg     Config
-	bulk    // drawn by New, retired by Run; zero from then on
-	queue   calendar
-	now     int64
-	seq     int64
-	nextMsg model.MsgID
-	ran     bool
+	cfg   Config
+	bulk  // drawn by New, retired by Run; zero from then on
+	queue calendar
+	now   int64
+	seq   int64
+	ran   bool
 
 	linkArena []channel // the chunk the next new link is carved from
 	chunks    int       // arenas carved from so far, linkArena the last
@@ -690,8 +690,8 @@ type Sim struct {
 	tagBuf    [16]string
 	injectBuf [8]func(node.Context)
 
-	// core is what this host shares with the live runtime: fate application,
-	// process lifetimes, the host counters and their snapshot.
+	// core is what this host shares with the live runtime: the rules of a
+	// message's and a process's life, the host counters and their snapshot.
 	core   host.Core
 	gLinks obs.Gauge // live (materialized) channel count
 
@@ -699,14 +699,14 @@ type Sim struct {
 	inflight   int   // enqueued-but-undelivered message copies
 	suspects   int64 // cumulative suspect internal events
 	lastSample int64 // last timeline boundary sampled
+
+	copies  []host.Copy  // what Route returns a send's copies in: copyBuf, or its growth
+	copyBuf [2]host.Copy // the copies of a send that is neither duplicated nor replayed
 }
 
 // New creates a simulator for cfg.N processes. Handlers must be attached
 // with SetHandler before Run.
 func New(cfg Config) *Sim {
-	if cfg.N <= 0 || cfg.N > model.MaxProcs {
-		panic("sim: Config.N must be in 1..model.MaxProcs")
-	}
 	if err := CheckDelayBounds(cfg.MinDelay, cfg.MaxDelay); err != nil {
 		panic("sim: Config." + err.Error())
 	}
@@ -722,14 +722,11 @@ func New(cfg Config) *Sim {
 	if err := cfg.CheckHorizon(); err != nil {
 		panic("sim: Config." + err.Error())
 	}
-	s := &Sim{
-		cfg: cfg,
-		core: host.Core{
-			Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
-			Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery,
-		},
-		free: noSlot,
-	}
+	s := &Sim{cfg: cfg, free: noSlot, core: host.Core{
+		Names: metricNames, Link: cfg.Link, Spans: cfg.Spans,
+		Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery,
+	}}
+	s.core.Init("sim", cfg.N, cfg.Metrics) // it checks N, which nothing is sized by yet
 	if b := drawBulk(); b != nil {
 		s.bulk = *b
 		clear(s.failed)
@@ -750,13 +747,12 @@ func New(cfg Config) *Sim {
 	if cfg.Spans != nil {
 		s.spanOf = make([]int64, len(s.slab)*slabPageLen)
 	}
-	s.pages, s.tags, s.injects = s.pageBuf[:0], s.tagBuf[:1], s.injectBuf[:0]
+	s.pages, s.tags, s.injects, s.copies = s.pageBuf[:0], s.tagBuf[:1], s.injectBuf[:0], s.copyBuf[:0]
 	for p := range s.ctxs {
 		c := &s.ctxs[p]
 		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
 		c.gated, c.row, c.open, c.timers = c.gated[:0], c.row[:0], c.openBuf[:0], c.timerBuf[:0]
 	}
-	s.core.Init("sim", cfg.N, cfg.Metrics)
 	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
 }
@@ -767,7 +763,7 @@ var metricNames = host.MetricNames("sim_")
 // SetHandler attaches the handler for process p (1..N); any other p panics.
 func (s *Sim) SetHandler(p model.ProcID, h node.Handler) {
 	s.live("SetHandler")
-	s.checkProc("SetHandler", p)
+	s.core.CheckProc("SetHandler", p)
 	s.handlers[p] = h
 }
 
@@ -779,20 +775,13 @@ func (s *Sim) live(call string) {
 	}
 }
 
-// checkProc panics unless p is one of the processes 1..N.
-func (s *Sim) checkProc(call string, p model.ProcID) {
-	if p < 1 || int(p) > s.cfg.N {
-		panic(fmt.Sprintf("sim: %s for invalid process %d (have 1..%d)", call, p, s.cfg.N))
-	}
-}
-
 // At schedules fn to run in the context of process p at virtual time t.
 // If p has crashed by then, fn is skipped. Injections at equal times run in
 // the order they were registered. A p that is not one of 1..N panics here,
 // at the call, as Send does for such a receiver.
 func (s *Sim) At(t int64, p model.ProcID, fn func(node.Context)) {
 	s.live("At")
-	s.checkProc("At", p)
+	s.core.CheckProc("At", p)
 	s.push(occ(t, occInject, p, len(s.injects)))
 	s.injects = append(s.injects, fn)
 }
@@ -1023,11 +1012,11 @@ func (s *Sim) slot(idx int32) *pendingMsg {
 	return &s.slab[idx>>slabPageBits][idx&(slabPageLen-1)]
 }
 
-// enqueue appends msg, whose enqueue span is span, to c's FIFO, taking a slot
-// from the slab's free list or growing the slab. With overtake set (and at
-// least two messages already queued) the new message lands immediately before
-// the current tail: the last two slots swap contents, a pairwise FIFO
-// violation.
+// enqueue appends msg, whose enqueue span is span, to c's FIFO and counts it
+// in flight, taking a slot from the free list or growing the slab. With
+// overtake set (and at least two messages already queued) the new message
+// lands immediately before the current tail: the last two slots swap
+// contents, a pairwise FIFO violation.
 func (s *Sim) enqueue(c *channel, msg pendingMsg, span int64, overtake bool) {
 	idx := s.free
 	if idx != noSlot {
@@ -1062,11 +1051,12 @@ func (s *Sim) enqueue(c *channel, msg pendingMsg, span int64, overtake bool) {
 	}
 	c.tail = idx
 	c.n++
+	s.inflight++
 }
 
-// dequeue removes and returns c's head message and its enqueue span. The
-// vacated slot is cleared before it joins the free list, so a delivered
-// payload is not pinned.
+// dequeue removes and returns c's head message, in flight no more, and its
+// enqueue span. The vacated slot is cleared before it joins the free list, so
+// a delivered payload is not pinned.
 func (s *Sim) dequeue(c *channel) (msg pendingMsg, span int64) {
 	idx := c.head
 	slot := s.slot(idx)
@@ -1077,6 +1067,7 @@ func (s *Sim) dequeue(c *channel) (msg pendingMsg, span int64) {
 	if c.n--; c.n == 0 {
 		c.tail = noSlot
 	}
+	s.inflight--
 	if s.spanOf != nil {
 		span = s.spanOf[idx]
 	}
@@ -1162,17 +1153,10 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 		return
 	}
 	if rc.down {
-		// The message arrives while the receiver is down: it is lost, the
-		// way a datagram to a dead socket is. Messages still in flight may
-		// yet land after a restart, so loss is decided per arrival, here.
+		// Loss is decided per arrival: messages still in flight may yet land
+		// after a restart.
 		head, span := s.dequeue(c)
-		s.inflight--
-		if span != 0 {
-			s.cfg.Spans.Record(obs.Span{
-				Parent: span, Time: s.now, Kind: obs.SpanDrop,
-				Proc: c.to, Peer: c.from, Msg: head.id, Note: "receiver down",
-			})
-		}
+		s.core.Lose(s.now, c.from, c.to, head.id, span)
 		s.scheduleHead(c)
 		return
 	}
@@ -1183,18 +1167,8 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 	}
 	c.gated = false
 	head, span := s.dequeue(c)
-	s.record(model.Recv(c.to, c.from, head.id, head.payload.Tag, head.payload.Subject))
-	s.core.Delivered.Inc()
-	s.inflight--
 	prevSpan := s.curSpan
-	if span != 0 {
-		s.curSpan = s.cfg.Spans.Record(obs.Span{
-			Parent: span, Time: s.now, Kind: obs.SpanDeliver,
-			Proc: c.to, Peer: c.from, Msg: head.id, Tag: head.payload.Tag,
-		})
-	} else {
-		s.curSpan = 0
-	}
+	s.curSpan = s.core.Receive(s.now, c.from, c.to, head.id, head.payload, span, s.record)
 	s.scheduleHead(c)
 	rc.h.OnMessage(rc, c.from, head.payload)
 	s.afterEvent(rc)
@@ -1447,41 +1421,29 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	if c.gone() {
 		return
 	}
-	if to == c.p {
-		panic("sim: send to self not supported (count self-quorum locally)")
-	}
-	if to < 1 || int(to) > s.cfg.N {
-		panic(fmt.Sprintf("sim: send to invalid process %d", to))
-	}
-	if s.nextMsg >= math.MaxInt32 {
-		panic("sim: more messages than a model.MsgID can number")
-	}
-	s.nextMsg++
-	id := s.nextMsg
+	s.core.CheckSend(c.p, to)
+	id := s.core.Number()
 	s.record(model.Send(c.p, to, id, p.Tag, p.Subject))
-
-	// The link materializes with the first copy, not before: a dropped send
-	// creates no channel.
-	var ch *channel
-	var wasEmpty bool
-	s.core.Route(s.now, s.curSpan, c.p, to, id, p, func(wire node.Payload, span int64, park, reorder bool, extra int64) {
-		if ch == nil {
-			ch = c.link(to)
-			wasEmpty = ch.n == 0
-		}
+	s.copies = s.core.Route(s.now, s.curSpan, c.p, to, id, p, s.copies)
+	if len(s.copies) == 0 {
+		return // dropped: a send the network delivers no copy of creates no channel
+	}
+	ch := c.link(to)
+	wasEmpty := ch.n == 0
+	for i := range s.copies {
+		cp := &s.copies[i]
 		var delay int64
 		if s.cfg.Delay != nil {
 			delay = s.cfg.Delay(c.p, to, p, s.now)
 		} else {
 			delay = s.cfg.MinDelay + s.rng.int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		msg := pendingMsg{id: id, payload: wire, readyAt: -1}
-		if delay >= 0 && !park {
-			msg.readyAt = s.now + delay + extra
+		msg := pendingMsg{id: id, payload: cp.Wire, readyAt: -1}
+		if delay >= 0 && !cp.Park {
+			msg.readyAt = s.now + delay + cp.Extra
 		}
-		s.inflight++
-		s.enqueue(ch, msg, span, reorder)
-	})
+		s.enqueue(ch, msg, cp.Span, cp.Reorder)
+	}
 	if wasEmpty {
 		s.scheduleHead(ch)
 	}
@@ -1524,15 +1486,11 @@ func (c *procCtx) EmitFailed(j model.ProcID) {
 }
 
 func (c *procCtx) CrashSelf() {
-	s := c.s
 	if c.gone() {
 		return
 	}
-	s.record(model.Crash(c.p))
 	c.crashed = true
-	if l, ok := c.h.(node.CrashListener); ok {
-		l.OnCrash(c)
-	}
+	c.s.core.CrashSelf(c.p, c.h, c, c.s.record)
 }
 
 func (c *procCtx) EmitInternal(tag string, subject model.ProcID) {
