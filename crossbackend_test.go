@@ -8,6 +8,28 @@ import (
 	"failstop"
 )
 
+// fastLive is the live setting most cross-backend tests run their Options
+// under: 100µs ticks, so a scenario's tick times pass ten times faster than
+// at the default, and delays of half a tick to five ticks.
+var fastLive = failstop.Live{
+	MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+	Tick: 100 * time.Microsecond,
+}
+
+// startLive builds and starts a live cluster, failing the test if either
+// step returns an error.
+func startLive(t *testing.T, opts failstop.Options, live failstop.Live) *failstop.LiveCluster {
+	t.Helper()
+	lc, err := failstop.NewLiveCluster(opts, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return lc
+}
+
 // fateMatrix is the protocol-level delivery fate of a run: which (i, j)
 // detections completed and which processes ended up crashed. Over a
 // deterministic fault plan the matrix is a pure function of the scenario,
@@ -85,9 +107,8 @@ func TestCrossBackendTopologyFates(t *testing.T) {
 	plan.Rules[0].From = 0
 	plan.Rules[0].Until = 0
 
-	sim := failstop.NewCluster(failstop.Options{
-		N: n, T: tt, Seed: 3, Topology: &tp, Faults: &plan,
-	})
+	opts := failstop.Options{N: n, T: tt, Seed: 3, Topology: &tp, Faults: &plan}
+	sim := failstop.NewCluster(opts)
 	// One suspicion per region: subjects 3 and 6 sit on opposite sides of
 	// the cut, so their quorums draw on disjoint live neighborhoods.
 	sim.SuspectAt(5, 2, 3)
@@ -113,13 +134,10 @@ func TestCrossBackendTopologyFates(t *testing.T) {
 		t.Fatalf("simulated scenario crossed the cut %d times, want > 0", rep.Dropped)
 	}
 
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: n, T: tt, Seed: 3, Topology: &tp, Faults: &plan,
-		MinDelay: 50 * time.Microsecond,
-		MaxDelay: 500 * time.Microsecond,
-		Tick:     time.Millisecond,
+	lc := startLive(t, opts, failstop.Live{
+		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+		Tick: time.Millisecond,
 	})
-	lc.Start()
 	lc.Suspect(2, 3)
 	lc.Suspect(5, 6)
 	deadline := time.Now().Add(10 * time.Second)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -18,18 +19,24 @@ import (
 )
 
 func main() {
-	cluster := failstop.NewLiveCluster(failstop.LiveOptions{
-		N:        5,
-		T:        2,
-		Seed:     1,
-		MinDelay: 200 * time.Microsecond,
-		MaxDelay: 3 * time.Millisecond,
-		// Serve live metrics over HTTP while the cluster runs; port 0
-		// picks an ephemeral port, reported by cluster.MetricsAddr().
-		Metrics:     failstop.NewMetricsRegistry(),
-		MetricsAddr: "127.0.0.1:0",
-	})
-	cluster.Start()
+	// The scenario is the quickstart's Options; Live adds what only a live
+	// host reads.
+	cluster, err := failstop.NewLiveCluster(
+		failstop.Options{N: 5, T: 2, Seed: 1, Metrics: failstop.NewMetricsRegistry()},
+		failstop.Live{
+			MinDelay: 200 * time.Microsecond,
+			MaxDelay: 3 * time.Millisecond,
+			// Serve live metrics over HTTP while the cluster runs; port 0
+			// picks an ephemeral port, reported by cluster.MetricsAddr().
+			MetricsAddr: "127.0.0.1:0",
+		})
+	if err == nil {
+		err = cluster.Start()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	defer cluster.Stop()
 
 	fmt.Println("live cluster of 5 goroutine-backed processes started")

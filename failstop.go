@@ -26,6 +26,7 @@
 package failstop
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -107,8 +108,8 @@ type (
 	Metrics = obs.Metrics
 	// MetricsRegistry is a name table of the counters and gauges a run's
 	// layers register (the simulator or live runtime, the fault plane);
-	// pass one in Options.Metrics / LiveOptions.Metrics to observe them
-	// live (they are atomic) rather than only in the final report.
+	// pass one in Options.Metrics to observe them live (they are atomic)
+	// rather than only in the final report.
 	MetricsRegistry = obs.Registry
 	// Span is one message-lifecycle trace span (send, fault fate, enqueue,
 	// deliver, drop, retransmit, suspect, crash-confirm) with a causal
@@ -168,7 +169,7 @@ func NewTimeline(every int64, capacity int) *Timeline {
 // exposition format (what the live /metrics endpoint serves).
 func WritePrometheus(w io.Writer, ms Metrics) error { return obs.WritePrometheus(w, ms) }
 
-// Recovery modes for Options.Recovery / LiveOptions.Recovery.
+// Recovery modes for Options.Recovery.
 const (
 	// RecoveryOff disables restarts: a fault plan's process rules crash
 	// their victims terminally at the first window (the fail-stop reading).
@@ -192,7 +193,9 @@ const (
 	Unilateral = core.Unilateral
 )
 
-// Options configures a cluster.
+// Options configures a cluster, simulated or live. A live cluster takes the
+// settings only it reads from Live and ignores the simulator's clock here:
+// MinDelay, MaxDelay and MaxTime.
 type Options struct {
 	// N is the number of processes (required, >= 2). T is the maximum
 	// number of failures tolerated, including erroneous detections
@@ -204,10 +207,11 @@ type Options struct {
 	// Seed makes runs reproducible.
 	Seed int64
 	// MinDelay/MaxDelay bound the simulated message delays (ticks).
-	// Defaults: 1 and 10.
+	// Defaults: 1 and 10. A live run reads Live.MinDelay/MaxDelay instead.
 	MinDelay, MaxDelay int64
 	// MaxTime stops the simulation at a horizon; 0 runs to quiescence.
-	// Required (>0) when heartbeats are enabled, which re-arm forever.
+	// Required (>0) when heartbeats are enabled, which re-arm forever. A
+	// live run has no horizon: Stop ends it.
 	MaxTime int64
 	// HeartbeatEvery enables the fd layer: heartbeats every given ticks.
 	// 0 disables heartbeats (suspicions are injected explicitly).
@@ -259,7 +263,7 @@ type Options struct {
 	// on every run.
 	Spans *SpanRecorder
 	// Timeline, when non-nil, samples per-tick series into
-	// Report.Timeline.
+	// Report.Timeline. A live run samples none and rejects it.
 	Timeline *Timeline
 }
 
@@ -283,8 +287,8 @@ func (o Options) cluster() (cluster.Options, error) {
 	return co, nil
 }
 
-// stack is the translation both facades share: T defaulted, the rules of
-// either host checked, then the topology resolved against N, once.
+// stack is the translation both constructors share: T defaulted, the rules
+// of either host checked, then the topology resolved against N, once.
 func (o Options) stack() (cluster.Options, error) {
 	if o.T == 0 {
 		o.T = 1
@@ -509,59 +513,20 @@ func LoadFaultPlan(path string) (FaultPlan, error) { return netadv.ReadPlanFile(
 // the canonical way to turn a builtin into an editable file.
 func WriteFaultPlan(w io.Writer, p FaultPlan) error { return netadv.WritePlan(w, p) }
 
-// LiveOptions configures a live (goroutine) cluster.
-type LiveOptions struct {
-	// N is the number of processes; T the failure bound. As for Options.
-	N, T int
-	// Protocol selects the detection protocol. Default: SFS.
-	Protocol Protocol
-	// Seed seeds the delay generator.
-	Seed int64
-	// MinDelay/MaxDelay bound real message delays.
-	// Defaults: 100µs and 2ms.
-	MinDelay, MaxDelay time.Duration
-	// Tick is the duration of one virtual tick (fault-plan times and timers
-	// are expressed in ticks). Default: 1ms.
+// Live holds the settings only a live (goroutine) cluster reads; it takes
+// every other one from Options.
+type Live struct {
+	// Tick is the duration of one virtual tick: fault-plan times, heartbeat
+	// and retransmission intervals and recorded event times are in ticks.
+	// Default: 1ms.
 	Tick time.Duration
-	// Topology, when non-nil and not the full mesh, runs the protocol over
-	// a partial communication graph — identical semantics to
-	// Options.Topology, so topology scenarios cross-validate between the
-	// two backends.
-	Topology *TopoSpec
-	// Faults, when non-nil, subjects the live network to the given fault
-	// plan — the identical plan semantics the simulator applies, so a
-	// scenario validated deterministically in NewCluster can be replayed
-	// against real goroutines.
-	Faults *FaultPlan
-	// Reliable, when Enabled, interposes the reliable-delivery layer under
-	// every process — identical semantics to the simulated backend, with
-	// retransmit timers running on real clocks (intervals are in ticks,
-	// converted via Tick).
-	Reliable ReliableOptions
-	// Byzantine, when Enabled, interposes the validation layer under every
-	// process — identical semantics to the simulated backend (see
-	// Options.Byzantine).
-	Byzantine ByzantineOptions
-	// Recovery selects how the fault plan's process rules behave, with the
-	// same semantics as Options.Recovery. Unbounded restart storms are fine
-	// live: the run is bounded by Stop.
-	Recovery RecoveryMode
-	// RecoveryDir, when non-empty with RecoveryDurable, persists crash-time
-	// snapshots as files under the given directory (one per process)
-	// instead of the default in-memory store — state then survives restarts
-	// of the host program, not just of simulated processes.
+	// MinDelay/MaxDelay bound real message delays. Defaults: 100µs and 2ms.
+	MinDelay, MaxDelay time.Duration
+	// RecoveryDir, when non-empty with Options.Recovery = RecoveryDurable,
+	// persists crash-time snapshots as files under the given directory (one
+	// per process) instead of the default in-memory store — state then
+	// survives restarts of the host program, not just of simulated processes.
 	RecoveryDir string
-	// NewApp, when non-nil, builds the application for each process.
-	NewApp func(p ProcID) App
-	// Metrics, when non-nil, additionally registers the live counters in
-	// the given registry; the same readings are available from
-	// LiveCluster.Metrics either way.
-	Metrics *MetricsRegistry
-	// Spans, when non-nil, records sampled message-lifecycle spans. The
-	// sampling function is the one the simulated backend uses, so a live
-	// run and a simulated run of one scenario (same recorder seed and
-	// rate) sample the same messages.
-	Spans *SpanRecorder
 	// MetricsAddr, when non-empty, serves the cluster's live metrics in
 	// Prometheus text form at http://<addr>/metrics from Start to Stop.
 	// Use "127.0.0.1:0" to bind an ephemeral port and read the actual
@@ -569,49 +534,45 @@ type LiveOptions struct {
 	MetricsAddr string
 }
 
-// Validate is Options.Validate of the same fields without the horizon: Stop
-// ends a live run.
-func (o LiveOptions) Validate() error {
-	_, err := o.cluster()
-	return err
-}
-
-// cluster is Options.cluster without the horizon.
-func (o LiveOptions) cluster() (cluster.Options, error) {
-	co, err := Options{N: o.N, T: o.T, Protocol: o.Protocol, MinDelay: int64(o.MinDelay), MaxDelay: int64(o.MaxDelay),
-		Topology: o.Topology, Faults: o.Faults, Reliable: o.Reliable, Byzantine: o.Byzantine, Recovery: o.Recovery,
-		NewApp: o.NewApp}.stack()
-	if err != nil {
-		return co, fmt.Errorf("failstop: LiveOptions.%w", err)
+// check reports the first problem with Live's own fields, or nil.
+func (l Live) check() error {
+	if l.Tick < 0 {
+		return fmt.Errorf("Tick = %v; a tick cannot be negative (0 is its default)", l.Tick)
 	}
-	return co, nil
+	return sim.CheckDelayBounds(int64(l.MinDelay), int64(l.MaxDelay))
 }
 
 // LiveCluster runs the same protocol stack on real goroutines.
 type LiveCluster struct {
 	net   *runtime.Net
 	stack cluster.Stack
-	plane *netadv.Plane // nil without LiveOptions.Faults
-	opts  LiveOptions
+	plane *netadv.Plane       // nil without Options.Faults
+	spans *SpanRecorder       // Options.Spans
+	addr  string              // Live.MetricsAddr
 	msrv  *obshttp.Server     // nil unless MetricsAddr is set and Start ran
 	files *recovery.FileStore // nil unless RecoveryDir holds the snapshots
 }
 
-// NewLiveCluster builds a live cluster. Call Start, drive it with Suspect
-// and Crash, then Stop; History returns the recorded run at any point.
-// Like NewCluster, it panics with the LiveOptions.Validate error when the
-// options are invalid — call Validate first to reject untrusted
-// configuration gracefully.
-func NewLiveCluster(opts LiveOptions) *LiveCluster {
-	co, err := opts.cluster()
-	if err != nil {
-		panic(err)
+// NewLiveCluster builds a live cluster from the scenario opts describes and
+// the live settings. Call Start, drive it with Suspect and Crash, then Stop;
+// History returns the recorded run at any point. It returns an error for
+// what Options.Validate rejects but the horizon (Stop ends a live run), a
+// Timeline, bad Live settings and a RecoveryDir that cannot be opened.
+func NewLiveCluster(opts Options, live Live) (*LiveCluster, error) {
+	co, err := opts.stack()
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("failstop: Options.%w", err)
+	case opts.Timeline != nil:
+		return nil, errors.New("failstop: Options.Timeline: a live run samples no timeline; leave it nil")
+	}
+	if err := live.check(); err != nil {
+		return nil, fmt.Errorf("failstop: Live.%w", err)
 	}
 	// The plan is wired as cluster.New wires it for a simulator.
 	cfg := runtime.Config{
 		N: opts.N, Seed: opts.Seed,
-		MinDelay: opts.MinDelay, MaxDelay: opts.MaxDelay,
-		Tick:    opts.Tick,
+		MinDelay: live.MinDelay, MaxDelay: live.MaxDelay, Tick: live.Tick,
 		Metrics: opts.Metrics, Spans: opts.Spans, Recovery: opts.Recovery,
 	}
 	var plane *netadv.Plane
@@ -621,38 +582,39 @@ func NewLiveCluster(opts LiveOptions) *LiveCluster {
 		cfg.Link, cfg.Lifetimes = plane.Decide, co.Faults.Lifetimes()
 	}
 	var files *recovery.FileStore
-	if opts.Recovery == RecoveryDurable && opts.RecoveryDir != "" {
-		if files, err = recovery.NewFileStore(opts.RecoveryDir); err != nil {
-			panic(fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err))
+	if opts.Recovery == RecoveryDurable && live.RecoveryDir != "" {
+		if files, err = recovery.NewFileStore(live.RecoveryDir); err != nil {
+			return nil, fmt.Errorf("failstop: Live.RecoveryDir: %w", err)
 		}
 		cfg.Store = files
 	}
 	net := runtime.New(cfg)
 	stack := cluster.Build(net, co, opts.Spans)
-	return &LiveCluster{net: net, stack: stack, plane: plane, opts: opts, files: files}
+	return &LiveCluster{net: net, stack: stack, plane: plane, spans: opts.Spans, addr: live.MetricsAddr, files: files}, nil
 }
 
-// Start launches the cluster's goroutines and, with
-// LiveOptions.MetricsAddr set, the /metrics endpoint. It panics if the
-// endpoint cannot bind — a misconfigured address should fail loudly at
+// Start launches the cluster's goroutines and, with Live.MetricsAddr set, the
+// /metrics endpoint. An endpoint that cannot bind stops the goroutines again
+// and is returned as the error: a misconfigured address should fail at
 // startup, not silently serve nothing.
-func (lc *LiveCluster) Start() {
+func (lc *LiveCluster) Start() error {
 	lc.net.Start()
-	if lc.opts.MetricsAddr != "" && lc.msrv == nil {
-		srv, err := obshttp.Start(lc.opts.MetricsAddr, lc.Metrics)
+	if lc.addr != "" {
+		srv, err := obshttp.Start(lc.addr, lc.Metrics)
 		if err != nil {
 			lc.net.Stop()
-			panic(fmt.Errorf("failstop: LiveOptions.MetricsAddr: %w", err))
+			return fmt.Errorf("failstop: Live.MetricsAddr: %w", err)
 		}
 		lc.msrv = srv
 	}
+	return nil
 }
 
 // Stop shuts the cluster down and waits for its goroutines, closing the
 // /metrics endpoint first so no scrape observes a stopped cluster. With
-// LiveOptions.RecoveryDir it returns the first crash-time snapshot that could
-// not be written: the restart that needed it came back empty, or will in the
-// next run of the host program. Otherwise the error is nil.
+// Live.RecoveryDir it returns the first crash-time snapshot that could not be
+// written: the restart that needed it came back empty, or will in the next
+// run of the host program. Otherwise the error is nil.
 func (lc *LiveCluster) Stop() error {
 	if lc.msrv != nil {
 		_ = lc.msrv.Close()
@@ -661,7 +623,7 @@ func (lc *LiveCluster) Stop() error {
 	lc.net.Stop()
 	if lc.files != nil {
 		if err := lc.files.Err(); err != nil {
-			return fmt.Errorf("failstop: LiveOptions.RecoveryDir: %w", err)
+			return fmt.Errorf("failstop: Live.RecoveryDir: %w", err)
 		}
 	}
 	return nil
@@ -683,9 +645,9 @@ func (lc *LiveCluster) Crash(p ProcID) {
 func (lc *LiveCluster) History() History { return lc.net.History() }
 
 // Metrics returns a name-sorted live snapshot of the cluster's counters:
-// runtime traffic, reliable-layer work, and — with LiveOptions.Faults —
-// the fault plane's decision tallies. Safe to call while the cluster
-// runs; it is what the /metrics endpoint serves.
+// runtime traffic, reliable-layer work, and — with Options.Faults — the
+// fault plane's decision tallies. Safe to call while the cluster runs; it is
+// what the /metrics endpoint serves.
 func (lc *LiveCluster) Metrics() Metrics {
 	ms := lc.net.Metrics()
 	if lc.plane != nil {
@@ -695,14 +657,14 @@ func (lc *LiveCluster) Metrics() Metrics {
 }
 
 // Spans returns a snapshot of the recorded message-lifecycle spans (nil
-// unless LiveOptions.Spans was set).
+// unless Options.Spans was set).
 func (lc *LiveCluster) Spans() []Span {
-	if lc.opts.Spans == nil {
+	if lc.spans == nil {
 		return nil
 	}
-	return lc.opts.Spans.Spans()
+	return lc.spans.Spans()
 }
 
 // MetricsAddr returns the bound address of the live /metrics endpoint
-// ("" when LiveOptions.MetricsAddr was unset or Start has not run).
+// ("" when Live.MetricsAddr was unset or Start has not run).
 func (lc *LiveCluster) MetricsAddr() string { return lc.msrv.Addr() }

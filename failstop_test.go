@@ -42,22 +42,55 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeHeartbeats(t *testing.T) {
-	c := failstop.NewCluster(failstop.Options{
+// TestFacadeHeartbeatsCrossBackend: one Options value with the fd layer on
+// detects a genuine crash through heartbeat timeouts on both hosts.
+func TestFacadeHeartbeatsCrossBackend(t *testing.T) {
+	opts := failstop.Options{
 		N: 4, T: 1, Seed: 2,
 		MinDelay: 1, MaxDelay: 3,
 		MaxTime:          2000,
 		HeartbeatEvery:   10,
 		HeartbeatTimeout: 50,
-	})
+	}
+	c := failstop.NewCluster(opts)
 	c.CrashAt(100, 4)
-	rep := c.Run()
+	c.Run()
 	for p := failstop.ProcID(1); p <= 3; p++ {
 		if !c.Detector(p).Detected(4) {
-			t.Errorf("process %d did not detect the crash", p)
+			t.Errorf("sim: process %d did not detect the crash", p)
 		}
 	}
-	_ = rep
+
+	// 1ms ticks: a heartbeat every 10ms, suspicion after 50ms of silence,
+	// far above the live delays, so only the crashed process times out.
+	lc := startLive(t, opts, failstop.Live{
+		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+		Tick: time.Millisecond,
+	})
+	lc.Crash(4)
+	allFailed := func() bool {
+		h := lc.History()
+		for p := failstop.ProcID(1); p <= 3; p++ {
+			if h.FailedIndex(p, 4) < 0 {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !allFailed() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	lc.Stop()
+	h := lc.History()
+	for p := failstop.ProcID(1); p <= 3; p++ {
+		if h.FailedIndex(p, 4) < 0 {
+			t.Errorf("live: process %d did not detect the crash", p)
+		}
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatalf("invalid live history: %v", err)
+	}
 }
 
 func TestFacadeBounds(t *testing.T) {
@@ -82,12 +115,9 @@ func TestFacadeRealizable(t *testing.T) {
 }
 
 func TestFacadeLiveCluster(t *testing.T) {
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 4,
-		MinDelay: 50 * time.Microsecond,
-		MaxDelay: 500 * time.Microsecond,
+	lc := startLive(t, failstop.Options{N: 5, T: 2, Seed: 4}, failstop.Live{
+		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
 	})
-	lc.Start()
 	lc.Suspect(2, 1)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

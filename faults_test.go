@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,66 +76,64 @@ func TestNewClusterPanicsOnInvalidOptions(t *testing.T) {
 	}
 }
 
-func TestNewLiveClusterPanicsOnTooFewProcesses(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewLiveCluster accepted N=1")
-		}
-	}()
-	failstop.NewLiveCluster(failstop.LiveOptions{N: 1})
-}
-
-// TestFacadesRejectTheSameInputs: Options and LiveOptions validate N, T, the
-// delay bounds, Topology, Faults, Reliable and Byzantine by one shared check, so a bad
-// value draws the same words from both, after the struct's name — and
-// NewLiveCluster panics with exactly that error, as NewCluster does.
+// TestFacadesRejectTheSameInputs: NewCluster and NewLiveCluster check one
+// Options by one shared check, so a bad shared value draws the same error
+// from both — NewCluster panics with exactly what NewLiveCluster returns. A
+// rule of the live host alone is NewLiveCluster's error and NewCluster's
+// business not at all.
 func TestFacadesRejectTheSameInputs(t *testing.T) {
 	badPlan := &failstop.FaultPlan{Rules: []failstop.FaultRule{{Drop: 2}}}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name string
-		sim  failstop.Options
-		live failstop.LiveOptions
-		want string
+		name     string
+		opts     failstop.Options
+		live     failstop.Live
+		liveOnly bool   // a rule only NewLiveCluster has
+		want     string // what the error contains
 	}{
-		{"n", failstop.Options{N: 1}, failstop.LiveOptions{N: 1}, "at least 2"},
-		{"n above MaxProcs", failstop.Options{N: model.MaxProcs + 1}, failstop.LiveOptions{N: model.MaxProcs + 1}, "at most 1048576"},
-		{"t", failstop.Options{N: 4, T: -1}, failstop.LiveOptions{N: 4, T: -1}, "cannot be negative"},
-		{"min delay", failstop.Options{N: 4, MinDelay: -5, MaxDelay: -1}, failstop.LiveOptions{N: 4, MinDelay: -5, MaxDelay: -1}, "delay bound cannot be negative"},
-		{"max delay", failstop.Options{N: 4, MaxDelay: -1}, failstop.LiveOptions{N: 4, MaxDelay: -1}, "delay bound cannot be negative"},
-		{"topology", failstop.Options{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}},
-			failstop.LiveOptions{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, "Topology"},
-		{"faults", failstop.Options{N: 4, Faults: badPlan}, failstop.LiveOptions{N: 4, Faults: badPlan}, "outside [0,1]"},
-		{"reliable", failstop.Options{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}},
-			failstop.LiveOptions{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}}, "Reliable"},
-		{"byzantine", failstop.Options{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, Witnesses: -1}},
-			failstop.LiveOptions{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, Witnesses: -1}}, "Byzantine"},
+		{name: "n", opts: failstop.Options{N: 1}, want: "at least 2"},
+		{name: "n above MaxProcs", opts: failstop.Options{N: model.MaxProcs + 1}, want: "at most 1048576"},
+		{name: "t", opts: failstop.Options{N: 4, T: -1}, want: "cannot be negative"},
+		{name: "min delay", opts: failstop.Options{N: 4, MinDelay: -5, MaxDelay: -1}, want: "delay bound cannot be negative"},
+		{name: "max delay", opts: failstop.Options{N: 4, MaxDelay: -1}, want: "delay bound cannot be negative"},
+		{name: "topology", opts: failstop.Options{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, want: "Topology"},
+		{name: "faults", opts: failstop.Options{N: 4, Faults: badPlan}, want: "outside [0,1]"},
+		{name: "reliable", opts: failstop.Options{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}}, want: "Reliable"},
+		{name: "byzantine", opts: failstop.Options{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, Witnesses: -1}}, want: "Byzantine"},
+		// A negative tick would record receives and crashes at tick -1 after
+		// their sends at tick 0, in a history that validates.
+		{name: "negative tick", opts: failstop.Options{N: 4}, live: failstop.Live{Tick: -time.Millisecond},
+			liveOnly: true, want: "failstop: Live.Tick = -1ms"},
+		{name: "timeline", opts: failstop.Options{N: 4, Timeline: failstop.NewTimeline(5, 0)},
+			liveOnly: true, want: "failstop: Options.Timeline"},
+		{name: "recovery dir under a file", opts: failstop.Options{N: 4, Recovery: failstop.RecoveryDurable},
+			live: failstop.Live{RecoveryDir: filepath.Join(file, "snapshots")}, liveOnly: true, want: "failstop: Live.RecoveryDir"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			simErr, liveErr := tt.sim.Validate(), tt.live.Validate()
-			if simErr == nil || liveErr == nil {
-				t.Fatalf("Options.Validate() = %v, LiveOptions.Validate() = %v; want both to fail", simErr, liveErr)
-			}
-			if !strings.Contains(liveErr.Error(), tt.want) {
-				t.Errorf("LiveOptions.Validate() = %v, want it to contain %q", liveErr, tt.want)
-			}
-			simTail, ok1 := strings.CutPrefix(simErr.Error(), "failstop: Options.")
-			liveTail, ok2 := strings.CutPrefix(liveErr.Error(), "failstop: LiveOptions.")
-			if !ok1 || !ok2 || simTail != liveTail {
-				t.Errorf("the facades word it differently:\n  %v\n  %v", simErr, liveErr)
+			lc, err := failstop.NewLiveCluster(tt.opts, tt.live)
+			if lc != nil || err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("NewLiveCluster = %v, %v; want an error containing %q", lc, err, tt.want)
 			}
 			defer func() {
-				if got := recover(); fmt.Sprint(got) != liveErr.Error() {
-					t.Errorf("NewLiveCluster panicked with %v, want %v", got, liveErr)
+				got := recover()
+				switch {
+				case tt.liveOnly && got != nil:
+					t.Errorf("NewCluster panicked with %v on a rule of the live host alone", got)
+				case !tt.liveOnly && fmt.Sprint(got) != err.Error():
+					t.Errorf("NewCluster panicked with %v, want what NewLiveCluster returned: %v", got, err)
 				}
 			}()
-			failstop.NewLiveCluster(tt.live)
+			failstop.NewCluster(tt.opts)
 		})
 	}
 }
 
 // TestDelayBoundsAtEveryEntryPoint: the four places a delay bound comes in —
-// Options, LiveOptions, a sweep Spec and sim.New — reject the same pairs in the
+// Options, Live, a sweep Spec and sim.New — reject the same pairs in the
 // same words after their own prefix, and accept the same ones. A MaxDelay of
 // MaxInt64 used to panic inside the run ("invalid argument to Int63n": the
 // width overflowed), and MaxInt64-1 to wrap the clock negative, which parks.
@@ -161,12 +162,13 @@ func TestDelayBoundsAtEveryEntryPoint(t *testing.T) {
 			sim.New(sim.Config{N: 2, MinDelay: tc.min, MaxDelay: tc.max})
 			return nil
 		}
+		_, liveErr := failstop.NewLiveCluster(failstop.Options{N: 4}, failstop.Live{MinDelay: time.Duration(tc.min), MaxDelay: time.Duration(tc.max)})
 		for _, entry := range []struct {
 			prefix string
 			err    error
 		}{
 			{"failstop: Options.", failstop.Options{N: 4, MinDelay: tc.min, MaxDelay: tc.max}.Validate()},
-			{"failstop: LiveOptions.", failstop.LiveOptions{N: 4, MinDelay: time.Duration(tc.min), MaxDelay: time.Duration(tc.max)}.Validate()},
+			{"failstop: Live.", liveErr},
 			{"sweep: Spec.", sweep.Spec{Grid: []sweep.NT{{N: 5, T: 2}}, MinDelay: tc.min, MaxDelay: tc.max}.Validate()},
 			{"sim: Config.", newSim()},
 		} {
@@ -241,22 +243,17 @@ func checkSplitBrainSemantics(t *testing.T, backend string, h failstop.History, 
 // TestFaultPlanCrossBackend is the acceptance criterion: the deterministic
 // simulator and the live goroutine runtime agree on fault-plan semantics.
 func TestFaultPlanCrossBackend(t *testing.T) {
+	opts := failstop.Options{N: 5, T: 2, Seed: 3, Faults: splitBrainNow()}
+
 	// Simulated backend.
-	c := failstop.NewCluster(failstop.Options{
-		N: 5, T: 2, Seed: 3, Faults: splitBrainNow(),
-	})
+	c := failstop.NewCluster(opts)
 	c.SuspectAt(20, 1, 4)
 	c.SuspectAt(25, 4, 1)
 	rep := c.Run()
 	checkSplitBrainSemantics(t, "sim", rep.History, rep.Dropped)
 
 	// Live backend, same plan.
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 3, Faults: splitBrainNow(),
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	lc := startLive(t, opts, fastLive)
 	lc.Suspect(1, 4)
 	lc.Suspect(4, 1)
 	deadline := time.Now().Add(2 * time.Second)
@@ -310,11 +307,16 @@ func healingPlan(t *testing.T) *failstop.FaultPlan {
 // broadcast across the heal. The same scenario with the layer disabled
 // starves (asserted deterministically on the simulated backend).
 func TestReliableHealingPartitionCrossBackend(t *testing.T) {
+	opts := failstop.Options{
+		N: 5, T: 2, Seed: 7, MaxTime: 3000, Faults: healingPlan(t),
+		Reliable: failstop.ReliableOptions{Enabled: true},
+	}
+
 	// Simulated backend, layer disabled: the once-only broadcast from 5 is
 	// dropped at the cut, so no correct process ever detects the crash.
-	bare := failstop.NewCluster(failstop.Options{
-		N: 5, T: 2, Seed: 7, MaxTime: 3000, Faults: healingPlan(t),
-	})
+	noLayer := opts
+	noLayer.Reliable = failstop.ReliableOptions{}
+	bare := failstop.NewCluster(noLayer)
 	bare.CrashAt(15, 1)
 	bare.SuspectAt(20, 5, 1)
 	bareRep := bare.Run()
@@ -330,10 +332,7 @@ func TestReliableHealingPartitionCrossBackend(t *testing.T) {
 
 	// Simulated backend, layer enabled: retransmission carries the
 	// suspicion across the heal and every correct process detects.
-	rel := failstop.NewCluster(failstop.Options{
-		N: 5, T: 2, Seed: 7, MaxTime: 3000, Faults: healingPlan(t),
-		Reliable: failstop.ReliableOptions{Enabled: true},
-	})
+	rel := failstop.NewCluster(opts)
 	rel.CrashAt(15, 1)
 	rel.SuspectAt(20, 5, 1)
 	relRep := rel.Run()
@@ -349,13 +348,10 @@ func TestReliableHealingPartitionCrossBackend(t *testing.T) {
 	// Live backend, layer enabled, same plan: ticks are 1ms, so the cut is
 	// active [10ms, 200ms) — inject well inside it and wait for every
 	// correct process to detect.
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 7, Faults: healingPlan(t),
-		Reliable: failstop.ReliableOptions{Enabled: true},
+	lc := startLive(t, opts, failstop.Live{
 		MinDelay: 1 * time.Millisecond, MaxDelay: 3 * time.Millisecond,
 		Tick: 1 * time.Millisecond,
 	})
-	lc.Start()
 	time.Sleep(25 * time.Millisecond) // inside the cut window
 	lc.Crash(1)
 	lc.Suspect(5, 1)
@@ -419,33 +415,34 @@ func TestOneWayCutCrossBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := failstop.NewCluster(failstop.Options{N: 5, T: 2, Seed: 4, Faults: &plan})
+	opts := failstop.Options{N: 5, T: 2, Seed: 4, Faults: &plan}
+	c := failstop.NewCluster(opts)
 	c.SuspectAt(20, 1, 5)
 	rep := c.Run()
 	checkOneWayCutSemantics(t, "sim", rep.History)
 
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 4, Faults: &plan,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	lc := startLive(t, opts, fastLive)
 	time.Sleep(5 * time.Millisecond) // past tick 10: the cut is standing
 	lc.Suspect(1, 5)
 	// The semantics check needs failed_p(5) for every p in 1..4, and the
 	// suspicion reaches 2..4 a beat after 1's own detection completes — so
-	// wait for all four, not just the suspecting process.
-	allFailed := func() bool {
+	// wait for all four, not just the suspecting process. It also needs a
+	// receive at 5, which may come after all four have completed: a
+	// worker the scheduler runs late still has its messages queued, and
+	// Stop would discard them.
+	settled := func() bool {
 		h := lc.History()
 		for p := failstop.ProcID(1); p <= 4; p++ {
 			if h.FailedIndex(p, 5) < 0 {
 				return false
 			}
 		}
-		return true
+		return slices.ContainsFunc(h, func(e model.Event) bool {
+			return e.Kind == model.KindRecv && e.Proc == 5 && e.Peer != 5
+		})
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for !allFailed() && time.Now().Before(deadline) {
+	for !settled() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
@@ -524,9 +521,8 @@ func TestMovingPartitionCrossBackend(t *testing.T) {
 	// own window; suspect it from 2 at tick 200, while 4 is dark: the
 	// broadcast and its echoes stay inside 4's window, so 2, 3, and 5
 	// assemble the quorum of 3 and 4 starves.
-	c := failstop.NewCluster(failstop.Options{
-		N: n, T: tt, Seed: 5, MaxTime: 4000, Faults: &plan,
-	})
+	opts := failstop.Options{N: n, T: tt, Seed: 5, MaxTime: 4000, Faults: &plan}
+	c := failstop.NewCluster(opts)
 	c.CrashAt(15, 1)
 	c.SuspectAt(10+3*stride+10, 2, 1)
 	rep := c.Run()
@@ -547,12 +543,10 @@ func TestMovingPartitionCrossBackend(t *testing.T) {
 	// 60ms stride. Suspicions are re-raised from rotating suspecters until
 	// one broadcast lands in a window that lets a quorum assemble — under a
 	// moving (never permanent) partition detection must eventually succeed.
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: n, T: tt, Seed: 5, Faults: &plan,
+	lc := startLive(t, opts, failstop.Live{
 		MinDelay: 1 * time.Millisecond, MaxDelay: 3 * time.Millisecond,
 		Tick: 1 * time.Millisecond,
 	})
-	lc.Start()
 	time.Sleep(15 * time.Millisecond)
 	lc.Crash(1)
 	detected := func(h failstop.History) int {
@@ -611,10 +605,11 @@ func TestQueueDelayCrossBackend(t *testing.T) {
 
 	// Simulated backend: base delay pinned to 1 tick, so the three SUSP
 	// messages on link 1->2 arrive spaced exactly QueueDelay apart.
-	c := failstop.NewCluster(failstop.Options{
+	opts := failstop.Options{
 		N: 5, T: 2, Seed: 9, MinDelay: 1, MaxDelay: 1, MaxTime: 4000,
 		Faults: shaped,
-	})
+	}
+	c := failstop.NewCluster(opts)
 	c.SuspectAt(20, 1, 3)
 	c.SuspectAt(20, 1, 4)
 	c.SuspectAt(20, 1, 5)
@@ -631,12 +626,10 @@ func TestQueueDelayCrossBackend(t *testing.T) {
 
 	// Live backend, same plan: 1ms ticks. Scheduling jitter loosens the
 	// bound but the serialization slots must still be visible.
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 9, Faults: shaped,
+	lc := startLive(t, opts, failstop.Live{
 		MinDelay: 1 * time.Millisecond, MaxDelay: 1 * time.Millisecond,
 		Tick: 1 * time.Millisecond,
 	})
-	lc.Start()
 	lc.Suspect(1, 3)
 	lc.Suspect(1, 4)
 	lc.Suspect(1, 5)
@@ -699,11 +692,13 @@ func TestByzantineCrossBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulated backend.
-	c := failstop.NewCluster(failstop.Options{
+	opts := failstop.Options{
 		N: 5, T: 2, Seed: 3, MaxTime: 5000, Faults: &plan,
 		Byzantine: failstop.ByzantineOptions{Enabled: true},
-	})
+	}
+
+	// Simulated backend.
+	c := failstop.NewCluster(opts)
 	c.SuspectAt(20, 4, 1)
 	c.SuspectAt(24, 5, 2)
 	rep := c.Run()
@@ -716,13 +711,7 @@ func TestByzantineCrossBackend(t *testing.T) {
 	}
 
 	// Live backend, same plan and interposer.
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 3, Faults: &plan,
-		Byzantine: failstop.ByzantineOptions{Enabled: true},
-		MinDelay:  50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	lc := startLive(t, opts, fastLive)
 	// The plan's rules activate at tick 10 (1ms of 100µs ticks). Let the
 	// window open before injecting, as SuspectAt(20, ...) does on the
 	// simulated backend — an earlier SUSP would cross the wire unmutated.
@@ -763,20 +752,14 @@ func TestLiveMetricsCarryEveryCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := failstop.ReliableOptions{Enabled: true, MaxRetries: 3}
-	bz := failstop.ByzantineOptions{Enabled: true}
-	rep := failstop.NewCluster(failstop.Options{
-		N: 5, T: 2, Seed: 11, MaxTime: 600, Faults: &plan,
-		Recovery: failstop.RecoveryDurable, Reliable: rel, Byzantine: bz,
-	}).Run()
+	opts := failstop.Options{
+		N: 5, T: 2, Seed: 11, MaxTime: 600, Faults: &plan, Recovery: failstop.RecoveryDurable,
+		Reliable:  failstop.ReliableOptions{Enabled: true, MaxRetries: 3},
+		Byzantine: failstop.ByzantineOptions{Enabled: true},
+	}
+	rep := failstop.NewCluster(opts).Run()
 
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 11, Faults: &plan,
-		Recovery: failstop.RecoveryDurable, Reliable: rel, Byzantine: bz,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	lc := startLive(t, opts, fastLive)
 	lc.Stop()
 	live := lc.Metrics()
 

@@ -8,9 +8,9 @@
 // Options.Validate and CheckHorizon state every rule once, and New calls
 // neither. Each entry point calls them, prefixes the error with its own name
 // and adds only its own rules: the facade's Options a Topology that fits N
-// (LiveOptions too, but skips CheckHorizon), sweep.Spec its grid (t >= 1, a
-// quorum >= 1 under every delta), seeds, shard, axis names and a
-// HeartbeatTimeout with heartbeats.
+// (NewLiveCluster skips CheckHorizon and checks its Live settings instead),
+// sweep.Spec its grid (t >= 1, a quorum >= 1 under every delta), seeds,
+// shard, axis names and a HeartbeatTimeout with heartbeats.
 package cluster
 
 import (

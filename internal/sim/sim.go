@@ -163,8 +163,8 @@ const maxDelayBound = 1 << 40
 // near MaxInt64 overflows the width the distribution draws from, or carries
 // the clock past MaxInt64 to a negative time, which reads as "parked". It is
 // the one check behind New and cluster.Options.Validate (and so the facade's
-// Options and LiveOptions and sweep.Spec); each entry point puts the name of
-// its own struct and a dot before the error.
+// Options and sweep.Spec), and behind the live delays of the facade's Live;
+// each entry point puts the name of its own struct and a dot before the error.
 func CheckDelayBounds(min, max int64) error {
 	if min < 0 || max < 0 {
 		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot be negative (no message arrives before it is sent)", min, max)

@@ -149,23 +149,18 @@ func spanProfile(spans []failstop.Span) []string {
 // profiles (kind, endpoints, tag) must match exactly. The cut is active
 // from tick 0 (splitBrainNow), so neither backend can race its onset.
 func TestSpanCrossBackendAgreement(t *testing.T) {
-	simRec := failstop.NewSpanRecorder(3, 1)
-	c := failstop.NewCluster(failstop.Options{
-		N: 5, T: 2, Seed: 3, MaxTime: 3000, Faults: splitBrainNow(), Spans: simRec,
-	})
+	opts := failstop.Options{
+		N: 5, T: 2, Seed: 3, MaxTime: 3000, Faults: splitBrainNow(), Spans: failstop.NewSpanRecorder(3, 1),
+	}
+	c := failstop.NewCluster(opts)
 	c.SuspectAt(20, 1, 4)
 	rep := c.Run()
 	if rep.History.FailedIndex(1, 4) < 0 {
 		t.Fatal("sim: detection did not complete")
 	}
 
-	liveRec := failstop.NewSpanRecorder(3, 1)
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 5, T: 2, Seed: 3, Faults: splitBrainNow(), Spans: liveRec,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	opts.Spans = failstop.NewSpanRecorder(3, 1) // the same sample, recorded apart
+	lc := startLive(t, opts, fastLive)
 	lc.Suspect(1, 4)
 	// The simulated run drains: p2 and p3 — p1's side of the cut — deliver
 	// each other's SUSP and execute their own failed(4) a beat after p1
@@ -231,14 +226,9 @@ func TestFacadeTimeline(t *testing.T) {
 // TestLiveMetricsEndpoint: the opt-in HTTP endpoint serves the cluster's
 // merged metrics in the Prometheus text format while the cluster runs.
 func TestLiveMetricsEndpoint(t *testing.T) {
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: 3, T: 1, Seed: 1,
-		Metrics:     failstop.NewMetricsRegistry(),
-		MetricsAddr: "127.0.0.1:0",
-		MinDelay:    50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	live := fastLive
+	live.MetricsAddr = "127.0.0.1:0"
+	lc := startLive(t, failstop.Options{N: 3, T: 1, Seed: 1, Metrics: failstop.NewMetricsRegistry()}, live)
 	defer lc.Stop()
 	lc.Suspect(1, 3)
 	deadline := time.Now().Add(2 * time.Second)
@@ -282,5 +272,34 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	lc.Stop()
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("endpoint still serving after Stop")
+	}
+}
+
+// TestLiveMetricsAddrInUse: a /metrics address that cannot bind is Start's
+// error, naming the setting, and leaves a cluster Stop shuts down at once.
+func TestLiveMetricsAddrInUse(t *testing.T) {
+	opts := failstop.Options{N: 3, T: 1, Seed: 1}
+	live := fastLive
+	live.MetricsAddr = "127.0.0.1:0"
+	first := startLive(t, opts, live)
+	defer first.Stop()
+
+	live.MetricsAddr = first.MetricsAddr()
+	second, err := failstop.NewLiveCluster(opts, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Start(); err == nil || !strings.Contains(err.Error(), "failstop: Live.MetricsAddr") {
+		t.Fatalf("Start on %s, already bound = %v; want an error naming Live.MetricsAddr", live.MetricsAddr, err)
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- second.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Errorf("Stop after a failed Start = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop after a failed Start hangs")
 	}
 }

@@ -47,11 +47,11 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 	}
 	stormProcs := map[failstop.ProcID]bool{n: true, n - 1: true}
 
-	c := failstop.NewCluster(failstop.Options{
+	opts := failstop.Options{
 		N: n, T: tt, Seed: 11, MaxTime: 2000, Faults: &plan,
 		Recovery: failstop.RecoveryDurable,
-	})
-	rep := c.Run()
+	}
+	rep := failstop.NewCluster(opts).Run()
 	if err := rep.History.Validate(); err != nil {
 		t.Fatalf("sim history invalid: %v", err)
 	}
@@ -64,13 +64,7 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 			rep.Restarts, rep.Recovered)
 	}
 
-	lc := failstop.NewLiveCluster(failstop.LiveOptions{
-		N: n, T: tt, Seed: 11, Faults: &plan,
-		Recovery: failstop.RecoveryDurable,
-		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-		Tick: 100 * time.Microsecond,
-	})
-	lc.Start()
+	lc := startLive(t, opts, fastLive)
 	// One full storm cycle is RestartStormPeriod=400 ticks = 40ms at this
 	// tick rate; 300ms of wall clock covers several cycles on both procs.
 	deadline := time.Now().Add(2 * time.Second)
@@ -110,7 +104,7 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 	}
 }
 
-// TestLiveStopReportsFailedDurableWrite: with LiveOptions.RecoveryDir, a
+// TestLiveStopReportsFailedDurableWrite: with Live.RecoveryDir, a
 // crash-time snapshot that could not be written is what Stop returns, and a
 // run whose snapshots all landed returns nil. The directory is replaced by a
 // regular file once the cluster runs (a permission change would not stop
@@ -121,15 +115,12 @@ func TestLiveStopReportsFailedDurableWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := failstop.Options{N: n, T: tt, Seed: 11, Faults: &plan, Recovery: failstop.RecoveryDurable}
 	for _, sabotage := range []bool{false, true} {
 		dir := filepath.Join(t.TempDir(), "snapshots")
-		lc := failstop.NewLiveCluster(failstop.LiveOptions{
-			N: n, T: tt, Seed: 11, Faults: &plan,
-			Recovery: failstop.RecoveryDurable, RecoveryDir: dir,
-			MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
-			Tick: 100 * time.Microsecond,
-		})
-		lc.Start()
+		live := fastLive
+		live.RecoveryDir = dir
+		lc := startLive(t, opts, live)
 		if sabotage {
 			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"failstop"
 	"failstop/internal/cluster"
@@ -18,10 +17,11 @@ import (
 )
 
 // TestEntryPointsAgree: a single run's configuration comes in through the
-// facade's Options, a one-cell sweep Spec, LiveOptions (where the row needs
-// no horizon) and cluster.Options itself, and the rules it must meet are
-// stated once, in cluster.Options. So every entry point that can express a
-// row accepts it, or every one rejects it naming the same field. The sweep
+// facade's Options to NewCluster and NewLiveCluster (where the row is not a
+// horizon rule), a one-cell sweep Spec and cluster.Options itself, and the
+// rules it must meet are stated once, in cluster.Options. So every entry
+// point that can express a row accepts it, or every one rejects it naming
+// the same field. The sweep
 // used to restate the rules, and the copies drifted: it compared MaxTime == 0
 // where the facade said <= 0 and never rejected a negative value.
 func TestEntryPointsAgree(t *testing.T) {
@@ -52,7 +52,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		{name: "heartbeats with a horizon", opts: failstop.Options{HeartbeatEvery: 5, HeartbeatTimeout: 20, MaxTime: 100}},
 		{name: "negative delay bound", opts: failstop.Options{MinDelay: -5, MaxDelay: -1}, field: "MinDelay"},
 		{name: "delay bounds", opts: failstop.Options{MinDelay: 1, MaxDelay: 10}},
-		{name: "heartbeats with no horizon", opts: failstop.Options{HeartbeatEvery: 5, HeartbeatTimeout: 20}, field: "HeartbeatEvery"},
+		{name: "heartbeats with no horizon", opts: failstop.Options{HeartbeatEvery: 5, HeartbeatTimeout: 20}, simOnly: true, field: "HeartbeatEvery"},
 		{name: "retransmission with no horizon", opts: failstop.Options{Reliable: on}, simOnly: true, field: "Reliable"},
 		{name: "retransmission with a horizon", opts: failstop.Options{Reliable: on, MaxTime: 100}},
 		{name: "bounded retransmission", opts: failstop.Options{Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: 3}}},
@@ -83,10 +83,9 @@ func TestEntryPointsAgree(t *testing.T) {
 			if tc.maxEvents == 0 && !tc.link {
 				entries = append(entries, entry{"Options", "failstop: Options.", o.Validate()})
 			}
-			if tc.maxEvents == 0 && !tc.link && !tc.simOnly && o.MaxTime == 0 && o.HeartbeatEvery == 0 && o.HeartbeatTimeout == 0 {
-				live := failstop.LiveOptions{N: o.N, T: o.T, MinDelay: time.Duration(o.MinDelay), MaxDelay: time.Duration(o.MaxDelay),
-					Topology: o.Topology, Faults: o.Faults, Reliable: o.Reliable, Byzantine: o.Byzantine, Recovery: o.Recovery}
-				entries = append(entries, entry{"LiveOptions", "failstop: LiveOptions.", live.Validate()})
+			if tc.maxEvents == 0 && !tc.link && !tc.simOnly {
+				_, err := failstop.NewLiveCluster(o, failstop.Live{})
+				entries = append(entries, entry{"NewLiveCluster", "failstop: Options.", err})
 			}
 			if !tc.link {
 				spec := sweep.Spec{
