@@ -1,4 +1,4 @@
-// Command sfs-bench regenerates the paper-reproduction tables: one
+// Command sfs-experiments regenerates the paper-reproduction tables: one
 // experiment per theorem, figure, and worked example of the paper (E1..E12),
 // the post-paper measurements E13..E16 and the ablations A1..A3, as listed
 // in the README's Experiments section. A full run prints exactly
@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	sfs-bench                # run everything
-//	sfs-bench -run E7        # a single experiment
-//	sfs-bench -run E6,E7,E8  # a subset
-//	sfs-bench -list          # list experiment ids
+//	sfs-experiments                # run everything
+//	sfs-experiments -run E7        # a single experiment
+//	sfs-experiments -run E6,E7,E8  # a subset
+//	sfs-experiments -list          # list experiment ids
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 }
 
 func run(args []string, out io.Writer) int {
-	fs := flag.NewFlagSet("sfs-bench", flag.ContinueOnError)
+	fs := flag.NewFlagSet("sfs-experiments", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
 		runIDs = fs.String("run", "", "comma-separated experiment ids (default: all)")

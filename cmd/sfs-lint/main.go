@@ -1,7 +1,8 @@
 // Command sfs-lint runs the determinism static-analysis suite
 // (internal/lint) over the module: detmaprange, detwallclock, detrand,
 // exhaustiveswitch, and jsontagcomplete, plus validation of every
-// //sfs:allow suppression annotation.
+// //sfs:allow suppression annotation, and the repository's guard table
+// (guards), which no annotation suppresses.
 //
 // Usage:
 //

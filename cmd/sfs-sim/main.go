@@ -109,6 +109,11 @@ func run(args []string, out io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if opts.T < 1 {
+		// The facade would run T = 0 as T = 1 and report the 0.
+		fmt.Fprintf(out, "bad -t %d: want a failure bound of at least 1\n", opts.T)
+		return 2
+	}
 	if !(*spanRate >= 0 && *spanRate <= 1) { // NaN too
 		fmt.Fprintf(out, "bad -span-rate %g: want a rate in [0,1]\n", *spanRate)
 		return 2

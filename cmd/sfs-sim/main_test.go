@@ -132,6 +132,8 @@ func TestRunBadInputs(t *testing.T) {
 		// whatever followed its format.
 		{"-n", "5", "-t", "2", "-suspect", "2:1@10,4:3@20"},
 		{"-n", "5", "-crash", "3@50x"},
+		// Ran with T = 1 and reported t=0.
+		{"-n", "5", "-t", "0", "-suspect", "2:1@5"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -39,6 +39,8 @@ func TestSweepRejectsRunConfigurations(t *testing.T) {
 		{"-plan restart-storm -recovery amnesia -max-time -5", "MaxTime"},
 		// Read as a cadence of 1 tick: the report was -timeline-every 1's.
 		{"-timeline -timeline-every -5 -csv -", "TimelineEvery"},
+		// Every message would arrive before it was sent.
+		{"-min-delay -5 -max-delay -1", "MinDelay"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "SFS_SWEEP_ARGS=-grid 5:2 -seeds 1 -schedules crash "+tc.args)

@@ -57,19 +57,22 @@ type Options struct {
 }
 
 // Validate reports the first problem either host would have, naming the field
-// first: N outside 2..model.MaxProcs, a negative T, a QuorumSize that is
-// negative or set where no §5 FixedQuorum threshold over the complete graph
-// reads it, bad delay bounds, a fault plan that does not fit N or comes with
-// Sim.Link or Sim.Lifetimes, invalid interposer options, or a negative
-// heartbeat number, MaxTime or MaxEvents
+// first: N outside 2..model.MaxProcs, a T below 1, a Sim.N that is neither 0
+// nor Det.N, a QuorumSize that is negative or set where no §5 FixedQuorum
+// threshold over the complete graph reads it, bad delay bounds, a fault plan
+// that does not fit N or comes with Sim.Link or Sim.Lifetimes, invalid
+// interposer options, or a negative heartbeat number, MaxTime or MaxEvents
 // (each would silently read as its zero: no fd layer, never suspect, no
 // horizon, the default cap).
 func (o Options) Validate() error {
 	if o.Det.N < 2 || o.Det.N > model.MaxProcs {
 		return fmt.Errorf("N = %d; need at least 2 processes and at most %d (model.MaxProcs, the largest id a history may name)", o.Det.N, model.MaxProcs)
 	}
-	if o.Det.T < 0 {
-		return fmt.Errorf("T = %d; the failure bound cannot be negative", o.Det.T)
+	if o.Det.T < 1 {
+		return fmt.Errorf("T = %d; the failure bound cannot be negative, and a §5 quorum needs at least 1", o.Det.T)
+	}
+	if o.Sim.N != 0 && o.Sim.N != o.Det.N {
+		return fmt.Errorf("Sim.N = %d; it must be 0 (set from Det.N) or Det.N = %d", o.Sim.N, o.Det.N)
 	}
 	if q := o.Det.QuorumSize; q != 0 {
 		// A fixed size is the §5 FixedQuorum threshold over all N processes:

@@ -80,26 +80,33 @@ func TestCrashAndSuspectInjection(t *testing.T) {
 
 // TestOptionsValidate: a fixed QuorumSize is the §5 FixedQuorum threshold
 // over the complete graph; anywhere else nothing reads it, or it overrides
-// what each pool computes for itself.
+// what each pool computes for itself. A T of 0 and a Sim.N other than Det.N
+// used to validate, and New then panicked building the quorum or attaching
+// a handler to a process the simulator did not have.
 func TestOptionsValidate(t *testing.T) {
 	gossip := topo.MustNew(topo.Spec{Kind: topo.KindGossip, Fanout: 2}, 6)
 	for _, c := range []struct {
 		name string
 		det  core.Config
+		simN int
 		want string // "" means valid
 	}{
-		{"default quorum", core.Config{N: 6, T: 2}, ""},
-		{"sfs below the bound", core.Config{N: 6, T: 2, QuorumSize: 3}, ""},
-		{"sfs fixed, named", core.Config{N: 6, T: 2, Protocol: core.SimulatedFailStop, Policy: core.FixedQuorum, QuorumSize: 5}, ""},
-		{"complete graph topology", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: topo.MustNew(topo.Spec{}, 6)}, ""},
-		{"default quorum under gossip", core.Config{N: 6, T: 2, Topology: gossip}, ""},
-		{"negative", core.Config{N: 6, T: 2, QuorumSize: -1}, "QuorumSize = -1"},
-		{"cheap", core.Config{N: 6, T: 2, Protocol: core.Cheap, QuorumSize: 3}, "QuorumSize = 3 applies to the sfs protocol only; cheap"},
-		{"unilateral", core.Config{N: 6, T: 2, Protocol: core.Unilateral, QuorumSize: 3}, "unilateral never reads it"},
-		{"all but suspected", core.Config{N: 6, T: 2, Policy: core.AllButSuspected, QuorumSize: 3}, "FixedQuorum"},
-		{"gossip", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: gossip}, "complete graph"},
+		{"default quorum", core.Config{N: 6, T: 2}, 0, ""},
+		{"sfs below the bound", core.Config{N: 6, T: 2, QuorumSize: 3}, 0, ""},
+		{"sfs fixed, named", core.Config{N: 6, T: 2, Protocol: core.SimulatedFailStop, Policy: core.FixedQuorum, QuorumSize: 5}, 0, ""},
+		{"complete graph topology", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: topo.MustNew(topo.Spec{}, 6)}, 0, ""},
+		{"default quorum under gossip", core.Config{N: 6, T: 2, Topology: gossip}, 0, ""},
+		{"negative", core.Config{N: 6, T: 2, QuorumSize: -1}, 0, "QuorumSize = -1"},
+		{"cheap", core.Config{N: 6, T: 2, Protocol: core.Cheap, QuorumSize: 3}, 0, "QuorumSize = 3 applies to the sfs protocol only; cheap"},
+		{"unilateral", core.Config{N: 6, T: 2, Protocol: core.Unilateral, QuorumSize: 3}, 0, "unilateral never reads it"},
+		{"all but suspected", core.Config{N: 6, T: 2, Policy: core.AllButSuspected, QuorumSize: 3}, 0, "FixedQuorum"},
+		{"gossip", core.Config{N: 6, T: 2, QuorumSize: 3, Topology: gossip}, 0, "complete graph"},
+		{"t = 0", core.Config{N: 5}, 0, "T = 0"},
+		{"sim n = det n", core.Config{N: 5, T: 1}, 5, ""},
+		{"sim n below det n", core.Config{N: 5, T: 1}, 3, "Sim.N = 3"},
+		{"sim n above det n", core.Config{N: 5, T: 1}, 7, "Sim.N = 7"},
 	} {
-		err := cluster.Options{Det: c.det}.Validate()
+		err := cluster.Options{Sim: sim.Config{N: c.simN}, Det: c.det}.Validate()
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
 		}

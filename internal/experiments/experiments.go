@@ -1,9 +1,10 @@
 // Package experiments reproduces every theorem, figure, and worked example
 // of the paper as a runnable experiment (the index is the README's
-// Experiments section; cmd/sfs-bench runs them). Each generator returns a
-// Result with a rendered table and an OK flag stating whether the paper's
-// claim held in this reproduction; cmd/sfs-bench prints them, the test
-// suite asserts every OK, and testdata/experiments.golden pins the output.
+// Experiments section; cmd/sfs-experiments runs them). Each generator
+// returns a Result with a rendered table and an OK flag stating whether the
+// paper's claim held in this reproduction; cmd/sfs-experiments prints them,
+// the test suite asserts every OK, and testdata/experiments.golden pins the
+// output.
 package experiments
 
 import (

@@ -16,8 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/experiments.golden from the current code")
 
 // TestExperimentsGolden holds every experiment's rendered output, in IDs
-// order, to the bytes cmd/sfs-bench prints for a full run. Nothing in it may
-// depend on the machine: not the worker count, not the wall clock.
+// order, to the bytes cmd/sfs-experiments prints for a full run. Nothing in
+// it may depend on the machine: not the worker count, not the wall clock.
 func TestExperimentsGolden(t *testing.T) {
 	var out bytes.Buffer
 	reg := Registry()

@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"runtime"
 	"testing"
 
 	"failstop/internal/adversary"
@@ -11,6 +12,7 @@ import (
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/sim"
+	"failstop/internal/topo"
 )
 
 // hbCluster gives every process an fd.Heartbeat beating every interval ticks
@@ -129,4 +131,42 @@ func TestHeartbeatPanicsWithoutInterval(t *testing.T) {
 		s.SetHandler(p, core.NewDetector(core.Config{N: 2, T: 1}, &fd.Heartbeat{}, nil))
 	}
 	s.Run()
+}
+
+// beatCtx is a context that only tells a heartbeat who it is and when.
+type beatCtx struct {
+	node.Context
+	p model.ProcID
+	n int
+}
+
+func (c beatCtx) Self() model.ProcID     { return c.p }
+func (c beatCtx) N() int                 { return c.n }
+func (c beatCtx) Now() int64             { return 0 }
+func (c beatCtx) SetTimer(string, int64) {}
+
+// TestHeartbeatFootprintSmall: a heartbeat monitors its detector's peers,
+// so at N = 10,000 over a gossip overlay its table follows the neighbourhood
+// (8 to 16 peers here), not N. Init allocates under 2 KiB; a table sized by
+// N, or by the largest id, would take at least 80 KB of slots alone.
+func TestHeartbeatFootprintSmall(t *testing.T) {
+	const n = 10_000
+	ctx := beatCtx{p: n / 2, n: n}
+	d := core.NewDetector(core.Config{N: n, T: 3, Topology: topo.MustNew(topo.Spec{Kind: topo.KindGossip, Fanout: 8}, n)}, nil, nil)
+	d.Init(ctx)
+	peers := 0
+	d.ForEachPeer(func(model.ProcID) { peers++ })
+	h := &fd.Heartbeat{Interval: 10, Timeout: 50}
+	h.Init(ctx, d)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2000; i++ {
+		h.Init(ctx, d)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / 2000
+	t.Logf("a heartbeat monitoring %d of %d processes allocated %d B at Init", peers, n, per)
+	if peers > 16 || per >= 2048 {
+		t.Errorf("a heartbeat monitoring %d of %d processes allocated %d B at Init, want at most 16 peers and < 2048 B", peers, n, per)
+	}
 }

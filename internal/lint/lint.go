@@ -22,6 +22,18 @@
 // Findings are suppressible only through `//sfs:allow <analyzer> <reason>`
 // annotations, which the driver itself validates: unknown analyzer names,
 // missing reasons, and stale allows (suppressing nothing) are findings too.
+//
+// The package also holds the repository's structural rules — one host.Core
+// for both hosts, one stack assembly, one rule set, 32-bit ids, retired
+// knobs that stay retired — as one table, Guards (guardtable.go), checked
+// by the "guards" analyzer over the module's source text. Each row is one of
+// four kinds: Once (a fixed string is in exactly one file), Retired (a
+// regexp matches no line of its scope), Count (exactly N lines of one file
+// match) and Imports (a package does not import another, directly or
+// through the module's packages). Every row carries its reason and the PR
+// that set it; no annotation suppresses one. Tier-1 runs the table over the
+// repository and plants a violation of every row (guards_test.go), so a
+// new rule is one row and nothing else.
 package lint
 
 import (
@@ -30,6 +42,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -117,7 +130,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass)
+	// Run checks one package; it is nil for AnalyzerGuards, which Run
+	// applies to the module once.
+	Run func(*Pass)
 }
 
 // Analyzers returns the full suite, in reporting order. The slice is fresh
@@ -129,6 +144,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerDetRand,
 		AnalyzerExhaustiveSwitch,
 		AnalyzerJSONTagComplete,
+		AnalyzerGuards,
 	}
 }
 
@@ -144,6 +160,9 @@ type Finding struct {
 }
 
 func (f Finding) String() string {
+	if f.Line == 0 { // a finding about a file or directory as a whole
+		return fmt.Sprintf("%s: %s: %s", f.File, f.Analyzer, f.Message)
+	}
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
@@ -201,9 +220,9 @@ func Run(opts Options) ([]Finding, error) {
 	if classify == nil {
 		classify = DefaultClassify
 	}
-	known := map[string]bool{}
+	known := map[string]bool{} // what an allow may name: not the guards
 	for _, a := range Analyzers() {
-		known[a.Name] = true
+		known[a.Name] = a.Run != nil
 	}
 
 	var findings []Finding
@@ -215,6 +234,9 @@ func Run(opts Options) ([]Finding, error) {
 		profile := classify(path)
 		var diags []Diagnostic
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     fset,
@@ -241,6 +263,15 @@ func Run(opts Options) ([]Finding, error) {
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
 			})
+		}
+	}
+	if slices.Contains(analyzers, AnalyzerGuards) && prog.ModulePath == guardModule {
+		rows, err := checkGuards(prog.ModuleDir, Guards)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			findings = append(findings, row...)
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
