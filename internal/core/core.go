@@ -492,7 +492,7 @@ func (d *Detector) Suspect(ctx node.Context, j model.ProcID) {
 	if d.cfg.Protocol != SimulatedFailStop {
 		r.senders.Add(d.self) // a baseline counts nobody: its quorum is {self} and never grows
 	}
-	ctx.EmitInternal("suspect", j)
+	ctx.EmitInternal(model.TagSuspect, j)
 	switch d.cfg.Protocol {
 	case Unilateral:
 		// §4 strawman: no communication at all.

@@ -316,7 +316,7 @@ func TestSuspectSelfAndDuplicatesIgnored(t *testing.T) {
 	// Exactly one "suspect 3" internal event from process 2.
 	count := 0
 	for _, e := range res.History {
-		if e.Kind == model.KindInternal && e.Tag == "suspect" && e.Proc == 2 && e.Target == 3 {
+		if e.Kind == model.KindInternal && e.Tag == model.TagSuspect && e.Proc == 2 && e.Target == 3 {
 			count++
 		}
 	}

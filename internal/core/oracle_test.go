@@ -158,7 +158,7 @@ func (d *mapDetector) Suspect(ctx node.Context, j model.ProcID) {
 		return
 	}
 	d.suspected[j] = true
-	ctx.EmitInternal("suspect", j)
+	ctx.EmitInternal(model.TagSuspect, j)
 	switch d.cfg.Protocol {
 	case Unilateral:
 		d.complete(ctx, j, []model.ProcID{d.self})

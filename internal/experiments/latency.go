@@ -14,7 +14,7 @@ func detectionLatencies(h model.History) []float64 {
 	var out []float64
 	for _, e := range h {
 		switch {
-		case e.Kind == model.KindInternal && e.Tag == "suspect":
+		case e.Kind == model.KindInternal && e.Tag == model.TagSuspect:
 			if _, ok := suspectedAt[e.Target]; !ok {
 				suspectedAt[e.Target] = e.Time
 			}

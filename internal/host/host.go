@@ -114,6 +114,21 @@ func (c *Core) CheckSend(from, to model.ProcID) {
 	}
 }
 
+// MaxDelay is the longest delay in ticks a host accepts: a bound of the
+// message delay distribution (sim.CheckDelayBounds) or a timer's delay
+// (CheckTimer). The clock is a sum of delays, one an event at most: at the
+// simulator's default MaxEvents (2²⁰) no run under this bound carries it past
+// 2⁶⁰.
+const MaxDelay = 1 << 40
+
+// CheckTimer panics on a timer delay above MaxDelay: its deadline would wrap
+// past the last tick a clock holds and read as already due.
+func (c *Core) CheckTimer(delay int64) {
+	if delay > MaxDelay {
+		panic(fmt.Sprintf("%s: SetTimer delay %d exceeds %d ticks (2^40: the clock must not overflow)", c.who, delay, int64(MaxDelay)))
+	}
+}
+
 // Number counts a checked send and returns its id, the send's ordinal. A live
 // host calls it under its recorder lock, so id order is history order.
 func (c *Core) Number() model.MsgID {
@@ -347,7 +362,7 @@ func (c *Core) Restart(p model.ProcID, now int64, h node.Handler, ctx node.Conte
 func (c *Core) Detection(now, cur int64, e model.Event) {
 	switch {
 	case c.Spans == nil:
-	case e.Kind == model.KindInternal && e.Tag == "suspect":
+	case e.Kind == model.KindInternal && e.Tag == model.TagSuspect:
 		c.Spans.Record(obs.Span{Parent: cur, Time: now, Kind: obs.SpanSuspect, Proc: e.Proc, Target: e.Target, Tag: e.Tag})
 	case e.Kind == model.KindFailed:
 		c.Spans.Record(obs.Span{Parent: cur, Time: now, Kind: obs.SpanCrashConfirm, Proc: e.Proc, Target: e.Target})

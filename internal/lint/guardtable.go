@@ -129,4 +129,11 @@ var Guards = []Guard{
 	{Kind: Retired, Pattern: `nextMsg|checkProc`, Scope: []string{"internal/runtime"}, Reason: "a message's id is its send's ordinal and ids are checked by host.Core: no host keeps its own counter or check", PR: 35},
 	{Kind: Retired, Pattern: `type LiveOptions struct`, Reason: "one Options describes a scenario for either host: NewLiveCluster takes it plus failstop.Live", PR: 36},
 	{Kind: Retired, Pattern: `sfs-bench`, Reason: "the experiment runner is cmd/sfs-experiments, not to be confused with bench/, the performance benchmark", PR: 37},
+
+	// The simulator records an event as the model.Event its history returns;
+	// the suspicion tag and a timer's delay bound are each written once.
+	{Kind: Retired, Pattern: `func \(s \*Sim\) tagID\(`, Scope: []string{"internal/sim"}, Reason: "an event keeps its own tag: the per-run tag table stays deleted", PR: 38},
+	{Kind: Retired, Pattern: `type rec struct`, Scope: []string{"internal/sim"}, Reason: "a record page holds model.Events: the compact record and its per-field rebuild stay deleted", PR: 38},
+	{Kind: Retired, Pattern: `(Tag\s*(==|!=|:)\s*|EmitInternal\(|Internal\([^,]+,\s*)"suspect"`, Reason: "the suspicion tag is model.TagSuspect, written out once, in internal/model", PR: 38},
+	{Kind: Once, Pattern: "SetTimer delay %d exceeds", Reason: "host.Core alone bounds a timer's delay, for either host", PR: 38},
 }

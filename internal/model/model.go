@@ -62,6 +62,11 @@ const (
 	KindInternal
 )
 
+// TagSuspect is the internal-event tag recording that Proc suspects Target:
+// the start of a detection, which the §5 detector emits and latency,
+// false-suspicion and span accounting read.
+const TagSuspect = "suspect"
+
 // String returns the paper's name for the event kind.
 func (k Kind) String() string {
 	switch k {

@@ -46,7 +46,9 @@ type Context interface {
 	Send(to model.ProcID, p Payload)
 	// SetTimer schedules OnTimer(name) after delay ticks, replacing any
 	// pending timer with the same name. A negative delay is a delay of 0: the
-	// timer is due now, and fires after whatever else is already due.
+	// timer is due now, and fires after whatever else is already due. A delay
+	// above 2⁴⁰ ticks (host.MaxDelay, the bound on a message delay) panics at
+	// the call, as a send to self does.
 	SetTimer(name string, delay int64)
 	// CancelTimer cancels the pending timer with the given name, if any.
 	CancelTimer(name string)

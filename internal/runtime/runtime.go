@@ -222,7 +222,20 @@ func (n *Net) Do(p model.ProcID, fn func(node.Context)) {
 func (n *Net) elapsed() time.Duration { return time.Since(n.start) }
 
 // at is the time since Start at which tick begins.
-func (n *Net) at(tick int64) time.Duration { return time.Duration(tick) * n.cfg.Tick }
+func (n *Net) at(tick int64) time.Duration { return n.after(0, tick) }
+
+// after is the time ticks ticks after since (≥ 0), saturating at either end of
+// time.Duration: under any Tick, no tick count wraps to a deadline on the
+// wrong side of now.
+func (n *Net) after(since time.Duration, ticks int64) time.Duration {
+	switch tick := int64(n.cfg.Tick); {
+	case ticks > (math.MaxInt64-int64(since))/tick:
+		return math.MaxInt64
+	case ticks < math.MinInt64/tick:
+		return math.MinInt64
+	}
+	return since + time.Duration(ticks)*n.cfg.Tick
+}
 
 func (n *Net) nowTicks() int64 {
 	return int64(n.elapsed() / n.cfg.Tick)
@@ -515,8 +528,7 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 	}
 	q := dst.queues[p.self]
 	for _, c := range p.copies {
-		d := net.delay() + time.Duration(c.Extra)*net.cfg.Tick
-		msg := liveMsg{id: id, payload: c.Wire, readyAt: net.elapsed() + d, parked: c.Park, span: c.Span}
+		msg := liveMsg{id: id, payload: c.Wire, readyAt: net.after(net.elapsed()+net.delay(), c.Extra), parked: c.Park, span: c.Span}
 		if c.Reorder && len(q) > 1 {
 			// Overtake the current tail: a pairwise FIFO violation.
 			tail := len(q) - 1
@@ -535,8 +547,9 @@ func (p *proc) SetTimer(name string, delayTicks int64) {
 	if p.gone() {
 		return
 	}
+	p.net.core.CheckTimer(delayTicks)
 	p.CancelTimer(name)
-	p.push(deadline{at: p.net.elapsed() + p.net.at(delayTicks), kind: timerDeadline, name: name})
+	p.push(deadline{at: p.net.after(p.net.elapsed(), delayTicks), kind: timerDeadline, name: name})
 }
 
 func (p *proc) CancelTimer(name string) {

@@ -11,6 +11,7 @@ import (
 
 	"failstop/internal/checker"
 	"failstop/internal/core"
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/recovery"
@@ -509,10 +510,10 @@ func (h initOnly) Init(ctx node.Context)                            { h.init(ctx
 func (initOnly) OnMessage(node.Context, model.ProcID, node.Payload) {}
 func (initOnly) OnTimer(node.Context, string)                       {}
 
-// recoverSend runs send and returns what it panicked with, nil if nothing.
-func recoverSend(send func()) (r any) {
+// recovered runs call and returns what it panicked with, nil if nothing.
+func recovered(call func()) (r any) {
 	defer func() { r = recover() }()
-	send()
+	call()
 	return nil
 }
 
@@ -526,7 +527,7 @@ func TestMessageIDsFitTheSlot(t *testing.T) {
 	var second any
 	net.SetHandler(1, initOnly{func(ctx node.Context) {
 		ctx.Send(2, node.Payload{Tag: "last"})
-		second = recoverSend(func() { ctx.Send(2, node.Payload{Tag: "one too many"}) })
+		second = recovered(func() { ctx.Send(2, node.Payload{Tag: "one too many"}) })
 	}})
 	c2 := &collector{}
 	net.SetHandler(2, c2)
@@ -552,7 +553,7 @@ func TestSendToSelfPanics(t *testing.T) {
 	var got []string
 	net.SetHandler(1, initOnly{func(ctx node.Context) {
 		for _, to := range []model.ProcID{1, 0, 3} {
-			got = append(got, fmt.Sprint(recoverSend(func() { ctx.Send(to, node.Payload{Tag: "X"}) })))
+			got = append(got, fmt.Sprint(recovered(func() { ctx.Send(to, node.Payload{Tag: "X"}) })))
 		}
 	}})
 	net.SetHandler(2, &collector{})
@@ -565,5 +566,52 @@ func TestSendToSelfPanics(t *testing.T) {
 	}
 	if h := net.History(); len(h) != 0 {
 		t.Errorf("refused sends recorded %v", h)
+	}
+}
+
+// timerLog runs init as its Init and sends the name of every timer it fires
+// to fired.
+type timerLog struct {
+	init  func(node.Context)
+	fired chan string
+}
+
+func (h timerLog) Init(ctx node.Context)                            { h.init(ctx) }
+func (timerLog) OnMessage(node.Context, model.ProcID, node.Payload) {}
+func (h timerLog) OnTimer(_ node.Context, name string)              { h.fired <- name }
+
+// TestTimerDelayBounded, the live twin of the simulator's: a delay past
+// host.MaxDelay panics at the call, naming the bound, and one at the bound
+// does not wrap under a tick of 2²³ ns, where it is exactly 2⁶³ ns. The
+// deadline used to wrap to a time long past, so "edge" fired before "now".
+func TestTimerDelayBounded(t *testing.T) {
+	cfg := fastCfg(1, 1)
+	cfg.Tick = 1 << 23
+	net := runtime.New(cfg)
+	fired := make(chan string, 2)
+	var refused []any
+	net.SetHandler(1, timerLog{init: func(ctx node.Context) {
+		for _, delay := range []int64{math.MaxInt64, host.MaxDelay + 1} {
+			refused = append(refused, recovered(func() { ctx.SetTimer("far", delay) }))
+		}
+		ctx.SetTimer("edge", host.MaxDelay)
+		ctx.SetTimer("now", 0)
+	}, fired: fired})
+	net.Start() // Init runs on this goroutine
+	var first string
+	select {
+	case first = <-fired:
+	case <-time.After(2 * time.Second):
+	}
+	net.Stop()
+	if first != "now" {
+		t.Errorf("first timer to fire was %q, want \"now\"", first)
+	}
+	want := []any{
+		"runtime: SetTimer delay 9223372036854775807 exceeds 1099511627776 ticks (2^40: the clock must not overflow)",
+		"runtime: SetTimer delay 1099511627777 exceeds 1099511627776 ticks (2^40: the clock must not overflow)",
+	}
+	if !reflect.DeepEqual(refused, want) {
+		t.Errorf("refused delays panicked with %q, want %q", refused, want)
 	}
 }

@@ -88,8 +88,12 @@ func BenchmarkSimHotPath(b *testing.B) {
 // BenchmarkSimHotPathObs is BenchmarkSimHotPath with a metrics registry
 // attached: the observability plane's overhead on the hottest path. The
 // instruments are embedded zero-value atomics, so attaching a registry
-// costs registration (a handful of map inserts per run) and nothing per
-// message; TestObsAllocBudget gates its allocs/op at ≤ 16 over the bare one.
+// costs registration (a handful of map inserts per run) and no allocation
+// per message; TestObsAllocBudget gates its allocs/op at ≤ 16 over the bare
+// one. The counters are not free per message, registry or not: every send
+// and every receive pays a locked read-modify-write (Sent.Inc in
+// host.Core.Number, Delivered.Inc in Receive), since the live host updates
+// the same counters from many goroutines.
 func BenchmarkSimHotPathObs(b *testing.B) {
 	const n, rounds = 10, 20
 	want := runFloodObs(n, rounds, 1, obs.NewRegistry())

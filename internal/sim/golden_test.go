@@ -315,7 +315,7 @@ func TestGoldenHistories(t *testing.T) {
 
 // TestGoldenHistoriesFromPoisonedPages runs the pinned scenarios on several
 // goroutines at once, out of record pages and occurrence pages filled with
-// garbage: a record or a bucket entry read before the run wrote it, or a page
+// garbage: an event or a bucket entry read before the run wrote it, or a page
 // two live runs share, moves a digest (or indexes a table out of range). Run
 // it under -race.
 func TestGoldenHistoriesFromPoisonedPages(t *testing.T) {
@@ -323,7 +323,7 @@ func TestGoldenHistoriesFromPoisonedPages(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		pg := new(recPage)
 		for j := range pg {
-			pg[j] = rec{time: -1, msg: -1, proc: -1, peer: -1, target: -1, kindTag: ^uint32(0)}
+			pg[j] = model.Event{Seq: -1, Proc: -1, Kind: ^model.Kind(0), Peer: -1, Target: -1, Msg: -1, Tag: "poison", Time: -1}
 		}
 		recPages.Put(pg)
 	}

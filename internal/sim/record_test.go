@@ -1,4 +1,4 @@
-// Tests of the recording and the event queue as data: what a compact record
+// Tests of the recording and the event queue as data: what a recorded event
 // must give back, how big the two per-event structures may be, and what a
 // run's history may cost in bytes.
 package sim
@@ -85,8 +85,8 @@ func TestRecordedEventsEqualConstructors(t *testing.T) {
 }
 
 // TestHostileTags: a run that never stops inventing tags records and gives
-// back each of them, the empty tag among them — the tag table neither wraps
-// at 65,536 nor is searched linearly.
+// back each of them, the empty tag among them — a recorded event holds its
+// own tag, so no number of distinct tags is too many.
 func TestHostileTags(t *testing.T) {
 	const tags = 70_000
 	s := New(Config{N: 2, Seed: 1})
@@ -144,25 +144,23 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestQueueAndRecordLayout holds the two structures written once per event
-// to half a cache line and no pointers — the queue's entries and the record
-// pages are never scanned, and the pages may be reused without being cleared
-// — an occurrence to the four fields the compiler will keep in registers, a
-// message slot to exactly one cache line, a due batch to a quarter of one and
-// a link to half of one. It also holds model.Event, which every history is an
-// array of, to 48 bytes and its fields to their order, which is the key order
-// of every trace: a field added or widened there grows every recorded run.
+// TestQueueAndRecordLayout holds an occurrence, written once per event to the
+// queue, to half a cache line and no pointers — the queue's pages are never
+// scanned and may be reused without being cleared — and to the four fields
+// the compiler will keep in registers; a message slot to exactly one cache
+// line, a due batch to a quarter of one and a link to half of one. It also
+// holds model.Event, which a record page and every history are arrays of, to
+// 48 bytes and its fields to their order, which is the key order of every
+// trace: a field added or widened there grows every recorded run.
 func TestQueueAndRecordLayout(t *testing.T) {
-	for _, v := range []any{occurrence{}, rec{}} {
-		typ := reflect.TypeOf(v)
-		if typ.Size() > 32 {
-			t.Errorf("%v is %d bytes, want <= 32", typ, typ.Size())
-		}
-		if hasPointers(typ) {
-			t.Errorf("%v holds a pointer", typ)
-		}
+	typ := reflect.TypeOf(occurrence{})
+	if typ.Size() > 32 {
+		t.Errorf("%v is %d bytes, want <= 32", typ, typ.Size())
 	}
-	if n := reflect.TypeOf(occurrence{}).NumField(); n > 4 {
+	if hasPointers(typ) {
+		t.Errorf("%v holds a pointer", typ)
+	}
+	if n := typ.NumField(); n > 4 {
 		t.Errorf("occurrence has %d fields, want <= 4: every copy of one goes through memory", n)
 	}
 	if size := unsafe.Sizeof(pendingMsg{}); size != 64 {

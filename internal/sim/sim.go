@@ -90,17 +90,17 @@
 //     is to fire it, and sequence numbers are never reused: an occurrence
 //     that was replaced, cancelled, or armed by an incarnation that has
 //     since crashed matches no slot, whatever the name is used for later.
-//   - History. Each event is written once, as a 32-byte pointer-free record
-//     (its Seq is its index, its Tag an index into a per-run tag table), into
-//     fixed-size pages that runs hand to one another through a pool and never
-//     clear: nothing is outgrown, re-copied or zeroed while the run records,
-//     and nothing recorded is scanned. Run builds Result.History from the
-//     pages once, at its exact length. That one run-sized allocation is the
-//     recording's main cost: the runtime clears it before it is filled, and
-//     the two passes are ≈ 6 % of a run at N=10,000 (31 MB) and ≈ 13 % at
-//     n=10 (169 KiB) — unless a released Result left an array long enough,
-//     which is then filled in place. A record holds every id a model.Event
-//     can: both are 32 bits wide.
+//   - History. Each event is written once, as the model.Event the history
+//     returns (its Seq is its index, its Time the tick), into pages of 1,024
+//     events that runs hand to one another through a pool and never clear:
+//     nothing is outgrown, re-copied or zeroed while the run records. Run
+//     copies the pages into Result.History once, one copy a page, at its exact
+//     length — into the array a released Result left, when that is long
+//     enough. Recording and copying are ≈ 17 % of a flood run at n=10
+//     (BenchmarkSimHotPath, 169 KiB of history; they were ≈ 26 % when an
+//     event was stored as a compact record and rebuilt field by field).
+//     Three quarters of the copy's part is allocating the fresh array, which
+//     the runtime clears before the copy fills it.
 //   - Recycling. A Sim is single-use, but what it built is not: the process
 //     table with each row's and gate list's capacity, the handler table, the
 //     slab's pages, the link arena's chunks, the overflow heap's array, the
@@ -152,25 +152,21 @@ import (
 // channel behind it) for the remainder of the run.
 type DelayFn func(from, to model.ProcID, p node.Payload, at int64) int64
 
-// maxDelayBound is the largest MinDelay or MaxDelay accepted. The clock is a
-// sum of delays, one an event at most: at the default MaxEvents (2²⁰) no run
-// under this bound carries it past 2⁶⁰.
-const maxDelayBound = 1 << 40
-
 // CheckDelayBounds rejects a MinDelay or MaxDelay that is negative or above
-// 2⁴⁰. A DelayFn may park one message with a negative delay; a negative bound
-// would have the default distribution park every message of the run. A bound
-// near MaxInt64 overflows the width the distribution draws from, or carries
-// the clock past MaxInt64 to a negative time, which reads as "parked". It is
-// the one check behind New and cluster.Options.Validate (and so the facade's
-// Options and sweep.Spec), and behind the live delays of the facade's Live;
-// each entry point puts the name of its own struct and a dot before the error.
+// host.MaxDelay (2⁴⁰). A DelayFn may park one message with a negative delay;
+// a negative bound would have the default distribution park every message of
+// the run. A bound near MaxInt64 overflows the width the distribution draws
+// from, or carries the clock past MaxInt64 to a negative time, which reads as
+// "parked". It is the one check behind New and cluster.Options.Validate (and
+// so the facade's Options and sweep.Spec), and behind the live delays of the
+// facade's Live; each entry point puts the name of its own struct and a dot
+// before the error.
 func CheckDelayBounds(min, max int64) error {
 	if min < 0 || max < 0 {
 		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot be negative (no message arrives before it is sent)", min, max)
 	}
-	if min > maxDelayBound || max > maxDelayBound {
-		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot exceed %d (2^40: the clock is a sum of delays and must not overflow)", min, max, int64(maxDelayBound))
+	if min > host.MaxDelay || max > host.MaxDelay {
+		return fmt.Errorf("MinDelay = %d, MaxDelay = %d: a delay bound cannot exceed %d (2^40: the clock is a sum of delays and must not overflow)", min, max, int64(host.MaxDelay))
 	}
 	return nil
 }
@@ -194,8 +190,10 @@ type Config struct {
 	// MaxTime stops the simulation once the next occurrence would be later
 	// than this horizon. 0 means no horizon (run to quiescence).
 	MaxTime int64
-	// MaxEvents caps the history length as a runaway-protocol safeguard.
-	// Default: 1 << 20.
+	// MaxEvents stops a runaway protocol: before each occurrence after the
+	// Inits, Run stops if the history already holds MaxEvents events. It is
+	// not a cap on the history's length: the Inits and the occurrence that
+	// crosses it record every event they emit. Default: 1 << 20.
 	MaxEvents int
 	// Metrics, when non-nil, exposes the simulator's counters (and those of
 	// attached layers) through a shared registry for live snapshots. The
@@ -490,7 +488,9 @@ const (
 	// StopMaxTime: the next occurrence would have been later than
 	// Config.MaxTime.
 	StopMaxTime
-	// StopMaxEvents: the history reached Config.MaxEvents.
+	// StopMaxEvents: an occurrence was due when the history held
+	// Config.MaxEvents events or more — possibly many more, as one
+	// occurrence records all it emits (see Config.MaxEvents).
 	StopMaxEvents
 )
 
@@ -677,17 +677,14 @@ type Sim struct {
 	free      int32     // head of the slab's free list
 	spanOf    []int64   // per slab slot: its message's enqueue span id; nil without Config.Spans
 
-	// The recording: nrec records in pages, the last of them page. pages,
-	// tags and injects start out in the arrays below: a sweep-cell-sized
-	// run allocates none of the three.
+	// The recording: nrec events in pages, the last of them page. pages and
+	// injects start out in the arrays below: a sweep-cell-sized run
+	// allocates neither.
 	pages     []*recPage
 	page      *recPage
 	nrec      int
-	tags      []string          // tag table; tags[0] is the empty tag
-	tagIdx    map[string]uint32 // index into tags, once a scan of it would be long
 	injects   []func(node.Context)
 	pageBuf   [8]*recPage
-	tagBuf    [16]string
 	injectBuf [8]func(node.Context)
 
 	// core is what this host shares with the live runtime: the rules of a
@@ -747,7 +744,7 @@ func New(cfg Config) *Sim {
 	if cfg.Spans != nil {
 		s.spanOf = make([]int64, len(s.slab)*slabPageLen)
 	}
-	s.pages, s.tags, s.injects, s.copies = s.pageBuf[:0], s.tagBuf[:1], s.injectBuf[:0], s.copyBuf[:0]
+	s.pages, s.injects, s.copies = s.pageBuf[:0], s.injectBuf[:0], s.copyBuf[:0]
 	for p := range s.ctxs {
 		c := &s.ctxs[p]
 		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
@@ -1269,41 +1266,31 @@ func (s *Sim) restart(c *procCtx) {
 	s.afterEvent(c)
 }
 
-// rec is one recorded event (see the package comment).
-type rec struct {
-	time               int64
-	msg                model.MsgID
-	proc, peer, target model.ProcID
-	kindTag            uint32 // model.Kind in the low recKindBits, then the tag index
-}
-
 const (
-	recKindBits = 3
-
 	recPageBits = 10
 	recPageLen  = 1 << recPageBits
 )
 
 // recPage is a page of the recording. Pages are handed from run to run
-// through recPages and never zeroed: a run writes every record below nrec
-// before materialize reads it, and reads none above.
-type recPage [recPageLen]rec
+// through recPages and never cleared: a run writes every event below nrec
+// before materialize reads it, and reads none above. A stale event pins at
+// most its tag until the pool drops the page.
+type recPage [recPageLen]model.Event
 
 var recPages = sync.Pool{New: func() any { return new(recPage) }}
 
-// record appends e to the recording at the current time.
+// record appends e to the recording as the event the history returns: its
+// Seq is its index, its Time the current tick.
 func (s *Sim) record(e model.Event) {
 	i := s.nrec & (recPageLen - 1)
 	if i == 0 {
 		s.page = recPages.Get().(*recPage)
 		s.pages = append(s.pages, s.page)
 	}
-	s.page[i] = rec{
-		time: s.now, msg: e.Msg, proc: e.Proc, peer: e.Peer, target: e.Target,
-		kindTag: uint32(e.Kind) | s.tagID(e.Tag)<<recKindBits,
-	}
+	e.Seq, e.Time = int32(s.nrec), s.now
+	s.page[i] = e
 	s.nrec++
-	if e.Kind == model.KindInternal && e.Tag == "suspect" {
+	if e.Kind == model.KindInternal && e.Tag == model.TagSuspect {
 		s.suspects++
 	}
 	if s.cfg.Spans != nil { // checked here too: it keeps the call off the per-event path
@@ -1311,37 +1298,7 @@ func (s *Sim) record(e model.Event) {
 	}
 }
 
-// tagID returns tag's index in the tag table, adding it if it is new. A run
-// uses a handful of tags and finds one by scanning them (equal tags are
-// nearly always the same constant, so a comparison is a pointer check); a
-// run that outgrows the table's first array gets a map to look them up in.
-func (s *Sim) tagID(tag string) uint32 {
-	if s.tagIdx == nil {
-		for id, t := range s.tags {
-			if t == tag {
-				return uint32(id)
-			}
-		}
-	} else if id, ok := s.tagIdx[tag]; ok {
-		return id
-	}
-	id := uint32(len(s.tags))
-	if id >= 1<<(32-recKindBits) {
-		panic("sim: more distinct tags than a record can index")
-	}
-	s.tags = append(s.tags, tag)
-	if s.tagIdx == nil && len(s.tags) > len(s.tagBuf) {
-		s.tagIdx = make(map[string]uint32, 2*len(s.tags))
-		for id, t := range s.tags {
-			s.tagIdx[t] = uint32(id)
-		}
-	} else if s.tagIdx != nil {
-		s.tagIdx[tag] = id
-	}
-	return id
-}
-
-// materialize builds the history from the recording, once and at its exact
+// materialize copies the recording into the history, once and at its exact
 // length — in h's array when a released Result left one long enough — and
 // hands the pages on to the next run.
 func (s *Sim) materialize(h model.History) model.History {
@@ -1350,15 +1307,7 @@ func (s *Sim) materialize(h model.History) model.History {
 	}
 	h = h[:s.nrec]
 	for pi, pg := range s.pages {
-		out := h[pi<<recPageBits:]
-		for i := range out[:min(len(out), recPageLen)] {
-			r := &pg[i]
-			out[i] = model.Event{
-				Seq: int32(pi<<recPageBits + i), Proc: r.proc, Kind: model.Kind(r.kindTag & (1<<recKindBits - 1)),
-				Peer: r.peer, Target: r.target, Msg: r.msg,
-				Tag: s.tags[r.kindTag>>recKindBits], Time: r.time,
-			}
-		}
+		copy(h[pi<<recPageBits:], pg[:])
 		recPages.Put(pg)
 	}
 	s.pages, s.page = nil, nil
@@ -1454,6 +1403,7 @@ func (c *procCtx) SetTimer(name string, delay int64) {
 	if c.gone() {
 		return
 	}
+	s.core.CheckTimer(delay)
 	i := c.timer(name)
 	if i < 0 { // a new name takes over an unarmed slot, or a new one
 		i = slices.IndexFunc(c.timers, func(t timerSlot) bool { return t.armed == unarmed })

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 )
@@ -334,6 +335,46 @@ func TestPastOccurrenceFiresThisTickInOrder(t *testing.T) {
 	}
 }
 
+// TestTimerDelayBounded: a timer's delay is bounded like a message's. One at
+// the bound fires 2⁴⁰ ticks on; one past it panics at the call, naming the
+// bound — SetTimer("far", math.MaxInt64) used to wrap now+delay negative, which
+// reads as already due, and fire at once.
+func TestTimerDelayBounded(t *testing.T) {
+	s := New(Config{N: 1, Seed: 1})
+	var fired []string
+	var refused []any
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) { ctx.SetTimer("go", 5) },
+		onTimer: func(ctx node.Context, name string) {
+			fired = append(fired, fmt.Sprintf("%s@%d", name, ctx.Now()))
+			if name != "go" {
+				return
+			}
+			for _, delay := range []int64{math.MaxInt64, host.MaxDelay + 1} {
+				func() {
+					defer func() { refused = append(refused, recover()) }()
+					ctx.SetTimer("far", delay)
+				}()
+			}
+			ctx.SetTimer("edge", host.MaxDelay)
+		},
+	})
+	res := s.Run()
+	if want := []string{"go@5", fmt.Sprintf("edge@%d", 5+host.MaxDelay)}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+	want := []any{
+		"sim: SetTimer delay 9223372036854775807 exceeds 1099511627776 ticks (2^40: the clock must not overflow)",
+		"sim: SetTimer delay 1099511627777 exceeds 1099511627776 ticks (2^40: the clock must not overflow)",
+	}
+	if !reflect.DeepEqual(refused, want) {
+		t.Errorf("refused delays panicked with %q, want %q", refused, want)
+	}
+	if res.Stop != StopDrained || res.EndTime != 5+host.MaxDelay {
+		t.Errorf("stop %v at %d, want drained at %d", res.Stop, res.EndTime, 5+host.MaxDelay)
+	}
+}
+
 // TestMessageIDsFitTheSlot: the last id a model.MsgID can hold is sent and
 // delivered under its own number; the send after it panics instead of
 // wrapping onto a negative id.
@@ -502,6 +543,24 @@ func TestMaxEventsCap(t *testing.T) {
 	}
 	if len(res.History) > 51 {
 		t.Errorf("history len %d exceeds cap", len(res.History))
+	}
+}
+
+// TestMaxEventsCheckedBetweenOccurrences pins what MaxEvents is: a check
+// before each occurrence, not a cap on the history. One Init that sends 100
+// messages records all 100 under MaxEvents 10, and the run stops before the
+// first delivery.
+func TestMaxEventsCheckedBetweenOccurrences(t *testing.T) {
+	s := New(Config{N: 2, Seed: 1, MaxEvents: 10})
+	s.SetHandler(1, &scriptHandler{init: func(ctx node.Context) {
+		for i := 0; i < 100; i++ {
+			ctx.Send(2, node.Payload{Tag: "M"})
+		}
+	}})
+	s.SetHandler(2, idle())
+	res := s.Run()
+	if res.Stop != StopMaxEvents || len(res.History) != 100 || res.Delivered != 0 {
+		t.Errorf("stop %v with %d events and %d deliveries, want max-events with the 100 sends and none", res.Stop, len(res.History), res.Delivered)
 	}
 }
 

@@ -581,7 +581,7 @@ func falseSuspicion(h model.History, n int) bool {
 		switch e := &h[i]; {
 		case e.Kind == model.KindCrash && e.Proc > 0 && int(e.Proc) <= n:
 			crashed[e.Proc] = true
-		case e.Kind == model.KindInternal && e.Tag == "suspect":
+		case e.Kind == model.KindInternal && e.Tag == model.TagSuspect:
 			if e.Target <= 0 || int(e.Target) > n || !crashed[e.Target] {
 				return true
 			}

@@ -536,7 +536,7 @@ func TestMixedScheduleSmallClusters(t *testing.T) {
 // one search of the whole history for the target's first crash per suspicion.
 func falseSuspicionByRescan(h model.History) bool {
 	for idx, e := range h {
-		if e.Kind == model.KindInternal && e.Tag == "suspect" {
+		if e.Kind == model.KindInternal && e.Tag == model.TagSuspect {
 			if ci := h.CrashIndex(e.Target); ci < 0 || ci > idx {
 				return true
 			}
@@ -548,7 +548,7 @@ func falseSuspicionByRescan(h model.History) bool {
 // One pass carrying "has crashed so far" answers what a rescan per suspicion
 // answers; a restart between the crash and the suspicion changes nothing.
 func TestFalseSuspicionMatchesRescan(t *testing.T) {
-	suspect := func(i, j model.ProcID) model.Event { return model.Internal(i, "suspect", j) }
+	suspect := func(i, j model.ProcID) model.Event { return model.Internal(i, model.TagSuspect, j) }
 	for _, c := range []struct {
 		h    model.History
 		want bool
