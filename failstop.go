@@ -108,8 +108,10 @@ type (
 	Metrics = obs.Metrics
 	// MetricsRegistry is a name table of the counters and gauges a run's
 	// layers register (the simulator or live runtime, the fault plane);
-	// pass one in Options.Metrics to observe them live (they are atomic)
-	// rather than only in the final report.
+	// pass one in Options.Metrics to observe them live rather than only in
+	// the final report. They are atomic, safe to read from any goroutine;
+	// the host counters refresh as of the simulator's last finished tick,
+	// or a live process's last finished step.
 	MetricsRegistry = obs.Registry
 	// Span is one message-lifecycle trace span (send, fault fate, enqueue,
 	// deliver, drop, retransmit, suspect, crash-confirm) with a causal

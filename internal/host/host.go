@@ -21,12 +21,42 @@ import (
 )
 
 // Counters are the instruments every host keeps. They are values: zero-cost
-// without a registry, registered by pointer with one. The process-fault
-// counters are reported only for runs that have lifetimes, so fault-free
-// snapshots never grow.
+// without a registry, registered by pointer with one. They are atomic, so a
+// registry or Snapshot reads them while the run goes on, and no step writes
+// them: a step counts into its Tally with plain adds, and the host publishes
+// its tallies — the simulator as its clock advances, a live worker after each
+// step — so a reading is as fresh as the last tick or step finished. The
+// process-fault counters are reported only for runs that have lifetimes, so
+// fault-free snapshots never grow.
 type Counters struct {
 	Sent, Delivered, Dropped, Duplicated, TimersFired obs.Counter
 	PlanCrashes, Restarts, Recovered                  obs.Counter
+}
+
+// Tally is what the steps of one writer — the simulator, a live worker — have
+// counted since it last published: the Counters, as plain integers.
+type Tally struct {
+	Sent, Delivered, Dropped, Duplicated, TimersFired int64
+	PlanCrashes, Restarts, Recovered                  int64
+}
+
+// Publish adds t into the Counters and zeroes it. Sent goes first, so what one
+// writer has published never shows more receives than sends.
+func (c *Core) Publish(t *Tally) {
+	add := func(ctr *obs.Counter, v int64) {
+		if v != 0 {
+			ctr.Add(v)
+		}
+	}
+	add(&c.Sent, t.Sent)
+	add(&c.Delivered, t.Delivered)
+	add(&c.Dropped, t.Dropped)
+	add(&c.Duplicated, t.Duplicated)
+	add(&c.TimersFired, t.TimersFired)
+	add(&c.PlanCrashes, t.PlanCrashes)
+	add(&c.Restarts, t.Restarts)
+	add(&c.Recovered, t.Recovered)
+	*t = Tally{}
 }
 
 // Names holds a host's metric names in Counters order; the first alwaysNamed
@@ -55,6 +85,11 @@ type Core struct {
 	Lifetimes []recovery.Lifetime
 	Recovery  recovery.Mode
 	Store     recovery.Store
+	// LastID is the last id Number handed out. It is a plain integer: a host
+	// serializes its sends' numbering (the simulator runs on one goroutine, a
+	// live host numbers under its recorder lock). A test presets it to send
+	// near the last id.
+	LastID model.MsgID
 	Counters
 	who string // the host's name, which prefixes its panics
 	n   int    // the processes are 1..n
@@ -99,18 +134,15 @@ func (c *Core) CheckProc(call string, p model.ProcID) {
 	}
 }
 
-// CheckSend panics on a send to oneself, to no process, or past the last id a
-// model.MsgID holds. A live host calls it before it takes its recorder lock,
-// so a recovered panic cannot leave that held (and two live senders racing
-// for the last id can both pass).
+// CheckSend panics on a send to oneself or to no process. A live host calls it
+// before it takes its recorder lock, so a recovered panic cannot leave that
+// held.
 func (c *Core) CheckSend(from, to model.ProcID) {
 	switch {
 	case to == from:
 		panic(c.who + ": send to self not supported (count self-quorum locally)")
 	case to < 1 || int(to) > c.n:
 		panic(fmt.Sprintf("%s: send to invalid process %d", c.who, to))
-	case c.Sent.Value() >= math.MaxInt32:
-		panic(c.who + ": more messages than a model.MsgID can number")
 	}
 }
 
@@ -129,11 +161,23 @@ func (c *Core) CheckTimer(delay int64) {
 	}
 }
 
-// Number counts a checked send and returns its id, the send's ordinal. A live
-// host calls it under its recorder lock, so id order is history order.
-func (c *Core) Number() model.MsgID {
-	c.Sent.Inc()
-	return model.MsgID(c.Sent.Value())
+// Number counts a checked send into t and returns its id, the send's ordinal.
+// A live host calls it under its recorder lock, so id order is history order
+// and two senders racing for the last id a model.MsgID holds cannot both have
+// it. Once that id is taken Number counts nothing and returns 0: the host lets
+// go of its lock, then calls OutOfIDs.
+func (c *Core) Number(t *Tally) model.MsgID {
+	if c.LastID == math.MaxInt32 {
+		return 0
+	}
+	c.LastID++
+	t.Sent++
+	return c.LastID
+}
+
+// OutOfIDs panics for a send Number found no id for.
+func (c *Core) OutOfIDs() {
+	panic(c.who + ": more messages than a model.MsgID can number")
 }
 
 // Layers is what the interposers of a run report, summed over its processes.
@@ -204,14 +248,15 @@ type Copy struct {
 }
 
 // Route is a numbered send after the host has recorded its send event: it
-// asks the link for the message's fate, records the send → fate → drop or
-// enqueue spans of a sampled message (cur is the span of the callback doing
-// the send), and returns in into's array the copies the network delivers —
-// Copies() of the (possibly replaced) wire payload, then the replay ghost.
+// asks the link for the message's fate, counts a drop or duplicates into t,
+// records the send → fate → drop or enqueue spans of a sampled message (cur is
+// the span of the callback doing the send), and returns in into's array the
+// copies the network delivers — Copies() of the (possibly replaced) wire
+// payload, then the replay ghost.
 // The host queues them in order, each after its base delay plus Extra, at the
 // tail or under Reorder one before it. The decision stays a value: a pointer
 // would make every send allocate. Live hosts hold no process lock here.
-func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload, into []Copy) []Copy {
+func (c *Core) Route(t *Tally, now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload, into []Copy) []Copy {
 	into = into[:0]
 	var dec node.LinkDecision
 	if c.Link != nil {
@@ -235,13 +280,11 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 		return c.Spans.Record(obs.Span{Parent: parent, Time: now, Kind: kind, Proc: from, Peer: to, Msg: id})
 	}
 	if dec.Drop {
-		c.Dropped.Inc()
+		t.Dropped++
 		follow(obs.SpanDrop)
 		return into
 	}
-	if dec.Duplicates != 0 { // most sends have none: spare them the locked add
-		c.Duplicated.Add(int64(dec.Duplicates))
-	}
+	t.Duplicated += int64(dec.Duplicates)
 	// A Byzantine network may substitute what the channel carries; the send
 	// event still records the payload the sender actually passed in.
 	wire := p
@@ -261,11 +304,11 @@ func (c *Core) Route(now, cur int64, from, to model.ProcID, id model.MsgID, p no
 
 // Receive takes message id, p, enqueued under span, from the head of channel
 // from → to at tick now: it records the receive event through record and its
-// deliver span, and counts it. It returns the span that frames OnMessage, 0
-// for an unsampled message.
-func (c *Core) Receive(now int64, from, to model.ProcID, id model.MsgID, p node.Payload, span int64, record func(model.Event)) int64 {
+// deliver span, and counts it into t. It returns the span that frames
+// OnMessage, 0 for an unsampled message.
+func (c *Core) Receive(t *Tally, now int64, from, to model.ProcID, id model.MsgID, p node.Payload, span int64, record func(model.Event)) int64 {
 	record(model.Recv(to, from, id, p.Tag, p.Subject))
-	c.Delivered.Inc()
+	t.Delivered++
 	if span == 0 {
 		return 0
 	}
@@ -285,10 +328,10 @@ func (c *Core) Lose(now int64, from, to model.ProcID, id model.MsgID, span int64
 // stale). It asks schedule for the next window of a periodic lifetime (as
 // Skip does), saves the durable snapshot before OnCrash can perturb it, asks
 // for the restart (downtime counts from now, so a late crash keeps its full
-// window), then counts the crash and takes the CrashSelf step. The next window
-// comes before the restart: on the simulator that order is the event queue's
-// tie-break.
-func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
+// window), then counts the crash into t and takes the CrashSelf step. The next
+// window comes before the restart: on the simulator that order is the event
+// queue's tie-break.
+func (c *Core) Crash(t *Tally, i int, at, now int64, h node.Handler, ctx node.Context,
 	schedule func(at int64, restart bool), record func(model.Event)) {
 	c.Skip(i, at, schedule)
 	l := c.Lifetimes[i]
@@ -298,7 +341,7 @@ func (c *Core) Crash(i int, at, now int64, h node.Handler, ctx node.Context,
 	if downFor := l.Restart - l.Crash; c.Recovery != recovery.Off && downFor > 0 {
 		schedule(now+downFor, true)
 	}
-	c.PlanCrashes.Inc()
+	t.PlanCrashes++
 	c.CrashSelf(l.Proc, h, ctx, record)
 }
 
@@ -326,19 +369,19 @@ func (c *Core) Skip(i int, at int64, schedule func(at int64, restart bool)) {
 	}
 }
 
-// Restart brings p back once the host has marked it up: it records and
-// counts the restart, then hands the handler its crash-time snapshot
-// (node.Restarter; nil state unless recovery is durable) or re-initializes
-// a handler with no restart support.
-func (c *Core) Restart(p model.ProcID, now int64, h node.Handler, ctx node.Context, record func(model.Event)) {
+// Restart brings p back once the host has marked it up: it records the
+// restart and counts it into t, then hands the handler its crash-time
+// snapshot (node.Restarter; nil state unless recovery is durable) or
+// re-initializes a handler with no restart support.
+func (c *Core) Restart(t *Tally, p model.ProcID, now int64, h node.Handler, ctx node.Context, record func(model.Event)) {
 	var st []byte
 	if c.Recovery == recovery.Durable {
 		st, _ = c.Store.Load(p)
 	}
 	record(model.Restart(p))
-	c.Restarts.Inc()
+	t.Restarts++
 	if len(st) > 0 {
-		c.Recovered.Inc()
+		t.Recovered++
 	}
 	// Like detection spans, restart spans are never sampled out: they are
 	// rare, and exactly what recovery experiments grep for.

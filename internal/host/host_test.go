@@ -59,7 +59,11 @@ func TestSnapshotNames(t *testing.T) {
 	plain := host.Core{Names: host.MetricNames("x_")}
 	reg := obs.NewRegistry()
 	plain.Init("test", 2, reg)
-	plain.Sent.Add(3)
+	tally := host.Tally{Sent: 3}
+	plain.Publish(&tally)
+	if tally != (host.Tally{}) {
+		t.Errorf("Publish left %+v in the tally, want it zeroed", tally)
+	}
 	want := []string{"x_delivered_total", "x_dropped_total", "x_duplicated_total", "x_sent_total", "x_timers_fired_total"}
 	if got := names(plain.Snapshot(nil, host.Layers{})); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot names = %v, want %v", got, want)
@@ -134,6 +138,7 @@ func TestCrashAndRestartSteps(t *testing.T) {
 			}
 			c.Init("test", 2, nil)
 			h := &restarter{log: &log}
+			var tally host.Tally
 			record := func(e model.Event) {
 				kind := "crash"
 				if e.Kind != model.KindCrash {
@@ -142,7 +147,7 @@ func TestCrashAndRestartSteps(t *testing.T) {
 				log = append(log, fmt.Sprintf("%s@%d", kind, e.Proc))
 			}
 			// The window due at 30 executes late, at 32.
-			c.Crash(0, 30, 32, h, nil, func(at int64, restart bool) {
+			c.Crash(&tally, 0, 30, 32, h, nil, func(at int64, restart bool) {
 				kind := "window"
 				if restart {
 					kind = "restart"
@@ -150,7 +155,7 @@ func TestCrashAndRestartSteps(t *testing.T) {
 				log = append(log, fmt.Sprintf("%s@%d", kind, at))
 			}, record)
 			if tc.mode != recovery.Off {
-				c.Restart(1, 42, h, nil, record)
+				c.Restart(&tally, 1, 42, h, nil, record)
 				for _, s := range c.Spans.Spans() {
 					log = append(log, "span:"+s.Note)
 				}
@@ -158,6 +163,7 @@ func TestCrashAndRestartSteps(t *testing.T) {
 			if !reflect.DeepEqual(log, tc.want) {
 				t.Errorf("steps = %v\n want %v", log, tc.want)
 			}
+			c.Publish(&tally)
 			wantRecovered := int64(0)
 			if tc.mode == recovery.Durable {
 				wantRecovered = 1
@@ -182,7 +188,8 @@ func panicOf(f func()) (msg string) {
 
 // TestChecksPanicUnderTheHostName: the size, process-id and send checks
 // panic under the name Init was given, and numbering runs to the last id a
-// model.MsgID can hold and refuses the send after it.
+// model.MsgID can hold and refuses the send after it, counting only the sends
+// it numbered.
 func TestChecksPanicUnderTheHostName(t *testing.T) {
 	for _, n := range []int{0, -1, model.MaxProcs + 1} {
 		c := host.Core{Names: host.MetricNames("x_")}
@@ -208,20 +215,24 @@ func TestChecksPanicUnderTheHostName(t *testing.T) {
 			t.Errorf("panicked with %q, want %q", got, tc.want)
 		}
 	}
-	if c.Sent.Value() != 0 {
-		t.Errorf("the checks counted %d sends", c.Sent.Value())
+	if c.LastID != 0 {
+		t.Errorf("the checks numbered %d sends", c.LastID)
 	}
-	if id := c.Number(); id != 1 {
+	var tally host.Tally
+	if id := c.Number(&tally); id != 1 {
 		t.Errorf("first id = %d, want 1", id)
 	}
-	c.Sent.Add(math.MaxInt32 - 2)
-	if got := panicOf(func() { c.CheckSend(1, 2) }); got != "" {
-		t.Errorf("the send of the last id panicked with %q", got)
-	}
-	if id := c.Number(); id != math.MaxInt32 {
+	c.LastID = math.MaxInt32 - 1
+	if id := c.Number(&tally); id != math.MaxInt32 {
 		t.Errorf("last id = %d, want %d", id, math.MaxInt32)
 	}
-	if got, want := panicOf(func() { c.CheckSend(1, 2) }), "test: more messages than a model.MsgID can number"; got != want {
+	if id := c.Number(&tally); id != 0 {
+		t.Errorf("the send past the last id was numbered %d, want 0", id)
+	}
+	if c.LastID != math.MaxInt32 || tally.Sent != 2 {
+		t.Errorf("after the refused send: last id %d, %d sends counted; want %d, 2", c.LastID, tally.Sent, math.MaxInt32)
+	}
+	if got, want := panicOf(c.OutOfIDs), "test: more messages than a model.MsgID can number"; got != want {
 		t.Errorf("the send past the last id panicked with %q, want %q", got, want)
 	}
 }
@@ -234,23 +245,25 @@ func TestReceiveAndLose(t *testing.T) {
 	c := host.Core{Names: host.MetricNames("x_"), Spans: obs.NewSpanRecorder(1, 1)}
 	c.Init("test", 2, nil)
 	p := node.Payload{Tag: "M", Subject: 2}
-	enq := c.Route(3, 0, 1, 2, c.Number(), p, nil)[0].Span
+	var tally host.Tally
+	enq := c.Route(&tally, 3, 0, 1, 2, c.Number(&tally), p, nil)[0].Span
 	if enq == 0 {
 		t.Fatal("a sampled send returned no enqueue span")
 	}
 	var got model.History
 	record := func(e model.Event) { got = append(got, e) }
 
-	if span := c.Receive(7, 1, 2, 1, p, enq, record); span == 0 || c.Spans.Spans()[span-1] != (obs.Span{
+	if span := c.Receive(&tally, 7, 1, 2, 1, p, enq, record); span == 0 || c.Spans.Spans()[span-1] != (obs.Span{
 		ID: span, Parent: enq, Time: 7, Kind: obs.SpanDeliver, Proc: 2, Peer: 1, Msg: 1, Tag: "M",
 	}) {
 		t.Errorf("Receive returned span %d of %+v, want the deliver span under %d", span, c.Spans.Spans(), enq)
 	}
 	before := len(c.Spans.Spans())
-	if span := c.Receive(8, 1, 2, 9, p, 0, record); span != 0 || len(c.Spans.Spans()) != before {
+	if span := c.Receive(&tally, 8, 1, 2, 9, p, 0, record); span != 0 || len(c.Spans.Spans()) != before {
 		t.Errorf("an unsampled receive returned span %d and recorded %d spans", span, len(c.Spans.Spans())-before)
 	}
 	want := model.History{model.Recv(2, 1, 1, "M", 2), model.Recv(2, 1, 9, "M", 2)}
+	c.Publish(&tally)
 	if !reflect.DeepEqual(got, want) || c.Delivered.Value() != 2 {
 		t.Errorf("recorded %v, delivered %d; want %v, 2", got, c.Delivered.Value(), want)
 	}
@@ -265,6 +278,7 @@ func TestReceiveAndLose(t *testing.T) {
 	}) {
 		t.Errorf("a sampled loss recorded %+v, want one receiver-down drop under %d", spans[before:], enq)
 	}
+	c.Publish(&tally)
 	if len(got) != 2 || c.Delivered.Value() != 2 || c.Dropped.Value() != 0 {
 		t.Errorf("a loss recorded events or counted: %v, delivered %d, dropped %d", got, c.Delivered.Value(), c.Dropped.Value())
 	}

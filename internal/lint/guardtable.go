@@ -136,4 +136,8 @@ var Guards = []Guard{
 	{Kind: Retired, Pattern: `type rec struct`, Scope: []string{"internal/sim"}, Reason: "a record page holds model.Events: the compact record and its per-field rebuild stay deleted", PR: 38},
 	{Kind: Retired, Pattern: `(Tag\s*(==|!=|:)\s*|EmitInternal\(|Internal\([^,]+,\s*)"suspect"`, Reason: "the suspicion tag is model.TagSuspect, written out once, in internal/model", PR: 38},
 	{Kind: Once, Pattern: "SetTimer delay %d exceeds", Reason: "host.Core alone bounds a timer's delay, for either host", PR: 38},
+	// A step counts into its host's plain tally, which the host publishes into
+	// the atomic counters: no message pays a locked add.
+	{Kind: Retired, Pattern: `Sent\.Inc\(\)`, Reason: "a send is counted into a host.Tally with a plain add, not a locked one per message", PR: 39},
+	{Kind: Retired, Pattern: `Delivered\.Inc\(\)`, Reason: "a receive is counted into a host.Tally with a plain add, not a locked one per message", PR: 39},
 }

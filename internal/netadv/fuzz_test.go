@@ -60,6 +60,7 @@ func FuzzReadPlan(f *testing.F) {
 			}
 			core.Init("fuzz", n, nil) // panics on a lifetime Validate should have refused
 			var copies []host.Copy
+			var tally host.Tally
 			for i := 0; i < 256; i++ {
 				// i walks the n(n-1) links; the ticks and the payload class
 				// move at other strides, so every link sees every tick.
@@ -70,7 +71,7 @@ func FuzzReadPlan(f *testing.F) {
 					p.Tag = "SUSP"
 				}
 				at := ticks[i%len(ticks)] + int64(i/len(ticks))
-				copies = core.Route(at, 0, from, to, model.MsgID(i+1), p, copies)
+				copies = core.Route(&tally, at, 0, from, to, model.MsgID(i+1), p, copies)
 				for _, c := range copies {
 					if c.Extra < 0 {
 						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks early: %+v", n, i, from, to, at, -c.Extra, dec)

@@ -30,6 +30,6 @@ func (n *Net) LifetimeDeadlines(p model.ProcID) int {
 	return held
 }
 
-// PresetSent counts sent sends that never happened, so that the next send
+// PresetSent numbers sent sends that never happened, so that the next send
 // takes id sent+1.
-func (n *Net) PresetSent(sent int64) { n.core.Sent.Add(sent) }
+func (n *Net) PresetSent(sent model.MsgID) { n.core.LastID = sent }

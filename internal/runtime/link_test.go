@@ -131,11 +131,12 @@ func modelFates(sends []fateSend) fateOutcome {
 	core.Init("model", 2, nil)
 	queues := map[string][]copyOf{}
 	var copies []host.Copy
+	var tally host.Tally
 	for _, s := range sends {
 		to := 3 - s.from
 		core.CheckSend(s.from, to)
 		link := linkName(s.from, to)
-		copies = core.Route(0, 0, s.from, to, core.Number(), node.Payload{Tag: s.tag}, copies)
+		copies = core.Route(&tally, 0, 0, s.from, to, core.Number(&tally), node.Payload{Tag: s.tag}, copies)
 		for _, c := range copies {
 			q := append(queues[link], copyOf{s.tag, c.Wire.Tag, c.Park})
 			if n := len(q); c.Reorder && n > 2 {
@@ -144,6 +145,7 @@ func modelFates(sends []fateSend) fateOutcome {
 			queues[link] = q
 		}
 	}
+	core.Publish(&tally)
 	out := fateOutcome{
 		Delivered: map[string][]string{},
 		Sent:      core.Sent.Value(), Dropped: core.Dropped.Value(), Duplicated: core.Duplicated.Value(),

@@ -101,8 +101,10 @@ type Net struct {
 
 	// core is what this host shares with the simulator: the rules of a
 	// message's and a process's life, the host counters and their snapshot.
-	// The counters are atomic, so they are read live (Metrics, the /metrics
-	// endpoint) without touching the recorder lock.
+	// Each worker counts into a tally of its own and publishes it into the
+	// atomic counters after every step, so they are read live (Metrics, the
+	// /metrics endpoint) without touching the recorder lock. Message ids are
+	// numbered under recMu.
 	core host.Core
 
 	rngMu sync.Mutex
@@ -175,6 +177,7 @@ func (n *Net) Start() {
 		p.h = n.handlers[p.self]
 		p.gate, _ = p.h.(node.Gate)
 		p.h.Init(p)
+		n.core.Publish(&p.tally)
 	}
 	for i, l := range n.cfg.Lifetimes {
 		n.procs[l.Proc].push(deadline{at: n.at(l.Crash), kind: windowDeadline, life: i, tick: l.Crash})
@@ -321,6 +324,7 @@ type proc struct {
 	// curSpan frames the handler callback currently running.
 	curSpan int64
 	copies  []host.Copy // the buffer Route returns this process's sends' copies in
+	tally   host.Tally  // what this process's steps counted since the last publish
 }
 
 var _ node.Context = (*proc)(nil)
@@ -370,6 +374,7 @@ func (p *proc) loop() {
 		default:
 		}
 		next, did := p.step()
+		p.net.core.Publish(&p.tally)
 		if did {
 			continue
 		}
@@ -447,7 +452,7 @@ func (p *proc) discard(cut time.Duration) time.Duration {
 
 // deliver hands p's handler the message m from.
 func (p *proc) deliver(from model.ProcID, m liveMsg) {
-	p.curSpan = p.net.core.Receive(p.net.nowTicks(), from, p.self, m.id, m.payload, m.span, p.net.record)
+	p.curSpan = p.net.core.Receive(&p.tally, p.net.nowTicks(), from, p.self, m.id, m.payload, m.span, p.net.record)
 	p.h.OnMessage(p, from, m.payload)
 	p.curSpan = 0
 }
@@ -467,11 +472,11 @@ func (p *proc) fire() {
 	}
 	switch {
 	case d.kind == timerDeadline:
-		n.core.TimersFired.Inc()
+		p.tally.TimersFired++
 		p.h.OnTimer(p, d.name)
 	case d.kind == restartDeadline:
 		p.setDown(false)
-		n.core.Restart(p.self, n.nowTicks(), p.h, p, n.record)
+		n.core.Restart(&p.tally, p.self, n.nowTicks(), p.h, p, n.record)
 	case p.down:
 		n.core.Skip(d.life, d.tick, schedule)
 	default:
@@ -480,7 +485,7 @@ func (p *proc) fire() {
 		// message). The process's timers die with it.
 		p.setDown(true)
 		p.due = slices.DeleteFunc(p.due, func(d deadline) bool { return d.kind == timerDeadline })
-		n.core.Crash(d.life, d.tick, n.nowTicks(), p.h, p, schedule, n.record)
+		n.core.Crash(&p.tally, d.life, d.tick, n.nowTicks(), p.h, p, schedule, n.record)
 	}
 }
 
@@ -503,7 +508,11 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 	}
 	net.core.CheckSend(p.self, to) // panics here, never under the lock
 	net.recMu.Lock()
-	id := net.core.Number()
+	id := net.core.Number(&p.tally)
+	if id == 0 {
+		net.recMu.Unlock()
+		net.core.OutOfIDs() // after unlocking, so the run goes on
+	}
 	e := model.Send(p.self, to, id, pl.Tag, pl.Subject)
 	// One reading of the clock: Route judges the send at the tick its event shows.
 	e.Time = net.nowTicks()
@@ -513,7 +522,7 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 
 	// Route asks the link function, which takes the fault plane's lock: the
 	// destination's is taken after it, and only for a copy to queue.
-	p.copies = net.core.Route(e.Time, p.curSpan, p.self, to, id, pl, p.copies)
+	p.copies = net.core.Route(&p.tally, e.Time, p.curSpan, p.self, to, id, pl, p.copies)
 	if len(p.copies) == 0 {
 		return // dropped
 	}

@@ -229,6 +229,11 @@ func TestLiveCrashStopsProcess(t *testing.T) {
 		close(sent)
 	})
 	<-sent
+	// A worker publishes what its step counted once the step is over: the
+	// next step of process 1 runs after that.
+	stepped := make(chan struct{})
+	net.Do(1, func(node.Context) { close(stepped) })
+	<-stepped
 	if q := net.Queued(2); q != 0 {
 		t.Errorf("%d copies queued for the crashed process, want 0", q)
 	}
@@ -519,7 +524,7 @@ func recovered(call func()) (r any) {
 
 // TestMessageIDsFitTheSlot, the live twin of the simulator's: the last id a
 // model.MsgID can hold is sent and delivered under its own number; the send
-// after it panics — before the recorder lock is taken, so the run goes on —
+// after it panics — once the recorder lock is let go, so the run goes on —
 // instead of wrapping onto a negative id.
 func TestMessageIDsFitTheSlot(t *testing.T) {
 	net := runtime.New(fastCfg(2, 1))
@@ -543,6 +548,63 @@ func TestMessageIDsFitTheSlot(t *testing.T) {
 	}
 	if msg, _ := second.(string); !strings.Contains(msg, "more messages") {
 		t.Errorf("the send past the last id panicked with %v, want the slot-id guard", second)
+	}
+}
+
+// TestLastIDTakenOnce: senders racing for the last id a model.MsgID can hold
+// get it exactly once. The guard is taken under the recorder lock, so every
+// other send panics — after the lock is let go, so the run goes on — and no
+// event carries an id wrapped negative; the refused sends count nothing.
+func TestLastIDTakenOnce(t *testing.T) {
+	const n = 8
+	net := runtime.New(fastCfg(n, 1))
+	net.PresetSent(math.MaxInt32 - 1)
+	for p := 1; p <= n; p++ {
+		net.SetHandler(model.ProcID(p), &collector{})
+	}
+	net.Start()
+	start := make(chan struct{})
+	refused := make([]any, n+1)
+	var ready, done sync.WaitGroup
+	ready.Add(n - 1)
+	done.Add(n - 1)
+	for p := 2; p <= n; p++ {
+		net.Do(model.ProcID(p), func(ctx node.Context) {
+			defer done.Done()
+			ready.Done()
+			<-start // every sender waits on its own worker, then all send at once
+			refused[p] = recovered(func() { ctx.Send(1, node.Payload{Tag: "last"}) })
+		})
+	}
+	ready.Wait()
+	close(start)
+	done.Wait()
+	net.Stop()
+	got, guarded := 0, 0
+	for _, r := range refused[2:] {
+		if msg, _ := r.(string); strings.Contains(msg, "more messages") {
+			guarded++
+		} else if r == nil {
+			got++
+		}
+	}
+	if got != 1 || guarded != n-2 {
+		t.Errorf("%d of %d senders sent and %d hit the id guard, want 1 and %d: %v", got, n-1, guarded, n-2, refused[2:])
+	}
+	sends := 0
+	for _, e := range net.History() {
+		if e.Msg < 0 {
+			t.Errorf("event %v carries a negative id", e)
+		}
+		if e.Kind == model.KindSend {
+			sends++
+			if e.Msg != math.MaxInt32 {
+				t.Errorf("send %v, want message %d", e, math.MaxInt32)
+			}
+		}
+	}
+	if sent := net.Metrics().Value("net_sent_total"); sends != 1 || sent != 1 {
+		t.Errorf("%d sends recorded, %d counted; want 1 and 1", sends, sent)
 	}
 }
 

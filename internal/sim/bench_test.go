@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -90,10 +91,9 @@ func BenchmarkSimHotPath(b *testing.B) {
 // instruments are embedded zero-value atomics, so attaching a registry
 // costs registration (a handful of map inserts per run) and no allocation
 // per message; TestObsAllocBudget gates its allocs/op at ≤ 16 over the bare
-// one. The counters are not free per message, registry or not: every send
-// and every receive pays a locked read-modify-write (Sent.Inc in
-// host.Core.Number, Delivered.Inc in Receive), since the live host updates
-// the same counters from many goroutines.
+// one. A send or a receive is a plain add into the simulator's host.Tally,
+// registry or not; the locked adds are Run's, one per counter that moved,
+// each time the clock advances.
 func BenchmarkSimHotPathObs(b *testing.B) {
 	const n, rounds = 10, 20
 	want := runFloodObs(n, rounds, 1, obs.NewRegistry())
@@ -129,6 +129,44 @@ func TestObsAllocBudget(t *testing.T) {
 	withObs := testing.AllocsPerRun(20, func() { runFloodObs(n, rounds, 1, obs.NewRegistry()) })
 	if withObs > bare+16 {
 		t.Errorf("metrics-on hot path allocates %.0f/run, bare %.0f/run: over the 16-allocation budget", withObs, bare)
+	}
+}
+
+// TestRegistryReadDuringRun: a registry read while a long flood runs on
+// another goroutine sees every counter only grow and never more receives than
+// sends (Run publishes as its clock advances, Sent before Delivered), and once
+// Run has returned it reads what Result.Metrics does.
+func TestRegistryReadDuringRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	stop, read := make(chan struct{}), make(chan obs.Metrics)
+	go func() {
+		var prev obs.Metrics
+		for stopped := false; !stopped; {
+			select {
+			case <-stop:
+				stopped = true
+			default:
+			}
+			ms := reg.Snapshot() // after stop: the reading once Run has returned
+			for _, m := range prev {
+				if now := ms.Value(m.Name); m.Kind == obs.KindCounter && now < m.Value {
+					t.Errorf("%s read %d after %d", m.Name, now, m.Value)
+				}
+			}
+			if sent, got := ms.Value("sim_sent_total"), ms.Value("sim_delivered_total"); got > sent {
+				t.Errorf("read %d deliveries of %d sends", got, sent)
+			}
+			prev = ms
+		}
+		read <- prev
+	}()
+	res := runFloodObs(10, 400, 1, reg)
+	close(stop)
+	if last := <-read; !reflect.DeepEqual(last, res.Metrics) {
+		t.Errorf("registry read %v after the run, Result.Metrics %v", last, res.Metrics)
+	}
+	if want := 10 * 9 * 400; res.Sent != want || res.Delivered != want {
+		t.Errorf("the flood sent %d and delivered %d, want %d each", res.Sent, res.Delivered, want)
 	}
 }
 

@@ -30,16 +30,18 @@ func poisonOccPages(pages int) {
 // ticks); busy stretches alternate with stretches that let the ring run empty,
 // so the next pop jumps to a far tick, over the whole ring and many wraps of
 // it. Three scripts in four stop with occurrences still queued, as a run does
-// at MaxTime, and the pages they release — and the poisoned ones — are what
-// the next script draws.
+// at MaxTime, and the ring they release — one ring, as a bulk hands it from run
+// to run — the pages they release and the poisoned ones are what the next
+// script draws.
 func TestCalendarMatchesHeap(t *testing.T) {
 	poisonOccPages(64)
 	delays := []int64{0, 0, 1, 1, 2, 3, 5, 8, 10, 40, 254, 255, 256, 257, 300, 511, 512, 10_000, 1 << 40, -1, -300}
 	const busyPops = 3_000
 	var jumps, shared int // pops that found the ring empty; direct pushes to a tick a far occurrence had moved to
+	ring := new([calLen]bucket)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var q calendar
+		q := calendar{ring: ring}
 		var ref occHeap
 		var seq, now int64
 		farTo := map[int64]bool{}

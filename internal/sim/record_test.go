@@ -185,19 +185,22 @@ func TestQueueAndRecordLayout(t *testing.T) {
 }
 
 // TestSimHistoryBytesBudget: once the pools are warm, a run that keeps its
-// Result allocates the history it returns and 9 KiB more — no buffer it
-// outgrows, no second copy. The constant covers what does not grow with the
-// history: the Sim with its calendar ring, the Result and the handlers at
-// n=10; the budget is a tenth over both.
+// Result allocates the history it returns and at most 11 KiB more — no buffer
+// it outgrows, no second copy, no ring. The allowance covers what does not
+// grow with the history: the Sim (≈ 1 KiB), the Result, the handlers at n=10
+// and the rounding of the history's array up to whole pages; it measures
+// 9.4 KiB at 20 rounds and 7.6 KiB at 80. The calendar's 4 KiB ring is the
+// bulk's: back in the unpooled Sim, it would take both over the allowance.
 func TestSimHistoryBytesBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")
 	}
+	const allowance = 11 // KiB
 	for _, rounds := range []int{20, 80} {
 		var events int
 		_, kib := allocsAndKiB(20, func() { events = len(runFlood(10, rounds, 1).History) })
 		history := float64(events) * float64(unsafe.Sizeof(model.Event{})) / 1024
-		if budget := 1.1 * (history + 10); kib > budget {
+		if budget := history + allowance; kib > budget {
 			t.Errorf("%d rounds: %.0f KiB allocated for a %.0f KiB history, budget %.0f", rounds, kib, history, budget)
 		}
 	}

@@ -66,10 +66,24 @@ func hostileStopped(t *testing.T) {
 	}
 }
 
+// maxTimeStopped stops a flood at MaxTime with occurrences still in the
+// calendar's ring, which its bulk hands on: the next run must find it empty.
+func maxTimeStopped(t *testing.T) {
+	const n = 10
+	s := New(Config{N: n, Seed: 3, MaxTime: 12})
+	for p := model.ProcID(1); p <= n; p++ {
+		s.SetHandler(p, &floodHandler{rounds: 50})
+	}
+	if res := s.Run(); res.Stop != StopMaxTime || s.queue.held == 0 {
+		t.Fatalf("flood: stop %v with %d occurrences in the ring; want max-time with some", res.Stop, s.queue.held)
+	}
+}
+
 // hostileRuns are the runs whose bulks the golden scenarios inherit: larger
 // than all but one of them and smaller than that one, smaller than all, full
-// at the stop, and one with Spans on (goldenLinkMix; every other one hands the
-// Spans-on golden scenario a bulk that had none).
+// at the stop, stopped at MaxTime with its ring in use, and one with Spans on
+// (goldenLinkMix; every other one hands the Spans-on golden scenario a bulk
+// that had none).
 var hostileRuns = []struct {
 	name string
 	run  func(t *testing.T)
@@ -77,6 +91,7 @@ var hostileRuns = []struct {
 	{"gossip n=400", func(*testing.T) { runTopoFlood(400, 8, 2, 9, nil) }},
 	{"flood n=2", func(*testing.T) { runFlood(2, 3, 1) }},
 	{"stopped full", hostileStopped},
+	{"stopped at MaxTime", maxTimeStopped},
 	{"spans on", func(*testing.T) { goldenLinkMix() }},
 }
 
@@ -85,8 +100,9 @@ var hostileRuns = []struct {
 var canary = [2]model.ProcID{-1, -1}
 
 // scribble writes garbage over everything in b that New does not promise to
-// find clean — all of it but the handlers, which retirement leaves nil, and the
-// capacities — at full capacity and with every length at its capacity.
+// find clean — all of it but the handlers, which retirement leaves nil, the
+// calendar's ring, which it leaves empty, and the capacities — at full
+// capacity and with every length at its capacity.
 func scribble(b *bulk) {
 	ch := &channel{from: -1, to: -1, head: 1 << 20, tail: 1 << 20, n: 9, scheduled: true, gated: true}
 	ch.due = ch

@@ -111,20 +111,25 @@
 //     whichever P they are on, so what they allocate is the same every time,
 //     and concurrent runs find their own in the pool. The price is that a
 //     process keeps one bulk (≈ 33 MB after a run at N=10,000) until another
-//     run draws it.
+//     run draws it. The calendar's ring (4 KiB of bucket heads and tails) is
+//     the bulk's too: release empties each bucket as it hands the bucket's
+//     pages back, so a run finds the ring as empty as a fresh one.
 //     New resets what it draws as if it were garbage — each process's flags,
 //     lists and tables emptied (its handler and gate are set by Run), the
 //     failed set cleared, the generator told its seed, the arena re-carved from
 //     its first chunk, every slot and link written before it is read — and relies
-//     on retirement for one thing, a nil handler table; retirement also drops
-//     what would pin another run's objects (each process's handler and Sim,
-//     payloads still queued). A run that panics retires nothing. The *Sim is never pooled:
-//     its counters are what a Config.Metrics registry reads, and a span
-//     recorder or a timeline belongs to the caller in the same way. Once Run
-//     has returned, At, CrashAt and SetHandler panic, and a node.Context — the
-//     procCtx — is some other run's: it was already valid only for the callback
-//     it was handed to. A Result is its caller's for good unless the caller
-//     gives it back with Release.
+//     on retirement for two things, a nil handler table and an empty ring;
+//     retirement also drops what would pin another run's objects (each
+//     process's handler and Sim, payloads still queued). A run that panics
+//     retires nothing. The *Sim is never pooled: its counters are what a
+//     Config.Metrics registry reads, and a span recorder or a timeline
+//     belongs to the caller in the same way. So it holds nothing run-sized,
+//     ≈ 1 KiB; its steps count into a plain host.Tally that Run publishes
+//     into those atomic counters as the clock advances, so no message pays a
+//     locked add. Once Run has returned, At, CrashAt and SetHandler panic, and
+//     a node.Context — the procCtx — is some other run's: it was already valid
+//     only for the callback it was handed to. A Result is its caller's for good
+//     unless the caller gives it back with Release.
 //     The generator's stream is rand.New(rand.NewSource(Seed))'s, draw for
 //     draw — every pinned history was recorded from it, so it is reproduced
 //     (rng.go), not replaced — but its 607-word register is filled at the
@@ -196,8 +201,10 @@ type Config struct {
 	// crosses it record every event they emit. Default: 1 << 20.
 	MaxEvents int
 	// Metrics, when non-nil, exposes the simulator's counters (and those of
-	// attached layers) through a shared registry for live snapshots. The
-	// same readings always appear in Result.Metrics, registry or not.
+	// attached layers) through a shared registry for live snapshots. A
+	// snapshot taken while Run goes on reads the host counters as of the
+	// last finished tick: Run publishes them each time its clock advances.
+	// The final readings always appear in Result.Metrics, registry or not.
 	Metrics *obs.Registry
 	// Spans, when non-nil, records message-lifecycle spans
 	// (send → fate → enqueue → deliver/drop, plus suspect and crash-confirm)
@@ -382,14 +389,18 @@ type occPage struct {
 
 var occPages = sync.Pool{New: func() any { return new(occPage) }}
 
+// bucket is one tick of the calendar's ring: a FIFO of pages.
+type bucket struct{ head, tail *occPage }
+
 // calendar is the event queue (see the package comment). Every occurrence in
 // far is at least calLen ticks ahead of now, so the earliest one is in the
-// ring whenever the ring holds any.
+// ring whenever the ring holds any. The ring and far's array are the bulk's:
+// a calendar starts from an empty ring and leaves it empty at release.
 type calendar struct {
 	now   int64 // the tick being drained; its bucket is ring[now&(calLen-1)]
 	rd    int   // entries already popped from that bucket's head page
 	held  int   // occurrences in the ring
-	ring  [calLen]struct{ head, tail *occPage }
+	ring  *[calLen]bucket
 	far   occHeap
 	spare *occPage // the page released last: a sparse tick goes round no pool
 }
@@ -460,7 +471,7 @@ func (q *calendar) pop() occurrence {
 	return o
 }
 
-// release hands every page still held to the next run.
+// release hands every page still held to the next run, emptying the ring.
 func (q *calendar) release() {
 	for i := range q.ring {
 		for pg := q.ring[i].head; pg != nil; {
@@ -468,6 +479,7 @@ func (q *calendar) release() {
 			occPages.Put(pg)
 			pg = next
 		}
+		q.ring[i] = bucket{}
 	}
 	if q.spare != nil {
 		occPages.Put(q.spare)
@@ -622,10 +634,11 @@ type bulk struct {
 	handlers []node.Handler // index 1..N; Run copies each into its procCtx
 	ctxs     []procCtx      // index 1..N
 	failed   map[[2]model.ProcID]bool
-	arenas   [][]channel // every chunk links are carved from, in carving order
-	slab     []*slabPage // every in-flight message copy, linked per channel
-	drain    []*channel  // deliverBatch's scratch: the batch being drained, sorted
-	far      occHeap     // the calendar's overflow array, while no run holds it
+	arenas   [][]channel     // every chunk links are carved from, in carving order
+	slab     []*slabPage     // every in-flight message copy, linked per channel
+	drain    []*channel      // deliverBatch's scratch: the batch being drained, sorted
+	ring     *[calLen]bucket // the calendar's ring, empty between runs
+	far      occHeap         // the calendar's overflow array, while no run holds it
 }
 
 // A retired bulk waits in lastBulk when that is empty and in bulks otherwise.
@@ -689,7 +702,10 @@ type Sim struct {
 
 	// core is what this host shares with the live runtime: the rules of a
 	// message's and a process's life, the host counters and their snapshot.
+	// Steps count into tally, which Run publishes into core's counters as the
+	// clock advances and once more at the end.
 	core   host.Core
+	tally  host.Tally
 	gLinks obs.Gauge // live (materialized) channel count
 
 	curSpan    int64 // span framing the handler callback now running, or 0
@@ -740,7 +756,10 @@ func New(cfg Config) *Sim {
 	if cap(s.ctxs) <= cfg.N {
 		s.ctxs = make([]procCtx, cfg.N+1)
 	}
-	s.handlers, s.ctxs, s.queue.far = s.handlers[:cfg.N+1], s.ctxs[:cfg.N+1], s.far[:0]
+	if s.ring == nil {
+		s.ring = new([calLen]bucket)
+	}
+	s.handlers, s.ctxs, s.queue.ring, s.queue.far = s.handlers[:cfg.N+1], s.ctxs[:cfg.N+1], s.ring, s.far[:0]
 	if cfg.Spans != nil {
 		s.spanOf = make([]int64, len(s.slab)*slabPageLen)
 	}
@@ -835,6 +854,7 @@ func (s *Sim) Run() *Result {
 			break
 		}
 		if o.time > s.now {
+			s.core.Publish(&s.tally)
 			if s.cfg.Timeline != nil {
 				s.sampleTimeline(o.time)
 			}
@@ -858,6 +878,7 @@ func (s *Sim) Run() *Result {
 		}
 	}
 	s.queue.release()
+	s.core.Publish(&s.tally)
 
 	res.History = s.materialize(res.History)
 	res.EndTime = s.now
@@ -888,7 +909,7 @@ func (s *Sim) Run() *Result {
 // fields nil on s a late At, SetHandler or CrashAt panics.
 func (s *Sim) retire() {
 	clear(s.handlers)
-	s.far, s.queue.far = s.queue.far, nil
+	s.far, s.queue.ring, s.queue.far = s.queue.far, nil, nil
 	b := s.bulk
 	s.bulk = bulk{}
 	if !lastBulk.CompareAndSwap(nil, &b) {
@@ -1165,7 +1186,7 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 	c.gated = false
 	head, span := s.dequeue(c)
 	prevSpan := s.curSpan
-	s.curSpan = s.core.Receive(s.now, c.from, c.to, head.id, head.payload, span, s.record)
+	s.curSpan = s.core.Receive(&s.tally, s.now, c.from, c.to, head.id, head.payload, span, s.record)
 	s.scheduleHead(c)
 	rc.h.OnMessage(rc, c.from, head.payload)
 	s.afterEvent(rc)
@@ -1222,7 +1243,7 @@ func (s *Sim) fireTimer(c *procCtx, o occurrence) {
 		return // cancelled, replaced, or armed before a crash
 	}
 	t.armed = unarmed
-	s.core.TimersFired.Inc()
+	s.tally.TimersFired++
 	c.h.OnTimer(c, t.name)
 	s.afterEvent(c)
 }
@@ -1253,7 +1274,7 @@ func (s *Sim) planCrash(c *procCtx, o occurrence) {
 	for i := range c.timers {
 		c.timers[i].armed = unarmed
 	}
-	s.core.Crash(o.ref(), o.time, s.now, c.h, c, schedule, s.record)
+	s.core.Crash(&s.tally, o.ref(), o.time, s.now, c.h, c, schedule, s.record)
 }
 
 // restart brings a down process back.
@@ -1262,7 +1283,7 @@ func (s *Sim) restart(c *procCtx) {
 		return
 	}
 	c.down = false
-	s.core.Restart(c.p, s.now, c.h, c, s.record)
+	s.core.Restart(&s.tally, c.p, s.now, c.h, c, s.record)
 	s.afterEvent(c)
 }
 
@@ -1371,9 +1392,12 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		return
 	}
 	s.core.CheckSend(c.p, to)
-	id := s.core.Number()
+	id := s.core.Number(&s.tally)
+	if id == 0 {
+		s.core.OutOfIDs()
+	}
 	s.record(model.Send(c.p, to, id, p.Tag, p.Subject))
-	s.copies = s.core.Route(s.now, s.curSpan, c.p, to, id, p, s.copies)
+	s.copies = s.core.Route(&s.tally, s.now, s.curSpan, c.p, to, id, p, s.copies)
 	if len(s.copies) == 0 {
 		return // dropped: a send the network delivers no copy of creates no channel
 	}

@@ -380,7 +380,7 @@ func TestTimerDelayBounded(t *testing.T) {
 // wrapping onto a negative id.
 func TestMessageIDsFitTheSlot(t *testing.T) {
 	s := newSim(t, 2, 1)
-	s.core.Sent.Add(math.MaxInt32 - 1) // a message's id is its send's ordinal
+	s.core.LastID = math.MaxInt32 - 1 // a message's id is its send's ordinal
 	var second any
 	s.SetHandler(1, &scriptHandler{init: func(ctx node.Context) {
 		ctx.Send(2, node.Payload{Tag: "last"})
