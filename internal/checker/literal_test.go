@@ -1,0 +1,292 @@
+package checker_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"failstop/internal/checker"
+	"failstop/internal/core"
+	"failstop/internal/model"
+)
+
+// Figure 1, literally. Each property below is written the way the paper
+// states it, as a quantifier over the events of the history, with nothing
+// of the checker's machinery (no Index, no Scan, no bitset). The paper's □
+// ranges over the points of a run; a state predicate such as FAILED_j(i) or
+// CRASH_i says that an event has happened, so it first holds at the point
+// after that event and holds from then on — which turns "at every point" into
+// "at every event" and "at that point" into "among the events before it".
+// The result is slow and obviously right, and checker.FS2 and
+// checker.SFS2a–SFS2d must agree with it on Holds for every history they are
+// given.
+
+// crashedIn reports whether crash_i is among events.
+func crashedIn(events model.History, i model.ProcID) bool {
+	for _, e := range events {
+		if e.Kind == model.KindCrash && e.Proc == i {
+			return true
+		}
+	}
+	return false
+}
+
+// literalFS2: ∀i,j: □(FAILED_j(i) ⇒ CRASH_i) — when j detects i, i has
+// already crashed.
+func literalFS2(h model.History) bool {
+	for k, e := range h {
+		if e.Kind == model.KindFailed && !crashedIn(h[:k], e.Target) {
+			return false
+		}
+	}
+	return true
+}
+
+// literalSFS2a: ∀i,j: □(FAILED_i(j) ⇒ ◇CRASH_j) — when i detects j, j has
+// crashed or crashes later.
+func literalSFS2a(h model.History) bool {
+	for _, e := range h {
+		if e.Kind == model.KindFailed && !crashedIn(h, e.Target) {
+			return false
+		}
+	}
+	return true
+}
+
+// literalSFS2b: the failed-before relation — i failed-before j iff
+// failed_j(i) occurs (Definition 3) — is acyclic: no process reaches itself
+// through one or more of its pairs.
+func literalSFS2b(h model.History) bool {
+	n := model.ProcID(0)
+	for _, e := range h {
+		n = max(n, e.Proc, e.Target)
+	}
+	before := make([][]bool, n+1) // before[i][j]: i failed-before j, then its transitive closure
+	for i := range before {
+		before[i] = make([]bool, n+1)
+	}
+	for _, e := range h {
+		if e.Kind == model.KindFailed && e.Target >= 0 {
+			before[e.Target][e.Proc] = true
+		}
+	}
+	for k := range before {
+		for i := range before {
+			for j := range before {
+				before[i][j] = before[i][j] || before[i][k] && before[k][j]
+			}
+		}
+	}
+	for x := range before {
+		if before[x][x] {
+			return false
+		}
+	}
+	return true
+}
+
+// literalSFS2c: ∀i: □¬FAILED_i(i) — no process ever detects itself.
+func literalSFS2c(h model.History) bool {
+	for _, e := range h {
+		if e.Kind == model.KindFailed && e.Proc == e.Target {
+			return false
+		}
+	}
+	return true
+}
+
+// literalSFS2d: if failed_i(j) happens before i's send of m to k, then k's
+// receive of m from i has failed_k(j) happen before it — Figure 1's
+//
+//	□[FAILED_i(j) ∧ ¬SEND_i(k,m) ⇒ □((SEND_i(k,m) ∧ RECV_k(i,m)) ⇒ FAILED_k(j))]
+//
+// read over happens-before: the send and the detection are i's events, the
+// receive and the detection it waits for are k's.
+func literalSFS2d(h model.History) bool {
+	hb := model.NewHB(h)
+	for f, det := range h {
+		if det.Kind != model.KindFailed {
+			continue
+		}
+		i, j := det.Proc, det.Target
+		for s, send := range h {
+			if send.Kind != model.KindSend || send.Proc != i || !hb.Before(f, s) {
+				continue
+			}
+			for r, recv := range h {
+				if recv.Kind != model.KindRecv || recv.Msg != send.Msg || recv.Proc != send.Peer || recv.Peer != i {
+					continue
+				}
+				caught := false
+				for g, e := range h {
+					if e.Kind == model.KindFailed && e.Proc == recv.Proc && e.Target == j && hb.Before(g, r) {
+						caught = true
+						break
+					}
+				}
+				if !caught {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// literalCheck pairs a literal property with the checker's.
+type literalCheck struct {
+	prop    string
+	literal func(model.History) bool
+	checker func(model.History) checker.Verdict
+}
+
+var literalChecks = []literalCheck{
+	{"FS2", literalFS2, checker.FS2},
+	{"sFS2a", literalSFS2a, checker.SFS2a},
+	{"sFS2b", literalSFS2b, checker.SFS2b},
+	{"sFS2c", literalSFS2c, checker.SFS2c},
+	{"sFS2d", literalSFS2d, checker.SFS2d},
+}
+
+// literalHistories are the histories the literal checker is held to: every
+// history model.Gen makes at n ≤ 5 and at most 60 events for a few seeds,
+// with its default weights and with detections and crashes ten times as
+// frequent, and one single-event mutation of each (Gen never detects a
+// process by itself), so that every property is seen holding and violated.
+func literalHistories() map[string]model.History {
+	out := map[string]model.History{}
+	for n := 2; n <= 5; n++ {
+		for steps := 0; steps <= 60; steps++ {
+			for seed := int64(0); seed < 4; seed++ {
+				id := seed*1000 + int64(n*100+steps)
+				rng := rand.New(rand.NewSource(id))
+				for _, weighted := range []bool{false, true} {
+					g := model.NewGen(id)
+					if weighted {
+						g.FailedWeight, g.CrashWeight = 50, 20
+					}
+					name := fmt.Sprintf("gen n=%d steps=%d seed=%d weighted=%v", n, steps, seed, weighted)
+					h := g.History(n, steps)
+					out[name], out[name+" mutated"] = h, mutate(h, n, rng)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// parting is a history on which the literal checker and the checker
+// disagree: one line of testdata/literal_disagreements.jsonl.
+type parting struct {
+	Name     string        `json:"name"`
+	Property string        `json:"property"`
+	Literal  bool          `json:"literal"`
+	Checker  bool          `json:"checker"`
+	History  model.History `json:"history"`
+}
+
+const partingsPath = "testdata/literal_disagreements.jsonl"
+
+func readPartings(t *testing.T) []parting {
+	data, err := os.ReadFile(partingsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []parting
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		var p parting
+		if err := json.Unmarshal([]byte(line), &p); err != nil {
+			t.Fatalf("%s: %v", partingsPath, err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestLiteralFigure1 holds checker.FS2 and SFS2a–SFS2d to Figure 1's
+// definitions on every generated history at n ≤ 5 and ≤ 60 events, and
+// requires each property to be seen holding and violated. The two may part
+// only where testdata/literal_disagreements.jsonl pins it.
+func TestLiteralFigure1(t *testing.T) {
+	pinned := map[string]parting{}
+	for _, p := range readPartings(t) {
+		pinned[p.Name+" "+p.Property] = p
+	}
+	seen := map[string][2]int{}
+	for name, h := range literalHistories() {
+		for _, c := range literalChecks {
+			want, got := c.literal(h), c.checker(h)
+			if p, ok := pinned[name+" "+c.prop]; got.Holds != want && !(ok && slices.Equal(p.History, h)) {
+				raw, _ := json.Marshal(parting{name, c.prop, want, got.Holds, h})
+				t.Errorf("%s: %s literally holds = %v, checker says %v; not pinned in %s:\n%s", name, c.prop, want, got, partingsPath, raw)
+			}
+			s := seen[c.prop]
+			if want {
+				s[0]++
+			} else {
+				s[1]++
+			}
+			seen[c.prop] = s
+		}
+	}
+	for _, c := range literalChecks {
+		if s := seen[c.prop]; s[0] == 0 || s[1] == 0 {
+			t.Errorf("%s held on %d histories and was violated on %d: the set misses a side", c.prop, s[0], s[1])
+		}
+	}
+}
+
+// TestLiteralDisagreements: each pinned disagreement still gives the answers
+// it was pinned with, and is on a history that is not a run — History.Validate
+// refuses it, for a receive before its send or naming another sender. There
+// the checker's sFS2d follows a message by its id alone, in history order,
+// where Figure 1 pairs SEND_i(k,m) with RECV_k(i,m) whichever comes first.
+func TestLiteralDisagreements(t *testing.T) {
+	for _, p := range readPartings(t) {
+		i := slices.IndexFunc(literalChecks, func(c literalCheck) bool { return c.prop == p.Property })
+		if i < 0 {
+			t.Fatalf("%s: no property %q", p.Name, p.Property)
+		}
+		c := literalChecks[i]
+		if lit, got := c.literal(p.History), c.checker(p.History).Holds; lit != p.Literal || got != p.Checker {
+			t.Errorf("%s: %s literal = %v, checker = %v; pinned %v, %v", p.Name, p.Property, lit, got, p.Literal, p.Checker)
+		}
+		if err := p.History.Validate(); err == nil {
+			t.Errorf("%s: the checkers part on a valid history", p.Name)
+		}
+	}
+}
+
+// TestLiteralFigure1OnCorpus holds the same properties on the reading corpus
+// (generated histories, their completions and mutations, recorded runs of
+// the protocol), as checker.All reads it: the abstract history, transport
+// traffic dropped. Both checker.All's verdict and the per-property function
+// on the abstract history must agree with the literal one.
+func TestLiteralFigure1OnCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("literal properties over the recorded runs are quadratic")
+	}
+	for _, r := range readingCorpus(t) {
+		ab := checker.Abstract(r.h, core.TagSusp)
+		all := map[string]bool{}
+		for _, v := range checker.All(r.h, core.TagSusp, r.t) {
+			all[v.Property] = v.Holds
+		}
+		for _, c := range literalChecks {
+			want := c.literal(ab)
+			if got := c.checker(ab); got.Holds != want {
+				t.Errorf("%s: %s literally holds = %v, checker says %v", r.name, c.prop, want, got)
+			}
+			if got, ok := all[c.prop]; !ok || got != want {
+				t.Errorf("%s: %s literally holds = %v, checker.All says %v (reported: %v)", r.name, c.prop, want, got, ok)
+			}
+		}
+	}
+}

@@ -1,11 +1,14 @@
 // Package host is what the two hosts of a protocol stack — the deterministic
 // simulator (internal/sim) and the live goroutine runtime (internal/runtime)
 // — share: every rule both apply to a message or a process. A send's checks,
-// id and fate (Route returns the copies to queue), a receive, a loss at a down
-// receiver, a crash, a restart, the id and size checks, the counters and what
-// the interposers report are each one piece of code here, clock-free and
-// lock-free: the tick is an argument, events go to the recorder a host passes
-// in, and a host owns only when each step runs (clock, queues, wake-ups, locks).
+// id and fate (Route returns the fates of the copies to queue; a payload is
+// written once, by the host, into the place it is delivered from), a receive,
+// a loss at a down receiver, a crash, a restart, the id and size checks, the
+// counters and what the interposers report are each one piece of code here,
+// clock-free and lock-free: the tick is an argument, a host records a
+// message's send and receive events itself and every other event goes to the
+// recorder it passes in, and a host owns only when each step runs (clock,
+// queues, wake-ups, locks).
 package host
 
 import (
@@ -239,12 +242,16 @@ func (c *Core) Snapshot(into obs.Metrics, l Layers, extra ...obs.Metric) obs.Met
 	return ms
 }
 
-// Copy is a copy of a routed message the network delivers.
+// Copy is the fate of one copy of a routed message the network delivers. It
+// carries no payload: Wire is nil for the payload the sender passed in, and
+// points at the one a Byzantine network substitutes (LinkDecision.Replace) or
+// replays (LinkDecision.Replay) otherwise — which the link function allocates
+// for its decision, so nothing is copied to say so.
 type Copy struct {
-	Wire          node.Payload // what the channel carries
-	Span          int64        // its enqueue span; 0 when unsampled
-	Extra         int64        // ticks the link adds to the host's base delay
-	Park, Reorder bool         // it parks its channel; it overtakes the tail
+	Wire          *node.Payload // what the channel carries; nil: the sent payload
+	Span          int64         // its enqueue span; 0 when unsampled
+	Extra         int64         // ticks the link adds to the host's base delay
+	Park, Reorder bool          // it parks its channel; it overtakes the tail
 }
 
 // Route is a numbered send after the host has recorded its send event: it
@@ -253,9 +260,10 @@ type Copy struct {
 // the span of the callback doing the send), and returns in into's array the
 // copies the network delivers — Copies() of the (possibly replaced) wire
 // payload, then the replay ghost.
-// The host queues them in order, each after its base delay plus Extra, at the
-// tail or under Reorder one before it. The decision stays a value: a pointer
-// would make every send allocate. Live hosts hold no process lock here.
+// The host writes each copy's payload (p unless Wire says otherwise) into the
+// place it is delivered from, in order, each after its base delay plus Extra,
+// at the tail or under Reorder one before it. The decision stays a value: a
+// pointer would make every send allocate. Live hosts hold no process lock here.
 func (c *Core) Route(t *Tally, now, cur int64, from, to model.ProcID, id model.MsgID, p node.Payload, into []Copy) []Copy {
 	into = into[:0]
 	var dec node.LinkDecision
@@ -287,27 +295,33 @@ func (c *Core) Route(t *Tally, now, cur int64, from, to model.ProcID, id model.M
 	t.Duplicated += int64(dec.Duplicates)
 	// A Byzantine network may substitute what the channel carries; the send
 	// event still records the payload the sender actually passed in.
-	wire := p
+	var wire *node.Payload
 	if dec.Replace != nil {
-		wire = dec.Replace.Payload
+		wire = &dec.Replace.Payload
+	}
+	// Each copy is written field by field where it lands: built whole and
+	// then appended, it is stored in 8-byte pieces and read back in 16-byte
+	// ones, which the store buffer cannot forward.
+	queue := func(wire *node.Payload, extra int64) {
+		into = append(into, Copy{})
+		cp := &into[len(into)-1]
+		cp.Wire, cp.Span, cp.Extra, cp.Park, cp.Reorder = wire, follow(obs.SpanEnqueue), extra, dec.Park, dec.Reorder
 	}
 	for n := dec.Copies(); n > 0; n-- {
-		into = append(into, Copy{Wire: wire, Span: follow(obs.SpanEnqueue), Extra: dec.ExtraDelay, Park: dec.Park, Reorder: dec.Reorder})
+		queue(wire, dec.ExtraDelay)
 	}
 	if dec.Replay != nil {
 		// A ghost of an earlier wire payload, further delayed so it lands stale.
-		into = append(into, Copy{Wire: dec.Replay.Payload, Span: follow(obs.SpanEnqueue),
-			Extra: dec.ExtraDelay + dec.Replay.Delay, Park: dec.Park, Reorder: dec.Reorder})
+		queue(&dec.Replay.Payload, dec.ExtraDelay+dec.Replay.Delay)
 	}
 	return into
 }
 
 // Receive takes message id, p, enqueued under span, from the head of channel
-// from → to at tick now: it records the receive event through record and its
-// deliver span, and counts it into t. It returns the span that frames
-// OnMessage, 0 for an unsampled message.
-func (c *Core) Receive(t *Tally, now int64, from, to model.ProcID, id model.MsgID, p node.Payload, span int64, record func(model.Event)) int64 {
-	record(model.Recv(to, from, id, p.Tag, p.Subject))
+// from → to at tick now, after the host has recorded its receive event (at
+// that tick): it records the deliver span and counts the receive into t. It
+// returns the span that frames OnMessage, 0 for an unsampled message.
+func (c *Core) Receive(t *Tally, now int64, from, to model.ProcID, id model.MsgID, p *node.Payload, span int64) int64 {
 	t.Delivered++
 	if span == 0 {
 		return 0

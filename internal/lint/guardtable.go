@@ -140,4 +140,7 @@ var Guards = []Guard{
 	// the atomic counters: no message pays a locked add.
 	{Kind: Retired, Pattern: `Sent\.Inc\(\)`, Reason: "a send is counted into a host.Tally with a plain add, not a locked one per message", PR: 39},
 	{Kind: Retired, Pattern: `Delivered\.Inc\(\)`, Reason: "a receive is counted into a host.Tally with a plain add, not a locked one per message", PR: 39},
+	// A payload is written once, by the host, into the place it is delivered
+	// from: a routed copy only names it.
+	{Kind: Retired, Pattern: `Wire\s+node\.Payload`, Scope: []string{"internal/host"}, Reason: "a routed copy names its payload (nil: the one sent) and never carries one by value", PR: 41},
 }

@@ -16,7 +16,8 @@ import (
 // shared fate function — and requires that whatever Validate accepts is then
 // safe to run: no panic, a process-fault schedule the hosts accept, no
 // negative duplicate count or extra delay, exactly Copies() copies queued
-// (one more with a replay), and never a copy of a dropped message. A
+// (one more with a replay), each naming the decision's own replacement or
+// ghost payload or none, and never a copy of a dropped message. A
 // violated invariant is a bug in this package, not something for a host to
 // clamp. Seeds: every authored example plan, and every builtin as WritePlan
 // renders it.
@@ -72,9 +73,21 @@ func FuzzReadPlan(f *testing.F) {
 				}
 				at := ticks[i%len(ticks)] + int64(i/len(ticks))
 				copies = core.Route(&tally, at, 0, from, to, model.MsgID(i+1), p, copies)
-				for _, c := range copies {
+				for k, c := range copies {
 					if c.Extra < 0 {
 						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks early: %+v", n, i, from, to, at, -c.Extra, dec)
+					}
+					// A copy carries no payload: it names the decision's own
+					// replacement or ghost, or (nil) the payload sent.
+					var wire *node.Payload
+					switch {
+					case dec.Replay != nil && k == len(copies)-1:
+						wire = &dec.Replay.Payload
+					case dec.Replace != nil:
+						wire = &dec.Replace.Payload
+					}
+					if c.Wire != wire {
+						t.Fatalf("n=%d message %d (%d->%d at %d): copy %d carries %p, want %p for decision %+v", n, i, from, to, at, k, c.Wire, wire, dec)
 					}
 				}
 				want := dec.Copies()

@@ -138,7 +138,11 @@ func modelFates(sends []fateSend) fateOutcome {
 		link := linkName(s.from, to)
 		copies = core.Route(&tally, 0, 0, s.from, to, core.Number(&tally), node.Payload{Tag: s.tag}, copies)
 		for _, c := range copies {
-			q := append(queues[link], copyOf{s.tag, c.Wire.Tag, c.Park})
+			wire := s.tag
+			if c.Wire != nil {
+				wire = c.Wire.Tag
+			}
+			q := append(queues[link], copyOf{s.tag, wire, c.Park})
 			if n := len(q); c.Reorder && n > 2 {
 				q[n-1], q[n-2] = q[n-2], q[n-1]
 			}

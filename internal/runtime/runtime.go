@@ -244,13 +244,19 @@ func (n *Net) nowTicks() int64 {
 	return int64(n.elapsed() / n.cfg.Tick)
 }
 
-func (n *Net) record(e model.Event) {
+// record appends e to the history at the current tick, read under the
+// recorder lock, and returns that tick.
+func (n *Net) record(e model.Event) int64 {
 	n.recMu.Lock()
 	e.Time = n.nowTicks()
 	e.Seq = int32(len(n.history))
 	n.history = append(n.history, e)
 	n.recMu.Unlock()
+	return e.Time
 }
+
+// recordEvent is record for the core's process steps, which take a recorder.
+func (n *Net) recordEvent(e model.Event) { n.record(e) }
 
 func (n *Net) delay() time.Duration {
 	n.rngMu.Lock()
@@ -450,9 +456,11 @@ func (p *proc) discard(cut time.Duration) time.Duration {
 	return next
 }
 
-// deliver hands p's handler the message m from.
+// deliver hands p's handler the message m from. One reading of the clock:
+// the deliver span shows the tick the receive event does.
 func (p *proc) deliver(from model.ProcID, m liveMsg) {
-	p.curSpan = p.net.core.Receive(&p.tally, p.net.nowTicks(), from, p.self, m.id, m.payload, m.span, p.net.record)
+	now := p.net.record(model.Recv(p.self, from, m.id, m.payload.Tag, m.payload.Subject))
+	p.curSpan = p.net.core.Receive(&p.tally, now, from, p.self, m.id, &m.payload, m.span)
 	p.h.OnMessage(p, from, m.payload)
 	p.curSpan = 0
 }
@@ -476,7 +484,7 @@ func (p *proc) fire() {
 		p.h.OnTimer(p, d.name)
 	case d.kind == restartDeadline:
 		p.setDown(false)
-		n.core.Restart(&p.tally, p.self, n.nowTicks(), p.h, p, n.record)
+		n.core.Restart(&p.tally, p.self, n.nowTicks(), p.h, p, n.recordEvent)
 	case p.down:
 		n.core.Skip(d.life, d.tick, schedule)
 	default:
@@ -485,7 +493,7 @@ func (p *proc) fire() {
 		// message). The process's timers die with it.
 		p.setDown(true)
 		p.due = slices.DeleteFunc(p.due, func(d deadline) bool { return d.kind == timerDeadline })
-		n.core.Crash(&p.tally, d.life, d.tick, n.nowTicks(), p.h, p, schedule, n.record)
+		n.core.Crash(&p.tally, d.life, d.tick, n.nowTicks(), p.h, p, schedule, n.recordEvent)
 	}
 }
 
@@ -537,7 +545,11 @@ func (p *proc) Send(to model.ProcID, pl node.Payload) {
 	}
 	q := dst.queues[p.self]
 	for _, c := range p.copies {
-		msg := liveMsg{id: id, payload: c.Wire, readyAt: net.after(net.elapsed()+net.delay(), c.Extra), parked: c.Park, span: c.Span}
+		wire := pl
+		if c.Wire != nil {
+			wire = *c.Wire
+		}
+		msg := liveMsg{id: id, payload: wire, readyAt: net.after(net.elapsed()+net.delay(), c.Extra), parked: c.Park, span: c.Span}
 		if c.Reorder && len(q) > 1 {
 			// Overtake the current tail: a pairwise FIFO violation.
 			tail := len(q) - 1
@@ -583,7 +595,7 @@ func (p *proc) CrashSelf() {
 	p.queues, p.injects = nil, nil
 	p.mu.Unlock()
 	p.due = nil
-	p.net.core.CrashSelf(p.self, p.h, p, p.net.record)
+	p.net.core.CrashSelf(p.self, p.h, p, p.net.recordEvent)
 }
 
 func (p *proc) EmitInternal(tag string, subject model.ProcID) {
@@ -593,8 +605,8 @@ func (p *proc) EmitInternal(tag string, subject model.ProcID) {
 	p.emit(model.Internal(p.self, tag, subject))
 }
 
-// emit records e and, for a suspicion or a detection, its span.
+// emit records e and, for a suspicion or a detection, its span, at the tick
+// the event shows.
 func (p *proc) emit(e model.Event) {
-	p.net.record(e)
-	p.net.core.Detection(p.net.nowTicks(), p.curSpan, e)
+	p.net.core.Detection(p.net.record(e), p.curSpan, e)
 }

@@ -14,6 +14,7 @@ import (
 	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/obs"
 	"failstop/internal/recovery"
 	"failstop/internal/runtime"
 	"failstop/internal/sim"
@@ -479,6 +480,86 @@ func TestSendFateJudgedAtRecordedTick(t *testing.T) {
 	if differ > 0 {
 		t.Errorf("%d of %d sends judged at another tick than their send event's (first: link %d, event %d)",
 			differ, sends, ats[0], times[0])
+	}
+}
+
+// suspector suspects the sender of every message it receives and counts
+// them, thread-safely for the test's wait.
+type suspector struct {
+	mu  sync.Mutex
+	got int
+}
+
+func (h *suspector) Init(node.Context) {}
+func (h *suspector) OnMessage(ctx node.Context, from model.ProcID, _ node.Payload) {
+	ctx.EmitInternal(model.TagSuspect, from)
+	h.mu.Lock()
+	h.got++
+	h.mu.Unlock()
+}
+func (h *suspector) OnTimer(node.Context, string) {}
+
+func (h *suspector) count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.got
+}
+
+// TestSpansAtRecordedTick: a live receive's deliver span, and a suspicion's
+// span, carry the tick their event does. The clock used to be read once for
+// the span and again, under the recorder lock, for the event, so at a fine
+// tick the two differed.
+func TestSpansAtRecordedTick(t *testing.T) {
+	const sends = 300
+	cfg := fastCfg(2, 1)
+	cfg.Tick = time.Nanosecond
+	cfg.Spans = obs.NewSpanRecorder(1, 1)
+	net := runtime.New(cfg)
+	h := &suspector{}
+	net.SetHandler(1, sender{count: sends})
+	net.SetHandler(2, h)
+	net.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for h.count() < sends && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	net.Stop()
+	recvAt, suspectAt := map[model.MsgID]int64{}, []int64(nil)
+	for _, e := range net.History() {
+		switch {
+		case e.Kind == model.KindRecv && e.Proc == 2:
+			recvAt[e.Msg] = e.Time
+		case e.Kind == model.KindInternal && e.Tag == model.TagSuspect:
+			suspectAt = append(suspectAt, e.Time)
+		}
+	}
+	var deliverAt, suspectSpans []int64
+	differ := 0
+	for _, sp := range cfg.Spans.Spans() {
+		switch sp.Kind {
+		case obs.SpanDeliver:
+			deliverAt = append(deliverAt, sp.Time)
+			if at, ok := recvAt[sp.Msg]; !ok || sp.Proc != 2 || at != sp.Time {
+				differ++
+			}
+		case obs.SpanSuspect:
+			suspectSpans = append(suspectSpans, sp.Time)
+		}
+	}
+	if len(recvAt) != sends || len(deliverAt) != sends {
+		t.Fatalf("%d receives and %d deliver spans, want %d of each", len(recvAt), len(deliverAt), sends)
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d deliver spans at another tick than their receive event's", differ, sends)
+	}
+	if len(suspectSpans) != len(suspectAt) {
+		t.Fatalf("%d suspicion spans for %d suspicions", len(suspectSpans), len(suspectAt))
+	}
+	for k := range suspectAt {
+		if suspectSpans[k] != suspectAt[k] {
+			t.Errorf("suspicion %d: span at tick %d, event at %d", k, suspectSpans[k], suspectAt[k])
+			break
+		}
 	}
 }
 

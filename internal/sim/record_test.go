@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 )
@@ -151,7 +152,10 @@ func hasPointers(t reflect.Type) bool {
 // line, a due batch to a quarter of one and a link to half of one. It also
 // holds model.Event, which a record page and every history are arrays of, to
 // 48 bytes and its fields to their order, which is the key order of every
-// trace: a field added or widened there grows every recorded run.
+// trace: a field added or widened there grows every recorded run. And it
+// holds a routed copy, which every send appends, to 32 bytes with Wire its
+// only pointer: a payload is written once, into its slot, and never rides in
+// a copy by value.
 func TestQueueAndRecordLayout(t *testing.T) {
 	typ := reflect.TypeOf(occurrence{})
 	if typ.Size() > 32 {
@@ -171,6 +175,14 @@ func TestQueueAndRecordLayout(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(channel{}); size != 32 {
 		t.Errorf("channel is %d bytes, want exactly 32", size)
+	}
+	if size := unsafe.Sizeof(host.Copy{}); size != 32 {
+		t.Errorf("host.Copy is %d bytes, want exactly 32", size)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(host.Copy{})) {
+		if wire := f.Name == "Wire"; wire != hasPointers(f.Type) || wire && f.Type.Kind() != reflect.Pointer {
+			t.Errorf("host.Copy.%s is a %v: Wire must be its one pointer", f.Name, f.Type)
+		}
 	}
 	if size := unsafe.Sizeof(model.Event{}); size != 48 {
 		t.Errorf("model.Event is %d bytes, want exactly 48", size)

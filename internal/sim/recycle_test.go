@@ -79,9 +79,58 @@ func maxTimeStopped(t *testing.T) {
 	}
 }
 
+// freeListDrained delivers every message into a handler that sends until
+// the slab's free list is empty, and once more, while the slot the message
+// was delivered from is not yet freed: were that slot on the free list, the
+// first send would take it, and freeing it after OnMessage would hand one
+// slot to two messages. Each payload carries its link's sequence number, and
+// every message must arrive once, in order.
+func freeListDrained(t *testing.T) {
+	const n, budget = 6, 600
+	s := New(Config{N: n, Seed: 11})
+	sent, got := map[[2]model.ProcID]int{}, map[[2]model.ProcID]int{}
+	next := make([]model.ProcID, n+1) // each sender's next receiver, round robin
+	left := budget
+	send := func(ctx node.Context) {
+		from := ctx.Self()
+		if next[from] = next[from]%n + 1; next[from] == from {
+			next[from] = next[from]%n + 1
+		}
+		link := [2]model.ProcID{from, next[from]}
+		ctx.Send(link[1], node.Payload{Tag: "SEQ", Subject: model.ProcID(sent[link])})
+		sent[link]++
+		left--
+	}
+	drains := 0
+	for p := model.ProcID(1); p <= n; p++ {
+		s.SetHandler(p, &scriptHandler{
+			init: send,
+			onMsg: func(ctx node.Context, from model.ProcID, pl node.Payload) {
+				link := [2]model.ProcID{from, ctx.Self()}
+				if int(pl.Subject) != got[link] {
+					t.Fatalf("link %v: message %d arrived as %d", link, got[link], pl.Subject)
+				}
+				got[link]++
+				for left > 0 {
+					drained := s.free == noSlot
+					send(ctx)
+					if drained {
+						drains++
+						break
+					}
+				}
+			},
+		})
+	}
+	if res := s.Run(); res.Stop != StopDrained || len(res.Blocked) != 0 || !reflect.DeepEqual(got, sent) || drains == 0 {
+		t.Fatalf("drained free list: stop %v, blocked %v, %d free lists drained; received %v of %v", res.Stop, res.Blocked, drains, got, sent)
+	}
+}
+
 // hostileRuns are the runs whose bulks the golden scenarios inherit: larger
 // than all but one of them and smaller than that one, smaller than all, full
-// at the stop, stopped at MaxTime with its ring in use, and one with Spans on
+// at the stop, stopped at MaxTime with its ring in use, one whose handlers
+// drain the slab's free list from OnMessage, and one with Spans on
 // (goldenLinkMix; every other one hands the Spans-on golden scenario a bulk
 // that had none).
 var hostileRuns = []struct {
@@ -92,6 +141,7 @@ var hostileRuns = []struct {
 	{"flood n=2", func(*testing.T) { runFlood(2, 3, 1) }},
 	{"stopped full", hostileStopped},
 	{"stopped at MaxTime", maxTimeStopped},
+	{"free list drained", freeListDrained},
 	{"spans on", func(*testing.T) { goldenLinkMix() }},
 }
 

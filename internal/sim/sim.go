@@ -59,10 +59,13 @@
 //   - Slab. In-flight messages live in one per-Sim slab of 64-byte slots —
 //     payload, ready time, a 32-bit id, the next slot — grown a page at a time
 //     so a slot never moves; a channel is a singly linked list of slots (head,
-//     tail, count) and popped slots are cleared onto a free list. List order
-//     is FIFO order; LinkDecision.Reorder swaps the contents of a channel's
-//     last two slots. Span ids sit in a slice beside the slab that exists only
-//     with Config.Spans.
+//     tail, count) and delivered slots are cleared onto a free list. A
+//     payload is written once, by Send, into the slot it is delivered from:
+//     the gate, the receive event and OnMessage read it there, and the slot
+//     is freed only after OnMessage returns. List order is FIFO order;
+//     LinkDecision.Reorder writes the new message into the tail's slot and
+//     moves the tail back into the new one. Span ids sit in a slice beside
+//     the slab that exists only with Config.Spans.
 //   - Open batches. Channel heads due at the same (tick, receiver) share one
 //     event-queue occurrence: a 16-byte (time, first link) entry in the
 //     receiver's list, the links chained through the channels themselves. A
@@ -244,8 +247,10 @@ func (cfg Config) CheckHorizon() error {
 
 // pendingMsg is one in-flight message copy: a slot of the per-Sim slab,
 // exactly one cache line, linked to the message behind it on the same channel
-// (or, on the free list, to the next free slot). The enqueue span of a sampled
-// message sits beside the slab, in Sim.spanOf.
+// (or, on the free list, to the next free slot). Its payload is written there
+// once, by enqueue, and read there by the gate, the receive event and
+// OnMessage. The enqueue span of a sampled message sits beside the slab, in
+// Sim.spanOf.
 type pendingMsg struct {
 	payload node.Payload
 	readyAt int64 // delivery-ready time; -1 if parked forever
@@ -1030,12 +1035,14 @@ func (s *Sim) slot(idx int32) *pendingMsg {
 	return &s.slab[idx>>slabPageBits][idx&(slabPageLen-1)]
 }
 
-// enqueue appends msg, whose enqueue span is span, to c's FIFO and counts it
-// in flight, taking a slot from the free list or growing the slab. With
-// overtake set (and at least two messages already queued) the new message
-// lands immediately before the current tail: the last two slots swap
-// contents, a pairwise FIFO violation.
-func (s *Sim) enqueue(c *channel, msg pendingMsg, span int64, overtake bool) {
+// enqueue appends a copy of message id carrying *p, ready at readyAt (-1:
+// parked) and enqueued under span, to c's FIFO and counts it in flight,
+// taking a slot from the free list or growing the slab; the payload is
+// written straight into the slot. With overtake set (and at least two
+// messages already queued) the new message lands immediately before the
+// current tail — a pairwise FIFO violation: the tail moves back into the new
+// slot and the message is written into the tail's.
+func (s *Sim) enqueue(c *channel, id model.MsgID, p *node.Payload, readyAt, span int64, overtake bool) {
 	idx := s.free
 	if idx != noSlot {
 		s.free = s.slot(idx).next
@@ -1049,39 +1056,36 @@ func (s *Sim) enqueue(c *channel, msg pendingMsg, span int64, overtake bool) {
 		}
 		s.slots++
 	}
-	msg.next = noSlot
+	at, slot := idx, s.slot(idx) // where the message is written; the new slot
 	if c.n == 0 {
 		c.head = idx
 	} else {
 		tail := s.slot(c.tail)
 		tail.next = idx
 		if overtake && c.n > 1 {
-			msg, *tail = *tail, msg
-			tail.next, msg.next = idx, noSlot
+			*slot = *tail
 			if s.spanOf != nil {
-				span, s.spanOf[c.tail] = s.spanOf[c.tail], span
+				s.spanOf[idx] = s.spanOf[c.tail]
 			}
+			at = c.tail
 		}
 	}
-	*s.slot(idx) = msg
+	slot.next = noSlot
+	m := s.slot(at)
+	m.payload, m.readyAt, m.id = *p, readyAt, id
 	if s.spanOf != nil {
-		s.spanOf[idx] = span
+		s.spanOf[at] = span
 	}
 	c.tail = idx
 	c.n++
 	s.inflight++
 }
 
-// dequeue removes and returns c's head message, in flight no more, and its
-// enqueue span. The vacated slot is cleared before it joins the free list, so
-// a delivered payload is not pinned.
-func (s *Sim) dequeue(c *channel) (msg pendingMsg, span int64) {
-	idx := c.head
-	slot := s.slot(idx)
-	msg = *slot
-	*slot = pendingMsg{next: s.free}
-	s.free = idx
-	c.head = msg.next
+// dequeue takes c's head off the channel, in flight no more, and returns its
+// slot and enqueue span. The slot is the caller's until it frees it.
+func (s *Sim) dequeue(c *channel) (idx int32, span int64) {
+	idx = c.head
+	c.head = s.slot(idx).next
 	if c.n--; c.n == 0 {
 		c.tail = noSlot
 	}
@@ -1089,7 +1093,14 @@ func (s *Sim) dequeue(c *channel) (msg pendingMsg, span int64) {
 	if s.spanOf != nil {
 		span = s.spanOf[idx]
 	}
-	return msg, span
+	return idx, span
+}
+
+// freeSlot clears slot idx before it joins the free list, so a delivered
+// payload is not pinned.
+func (s *Sim) freeSlot(idx int32) {
+	*s.slot(idx) = pendingMsg{next: s.free}
+	s.free = idx
 }
 
 // scheduleDelivery enqueues channel c's head delivery at time at, not
@@ -1173,8 +1184,9 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 	if rc.down {
 		// Loss is decided per arrival: messages still in flight may yet land
 		// after a restart.
-		head, span := s.dequeue(c)
-		s.core.Lose(s.now, c.from, c.to, head.id, span)
+		idx, span := s.dequeue(c)
+		s.core.Lose(s.now, c.from, c.to, slot.id, span)
+		s.freeSlot(idx)
 		s.scheduleHead(c)
 		return
 	}
@@ -1184,11 +1196,15 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 		return
 	}
 	c.gated = false
-	head, span := s.dequeue(c)
+	// The message is read where it lies; its slot is freed only after
+	// OnMessage returns, so no send from the handler can take it first.
+	idx, span := s.dequeue(c)
+	s.record(model.Recv(c.to, c.from, slot.id, slot.payload.Tag, slot.payload.Subject))
 	prevSpan := s.curSpan
-	s.curSpan = s.core.Receive(&s.tally, s.now, c.from, c.to, head.id, head.payload, span, s.record)
+	s.curSpan = s.core.Receive(&s.tally, s.now, c.from, c.to, slot.id, &slot.payload, span)
 	s.scheduleHead(c)
-	rc.h.OnMessage(rc, c.from, head.payload)
+	rc.h.OnMessage(rc, c.from, slot.payload)
+	s.freeSlot(idx)
 	s.afterEvent(rc)
 	s.curSpan = prevSpan
 }
@@ -1411,11 +1427,15 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		} else {
 			delay = s.cfg.MinDelay + s.rng.int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
-		msg := pendingMsg{id: id, payload: cp.Wire, readyAt: -1}
+		readyAt := int64(-1)
 		if delay >= 0 && !cp.Park {
-			msg.readyAt = s.now + delay + cp.Extra
+			readyAt = s.now + delay + cp.Extra
 		}
-		s.enqueue(ch, msg, cp.Span, cp.Reorder)
+		wire := cp.Wire
+		if wire == nil {
+			wire = &p
+		}
+		s.enqueue(ch, id, wire, readyAt, cp.Span, cp.Reorder)
 	}
 	if wasEmpty {
 		s.scheduleHead(ch)
