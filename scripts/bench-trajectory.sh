@@ -40,9 +40,10 @@ export GOCACHE="$work/gocache" GOFLAGS=-buildvcs=false GOTOOLCHAIN=local
 
 for arg in "$@"; do
 	label="${arg%%=*}" rev="${arg#*=}"
-	commit="$(git -C "$repo" rev-parse --short "$rev")"
-	git -C "$clone" fetch -q "$repo" "$commit" 2>/dev/null || true
-	git -C "$clone" checkout -q --detach "$commit"
+	full="$(git -C "$repo" rev-parse "$rev^{commit}")"
+	commit="$(git -C "$repo" rev-parse --short "$full")"
+	git -C "$clone" fetch -q "$repo" "$full" 2>/dev/null || true
+	git -C "$clone" checkout -q --detach "$full"
 	bin="$work/sfs-perfbench-$commit"
 	line="$work/line-$commit.jsonl"
 	rm -f "$line"
