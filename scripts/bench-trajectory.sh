@@ -2,18 +2,18 @@
 # Appends lines to the perf record at the root of the repository
 # (BENCH_trajectory.jsonl): for each LABEL=REV argument, REV's own bench/ is
 # built and its whole set run once (`-rounds 3 -seconds 1` unless ROUNDS or
-# SECONDS say otherwise), and the line `bench -append` writes is appended with
-# "pr": LABEL in front. A commit whose bench/ does not build, or whose set
-# writes no line, gets a line saying so instead.
+# SECONDS_PER_RUN say otherwise), and the line `bench -append` writes is
+# appended with "pr": LABEL in front. A commit whose bench/ does not build,
+# or whose set writes no line, gets a line saying so instead.
 #
 #   scripts/bench-trajectory.sh WORKDIR [LABEL=REV ...]
 #
 # WORKDIR holds a clone of this repository (each REV is checked out there in
 # turn, so the working tree is never touched), the build cache and the binary.
-# With no LABEL=REV the backfill runs: the last commit of every PR from PR 11,
-# the first with a bench/, to PR 39. A new PR appends its parent's line and
-# its own, e.g. `scripts/bench-trajectory.sh /tmp/traj 40-parent=HEAD~1 40=HEAD`,
-# both in one session on one host.
+# With no LABEL=REV the backfill runs: the last commit of each change that
+# CHANGES.md numbers 11 (the first with a bench/) to 39. A change appends its
+# parent's line and its own, both in one session on one host, e.g.
+# `scripts/bench-trajectory.sh /tmp/traj 42-parent=HEAD~1 42=HEAD`.
 set -euo pipefail
 
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -23,8 +23,8 @@ out="$repo/BENCH_trajectory.jsonl"
 rounds="${ROUNDS:-3}" seconds="${SECONDS_PER_RUN:-1}"
 
 if [ $# -eq 0 ]; then
-	# PRs 22, 26 and 27 landed as commits without a number in their subject;
-	# there is no PR 29.
+	# Changes 22, 26 and 27 landed as commits without a number in their
+	# subject; there is no change 29.
 	set -- 11=9493557 12=afaad17 13=37c4a06 14=e37728b 15=96b3e58 16=deb0639 \
 		17=56a06a7 18=e1b11a8 19=299166e 20=6920f92 21=7c099bd 22=af213c9 \
 		23=e6f41c3 24=7247e93 25=943328d 26=4a1a6a4 27=5dd8a23 28=6c77813 \
