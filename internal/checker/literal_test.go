@@ -290,3 +290,103 @@ func TestLiteralFigure1OnCorpus(t *testing.T) {
 		}
 	}
 }
+
+// literalQuorum is the quorum set Q_{i,j} of the detection failed_i(j) at h[k],
+// rebuilt from §4 by a walk of the history before it: i itself, and every
+// process i has received a "j failed" message from — a receive by i tagged
+// suspTag whose subject is j.
+func literalQuorum(h model.History, k int, suspTag string) map[model.ProcID]bool {
+	i, j := h[k].Proc, h[k].Target
+	q := map[model.ProcID]bool{i: true}
+	for _, e := range h[:k] {
+		if e.Kind == model.KindRecv && e.Proc == i && e.Tag == suspTag && e.Target == j && j != model.None {
+			q[e.Peer] = true
+		}
+	}
+	return q
+}
+
+// literalW: §4's Witness property W in the form sFS2b needs — every subfamily
+// of at most t quorum sets, one a detection, has a common member. Every such
+// subfamily is enumerated and intersected on its own: no pruning, no
+// deduplication, no bitset.
+func literalW(h model.History, suspTag string, t int) bool {
+	var sets []map[model.ProcID]bool
+	for k, e := range h {
+		if e.Kind == model.KindFailed {
+			sets = append(sets, literalQuorum(h, k, suspTag))
+		}
+	}
+	shared := func(pick []int) bool {
+		for p := range sets[pick[0]] {
+			in := true
+			for _, k := range pick[1:] {
+				in = in && sets[k][p]
+			}
+			if in {
+				return true
+			}
+		}
+		return false
+	}
+	// walk extends pick, a subfamily in ascending index order, by every later
+	// set, and reports whether all subfamilies it reaches have a common member.
+	var walk func(pick []int, from int) bool
+	walk = func(pick []int, from int) bool {
+		if len(pick) > 0 && !shared(pick) {
+			return false
+		}
+		if len(pick) == t {
+			return true
+		}
+		for k := from; k < len(sets); k++ {
+			if !walk(append(pick, k), k+1) {
+				return false
+			}
+		}
+		return true
+	}
+	return walk(nil, 0)
+}
+
+// TestLiteralWitness holds checker.WitnessProperty to literalW on every
+// generated history literalHistories makes, at t = 1 to 4, and requires W to
+// be seen holding and violated.
+func TestLiteralWitness(t *testing.T) {
+	seen := [2]int{}
+	for name, h := range literalHistories() {
+		for tt := 1; tt <= 4; tt++ {
+			want, got := literalW(h, core.TagSusp, tt), checker.WitnessProperty(h, core.TagSusp, tt)
+			if got.Holds != want {
+				raw, _ := json.Marshal(h)
+				t.Errorf("%s, t = %d: W literally holds = %v, checker says %v:\n%s", name, tt, want, got, raw)
+			}
+			if want {
+				seen[0]++
+			} else {
+				seen[1]++
+			}
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Errorf("W held on %d histories and was violated on %d: the set misses a side", seen[0], seen[1])
+	}
+}
+
+// TestLiteralWitnessOnCorpus holds the same on the reading corpus, at each
+// history's own t, and checker.All's W verdict with it.
+func TestLiteralWitnessOnCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("literal subfamilies over the recorded runs are combinatorial")
+	}
+	for _, r := range readingCorpus(t) {
+		want := literalW(r.h, core.TagSusp, r.t)
+		if got := checker.WitnessProperty(r.h, core.TagSusp, r.t); got.Holds != want {
+			t.Errorf("%s, t = %d: W literally holds = %v, checker says %v", r.name, r.t, want, got)
+		}
+		all := checker.All(r.h, core.TagSusp, r.t)
+		if i := slices.IndexFunc(all, func(v checker.Verdict) bool { return v.Property == "W" }); i < 0 || all[i].Holds != want {
+			t.Errorf("%s, t = %d: W literally holds = %v, checker.All says %v", r.name, r.t, want, all)
+		}
+	}
+}

@@ -143,4 +143,7 @@ var Guards = []Guard{
 	// A payload is written once, by the host, into the place it is delivered
 	// from: a routed copy only names it.
 	{Kind: Retired, Pattern: `Wire\s+node\.Payload`, Scope: []string{"internal/host"}, Reason: "a routed copy names its payload (nil: the one sent) and never carries one by value", PR: 41},
+	// The simulator writes a send's or a receive's event field by field into
+	// its record page.
+	{Kind: Retired, Pattern: `record\(model\.(Send|Recv)\(`, Scope: []string{"internal/sim"}, Reason: "a per-message event is written where it lands, never passed by value", PR: 43},
 }

@@ -17,10 +17,11 @@ import (
 // safe to run: no panic, a process-fault schedule the hosts accept, no
 // negative duplicate count or extra delay, exactly Copies() copies queued
 // (one more with a replay), each naming the decision's own replacement or
-// ghost payload or none, and never a copy of a dropped message. A
+// ghost payload or none, never a copy of a dropped message, and no copy
+// queued beyond the 2⁶⁰ ticks host.MaxDelay keeps a run's clock below. A
 // violated invariant is a bug in this package, not something for a host to
-// clamp. Seeds: every authored example plan, and every builtin as WritePlan
-// renders it.
+// clamp. Seeds: every authored example plan, every builtin as WritePlan
+// renders it, and the plans whose ticks overflowed the clock.
 func FuzzReadPlan(f *testing.F) {
 	examples, err := filepath.Glob("../../examples/plans/*.json")
 	if err != nil || len(examples) == 0 {
@@ -36,6 +37,13 @@ func FuzzReadPlan(f *testing.F) {
 	for _, g := range Builtins() {
 		var buf bytes.Buffer
 		if err := WritePlan(&buf, g.Make(5, 2)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, o := range overflowPlans {
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, o.plan); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -76,6 +84,9 @@ func FuzzReadPlan(f *testing.F) {
 				for k, c := range copies {
 					if c.Extra < 0 {
 						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks early: %+v", n, i, from, to, at, -c.Extra, dec)
+					}
+					if c.Extra > 1<<60 {
+						t.Fatalf("n=%d message %d (%d->%d at %d): copy queued %d ticks late, past the clock's reach: %+v", n, i, from, to, at, c.Extra, dec)
 					}
 					// A copy carries no payload: it names the decision's own
 					// replacement or ghost, or (nil) the payload sent.

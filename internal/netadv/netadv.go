@@ -27,6 +27,7 @@ import (
 	"sort"
 	"sync"
 
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/obs"
@@ -278,6 +279,17 @@ func (p Plan) Validate(n int) error {
 		}
 		if r.Period < 0 {
 			return fmt.Errorf("netadv: rule %d of plan %q: negative Period %d", i, p.Name, r.Period)
+		}
+		// A tick a rule names, or a delay it adds, is a summand of some
+		// message's ready time: above host.MaxDelay the sum can wrap past the
+		// last tick, and a held message would read as parked.
+		for _, f := range [...]struct {
+			name string
+			v    int64
+		}{{"From", r.From}, {"Until", r.Until}, {"Period", r.Period}, {"JitterMax", r.JitterMax}, {"QueueDelay", r.QueueDelay}} {
+			if f.v > host.MaxDelay {
+				return fmt.Errorf("netadv: rule %d of plan %q: %s %d exceeds %d ticks (2^40: the clock must not overflow)", i, p.Name, f.name, f.v, int64(host.MaxDelay))
+			}
 		}
 		if r.Period > 0 && (r.ActiveFor <= 0 || r.ActiveFor > r.Period) {
 			return fmt.Errorf("netadv: rule %d of plan %q: Period %d needs ActiveFor in 1..%d, have %d", i, p.Name, r.Period, r.Period, r.ActiveFor)

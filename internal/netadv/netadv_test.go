@@ -1,11 +1,13 @@
 package netadv
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"failstop/internal/core"
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/recovery"
@@ -192,6 +194,43 @@ func TestPlanValidate(t *testing.T) {
 	}}
 	if err := ok.Validate(5); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+}
+
+// overflowPlans are plans whose ticks or delays reach past host.MaxDelay, each
+// naming the field Validate must refuse. The first three used to pass: the
+// Hold promised delivery and its message was reported parked (its ready time
+// wrapped), the jitter carried the run's clock to 6.76·10¹⁸, and the shaped
+// link's backlog overflowed.
+var overflowPlans = []struct {
+	field string
+	plan  Plan
+}{
+	{"Until", Plan{Name: "hold-forever", Rules: []Rule{{Hold: true, Until: math.MaxInt64}}}},
+	{"JitterMax", Plan{Name: "jitter-forever", Rules: []Rule{{JitterMax: math.MaxInt64}}}},
+	{"QueueDelay", Plan{Name: "shaped-forever", Rules: []Rule{{QueueDelay: math.MaxInt64 - 3}}}},
+	{"From", Plan{Name: "late-cut", Rules: []Rule{{Cut: true, From: host.MaxDelay + 1}}}},
+	{"Period", Plan{Name: "slow-blink", Rules: []Rule{{Cut: true, Period: host.MaxDelay + 1, ActiveFor: 1}}}},
+}
+
+// TestPlanValidateBoundsTicks: a tick or a delay above host.MaxDelay (2⁴⁰)
+// is refused naming its field, and one at the bound is accepted.
+func TestPlanValidateBoundsTicks(t *testing.T) {
+	for _, tt := range overflowPlans {
+		err := tt.plan.Validate(2)
+		if err == nil || !strings.Contains(err.Error(), tt.field+" ") || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: Validate = %v, want an error naming %s above the bound", tt.plan.Name, err, tt.field)
+		}
+	}
+	const top = host.MaxDelay
+	ok := Plan{Rules: []Rule{
+		{Hold: true, From: top - 1, Until: top},
+		{JitterMax: top},
+		{QueueDelay: top},
+		{Cut: true, Period: top, ActiveFor: 1},
+	}}
+	if err := ok.Validate(2); err != nil {
+		t.Errorf("plan at the bound rejected: %v", err)
 	}
 }
 

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"failstop/internal/model"
@@ -160,6 +163,118 @@ func TestLinkDeterminism(t *testing.T) {
 	for i := range a {
 		if !a[i].Same(b[i]) || a[i].Time != b[i].Time {
 			t.Fatalf("event %d differs: %s vs %s", i, a[i], b[i])
+		}
+	}
+}
+
+// queued is a message copy in listModel's FIFO.
+type queued struct {
+	id    model.MsgID
+	ready int64 // -1: parked forever
+	head  int64 // the tick it reached the front
+}
+
+// listModel is one link as a plain slice: a copy is appended, or under
+// Reorder put before the tail when two or more are queued, and the front is
+// delivered at its ready time or at the tick it reached the front, whichever
+// is later; a parked front never leaves.
+type listModel struct{ q []queued }
+
+func (m *listModel) send(now int64, c queued, reorder bool) {
+	switch {
+	case reorder && len(m.q) > 1:
+		m.q = slices.Insert(m.q, len(m.q)-1, c)
+	case len(m.q) == 0:
+		c.head = now
+		fallthrough
+	default:
+		m.q = append(m.q, c)
+	}
+}
+
+// deliver takes the front off, which was due at tick due; ok is false when the
+// model has nothing to deliver.
+func (m *listModel) deliver(now int64) (id model.MsgID, due int64, ok bool) {
+	if len(m.q) == 0 || m.q[0].ready < 0 {
+		return 0, 0, false
+	}
+	front := m.q[0]
+	if m.q = m.q[1:]; len(m.q) > 0 {
+		m.q[0].head = now
+	}
+	return front.id, max(front.ready, front.head), true
+}
+
+// TestChannelMatchesListModel holds one link to listModel over many seeds: the
+// sender mixes sends — parked, duplicated and reordered copies, delays 0–6 and
+// link delays 0–3 — at ticks the receiver's deliveries interleave with, and
+// each delivery's id and tick, and the run's Blocked report, must be the
+// model's. The slab keeps a head's ready time in the slot in front of it and,
+// in the tail, the index of the slot in front: a slip in either delivers the
+// wrong copy or at the wrong tick.
+func TestChannelMatchesListModel(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var m listModel
+		var dec node.LinkDecision
+		var delays []int64 // the next send's base delays, one a copy
+		var fault string
+		sent := 0
+		s := New(Config{N: 2, Seed: seed,
+			Link: func(model.ProcID, model.ProcID, node.Payload, int64) node.LinkDecision { return dec },
+			Delay: func(model.ProcID, model.ProcID, node.Payload, int64) int64 {
+				d := delays[0]
+				delays = delays[1:]
+				return d
+			},
+		})
+		s.SetHandler(1, &scriptHandler{
+			init: func(ctx node.Context) { ctx.SetTimer("send", 0) },
+			onTimer: func(ctx node.Context, _ string) {
+				for k := rng.Intn(3) + 1; k > 0 && sent < 60; k-- {
+					sent++
+					dec = node.LinkDecision{Park: rng.Intn(100) == 0, Reorder: rng.Intn(3) == 0, ExtraDelay: int64(rng.Intn(4))}
+					if rng.Intn(4) == 0 {
+						dec.Duplicates = rng.Intn(2) + 1
+					}
+					delays = delays[:0]
+					for c := 0; c <= dec.Duplicates; c++ {
+						delays = append(delays, int64(rng.Intn(7)))
+					}
+					now, copies := ctx.Now(), slices.Clone(delays)
+					ctx.Send(2, node.Payload{Tag: "M", Subject: model.ProcID(sent)})
+					for _, d := range copies {
+						c := queued{id: model.MsgID(sent), ready: -1}
+						if !dec.Park {
+							c.ready = now + d + dec.ExtraDelay
+						}
+						m.send(now, c, dec.Reorder)
+					}
+				}
+				if sent < 60 {
+					ctx.SetTimer("send", int64(rng.Intn(5)))
+				}
+			},
+		})
+		s.SetHandler(2, &scriptHandler{onMsg: func(ctx node.Context, _ model.ProcID, p node.Payload) {
+			id, due, ok := m.deliver(ctx.Now())
+			if fault == "" && (!ok || model.MsgID(p.Subject) != id || ctx.Now() != due) {
+				fault = fmt.Sprintf("delivered message %d at tick %d; the model delivers %d at %d (ok %v)", p.Subject, ctx.Now(), id, due, ok)
+			}
+		}})
+		res := s.Run()
+		var want []BlockedChannel
+		if len(m.q) > 0 {
+			if m.q[0].ready >= 0 && fault == "" {
+				fault = fmt.Sprintf("message %d due at %d was never delivered", m.q[0].id, max(m.q[0].ready, m.q[0].head))
+			}
+			want = []BlockedChannel{{From: 1, To: 2, Queued: len(m.q), Reason: ReasonParked}}
+		}
+		if fault == "" && !slices.Equal(res.Blocked, want) {
+			fault = fmt.Sprintf("blocked %+v, want %+v", res.Blocked, want)
+		}
+		if fault != "" {
+			t.Fatalf("seed %d: %s", seed, fault)
 		}
 	}
 }

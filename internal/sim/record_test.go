@@ -155,7 +155,9 @@ func hasPointers(t reflect.Type) bool {
 // trace: a field added or widened there grows every recorded run. And it
 // holds a routed copy, which every send appends, to 32 bytes with Wire its
 // only pointer: a payload is written once, into its slot, and never rides in
-// a copy by value.
+// a copy by value. Last, it holds what a send or a delivery reads of its
+// receiver — procCtx's flags, open-batch header, handler and gate — to the
+// first 64 bytes, with the inline open batches from byte 64 on.
 func TestQueueAndRecordLayout(t *testing.T) {
 	typ := reflect.TypeOf(occurrence{})
 	if typ.Size() > 32 {
@@ -193,6 +195,24 @@ func TestQueueAndRecordLayout(t *testing.T) {
 	}
 	if got, want := strings.Join(fields, " "), "Seq Proc Kind Peer Target Msg Tag Time"; got != want {
 		t.Errorf("model.Event fields are %q, want %q: trace lines key their fields in this order", got, want)
+	}
+	var c procCtx
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"crashed", unsafe.Offsetof(c.crashed), unsafe.Sizeof(c.crashed)},
+		{"down", unsafe.Offsetof(c.down), unsafe.Sizeof(c.down)},
+		{"open", unsafe.Offsetof(c.open), unsafe.Sizeof(c.open)},
+		{"h", unsafe.Offsetof(c.h), unsafe.Sizeof(c.h)},
+		{"gate", unsafe.Offsetof(c.gate), unsafe.Sizeof(c.gate)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("procCtx.%s ends at byte %d, want within the first 64", f.name, f.off+f.size)
+		}
+	}
+	if off := unsafe.Offsetof(c.openBuf); off != 64 {
+		t.Errorf("procCtx.openBuf is at byte %d, want 64: the first open batches are the receiver's second line", off)
 	}
 }
 

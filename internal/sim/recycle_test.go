@@ -154,7 +154,7 @@ var canary = [2]model.ProcID{-1, -1}
 // calendar's ring, which it leaves empty, and the capacities — at full
 // capacity and with every length at its capacity.
 func scribble(b *bulk) {
-	ch := &channel{from: -1, to: -1, head: 1 << 20, tail: 1 << 20, n: 9, scheduled: true, gated: true}
+	ch := &channel{from: -1, to: -1, head: 1 << 20, tail: 1 << 20, n: 9, scheduled: true, gated: true, parked: true}
 	ch.due = ch
 	poison := &timedGate{openAt: -1, trusted: -1}
 	ctxs := b.ctxs[:cap(b.ctxs)]
@@ -178,7 +178,7 @@ func scribble(b *bulk) {
 	}
 	for _, pg := range b.slab {
 		for j := range pg {
-			pg[j] = pendingMsg{payload: node.Payload{Tag: "POISON", Subject: -1}, readyAt: -7, id: -1, next: 1 << 20}
+			pg[j] = pendingMsg{payload: node.Payload{Tag: "POISON", Subject: -1}, behind: -7, id: -1, next: 1 << 20}
 		}
 	}
 	for i := range b.arenas {

@@ -47,9 +47,11 @@
 //   - Processes. What the simulator keeps per process — whether it is up,
 //     its handler and the gate asked for once at Run, the links its gate
 //     refused, its open batches (the first twelve inline) and its row of links
-//     — is one procCtx, the node.Context its handler is given: a delivery
-//     reads one or two adjacent cache lines of its receiver, and a receiver's
-//     list of open batches allocates nothing at the default delay range.
+//     — is one procCtx, the node.Context its handler is given. What a send or
+//     a delivery reads of its receiver (flags, id, open-batch header, handler,
+//     gate) is its first 64 bytes and the first open batches the next 64, one
+//     128-byte line pair; a receiver's list of open batches allocates nothing
+//     at the default delay range.
 //   - Rows. A link is a *channel that knows its endpoints. A sender's links
 //     sit in its row, ascending by receiver and materialized on first
 //     traffic; Send finds the link by binary search and every later step
@@ -57,15 +59,22 @@
 //     rows visits links in (from, to) order, which is the order of
 //     Result.Blocked.
 //   - Slab. In-flight messages live in one per-Sim slab of 64-byte slots —
-//     payload, ready time, a 32-bit id, the next slot — grown a page at a time
-//     so a slot never moves; a channel is a singly linked list of slots (head,
-//     tail, count) and delivered slots are cleared onto a free list. A
-//     payload is written once, by Send, into the slot it is delivered from:
-//     the gate, the receive event and OnMessage read it there, and the slot
-//     is freed only after OnMessage returns. List order is FIFO order;
-//     LinkDecision.Reorder writes the new message into the tail's slot and
-//     moves the tail back into the new one. Span ids sit in a slice beside
-//     the slab that exists only with Config.Spans.
+//     payload, the ready time of the message behind, a 32-bit id, the next
+//     slot — grown a page at a time so a slot never moves; a channel is a
+//     singly linked list of slots (head, tail, count) and delivered slots are
+//     cleared onto a free list. A payload is written once, by Send, into the
+//     slot it is delivered from: the gate, the receive event and OnMessage
+//     read it there, and the slot is freed only after OnMessage returns. A
+//     message's ready time is written into the slot in front of it, so the
+//     delivery that frees a head also hands on when the next head is due and
+//     no step reads a second slot; a head that lands on an empty channel has
+//     its ready time from its send, and one parked forever marks its channel.
+//     The tail, with nothing behind it, names the slot in front instead. List
+//     order is FIFO order; LinkDecision.Reorder writes the new message into
+//     the tail's slot and moves the tail back into the new one, which only
+//     the slot the tail names must learn of: a head is never overtaken, so a
+//     head whose occurrence fires is due. Span ids sit in a slice beside the
+//     slab that exists only with Config.Spans.
 //   - Open batches. Channel heads due at the same (tick, receiver) share one
 //     event-queue occurrence: a 16-byte (time, first link) entry in the
 //     receiver's list, the links chained through the channels themselves. A
@@ -96,14 +105,17 @@
 //   - History. Each event is written once, as the model.Event the history
 //     returns (its Seq is its index, its Time the tick), into pages of 1,024
 //     events that runs hand to one another through a pool and never clear:
-//     nothing is outgrown, re-copied or zeroed while the run records. Run
-//     copies the pages into Result.History once, one copy a page, at its exact
-//     length — into the array a released Result left, when that is long
-//     enough. Recording and copying are ≈ 17 % of a flood run at n=10
-//     (BenchmarkSimHotPath, 169 KiB of history; they were ≈ 26 % when an
-//     event was stored as a compact record and rebuilt field by field).
-//     Three quarters of the copy's part is allocating the fresh array, which
-//     the runtime clears before the copy fills it.
+//     nothing is outgrown, re-copied or zeroed while the run records. A send's
+//     and a receive's event are written field by field where they land: built
+//     whole and passed by value, an event is stored in pieces and read back in
+//     wider ones, which the store buffer cannot forward (recording was then
+//     ≈ 21 % of a flood run at n=10). Run copies the pages into Result.History
+//     once, one copy a page, at its exact length — into the array a released
+//     Result left, when that is long enough. Recording is ≈ 5 % of a flood
+//     run at n=10 and the copy ≈ 9 % (BenchmarkSimHotPath, 169 KiB of
+//     history, on a 2-vCPU Xeon); three quarters of the copy's part is
+//     allocating the fresh array, which the runtime clears before the copy
+//     fills it.
 //   - Recycling. A Sim is single-use, but what it built is not: the process
 //     table with each row's and gate list's capacity, the handler table, the
 //     slab's pages, the link arena's chunks, the overflow heap's array, the
@@ -249,13 +261,18 @@ func (cfg Config) CheckHorizon() error {
 // exactly one cache line, linked to the message behind it on the same channel
 // (or, on the free list, to the next free slot). Its payload is written there
 // once, by enqueue, and read there by the gate, the receive event and
-// OnMessage. The enqueue span of a sampled message sits beside the slab, in
-// Sim.spanOf.
+// OnMessage; its ready time is written into the slot in front of it. The
+// enqueue span of a sampled message sits beside the slab, in Sim.spanOf.
 type pendingMsg struct {
 	payload node.Payload
-	readyAt int64 // delivery-ready time; -1 if parked forever
-	id      model.MsgID
-	next    int32 // slab index of the next slot; noSlot at the end of the list
+	// behind is the ready time of the message queued behind this one (-1:
+	// parked forever) and, at the tail, where nothing is behind, the slab
+	// index of the slot in front (noSlot when the tail is the head). A head's
+	// own ready time is carried by the slot that was in front of it, or by
+	// the send that found its channel empty: a delivery reads one slot.
+	behind int64
+	id     model.MsgID
+	next   int32 // slab index of the next slot; noSlot at the end of the list
 }
 
 // noSlot terminates a channel's message list and the slab's free list.
@@ -272,7 +289,9 @@ const (
 type slabPage [slabPageLen]pendingMsg
 
 // channel is the link C_{from,to}: a FIFO of slab slots. It is found by
-// (from, to) once, at Send time, and carried by pointer from then on.
+// (from, to) once, at Send time, and carried by pointer from then on. Its
+// head's ready time is in no field of its own: the step that made the head
+// one scheduled it, or marked the channel parked.
 type channel struct {
 	from, to   model.ProcID
 	due        *channel // the next link of the due batch this one waits in
@@ -280,6 +299,7 @@ type channel struct {
 	n          int32    // messages queued
 	scheduled  bool     // a head-delivery occurrence is in the event queue
 	gated      bool     // head was refused by the receiver's gate
+	parked     bool     // head is parked forever: it never leaves, nor does anything behind it
 }
 
 type occKind uint8
@@ -978,7 +998,7 @@ func (s *Sim) blockedChannels(out []BlockedChannel) []BlockedChannel {
 			// crashed one: its leftovers are expected, not a liveness failure.
 			case s.ctxs[c.to].gone():
 				reason = ReasonReceiverCrashed
-			case s.slot(c.head).readyAt < 0:
+			case c.parked:
 				reason = ReasonParked
 			}
 			out = append(out, BlockedChannel{From: c.from, To: c.to, Queued: int(c.n), Reason: reason})
@@ -1038,10 +1058,13 @@ func (s *Sim) slot(idx int32) *pendingMsg {
 // enqueue appends a copy of message id carrying *p, ready at readyAt (-1:
 // parked) and enqueued under span, to c's FIFO and counts it in flight,
 // taking a slot from the free list or growing the slab; the payload is
-// written straight into the slot. With overtake set (and at least two
-// messages already queued) the new message lands immediately before the
-// current tail — a pairwise FIFO violation: the tail moves back into the new
-// slot and the message is written into the tail's.
+// written straight into the slot, and the ready time into the slot in front
+// (on an empty channel the caller schedules the new head itself). With
+// overtake set (and at least two messages already queued) the new message
+// lands immediately before the current tail — a pairwise FIFO violation: the
+// tail moves back into the new slot, the message is written into the tail's,
+// and the slot in front of the tail, which the tail names, trades the tail's
+// ready time for the message's. A head is never overtaken.
 func (s *Sim) enqueue(c *channel, id model.MsgID, p *node.Payload, readyAt, span int64, overtake bool) {
 	idx := s.free
 	if idx != noSlot {
@@ -1056,23 +1079,26 @@ func (s *Sim) enqueue(c *channel, id model.MsgID, p *node.Payload, readyAt, span
 		}
 		s.slots++
 	}
-	at, slot := idx, s.slot(idx) // where the message is written; the new slot
+	slot := s.slot(idx) // the new tail, in front of which is the old one
+	slot.next, slot.behind = noSlot, int64(c.tail)
+	at, m := idx, slot // where the message is written
 	if c.n == 0 {
 		c.head = idx
 	} else {
 		tail := s.slot(c.tail)
 		tail.next = idx
 		if overtake && c.n > 1 {
-			*slot = *tail
+			front := s.slot(int32(tail.behind))
+			slot.payload, slot.id = tail.payload, tail.id
 			if s.spanOf != nil {
 				s.spanOf[idx] = s.spanOf[c.tail]
 			}
-			at = c.tail
+			readyAt, front.behind = front.behind, readyAt
+			at, m = c.tail, tail
 		}
+		tail.behind = readyAt
 	}
-	slot.next = noSlot
-	m := s.slot(at)
-	m.payload, m.readyAt, m.id = *p, readyAt, id
+	m.payload, m.id = *p, id
 	if s.spanOf != nil {
 		s.spanOf[at] = span
 	}
@@ -1103,15 +1129,14 @@ func (s *Sim) freeSlot(idx int32) {
 	s.free = idx
 }
 
-// scheduleDelivery enqueues channel c's head delivery at time at, not
-// earlier than now. Deliveries sharing a (time, receiver) coalesce into one
-// occurrence and drain in ascending sender order — deterministic, and
-// independent of the order the batch was assembled in. A receiver's open
-// batches are kept latest-first, so finding (or placing) the batch for at is
-// a binary search however many distinct due times the receiver holds, and
-// the batch that fires next is always the last one.
-func (s *Sim) scheduleDelivery(c *channel, at int64) {
-	rc := &s.ctxs[c.to]
+// scheduleDelivery enqueues channel c's head delivery to rc, its receiver, at
+// time at, not earlier than now. Deliveries sharing a (time, receiver)
+// coalesce into one occurrence and drain in ascending sender order —
+// deterministic, and independent of the order the batch was assembled in. A
+// receiver's open batches are kept latest-first, so finding (or placing) the
+// batch for at is a binary search however many distinct due times the
+// receiver holds, and the batch that fires next is always the last one.
+func (s *Sim) scheduleDelivery(c *channel, rc *procCtx, at int64) {
 	open := rc.open
 	lo, hi := 0, len(open)
 	for lo < hi { // latest-first: search for the first batch not later than at
@@ -1163,31 +1188,23 @@ func (s *Sim) deliverBatch(rc *procCtx) {
 	}
 }
 
-// deliver attempts to deliver the head of channel c to its receiver rc.
+// deliver attempts to deliver the head of channel c to its receiver rc. The
+// head is ready: it was scheduled no earlier than its ready time, and an
+// overtaking message lands behind it.
 func (s *Sim) deliver(rc *procCtx, c *channel) {
 	c.scheduled = false
 	if c.n == 0 || rc.crashed {
 		return
 	}
-	// A reordered enqueue can put a not-yet-ready (or parked) message in
-	// front of the one this occurrence was scheduled for: re-anchor on the
-	// current head's ready time instead of delivering early.
 	slot := s.slot(c.head)
-	if slot.readyAt < 0 {
-		return // parked head; channel blocks
-	}
-	if slot.readyAt > s.now {
-		c.scheduled = true
-		s.scheduleDelivery(c, slot.readyAt)
-		return
-	}
 	if rc.down {
 		// Loss is decided per arrival: messages still in flight may yet land
 		// after a restart.
 		idx, span := s.dequeue(c)
 		s.core.Lose(s.now, c.from, c.to, slot.id, span)
+		next := slot.behind
 		s.freeSlot(idx)
-		s.scheduleHead(c)
+		s.scheduleHead(c, rc, next)
 		return
 	}
 	if rc.gate != nil && !rc.gate.Accepts(c.from, slot.payload) {
@@ -1199,10 +1216,11 @@ func (s *Sim) deliver(rc *procCtx, c *channel) {
 	// The message is read where it lies; its slot is freed only after
 	// OnMessage returns, so no send from the handler can take it first.
 	idx, span := s.dequeue(c)
-	s.record(model.Recv(c.to, c.from, slot.id, slot.payload.Tag, slot.payload.Subject))
+	e := s.event()
+	e.Proc, e.Kind, e.Peer, e.Target, e.Msg, e.Tag = c.to, model.KindRecv, c.from, slot.payload.Subject, slot.id, slot.payload.Tag
 	prevSpan := s.curSpan
 	s.curSpan = s.core.Receive(&s.tally, s.now, c.from, c.to, slot.id, &slot.payload, span)
-	s.scheduleHead(c)
+	s.scheduleHead(c, rc, slot.behind)
 	rc.h.OnMessage(rc, c.from, slot.payload)
 	s.freeSlot(idx)
 	s.afterEvent(rc)
@@ -1230,24 +1248,27 @@ func (s *Sim) afterEvent(c *procCtx) {
 		ch.gated = false
 		if !ch.scheduled {
 			ch.scheduled = true
-			s.scheduleDelivery(ch, s.now)
+			s.scheduleDelivery(ch, c, s.now)
 		}
 	}
 	c.gated = still
 }
 
 // scheduleHead queues a delivery occurrence for the head of channel c, if
-// any and not parked.
-func (s *Sim) scheduleHead(c *channel) {
-	if c.scheduled || c.gated || c.n == 0 || s.ctxs[c.to].crashed {
+// any, ready at at, to its receiver rc. It is called when a head takes its
+// place — sent into an empty channel, or left at the front by the delivery or
+// loss of the one before it — and so finds the channel neither scheduled nor
+// gated. A parked head (at < 0) is noted on the channel and never scheduled.
+func (s *Sim) scheduleHead(c *channel, rc *procCtx, at int64) {
+	if c.n == 0 || rc.crashed {
 		return
 	}
-	at := s.slot(c.head).readyAt
 	if at < 0 {
-		return // parked forever
+		c.parked = true
+		return
 	}
 	c.scheduled = true
-	s.scheduleDelivery(c, max(at, s.now))
+	s.scheduleDelivery(c, rc, max(at, s.now))
 }
 
 func (s *Sim) fireTimer(c *procCtx, o occurrence) {
@@ -1316,17 +1337,32 @@ type recPage [recPageLen]model.Event
 
 var recPages = sync.Pool{New: func() any { return new(recPage) }}
 
-// record appends e to the recording as the event the history returns: its
-// Seq is its index, its Time the current tick.
-func (s *Sim) record(e model.Event) {
+// event appends an event to the recording and returns it where it lies, its
+// Seq (its index) and Time (the current tick) written. The caller writes every
+// other field, field by field: a page is never cleared, and an event built
+// whole and then copied in is stored in pieces and read back in wider ones,
+// which the store buffer cannot forward. Send and deliver write theirs so;
+// record is for the rest.
+func (s *Sim) event() *model.Event {
 	i := s.nrec & (recPageLen - 1)
 	if i == 0 {
 		s.page = recPages.Get().(*recPage)
 		s.pages = append(s.pages, s.page)
 	}
+	e := &s.page[i]
 	e.Seq, e.Time = int32(s.nrec), s.now
-	s.page[i] = e
 	s.nrec++
+	return e
+}
+
+// record appends e to the recording as the event the history returns: its
+// Seq is its index, its Time the current tick. It serves the events that are
+// not a message's (crash, restart, failed, internal), which are the ones a
+// suspicion count or a detection span can follow.
+func (s *Sim) record(e model.Event) {
+	at := s.event()
+	e.Seq, e.Time = at.Seq, at.Time
+	*at = e
 	if e.Kind == model.KindInternal && e.Tag == model.TagSuspect {
 		s.suspects++
 	}
@@ -1352,19 +1388,22 @@ func (s *Sim) materialize(h model.History) model.History {
 }
 
 // procCtx is one process: its node.Context and everything the simulator
-// keeps per process, the fields a delivery reads first and next to each other.
+// keeps per process. What a send or a delivery reads of its receiver — the
+// flags, the id, the open-batch header, the handler and its gate — is the
+// first 64 bytes, and the first open batches the next 64: one 128-byte line
+// pair (TestQueueAndRecordLayout holds the offsets).
 type procCtx struct {
-	s *Sim
-	p model.ProcID
-
 	crashed bool // CrashSelf: terminal
 	down    bool // plan-crashed, restart possibly pending (crash-recovery)
+	p       model.ProcID
+	open    []dueBatch // open due batches, latest first
 	h       node.Handler
 	gate    node.Gate    // h, when it gates its receives; nil otherwise
-	gated   []*channel   // the links whose head the gate refused
-	open    []dueBatch   // open due batches, latest first
 	openBuf [12]dueBatch // where open starts out: more due times than the default delay range spreads a receiver's mail over
-	row     []*channel   // materialized outgoing links, ascending by receiver
+
+	s     *Sim
+	gated []*channel // the links whose head the gate refused
+	row   []*channel // materialized outgoing links, ascending by receiver
 
 	// timers is the process's timer table. An unarmed slot is taken over by
 	// the next new name, so the table is as long as the most timers the
@@ -1412,24 +1451,31 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	if id == 0 {
 		s.core.OutOfIDs()
 	}
-	s.record(model.Send(c.p, to, id, p.Tag, p.Subject))
+	e := s.event()
+	e.Proc, e.Kind, e.Peer, e.Target, e.Msg, e.Tag = c.p, model.KindSend, to, p.Subject, id, p.Tag
 	s.copies = s.core.Route(&s.tally, s.now, s.curSpan, c.p, to, id, p, s.copies)
 	if len(s.copies) == 0 {
 		return // dropped: a send the network delivers no copy of creates no channel
 	}
 	ch := c.link(to)
 	wasEmpty := ch.n == 0
+	var head int64 // the first copy's ready time: on an empty channel it is the head
 	for i := range s.copies {
 		cp := &s.copies[i]
 		var delay int64
 		if s.cfg.Delay != nil {
-			delay = s.cfg.Delay(c.p, to, p, s.now)
+			if delay = s.cfg.Delay(c.p, to, p, s.now); delay > host.MaxDelay {
+				panic(fmt.Sprintf("sim: Config.Delay returned %d ticks for a message from %d to %d, above %d (2^40: the clock must not overflow)", delay, c.p, to, int64(host.MaxDelay)))
+			}
 		} else {
 			delay = s.cfg.MinDelay + s.rng.int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
 		readyAt := int64(-1)
 		if delay >= 0 && !cp.Park {
 			readyAt = s.now + delay + cp.Extra
+		}
+		if i == 0 {
+			head = readyAt
 		}
 		wire := cp.Wire
 		if wire == nil {
@@ -1438,7 +1484,7 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 		s.enqueue(ch, id, wire, readyAt, cp.Span, cp.Reorder)
 	}
 	if wasEmpty {
-		s.scheduleHead(ch)
+		s.scheduleHead(ch, &s.ctxs[to], head)
 	}
 }
 

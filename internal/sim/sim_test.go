@@ -375,6 +375,30 @@ func TestTimerDelayBounded(t *testing.T) {
 	}
 }
 
+// TestDelayFnBounded: a Config.Delay result is bounded like a timer's delay.
+// One at the bound delivers 2⁴⁰ ticks on; one past it panics at the send,
+// naming the bound — a DelayFn returning math.MaxInt64 used to wrap the ready
+// time negative, and the message was reported parked.
+func TestDelayFnBounded(t *testing.T) {
+	run := func(delay int64) (res *Result, refused any) {
+		defer func() { refused = recover() }()
+		s := New(Config{N: 2, Seed: 1, Delay: func(model.ProcID, model.ProcID, node.Payload, int64) int64 { return delay }})
+		s.SetHandler(1, sender(2, "far"))
+		s.SetHandler(2, idle())
+		return s.Run(), nil
+	}
+	for _, delay := range []int64{math.MaxInt64, host.MaxDelay + 1} {
+		want := fmt.Sprintf("sim: Config.Delay returned %d ticks for a message from 1 to 2, above 1099511627776 (2^40: the clock must not overflow)", delay)
+		if _, refused := run(delay); refused != want {
+			t.Errorf("delay %d: panicked with %q, want %q", delay, refused, want)
+		}
+	}
+	res, refused := run(host.MaxDelay)
+	if refused != nil || res.Delivered != 1 || res.Blocked != nil || res.EndTime != host.MaxDelay {
+		t.Errorf("delay at the bound: panic %v, delivered %d, blocked %v, end %d; want one delivery at %d", refused, res.Delivered, res.Blocked, res.EndTime, int64(host.MaxDelay))
+	}
+}
+
 // TestMessageIDsFitTheSlot: the last id a model.MsgID can hold is sent and
 // delivered under its own number; the send after it panics instead of
 // wrapping onto a negative id.
