@@ -76,14 +76,15 @@ func BenchmarkEndpointDeliver(b *testing.B) {
 	}
 }
 
-// heldRounds returns a receiving endpoint (process 2 of 5) that has been
+// heldRounds returns a receiving endpoint (process 2 of n) that has been
 // handed one held-class broadcast from process 1 per round, each under its
-// own broadcast id. With witnesses = 1 every round is released on arrival
-// and settles; with a threshold no round can reach, every round stays open.
-func heldRounds(tb testing.TB, rounds, witnesses int) *Endpoint {
+// own broadcast id. At n = 2 the witness threshold, a majority of the one
+// other process, is the receiver alone, so every round is released on arrival
+// and settles; at n = 5 it is three, no echo comes, and every round stays open.
+func heldRounds(tb testing.TB, rounds, n int) *Endpoint {
 	tb.Helper()
-	opts := Options{Enabled: true, Witnesses: witnesses}
-	wire := &byzFakeCtx{self: 1, n: 5}
+	opts := Options{Enabled: true}
+	wire := &byzFakeCtx{self: 1, n: n}
 	sender := Wrap(&benchSink{}, opts)
 	sender.Init(wire)
 	for i := 0; i < rounds; i++ {
@@ -91,17 +92,17 @@ func heldRounds(tb testing.TB, rounds, witnesses int) *Endpoint {
 	}
 	sink := &benchSink{}
 	ep := Wrap(sink, opts)
+	ep.Init(&byzFakeCtx{self: 2, n: n}) // the threshold is resolved here, once
 	ctx := benchCtx{self: 2}
-	ep.Init(ctx)
 	for _, s := range wire.sends {
 		ep.OnMessage(ctx, 1, s.p)
 	}
 	want := 0
-	if witnesses == 1 {
+	if n == 2 {
 		want = rounds
 	}
 	if sink.delivered != want {
-		tb.Fatalf("released %d of %d rounds at witnesses=%d, want %d", sink.delivered, rounds, witnesses, want)
+		tb.Fatalf("released %d of %d rounds at n=%d, want %d", sink.delivered, rounds, n, want)
 	}
 	return ep
 }
@@ -110,7 +111,7 @@ func heldRounds(tb testing.TB, rounds, witnesses int) *Endpoint {
 // rounds have all been released with a single digest: the pump has nothing
 // to look at.
 func BenchmarkPumpSettled(b *testing.B) {
-	ep, ctx := heldRounds(b, 1000, 1), benchCtx{self: 2}
+	ep, ctx := heldRounds(b, 1000, 2), benchCtx{self: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +122,7 @@ func BenchmarkPumpSettled(b *testing.B) {
 // BenchmarkPumpOpen prices a timer at an endpoint with 64 rounds still
 // waiting for their witness quorum: one pass over the worklist.
 func BenchmarkPumpOpen(b *testing.B) {
-	ep, ctx := heldRounds(b, 64, 4), benchCtx{self: 2}
+	ep, ctx := heldRounds(b, 64, 5), benchCtx{self: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

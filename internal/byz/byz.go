@@ -36,11 +36,11 @@
 // (by default the detector's "SUSP" class, whose forgery is what breaks
 // fail-stop safety) are not released on arrival: the receiver holds the
 // frame, broadcasts a sealed echo naming (origin, bid, content digest) to
-// every other process, and releases the held frame only once at least
-// Options.Witnesses distinct processes — itself included — have vouched
-// for the digest it saw. Two conflicting digests for one (origin, bid)
-// convict the origin of equivocation. With the default majority witness
-// threshold, an equivocation split in which no variant reaches a majority
+// every other process, and releases the held frame only once a majority of
+// the n-1 potential receivers, (n-1)/2+1 distinct processes — itself
+// included — have vouched for the digest it saw. Two conflicting digests for
+// one (origin, bid) convict the origin of equivocation. With that majority
+// witness threshold, an equivocation split in which no variant reaches a majority
 // of the receivers is convicted deterministically, before any variant can
 // be released; a variant that does reach a live majority is released
 // consistently everywhere — indistinguishable from an erroneous-but-
@@ -139,11 +139,6 @@ type Options struct {
 	// nil means the detector's "SUSP" class; an explicit empty slice holds
 	// nothing (authentication and replay checks still apply).
 	EchoTags []string
-	// Witnesses is how many distinct processes (the receiver included)
-	// must vouch for a held frame's digest before it is released. 0 means
-	// a majority of the n-1 potential receivers, (n-1)/2+1, resolved when
-	// the host initializes the endpoint.
-	Witnesses int
 }
 
 func (o Options) withDefaults() Options {
@@ -157,9 +152,6 @@ func (o Options) withDefaults() Options {
 
 // Validate reports the first problem with the options, or nil.
 func (o Options) Validate() error {
-	if o.Witnesses < 0 {
-		return fmt.Errorf("byz: negative Witnesses %d", o.Witnesses)
-	}
 	seen := map[string]bool{}
 	for _, tag := range o.EchoTags {
 		if tag == "" {
@@ -329,14 +321,9 @@ func (c *byzCtx) Send(to model.ProcID, p node.Payload) {
 
 // resolve fixes the witness threshold once the system size is known.
 func (e *Endpoint) resolve(ctx node.Context) {
-	if e.witnesses > 0 {
-		return
+	if e.witnesses == 0 {
+		e.witnesses = (ctx.N()-1)/2 + 1
 	}
-	if e.opts.Witnesses > 0 {
-		e.witnesses = e.opts.Witnesses
-		return
-	}
-	e.witnesses = (ctx.N()-1)/2 + 1
 }
 
 // Init implements node.Handler.

@@ -20,9 +20,8 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, ""},
 		{"enabled defaults", Options{Enabled: true}, ""},
-		{"explicit sane", Options{Enabled: true, EchoTags: []string{"SUSP", "APP"}, Witnesses: 2}, ""},
+		{"explicit sane", Options{Enabled: true, EchoTags: []string{"SUSP", "APP"}}, ""},
 		{"hold nothing", Options{Enabled: true, EchoTags: []string{}}, ""},
-		{"negative witnesses", Options{Witnesses: -1}, "negative Witnesses"},
 		{"empty echo tag", Options{EchoTags: []string{""}}, "empty tag"},
 		{"echoing echoes", Options{EchoTags: []string{TagEcho}}, "recurse"},
 		{"duplicate echo tag", Options{EchoTags: []string{"SUSP", "SUSP"}}, "duplicate tag"},
@@ -49,7 +48,7 @@ func TestWrapPanicsOnInvalidOptions(t *testing.T) {
 			t.Error("Wrap accepted invalid options")
 		}
 	}()
-	Wrap(sink{}, Options{Witnesses: -1})
+	Wrap(sink{}, Options{EchoTags: []string{""}})
 }
 
 // sink is an inner handler that does nothing.
@@ -209,7 +208,7 @@ func TestSnapshotRestartRoundTrip(t *testing.T) {
 // visits no round and allocates nothing; a late conflicting echo puts its
 // round back, and the next pump convicts the origin.
 func TestPumpIgnoresSettledRounds(t *testing.T) {
-	ep, ctx := heldRounds(t, 1000, 1), benchCtx{self: 2}
+	ep, ctx := heldRounds(t, 1000, 2), benchCtx{self: 2}
 	if len(ep.open) != 0 {
 		t.Fatalf("worklist holds %d rounds after every round settled, want 0", len(ep.open))
 	}
@@ -356,7 +355,7 @@ func FuzzByzOnRestart(f *testing.F) {
 	f.Fuzz(func(t *testing.T, state []byte) {
 		ctx := &byzFakeCtx{self: 1, n: 3}
 		inner := &benchSink{}
-		e := Wrap(inner, Options{Enabled: true, Witnesses: 1})
+		e := Wrap(inner, Options{Enabled: true})
 		e.OnRestart(ctx, state)
 		if got, want := string(e.Snapshot()), restoredSnapshot(ctx.n, state); got != want {
 			t.Fatalf("snapshot after restart = %s, want %s", got, want)
@@ -375,7 +374,8 @@ func FuzzByzOnRestart(f *testing.F) {
 			}
 			before := inner.delivered
 			e.OnMessage(ctx, from, node.Payload{Tag: "APP", Data: sealed(from, 1, 1, app)})
-			e.OnMessage(ctx, from, node.Payload{Tag: "SUSP", Subject: 3, Data: sealed(from, 2, 2, node.Payload{Tag: "SUSP", Subject: 3})})
+			// Not SUSP: at n = 3 a held frame waits for the third process's echo.
+			e.OnMessage(ctx, from, node.Payload{Tag: "DATA", Subject: 3, Data: sealed(from, 2, 2, node.Payload{Tag: "DATA", Subject: 3})})
 			if inner.delivered != before+2 {
 				t.Fatalf("restarted endpoint released %d of 2 frames from %d", inner.delivered-before, from)
 			}
@@ -399,8 +399,8 @@ func FuzzByzOnMessage(f *testing.F) {
 		if subject != int64(model.ProcID(subject)) {
 			t.Skip("no model.ProcID holds the subject")
 		}
-		ctx := &byzFakeCtx{self: 2, n: 5}
-		e := Wrap(sink{}, Options{Enabled: true, Witnesses: 2})
+		ctx := &byzFakeCtx{self: 2, n: 4} // a witness threshold of two
+		e := Wrap(sink{}, Options{Enabled: true})
 		e.Init(ctx)
 		e.SetConvict(func(_ node.Context, culprit model.ProcID) {
 			if culprit < 1 || int(culprit) > ctx.n {

@@ -146,4 +146,11 @@ var Guards = []Guard{
 	// The simulator writes a send's or a receive's event field by field into
 	// its record page.
 	{Kind: Retired, Pattern: `record\(model\.(Send|Recv)\(`, Scope: []string{"internal/sim"}, Reason: "a per-message event is written where it lands, never passed by value", PR: 43},
+	// Retired bulks wait on one stack, and a process keeps its own declared
+	// failures: nothing New empties scales with a run before it.
+	{Kind: Retired, Pattern: `lastBulk|atomic\.Pointer\[bulk\]`, Scope: []string{"internal/sim"}, Reason: "retired bulks wait on one stack: no second holder beside it", PR: 44},
+	{Kind: Retired, Pattern: `failed\s+map\[`, Scope: []string{"internal/sim"}, Reason: "failed_i(j) is single-shot through each process's own list: a run-wide map costs New what the largest run before it held", PR: 44},
+	// Two interposer knobs that only tests set.
+	{Kind: Retired, Pattern: `MaxInterval\s+int64`, Scope: []string{"internal/reliable"}, Reason: "a knob only tests set: the retry interval doubles up to 16 times RetryInterval", PR: 44},
+	{Kind: Retired, Pattern: `Witnesses\s+int\b`, Scope: []string{"internal/byz"}, Reason: "a knob only tests set: a held frame waits for a majority of the n-1 receivers", PR: 44},
 }

@@ -85,11 +85,8 @@ type Options struct {
 	Enabled bool
 	// RetryInterval is the initial retransmission interval in ticks; it
 	// doubles after each retransmission round on a link (exponential
-	// backoff). Default: DefaultRetryInterval.
+	// backoff), up to 16 * RetryInterval. Default: DefaultRetryInterval.
 	RetryInterval int64
-	// MaxInterval caps the doubled retry interval. Default:
-	// 16 * RetryInterval.
-	MaxInterval int64
 	// MaxRetries bounds how many times one frame is retransmitted before
 	// the link gives it up. 0 retries forever (a stubborn link): runs with
 	// a crashed or permanently cut peer then never quiesce on their own, so
@@ -101,9 +98,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryInterval == 0 {
 		o.RetryInterval = DefaultRetryInterval
 	}
-	if o.MaxInterval == 0 {
-		o.MaxInterval = 16 * o.RetryInterval
-	}
 	return o
 }
 
@@ -112,14 +106,8 @@ func (o Options) Validate() error {
 	if o.RetryInterval < 0 {
 		return fmt.Errorf("reliable: negative RetryInterval %d", o.RetryInterval)
 	}
-	if o.MaxInterval < 0 {
-		return fmt.Errorf("reliable: negative MaxInterval %d", o.MaxInterval)
-	}
 	if o.MaxRetries < 0 {
 		return fmt.Errorf("reliable: negative MaxRetries %d", o.MaxRetries)
-	}
-	if o.MaxInterval != 0 && o.RetryInterval != 0 && o.MaxInterval < o.RetryInterval {
-		return fmt.Errorf("reliable: MaxInterval %d below RetryInterval %d", o.MaxInterval, o.RetryInterval)
 	}
 	return nil
 }
@@ -492,11 +480,7 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 		host.Send(to, e.frameData(ps, f))
 	}
 	if len(resend) > 0 {
-		next := min(2*ps.interval, e.opts.MaxInterval)
-		if next < ps.interval {
-			next = ps.interval
-		}
-		ps.interval = next
+		ps.interval = min(2*ps.interval, 16*e.opts.RetryInterval)
 	}
 	if len(ps.unacked) == 0 {
 		ps.interval = e.opts.RetryInterval

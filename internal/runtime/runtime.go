@@ -136,12 +136,11 @@ func New(cfg Config) *Net {
 	n.rng, n.stopCh = rand.New(rand.NewSource(cfg.Seed)), make(chan struct{})
 	for p := 1; p <= cfg.N; p++ {
 		n.procs[p] = &proc{
-			net:     n,
-			self:    model.ProcID(p),
-			emitted: make(map[model.ProcID]bool),
-			wakeCh:  make(chan struct{}, 1),
-			done:    make(chan struct{}),
-			copies:  make([]host.Copy, 0, 2),
+			net:    n,
+			self:   model.ProcID(p),
+			wakeCh: make(chan struct{}, 1),
+			done:   make(chan struct{}),
+			copies: make([]host.Copy, 0, 2),
 		}
 	}
 	return n
@@ -325,8 +324,8 @@ type proc struct {
 
 	// The rest is the worker's alone (callbacks are serialized per process,
 	// and Init runs before the worker starts), so it needs no lock.
-	due     []deadline            // ascending by (at, insertion)
-	emitted map[model.ProcID]bool // failed_self(j) already recorded
+	due     []deadline     // ascending by (at, insertion)
+	emitted []model.ProcID // the targets j of failed_self(j) already recorded
 	// curSpan frames the handler callback currently running.
 	curSpan int64
 	copies  []host.Copy // the buffer Route returns this process's sends' copies in
@@ -578,10 +577,10 @@ func (p *proc) CancelTimer(name string) {
 }
 
 func (p *proc) EmitFailed(j model.ProcID) {
-	if p.gone() || p.emitted[j] {
+	if p.gone() || slices.Contains(p.emitted, j) {
 		return
 	}
-	p.emitted[j] = true
+	p.emitted = append(p.emitted, j)
 	p.emit(model.Failed(p.self, j))
 }
 

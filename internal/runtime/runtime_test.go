@@ -433,6 +433,77 @@ func TestLiveRestartDeadIncarnationTimerNeverFires(t *testing.T) {
 	}
 }
 
+// restartFailed declares process 1 failed twice from Init, and on each
+// restart declares 1 and then 3 failed twice more.
+type restartFailed struct {
+	restarted chan struct{}
+}
+
+func (h *restartFailed) Init(ctx node.Context) {
+	ctx.EmitFailed(1)
+	ctx.EmitFailed(1)
+}
+func (h *restartFailed) OnMessage(node.Context, model.ProcID, node.Payload) {}
+func (h *restartFailed) OnTimer(node.Context, string)                       {}
+func (h *restartFailed) Snapshot() []byte                                   { return nil }
+func (h *restartFailed) OnRestart(ctx node.Context, _ []byte) {
+	for _, j := range []model.ProcID{1, 1, 3, 3} {
+		ctx.EmitFailed(j)
+	}
+	select {
+	case h.restarted <- struct{}{}:
+	default:
+	}
+}
+
+// TestFailedSingleShotAcrossRestart: failed_i(j) is recorded once per (i, j)
+// in a run, on both hosts, and a plan restart does not make it recordable
+// again.
+func TestFailedSingleShotAcrossRestart(t *testing.T) {
+	lifetimes := []recovery.Lifetime{{Proc: 2, Crash: 10, Restart: 20}}
+	want := map[[2]model.ProcID]int{{2, 1}: 1, {2, 3}: 1}
+	failed := func(h model.History) map[[2]model.ProcID]int {
+		got := map[[2]model.ProcID]int{}
+		for _, e := range h {
+			if e.Kind == model.KindFailed {
+				got[[2]model.ProcID{e.Proc, e.Target}]++
+			}
+		}
+		return got
+	}
+
+	cfg := fastCfg(3, 4)
+	cfg.Tick = time.Millisecond
+	cfg.Lifetimes, cfg.Recovery = lifetimes, recovery.Amnesia
+	net := runtime.New(cfg)
+	h := &restartFailed{restarted: make(chan struct{}, 1)}
+	net.SetHandler(1, &collector{})
+	net.SetHandler(2, h)
+	net.SetHandler(3, &collector{})
+	net.Start()
+	select {
+	case <-h.restarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("process 2 never restarted")
+	}
+	net.Stop()
+	if got := failed(net.History()); !reflect.DeepEqual(got, want) {
+		t.Errorf("live failed events per (i, j) %v, want %v", got, want)
+	}
+
+	s := sim.New(sim.Config{N: 3, Seed: 4, Lifetimes: lifetimes, Recovery: recovery.Amnesia})
+	s.SetHandler(1, &collector{})
+	s.SetHandler(2, &restartFailed{restarted: make(chan struct{}, 1)})
+	s.SetHandler(3, &collector{})
+	res := s.Run()
+	if res.Restarts != 1 {
+		t.Fatalf("simulated run restarted %d times, want 1", res.Restarts)
+	}
+	if got := failed(res.History); !reflect.DeepEqual(got, want) {
+		t.Errorf("simulated failed events per (i, j) %v, want %v", got, want)
+	}
+}
+
 // sender sends count messages to process 2 from Init.
 type sender struct{ count int }
 

@@ -15,12 +15,31 @@ import (
 	"failstop/internal/recovery"
 )
 
-// drainPools empties what this goroutine can reach of both pools.
+// drainPools empties the stack of retired bulks and what this goroutine can
+// reach of the pool of released Results.
 func drainPools() {
-	for drawBulk() != nil {
+	for drawBulk().rng != nil {
 	}
 	for results.Get() != nil {
 	}
+}
+
+// topBulk returns the bulk retired last, leaving it on the stack; a zero bulk
+// when there is none.
+func topBulk() bulk {
+	retired.Lock()
+	defer retired.Unlock()
+	if n := len(retired.bulks); n > 0 {
+		return retired.bulks[n-1]
+	}
+	return bulk{}
+}
+
+// pushBulk puts b on the stack, as retire does.
+func pushBulk(b bulk) {
+	retired.Lock()
+	retired.bulks = append(retired.bulks, b)
+	retired.Unlock()
 }
 
 // hostileStopped leaves a bulk as full as a run can: it stops at MaxEvents
@@ -145,10 +164,6 @@ var hostileRuns = []struct {
 	{"spans on", func(*testing.T) { goldenLinkMix() }},
 }
 
-// canary is a pair no run records: New clears the failed set of a bulk it
-// draws, so a bulk that still holds it was not drawn.
-var canary = [2]model.ProcID{-1, -1}
-
 // scribble writes garbage over everything in b that New does not promise to
 // find clean — all of it but the handlers, which retirement leaves nil, the
 // calendar's ring, which it leaves empty, and the capacities — at full
@@ -167,7 +182,14 @@ func scribble(b *bulk) {
 		for j := range row {
 			row[j] = ch
 		}
-		*c = procCtx{s: new(Sim), p: -9, crashed: true, down: true, h: poison, gate: poison, gated: gated, row: row}
+		failed := c.failed[:cap(c.failed)]
+		for j := range failed {
+			failed[j] = model.ProcID(j%16 + 1)
+		}
+		for j := model.ProcID(-2); j <= 16; j++ {
+			failed = append(failed, j)
+		}
+		*c = procCtx{s: new(Sim), p: -9, crashed: true, down: true, h: poison, gate: poison, gated: gated, row: row, failed: failed}
 		for j := range c.openBuf {
 			c.openBuf[j] = dueBatch{at: -5, head: ch}
 		}
@@ -195,11 +217,6 @@ func scribble(b *bulk) {
 	for i := range b.far {
 		b.far[i] = occurrence{time: -1, seq: -1, proc: -1, what: ^uint32(0)}
 	}
-	for i := model.ProcID(-2); i <= 16; i++ {
-		for j := model.ProcID(-2); j <= 16; j++ {
-			b.failed[[2]model.ProcID{i, j}] = true
-		}
-	}
 	*b.rng = delayRand{seed: -1, filled: true, tap: 1 << 20, feed: -1}
 	for i := range b.rng.vec {
 		b.rng.vec[i] = -1
@@ -209,13 +226,9 @@ func scribble(b *bulk) {
 // TestGoldenHistoriesFromPoisonedBulk runs every pinned scenario out of the
 // bulk each hostile run retired, as it was left and with garbage over it: a
 // digest moves if New reads anything inherited before writing it. A mutation
-// that keeps a row's length, a crashed or down flag, a failed pair or the
+// that keeps a row's length, a crashed or down flag, a declared failure or the
 // generator's position fails here.
 func TestGoldenHistoriesFromPoisonedBulk(t *testing.T) {
-	// One P: New asks the pool first, and a bulk another test's goroutines left
-	// with a P that drainPools did not run on must not be drawn in place of the
-	// hostile one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runs, drawn := 0, 0
 	for _, hostile := range hostileRuns {
 		for _, garbage := range []bool{false, true} {
@@ -223,16 +236,17 @@ func TestGoldenHistoriesFromPoisonedBulk(t *testing.T) {
 				drainPools()
 				hostile.run(t)
 				b := drawBulk()
-				b.failed[canary] = true
 				if garbage {
-					scribble(b)
+					scribble(&b)
 				}
-				lastBulk.Store(b)
+				pushBulk(b)
 				if got := tc.run(); got != tc.want {
 					t.Errorf("%s out of the bulk of %q (garbage %v): digest %q, want %q", tc.name, hostile.name, garbage, got, tc.want)
 				}
 				runs++
-				if !b.failed[canary] {
+				// A run that drew the hostile bulk retired it again, on top of
+				// the stack; one that made its own left that one on top.
+				if topBulk().rng == b.rng {
 					drawn++
 				}
 			}
@@ -245,20 +259,48 @@ func TestGoldenHistoriesFromPoisonedBulk(t *testing.T) {
 
 // TestBulkOutlivesCollections: runs one after another hand their bulk on
 // whatever the collector does in between. Two collections empty a sync.Pool;
-// were the bulk only there, what a run allocates — 10 k or 65 k times at
-// N=10,000 — would depend on when the process last collected.
+// were the bulk there, what a run allocates — 10 k or 65 k times at N=10,000
+// — would depend on when the process last collected.
 func TestBulkOutlivesCollections(t *testing.T) {
 	drainPools()
 	runFlood(10, 2, 1)
-	kept := lastBulk.Load()
-	if kept == nil {
-		t.Fatal("the run's bulk was not retired to lastBulk, which was empty")
+	kept := topBulk()
+	if kept.rng == nil {
+		t.Fatal("the run retired no bulk")
 	}
 	runtime.GC()
 	runtime.GC()
-	if s := New(Config{N: 10, Seed: 1}); &s.ctxs[0] != &kept.ctxs[:1][0] {
+	if s := New(Config{N: 10, Seed: 1}); s.rng != kept.rng {
 		t.Error("after two collections New did not draw the bulk the run before it retired")
 	}
+}
+
+// TestBulkHoldsNoMap: nothing a bulk holds, through its slices, arrays,
+// pointers and structs, is a map. Emptying a map costs what it once held, so
+// a map in the bulk makes New cost what the largest run before it did (the
+// run-wide failed set did: an n=10 run out of an n=10,000 run's bulk took 20
+// times as long).
+func TestBulkHoldsNoMap(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] || ty == reflect.TypeOf(Sim{}) { // a procCtx's Sim is its run's, not the bulk's
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Map:
+			t.Errorf("%s is a map (%s)", path, ty)
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("bulk", reflect.TypeOf(bulk{}))
 }
 
 // TestResultNotAliasedByLaterRuns: a Result that was not released is its
@@ -308,7 +350,7 @@ func TestReleasedResultIsRewritten(t *testing.T) {
 }
 
 // TestBulkNotRetiredOnPanic: a run that panics keeps its bulk, half-used as
-// it is, out of the pool.
+// it is, off the stack of retired bulks.
 func TestBulkNotRetiredOnPanic(t *testing.T) {
 	s := New(Config{N: 3, Seed: 1})
 	for p := model.ProcID(1); p <= 3; p++ {
@@ -320,7 +362,7 @@ func TestBulkNotRetiredOnPanic(t *testing.T) {
 			onTimer: func(ctx node.Context, _ string) { panic("boom") },
 		})
 	}
-	mine := &s.ctxs[0]
+	mine := s.rng
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -332,13 +374,9 @@ func TestBulkNotRetiredOnPanic(t *testing.T) {
 	if s.ctxs == nil {
 		t.Error("the panicked run's bulk is off its Sim")
 	}
-	for {
-		b := drawBulk()
-		if b == nil {
-			break
-		}
-		if cap(b.ctxs) > 0 && &b.ctxs[:1][0] == mine {
-			t.Error("the panicked run's bulk is in the pool")
+	for b := drawBulk(); b.rng != nil; b = drawBulk() {
+		if b.rng == mine {
+			t.Error("the panicked run's bulk was retired")
 		}
 	}
 	for _, tc := range goldenCases {

@@ -46,7 +46,7 @@ func TestDelayStreamMatchesMathRand(t *testing.T) {
 func TestDelayFnRunNeverSeeds(t *testing.T) {
 	drainPools()
 	runFlood(4, 2, 1)
-	g := lastBulk.Load().rng
+	g := topBulk().rng
 	g.vec[0]++ // no seed's register
 	stale := g.vec
 

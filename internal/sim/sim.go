@@ -46,8 +46,9 @@
 // contract that the recorded history depends on.
 //   - Processes. What the simulator keeps per process — whether it is up,
 //     its handler and the gate asked for once at Run, the links its gate
-//     refused, its open batches (the first twelve inline) and its row of links
-//     — is one procCtx, the node.Context its handler is given. What a send or
+//     refused, its open batches (the first twelve inline), its row of links
+//     and the processes it has declared failed (failed_i(j) is single-shot) —
+//     is one procCtx, the node.Context its handler is given. What a send or
 //     a delivery reads of its receiver (flags, id, open-batch header, handler,
 //     gate) is its first 64 bytes and the first open batches the next 64, one
 //     128-byte line pair; a receiver's list of open batches allocates nothing
@@ -74,7 +75,8 @@
 //     the tail's slot and moves the tail back into the new one, which only
 //     the slot the tail names must learn of: a head is never overtaken, so a
 //     head whose occurrence fires is due. Span ids sit in a slice beside the
-//     slab that exists only with Config.Spans.
+//     slab that exists only with Config.Spans and grows with the slots the run
+//     takes, not with the slab its bulk inherited.
 //   - Open batches. Channel heads due at the same (tick, receiver) share one
 //     event-queue occurrence: a 16-byte (time, first link) entry in the
 //     receiver's list, the links chained through the channels themselves. A
@@ -117,26 +119,40 @@
 //     allocating the fresh array, which the runtime clears before the copy
 //     fills it.
 //   - Recycling. A Sim is single-use, but what it built is not: the process
-//     table with each row's and gate list's capacity, the handler table, the
-//     slab's pages, the link arena's chunks, the overflow heap's array, the
-//     failed set and the generator are one bulk, which Run retires as its last
-//     step and New draws. One retired bulk is held by a plain pointer and any
-//     retired while that is taken go to a pool, which New asks first: runs one
-//     after another hand the same bulk on whenever the collector runs and
-//     whichever P they are on, so what they allocate is the same every time,
-//     and concurrent runs find their own in the pool. The price is that a
-//     process keeps one bulk (≈ 33 MB after a run at N=10,000) until another
-//     run draws it. The calendar's ring (4 KiB of bucket heads and tails) is
-//     the bulk's too: release empties each bucket as it hands the bucket's
-//     pages back, so a run finds the ring as empty as a fresh one.
-//     New resets what it draws as if it were garbage — each process's flags,
-//     lists and tables emptied (its handler and gate are set by Run), the
-//     failed set cleared, the generator told its seed, the arena re-carved from
-//     its first chunk, every slot and link written before it is read — and relies
-//     on retirement for two things, a nil handler table and an empty ring;
-//     retirement also drops what would pin another run's objects (each
+//     table with each process's row, gate list and declared failures at their
+//     capacity, the handler table, the slab's pages, the link arena's chunks,
+//     the overflow heap's array and the generator are one bulk, which Run
+//     retires as its last step and New draws. Retired bulks wait, by value, on
+//     one mutex-guarded stack that New pops: runs one after another hand the
+//     same bulk on whenever the collector runs and whichever P they are on, so
+//     what they allocate is the same every time, and concurrent runs find
+//     their own. The stack never drops a bulk and holds as many as there were
+//     Runs in flight at once; the price is that a process keeps them (≈ 33 MB
+//     after a run at N=10,000) until runs draw them again. The calendar's ring
+//     (4 KiB of bucket heads and tails) is the bulk's too: release empties
+//     each bucket as it hands the bucket's pages back, so a run finds the ring
+//     as empty as a fresh one.
+//     New resets what it draws as if it were garbage — each process of its
+//     run has its flags, lists and tables emptied (its handler and gate are
+//     set by Run), the generator is told its seed, the arena re-carved from
+//     its first chunk, every slot and link written before it is read — and
+//     relies on retirement for two things, a nil handler table and an empty
+//     ring. Nothing it does scales with a run before it: the bulk holds no
+//     map, which would be emptied at the cost of the most it ever held (while
+//     the declared failures were one run-wide map, an n=10 run out of an
+//     n=10,000 run's bulk took 20 times as long as out of a fresh one).
+//     Retirement also drops what would pin another run's objects (each
 //     process's handler and Sim, payloads still queued). A run that panics
-//     retires nothing. The *Sim is never pooled: its counters are what a
+//     retires nothing.
+//     The occurrence pages, the record pages and released Results stay in
+//     sync.Pools, which hand them between runs whatever bulk each run drew.
+//     Each was measured in the bulk instead and was dearer there. Pages held
+//     by the bulk stay live between runs: the benchmark's heap at the start of
+//     flood-mesh-n10's set-up window went from 17.7 to 34.3 MB, the collection
+//     its warm-up burst owes fell inside the window, and setup_s moved from
+//     0.46–0.49 to 1.19–1.28 ms. A Result tied to a bulk is held back from runs
+//     that draw another bulk: sweep-grid's alloc_kb_per_run rose from 11.1 to
+//     13.2–13.5. The *Sim is never pooled: its counters are what a
 //     Config.Metrics registry reads, and a span recorder or a timeline
 //     belongs to the caller in the same way. So it holds nothing run-sized,
 //     ≈ 1 KiB; its steps count into a plain host.Tally that Run publishes
@@ -158,7 +174,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"failstop/internal/host"
 	"failstop/internal/model"
@@ -653,12 +668,13 @@ func (r *Result) Quiescent() bool {
 
 // bulk is everything run-sized that is dead when Run returns. Run retires it as
 // its last step and New draws one, so a run inherits the capacity of the one
-// before it (see Recycling in the package comment).
+// before it (see Recycling in the package comment). It holds no map: a map
+// is emptied at the cost of the most it ever held, and New must cost what its
+// own run needs.
 type bulk struct {
 	rng      *delayRand
-	handlers []node.Handler // index 1..N; Run copies each into its procCtx
-	ctxs     []procCtx      // index 1..N
-	failed   map[[2]model.ProcID]bool
+	handlers []node.Handler  // index 1..N; Run copies each into its procCtx
+	ctxs     []procCtx       // index 1..N
 	arenas   [][]channel     // every chunk links are carved from, in carving order
 	slab     []*slabPage     // every in-flight message copy, linked per channel
 	drain    []*channel      // deliverBatch's scratch: the batch being drained, sorted
@@ -666,23 +682,29 @@ type bulk struct {
 	far      occHeap         // the calendar's overflow array, while no run holds it
 }
 
-// A retired bulk waits in lastBulk when that is empty and in bulks otherwise.
-// The pool drops what it holds at a collection and hides it from a goroutine
-// that has changed Ps; lastBulk does neither, so runs one after another always
-// hand their bulk on and what they allocate does not depend on the collector
-// or the scheduler. Concurrent runs fill lastBulk once and from then on find
-// their own bulks, warm, in the pool, which New asks first.
-var (
-	lastBulk atomic.Pointer[bulk]
-	bulks    sync.Pool // of *bulk
-)
+// retired is the stack of bulks that finished runs left, held by value. It
+// never drops one — a sync.Pool does at a collection, and hides one from a
+// goroutine that has changed Ps — so runs one after another hand their bulk
+// on and allocate the same whatever the collector or the scheduler does. It
+// holds at most as many bulks as there were Runs in flight at once.
+var retired struct {
+	sync.Mutex
+	bulks []bulk
+}
 
-// drawBulk returns a retired bulk, or nil when there is none.
-func drawBulk() *bulk {
-	if b, _ := bulks.Get().(*bulk); b != nil {
-		return b
+// drawBulk pops the bulk retired last, or returns a zero bulk (nil rng) when
+// there is none.
+func drawBulk() bulk {
+	retired.Lock()
+	defer retired.Unlock()
+	n := len(retired.bulks) - 1
+	if n < 0 {
+		return bulk{}
 	}
-	return lastBulk.Swap(nil)
+	b := retired.bulks[n]
+	retired.bulks[n] = bulk{} // the stack's array must not pin a bulk in use
+	retired.bulks = retired.bulks[:n]
+	return b
 }
 
 // Release gives the result's memory — the arrays of History, Blocked and
@@ -713,7 +735,7 @@ type Sim struct {
 	chunks    int       // arenas carved from so far, linkArena the last
 	slots     int32     // slab slots handed out so far
 	free      int32     // head of the slab's free list
-	spanOf    []int64   // per slab slot: its message's enqueue span id; nil without Config.Spans
+	spanOf    []int64   // per slot this run took: its message's enqueue span id; nil without Config.Spans
 
 	// The recording: nrec events in pages, the last of them page. pages and
 	// injects start out in the arrays below: a sweep-cell-sized run
@@ -765,11 +787,8 @@ func New(cfg Config) *Sim {
 		Lifetimes: cfg.Lifetimes, Recovery: cfg.Recovery,
 	}}
 	s.core.Init("sim", cfg.N, cfg.Metrics) // it checks N, which nothing is sized by yet
-	if b := drawBulk(); b != nil {
-		s.bulk = *b
-		clear(s.failed)
-	} else {
-		s.rng, s.failed = new(delayRand), make(map[[2]model.ProcID]bool)
+	if s.bulk = drawBulk(); s.rng == nil {
+		s.rng = new(delayRand)
 	}
 	s.rng.reseed(cfg.Seed) // notes the seed; the first draw fills the register
 	// Retirement left handlers nil; every other inherited entry is written
@@ -785,14 +804,11 @@ func New(cfg Config) *Sim {
 		s.ring = new([calLen]bucket)
 	}
 	s.handlers, s.ctxs, s.queue.ring, s.queue.far = s.handlers[:cfg.N+1], s.ctxs[:cfg.N+1], s.ring, s.far[:0]
-	if cfg.Spans != nil {
-		s.spanOf = make([]int64, len(s.slab)*slabPageLen)
-	}
 	s.pages, s.injects, s.copies = s.pageBuf[:0], s.injectBuf[:0], s.copyBuf[:0]
 	for p := range s.ctxs {
 		c := &s.ctxs[p]
 		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
-		c.gated, c.row, c.open, c.timers = c.gated[:0], c.row[:0], c.openBuf[:0], c.timerBuf[:0]
+		c.gated, c.row, c.open, c.timers, c.failed = c.gated[:0], c.row[:0], c.openBuf[:0], c.timerBuf[:0], c.failed[:0]
 	}
 	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
@@ -935,11 +951,10 @@ func (s *Sim) Run() *Result {
 func (s *Sim) retire() {
 	clear(s.handlers)
 	s.far, s.queue.ring, s.queue.far = s.queue.far, nil, nil
-	b := s.bulk
+	retired.Lock()
+	retired.bulks = append(retired.bulks, s.bulk)
+	retired.Unlock()
 	s.bulk = bulk{}
-	if !lastBulk.CompareAndSwap(nil, &b) {
-		bulks.Put(&b)
-	}
 }
 
 // sampleTimeline emits one point per series at every sampling boundary
@@ -1073,9 +1088,9 @@ func (s *Sim) enqueue(c *channel, id model.MsgID, p *node.Payload, readyAt, span
 		idx = s.slots
 		if int(idx>>slabPageBits) == len(s.slab) {
 			s.slab = append(s.slab, new(slabPage))
-			if s.cfg.Spans != nil {
-				s.spanOf = append(s.spanOf, make([]int64, slabPageLen)...)
-			}
+		}
+		if s.cfg.Spans != nil && int(idx) == len(s.spanOf) {
+			s.spanOf = append(s.spanOf, make([]int64, slabPageLen)...)
 		}
 		s.slots++
 	}
@@ -1401,9 +1416,10 @@ type procCtx struct {
 	gate    node.Gate    // h, when it gates its receives; nil otherwise
 	openBuf [12]dueBatch // where open starts out: more due times than the default delay range spreads a receiver's mail over
 
-	s     *Sim
-	gated []*channel // the links whose head the gate refused
-	row   []*channel // materialized outgoing links, ascending by receiver
+	s      *Sim
+	gated  []*channel     // the links whose head the gate refused
+	row    []*channel     // materialized outgoing links, ascending by receiver
+	failed []model.ProcID // the targets j of this run's failed_p(j), in emission order
 
 	// timers is the process's timer table. An unarmed slot is taken over by
 	// the next new name, so the table is as long as the most timers the
@@ -1517,11 +1533,10 @@ func (c *procCtx) EmitFailed(j model.ProcID) {
 	if c.gone() {
 		return
 	}
-	key := [2]model.ProcID{c.p, j}
-	if s.failed[key] {
+	if slices.Contains(c.failed, j) {
 		return // failed_i(j) is single-shot
 	}
-	s.failed[key] = true
+	c.failed = append(c.failed, j)
 	s.record(model.Failed(c.p, j))
 }
 
