@@ -39,10 +39,10 @@
 // every other process, and releases the held frame only once a majority of
 // the n-1 potential receivers, (n-1)/2+1 distinct processes — itself
 // included — have vouched for the digest it saw. Two conflicting digests for
-// one (origin, bid) convict the origin of equivocation. With that majority
-// witness threshold, an equivocation split in which no variant reaches a majority
-// of the receivers is convicted deterministically, before any variant can
-// be released; a variant that does reach a live majority is released
+// one (origin, bid) convict the origin of equivocation. With that threshold,
+// an equivocation split in which no variant reaches a majority of the
+// receivers is convicted deterministically, before any variant can be
+// released; a variant that does reach a live majority is released
 // consistently everywhere — indistinguishable from an erroneous-but-
 // consistent suspicion, which the §5 protocol already tolerates by design.
 //

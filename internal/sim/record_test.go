@@ -157,7 +157,8 @@ func hasPointers(t reflect.Type) bool {
 // only pointer: a payload is written once, into its slot, and never rides in
 // a copy by value. Last, it holds what a send or a delivery reads of its
 // receiver — procCtx's flags, open-batch header, handler and gate — to the
-// first 64 bytes, with the inline open batches from byte 64 on.
+// first 64 bytes, with the inline open batches from byte 64 on, and procCtx
+// to a multiple of 128 bytes, so that every process's pair is aligned.
 func TestQueueAndRecordLayout(t *testing.T) {
 	typ := reflect.TypeOf(occurrence{})
 	if typ.Size() > 32 {
@@ -213,6 +214,9 @@ func TestQueueAndRecordLayout(t *testing.T) {
 	}
 	if off := unsafe.Offsetof(c.openBuf); off != 64 {
 		t.Errorf("procCtx.openBuf is at byte %d, want 64: the first open batches are the receiver's second line", off)
+	}
+	if size := unsafe.Sizeof(c); size%128 != 0 {
+		t.Errorf("procCtx is %d bytes, want a multiple of 128: in the ctxs array a receiver's first 128 bytes would straddle three lines", size)
 	}
 }
 

@@ -140,7 +140,7 @@
 //     ring. Nothing it does scales with a run before it: the bulk holds no
 //     map, which would be emptied at the cost of the most it ever held (while
 //     the declared failures were one run-wide map, an n=10 run out of an
-//     n=10,000 run's bulk took 20 times as long as out of a fresh one).
+//     n=10,000 run's bulk took 17–21 times as long as out of a fresh one).
 //     Retirement also drops what would pin another run's objects (each
 //     process's handler and Sim, payloads still queued). A run that panics
 //     retires nothing.
@@ -808,7 +808,7 @@ func New(cfg Config) *Sim {
 	for p := range s.ctxs {
 		c := &s.ctxs[p]
 		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
-		c.gated, c.row, c.open, c.timers, c.failed = c.gated[:0], c.row[:0], c.openBuf[:0], c.timerBuf[:0], c.failed[:0]
+		c.gated, c.row, c.open, c.timers, c.failed = c.gated[:0], c.row[:0], c.openBuf[:0], c.timers[:0], c.failed[:0]
 	}
 	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
@@ -1406,7 +1406,8 @@ func (s *Sim) materialize(h model.History) model.History {
 // keeps per process. What a send or a delivery reads of its receiver — the
 // flags, the id, the open-batch header, the handler and its gate — is the
 // first 64 bytes, and the first open batches the next 64: one 128-byte line
-// pair (TestQueueAndRecordLayout holds the offsets).
+// pair. The whole is a multiple of 128 bytes, so that pair is aligned for
+// every process of the ctxs array (TestQueueAndRecordLayout holds both).
 type procCtx struct {
 	crashed bool // CrashSelf: terminal
 	down    bool // plan-crashed, restart possibly pending (crash-recovery)
@@ -1424,8 +1425,10 @@ type procCtx struct {
 	// timers is the process's timer table. An unarmed slot is taken over by
 	// the next new name, so the table is as long as the most timers the
 	// process had armed at once and the scan that finds a name stays short.
-	timers   []timerSlot
-	timerBuf [2]timerSlot // where timers starts out: most processes never arm a third
+	// Like the lists above, it keeps its capacity from run to run.
+	timers []timerSlot
+
+	_ [24]byte // to 384 bytes, three line pairs
 }
 
 // timerSlot is one named timer: armed is the insertion sequence of the
