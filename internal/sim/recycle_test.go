@@ -197,6 +197,7 @@ func scribble(b *bulk) {
 		for j := range c.openBuf {
 			c.openBuf[j] = dueBatch{at: -5, head: ch}
 		}
+		c.timerBuf[0] = timerSlot{name: "tick", armed: 1}
 		c.open = c.openBuf[:]
 	}
 	for _, pg := range b.slab {

@@ -809,6 +809,9 @@ func New(cfg Config) *Sim {
 		c := &s.ctxs[p]
 		c.s, c.p, c.crashed, c.down = s, model.ProcID(p), false, false
 		c.gated, c.row, c.open, c.timers, c.failed = c.gated[:0], c.row[:0], c.openBuf[:0], c.timers[:0], c.failed[:0]
+		if c.timers == nil {
+			c.timers = c.timerBuf[:0]
+		}
 	}
 	cfg.Metrics.RegisterGauge("sim_links_live", &s.gLinks)
 	return s
@@ -1426,9 +1429,8 @@ type procCtx struct {
 	// the next new name, so the table is as long as the most timers the
 	// process had armed at once and the scan that finds a name stays short.
 	// Like the lists above, it keeps its capacity from run to run.
-	timers []timerSlot
-
-	_ [24]byte // to 384 bytes, three line pairs
+	timers   []timerSlot
+	timerBuf [1]timerSlot // where a fresh process's timers start: most arm one, and it lies beside the rest
 }
 
 // timerSlot is one named timer: armed is the insertion sequence of the
