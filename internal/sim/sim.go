@@ -145,15 +145,15 @@
 //     process's handler and Sim, payloads still queued). A run that panics
 //     retires nothing.
 //     The occurrence pages, the record pages and released Results stay in
-//     sync.Pools, which hand them between runs whatever bulk each run drew.
-//     Each was measured in the bulk instead and was dearer there. Pages held
-//     by the bulk stay live between runs: the benchmark's heap at the start of
-//     flood-mesh-n10's set-up window went from 17.7 to 34.3 MB, the collection
-//     its warm-up burst owes fell inside the window, and setup_s moved from
-//     0.46–0.49 to 1.19–1.28 ms. A Result tied to a bulk is held back from runs
-//     that draw another bulk: sweep-grid's alloc_kb_per_run rose from 11.1 to
-//     13.2–13.5. The *Sim is never pooled: its counters are what a
-//     Config.Metrics registry reads, and a span recorder or a timeline
+//     sync.Pools, which hand them between runs whatever bulk each run drew;
+//     each was measured in the bulk instead, in alternating pairs against the
+//     pools, and was dearer there. Pages held by the bulk stay live between
+//     runs, and flood-mesh-n10's setup_s rose from 0.44–0.49 to 0.82–0.97 ms
+//     (6 of 6 pairs). A released Result tied to the bulk retired last, the
+//     pool taking it only when that bulk held one already, raised sweep-grid's
+//     alloc_kb_per_run from 10.88 to 10.91 (6 of 6 pairs) and its
+//     runs_per_s did not rise. The *Sim is never pooled: its counters are
+//     what a Config.Metrics registry reads, and a span recorder or a timeline
 //     belongs to the caller in the same way. So it holds nothing run-sized,
 //     ≈ 1 KiB; its steps count into a plain host.Tally that Run publishes
 //     into those atomic counters as the clock advances, so no message pays a
