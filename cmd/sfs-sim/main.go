@@ -32,6 +32,8 @@ import (
 
 	"failstop"
 	"failstop/internal/core"
+	"failstop/internal/model"
+	"failstop/internal/stats"
 	"failstop/internal/trace"
 )
 
@@ -258,6 +260,7 @@ func run(args []string, out io.Writer) int {
 	}
 	if *verbose {
 		fmt.Fprint(out, rep.History.String())
+		printLatencies(out, rep.History)
 	}
 	fmt.Fprintln(out, "verdicts:")
 	bad := false
@@ -324,4 +327,29 @@ func run(args []string, out io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// printLatencies prints, for each measure of model.Latency, how many of the
+// run's detections it is defined on and its p50, p95 and max.
+func printLatencies(out io.Writer, h model.History) {
+	rows := model.Latencies(h, failstop.DefaultSuspTag)
+	fmt.Fprintln(out, "detection latency (ticks; quorum is the tick of the last reply heard):")
+	for _, m := range []struct {
+		name string
+		of   func(model.Latency) int64
+	}{
+		{"first-suspicion", func(l model.Latency) int64 { return l.FirstSuspicion }},
+		{"pair", func(l model.Latency) int64 { return l.Pair }},
+		{"quorum", func(l model.Latency) int64 { return l.Quorum }},
+		{"all", func(l model.Latency) int64 { return l.All }},
+	} {
+		var xs []float64
+		for _, l := range rows {
+			if v := m.of(l); v >= 0 {
+				xs = append(xs, float64(v))
+			}
+		}
+		s := stats.Summarize(xs)
+		fmt.Fprintf(out, "  %s: count=%d p50=%g p95=%g max=%g\n", m.name, s.N, s.Median, s.P95, s.Max)
+	}
 }

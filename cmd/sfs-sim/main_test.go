@@ -34,6 +34,24 @@ func TestRunVerbosePrintsHistory(t *testing.T) {
 	}
 }
 
+// -v closes the history with the four latency measures of its detections.
+func TestRunVerbosePrintsLatencies(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-n", "5", "-t", "2", "-crash", "3@5", "-suspect", "2:3@10", "-v"}, &out); code != 0 {
+		t.Fatalf("exit = %d", code)
+	}
+	for _, want := range []string{
+		"\n  first-suspicion: count=4 p50=8 p95=9.85 max=10\n",
+		"\n  pair: count=4 p50=7 p95=8.85 max=9\n",
+		"\n  quorum: count=4 p50=18 p95=19.85 max=20\n",
+		"\n  all: count=1 p50=15 p95=15 max=15\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("verbose output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestRunWritesTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out bytes.Buffer

@@ -76,7 +76,7 @@ func A2() Result {
 			})
 			c.SuspectAt(10, 2, 1)
 			res := c.Run()
-			l := detectionLatencies(res.History)
+			l := firstSuspicionLatencies(res.History)
 			detections += len(l)
 			lats = append(lats, l...)
 			for p := 1; p <= n; p++ {

@@ -36,7 +36,7 @@ func E9() Result {
 				suspMsgs++
 			}
 		}
-		latencies := detectionLatencies(res.History)
+		latencies := firstSuspicionLatencies(res.History)
 		detections := len(latencies)
 		lat := stats.Summarize(latencies)
 		perDet := float64(suspMsgs) / float64(detections)
@@ -238,7 +238,7 @@ func E12() Result {
 					r.suspMsgs++
 				}
 			}
-			r.detLatency = append(r.detLatency, detectionLatencies(res.History)...)
+			r.detLatency = append(r.detLatency, firstSuspicionLatencies(res.History)...)
 			r.appLatency = append(r.appLatency, appLatencies(res.History)...)
 			if !model.NewFailedBefore(res.History).Acyclic() {
 				r.cycles++

@@ -5,23 +5,15 @@ import (
 	"failstop/internal/model"
 )
 
-// detectionLatencies reads the §5 detection latency off a recorded history:
-// for every failed_i(j), in history order, the ticks since the first
-// suspicion of j anywhere in the run. A detection of a process nobody
-// suspected has no latency and is left out.
-func detectionLatencies(h model.History) []float64 {
-	suspectedAt := map[model.ProcID]int64{}
+// firstSuspicionLatencies is the §5 detection latency of a recorded run, as
+// model.Latencies measures it from the first suspicion of j anywhere in the
+// run: one sample per failed_i(j), in history order, leaving out a detection
+// of a process nobody had suspected.
+func firstSuspicionLatencies(h model.History) []float64 {
 	var out []float64
-	for _, e := range h {
-		switch {
-		case e.Kind == model.KindInternal && e.Tag == model.TagSuspect:
-			if _, ok := suspectedAt[e.Target]; !ok {
-				suspectedAt[e.Target] = e.Time
-			}
-		case e.Kind == model.KindFailed:
-			if at, ok := suspectedAt[e.Target]; ok {
-				out = append(out, float64(e.Time-at))
-			}
+	for _, l := range model.Latencies(h, core.TagSusp) {
+		if l.FirstSuspicion >= 0 {
+			out = append(out, float64(l.FirstSuspicion))
 		}
 	}
 	return out

@@ -111,7 +111,7 @@ func (h History) IsomorphicTo(o History) bool {
 // history naming a process outside 0..MaxProcs has none, and the result is
 // nil.
 func (h History) DropTags(tags ...string) History {
-	return scan(h, tags, "", true, false).Abstract
+	return scan(h, tags, "", readAbstract).Abstract
 }
 
 // CrashIndex returns the index of crash_p in h, or -1 if p never crashes.

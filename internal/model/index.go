@@ -53,11 +53,18 @@ type Scan struct {
 // If h names a process outside 0..MaxProcs the result is empty and
 // Index.Err says where.
 func NewScan(h History, suspTag string, transport ...string) *Scan {
-	return scan(h, transport, suspTag, true, true)
+	return scan(h, transport, suspTag, readAbstract|readQuorums)
 }
 
 // NewIndex indexes h as it stands (see Index.Err for ids out of range).
-func NewIndex(h History) *Index { return scan(h, nil, "", false, false).Index }
+func NewIndex(h History) *Index { return scan(h, nil, "", 0).Index }
+
+// What a walk reads beyond the index every reading gets.
+const (
+	readAbstract = 1 << iota // the kept events as a history; the index then holds positions in it, otherwise in h
+	readQuorums              // each detection's quorum row
+	readLatency              // each detection's latency row (Latencies), left in the scratch's lat
+)
 
 // scratch is what one scan works in and nothing outside it sees: tables
 // indexed by process id, widened as ids are named, and lists grown as the
@@ -67,12 +74,19 @@ type scratch struct {
 	ids   int         // width of the id tables: a power of two, 64 or more, above every id read so far
 	crash []int32     // [ids] Index.crash
 	down  []bool      // [ids] Index.down
-	hcol  []int32     // [ids] 1 + target j's block of hrow, 0 before any suspTag receive about j
+	hcol  []int32     // [ids] 1 + target j's block of hrow (and psusp), 0 before j is named
 	hrow  []int32     // [block][ids] 1 + the row of heard holding what i has heard about j
 	heard []uint64    // [row][ids/64] senders as a bitset; a detection's quorum set is a row of its own
 	qrow  []int32     // the row of heard that is detection k's quorum set
 	keep  []int32     // positions in h of the events kept
 	dets  []Detection // Index.dets
+
+	// Read for latency only, and empty otherwise; positions are in h.
+	fsusp  []int32   // [ids] 1 + position of the first suspect of j
+	lcrash []int32   // [ids] 1 + position of p's last crash
+	psusp  []int32   // [block][ids] 1 + position of i's first suspect(i, j)
+	hlast  []int32   // [row of heard] 1 + position of the last suspTag receive heard in it
+	lat    []Latency // a row per detection
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -97,19 +111,36 @@ func restride[T any](s []T, from, to int) []T {
 	return s
 }
 
-func (w *scratch) reset() {
+func (w *scratch) reset(lat bool) {
 	*w = scratch{ids: 64, crash: grown(w.crash[:0], 64), down: grown(w.down[:0], 64), hcol: grown(w.hcol[:0], 64),
-		hrow: w.hrow[:0], heard: w.heard[:0], qrow: w.qrow[:0], keep: w.keep[:0], dets: w.dets[:0]}
+		hrow: w.hrow[:0], heard: w.heard[:0], qrow: w.qrow[:0], keep: w.keep[:0], dets: w.dets[:0],
+		fsusp: w.fsusp[:0], lcrash: w.lcrash[:0], psusp: w.psusp[:0], hlast: w.hlast[:0], lat: w.lat[:0]}
+	if lat {
+		w.fsusp, w.lcrash = grown(w.fsusp, 64), grown(w.lcrash, 64)
+	}
 }
 
 // widen makes room for process id top in every id-indexed table.
-func (w *scratch) widen(top int) {
+func (w *scratch) widen(top int, lat bool) {
 	old := w.ids
 	for w.ids <= top {
 		w.ids *= 2
 	}
 	w.crash, w.down, w.hcol = grown(w.crash, w.ids), grown(w.down, w.ids), grown(w.hcol, w.ids)
 	w.hrow, w.heard = restride(w.hrow, old, w.ids), restride(w.heard, old/64, w.ids/64)
+	if lat {
+		w.fsusp, w.lcrash, w.psusp = grown(w.fsusp, w.ids), grown(w.lcrash, w.ids), restride(w.psusp, old, w.ids)
+	}
+}
+
+// block adds target j's block of the per-pair tables: hrow, and psusp when
+// the walk reads latency.
+func (w *scratch) block(j ProcID, lat bool) {
+	w.hrow = grown(w.hrow, len(w.hrow)+w.ids)
+	if lat {
+		w.psusp = grown(w.psusp, len(w.psusp)+w.ids)
+	}
+	w.hcol[j] = int32(len(w.hrow) / w.ids)
 }
 
 // Classes of a send's or receive's tag.
@@ -130,23 +161,23 @@ func tagClass(tag string, drop []string, suspTag string, quorums bool) (c uint8)
 
 // scan is the one walk every reader shares: where "what is transport
 // traffic", "what is a detection" and "what has i heard about j" are
-// written. abstract asks for the kept events as a history (the index then
-// holds positions in it, otherwise in h), quorums for the quorum rows.
-func scan(h History, drop []string, suspTag string, abstract, quorums bool) *Scan {
+// written. want says what is read beyond the index (readAbstract, ...).
+func scan(h History, drop []string, suspTag string, want int) *Scan {
 	w := scratchPool.Get().(*scratch)
-	s := w.scan(h, drop, suspTag, abstract, quorums)
+	s := w.scan(h, drop, suspTag, want)
 	scratchPool.Put(w)
 	return s
 }
 
 // scan is the walk, in w: whatever w holds on entry, the result is the same.
-func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quorums bool) *Scan {
-	w.reset()
+func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan {
+	abstract, quorums, lat := want&readAbstract != 0, want&readQuorums != 0, want&readLatency != 0
+	w.reset(lat)
 	// The largest id anywhere (quorum rows name senders of dropped traffic)
 	// and the largest kept (the abstract history's membership).
 	var all, kept ProcID
 	// Runs of one tag are the rule, and a tag is classified when it changes.
-	tag, class := "", tagClass("", drop, suspTag, quorums)
+	tag, class := "", tagClass("", drop, suspTag, quorums || lat)
 	ids, words := w.ids, w.ids/64
 	for i := range h {
 		e := &h[i]
@@ -156,19 +187,18 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 				return &Scan{Index: &Index{err: procIDViolation(i, e)}}
 			}
 			if all = top; int(top) >= ids {
-				w.widen(int(top))
+				w.widen(int(top), lat)
 				ids, words = w.ids, w.ids/64
 			}
 		}
 		if e.Kind == KindSend || e.Kind == KindRecv {
 			if e.Tag != tag {
-				tag, class = e.Tag, tagClass(e.Tag, drop, suspTag, quorums)
+				tag, class = e.Tag, tagClass(e.Tag, drop, suspTag, quorums || lat)
 			}
 			if class&tagSusp != 0 && e.Kind == KindRecv && e.Target != None {
 				// Blocks and rows are added when a target or a pair is first named.
 				if w.hcol[e.Target] == 0 {
-					w.hrow = grown(w.hrow, len(w.hrow)+ids)
-					w.hcol[e.Target] = int32(len(w.hrow) / ids)
+					w.block(e.Target, lat)
 				}
 				slot := &w.hrow[int(w.hcol[e.Target]-1)*ids+int(e.Proc)]
 				if *slot == 0 {
@@ -176,6 +206,9 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 					*slot = int32(len(w.heard) / words)
 				}
 				w.heard[(int(*slot)-1)*words+int(e.Peer)/64] |= 1 << (uint(e.Peer) % 64)
+				if lat {
+					w.heardAt(int(*slot)-1, i)
+				}
 			}
 			if class&tagDropped != 0 {
 				continue
@@ -193,8 +226,13 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 				w.crash[e.Proc] = int32(pos + 1)
 			}
 			w.down[e.Proc] = true
+			if lat {
+				w.lcrash[e.Proc] = int32(i + 1)
+			}
 		case e.Kind == KindInternal && e.Tag == TagRestart:
 			w.down[e.Proc] = false
+		case lat && e.Kind == KindInternal && e.Tag == TagSuspect:
+			w.suspected(e, i)
 		case e.Kind == KindFailed:
 			if quorums {
 				// The quorum set is what has been heard so far, copied out.
@@ -209,6 +247,9 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 				w.qrow = append(w.qrow, int32(row/words))
 			}
 			w.dets = append(w.dets, Detection{Detector: e.Proc, Detected: e.Target, Index: pos})
+			if lat {
+				w.lat = append(w.lat, w.latency(h, w.dets[len(w.dets)-1], e))
+			}
 		}
 	}
 
@@ -248,6 +289,9 @@ func (w *scratch) scan(h History, drop []string, suspTag string, abstract, quoru
 		for k, r := range w.qrow {
 			copy(s.Quorums[k*s.Words:][:s.Words], w.heard[int(r)*words:])
 		}
+	}
+	if lat {
+		w.crashedAll(h, x)
 	}
 	return s
 }

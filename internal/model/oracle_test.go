@@ -113,6 +113,17 @@ type reading struct {
 
 var readings = []reading{{"NewScan", true, true}, {"NewIndex", false, false}, {"DropTags", true, false}}
 
+// want is the reading as scan is asked for it.
+func (r reading) want() (want int) {
+	if r.abstract {
+		want |= readAbstract
+	}
+	if r.quorums {
+		want |= readQuorums
+	}
+	return want
+}
+
 // sameScan compares everything a caller can reach: the abstract history to
 // its capacity, every table, every accessor one id past each end.
 func sameScan(got, want *Scan) error {
@@ -210,7 +221,7 @@ func forEachReading(f func(name string, h History, drop []string, r reading, wan
 func TestScanMatchesTwoWalkOracle(t *testing.T) {
 	widened, rejected := 0, 0
 	forEachReading(func(name string, h History, drop []string, r reading, want *Scan) {
-		if err := sameScan(scan(h, drop, "SUSP", r.abstract, r.quorums), want); err != nil {
+		if err := sameScan(scan(h, drop, "SUSP", r.want()), want); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if want.Words > 1 {
@@ -245,12 +256,15 @@ func TestScanMatchesTwoWalkOracle(t *testing.T) {
 // lengths wrong: what a scan may find in a scratch another scan used.
 func poison(w *scratch, seed int) {
 	w.ids = seed*13 - 5
-	for _, s := range []*[]int32{&w.crash, &w.hcol, &w.hrow, &w.qrow, &w.keep} {
+	for _, s := range []*[]int32{&w.crash, &w.hcol, &w.hrow, &w.qrow, &w.keep, &w.fsusp, &w.lcrash, &w.psusp, &w.hlast} {
 		garble(s, seed, func(i int) int32 { return int32(i*31 + seed + 1) })
 	}
 	garble(&w.down, seed, func(int) bool { return true })
 	garble(&w.heard, seed, func(i int) uint64 { return ^uint64(i) })
 	garble(&w.dets, seed, func(i int) Detection { return Detection{Detector: ProcID(i + 1), Detected: ProcID(seed), Index: -i} })
+	garble(&w.lat, seed, func(i int) Latency {
+		return Latency{Tick: int64(i), FirstSuspicion: int64(seed), Pair: 7, Quorum: 9, All: -int64(i)}
+	})
 }
 
 // garble grows *s, fills it to its capacity with junk and cuts it to a
@@ -283,7 +297,7 @@ func TestScanFromPoisonedScratch(t *testing.T) {
 	w := new(scratch)
 	for k, j := range jobs {
 		poison(w, k) // on top of what the scan before left
-		if err := sameScan(w.scan(j.h, j.drop, "SUSP", j.r.abstract, j.r.quorums), j.want); err != nil {
+		if err := sameScan(w.scan(j.h, j.drop, "SUSP", j.r.want()), j.want); err != nil {
 			t.Fatalf("%s, scratch in hand: %v", j.name, err)
 		}
 	}
@@ -297,7 +311,7 @@ func TestScanFromPoisonedScratch(t *testing.T) {
 				p := scratchPool.Get().(*scratch)
 				poison(p, k+g)
 				scratchPool.Put(p)
-				if err := sameScan(scan(j.h, j.drop, "SUSP", j.r.abstract, j.r.quorums), j.want); err != nil {
+				if err := sameScan(scan(j.h, j.drop, "SUSP", j.r.want()), j.want); err != nil {
 					t.Errorf("%s, goroutine %d: %v", j.name, g, err)
 					return
 				}
