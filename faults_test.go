@@ -102,7 +102,6 @@ func TestFacadesRejectTheSameInputs(t *testing.T) {
 		{name: "topology", opts: failstop.Options{N: 4, Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, want: "Topology"},
 		{name: "faults", opts: failstop.Options{N: 4, Faults: badPlan}, want: "outside [0,1]"},
 		{name: "reliable", opts: failstop.Options{N: 4, Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}}, want: "Reliable"},
-		{name: "byzantine", opts: failstop.Options{N: 4, Byzantine: failstop.ByzantineOptions{Enabled: true, EchoTags: []string{""}}}, want: "Byzantine"},
 		// A negative tick would record receives and crashes at tick -1 after
 		// their sends at tick 0, in a history that validates.
 		{name: "negative tick", opts: failstop.Options{N: 4}, live: failstop.Live{Tick: -time.Millisecond},

@@ -32,9 +32,9 @@
 //
 // Broadcast ids and witness-hold. Consecutive sends with identical
 // (tag, subject, data) share one broadcast id — a broadcast loop seals n-1
-// frames under a single bid. Frames whose tag is in Options.EchoTags
-// (by default the detector's "SUSP" class, whose forgery is what breaks
-// fail-stop safety) are not released on arrival: the receiver holds the
+// frames under a single bid. Frames tagged heldTag (the detector's "SUSP"
+// class, whose forgery is what breaks fail-stop safety) are not released on
+// arrival: the receiver holds the
 // frame, broadcasts a sealed echo naming (origin, bid, content digest) to
 // every other process, and releases the held frame only once a majority of
 // the n-1 potential receivers, (n-1)/2+1 distinct processes — itself
@@ -75,8 +75,7 @@
 // witness rounds by broadcast id). A full mesh's peers sit in their home
 // slots, so a frame finds its sender's record without hashing; the inner
 // maps stay maps, because their keys are sequence numbers and broadcast ids
-// a Byzantine sender chooses. Whether a tag is held is a scan of
-// Options.EchoTags, a list of one by default. pump never walks the rounds:
+// a Byzantine sender chooses. pump never walks the rounds:
 // it walks a worklist of the open rounds only, kept sorted by (origin, bid)
 // — the order, and the repeat-until-a-pass-changes-nothing rule, that a scan
 // of every round in sorted order would follow. A round is open until it has
@@ -130,42 +129,15 @@ const (
 	headerLen       = 25 // kind(1) + seq(8) + bid(8) + mac(8)
 )
 
+// heldTag is the payload tag whose frames are held for a witness quorum
+// before release: the detector's TagSusp, kept literal so the layer stays
+// protocol-agnostic (no import of internal/core).
+const heldTag = "SUSP"
+
 // Options configures the validation layer.
 type Options struct {
 	// Enabled turns the layer on. The zero Options leave traffic unsealed.
 	Enabled bool
-	// EchoTags lists the payload tags whose frames are held for witness
-	// quorums before release (the broadcast classes whose forgery matters).
-	// nil means the detector's "SUSP" class; an explicit empty slice holds
-	// nothing (authentication and replay checks still apply).
-	EchoTags []string
-}
-
-func (o Options) withDefaults() Options {
-	if o.EchoTags == nil {
-		// The detector's TagSusp, kept literal so the layer stays
-		// protocol-agnostic (no import of internal/core).
-		o.EchoTags = []string{"SUSP"}
-	}
-	return o
-}
-
-// Validate reports the first problem with the options, or nil.
-func (o Options) Validate() error {
-	seen := map[string]bool{}
-	for _, tag := range o.EchoTags {
-		if tag == "" {
-			return fmt.Errorf("byz: empty tag in EchoTags")
-		}
-		if tag == TagEcho {
-			return fmt.Errorf("byz: EchoTags must not contain %q: echoing echoes would recurse", TagEcho)
-		}
-		if seen[tag] {
-			return fmt.Errorf("byz: duplicate tag %q in EchoTags", tag)
-		}
-		seen[tag] = true
-	}
-	return nil
 }
 
 // voucher is one digest vouched for in a round, and by whom (self included).
@@ -222,7 +194,6 @@ type inbound struct {
 // be read concurrently.
 type Endpoint struct {
 	inner node.Handler
-	opts  Options
 	spans *obs.SpanRecorder
 	// convict is invoked once per conviction with the wrapped context, so
 	// the suspicion it feeds into the detector broadcasts through this
@@ -263,13 +234,10 @@ var (
 	_ node.Restarter     = (*Endpoint)(nil)
 )
 
-// Wrap builds an Endpoint around inner. It panics on invalid options —
-// configurations are authored, not computed.
-func Wrap(inner node.Handler, opts Options) *Endpoint {
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
-	e := &Endpoint{inner: inner, opts: opts.withDefaults()}
+// Wrap builds an Endpoint around inner. The endpoint reads nothing of the
+// options: whether the layer is on (Enabled) is for the stack that wraps.
+func Wrap(inner node.Handler, _ Options) *Endpoint {
+	e := &Endpoint{inner: inner}
 	e.ctx.e = e
 	return e
 }
@@ -403,7 +371,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		return
 	}
 	inner := node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data}
-	if !slices.Contains(e.opts.EchoTags, p.Tag) {
+	if p.Tag != heldTag {
 		e.inner.OnMessage(e.Context(ctx), from, inner)
 		return
 	}
@@ -576,7 +544,7 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
-	if !ok || p.Tag == TagEcho || e.masked.Has(from) || slices.Contains(e.opts.EchoTags, p.Tag) {
+	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == heldTag {
 		return true
 	}
 	if in := e.heard.Get(from); in != nil {

@@ -120,7 +120,7 @@ func TestHonestBroadcastReleases(t *testing.T) {
 	}
 }
 
-// TestNonHeldTagPassesWithoutEchoes: a tag outside EchoTags is released on
+// TestNonHeldTagPassesWithoutEchoes: a tag other than SUSP is released on
 // arrival; the only traffic is the n-1 sealed frames themselves.
 func TestNonHeldTagPassesWithoutEchoes(t *testing.T) {
 	h := newHarness(t, 3, 1, netadv.Plan{Name: "clean"})

@@ -5,51 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
 )
-
-func TestOptionsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		opts Options
-		want string // substring of the error; "" means valid
-	}{
-		{"zero value", Options{}, ""},
-		{"enabled defaults", Options{Enabled: true}, ""},
-		{"explicit sane", Options{Enabled: true, EchoTags: []string{"SUSP", "APP"}}, ""},
-		{"hold nothing", Options{Enabled: true, EchoTags: []string{}}, ""},
-		{"empty echo tag", Options{EchoTags: []string{""}}, "empty tag"},
-		{"echoing echoes", Options{EchoTags: []string{TagEcho}}, "recurse"},
-		{"duplicate echo tag", Options{EchoTags: []string{"SUSP", "SUSP"}}, "duplicate tag"},
-	}
-	for _, tt := range cases {
-		t.Run(tt.name, func(t *testing.T) {
-			err := tt.opts.Validate()
-			if tt.want == "" {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("Validate() = %v, want error containing %q", err, tt.want)
-			}
-		})
-	}
-}
-
-func TestWrapPanicsOnInvalidOptions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Wrap accepted invalid options")
-		}
-	}()
-	Wrap(sink{}, Options{EchoTags: []string{""}})
-}
 
 // sink is an inner handler that does nothing.
 type sink struct{}

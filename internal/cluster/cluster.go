@@ -61,7 +61,7 @@ type Options struct {
 // nor Det.N, a QuorumSize that is negative or set where no §5 FixedQuorum
 // threshold over the complete graph reads it, bad delay bounds, a fault plan
 // that does not fit N or comes with Sim.Link or Sim.Lifetimes, invalid
-// interposer options, or a negative heartbeat number, MaxTime or MaxEvents
+// reliable-layer options, or a negative heartbeat number, MaxTime or MaxEvents
 // (each would silently read as its zero: no fd layer, never suspect, no
 // horizon, the default cap).
 func (o Options) Validate() error {
@@ -102,9 +102,6 @@ func (o Options) Validate() error {
 	}
 	if err := o.Reliable.Validate(); err != nil {
 		return fmt.Errorf("Reliable: %w", err)
-	}
-	if err := o.Byzantine.Validate(); err != nil {
-		return fmt.Errorf("Byzantine: %w", err)
 	}
 	for _, f := range []struct {
 		name string

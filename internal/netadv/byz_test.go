@@ -288,10 +288,12 @@ func (c *sealCtx) CrashSelf()                          {}
 func (c *sealCtx) EmitInternal(string, model.ProcID)   {}
 
 // authenticates checks a forged frame as receiver-side code would: a fresh
-// endpoint delivers it, and the frame passes iff no conviction fires.
+// endpoint takes it in (a SUSP frame is held for its witness quorum, after
+// the MAC check that convicts a forgery), and the frame passes iff no
+// conviction fires.
 func authenticates(p node.Payload) bool {
 	rec := &convictRec{}
-	e := byz.Wrap(nopHandler{}, byz.Options{Enabled: true, EchoTags: []string{}})
+	e := byz.Wrap(nopHandler{}, byz.Options{Enabled: true})
 	e.SetConvict(rec.convict)
 	ctx := &sealCtx{n: 5}
 	e.Init(ctx)

@@ -65,7 +65,6 @@ func TestEntryPointsAgree(t *testing.T) {
 		{name: "topology that does not fit n", opts: failstop.Options{Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 9}}, field: "Topology"},
 		{name: "topology that fits n", opts: failstop.Options{Topology: &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 2}}},
 		{name: "invalid reliable options", opts: failstop.Options{Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: -1}}, field: "Reliable"},
-		{name: "invalid byz options", opts: failstop.Options{Byzantine: failstop.ByzantineOptions{Enabled: true, EchoTags: []string{""}}}, field: "Byzantine"},
 		{name: "valid interposers", opts: failstop.Options{Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: 2}, Byzantine: failstop.ByzantineOptions{Enabled: true}}},
 	}
 	field := regexp.MustCompile(`^[A-Za-z]+`)
