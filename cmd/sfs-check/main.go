@@ -42,6 +42,12 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(out, "-in is required")
 		return 2
 	}
+	if *tFlag < 0 {
+		// quorum.EmptySubfamily finds no subfamily of at most t < 1 sets, so
+		// W would hold whatever the trace holds.
+		fmt.Fprintf(out, "bad -t %d: want a failure bound of at least 1 (0: the trace header's)\n", *tFlag)
+		return 2
+	}
 	f, err := os.Open(*inPath)
 	if err != nil {
 		fmt.Fprintf(out, "opening trace: %v\n", err)

@@ -193,6 +193,31 @@ func TestCheckMissingAndBadInputs(t *testing.T) {
 	}
 }
 
+// A negative failure bound is a usage error, from the flag or from the trace
+// header: quorum.EmptySubfamily finds no subfamily of at most t < 1 sets,
+// and W used to print "ok" whatever the trace held.
+func TestCheckRejectsNegativeT(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "trace.json")
+	writeScenarioTrace(t, in)
+	var out bytes.Buffer
+	if code := run([]string{"-in", in, "-t", "-1"}, &out); code != 2 || !strings.HasPrefix(out.String(), "bad -t -1") {
+		t.Errorf("-t -1: exit = %d, want 2 naming the flag:\n%s", code, out.String())
+	}
+	data, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg := filepath.Join(dir, "neg-t.json")
+	if err := os.WriteFile(neg, bytes.Replace(data, []byte(`"t":2`), []byte(`"t":-5`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := run([]string{"-in", neg}, &out); code != 1 || !strings.Contains(out.String(), "reading trace") || strings.Contains(out.String(), "W: ok") {
+		t.Errorf(`header "t": -5: exit = %d, want 1 refusing the trace:\n%s`, code, out.String())
+	}
+}
+
 // TestSimCheckRoundTripSameVerdicts: sfs-sim judges the run it just made,
 // sfs-check judges the trace of it; both must abstract the stack's own
 // traffic (SUSP, heartbeats, reliable acks, Byzantine echoes) the same way,

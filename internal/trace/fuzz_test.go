@@ -49,6 +49,7 @@ func FuzzReadSpans(f *testing.F) {
 	f.Add([]byte(`{"span":{"id":1,"kind":"send"}}` + "\n" + `{"version":3,"n":2}` + "\n"))
 	f.Add([]byte(`{"version":3,"n":2,"span_count":1}` + "\n" + `{"span":null}` + "\n"))
 	f.Add([]byte(`{"version":3,"n":2,"note":"` + strings.Repeat("a", 1<<20) + `"}`))
+	f.Add([]byte(`{"version":3,"n":6,"t":-5}` + "\n" + `{"seq":0,"proc":1,"kind":3,"time":5}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, h, spans, err := ReadSpans(bytes.NewReader(data))
 		if err != nil {

@@ -132,6 +132,10 @@ func ReadSpans(r io.Reader) (Header, model.History, []obs.Span, error) {
 	if hdr.Version != FormatVersion {
 		return hdr, nil, nil, fmt.Errorf("%w: unsupported version %d (this reader handles version %d only)", ErrBadTrace, hdr.Version, FormatVersion)
 	}
+	if hdr.N < 0 || hdr.T < 0 {
+		// A bound below 0 would read as "every subfamily has a witness".
+		return hdr, nil, nil, fmt.Errorf("%w: header: n = %d, t = %d; neither can be negative", ErrBadTrace, hdr.N, hdr.T)
+	}
 	var h model.History
 	var spans []obs.Span
 	// A run has a handful of distinct tags, and the decoder hands every event

@@ -97,6 +97,8 @@ func TestReadErrors(t *testing.T) {
 		"bad header":  "not json\n",
 		"bad version": `{"version":99}` + "\n",
 		"bad event":   `{"version":3,"n":2}` + "\nnope\n",
+		"negative n":  `{"version":3,"n":-1}` + "\n",
+		"negative t":  `{"version":3,"n":2,"t":-5}` + "\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
