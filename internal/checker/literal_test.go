@@ -21,9 +21,9 @@ import (
 // CRASH_i says that an event has happened, so it first holds at the point
 // after that event and holds from then on — which turns "at every point" into
 // "at every event" and "at that point" into "among the events before it".
-// The result is slow and obviously right, and checker.FS2 and
-// checker.SFS2a–SFS2d must agree with it on Holds for every history they are
-// given.
+// The result is slow and obviously right, and checker.FS1, FS2,
+// SFS2a–SFS2d, §3.2's Condition1–Condition3 and Accuracy must agree with it
+// on Holds for every history they are given.
 
 // crashedIn reports whether crash_i is among events.
 func crashedIn(events model.History, i model.ProcID) bool {
@@ -33,6 +33,53 @@ func crashedIn(events model.History, i model.ProcID) bool {
 		}
 	}
 	return false
+}
+
+// downAtEnd reports whether p is crashed when h ends: some crash_p has no
+// restart of p after it (a restarted process is live again, for FS1 as for
+// the checker).
+func downAtEnd(h model.History, p model.ProcID) bool {
+	for k, e := range h {
+		if e.Kind != model.KindCrash || e.Proc != p {
+			continue
+		}
+		restarted := false
+		for _, r := range h[k+1:] {
+			restarted = restarted || r.Kind == model.KindInternal && r.Tag == model.TagRestart && r.Proc == p
+		}
+		if !restarted {
+			return true
+		}
+	}
+	return false
+}
+
+// detects reports whether failed_i(j) is among events.
+func detects(events model.History, i, j model.ProcID) bool {
+	for _, e := range events {
+		if e.Kind == model.KindFailed && e.Proc == i && e.Target == j {
+			return true
+		}
+	}
+	return false
+}
+
+// literalFS1: ∀i: □(CRASH_i ⇒ ∀j: ◇(CRASH_j ∨ FAILED_j(i))) at the end of
+// the history, over the processes 1..n it names — every process down at the
+// end is detected by every other process that is not.
+func literalFS1(h model.History) bool {
+	n := model.ProcID(0)
+	for _, e := range h {
+		n = max(n, e.Proc, e.Peer, e.Target)
+	}
+	for i := model.ProcID(1); i <= n; i++ {
+		for j := model.ProcID(1); j <= n; j++ {
+			if j != i && downAtEnd(h, i) && !downAtEnd(h, j) && !detects(h, j, i) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // literalFS2: ∀i,j: □(FAILED_j(i) ⇒ CRASH_i) — when j detects i, i has
@@ -137,6 +184,44 @@ func literalSFS2d(h model.History) bool {
 	return true
 }
 
+// literalCondition1: §3.2's Condition 1 — if failed_i(j) occurs in the
+// history, crash_j occurs in the history.
+func literalCondition1(h model.History) bool {
+	for _, e := range h {
+		if e.Kind == model.KindFailed && !crashedIn(h, e.Target) {
+			return false
+		}
+	}
+	return true
+}
+
+// literalCondition3: §3.2's Condition 3 — there is no event e of process j
+// such that failed_i(j) happens-before e.
+func literalCondition3(h model.History) bool {
+	hb := model.NewHB(h)
+	for f, det := range h {
+		if det.Kind != model.KindFailed {
+			continue
+		}
+		for g, e := range h {
+			if g != f && e.Proc == det.Target && hb.Before(f, g) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// literalAccuracy: every failed_i(j) detects a process of allowed.
+func literalAccuracy(h model.History, allowed map[model.ProcID]bool) bool {
+	for _, e := range h {
+		if e.Kind == model.KindFailed && !allowed[e.Target] {
+			return false
+		}
+	}
+	return true
+}
+
 // literalCheck pairs a literal property with the checker's.
 type literalCheck struct {
 	prop    string
@@ -145,11 +230,17 @@ type literalCheck struct {
 }
 
 var literalChecks = []literalCheck{
+	{"FS1", literalFS1, checker.FS1},
 	{"FS2", literalFS2, checker.FS2},
 	{"sFS2a", literalSFS2a, checker.SFS2a},
 	{"sFS2b", literalSFS2b, checker.SFS2b},
 	{"sFS2c", literalSFS2c, checker.SFS2c},
 	{"sFS2d", literalSFS2d, checker.SFS2d},
+	{"Condition1", literalCondition1, checker.Condition1},
+	// Condition 2 is the failed-before relation's acyclicity: sFS2b's
+	// statement, word for word.
+	{"Condition2", literalSFS2b, checker.Condition2},
+	{"Condition3", literalCondition3, checker.Condition3},
 }
 
 // literalHistories are the histories the literal checker is held to: every
@@ -210,8 +301,8 @@ func readPartings(t *testing.T) []parting {
 	return out
 }
 
-// TestLiteralFigure1 holds checker.FS2 and SFS2a–SFS2d to Figure 1's
-// definitions on every generated history at n ≤ 5 and ≤ 60 events, and
+// TestLiteralFigure1 holds checker.FS1, FS2, SFS2a–SFS2d and Condition1–3 to
+// their definitions on every generated history at n ≤ 5 and ≤ 60 events, and
 // requires each property to be seen holding and violated. The two may part
 // only where testdata/literal_disagreements.jsonl pins it.
 func TestLiteralFigure1(t *testing.T) {
@@ -288,6 +379,60 @@ func TestLiteralFigure1OnCorpus(t *testing.T) {
 				t.Errorf("%s: %s literally holds = %v, checker.All says %v (reported: %v)", r.name, c.prop, want, got, ok)
 			}
 		}
+	}
+}
+
+// accuracySets are the allow-sets Accuracy is asked about on h: the
+// processes that crash in h (a plan's victims), the same without the
+// lowest-numbered one, and every process but 1.
+func accuracySets(h model.History) []map[model.ProcID]bool {
+	crashed, low := map[model.ProcID]bool{}, model.ProcID(0)
+	all := map[model.ProcID]bool{}
+	for _, e := range h {
+		if e.Kind == model.KindCrash {
+			crashed[e.Proc] = true
+			if low == 0 || e.Proc < low {
+				low = e.Proc
+			}
+		}
+		for _, p := range [...]model.ProcID{e.Proc, e.Peer, e.Target} {
+			all[p] = p != 1
+		}
+	}
+	fewer := map[model.ProcID]bool{}
+	for p := range crashed {
+		fewer[p] = p != low
+	}
+	return []map[model.ProcID]bool{crashed, fewer, all}
+}
+
+// TestLiteralAccuracy holds checker.Accuracy to its definition on every
+// generated history literalHistories makes and on the reading corpus, under
+// each of accuracySets' allow-sets, and requires it to be seen holding and
+// violated.
+func TestLiteralAccuracy(t *testing.T) {
+	hs := literalHistories()
+	if !testing.Short() {
+		for _, r := range readingCorpus(t) {
+			hs["corpus "+r.name] = checker.Abstract(r.h, core.TagSusp)
+		}
+	}
+	seen := [2]int{}
+	for name, h := range hs {
+		for k, allowed := range accuracySets(h) {
+			want, got := literalAccuracy(h, allowed), checker.Accuracy(h, allowed)
+			if got.Holds != want {
+				t.Errorf("%s, allow-set %d %v: Accuracy literally holds = %v, checker says %v", name, k, allowed, want, got)
+			}
+			if want {
+				seen[0]++
+			} else {
+				seen[1]++
+			}
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Errorf("Accuracy held %d times and was violated %d times: the set misses a side", seen[0], seen[1])
 	}
 }
 
