@@ -153,4 +153,8 @@ var Guards = []Guard{
 	// Two interposer knobs that only tests set.
 	{Kind: Retired, Pattern: `MaxInterval\s+int64`, Scope: []string{"internal/reliable"}, Reason: "a knob only tests set: the retry interval doubles up to 16 times RetryInterval", PR: 44},
 	{Kind: Retired, Pattern: `Witnesses\s+int\b`, Scope: []string{"internal/byz"}, Reason: "a knob only tests set: a held frame waits for a majority of the n-1 receivers", PR: 44},
+	// Detection latency has one definition per measure, read in the scan's
+	// one walk; the byz layer holds one tag.
+	{Kind: Retired, Pattern: `func detectionLatencies`, Scope: []string{"internal/experiments"}, Reason: "detection latency is model.Latencies' rows, read in the scan's one walk: no private reader of the history", PR: 45},
+	{Kind: Retired, Pattern: `EchoTags`, Scope: []string{"internal/byz"}, Reason: "a knob only tests set: the byz layer holds the detector's SUSP frames and no others", PR: 45},
 }
