@@ -247,7 +247,8 @@ var literalChecks = []literalCheck{
 // history model.Gen makes at n ≤ 5 and at most 60 events for a few seeds,
 // with its default weights and with detections and crashes ten times as
 // frequent, and one single-event mutation of each (Gen never detects a
-// process by itself), so that every property is seen holding and violated.
+// process by itself), so that every property is seen holding and violated;
+// and the crash-heavy ones again with restarts (Gen never restarts one).
 func literalHistories() map[string]model.History {
 	out := map[string]model.History{}
 	for n := 2; n <= 5; n++ {
@@ -263,11 +264,29 @@ func literalHistories() map[string]model.History {
 					name := fmt.Sprintf("gen n=%d steps=%d seed=%d weighted=%v", n, steps, seed, weighted)
 					h := g.History(n, steps)
 					out[name], out[name+" mutated"] = h, mutate(h, n, rng)
+					if weighted {
+						out[name+" restarted"] = restarted(h)
+					}
 				}
 			}
 		}
 	}
 	return out
+}
+
+// restarted is h with every other crashed process restarted three events
+// after its crash: a process down at some point but live at the end, which
+// FS1 neither excuses from detecting nor requires detected.
+func restarted(h model.History) model.History {
+	out, nth := h.Clone(), 0
+	for k := 0; k < len(out); k++ {
+		if out[k].Kind == model.KindCrash {
+			if nth++; nth%2 == 1 {
+				out = slices.Insert(out, min(k+3, len(out)), model.Restart(out[k].Proc))
+			}
+		}
+	}
+	return out.Normalize()
 }
 
 // parting is a history on which the literal checker and the checker

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -104,9 +105,23 @@ func timed(h History, n int, rng *rand.Rand) History {
 	return out.Normalize()
 }
 
+// recrashed is h with each crashed process restarted a few events after its
+// crash and crashed again at once: a process whose last crash is not its
+// first.
+func recrashed(h History) History {
+	out := h.Clone()
+	for k := len(h) - 1; k >= 0; k-- { // last first: an insertion moves no crash still to come
+		if p := h[k].Proc; h[k].Kind == KindCrash {
+			out = slices.Insert(out, min(k+2+k%3, len(h)), Restart(p), Crash(p))
+		}
+	}
+	return out
+}
+
 // latencyHistories are generated histories at n ≤ 6, with detections and
-// crashes frequent and suspicions and ticks added, and the oracle's
-// hand-built ones (restarts, widenings, out-of-range ids) with ticks added.
+// crashes frequent and suspicions and ticks added (and again with every
+// crash repeated after a restart), and the oracle's hand-built ones
+// (restarts, widenings, out-of-range ids) with ticks added.
 func latencyHistories() map[string]History {
 	out := map[string]History{}
 	rng := rand.New(rand.NewSource(45))
@@ -116,6 +131,7 @@ func latencyHistories() map[string]History {
 		g.FailedWeight, g.CrashWeight = 20+int(seed%4)*20, 4+int(seed%3)*6
 		h := g.History(n, 10+int(seed%50))
 		out[fmt.Sprintf("gen-%d", seed)] = timed(h, n, rng)
+		out[fmt.Sprintf("gen-%d-recrashed", seed)] = timed(recrashed(h), n, rng)
 		// The suspTag rows: every receive re-tagged as a suspicion.
 		sus := h.Clone()
 		for i := range sus {
