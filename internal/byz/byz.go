@@ -34,9 +34,9 @@
 // (tag, subject, data) share one broadcast id — a broadcast loop seals n-1
 // frames under a single bid. Frames tagged heldTag (the detector's "SUSP"
 // class, whose forgery is what breaks fail-stop safety) are not released on
-// arrival: the receiver holds the
-// frame, broadcasts a sealed echo naming (origin, bid, content digest) to
-// every other process, and releases the held frame only once a majority of
+// arrival: the receiver holds the frame, broadcasts a sealed echo naming
+// (origin, bid, content digest) to every other process, and releases the
+// held frame only once a majority of
 // the n-1 potential receivers, (n-1)/2+1 distinct processes — itself
 // included — have vouched for the digest it saw. Two conflicting digests for
 // one (origin, bid) convict the origin of equivocation. With that threshold,
