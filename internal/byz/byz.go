@@ -70,29 +70,34 @@
 //
 // Data layout. Per-peer state lives in two node.Tables keyed by the peer's
 // id, each record made on first use: links holds what this endpoint sends to
-// a destination (its sequence counter and arena), heard what it has had
-// from a sender or about an origin (the sequence numbers seen and the
-// witness rounds by broadcast id). A full mesh's peers sit in their home
-// slots, so a frame finds its sender's record without hashing; the inner
-// maps stay maps, because their keys are sequence numbers and broadcast ids
-// a Byzantine sender chooses. pump never walks the rounds:
-// it walks a worklist of the open rounds only, kept sorted by (origin, bid)
-// — the order, and the repeat-until-a-pass-changes-nothing rule, that a scan
-// of every round in sorted order would follow. A round is open until it has
-// been released with a single vouched digest; it goes back on the list if a
-// later echo vouches for a second digest (so the equivocation is still
-// convicted), and a conviction takes the culprit's rounds off it. Settled
-// rounds therefore cost a timer or an echo nothing. A round's vouchers are a
-// short slice of (digest, quorum.Set) pairs and the masked set is a
-// quorum.Set. Sealed bodies are carved from one node.Arena per destination
-// rather than allocated per frame; the arena only bumps forward, because the
-// host (and the reliable layer's unacked queue) may keep a sent body for as
-// long as it likes — and it is the destination's, not the endpoint's, so
-// bodies that are never let go of (unacked to a crashed peer) pin that
-// link's chunks and no other's. The inner handler sees one context wrapper
-// per endpoint, rebound to the host's context at every callback entry —
-// node.Context limits a context to the callback that received it, and hosts
-// serialize a process's callbacks.
+// a destination (its sequence counter and arena), seen the sequence numbers
+// each sender's frames arrived under and when. A full mesh's peers sit in
+// their home slots, so a frame finds its sender's record without hashing;
+// seen's records stay maps, because their keys are sequence numbers a
+// Byzantine sender chooses. Witness rounds live in one store per endpoint:
+// they are carved from chunks that never move (16 rounds, doubling to 1,024,
+// the way the simulator carves its links), and one map keyed by (origin,
+// broadcast id) finds them. A round keeps its first voucher and its first
+// held frame inline, and every voucher set's words — quorum.Words(n) of them,
+// so adding a witness never grows the set — are carved from one chunk of
+// words, so a round an honest broadcast opens costs no allocation of its
+// own. A conviction deletes the culprit's rounds from the map. pump never
+// walks the rounds: it walks a worklist of the open rounds only, kept sorted
+// by (origin, bid) — the order, and the repeat-until-a-pass-changes-nothing
+// rule, that a scan of every round in sorted order would follow. A round is
+// open until it has been released with a single vouched digest; it goes back
+// on the list if a later echo vouches for a second digest (so the
+// equivocation is still convicted), and a conviction takes the culprit's
+// rounds off it. Settled rounds therefore cost a timer or an echo nothing.
+// The masked set is a quorum.Set. Sealed bodies are carved from one
+// node.Arena per destination rather than allocated per frame; the arena only
+// bumps forward, because the host (and the reliable layer's unacked queue)
+// may keep a sent body for as long as it likes — and it is the
+// destination's, not the endpoint's, so bodies that are never let go of
+// (unacked to a crashed peer) pin that link's chunks and no other's. The
+// inner handler sees one context wrapper per endpoint, rebound to the host's
+// context at every callback entry — node.Context limits a context to the
+// callback that received it, and hosts serialize a process's callbacks.
 package byz
 
 import (
@@ -101,6 +106,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 
 	"failstop/internal/model"
@@ -147,18 +153,33 @@ type voucher struct {
 }
 
 // round is the witness state of one (origin, broadcast id): which digests
-// have been vouched for by whom, and the frames held pending release.
+// have been vouched for by whom, and the frames held pending release. A
+// round never moves (it is carved from a chunk), so digests and held start
+// in its own one-element arrays: a round that sees one digest and one frame,
+// as every honest broadcast does, allocates neither slice.
 type round struct {
-	origin   model.ProcID
-	bid      uint64
-	digests  []voucher
-	held     []node.Payload // unsealed frames, arrival order
-	myDigest uint64
-	haveMine bool // we received the frame itself (not just echoes)
-	echoed   bool // our echo broadcast went out
-	released bool
-	open     bool // on the worklist: unreleased, or vouched for two digests
+	origin       model.ProcID
+	bid          uint64
+	digests      []voucher
+	held         []node.Payload // unsealed frames, arrival order
+	firstVoucher [1]voucher
+	firstHeld    [1]node.Payload
+	myDigest     uint64
+	haveMine     bool // we received the frame itself (not just echoes)
+	echoed       bool // our echo broadcast went out
+	released     bool
+	open         bool // on the worklist: unreleased, or vouched for two digests
 }
+
+// roundKey names a witness round: the broadcast's origin and its id.
+type roundKey struct {
+	origin model.ProcID
+	bid    uint64
+}
+
+// maxRoundChunk is the most rounds one chunk carves: chunks double from 16
+// up to it, like the simulator's link arena.
+const maxRoundChunk = 1024
 
 // vouched returns the round's record for digest, or nil if nobody has
 // vouched for it.
@@ -178,13 +199,6 @@ type link struct {
 	arena node.Arena // sealed bodies sent
 }
 
-// inbound is the receiver-side state of one peer, materialized on the first
-// frame from it or echo about it.
-type inbound struct {
-	seen   map[uint64]int64  // seq -> first arrival of each frame it sent
-	rounds map[uint64]*round // bid -> witness round of each broadcast it originated
-}
-
 // Endpoint wraps a node.Handler with the validation layer on every link it
 // speaks. It implements node.Handler, node.Gate, node.CrashListener, and
 // node.Restarter; hosts treat it exactly like the handler it wraps.
@@ -201,6 +215,7 @@ type Endpoint struct {
 	convict func(ctx node.Context, culprit model.ProcID)
 
 	witnesses int
+	width     int // quorum.Words(n): the words of every voucher set
 
 	// Sender side: per-destination links and the broadcast-id
 	// content-equality state.
@@ -211,8 +226,16 @@ type Endpoint struct {
 	lastData    []byte
 	haveLast    bool
 
-	// Receiver side.
-	heard  node.Table[inbound] // per sender, or origin of witness rounds
+	// Receiver side. seen holds, per sender, the first arrival of each
+	// sequence number it sent; rounds finds the witness round of a broadcast.
+	// Rounds are carved from chunks that never move (free is the current
+	// chunk's unused tail, chunk its size) and voucher sets from one chunk of
+	// words (words is its unused tail).
+	seen   node.Table[map[uint64]int64]
+	rounds map[roundKey]*round
+	free   []round
+	chunk  int
+	words  []uint64
 	masked quorum.Set
 	// open is pump's worklist: the open rounds in (origin, bid) order. A
 	// round that settles or is convicted is only marked (round.open) and
@@ -287,10 +310,12 @@ func (c *byzCtx) Send(to model.ProcID, p node.Payload) {
 	c.e.send(c.Context, to, p)
 }
 
-// resolve fixes the witness threshold once the system size is known.
+// resolve fixes the witness threshold and the voucher set width once the
+// system size is known.
 func (e *Endpoint) resolve(ctx node.Context) {
 	if e.witnesses == 0 {
 		e.witnesses = (ctx.N()-1)/2 + 1
+		e.width = quorum.Words(ctx.N())
 	}
 }
 
@@ -353,19 +378,19 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		e.maskedCount.Add(1)
 		return
 	}
-	in, _ := e.heard.Add(from)
-	if in.seen == nil {
-		in.seen = make(map[uint64]int64)
+	seen, _ := e.seen.Add(from)
+	if *seen == nil {
+		*seen = make(map[uint64]int64)
 	}
 	now := ctx.Now()
-	if first, dup := in.seen[seq]; dup {
+	if first, dup := (*seen)[seq]; dup {
 		if now-first > ReplayHorizon {
 			e.convictWith(ctx, from, "replay")
 		}
 		// Within the horizon: a benign network duplicate.
 		return
 	}
-	in.seen[seq] = now
+	(*seen)[seq] = now
 	if isEcho {
 		e.onEcho(ctx, from, p.Subject, data)
 		return
@@ -421,18 +446,38 @@ func (e *Endpoint) onEcho(ctx node.Context, witness, origin model.ProcID, data [
 	e.pump(ctx)
 }
 
+// round returns the witness round of (origin, bid), carving and enlisting
+// it on first use.
 func (e *Endpoint) round(origin model.ProcID, bid uint64) *round {
-	in, _ := e.heard.Add(origin)
-	if in.rounds == nil {
-		in.rounds = make(map[uint64]*round)
+	key := roundKey{origin, bid}
+	if r := e.rounds[key]; r != nil {
+		return r
 	}
-	r := in.rounds[bid]
-	if r == nil {
-		r = &round{origin: origin, bid: bid}
-		in.rounds[bid] = r
-		e.enlist(r)
+	if len(e.free) == 0 {
+		e.chunk = min(max(2*e.chunk, 16), maxRoundChunk)
+		e.free = make([]round, e.chunk)
 	}
+	r := &e.free[0]
+	e.free = e.free[1:]
+	r.origin, r.bid = origin, bid
+	r.digests, r.held = r.firstVoucher[:0], r.firstHeld[:0]
+	if e.rounds == nil {
+		e.rounds = make(map[roundKey]*round)
+	}
+	e.rounds[key] = r
+	e.enlist(r)
 	return r
+}
+
+// set returns an empty voucher set wide enough for every id in 1..n, carved
+// from the endpoint's chunk of words, so adding a witness never grows it.
+func (e *Endpoint) set() quorum.Set {
+	if len(e.words) < e.width {
+		e.words = make([]uint64, e.chunk*e.width) // a round's chunk: as many sets
+	}
+	s := quorum.Set(e.words[:e.width:e.width])
+	e.words = e.words[e.width:]
+	return s
 }
 
 // enlist puts r on the worklist at its (origin, bid) position.
@@ -449,7 +494,9 @@ func (e *Endpoint) vouch(r *round, digest uint64, by model.ProcID) {
 		v.by.Add(by)
 		return
 	}
-	r.digests = append(r.digests, voucher{digest: digest, by: quorum.SetOf(by)})
+	s := e.set()
+	s.Add(by)
+	r.digests = append(r.digests, voucher{digest: digest, by: s})
 	if !r.open {
 		// A second digest for a round that had settled: pump must see it
 		// again to convict the origin.
@@ -491,6 +538,7 @@ func (e *Endpoint) pump(ctx node.Context) {
 			for _, p := range held {
 				e.inner.OnMessage(e.Context(ctx), r.origin, p)
 			}
+			r.firstHeld[0] = node.Payload{} // released frames are not pinned
 			again = true
 		}
 		if e.stale {
@@ -514,11 +562,10 @@ func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason st
 		if r.origin == culprit && r.open {
 			e.maskedCount.Add(int64(len(r.held)))
 			r.open, e.stale = false, true
+			r.held, r.firstHeld[0] = nil, node.Payload{}
 		}
 	}
-	if in := e.heard.Get(culprit); in != nil {
-		in.rounds = nil
-	}
+	maps.DeleteFunc(e.rounds, func(k roundKey, _ *round) bool { return k.origin == culprit })
 	if e.spans != nil {
 		e.spans.Record(obs.Span{
 			Time: ctx.Now(), Kind: obs.SpanByzDetect,
@@ -547,8 +594,8 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == heldTag {
 		return true
 	}
-	if in := e.heard.Get(from); in != nil {
-		if _, dup := in.seen[seq]; dup {
+	if seen := e.seen.Get(from); seen != nil {
+		if _, dup := (*seen)[seq]; dup {
 			return true // duplicate or replay: consumed internally
 		}
 	}
@@ -619,7 +666,8 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	e.lastTag = ""
 	e.lastSubject = model.None
 	e.lastData = nil
-	e.heard = node.Table[inbound]{}
+	e.seen = node.Table[map[uint64]int64]{}
+	e.rounds, e.free, e.chunk, e.words = nil, nil, 0, nil
 	e.masked = nil
 	e.open, e.stale = nil, false
 	var innerState []byte

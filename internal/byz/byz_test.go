@@ -226,13 +226,13 @@ func TestEchoNamingNoProcessIsDropped(t *testing.T) {
 		}
 	}
 	opened := 0
-	for _, id := range e.heard.IDs(nil) {
-		if e.heard.Get(id).rounds != nil {
+	for _, origin := range []model.ProcID{-1, 0, 6, math.MaxInt32} {
+		if e.rounds[roundKey{origin, 7}] != nil {
 			opened++
 		}
 	}
-	if len(e.open) != 0 || opened != 0 {
-		t.Errorf("%d open rounds and %d origins opened by echoes about no process, want none", len(e.open), opened)
+	if len(e.open) != 0 || opened != 0 || len(e.rounds) != 0 {
+		t.Errorf("%d open rounds and %d of %d rounds opened by echoes about no process, want none", len(e.open), opened, len(e.rounds))
 	}
 	if detected, _ := e.ByzStats(); detected != 0 {
 		t.Errorf("%d convictions, want 0", detected)

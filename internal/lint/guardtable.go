@@ -87,9 +87,11 @@ var Guards = []Guard{
 	{Kind: Retired, Pattern: `cluster\.New\(`, Scope: []string{"internal/experiments/exp_reliable.go", "internal/experiments/exp_recovery.go", "internal/experiments/exp_byz.go"}, Reason: "experiments that grid the stack's own axes (reliable, recovery, Byzantine) are sweeps: no hand-rolled cluster.New seed loop", PR: 27},
 	// The interposers find per-peer and per-link state in node.Table, not in
 	// a map keyed by process id or link; byz keeps two maps, keyed by the
-	// sequence numbers and broadcast ids a Byzantine sender chooses.
+	// sequence numbers and broadcast ids a Byzantine sender chooses: each
+	// sender's seen watermark (in a node.Table) and one (origin, bid) index
+	// of witness rounds.
 	{Kind: Retired, Pattern: `^\s+\w+(,\s*\w+)*\s+map\[(model\.ProcID|Link)\]`, Scope: []string{"internal/netadv/netadv.go", "internal/netadv/byz.go", "internal/reliable/reliable.go", "internal/fd/fd.go", "internal/byz/byz.go"}, Reason: "the interposers find per-peer and per-link state in node.Table", PR: 26},
-	{Kind: Count, Pattern: `^\s+\w+(,\s*\w+)*\s+map\[`, Scope: []string{"internal/byz/byz.go"}, N: 2, Reason: "byz keeps two maps, keyed by the sequence numbers and broadcast ids a Byzantine sender chooses", PR: 26},
+	{Kind: Count, Pattern: `^\s+\w+(,\s*\w+)*\s+(node\.Table\[)?map\[`, Scope: []string{"internal/byz/byz.go"}, N: 2, Reason: "byz keeps two maps, keyed by the sequence numbers and broadcast ids a Byzantine sender chooses", PR: 26},
 
 	// Capabilities no command, experiment, sweep, facade or benchmark ever
 	// set stay deleted.

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -77,26 +78,31 @@ func TestReliableDrop0AllocBudget(t *testing.T) {
 
 // TestEndpointFootprintSmall: what an endpoint reserves stays proportional
 // to what it actually sends — 2,000 endpoints that each put three frames on
-// the wire cost under 2 KiB apiece all told. About 1.5 KiB of that is the
-// endpoint, its peer table (whose first chunk holds six links' records) and
-// the unacked queue, so the bound holds the link's arena under 0.5 KiB — a
-// page-sized first chunk would triple the figure. An
-// endpoint that sends three frames to each of 16 peers whose ids are spread
-// over 1..10,000 costs under 1 KiB a peer more (≈ 16,600 B in all, ≈ 16,000 B
-// while a Go map held the peers): a table sized by n or by the largest id,
-// both 10,000, would add at least 5 KiB a peer.
+// the wire cost under 1.5 KiB apiece beyond the unacked queue, which starts
+// at unackedFirstCap frames (1,152 B, a 1,280-byte block with its malloc
+// header). About 1 KiB of that is the endpoint and its peer table (whose
+// first chunk holds six links' records), so the bound holds the link's arena
+// under 0.5 KiB — a page-sized first chunk would triple the figure. (The
+// bound was 2 KiB all told, queue included, while a queue grew from one
+// frame: 512 B for three.) An endpoint that
+// sends three frames to each of 16 peers whose ids are spread over
+// 1..10,000 costs under 1 KiB a peer more beyond its queues (≈ 28,700 B in
+// all, ≈ 16,400 B while queues grew from one frame, ≈ 16,000 B while a Go map
+// held the peers): a table sized by n or by the largest id, both 10,000,
+// would add at least 5 KiB a peer.
 func TestEndpointFootprintSmall(t *testing.T) {
 	spread := make([]model.ProcID, 16)
 	for i := range spread {
 		spread[i] = model.ProcID(10_000 - 613*i)
 	}
+	queue := uint64(unackedFirstCap * unsafe.Sizeof(frame{}))
 	for _, tc := range []struct {
 		name  string
 		peers []model.ProcID
 		bound uint64
 	}{
-		{"one peer", []model.ProcID{2}, 2048},
-		{"16 peers spread over 1..10,000", spread, 2048 + 16*1024},
+		{"one peer", []model.ProcID{2}, 1536 + queue},
+		{"16 peers spread over 1..10,000", spread, 1536 + 16*(1024+queue)},
 	} {
 		ctx := newFakeCtx(1)
 		ctx.n = 10_000

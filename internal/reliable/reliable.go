@@ -38,13 +38,15 @@
 // keyed by the peer's id: a full mesh's peers sit in their home slots, so a
 // frame finds its link without hashing, and a record never moves, so a
 // callback may keep one peer's state while the inner handler's sends add
-// another. Each link's unacked queue is ascending by sequence number by
-// construction (send appends the next number; OnRestart sorts what it reads
-// back), which is what lets a cumulative ack return at once when it covers
-// nothing and otherwise retire a prefix, and lets a retry round update due
-// frames where they lie — the queue is compacted only when the retry budget
-// abandons a frame, and retired slots are cleared so acked payloads are not
-// pinned. Wire bytes (the 25-byte header plus the payload, and every ack)
+// another. Each link's unacked queue is one contiguous slice, ascending by
+// sequence number by construction (send appends the next number; OnRestart
+// sorts what it reads back), which is what lets a cumulative ack return at
+// once when it covers nothing and otherwise retire a prefix, and lets a retry
+// round update due frames, and find the earliest deadline, in one walk where
+// they lie — the queue is compacted only when the retry budget abandons a
+// frame, and retired slots are cleared so acked payloads are not pinned. It
+// starts at 16 frames, which a heartbeat link outgrows at most once, and it
+// keeps its capacity when acks empty it. Wire bytes (the 25-byte header plus the payload, and every ack)
 // are carved from one node.Arena per link rather than allocated per frame;
 // the arena only bumps forward, because the host may keep a sent frame for
 // as long as it likes — and it is the link's, not the endpoint's, so frames
@@ -126,6 +128,12 @@ const (
 )
 
 const timerPrefix = "rel/"
+
+// unackedFirstCap is the capacity a link's unacked queue starts at: a
+// heartbeat link outgrows it at most once, and the queue is never moved
+// into a smaller one, so a link reallocates its queue only while the queue
+// reaches a depth it has never had.
+const unackedFirstCap = 16
 
 // frame is one unacknowledged send.
 type frame struct {
@@ -389,6 +397,9 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
 	ps := e.peer(to)
 	ps.nextSeq++
+	if ps.unacked == nil {
+		ps.unacked = make([]frame, 0, unackedFirstCap)
+	}
 	ps.unacked = append(ps.unacked, frame{seq: ps.nextSeq, payload: p, sentAt: host.Now()})
 	host.Send(to, e.frameData(ps, &ps.unacked[len(ps.unacked)-1]))
 	e.arm(host, ps, ps.interval)
@@ -444,8 +455,9 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 	}
 	now := host.Now()
 	// Due frames are updated where they lie; w trails i only once the retry
-	// budget has abandoned a frame, and only then are frames moved.
-	resend, w := e.resend[:0], 0
+	// budget has abandoned a frame, and only then are frames moved. The same
+	// walk finds the earliest transmission among the frames kept.
+	resend, w, earliest := e.resend[:0], 0, int64(0)
 	for i := range ps.unacked {
 		f := &ps.unacked[i]
 		due := now-f.sentAt >= ps.interval
@@ -456,6 +468,9 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 			f.retries++
 			f.sentAt = now
 			resend = append(resend, w)
+		}
+		if w == 0 || f.sentAt < earliest {
+			earliest = f.sentAt
 		}
 		if w != i {
 			ps.unacked[w] = *f
@@ -486,13 +501,7 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 		ps.interval = e.opts.RetryInterval
 		return
 	}
-	due := ps.unacked[0].sentAt
-	for i := 1; i < len(ps.unacked); i++ {
-		if at := ps.unacked[i].sentAt; at < due {
-			due = at
-		}
-	}
-	e.arm(host, ps, due+ps.interval-now)
+	e.arm(host, ps, earliest+ps.interval-now)
 }
 
 // OnMessage implements node.Handler: acks retire unacked frames; data
