@@ -175,7 +175,7 @@ func TestEndpointFootprintLinear(t *testing.T) {
 
 // witnessRounds drives a receiving endpoint, process 2 of n = 10, through
 // held SUSP broadcasts from process 1, one round each: the frame is held and
-// echoed to the seven other receivers, witnesses 3–6 echo its digest back,
+// echoed to processes 3–10, witnesses 3–6 echo its digest back,
 // and the fourth echo brings the round to its threshold of five (the
 // receiver included) and releases the frame. Sequence numbers and broadcast
 // ids are fresh every round, so the watermark and the round store grow as

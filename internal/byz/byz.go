@@ -473,7 +473,7 @@ func (e *Endpoint) round(origin model.ProcID, bid uint64) *round {
 // from the endpoint's chunk of words, so adding a witness never grows it.
 func (e *Endpoint) set() quorum.Set {
 	if len(e.words) < e.width {
-		e.words = make([]uint64, e.chunk*e.width) // a round's chunk: as many sets
+		e.words = make([]uint64, e.chunk*e.width) // one set per round of a chunk
 	}
 	s := quorum.Set(e.words[:e.width:e.width])
 	e.words = e.words[e.width:]
@@ -562,7 +562,7 @@ func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason st
 		if r.origin == culprit && r.open {
 			e.maskedCount.Add(int64(len(r.held)))
 			r.open, e.stale = false, true
-			r.held, r.firstHeld[0] = nil, node.Payload{}
+			r.held, r.firstHeld[0] = nil, node.Payload{} // the chunk outlives the round
 		}
 	}
 	maps.DeleteFunc(e.rounds, func(k roundKey, _ *round) bool { return k.origin == culprit })
