@@ -339,7 +339,7 @@ func NewCluster(opts Options) *Cluster {
 }
 
 // Detector returns process p's detector (for state inspection after Run).
-func (c *Cluster) Detector(p ProcID) *Detector { return c.inner.Detectors[p] }
+func (c *Cluster) Detector(p ProcID) *Detector { return c.inner.Detector(p) }
 
 // SuspectAt injects a spontaneous suspicion: at tick t, process i starts
 // the detection protocol for j.

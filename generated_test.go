@@ -14,9 +14,11 @@ import (
 
 // stackDraw is one generated run through both interposers — reliable links
 // under the Byzantine→crash layer — on a network that loses, duplicates,
-// reorders and delays messages, with a script of crashes and suspicions. The
-// plan has no Byzantine rules and no process rules: no sender misbehaves, so
-// every conviction the layer makes is a fault.
+// reorders and delays messages, with a script of crashes and suspicions and
+// up to two processes the plan crashes and restarts. The plan has no
+// Byzantine rules: no sender misbehaves, so every conviction the layer makes
+// is a fault — except after an amnesiac restart, whose reused sequence
+// numbers the layer convicts as replays by design.
 type stackDraw struct {
 	opts     failstop.Options
 	crashes  []scriptCrash
@@ -34,9 +36,9 @@ type scriptSuspect struct {
 }
 
 func (d stackDraw) String() string {
-	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d hb=%d/%d rules=%+v crashes=%v suspects=%v",
+	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d hb=%d/%d rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
 		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
-		d.opts.Faults.Rules, d.crashes, d.suspects)
+		d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
 }
 
 // drawer reads a draw's choices from bytes. Past their end every choice is
@@ -64,9 +66,11 @@ func (d *drawer) prob() float64 { return float64(d.intn(11)) / 20 }
 var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEcho, reliable.TagAck}
 
 // drawStack turns bytes into a draw: n in 3..8, T up to Corollary 8's bound,
-// a horizon, heartbeats or none, one to three network rules and a script
-// whose victims — processes crashed or suspected — number at most T, and at
-// least one when there are no heartbeats.
+// a horizon, heartbeats or none, one to three network rules, a script whose
+// victims — processes crashed or suspected — number at most T, and at least
+// one when there are no heartbeats, and zero to two process rules with
+// restarts under amnesia or durable recovery (the restarts reach the
+// detector's and both interposers' OnRestart).
 func drawStack(data []byte) stackDraw {
 	d := &drawer{b: data}
 	n := 3 + d.intn(6)
@@ -133,6 +137,26 @@ func drawStack(data []byte) stackDraw {
 			draw.suspects = append(draw.suspects, scriptSuspect{at + int64(d.intn(50)), other(victim, d.intn(n-1)), victim})
 		}
 	}
+	// Zero to two process rules, each on a process of its own, crash their
+	// victim and bring it back — once, or every Period ticks — blank or from
+	// its snapshot.
+	if k := d.intn(3); k > 0 {
+		draw.opts.Recovery = []failstop.RecoveryMode{failstop.RecoveryAmnesia, failstop.RecoveryDurable}[d.intn(2)]
+		first := failstop.ProcID(1 + d.intn(n))
+		for _, p := range []failstop.ProcID{first, other(first, d.intn(n-1))}[:k] {
+			r := failstop.ProcFaultRule{Proc: p, CrashAt: 1 + int64(d.intn(int(opts.MaxTime/2)))}
+			if d.intn(2) == 0 {
+				r.RestartAt = r.CrashAt + 1 + int64(d.intn(100))
+			} else {
+				r.Period = 20 + int64(d.intn(81))
+				r.ActiveFor = 1 + int64(d.intn(int(r.Period-1)))
+				if d.intn(2) == 1 {
+					r.Until = r.CrashAt + int64(d.intn(int(opts.MaxTime)))
+				}
+			}
+			plan.Procs = append(plan.Procs, r)
+		}
+	}
 	return draw
 }
 
@@ -155,11 +179,12 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 }
 
 // checkGeneratedStack holds one draw to its properties: both validators
-// accept it; the layer convicts no one, since the reliable layer dedups
-// below it and no honest sender can look like a replayer or an
-// equivocator; sFS2c and sFS2d hold, and sFS2b does whenever at most T
-// processes are detected (Theorem 7's quorums then intersect across every
-// failed-before cycle there can be); and the run digests the same twice.
+// accept it; unless a process restarts with amnesia, the layer convicts no
+// one, since the reliable layer dedups below it and no honest sender can
+// look like a replayer or an equivocator; sFS2c and sFS2d hold, and sFS2b
+// does whenever at most T processes are detected (Theorem 7's quorums then
+// intersect across every failed-before cycle there can be); and the run
+// digests the same twice.
 func checkGeneratedStack(t *testing.T, d stackDraw) {
 	t.Helper()
 	if err := d.opts.Validate(); err != nil {
@@ -171,7 +196,7 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	c := failstop.NewCluster(d.opts)
 	d.inject(c)
 	rep := c.Run()
-	if rep.ByzDetected != 0 {
+	if rep.ByzDetected != 0 && d.opts.Recovery != failstop.RecoveryAmnesia {
 		t.Errorf("%d convictions with no Byzantine rule in the plan\n%v", rep.ByzDetected, d)
 	}
 	detected := map[model.ProcID]bool{}

@@ -115,9 +115,9 @@ func RunCycleScenario(n, k, quorumSize int, seed int64) CycleOutcome {
 	out.Cycle = fb.Cycle()
 	for i := 1; i <= k; i++ {
 		target := model.ProcID(i%k + 1)
-		if c.Detectors[i].Detected(target) {
+		if c.Detector(model.ProcID(i)).Detected(target) {
 			out.RingDetections++
-			q := c.Detectors[i].Quorums()[target]
+			q := c.Detector(model.ProcID(i)).Quorums()[target]
 			out.QuorumSizes = append(out.QuorumSizes, len(q))
 			out.RingQuorums = append(out.RingQuorums, quorum.SetOf(q...))
 		}

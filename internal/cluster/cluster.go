@@ -141,12 +141,15 @@ func (o Options) CheckHorizon() error {
 // Stack is the protocol stack of every process, bottom (the network) to top:
 // an optional reliable-delivery endpoint, an optional Byzantine validation
 // endpoint, the detector with its optional fd component and application.
+// Each table holds process p's entry at index p-1.
 type Stack struct {
-	// Detectors holds the per-process detectors, indexed 1..N (index 0 nil).
-	Detectors []*core.Detector
-	endpoints []*reliable.Endpoint // nil entries when the layer is off
-	byzants   []*byz.Endpoint      // nil entries when the interposer is off
+	detectors []core.Detector
+	endpoints []*reliable.Endpoint // nil when the layer is off
+	byzants   []*byz.Endpoint      // nil when the interposer is off
 }
+
+// Detector returns process p's detector.
+func (st *Stack) Detector(p model.ProcID) *core.Detector { return &st.detectors[p-1] }
 
 // Host is what a stack is attached to: a *sim.Sim or a *runtime.Net.
 type Host interface {
@@ -158,12 +161,7 @@ type Host interface {
 // interposers record their spans in spans, if non-nil.
 func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 	n := opts.Det.N
-	st := Stack{
-		Detectors: make([]*core.Detector, n+1),
-		endpoints: make([]*reliable.Endpoint, n+1),
-		byzants:   make([]*byz.Endpoint, n+1),
-	}
-	for p := model.ProcID(1); int(p) <= n; p++ {
+	st := Stack{detectors: core.NewDetectors(opts.Det, func(p model.ProcID) (core.Component, core.App) {
 		var comp core.Component
 		if opts.HeartbeatEvery > 0 {
 			comp = &fd.Heartbeat{Interval: opts.HeartbeatEvery, Timeout: opts.HeartbeatTimeout}
@@ -172,8 +170,16 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 		if opts.App != nil {
 			app = opts.App(p)
 		}
-		d := core.NewDetector(opts.Det, comp, app)
-		st.Detectors[p] = d
+		return comp, app
+	})}
+	if opts.Reliable.Enabled {
+		st.endpoints = make([]*reliable.Endpoint, n)
+	}
+	if opts.Byzantine.Enabled {
+		st.byzants = make([]*byz.Endpoint, n)
+	}
+	for p := model.ProcID(1); int(p) <= n; p++ {
+		d := st.Detector(p)
 		var top node.Handler = d
 		if opts.Byzantine.Enabled {
 			bz := byz.Wrap(d, opts.Byzantine)
@@ -184,13 +190,13 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 			bz.SetConvict(func(ctx node.Context, culprit model.ProcID) {
 				d.Suspect(ctx, culprit)
 			})
-			st.byzants[p] = bz
+			st.byzants[p-1] = bz
 			top = bz
 		}
 		if opts.Reliable.Enabled {
 			ep := reliable.Wrap(top, opts.Reliable)
 			ep.SetSpans(spans)
-			st.endpoints[p] = ep
+			st.endpoints[p-1] = ep
 			top = ep
 		}
 		h.SetHandler(p, top)
@@ -203,13 +209,13 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 // detector's other sends do: the reliable layer is outermost, so its context
 // wraps first and the interposer's sends flow through it.
 func (st *Stack) Suspect(ctx node.Context, i, j model.ProcID) {
-	if ep := st.endpoints[i]; ep != nil {
-		ctx = ep.Context(ctx)
+	if st.endpoints != nil {
+		ctx = st.endpoints[i-1].Context(ctx)
 	}
-	if bz := st.byzants[i]; bz != nil {
-		ctx = bz.Context(ctx)
+	if st.byzants != nil {
+		ctx = st.byzants[i-1].Context(ctx)
 	}
-	st.Detectors[i].Suspect(ctx, j)
+	st.Detector(i).Suspect(ctx, j)
 }
 
 // Cluster is a wired simulation ready to run.
@@ -238,7 +244,7 @@ func New(opts Options) *Cluster {
 }
 
 // N returns the number of processes.
-func (c *Cluster) N() int { return len(c.Detectors) - 1 }
+func (c *Cluster) N() int { return len(c.detectors) }
 
 // SuspectAt injects a spontaneous suspicion: at virtual time t, process i
 // begins the detection protocol for j (the paper's "i suspects the failure

@@ -25,13 +25,10 @@ func TestNewWiresAllProcesses(t *testing.T) {
 	if c.N() != 4 {
 		t.Errorf("N() = %d", c.N())
 	}
-	for p := 1; p <= 4; p++ {
-		if c.Detectors[p] == nil {
-			t.Errorf("detector %d missing", p)
+	for p := model.ProcID(1); p <= 4; p++ {
+		if got := c.Detector(p).Config().N; got != 4 {
+			t.Errorf("detector %d built for N = %d", p, got)
 		}
-	}
-	if c.Detectors[0] != nil {
-		t.Error("index 0 must stay nil")
 	}
 	res := c.Run()
 	if len(res.History) != 0 {
@@ -72,7 +69,7 @@ func TestCrashAndSuspectInjection(t *testing.T) {
 	if res.History.CrashIndex(5) < 0 {
 		t.Error("injected crash missing")
 	}
-	if !c.Detectors[1].Detected(5) {
+	if !c.Detector(1).Detected(5) {
 		t.Error("injected suspicion did not lead to detection")
 	}
 	_ = model.History(res.History)
@@ -139,7 +136,7 @@ func TestBuildStackOrder(t *testing.T) {
 	bare := attached{}
 	st := cluster.Build(bare, cluster.Options{Det: core.Config{N: 3, T: 1}}, nil)
 	for p := model.ProcID(1); p <= 3; p++ {
-		if bare[p] != node.Handler(st.Detectors[p]) {
+		if bare[p] != node.Handler(st.Detector(p)) {
 			t.Errorf("process %d: a stack without interposers must attach the detector itself", p)
 		}
 	}
@@ -163,7 +160,7 @@ func TestBuildStackOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("process %d: inside the reliable endpoint sits %T, want the byz endpoint", p, rel.Inner())
 		}
-		if bz.Inner() != node.Handler(st.Detectors[p]) {
+		if bz.Inner() != node.Handler(st.Detector(p)) {
 			t.Errorf("process %d: the byz endpoint does not wrap the process's detector", p)
 		}
 		full[p].Init(armed{p: p, names: fds})

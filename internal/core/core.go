@@ -219,19 +219,44 @@ type Detector struct {
 	threshold int         // FixedQuorum completion size for this process's pool
 	crashed   bool
 	rounds    []round        // one per target ever suspected, ascending by target
+	sets      []uint64       // the rounds' sender sets, quorum.Words(N) words each, in opening order
 	pending   []pendingCount // piggybacked counts awaiting dependencies
 }
 
-// round is the §5 protocol's state for one target j. senders is who has
-// been heard saying "j failed" (self included); it stops growing when
-// failed_self(j) executes, so from then on it is the quorum Q_{self,j} of
-// Definition 5. A *round is good only until the next insertion into
-// Detector.rounds, and an App.OnFailed may suspect: nothing holds one
-// across a call that can reach complete.
+// round is the §5 protocol's state for one target j. Its sender set, set-th
+// in Detector.sets, is who has been heard saying "j failed" (self
+// included); it stops growing when failed_self(j) executes, so from then on
+// it is the quorum Q_{self,j} of Definition 5. A *round is good only until
+// the next insertion into Detector.rounds, and an App.OnFailed may suspect:
+// nothing holds one across a call that can reach complete. A set is named
+// by its index, not held, so that growing sets moves no round's set away.
 type round struct {
 	target              model.ProcID
+	set                 int32
 	suspected, detected bool // broadcast sent; failed_self(target) executed
-	senders             quorum.Set
+}
+
+// A detector's rounds and sender sets live in storage sized once: room for
+// min(T, N-1, firstRoundsMax) rounds — T is the most detections a run within
+// its failure bound makes — and a set for each as far as they fit
+// firstSetWordsMax words, but at least one (all T = 3 of them at N < 1,344,
+// one from N = 2,048 on), since n detectors' sets take O(N²) bits that a
+// large run suspecting little never touches. NewDetectors carves it for a
+// whole cluster from two blocks, the sets only while one fits
+// firstSetWordsMax (N < 4,032); a detector with no carved storage makes its
+// own at its first round. Past it, each grows by doubling.
+const (
+	firstRoundsMax   = 16
+	firstSetWordsMax = 64
+)
+
+// firstRounds is how many rounds a detector's first storage holds.
+func (c Config) firstRounds() int { return min(c.T, c.N-1, firstRoundsMax) }
+
+// firstSetWords is how many words a detector's first sender sets take.
+func (c Config) firstSetWords() int {
+	w := quorum.Words(c.N)
+	return w * max(1, min(c.firstRounds(), firstSetWordsMax/w))
 }
 
 // names reports whether p is the id of one of the N processes.
@@ -254,22 +279,45 @@ func (d *Detector) find(j model.ProcID) *round {
 	return nil
 }
 
-// round returns j's round, opening it if need be.
+// round returns j's round, opening it if need be with an empty sender set
+// wide enough for every process id.
 func (d *Detector) round(j model.ProcID) *round {
 	i, ok := d.at(j)
 	if !ok {
-		d.rounds = slices.Insert(d.rounds, i, round{target: j})
+		w := quorum.Words(d.cfg.N)
+		d.rounds = room(d.rounds, 1, d.cfg.firstRounds())
+		d.sets = room(d.sets, w, d.cfg.firstSetWords())
+		at := len(d.sets)
+		d.sets = d.sets[:at+w]
+		clear(d.sets[at:]) // a restart leaves old words behind
+		d.rounds = slices.Insert(d.rounds, i, round{target: j, set: int32(at / w)})
 	}
 	return &d.rounds[i]
 }
 
-// hear adds sender to r's sender set, which is made wide enough for every
-// process id so that no later sender regrows it.
-func (d *Detector) hear(r *round, sender model.ProcID) {
-	if r.senders == nil {
-		r.senders = make(quorum.Set, quorum.Words(d.cfg.N))
+// room returns s with room for k more elements: made for first if s has no
+// storage yet, doubled if it is full.
+func room[E any](s []E, k, first int) []E {
+	if cap(s)-len(s) >= k {
+		return s
 	}
-	r.senders.Add(sender)
+	grown := make([]E, len(s), len(s)+max(len(s), first))
+	copy(grown, s)
+	return grown
+}
+
+// senders returns r's sender set. Every sender added is a process id
+// (Pool.Counts and names admit no other), so Add never outgrows it.
+func (d *Detector) senders(r round) quorum.Set {
+	w := quorum.Words(d.cfg.N)
+	at := int(r.set) * w
+	return d.sets[at : at+w : at+w]
+}
+
+// hear adds sender to r's sender set.
+func (d *Detector) hear(r *round, sender model.ProcID) {
+	s := d.senders(*r)
+	s.Add(sender)
 }
 
 // pendingCount is a "j failed" from sender whose piggybacked dependencies
@@ -333,8 +381,8 @@ func (d *Detector) Snapshot() []byte {
 		if r.detected {
 			snap.Detected = append(snap.Detected, r.target)
 		}
-		if r.senders != nil {
-			c := countSnapshot{Target: r.target, Senders: r.senders.Members()}
+		if s := d.senders(r); s.Len() > 0 {
+			c := countSnapshot{Target: r.target, Senders: s.Members()}
 			snap.Counts = append(snap.Counts, c)
 			if r.detected {
 				snap.Quorums = append(snap.Quorums, c)
@@ -358,7 +406,7 @@ func (d *Detector) Snapshot() []byte {
 // undecodable snapshot degrades to amnesia rather than wedging the restart.
 func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 	d.crashed = false
-	d.rounds = nil
+	d.rounds, d.sets = d.rounds[:0], d.sets[:0] // keep the storage: round zeroes each set it opens
 	d.pending = nil
 	var snap detectorSnapshot
 	if json.Unmarshal(state, &snap) != nil {
@@ -388,8 +436,37 @@ func (d *Detector) OnRestart(ctx node.Context, state []byte) {
 }
 
 // NewDetector builds a detector with the given configuration, optional fd
-// component, and optional application.
+// component, and optional application. It allocates the detector and
+// nothing else: its rounds' storage is made at its first round.
 func NewDetector(cfg Config, fd Component, app App) *Detector {
+	d := &newDetectors(cfg, 1)[0]
+	d.fd, d.app = fd, app
+	return d
+}
+
+// NewDetectors builds the detectors of a cfg.N-process cluster in one array,
+// process p's at index p-1, each with the fd component and application
+// stack(p) returns, called in ascending p. Their first rounds' storage is
+// carved from blocks all of them share, so no detector allocates before it
+// outgrows it.
+func NewDetectors(cfg Config, stack func(p model.ProcID) (Component, App)) []Detector {
+	dets := newDetectors(cfg, cfg.N)
+	first, words := dets[0].cfg.firstRounds(), dets[0].cfg.firstSetWords()
+	if words > firstSetWordsMax {
+		words = 0
+	}
+	rounds, sets := make([]round, len(dets)*first), make([]uint64, len(dets)*words)
+	for i := range dets {
+		d := &dets[i]
+		d.fd, d.app = stack(model.ProcID(i + 1))
+		d.rounds = rounds[i*first : i*first : (i+1)*first]
+		d.sets = sets[i*words : i*words : (i+1)*words]
+	}
+	return dets
+}
+
+// newDetectors allocates count detectors configured by cfg.
+func newDetectors(cfg Config, count int) []Detector {
 	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
 		panic("core: need at least 2 processes")
@@ -397,7 +474,11 @@ func NewDetector(cfg Config, fd Component, app App) *Detector {
 	if cfg.T < 1 {
 		panic("core: T must be at least 1")
 	}
-	return &Detector{cfg: cfg, fd: fd, app: app}
+	dets := make([]Detector, count)
+	for i := range dets {
+		dets[i].cfg = cfg
+	}
+	return dets
 }
 
 // Config returns the detector's effective configuration.
@@ -469,7 +550,7 @@ func (d *Detector) Accepts(from model.ProcID, p node.Payload) bool {
 		return !d.Detecting()
 	}
 	for _, r := range d.rounds {
-		if !r.detected && r.senders.Has(from) {
+		if !r.detected && d.senders(r).Has(from) {
 			return false
 		}
 	}
@@ -490,7 +571,7 @@ func (d *Detector) Suspect(ctx node.Context, j model.ProcID) {
 	}
 	r.suspected = true
 	if d.cfg.Protocol != SimulatedFailStop {
-		r.senders.Add(d.self) // a baseline counts nobody: its quorum is {self} and never grows
+		d.hear(r, d.self) // a baseline counts nobody: its quorum is {self} and never grows
 	}
 	ctx.EmitInternal(model.TagSuspect, j)
 	switch d.cfg.Protocol {
@@ -619,14 +700,14 @@ func (d *Detector) maybeComplete(ctx node.Context, j model.ProcID) {
 	}
 	switch d.cfg.Policy {
 	case FixedQuorum:
-		if r.senders.Len() < d.threshold {
+		if d.senders(*r).Len() < d.threshold {
 			return
 		}
 	case AllButSuspected:
 		// Wait for "j failed" from every pool member not suspected by self.
-		complete := true
+		complete, senders := true, d.senders(*r)
 		d.ForEachPeer(func(q model.ProcID) {
-			if complete && !d.Suspects(q) && !r.senders.Has(q) {
+			if complete && !d.Suspects(q) && !senders.Has(q) {
 				complete = false
 			}
 		})
@@ -757,7 +838,7 @@ func (d *Detector) Quorums() map[model.ProcID][]model.ProcID {
 	out := make(map[model.ProcID][]model.ProcID)
 	for _, r := range d.rounds {
 		if r.detected {
-			out[r.target] = r.senders.Members()
+			out[r.target] = d.senders(r).Members()
 		}
 	}
 	return out

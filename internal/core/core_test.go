@@ -52,7 +52,7 @@ func TestGenuineCrashDetectedByAll(t *testing.T) {
 	}
 	assertSFS(t, res.History)
 	for p := model.ProcID(2); p <= 5; p++ {
-		if !c.Detectors[p].Detected(1) {
+		if !c.Detector(p).Detected(1) {
 			t.Errorf("process %d did not detect 1", p)
 		}
 	}
@@ -76,7 +76,7 @@ func TestFalseSuspicionKillsTarget(t *testing.T) {
 		t.Error("falsely suspected process 1 never crashed")
 	}
 	for p := model.ProcID(2); p <= 5; p++ {
-		if !c.Detectors[p].Detected(1) {
+		if !c.Detector(p).Detected(1) {
 			t.Errorf("process %d did not detect 1", p)
 		}
 	}
@@ -90,7 +90,7 @@ func TestQuorumSizeMatchesTheorem7(t *testing.T) {
 	assertSFS(t, res.History)
 	want := quorum.MinSize(9, 3) // 7
 	for p := model.ProcID(1); p <= 8; p++ {
-		qs := c.Detectors[p].Quorums()
+		qs := c.Detector(p).Quorums()
 		q, okq := qs[9]
 		if !okq {
 			t.Fatalf("process %d has no quorum snapshot for 9", p)
@@ -203,7 +203,7 @@ func TestProgressRequiresCorollary8(t *testing.T) {
 	c.CrashAt(1, 2)
 	c.SuspectAt(10, 3, 1)
 	res := c.Run()
-	if c.Detectors[3].Detected(1) || c.Detectors[4].Detected(1) {
+	if c.Detector(3).Detected(1) || c.Detector(4).Detected(1) {
 		t.Error("detection completed despite unreachable quorum (violates Theorem 7 analysis)")
 	}
 	// n=5, t=2: n > t^2, the same scenario completes.
@@ -213,7 +213,7 @@ func TestProgressRequiresCorollary8(t *testing.T) {
 	c2.SuspectAt(10, 3, 1)
 	c2.SuspectAt(10, 3, 2)
 	res2 := c2.Run()
-	if !c2.Detectors[3].Detected(1) || !c2.Detectors[4].Detected(1) || !c2.Detectors[5].Detected(1) {
+	if !c2.Detector(3).Detected(1) || !c2.Detector(4).Detected(1) || !c2.Detector(5).Detected(1) {
 		t.Error("detection did not complete despite n > t^2")
 	}
 	assertSFS(t, res2.History)
@@ -230,13 +230,13 @@ func TestAllButSuspectedPolicy(t *testing.T) {
 	res := c.Run()
 	assertSFS(t, res.History)
 	for p := model.ProcID(1); p <= 5; p++ {
-		if !c.Detectors[p].Detected(6) {
+		if !c.Detector(p).Detected(6) {
 			t.Errorf("process %d did not detect 6 under AllButSuspected", p)
 		}
 	}
 	// Quorums under AllButSuspected contain every unsuspected process.
 	for p := model.ProcID(1); p <= 5; p++ {
-		q := c.Detectors[p].Quorums()[6]
+		q := c.Detector(p).Quorums()[6]
 		if len(q) != 5 { // everyone but the crashed target
 			t.Errorf("process %d quorum = %v, want all 5 live processes", p, q)
 		}
@@ -310,7 +310,7 @@ func TestSuspectSelfAndDuplicatesIgnored(t *testing.T) {
 	c.SuspectAt(7, 2, 3) // duplicate: ignored
 	res := c.Run()
 	assertSFS(t, res.History)
-	if c.Detectors[1].Suspects(1) {
+	if c.Detector(1).Suspects(1) {
 		t.Error("self-suspicion must be ignored")
 	}
 	// Exactly one "suspect 3" internal event from process 2.
@@ -329,7 +329,7 @@ func TestDetectorStateAccessors(t *testing.T) {
 	c := sfsCluster(5, 2, 5)
 	c.SuspectAt(5, 2, 1)
 	c.Run()
-	d := c.Detectors[2]
+	d := c.Detector(2)
 	if !d.Detected(1) || d.Detected(3) {
 		t.Error("Detected() wrong")
 	}
@@ -342,7 +342,7 @@ func TestDetectorStateAccessors(t *testing.T) {
 	if d.Crashed() {
 		t.Error("process 2 should be alive")
 	}
-	if !c.Detectors[1].Crashed() {
+	if !c.Detector(1).Crashed() {
 		t.Error("process 1 should have crashed (false suspicion)")
 	}
 	if d.Config().QuorumSize != quorum.MinSize(5, 2) {
@@ -414,7 +414,7 @@ func TestSnapshotRestartRoundTrip(t *testing.T) {
 	c := sfsCluster(5, 2, 5)
 	c.SuspectAt(5, 2, 1)
 	c.Run()
-	d := c.Detectors[2]
+	d := c.Detector(2)
 	snap := d.Snapshot()
 	if !strings.Contains(string(snap), `"counts":[{"target":1,"senders":[`) {
 		t.Fatalf("snapshot carries no sender set: %s", snap)
@@ -429,5 +429,28 @@ func TestSnapshotRestartRoundTrip(t *testing.T) {
 	fresh.OnRestart(restartCtx{self: 2, n: 5}, hostile)
 	if got, want := string(fresh.Snapshot()), `{"suspected":[3],"counts":[{"target":3,"senders":[2,4]}]}`; got != want {
 		t.Errorf("hostile snapshot restored as %s, want %s", got, want)
+	}
+
+	// At T = 1 a cluster carves each detector room for one round; process 2
+	// opens three, so its rounds and sets have grown out of the carved block
+	// by the time it restarts — from its own snapshot, then from one with a
+	// single round, whose sender set must not inherit the old rounds' bits.
+	c = sfsCluster(5, 1, 5)
+	for at, j := range []model.ProcID{1, 3, 4} {
+		c.SuspectAt(int64(5+at), 2, j)
+	}
+	c.Run()
+	d = c.Detector(2)
+	snap = d.Snapshot()
+	if !strings.Contains(string(snap), `"suspected":[1,3,4]`) {
+		t.Fatalf("process 2 did not open three rounds: %s", snap)
+	}
+	d.OnRestart(restartCtx{self: 2, n: 5}, snap)
+	if got := d.Snapshot(); string(got) != string(snap) {
+		t.Errorf("a detector whose rounds outgrew their first storage re-encodes differently:\n got %s\nwant %s", got, snap)
+	}
+	d.OnRestart(restartCtx{self: 2, n: 5}, []byte(`{"suspected":[4],"counts":[{"target":4,"senders":[2]}]}`))
+	if got, want := string(d.Snapshot()), `{"suspected":[4],"counts":[{"target":4,"senders":[2]}]}`; got != want {
+		t.Errorf("grown detector restored from one round as %s, want %s", got, want)
 	}
 }

@@ -40,7 +40,7 @@ func TestStrictGatingStillSFS(t *testing.T) {
 		c.SuspectAt(5, 2, 1)
 		c.SuspectAt(6, 4, 3)
 		// App traffic racing the detections.
-		d5 := c.Detectors[5]
+		d5 := c.Detector(5)
 		c.Sim.At(7, 5, func(ctx node.Context) {
 			for q := model.ProcID(1); q <= 10; q++ {
 				if q != 5 {
@@ -84,7 +84,7 @@ func TestPiggybackPreservesSFS(t *testing.T) {
 		assertSFS(t, res.History)
 		// Both targets detected by all survivors.
 		for p := model.ProcID(3); p <= 10; p++ {
-			if !c.Detectors[p].Detected(1) || !c.Detectors[p].Detected(2) {
+			if !c.Detector(p).Detected(1) || !c.Detector(p).Detected(2) {
 				t.Errorf("seed %d: process %d detections incomplete", seed, p)
 			}
 		}
@@ -124,8 +124,8 @@ func TestFailedBeforeTransitivityByProtocol(t *testing.T) {
 	// Cheap: 10 detects 2 on 4's lone message without ever detecting 1 —
 	// 1 fb 2 and 2 fb 10 but not 1 fb 10.
 	hCheap, cCheap := run(core.Cheap, false)
-	if !cCheap.Detectors[2].Detected(1) || !cCheap.Detectors[10].Detected(2) ||
-		cCheap.Detectors[10].Detected(1) {
+	if !cCheap.Detector(2).Detected(1) || !cCheap.Detector(10).Detected(2) ||
+		cCheap.Detector(10).Detected(1) {
 		t.Fatal("cheap scenario did not produce the intransitive pattern")
 	}
 	if model.NewFailedBefore(hCheap).Transitive() {
@@ -137,7 +137,7 @@ func TestFailedBeforeTransitivityByProtocol(t *testing.T) {
 	// of order, and the relation stays transitive.
 	for _, piggyback := range []bool{false, true} {
 		h, c := run(core.SimulatedFailStop, piggyback)
-		if c.Detectors[10].Detected(2) && !c.Detectors[10].Detected(1) {
+		if c.Detector(10).Detected(2) && !c.Detector(10).Detected(1) {
 			t.Errorf("piggyback=%v: 10 detected 2 without 1 under §5 quorums", piggyback)
 		}
 		if !model.NewFailedBefore(h).Transitive() {
@@ -166,7 +166,7 @@ func TestPiggybackPendingDrained(t *testing.T) {
 	c.SuspectAt(5, 2, 1)
 	c.SuspectAt(100, 3, 2)
 	res := c.Run()
-	d5 := c.Detectors[5]
+	d5 := c.Detector(5)
 	if !d5.Detected(1) || !d5.Detected(2) {
 		t.Fatalf("process 5 detections incomplete: %v", d5.DetectedSet())
 	}
@@ -226,7 +226,7 @@ func TestPiggybackChainedPending(t *testing.T) {
 	c.SuspectAt(100, 3, 2)
 	c.SuspectAt(200, 4, 3)
 	res := c.Run()
-	d10 := c.Detectors[10]
+	d10 := c.Detector(10)
 	for _, j := range []model.ProcID{1, 2, 3} {
 		if !d10.Detected(j) {
 			t.Fatalf("process 10 did not detect %d: %v", j, d10.DetectedSet())

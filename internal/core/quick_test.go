@@ -84,8 +84,8 @@ func TestQuickQuorumSnapshotsMatchTrace(t *testing.T) {
 		res := c.Run()
 		fromTrace := checker.QuorumSets(res.History, core.TagSusp)
 		var fromDetectors []quorum.Set
-		for _, d := range c.Detectors[1:] {
-			for _, q := range d.Quorums() {
+		for p := model.ProcID(1); int(p) <= n; p++ {
+			for _, q := range c.Detector(p).Quorums() {
 				fromDetectors = append(fromDetectors, quorum.SetOf(q...))
 			}
 		}

@@ -80,7 +80,7 @@ func A2() Result {
 			detections += len(l)
 			lats = append(lats, l...)
 			for p := 1; p <= n; p++ {
-				for _, q := range c.Detectors[p].Quorums() {
+				for _, q := range c.Detector(model.ProcID(p)).Quorums() {
 					qsizes = append(qsizes, float64(len(q)))
 				}
 			}
@@ -138,7 +138,7 @@ func A3() Result {
 		c.SuspectAt(5, 2, 1)
 		c.SuspectAt(100, 4, 2)
 		res := c.Run()
-		d10 := c.Detectors[10]
+		d10 := c.Detector(10)
 		return row{
 			transitive:     model.NewFailedBefore(res.History).Transitive(),
 			outOfOrderDet:  d10.Detected(2) && !d10.Detected(1),

@@ -40,7 +40,7 @@ func E9() Result {
 		detections := len(latencies)
 		lat := stats.Summarize(latencies)
 		perDet := float64(suspMsgs) / float64(detections)
-		tbl.Row(n, t, c.Detectors[2].Config().QuorumSize, suspMsgs,
+		tbl.Row(n, t, c.Detector(2).Config().QuorumSize, suspMsgs,
 			fmt.Sprintf("%.1f", perDet), detections,
 			fmt.Sprintf("%.1f", lat.Mean), fmt.Sprintf("%.1f", lat.P95))
 		// Shape: each live process broadcasts once -> (n-1) broadcasts of
@@ -104,7 +104,7 @@ func E10() Result {
 			r.staleClaims += election.StaleClaims(res.History)
 			liveLeaders := 0
 			for p := 1; p <= 8; p++ {
-				if apps[p] != nil && apps[p].Leader() && !c.Detectors[p].Crashed() {
+				if apps[p] != nil && apps[p].Leader() && !c.Detector(model.ProcID(p)).Crashed() {
 					liveLeaders++
 				}
 			}

@@ -226,7 +226,7 @@ func E8() Result {
 			progress := true
 			for p := 1; p <= cell.NT.N-cell.NT.T; p++ {
 				for i := 0; i < cell.NT.T; i++ {
-					if !out.Cluster.Detectors[p].Detected(model.ProcID(cell.NT.N - i)) {
+					if !out.Cluster.Detector(model.ProcID(p)).Detected(model.ProcID(cell.NT.N - i)) {
 						progress = false
 					}
 				}

@@ -30,7 +30,7 @@ func TestHeartbeatDetectsGenuineCrash(t *testing.T) {
 	c.CrashAt(100, 5)
 	res := c.Run()
 	for p := model.ProcID(1); p <= 4; p++ {
-		if !c.Detectors[p].Detected(5) {
+		if !c.Detector(p).Detected(5) {
 			t.Errorf("process %d did not detect the crash of 5", p)
 		}
 	}
@@ -42,7 +42,7 @@ func TestHeartbeatDetectsGenuineCrash(t *testing.T) {
 	// No false detections: delays stay well under the timeout.
 	for p := model.ProcID(1); p <= 4; p++ {
 		for q := model.ProcID(1); q <= 4; q++ {
-			if p != q && c.Detectors[p].Detected(q) {
+			if p != q && c.Detector(p).Detected(q) {
 				t.Errorf("false detection: %d detected healthy %d", p, q)
 			}
 		}

@@ -105,7 +105,7 @@ func TestMalformedStampIgnored(t *testing.T) {
 			return &membership.Service{} // no gossip
 		},
 	})
-	d1 := c.Detectors[1]
+	d1 := c.Detector(1)
 	c.Sim.At(5, 1, func(ctx node.Context) {
 		d1.SendApp(ctx, 2, []byte{1, 2, 3, 4, 5}) // wrong length
 	})

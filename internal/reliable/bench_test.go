@@ -79,8 +79,8 @@ func TestReliableDrop0AllocBudget(t *testing.T) {
 // TestEndpointFootprintSmall: what an endpoint reserves stays proportional
 // to what it actually sends — 2,000 endpoints that each put three frames on
 // the wire cost under 1.5 KiB apiece beyond the unacked queue, which starts
-// at unackedFirstCap frames (1,152 B, a 1,280-byte block with its malloc
-// header). About 1 KiB of that is the endpoint and its peer table (whose
+// at unackedFirstCap frames (1,224 B, a 1,280-byte block with its malloc
+// header; the 1,152 B of 16 frames took the same block). About 1 KiB of that is the endpoint and its peer table (whose
 // first chunk holds six links' records), so the bound holds the link's arena
 // under 0.5 KiB — a page-sized first chunk would triple the figure. (The
 // bound was 2 KiB all told, queue included, while a queue grew from one

@@ -132,8 +132,10 @@ const timerPrefix = "rel/"
 // unackedFirstCap is the capacity a link's unacked queue starts at: a
 // heartbeat link outgrows it at most once, and the queue is never moved
 // into a smaller one, so a link reallocates its queue only while the queue
-// reaches a depth it has never had.
-const unackedFirstCap = 16
+// reaches a depth it has never had. 17 frames of 72 bytes, with the 8-byte
+// header Go puts on a pointerful object over 512 bytes, fill 1,232 bytes
+// of the 1,280-byte size class that 16 frames already took.
+const unackedFirstCap = 17
 
 // frame is one unacknowledged send.
 type frame struct {

@@ -84,9 +84,11 @@ func BenchmarkSimLargeN10k(b *testing.B) {
 // roughly linearly (the overlay has 4× the links), never quadratically
 // (16×). The threshold sits at 8× — halfway between the two laws — so a
 // reintroduced per-pair allocation fails loudly while noise does not. Each
-// size is measured out of the bulk its own warm-up run retired (3.3× — the
-// handlers and the overlay the flood builds per run; 4.0× when every run also
-// built its rows, arena and slab).
+// size is measured out of the bulk its own warm-up run retired: 1,022 →
+// 4,027 allocations (3.9×): a handler a process, the six of the overlay the
+// flood builds per run and the run's own (8,023 → 32,036, 4.0×,
+// while the overlay gathered each process's peers in a map of its own; 4.0×
+// also when every run built its rows, arena and slab).
 func TestSimLargeNAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")

@@ -66,8 +66,8 @@ func goldenDetectorRun(t *testing.T, schedule string, nt NT, policy core.QuorumP
 	}
 	fmt.Fprintf(h, "end=%d stop=%d blocked=%+v\n", res.EndTime, res.Stop, res.Blocked)
 	detections := 0
-	for p := 1; p <= nt.N; p++ {
-		d := c.Detectors[p]
+	for p := model.ProcID(1); int(p) <= nt.N; p++ {
+		d := c.Detector(p)
 		qs := d.Quorums()
 		for j := model.ProcID(1); int(j) <= nt.N; j++ {
 			if q, ok := qs[j]; ok {

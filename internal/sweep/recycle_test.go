@@ -45,16 +45,17 @@ func TestObservedResultIsNotReleased(t *testing.T) {
 }
 
 // TestSweepCellAllocBudget pins what one run of the bench grid costs the
-// allocator on one worker, at what it measures plus a tenth: 77 allocations
-// and 10.7 KiB, none of it the simulator's bulk or the Result, which the run
-// before handed over (110 KiB and 335 allocations when each run made its own;
-// 78 while a retired bulk was boxed for a pool),
+// allocator on one worker, at what it measures plus a tenth: 31.4
+// allocations and 10.3 KiB, none of it the simulator's bulk or the Result,
+// which the run before handed over (110 KiB and 335 allocations when each
+// run made its own; 78 while a retired bulk was boxed for a pool),
 // 15 of it the checker's (262 and 37.7 KiB while the checker read a run six
 // times over per-event clocks and per-process slices; 88 and 18.0 KiB while
-// its scan walked a run twice), and one per detector
-// plus two per round where each detector made four maps (171 and 28.1 KiB).
-// What is left is the abstract history, the detectors' rounds and the Sim
-// itself.
+// its scan walked a run twice), and three the detectors' — their array and
+// the two blocks their rounds and sender sets are carved from (77 and
+// 10.7 KiB while each detector, its growing round table and each sender set
+// were allocations of their own; 171 and 28.1 KiB while each detector made
+// four maps). What is left is the abstract history and the Sim itself.
 func TestSweepCellAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")
@@ -78,7 +79,7 @@ func TestSweepCellAllocBudget(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / runs
 	t.Logf("%.1f allocations, %.1f KiB per run", allocs, kib)
-	if allocs > 85 || kib > 11.8 {
-		t.Errorf("a bench-grid run allocates %.0f times, %.1f KiB: over the 85 / 11.8 KiB budget", allocs, kib)
+	if allocs > 35 || kib > 11.4 {
+		t.Errorf("a bench-grid run allocates %.0f times, %.1f KiB: over the 35 / 11.4 KiB budget", allocs, kib)
 	}
 }

@@ -596,8 +596,8 @@ func falseSuspicion(h model.History, n int) bool {
 // process's suspicion set, not 1..N, so the scan is O(N + suspicions) —
 // what keeps the diagnostic affordable at N=10⁴ and beyond.
 func quorumStarved(c *cluster.Cluster) bool {
-	for p := 1; p <= c.N(); p++ {
-		d := c.Detectors[p]
+	for p := model.ProcID(1); int(p) <= c.N(); p++ {
+		d := c.Detector(p)
 		if !d.Crashed() && d.Detecting() {
 			return true
 		}

@@ -41,7 +41,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -163,9 +163,11 @@ type Topology struct {
 	spec Spec
 	n    int
 
-	// adj is the materialized adjacency, indexed by process id, each list
-	// sorted ascending. nil for the virtual kinds (full, hier).
-	adj [][]model.ProcID
+	// The materialized adjacency of a gossip graph: process p's peers,
+	// ascending, are peers[off[p]:off[p+1]]. nil for the virtual kinds
+	// (full, hier).
+	off   []int
+	peers []model.ProcID
 
 	// Hierarchy geometry: processes fill racks of rackSize contiguously;
 	// global rack g spans [1 + g·rackSize, min(n, (g+1)·rackSize)].
@@ -189,7 +191,7 @@ func New(sp Spec, n int) (*Topology, error) {
 		if sp.Fanout > n-1 {
 			return nil, fmt.Errorf("topo: gossip fanout %d needs at least %d processes, have %d", sp.Fanout, sp.Fanout+1, n)
 		}
-		t.adj = sampleGossip(n, sp.Fanout, sp.Seed)
+		t.off, t.peers = sampleGossip(n, sp.Fanout, sp.Seed)
 	case KindHier:
 		racks := sp.Regions * sp.Racks
 		if racks > n {
@@ -227,7 +229,7 @@ func (t *Topology) Degree(p model.ProcID) int {
 	case "", KindFull:
 		return t.n - 1
 	case KindGossip:
-		return len(t.adj[p])
+		return len(t.peersOf(p))
 	default:
 		d := 0
 		t.ForEachPeer(p, func(model.ProcID) { d++ })
@@ -242,11 +244,7 @@ func (t *Topology) Links() int64 {
 	case "", KindFull:
 		return int64(t.n) * int64(t.n-1)
 	case KindGossip:
-		var sum int64
-		for p := 1; p <= t.n; p++ {
-			sum += int64(len(t.adj[p]))
-		}
-		return sum
+		return int64(len(t.peers))
 	default:
 		var sum int64
 		for p := 1; p <= t.n; p++ {
@@ -268,7 +266,7 @@ func (t *Topology) ForEachPeer(p model.ProcID, fn func(q model.ProcID)) {
 			}
 		}
 	case KindGossip:
-		for _, q := range t.adj[p] {
+		for _, q := range t.peersOf(p) {
 			fn(q)
 		}
 	default:
@@ -280,7 +278,7 @@ func (t *Topology) ForEachPeer(p model.ProcID, fn func(q model.ProcID)) {
 // materializes n-1 ids; large-N callers should prefer ForEachPeer.
 func (t *Topology) Peers(p model.ProcID) []model.ProcID {
 	if t.spec.Kind == KindGossip {
-		return t.adj[p]
+		return t.peersOf(p)
 	}
 	out := make([]model.ProcID, 0, t.Degree(p))
 	t.ForEachPeer(p, func(q model.ProcID) { out = append(out, q) })
@@ -297,9 +295,8 @@ func (t *Topology) Contains(p, q model.ProcID) bool {
 	case "", KindFull:
 		return true
 	case KindGossip:
-		lst := t.adj[p]
-		i := sort.Search(len(lst), func(i int) bool { return lst[i] >= q })
-		return i < len(lst) && lst[i] == q
+		_, ok := slices.BinarySearch(t.peersOf(p), q)
+		return ok
 	default:
 		if t.rackOf(p) == t.rackOf(q) {
 			return true
@@ -417,44 +414,54 @@ func (t *Topology) forEachHierPeer(p model.ProcID, fn func(q model.ProcID)) {
 	emitLeaders(false)
 }
 
+// peersOf returns gossip process p's peers, capped so that an append to
+// them cannot reach the next process's.
+func (t *Topology) peersOf(p model.ProcID) []model.ProcID {
+	lo, hi := t.off[p], t.off[p+1]
+	return t.peers[lo:hi:hi]
+}
+
 // sampleGossip draws each process's Fanout distinct peers from a
 // splitmix64 stream over (seed, p, attempt) and symmetrizes the result.
 // Sampling is rejection-based with a deterministic attempt counter, so the
-// adjacency is a pure function of (seed, fanout, n).
-func sampleGossip(n, fanout int, seed int64) [][]model.ProcID {
-	sets := make([]map[model.ProcID]bool, n+1)
-	for p := 1; p <= n; p++ {
-		if sets[p] == nil {
-			sets[p] = make(map[model.ProcID]bool, 2*fanout)
-		}
-		// Each process draws fanout distinct peers of its own; edges
-		// inherited from earlier processes' draws (symmetrization) do not
-		// count toward the quota, or a dense neighborhood could demand more
-		// fresh peers than exist and the rejection loop would never finish.
-		drawn := make(map[model.ProcID]bool, fanout)
+// adjacency is a pure function of (seed, fanout, n). Every draw adds both
+// directions of its edge to one list of (from, to) pairs, which one sort
+// orders by process and then by peer and one compaction rids of the edges
+// two processes drew of each other; process p's peers are then
+// peers[off[p]:off[p+1]].
+func sampleGossip(n, fanout int, seed int64) (off []int, peers []model.ProcID) {
+	edges := make([]uint64, 0, 2*n*fanout)
+	// Each process draws fanout distinct peers of its own; edges inherited
+	// from earlier processes' draws (symmetrization) do not count toward
+	// the quota, or a dense neighborhood could demand more fresh peers than
+	// exist and the rejection loop would never finish.
+	drawn, isDrawn := make([]model.ProcID, 0, fanout), make([]bool, n+1)
+	for p := model.ProcID(1); int(p) <= n; p++ {
 		for attempt := uint64(0); len(drawn) < fanout; attempt++ {
-			q := model.ProcID(1 + gossipDraw(seed, p, attempt)%uint64(n))
-			if q == model.ProcID(p) || drawn[q] {
+			q := model.ProcID(1 + gossipDraw(seed, int(p), attempt)%uint64(n))
+			if q == p || isDrawn[q] {
 				continue
 			}
-			drawn[q] = true
-			sets[p][q] = true
-			if sets[q] == nil {
-				sets[q] = make(map[model.ProcID]bool, 2*fanout)
-			}
-			sets[q][model.ProcID(p)] = true
+			isDrawn[q] = true
+			drawn = append(drawn, q)
+			edges = append(edges, uint64(p)<<32|uint64(q), uint64(q)<<32|uint64(p))
 		}
-	}
-	adj := make([][]model.ProcID, n+1)
-	for p := 1; p <= n; p++ {
-		lst := make([]model.ProcID, 0, len(sets[p]))
-		for q := range sets[p] {
-			lst = append(lst, q)
+		for _, q := range drawn {
+			isDrawn[q] = false
 		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-		adj[p] = lst
+		drawn = drawn[:0]
 	}
-	return adj
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	off, peers = make([]int, n+2), make([]model.ProcID, len(edges))
+	for i, e := range edges {
+		peers[i] = model.ProcID(uint32(e))
+		off[e>>32+1]++
+	}
+	for p := 1; p <= n+1; p++ {
+		off[p] += off[p-1]
+	}
+	return off, peers
 }
 
 // gossipSalt separates peer sampling from every other splitmix64 stream in

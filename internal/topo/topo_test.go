@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"failstop/internal/model"
@@ -94,6 +96,31 @@ func TestGossipDeterministicSymmetricSorted(t *testing.T) {
 	}
 	if other := MustNew(Spec{Kind: KindGossip, Fanout: fanout, Seed: 8}, n); sameAdjacency(a, other, n) {
 		t.Error("different seeds produced identical adjacency")
+	}
+}
+
+// TestGossipAdjacencyPinned holds one large overlay — n = 10,000, fanout 8,
+// seed 1, the flood-gossip-n10k benchmark's — to a hash of its adjacency
+// taken while each process's peers were gathered in a map of their own: for
+// each process in id order, its degree and then its peers, each a
+// little-endian uint32, through FNV-64a.
+func TestGossipAdjacencyPinned(t *testing.T) {
+	const n = 10_000
+	top := MustNew(Spec{Kind: KindGossip, Fanout: 8, Seed: 1}, n)
+	h, buf := fnv.New64a(), []byte(nil)
+	for p := model.ProcID(1); int(p) <= n; p++ {
+		peers := top.Peers(p)
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(peers)))
+		for _, q := range peers {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(q))
+		}
+		h.Write(buf)
+	}
+	if got, want := h.Sum64(), uint64(0xc568b6c6093b8aa3); got != want {
+		t.Errorf("adjacency hash %#x, want %#x", got, want)
+	}
+	if got, want := top.Links(), int64(159_940); got != want {
+		t.Errorf("Links() = %d, want %d", got, want)
 	}
 }
 
