@@ -173,39 +173,56 @@ const (
 	StopMaxEvents
 )
 
-// String renders the reason ("drained", "max-time", "max-events").
-func (r StopReason) String() string {
-	switch r {
-	case StopDrained:
-		return "drained"
-	case StopMaxTime:
-		return "max-time"
-	case StopMaxEvents:
-		return "max-events"
-	default:
-		return fmt.Sprintf("StopReason(%d)", int(r))
+// stopReasonNames is the one reason↔name table: String, MarshalText and
+// UnmarshalText all read it.
+var stopReasonNames = []struct {
+	r    StopReason
+	name string
+}{
+	{StopDrained, "drained"},
+	{StopMaxTime, "max-time"},
+	{StopMaxEvents, "max-events"},
+}
+
+// name returns the reason's row of stopReasonNames, if it has one.
+func (r StopReason) name() (string, bool) {
+	for _, row := range stopReasonNames {
+		if row.r == r {
+			return row.name, true
+		}
 	}
+	return "", false
+}
+
+// String renders the reason ("drained", "max-time", "max-events"), or
+// "StopReason(n)" for a value that names none.
+func (r StopReason) String() string {
+	if name, ok := r.name(); ok {
+		return name
+	}
+	return fmt.Sprintf("StopReason(%d)", int(r))
 }
 
 // MarshalText renders the reason name, so StopReason-keyed maps serialize
-// as readable JSON objects in machine-readable sweep reports.
+// as readable JSON objects in machine-readable sweep reports. A value that
+// names no reason is refused, since UnmarshalText could not read it back.
 func (r StopReason) MarshalText() ([]byte, error) {
-	return []byte(r.String()), nil
+	name, ok := r.name()
+	if !ok {
+		return nil, fmt.Errorf("sim: cannot marshal unknown stop reason %d", int(r))
+	}
+	return []byte(name), nil
 }
 
 // UnmarshalText parses a reason name produced by MarshalText.
 func (r *StopReason) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "drained":
-		*r = StopDrained
-	case "max-time":
-		*r = StopMaxTime
-	case "max-events":
-		*r = StopMaxEvents
-	default:
-		return fmt.Errorf("sim: unknown stop reason %q", text)
+	for _, row := range stopReasonNames {
+		if row.name == string(text) {
+			*r = row.r
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("sim: unknown stop reason %q", text)
 }
 
 // Reasons for BlockedChannel.Reason.

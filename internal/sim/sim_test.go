@@ -810,5 +810,24 @@ func TestStopReasonStrings(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(r), got, want)
 		}
+		text, err := r.MarshalText()
+		if err != nil || string(text) != want {
+			t.Errorf("%d.MarshalText() = %q, %v; want %q", int(r), text, err, want)
+		}
+		var back StopReason = -1
+		if err := back.UnmarshalText(text); err != nil || back != r {
+			t.Errorf("UnmarshalText(%q) = %d, %v; want %d", text, int(back), err, int(r))
+		}
+	}
+	unknown := StopMaxEvents + 1
+	if got, want := unknown.String(), fmt.Sprintf("StopReason(%d)", int(unknown)); got != want {
+		t.Errorf("unknown.String() = %q, want %q", got, want)
+	}
+	if text, err := unknown.MarshalText(); err == nil {
+		t.Errorf("MarshalText of unknown reason %d = %q, want an error", int(unknown), text)
+	}
+	var r StopReason
+	if err := r.UnmarshalText([]byte(unknown.String())); err == nil {
+		t.Errorf("UnmarshalText(%q) = %d, want an error", unknown.String(), int(r))
 	}
 }
