@@ -184,7 +184,8 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 // look like a replayer or an equivocator; sFS2c and sFS2d hold, and sFS2b
 // does whenever at most T processes are detected (Theorem 7's quorums then
 // intersect across every failed-before cycle there can be); and the run
-// digests the same twice.
+// digests the same twice, the second time after a run of another shape
+// (poisonDraw), whose recycled simulator state the second run inherits.
 func checkGeneratedStack(t *testing.T, d stackDraw) {
 	t.Helper()
 	if err := d.opts.Validate(); err != nil {
@@ -212,8 +213,25 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 			}
 		}
 	}
-	if a, b := stackDigest(t, d.opts, "", d.inject), stackDigest(t, d.opts, "", d.inject); a != b {
-		t.Errorf("one draw ran twice digests %s then %s\n%v", a, b, d)
+	a := stackDigest(t, d.opts, "", d.inject)
+	p := poisonDraw(d)
+	stackDigest(t, p.opts, "", p.inject)
+	if b := stackDigest(t, d.opts, "", d.inject); a != b {
+		t.Errorf("one draw ran twice digests %s then, after %v, %s\n%v", a, p, b, d)
+	}
+}
+
+// poisonDraw returns a draw of another shape than d: more processes, another
+// plan, and at least one process that crashes and restarts. Run between two
+// runs of d, it retires the bulk the second one draws, so that run starts
+// from tables, slab, links and timers another run left behind.
+func poisonDraw(d stackDraw) stackDraw {
+	for seed := uint64(d.opts.Seed) + 1; ; seed++ {
+		p := drawStack(seedBytes(seed))
+		if len(p.opts.Faults.Procs) > 0 {
+			p.opts.N = max(p.opts.N, d.opts.N) + 1 // the draw's ids and T stay valid at a larger n
+			return p
+		}
 	}
 }
 

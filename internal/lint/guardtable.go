@@ -82,7 +82,7 @@ var Guards = []Guard{
 	{Kind: Retired, Pattern: `^\s+\w+\s+map\[model\.ProcID\]`, Scope: []string{"internal/core/core.go"}, Reason: "the §5 detector keeps one id-ordered table of rounds, not a map per aspect of a round", PR: 22},
 	{Kind: Retired, Pattern: `chan job`, Scope: []string{"internal/sweep/sweep.go"}, Reason: "the sweep hands out jobs from one counter", PR: 22},
 	{Kind: Count, Pattern: `for i := range h`, Scope: []string{"internal/model/index.go"}, N: 1, Reason: "a recorded run is read in one walk: a second loop over the history is the sizing pass come back (the two-walk scan is internal/model's test oracle)", PR: 23},
-	{Kind: Retired, Pattern: `rand\.NewSource\(cfg\.Seed\)|rng\.Seed\(`, Scope: []string{"internal/sim/sim.go"}, Reason: "the delay stream is seeded at its first draw (internal/sim/rng.go), not by New", PR: 24},
+	{Kind: Retired, Pattern: `rand\.NewSource\(cfg\.Seed\)|rng\.Seed\(`, Scope: []string{"internal/sim"}, Reason: "the delay stream is seeded at its first draw (internal/sim/rng.go), not by New", PR: 24},
 	{Kind: Retired, Pattern: `BinarySearchFunc`, Scope: []string{"internal/core/core.go"}, Reason: "the detector finds a round by walking its short table", PR: 24},
 	{Kind: Retired, Pattern: `cluster\.New\(`, Scope: []string{"internal/experiments/exp_reliable.go", "internal/experiments/exp_recovery.go", "internal/experiments/exp_byz.go"}, Reason: "experiments that grid the stack's own axes (reliable, recovery, Byzantine) are sweeps: no hand-rolled cluster.New seed loop", PR: 27},
 	// The interposers find per-peer and per-link state in node.Table, not in
