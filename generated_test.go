@@ -14,8 +14,9 @@ import (
 
 // stackDraw is one generated run through both interposers — reliable links
 // under the Byzantine→crash layer — on a network that loses, duplicates,
-// reorders and delays messages, with a script of crashes and suspicions and
-// up to two processes the plan crashes and restarts. The plan has no
+// reorders and delays messages, cuts links or holds their traffic until a
+// heal, with a script of crashes and suspicions and up to two processes the
+// plan crashes and restarts. The plan has no
 // Byzantine rules: no sender misbehaves, so every conviction the layer makes
 // is a fault — except after an amnesiac restart, whose reused sequence
 // numbers the layer convicts as replays by design.
@@ -66,7 +67,9 @@ func (d *drawer) prob() float64 { return float64(d.intn(11)) / 20 }
 var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEcho, reliable.TagAck}
 
 // drawStack turns bytes into a draw: n in 3..8, T up to Corollary 8's bound,
-// a horizon, heartbeats or none, one to three network rules, a script whose
+// a horizon, heartbeats or none, one to three network rules (each lossy and
+// noisy, a Cut or a Hold, over every link, a split into groups or a few
+// pairs, always or in a window, a Cut or Hold's always bounded), a script whose
 // victims — processes crashed or suspected — number at most T, and at least
 // one when there are no heartbeats, and zero to two process rules with
 // restarts under amnesia or durable recovery (the restarts reach the
@@ -91,26 +94,41 @@ func drawStack(data []byte) stackDraw {
 	}
 	plan := &failstop.FaultPlan{Name: "generated"}
 	for k := 1 + d.intn(3); k > 0; k-- {
-		r := failstop.FaultRule{
-			Drop: d.prob(), Duplicate: d.prob(), Reorder: d.prob(),
-			JitterMax: int64(d.intn(4)) * 5,
-		}
-		if r.Drop == 0 && r.Duplicate == 0 && r.Reorder == 0 && r.JitterMax == 0 {
-			r.JitterMax = 3 // Plan.Validate refuses a rule with no effect
+		var r failstop.FaultRule
+		switch d.intn(4) {
+		case 2:
+			r.Cut = true
+		case 3:
+			r.Hold = true
+		default:
+			r.Drop, r.Duplicate, r.Reorder = d.prob(), d.prob(), d.prob()
+			r.JitterMax = int64(d.intn(4)) * 5
+			if r.Drop == 0 && r.Duplicate == 0 && r.Reorder == 0 && r.JitterMax == 0 {
+				r.JitterMax = 3 // Plan.Validate refuses a rule with no effect
+			}
 		}
 		for _, tag := range generatedTags {
 			if d.intn(3) == 0 {
 				r.Tags = append(r.Tags, tag)
 			}
 		}
-		switch d.intn(3) {
+		r.Links = drawLinks(d, n)
+		window := d.intn(3)
+		if window == 0 && (r.Cut || r.Hold) {
+			window = 1 // a Cut or Hold heals: Hold must, and a Cut forever starves the run
+		}
+		switch window {
 		case 1:
 			r.From = int64(d.intn(int(opts.MaxTime / 2)))
 			r.Until = r.From + 1 + int64(d.intn(int(opts.MaxTime/2)))
 		case 2:
 			r.From = int64(d.intn(100))
 			r.Period = 10 + int64(d.intn(91))
-			r.ActiveFor = 1 + int64(d.intn(int(r.Period)))
+			if r.Hold {
+				r.ActiveFor = 1 + int64(d.intn(int(r.Period-1))) // a held window must close
+			} else {
+				r.ActiveFor = 1 + int64(d.intn(int(r.Period)))
+			}
 		}
 		plan.Rules = append(plan.Rules, r)
 	}
@@ -158,6 +176,33 @@ func drawStack(data []byte) stackDraw {
 		}
 	}
 	return draw
+}
+
+// drawLinks draws a rule's link selector: every link, a split of some of
+// 1..n into disjoint non-empty groups (the rest form the residual group), or
+// one to three directed pairs.
+func drawLinks(d *drawer, n int) failstop.LinkSet {
+	var ls failstop.LinkSet
+	switch d.intn(3) {
+	case 1:
+		groups := make([][]failstop.ProcID, 1+d.intn(3))
+		for p := failstop.ProcID(1); int(p) <= n; p++ {
+			if g := d.intn(len(groups) + 1); g < len(groups) {
+				groups[g] = append(groups[g], p)
+			}
+		}
+		for _, g := range groups {
+			if len(g) > 0 {
+				ls.Groups = append(ls.Groups, g)
+			}
+		}
+	case 2:
+		for k := 1 + d.intn(3); k > 0; k-- {
+			from := failstop.ProcID(1 + d.intn(n))
+			ls.Pairs = append(ls.Pairs, failstop.Link{From: from, To: other(from, d.intn(n-1))})
+		}
+	}
+	return ls
 }
 
 // other returns the k-th process (from 0) of 1..n other than p.
@@ -237,7 +282,7 @@ func poisonDraw(d stackDraw) stackDraw {
 
 // seedBytes expands a seed into the bytes of a draw.
 func seedBytes(seed uint64) []byte {
-	b := make([]byte, 64)
+	b := make([]byte, 128)
 	for i := 0; i < len(b); i += 8 {
 		binary.LittleEndian.PutUint64(b[i:], model.Mix(seed*0x9e3779b97f4a7c15+uint64(i)))
 	}

@@ -112,8 +112,9 @@ func (c *Core) each(f func(name string, ctr *obs.Counter)) {
 }
 
 // Init checks the process count n, before the host sizes anything by it, and
-// the lifetimes against it (who, the host, prefixes every panic of the core),
-// gives durable recovery its default store, and registers the counters in reg.
+// the lifetimes against it and MaxDelay (who, the host, prefixes every panic
+// of the core), gives durable recovery its default store, and registers the
+// counters in reg.
 func (c *Core) Init(who string, n int, reg *obs.Registry) {
 	if n <= 0 || n > model.MaxProcs {
 		panic(who + ": Config.N must be in 1..model.MaxProcs")
@@ -122,6 +123,17 @@ func (c *Core) Init(who string, n int, reg *obs.Registry) {
 	for i, l := range c.Lifetimes {
 		if l.Proc < 1 || int(l.Proc) > n {
 			panic(fmt.Sprintf("%s: lifetime %d names process %d of %d", who, i, l.Proc, n))
+		}
+		// A crash window's next start is a sum of these ticks: above MaxDelay
+		// it can wrap negative, and a storm's skipped window is due again at
+		// once, forever.
+		for _, f := range [...]struct {
+			name string
+			v    int64
+		}{{"Crash", l.Crash}, {"Restart", l.Restart}, {"Period", l.Period}, {"Until", l.Until}} {
+			if f.v > MaxDelay {
+				panic(fmt.Sprintf("%s: lifetime %d has %s %d, above %d ticks (2^40: the clock must not overflow)", who, i, f.name, f.v, int64(MaxDelay)))
+			}
 		}
 	}
 	if c.Recovery == recovery.Durable && c.Store == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"failstop/internal/host"
@@ -100,6 +101,30 @@ func TestInitRejectsStrayLifetime(t *testing.T) {
 	}()
 	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 3, Crash: 1}}}
 	c.Init("test", 2, nil)
+}
+
+// TestInitBoundsLifetimeTicks: each tick of a lifetime above MaxDelay is
+// refused naming its field, and one at the bound is accepted.
+func TestInitBoundsLifetimeTicks(t *testing.T) {
+	const top = host.MaxDelay
+	for _, tc := range []struct {
+		field string
+		lt    recovery.Lifetime
+	}{
+		{"Crash", recovery.Lifetime{Proc: 1, Crash: top + 1}},
+		{"Restart", recovery.Lifetime{Proc: 1, Crash: 1, Restart: top + 1}},
+		{"Period", recovery.Lifetime{Proc: 1, Crash: 5, Restart: 1005, Period: math.MaxInt64 - 1}},
+		{"Until", recovery.Lifetime{Proc: 1, Crash: 5, Restart: 6, Period: 10, Until: math.MaxInt64}},
+	} {
+		c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{tc.lt}}
+		if got := panicOf(func() { c.Init("test", 2, nil) }); !strings.Contains(got, "test: lifetime 0 has "+tc.field+" ") {
+			t.Errorf("Init(%+v) panicked with %q, want %s named", tc.lt, got, tc.field)
+		}
+	}
+	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: top - 2, Restart: top - 1, Period: top, Until: top}}}
+	if got := panicOf(func() { c.Init("test", 2, nil) }); got != "" {
+		t.Errorf("Init at the bound panicked: %s", got)
+	}
 }
 
 // restarter logs the lifetime callbacks it receives.

@@ -26,10 +26,11 @@ func TestGuardsHold(t *testing.T) {
 }
 
 // TestGuardPlants builds, in a temporary directory, the smallest module the
-// table passes: each Once string in a file of its own, each Count file with
-// its N matching lines, every scope present. Then it plants a violation of
-// each row in turn — a second copy of a Once string, a line matching a
-// Retired or an extra one matching a Count pattern in the row's first scope,
+// table passes: each Once string in a file of its own, each Count row's first
+// scope with its N matching lines (a directory's in its plant.go), every
+// scope present. Then it plants a violation of each row in turn — a second
+// copy of a Once string, a line matching a Retired or an extra one matching a
+// Count pattern in the row's first scope,
 // an import of a matching path (through a module package unless the row is
 // Direct) — and wants exactly that row to fire.
 func TestGuardPlants(t *testing.T) {
@@ -45,7 +46,8 @@ func TestGuardPlants(t *testing.T) {
 		case Once:
 			write(t, root, fmt.Sprintf("once/%02d.go", i), "package x\n\n// "+g.Pattern+"\n")
 		case Count:
-			write(t, root, g.Scope[0], read(t, root, g.Scope[0])+strings.Repeat(example(t, g.Pattern)+"\n", g.N))
+			f := plantFile(g.Scope[0])
+			write(t, root, f, read(t, root, f)+strings.Repeat(example(t, g.Pattern)+"\n", g.N))
 		}
 	}
 	fires := func(t *testing.T, row int) {

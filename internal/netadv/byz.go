@@ -1,6 +1,8 @@
 package netadv
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -61,97 +63,40 @@ func (b ByzRule) noop() bool {
 	return b.Corrupt == 0 && len(b.Equivocate) == 0 && b.Replay == 0
 }
 
-// validateByz checks the plan's Byzantine rules; part of Plan.Validate.
-func (p Plan) validateByz(n int) error {
-	for i, b := range p.Byz {
-		if b.Victim < 1 || int(b.Victim) > n {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: victim %d outside 1..%d", i, p.Name, b.Victim, n)
+// validateByz checks one of the plan's Byzantine rules for Validate.
+func (p Plan) validateByz(b ByzRule, n int) error {
+	if b.Victim < 1 || int(b.Victim) > n {
+		return fmt.Errorf("victim %d outside 1..%d", b.Victim, n)
+	}
+	if err := cmp.Or(
+		checkTicks([]field[int64]{{"From", b.From}, {"Until", b.Until}, {"ReplayDelay", b.ReplayDelay}}),
+		checkWindow(b.From, b.Until),
+		checkProbs([]field[float64]{{"Corrupt", b.Corrupt}, {"Replay", b.Replay}}),
+		checkTags(b.Tags),
+		checkGroups(b.Equivocate, n, b.Victim, "equivocation group"),
+	); err != nil {
+		return err
+	}
+	switch {
+	case b.ReplayDelay != 0 && b.Replay == 0:
+		return fmt.Errorf("ReplayDelay %d without Replay", b.ReplayDelay)
+	case b.noop():
+		return errors.New("no effect (none of Corrupt/Equivocate/Replay set)")
+	case len(b.Equivocate) == 1:
+		return errors.New("Equivocate needs at least 2 groups (one group has no one to disagree with)")
+	}
+	// A rule whose whole window sits inside an unconditional all-link Cut
+	// can never put a forged frame on the wire.
+	for ri, r := range p.Rules {
+		if !r.Cut || r.Period != 0 || !r.Links.Empty() {
+			continue
 		}
-		if b.From < 0 {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: negative From %d", i, p.Name, b.From)
-		}
-		if b.Until != 0 && b.Until <= b.From {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: Until %d not after From %d", i, p.Name, b.Until, b.From)
-		}
-		for _, pr := range [...]struct {
-			name string
-			v    float64
-		}{{"Corrupt", b.Corrupt}, {"Replay", b.Replay}} {
-			if pr.v < 0 || pr.v > 1 {
-				return fmt.Errorf("netadv: byz rule %d of plan %q: %s=%v outside [0,1]", i, p.Name, pr.name, pr.v)
-			}
-		}
-		if b.ReplayDelay < 0 {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: negative ReplayDelay %d", i, p.Name, b.ReplayDelay)
-		}
-		if b.ReplayDelay != 0 && b.Replay == 0 {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: ReplayDelay %d without Replay", i, p.Name, b.ReplayDelay)
-		}
-		if b.noop() {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: no effect (none of Corrupt/Equivocate/Replay set)", i, p.Name)
-		}
-		seenTag := make(map[string]bool, len(b.Tags))
-		for _, tag := range b.Tags {
-			if tag == "" {
-				// Payload tags are never empty, so the entry can never match.
-				return fmt.Errorf("netadv: byz rule %d of plan %q: empty tag never matches any message", i, p.Name)
-			}
-			if seenTag[tag] {
-				return fmt.Errorf("netadv: byz rule %d of plan %q: duplicate tag %q", i, p.Name, tag)
-			}
-			seenTag[tag] = true
-		}
-		if len(b.Equivocate) == 1 {
-			return fmt.Errorf("netadv: byz rule %d of plan %q: Equivocate needs at least 2 groups (one group has no one to disagree with)", i, p.Name)
-		}
-		seen := make(map[model.ProcID]int)
-		for gi, g := range b.Equivocate {
-			if len(g) == 0 {
-				return fmt.Errorf("netadv: byz rule %d of plan %q: equivocation group %d is empty", i, p.Name, gi)
-			}
-			for _, proc := range g {
-				if proc < 1 || int(proc) > n {
-					return fmt.Errorf("netadv: byz rule %d of plan %q: process %d outside 1..%d", i, p.Name, proc, n)
-				}
-				if proc == b.Victim {
-					return fmt.Errorf("netadv: byz rule %d of plan %q: victim %d cannot be its own receiver group member", i, p.Name, proc)
-				}
-				if prev, dup := seen[proc]; dup {
-					if prev == gi {
-						return fmt.Errorf("netadv: byz rule %d of plan %q: process %d listed twice in equivocation group %d", i, p.Name, proc, gi)
-					}
-					return fmt.Errorf("netadv: byz rule %d of plan %q: process %d in both equivocation group %d and group %d", i, p.Name, proc, prev, gi)
-				}
-				seen[proc] = gi
-			}
-		}
-		// A rule whose whole window sits inside an unconditional all-link
-		// Cut can never put a forged frame on the wire.
-		for ri, r := range p.Rules {
-			if !r.Cut || r.Period != 0 || !r.Links.Empty() {
-				continue
-			}
-			windowCovered := r.From <= b.From && (r.Until == 0 || (b.Until != 0 && b.Until <= r.Until))
-			if !windowCovered {
-				continue
-			}
-			tagsCovered := len(r.Tags) == 0
-			if !tagsCovered && len(b.Tags) > 0 {
-				cut := make(map[string]bool, len(r.Tags))
-				for _, t := range r.Tags {
-					cut[t] = true
-				}
-				tagsCovered = true
-				for _, t := range b.Tags {
-					if !cut[t] {
-						tagsCovered = false
-						break
-					}
-				}
-			}
-			if tagsCovered {
-				return fmt.Errorf("netadv: byz rule %d of plan %q: its window lies inside rule %d's unconditional Cut, so it can never fire", i, p.Name, ri)
-			}
+		windowCovered := r.From <= b.From && (r.Until == 0 || (b.Until != 0 && b.Until <= r.Until))
+		tagsCovered := len(r.Tags) == 0 || len(b.Tags) > 0 && !slices.ContainsFunc(b.Tags, func(t string) bool {
+			return !slices.Contains(r.Tags, t)
+		})
+		if windowCovered && tagsCovered {
+			return fmt.Errorf("its window lies inside rule %d's unconditional Cut, so it can never fire", ri)
 		}
 	}
 	return nil
@@ -167,15 +112,10 @@ type compiledByz struct {
 	replayMem node.Table[node.Payload]
 }
 
-func (cb *compiledByz) activeAt(at int64) bool {
-	return at >= cb.From && (cb.Until == 0 || at < cb.Until)
-}
-
-func (cb *compiledByz) matches(from model.ProcID, tag string) bool {
-	if from != cb.Victim {
-		return false
-	}
-	return len(cb.Tags) == 0 || slices.Contains(cb.Tags, tag)
+// matches reports whether the rule forges a message its victim sends with
+// tag at tick at.
+func (cb *compiledByz) matches(from model.ProcID, tag string, at int64) bool {
+	return from == cb.Victim && inWindow(at, cb.From, cb.Until) && tagMatches(cb.Tags, tag)
 }
 
 // applyByz applies the plan's Byzantine rules to one decided message,
@@ -192,7 +132,7 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 	anyReplay := false
 	for bi := range pl.byzRules {
 		cb := &pl.byzRules[bi]
-		if !cb.activeAt(at) || !cb.matches(from, p.Tag) {
+		if !cb.matches(from, p.Tag, at) {
 			continue
 		}
 		brng := newByzStream(pl.seed, bi, from, to, idx)
@@ -204,13 +144,13 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 			// by the group index, resealed so the variant authenticates.
 			wire = equivocatePayload(wire, from, g, pl.n)
 			dec.Replace = &node.Replacement{Payload: wire, Note: "equiv=g" + strconv.Itoa(g)}
-			pl.cEquivocated.Inc()
+			pl.fates[fateEquivocated].Inc()
 		} else if cb.Corrupt > 0 && corruptRoll < cb.Corrupt {
 			// Corruption: mutate without resealing — an authenticated frame
 			// then fails its MAC check at the receiver.
 			wire = corruptPayload(wire, delta, pl.n)
 			dec.Replace = &node.Replacement{Payload: wire, Note: "corrupt"}
-			pl.cCorrupted.Inc()
+			pl.fates[fateCorrupted].Inc()
 		}
 		if cb.Replay > 0 && replayRoll < cb.Replay {
 			pl.mu.Lock()
@@ -218,9 +158,8 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 			pl.mu.Unlock()
 			if mem != nil {
 				dec.Replay = &node.ReplayedCopy{Payload: *mem, Delay: cb.ReplayDelay}
-				pl.cReplayed.Inc()
+				pl.fates[fateReplayed].Inc()
 			}
-			anyReplay = true
 		}
 		if cb.Replay > 0 {
 			anyReplay = true
@@ -234,7 +173,7 @@ func (pl *Plane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p node.
 	pl.mu.Lock()
 	for bi := range pl.byzRules {
 		cb := &pl.byzRules[bi]
-		if cb.Replay > 0 && cb.activeAt(at) && cb.matches(from, p.Tag) {
+		if cb.Replay > 0 && cb.matches(from, p.Tag, at) {
 			mem, _ := cb.replayMem.AddLink(from, to)
 			*mem = wire
 		}

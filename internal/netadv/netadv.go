@@ -22,6 +22,8 @@
 package netadv
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -257,138 +259,14 @@ func (p Plan) Validate(n int) error {
 		}
 	}
 	for i, r := range p.Rules {
-		if r.From < 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: negative From %d", i, p.Name, r.From)
-		}
-		if r.Until != 0 && r.Until <= r.From {
-			return fmt.Errorf("netadv: rule %d of plan %q: Until %d not after From %d", i, p.Name, r.Until, r.From)
-		}
-		for _, pr := range [...]struct {
-			name string
-			v    float64
-		}{{"Drop", r.Drop}, {"Duplicate", r.Duplicate}, {"Reorder", r.Reorder}} {
-			if pr.v < 0 || pr.v > 1 {
-				return fmt.Errorf("netadv: rule %d of plan %q: %s=%v outside [0,1]", i, p.Name, pr.name, pr.v)
-			}
-		}
-		if r.JitterMax < 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: negative JitterMax %d", i, p.Name, r.JitterMax)
-		}
-		if r.QueueDelay < 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: negative QueueDelay %d", i, p.Name, r.QueueDelay)
-		}
-		if r.Period < 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: negative Period %d", i, p.Name, r.Period)
-		}
-		// A tick a rule names, or a delay it adds, is a summand of some
-		// message's ready time: above host.MaxDelay the sum can wrap past the
-		// last tick, and a held message would read as parked.
-		for _, f := range [...]struct {
-			name string
-			v    int64
-		}{{"From", r.From}, {"Until", r.Until}, {"Period", r.Period}, {"JitterMax", r.JitterMax}, {"QueueDelay", r.QueueDelay}} {
-			if f.v > host.MaxDelay {
-				return fmt.Errorf("netadv: rule %d of plan %q: %s %d exceeds %d ticks (2^40: the clock must not overflow)", i, p.Name, f.name, f.v, int64(host.MaxDelay))
-			}
-		}
-		if r.Period > 0 && (r.ActiveFor <= 0 || r.ActiveFor > r.Period) {
-			return fmt.Errorf("netadv: rule %d of plan %q: Period %d needs ActiveFor in 1..%d, have %d", i, p.Name, r.Period, r.Period, r.ActiveFor)
-		}
-		if r.Period == 0 && r.ActiveFor != 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: ActiveFor %d without a Period", i, p.Name, r.ActiveFor)
-		}
-		if r.Cut && r.Hold {
-			// Decide would drop the message and then compute a hold delay for
-			// a copy that no longer exists: Cut silently wins. Reject the
-			// contradiction instead of picking a winner.
-			return fmt.Errorf("netadv: rule %d of plan %q: Cut and Hold are contradictory (Cut loses the message, Hold promises to deliver it)", i, p.Name)
-		}
-		if r.Hold && r.Until == 0 && r.Period == 0 {
-			return fmt.Errorf("netadv: rule %d of plan %q: Hold requires a heal time (Until > 0 or a periodic window)", i, p.Name)
-		}
-		if r.Hold && r.Period > 0 && r.ActiveFor >= r.Period {
-			// With ActiveFor == Period the window never actually closes:
-			// healAt would release held messages into the still-active hold,
-			// breaking the "arrives just after the heal" guarantee.
-			return fmt.Errorf("netadv: rule %d of plan %q: Hold with a periodic window needs ActiveFor < Period (a window that never closes never heals)", i, p.Name)
-		}
-		if r.noop() {
-			return fmt.Errorf("netadv: rule %d of plan %q: no effect (none of Cut/Hold/Drop/Duplicate/Reorder/JitterMax/QueueDelay set)", i, p.Name)
-		}
-		seen := make(map[model.ProcID]int)
-		for gi, g := range r.Links.Groups {
-			if len(g) == 0 {
-				// An empty group compiles to nothing: with only empty groups
-				// the rule looks targeted but matches no link at all.
-				return fmt.Errorf("netadv: rule %d of plan %q: group %d is empty", i, p.Name, gi)
-			}
-			for _, proc := range g {
-				if proc < 1 || int(proc) > n {
-					return fmt.Errorf("netadv: rule %d of plan %q: process %d outside 1..%d", i, p.Name, proc, n)
-				}
-				if prev, dup := seen[proc]; dup {
-					// NewPlane compiles groupOf last-wins, which would
-					// silently change the partition's shape.
-					if prev == gi {
-						return fmt.Errorf("netadv: rule %d of plan %q: process %d listed twice in group %d", i, p.Name, proc, gi)
-					}
-					return fmt.Errorf("netadv: rule %d of plan %q: process %d in both group %d and group %d", i, p.Name, proc, prev, gi)
-				}
-				seen[proc] = gi
-			}
-		}
-		for _, l := range r.Links.Pairs {
-			if l.From < 1 || int(l.From) > n || l.To < 1 || int(l.To) > n {
-				return fmt.Errorf("netadv: rule %d of plan %q: link %d->%d outside 1..%d", i, p.Name, l.From, l.To, n)
-			}
-		}
-		if len(r.Links.Regions) > 0 || len(r.Links.Racks) > 0 {
-			if top == nil {
-				return fmt.Errorf("netadv: rule %d of plan %q: region/rack selectors need the plan's Topo set", i, p.Name)
-			}
-			for _, reg := range r.Links.Regions {
-				if reg < 0 || reg >= top.Regions() {
-					return fmt.Errorf("netadv: rule %d of plan %q: region %d outside 0..%d", i, p.Name, reg, top.Regions()-1)
-				}
-			}
-			for _, rk := range r.Links.Racks {
-				if rk < 0 || rk >= top.NumRacks() {
-					return fmt.Errorf("netadv: rule %d of plan %q: rack %d outside 0..%d", i, p.Name, rk, top.NumRacks()-1)
-				}
-			}
+		if err := r.validate(n, top); err != nil {
+			return p.ruleError("rule", i, err)
 		}
 	}
 	byProc := make(map[model.ProcID][]int)
 	for i, r := range p.Procs {
-		if r.Proc < 1 || int(r.Proc) > n {
-			return fmt.Errorf("netadv: proc rule %d of plan %q: process %d outside 1..%d", i, p.Name, r.Proc, n)
-		}
-		if r.CrashAt < 0 {
-			return fmt.Errorf("netadv: proc rule %d of plan %q: negative CrashAt %d", i, p.Name, r.CrashAt)
-		}
-		if r.Period < 0 {
-			return fmt.Errorf("netadv: proc rule %d of plan %q: negative Period %d", i, p.Name, r.Period)
-		}
-		if r.Period == 0 {
-			if r.ActiveFor != 0 {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: ActiveFor %d without a Period", i, p.Name, r.ActiveFor)
-			}
-			if r.Until != 0 {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: Until %d without a Period (one-shot rules have nothing to bound)", i, p.Name, r.Until)
-			}
-			if r.RestartAt != 0 && r.RestartAt <= r.CrashAt {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: RestartAt %d not after CrashAt %d", i, p.Name, r.RestartAt, r.CrashAt)
-			}
-		} else {
-			if r.RestartAt != 0 {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: RestartAt %d with a Period (periodic windows restart ActiveFor ticks after each crash)", i, p.Name, r.RestartAt)
-			}
-			if r.ActiveFor <= 0 || r.ActiveFor >= r.Period {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: Period %d needs ActiveFor in 1..%d, have %d (the process must restart before its next crash)", i, p.Name, r.Period, r.Period-1, r.ActiveFor)
-			}
-			if r.Until != 0 && r.Until < r.CrashAt {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: Until %d before the first CrashAt %d", i, p.Name, r.Until, r.CrashAt)
-			}
+		if err := r.validate(n); err != nil {
+			return p.ruleError("proc rule", i, err)
 		}
 		byProc[r.Proc] = append(byProc[r.Proc], i)
 	}
@@ -400,7 +278,7 @@ func (p Plan) Validate(n int) error {
 		}
 		for _, i := range idxs {
 			if p.Procs[i].Period > 0 {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: process %d has a periodic rule and %d other rule(s); a storm must be the process's only rule", i, p.Name, proc, len(idxs)-1)
+				return p.ruleError("proc rule", i, fmt.Errorf("process %d has a periodic rule and %d other rule(s); a storm must be the process's only rule", proc, len(idxs)-1))
 			}
 		}
 		// All one-shot: lifetimes must be disjoint, and only the
@@ -412,14 +290,192 @@ func (p Plan) Validate(n int) error {
 		for k := 1; k < len(idxs); k++ {
 			prev, cur := p.Procs[idxs[k-1]], p.Procs[idxs[k]]
 			if prev.terminal() {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: process %d crashes at %d after rule %d crashed it terminally", idxs[k], p.Name, proc, cur.CrashAt, idxs[k-1])
+				return p.ruleError("proc rule", idxs[k], fmt.Errorf("process %d crashes at %d after rule %d crashed it terminally", proc, cur.CrashAt, idxs[k-1]))
 			}
 			if cur.CrashAt <= prev.RestartAt {
-				return fmt.Errorf("netadv: proc rule %d of plan %q: process %d crashes at %d while rule %d holds it down until %d (overlapping lifetimes)", idxs[k], p.Name, proc, cur.CrashAt, idxs[k-1], prev.RestartAt)
+				return p.ruleError("proc rule", idxs[k], fmt.Errorf("process %d crashes at %d while rule %d holds it down until %d (overlapping lifetimes)", proc, cur.CrashAt, idxs[k-1], prev.RestartAt))
 			}
 		}
 	}
-	return p.validateByz(n)
+	for i, b := range p.Byz {
+		if err := p.validateByz(b, n); err != nil {
+			return p.ruleError("byz rule", i, err)
+		}
+	}
+	return nil
+}
+
+// ruleError names the rule a check refused: rule kind, index and plan.
+func (p Plan) ruleError(kind string, i int, err error) error {
+	return fmt.Errorf("netadv: %s %d of plan %q: %w", kind, i, p.Name, err)
+}
+
+// validate checks one network rule for a cluster of n processes whose
+// topology, if the plan names one, is top.
+func (r Rule) validate(n int, top *topo.Topology) error {
+	if err := cmp.Or(
+		checkTicks([]field[int64]{{"From", r.From}, {"Until", r.Until}, {"Period", r.Period}, {"JitterMax", r.JitterMax}, {"QueueDelay", r.QueueDelay}}),
+		checkWindow(r.From, r.Until),
+		checkProbs([]field[float64]{{"Drop", r.Drop}, {"Duplicate", r.Duplicate}, {"Reorder", r.Reorder}}),
+		checkPeriod(r.Period, r.ActiveFor, r.Period),
+		checkTags(r.Tags),
+		checkGroups(r.Links.Groups, n, model.None, "group"),
+	); err != nil {
+		return err
+	}
+	switch {
+	case r.Cut && r.Hold:
+		// Decide would drop the message and then compute a hold delay for a
+		// copy that no longer exists: Cut silently wins. Reject the
+		// contradiction instead of picking a winner.
+		return errors.New("Cut and Hold are contradictory (Cut loses the message, Hold promises to deliver it)")
+	case r.Hold && r.Until == 0 && r.Period == 0:
+		return errors.New("Hold requires a heal time (Until > 0 or a periodic window)")
+	case r.Hold && r.Period > 0 && r.ActiveFor >= r.Period:
+		// With ActiveFor == Period the window never actually closes: healAt
+		// would release held messages into the still-active hold, breaking
+		// the "arrives just after the heal" guarantee.
+		return errors.New("Hold with a periodic window needs ActiveFor < Period (a window that never closes never heals)")
+	case r.noop():
+		return errors.New("no effect (none of Cut/Hold/Drop/Duplicate/Reorder/JitterMax/QueueDelay set)")
+	}
+	for _, l := range r.Links.Pairs {
+		if l.From < 1 || int(l.From) > n || l.To < 1 || int(l.To) > n {
+			return fmt.Errorf("link %d->%d outside 1..%d", l.From, l.To, n)
+		}
+	}
+	if len(r.Links.Regions) > 0 || len(r.Links.Racks) > 0 {
+		if top == nil {
+			return errors.New("region/rack selectors need the plan's Topo set")
+		}
+		for _, reg := range r.Links.Regions {
+			if reg < 0 || reg >= top.Regions() {
+				return fmt.Errorf("region %d outside 0..%d", reg, top.Regions()-1)
+			}
+		}
+		for _, rk := range r.Links.Racks {
+			if rk < 0 || rk >= top.NumRacks() {
+				return fmt.Errorf("rack %d outside 0..%d", rk, top.NumRacks()-1)
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks one process rule for a cluster of n processes.
+func (r ProcRule) validate(n int) error {
+	if r.Proc < 1 || int(r.Proc) > n {
+		return fmt.Errorf("process %d outside 1..%d", r.Proc, n)
+	}
+	if err := cmp.Or(
+		checkTicks([]field[int64]{{"CrashAt", r.CrashAt}, {"RestartAt", r.RestartAt}, {"Period", r.Period}, {"ActiveFor", r.ActiveFor}, {"Until", r.Until}}),
+		checkPeriod(r.Period, r.ActiveFor, r.Period-1),
+	); err != nil {
+		return err
+	}
+	switch {
+	case r.Period == 0 && r.Until != 0:
+		return fmt.Errorf("Until %d without a Period (one-shot rules have nothing to bound)", r.Until)
+	case r.Period == 0 && r.RestartAt != 0 && r.RestartAt <= r.CrashAt:
+		return fmt.Errorf("RestartAt %d not after CrashAt %d", r.RestartAt, r.CrashAt)
+	case r.Period > 0 && r.RestartAt != 0:
+		return fmt.Errorf("RestartAt %d with a Period (periodic windows restart ActiveFor ticks after each crash)", r.RestartAt)
+	case r.Period > 0 && r.Until != 0 && r.Until < r.CrashAt:
+		return fmt.Errorf("Until %d before the first CrashAt %d", r.Until, r.CrashAt)
+	}
+	return nil
+}
+
+// field is a tick or probability field of a rule, named as its errors name it.
+type field[T int64 | float64] struct {
+	name string
+	v    T
+}
+
+// checkTicks refuses a negative tick and one above host.MaxDelay. Every tick
+// a rule names is a summand of some message's ready time or of a crash
+// window's next start: above host.MaxDelay the sum can wrap past the last
+// tick, and a held message would read as parked or a storm as always due.
+func checkTicks(ts []field[int64]) error {
+	for _, t := range ts {
+		if t.v < 0 {
+			return fmt.Errorf("negative %s %d", t.name, t.v)
+		}
+		if t.v > host.MaxDelay {
+			return fmt.Errorf("%s %d exceeds %d ticks (2^40: the clock must not overflow)", t.name, t.v, int64(host.MaxDelay))
+		}
+	}
+	return nil
+}
+
+// checkWindow refuses an Until (0: never) that does not come after From.
+func checkWindow(from, until int64) error {
+	if until != 0 && until <= from {
+		return fmt.Errorf("Until %d not after From %d", until, from)
+	}
+	return nil
+}
+
+// checkProbs refuses a probability outside [0,1].
+func checkProbs(ps []field[float64]) error {
+	for _, p := range ps {
+		if p.v < 0 || p.v > 1 {
+			return fmt.Errorf("%s=%v outside [0,1]", p.name, p.v)
+		}
+	}
+	return nil
+}
+
+// checkPeriod refuses an ActiveFor without a Period, and a Period whose
+// ActiveFor lies outside 1..most.
+func checkPeriod(period, activeFor, most int64) error {
+	if period == 0 && activeFor != 0 {
+		return fmt.Errorf("ActiveFor %d without a Period", activeFor)
+	}
+	if period > 0 && (activeFor <= 0 || activeFor > most) {
+		return fmt.Errorf("Period %d needs ActiveFor in 1..%d, have %d", period, most, activeFor)
+	}
+	return nil
+}
+
+// checkTags refuses an empty tag, which no payload carries, and a repeated
+// one: either is an authoring typo.
+func checkTags(tags []string) error {
+	for i, tag := range tags {
+		if tag == "" {
+			return errors.New("empty tag never matches any message")
+		}
+		if slices.Contains(tags[:i], tag) {
+			return fmt.Errorf("duplicate tag %q", tag)
+		}
+	}
+	return nil
+}
+
+// checkGroups refuses, in a split into groups (what names one in errors), an
+// empty group, which compiles to nothing, a process outside 1..n or equal to
+// victim, and one listed twice, which compileGroups would resolve last-wins.
+func checkGroups(groups [][]model.ProcID, n int, victim model.ProcID, what string) error {
+	seen := make(map[model.ProcID]int)
+	for gi, g := range groups {
+		if len(g) == 0 {
+			return fmt.Errorf("%s %d is empty", what, gi)
+		}
+		for _, proc := range g {
+			switch prev, dup := seen[proc]; {
+			case proc < 1 || int(proc) > n:
+				return fmt.Errorf("process %d outside 1..%d", proc, n)
+			case proc == victim:
+				return fmt.Errorf("victim %d cannot be its own receiver group member", proc)
+			case dup && prev == gi:
+				return fmt.Errorf("process %d listed twice in %s %d", proc, what, gi)
+			case dup:
+				return fmt.Errorf("process %d in both %s %d and group %d", proc, what, prev, gi)
+			}
+			seen[proc] = gi
+		}
+	}
+	return nil
 }
 
 // compiledRule is a Rule with its link selectors resolved into constant-time
@@ -437,13 +493,17 @@ type compiledRule struct {
 }
 
 func (cr *compiledRule) activeAt(at int64) bool {
-	if at < cr.From || (cr.Until != 0 && at >= cr.Until) {
-		return false
-	}
-	if cr.Period > 0 {
-		return (at-cr.From)%cr.Period < cr.ActiveFor
-	}
-	return true
+	return inWindow(at, cr.From, cr.Until) && (cr.Period == 0 || (at-cr.From)%cr.Period < cr.ActiveFor)
+}
+
+// inWindow reports whether tick at lies in a window [from, until) (until 0: ∞).
+func inWindow(at, from, until int64) bool {
+	return at >= from && (until == 0 || at < until)
+}
+
+// tagMatches reports whether a rule's Tags select tag; no Tags select all.
+func tagMatches(tags []string, tag string) bool {
+	return len(tags) == 0 || slices.Contains(tags, tag)
 }
 
 // healAt returns when a Hold rule active at time at releases its messages:
@@ -461,7 +521,7 @@ func (cr *compiledRule) healAt(at int64) int64 {
 }
 
 func (cr *compiledRule) matches(from, to model.ProcID, tag string) bool {
-	if len(cr.Tags) > 0 && !slices.Contains(cr.Tags, tag) {
+	if !tagMatches(cr.Tags, tag) {
 		return false
 	}
 	if cr.Links.Empty() {
@@ -531,19 +591,38 @@ type Plane struct {
 	mu  sync.Mutex
 	seq node.Table[uint64] // per directed link: the messages it has carried
 
-	// Fate counters, incremented once per decided message from the final
-	// decision (never per rule), so composed rules do not double-count.
-	cDecided    obs.Counter
-	cDropped    obs.Counter
-	cHeld       obs.Counter
-	cDuplicated obs.Counter
-	cReordered  obs.Counter
-	cShapedWait obs.Counter // total extra-delay ticks assigned
-	// Byzantine fate counters, registered and reported only for plans that
-	// carry Byz rules (so byz-free runs keep byte-identical metrics).
-	cCorrupted   obs.Counter
-	cEquivocated obs.Counter
-	cReplayed    obs.Counter
+	fates [numFates]obs.Counter
+}
+
+// The plane's fate counters, indices into Plane.fates in name order. The
+// network fates are counted once per decided message from the final decision
+// (never per rule), so composed rules do not double-count. The Byzantine
+// fates lead, and are registered and reported only for plans that carry Byz
+// rules (so byz-free runs keep byte-identical metrics).
+const (
+	fateCorrupted = iota
+	fateEquivocated
+	fateReplayed
+	fateDecided
+	fateDropped
+	fateDuplicated
+	fateExtraDelay // total extra-delay ticks assigned
+	fateHeld
+	fateReordered
+	numFates
+)
+
+// fateNames are the names the plane's fate counters report under.
+var fateNames = [numFates]string{
+	"plane_byz_corrupted_total",
+	"plane_byz_equivocated_total",
+	"plane_byz_replayed_total",
+	"plane_decided_total",
+	"plane_dropped_total",
+	"plane_duplicated_total",
+	"plane_extra_delay_ticks_total",
+	"plane_held_ticks_total",
+	"plane_reordered_total",
 }
 
 // NewPlane instantiates plan for a cluster of n processes, deriving all
@@ -580,48 +659,29 @@ func NewPlane(plan Plan, n int, seed int64) *Plane {
 	return pl
 }
 
-// namedCounter is one fate counter of a plane and the name it reports under.
-type namedCounter struct {
-	name string
-	c    *obs.Counter
-}
-
-// counters lists the plane's fate counters in name order, with the index of
-// the first one the plane reports: the three plane_byz_* counters lead the
-// list and are reported only for plans that carry Byz rules.
-func (pl *Plane) counters() (all [9]namedCounter, first int) {
-	all = [...]namedCounter{
-		{"plane_byz_corrupted_total", &pl.cCorrupted},
-		{"plane_byz_equivocated_total", &pl.cEquivocated},
-		{"plane_byz_replayed_total", &pl.cReplayed},
-		{"plane_decided_total", &pl.cDecided},
-		{"plane_dropped_total", &pl.cDropped},
-		{"plane_duplicated_total", &pl.cDuplicated},
-		{"plane_extra_delay_ticks_total", &pl.cShapedWait},
-		{"plane_held_ticks_total", &pl.cHeld},
-		{"plane_reordered_total", &pl.cReordered},
-	}
+// firstFate is the first of the fates the plane reports: the Byzantine ones
+// only for a plan that carries Byz rules.
+func (pl *Plane) firstFate() int {
 	if len(pl.plan.Byz) == 0 {
-		first = 3
+		return fateDecided
 	}
-	return all, first
+	return fateCorrupted
 }
 
 // Register exposes the plane's fate counters through reg under plane_*
 // names. A no-op on a nil registry.
 func (pl *Plane) Register(reg *obs.Registry) {
-	all, first := pl.counters()
-	for _, nc := range all[first:] {
-		reg.RegisterCounter(nc.name, nc.c)
+	for f := pl.firstFate(); f < numFates; f++ {
+		reg.RegisterCounter(fateNames[f], &pl.fates[f])
 	}
 }
 
 // Metrics returns a name-sorted snapshot of the plane's fate counters.
 func (pl *Plane) Metrics() obs.Metrics {
-	all, first := pl.counters()
-	ms := make(obs.Metrics, 0, len(all)-first)
-	for _, nc := range all[first:] {
-		ms = append(ms, obs.Metric{Name: nc.name, Kind: obs.KindCounter, Value: nc.c.Value()})
+	first := pl.firstFate()
+	ms := make(obs.Metrics, 0, numFates-first)
+	for f := first; f < numFates; f++ {
+		ms = append(ms, obs.Metric{Name: fateNames[f], Kind: obs.KindCounter, Value: pl.fates[f].Value()})
 	}
 	return ms
 }
@@ -629,27 +689,27 @@ func (pl *Plane) Metrics() obs.Metrics {
 // ByzFates returns how many messages the plane has corrupted, equivocated,
 // and replayed so far.
 func (pl *Plane) ByzFates() (corrupted, equivocated, replayed int64) {
-	return pl.cCorrupted.Value(), pl.cEquivocated.Value(), pl.cReplayed.Value()
+	return pl.fates[fateCorrupted].Value(), pl.fates[fateEquivocated].Value(), pl.fates[fateReplayed].Value()
 }
 
 // count tallies the final decision of one message. It reads no PRNG state,
 // so observing a run cannot perturb its fates.
 func (pl *Plane) count(dec node.LinkDecision, held int64) {
-	pl.cDecided.Inc()
+	pl.fates[fateDecided].Inc()
 	if dec.Drop {
-		pl.cDropped.Inc()
+		pl.fates[fateDropped].Inc()
 	}
 	if held > 0 {
-		pl.cHeld.Add(held)
+		pl.fates[fateHeld].Add(held)
 	}
 	if dec.Duplicates > 0 {
-		pl.cDuplicated.Add(int64(dec.Duplicates))
+		pl.fates[fateDuplicated].Add(int64(dec.Duplicates))
 	}
 	if dec.Reorder {
-		pl.cReordered.Inc()
+		pl.fates[fateReordered].Inc()
 	}
 	if dec.ExtraDelay > 0 {
-		pl.cShapedWait.Add(dec.ExtraDelay)
+		pl.fates[fateExtraDelay].Add(dec.ExtraDelay)
 	}
 }
 
@@ -678,7 +738,7 @@ func (pl *Plane) Decide(from, to model.ProcID, p node.Payload, at int64) node.Li
 	}
 	anyByz := false
 	for i := range pl.byzRules {
-		if pl.byzRules[i].activeAt(at) && pl.byzRules[i].matches(from, p.Tag) {
+		if pl.byzRules[i].matches(from, p.Tag, at) {
 			anyByz = true
 			break
 		}

@@ -174,6 +174,8 @@ func TestPlanValidate(t *testing.T) {
 			Groups: [][]model.ProcID{{1}, {2}},
 		}}}}, "no effect"},
 		{"fully zero rule", Plan{Rules: []Rule{{}}}, "no effect"},
+		{"empty tag", Plan{Rules: []Rule{{Drop: 0.5, Tags: []string{""}}}}, "empty tag never matches"},
+		{"repeated tag", Plan{Rules: []Rule{{Drop: 0.5, Tags: []string{"a", "a"}}}}, `duplicate tag "a"`},
 	}
 	for _, tt := range bad {
 		err := tt.plan.Validate(5)
@@ -201,7 +203,10 @@ func TestPlanValidate(t *testing.T) {
 // naming the field Validate must refuse. The first three used to pass: the
 // Hold promised delivery and its message was reported parked (its ready time
 // wrapped), the jitter carried the run's clock to 6.76·10¹⁸, and the shaped
-// link's backlog overflowed.
+// link's backlog overflowed. So did the ghost and the storm, once the network
+// rules were bounded: the ghost's ready time wrapped negative and parked its
+// link behind it, and the storm's next window, at + Period, wrapped to a tick
+// already past, so the simulator ran the skipped window again forever.
 var overflowPlans = []struct {
 	field string
 	plan  Plan
@@ -211,6 +216,11 @@ var overflowPlans = []struct {
 	{"QueueDelay", Plan{Name: "shaped-forever", Rules: []Rule{{QueueDelay: math.MaxInt64 - 3}}}},
 	{"From", Plan{Name: "late-cut", Rules: []Rule{{Cut: true, From: host.MaxDelay + 1}}}},
 	{"Period", Plan{Name: "slow-blink", Rules: []Rule{{Cut: true, Period: host.MaxDelay + 1, ActiveFor: 1}}}},
+	{"ReplayDelay", Plan{Name: "ghost", Byz: []ByzRule{{Victim: 1, Replay: 1, ReplayDelay: math.MaxInt64}}}},
+	{"Until", Plan{Name: "late-liar", Byz: []ByzRule{{Victim: 1, Corrupt: 1, Until: host.MaxDelay + 1}}}},
+	{"Period", Plan{Name: "storm", Procs: []ProcRule{{Proc: 1, CrashAt: 5, Period: math.MaxInt64 - 1, ActiveFor: 1000}}}},
+	{"CrashAt", Plan{Name: "late-crash", Procs: []ProcRule{{Proc: 1, CrashAt: host.MaxDelay + 1}}}},
+	{"RestartAt", Plan{Name: "late-restart", Procs: []ProcRule{{Proc: 1, CrashAt: 5, RestartAt: math.MaxInt64}}}},
 }
 
 // TestPlanValidateBoundsTicks: a tick or a delay above host.MaxDelay (2⁴⁰)
@@ -228,6 +238,10 @@ func TestPlanValidateBoundsTicks(t *testing.T) {
 		{JitterMax: top},
 		{QueueDelay: top},
 		{Cut: true, Period: top, ActiveFor: 1},
+	}, Byz: []ByzRule{
+		{Victim: 1, Replay: 1, ReplayDelay: top, From: top - 1, Until: top},
+	}, Procs: []ProcRule{
+		{Proc: 2, CrashAt: top - 1, Period: top, ActiveFor: top - 1, Until: top},
 	}}
 	if err := ok.Validate(2); err != nil {
 		t.Errorf("plan at the bound rejected: %v", err)

@@ -143,7 +143,7 @@ func (mp *mapPlane) Decide(from, to model.ProcID, p node.Payload, at int64) node
 	}
 	anyByz := false
 	for i := range mp.byzRules {
-		if mp.byzRules[i].activeAt(at) && mp.byzMatches(i, from, p.Tag) {
+		if inWindow(at, mp.byzRules[i].From, mp.byzRules[i].Until) && mp.byzMatches(i, from, p.Tag) {
 			anyByz = true
 			break
 		}
@@ -206,7 +206,7 @@ func (mp *mapPlane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p no
 	anyReplay := false
 	for bi := range mp.byzRules {
 		cb := &mp.byzRules[bi]
-		if !cb.activeAt(at) || !mp.byzMatches(bi, from, p.Tag) {
+		if !inWindow(at, cb.From, cb.Until) || !mp.byzMatches(bi, from, p.Tag) {
 			continue
 		}
 		brng := newByzStream(mp.seed, bi, from, to, idx)
@@ -216,16 +216,16 @@ func (mp *mapPlane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p no
 		if g, ok := mp.byzGroupOf[bi][to]; ok && g > 0 {
 			wire = equivocatePayload(wire, from, g, mp.n)
 			dec.Replace = &node.Replacement{Payload: wire, Note: "equiv=g" + strconv.Itoa(g)}
-			mp.cEquivocated.Inc()
+			mp.fates[fateEquivocated].Inc()
 		} else if cb.Corrupt > 0 && corruptRoll < cb.Corrupt {
 			wire = corruptPayload(wire, delta, mp.n)
 			dec.Replace = &node.Replacement{Payload: wire, Note: "corrupt"}
-			mp.cCorrupted.Inc()
+			mp.fates[fateCorrupted].Inc()
 		}
 		if cb.Replay > 0 && replayRoll < cb.Replay {
 			if mem, ok := mp.replayMem[byzKey{rule: bi, link: link}]; ok {
 				dec.Replay = &node.ReplayedCopy{Payload: mem, Delay: cb.ReplayDelay}
-				mp.cReplayed.Inc()
+				mp.fates[fateReplayed].Inc()
 			}
 		}
 		if cb.Replay > 0 {
@@ -237,7 +237,7 @@ func (mp *mapPlane) applyByz(dec *node.LinkDecision, from, to model.ProcID, p no
 	}
 	for bi := range mp.byzRules {
 		cb := &mp.byzRules[bi]
-		if cb.Replay > 0 && cb.activeAt(at) && mp.byzMatches(bi, from, p.Tag) {
+		if cb.Replay > 0 && inWindow(at, cb.From, cb.Until) && mp.byzMatches(bi, from, p.Tag) {
 			mp.replayMem[byzKey{rule: bi, link: link}] = wire
 		}
 	}

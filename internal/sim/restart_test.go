@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"failstop/internal/model"
@@ -277,6 +279,25 @@ func TestRestartUnboundedNeedsHorizon(t *testing.T) {
 	New(Config{
 		N: 2, Seed: 1,
 		Lifetimes: []recovery.Lifetime{{Proc: 2, Crash: 10, Restart: 20, Period: 100}},
+		Recovery:  recovery.Amnesia,
+	})
+}
+
+// TestNewRefusesStormPastTheClock: a lifetime given without a plan skips
+// Plan.Validate, so New itself refuses a Period above host.MaxDelay. Run, had
+// it been called, would not return: the window after a skipped one starts at
+// at + Period, which wraps negative and is due at once, again and again,
+// recording nothing, so neither MaxEvents nor MaxTime ends the run.
+func TestNewRefusesStormPastTheClock(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "sim: lifetime 0 has Period 9223372036854775806, above") {
+			t.Errorf("New panicked with %q, want the lifetime's Period named", msg)
+		}
+	}()
+	New(Config{
+		N: 5, Seed: 1, MaxTime: 500,
+		Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: 5, Restart: 1005, Period: math.MaxInt64 - 1}},
 		Recovery:  recovery.Amnesia,
 	})
 }

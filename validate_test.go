@@ -1,6 +1,7 @@
 package failstop_test
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -136,5 +137,28 @@ func TestEntryPointsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOptionsValidateBoundsPlanTicks: a tick above 2⁴⁰ in a plan's Byzantine
+// or process rule is refused before any run, naming the rule kind, its index
+// and the field. Neither plan is run here: the ghost's ready time wraps
+// negative, so its link reads as parked and an original is never delivered,
+// and the storm's next window wraps to a tick already past, so sim.Run runs
+// the skipped window again forever and never returns.
+func TestOptionsValidateBoundsPlanTicks(t *testing.T) {
+	for _, tc := range []struct {
+		plan failstop.FaultPlan
+		want string
+	}{
+		{failstop.FaultPlan{Name: "ghost", Byz: []failstop.ByzFaultRule{{Victim: 1, Replay: 1, ReplayDelay: math.MaxInt64}}},
+			`failstop: Options.Faults: netadv: byz rule 0 of plan "ghost": ReplayDelay 9223372036854775807 exceeds`},
+		{failstop.FaultPlan{Name: "storm", Procs: []failstop.ProcFaultRule{{Proc: 1, CrashAt: 5, Period: math.MaxInt64 - 1, ActiveFor: 1000}}},
+			`failstop: Options.Faults: netadv: proc rule 0 of plan "storm": Period 9223372036854775806 exceeds`},
+	} {
+		opts := failstop.Options{N: 5, T: 2, MaxTime: 500, Recovery: failstop.RecoveryAmnesia, Faults: &tc.plan}
+		if err := opts.Validate(); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("plan %q: Options.Validate = %v, want %q…", tc.plan.Name, err, tc.want)
+		}
 	}
 }
