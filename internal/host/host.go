@@ -112,7 +112,7 @@ func (c *Core) each(f func(name string, ctr *obs.Counter)) {
 }
 
 // Init checks the process count n, before the host sizes anything by it, and
-// the lifetimes against it and MaxDelay (who, the host, prefixes every panic
+// the lifetimes against it and 0..MaxDelay (who, the host, prefixes every panic
 // of the core), gives durable recovery its default store, and registers the
 // counters in reg.
 func (c *Core) Init(who string, n int, reg *obs.Registry) {
@@ -126,13 +126,14 @@ func (c *Core) Init(who string, n int, reg *obs.Registry) {
 		}
 		// A crash window's next start is a sum of these ticks: above MaxDelay
 		// it can wrap negative, and a storm's skipped window is due again at
-		// once, forever.
+		// once, forever. A negative Crash makes a terminal crash (Restart 0)
+		// restart Restart - Crash ticks later.
 		for _, f := range [...]struct {
 			name string
 			v    int64
 		}{{"Crash", l.Crash}, {"Restart", l.Restart}, {"Period", l.Period}, {"Until", l.Until}} {
-			if f.v > MaxDelay {
-				panic(fmt.Sprintf("%s: lifetime %d has %s %d, above %d ticks (2^40: the clock must not overflow)", who, i, f.name, f.v, int64(MaxDelay)))
+			if f.v < 0 || f.v > MaxDelay {
+				panic(fmt.Sprintf("%s: lifetime %d has %s %d, outside 0..%d ticks (2^40: the clock must not overflow)", who, i, f.name, f.v, int64(MaxDelay)))
 			}
 		}
 	}

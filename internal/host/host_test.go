@@ -103,8 +103,10 @@ func TestInitRejectsStrayLifetime(t *testing.T) {
 	c.Init("test", 2, nil)
 }
 
-// TestInitBoundsLifetimeTicks: each tick of a lifetime above MaxDelay is
-// refused naming its field, and one at the bound is accepted.
+// TestInitBoundsLifetimeTicks: each tick of a lifetime that is negative or
+// above MaxDelay is refused naming its field, and one at either bound is
+// accepted. A negative Crash used to turn a terminal crash into a restart at
+// tick 0, and a Period above the bound to spin a host.
 func TestInitBoundsLifetimeTicks(t *testing.T) {
 	const top = host.MaxDelay
 	for _, tc := range []struct {
@@ -112,6 +114,8 @@ func TestInitBoundsLifetimeTicks(t *testing.T) {
 		lt    recovery.Lifetime
 	}{
 		{"Crash", recovery.Lifetime{Proc: 1, Crash: top + 1}},
+		{"Crash", recovery.Lifetime{Proc: 1, Crash: -5}},
+		{"Restart", recovery.Lifetime{Proc: 1, Crash: 5, Restart: -3}},
 		{"Restart", recovery.Lifetime{Proc: 1, Crash: 1, Restart: top + 1}},
 		{"Period", recovery.Lifetime{Proc: 1, Crash: 5, Restart: 1005, Period: math.MaxInt64 - 1}},
 		{"Until", recovery.Lifetime{Proc: 1, Crash: 5, Restart: 6, Period: 10, Until: math.MaxInt64}},
@@ -121,7 +125,7 @@ func TestInitBoundsLifetimeTicks(t *testing.T) {
 			t.Errorf("Init(%+v) panicked with %q, want %s named", tc.lt, got, tc.field)
 		}
 	}
-	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 1, Crash: top - 2, Restart: top - 1, Period: top, Until: top}}}
+	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{{Proc: 1}, {Proc: 2, Crash: top - 2, Restart: top - 1, Period: top, Until: top}}}
 	if got := panicOf(func() { c.Init("test", 2, nil) }); got != "" {
 		t.Errorf("Init at the bound panicked: %s", got)
 	}
