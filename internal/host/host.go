@@ -12,6 +12,7 @@
 package host
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -128,13 +129,8 @@ func (c *Core) Init(who string, n int, reg *obs.Registry) {
 		// it can wrap negative, and a storm's skipped window is due again at
 		// once, forever. A negative Crash makes a terminal crash (Restart 0)
 		// restart Restart - Crash ticks later.
-		for _, f := range [...]struct {
-			name string
-			v    int64
-		}{{"Crash", l.Crash}, {"Restart", l.Restart}, {"Period", l.Period}, {"Until", l.Until}} {
-			if f.v < 0 || f.v > MaxDelay {
-				panic(fmt.Sprintf("%s: lifetime %d has %s %d, outside 0..%d ticks (2^40: the clock must not overflow)", who, i, f.name, f.v, int64(MaxDelay)))
-			}
+		if err := cmp.Or(CheckTick("Crash", l.Crash), CheckTick("Restart", l.Restart), CheckTick("Period", l.Period), CheckTick("Until", l.Until)); err != nil {
+			panic(fmt.Sprintf("%s: lifetime %d: %v", who, i, err))
 		}
 	}
 	if c.Recovery == recovery.Durable && c.Store == nil {
@@ -168,6 +164,22 @@ func (c *Core) CheckSend(from, to model.ProcID) {
 // simulator's default MaxEvents (2²⁰) no run under this bound carries it past
 // 2⁶⁰.
 const MaxDelay = 1 << 40
+
+// CheckTick refuses a tick of a fault plan or a lifetime, named name in the
+// error, that is negative or above MaxDelay. Every such tick is a summand of
+// some message's ready time or of a crash window's next start: above MaxDelay
+// the sum can wrap past the last tick, and a held message would read as parked
+// or a storm as always due. Plan validation and Init both check with it, so
+// they cannot disagree about what a valid tick is.
+func CheckTick(name string, v int64) error {
+	switch {
+	case v < 0:
+		return fmt.Errorf("negative %s %d", name, v)
+	case v > MaxDelay:
+		return fmt.Errorf("%s %d exceeds %d ticks (2^40: the clock must not overflow)", name, v, int64(MaxDelay))
+	}
+	return nil
+}
 
 // CheckTimer panics on a timer delay above MaxDelay: its deadline would wrap
 // past the last tick a clock holds and read as already due.

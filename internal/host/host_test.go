@@ -121,7 +121,7 @@ func TestInitBoundsLifetimeTicks(t *testing.T) {
 		{"Until", recovery.Lifetime{Proc: 1, Crash: 5, Restart: 6, Period: 10, Until: math.MaxInt64}},
 	} {
 		c := host.Core{Names: host.MetricNames("x_"), Lifetimes: []recovery.Lifetime{tc.lt}}
-		if got := panicOf(func() { c.Init("test", 2, nil) }); !strings.Contains(got, "test: lifetime 0 has "+tc.field+" ") {
+		if got := panicOf(func() { c.Init("test", 2, nil) }); !strings.HasPrefix(got, "test: lifetime 0: ") || !strings.Contains(got, " "+tc.field+" ") {
 			t.Errorf("Init(%+v) panicked with %q, want %s named", tc.lt, got, tc.field)
 		}
 	}

@@ -27,7 +27,7 @@ func TestGuardsHold(t *testing.T) {
 
 // TestGuardPlants builds, in a temporary directory, the smallest module the
 // table passes: each Once string in a file of its own, each Count row's first
-// scope with its N matching lines (a directory's in its plant.go), every
+// scope with its N matching lines (a directory's in its count.go), every
 // scope present. Then it plants a violation of each row in turn — a second
 // copy of a Once string, a line matching a Retired or an extra one matching a
 // Count pattern in the row's first scope,
@@ -46,8 +46,17 @@ func TestGuardPlants(t *testing.T) {
 		case Once:
 			write(t, root, fmt.Sprintf("once/%02d.go", i), "package x\n\n// "+g.Pattern+"\n")
 		case Count:
+			// A directory's matching lines get a file of their own: they are
+			// not Go, and an import planted in its plant.go must still parse.
 			f := plantFile(g.Scope[0])
-			write(t, root, f, read(t, root, f)+strings.Repeat(example(t, g.Pattern)+"\n", g.N))
+			if f != g.Scope[0] {
+				f = path.Join(g.Scope[0], "count.go")
+			}
+			text, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(f)))
+			if err != nil {
+				text = []byte("package x\n")
+			}
+			write(t, root, f, string(text)+strings.Repeat(example(t, g.Pattern)+"\n", g.N))
 		}
 	}
 	fires := func(t *testing.T, row int) {

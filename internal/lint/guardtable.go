@@ -72,8 +72,9 @@ var Guards = []Guard{
 	{Kind: Count, Pattern: `MaxTime (==|<=) 0`, Scope: []string{"cmd/sfs-sim/main.go"}, N: 1, Reason: "sfs-sim tests a zero -maxtime once, to add the 5,000-tick horizon where Validate asks for one", PR: 30},
 	{Kind: Retired, Pattern: `func (validateStack|stackConfig)`, Scope: []string{"failstop.go"}, Reason: "the facade translates its options once and cluster.Options checks them", PR: 25},
 	// A fault plan's three rule kinds share one definition of each field
-	// check, so they cannot disagree about what a valid tick or group is.
-	{Kind: Count, Pattern: `exceeds %d ticks`, Scope: []string{"internal/netadv"}, N: 1, Reason: "every tick a fault plan names, of any rule kind, is bounded by one check (checkTicks)", PR: 50},
+	// check, so they cannot disagree about what a valid tick or group is; the
+	// hosts bound a lifetime's ticks with the same tick check.
+	{Kind: Count, Pattern: `exceeds %d ticks`, Scope: []string{"internal/host", "internal/netadv"}, N: 2, Reason: "every tick a fault plan names, of any rule kind, or a lifetime names is bounded by one check (host.CheckTick); the other line is a timer's (host.Core.CheckTimer)", PR: 50},
 	{Kind: Count, Pattern: `%d is empty`, Scope: []string{"internal/netadv"}, N: 1, Reason: "a partition's groups and an equivocation's groups are checked by one function (checkGroups)", PR: 50},
 	// Neither host imports the other (the full import path: the standard
 	// library has an internal/runtime of its own), and the shared core is

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"failstop/internal/byz"
+	"failstop/internal/host"
 	"failstop/internal/model"
 	"failstop/internal/node"
 )
@@ -69,9 +70,9 @@ func (p Plan) validateByz(b ByzRule, n int) error {
 		return fmt.Errorf("victim %d outside 1..%d", b.Victim, n)
 	}
 	if err := cmp.Or(
-		checkTicks([]field[int64]{{"From", b.From}, {"Until", b.Until}, {"ReplayDelay", b.ReplayDelay}}),
+		host.CheckTick("From", b.From), host.CheckTick("Until", b.Until), host.CheckTick("ReplayDelay", b.ReplayDelay),
 		checkWindow(b.From, b.Until),
-		checkProbs([]field[float64]{{"Corrupt", b.Corrupt}, {"Replay", b.Replay}}),
+		checkProb("Corrupt", b.Corrupt), checkProb("Replay", b.Replay),
 		checkTags(b.Tags),
 		checkGroups(b.Equivocate, n, b.Victim, "equivocation group"),
 	); err != nil {

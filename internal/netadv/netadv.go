@@ -314,9 +314,10 @@ func (p Plan) ruleError(kind string, i int, err error) error {
 // topology, if the plan names one, is top.
 func (r Rule) validate(n int, top *topo.Topology) error {
 	if err := cmp.Or(
-		checkTicks([]field[int64]{{"From", r.From}, {"Until", r.Until}, {"Period", r.Period}, {"JitterMax", r.JitterMax}, {"QueueDelay", r.QueueDelay}}),
+		host.CheckTick("From", r.From), host.CheckTick("Until", r.Until), host.CheckTick("Period", r.Period),
+		host.CheckTick("JitterMax", r.JitterMax), host.CheckTick("QueueDelay", r.QueueDelay),
 		checkWindow(r.From, r.Until),
-		checkProbs([]field[float64]{{"Drop", r.Drop}, {"Duplicate", r.Duplicate}, {"Reorder", r.Reorder}}),
+		checkProb("Drop", r.Drop), checkProb("Duplicate", r.Duplicate), checkProb("Reorder", r.Reorder),
 		checkPeriod(r.Period, r.ActiveFor, r.Period),
 		checkTags(r.Tags),
 		checkGroups(r.Links.Groups, n, model.None, "group"),
@@ -368,8 +369,12 @@ func (r ProcRule) validate(n int) error {
 		return fmt.Errorf("process %d outside 1..%d", r.Proc, n)
 	}
 	if err := cmp.Or(
-		checkTicks([]field[int64]{{"CrashAt", r.CrashAt}, {"RestartAt", r.RestartAt}, {"Period", r.Period}, {"ActiveFor", r.ActiveFor}, {"Until", r.Until}}),
+		host.CheckTick("CrashAt", r.CrashAt), host.CheckTick("RestartAt", r.RestartAt), host.CheckTick("Period", r.Period),
+		host.CheckTick("ActiveFor", r.ActiveFor), host.CheckTick("Until", r.Until),
 		checkPeriod(r.Period, r.ActiveFor, r.Period-1),
+		// A periodic rule's first restart, its Lifetime's Restart, is a tick
+		// the host bounds too. Each summand is bounded above, so it cannot wrap.
+		host.CheckTick("CrashAt+ActiveFor", r.CrashAt+r.ActiveFor),
 	); err != nil {
 		return err
 	}
@@ -386,28 +391,6 @@ func (r ProcRule) validate(n int) error {
 	return nil
 }
 
-// field is a tick or probability field of a rule, named as its errors name it.
-type field[T int64 | float64] struct {
-	name string
-	v    T
-}
-
-// checkTicks refuses a negative tick and one above host.MaxDelay. Every tick
-// a rule names is a summand of some message's ready time or of a crash
-// window's next start: above host.MaxDelay the sum can wrap past the last
-// tick, and a held message would read as parked or a storm as always due.
-func checkTicks(ts []field[int64]) error {
-	for _, t := range ts {
-		if t.v < 0 {
-			return fmt.Errorf("negative %s %d", t.name, t.v)
-		}
-		if t.v > host.MaxDelay {
-			return fmt.Errorf("%s %d exceeds %d ticks (2^40: the clock must not overflow)", t.name, t.v, int64(host.MaxDelay))
-		}
-	}
-	return nil
-}
-
 // checkWindow refuses an Until (0: never) that does not come after From.
 func checkWindow(from, until int64) error {
 	if until != 0 && until <= from {
@@ -416,12 +399,10 @@ func checkWindow(from, until int64) error {
 	return nil
 }
 
-// checkProbs refuses a probability outside [0,1].
-func checkProbs(ps []field[float64]) error {
-	for _, p := range ps {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("%s=%v outside [0,1]", p.name, p.v)
-		}
+// checkProb refuses a probability outside [0,1].
+func checkProb(name string, v float64) error {
+	if v < 0 || v > 1 {
+		return fmt.Errorf("%s=%v outside [0,1]", name, v)
 	}
 	return nil
 }

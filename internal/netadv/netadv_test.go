@@ -206,7 +206,9 @@ func TestPlanValidate(t *testing.T) {
 // link's backlog overflowed. So did the ghost and the storm, once the network
 // rules were bounded: the ghost's ready time wrapped negative and parked its
 // link behind it, and the storm's next window, at + Period, wrapped to a tick
-// already past, so the simulator ran the skipped window again forever.
+// already past, so the simulator ran the skipped window again forever. The
+// late storm's ticks were each in bounds, but its first restart, CrashAt +
+// ActiveFor, was not: it passed Validate, and host.Core.Init panicked.
 var overflowPlans = []struct {
 	field string
 	plan  Plan
@@ -221,10 +223,13 @@ var overflowPlans = []struct {
 	{"Period", Plan{Name: "storm", Procs: []ProcRule{{Proc: 1, CrashAt: 5, Period: math.MaxInt64 - 1, ActiveFor: 1000}}}},
 	{"CrashAt", Plan{Name: "late-crash", Procs: []ProcRule{{Proc: 1, CrashAt: host.MaxDelay + 1}}}},
 	{"RestartAt", Plan{Name: "late-restart", Procs: []ProcRule{{Proc: 1, CrashAt: 5, RestartAt: math.MaxInt64}}}},
+	{"CrashAt+ActiveFor", Plan{Name: "late-storm", Procs: []ProcRule{{Proc: 1, CrashAt: host.MaxDelay, Period: 10, ActiveFor: 5}}}},
 }
 
 // TestPlanValidateBoundsTicks: a tick or a delay above host.MaxDelay (2⁴⁰)
-// is refused naming its field, and one at the bound is accepted.
+// is refused naming its field, and one at the bound is accepted, by Validate
+// and then by host.Core.Init, which bounds the lifetimes a plan's process
+// rules become (a periodic rule's Restart is CrashAt+ActiveFor).
 func TestPlanValidateBoundsTicks(t *testing.T) {
 	for _, tt := range overflowPlans {
 		err := tt.plan.Validate(2)
@@ -241,11 +246,19 @@ func TestPlanValidateBoundsTicks(t *testing.T) {
 	}, Byz: []ByzRule{
 		{Victim: 1, Replay: 1, ReplayDelay: top, From: top - 1, Until: top},
 	}, Procs: []ProcRule{
-		{Proc: 2, CrashAt: top - 1, Period: top, ActiveFor: top - 1, Until: top},
+		{Proc: 1, CrashAt: top - 1, RestartAt: top},
+		{Proc: 2, CrashAt: 1, Period: top, ActiveFor: top - 1, Until: top},
 	}}
 	if err := ok.Validate(2); err != nil {
 		t.Errorf("plan at the bound rejected: %v", err)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("host.Core.Init refused the lifetimes of a plan at the bound: %v", r)
+		}
+	}()
+	c := host.Core{Names: host.MetricNames("x_"), Lifetimes: ok.Lifetimes()}
+	c.Init("test", 2, nil)
 }
 
 func TestProcRuleValidate(t *testing.T) {

@@ -291,7 +291,7 @@ func TestRestartUnboundedNeedsHorizon(t *testing.T) {
 func TestNewRefusesStormPastTheClock(t *testing.T) {
 	defer func() {
 		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "sim: lifetime 0 has Period 9223372036854775806, outside") {
+		if !strings.Contains(msg, "sim: lifetime 0: Period 9223372036854775806 exceeds") {
 			t.Errorf("New panicked with %q, want the lifetime's Period named", msg)
 		}
 	}()

@@ -155,6 +155,8 @@ func TestOptionsValidateBoundsPlanTicks(t *testing.T) {
 			`failstop: Options.Faults: netadv: byz rule 0 of plan "ghost": ReplayDelay 9223372036854775807 exceeds`},
 		{failstop.FaultPlan{Name: "storm", Procs: []failstop.ProcFaultRule{{Proc: 1, CrashAt: 5, Period: math.MaxInt64 - 1, ActiveFor: 1000}}},
 			`failstop: Options.Faults: netadv: proc rule 0 of plan "storm": Period 9223372036854775806 exceeds`},
+		{failstop.FaultPlan{Name: "late-storm", Procs: []failstop.ProcFaultRule{{Proc: 1, CrashAt: 1 << 40, Period: 10, ActiveFor: 5}}},
+			`failstop: Options.Faults: netadv: proc rule 0 of plan "late-storm": CrashAt+ActiveFor 1099511627781 exceeds`},
 	} {
 		opts := failstop.Options{N: 5, T: 2, MaxTime: 500, Recovery: failstop.RecoveryAmnesia, Faults: &tc.plan}
 		if err := opts.Validate(); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
