@@ -161,22 +161,14 @@ func checkSpans(hdr trace.Header, spans []obs.Span) error {
 	return nil
 }
 
-// spanKinds fixes the rendering order of spanKindCounts: the lifecycle
-// stages in causal order, detections last.
-var spanKinds = []obs.SpanKind{
-	obs.SpanSend, obs.SpanFate, obs.SpanEnqueue, obs.SpanDeliver,
-	obs.SpanDrop, obs.SpanRetransmit, obs.SpanSuspect, obs.SpanCrashConfirm,
-	obs.SpanRestart,
-}
-
-// spanKindCounts renders " kind=n" pairs in lifecycle order.
+// spanKindCounts renders " kind=n" pairs in obs.SpanKinds order.
 func spanKindCounts(spans []obs.Span) string {
 	counts := map[obs.SpanKind]int{}
 	for _, s := range spans {
 		counts[s.Kind]++
 	}
 	var b strings.Builder
-	for _, k := range spanKinds {
+	for _, k := range obs.SpanKinds {
 		if counts[k] > 0 {
 			fmt.Fprintf(&b, " %s=%d", k, counts[k])
 		}

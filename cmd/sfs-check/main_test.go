@@ -159,6 +159,61 @@ func TestCheckByzantineTrace(t *testing.T) {
 	}
 }
 
+// TestCheckSpanSummaryNamesEveryKind: the per-kind span summary covers every
+// kind obs defines. A scripted Byzantine run records convictions, whose
+// byz-detect spans a private list of kinds once left out, so the counts the
+// summary printed did not add up to the span total.
+func TestCheckSpanSummaryNamesEveryKind(t *testing.T) {
+	plan, err := failstop.BuiltinFaultPlan("byzantine-minority", 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := failstop.NewCluster(failstop.Options{
+		N: 5, T: 2, Seed: 1, MaxTime: 3000,
+		Faults:    &plan,
+		Byzantine: failstop.ByzantineOptions{Enabled: true},
+		Spans:     failstop.NewSpanRecorder(1, 1),
+	})
+	c.SuspectAt(30, 5, 3)
+	rep := c.Run()
+	in := filepath.Join(t.TempDir(), "byz.trace")
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := trace.Header{N: 5, T: 2, Protocol: "sfs", Seed: 1, Plan: plan.Name, FaultPlan: &plan, SpanRate: 1}
+	if err := trace.WriteSpans(f, hdr, rep.History, rep.Spans); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var out bytes.Buffer
+	if code := run([]string{"-in", in}, &out); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, out.String())
+	}
+	_, line, ok := strings.Cut(out.String(), "spans: ")
+	line, _, _ = strings.Cut(line, "\n")
+	total, counts, found := strings.Cut(line, " valid (rate 1):")
+	if !ok || !found {
+		t.Fatalf("no span summary:\n%s", out.String())
+	}
+	sum := 0
+	for _, pair := range strings.Fields(counts) {
+		_, n, _ := strings.Cut(pair, "=")
+		v, err := strconv.Atoi(n)
+		if err != nil {
+			t.Fatalf("summary pair %q: %v", pair, err)
+		}
+		sum += v
+	}
+	if !strings.Contains(counts, " byz-detect=") {
+		t.Errorf("the summary of a run with convictions names no byz-detect spans: %s", line)
+	}
+	if want, _ := strconv.Atoi(total); sum != want || want != len(rep.Spans) {
+		t.Errorf("per-kind counts sum to %d of %s spans (%d recorded): %s", sum, total, len(rep.Spans), line)
+	}
+}
+
 func TestCheckMissingAndBadInputs(t *testing.T) {
 	var out bytes.Buffer
 	if code := run(nil, &out); code != 2 {

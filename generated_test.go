@@ -3,6 +3,7 @@ package failstop_test
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"failstop"
@@ -249,13 +250,24 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	for _, det := range rep.History.Detections() {
 		detected[det.Detected] = true
 	}
+	sfs := true // sFS2a-d all hold: Theorem 5's premise
 	for _, v := range rep.Verdicts {
+		if strings.HasPrefix(v.Property, "sFS2") {
+			sfs = sfs && v.Holds
+		}
 		switch {
 		case v.Property == "sFS2b" && len(detected) > d.opts.T:
 		case v.Property == "sFS2b", v.Property == "sFS2c", v.Property == "sFS2d":
 			if !v.Holds {
 				t.Errorf("%s with %d processes detected\n%v", v, len(detected), d)
 			}
+		}
+	}
+	// Theorem 5: a run that satisfies sFS is indistinguishable from a
+	// fail-stop one. RewriteToFS builds that run and verifies it itself.
+	if sfs {
+		if _, err := failstop.RewriteToFS(rep.Abstract); err != nil {
+			t.Errorf("sFS2a-d hold but no isomorphic fail-stop run: %v\n%v", err, d)
 		}
 	}
 	a := stackDigest(t, d.opts, "", d.inject)

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"failstop/internal/sweep"
 )
@@ -49,57 +48,32 @@ func frac(c *sweep.CellResult, metric string) string {
 // Runner produces a Result.
 type Runner func() Result
 
-// Registry maps experiment ids to their runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"E1":  E1,
-		"E2":  E2,
-		"E3":  E3,
-		"E4":  E4,
-		"E5":  E5,
-		"E6":  E6,
-		"E7":  E7,
-		"E8":  E8,
-		"E9":  E9,
-		"E10": E10,
-		"E11": E11,
-		"E12": E12,
-		"E13": E13,
-		"E14": E14,
-		"E15": E15,
-		"E16": E16,
-		"A1":  A1,
-		"A2":  A2,
-		"A3":  A3,
-	}
+// experiments lists every experiment in order: the paper artifacts E1..E12
+// and the post-paper measurements E13..E16 first, then the ablations A1..A3.
+var experiments = []struct {
+	id  string
+	run Runner
+}{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
+	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12},
+	{"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
+	{"A1", A1}, {"A2", A2}, {"A3", A3},
 }
 
-// IDs returns the experiment ids in order: the paper artifacts E1..E12 and
-// the post-paper measurements E13..E16 first, then the ablations A1..A3.
+// Registry maps experiment ids to their runners.
+func Registry() map[string]Runner {
+	reg := make(map[string]Runner, len(experiments))
+	for _, e := range experiments {
+		reg[e.id] = e.run
+	}
+	return reg
+}
+
+// IDs returns the experiment ids in order.
 func IDs() []string {
-	reg := Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	rank := func(id string) (int, int) {
-		class := 0
-		if id[0] == 'A' {
-			class = 1
-		}
-		num := 0
-		for _, ch := range id[1:] {
-			num = num*10 + int(ch-'0')
-		}
-		return class, num
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ca, na := rank(ids[a])
-		cb, nb := rank(ids[b])
-		if ca != cb {
-			return ca < cb
-		}
-		return na < nb
-	})
 	return ids
 }

@@ -24,58 +24,62 @@ import (
 	"failstop/internal/recovery"
 )
 
+// Counter names one of the instruments every host keeps: an index into its
+// Counters and its Tally. A new counter is one constant, one name in
+// counterNames and its increment.
+type Counter int
+
+// The host counters, in the order they are published and reported. Those from
+// PlanCrashes on count process faults and are reported only for runs that have
+// lifetimes, so fault-free snapshots never grow.
+const (
+	Sent Counter = iota
+	Delivered
+	Dropped
+	Duplicated
+	TimersFired
+	PlanCrashes
+	Restarts
+	Recovered
+	numCounters
+)
+
+// counterNames are the counters' metric names, after the host's prefix.
+var counterNames = [numCounters]string{"sent_total", "delivered_total", "dropped_total",
+	"duplicated_total", "timers_fired_total", "plan_crashes_total", "restarts_total", "recovered_total"}
+
 // Counters are the instruments every host keeps. They are values: zero-cost
 // without a registry, registered by pointer with one. They are atomic, so a
 // registry or Snapshot reads them while the run goes on, and no step writes
 // them: a step counts into its Tally with plain adds, and the host publishes
 // its tallies — the simulator as its clock advances, a live worker after each
-// step — so a reading is as fresh as the last tick or step finished. The
-// process-fault counters are reported only for runs that have lifetimes, so
-// fault-free snapshots never grow.
-type Counters struct {
-	Sent, Delivered, Dropped, Duplicated, TimersFired obs.Counter
-	PlanCrashes, Restarts, Recovered                  obs.Counter
-}
+// step — so a reading is as fresh as the last tick or step finished.
+type Counters [numCounters]obs.Counter
 
 // Tally is what the steps of one writer — the simulator, a live worker — have
 // counted since it last published: the Counters, as plain integers.
-type Tally struct {
-	Sent, Delivered, Dropped, Duplicated, TimersFired int64
-	PlanCrashes, Restarts, Recovered                  int64
-}
+type Tally [numCounters]int64
 
 // Publish adds t into the Counters and zeroes it. Sent goes first, so what one
 // writer has published never shows more receives than sends.
 func (c *Core) Publish(t *Tally) {
-	add := func(ctr *obs.Counter, v int64) {
+	for i, v := range t {
 		if v != 0 {
-			ctr.Add(v)
+			c.Counters[i].Add(v)
 		}
 	}
-	add(&c.Sent, t.Sent)
-	add(&c.Delivered, t.Delivered)
-	add(&c.Dropped, t.Dropped)
-	add(&c.Duplicated, t.Duplicated)
-	add(&c.TimersFired, t.TimersFired)
-	add(&c.PlanCrashes, t.PlanCrashes)
-	add(&c.Restarts, t.Restarts)
-	add(&c.Recovered, t.Recovered)
 	*t = Tally{}
 }
 
-// Names holds a host's metric names in Counters order; the first alwaysNamed
-// need no lifetimes. A backend builds its table once, at package level, so no
-// run pays for the concatenations.
-type Names [8]string
-
-const alwaysNamed = 5
+// Names holds a host's metric names in Counter order. A backend builds its
+// table once, at package level, so no run pays for the concatenations.
+type Names [numCounters]string
 
 // MetricNames returns the counter names under prefix ("sim_", "net_").
 func MetricNames(prefix string) *Names {
-	names := Names{"sent_total", "delivered_total", "dropped_total", "duplicated_total",
-		"timers_fired_total", "plan_crashes_total", "restarts_total", "recovered_total"}
-	for i := range names {
-		names[i] = prefix + names[i]
+	var names Names
+	for i, name := range counterNames {
+		names[i] = prefix + name
 	}
 	return &names
 }
@@ -101,14 +105,12 @@ type Core struct {
 
 // each calls f with every counter this run reports, in Names order.
 func (c *Core) each(f func(name string, ctr *obs.Counter)) {
-	all := [...]*obs.Counter{&c.Sent, &c.Delivered, &c.Dropped, &c.Duplicated,
-		&c.TimersFired, &c.PlanCrashes, &c.Restarts, &c.Recovered}
-	n := len(all)
+	n := numCounters
 	if len(c.Lifetimes) == 0 {
-		n = alwaysNamed
+		n = PlanCrashes
 	}
-	for i, ctr := range all[:n] {
-		f(c.Names[i], ctr)
+	for i := range n {
+		f(c.Names[i], &c.Counters[i])
 	}
 }
 
@@ -199,7 +201,7 @@ func (c *Core) Number(t *Tally) model.MsgID {
 		return 0
 	}
 	c.LastID++
-	t.Sent++
+	t[Sent]++
 	return c.LastID
 }
 
@@ -313,11 +315,11 @@ func (c *Core) Route(t *Tally, now, cur int64, from, to model.ProcID, id model.M
 		return c.Spans.Record(obs.Span{Parent: parent, Time: now, Kind: kind, Proc: from, Peer: to, Msg: id})
 	}
 	if dec.Drop {
-		t.Dropped++
+		t[Dropped]++
 		follow(obs.SpanDrop)
 		return into
 	}
-	t.Duplicated += int64(dec.Duplicates)
+	t[Duplicated] += int64(dec.Duplicates)
 	// A Byzantine network may substitute what the channel carries; the send
 	// event still records the payload the sender actually passed in.
 	var wire *node.Payload
@@ -347,7 +349,7 @@ func (c *Core) Route(t *Tally, now, cur int64, from, to model.ProcID, id model.M
 // that tick): it records the deliver span and counts the receive into t. It
 // returns the span that frames OnMessage, 0 for an unsampled message.
 func (c *Core) Receive(t *Tally, now int64, from, to model.ProcID, id model.MsgID, p *node.Payload, span int64) int64 {
-	t.Delivered++
+	t[Delivered]++
 	if span == 0 {
 		return 0
 	}
@@ -380,7 +382,7 @@ func (c *Core) Crash(t *Tally, i int, at, now int64, h node.Handler, ctx node.Co
 	if downFor := l.Restart - l.Crash; c.Recovery != recovery.Off && downFor > 0 {
 		schedule(now+downFor, true)
 	}
-	t.PlanCrashes++
+	t[PlanCrashes]++
 	c.CrashSelf(l.Proc, h, ctx, record)
 }
 
@@ -418,9 +420,9 @@ func (c *Core) Restart(t *Tally, p model.ProcID, now int64, h node.Handler, ctx 
 		st, _ = c.Store.Load(p)
 	}
 	record(model.Restart(p))
-	t.Restarts++
+	t[Restarts]++
 	if len(st) > 0 {
-		t.Recovered++
+		t[Recovered]++
 	}
 	// Like detection spans, restart spans are never sampled out: they are
 	// rare, and exactly what recovery experiments grep for.

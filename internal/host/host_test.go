@@ -60,7 +60,7 @@ func TestSnapshotNames(t *testing.T) {
 	plain := host.Core{Names: host.MetricNames("x_")}
 	reg := obs.NewRegistry()
 	plain.Init("test", 2, reg)
-	tally := host.Tally{Sent: 3}
+	tally := host.Tally{host.Sent: 3}
 	plain.Publish(&tally)
 	if tally != (host.Tally{}) {
 		t.Errorf("Publish left %+v in the tally, want it zeroed", tally)
@@ -197,8 +197,8 @@ func TestCrashAndRestartSteps(t *testing.T) {
 			if tc.mode == recovery.Durable {
 				wantRecovered = 1
 			}
-			if c.PlanCrashes.Value() != 1 || c.Recovered.Value() != wantRecovered {
-				t.Errorf("plan crashes = %d, recovered = %d, want 1, %d", c.PlanCrashes.Value(), c.Recovered.Value(), wantRecovered)
+			if c.Counters[host.PlanCrashes].Value() != 1 || c.Counters[host.Recovered].Value() != wantRecovered {
+				t.Errorf("plan crashes = %d, recovered = %d, want 1, %d", c.Counters[host.PlanCrashes].Value(), c.Counters[host.Recovered].Value(), wantRecovered)
 			}
 		})
 	}
@@ -258,8 +258,8 @@ func TestChecksPanicUnderTheHostName(t *testing.T) {
 	if id := c.Number(&tally); id != 0 {
 		t.Errorf("the send past the last id was numbered %d, want 0", id)
 	}
-	if c.LastID != math.MaxInt32 || tally.Sent != 2 {
-		t.Errorf("after the refused send: last id %d, %d sends counted; want %d, 2", c.LastID, tally.Sent, math.MaxInt32)
+	if c.LastID != math.MaxInt32 || tally[host.Sent] != 2 {
+		t.Errorf("after the refused send: last id %d, %d sends counted; want %d, 2", c.LastID, tally[host.Sent], math.MaxInt32)
 	}
 	if got, want := panicOf(c.OutOfIDs), "test: more messages than a model.MsgID can number"; got != want {
 		t.Errorf("the send past the last id panicked with %q, want %q", got, want)
@@ -331,8 +331,8 @@ func TestReceiveAndLose(t *testing.T) {
 		t.Errorf("an unsampled receive returned span %d and recorded %d spans", span, len(c.Spans.Spans())-before)
 	}
 	c.Publish(&tally)
-	if c.Delivered.Value() != 2 {
-		t.Errorf("delivered %d, want 2", c.Delivered.Value())
+	if c.Counters[host.Delivered].Value() != 2 {
+		t.Errorf("delivered %d, want 2", c.Counters[host.Delivered].Value())
 	}
 
 	c.Lose(9, 1, 2, 9, 0)
@@ -346,8 +346,8 @@ func TestReceiveAndLose(t *testing.T) {
 		t.Errorf("a sampled loss recorded %+v, want one receiver-down drop under %d", spans[before:], enq)
 	}
 	c.Publish(&tally)
-	if c.Delivered.Value() != 2 || c.Dropped.Value() != 0 {
-		t.Errorf("a loss counted: delivered %d, dropped %d", c.Delivered.Value(), c.Dropped.Value())
+	if c.Counters[host.Delivered].Value() != 2 || c.Counters[host.Dropped].Value() != 0 {
+		t.Errorf("a loss counted: delivered %d, dropped %d", c.Counters[host.Delivered].Value(), c.Counters[host.Dropped].Value())
 	}
 }
 
@@ -360,8 +360,8 @@ func TestCrashSelf(t *testing.T) {
 	c.CrashSelf(2, &restarter{log: &log}, nil, func(e model.Event) {
 		log = append(log, fmt.Sprintf("%v@%d", e.Kind, e.Proc))
 	})
-	if want := []string{fmt.Sprintf("%v@2", model.KindCrash), "oncrash"}; !reflect.DeepEqual(log, want) || c.PlanCrashes.Value() != 0 {
-		t.Errorf("steps = %v, plan crashes %d; want %v, 0", log, c.PlanCrashes.Value(), want)
+	if want := []string{fmt.Sprintf("%v@2", model.KindCrash), "oncrash"}; !reflect.DeepEqual(log, want) || c.Counters[host.PlanCrashes].Value() != 0 {
+		t.Errorf("steps = %v, plan crashes %d; want %v, 0", log, c.Counters[host.PlanCrashes].Value(), want)
 	}
 }
 
@@ -395,8 +395,8 @@ func TestSkipKeepsTheChain(t *testing.T) {
 		if !reflect.DeepEqual(log, tc.want) {
 			t.Errorf("%v %+v skipped at %d: scheduled %v, want %v", tc.mode, tc.l, tc.at, log, tc.want)
 		}
-		if c.PlanCrashes.Value() != 0 || c.Restarts.Value() != 0 {
-			t.Errorf("%v: a skipped window counted %d crashes, %d restarts", tc.mode, c.PlanCrashes.Value(), c.Restarts.Value())
+		if c.Counters[host.PlanCrashes].Value() != 0 || c.Counters[host.Restarts].Value() != 0 {
+			t.Errorf("%v: a skipped window counted %d crashes, %d restarts", tc.mode, c.Counters[host.PlanCrashes].Value(), c.Counters[host.Restarts].Value())
 		}
 	}
 }

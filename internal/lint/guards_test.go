@@ -151,7 +151,8 @@ func read(t *testing.T, root, rel string) string {
 }
 
 // example returns a string the RE2 pattern matches: each repetition at its
-// minimum (a plus once), the first alternative, the first rune of a class.
+// minimum (a plus once), an optional part present, the first alternative, the
+// first rune of a class.
 func example(t *testing.T, pattern string) string {
 	t.Helper()
 	re, err := syntax.Parse(pattern, syntax.Perl)
@@ -168,7 +169,7 @@ func example(t *testing.T, pattern string) string {
 			b.WriteRune(r.Rune[0])
 		case syntax.OpAnyChar, syntax.OpAnyCharNotNL:
 			b.WriteByte('x')
-		case syntax.OpCapture, syntax.OpPlus, syntax.OpAlternate:
+		case syntax.OpCapture, syntax.OpPlus, syntax.OpQuest, syntax.OpAlternate:
 			gen(r.Sub[0])
 		case syntax.OpRepeat:
 			for k := 0; k < r.Min; k++ {

@@ -67,22 +67,17 @@ const (
 // false-suspicion and span accounting read.
 const TagSuspect = "suspect"
 
+// kindNames holds the paper's name of each event kind, indexed by Kind (0,
+// the invalid kind, names nothing).
+var kindNames = [...]string{KindSend: "send", KindRecv: "recv", KindCrash: "crash",
+	KindFailed: "failed", KindInternal: "internal"}
+
 // String returns the paper's name for the event kind.
 func (k Kind) String() string {
-	switch k {
-	case KindSend:
-		return "send"
-	case KindRecv:
-		return "recv"
-	case KindCrash:
-		return "crash"
-	case KindFailed:
-		return "failed"
-	case KindInternal:
-		return "internal"
-	default:
+	if k == 0 || int(k) >= len(kindNames) {
 		return "invalid(" + strconv.Itoa(int(k)) + ")"
 	}
+	return kindNames[k]
 }
 
 // Event is a single event of a history. The meaning of the auxiliary fields

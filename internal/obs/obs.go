@@ -16,6 +16,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -33,39 +34,37 @@ const (
 	KindGauge
 )
 
+// kindNames is the one kind↔name table, indexed by Kind (0, the invalid
+// kind, names nothing): String, MarshalText and UnmarshalText all read it.
+var kindNames = [...]string{KindCounter: "counter", KindGauge: "gauge"}
+
+// known reports whether k names a row of kindNames.
+func (k Kind) known() bool { return k > 0 && int(k) < len(kindNames) }
+
 // String returns the lowercase name of the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	default:
+	if !k.known() {
 		return "invalid(" + strconv.Itoa(int(k)) + ")"
 	}
+	return kindNames[k]
 }
 
 // MarshalText encodes the kind as its name, keeping wire snapshots
 // readable and stable if the enum is ever reordered.
 func (k Kind) MarshalText() ([]byte, error) {
-	switch k {
-	case KindCounter, KindGauge:
-		return []byte(k.String()), nil
-	default:
+	if !k.known() {
 		return nil, fmt.Errorf("obs: invalid kind %d", int(k))
 	}
+	return []byte(kindNames[k]), nil
 }
 
 // UnmarshalText decodes a kind name written by MarshalText.
 func (k *Kind) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "counter":
-		*k = KindCounter
-	case "gauge":
-		*k = KindGauge
-	default:
+	i := slices.Index(kindNames[:], string(b))
+	if i <= 0 {
 		return fmt.Errorf("obs: unknown kind %q", b)
 	}
+	*k = Kind(i)
 	return nil
 }
 

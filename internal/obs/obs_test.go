@@ -234,7 +234,7 @@ func TestNilSpanRecorderSafe(t *testing.T) {
 
 func TestSpanKindKnown(t *testing.T) {
 	for _, k := range []SpanKind{SpanSend, SpanFate, SpanEnqueue, SpanDeliver,
-		SpanDrop, SpanRetransmit, SpanSuspect, SpanCrashConfirm, SpanRestart} {
+		SpanDrop, SpanRetransmit, SpanSuspect, SpanCrashConfirm, SpanRestart, SpanByzDetect} {
 		if !k.Known() {
 			t.Errorf("kind %q not Known", k)
 		}

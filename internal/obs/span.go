@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 
 	"failstop/internal/model"
@@ -35,18 +36,14 @@ const (
 	SpanByzDetect SpanKind = "byz-detect"
 )
 
-// Known reports whether k is a kind this package defines. Readers use it
-// to validate traces without rejecting kinds added by future versions at
-// parse time.
-func (k SpanKind) Known() bool {
-	switch k {
-	case SpanSend, SpanFate, SpanEnqueue, SpanDeliver, SpanDrop,
-		SpanRetransmit, SpanSuspect, SpanCrashConfirm, SpanRestart,
-		SpanByzDetect:
-		return true
-	}
-	return false
-}
+// SpanKinds lists every kind this package defines, in lifecycle order: the
+// message's stages in causal order, then the detection-grade kinds.
+var SpanKinds = []SpanKind{SpanSend, SpanFate, SpanEnqueue, SpanDeliver, SpanDrop,
+	SpanRetransmit, SpanSuspect, SpanCrashConfirm, SpanRestart, SpanByzDetect}
+
+// Known reports whether k is one of SpanKinds. Readers use it to validate
+// traces without rejecting kinds added by future versions at parse time.
+func (k SpanKind) Known() bool { return slices.Contains(SpanKinds, k) }
 
 // Span is one lifecycle step. ID is unique and increasing within a
 // recorder; Parent is the causally preceding span (0 for roots): a send

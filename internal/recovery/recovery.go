@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"failstop/internal/model"
@@ -43,44 +44,40 @@ const (
 	Durable
 )
 
-// String names the mode as the CLIs and sweep cells spell it.
+// modeNames is the one mode↔name table, as the CLIs and sweep cells spell
+// the modes: String, ParseMode and MarshalText all read it.
+var modeNames = [...]string{Off: "off", Amnesia: "amnesia", Durable: "durable"}
+
+// known reports whether m has a row of modeNames.
+func (m Mode) known() bool { return m >= 0 && int(m) < len(modeNames) }
+
+// String names the mode, or renders "mode(n)" for a value that names none.
 func (m Mode) String() string {
-	switch m {
-	case Off:
-		return "off"
-	case Amnesia:
-		return "amnesia"
-	case Durable:
-		return "durable"
-	default:
+	if !m.known() {
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+	return modeNames[m]
 }
 
 // ParseMode parses a mode name ("off", "amnesia", "durable"); the empty
 // string parses as Off.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "off":
+	if s == "" {
 		return Off, nil
-	case "amnesia":
-		return Amnesia, nil
-	case "durable":
-		return Durable, nil
-	default:
-		return Off, fmt.Errorf("recovery: unknown mode %q (want off, amnesia, or durable)", s)
 	}
+	if i := slices.Index(modeNames[:], s); i >= 0 {
+		return Mode(i), nil
+	}
+	return Off, fmt.Errorf("recovery: unknown mode %q (want off, amnesia, or durable)", s)
 }
 
 // MarshalText implements encoding.TextMarshaler: modes travel as their
 // names in wire formats (sweep cells, trace headers).
 func (m Mode) MarshalText() ([]byte, error) {
-	switch m {
-	case Off, Amnesia, Durable:
-		return []byte(m.String()), nil
-	default:
+	if !m.known() {
 		return nil, fmt.Errorf("recovery: cannot marshal unknown mode %d", int(m))
 	}
+	return []byte(modeNames[m]), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.

@@ -152,7 +152,7 @@ func modelFates(sends []fateSend) fateOutcome {
 	core.Publish(&tally)
 	out := fateOutcome{
 		Delivered: map[string][]string{},
-		Sent:      core.Sent.Value(), Dropped: core.Dropped.Value(), Duplicated: core.Duplicated.Value(),
+		Sent:      core.Counters[host.Sent].Value(), Dropped: core.Counters[host.Dropped].Value(), Duplicated: core.Counters[host.Duplicated].Value(),
 		Chains: chains(core.Spans.Spans()),
 	}
 	for link, q := range queues {

@@ -479,7 +479,7 @@ func (p *proc) fire() {
 	}
 	switch {
 	case d.kind == timerDeadline:
-		p.tally.TimersFired++
+		p.tally[host.TimersFired]++
 		p.h.OnTimer(p, d.name)
 	case d.kind == restartDeadline:
 		p.setDown(false)

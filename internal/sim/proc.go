@@ -188,7 +188,7 @@ func (s *Sim) fireTimer(c *procCtx, o occurrence) {
 		return // cancelled, replaced, or armed before a crash
 	}
 	t.armed = unarmed
-	s.tally.TimersFired++
+	s.tally[host.TimersFired]++
 	c.h.OnTimer(c, t.name)
 	s.afterEvent(c)
 }

@@ -513,13 +513,13 @@ func (s *Sim) Run() *Result {
 
 	res.History = s.materialize(res.History)
 	res.EndTime = s.now
-	res.Sent = int(s.core.Sent.Value())
-	res.Delivered = int(s.core.Delivered.Value())
-	res.Dropped = int(s.core.Dropped.Value())
-	res.Duplicated = int(s.core.Duplicated.Value())
-	res.PlanCrashes = int(s.core.PlanCrashes.Value())
-	res.Restarts = int(s.core.Restarts.Value())
-	res.Recovered = int(s.core.Recovered.Value())
+	res.Sent = int(s.core.Counters[host.Sent].Value())
+	res.Delivered = int(s.core.Counters[host.Delivered].Value())
+	res.Dropped = int(s.core.Counters[host.Dropped].Value())
+	res.Duplicated = int(s.core.Counters[host.Duplicated].Value())
+	res.PlanCrashes = int(s.core.Counters[host.PlanCrashes].Value())
+	res.Restarts = int(s.core.Counters[host.Restarts].Value())
+	res.Recovered = int(s.core.Counters[host.Recovered].Value())
 	res.Blocked = s.blockedChannels(res.Blocked)
 	layers := host.LayerStats(s.handlers)
 	res.Retransmits, res.AckedDuplicates = layers.Retransmits, layers.AckedDuplicates

@@ -121,9 +121,7 @@ func TestSpanPropertyRoundTrip(t *testing.T) {
 		if n > 64 {
 			n = 64
 		}
-		known := []obs.SpanKind{obs.SpanSend, obs.SpanFate, obs.SpanEnqueue,
-			obs.SpanDeliver, obs.SpanDrop, obs.SpanRetransmit,
-			obs.SpanSuspect, obs.SpanCrashConfirm, obs.SpanRestart}
+		known := obs.SpanKinds
 		spans := make([]obs.Span, n)
 		for i := 0; i < n; i++ {
 			note := notes[i]
