@@ -75,9 +75,13 @@ func run(args []string, out io.Writer) int {
 	listFlag(fs, &filePlans, "plan-file", "", "comma-separated JSON fault-plan files to add to the plan axis (see examples/plans)", planFile)
 	modeFlag(fs, &spec.Reliable, "reliable", "reliable-delivery axis: off, on, or both (grid every cell with and without the layer)",
 		map[string][]reliable.Options{"off": nil, "on": {{Enabled: true}}, "both": {{}, {Enabled: true}}})
-	modeFlag(fs, &spec.Recovery, "recovery", "crash-recovery axis: off, amnesia, durable, or all (grid every cell over all three modes)",
-		map[string][]recovery.Mode{"off": nil, "amnesia": {recovery.Amnesia}, "durable": {recovery.Durable},
-			"all": {recovery.Off, recovery.Amnesia, recovery.Durable}})
+	recoveryModes, recoveryNames := map[string][]recovery.Mode{"all": recovery.Modes()}, []string(nil)
+	for _, m := range recovery.Modes() {
+		recoveryModes[m.String()] = []recovery.Mode{m}
+		recoveryNames = append(recoveryNames, m.String())
+	}
+	modeFlag(fs, &spec.Recovery, "recovery", "crash-recovery axis: "+strings.Join(recoveryNames, ", ")+", or all (grid every cell over every mode)",
+		recoveryModes)
 	modeFlag(fs, &spec.Byzantine, "byz", "Byzantine validation-interposer axis: off, on, or both (grid every cell with and without misbehavior masking)",
 		map[string][]byz.Options{"off": nil, "on": {{Enabled: true}}, "both": {{}, {Enabled: true}}})
 	fs.IntVar(&maxRetries, "max-retries", 0, "retransmissions per frame before a reliable link gives up (0: retry forever, needs -max-time)")

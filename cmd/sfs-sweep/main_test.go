@@ -8,10 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"failstop"
+	"failstop/internal/recovery"
 )
 
 // TestMain runs the command itself when SFS_SWEEP_ARGS is set, so a test can
@@ -519,5 +521,49 @@ func TestSweepPlanFileBadInputs(t *testing.T) {
 		if code := run(args, &out); code != 2 {
 			t.Errorf("%s: run(%v) = %d, want 2:\n%s", name, args, code, out.String())
 		}
+	}
+}
+
+// TestSweepRecoveryAxisNames: -recovery accepts exactly recovery's mode
+// names, each naming its one mode, plus all, which grids every mode; its
+// refusal lists the same names.
+func TestSweepRecoveryAxisNames(t *testing.T) {
+	sweepOf := func(mode string) string {
+		t.Helper()
+		var out bytes.Buffer
+		args := []string{"-recovery", mode, "-grid", "5:2", "-seeds", "1", "-schedules", "crash", "-plan", "restart-storm", "-max-time", "2000"}
+		if code := run(args, &out); code != 0 {
+			t.Fatalf("-recovery %s: exit = %d:\n%s", mode, code, out.String())
+		}
+		return out.String()
+	}
+	want := []string{"all"}
+	all := sweepOf("all")
+	for _, m := range recovery.Modes() {
+		want = append(want, m.String())
+		out := sweepOf(m.String())
+		label := "rec=" + m.String()
+		if m == recovery.Off {
+			label = "" // a cell names its mode unless the mode is off
+		}
+		if !strings.Contains(out, "over 1 cells") || strings.Contains(out, "rec=") != (label != "") ||
+			!strings.Contains(out, label) || !strings.Contains(all, label) {
+			t.Errorf("-recovery %s ran another sweep:\n%s", m, out)
+		}
+	}
+	if cells := fmt.Sprintf("over %d cells", len(recovery.Modes())); !strings.Contains(all, cells) {
+		t.Errorf("-recovery all: want %q:\n%s", cells, all)
+	}
+	var bad bytes.Buffer
+	if code := run([]string{"-recovery", "off,amnesia,durable"}, &bad); code != 2 {
+		t.Fatalf("-recovery off,amnesia,durable: exit = %d, want 2", code)
+	}
+	_, listed, _ := strings.Cut(bad.String(), "(want ")
+	listed, _, _ = strings.Cut(listed, ")")
+	got := strings.Split(listed, ", ")
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("refusal lists %q, want exactly %q:\n%s", got, want, bad.String())
 	}
 }

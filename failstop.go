@@ -234,9 +234,10 @@ type Options struct {
 	// Reliable, when Enabled, masks the fault plan's loss, duplication, and
 	// reorder with per-link acks, retransmission, dedup, and in-order
 	// release — healed partitions then recover in-flight detections that
-	// the once-only §5 broadcast would lose. Retransmission to a crashed
-	// process re-arms forever unless MaxRetries bounds it, so Enabled with
-	// MaxRetries 0 requires a MaxTime horizon.
+	// the once-only §5 broadcast would lose. Heartbeats bypass it: a lost
+	// heartbeat stays lost. Retransmission to a crashed process re-arms
+	// forever unless MaxRetries bounds it, so Enabled with MaxRetries 0
+	// requires a MaxTime horizon.
 	Reliable ReliableOptions
 	// Byzantine, when Enabled, interposes the validation layer under every
 	// process: outgoing payloads are sealed with a deterministic per-sender

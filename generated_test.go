@@ -14,10 +14,10 @@ import (
 )
 
 // stackDraw is one generated run through both interposers — reliable links
-// under the Byzantine→crash layer — on a network that loses, duplicates,
-// reorders and delays messages, cuts links or holds their traffic until a
-// heal, with a script of crashes and suspicions and up to two processes the
-// plan crashes and restarts. The plan has no
+// under the Byzantine→crash layer — or through one of them or neither, on a
+// network that loses, duplicates, reorders and delays messages, cuts links or
+// holds their traffic until a heal, with a script of crashes and suspicions
+// and up to two processes the plan crashes and restarts. The plan has no
 // Byzantine rules: no sender misbehaves, so every conviction the layer makes
 // is a fault — except after an amnesiac restart, whose reused sequence
 // numbers the layer convicts as replays by design.
@@ -38,9 +38,9 @@ type scriptSuspect struct {
 }
 
 func (d stackDraw) String() string {
-	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d hb=%d/%d rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
+	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d hb=%d/%d reliable=%v byz=%v rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
 		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
-		d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
+		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
 }
 
 // drawer reads a draw's choices from bytes. Past their end every choice is
@@ -74,7 +74,11 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // victims — processes crashed or suspected — number at most T, and at least
 // one when there are no heartbeats, and zero to two process rules with
 // restarts under amnesia or durable recovery (the restarts reach the
-// detector's and both interposers' OnRestart).
+// detector's and the interposers' OnRestart), over both interposers, the
+// reliable layer alone, the Byzantine layer alone or a bare stack. Without
+// the reliable layer a duplicated frame reaches the Byzantine layer
+// undeduplicated, as a duplicated heartbeat always does: heartbeats cross
+// the reliable layer unsequenced.
 func drawStack(data []byte) stackDraw {
 	d := &drawer{b: data}
 	n := 3 + d.intn(6)
@@ -176,6 +180,14 @@ func drawStack(data []byte) stackDraw {
 			plan.Procs = append(plan.Procs, r)
 		}
 	}
+	switch d.intn(4) {
+	case 1:
+		draw.opts.Reliable, draw.opts.Byzantine = failstop.ReliableOptions{}, failstop.ByzantineOptions{}
+	case 2:
+		draw.opts.Byzantine = failstop.ByzantineOptions{}
+	case 3:
+		draw.opts.Reliable = failstop.ReliableOptions{}
+	}
 	return draw
 }
 
@@ -226,12 +238,13 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 
 // checkGeneratedStack holds one draw to its properties: both validators
 // accept it; unless a process restarts with amnesia, the layer convicts no
-// one, since the reliable layer dedups below it and no honest sender can
-// look like a replayer or an equivocator; sFS2c and sFS2d hold, and sFS2b
-// does whenever at most T processes are detected (Theorem 7's quorums then
-// intersect across every failed-before cycle there can be); and the run
-// digests the same twice, the second time after a run of another shape
-// (poisonDraw), whose recycled simulator state the second run inherits.
+// one, since a network duplicate arrives within byz.ReplayHorizon of its
+// original, whether or not the reliable layer dedups below, and no honest
+// sender can look like a replayer or an equivocator; sFS2c and sFS2d hold,
+// and sFS2b does whenever at most T processes are detected (Theorem 7's
+// quorums then intersect across every failed-before cycle there can be); and
+// the run digests the same twice, the second time after a run of another
+// shape (poisonDraw), whose recycled simulator state the second run inherits.
 func checkGeneratedStack(t *testing.T, d stackDraw) {
 	t.Helper()
 	if err := d.opts.Validate(); err != nil {

@@ -45,7 +45,8 @@ type Options struct {
 	App func(p model.ProcID) core.App
 	// Reliable, when Enabled, interposes a reliable-delivery endpoint
 	// (ack + timed retransmission, dedup, in-order release) between every
-	// detector and the simulator's faulty network.
+	// detector and the simulator's faulty network. Heartbeats bypass it:
+	// the endpoint passes them through unsequenced and never resends one.
 	Reliable reliable.Options
 	// Byzantine, when Enabled, interposes a validation endpoint (per-sender
 	// MACs, echo/witness broadcast consistency, replay watermark) between

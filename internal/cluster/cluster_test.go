@@ -9,6 +9,7 @@ import (
 	"failstop/internal/checker"
 	"failstop/internal/cluster"
 	"failstop/internal/core"
+	"failstop/internal/fd"
 	"failstop/internal/model"
 	"failstop/internal/node"
 	"failstop/internal/quorum"
@@ -168,5 +169,66 @@ func TestBuildStackOrder(t *testing.T) {
 	beat := []string{"fd/beat"} // the heartbeat's timer; with no timeout it checks nothing
 	if want := []model.ProcID{1, 2, 3}; !reflect.DeepEqual(fds, map[model.ProcID][]string{1: beat, 2: beat, 3: beat}) || !reflect.DeepEqual(apps, want) {
 		t.Errorf("fd timers armed %v, app built for %v, want an fd heartbeat and an app for each of %v", fds, apps, want)
+	}
+}
+
+// sends counts the history's sends tagged tag.
+func sends(h model.History, tag string) int {
+	n := 0
+	for _, e := range h {
+		if e.Kind == model.KindSend && e.Tag == tag {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReliablePassesHeartbeatsUnsequenced pins the reliable layer's literal
+// heartbeat tag to fd.TagHeartbeat by its behaviour: on fault-free links a
+// heartbeating stack with no suspicion sends nothing the layer sequences,
+// so no frame is acked or retransmitted. One suspicion then draws acks, so
+// the layer is on the path.
+func TestReliablePassesHeartbeatsUnsequenced(t *testing.T) {
+	run := func(suspect bool) *sim.Result {
+		c := cluster.New(cluster.Options{
+			Det:            core.Config{N: 4, T: 1},
+			Sim:            sim.Config{Seed: 1, MinDelay: 1, MaxDelay: 5, MaxTime: 300},
+			HeartbeatEvery: 10, HeartbeatTimeout: 100,
+			Reliable: reliable.Options{Enabled: true},
+		})
+		if suspect {
+			c.SuspectAt(50, 1, 4)
+		}
+		return c.Run()
+	}
+	quiet := run(false)
+	if sends(quiet.History, fd.TagHeartbeat) == 0 {
+		t.Fatal("no heartbeats sent")
+	}
+	if acks := sends(quiet.History, reliable.TagAck); acks != 0 || quiet.Retransmits != 0 {
+		t.Errorf("heartbeats only: %d %s frames and %d retransmits, want none (is the reliable layer's heartbeat tag %q?)",
+			acks, reliable.TagAck, quiet.Retransmits, fd.TagHeartbeat)
+	}
+	if acks := sends(run(true).History, reliable.TagAck); acks == 0 {
+		t.Errorf("a suspicion drew no %s frames: the reliable layer is not on the path", reliable.TagAck)
+	}
+}
+
+// TestByzHoldsSuspFrames pins the byz layer's literal held tag to
+// core.TagSusp by its behaviour: a suspicion's SUSP frames are held for a
+// witness quorum, which every receiver announces with BYZ.ECHO frames.
+func TestByzHoldsSuspFrames(t *testing.T) {
+	c := cluster.New(cluster.Options{
+		Det:       core.Config{N: 4, T: 1},
+		Sim:       sim.Config{Seed: 1, MinDelay: 1, MaxDelay: 5},
+		Byzantine: byz.Options{Enabled: true},
+	})
+	c.SuspectAt(5, 1, 4)
+	res := c.Run()
+	if sends(res.History, core.TagSusp) == 0 {
+		t.Fatal("no SUSP frames sent")
+	}
+	if sends(res.History, byz.TagEcho) == 0 {
+		t.Errorf("a suspicion drew no %s frames (is the byz layer's held tag %q?)", byz.TagEcho, core.TagSusp)
 	}
 }

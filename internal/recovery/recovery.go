@@ -48,6 +48,15 @@ const (
 // the modes: String, ParseMode and MarshalText all read it.
 var modeNames = [...]string{Off: "off", Amnesia: "amnesia", Durable: "durable"}
 
+// Modes returns every mode, in the order of modeNames.
+func Modes() []Mode {
+	ms := make([]Mode, len(modeNames))
+	for i := range ms {
+		ms[i] = Mode(i)
+	}
+	return ms
+}
+
 // known reports whether m has a row of modeNames.
 func (m Mode) known() bool { return m >= 0 && int(m) < len(modeNames) }
 

@@ -24,7 +24,11 @@
 // node.Context whose Send assigns the next per-link sequence number. The
 // netadv fault plane keeps operating on the wire below: data frames retain
 // their original payload tag (so tag-targeted fault rules still match), and
-// acknowledgement frames travel as TagAck messages.
+// acknowledgement frames travel as TagAck messages. Heartbeats are the one
+// exception to framing: the failure detector's periodic signal is not one of
+// the protocol messages the model's channels promise to deliver, and the
+// next heartbeat supersedes a lost one, so the Endpoint passes heartbeats
+// through unsequenced, unacknowledged and never retransmitted.
 //
 // Timers use the reserved "rel/" name prefix, which the Endpoint consumes
 // before the inner handler sees it (the fd layer similarly owns "fd/").
@@ -45,13 +49,12 @@
 // round update due frames, and find the earliest deadline, in one walk where
 // they lie — the queue is compacted only when the retry budget abandons a
 // frame, and retired slots are cleared so acked payloads are not pinned. It
-// starts at 16 frames, which a heartbeat link outgrows at most once, and it
-// keeps its capacity when acks empty it. Wire bytes (the 25-byte header plus the payload, and every ack)
-// are carved from one node.Arena per link rather than allocated per frame;
-// the arena only bumps forward, because the host may keep a sent frame for
-// as long as it likes — and it is the link's, not the endpoint's, so frames
-// a host never lets go of (in flight to a crashed peer) pin that link's
-// chunks and no other's. The "rel/<peer>" timer name is built once per
+// starts at 17 frames and keeps its capacity when acks empty it. Wire bytes
+// (the 25-byte header plus the payload, and every ack) are carved from one
+// node.Arena per link rather than allocated per frame; the arena only bumps
+// forward, because the host may keep a sent frame for as long as it likes —
+// and it is the link's, not the endpoint's, so frames a host never lets go
+// of (in flight to a crashed peer) pin that link's chunks and no other's. The "rel/<peer>" timer name is built once per
 // peer. The inner handler sees one context wrapper per endpoint, rebound to
 // the host's context at every callback entry — node.Context limits a context
 // to the callback that received it, and hosts serialize a process's
@@ -129,12 +132,21 @@ const (
 
 const timerPrefix = "rel/"
 
-// unackedFirstCap is the capacity a link's unacked queue starts at: a
-// heartbeat link outgrows it at most once, and the queue is never moved
-// into a smaller one, so a link reallocates its queue only while the queue
-// reaches a depth it has never had. 17 frames of 72 bytes, with the 8-byte
-// header Go puts on a pointerful object over 512 bytes, fill 1,232 bytes
-// of the 1,280-byte size class that 16 frames already took.
+// heartbeatTag is fd.TagHeartbeat, kept literal so the layer does not import
+// the detector (internal/fd imports internal/core, which sits above this
+// layer). A frame with this tag crosses the endpoint as it is in both
+// directions, so a lost SUSP frame ahead of it on the link cannot hold it
+// back.
+const heartbeatTag = "HB"
+
+// unackedFirstCap is the capacity a link's unacked queue starts at. The
+// queue holds the detector's SUSP frames and application frames (heartbeats
+// are never queued), and it is never moved into a smaller one, so a link
+// reallocates its queue only while the queue reaches a depth it has never
+// had. On the benchmark's stack-faulty workload a first capacity of 8 costs
+// 7 more allocations a run, and one of 4 costs 76. 17 frames of 72 bytes,
+// with the 8-byte header Go puts on a pointerful object over 512 bytes, fill
+// 1,232 bytes of the 1,280-byte size class that 16 frames already took.
 const unackedFirstCap = 17
 
 // frame is one unacknowledged send.
@@ -395,8 +407,13 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 }
 
 // send sequences, buffers, and transmits one payload from the inner
-// handler, arming the link's retransmit timer.
+// handler, arming the link's retransmit timer. A heartbeat goes out as it
+// is and touches no link state.
 func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
+	if p.Tag == heartbeatTag {
+		host.Send(to, p)
+		return
+	}
 	ps := e.peer(to)
 	ps.nextSeq++
 	if ps.unacked == nil {
@@ -511,8 +528,13 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 // order, each receipt answered with a cumulative ack. Out-of-order frames
 // are discarded (go-back-N): the cumulative ack tells the sender where to
 // resume, and retransmission redelivers them in order — so every released
-// frame is one the host's receive gate approved.
+// frame is one the host's receive gate approved. A heartbeat is recognised
+// by its tag, whatever its bytes, and goes straight to the inner handler.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
+	if p.Tag == heartbeatTag {
+		e.inner.OnMessage(e.Context(ctx), from, p)
+		return
+	}
 	if p.Tag == TagAck {
 		if wf, ok := decodeFrame(p.Data); ok && wf.kind == kindAck {
 			e.processAck(e.peer(from), wf.ack)
@@ -582,14 +604,15 @@ func (e *Endpoint) processAck(ps *peerState, ack uint64) {
 // after accounting for gaps the frame's base says will never fill — is
 // subject to the inner gate, so the §5 sFS2d receive deferral keeps
 // working through the layer. Since out-of-order frames are discarded
-// rather than buffered, this is the only path into the inner handler.
-// Accepts must not mutate state: hosts call it speculatively.
+// rather than buffered, this is the only path into the inner handler for
+// sequenced traffic; a heartbeat, like unframed traffic, goes to the inner
+// gate as it is. Accepts must not mutate state: hosts call it speculatively.
 func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if p.Tag == TagAck {
 		return true
 	}
 	wf, ok := decodeFrame(p.Data)
-	if !ok || wf.kind != kindData {
+	if p.Tag == heartbeatTag || !ok || wf.kind != kindData {
 		if g, gok := e.inner.(node.Gate); gok {
 			return g.Accepts(from, p)
 		}

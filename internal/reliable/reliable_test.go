@@ -366,3 +366,168 @@ func TestAbandonedFrameDoesNotWedgeLink(t *testing.T) {
 		t.Fatalf("releases = %v, want just the post-heal send (the abandoned gap must not wedge the link)", rec.released)
 	}
 }
+
+// TestHeartbeatSendLeavesNoLinkState: a heartbeat goes out as the inner
+// handler wrote it — no header, no sequence number — and leaves no peer
+// state, unacked frame or retransmit timer behind; receiving it draws no ack.
+func TestHeartbeatSendLeavesNoLinkState(t *testing.T) {
+	sender := Wrap(idle{}, Options{Enabled: true})
+	sctx := newFakeCtx(1)
+	hb := node.Payload{Tag: heartbeatTag}
+	sender.Context(sctx).Send(2, hb)
+	if len(sctx.sends) != 1 || sctx.sends[0].to != 2 {
+		t.Fatalf("sends = %+v, want one send to 2", sctx.sends)
+	}
+	if got := sctx.sends[0].p; got.Tag != heartbeatTag || got.Subject != 0 || got.Data != nil {
+		t.Errorf("wire heartbeat = %+v, want the bare payload", got)
+	}
+	if ids := sender.peers.IDs(nil); len(ids) != 0 {
+		t.Errorf("heartbeat made link state for %v", ids)
+	}
+	if len(sctx.timers) != 0 {
+		t.Errorf("heartbeat armed timers: %v", sctx.timers)
+	}
+
+	rec := &recorder{}
+	receiver := Wrap(rec, Options{Enabled: true})
+	rctx := newFakeCtx(2)
+	receiver.OnMessage(rctx, 1, sctx.sends[0].p)
+	if len(rec.released) != 1 || rec.released[0].Tag != heartbeatTag {
+		t.Fatalf("releases = %+v, want the heartbeat", rec.released)
+	}
+	if len(rctx.sends) != 0 {
+		t.Errorf("heartbeat drew sends: %+v", rctx.sends)
+	}
+	if ids := receiver.peers.IDs(nil); len(ids) != 0 {
+		t.Errorf("received heartbeat made link state for %v", ids)
+	}
+	if r, d := receiver.ReliableStats(); r != 0 || d != 0 {
+		t.Errorf("heartbeat counted work: %d/%d", r, d)
+	}
+}
+
+// TestHeartbeatReceiveTestsTheTag: a heartbeat whose bytes happen to decode
+// as a data frame (a sealed heartbeat is 25+ bytes) still reaches the inner
+// handler byte for byte, with no release bookkeeping and no ack — the
+// receive side decides by the tag, not by decodeFrame.
+func TestHeartbeatReceiveTestsTheTag(t *testing.T) {
+	data := make([]byte, headerLen+3)
+	data[0] = kindData
+	data[8] = 1 // seq 1: the next frame in sequence, were it a data frame
+	copy(data[headerLen:], "abc")
+	if wf, ok := decodeFrame(data); !ok || wf.kind != kindData || wf.seq != 1 {
+		t.Fatalf("test bytes do not decode as the in-sequence data frame: %+v %v", wf, ok)
+	}
+	hb := node.Payload{Tag: heartbeatTag, Subject: 4, Data: data}
+	rec := &recorder{}
+	receiver := Wrap(rec, Options{Enabled: true})
+	rctx := newFakeCtx(2)
+	receiver.OnMessage(rctx, 1, hb)
+	if len(rec.released) != 1 {
+		t.Fatalf("releases = %+v, want the heartbeat", rec.released)
+	}
+	got := rec.released[0]
+	if got.Tag != heartbeatTag || got.Subject != 4 || string(got.Data) != string(data) {
+		t.Errorf("released %+v, want the heartbeat byte for byte", got)
+	}
+	if len(rctx.sends) != 0 {
+		t.Errorf("heartbeat drew sends: %+v", rctx.sends)
+	}
+	if ids := receiver.peers.IDs(nil); len(ids) != 0 {
+		t.Errorf("heartbeat made link state for %v", ids)
+	}
+}
+
+// TestAcceptsForwardsHeartbeat: a heartbeat, framed-looking or not, is put
+// to the inner gate as it is.
+func TestAcceptsForwardsHeartbeat(t *testing.T) {
+	framed := make([]byte, headerLen)
+	framed[0], framed[8] = kindData, 7 // seq 7: out of order, were it a data frame
+	for _, data := range [][]byte{nil, framed} {
+		gate := &recordingGate{}
+		receiver := Wrap(gate, Options{Enabled: true})
+		hb := node.Payload{Tag: heartbeatTag, Data: data}
+		if receiver.Accepts(1, hb) {
+			t.Errorf("data %x: heartbeat accepted although the inner gate refuses it", data)
+		}
+		if len(gate.asked) != 1 || gate.asked[0].Tag != heartbeatTag || string(gate.asked[0].Data) != string(data) {
+			t.Errorf("data %x: inner gate asked %+v, want the heartbeat as sent", data, gate.asked)
+		}
+	}
+}
+
+// recordingGate refuses everything and records what it was asked.
+type recordingGate struct {
+	idle
+	asked []node.Payload
+}
+
+func (g *recordingGate) Accepts(_ model.ProcID, p node.Payload) bool {
+	g.asked = append(g.asked, p)
+	return false
+}
+
+// timedRecorder records each release's tag and tick.
+type timedRecorder struct {
+	idle
+	tags []string
+	at   []int64
+}
+
+func (r *timedRecorder) OnMessage(ctx node.Context, _ model.ProcID, p node.Payload) {
+	r.tags = append(r.tags, p.Tag)
+	r.at = append(r.at, ctx.Now())
+}
+
+// TestLostSuspDoesNotHoldBackHeartbeats: a SUSP frame lost ahead of later
+// heartbeats on the same link holds back none of them. Under go-back-N the
+// receiver discards everything after the gap until the retransmission fills
+// it; heartbeats are outside the sequence and arrive on time.
+func TestLostSuspDoesNotHoldBackHeartbeats(t *testing.T) {
+	cut := netadv.Rule{Until: 10, Cut: true, Tags: []string{"SUSP"}}
+	plan := netadv.Plan{Name: "susp-cut", Rules: []netadv.Rule{cut}}
+	if err := plan.Validate(2); err != nil {
+		t.Fatal(err)
+	}
+	plane := netadv.NewPlane(plan, 2, 1)
+	const maxDelay = 5
+	s := sim.New(sim.Config{N: 2, Seed: 1, MinDelay: 1, MaxDelay: maxDelay, MaxTime: 10000, Link: plane.Decide})
+	opts := Options{Enabled: true}
+	sender := Wrap(idle{}, opts)
+	rec := &timedRecorder{}
+	s.SetHandler(1, sender)
+	s.SetHandler(2, Wrap(rec, opts))
+	s.At(2, 1, func(ctx node.Context) { sender.Context(ctx).Send(2, node.Payload{Tag: "SUSP", Subject: 3}) })
+	beats := []int64{4, 8, 12, 16}
+	for _, at := range beats {
+		s.At(at, 1, func(ctx node.Context) { sender.Context(ctx).Send(2, node.Payload{Tag: heartbeatTag}) })
+	}
+	res := s.Run()
+	if res.Stop != sim.StopDrained {
+		t.Fatalf("run did not drain: %v", res.Stop)
+	}
+	if res.Retransmits == 0 {
+		t.Fatal("the SUSP frame was not lost: nothing was retransmitted")
+	}
+	var hbAt []int64
+	suspAt := int64(-1)
+	for i, tag := range rec.tags {
+		switch tag {
+		case heartbeatTag:
+			hbAt = append(hbAt, rec.at[i])
+		case "SUSP":
+			suspAt = rec.at[i]
+		}
+	}
+	if len(hbAt) != len(beats) {
+		t.Fatalf("released %d heartbeats, want %d (%v)", len(hbAt), len(beats), rec.tags)
+	}
+	for i, at := range hbAt {
+		if at > beats[i]+maxDelay {
+			t.Errorf("heartbeat sent at %d released at %d: held back behind the lost SUSP", beats[i], at)
+		}
+	}
+	if suspAt < DefaultRetryInterval {
+		t.Errorf("SUSP released at %d, want it only after its retransmission (≥ %d)", suspAt, DefaultRetryInterval)
+	}
+}

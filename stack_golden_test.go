@@ -116,11 +116,11 @@ func TestGoldenStackRuns(t *testing.T) {
 		want   string
 	}{
 		{"a/stack-faulty seed 1", failstop.Options{N: 10, T: 3, Seed: 1, MaxTime: 1500, HeartbeatEvery: 25, HeartbeatTimeout: 80, Reliable: rel, Byzantine: bz},
-			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "02f6589d99f4ceac/41417/68442 retx=4037 byz=0/0"},
+			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "7adbf0605190f74b/12585/19842 retx=417 byz=0/0"},
 		{"a/stack-faulty seed 2", failstop.Options{N: 10, T: 3, Seed: 2, MaxTime: 1500, HeartbeatEvery: 25, HeartbeatTimeout: 80, Reliable: rel, Byzantine: bz},
-			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "cb9260397c492a67/30282/50881 retx=2851 byz=0/0"},
+			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "e93535d13daef185/12633/19901 retx=403 byz=0/0"},
 		{"a/stack-faulty seed 3", failstop.Options{N: 10, T: 3, Seed: 3, MaxTime: 1500, HeartbeatEvery: 25, HeartbeatTimeout: 80, Reliable: rel, Byzantine: bz},
-			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "95f286cb9bfa8878/40923/67654 retx=4043 byz=0/0"},
+			"flaky-quorum", func(c *failstop.Cluster) { c.CrashAt(100, 10) }, "7e015759f9b5d1de/12540/19768 retx=407 byz=0/0"},
 		{"b/byzantine-minority byz", failstop.Options{N: 5, T: 2, Seed: 3, MaxTime: 5000, Byzantine: bz},
 			"byzantine-minority", suspects, "eaf30589cd98ae01/223/362 retx=0 byz=8/10 bad-mac=4 equivocation=4"},
 		{"b/byzantine-minority byz+rel", failstop.Options{N: 5, T: 2, Seed: 3, MaxTime: 5000, Byzantine: bz, Reliable: rel},
@@ -164,8 +164,9 @@ func TestGoldenStackRuns(t *testing.T) {
 
 // TestStackFaultyAllocBudget gates the committed benchmark's stack-faulty op
 // (flaky-quorum at n=10, heartbeats, reliable + byz, p10 crashed at 100,
-// 1,500 ticks ≈ 20,600 messages) at 2,687 allocations a run: the ≈ 2,443 it
-// measures out of the bulk of the run before it, plus a tenth (≈ 4,150 while
+// 1,500 ticks ≈ 6,700 messages) at 2,122 allocations a run: the ≈ 1,929 it
+// measures out of the bulk of the run before it, plus a tenth (≈ 2,346 while
+// the reliable layer sequenced, acked and resent every heartbeat, ≈ 4,150 while
 // byz allocated each witness round, its voucher list, voucher set and held
 // list and kept a rounds map per origin, and reliable grew each link's
 // unacked queue from one frame; ≈ 4,205 while each run rebuilt its processes'
@@ -193,8 +194,8 @@ func TestStackFaultyAllocBudget(t *testing.T) {
 			t.Fatal("no retransmissions: the op is not the benchmark's")
 		}
 	})
-	if allocs > 2687 {
-		t.Errorf("stack-faulty op: %.0f allocations per run, budget 2687", allocs)
+	if allocs > 2122 {
+		t.Errorf("stack-faulty op: %.0f allocations per run, budget 2122", allocs)
 	}
 	t.Logf("stack-faulty op: %.0f allocations per run", allocs)
 }
