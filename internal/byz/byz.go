@@ -50,8 +50,14 @@
 // frame re-arriving within ReplayHorizon ticks of its first
 // delivery is a benign network duplicate and is discarded silently; beyond
 // the horizon it is a replay attack and convicts the sender. (Under the
-// reliable layer, receiver-side dedup retires duplicates before this
-// check — replay conviction is the bare-network defense.)
+// reliable layer, receiver-side dedup retires duplicates of every frame but
+// a heartbeat before this check — replay conviction is the bare-network
+// defense.) A heartbeat (node.TagHeartbeat) is the exception: the reliable
+// layer passes it through unsequenced, so its network duplicates reach this
+// check however late they land, and a late one cannot be told from a
+// replay. A repeated heartbeat is therefore discarded and never convicts;
+// a replayed one is discarded the same way, which takes all its effect
+// away, since a heartbeat carries nothing but its arrival.
 //
 // Limitations, by design: a lying witness — a process whose echoes
 // themselves are forged — can frame an honest origin, since conviction
@@ -384,10 +390,10 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	}
 	now := ctx.Now()
 	if first, dup := (*seen)[seq]; dup {
-		if now-first > ReplayHorizon {
+		if now-first > ReplayHorizon && p.Tag != node.TagHeartbeat {
 			e.convictWith(ctx, from, "replay")
 		}
-		// Within the horizon: a benign network duplicate.
+		// Within the horizon, or a heartbeat: a benign network duplicate.
 		return
 	}
 	(*seen)[seq] = now

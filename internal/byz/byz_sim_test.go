@@ -223,6 +223,30 @@ func TestReplayBeyondHorizonConvicts(t *testing.T) {
 	}
 }
 
+// TestStaleHeartbeatRepeatDiscarded: a heartbeat's copy past the replay
+// horizon — a late network duplicate or a replay, which the layer cannot
+// tell apart — is discarded without convicting the sender.
+func TestStaleHeartbeatRepeatDiscarded(t *testing.T) {
+	h := newHarness(t, 3, 1, netadv.Plan{
+		Name: "stale-heartbeat",
+		Byz:  []netadv.ByzRule{{Victim: 1, Tags: []string{node.TagHeartbeat}, Replay: 1, ReplayDelay: 400}},
+	})
+	h.broadcastAt(10, 1, node.Payload{Tag: node.TagHeartbeat})
+	h.broadcastAt(20, 1, node.Payload{Tag: node.TagHeartbeat})
+	h.sim.Run()
+	if len(h.convicted) != 0 {
+		t.Errorf("stale heartbeat copies convicted: %v", h.convicted)
+	}
+	if _, _, r := h.plane.ByzFates(); r == 0 {
+		t.Error("plane injected no stale copies")
+	}
+	for p := 2; p <= 3; p++ {
+		if got := len(h.recs[p].released); got != 2 {
+			t.Errorf("proc %d released %d heartbeats, want 2 (stale copies discarded)", p, got)
+		}
+	}
+}
+
 // TestMaskedSenderTrafficDiscarded: after conviction the culprit's later
 // frames are dropped at the layer and counted as masked.
 func TestMaskedSenderTrafficDiscarded(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"failstop/internal/core"
 	"failstop/internal/fd"
 	"failstop/internal/model"
+	"failstop/internal/netadv"
 	"failstop/internal/node"
 	"failstop/internal/quorum"
 	"failstop/internal/reliable"
@@ -183,34 +184,29 @@ func sends(h model.History, tag string) int {
 	return n
 }
 
-// TestReliablePassesHeartbeatsUnsequenced pins the reliable layer's literal
-// heartbeat tag to fd.TagHeartbeat by its behaviour: on fault-free links a
-// heartbeating stack with no suspicion sends nothing the layer sequences,
-// so no frame is acked or retransmitted. One suspicion then draws acks, so
-// the layer is on the path.
-func TestReliablePassesHeartbeatsUnsequenced(t *testing.T) {
-	run := func(suspect bool) *sim.Result {
-		c := cluster.New(cluster.Options{
+// TestDuplicatedHeartbeatsConvictNoOne: with both interposers on, every
+// heartbeat duplicated, and a delay spread well beyond byz.ReplayHorizon, a
+// heartbeat's copy can land long after its original. Heartbeats cross the
+// reliable layer unsequenced, so nothing below the Byzantine layer retires
+// the copy, and the Byzantine layer must not take it for a replay: no
+// honest sender is convicted.
+func TestDuplicatedHeartbeatsConvictNoOne(t *testing.T) {
+	plan := &netadv.Plan{Name: "hb-dup", Rules: []netadv.Rule{{Tags: []string{fd.TagHeartbeat}, Duplicate: 1}}}
+	for seed := int64(1); seed <= 3; seed++ {
+		res := cluster.New(cluster.Options{
 			Det:            core.Config{N: 4, T: 1},
-			Sim:            sim.Config{Seed: 1, MinDelay: 1, MaxDelay: 5, MaxTime: 300},
-			HeartbeatEvery: 10, HeartbeatTimeout: 100,
-			Reliable: reliable.Options{Enabled: true},
-		})
-		if suspect {
-			c.SuspectAt(50, 1, 4)
+			Sim:            sim.Config{Seed: seed, MinDelay: 1, MaxDelay: 3 * byz.ReplayHorizon, MaxTime: 3000},
+			Faults:         plan,
+			HeartbeatEvery: 20, HeartbeatTimeout: 2000,
+			Reliable:  reliable.Options{Enabled: true},
+			Byzantine: byz.Options{Enabled: true},
+		}).Run()
+		if res.Duplicated == 0 {
+			t.Fatalf("seed %d: no heartbeat duplicated", seed)
 		}
-		return c.Run()
-	}
-	quiet := run(false)
-	if sends(quiet.History, fd.TagHeartbeat) == 0 {
-		t.Fatal("no heartbeats sent")
-	}
-	if acks := sends(quiet.History, reliable.TagAck); acks != 0 || quiet.Retransmits != 0 {
-		t.Errorf("heartbeats only: %d %s frames and %d retransmits, want none (is the reliable layer's heartbeat tag %q?)",
-			acks, reliable.TagAck, quiet.Retransmits, fd.TagHeartbeat)
-	}
-	if acks := sends(run(true).History, reliable.TagAck); acks == 0 {
-		t.Errorf("a suspicion drew no %s frames: the reliable layer is not on the path", reliable.TagAck)
+		if res.ByzDetected != 0 {
+			t.Errorf("seed %d: %d convictions of honest senders over %d duplicated heartbeats", seed, res.ByzDetected, res.Duplicated)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // TagHeartbeat marks heartbeat messages.
-const TagHeartbeat = "HB"
+const TagHeartbeat = node.TagHeartbeat
 
 const (
 	timerBeat  = "fd/beat"

@@ -21,6 +21,12 @@ type Payload struct {
 	Data    []byte
 }
 
+// TagHeartbeat marks the failure detector's heartbeats (internal/fd sends
+// them). The interposers below the detector read heartbeats by this tag: a
+// heartbeat is a periodic signal that the next one supersedes, not one of
+// the protocol messages the model's channels promise to deliver.
+const TagHeartbeat = "HB"
+
 // Context is the capability a host hands to a Handler. All methods must be
 // called only from within a Handler callback (hosts serialize callbacks per
 // process). After CrashSelf returns, all further calls are no-ops.

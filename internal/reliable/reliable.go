@@ -28,7 +28,8 @@
 // exception to framing: the failure detector's periodic signal is not one of
 // the protocol messages the model's channels promise to deliver, and the
 // next heartbeat supersedes a lost one, so the Endpoint passes heartbeats
-// through unsequenced, unacknowledged and never retransmitted.
+// (frames tagged node.TagHeartbeat) through unsequenced, unacknowledged and
+// never retransmitted.
 //
 // Timers use the reserved "rel/" name prefix, which the Endpoint consumes
 // before the inner handler sees it (the fd layer similarly owns "fd/").
@@ -131,13 +132,6 @@ const (
 )
 
 const timerPrefix = "rel/"
-
-// heartbeatTag is fd.TagHeartbeat, kept literal so the layer does not import
-// the detector (internal/fd imports internal/core, which sits above this
-// layer). A frame with this tag crosses the endpoint as it is in both
-// directions, so a lost SUSP frame ahead of it on the link cannot hold it
-// back.
-const heartbeatTag = "HB"
 
 // unackedFirstCap is the capacity a link's unacked queue starts at. The
 // queue holds the detector's SUSP frames and application frames (heartbeats
@@ -410,7 +404,7 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 // handler, arming the link's retransmit timer. A heartbeat goes out as it
 // is and touches no link state.
 func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
-	if p.Tag == heartbeatTag {
+	if p.Tag == node.TagHeartbeat {
 		host.Send(to, p)
 		return
 	}
@@ -531,7 +525,7 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 // frame is one the host's receive gate approved. A heartbeat is recognised
 // by its tag, whatever its bytes, and goes straight to the inner handler.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
-	if p.Tag == heartbeatTag {
+	if p.Tag == node.TagHeartbeat {
 		e.inner.OnMessage(e.Context(ctx), from, p)
 		return
 	}
@@ -611,12 +605,12 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if p.Tag == TagAck {
 		return true
 	}
+	if p.Tag == node.TagHeartbeat {
+		return e.innerAccepts(from, p)
+	}
 	wf, ok := decodeFrame(p.Data)
-	if p.Tag == heartbeatTag || !ok || wf.kind != kindData {
-		if g, gok := e.inner.(node.Gate); gok {
-			return g.Accepts(from, p)
-		}
-		return true
+	if !ok || wf.kind != kindData {
+		return e.innerAccepts(from, p)
 	}
 	expected := uint64(1)
 	if ps := e.peers.Get(from); ps != nil {
@@ -628,8 +622,14 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if wf.seq != expected {
 		return true // duplicate or out-of-order: consumed internally
 	}
-	if g, gok := e.inner.(node.Gate); gok {
-		return g.Accepts(from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
+	return e.innerAccepts(from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
+}
+
+// innerAccepts is the inner handler's gate verdict on p; a handler without a
+// gate accepts everything.
+func (e *Endpoint) innerAccepts(from model.ProcID, p node.Payload) bool {
+	if g, ok := e.inner.(node.Gate); ok {
+		return g.Accepts(from, p)
 	}
 	return true
 }

@@ -373,12 +373,12 @@ func TestAbandonedFrameDoesNotWedgeLink(t *testing.T) {
 func TestHeartbeatSendLeavesNoLinkState(t *testing.T) {
 	sender := Wrap(idle{}, Options{Enabled: true})
 	sctx := newFakeCtx(1)
-	hb := node.Payload{Tag: heartbeatTag}
+	hb := node.Payload{Tag: node.TagHeartbeat}
 	sender.Context(sctx).Send(2, hb)
 	if len(sctx.sends) != 1 || sctx.sends[0].to != 2 {
 		t.Fatalf("sends = %+v, want one send to 2", sctx.sends)
 	}
-	if got := sctx.sends[0].p; got.Tag != heartbeatTag || got.Subject != 0 || got.Data != nil {
+	if got := sctx.sends[0].p; got.Tag != node.TagHeartbeat || got.Subject != 0 || got.Data != nil {
 		t.Errorf("wire heartbeat = %+v, want the bare payload", got)
 	}
 	if ids := sender.peers.IDs(nil); len(ids) != 0 {
@@ -392,7 +392,7 @@ func TestHeartbeatSendLeavesNoLinkState(t *testing.T) {
 	receiver := Wrap(rec, Options{Enabled: true})
 	rctx := newFakeCtx(2)
 	receiver.OnMessage(rctx, 1, sctx.sends[0].p)
-	if len(rec.released) != 1 || rec.released[0].Tag != heartbeatTag {
+	if len(rec.released) != 1 || rec.released[0].Tag != node.TagHeartbeat {
 		t.Fatalf("releases = %+v, want the heartbeat", rec.released)
 	}
 	if len(rctx.sends) != 0 {
@@ -418,7 +418,7 @@ func TestHeartbeatReceiveTestsTheTag(t *testing.T) {
 	if wf, ok := decodeFrame(data); !ok || wf.kind != kindData || wf.seq != 1 {
 		t.Fatalf("test bytes do not decode as the in-sequence data frame: %+v %v", wf, ok)
 	}
-	hb := node.Payload{Tag: heartbeatTag, Subject: 4, Data: data}
+	hb := node.Payload{Tag: node.TagHeartbeat, Subject: 4, Data: data}
 	rec := &recorder{}
 	receiver := Wrap(rec, Options{Enabled: true})
 	rctx := newFakeCtx(2)
@@ -427,7 +427,7 @@ func TestHeartbeatReceiveTestsTheTag(t *testing.T) {
 		t.Fatalf("releases = %+v, want the heartbeat", rec.released)
 	}
 	got := rec.released[0]
-	if got.Tag != heartbeatTag || got.Subject != 4 || string(got.Data) != string(data) {
+	if got.Tag != node.TagHeartbeat || got.Subject != 4 || string(got.Data) != string(data) {
 		t.Errorf("released %+v, want the heartbeat byte for byte", got)
 	}
 	if len(rctx.sends) != 0 {
@@ -446,11 +446,11 @@ func TestAcceptsForwardsHeartbeat(t *testing.T) {
 	for _, data := range [][]byte{nil, framed} {
 		gate := &recordingGate{}
 		receiver := Wrap(gate, Options{Enabled: true})
-		hb := node.Payload{Tag: heartbeatTag, Data: data}
+		hb := node.Payload{Tag: node.TagHeartbeat, Data: data}
 		if receiver.Accepts(1, hb) {
 			t.Errorf("data %x: heartbeat accepted although the inner gate refuses it", data)
 		}
-		if len(gate.asked) != 1 || gate.asked[0].Tag != heartbeatTag || string(gate.asked[0].Data) != string(data) {
+		if len(gate.asked) != 1 || gate.asked[0].Tag != node.TagHeartbeat || string(gate.asked[0].Data) != string(data) {
 			t.Errorf("data %x: inner gate asked %+v, want the heartbeat as sent", data, gate.asked)
 		}
 	}
@@ -500,7 +500,7 @@ func TestLostSuspDoesNotHoldBackHeartbeats(t *testing.T) {
 	s.At(2, 1, func(ctx node.Context) { sender.Context(ctx).Send(2, node.Payload{Tag: "SUSP", Subject: 3}) })
 	beats := []int64{4, 8, 12, 16}
 	for _, at := range beats {
-		s.At(at, 1, func(ctx node.Context) { sender.Context(ctx).Send(2, node.Payload{Tag: heartbeatTag}) })
+		s.At(at, 1, func(ctx node.Context) { sender.Context(ctx).Send(2, node.Payload{Tag: node.TagHeartbeat}) })
 	}
 	res := s.Run()
 	if res.Stop != sim.StopDrained {
@@ -513,7 +513,7 @@ func TestLostSuspDoesNotHoldBackHeartbeats(t *testing.T) {
 	suspAt := int64(-1)
 	for i, tag := range rec.tags {
 		switch tag {
-		case heartbeatTag:
+		case node.TagHeartbeat:
 			hbAt = append(hbAt, rec.at[i])
 		case "SUSP":
 			suspAt = rec.at[i]

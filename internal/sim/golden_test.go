@@ -294,10 +294,10 @@ var goldenCases = []struct {
 	}, "e02839ee29ea6ab9/4318"},
 	{"max-events truncated", func() string {
 		return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxEvents: 777}, 20))
-	}, "f473cf5cb1d47b06/781"},
+	}, "e4cf89bc09be148c/781"},
 	{"max-time truncated", func() string {
 		return digestResult(runFloodCfg(Config{N: 10, Seed: 2, MaxTime: 13}, 20))
-	}, "ad375b9fa854738a/1690"},
+	}, "41af54fa9771a268/1690"},
 	{"failed twice and a crash", func() string { return digestResult(goldenFailed()) }, "31b87425723b5cb4/111"},
 	{"gossip n=500 fanout=6", func() string {
 		res, _ := runTopoFlood(500, 6, 3, 4, nil)

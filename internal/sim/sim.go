@@ -233,6 +233,10 @@ const (
 	ReasonParked = "parked"
 	// ReasonReceiverCrashed: the receiver crashed; leftovers are expected.
 	ReasonReceiverCrashed = "receiver-crashed"
+	// ReasonInFlight: the run stopped at its horizon with the channel head
+	// on its way, not refused: it would have been delivered had the run
+	// gone on.
+	ReasonInFlight = "in-flight"
 )
 
 // BlockedChannel describes a channel that still held undelivered messages
@@ -240,7 +244,8 @@ const (
 type BlockedChannel struct {
 	From, To model.ProcID
 	Queued   int
-	// Reason is ReasonGated, ReasonParked, or ReasonReceiverCrashed.
+	// Reason is ReasonGated, ReasonParked, ReasonReceiverCrashed, or
+	// ReasonInFlight.
 	Reason string
 }
 
@@ -270,8 +275,9 @@ type Result struct {
 	// layer is disabled.
 	ByzDetected, ByzMasked int
 	// Blocked lists channels holding undelivered messages to live processes
-	// at the end of the run (gated or parked) plus channels into crashed
-	// processes. A run with gated entries did not reach protocol quiescence.
+	// at the end of the run (gated, parked, or in flight when the run
+	// stopped at its horizon) plus channels into crashed processes. A run
+	// with gated entries did not reach protocol quiescence.
 	Blocked []BlockedChannel
 	// Stop states why the run ended: drained, max-time, or max-events.
 	Stop StopReason
@@ -292,10 +298,11 @@ func (r *Result) HitHorizon() bool { return r.Stop != StopDrained }
 
 // BlockedLive reports whether the run ended with messages stuck in gated
 // or parked channels to live processes (messages to crashed processes are
-// expected leftovers and do not count).
+// expected leftovers, and messages in flight at the horizon are not stuck:
+// neither counts).
 func (r *Result) BlockedLive() bool {
 	for _, b := range r.Blocked {
-		if b.Reason != ReasonReceiverCrashed {
+		if b.Reason == ReasonGated || b.Reason == ReasonParked {
 			return true
 		}
 	}

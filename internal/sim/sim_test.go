@@ -513,6 +513,25 @@ func TestGateDefersReceiveUntilStateChanges(t *testing.T) {
 	}
 }
 
+// TestInFlightAtHorizonNotBlocked: a head still on its way when the run
+// stops at MaxTime is reported in flight, and does not count as a message
+// stuck to a live process.
+func TestInFlightAtHorizonNotBlocked(t *testing.T) {
+	s := New(Config{N: 2, Seed: 1, MinDelay: 50, MaxDelay: 50, MaxTime: 10})
+	s.SetHandler(1, &scriptHandler{
+		init: func(ctx node.Context) { ctx.Send(2, node.Payload{Tag: "X"}) },
+	})
+	s.SetHandler(2, idle())
+	res := s.Run()
+	want := []BlockedChannel{{From: 1, To: 2, Queued: 1, Reason: ReasonInFlight}}
+	if !res.HitHorizon() || !reflect.DeepEqual(res.Blocked, want) {
+		t.Errorf("stop %v, Blocked = %+v; want the horizon and %+v", res.Stop, res.Blocked, want)
+	}
+	if res.BlockedLive() {
+		t.Error("a message in flight at the horizon counts as blocked")
+	}
+}
+
 func TestGateBlockedForeverReported(t *testing.T) {
 	s := New(Config{N: 2, Seed: 1})
 	s.SetHandler(1, &scriptHandler{

@@ -385,6 +385,9 @@ func (s *Sim) blockedChannels(out []BlockedChannel) []BlockedChannel {
 				reason = ReasonReceiverCrashed
 			case c.parked:
 				reason = ReasonParked
+			case c.scheduled:
+				// The run stopped at its horizon before the head's delivery.
+				reason = ReasonInFlight
 			}
 			out = append(out, BlockedChannel{From: c.from, To: c.to, Queued: int(c.n), Reason: reason})
 			for idx := c.head; idx != noSlot; {

@@ -132,9 +132,11 @@ func TestGoldenStackRuns(t *testing.T) {
 				c.SuspectAt(200, 8, 3)
 				c.SuspectAt(700, 8, 2)
 			}, "69aa3ff33c3f7cb3/3114/4937 retx=0 byz=27/77 bad-mac=9 equivocation=18"},
+		// A replayed heartbeat is discarded and convicts no one: the layer
+		// cannot tell it from a late network copy.
 		{"b/replaying heartbeats", failstop.Options{N: 5, T: 2, Seed: 3, MaxTime: 1500, HeartbeatEvery: 25, HeartbeatTimeout: 80, Byzantine: bz,
 			Faults: &failstop.FaultPlan{Name: "replayer", Byz: []failstop.ByzFaultRule{{Victim: 5, From: 10, Tags: []string{"HB"}, Replay: 1, ReplayDelay: 400}}}},
-			"replayer", nil, "eea229edcb292bf2/1888/2979 retx=0 byz=4/32 replay=4"},
+			"replayer", nil, "27444c6b70441580/1888/2975 retx=0 byz=0/0"},
 		{"c/healing-partition max-retries 3", failstop.Options{N: 6, T: 2, Seed: 5, MaxTime: 4000,
 			Reliable: failstop.ReliableOptions{Enabled: true, MaxRetries: 3}, NewApp: chatter},
 			"healing-partition", func(c *failstop.Cluster) {
