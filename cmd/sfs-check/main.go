@@ -35,7 +35,12 @@ func run(args []string, out io.Writer) int {
 		suspTag = fs.String("susptag", failstop.DefaultSuspTag, "payload tag of protocol suspicion messages")
 		tFlag   = fs.Int("t", 0, "failure bound for the Witness check (default: from trace header)")
 	)
+	fs.Usage = func() {} // a bad flag is refused in the one line flag writes; -h prints the usage
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 	if *inPath == "" {

@@ -33,7 +33,12 @@ func run(args []string, out io.Writer) int {
 		runIDs = fs.String("run", "", "comma-separated experiment ids (default: all)")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
 	)
+	fs.Usage = func() {} // a bad flag is refused in the one line flag writes; -h prints the usage
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 	reg := experiments.Registry()

@@ -39,7 +39,12 @@ func run(args []string, out, errw io.Writer) int {
 		analyzers = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list      = fs.Bool("list", false, "list the analyzers and exit")
 	)
+	fs.Usage = func() {} // a bad flag is refused in the one line flag writes; -h prints the usage
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 	all := lint.Analyzers()

@@ -107,3 +107,28 @@ func TestListFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagRefusedInOneLine: a bad flag is a usage error named in one
+// line, not buried at the top of the usage page.
+func TestBadFlagRefusedInOneLine(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-bogus"}
+	code := run(args, &bytes.Buffer{}, &out)
+	if lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); code != 2 || len(lines) != 1 {
+		t.Errorf("sfs-lint %v: exit %d, printing %q; want 2 and one line", args, code, out.String())
+	}
+}
+
+// TestHelpListsFlags: -h still prints the usage, with the flags listed.
+func TestHelpListsFlags(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-h"}
+	if code := run(args, &bytes.Buffer{}, &out); code != 2 {
+		t.Errorf("sfs-lint -h: exit %d, want 2", code)
+	}
+	for _, f := range []string{"-json", "-dir", "-analyzers", "-list"} {
+		if !strings.Contains(out.String(), "\n  "+f+" ") && !strings.Contains(out.String(), "\n  "+f+"\n") {
+			t.Errorf("sfs-lint -h does not list %s:\n%s", f, out.String())
+		}
+	}
+}

@@ -108,7 +108,12 @@ func run(args []string, out io.Writer) int {
 	crashes := &injections{kind: "crash"}
 	fs.Var(suspects, "suspect", "injection i:j@t — process i suspects j at tick t (repeatable)")
 	fs.Var(crashes, "crash", "injection p@t — process p crashes at tick t (repeatable)")
+	fs.Usage = func() {} // a bad flag is refused in the one line flag writes; -h prints the usage
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 	if opts.T < 1 {

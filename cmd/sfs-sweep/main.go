@@ -110,7 +110,12 @@ func run(args []string, out io.Writer) int {
 		list      = fs.Bool("list-schedules", false, "list built-in fault schedules and exit")
 		listPlans = fs.Bool("list-plans", false, "list built-in network fault plans and exit")
 	)
+	fs.Usage = func() {} // a bad flag is refused in the one line flag writes; -h prints the usage
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 	if *list {

@@ -311,7 +311,7 @@ func (o Options) stack() (cluster.Options, error) {
 	if err := co.Validate(); err != nil {
 		return co, err
 	}
-	if o.Topology != nil && !o.Topology.IsFull() {
+	if o.Topology != nil {
 		top, err := topo.New(*o.Topology, o.N)
 		if err != nil {
 			return co, fmt.Errorf("Topology: %w", err)
@@ -407,10 +407,8 @@ func (c *Cluster) Run() Report {
 	all := checker.AllOf(scan, c.t)
 	verdicts := []Verdict{all[0], all[2], all[3], all[4], all[5], all[1], all[9]}
 	metrics := res.Metrics
-	var corrupted, equivocated, replayed int64
 	if plane := c.inner.Plane; plane != nil {
 		metrics = obs.Merge(metrics, plane.Metrics())
-		corrupted, equivocated, replayed = plane.ByzFates()
 	}
 	var spans []Span
 	if c.spans != nil {
@@ -432,9 +430,9 @@ func (c *Cluster) Run() Report {
 		Recovered:       res.Recovered,
 		ByzDetected:     res.ByzDetected,
 		ByzMasked:       res.ByzMasked,
-		Corrupted:       int(corrupted),
-		Equivocated:     int(equivocated),
-		Replayed:        int(replayed),
+		Corrupted:       int(metrics.Value("plane_byz_corrupted_total")),
+		Equivocated:     int(metrics.Value("plane_byz_equivocated_total")),
+		Replayed:        int(metrics.Value("plane_byz_replayed_total")),
 		EndTime:         res.EndTime,
 		Metrics:         metrics,
 		Spans:           spans,

@@ -38,9 +38,20 @@ type scriptSuspect struct {
 }
 
 func (d stackDraw) String() string {
-	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d maxdelay=%d hb=%d/%d reliable=%v byz=%v rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
+	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d maxdelay=%d hb=%d/%d reliable=%v byz=%v topo=%s rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
 		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.MaxDelay, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
-		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
+		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, topoLabel(d.opts.Topology), d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
+}
+
+// topoLabel names a topology option: nil, the zero spec, or the spec's name.
+func topoLabel(sp *failstop.TopoSpec) string {
+	switch {
+	case sp == nil:
+		return "nil"
+	case *sp == failstop.TopoSpec{}:
+		return "{}"
+	}
+	return sp.Name()
 }
 
 // drawer reads a draw's choices from bytes. Past their end every choice is
@@ -80,7 +91,9 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // reliable layer a duplicated frame reaches the Byzantine layer
 // undeduplicated, as a duplicated heartbeat always does: heartbeats cross
 // the reliable layer unsequenced. Under the wide spread a copy can land
-// more than the horizon after its original.
+// more than the horizon after its original. Last, the run draws its
+// topology: none, the complete graph named, a gossip overlay or a small
+// hierarchy, dropped if it cannot shape the draw's n.
 func drawStack(data []byte) stackDraw {
 	d := &drawer{b: data}
 	n := 3 + d.intn(6)
@@ -193,7 +206,24 @@ func drawStack(data []byte) stackDraw {
 	if d.intn(2) == 1 {
 		draw.opts.MaxDelay = byz.ReplayHorizon + 50*int64(1+d.intn(5))
 	}
+	switch d.intn(4) {
+	case 1:
+		draw.opts.Topology = &failstop.TopoSpec{Kind: failstop.TopoFull}
+	case 2:
+		draw.opts.Topology = &failstop.TopoSpec{Kind: failstop.TopoGossip, Fanout: 1 + d.intn(n-1), Seed: int64(d.intn(1 << 16))}
+	case 3:
+		draw.opts.Topology = &failstop.TopoSpec{Kind: failstop.TopoHier, Regions: 1 + d.intn(2), Racks: 1 + d.intn(2)}
+	}
+	draw.dropMisfitTopology()
 	return draw
+}
+
+// dropMisfitTopology runs the draw on the complete graph if Options.Validate
+// refuses its topology at its n.
+func (d *stackDraw) dropMisfitTopology() {
+	if d.opts.Topology != nil && d.opts.Validate() != nil {
+		d.opts.Topology = nil
+	}
 }
 
 // drawLinks draws a rule's link selector: every link, a split of some of
@@ -294,6 +324,17 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 		}
 	}
 	a := stackDigest(t, d.opts, "", d.inject)
+	if d.opts.Topology == nil || d.opts.Topology.IsFull() {
+		// The complete graph has one representation: nil, the zero spec
+		// and the named full spec run alike.
+		for _, full := range []*failstop.TopoSpec{nil, {}, {Kind: failstop.TopoFull}} {
+			o := d.opts
+			o.Topology = full
+			if b := stackDigest(t, o, "", d.inject); a != b {
+				t.Errorf("complete graph as %s digests %s, as %s %s\n%v", topoLabel(full), b, topoLabel(d.opts.Topology), a, d)
+			}
+		}
+	}
 	p := poisonDraw(d)
 	stackDigest(t, p.opts, "", p.inject)
 	if b := stackDigest(t, d.opts, "", d.inject); a != b {
@@ -310,6 +351,7 @@ func poisonDraw(d stackDraw) stackDraw {
 		p := drawStack(seedBytes(seed))
 		if len(p.opts.Faults.Procs) > 0 {
 			p.opts.N = max(p.opts.N, d.opts.N) + 1 // the draw's ids and T stay valid at a larger n
+			p.dropMisfitTopology()                 // a hierarchy may not
 			return p
 		}
 	}

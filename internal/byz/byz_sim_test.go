@@ -157,7 +157,7 @@ func TestCorruptionConvictsBadMAC(t *testing.T) {
 	if res.ByzDetected != 2 {
 		t.Errorf("ByzDetected = %d, want 2", res.ByzDetected)
 	}
-	if c, _, _ := h.plane.ByzFates(); c == 0 {
+	if h.plane.Metrics().Value("plane_byz_corrupted_total") == 0 {
 		t.Error("plane counted no corruptions")
 	}
 }
@@ -180,7 +180,7 @@ func TestEquivocationConvicts(t *testing.T) {
 			t.Errorf("proc %d released %d equivocated payloads", p, len(h.recs[p].released))
 		}
 	}
-	if _, e, _ := h.plane.ByzFates(); e == 0 {
+	if h.plane.Metrics().Value("plane_byz_equivocated_total") == 0 {
 		t.Error("plane counted no equivocations")
 	}
 }
@@ -199,7 +199,7 @@ func TestReplayBeyondHorizonConvicts(t *testing.T) {
 	if got := stale.convictionsOf(1); got != 2 {
 		t.Errorf("stale replay convicted by %d receivers, want 2", got)
 	}
-	if _, _, r := stale.plane.ByzFates(); r == 0 {
+	if stale.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
 		t.Error("plane counted no replays")
 	}
 
@@ -213,7 +213,7 @@ func TestReplayBeyondHorizonConvicts(t *testing.T) {
 	if len(fresh.convicted) != 0 {
 		t.Errorf("fresh duplicate within the horizon convicted: %v", fresh.convicted)
 	}
-	if _, _, r := fresh.plane.ByzFates(); r == 0 {
+	if fresh.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
 		t.Error("plane injected no ghost copies")
 	}
 	for p := 2; p <= 3; p++ {
@@ -237,7 +237,7 @@ func TestStaleHeartbeatRepeatDiscarded(t *testing.T) {
 	if len(h.convicted) != 0 {
 		t.Errorf("stale heartbeat copies convicted: %v", h.convicted)
 	}
-	if _, _, r := h.plane.ByzFates(); r == 0 {
+	if h.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
 		t.Error("plane injected no stale copies")
 	}
 	for p := 2; p <= 3; p++ {

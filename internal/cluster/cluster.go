@@ -86,7 +86,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("QuorumSize = %d applies to the sfs protocol only; %v never reads it", q, o.Det.Protocol)
 		case o.Det.Policy != 0 && o.Det.Policy != core.FixedQuorum:
 			return fmt.Errorf("QuorumSize = %d applies to the FixedQuorum policy only", q)
-		case top != nil && !top.IsFull():
+		case top != nil:
 			return fmt.Errorf("QuorumSize = %d applies over the complete graph only; under a partial topology each pool has its own minimum", q)
 		}
 	}

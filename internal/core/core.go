@@ -138,13 +138,13 @@ type Config struct {
 	// only those from senders with outstanding detections. Both settings
 	// satisfy sFS2d; the strict one blocks more.
 	StrictGating bool
-	// Topology, when non-nil and not the complete graph, scopes the §5
-	// protocol to each process's neighborhood: SUSP broadcasts go to
-	// topology peers only, and quorums complete over the process's pool
-	// (its neighborhood plus itself, internal/quorum.PoolOf) rather than
-	// all N processes. nil means the paper's complete graph. The same
-	// *topo.Topology value must be shared by every detector in a cluster —
-	// it is immutable after construction, so sharing is safe.
+	// Topology, when non-nil, scopes the §5 protocol to each process's
+	// neighborhood: SUSP broadcasts go to topology peers only, and quorums
+	// complete over the process's pool (its neighborhood plus itself,
+	// internal/quorum.PoolOf) rather than all N processes. nil means the
+	// paper's complete graph. The same *topo.Topology value must be shared
+	// by every detector in a cluster — it is immutable after construction,
+	// so sharing is safe.
 	Topology *topo.Topology
 	// Piggyback explores the paper's §6 future work ("stronger versions of
 	// fail-stop", specifically a transitive failed-before relation): SUSP
@@ -169,7 +169,7 @@ func (c Config) withDefaults() Config {
 		// Under a partial topology the minimum is per-process (it depends
 		// on each process's degree), so it is resolved at Init time from
 		// the pool instead of being fixed here.
-		if c.Topology == nil || c.Topology.IsFull() {
+		if c.Topology == nil {
 			c.QuorumSize = quorum.MinSize(c.N, c.T)
 		}
 	}
@@ -608,7 +608,7 @@ func (d *Detector) broadcastSusp(ctx node.Context, j model.ProcID) {
 // everyone but self under the complete graph. Co-hosted components (the fd
 // heartbeat layer) use it so their fan-out follows the topology too.
 func (d *Detector) ForEachPeer(fn func(q model.ProcID)) {
-	if top := d.cfg.Topology; top != nil && !top.IsFull() {
+	if top := d.cfg.Topology; top != nil {
 		top.ForEachPeer(d.self, fn)
 		return
 	}

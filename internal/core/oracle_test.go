@@ -189,7 +189,7 @@ func (d *mapDetector) broadcastSusp(ctx node.Context, j model.ProcID) {
 }
 
 func (d *mapDetector) ForEachPeer(fn func(q model.ProcID)) {
-	if top := d.cfg.Topology; top != nil && !top.IsFull() {
+	if top := d.cfg.Topology; top != nil {
 		top.ForEachPeer(d.self, fn)
 		return
 	}

@@ -169,4 +169,7 @@ var Guards = []Guard{
 	// internal/obs the span kinds' list is written []SpanKind{, so this
 	// pattern matches only a copy kept elsewhere.
 	{Kind: Retired, Pattern: `\[\]obs\.SpanKind\{`, Reason: "the span kinds are listed once, as obs.SpanKinds: a private list drifts (sfs-check's lacked byz-detect)", PR: 51},
+	// The complete graph has one representation, the nil *topo.Topology.
+	{Kind: Retired, Pattern: `func \(t \*Topology\) IsFull\(`, Scope: []string{"internal/topo"}, Reason: "topo.New resolves a complete-graph spec to nil: no Topology is of the full kind", PR: 53},
+	{Kind: Retired, Pattern: `\.IsFull\(\)`, Scope: []string{"internal/core", "internal/quorum", "internal/cluster", "internal/sweep", "failstop.go"}, Reason: "a topology is the complete graph exactly when it is nil: the layers test top != nil, and the facade and the sweep hand every spec to topo.New", PR: 53},
 }

@@ -667,12 +667,6 @@ func (pl *Plane) Metrics() obs.Metrics {
 	return ms
 }
 
-// ByzFates returns how many messages the plane has corrupted, equivocated,
-// and replayed so far.
-func (pl *Plane) ByzFates() (corrupted, equivocated, replayed int64) {
-	return pl.fates[fateCorrupted].Value(), pl.fates[fateEquivocated].Value(), pl.fates[fateReplayed].Value()
-}
-
 // count tallies the final decision of one message. It reads no PRNG state,
 // so observing a run cannot perturb its fates.
 func (pl *Plane) count(dec node.LinkDecision, held int64) {

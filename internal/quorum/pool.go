@@ -21,7 +21,7 @@ import (
 // same eventual-connectivity assumption FS1 already makes under lossy
 // links.
 type Pool struct {
-	top  *topo.Topology // nil or full: the global pool
+	top  *topo.Topology // nil: the global pool
 	self model.ProcID
 	n    int
 	min  int
@@ -31,7 +31,7 @@ type Pool struct {
 // the complete graph) with n processes tolerating t failures.
 func PoolOf(top *topo.Topology, self model.ProcID, n, t int) Pool {
 	p := Pool{self: self, n: n}
-	if top != nil && !top.IsFull() {
+	if top != nil {
 		p.top = top
 		p.min = MinSize(top.Degree(self)+1, t)
 	} else {

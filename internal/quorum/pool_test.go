@@ -8,20 +8,15 @@ import (
 )
 
 func TestPoolGlobal(t *testing.T) {
-	for _, top := range []*topo.Topology{nil, topo.MustNew(topo.Spec{}, 10)} {
-		p := PoolOf(top, 3, 10, 3)
-		if p.top != nil {
-			t.Fatalf("full-mesh pool reports Partial")
-		}
-		if p.Size() != 10 {
-			t.Errorf("Size = %d, want 10", p.Size())
-		}
-		if p.MinSize() != MinSize(10, 3) {
-			t.Errorf("MinSize = %d, want %d", p.MinSize(), MinSize(10, 3))
-		}
-		if !p.Counts(3) || !p.Counts(10) || p.Counts(11) || p.Counts(0) {
-			t.Error("global pool membership wrong")
-		}
+	p := PoolOf(nil, 3, 10, 3)
+	if p.Size() != 10 {
+		t.Errorf("Size = %d, want 10", p.Size())
+	}
+	if p.MinSize() != MinSize(10, 3) {
+		t.Errorf("MinSize = %d, want %d", p.MinSize(), MinSize(10, 3))
+	}
+	if !p.Counts(3) || !p.Counts(10) || p.Counts(11) || p.Counts(0) {
+		t.Error("global pool membership wrong")
 	}
 }
 

@@ -434,9 +434,6 @@ func (s Spec) cells() ([]cellSpec, error) {
 		// grid point the same way.
 		tops := make([]*topo.Topology, len(s.Topologies))
 		for i, tp := range s.Topologies {
-			if tp.IsFull() {
-				continue
-			}
 			var err error
 			if tops[i], err = topo.New(tp, nt.N); err != nil {
 				return nil, fmt.Errorf("sweep: Spec.Topology %q at %v: %w", tp.Name(), nt, err)

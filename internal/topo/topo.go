@@ -17,9 +17,10 @@
 //
 // Three graph kinds:
 //
-//   - Full: the paper's complete graph. The zero Spec. Neighborhoods are
-//     virtual (no adjacency is materialized), so Full costs O(1) memory at
-//     any N.
+//   - Full: the paper's complete graph. The zero Spec. New resolves it to
+//     a nil *Topology, the one representation of the complete graph in
+//     every layer: hosts keep their all-pairs paths and nothing is
+//     materialized at any N.
 //   - Gossip: every process samples Fanout distinct peers with a
 //     seed-deterministic splitmix64 stream, and the sampled edges are
 //     symmetrized (if p samples q, q also neighbors p). Expected degree is
@@ -157,15 +158,15 @@ func ParseSpec(s string) (Spec, error) {
 	}
 }
 
-// Topology is a Spec resolved against a concrete N: the undirected
-// communication graph the protocol stack broadcasts over.
+// Topology is a partial Spec resolved against a concrete N: the undirected
+// communication graph the protocol stack broadcasts over. The complete
+// graph is the nil *Topology.
 type Topology struct {
 	spec Spec
 	n    int
 
 	// The materialized adjacency of a gossip graph: process p's peers,
-	// ascending, are peers[off[p]:off[p+1]]. nil for the virtual kinds
-	// (full, hier).
+	// ascending, are peers[off[p]:off[p+1]]. nil for a hierarchy.
 	off   []int
 	peers []model.ProcID
 
@@ -176,7 +177,8 @@ type Topology struct {
 }
 
 // New resolves spec against n processes. It returns an error for an
-// invalid spec or one that cannot shape n processes.
+// invalid spec or one that cannot shape n processes, and nil, nil for the
+// complete graph (the zero Spec or Kind "full"): nil is the complete graph.
 func New(sp Spec, n int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topo: need n >= 1, got %d", n)
@@ -184,9 +186,11 @@ func New(sp Spec, n int) (*Topology, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
+	if sp.IsFull() {
+		return nil, nil
+	}
 	t := &Topology{spec: sp, n: n}
 	switch sp.Kind {
-	case "", KindFull:
 	case KindGossip:
 		if sp.Fanout > n-1 {
 			return nil, fmt.Errorf("topo: gossip fanout %d needs at least %d processes, have %d", sp.Fanout, sp.Fanout+1, n)
@@ -210,7 +214,8 @@ func New(sp Spec, n int) (*Topology, error) {
 	return t, nil
 }
 
-// MustNew is New for authored specs; it panics on error.
+// MustNew is New for authored specs; it panics on error, and returns nil
+// for the complete graph as New does.
 func MustNew(sp Spec, n int) *Topology {
 	t, err := New(sp, n)
 	if err != nil {
@@ -219,93 +224,57 @@ func MustNew(sp Spec, n int) *Topology {
 	return t
 }
 
-// IsFull reports whether the topology is the complete graph, in which case
-// hosts may keep their existing all-pairs code paths.
-func (t *Topology) IsFull() bool { return t.spec.IsFull() }
-
 // Degree returns the number of neighbors of p.
 func (t *Topology) Degree(p model.ProcID) int {
-	switch t.spec.Kind {
-	case "", KindFull:
-		return t.n - 1
-	case KindGossip:
+	if t.spec.Kind == KindGossip {
 		return len(t.peersOf(p))
-	default:
-		d := 0
-		t.ForEachPeer(p, func(model.ProcID) { d++ })
-		return d
 	}
+	d := 0
+	t.forEachHierPeer(p, func(model.ProcID) { d++ })
+	return d
 }
 
 // Links returns the number of directed links in the graph: the footprint a
 // fully-exercised fault plane or reliable layer would lazily materialize.
 func (t *Topology) Links() int64 {
-	switch t.spec.Kind {
-	case "", KindFull:
-		return int64(t.n) * int64(t.n-1)
-	case KindGossip:
+	if t.spec.Kind == KindGossip {
 		return int64(len(t.peers))
-	default:
-		var sum int64
-		for p := 1; p <= t.n; p++ {
-			sum += int64(t.Degree(model.ProcID(p)))
-		}
-		return sum
 	}
+	var sum int64
+	for p := 1; p <= t.n; p++ {
+		sum += int64(t.Degree(model.ProcID(p)))
+	}
+	return sum
 }
 
 // ForEachPeer calls fn for every neighbor of p, in ascending id order. It
-// allocates nothing for the virtual kinds, so broadcast paths can iterate
-// a million-process neighborhood without materializing it.
+// allocates nothing for a hierarchy, so broadcast paths can iterate a
+// million-process neighborhood without materializing it.
 func (t *Topology) ForEachPeer(p model.ProcID, fn func(q model.ProcID)) {
-	switch t.spec.Kind {
-	case "", KindFull:
-		for q := model.ProcID(1); int(q) <= t.n; q++ {
-			if q != p {
-				fn(q)
-			}
-		}
-	case KindGossip:
-		for _, q := range t.peersOf(p) {
-			fn(q)
-		}
-	default:
+	if t.spec.Kind != KindGossip {
 		t.forEachHierPeer(p, fn)
+		return
 	}
-}
-
-// Peers returns p's neighborhood as a sorted slice. For the full mesh this
-// materializes n-1 ids; large-N callers should prefer ForEachPeer.
-func (t *Topology) Peers(p model.ProcID) []model.ProcID {
-	if t.spec.Kind == KindGossip {
-		return t.peersOf(p)
+	for _, q := range t.peersOf(p) {
+		fn(q)
 	}
-	out := make([]model.ProcID, 0, t.Degree(p))
-	t.ForEachPeer(p, func(q model.ProcID) { out = append(out, q) })
-	return out
 }
 
 // Contains reports whether q is a neighbor of p. The graph is undirected:
 // Contains(p, q) == Contains(q, p).
 func (t *Topology) Contains(p, q model.ProcID) bool {
-	if p == q {
+	switch {
+	case p == q:
 		return false
-	}
-	switch t.spec.Kind {
-	case "", KindFull:
-		return true
-	case KindGossip:
+	case t.spec.Kind == KindGossip:
 		_, ok := slices.BinarySearch(t.peersOf(p), q)
 		return ok
-	default:
-		if t.rackOf(p) == t.rackOf(q) {
-			return true
-		}
-		if t.isRackLeader(p) && t.isRackLeader(q) && t.RegionOf(p) == t.RegionOf(q) {
-			return true
-		}
-		return t.isRegionLeader(p) && t.isRegionLeader(q)
+	case t.rackOf(p) == t.rackOf(q):
+		return true
+	case t.isRackLeader(p) && t.isRackLeader(q) && t.RegionOf(p) == t.RegionOf(q):
+		return true
 	}
+	return t.isRegionLeader(p) && t.isRegionLeader(q)
 }
 
 // RegionOf returns p's region index (0-based) in a hierarchy, or -1 for

@@ -39,28 +39,28 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFullMesh: a complete-graph spec, the zero Spec or Kind "full",
+// resolves to nil, the one representation of the complete graph — after
+// the same n and spec checks every other kind gets.
 func TestFullMesh(t *testing.T) {
-	tp := MustNew(Spec{}, 6)
-	if !tp.IsFull() {
-		t.Fatal("zero spec is not the full mesh")
-	}
-	if tp.Links() != 30 {
-		t.Errorf("Links() = %d, want 30", tp.Links())
-	}
-	for p := model.ProcID(1); p <= 6; p++ {
-		if tp.Degree(p) != 5 {
-			t.Errorf("Degree(%d) = %d, want 5", p, tp.Degree(p))
+	for _, sp := range []Spec{{}, {Kind: KindFull}} {
+		if tp, err := New(sp, 6); tp != nil || err != nil {
+			t.Errorf("New(%+v, 6) = %v, %v; want nil, nil", sp, tp, err)
 		}
-		peers := tp.Peers(p)
-		if len(peers) != 5 {
-			t.Fatalf("Peers(%d) = %v", p, peers)
+		if tp := MustNew(sp, 6); tp != nil {
+			t.Errorf("MustNew(%+v, 6) = %v, want nil", sp, tp)
 		}
-		for _, q := range peers {
-			if q == p || !tp.Contains(p, q) {
-				t.Errorf("Peers(%d) contains bad peer %d", p, q)
-			}
+		if _, err := New(sp, 0); err == nil {
+			t.Errorf("New(%+v, 0): want error", sp)
 		}
 	}
+}
+
+// collectPeers collects p's neighborhood through ForEachPeer.
+func collectPeers(tp *Topology, p model.ProcID) []model.ProcID {
+	var out []model.ProcID
+	tp.ForEachPeer(p, func(q model.ProcID) { out = append(out, q) })
+	return out
 }
 
 // TestGossipDeterministicSymmetricSorted pins the gossip sampler's three
@@ -72,7 +72,7 @@ func TestGossipDeterministicSymmetricSorted(t *testing.T) {
 	a := MustNew(sp, n)
 	b := MustNew(sp, n)
 	for p := model.ProcID(1); int(p) <= n; p++ {
-		pa, pb := a.Peers(p), b.Peers(p)
+		pa, pb := collectPeers(a, p), collectPeers(b, p)
 		if len(pa) != len(pb) {
 			t.Fatalf("proc %d: degree %d vs %d across identical builds", p, len(pa), len(pb))
 		}
@@ -109,7 +109,7 @@ func TestGossipAdjacencyPinned(t *testing.T) {
 	top := MustNew(Spec{Kind: KindGossip, Fanout: 8, Seed: 1}, n)
 	h, buf := fnv.New64a(), []byte(nil)
 	for p := model.ProcID(1); int(p) <= n; p++ {
-		peers := top.Peers(p)
+		peers := collectPeers(top, p)
 		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(peers)))
 		for _, q := range peers {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(q))
@@ -126,7 +126,7 @@ func TestGossipAdjacencyPinned(t *testing.T) {
 
 func sameAdjacency(a, b *Topology, n int) bool {
 	for p := model.ProcID(1); int(p) <= n; p++ {
-		pa, pb := a.Peers(p), b.Peers(p)
+		pa, pb := collectPeers(a, p), collectPeers(b, p)
 		if len(pa) != len(pb) {
 			return false
 		}
@@ -155,13 +155,13 @@ func TestHierNeighborhoods(t *testing.T) {
 		12: {10, 11},      // plain member of the last rack
 	}
 	for p, peers := range want {
-		got := tp.Peers(p)
+		got := collectPeers(tp, p)
 		if len(got) != len(peers) {
-			t.Fatalf("Peers(%d) = %v, want %v", p, got, peers)
+			t.Fatalf("peers of %d = %v, want %v", p, got, peers)
 		}
 		for i := range got {
 			if got[i] != peers[i] {
-				t.Fatalf("Peers(%d) = %v, want %v", p, got, peers)
+				t.Fatalf("peers of %d = %v, want %v", p, got, peers)
 			}
 		}
 		if tp.Degree(p) != len(peers) {
@@ -205,18 +205,14 @@ func TestNewRejectsMisfits(t *testing.T) {
 	}
 }
 
-// TestForEachPeerAllocFree pins the virtual kinds' memory contract: full
-// and hier neighborhood walks must not allocate per call.
+// TestForEachPeerAllocFree pins the virtual hierarchy's memory contract:
+// a neighborhood walk must not allocate per call.
 func TestForEachPeerAllocFree(t *testing.T) {
-	full := MustNew(Spec{}, 1000)
 	hier := MustNew(Spec{Kind: KindHier, Regions: 4, Racks: 5}, 1000)
 	sink := 0
 	fn := func(q model.ProcID) { sink += int(q) }
-	for name, tp := range map[string]*Topology{"full": full, "hier": hier} {
-		allocs := testing.AllocsPerRun(10, func() { tp.ForEachPeer(500, fn) })
-		if allocs > 0 {
-			t.Errorf("%s: ForEachPeer allocates %.0f/call, want 0", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(10, func() { hier.ForEachPeer(500, fn) }); allocs > 0 {
+		t.Errorf("ForEachPeer allocates %.0f/call, want 0", allocs)
 	}
 	_ = sink
 }
