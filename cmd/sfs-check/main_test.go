@@ -336,12 +336,13 @@ func TestBadFlagRefusedInOneLine(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags: -h still prints the usage, with the flags listed.
+// TestHelpListsFlags: -h prints the usage, with the flags listed, and exits
+// 0: a help request is not a usage error.
 func TestHelpListsFlags(t *testing.T) {
 	var out bytes.Buffer
 	args := []string{"-h"}
-	if code := run(args, &out); code != 2 {
-		t.Errorf("sfs-check -h: exit %d, want 2", code)
+	if code := run(args, &out); code != 0 {
+		t.Errorf("sfs-check -h: exit %d, want 0", code)
 	}
 	for _, f := range []string{"-in", "-rewrite", "-t"} {
 		if !strings.Contains(out.String(), "\n  "+f+" ") && !strings.Contains(out.String(), "\n  "+f+"\n") {

@@ -38,6 +38,7 @@ func run(args []string, out io.Writer) int {
 		if err == flag.ErrHelp {
 			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
 			fs.PrintDefaults()
+			return 0
 		}
 		return 2
 	}

@@ -3,6 +3,7 @@ package failstop_test
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"failstop/internal/byz"
 	"failstop/internal/fd"
 	"failstop/internal/model"
+	"failstop/internal/obs"
 	"failstop/internal/reliable"
 )
 
@@ -17,10 +19,11 @@ import (
 // under the Byzantine→crash layer — or through one of them or neither, on a
 // network that loses, duplicates, reorders and delays messages, cuts links or
 // holds their traffic until a heal, with a script of crashes and suspicions
-// and up to two processes the plan crashes and restarts. The plan has no
-// Byzantine rules: no sender misbehaves, so every conviction the layer makes
-// is a fault — except after an amnesiac restart, whose reused sequence
-// numbers the layer convicts as replays by design.
+// and up to two processes the plan crashes and restarts. The plan has at most
+// one Byzantine rule, whose victim is the one sender that misbehaves: every
+// conviction of another process is a fault — except where
+// checkGeneratedStack's exemptions say the layer convicts an honest one by
+// design.
 type stackDraw struct {
 	opts     failstop.Options
 	crashes  []scriptCrash
@@ -38,9 +41,9 @@ type scriptSuspect struct {
 }
 
 func (d stackDraw) String() string {
-	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d maxdelay=%d hb=%d/%d reliable=%v byz=%v topo=%s rules=%+v procs=%+v recovery=%v crashes=%v suspects=%v",
+	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d maxdelay=%d hb=%d/%d reliable=%v byz=%v topo=%s rules=%+v procs=%+v byzrules=%+v recovery=%v crashes=%v suspects=%v",
 		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.MaxDelay, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
-		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, topoLabel(d.opts.Topology), d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Recovery, d.crashes, d.suspects)
+		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, topoLabel(d.opts.Topology), d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Faults.Byz, d.opts.Recovery, d.crashes, d.suspects)
 }
 
 // topoLabel names a topology option: nil, the zero spec, or the spec's name.
@@ -91,9 +94,10 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // reliable layer a duplicated frame reaches the Byzantine layer
 // undeduplicated, as a duplicated heartbeat always does: heartbeats cross
 // the reliable layer unsequenced. Under the wide spread a copy can land
-// more than the horizon after its original. Last, the run draws its
+// more than the horizon after its original. Then the run draws its
 // topology: none, the complete graph named, a gossip overlay or a small
-// hierarchy, dropped if it cannot shape the draw's n.
+// hierarchy, dropped if it cannot shape the draw's n. Last, it draws zero or
+// one Byzantine rule (drawByzRule).
 func drawStack(data []byte) stackDraw {
 	d := &drawer{b: data}
 	n := 3 + d.intn(6)
@@ -215,7 +219,40 @@ func drawStack(data []byte) stackDraw {
 		draw.opts.Topology = &failstop.TopoSpec{Kind: failstop.TopoHier, Regions: 1 + d.intn(2), Racks: 1 + d.intn(2)}
 	}
 	draw.dropMisfitTopology()
+	if d.intn(2) == 1 {
+		plan.Byz = []failstop.ByzFaultRule{drawByzRule(d, n)}
+		if plan.Validate(n) != nil {
+			plan.Byz = nil
+		}
+	}
 	return draw
+}
+
+// drawByzRule draws one Byzantine rule on a drawn victim, active from a tick
+// in 0..99: it corrupts, equivocates to two non-empty groups of the other
+// processes, or replays 400 ticks late (beyond byz.ReplayHorizon), on the
+// detector's suspicions or on every tag, echoes included.
+func drawByzRule(d *drawer, n int) failstop.ByzFaultRule {
+	r := failstop.ByzFaultRule{Victim: failstop.ProcID(1 + d.intn(n)), From: int64(d.intn(100))}
+	switch d.intn(3) {
+	case 0:
+		r.Corrupt = 0.1 * float64(1+d.intn(5))
+	case 1:
+		var others []failstop.ProcID
+		for q := failstop.ProcID(1); int(q) <= n; q++ {
+			if q != r.Victim {
+				others = append(others, q)
+			}
+		}
+		k := 1 + d.intn(n-2)
+		r.Equivocate = [][]failstop.ProcID{others[:k:k], others[k:]}
+	default:
+		r.Replay, r.ReplayDelay = 0.1*float64(1+d.intn(5)), 400
+	}
+	if d.intn(2) == 0 {
+		r.Tags = []string{failstop.DefaultSuspTag}
+	}
+	return r
 }
 
 // dropMisfitTopology runs the draw on the complete graph if Options.Validate
@@ -272,14 +309,17 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 }
 
 // checkGeneratedStack holds one draw to its properties: both validators
-// accept it; the layer convicts no one, since the reliable layer retires
+// accept it; every conviction (a byz-detect span) names the Byzantine rule's
+// victim, and without a rule there is none, since the reliable layer retires
 // every duplicate but a heartbeat's, the Byzantine layer never convicts on a
 // repeated heartbeat, and no honest sender can look like an equivocator —
 // unless a process restarts with amnesia (its reused sequence numbers are
-// replays by design) or the Byzantine layer runs without the reliable one on
+// replays by design), the Byzantine layer runs without the reliable one on
 // a delay spread beyond byz.ReplayHorizon (there a late network duplicate of
 // any other frame is a replay to the layer, which is the bare-network limit
-// its package comment states); sFS2c and sFS2d hold,
+// its package comment states), or an Equivocate rule reaches the victim's
+// echoes (a lying witness, which can frame an honest origin: the limit the
+// same comment states); sFS2c and sFS2d hold,
 // and sFS2b does whenever at most T processes are detected (Theorem 7's
 // quorums then intersect across every failed-before cycle there can be); and
 // the run digests the same twice, the second time after a run of another
@@ -292,12 +332,24 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	if err := d.opts.Faults.Validate(d.opts.N); err != nil {
 		t.Fatalf("Plan.Validate refused a draw: %v\n%v", err, d)
 	}
-	c := failstop.NewCluster(d.opts)
+	o := d.opts
+	o.Spans = failstop.NewSpanRecorder(o.Seed, 0) // records every conviction
+	c := failstop.NewCluster(o)
 	d.inject(c)
 	rep := c.Run()
 	bareWide := !d.opts.Reliable.Enabled && d.opts.MaxDelay > byz.ReplayHorizon
-	if rep.ByzDetected != 0 && d.opts.Recovery != failstop.RecoveryAmnesia && !bareWide {
-		t.Errorf("%d convictions with no Byzantine rule in the plan\n%v", rep.ByzDetected, d)
+	victim := model.None
+	lyingWitness := false
+	for _, r := range d.opts.Faults.Byz {
+		victim = r.Victim
+		lyingWitness = len(r.Equivocate) > 0 && (len(r.Tags) == 0 || slices.Contains(r.Tags, byz.TagEcho))
+	}
+	if d.opts.Recovery != failstop.RecoveryAmnesia && !bareWide && !lyingWitness {
+		for _, s := range rep.Spans {
+			if s.Kind == obs.SpanByzDetect && s.Peer != victim {
+				t.Errorf("process %d convicted %d (%s) at %d; the Byzantine victim is %d\n%v", s.Proc, s.Peer, s.Note, s.Time, victim, d)
+			}
+		}
 	}
 	detected := map[model.ProcID]bool{}
 	for _, det := range rep.History.Detections() {

@@ -61,18 +61,24 @@
 //
 // Limitations, by design: a lying witness — a process whose echoes
 // themselves are forged — can frame an honest origin, since conviction
-// trusts digest conflicts; the fault plane's rule grammar only mutates the
-// victim's own traffic, so the scenarios this package ships with never
-// exercise that. Echoes from masked processes still count as testimony:
-// an echo can only corroborate a digest the receiver computed itself or
-// create a conflict that convicts the origin, and counting it keeps
-// witness quorums live when masked processes sit among the receivers.
-// Restarting a process with amnesia (internal/recovery) resets its
-// sequence counters, so its reused sequence numbers look like stale
-// replays to peers that remember the first incarnation — persist the
-// counters (durable recovery) to restart cleanly. Held frames and echo
-// records are transient and die with a crash, like the reliable layer's
-// pending acks.
+// trusts digest conflicts. The fault plane forges only its victim's own
+// traffic, but that includes the victim's echoes: an Equivocate rule whose
+// tags reach TagEcho (an untagged rule does) reseals the echoes some
+// receivers get with their Subject rotated. Such an echo names another
+// origin, and broadcast ids are counted per origin, so its digest can
+// conflict with that origin's own broadcast under the same id, which
+// convicts the honest origin. The builtin plans and the experiments tag
+// their equivocators with the detector's SUSP only, so they never exercise
+// that; the root package's generated stack runs do. Echoes from masked
+// processes still count as testimony: an echo can only corroborate a digest
+// the receiver computed itself or create a conflict that convicts the
+// origin, and counting it keeps witness quorums live when masked processes
+// sit among the receivers. Restarting a process with amnesia
+// (internal/recovery) resets its sequence counters, so its reused sequence
+// numbers look like stale replays to peers that remember the first
+// incarnation — persist the counters (durable recovery) to restart cleanly.
+// Held frames and echo records are transient and die with a crash, like the
+// reliable layer's pending acks.
 //
 // Data layout. Per-peer state lives in two node.Tables keyed by the peer's
 // id, each record made on first use: links holds what this endpoint sends to
@@ -101,9 +107,7 @@
 // may keep a sent body for as long as it likes — and it is the
 // destination's, not the endpoint's, so bodies that are never let go of
 // (unacked to a crashed peer) pin that link's chunks and no other's. The
-// inner handler sees one context wrapper per endpoint, rebound to the host's
-// context at every callback entry — node.Context limits a context to the
-// callback that received it, and hosts serialize a process's callbacks.
+// inner handler and its context wrapper are the embedded node.Layer's.
 package byz
 
 import (
@@ -213,7 +217,7 @@ type link struct {
 // serialize per process; the counters are atomic so live-backend stats can
 // be read concurrently.
 type Endpoint struct {
-	inner node.Handler
+	node.Layer
 	spans *obs.SpanRecorder
 	// convict is invoked once per conviction with the wrapped context, so
 	// the suspicion it feeds into the detector broadcasts through this
@@ -249,7 +253,6 @@ type Endpoint struct {
 	open  []*round
 	stale bool
 
-	ctx  byzCtx   // the one context the inner handler sees
 	echo [16]byte // hold's scratch: the echo body being sealed
 
 	detected    obs.Counter // convictions
@@ -266,13 +269,10 @@ var (
 // Wrap builds an Endpoint around inner. The endpoint reads nothing of the
 // options: whether the layer is on (Enabled) is for the stack that wraps.
 func Wrap(inner node.Handler, _ Options) *Endpoint {
-	e := &Endpoint{inner: inner}
-	e.ctx.e = e
+	e := &Endpoint{}
+	e.Wrap(inner, e)
 	return e
 }
-
-// Inner returns the wrapped handler.
-func (e *Endpoint) Inner() node.Handler { return e.inner }
 
 // ByzStats returns the layer's counters: misbehavior convictions and
 // frames discarded because their sender was masked. Hosts discover this
@@ -295,27 +295,6 @@ func (e *Endpoint) SetSpans(rec *obs.SpanRecorder) { e.spans = rec }
 // Byzantine-to-crash demotion. Call before the host starts delivering.
 func (e *Endpoint) SetConvict(fn func(ctx node.Context, culprit model.ProcID)) { e.convict = fn }
 
-// Context wraps a host context so that Send flows through the sealing
-// layer. Injected actions (SuspectAt and friends) must wrap the context
-// they are handed, or their sends would go out unsealed. The wrapper is the
-// endpoint's one context, rebound to host: like every node.Context it is
-// good for the current callback only.
-func (e *Endpoint) Context(host node.Context) node.Context {
-	e.ctx.Context = host
-	return &e.ctx
-}
-
-// byzCtx is the context the inner handler sees: everything forwards to the
-// host except Send.
-type byzCtx struct {
-	node.Context
-	e *Endpoint
-}
-
-func (c *byzCtx) Send(to model.ProcID, p node.Payload) {
-	c.e.send(c.Context, to, p)
-}
-
 // resolve fixes the witness threshold and the voucher set width once the
 // system size is known.
 func (e *Endpoint) resolve(ctx node.Context) {
@@ -328,19 +307,13 @@ func (e *Endpoint) resolve(ctx node.Context) {
 // Init implements node.Handler.
 func (e *Endpoint) Init(ctx node.Context) {
 	e.resolve(ctx)
-	e.inner.Init(e.Context(ctx))
+	e.Layer.Init(ctx)
 }
 
-// OnCrash implements node.CrashListener.
-func (e *Endpoint) OnCrash(ctx node.Context) {
-	if l, ok := e.inner.(node.CrashListener); ok {
-		l.OnCrash(e.Context(ctx))
-	}
-}
-
-// send seals and transmits one payload from the inner handler, assigning
-// the per-link sequence number and the content-equality broadcast id.
-func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
+// SendThrough implements node.Sender: it seals and transmits one payload
+// from the inner handler, assigning the per-link sequence number and the
+// content-equality broadcast id.
+func (e *Endpoint) SendThrough(host node.Context, to model.ProcID, p node.Payload) {
 	if !e.haveLast || p.Tag != e.lastTag || p.Subject != e.lastSubject || !bytes.Equal(p.Data, e.lastData) {
 		e.bid++
 		e.haveLast = true
@@ -359,7 +332,7 @@ func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
 // forwards to the inner handler, then held frames whose gates may have
 // opened are re-pumped.
 func (e *Endpoint) OnTimer(ctx node.Context, name string) {
-	e.inner.OnTimer(e.Context(ctx), name)
+	e.Inner().OnTimer(e.Context(ctx), name)
 	e.pump(ctx)
 }
 
@@ -369,7 +342,7 @@ func (e *Endpoint) OnTimer(ctx node.Context, name string) {
 // sender without the layer) passes through untouched.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
 	if !Sealed(p.Data) {
-		e.inner.OnMessage(e.Context(ctx), from, p)
+		e.Inner().OnMessage(e.Context(ctx), from, p)
 		return
 	}
 	seq, bid, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
@@ -403,7 +376,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	}
 	inner := node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data}
 	if p.Tag != heldTag {
-		e.inner.OnMessage(e.Context(ctx), from, inner)
+		e.Inner().OnMessage(e.Context(ctx), from, inner)
 		return
 	}
 	e.hold(ctx, from, bid, inner)
@@ -433,7 +406,7 @@ func (e *Endpoint) hold(ctx node.Context, origin model.ProcID, bid uint64, p nod
 			if q == ctx.Self() || q == origin {
 				continue
 			}
-			e.send(ctx, q, node.Payload{Tag: TagEcho, Subject: origin, Data: data})
+			e.SendThrough(ctx, q, node.Payload{Tag: TagEcho, Subject: origin, Data: data})
 		}
 	}
 }
@@ -518,7 +491,6 @@ func (e *Endpoint) vouch(r *round, digest uint64, by model.ProcID) {
 // the scan repeats until a full pass changes nothing. Nothing pump calls
 // adds a round, so the list only changes by the marks swept here.
 func (e *Endpoint) pump(ctx node.Context) {
-	gate, _ := e.inner.(node.Gate)
 	for again := true; again; {
 		again = false
 		for _, r := range e.open {
@@ -534,7 +506,7 @@ func (e *Endpoint) pump(ctx node.Context) {
 			if !r.haveMine || r.vouched(r.myDigest).by.Len() < e.witnesses {
 				continue
 			}
-			if gate != nil && len(r.held) > 0 && !gate.Accepts(r.origin, r.held[0]) {
+			if len(r.held) > 0 && !node.Accepts(e.Inner(), r.origin, r.held[0]) {
 				continue // retry on the next pump
 			}
 			r.released = true
@@ -542,7 +514,7 @@ func (e *Endpoint) pump(ctx node.Context) {
 			held := r.held
 			r.held = nil
 			for _, p := range held {
-				e.inner.OnMessage(e.Context(ctx), r.origin, p)
+				e.Inner().OnMessage(e.Context(ctx), r.origin, p)
 			}
 			r.firstHeld[0] = node.Payload{} // released frames are not pinned
 			again = true
@@ -591,10 +563,7 @@ func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason st
 // must not mutate state: hosts call it speculatively.
 func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if !Sealed(p.Data) {
-		if g, ok := e.inner.(node.Gate); ok {
-			return g.Accepts(from, p)
-		}
-		return true
+		return node.Accepts(e.Inner(), from, p)
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
 	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == heldTag {
@@ -605,10 +574,7 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 			return true // duplicate or replay: consumed internally
 		}
 	}
-	if g, ok := e.inner.(node.Gate); ok {
-		return g.Accepts(from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data})
-	}
-	return true
+	return node.Accepts(e.Inner(), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data})
 }
 
 // endpointSnapshot is the durable-state wire form of an Endpoint
@@ -644,9 +610,7 @@ func (e *Endpoint) Snapshot() []byte {
 	for _, id := range e.links.IDs(nil) {
 		snap.Peers = append(snap.Peers, peerSeqSnapshot{Peer: id, NextSeq: e.links.Get(id).seq})
 	}
-	if r, ok := e.inner.(node.Restarter); ok {
-		snap.Inner = r.Snapshot()
-	}
+	snap.Inner = node.Snapshot(e.Inner())
 	b, err := json.Marshal(snap)
 	if err != nil {
 		panic(fmt.Sprintf("byz: encoding endpoint snapshot: %v", err))
@@ -696,11 +660,7 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 			innerState = snap.Inner
 		}
 	}
-	if r, ok := e.inner.(node.Restarter); ok {
-		r.OnRestart(e.Context(ctx), innerState)
-	} else {
-		e.inner.Init(e.Context(ctx))
-	}
+	node.Restart(e.Inner(), e.Context(ctx), innerState)
 }
 
 // Sealed reports whether data carries this layer's frame header.

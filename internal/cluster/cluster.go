@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"failstop/internal/byz"
 	"failstop/internal/core"
@@ -142,11 +143,11 @@ func (o Options) CheckHorizon() error {
 // Stack is the protocol stack of every process, bottom (the network) to top:
 // an optional reliable-delivery endpoint, an optional Byzantine validation
 // endpoint, the detector with its optional fd component and application.
-// Each table holds process p's entry at index p-1.
+// detectors holds process p's at index p-1; layers holds each process's
+// interposers in turn, outermost first, the same number for every process.
 type Stack struct {
 	detectors []core.Detector
-	endpoints []*reliable.Endpoint // nil when the layer is off
-	byzants   []*byz.Endpoint      // nil when the interposer is off
+	layers    []*node.Layer
 }
 
 // Detector returns process p's detector.
@@ -173,15 +174,13 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 		}
 		return comp, app
 	})}
-	if opts.Reliable.Enabled {
-		st.endpoints = make([]*reliable.Endpoint, n)
-	}
-	if opts.Byzantine.Enabled {
-		st.byzants = make([]*byz.Endpoint, n)
+	if opts.Reliable.Enabled || opts.Byzantine.Enabled {
+		st.layers = make([]*node.Layer, 0, 2*n)
 	}
 	for p := model.ProcID(1); int(p) <= n; p++ {
 		d := st.Detector(p)
 		var top node.Handler = d
+		first := len(st.layers)
 		if opts.Byzantine.Enabled {
 			bz := byz.Wrap(d, opts.Byzantine)
 			bz.SetSpans(spans)
@@ -191,13 +190,13 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 			bz.SetConvict(func(ctx node.Context, culprit model.ProcID) {
 				d.Suspect(ctx, culprit)
 			})
-			st.byzants[p-1] = bz
+			st.layers = append(st.layers, &bz.Layer)
 			top = bz
 		}
 		if opts.Reliable.Enabled {
 			ep := reliable.Wrap(top, opts.Reliable)
 			ep.SetSpans(spans)
-			st.endpoints[p-1] = ep
+			st.layers = slices.Insert(st.layers, first, &ep.Layer)
 			top = ep
 		}
 		h.SetHandler(p, top)
@@ -207,14 +206,12 @@ func Build(h Host, opts Options, spans *obs.SpanRecorder) Stack {
 
 // Suspect makes process i begin the detection protocol for j from ctx, the
 // host's own context of i. The broadcast flows down the stack the way the
-// detector's other sends do: the reliable layer is outermost, so its context
-// wraps first and the interposer's sends flow through it.
+// detector's other sends do: i's layers wrap ctx outermost first, so each
+// one's sends flow through the layers outside it.
 func (st *Stack) Suspect(ctx node.Context, i, j model.ProcID) {
-	if st.endpoints != nil {
-		ctx = st.endpoints[i-1].Context(ctx)
-	}
-	if st.byzants != nil {
-		ctx = st.byzants[i-1].Context(ctx)
+	k := len(st.layers) / len(st.detectors)
+	for _, l := range st.layers[int(i-1)*k : int(i)*k] {
+		ctx = l.Context(ctx)
 	}
 	st.Detector(i).Suspect(ctx, j)
 }

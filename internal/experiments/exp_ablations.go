@@ -44,8 +44,6 @@ func A1() Result {
 	tbl.Row("strict (§5 literal)", s.N, fmt.Sprintf("%.1f", s.Mean), fmt.Sprintf("%.1f", s.P95), sv)
 	ok := pv == 0 && sv == 0 && p.N > 0 && s.N > 0 && s.Mean >= p.Mean
 	return Result{
-		ID:    "A1",
-		Title: "Ablation: sFS2d receive gating — precise per-sender rule vs §5's literal 'no other action'",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -98,8 +96,6 @@ func A2() Result {
 		all.quorumMean > fixed.quorumMean && // waits for strictly more processes
 		all.latency.Mean >= fixed.latency.Mean
 	return Result{
-		ID:    "A2",
-		Title: "Ablation: quorum policy — fixed minimum quorum vs wait-for-all-unsuspected (§4's two implementations)",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -156,8 +152,6 @@ func A3() Result {
 		plain.transitive && !plain.outOfOrderDet &&
 		pig.transitive && !pig.outOfOrderDet
 	return Result{
-		ID:    "A3",
-		Title: "Exploration (§6 future work): transitive failed-before — the §5 quorums already provide it; the cheap model does not",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

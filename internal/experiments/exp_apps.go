@@ -57,8 +57,6 @@ func E9() Result {
 		}
 	}
 	return Result{
-		ID:    "E9",
-		Title: "§5 protocol cost: Θ(n²) messages per failure event, one round of latency",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -124,8 +122,6 @@ func E10() Result {
 	ok := sfs.realizable == seeds && sfs.undeadEnd == 0 &&
 		uni.realizable == 0 && uni.undeadEnd == seeds
 	return Result{
-		ID:    "E10",
-		Title: "§1 election: dual leadership is transient and internally unobservable under sFS; persistent and distinguishable under unilateral detection",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -188,8 +184,6 @@ func E11() Result {
 	}
 	tbl.Row("sfs", fmt.Sprintf("mutual suspicion × %d seeds", seeds), "victims never qualify", "-", misleadingSFS > 0)
 	return Result{
-		ID:    "E11",
-		Title: "§6 / Skeen: last-process-to-fail is misled by cyclic detection (cheap) and safe under sFS",
 		Table: tbl.String(),
 		OK:    cheapMisleading && misleadingSFS == 0,
 		Notes: []string{
@@ -266,8 +260,6 @@ func E12() Result {
 		cheapLat < sfsLat && // cheap detects strictly faster (no quorum wait)
 		sfs.violations == 0 && cheap.violations == 0 // both keep sFS2d
 	return Result{
-		ID:    "E12",
-		Title: "§6 trade-off: the cheap model is faster but admits failed-before cycles; sFS pays one quorum round for acyclicity",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

@@ -94,8 +94,6 @@ func E1() Result {
 		}
 	}
 	return Result{
-		ID:    "E1",
-		Title: "Theorem 1: FS (a Perfect Failure Detector) is unimplementable — the timeout dilemma",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -134,8 +132,6 @@ func E6() Result {
 		}
 	}
 	return Result{
-		ID:    "E6",
-		Title: "Theorem 6 / App. A.3: the Witness property is necessary — witness-free quorums admit failed-before cycles",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -170,7 +166,7 @@ func E7() Result {
 		},
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E7", Title: "Theorem 7 quorum bound", OK: false, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 	tbl := stats.NewTable("n", "t", "min quorum ⌊n(t-1)/t⌋+1", "cycle at q-1", "cycle at q")
 	ok := true
@@ -186,8 +182,6 @@ func E7() Result {
 		}
 	}
 	return Result{
-		ID:    "E7",
-		Title: "Theorem 7: fixed quorums must exceed n(t-1)/t — tight in both directions",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{"'cycle at q-1' must be true (bound is necessary), 'cycle at q' false (bound is sufficient)"},
@@ -235,7 +229,7 @@ func E8() Result {
 		},
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E8", Title: "Corollary 8 progress bound", OK: false, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 	tbl := stats.NewTable("n", "t", "n > t²", "progress (all detections complete)")
 	ok := true
@@ -249,8 +243,6 @@ func E8() Result {
 		}
 	}
 	return Result{
-		ID:    "E8",
-		Title: "Corollary 8: minimum-quorum progress requires n > t²",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{"t genuine crashes leave n-t live processes; the quorum ⌊n(t-1)/t⌋+1 is reachable iff n > t²"},

@@ -37,7 +37,6 @@ func E16() Result {
 		n, t  = 5, 2
 		seeds = 10
 	)
-	const title = "Byzantine demotion: accuracy under a corruption/equivocation/replay ladder, interposer off vs. on"
 	// Each mix spends the failure budget t on Byzantine victims alone:
 	// every demotion removes an echo witness from the quorum of
 	// (n-1)/2+1, so a ladder that also crashed an honest process would
@@ -130,7 +129,7 @@ func E16() Result {
 			},
 		}, sweep.Options{})
 		if err != nil {
-			return Result{ID: "E16", Title: title, Notes: []string{err.Error()}}
+			return Result{Notes: []string{err.Error()}}
 		}
 		for i := range rep.Cells { // the interposer off, then on
 			c := &rep.Cells[i]
@@ -156,8 +155,6 @@ func E16() Result {
 	}
 
 	return Result{
-		ID:    "E16",
-		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

@@ -109,7 +109,7 @@ func E2() Result {
 		Check:     true,
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E2", Title: "Figure 1 condition check", OK: false, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 	counts, total := rep.TotalHolds()
 	tbl := stats.NewTable("property", "runs holding", "total runs", "pct")
@@ -126,8 +126,6 @@ func E2() Result {
 		}
 	}
 	return Result{
-		ID:    "E2",
-		Title: "Figure 1: the sFS conditions hold on every §5-protocol run; FS2 (strong accuracy) does not",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
@@ -143,7 +141,6 @@ func E2() Result {
 // judges each run's abstract history.
 func E3() Result {
 	const n, t, seeds = 10, 3, 10
-	const title = "Theorem 2: Conditions 1–3 are necessary — §5 satisfies them, the unilateral strawman breaks Condition 1"
 	sc := scenario{name: "false-pair", susp: [][2]model.ProcID{{2, 1}, {4, 3}}, slowKill: []model.ProcID{1, 3}}
 	protos := []core.Protocol{core.SimulatedFailStop, core.Unilateral}
 	rep, err := sweep.Run(sweep.Spec{
@@ -162,7 +159,7 @@ func E3() Result {
 		},
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E3", Title: title, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 	tbl := stats.NewTable("protocol", "Condition1", "Condition2", "Condition3", "FS-realizable")
 	ok := true
@@ -180,7 +177,7 @@ func E3() Result {
 			// E3 states no expectation for other protocols (Cheap is E11's).
 		}
 	}
-	return Result{ID: "E3", Title: title, Table: tbl.String(), OK: ok}
+	return Result{Table: tbl.String(), OK: ok}
 }
 
 // E4 verifies Theorem 3: the exact counterexample history satisfies
@@ -205,8 +202,6 @@ func E4() Result {
 	tbl.Row("swap rewriter refuses", serr != nil)
 	ok := c1 && c2 && c3 && !sfs2d && !realizable && gerr != nil && serr != nil
 	return Result{
-		ID:    "E4",
-		Title: "Theorem 3: Conditions 1–3 are not sufficient — the 4-process counterexample",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{"history: failed_y(x); send_y(a); recv_a; crash_a; failed_b(a); send_b(x); recv_x; crash_x (x,a,b,y = 1,2,3,4)"},
@@ -260,8 +255,6 @@ func E5() Result {
 	tbl.Row("swap moves per run (max)", mv.Max)
 	tbl.Row("algorithms agree on bad pairs", agree)
 	return Result{
-		ID:    "E5",
-		Title: "Theorem 5: sFS is indistinguishable from FS — explicit witnesses for every run",
 		Table: tbl.String(),
 		OK:    runs > 0 && successes == runs && agree,
 		Notes: []string{"each witness is checked for validity, per-process isomorphism, FS1 and FS2"},

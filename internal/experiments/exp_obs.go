@@ -53,8 +53,7 @@ func E14() Result {
 			HeartbeatTimeout: to,
 		}, sweep.Options{})
 		if err != nil {
-			return Result{ID: "E14", Title: "false-suspicion surface", OK: false,
-				Notes: []string{"sweep failed: " + err.Error()}}
+			return Result{Notes: []string{"sweep failed: " + err.Error()}}
 		}
 		for i, cell := range rep.Cells {
 			p := drops[i%len(drops)]
@@ -80,8 +79,6 @@ func E14() Result {
 	ok = ok && rates[40][0.35] == seeds
 
 	return Result{
-		ID:    "E14",
-		Title: "Theorem 1 as a surface: false-suspicion rate vs. drop probability vs. heartbeat timeout",
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

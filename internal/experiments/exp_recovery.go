@@ -40,7 +40,6 @@ func E15() Result {
 		n, t  = 5, 2
 		seeds = 10
 	)
-	const title = "Figure 1 properties under crash-recovery: amnesia vs. durable state across a restart-frequency x drop ladder"
 	type scenario struct {
 		name string
 		// storm: 0 is the one-shot crash/restart; otherwise process 2
@@ -95,7 +94,7 @@ func E15() Result {
 		},
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E15", Title: title, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 
 	tbl := stats.NewTable("scenario", "recovery", "FS1", "FS2+sFS2a-d", "restarts", "recovered")
@@ -121,8 +120,6 @@ func E15() Result {
 	// The registry-level claim: at least one Figure 1 property (FS1) holds
 	// under durable recovery and fails under amnesia, in every cell.
 	return Result{
-		ID:    "E15",
-		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

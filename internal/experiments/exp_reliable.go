@@ -31,7 +31,6 @@ func E13() Result {
 		n, t  = 5, 2
 		seeds = 12
 	)
-	const title = "Figure 1 properties under lossy links, with and without reliable channels (ack/retransmit layer)"
 	type scenario struct {
 		name string
 		plan netadv.Generator
@@ -81,7 +80,7 @@ func E13() Result {
 		},
 	}, sweep.Options{})
 	if err != nil {
-		return Result{ID: "E13", Title: title, Notes: []string{err.Error()}}
+		return Result{Notes: []string{err.Error()}}
 	}
 
 	meets := func(want string, held int) bool {
@@ -123,8 +122,6 @@ func E13() Result {
 	}
 
 	return Result{
-		ID:    "E13",
-		Title: title,
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{

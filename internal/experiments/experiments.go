@@ -50,21 +50,42 @@ type Runner func() Result
 
 // experiments lists every experiment in order: the paper artifacts E1..E12
 // and the post-paper measurements E13..E16 first, then the ablations A1..A3.
+// An experiment's id and title are written here only: Registry stamps them on
+// the Result its runner returns, on success and failure alike.
 var experiments = []struct {
-	id  string
-	run Runner
+	id, title string
+	run       Runner
 }{
-	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
-	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12},
-	{"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
-	{"A1", A1}, {"A2", A2}, {"A3", A3},
+	{"E1", "Theorem 1: FS (a Perfect Failure Detector) is unimplementable — the timeout dilemma", E1},
+	{"E2", "Figure 1: the sFS conditions hold on every §5-protocol run; FS2 (strong accuracy) does not", E2},
+	{"E3", "Theorem 2: Conditions 1–3 are necessary — §5 satisfies them, the unilateral strawman breaks Condition 1", E3},
+	{"E4", "Theorem 3: Conditions 1–3 are not sufficient — the 4-process counterexample", E4},
+	{"E5", "Theorem 5: sFS is indistinguishable from FS — explicit witnesses for every run", E5},
+	{"E6", "Theorem 6 / App. A.3: the Witness property is necessary — witness-free quorums admit failed-before cycles", E6},
+	{"E7", "Theorem 7: fixed quorums must exceed n(t-1)/t — tight in both directions", E7},
+	{"E8", "Corollary 8: minimum-quorum progress requires n > t²", E8},
+	{"E9", "§5 protocol cost: Θ(n²) messages per failure event, one round of latency", E9},
+	{"E10", "§1 election: dual leadership is transient and internally unobservable under sFS; persistent and distinguishable under unilateral detection", E10},
+	{"E11", "§6 / Skeen: last-process-to-fail is misled by cyclic detection (cheap) and safe under sFS", E11},
+	{"E12", "§6 trade-off: the cheap model is faster but admits failed-before cycles; sFS pays one quorum round for acyclicity", E12},
+	{"E13", "Figure 1 properties under lossy links, with and without reliable channels (ack/retransmit layer)", E13},
+	{"E14", "Theorem 1 as a surface: false-suspicion rate vs. drop probability vs. heartbeat timeout", E14},
+	{"E15", "Figure 1 properties under crash-recovery: amnesia vs. durable state across a restart-frequency x drop ladder", E15},
+	{"E16", "Byzantine demotion: accuracy under a corruption/equivocation/replay ladder, interposer off vs. on", E16},
+	{"A1", "Ablation: sFS2d receive gating — precise per-sender rule vs §5's literal 'no other action'", A1},
+	{"A2", "Ablation: quorum policy — fixed minimum quorum vs wait-for-all-unsuspected (§4's two implementations)", A2},
+	{"A3", "Exploration (§6 future work): transitive failed-before — the §5 quorums already provide it; the cheap model does not", A3},
 }
 
 // Registry maps experiment ids to their runners.
 func Registry() map[string]Runner {
 	reg := make(map[string]Runner, len(experiments))
 	for _, e := range experiments {
-		reg[e.id] = e.run
+		reg[e.id] = func() Result {
+			r := e.run()
+			r.ID, r.Title = e.id, e.title
+			return r
+		}
 	}
 	return reg
 }

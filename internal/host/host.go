@@ -391,9 +391,7 @@ func (c *Core) Crash(t *Tally, i int, at, now int64, h node.Handler, ctx node.Co
 // crash's last step.
 func (c *Core) CrashSelf(p model.ProcID, h node.Handler, ctx node.Context, record func(model.Event)) {
 	record(model.Crash(p))
-	if lis, ok := h.(node.CrashListener); ok {
-		lis.OnCrash(ctx)
-	}
+	node.Crashed(h, ctx)
 }
 
 // Skip passes over the crash window of lifetime i due at tick at when it
@@ -433,11 +431,7 @@ func (c *Core) Restart(t *Tally, p model.ProcID, now int64, h node.Handler, ctx 
 		}
 		c.Spans.Record(obs.Span{Time: now, Kind: obs.SpanRestart, Proc: p, Note: note})
 	}
-	if r, ok := h.(node.Restarter); ok {
-		r.OnRestart(ctx, st)
-	} else {
-		h.Init(ctx)
-	}
+	node.Restart(h, ctx, st)
 }
 
 // Detection records the span of a just-recorded suspicion or failed_i(j) under

@@ -48,8 +48,11 @@ func checkGuards(root string, guards []Guard) ([][]Finding, error) {
 	out := make([][]Finding, len(guards))
 	for i, g := range guards {
 		report := func(file string, line, col int, format string, args ...any) {
-			out[i] = append(out[i], Finding{File: file, Line: line, Col: col, Analyzer: AnalyzerGuards.Name,
-				Message: fmt.Sprintf(format, args...) + fmt.Sprintf(" — %s (PR %d)", g.Reason, g.PR)})
+			msg := fmt.Sprintf(format, args...) + " — " + g.Reason
+			if g.PR > 0 {
+				msg += fmt.Sprintf(" (PR %d)", g.PR)
+			}
+			out[i] = append(out[i], Finding{File: file, Line: line, Col: col, Analyzer: AnalyzerGuards.Name, Message: msg})
 		}
 		scope := paths
 		if g.Scope != nil {

@@ -24,8 +24,8 @@ type Guard struct {
 	Scope  []string
 	N      int  // Count: the matching lines wanted
 	Direct bool // Imports: direct imports only
-	// Reason says what the rule keeps true; PR is the CHANGES.md entry
-	// that set it.
+	// Reason says what the rule keeps true; PR, when set, is the CHANGES.md
+	// entry that set it.
 	Reason string
 	PR     int
 }
@@ -172,4 +172,7 @@ var Guards = []Guard{
 	// The complete graph has one representation, the nil *topo.Topology.
 	{Kind: Retired, Pattern: `func \(t \*Topology\) IsFull\(`, Scope: []string{"internal/topo"}, Reason: "topo.New resolves a complete-graph spec to nil: no Topology is of the full kind", PR: 53},
 	{Kind: Retired, Pattern: `\.IsFull\(\)`, Scope: []string{"internal/core", "internal/quorum", "internal/cluster", "internal/sweep", "failstop.go"}, Reason: "a topology is the complete graph exactly when it is nil: the layers test top != nil, and the facade and the sweep hand every spec to topo.New", PR: 53},
+	// An interposer's shell is node.Layer: the inner handler's optional
+	// interfaces are asked through node.Accepts, Snapshot, Restart and Crashed.
+	{Kind: Retired, Pattern: `\.\(node\.(Gate|Restarter|CrashListener)\)`, Scope: []string{"internal/reliable", "internal/byz"}, Reason: "reliable and byz embed node.Layer and ask their inner handler's gate, snapshot, restart and crash hooks through node's functions: no type switch of their own"},
 }

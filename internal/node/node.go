@@ -35,9 +35,9 @@ const TagHeartbeat = "HB"
 // received it: a Handler must not keep one in a field and use it from a
 // later callback. Hosts and interposers rely on this — a process of either
 // host is its own context, which a simulator hands on to the next run once
-// its own has returned, and the reliable and byz endpoints each hand their
-// inner handler one wrapper that is rebound to the host's context at every
-// callback entry.
+// its own has returned, and an interposer's Layer hands its inner handler
+// one wrapper that is rebound to the host's context at every callback
+// entry.
 type Context interface {
 	// Self returns the process id of this handler.
 	Self() model.ProcID

@@ -55,11 +55,9 @@
 // node.Arena per link rather than allocated per frame; the arena only bumps
 // forward, because the host may keep a sent frame for as long as it likes —
 // and it is the link's, not the endpoint's, so frames a host never lets go
-// of (in flight to a crashed peer) pin that link's chunks and no other's. The "rel/<peer>" timer name is built once per
-// peer. The inner handler sees one context wrapper per endpoint, rebound to
-// the host's context at every callback entry — node.Context limits a context
-// to the callback that received it, and hosts serialize a process's
-// callbacks.
+// of (in flight to a crashed peer) pin that link's chunks and no other's. The
+// "rel/<peer>" timer name is built once per peer. The inner handler and its
+// context wrapper are the embedded node.Layer's.
 package reliable
 
 import (
@@ -185,13 +183,12 @@ func (ps *peerState) base() uint64 {
 // serialize per process; the counters are atomic so live-backend stats can
 // be read concurrently.
 type Endpoint struct {
-	inner node.Handler
+	node.Layer
 	opts  Options
 	peers node.Table[peerState]
 	spans *obs.SpanRecorder
 
-	ctx    relCtx // the one context the inner handler sees
-	resend []int  // onRetry's scratch: indices of the frames to resend
+	resend []int // onRetry's scratch: indices of the frames to resend
 
 	retransmits obs.Counter
 	ackedDups   obs.Counter
@@ -210,13 +207,10 @@ func Wrap(inner node.Handler, opts Options) *Endpoint {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	e := &Endpoint{inner: inner, opts: opts.withDefaults()}
-	e.ctx.e = e
+	e := &Endpoint{opts: opts.withDefaults()}
+	e.Wrap(inner, e)
 	return e
 }
-
-// Inner returns the wrapped handler.
-func (e *Endpoint) Inner() node.Handler { return e.inner }
 
 // ReliableStats returns the layer's counters: frames retransmitted and
 // received duplicates that were re-acknowledged and suppressed. Hosts
@@ -230,27 +224,6 @@ func (e *Endpoint) ReliableStats() (retransmits, ackedDuplicates int) {
 // and each one is a fault-plane interaction worth seeing). Call before the
 // host starts delivering.
 func (e *Endpoint) SetSpans(rec *obs.SpanRecorder) { e.spans = rec }
-
-// Context wraps a host context so that Send flows through the reliable
-// layer. Injected actions (SuspectAt and friends) must wrap the context
-// they are handed, or their sends would bypass sequencing. The wrapper is
-// the endpoint's one context, rebound to host: like every node.Context it is
-// good for the current callback only.
-func (e *Endpoint) Context(host node.Context) node.Context {
-	e.ctx.Context = host
-	return &e.ctx
-}
-
-// relCtx is the context the inner handler sees: everything forwards to the
-// host except Send.
-type relCtx struct {
-	node.Context
-	e *Endpoint
-}
-
-func (c *relCtx) Send(to model.ProcID, p node.Payload) {
-	c.e.send(c.Context, to, p)
-}
 
 // peer returns the state of the link to p, made on first use.
 func (e *Endpoint) peer(p model.ProcID) *peerState {
@@ -267,18 +240,6 @@ func (e *Endpoint) resetPeer(ps *peerState, p model.ProcID) {
 		interval:     e.opts.RetryInterval,
 		timer:        timerPrefix + strconv.Itoa(int(p)),
 		nextExpected: 1,
-	}
-}
-
-// Init implements node.Handler.
-func (e *Endpoint) Init(ctx node.Context) {
-	e.inner.Init(e.Context(ctx))
-}
-
-// OnCrash implements node.CrashListener.
-func (e *Endpoint) OnCrash(ctx node.Context) {
-	if l, ok := e.inner.(node.CrashListener); ok {
-		l.OnCrash(e.Context(ctx))
 	}
 }
 
@@ -336,9 +297,7 @@ func (e *Endpoint) Snapshot() []byte {
 		}
 		snap.Peers = append(snap.Peers, p)
 	}
-	if r, ok := e.inner.(node.Restarter); ok {
-		snap.Inner = r.Snapshot()
-	}
+	snap.Inner = node.Snapshot(e.Inner())
 	b, err := json.Marshal(snap)
 	if err != nil {
 		panic(fmt.Sprintf("reliable: encoding endpoint snapshot: %v", err))
@@ -393,17 +352,13 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 			innerState = snap.Inner
 		}
 	}
-	if r, ok := e.inner.(node.Restarter); ok {
-		r.OnRestart(e.Context(ctx), innerState)
-	} else {
-		e.inner.Init(e.Context(ctx))
-	}
+	node.Restart(e.Inner(), e.Context(ctx), innerState)
 }
 
-// send sequences, buffers, and transmits one payload from the inner
-// handler, arming the link's retransmit timer. A heartbeat goes out as it
-// is and touches no link state.
-func (e *Endpoint) send(host node.Context, to model.ProcID, p node.Payload) {
+// SendThrough implements node.Sender: it sequences, buffers, and transmits
+// one payload from the inner handler, arming the link's retransmit timer. A
+// heartbeat goes out as it is and touches no link state.
+func (e *Endpoint) SendThrough(host node.Context, to model.ProcID, p node.Payload) {
 	if p.Tag == node.TagHeartbeat {
 		host.Send(to, p)
 		return
@@ -450,7 +405,7 @@ func (e *Endpoint) OnTimer(ctx node.Context, name string) {
 		}
 		return
 	}
-	e.inner.OnTimer(e.Context(ctx), name)
+	e.Inner().OnTimer(e.Context(ctx), name)
 }
 
 // onRetry retransmits the unacked frames that have gone a full retry
@@ -526,7 +481,7 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 // by its tag, whatever its bytes, and goes straight to the inner handler.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
 	if p.Tag == node.TagHeartbeat {
-		e.inner.OnMessage(e.Context(ctx), from, p)
+		e.Inner().OnMessage(e.Context(ctx), from, p)
 		return
 	}
 	if p.Tag == TagAck {
@@ -538,7 +493,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	wf, ok := decodeFrame(p.Data)
 	if !ok || wf.kind != kindData {
 		// Unframed traffic (a sender without the layer): pass through.
-		e.inner.OnMessage(e.Context(ctx), from, p)
+		e.Inner().OnMessage(e.Context(ctx), from, p)
 		return
 	}
 	ps := e.peer(from)
@@ -555,7 +510,7 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		e.ackedDups.Add(1)
 	case wf.seq == ps.nextExpected:
 		ps.nextExpected++
-		e.inner.OnMessage(e.Context(ctx), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
+		e.Inner().OnMessage(e.Context(ctx), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
 	default:
 		// Out of order: discard. The sender's retry timer redelivers it
 		// once the gap frame has been released.
@@ -606,11 +561,11 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return true
 	}
 	if p.Tag == node.TagHeartbeat {
-		return e.innerAccepts(from, p)
+		return node.Accepts(e.Inner(), from, p)
 	}
 	wf, ok := decodeFrame(p.Data)
 	if !ok || wf.kind != kindData {
-		return e.innerAccepts(from, p)
+		return node.Accepts(e.Inner(), from, p)
 	}
 	expected := uint64(1)
 	if ps := e.peers.Get(from); ps != nil {
@@ -622,16 +577,7 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if wf.seq != expected {
 		return true // duplicate or out-of-order: consumed internally
 	}
-	return e.innerAccepts(from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
-}
-
-// innerAccepts is the inner handler's gate verdict on p; a handler without a
-// gate accepts everything.
-func (e *Endpoint) innerAccepts(from model.ProcID, p node.Payload) bool {
-	if g, ok := e.inner.(node.Gate); ok {
-		return g.Accepts(from, p)
-	}
-	return true
+	return node.Accepts(e.Inner(), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: wf.data})
 }
 
 // WireBody locates the framed payload bytes inside a data frame's wire
