@@ -88,7 +88,7 @@ func run(args []string, out io.Writer) int {
 		return err
 	})
 	fs.BoolVar(&opts.Reliable.Enabled, "reliable", false, "interpose the reliable-delivery layer (acks, retransmission, dedup, in-order release) under every process")
-	fs.BoolVar(&opts.Byzantine.Enabled, "byz", false, "interpose the Byzantine validation layer (per-sender MACs, echo quorums, replay watermark) under every process; convictions are masked into crashes")
+	fs.BoolVar(&opts.Byzantine.Enabled, "byz", false, "interpose the Byzantine validation layer (per-sender MACs, echo quorums, duplicate discard) under every process; convictions are masked into crashes")
 	fs.Int64Var(&opts.Reliable.RetryInterval, "retry-interval", 0, "initial retransmit interval in ticks with -reliable (0: layer default)")
 	fs.IntVar(&opts.Reliable.MaxRetries, "max-retries", 0, "retransmissions per frame before the link gives up with -reliable (0: retry forever)")
 	var (

@@ -2,9 +2,9 @@
 // detector under message loss — rate vs. drop probability vs. timeout
 // (Theorem 1's dilemma, quantified by experiment E14).
 //
-// The program runs the same sweeps as E14 through the sweep engine, prints
-// the surface as CSV (the committed copy lives in e14.csv; the test
-// asserts the two stay byte-identical), then renders it as an ASCII chart.
+// The program computes E14's surface (experiments.E14Surface), prints it
+// as CSV (the committed copy lives in e14.csv; the test asserts the two
+// stay byte-identical), then renders it as an ASCII chart.
 // For ad-hoc grids, `sfs-sweep -csv` exports the same per-cell columns —
 // metric_false-suspicion, obs_*, ts_* — straight from the command line.
 //
@@ -15,76 +15,30 @@ import (
 	"fmt"
 	"strings"
 
-	"failstop/internal/netadv"
-	"failstop/internal/sweep"
+	"failstop/internal/experiments"
 )
-
-const (
-	n, t  = 5, 2
-	seeds = 12
-)
-
-var (
-	timeouts = []int64{40, 80, 160}
-	drops    = []float64{0, 0.15, 0.35}
-)
-
-func dropGen(p float64) netadv.Generator {
-	name := fmt.Sprintf("drop-%.2f", p)
-	return netadv.Generator{Name: name, Make: func(n, t int) netadv.Plan {
-		plan := netadv.Plan{Name: name}
-		if p > 0 {
-			plan.Rules = []netadv.Rule{{Drop: p}}
-		}
-		return plan
-	}}
-}
 
 func main() {
-	quiet, _ := sweep.Builtin("quiet")
-	gens := make([]netadv.Generator, 0, len(drops))
-	for _, p := range drops {
-		gens = append(gens, dropGen(p))
-	}
-
-	// rate[timeout][drop] = accusing runs out of seeds.
-	rate := map[int64]map[float64]int{}
-	for _, to := range timeouts {
-		rep, err := sweep.Run(sweep.Spec{
-			Grid:             []sweep.NT{{N: n, T: t}},
-			Schedules:        []sweep.Schedule{quiet},
-			Plans:            gens,
-			Seeds:            sweep.SeedRange{Start: 1, Count: seeds},
-			MinDelay:         1,
-			MaxDelay:         3,
-			MaxTime:          2000,
-			HeartbeatEvery:   25,
-			HeartbeatTimeout: to,
-		}, sweep.Options{})
-		if err != nil {
-			fmt.Println("sweep failed:", err)
-			return
-		}
-		rate[to] = map[float64]int{}
-		for i, cell := range rep.Cells {
-			rate[to][drops[i%len(drops)]] = cell.Metrics["false-suspicion"]
-		}
+	timeouts, drops, surface, err := experiments.E14Surface()
+	if err != nil {
+		fmt.Println("sweep failed:", err)
+		return
 	}
 
 	fmt.Println("hb_timeout,drop,false_suspicion_runs,runs,rate")
-	for _, to := range timeouts {
-		for _, p := range drops {
-			fs := rate[to][p]
-			fmt.Printf("%d,%.2f,%d,%d,%.4f\n", to, p, fs, seeds, float64(fs)/seeds)
+	for i, to := range timeouts {
+		for j, p := range drops {
+			fs, runs := surface[i][j].Metrics["false-suspicion"], surface[i][j].Runs
+			fmt.Printf("%d,%.2f,%d,%d,%.4f\n", to, p, fs, runs, float64(fs)/float64(runs))
 		}
 	}
 
 	fmt.Println()
 	fmt.Println("false-suspicion rate (each # = one accusing seed of 12):")
-	for _, to := range timeouts {
-		for _, p := range drops {
-			fmt.Printf("  timeout %3d drop %.2f |%-12s| %2d/12\n",
-				to, p, strings.Repeat("#", rate[to][p]), rate[to][p])
+	for i, to := range timeouts {
+		for j, p := range drops {
+			fs := surface[i][j].Metrics["false-suspicion"]
+			fmt.Printf("  timeout %3d drop %.2f |%-12s| %2d/12\n", to, p, strings.Repeat("#", fs), fs)
 		}
 	}
 	fmt.Println()

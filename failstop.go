@@ -85,7 +85,7 @@ type (
 	ReliableOptions = reliable.Options
 	// ByzantineOptions configures the optional Byzantine validation
 	// interposer (per-sender MACs, echo/witness broadcast-consistency
-	// quorums, a replay watermark) that masks misbehaving senders into
+	// quorums, duplicate discard) that masks misbehaving senders into
 	// crashes via the §5 protocol (see internal/byz).
 	ByzantineOptions = byz.Options
 	// ByzFaultRule is one Byzantine entry of a FaultPlan: per-victim payload
@@ -243,7 +243,7 @@ type Options struct {
 	// process: outgoing payloads are sealed with a deterministic per-sender
 	// MAC, configured broadcast tags are released only after a witness
 	// quorum corroborates a consistent payload, and senders convicted of
-	// misbehavior (bad MAC, equivocation, stale replay) are masked — their
+	// misbehavior (bad MAC, equivocation) are masked — their
 	// traffic is discarded and the culprit is suspected through the §5
 	// protocol, demoting the Byzantine fault to a crash. Pair it with a
 	// FaultPlan carrying Byz rules (e.g. the byzantine-minority builtin).

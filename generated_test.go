@@ -90,11 +90,11 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // restarts under amnesia or durable recovery (the restarts reach the
 // detector's and the interposers' OnRestart), over both interposers, the
 // reliable layer alone, the Byzantine layer alone or a bare stack, with the
-// default delays or a delay spread beyond byz.ReplayHorizon. Without the
-// reliable layer a duplicated frame reaches the Byzantine layer
-// undeduplicated, as a duplicated heartbeat always does: heartbeats cross
-// the reliable layer unsequenced. Under the wide spread a copy can land
-// more than the horizon after its original. Then the run draws its
+// default delays or a delay spread of 150–350 ticks. Without the reliable
+// layer a duplicated frame reaches the Byzantine layer undeduplicated, as a
+// duplicated heartbeat always does: heartbeats cross the reliable layer
+// unsequenced. Under the wide spread a copy can land hundreds of ticks
+// after its original. Then the run draws its
 // topology: none, the complete graph named, a gossip overlay or a small
 // hierarchy, dropped if it cannot shape the draw's n. Last, it draws zero or
 // one Byzantine rule (drawByzRule).
@@ -208,7 +208,7 @@ func drawStack(data []byte) stackDraw {
 		draw.opts.Reliable = failstop.ReliableOptions{}
 	}
 	if d.intn(2) == 1 {
-		draw.opts.MaxDelay = byz.ReplayHorizon + 50*int64(1+d.intn(5))
+		draw.opts.MaxDelay = 100 + 50*int64(1+d.intn(5))
 	}
 	switch d.intn(4) {
 	case 1:
@@ -230,8 +230,8 @@ func drawStack(data []byte) stackDraw {
 
 // drawByzRule draws one Byzantine rule on a drawn victim, active from a tick
 // in 0..99: it corrupts, equivocates to two non-empty groups of the other
-// processes, or replays 400 ticks late (beyond byz.ReplayHorizon), on the
-// detector's suspicions or on every tag, echoes included.
+// processes, or replays 400 ticks late, on the detector's suspicions or on
+// every tag, echoes included.
 func drawByzRule(d *drawer, n int) failstop.ByzFaultRule {
 	r := failstop.ByzFaultRule{Victim: failstop.ProcID(1 + d.intn(n)), From: int64(d.intn(100))}
 	switch d.intn(3) {
@@ -310,20 +310,19 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 
 // checkGeneratedStack holds one draw to its properties: both validators
 // accept it; every conviction (a byz-detect span) names the Byzantine rule's
-// victim, and without a rule there is none, since the reliable layer retires
-// every duplicate but a heartbeat's, the Byzantine layer never convicts on a
-// repeated heartbeat, and no honest sender can look like an equivocator —
-// unless a process restarts with amnesia (its reused sequence numbers are
-// replays by design), the Byzantine layer runs without the reliable one on
-// a delay spread beyond byz.ReplayHorizon (there a late network duplicate of
-// any other frame is a replay to the layer, which is the bare-network limit
-// its package comment states), or an Equivocate rule reaches the victim's
+// victim, and without a rule there is none, since the Byzantine layer
+// discards a repeated frame however late it lands and no honest sender can
+// look like an equivocator — unless a process restarts with amnesia (its
+// reused broadcast ids can name other content than the first incarnation's,
+// an equivocation by design) or an Equivocate rule reaches the victim's
 // echoes (a lying witness, which can frame an honest origin: the limit the
-// same comment states); sFS2c and sFS2d hold,
-// and sFS2b does whenever at most T processes are detected (Theorem 7's
-// quorums then intersect across every failed-before cycle there can be); and
-// the run digests the same twice, the second time after a run of another
-// shape (poisonDraw), whose recycled simulator state the second run inherits.
+// byz package comment states); sFS2c and sFS2d hold, and sFS2b does whenever
+// at most T processes are detected (Theorem 7's quorums then intersect
+// across every failed-before cycle there can be); on the complete graph the
+// run digests alike with the topology nil, {} and full, and detects within
+// one round once its plan is removed (checkOneRound); and the run digests
+// the same twice, the second time after a run of another shape
+// (poisonDraw), whose recycled simulator state the second run inherits.
 func checkGeneratedStack(t *testing.T, d stackDraw) {
 	t.Helper()
 	if err := d.opts.Validate(); err != nil {
@@ -337,14 +336,13 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	c := failstop.NewCluster(o)
 	d.inject(c)
 	rep := c.Run()
-	bareWide := !d.opts.Reliable.Enabled && d.opts.MaxDelay > byz.ReplayHorizon
 	victim := model.None
 	lyingWitness := false
 	for _, r := range d.opts.Faults.Byz {
 		victim = r.Victim
 		lyingWitness = len(r.Equivocate) > 0 && (len(r.Tags) == 0 || slices.Contains(r.Tags, byz.TagEcho))
 	}
-	if d.opts.Recovery != failstop.RecoveryAmnesia && !bareWide && !lyingWitness {
+	if d.opts.Recovery != failstop.RecoveryAmnesia && !lyingWitness {
 		for _, s := range rep.Spans {
 			if s.Kind == obs.SpanByzDetect && s.Peer != victim {
 				t.Errorf("process %d convicted %d (%s) at %d; the Byzantine victim is %d\n%v", s.Proc, s.Peer, s.Note, s.Time, victim, d)
@@ -386,11 +384,34 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 				t.Errorf("complete graph as %s digests %s, as %s %s\n%v", topoLabel(full), b, topoLabel(d.opts.Topology), a, d)
 			}
 		}
+		checkOneRound(t, d)
 	}
 	p := poisonDraw(d)
 	stackDigest(t, p.opts, "", p.inject)
 	if b := stackDigest(t, d.opts, "", d.inject); a != b {
 		t.Errorf("one draw ran twice digests %s then, after %v, %s\n%v", a, p, b, d)
+	}
+}
+
+// checkOneRound runs the draw with its plan removed and recovery off, so
+// every link delivers within MaxDelay, and holds each detection's
+// FirstSuspicion to E9's one round, 4 × MaxDelay: a SUSP frame, its echo,
+// the SUSP of the process that joins, and that SUSP's echo.
+func checkOneRound(t *testing.T, d stackDraw) {
+	t.Helper()
+	o := d.opts
+	o.Faults, o.Recovery = nil, failstop.RecoveryOff
+	c := failstop.NewCluster(o)
+	d.inject(c)
+	maxDelay := o.MaxDelay
+	if maxDelay == 0 {
+		maxDelay = 10 // the simulator's default delays are 1..10
+	}
+	for _, l := range model.Latencies(c.Run().History, failstop.DefaultSuspTag) {
+		if l.FirstSuspicion > 4*maxDelay {
+			t.Errorf("on fault-free links failed_%d(%d) at %d took %d ticks from the first suspicion, over 4 × MaxDelay = %d\n%v",
+				l.Detector, l.Detected, l.Tick, l.FirstSuspicion, 4*maxDelay, d)
+		}
 	}
 }
 
@@ -418,9 +439,16 @@ func seedBytes(seed uint64) []byte {
 	return b
 }
 
-// TestGeneratedStackRuns holds 30 fixed draws to the generator's properties.
+// TestGeneratedStackRuns holds fixed draws to the generator's properties:
+// seeds 1–30, and 73, 201 and 257, byz-only draws on the wide delay spread
+// whose late network duplicates a 100-tick replay timeout took for replays
+// of honest senders.
 func TestGeneratedStackRuns(t *testing.T) {
+	var seeds []uint64
 	for seed := uint64(1); seed <= 30; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range append(seeds, 73, 201, 257) {
 		d := drawStack(seedBytes(seed))
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkGeneratedStack(t, d) })
 	}

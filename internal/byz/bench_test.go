@@ -48,7 +48,7 @@ func (c benchCtx) CrashSelf()                                    {}
 func (c benchCtx) EmitInternal(tag string, subject model.ProcID) {}
 
 // BenchmarkEndpointDeliver prices a non-held delivery through the full
-// endpoint path: authenticate, replay-check, release to the inner
+// endpoint path: authenticate, deduplicate, release to the inner
 // handler. APP traffic is not echo-gated, so this is the common case for
 // application frames under the interposer.
 func BenchmarkEndpointDeliver(b *testing.B) {
@@ -196,7 +196,7 @@ type witnessCtx struct{ benchCtx }
 
 func (witnessCtx) N() int { return 10 }
 
-var witnessSusp = node.Payload{Tag: heldTag, Subject: 3, Data: []byte(`{"suspect":3}`)}
+var witnessSusp = node.Payload{Tag: node.TagSusp, Subject: 3, Data: []byte(`{"suspect":3}`)}
 
 func newWitnessRounds() *witnessRounds {
 	w := &witnessRounds{

@@ -1,8 +1,8 @@
 // Package byz is an optional Byzantine-fault validation layer between a
 // protocol handler and its host: per-sender frame authentication, echo
-// quorums that cross-check broadcast consistency, and a replay watermark.
-// On detecting misbehavior — a bad MAC, equivocating payloads for one
-// broadcast, or a stale replayed frame — an Endpoint masks the faulty
+// quorums that cross-check broadcast consistency, and duplicate discard.
+// On detecting misbehavior — a bad MAC or equivocating payloads for one
+// broadcast — an Endpoint masks the faulty
 // process into a crash: it discards the culprit's traffic locally and
 // feeds the suspicion into the fail-stop detector, whose own-SUSP rule
 // ("when x receives 'x failed', x executes crash_x") then demotes the
@@ -32,12 +32,12 @@
 //
 // Broadcast ids and witness-hold. Consecutive sends with identical
 // (tag, subject, data) share one broadcast id — a broadcast loop seals n-1
-// frames under a single bid. Frames tagged heldTag (the detector's "SUSP"
-// class, whose forgery is what breaks fail-stop safety) are not released on
-// arrival: the receiver holds the frame, broadcasts a sealed echo naming
-// (origin, bid, content digest) to every other process, and releases the
-// held frame only once a majority of
-// the n-1 potential receivers, (n-1)/2+1 distinct processes — itself
+// frames under a single bid. Frames tagged node.TagSusp (the detector's
+// suspicions, whose forgery is what breaks fail-stop safety) are not
+// released on arrival: the receiver holds the frame, broadcasts a sealed
+// echo naming (origin, bid, content digest) to every other process, and
+// releases the held frame only once a majority of the n-1 potential
+// receivers, (n-1)/2+1 distinct processes — itself
 // included — have vouched for the digest it saw. Two conflicting digests for
 // one (origin, bid) convict the origin of equivocation. With that threshold,
 // an equivocation split in which no variant reaches a majority of the
@@ -46,18 +46,14 @@
 // consistently everywhere — indistinguishable from an erroneous-but-
 // consistent suspicion, which the §5 protocol already tolerates by design.
 //
-// Replay. Receivers remember each sender's delivered sequence numbers. A
-// frame re-arriving within ReplayHorizon ticks of its first
-// delivery is a benign network duplicate and is discarded silently; beyond
-// the horizon it is a replay attack and convicts the sender. (Under the
-// reliable layer, receiver-side dedup retires duplicates of every frame but
-// a heartbeat before this check — replay conviction is the bare-network
-// defense.) A heartbeat (node.TagHeartbeat) is the exception: the reliable
-// layer passes it through unsequenced, so its network duplicates reach this
-// check however late they land, and a late one cannot be told from a
-// replay. A repeated heartbeat is therefore discarded and never convicts;
-// a replayed one is discarded the same way, which takes all its effect
-// away, since a heartbeat carries nothing but its arrival.
+// Replay. Receivers remember each sender's sequence numbers. A frame whose
+// (sender, sequence number) was already seen is discarded, whatever its tag
+// and however late it lands, and convicts no one: in an asynchronous system
+// no delay bound tells a late network duplicate from a replay, so no
+// timeout may convict on one. A replay does no harm under this rule. A
+// ghost of a delivered frame is discarded; a ghost of a frame not yet
+// delivered carries the sender's valid MAC, so it is only a late delivery,
+// which the asynchronous model already allows.
 //
 // Limitations, by design: a lying witness — a process whose echoes
 // themselves are forged — can frame an honest origin, since conviction
@@ -74,16 +70,18 @@
 // the receiver computed itself or create a conflict that convicts the
 // origin, and counting it keeps witness quorums live when masked processes
 // sit among the receivers. Restarting a process with amnesia
-// (internal/recovery) resets its sequence counters, so its reused sequence
-// numbers look like stale replays to peers that remember the first
-// incarnation — persist the counters (durable recovery) to restart cleanly.
+// (internal/recovery) resets its counters: peers that remember the first
+// incarnation discard its frames under reused sequence numbers as
+// duplicates, and a reused broadcast id whose content differs from the
+// first incarnation's can convict it of equivocation — persist the counters
+// (durable recovery) to restart cleanly.
 // Held frames and echo records are transient and die with a crash, like the
 // reliable layer's pending acks.
 //
 // Data layout. Per-peer state lives in two node.Tables keyed by the peer's
 // id, each record made on first use: links holds what this endpoint sends to
 // a destination (its sequence counter and arena), seen the sequence numbers
-// each sender's frames arrived under and when. A full mesh's peers sit in
+// each sender's frames arrived under. A full mesh's peers sit in
 // their home slots, so a frame finds its sender's record without hashing;
 // seen's records stay maps, because their keys are sequence numbers a
 // Byzantine sender chooses. Witness rounds live in one store per endpoint:
@@ -130,12 +128,6 @@ import (
 // (broadcast id, digest) pair. Echoes are never themselves held.
 const TagEcho = "BYZ.ECHO"
 
-// ReplayHorizon is the replay watermark in ticks: a sequence number seen
-// again within the horizon is a network duplicate, beyond it a replay
-// attack. Comfortably above any plausible duplicate's extra delay under the
-// default fault plans.
-const ReplayHorizon = 100
-
 // Wire layout: a 25-byte header followed by the original payload bytes.
 // kindSealed is distinct from the reliable layer's frame kinds (1, 2) and
 // from '{' (0x7B), the first byte of every JSON payload in the module, so
@@ -144,11 +136,6 @@ const (
 	kindSealed byte = 0xB1
 	headerLen       = 25 // kind(1) + seq(8) + bid(8) + mac(8)
 )
-
-// heldTag is the payload tag whose frames are held for a witness quorum
-// before release: the detector's TagSusp, kept literal so the layer stays
-// protocol-agnostic (no import of internal/core).
-const heldTag = "SUSP"
 
 // Options configures the validation layer.
 type Options struct {
@@ -236,12 +223,12 @@ type Endpoint struct {
 	lastData    []byte
 	haveLast    bool
 
-	// Receiver side. seen holds, per sender, the first arrival of each
-	// sequence number it sent; rounds finds the witness round of a broadcast.
+	// Receiver side. seen holds, per sender, the sequence numbers its frames
+	// arrived under; rounds finds the witness round of a broadcast.
 	// Rounds are carved from chunks that never move (free is the current
 	// chunk's unused tail, chunk its size) and voucher sets from one chunk of
 	// words (words is its unused tail).
-	seen   node.Table[map[uint64]int64]
+	seen   node.Table[map[uint64]struct{}]
 	rounds map[roundKey]*round
 	free   []round
 	chunk  int
@@ -337,7 +324,7 @@ func (e *Endpoint) OnTimer(ctx node.Context, name string) {
 }
 
 // OnMessage implements node.Handler: sealed frames are authenticated,
-// replay-checked, and either held for their witness quorum or released to
+// deduplicated, and either held for their witness quorum or released to
 // the inner handler; echoes feed the witness records; unsealed traffic (a
 // sender without the layer) passes through untouched.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
@@ -359,23 +346,18 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	}
 	seen, _ := e.seen.Add(from)
 	if *seen == nil {
-		*seen = make(map[uint64]int64)
+		*seen = make(map[uint64]struct{})
 	}
-	now := ctx.Now()
-	if first, dup := (*seen)[seq]; dup {
-		if now-first > ReplayHorizon && p.Tag != node.TagHeartbeat {
-			e.convictWith(ctx, from, "replay")
-		}
-		// Within the horizon, or a heartbeat: a benign network duplicate.
-		return
+	if _, dup := (*seen)[seq]; dup {
+		return // a network duplicate or a replay: both are discarded
 	}
-	(*seen)[seq] = now
+	(*seen)[seq] = struct{}{}
 	if isEcho {
 		e.onEcho(ctx, from, p.Subject, data)
 		return
 	}
 	inner := node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data}
-	if p.Tag != heldTag {
+	if p.Tag != node.TagSusp {
 		e.Inner().OnMessage(e.Context(ctx), from, inner)
 		return
 	}
@@ -566,12 +548,12 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 		return node.Accepts(e.Inner(), from, p)
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
-	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == heldTag {
+	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == node.TagSusp {
 		return true
 	}
 	if seen := e.seen.Get(from); seen != nil {
 		if _, dup := (*seen)[seq]; dup {
-			return true // duplicate or replay: consumed internally
+			return true // a repeated frame: discarded internally
 		}
 	}
 	return node.Accepts(e.Inner(), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data})
@@ -602,7 +584,7 @@ type peerSeqSnapshot struct {
 
 // Snapshot implements node.Restarter: it encodes the state a restart must
 // not regress — reusing sequence numbers or broadcast ids would make the
-// restarted process's fresh frames look like replays (or collide its new
+// restarted process's fresh frames look like duplicates (or collide its new
 // broadcasts with remembered ones) at every peer. It does not mutate the
 // endpoint.
 func (e *Endpoint) Snapshot() []byte {
@@ -622,9 +604,10 @@ func (e *Endpoint) Snapshot() []byte {
 // masked set and the counters, so the reincarnation neither trusts a
 // process it already convicted nor reuses sequence numbers its peers
 // remember. A nil or undecodable state (amnesia) resets everything — and
-// an amnesiac restart therefore reuses spent sequence numbers, which peers
-// that remember the first incarnation convict as replays: the byz-layer
-// echo of the reliable layer's amnesia argument (experiment E15). The bytes
+// an amnesiac restart therefore reuses spent sequence numbers, whose frames
+// peers that remember the first incarnation discard as duplicates, and
+// spent broadcast ids, which can get it convicted as an equivocator: the
+// byz-layer echo of the reliable layer's amnesia argument (experiment E15). The bytes
 // were read back from storage, so process ids outside 1..N are dropped
 // rather than trusted; a peer the snapshot names twice gets its last entry.
 func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
@@ -636,7 +619,7 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	e.lastTag = ""
 	e.lastSubject = model.None
 	e.lastData = nil
-	e.seen = node.Table[map[uint64]int64]{}
+	e.seen = node.Table[map[uint64]struct{}]{}
 	e.rounds, e.free, e.chunk, e.words = nil, nil, 0, nil
 	e.masked = nil
 	e.open, e.stale = nil, false

@@ -50,7 +50,7 @@ type Options struct {
 	// the endpoint passes them through unsequenced and never resends one.
 	Reliable reliable.Options
 	// Byzantine, when Enabled, interposes a validation endpoint (per-sender
-	// MACs, echo/witness broadcast consistency, replay watermark) between
+	// MACs, echo/witness broadcast consistency, duplicate discard) between
 	// every detector and the network; convictions are masked into crashes
 	// by suspecting the culprit through the §5 protocol. When Reliable is
 	// also enabled the interposer sits inside the reliable layer (the

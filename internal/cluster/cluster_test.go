@@ -185,17 +185,17 @@ func sends(h model.History, tag string) int {
 }
 
 // TestDuplicatedHeartbeatsConvictNoOne: with both interposers on, every
-// heartbeat duplicated, and a delay spread well beyond byz.ReplayHorizon, a
-// heartbeat's copy can land long after its original. Heartbeats cross the
-// reliable layer unsequenced, so nothing below the Byzantine layer retires
-// the copy, and the Byzantine layer must not take it for a replay: no
-// honest sender is convicted.
+// heartbeat duplicated, and a delay spread of 1–300 ticks, a heartbeat's
+// copy can land long after its original. Heartbeats cross the reliable layer
+// unsequenced, so nothing below the Byzantine layer retires the copy, and the
+// Byzantine layer must discard it as a repeated frame: no honest sender is
+// convicted.
 func TestDuplicatedHeartbeatsConvictNoOne(t *testing.T) {
 	plan := &netadv.Plan{Name: "hb-dup", Rules: []netadv.Rule{{Tags: []string{fd.TagHeartbeat}, Duplicate: 1}}}
 	for seed := int64(1); seed <= 3; seed++ {
 		res := cluster.New(cluster.Options{
 			Det:            core.Config{N: 4, T: 1},
-			Sim:            sim.Config{Seed: seed, MinDelay: 1, MaxDelay: 3 * byz.ReplayHorizon, MaxTime: 3000},
+			Sim:            sim.Config{Seed: seed, MinDelay: 1, MaxDelay: 300, MaxTime: 3000},
 			Faults:         plan,
 			HeartbeatEvery: 20, HeartbeatTimeout: 2000,
 			Reliable:  reliable.Options{Enabled: true},
@@ -210,9 +210,10 @@ func TestDuplicatedHeartbeatsConvictNoOne(t *testing.T) {
 	}
 }
 
-// TestByzHoldsSuspFrames pins the byz layer's literal held tag to
-// core.TagSusp by its behaviour: a suspicion's SUSP frames are held for a
-// witness quorum, which every receiver announces with BYZ.ECHO frames.
+// TestByzHoldsSuspFrames pins the byz layer's held tag to the detector's by
+// behaviour: a suspicion's SUSP frames (core.TagSusp, which names
+// node.TagSusp) are held for a witness quorum, which every receiver
+// announces with BYZ.ECHO frames.
 func TestByzHoldsSuspFrames(t *testing.T) {
 	c := cluster.New(cluster.Options{
 		Det:       core.Config{N: 4, T: 1},
@@ -225,6 +226,6 @@ func TestByzHoldsSuspFrames(t *testing.T) {
 		t.Fatal("no SUSP frames sent")
 	}
 	if sends(res.History, byz.TagEcho) == 0 {
-		t.Errorf("a suspicion drew no %s frames (is the byz layer's held tag %q?)", byz.TagEcho, core.TagSusp)
+		t.Errorf("a suspicion drew no %s frames (does the byz layer hold %q?)", byz.TagEcho, core.TagSusp)
 	}
 }

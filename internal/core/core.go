@@ -43,7 +43,7 @@ import (
 const (
 	// TagSusp marks "j failed" protocol messages; Subject carries j.
 	// SUSP and ACK.SUSP coincide in the §5 protocol.
-	TagSusp = "SUSP"
+	TagSusp = node.TagSusp
 	// TagApp marks application messages routed through Detector.SendApp.
 	TagApp = "APP"
 )

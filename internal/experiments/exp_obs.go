@@ -20,43 +20,20 @@ import (
 // so no false suspicions at all; for a fixed timeout the rate climbs with
 // the drop probability (more lost heartbeats, longer apparent silences);
 // for a fixed drop it falls as the timeout grows (more consecutive losses
-// needed to look dead). The same grid is what examples/e14 renders as a
-// chart from sfs-sweep's CSV export.
+// needed to look dead). examples/e14 renders the same surface (E14Surface)
+// as CSV and a chart.
 func E14() Result {
-	const (
-		n, t  = 5, 2
-		seeds = 12
-	)
-	timeouts := []int64{40, 80, 160}
-	drops := []float64{0, 0.15, 0.35}
-
-	quiet, _ := sweep.Builtin("quiet")
-
+	timeouts, drops, surface, err := E14Surface()
+	if err != nil {
+		return Result{Notes: []string{"sweep failed: " + err.Error()}}
+	}
 	// rate[timeout][drop] = accusing runs / runs.
 	rates := map[int64]map[float64]int{}
 	tbl := stats.NewTable("hb timeout", "drop", "false-suspicion", "heartbeats dropped")
-	for _, to := range timeouts {
+	for i, to := range timeouts {
 		rates[to] = map[float64]int{}
-		gens := make([]netadv.Generator, 0, len(drops))
-		for _, p := range drops {
-			gens = append(gens, dropPlan(p))
-		}
-		rep, err := sweep.Run(sweep.Spec{
-			Grid:             []sweep.NT{{N: n, T: t}},
-			Schedules:        []sweep.Schedule{quiet},
-			Plans:            gens,
-			Seeds:            sweep.SeedRange{Start: 1, Count: seeds},
-			MinDelay:         1,
-			MaxDelay:         3,
-			MaxTime:          2000,
-			HeartbeatEvery:   25,
-			HeartbeatTimeout: to,
-		}, sweep.Options{})
-		if err != nil {
-			return Result{Notes: []string{"sweep failed: " + err.Error()}}
-		}
-		for i, cell := range rep.Cells {
-			p := drops[i%len(drops)]
+		for j, p := range drops {
+			cell := surface[i][j]
 			fs := cell.Metrics["false-suspicion"]
 			rates[to][p] = fs
 			tbl.Row(to, fmt.Sprintf("%.2f", p), fmt.Sprintf("%d/%d", fs, cell.Runs), cell.Obs["sim_dropped_total"])
@@ -76,16 +53,52 @@ func E14() Result {
 	}
 	// The dilemma has teeth: the tightest timeout under the heaviest loss
 	// accuses on every seed.
-	ok = ok && rates[40][0.35] == seeds
+	ok = ok && rates[40][0.35] == e14Seeds
 
 	return Result{
 		Table: tbl.String(),
 		OK:    ok,
 		Notes: []string{
-			fmt.Sprintf("quiet schedule (no crashes), so every suspicion is false; n=%d t=%d, heartbeat interval 25, %d seeds per cell", n, t, seeds),
+			fmt.Sprintf("quiet schedule (no crashes), so every suspicion is false; n=%d t=%d, heartbeat interval 25, %d seeds per cell", e14N, e14T, e14Seeds),
 			"drop 0 never accuses: delays are bounded (1..3 ticks) far under every timeout",
 			"rate climbs with drop probability and falls with timeout — no finite timeout is safe under loss, only slower to err",
 			"examples/e14 exports this surface as CSV (committed artifact + ASCII chart); sfs-sweep -csv does the same for ad-hoc grids",
 		},
 	}
+}
+
+// E14's grid: n, t and the seeds of every cell.
+const (
+	e14N, e14T = 5, 2
+	e14Seeds   = 12
+)
+
+// E14Surface runs E14's surface: one sweep of the quiet schedule per
+// heartbeat timeout, over the drop ladder. surface[i][j] is the cell of
+// timeouts[i] and drops[j].
+func E14Surface() (timeouts []int64, drops []float64, surface [][]sweep.CellResult, err error) {
+	timeouts, drops = []int64{40, 80, 160}, []float64{0, 0.15, 0.35}
+	quiet, _ := sweep.Builtin("quiet")
+	gens := make([]netadv.Generator, 0, len(drops))
+	for _, p := range drops {
+		gens = append(gens, dropPlan(p))
+	}
+	for _, to := range timeouts {
+		rep, err := sweep.Run(sweep.Spec{
+			Grid:             []sweep.NT{{N: e14N, T: e14T}},
+			Schedules:        []sweep.Schedule{quiet},
+			Plans:            gens,
+			Seeds:            sweep.SeedRange{Start: 1, Count: e14Seeds},
+			MinDelay:         1,
+			MaxDelay:         3,
+			MaxTime:          2000,
+			HeartbeatEvery:   25,
+			HeartbeatTimeout: to,
+		}, sweep.Options{})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		surface = append(surface, rep.Cells)
+	}
+	return timeouts, drops, surface, nil
 }

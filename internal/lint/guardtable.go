@@ -97,6 +97,9 @@ var Guards = []Guard{
 	// of witness rounds.
 	{Kind: Retired, Pattern: `^\s+\w+(,\s*\w+)*\s+map\[(model\.ProcID|Link)\]`, Scope: []string{"internal/netadv/netadv.go", "internal/netadv/byz.go", "internal/reliable/reliable.go", "internal/fd/fd.go", "internal/byz/byz.go"}, Reason: "the interposers find per-peer and per-link state in node.Table", PR: 26},
 	{Kind: Count, Pattern: `^\s+\w+(,\s*\w+)*\s+(node\.Table\[)?map\[`, Scope: []string{"internal/byz/byz.go"}, N: 2, Reason: "byz keeps two maps, keyed by the sequence numbers and broadcast ids a Byzantine sender chooses", PR: 26},
+	// No delay bound tells a late network duplicate from a replay, so byz
+	// discards a repeated frame and convicts no one on a timeout.
+	{Kind: Retired, Pattern: `ReplayHorizon`, Scope: []string{"internal/byz"}, Reason: "a repeated frame is a duplicate however late it lands: byz has no replay timeout"},
 
 	// Capabilities no command, experiment, sweep, facade or benchmark ever
 	// set stay deleted.

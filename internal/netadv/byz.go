@@ -54,8 +54,8 @@ type ByzRule struct {
 	// the same link as a ghost copy.
 	Replay float64 `json:"replay,omitempty"`
 	// ReplayDelay delays each ghost copy this many ticks beyond the host's
-	// base delay. Choose it above the interposer's replay horizon to model
-	// a stale replay (convicted) rather than a fresh duplicate (absorbed).
+	// base delay. The byz interposer discards a ghost of a frame it has
+	// already seen however late it lands: a replay is a late duplicate.
 	ReplayDelay int64 `json:"replay_delay,omitempty"`
 }
 

@@ -325,10 +325,5 @@ func TestBuiltinByzantineMinority(t *testing.T) {
 		if len(plan.Byz) != want {
 			t.Errorf("n=%d t=%d: %d byz rules, want %d (a minority of forgers)", g.n, g.t, len(plan.Byz), want)
 		}
-		for i, b := range plan.Byz {
-			if b.Replay > 0 && b.ReplayDelay <= byz.ReplayHorizon {
-				t.Errorf("n=%d t=%d rule %d: ReplayDelay %d inside the replay horizon; the builtin must model a stale replay", g.n, g.t, i, b.ReplayDelay)
-			}
-		}
 	}
 }

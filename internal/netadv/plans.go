@@ -162,8 +162,7 @@ func Builtins() []Generator {
 				if i%2 == 0 && n >= 3 {
 					// Equivocator: split the victim's receivers in half and
 					// show each half a different (validly resealed) subject;
-					// replay the previous matching frame past any reasonable
-					// replay horizon.
+					// replay the previous matching frame long after it.
 					rules = append(rules, ByzRule{
 						Victim:      v,
 						From:        10,
@@ -220,9 +219,9 @@ const (
 )
 
 // ByzReplayDelay is how late the byzantine-minority builtin's replayed
-// frames arrive beyond the base delay, in ticks — chosen well past the
-// interposer's fixed replay horizon (byz.ReplayHorizon), so the
-// ghosts register as stale replays rather than fresh duplicates.
+// frames arrive beyond the base delay, in ticks: a stale replay, long after
+// the original has been delivered. The byz layer discards such a ghost as a
+// repeated frame, so a replay costs the victim nothing but its traffic.
 const ByzReplayDelay = 400
 
 // receiverHalves splits {1..n} \ {v} — the equivocating victim v's

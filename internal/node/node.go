@@ -27,6 +27,11 @@ type Payload struct {
 // the protocol messages the model's channels promise to deliver.
 const TagHeartbeat = "HB"
 
+// TagSusp marks the §5 detector's "j failed" messages (internal/core sends
+// them). The Byzantine layer holds frames under this tag for a witness
+// quorum: a forged suspicion is what breaks fail-stop safety.
+const TagSusp = "SUSP"
+
 // Context is the capability a host hands to a Handler. All methods must be
 // called only from within a Handler callback (hosts serialize callbacks per
 // process). After CrashSelf returns, all further calls are no-ops.

@@ -31,8 +31,8 @@ const (
 	SpanRestart SpanKind = "restart"
 	// SpanByzDetect records a Byzantine-misbehavior conviction by the
 	// validation layer (internal/byz): Proc is the convicting process,
-	// Peer the culprit, and the note carries the reason ("bad-mac",
-	// "equivocation", "replay"). Detection-grade: never sampled out.
+	// Peer the culprit, and the note carries the reason ("bad-mac" or
+	// "equivocation"). Detection-grade: never sampled out.
 	SpanByzDetect SpanKind = "byz-detect"
 )
 

@@ -137,7 +137,7 @@ type Cell struct {
 	// process faults.
 	Recovery recovery.Mode `json:"recovery,omitempty"`
 	// Byzantine reports whether the cell runs with the validation
-	// interposer (per-sender MACs, echo quorums, replay watermark) under
+	// interposer (per-sender MACs, echo quorums, duplicate discard) under
 	// the protocol, masking misbehavior into crashes.
 	Byzantine bool `json:"byzantine,omitempty"`
 }
