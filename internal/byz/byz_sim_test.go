@@ -185,35 +185,47 @@ func TestEquivocationConvicts(t *testing.T) {
 	}
 }
 
-// TestStaleRepeatDiscarded: a ghost copy of a sealed frame re-delivers a
-// spent sequence number, 5 or 400 ticks after the first copy — a late
-// network duplicate or a replay, which no delay bound tells apart. Either
-// way it is discarded and convicts no one: a held SUSP frame is released
-// once, and so is a frame of any other tag.
-func TestStaleRepeatDiscarded(t *testing.T) {
-	for _, tag := range []string{node.TagSusp, "APP"} {
-		for _, delay := range []int64{5, 400} {
-			h := newHarness(t, 3, 1, netadv.Plan{
-				Name: "repeat",
-				Byz:  []netadv.ByzRule{{Victim: 1, Tags: []string{tag}, Replay: 1, ReplayDelay: delay}},
-			})
-			h.broadcastAt(10, 1, node.Payload{Tag: tag, Subject: 2})
-			h.broadcastAt(20, 1, node.Payload{Tag: tag, Subject: 3})
-			h.sim.Run()
-			if len(h.convicted) != 0 {
-				t.Errorf("%s copies %d ticks late convicted: %v", tag, delay, h.convicted)
-			}
-			if h.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
-				t.Errorf("%s, %d ticks: plane injected no ghost copies", tag, delay)
-			}
-			for p := 2; p <= 3; p++ {
-				if got := len(h.recs[p].released); got != 2 {
-					t.Errorf("%s, %d ticks: proc %d released %d frames, want 2 (ghosts discarded)", tag, delay, p, got)
-				}
+// checkRepeatsDiscarded: a ghost copy of a sealed frame of the given tag
+// re-delivers a spent sequence number, 5 or 400 ticks after the first copy
+// — a late network duplicate or a replay, which no delay bound tells apart.
+// Either way it is discarded and convicts no one: each of two broadcasts is
+// released once at each receiver.
+func checkRepeatsDiscarded(t *testing.T, tag string) {
+	t.Helper()
+	for _, delay := range []int64{5, 400} {
+		h := newHarness(t, 3, 1, netadv.Plan{
+			Name: "repeat",
+			Byz:  []netadv.ByzRule{{Victim: 1, Tags: []string{tag}, Replay: 1, ReplayDelay: delay}},
+		})
+		h.broadcastAt(10, 1, node.Payload{Tag: tag, Subject: 2})
+		h.broadcastAt(20, 1, node.Payload{Tag: tag, Subject: 3})
+		h.sim.Run()
+		if len(h.convicted) != 0 {
+			t.Errorf("%s copies %d ticks late convicted: %v", tag, delay, h.convicted)
+		}
+		if h.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
+			t.Errorf("%s, %d ticks: plane injected no ghost copies", tag, delay)
+		}
+		for p := 2; p <= 3; p++ {
+			if got := len(h.recs[p].released); got != 2 {
+				t.Errorf("%s, %d ticks: proc %d released %d frames, want 2 (ghosts discarded)", tag, delay, p, got)
 			}
 		}
 	}
 }
+
+// TestReplayBeyondHorizonConvicts: the layer keeps no replay horizon, so a
+// SUSP frame's copy, however late, convicts no one — the held frame is
+// released once and its repeats are discarded.
+func TestReplayBeyondHorizonConvicts(t *testing.T) { checkRepeatsDiscarded(t, node.TagSusp) }
+
+// TestStaleRepeatDiscarded: a repeat of a frame of a tag the layer does not
+// hold is discarded the same way.
+func TestStaleRepeatDiscarded(t *testing.T) { checkRepeatsDiscarded(t, "APP") }
+
+// TestStaleHeartbeatRepeatDiscarded: heartbeats are no special case — a
+// heartbeat's stale copy is discarded without convicting the sender.
+func TestStaleHeartbeatRepeatDiscarded(t *testing.T) { checkRepeatsDiscarded(t, node.TagHeartbeat) }
 
 // TestMaskedSenderTrafficDiscarded: after conviction the culprit's later
 // frames are dropped at the layer and counted as masked.
