@@ -234,10 +234,10 @@ type Options struct {
 	// Reliable, when Enabled, masks the fault plan's loss, duplication, and
 	// reorder with per-link acks, retransmission, dedup, and in-order
 	// release — healed partitions then recover in-flight detections that
-	// the once-only §5 broadcast would lose. Heartbeats bypass it: a lost
-	// heartbeat stays lost. Retransmission to a crashed process re-arms
-	// forever unless MaxRetries bounds it, so Enabled with MaxRetries 0
-	// requires a MaxTime horizon.
+	// the once-only §5 broadcast would lose. Heartbeats bypass it, as they
+	// bypass the Byzantine layer: a lost heartbeat stays lost.
+	// Retransmission to a crashed process re-arms forever unless MaxRetries
+	// bounds it, so Enabled with MaxRetries 0 requires a MaxTime horizon.
 	Reliable ReliableOptions
 	// Byzantine, when Enabled, interposes the validation layer under every
 	// process: outgoing payloads are sealed with a deterministic per-sender
@@ -245,8 +245,12 @@ type Options struct {
 	// quorum corroborates a consistent payload, and senders convicted of
 	// misbehavior (bad MAC, equivocation) are masked — their
 	// traffic is discarded and the culprit is suspected through the §5
-	// protocol, demoting the Byzantine fault to a crash. Pair it with a
-	// FaultPlan carrying Byz rules (e.g. the byzantine-minority builtin).
+	// protocol, demoting the Byzantine fault to a crash. Heartbeats bypass
+	// it, as they bypass the reliable layer: they go out unsealed, since a
+	// heartbeat is no evidence about what the protocol decides, and a
+	// masked sender's are discarded like the rest of its traffic. Pair it
+	// with a FaultPlan carrying Byz rules (e.g. the byzantine-minority
+	// builtin).
 	Byzantine ByzantineOptions
 	// Recovery selects how the fault plan's process rules (FaultPlan.Procs)
 	// behave: RecoveryOff makes every plan crash terminal, RecoveryAmnesia

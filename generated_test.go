@@ -91,9 +91,9 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // detector's and the interposers' OnRestart), over both interposers, the
 // reliable layer alone, the Byzantine layer alone or a bare stack, with the
 // default delays or a delay spread of 150–350 ticks. Without the reliable
-// layer a duplicated frame reaches the Byzantine layer undeduplicated, as a
-// duplicated heartbeat always does: heartbeats cross the reliable layer
-// unsequenced. Under the wide spread a copy can land hundreds of ticks
+// layer a duplicated frame reaches the Byzantine layer undeduplicated, and a
+// duplicated heartbeat reaches the detector: heartbeats cross both layers
+// unsequenced and unsealed. Under the wide spread a copy can land hundreds of ticks
 // after its original. Then the run draws its
 // topology: none, the complete graph named, a gossip overlay or a small
 // hierarchy, dropped if it cannot shape the draw's n. Last, it draws zero or
@@ -230,8 +230,8 @@ func drawStack(data []byte) stackDraw {
 
 // drawByzRule draws one Byzantine rule on a drawn victim, active from a tick
 // in 0..99: it corrupts, equivocates to two non-empty groups of the other
-// processes, or replays 400 ticks late, on the detector's suspicions or on
-// every tag, echoes included.
+// processes, or replays 400 ticks late, on the detector's suspicions, on
+// every tag, echoes included, or on the heartbeats only.
 func drawByzRule(d *drawer, n int) failstop.ByzFaultRule {
 	r := failstop.ByzFaultRule{Victim: failstop.ProcID(1 + d.intn(n)), From: int64(d.intn(100))}
 	switch d.intn(3) {
@@ -249,8 +249,11 @@ func drawByzRule(d *drawer, n int) failstop.ByzFaultRule {
 	default:
 		r.Replay, r.ReplayDelay = 0.1*float64(1+d.intn(5)), 400
 	}
-	if d.intn(2) == 0 {
+	switch d.intn(3) {
+	case 0:
 		r.Tags = []string{failstop.DefaultSuspTag}
+	case 2:
+		r.Tags = []string{fd.TagHeartbeat}
 	}
 	return r
 }
@@ -310,7 +313,9 @@ func (d stackDraw) inject(c *failstop.Cluster) {
 
 // checkGeneratedStack holds one draw to its properties: both validators
 // accept it; every conviction (a byz-detect span) names the Byzantine rule's
-// victim, and without a rule there is none, since the Byzantine layer
+// victim, and without a rule, or with one that reaches only the heartbeats
+// (which cross the Byzantine layer unsealed, so nothing of theirs is
+// evidence), there is none, since the Byzantine layer
 // discards a repeated frame however late it lands and no honest sender can
 // look like an equivocator — unless a process restarts with amnesia (its
 // reused broadcast ids can name other content than the first incarnation's,
@@ -340,6 +345,9 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	lyingWitness := false
 	for _, r := range d.opts.Faults.Byz {
 		victim = r.Victim
+		if slices.Equal(r.Tags, []string{fd.TagHeartbeat}) {
+			victim = model.None // a heartbeat crosses unsealed: it is no evidence
+		}
 		lyingWitness = len(r.Equivocate) > 0 && (len(r.Tags) == 0 || slices.Contains(r.Tags, byz.TagEcho))
 	}
 	if d.opts.Recovery != failstop.RecoveryAmnesia && !lyingWitness {
@@ -440,15 +448,17 @@ func seedBytes(seed uint64) []byte {
 }
 
 // TestGeneratedStackRuns holds fixed draws to the generator's properties:
-// seeds 1–30, and 73, 201 and 257, byz-only draws on the wide delay spread
+// seeds 1–30; 73, 201 and 257, byz-only draws on the wide delay spread
 // whose late network duplicates a 100-tick replay timeout took for replays
-// of honest senders.
+// of honest senders; and 612, both layers at n = 6 with a rule corrupting
+// process 4's heartbeats, which convicted it on a bad heartbeat MAC while
+// the Byzantine layer sealed heartbeats.
 func TestGeneratedStackRuns(t *testing.T) {
 	var seeds []uint64
 	for seed := uint64(1); seed <= 30; seed++ {
 		seeds = append(seeds, seed)
 	}
-	for _, seed := range append(seeds, 73, 201, 257) {
+	for _, seed := range append(seeds, 73, 201, 257, 612) {
 		d := drawStack(seedBytes(seed))
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkGeneratedStack(t, d) })
 	}

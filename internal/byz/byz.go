@@ -19,12 +19,14 @@
 // plane reaches the sealed body through reliable.WireBody when it must
 // mutate or reseal a framed payload.
 //
-// Authentication. Every send the inner handler issues is sealed: a 25-byte
-// header (kind, per-link sequence number, per-sender broadcast id, MAC)
-// prepended to the payload data, with the outer Tag and Subject preserved
-// so tag-targeted fault rules and trace tooling still see the protocol
-// message. The MAC is a deterministic splitmix64 fold keyed per sender;
-// keys are public and derivable — the layer models integrity (a third
+// Authentication. Every send the inner handler issues is sealed, except a
+// heartbeat, which node.Layer hands to the host as it is (a heartbeat is no
+// evidence about what the protocol decides: see node.Layer). A sealed frame
+// is a 25-byte header (kind, per-link sequence number, per-sender broadcast
+// id, MAC) prepended to the payload data, with the outer Tag and Subject
+// preserved so tag-targeted fault rules and trace tooling still see the
+// protocol message. The MAC is a deterministic splitmix64 fold keyed per
+// sender; keys are public and derivable — the layer models integrity (a third
 // party cannot alter a frame undetected), not secrecy. In particular a
 // Byzantine sender can sign its own lies, which is exactly why
 // equivocation cannot be caught by the MAC alone and needs the echo
@@ -65,11 +67,15 @@
 // conflict with that origin's own broadcast under the same id, which
 // convicts the honest origin. The builtin plans and the experiments tag
 // their equivocators with the detector's SUSP only, so they never exercise
-// that; the root package's generated stack runs do. Echoes from masked
-// processes still count as testimony: an echo can only corroborate a digest
-// the receiver computed itself or create a conflict that convicts the
-// origin, and counting it keeps witness quorums live when masked processes
-// sit among the receivers. Restarting a process with amnesia
+// that; the root package's generated stack runs do. Heartbeats are not
+// sealed, so a Corrupt rule that reaches them no longer convicts on a bad
+// heartbeat MAC: its victim is convicted on its SUSP and echo frames, or not
+// at all. The sweep golden's conviction counts did not move when heartbeats
+// stopped being sealed. Echoes from masked processes still count as
+// testimony: an echo can only corroborate a digest the receiver computed
+// itself or create a conflict that convicts the origin, and counting it
+// keeps witness quorums live when masked processes sit among the receivers.
+// Restarting a process with amnesia
 // (internal/recovery) resets its counters: peers that remember the first
 // incarnation discard its frames under reused sequence numbers as
 // duplicates, and a reused broadcast id whose content differs from the
@@ -326,9 +332,14 @@ func (e *Endpoint) OnTimer(ctx node.Context, name string) {
 // OnMessage implements node.Handler: sealed frames are authenticated,
 // deduplicated, and either held for their witness quorum or released to
 // the inner handler; echoes feed the witness records; unsealed traffic (a
-// sender without the layer) passes through untouched.
+// heartbeat, or a sender without the layer) passes through untouched unless
+// its sender is masked.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
 	if !Sealed(p.Data) {
+		if e.masked.Has(from) {
+			e.maskedCount.Add(1)
+			return
+		}
 		e.Inner().OnMessage(e.Context(ctx), from, p)
 		return
 	}
@@ -545,7 +556,7 @@ func (e *Endpoint) convictWith(ctx node.Context, culprit model.ProcID, reason st
 // must not mutate state: hosts call it speculatively.
 func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if !Sealed(p.Data) {
-		return node.Accepts(e.Inner(), from, p)
+		return e.masked.Has(from) || node.Accepts(e.Inner(), from, p)
 	}
 	seq, _, data, ok := openBody(from, p.Tag, p.Subject, p.Data)
 	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == node.TagSusp {

@@ -28,13 +28,15 @@ func (r *recorder) OnMessage(_ node.Context, from model.ProcID, p node.Payload) 
 func (r *recorder) OnTimer(node.Context, string) {}
 
 // harness wires n byz endpoints over a sim whose network follows the given
-// plan. Convictions are recorded per (convicting process, culprit, reason).
+// plan. Convictions are recorded per (convicting process, culprit, reason),
+// and every payload the endpoints put on the wire in send order.
 type harness struct {
 	sim       *sim.Sim
 	plane     *netadv.Plane
 	eps       []*byz.Endpoint
 	recs      []*recorder
 	convicted []conviction
+	wire      []node.Payload
 }
 
 type conviction struct {
@@ -47,8 +49,13 @@ func newHarness(t *testing.T, n int, seed int64, plan netadv.Plan) *harness {
 		t.Fatal(err)
 	}
 	plane := netadv.NewPlane(plan, n, seed)
-	s := sim.New(sim.Config{N: n, Seed: seed, MaxTime: 100000, Link: plane.Decide})
-	h := &harness{sim: s, plane: plane, eps: make([]*byz.Endpoint, n+1), recs: make([]*recorder, n+1)}
+	h := &harness{plane: plane, eps: make([]*byz.Endpoint, n+1), recs: make([]*recorder, n+1)}
+	link := func(from, to model.ProcID, p node.Payload, at int64) node.LinkDecision {
+		h.wire = append(h.wire, p)
+		return plane.Decide(from, to, p, at)
+	}
+	s := sim.New(sim.Config{N: n, Seed: seed, MaxTime: 100000, Link: link})
+	h.sim = s
 	for p := model.ProcID(1); int(p) <= n; p++ {
 		rec := &recorder{}
 		ep := byz.Wrap(rec, byz.Options{Enabled: true})
@@ -223,12 +230,50 @@ func TestReplayBeyondHorizonConvicts(t *testing.T) { checkRepeatsDiscarded(t, no
 // hold is discarded the same way.
 func TestStaleRepeatDiscarded(t *testing.T) { checkRepeatsDiscarded(t, "APP") }
 
-// TestStaleHeartbeatRepeatDiscarded: heartbeats are no special case — a
-// heartbeat's stale copy is discarded without convicting the sender.
-func TestStaleHeartbeatRepeatDiscarded(t *testing.T) { checkRepeatsDiscarded(t, node.TagHeartbeat) }
+// TestHeartbeatCrossesUnsealed: a heartbeat bypasses the layer (node.Layer
+// hands it to the host as it is), so it goes on the wire unsealed, with no
+// sequence number to discard its repeats by. A ghost copy 5 or 400 ticks
+// late reaches the inner handler as one more late heartbeat, which is all a
+// repeated heartbeat can be, and convicts no one.
+func TestHeartbeatCrossesUnsealed(t *testing.T) {
+	hb := node.Payload{Tag: node.TagHeartbeat}
+	for _, delay := range []int64{5, 400} {
+		h := newHarness(t, 3, 1, netadv.Plan{
+			Name: "repeat",
+			Byz:  []netadv.ByzRule{{Victim: 1, Tags: []string{node.TagHeartbeat}, Replay: 1, ReplayDelay: delay}},
+		})
+		h.broadcastAt(10, 1, hb)
+		h.broadcastAt(20, 1, hb)
+		res := h.sim.Run()
+		for _, p := range h.wire {
+			if byz.Sealed(p.Data) {
+				t.Errorf("%d ticks: a heartbeat went on the wire sealed: %+v", delay, p)
+			}
+		}
+		if len(h.convicted) != 0 || res.ByzDetected != 0 {
+			t.Errorf("heartbeat copies %d ticks late convicted: %v", delay, h.convicted)
+		}
+		if h.plane.Metrics().Value("plane_byz_replayed_total") == 0 {
+			t.Errorf("%d ticks: plane injected no ghost copies", delay)
+		}
+		for p := 2; p <= 3; p++ {
+			// Two heartbeats and the ghost of the first, each as it was sent.
+			rel := h.recs[p].released
+			if len(rel) != 3 {
+				t.Errorf("%d ticks: proc %d released %d heartbeats, want 3", delay, p, len(rel))
+			}
+			for _, got := range rel {
+				if got.Tag != hb.Tag || got.Subject != hb.Subject || got.Data != nil {
+					t.Errorf("%d ticks: proc %d released %+v, want the bare heartbeat", delay, p, got)
+				}
+			}
+		}
+	}
+}
 
 // TestMaskedSenderTrafficDiscarded: after conviction the culprit's later
-// frames are dropped at the layer and counted as masked.
+// frames are dropped at the layer and counted as masked — its heartbeats,
+// which cross unsealed, as well as its sealed frames.
 func TestMaskedSenderTrafficDiscarded(t *testing.T) {
 	h := newHarness(t, 3, 1, netadv.Plan{
 		Name: "corrupt-window",
@@ -238,17 +283,21 @@ func TestMaskedSenderTrafficDiscarded(t *testing.T) {
 	// Past the rule's window the victim sends honestly — but it is already
 	// masked everywhere, so nothing is released.
 	h.broadcastAt(200, 1, node.Payload{Tag: "APP", Data: []byte("late")})
+	h.broadcastAt(210, 1, node.Payload{Tag: node.TagHeartbeat})
 	res := h.sim.Run()
 	for p := 2; p <= 3; p++ {
 		if len(h.recs[p].released) != 0 {
-			t.Errorf("proc %d released traffic from a masked sender", p)
+			t.Errorf("proc %d released traffic from a masked sender: %+v", p, h.recs[p].released)
 		}
 		if !h.eps[p].Masked(1) {
 			t.Errorf("proc %d did not mask the victim", p)
 		}
+		if _, masked := h.eps[p].ByzStats(); masked != 2 {
+			t.Errorf("proc %d counted %d frames as masked, want 2 (the APP frame and the heartbeat)", p, masked)
+		}
 	}
-	if res.ByzMasked == 0 {
-		t.Error("no frames counted as masked")
+	if res.ByzMasked != 4 {
+		t.Errorf("ByzMasked = %d, want 4", res.ByzMasked)
 	}
 }
 

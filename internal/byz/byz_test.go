@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"failstop/internal/model"
@@ -343,38 +344,77 @@ func FuzzByzOnRestart(f *testing.F) {
 	})
 }
 
+// fromSink is an inner handler that records whom each release came from.
+type fromSink struct {
+	sink
+	from []model.ProcID
+}
+
+func (s *fromSink) OnMessage(_ node.Context, from model.ProcID, _ node.Payload) {
+	s.from = append(s.from, from)
+}
+
 // FuzzByzOnMessage: whatever a peer seals — keys are public, so every field
 // of an authentic frame is the sender's to choose — OnMessage must not panic,
 // and only processes can end up convicted. Each input is delivered twice with
 // the last data byte flipped, so echo inputs arrive as conflicting pairs.
+// With unsealed set the data goes on the wire as it is, the way a heartbeat
+// crosses; with masked set, sender 3 is convicted first, and then nothing of
+// its own may be released, and its unsealed frame is counted as masked.
 func FuzzByzOnMessage(f *testing.F) {
 	echo := make([]byte, 16)
 	echo[7], echo[15] = 7, 0xAA
-	f.Add(TagEcho, int64(-1), uint64(1), uint64(1), echo)
-	f.Add(TagEcho, int64(math.MaxInt32), uint64(1), uint64(1), echo)
-	f.Add(TagEcho, int64(1), uint64(1), uint64(1), echo)
-	f.Add("SUSP", int64(-7), uint64(3), uint64(1<<63), []byte(nil))
-	f.Add("APP", int64(0), uint64(0), uint64(0), []byte("x"))
-	f.Fuzz(func(t *testing.T, tag string, subject int64, seq, bid uint64, data []byte) {
+	f.Add(TagEcho, int64(-1), uint64(1), uint64(1), echo, false, false)
+	f.Add(TagEcho, int64(math.MaxInt32), uint64(1), uint64(1), echo, false, false)
+	f.Add(TagEcho, int64(1), uint64(1), uint64(1), echo, false, false)
+	f.Add("SUSP", int64(-7), uint64(3), uint64(1<<63), []byte(nil), false, false)
+	f.Add("APP", int64(0), uint64(0), uint64(0), []byte("x"), false, false)
+	f.Add(node.TagHeartbeat, int64(0), uint64(0), uint64(0), []byte(nil), true, true)
+	f.Add(node.TagHeartbeat, int64(0), uint64(0), uint64(0), []byte(nil), true, false)
+	f.Fuzz(func(t *testing.T, tag string, subject int64, seq, bid uint64, data []byte, unsealed, masked bool) {
 		if subject != int64(model.ProcID(subject)) {
 			t.Skip("no model.ProcID holds the subject")
 		}
 		ctx := &byzFakeCtx{self: 2, n: 4} // a witness threshold of two
-		e := Wrap(sink{}, Options{Enabled: true})
+		inner := &fromSink{}
+		e := Wrap(inner, Options{Enabled: true})
 		e.Init(ctx)
 		e.SetConvict(func(_ node.Context, culprit model.ProcID) {
 			if culprit < 1 || int(culprit) > ctx.n {
 				t.Errorf("convicted %d, which is no process", culprit)
 			}
 		})
+		if masked {
+			e.convictWith(ctx, 3, "bad-mac")
+		}
+		wire := func(from model.ProcID, seq uint64, p node.Payload) node.Payload {
+			if !unsealed {
+				p.Data = sealed(from, seq, bid, p)
+			}
+			return p
+		}
 		p := node.Payload{Tag: tag, Subject: model.ProcID(subject), Data: data}
-		e.OnMessage(ctx, 3, node.Payload{Tag: tag, Subject: p.Subject, Data: sealed(3, seq, bid, p)})
+		first := wire(3, seq, p)
+		_, before := e.ByzStats()
+		e.OnMessage(ctx, 3, first)
+		_, after := e.ByzStats()
+		switch {
+		case masked && slices.Contains(inner.from, 3):
+			t.Errorf("released a frame from masked sender 3: %v", inner.from)
+		case masked && !Sealed(first.Data) && after != before+1:
+			t.Errorf("masked sender's unsealed frame counted %d times, want once", after-before)
+		case !masked && !Sealed(first.Data) && !slices.Equal(inner.from, []model.ProcID{3}):
+			t.Errorf("unsealed frame from unmasked sender 3: released from %v, want [3]", inner.from)
+		}
 		if len(data) > 0 {
 			p.Data = append([]byte(nil), data...)
 			p.Data[len(data)-1] ^= 1
 		}
-		e.OnMessage(ctx, 4, node.Payload{Tag: tag, Subject: p.Subject, Data: sealed(4, seq+1, bid, p)})
+		e.OnMessage(ctx, 4, wire(4, seq+1, p))
 		e.OnTimer(ctx, "tick")
+		if masked && slices.Contains(inner.from, 3) {
+			t.Errorf("released a frame from masked sender 3: %v", inner.from)
+		}
 	})
 }
 

@@ -46,15 +46,18 @@ type Options struct {
 	App func(p model.ProcID) core.App
 	// Reliable, when Enabled, interposes a reliable-delivery endpoint
 	// (ack + timed retransmission, dedup, in-order release) between every
-	// detector and the simulator's faulty network. Heartbeats bypass it:
-	// the endpoint passes them through unsequenced and never resends one.
+	// detector and the simulator's faulty network. Heartbeats bypass it,
+	// as they bypass every interposer (node.Layer): they go out
+	// unsequenced, and none is ever resent.
 	Reliable reliable.Options
 	// Byzantine, when Enabled, interposes a validation endpoint (per-sender
 	// MACs, echo/witness broadcast consistency, duplicate discard) between
 	// every detector and the network; convictions are masked into crashes
-	// by suspecting the culprit through the §5 protocol. When Reliable is
-	// also enabled the interposer sits inside the reliable layer (the
-	// reliable framing is outermost on the wire).
+	// by suspecting the culprit through the §5 protocol. Heartbeats bypass
+	// it, as they bypass every interposer (node.Layer): they go out unsealed,
+	// and only a masked sender's are discarded. When Reliable is also
+	// enabled the interposer sits inside the reliable layer (the reliable
+	// framing is outermost on the wire).
 	Byzantine byz.Options
 }
 

@@ -178,4 +178,6 @@ var Guards = []Guard{
 	// An interposer's shell is node.Layer: the inner handler's optional
 	// interfaces are asked through node.Accepts, Snapshot, Restart and Crashed.
 	{Kind: Retired, Pattern: `\.\(node\.(Gate|Restarter|CrashListener)\)`, Scope: []string{"internal/reliable", "internal/byz"}, Reason: "reliable and byz embed node.Layer and ask their inner handler's gate, snapshot, restart and crash hooks through node's functions: no type switch of their own"},
+	// Heartbeats bypass every interposer by one rule, node.Layer's.
+	{Kind: Retired, Pattern: `TagHeartbeat`, Scope: []string{"internal/reliable", "internal/byz"}, Reason: "node.Layer hands a heartbeat to the host past every interposer's Sender: no layer tests the tag itself"},
 }

@@ -13,19 +13,37 @@ type Sender interface {
 // wraps and the one context that handler sees. An endpoint embeds a Layer,
 // calls Wrap once, and keeps only its protocol: its Sender, its own
 // OnMessage, OnTimer and Gate, and what it adds to Init or a restart.
+//
+// Heartbeats bypass every layer: a TagHeartbeat payload the inner handler
+// sends goes to the host as it is and never reaches the Sender, so no layer
+// sequences, seals or retransmits one, and what arrives is the bare payload,
+// which each layer's receive path passes on as traffic it did not frame. A
+// heartbeat is a periodic signal the next one supersedes, not a message the
+// model's channels promise to deliver, and the detector it feeds is
+// unreliable by assumption (Theorem 1): a lost heartbeat can only cause a
+// suspicion, which the §5 protocol makes safe, and a late or forged one can
+// only delay one, so neither retransmission nor authentication buys a
+// heartbeat an sFS property.
 type Layer struct {
 	inner Handler
 	ctx   layerCtx
 }
 
 // layerCtx is the context the inner handler sees: everything forwards to the
-// host except Send, which goes through the layer's Sender.
+// host except Send, which goes through the layer's Sender unless it is a
+// heartbeat.
 type layerCtx struct {
 	Context
 	s Sender
 }
 
-func (c *layerCtx) Send(to model.ProcID, p Payload) { c.s.SendThrough(c.Context, to, p) }
+func (c *layerCtx) Send(to model.ProcID, p Payload) {
+	if p.Tag == TagHeartbeat {
+		c.Context.Send(to, p)
+		return
+	}
+	c.s.SendThrough(c.Context, to, p)
+}
 
 // Wrap makes l the layer around inner whose sends go through s, normally the
 // endpoint that embeds l.

@@ -21,12 +21,32 @@ func (c *hostCtx) Send(to model.ProcID, p Payload) {
 	c.sends = append(c.sends, strconv.Itoa(int(to))+":"+p.Tag)
 }
 
+// payloadCtx is a host's context that keeps the last payload sent on it, as
+// it was handed over. Only Send is implemented.
+type payloadCtx struct {
+	Context
+	sent Payload
+}
+
+func (c *payloadCtx) Send(_ model.ProcID, p Payload) { c.sent = p }
+
 // stampSender is an interposer's SendThrough: it sends on the host it is
 // handed, with its own tag.
 type stampSender struct{}
 
 func (stampSender) SendThrough(host Context, to model.ProcID, p Payload) {
 	host.Send(to, Payload{Tag: "L." + p.Tag})
+}
+
+// countingSender is a stampSender that counts the sends handed to it.
+type countingSender struct {
+	stampSender
+	calls int
+}
+
+func (s *countingSender) SendThrough(host Context, to model.ProcID, p Payload) {
+	s.calls++
+	s.stampSender.SendThrough(host, to, p)
 }
 
 // initCounter is a handler with none of the optional interfaces.
@@ -66,6 +86,26 @@ func TestLayer(t *testing.T) {
 			}
 			if ctx.Self() != 1 || l.Context(a) != ctx {
 				t.Error("the layer's context does not forward to its host, or is not its one wrapper")
+			}
+		}},
+		{"a heartbeat bypasses both of two nested layers", func(t *testing.T) {
+			var outer, inner Layer
+			outS, inS := &countingSender{}, &countingSender{}
+			outer.Wrap(bareHandler{}, outS)
+			inner.Wrap(bareHandler{}, inS)
+			host := &payloadCtx{}
+			ctx := inner.Context(outer.Context(host))
+			hb := Payload{Tag: TagHeartbeat, Subject: 3, Data: []byte("beat")}
+			ctx.Send(2, hb)
+			if outS.calls != 0 || inS.calls != 0 {
+				t.Errorf("SendThrough called %d times outside and %d inside, want 0 and 0", outS.calls, inS.calls)
+			}
+			if got := host.sent; got.Tag != hb.Tag || got.Subject != hb.Subject || len(got.Data) != 4 || &got.Data[0] != &hb.Data[0] {
+				t.Errorf("host got %+v, want the heartbeat as sent", got)
+			}
+			ctx.Send(2, Payload{Tag: "APP"})
+			if outS.calls != 1 || inS.calls != 1 || host.sent.Tag != "L.L.APP" {
+				t.Errorf("an APP send reached the host as %q after %d and %d SendThrough calls, want L.L.APP after 1 and 1", host.sent.Tag, outS.calls, inS.calls)
 			}
 		}},
 		{"Init and Restart without a Restarter both initialise", func(t *testing.T) {

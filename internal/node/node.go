@@ -22,7 +22,7 @@ type Payload struct {
 }
 
 // TagHeartbeat marks the failure detector's heartbeats (internal/fd sends
-// them). The interposers below the detector read heartbeats by this tag: a
+// them). Layer reads it, so that heartbeats bypass every interposer: a
 // heartbeat is a periodic signal that the next one supersedes, not one of
 // the protocol messages the model's channels promise to deliver.
 const TagHeartbeat = "HB"

@@ -24,12 +24,10 @@
 // node.Context whose Send assigns the next per-link sequence number. The
 // netadv fault plane keeps operating on the wire below: data frames retain
 // their original payload tag (so tag-targeted fault rules still match), and
-// acknowledgement frames travel as TagAck messages. Heartbeats are the one
-// exception to framing: the failure detector's periodic signal is not one of
-// the protocol messages the model's channels promise to deliver, and the
-// next heartbeat supersedes a lost one, so the Endpoint passes heartbeats
-// (frames tagged node.TagHeartbeat) through unsequenced, unacknowledged and
-// never retransmitted.
+// acknowledgement frames travel as TagAck messages. Heartbeats never reach
+// the Endpoint's send path (node.Layer hands them to the host as they are),
+// so they cross unsequenced, unacknowledged and never retransmitted, and
+// arrive as unframed traffic.
 //
 // Timers use the reserved "rel/" name prefix, which the Endpoint consumes
 // before the inner handler sees it (the fd layer similarly owns "fd/").
@@ -356,13 +354,8 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 }
 
 // SendThrough implements node.Sender: it sequences, buffers, and transmits
-// one payload from the inner handler, arming the link's retransmit timer. A
-// heartbeat goes out as it is and touches no link state.
+// one payload from the inner handler, arming the link's retransmit timer.
 func (e *Endpoint) SendThrough(host node.Context, to model.ProcID, p node.Payload) {
-	if p.Tag == node.TagHeartbeat {
-		host.Send(to, p)
-		return
-	}
 	ps := e.peer(to)
 	ps.nextSeq++
 	if ps.unacked == nil {
@@ -477,13 +470,8 @@ func (e *Endpoint) onRetry(host node.Context, to model.ProcID) {
 // order, each receipt answered with a cumulative ack. Out-of-order frames
 // are discarded (go-back-N): the cumulative ack tells the sender where to
 // resume, and retransmission redelivers them in order — so every released
-// frame is one the host's receive gate approved. A heartbeat is recognised
-// by its tag, whatever its bytes, and goes straight to the inner handler.
+// frame is one the host's receive gate approved.
 func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload) {
-	if p.Tag == node.TagHeartbeat {
-		e.Inner().OnMessage(e.Context(ctx), from, p)
-		return
-	}
 	if p.Tag == TagAck {
 		if wf, ok := decodeFrame(p.Data); ok && wf.kind == kindAck {
 			e.processAck(e.peer(from), wf.ack)
@@ -492,7 +480,8 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 	}
 	wf, ok := decodeFrame(p.Data)
 	if !ok || wf.kind != kindData {
-		// Unframed traffic (a sender without the layer): pass through.
+		// Unframed traffic (a heartbeat, or a sender without the layer):
+		// pass through.
 		e.Inner().OnMessage(e.Context(ctx), from, p)
 		return
 	}
@@ -554,14 +543,11 @@ func (e *Endpoint) processAck(ps *peerState, ack uint64) {
 // subject to the inner gate, so the §5 sFS2d receive deferral keeps
 // working through the layer. Since out-of-order frames are discarded
 // rather than buffered, this is the only path into the inner handler for
-// sequenced traffic; a heartbeat, like unframed traffic, goes to the inner
-// gate as it is. Accepts must not mutate state: hosts call it speculatively.
+// sequenced traffic; unframed traffic goes to the inner gate as it is.
+// Accepts must not mutate state: hosts call it speculatively.
 func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if p.Tag == TagAck {
 		return true
-	}
-	if p.Tag == node.TagHeartbeat {
-		return node.Accepts(e.Inner(), from, p)
 	}
 	wf, ok := decodeFrame(p.Data)
 	if !ok || wf.kind != kindData {

@@ -368,8 +368,10 @@ func TestAbandonedFrameDoesNotWedgeLink(t *testing.T) {
 }
 
 // TestHeartbeatSendLeavesNoLinkState: a heartbeat goes out as the inner
-// handler wrote it — no header, no sequence number — and leaves no peer
-// state, unacked frame or retransmit timer behind; receiving it draws no ack.
+// handler wrote it — node.Layer hands it to the host, so it gets no header
+// and no sequence number — and leaves no peer state, unacked frame or
+// retransmit timer behind; received, it is unframed traffic, which reaches
+// the inner handler and draws no ack.
 func TestHeartbeatSendLeavesNoLinkState(t *testing.T) {
 	sender := Wrap(idle{}, Options{Enabled: true})
 	sctx := newFakeCtx(1)
@@ -406,53 +408,17 @@ func TestHeartbeatSendLeavesNoLinkState(t *testing.T) {
 	}
 }
 
-// TestHeartbeatReceiveTestsTheTag: a heartbeat whose bytes happen to decode
-// as a data frame (a sealed heartbeat is 25+ bytes) still reaches the inner
-// handler byte for byte, with no release bookkeeping and no ack — the
-// receive side decides by the tag, not by decodeFrame.
-func TestHeartbeatReceiveTestsTheTag(t *testing.T) {
-	data := make([]byte, headerLen+3)
-	data[0] = kindData
-	data[8] = 1 // seq 1: the next frame in sequence, were it a data frame
-	copy(data[headerLen:], "abc")
-	if wf, ok := decodeFrame(data); !ok || wf.kind != kindData || wf.seq != 1 {
-		t.Fatalf("test bytes do not decode as the in-sequence data frame: %+v %v", wf, ok)
-	}
-	hb := node.Payload{Tag: node.TagHeartbeat, Subject: 4, Data: data}
-	rec := &recorder{}
-	receiver := Wrap(rec, Options{Enabled: true})
-	rctx := newFakeCtx(2)
-	receiver.OnMessage(rctx, 1, hb)
-	if len(rec.released) != 1 {
-		t.Fatalf("releases = %+v, want the heartbeat", rec.released)
-	}
-	got := rec.released[0]
-	if got.Tag != node.TagHeartbeat || got.Subject != 4 || string(got.Data) != string(data) {
-		t.Errorf("released %+v, want the heartbeat byte for byte", got)
-	}
-	if len(rctx.sends) != 0 {
-		t.Errorf("heartbeat drew sends: %+v", rctx.sends)
-	}
-	if ids := receiver.peers.IDs(nil); len(ids) != 0 {
-		t.Errorf("heartbeat made link state for %v", ids)
-	}
-}
-
-// TestAcceptsForwardsHeartbeat: a heartbeat, framed-looking or not, is put
+// TestAcceptsForwardsHeartbeat: a heartbeat arrives unframed, so it is put
 // to the inner gate as it is.
 func TestAcceptsForwardsHeartbeat(t *testing.T) {
-	framed := make([]byte, headerLen)
-	framed[0], framed[8] = kindData, 7 // seq 7: out of order, were it a data frame
-	for _, data := range [][]byte{nil, framed} {
-		gate := &recordingGate{}
-		receiver := Wrap(gate, Options{Enabled: true})
-		hb := node.Payload{Tag: node.TagHeartbeat, Data: data}
-		if receiver.Accepts(1, hb) {
-			t.Errorf("data %x: heartbeat accepted although the inner gate refuses it", data)
-		}
-		if len(gate.asked) != 1 || gate.asked[0].Tag != node.TagHeartbeat || string(gate.asked[0].Data) != string(data) {
-			t.Errorf("data %x: inner gate asked %+v, want the heartbeat as sent", data, gate.asked)
-		}
+	gate := &recordingGate{}
+	receiver := Wrap(gate, Options{Enabled: true})
+	hb := node.Payload{Tag: node.TagHeartbeat, Subject: 4}
+	if receiver.Accepts(1, hb) {
+		t.Error("heartbeat accepted although the inner gate refuses it")
+	}
+	if len(gate.asked) != 1 || gate.asked[0].Tag != hb.Tag || gate.asked[0].Subject != hb.Subject || gate.asked[0].Data != nil {
+		t.Errorf("inner gate asked %+v, want the heartbeat as sent", gate.asked)
 	}
 }
 

@@ -169,17 +169,17 @@ func TestGoldenStackRuns(t *testing.T) {
 
 // TestStackFaultyAllocBudget gates the committed benchmark's stack-faulty op
 // (flaky-quorum at n=10, heartbeats, reliable + byz, p10 crashed at 100,
-// 1,500 ticks ≈ 6,700 messages) at 2,122 allocations a run: the ≈ 1,929 it
-// measures out of the bulk of the run before it, plus a tenth (≈ 2,346 while
-// the reliable layer sequenced, acked and resent every heartbeat, ≈ 4,150 while
-// byz allocated each witness round, its voucher list, voucher set and held
-// list and kept a rounds map per origin, and reliable grew each link's
-// unacked queue from one frame; ≈ 4,205 while each run rebuilt its processes'
-// timer tables, ≈ 4,460 while the interposers kept per-peer state in Go maps,
-// ≈ 4,550 while each detector kept four maps, ≈ 4,615 while the facade read
-// the run with four private indexes). It took ≈ 94,000 while pump re-sorted
-// every round on every timer and echo and each frame header was its own
-// allocation.
+// 1,500 ticks ≈ 6,700 messages) at 1,165 allocations a run: the ≈ 1,059 it
+// measures out of the bulk of the run before it, plus a tenth (≈ 1,927 while
+// byz sealed every heartbeat, ≈ 2,346 while the reliable layer sequenced,
+// acked and resent every heartbeat, ≈ 4,150 while byz allocated each witness
+// round, its voucher list, voucher set and held list and kept a rounds map
+// per origin, and reliable grew each link's unacked queue from one frame;
+// ≈ 4,205 while each run rebuilt its processes' timer tables, ≈ 4,460 while
+// the interposers kept per-peer state in Go maps, ≈ 4,550 while each detector
+// kept four maps, ≈ 4,615 while the facade read the run with four private
+// indexes). It took ≈ 94,000 while pump re-sorted every round on every timer
+// and echo and each frame header was its own allocation.
 func TestStackFaultyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation measurement")
@@ -199,8 +199,8 @@ func TestStackFaultyAllocBudget(t *testing.T) {
 			t.Fatal("no retransmissions: the op is not the benchmark's")
 		}
 	})
-	if allocs > 2122 {
-		t.Errorf("stack-faulty op: %.0f allocations per run, budget 2122", allocs)
+	if allocs > 1165 {
+		t.Errorf("stack-faulty op: %.0f allocations per run, budget 1165", allocs)
 	}
 	t.Logf("stack-faulty op: %.0f allocations per run", allocs)
 }
