@@ -93,8 +93,8 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // default delays or a delay spread of 150–350 ticks. Without the reliable
 // layer a duplicated frame reaches the Byzantine layer undeduplicated, and a
 // duplicated heartbeat reaches the detector: heartbeats cross both layers
-// unsequenced and unsealed. Under the wide spread a copy can land hundreds of ticks
-// after its original. Then the run draws its
+// unsequenced and unsealed. Under the wide spread a copy can land hundreds of
+// ticks after its original. Then the run draws its
 // topology: none, the complete graph named, a gossip overlay or a small
 // hierarchy, dropped if it cannot shape the draw's n. Last, it draws zero or
 // one Byzantine rule (drawByzRule).
