@@ -41,8 +41,8 @@ type scriptSuspect struct {
 }
 
 func (d stackDraw) String() string {
-	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d maxdelay=%d hb=%d/%d reliable=%v byz=%v topo=%s rules=%+v procs=%+v byzrules=%+v recovery=%v crashes=%v suspects=%v",
-		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.MaxDelay, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
+	return fmt.Sprintf("n=%d t=%d seed=%d maxtime=%d delay=%d..%d hb=%d/%d reliable=%v byz=%v topo=%s rules=%+v procs=%+v byzrules=%+v recovery=%v crashes=%v suspects=%v",
+		d.opts.N, d.opts.T, d.opts.Seed, d.opts.MaxTime, d.opts.MinDelay, d.opts.MaxDelay, d.opts.HeartbeatEvery, d.opts.HeartbeatTimeout,
 		d.opts.Reliable.Enabled, d.opts.Byzantine.Enabled, topoLabel(d.opts.Topology), d.opts.Faults.Rules, d.opts.Faults.Procs, d.opts.Faults.Byz, d.opts.Recovery, d.crashes, d.suspects)
 }
 
@@ -96,8 +96,12 @@ var generatedTags = []string{failstop.DefaultSuspTag, fd.TagHeartbeat, byz.TagEc
 // unsequenced and unsealed. Under the wide spread a copy can land hundreds of
 // ticks after its original. Then the run draws its
 // topology: none, the complete graph named, a gossip overlay or a small
-// hierarchy, dropped if it cannot shape the draw's n. Last, it draws zero or
-// one Byzantine rule (drawByzRule).
+// hierarchy, dropped if it cannot shape the draw's n, and zero or one
+// Byzantine rule (drawByzRule). Last, one draw in four runs in lockstep: its
+// MinDelay is its MaxDelay (10, the simulator's default bound, stated, when
+// the draw kept the default delays), so every copy sent in a tick that no
+// rule delays lands in one tick, and due batches reach full in-degree under
+// gates, reorders and restarts.
 func drawStack(data []byte) stackDraw {
 	d := &drawer{b: data}
 	n := 3 + d.intn(6)
@@ -224,6 +228,12 @@ func drawStack(data []byte) stackDraw {
 		if plan.Validate(n) != nil {
 			plan.Byz = nil
 		}
+	}
+	if d.intn(4) == 3 {
+		if draw.opts.MaxDelay == 0 {
+			draw.opts.MaxDelay = 10
+		}
+		draw.opts.MinDelay = draw.opts.MaxDelay
 	}
 	return draw
 }

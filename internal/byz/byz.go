@@ -88,9 +88,14 @@
 // id, each record made on first use: links holds what this endpoint sends to
 // a destination (its sequence counter and arena), seen the sequence numbers
 // each sender's frames arrived under. A full mesh's peers sit in
-// their home slots, so a frame finds its sender's record without hashing;
-// seen's records stay maps, because their keys are sequence numbers a
-// Byzantine sender chooses. Witness rounds live in one store per endpoint:
+// their home slots, so a frame finds its sender's record without hashing.
+// seen's record is an anti-replay window, as in IPsec and DTLS: a watermark
+// below which every number has arrived and a 128-bit window above it, inline,
+// so an honest sender's frames, in order or reordered within the window, cost
+// its receiver no allocation. Sequence numbers are the sender's to choose, so
+// a Byzantine one can still leave gaps or jump far ahead; a number beyond the
+// window goes into a map the record makes then, one entry a number, as any
+// set of chosen numbers must. Witness rounds live in one store per endpoint:
 // they are carved from chunks that never move (16 rounds, doubling to 1,024,
 // the way the simulator carves its links), and one map keyed by (origin,
 // broadcast id) finds them. A round keeps its first voucher and its first
@@ -230,11 +235,12 @@ type Endpoint struct {
 	haveLast    bool
 
 	// Receiver side. seen holds, per sender, the sequence numbers its frames
-	// arrived under; rounds finds the witness round of a broadcast.
+	// arrived under, as a window over a watermark (seqSet); rounds finds the
+	// witness round of a broadcast.
 	// Rounds are carved from chunks that never move (free is the current
 	// chunk's unused tail, chunk its size) and voucher sets from one chunk of
 	// words (words is its unused tail).
-	seen   node.Table[map[uint64]struct{}]
+	seen   node.Table[seqSet]
 	rounds map[roundKey]*round
 	free   []round
 	chunk  int
@@ -355,14 +361,9 @@ func (e *Endpoint) OnMessage(ctx node.Context, from model.ProcID, p node.Payload
 		e.maskedCount.Add(1)
 		return
 	}
-	seen, _ := e.seen.Add(from)
-	if *seen == nil {
-		*seen = make(map[uint64]struct{})
-	}
-	if _, dup := (*seen)[seq]; dup {
+	if seen, _ := e.seen.Add(from); !seen.add(seq) {
 		return // a network duplicate or a replay: both are discarded
 	}
-	(*seen)[seq] = struct{}{}
 	if isEcho {
 		e.onEcho(ctx, from, p.Subject, data)
 		return
@@ -562,10 +563,8 @@ func (e *Endpoint) Accepts(from model.ProcID, p node.Payload) bool {
 	if !ok || p.Tag == TagEcho || e.masked.Has(from) || p.Tag == node.TagSusp {
 		return true
 	}
-	if seen := e.seen.Get(from); seen != nil {
-		if _, dup := (*seen)[seq]; dup {
-			return true // a repeated frame: discarded internally
-		}
+	if seen := e.seen.Get(from); seen != nil && seen.has(seq) {
+		return true // a repeated frame: discarded internally
 	}
 	return node.Accepts(e.Inner(), from, node.Payload{Tag: p.Tag, Subject: p.Subject, Data: data})
 }
@@ -630,7 +629,7 @@ func (e *Endpoint) OnRestart(ctx node.Context, state []byte) {
 	e.lastTag = ""
 	e.lastSubject = model.None
 	e.lastData = nil
-	e.seen = node.Table[map[uint64]struct{}]{}
+	e.seen = node.Table[seqSet]{}
 	e.rounds, e.free, e.chunk, e.words = nil, nil, 0, nil
 	e.masked = nil
 	e.open, e.stale = nil, false

@@ -369,6 +369,9 @@ func FuzzByzOnMessage(f *testing.F) {
 	f.Add(TagEcho, int64(1), uint64(1), uint64(1), echo, false, false)
 	f.Add("SUSP", int64(-7), uint64(3), uint64(1<<63), []byte(nil), false, false)
 	f.Add("APP", int64(0), uint64(0), uint64(0), []byte("x"), false, false)
+	f.Add("DATA", int64(3), uint64(0), uint64(5), []byte("x"), false, false)            // sequence number 0
+	f.Add("DATA", int64(3), uint64(10*seqWindow), uint64(5), []byte("x"), false, false) // far beyond the window
+	f.Add("DATA", int64(3), ^uint64(0), uint64(5), []byte("x"), false, false)           // the next one wraps to 0
 	f.Add(node.TagHeartbeat, int64(0), uint64(0), uint64(0), []byte(nil), true, true)
 	f.Add(node.TagHeartbeat, int64(0), uint64(0), uint64(0), []byte(nil), true, false)
 	f.Fuzz(func(t *testing.T, tag string, subject int64, seq, bid uint64, data []byte, unsealed, masked bool) {

@@ -92,11 +92,11 @@ var Guards = []Guard{
 	{Kind: Retired, Pattern: `cluster\.New\(`, Scope: []string{"internal/experiments/exp_reliable.go", "internal/experiments/exp_recovery.go", "internal/experiments/exp_byz.go"}, Reason: "experiments that grid the stack's own axes (reliable, recovery, Byzantine) are sweeps: no hand-rolled cluster.New seed loop", PR: 27},
 	// The interposers find per-peer and per-link state in node.Table, not in
 	// a map keyed by process id or link; byz keeps two maps, keyed by the
-	// sequence numbers and broadcast ids a Byzantine sender chooses: each
-	// sender's seen watermark (in a node.Table) and one (origin, bid) index
-	// of witness rounds.
+	// sequence numbers and broadcast ids a Byzantine sender chooses: the
+	// numbers beyond each sender's sequence window (seqSet.far, made only for
+	// such a number) and one (origin, bid) index of witness rounds.
 	{Kind: Retired, Pattern: `^\s+\w+(,\s*\w+)*\s+map\[(model\.ProcID|Link)\]`, Scope: []string{"internal/netadv/netadv.go", "internal/netadv/byz.go", "internal/reliable/reliable.go", "internal/fd/fd.go", "internal/byz/byz.go"}, Reason: "the interposers find per-peer and per-link state in node.Table", PR: 26},
-	{Kind: Count, Pattern: `^\s+\w+(,\s*\w+)*\s+(node\.Table\[)?map\[`, Scope: []string{"internal/byz/byz.go"}, N: 2, Reason: "byz keeps two maps, keyed by the sequence numbers and broadcast ids a Byzantine sender chooses", PR: 26},
+	{Kind: Count, Pattern: `^\s+\w+(,\s*\w+)*\s+(node\.Table\[)?map\[`, Scope: []string{"internal/byz/byz.go", "internal/byz/seq.go"}, N: 2, Reason: "byz keeps two maps, keyed by the sequence numbers and broadcast ids a Byzantine sender chooses", PR: 26},
 	// No delay bound tells a late network duplicate from a replay, so byz
 	// discards a repeated frame and convicts no one on a timeout.
 	{Kind: Retired, Pattern: `ReplayHorizon`, Scope: []string{"internal/byz"}, Reason: "a repeated frame is a duplicate however late it lands: byz has no replay timeout"},

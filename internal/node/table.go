@@ -6,10 +6,12 @@ import (
 	"failstop/internal/model"
 )
 
-// Table sizes: a table's first slot array, and the most records one chunk
-// carries.
+// Table sizes: a table's first slot array, the records its first block
+// carries (as many as those slots take three quarters full), and the most
+// records one later chunk carries.
 const (
 	tableFirstSize = 8
+	tableFirstRecs = 3 * tableFirstSize / 4
 	tableMaxChunk  = 256
 )
 
@@ -24,11 +26,14 @@ const (
 // follows the keys added to it, never n or the largest id.
 //
 // Records are handed out by pointer and never move, so a callback may hold
-// one peer's record while a send it makes adds another peer. They are carved
-// from chunks of at most tableMaxChunk, each as large as the slot array can
-// still take, so adding a key seldom allocates and the records a table holds
-// but has not handed out are at most one chunk. A key is never removed: a
-// table is dropped whole, by assigning a fresh one.
+// one peer's record while a send it makes adds another peer. A table's first
+// key makes one tableBlock: its first slot array and the chunk of records
+// those slots can take, in one allocation. Later records are carved from
+// chunks of at most tableMaxChunk, each as large as the slot array can still
+// take, so adding a key seldom allocates and the records a table holds but
+// has not handed out are at most one chunk. A grown slot array leaves the
+// block's slots unused; its records stay where they are. A key is never
+// removed: a table is dropped whole, by assigning a fresh one.
 //
 // The zero value is an empty table of ids; NewLinkTable makes a table of
 // links. Not safe for concurrent use.
@@ -43,6 +48,13 @@ type Table[T any] struct {
 type entry[T any] struct {
 	a, b model.ProcID
 	rec  T
+}
+
+// tableBlock is what a table's first key allocates: the first slot array and
+// the first chunk of records.
+type tableBlock[T any] struct {
+	slots [tableFirstSize]*entry[T]
+	recs  [tableFirstRecs]entry[T]
 }
 
 // NewLinkTable returns an empty table of the directed links of an n-process
@@ -131,10 +143,16 @@ func (t *Table[T]) put(i int, a, b model.ProcID) *T {
 	return &e.rec
 }
 
-// grow doubles the slot array and moves every entry to its slot there.
+// grow doubles the slot array and moves every entry to its slot there; an
+// empty table takes its first block instead.
 func (t *Table[T]) grow() {
 	old := t.slots
-	t.slots = make([]*entry[T], max(2*len(old), tableFirstSize))
+	if len(old) == 0 {
+		b := new(tableBlock[T])
+		t.slots, t.free = b.slots[:], b.recs[:]
+		return
+	}
+	t.slots = make([]*entry[T], 2*len(old))
 	for _, e := range old {
 		if e != nil {
 			i, _ := t.find(e.a, e.b)

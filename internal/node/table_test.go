@@ -183,3 +183,53 @@ func TestTableMeshSitsHome(t *testing.T) {
 		}
 	}
 }
+
+// TestTableFirstKeyAllocBudget: a table's first key costs exactly one
+// allocation, its tableBlock of first slots and records (two while the slot
+// array and the records were made apart), for ids and for links alike; the
+// other keys the block's records take cost none.
+func TestTableFirstKeyAllocBudget(t *testing.T) {
+	first := testing.AllocsPerRun(100, func() {
+		var tb Table[[4]int64]
+		tb.Add(7)
+	})
+	firstLink := testing.AllocsPerRun(100, func() {
+		tb := NewLinkTable[[4]int64](10)
+		tb.AddLink(3, 7)
+	})
+	block := testing.AllocsPerRun(100, func() {
+		var tb Table[[4]int64]
+		for id := model.ProcID(1); id <= tableFirstRecs; id++ {
+			tb.Add(id)
+		}
+	})
+	if first != 1 || firstLink != 1 || block != 1 {
+		t.Errorf("first id %.0f allocations, first link %.0f, first %d ids %.0f; want 1 each",
+			first, firstLink, tableFirstRecs, block)
+	}
+}
+
+// TestTableFirstRecordsStay: records the first block handed out keep their
+// address and value while 100 more keys grow the slot array past the block's.
+func TestTableFirstRecordsStay(t *testing.T) {
+	var tb Table[int]
+	var early []*int
+	for id := model.ProcID(1); id <= tableFirstRecs; id++ {
+		rec, _ := tb.Add(id)
+		*rec = int(id) * 10
+		early = append(early, rec)
+	}
+	for id := model.ProcID(tableFirstRecs + 1); id <= tableFirstRecs+100; id++ {
+		rec, _ := tb.Add(id)
+		*rec = -int(id)
+	}
+	if len(tb.slots) <= tableFirstSize {
+		t.Fatalf("%d keys left %d slots: the table never grew", tb.Len(), len(tb.slots))
+	}
+	for i, rec := range early {
+		id := model.ProcID(i + 1)
+		if got := tb.Get(id); got != rec || *rec != int(id)*10 {
+			t.Errorf("id %d: record %p, want %p holding %d; that one holds %d", id, got, rec, int(id)*10, *rec)
+		}
+	}
+}
