@@ -12,8 +12,10 @@ const seqWindow = 128
 // into far, which is made on the first such number. A sender whose frames
 // arrive in order, or reordered by less than the window, never makes far; a
 // Byzantine sender's chosen numbers cost one map entry each, as a set of
-// numbers must. 0 is no sender's first number, so it has its own flag: a zero
-// watermark means that nothing has arrived.
+// numbers must. A number that never arrives (a frame lost with no reliable
+// layer to resend it) holds the watermark for good, and every number past
+// the window after it goes into far. 0 is no sender's first number, so it
+// has its own flag: a zero watermark means that nothing has arrived.
 //
 // When the watermark passes a number, that number slides out of the window;
 // numbers that enter the window at its top leave far for their bit, so a
