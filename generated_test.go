@@ -351,6 +351,7 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	c := failstop.NewCluster(o)
 	d.inject(c)
 	rep := c.Run()
+	sameVerdictsAsReport(t, rep, d, "")
 	victim := model.None
 	lyingWitness := false
 	for _, r := range d.opts.Faults.Byz {
@@ -408,6 +409,25 @@ func checkGeneratedStack(t *testing.T, d stackDraw) {
 	stackDigest(t, p.opts, "", p.inject)
 	if b := stackDigest(t, d.opts, "", d.inject); a != b {
 		t.Errorf("one draw ran twice digests %s then, after %v, %s\n%v", a, p, b, d)
+	}
+	pc := failstop.NewCluster(p.opts)
+	p.inject(pc)
+	failstop.CheckAll(pc.Run().History, failstop.DefaultSuspTag, p.opts.T) // leaves its tables in the pooled workspace
+	sameVerdictsAsReport(t, rep, d, fmt.Sprintf(", after checking %v,", p))
+}
+
+// sameVerdictsAsReport holds failstop.CheckAll, which reads the run through
+// the checker's borrowed scan and pooled tables, to the report's verdicts,
+// read off the facade's owned scan: property by property, Holds and Detail.
+func sameVerdictsAsReport(t *testing.T, rep failstop.Report, d stackDraw, when string) {
+	t.Helper()
+	all := failstop.CheckAll(rep.History, failstop.DefaultSuspTag, d.opts.T)
+	for _, want := range rep.Verdicts {
+		k := slices.IndexFunc(all, func(v failstop.Verdict) bool { return v.Property == want.Property })
+		if k < 0 || all[k] != want {
+			t.Errorf("CheckAll%s gives %v where the report has %s\n%v", when, all, want, d)
+			return
+		}
 	}
 }
 

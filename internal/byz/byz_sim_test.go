@@ -339,16 +339,22 @@ func quietRun(tb testing.TB, enabled bool) int {
 }
 
 // TestByzQuietAllocBudget gates the layer's fault-free path — seal, open,
-// duplicate check, one witness round end to end — at one allocation per
-// wire message over the same traffic without the layer (it was 3.18 while
-// every sealed body and context wrapper was an allocation of its own).
+// duplicate check, one witness round end to end — over the same traffic
+// without the layer, at what it measures plus a tenth: 0.15 allocations
+// per wire message (bare 234, byz 264 over 204 messages), budget 0.17. It
+// was 3.18 while every sealed body and context wrapper was an allocation of
+// its own, and the budget 1 until the figure was restated. Under the race
+// detector the same run measures 0.09–0.18, so the gate skips there.
 func TestByzQuietAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
 	msgs := 0
 	bare := testing.AllocsPerRun(5, func() { quietRun(t, false) })
 	sealed := testing.AllocsPerRun(5, func() { msgs = quietRun(t, true) })
 	per := (sealed - bare) / float64(msgs)
 	t.Logf("allocations per run: bare %.0f, byz %.0f over %d messages: %.2f per message", bare, sealed, msgs, per)
-	if per > 1 {
-		t.Errorf("byz layer on quiet traffic adds %.2f allocations per message, budget 1", per)
+	if per > 0.17 {
+		t.Errorf("byz layer on quiet traffic adds %.2f allocations per message, budget 0.17", per)
 	}
 }

@@ -18,16 +18,24 @@
 // abstract history without TransportTags, the model.Index over it
 // (detections, first crash, down at end, the failed_i(j) lookup) and each
 // detection's quorum set; AllOf reads the ten verdicts off that, walking
-// only the abstract history again. The facade's Run, the sweep (through All)
-// and sfs-check share that one call; the per-property functions index the
-// model-level history they are given the same way. A history naming a
-// process outside 0..model.MaxProcs is not indexed, and every property
-// reports that proc-id violation instead of holding.
+// only the abstract history again. The facade's Run and sfs-check share that
+// one call, and keep the scan; All (the sweep's) reads the same scan
+// borrowed, through model.ReadScan, and the per-property functions index the
+// model-level history they are given the same way, through model.ReadIndex.
+// A history naming a process outside 0..model.MaxProcs is not indexed, and
+// every property reports that proc-id violation instead of holding.
+//
+// What a check works in and drops when it returns — the borrowed readings,
+// the happens-before clocks, failed-before's colours, sFS2d's chains, the
+// Witness search and its view of the quorum rows — is pooled, so a run read
+// through All or a per-property function allocates its verdicts and a
+// violation's detail, and nothing else.
 package checker
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"failstop/internal/byz"
 	"failstop/internal/fd"
@@ -82,9 +90,9 @@ func bad(prop, format string, args ...any) Verdict {
 // this is the paper's FS1 verbatim.
 //
 //	FS1: ∀r,i: r ⊨ □(CRASH_i ⇒ ∀j: ◇(CRASH_j ∨ FAILED_j(i)))
-func FS1(h model.History) Verdict {
-	x := model.NewIndex(h)
-	return fs1At(x, x.Processes())
+func FS1(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs1At(x, x.Processes()) })
+	return v
 }
 
 // FS1At is FS1 with the membership size given explicitly. FS1 infers n
@@ -94,7 +102,10 @@ func FS1(h model.History) Verdict {
 // drop it, together with its obligation to detect every down process
 // (the property would then pass vacuously). Callers that know the true
 // membership pass it here; silent processes count as live.
-func FS1At(h model.History, n int) Verdict { return fs1At(model.NewIndex(h), n) }
+func FS1At(h model.History, n int) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs1At(x, n) })
+	return v
+}
 
 func fs1At(x *model.Index, n int) Verdict {
 	// Walk processes in id order, so the counterexample a failing run
@@ -119,7 +130,10 @@ func fs1At(x *model.Index, n int) Verdict {
 // In history terms, crash_i precedes failed_j(i) for every detection.
 //
 //	FS2: ∀r,i,j: r ⊨ □(FAILED_j(i) ⇒ CRASH_i)
-func FS2(h model.History) Verdict { return fs2(model.NewIndex(h)) }
+func FS2(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs2(x) })
+	return v
+}
 
 func fs2(x *model.Index) Verdict {
 	for _, d := range x.Detections() {
@@ -156,7 +170,10 @@ func Accuracy(h model.History, allowed map[model.ProcID]bool) Verdict {
 //	sFS2a: ∀r,i,j: r ⊨ □(FAILED_i(j) ⇒ ◇CRASH_j)
 //
 // Meaningful on quiescent runs (the crash may be in flight otherwise).
-func SFS2a(h model.History) Verdict { return sfs2a(model.NewIndex(h)) }
+func SFS2a(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2a(x) })
+	return v
+}
 
 func sfs2a(x *model.Index) Verdict {
 	for _, d := range x.Detections() {
@@ -169,7 +186,10 @@ func sfs2a(x *model.Index) Verdict {
 }
 
 // SFS2b checks that the failed-before relation is acyclic (Condition 2).
-func SFS2b(h model.History) Verdict { return sfs2b(model.NewIndex(h)) }
+func SFS2b(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2b(x) })
+	return v
+}
 
 func sfs2b(x *model.Index) Verdict {
 	if cyc := x.FailedBefore().Cycle(); cyc != nil {
@@ -181,7 +201,10 @@ func sfs2b(x *model.Index) Verdict {
 // SFS2c checks that no process detects its own failure:
 //
 //	sFS2c: ∀r,i: r ⊨ □¬FAILED_i(i)
-func SFS2c(h model.History) Verdict { return sfs2c(model.NewIndex(h)) }
+func SFS2c(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2c(x) })
+	return v
+}
 
 func sfs2c(x *model.Index) Verdict {
 	for _, d := range x.Detections() {
@@ -198,7 +221,10 @@ func sfs2c(x *model.Index) Verdict {
 //
 //	sFS2d: r ⊨ □[FAILED_i(j) ∧ ¬SEND_i(k,m) ⇒
 //	             □((SEND_i(k,m) ∧ RECV_k(i,m)) ⇒ FAILED_k(j))]
-func SFS2d(h model.History) Verdict { return sfs2d(h, model.NewIndex(h)) }
+func SFS2d(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2d(h, x) })
+	return v
+}
 
 func sfs2d(h model.History, x *model.Index) Verdict {
 	dets := x.Detections()
@@ -209,8 +235,10 @@ func sfs2d(h model.History, x *model.Index) Verdict {
 	// lastBy[i] is 1 + the position of i's latest, prev[k] the same for the
 	// one i executed before dets[k]. A send is tainted by its sender's chain
 	// at that moment, which later detections only extend at the head.
-	tab := make([]int32, len(dets)+x.Processes()+1)
-	prev, lastBy := tab[:len(dets)], tab[len(dets):]
+	tb := tablePool.Get().(*tables)
+	defer tablePool.Put(tb)
+	tb.chain = append(tb.chain[:0], make([]int32, len(dets)+x.Processes()+1)...)
+	prev, lastBy := tb.chain[:len(dets)], tb.chain[len(dets):]
 	taint, seen := map[model.MsgID]int32{}, 0
 
 	for idx := range h {
@@ -261,12 +289,16 @@ func relabel(v Verdict, prop string) Verdict {
 
 // Condition3 checks §3.2 Condition 3: there is no event e of process j such
 // that failed_i(j) happens-before e.
-func Condition3(h model.History) Verdict { return condition3(h, model.NewIndex(h)) }
+func Condition3(h model.History) (v Verdict) {
+	model.ReadIndex(h, func(x *model.Index, hb *model.HB) { v = condition3(h, x, hb) })
+	return v
+}
 
-func condition3(h model.History, x *model.Index) Verdict {
-	// Built only when a detected process goes on to execute something: a run
-	// whose crashes all precede their detections needs no clocks.
-	var hb *model.HB
+// condition3 asks hb, happens-before over h, or — if hb is nil — clocks of
+// its own. Either is computed only when a detected process goes on to
+// execute something: a run whose crashes all precede their detections needs
+// no clocks.
+func condition3(h model.History, x *model.Index, hb *model.HB) Verdict {
 	for _, d := range x.Detections() {
 		for idx := d.Index + 1; idx < len(h); idx++ {
 			if h[idx].Proc != d.Detected {
@@ -290,17 +322,27 @@ func condition3(h model.History, x *model.Index) Verdict {
 // (tag core SUSP) before executing failed_i(j). The §5 protocol merges SUSP
 // and ACK.SUSP, so received suspicion messages are the acknowledgements.
 func QuorumSets(h model.History, suspTag string) []quorum.Set {
-	return quorumSets(model.NewScan(h, suspTag, TransportTags(suspTag)...))
+	s := model.NewScan(h, suspTag, TransportTags(suspTag)...)
+	return quorumSets(make([]quorum.Set, 0, len(s.Index.Detections())), s)
 }
 
-// quorumSets slices the scan's quorum rows into sets, one per detection.
-func quorumSets(s *model.Scan) []quorum.Set {
-	out := make([]quorum.Set, len(s.Index.Detections()))
-	for k := range out {
-		out[k] = s.Quorums[k*s.Words : (k+1)*s.Words : (k+1)*s.Words]
+// quorumSets appends to out the scan's quorum rows as sets, one per
+// detection.
+func quorumSets(out []quorum.Set, s *model.Scan) []quorum.Set {
+	for k := range s.Index.Detections() {
+		out = append(out, s.Quorums[k*s.Words:(k+1)*s.Words:(k+1)*s.Words])
 	}
 	return out
 }
+
+// tables is what the checks work in and drop when they return, pooled: a
+// check trusts nothing in it but its capacity.
+type tables struct {
+	chain []int32      // sfs2d's detection chains
+	sets  []quorum.Set // witness's view of the quorum rows
+}
+
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
 
 // WitnessProperty checks §4's Witness property W on the quorum sets
 // reconstructed from the history, in the form Theorem 7's quorum size
@@ -308,12 +350,19 @@ func quorumSets(s *model.Scan) []quorum.Set {
 // has a common witness (a failed-before cycle involves at most t processes,
 // hence at most t quorum sets — larger subfamilies never matter). A
 // violation names the offending detections, in history order.
-func WitnessProperty(h model.History, suspTag string, t int) Verdict {
-	return witness(model.NewScan(h, suspTag, TransportTags(suspTag)...), t)
+func WitnessProperty(h model.History, suspTag string, t int) (v Verdict) {
+	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan, _ *model.HB) { v = witness(s, t) })
+	return v
 }
 
 func witness(s *model.Scan, t int) Verdict {
-	sets := quorumSets(s)
+	tb := tablePool.Get().(*tables)
+	defer func() {
+		clear(tb.sets) // the rows are the scan's: the pool must not keep them
+		tablePool.Put(tb)
+	}()
+	sets := quorumSets(tb.sets[:0], s)
+	tb.sets = sets
 	sub := quorum.EmptySubfamily(sets, t)
 	if sub == nil {
 		return holds("W", s.Index)
@@ -329,15 +378,17 @@ func witness(s *model.Scan, t int) Verdict {
 
 // SFS checks the full simulated-fail-stop specification of Figure 1:
 // FS1 + sFS2a + sFS2b + sFS2c + sFS2d.
-func SFS(h model.History) []Verdict {
-	x := model.NewIndex(h)
-	return []Verdict{fs1At(x, x.Processes()), sfs2a(x), sfs2b(x), sfs2c(x), sfs2d(h, x)}
+func SFS(h model.History) (vs []Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) {
+		vs = []Verdict{fs1At(x, x.Processes()), sfs2a(x), sfs2b(x), sfs2c(x), sfs2d(h, x)}
+	})
+	return vs
 }
 
 // FS checks the fail-stop specification: FS1 + FS2.
-func FS(h model.History) []Verdict {
-	x := model.NewIndex(h)
-	return []Verdict{fs1At(x, x.Processes()), fs2(x)}
+func FS(h model.History) (vs []Verdict) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { vs = []Verdict{fs1At(x, x.Processes()), fs2(x)} })
+	return vs
 }
 
 // TransportTags lists the payload tags of the protocol stack's own traffic
@@ -357,9 +408,12 @@ func Abstract(h model.History, suspTag string) model.History {
 	return h.DropTags(TransportTags(suspTag)...)
 }
 
-// All checks every property this package knows about on the recorded run h.
-func All(h model.History, suspTag string, t int) []Verdict {
-	return AllOf(model.NewScan(h, suspTag, TransportTags(suspTag)...), t)
+// All checks every property this package knows about on the recorded run h,
+// reading it through a borrowed scan (model.ReadScan): AllOf's verdicts,
+// with nothing of the reading kept.
+func All(h model.History, suspTag string, t int) (vs []Verdict) {
+	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan, hb *model.HB) { vs = allOf(s, hb, t) })
+	return vs
 }
 
 // AllOf reads All's ten verdicts off a scan already made: the sFS and FS
@@ -367,13 +421,17 @@ func All(h model.History, suspTag string, t int) []Verdict {
 // Witness property from the quorum rows, which needed the full trace.
 // Conditions 1 and 2 restate the sFS2a and sFS2b verdicts they are defined
 // to equal.
-func AllOf(s *model.Scan, t int) []Verdict {
+func AllOf(s *model.Scan, t int) []Verdict { return allOf(s, nil, t) }
+
+// allOf is AllOf asking hb, happens-before over s.Abstract, or — if hb is
+// nil — clocks of its own.
+func allOf(s *model.Scan, hb *model.HB, t int) []Verdict {
 	x := s.Index
 	a, b := sfs2a(x), sfs2b(x)
 	return []Verdict{
 		fs1At(x, x.Processes()), fs2(x),
 		a, b, sfs2c(x), sfs2d(s.Abstract, x),
-		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(s.Abstract, x),
+		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(s.Abstract, x, hb),
 		witness(s, t),
 	}
 }

@@ -42,8 +42,14 @@ func (fb *FailedBefore) Cycle() []ProcID {
 		return nil
 	}
 	// Only a detected process has successors, so only those need a colour
-	// and a parent; both are kept per column of the lookup.
-	tab := make([]int32, 2*cols)
+	// and a parent; both are kept per column of the lookup, in a borrowed
+	// index's workspace if it has one.
+	var tab []int32
+	if x.w != nil {
+		tab = cut(&x.w.colors, 2*cols, true)
+	} else {
+		tab = make([]int32, 2*cols)
+	}
 	s := cycleSearch{x: x, color: tab[:cols], parent: tab[cols:]}
 	for r := ProcID(0); int(r) <= x.n; r++ {
 		if c := x.col[r]; c != 0 && s.color[c-1] == white && s.dfs(r) {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"slices"
 	"sync"
 )
@@ -25,15 +26,18 @@ type Index struct {
 	n     int
 	err   error
 	dets  []Detection
-	crash []int32 // crash[p]: 1 + index of the first crash_p, 0 if p never crashes
-	col   []int32 // col[j]: 1 + column of detected process j in first, 0 if never detected
-	down  []bool  // down[p]: p is crashed when the history ends
-	first []int32 // first[c*(n+1)+i]: 1 + position in dets of the first failed_i(j), j in column c
+	crash []int32  // crash[p]: 1 + index of the first crash_p, 0 if p never crashes
+	col   []int32  // col[j]: 1 + column of detected process j in first, 0 if never detected
+	down  []bool   // down[p]: p is crashed when the history ends
+	first []int32  // first[c*(n+1)+i]: 1 + position in dets of the first failed_i(j), j in column c
+	w     *scratch // a borrowed index's workspace, where its readers' tables come from too; nil if the index is its own
 }
 
 // Scan is one reading of a recorded run: what the property checkers want
 // from the full history, taken in one walk over it however many properties
-// are then read off, and cut to size once the walk knows the sizes.
+// are then read off, and cut to size once the walk knows the sizes — into
+// arrays of its own (NewScan), or into the pooled workspace the walk ran in
+// for a reading that dies with its callback (ReadScan).
 type Scan struct {
 	// Abstract is the model-level history: the run without its transport
 	// traffic, renumbered, at its exact length (History.DropTags).
@@ -59,6 +63,50 @@ func NewScan(h History, suspTag string, transport ...string) *Scan {
 // NewIndex indexes h as it stands (see Index.Err for ids out of range).
 func NewIndex(h History) *Index { return scan(h, nil, "", 0).Index }
 
+// ReadScan calls f with the reading NewScan(h, suspTag, transport...)
+// returns, and with happens-before over its Abstract, both borrowed: they
+// live in the pooled workspace the walk ran in and are valid only until f
+// returns. The HB computes its clocks at its first question (so, unlike
+// NewHB's, it is not for concurrent use), and the index's
+// FailedBefore().Cycle() searches, in the same workspace; a caller that
+// keeps what it reads uses NewScan. After f the Scan is empty, its
+// Index reports an error and the HB panics — until another reading reuses
+// the workspace, whose tables they would then be reading.
+func ReadScan(h History, suspTag string, transport []string, f func(*Scan, *HB)) {
+	borrow(h, transport, suspTag, readAbstract|readQuorums, f)
+}
+
+// ReadIndex is ReadScan for the reading NewIndex(h) returns: f gets h's
+// index and happens-before over h, borrowed, and valid only until it
+// returns.
+func ReadIndex(h History, f func(*Index, *HB)) {
+	borrow(h, nil, "", 0, func(s *Scan, hb *HB) { f(s.Index, hb) })
+}
+
+// borrow is the walk, in a pooled scratch, lending f the reading and
+// happens-before over the history the reading indexes.
+func borrow(h History, drop []string, suspTag string, want int, f func(*Scan, *HB)) {
+	w := scratchPool.Get().(*scratch)
+	s := w.read(h, drop, suspTag, want, true)
+	w.hb = HB{h: h, w: w}
+	if want&readAbstract != 0 {
+		w.hb.h = s.Abstract
+	}
+	f(s, &w.hb)
+	w.end()
+	scratchPool.Put(w)
+}
+
+// errEnded is what a borrowed index reports once its callback has returned.
+var errEnded = errors.New("model: a borrowed reading was read after its callback returned")
+
+// end takes the borrowed reading back: a Scan, Index or HB its callback
+// kept now reads as empty, reports errEnded or panics, and points at
+// nothing of its history.
+func (w *scratch) end() {
+	w.out, w.idx, w.hb = Scan{}, Index{err: errEnded}, HB{}
+}
+
 // What a walk reads beyond the index every reading gets.
 const (
 	readAbstract = 1 << iota // the kept events as a history; the index then holds positions in it, otherwise in h
@@ -66,10 +114,12 @@ const (
 	readLatency              // each detection's latency row (Latencies), left in the scratch's lat
 )
 
-// scratch is what one scan works in and nothing outside it sees: tables
-// indexed by process id, widened as ids are named, and lists grown as the
-// history is read. A scan draws one from scratchPool, trusts nothing in it
-// (reset) and copies what it found out at exact size before putting it back.
+// scratch is what one scan works in: tables indexed by process id, widened
+// as ids are named, and lists grown as the history is read. A scan draws one
+// from scratchPool, trusts nothing in it (reset) and copies what it found
+// out at exact size before putting it back — into fresh arrays, or, for a
+// borrowed reading, into the scratch's own, which the reading's callback
+// sees and then gives back with the scratch.
 type scratch struct {
 	ids   int         // width of the id tables: a power of two, 64 or more, above every id read so far
 	crash []int32     // [ids] Index.crash
@@ -87,6 +137,21 @@ type scratch struct {
 	psusp  []int32   // [block][ids] 1 + position of i's first suspect(i, j)
 	hlast  []int32   // [row of heard] 1 + position of the last suspTag receive heard in it
 	lat    []Latency // a row per detection
+
+	// A borrowed reading, cut to size, and what its readers work in.
+	out    Scan
+	idx    Index
+	hb     HB
+	abs    History     // out.Abstract
+	quo    []uint64    // out.Quorums
+	itab   []int32     // idx.crash and idx.col
+	idown  []bool      // idx.down
+	idets  []Detection // idx.dets
+	ifirst []int32     // idx.first
+	colors []int32     // FailedBefore.Cycle's colours and parents
+	clocks VClock      // hb.clocks
+	last   []int32     // the clock computation's latest event per process
+	sent   []sendAt    // the clock computation's sends, sorted
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -98,6 +163,16 @@ func grown[T any](s []T, n int) []T {
 	s = slices.Grow(s, n-old)[:n]
 	clear(s[old:])
 	return s
+}
+
+// cut returns n zeroed elements: a fresh array for a reading its caller
+// keeps, *pool's for a borrowed one.
+func cut[S ~[]T, T any](pool *S, n int, borrow bool) S {
+	if !borrow {
+		return make(S, n)
+	}
+	*pool = grown((*pool)[:0], n)
+	return *pool
 }
 
 // restride returns the rows of s, each from wide, at to wide, zero-filled.
@@ -114,7 +189,9 @@ func restride[T any](s []T, from, to int) []T {
 func (w *scratch) reset(lat bool) {
 	*w = scratch{ids: 64, crash: grown(w.crash[:0], 64), down: grown(w.down[:0], 64), hcol: grown(w.hcol[:0], 64),
 		hrow: w.hrow[:0], heard: w.heard[:0], qrow: w.qrow[:0], keep: w.keep[:0], dets: w.dets[:0],
-		fsusp: w.fsusp[:0], lcrash: w.lcrash[:0], psusp: w.psusp[:0], hlast: w.hlast[:0], lat: w.lat[:0]}
+		fsusp: w.fsusp[:0], lcrash: w.lcrash[:0], psusp: w.psusp[:0], hlast: w.hlast[:0], lat: w.lat[:0],
+		abs: w.abs[:0], quo: w.quo[:0], itab: w.itab[:0], idown: w.idown[:0], idets: w.idets[:0], ifirst: w.ifirst[:0],
+		colors: w.colors[:0], clocks: w.clocks[:0], last: w.last[:0], sent: w.sent[:0]}
 	if lat {
 		w.fsusp, w.lcrash = grown(w.fsusp, 64), grown(w.lcrash, 64)
 	}
@@ -169,8 +246,15 @@ func scan(h History, drop []string, suspTag string, want int) *Scan {
 	return s
 }
 
-// scan is the walk, in w: whatever w holds on entry, the result is the same.
+// scan is the walk, in w, read into arrays of the caller's: whatever w
+// holds on entry, the result is the same.
 func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan {
+	return w.read(h, drop, suspTag, want, false)
+}
+
+// read is the walk, in w, and its reading: owned, or borrowed — then the
+// Scan, its Index and all they hold are w's.
+func (w *scratch) read(h History, drop []string, suspTag string, want int, borrow bool) *Scan {
 	abstract, quorums, lat := want&readAbstract != 0, want&readQuorums != 0, want&readLatency != 0
 	w.reset(lat)
 	// The largest id anywhere (quorum rows name senders of dropped traffic)
@@ -184,7 +268,9 @@ func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan
 		top := max(e.Proc, e.Peer, e.Target)
 		if top > all || e.Proc|e.Peer|e.Target < 0 {
 			if e.outOfRange() {
-				return &Scan{Index: &Index{err: procIDViolation(i, e)}}
+				s, x := w.reading(borrow)
+				*s, *x = Scan{Index: x}, Index{err: procIDViolation(i, e)}
+				return s
 			}
 			if all = top; int(top) >= ids {
 				w.widen(int(top), lat)
@@ -255,11 +341,17 @@ func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan
 
 	// Sizes known: everything the caller gets is cut to them.
 	n := int(kept)
-	tab := make([]int32, 2*(n+1))
-	x := &Index{n: n, crash: tab[:n+1], col: tab[n+1:], down: make([]bool, n+1),
-		dets: append(make([]Detection, 0, len(w.dets)), w.dets...)}
+	s, x := w.reading(borrow)
+	tab := cut(&w.itab, 2*(n+1), borrow)
+	*x = Index{n: n, crash: tab[:n+1], col: tab[n+1:], down: cut(&w.idown, n+1, borrow),
+		dets: cut(&w.idets, len(w.dets), borrow)}
+	*s = Scan{Index: x}
+	if borrow {
+		x.w = w
+	}
 	copy(x.crash, w.crash)
 	copy(x.down, w.down)
+	copy(x.dets, w.dets)
 	cols := 0
 	for _, d := range x.dets {
 		if x.col[d.Detected] == 0 {
@@ -268,16 +360,15 @@ func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan
 		}
 	}
 	if cols > 0 {
-		x.first = make([]int32, cols*(n+1))
+		x.first = cut(&w.ifirst, cols*(n+1), borrow)
 	}
 	for k, d := range x.dets {
 		if slot := &x.first[int(x.col[d.Detected]-1)*(n+1)+int(d.Detector)]; *slot == 0 {
 			*slot = int32(k + 1)
 		}
 	}
-	s := &Scan{Index: x}
 	if abstract {
-		s.Abstract = make(History, len(w.keep))
+		s.Abstract = cut(&w.abs, len(w.keep), borrow)
 		for k, i := range w.keep {
 			s.Abstract[k] = h[i]
 			s.Abstract[k].Seq = int32(k)
@@ -285,7 +376,7 @@ func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan
 	}
 	if quorums {
 		s.Words = int(all)/64 + 1
-		s.Quorums = make([]uint64, len(x.dets)*s.Words)
+		s.Quorums = cut(&w.quo, len(x.dets)*s.Words, borrow)
 		for k, r := range w.qrow {
 			copy(s.Quorums[k*s.Words:][:s.Words], w.heard[int(r)*words:])
 		}
@@ -294,6 +385,15 @@ func (w *scratch) scan(h History, drop []string, suspTag string, want int) *Scan
 		w.crashedAll(h, x)
 	}
 	return s
+}
+
+// reading returns where a reading goes: fresh structs, or w's own for a
+// borrowed one.
+func (w *scratch) reading(borrow bool) (*Scan, *Index) {
+	if borrow {
+		return &w.out, &w.idx
+	}
+	return new(Scan), new(Index)
 }
 
 // Err is nil for an indexed history, or the proc-id violation — as Validate

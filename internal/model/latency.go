@@ -37,9 +37,10 @@ type Latency struct {
 func Latencies(h History, suspTag string) []Latency {
 	w := scratchPool.Get().(*scratch)
 	var out []Latency
-	if w.scan(h, nil, suspTag, readLatency).Index.Err() == nil {
+	if w.read(h, nil, suspTag, readLatency, true).Index.Err() == nil {
 		out = append(out, w.lat...)
 	}
+	w.end()
 	scratchPool.Put(w)
 	return out
 }

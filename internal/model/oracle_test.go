@@ -133,8 +133,12 @@ func sameScan(got, want *Scan) error {
 	if cap(got.Abstract) != cap(want.Abstract) {
 		return fmt.Errorf("cap(Abstract) = %d, want %d", cap(got.Abstract), cap(want.Abstract))
 	}
-	g, w := got.Index, want.Index
-	if fmt.Sprint(g.Err()) != fmt.Sprint(w.Err()) || g.Processes() != w.Processes() || !reflect.DeepEqual(g.Detections(), w.Detections()) {
+	return sameIndex(got.Index, want.Index)
+}
+
+// sameIndex compares every accessor of two indexes, one id past each end.
+func sameIndex(g, w *Index) error {
+	if fmt.Sprint(g.Err()) != fmt.Sprint(w.Err()) || g.Processes() != w.Processes() || !slices.Equal(g.Detections(), w.Detections()) {
 		return fmt.Errorf("Err, Processes or Detections differ: %v %d %v, want %v %d %v",
 			g.Err(), g.Processes(), g.Detections(), w.Err(), w.Processes(), w.Detections())
 	}
@@ -256,21 +260,34 @@ func TestScanMatchesTwoWalkOracle(t *testing.T) {
 // lengths wrong: what a scan may find in a scratch another scan used.
 func poison(w *scratch, seed int) {
 	w.ids = seed*13 - 5
-	for _, s := range []*[]int32{&w.crash, &w.hcol, &w.hrow, &w.qrow, &w.keep, &w.fsusp, &w.lcrash, &w.psusp, &w.hlast} {
+	for _, s := range []*[]int32{&w.crash, &w.hcol, &w.hrow, &w.qrow, &w.keep, &w.fsusp, &w.lcrash, &w.psusp, &w.hlast,
+		&w.itab, &w.ifirst, &w.colors, &w.last} {
 		garble(s, seed, func(i int) int32 { return int32(i*31 + seed + 1) })
 	}
-	garble(&w.down, seed, func(int) bool { return true })
-	garble(&w.heard, seed, func(i int) uint64 { return ^uint64(i) })
-	garble(&w.dets, seed, func(i int) Detection { return Detection{Detector: ProcID(i + 1), Detected: ProcID(seed), Index: -i} })
+	for _, s := range []*[]bool{&w.down, &w.idown} {
+		garble(s, seed, func(int) bool { return true })
+	}
+	for _, s := range []*[]uint64{&w.heard, &w.quo} {
+		garble(s, seed, func(i int) uint64 { return ^uint64(i) })
+	}
+	for _, s := range []*[]Detection{&w.dets, &w.idets} {
+		garble(s, seed, func(i int) Detection { return Detection{Detector: ProcID(i + 1), Detected: ProcID(seed), Index: -i} })
+	}
 	garble(&w.lat, seed, func(i int) Latency {
 		return Latency{Tick: int64(i), FirstSuspicion: int64(seed), Pair: 7, Quorum: 9, All: -int64(i)}
 	})
+	garble(&w.abs, seed, func(i int) Event { return Crash(ProcID(i + seed)) })
+	garble(&w.clocks, seed, func(i int) int64 { return int64(i*seed) - 3 })
+	garble(&w.sent, seed, func(i int) sendAt { return sendAt{MsgID(i % 7), int32(seed - i)} })
+	w.out = Scan{Abstract: w.abs, Quorums: w.quo, Words: seed, Index: &w.idx}
+	w.idx = Index{n: seed, crash: w.itab, col: w.ifirst, down: w.idown, first: w.colors, dets: w.idets, w: w}
+	w.hb = HB{h: w.abs, stride: seed + 1, clocks: w.clocks}
 }
 
 // garble grows *s, fills it to its capacity with junk and cuts it to a
 // length that has nothing to do with what it holds.
-func garble[T any](s *[]T, seed int, junk func(i int) T) {
-	*s = append(*s, make([]T, 70+seed)...)
+func garble[S ~[]T, T any](s *S, seed int, junk func(i int) T) {
+	*s = append(*s, make(S, 70+seed)...)
 	*s = (*s)[:cap(*s)]
 	for i := range *s {
 		(*s)[i] = junk(i)

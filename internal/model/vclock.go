@@ -1,5 +1,10 @@
 package model
 
+import (
+	"cmp"
+	"slices"
+)
+
 // VClock is a vector clock over the process id space 1..n. Index 0 is
 // unused so that VClock[p] is the component of process p directly.
 type VClock []int64
@@ -22,16 +27,27 @@ func (v VClock) Join(o VClock) {
 // transitive closure — and, like the paper's, it is reflexive.
 type HB struct {
 	h      History
-	stride int    // n+1: one component per process id 0..n
-	clocks VClock // the slab every clock is carved from: event k's is clock(k)
+	stride int      // n+1: one component per process id 0..n
+	clocks VClock   // the slab every clock is carved from: event k's is clock(k)
+	w      *scratch // a borrowed HB's workspace until its first question computes the clocks there
 }
 
 func (hb *HB) clock(k int) VClock { return hb.clocks[k*hb.stride:][:hb.stride] }
 
 // NewHB computes vector clocks for every event of h in a single pass, all
 // carved from one slab. h must be a valid history (ids in range, receives
-// matched to earlier sends); NewHB does not re-validate.
+// matched to earlier sends); NewHB does not re-validate. ReadScan and
+// ReadIndex hand out a borrowed HB, whose slab is their workspace's.
 func NewHB(h History) *HB {
+	hb := &HB{h: h}
+	hb.compute()
+	return hb
+}
+
+// compute fills the clocks: into fresh arrays, or into the workspace of a
+// borrowed HB.
+func (hb *HB) compute() {
+	h, w := hb.h, hb.w
 	n, sends := ProcID(0), 0
 	for i := range h {
 		e := &h[i]
@@ -40,10 +56,27 @@ func NewHB(h History) *HB {
 			sends++
 		}
 	}
-	w := int(n) + 1
-	hb := &HB{h: h, stride: w, clocks: make(VClock, len(h)*w)}
-	last := make([]int32, w)               // last[p]: 1 + index of p's most recent event
-	sendAt := make(map[MsgID]int32, sends) // message id -> 1 + index of its send
+	hb.stride, hb.w = int(n)+1, nil
+	var (
+		last []int32  // last[p]: 1 + index of p's most recent event
+		sent []sendAt // every send, by message id and then position
+	)
+	if w != nil {
+		hb.clocks, last, sent = cut(&w.clocks, len(h)*hb.stride, true), cut(&w.last, hb.stride, true), w.sent[:0]
+	} else {
+		hb.clocks, last, sent = make(VClock, len(h)*hb.stride), make([]int32, hb.stride), make([]sendAt, 0, sends)
+	}
+	for k := range h {
+		if h[k].Kind == KindSend {
+			sent = append(sent, sendAt{h[k].Msg, int32(k + 1)})
+		}
+	}
+	if w != nil {
+		w.sent = sent
+	}
+	if !slices.IsSortedFunc(sent, bySend) { // a recorder numbers messages in send order
+		slices.SortFunc(sent, bySend)
+	}
 
 	for k := range h {
 		e := &h[k]
@@ -52,17 +85,39 @@ func NewHB(h History) *HB {
 			copy(c, hb.clock(int(prev-1)))
 		}
 		if e.Kind == KindRecv {
-			if s := sendAt[e.Msg]; s != 0 {
+			if s := sendOf(sent, e.Msg, k); s != 0 {
 				c.Join(hb.clock(int(s - 1)))
 			}
 		}
 		c[e.Proc]++
 		last[e.Proc] = int32(k + 1)
-		if e.Kind == KindSend {
-			sendAt[e.Msg] = int32(k + 1)
-		}
 	}
-	return hb
+}
+
+// sendAt is a send of message msg at position at-1. The table of a history's
+// sends, sorted by message id, is what matches a receive to its send: a
+// pooled map would be emptied at the cost of the most it ever held.
+type sendAt struct {
+	msg MsgID
+	at  int32
+}
+
+// bySend orders sends by message id, then by position.
+func bySend(a, b sendAt) int {
+	if c := cmp.Compare(a.msg, b.msg); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.at, b.at)
+}
+
+// sendOf returns 1 + the position of the latest send of msg before position
+// k, or 0 if there is none.
+func sendOf(sends []sendAt, msg MsgID, k int) int32 {
+	i, _ := slices.BinarySearchFunc(sends, sendAt{msg, int32(k + 1)}, bySend)
+	if i == 0 || sends[i-1].msg != msg {
+		return 0
+	}
+	return sends[i-1].at
 }
 
 // Before reports whether event at index a happens-before the event at index
@@ -70,6 +125,9 @@ func NewHB(h History) *HB {
 func (hb *HB) Before(a, b int) bool {
 	if a == b {
 		return true
+	}
+	if hb.w != nil {
+		hb.compute()
 	}
 	// Standard vector-clock test: a -> b iff VC(a)[proc(a)] <= VC(b)[proc(a)].
 	pa := hb.h[a].Proc

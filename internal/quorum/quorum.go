@@ -7,6 +7,7 @@ package quorum
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"failstop/internal/model"
 )
@@ -108,8 +109,8 @@ func SubfamiliesIntersect(quorums []Set, t int) bool {
 // intersection of more than r·miss members survives r more sets. That is
 // Theorem 7's own argument, t(n-q) < n, and it settles a family of
 // minimum-size quorums at the root. Worst case is still C(u, t) prefixes
-// over the u kept sets, one AND per word each; the search allocates three
-// slices whatever u and t are.
+// over the u kept sets, one AND per word each. The search works in a pooled
+// state, and allocates only the subfamily it returns.
 func EmptySubfamily(quorums []Set, t int) []int {
 	if t <= 0 || len(quorums) <= 1 {
 		return nil
@@ -117,7 +118,18 @@ func EmptySubfamily(quorums []Set, t int) []int {
 	if t > len(quorums) {
 		t = len(quorums)
 	}
-	s := search{fam: quorums, t: t, kept: minimal(quorums), path: make([]int, t)}
+	s := searchPool.Get().(*search)
+	sub := s.run(quorums, t)
+	s.fam = nil // the sets are the caller's: the pool must not keep them
+	searchPool.Put(s)
+	return sub
+}
+
+// run is EmptySubfamily's search for 1 <= t <= len(quorums), in s: whatever
+// s holds on entry, the result is the same.
+func (s *search) run(quorums []Set, t int) []int {
+	s.fam, s.t, s.words = quorums, t, 0
+	s.kept, s.path = minimal(s.kept[:0], quorums), append(s.path[:0], make([]int, t)...)
 	for _, i := range s.kept {
 		if len(quorums[i]) > s.words {
 			s.words = len(quorums[i])
@@ -125,7 +137,7 @@ func EmptySubfamily(quorums []Set, t int) []int {
 	}
 	// Frame d of the stack is the intersection of the d sets on the path;
 	// frame 0, the empty path's, is the union of the kept sets.
-	s.stack = make([]uint64, (t+1)*s.words)
+	s.stack = append(s.stack[:0], make([]uint64, (t+1)*s.words)...)
 	union, fewest := Set(s.stack[:s.words]), int(^uint(0)>>1)
 	for _, i := range s.kept {
 		for w, x := range quorums[i] {
@@ -137,16 +149,15 @@ func EmptySubfamily(quorums []Set, t int) []int {
 	}
 	s.miss = union.Len() - fewest
 	if n := s.descend(0, 0); n > 0 {
-		return s.path[:n]
+		return append([]int(nil), s.path[:n]...)
 	}
 	return nil
 }
 
-// minimal returns the indices of the distinct, inclusion-minimal sets of
-// fam in index order: a set is dropped if another is a strict subset of it
-// or an earlier one equals it.
-func minimal(fam []Set) []int {
-	kept := make([]int, 0, len(fam))
+// minimal appends to kept the indices of the distinct, inclusion-minimal
+// sets of fam in index order: a set is dropped if another is a strict subset
+// of it or an earlier one equals it.
+func minimal(kept []int, fam []Set) []int {
 	for i, q := range fam {
 		redundant := false
 		for j, o := range fam {
@@ -162,7 +173,8 @@ func minimal(fam []Set) []int {
 	return kept
 }
 
-// search is the state of one EmptySubfamily walk.
+// search is the state of one EmptySubfamily walk, drawn from searchPool and
+// trusted in nothing but its capacity.
 type search struct {
 	fam   []Set
 	kept  []int    // indices into fam the walk ranges over
@@ -172,6 +184,8 @@ type search struct {
 	stack []uint64 // t+1 frames of running intersections
 	path  []int    // fam indices of the current prefix
 }
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
 
 // descend extends the prefix of the given depth with each kept set from
 // position from on, and returns the length of the first prefix whose

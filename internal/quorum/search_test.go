@@ -194,22 +194,33 @@ func intersectingFamily(d int) []Set {
 	return fam
 }
 
-// The search allocates a fixed number of slices: its allocation count must
-// not depend on how many prefixes it walks. d=51 and d=114 are the
+// The search works in a pooled state, so its allocation count does not
+// depend on how many prefixes it walks: once the state is warm it is
+// nothing on a family every subfamily of which intersects, and the
+// subfamily it returns on one that does not. d=51 and d=114 are the
 // detection counts of an n=20 and an n=40 run at t=3 (20,825 and 240,464
-// tuples for the enumerator it replaced, which allocated per tuple).
+// tuples for the enumerator it replaced, which allocated per tuple). It was
+// three slices a search, the budget 8 and a difference of 2, while the
+// kept indices, the path and the stack of frames were the search's own.
 func TestSubfamiliesIntersectAllocsIndependentOfSearchSize(t *testing.T) {
-	small, large := intersectingFamily(51), intersectingFamily(114)
+	if raceEnabled {
+		t.Skip("allocation measurement")
+	}
+	small, large, empty := intersectingFamily(51), intersectingFamily(114), EmptyIntersectionFamily(200, 3)
 	for _, fam := range [][]Set{small, large} {
 		if !SubfamiliesIntersect(fam, 3) || !exhaustiveSubfamiliesIntersect(fam[:12], 3) {
 			t.Fatal("intersectingFamily must intersect")
 		}
 	}
+	if EmptySubfamily(empty, 3) == nil {
+		t.Fatal("EmptyIntersectionFamily must not intersect")
+	}
 	a := testing.AllocsPerRun(10, func() { SubfamiliesIntersect(small, 3) })
 	b := testing.AllocsPerRun(10, func() { SubfamiliesIntersect(large, 3) })
-	t.Logf("allocs: d=51 %.0f, d=114 %.0f", a, b)
-	if b-a > 2 || a > 8 {
-		t.Errorf("SubfamiliesIntersect allocated %.0f times at d=51 and %.0f at d=114; want a small constant", a, b)
+	c := testing.AllocsPerRun(10, func() { EmptySubfamily(empty, 3) })
+	t.Logf("allocs: d=51 %.0f, d=114 %.0f, an empty triple %.0f", a, b, c)
+	if a > 0 || b > 0 || c > 1 {
+		t.Errorf("the search allocated %.0f times at d=51, %.0f at d=114 and %.0f on an empty triple; budget 0, 0 and 1 (the subfamily returned)", a, b, c)
 	}
 }
 

@@ -59,9 +59,14 @@ type Stats struct {
 // model.ErrInvalidHistory when h names a process outside 0..model.MaxProcs.
 // On success the result is valid, isomorphic to h w.r.t. every process, and
 // satisfies FS2.
-func Graph(h model.History) (model.History, Stats, error) {
+func Graph(h model.History) (out model.History, st Stats, err error) {
+	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { out, st, err = graph(h, x) })
+	return out, st, err
+}
+
+// graph is Graph on h's index, which it reads and does not keep.
+func graph(h model.History, x *model.Index) (model.History, Stats, error) {
 	var st Stats
-	x := model.NewIndex(h)
 	if err := x.Err(); err != nil {
 		return nil, st, fmt.Errorf("rewrite: %w", err)
 	}
@@ -308,13 +313,15 @@ func Verify(original, rewritten model.History) error {
 	if !original.IsomorphicTo(rewritten) {
 		return errors.New("rewrite: result not isomorphic to original")
 	}
-	x := model.NewIndex(rewritten)
-	for _, d := range x.Detections() {
-		ci := x.CrashIndex(d.Detected)
-		if ci < 0 || ci > d.Index {
-			return fmt.Errorf("rewrite: FS2 violated in result: failed_%d(%d) at %d, crash at %d",
-				d.Detector, d.Detected, d.Index, ci)
+	var err error
+	model.ReadIndex(rewritten, func(x *model.Index, _ *model.HB) {
+		for _, d := range x.Detections() {
+			if ci := x.CrashIndex(d.Detected); ci < 0 || ci > d.Index {
+				err = fmt.Errorf("rewrite: FS2 violated in result: failed_%d(%d) at %d, crash at %d",
+					d.Detector, d.Detected, d.Index, ci)
+				return
+			}
 		}
-	}
-	return nil
+	})
+	return err
 }
