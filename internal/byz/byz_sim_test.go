@@ -344,17 +344,19 @@ func quietRun(tb testing.TB, enabled bool) int {
 // per wire message (bare 234, byz 264 over 204 messages), budget 0.17. It
 // was 3.18 while every sealed body and context wrapper was an allocation of
 // its own, and the budget 1 until the figure was restated. Under the race
-// detector the same run measures 0.09–0.18, so the gate skips there.
+// detector the same run measures 0.09–0.18, so there the budget stays 1 and
+// the run's own checks — frames released, no convictions — still hold.
 func TestByzQuietAllocBudget(t *testing.T) {
+	budget := 0.17
 	if raceEnabled {
-		t.Skip("allocation measurement")
+		budget = 1
 	}
 	msgs := 0
 	bare := testing.AllocsPerRun(5, func() { quietRun(t, false) })
 	sealed := testing.AllocsPerRun(5, func() { msgs = quietRun(t, true) })
 	per := (sealed - bare) / float64(msgs)
 	t.Logf("allocations per run: bare %.0f, byz %.0f over %d messages: %.2f per message", bare, sealed, msgs, per)
-	if per > 0.17 {
-		t.Errorf("byz layer on quiet traffic adds %.2f allocations per message, budget 0.17", per)
+	if per > budget {
+		t.Errorf("byz layer on quiet traffic adds %.2f allocations per message, budget %.2f", per, budget)
 	}
 }

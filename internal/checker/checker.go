@@ -91,7 +91,7 @@ func bad(prop, format string, args ...any) Verdict {
 //
 //	FS1: ∀r,i: r ⊨ □(CRASH_i ⇒ ∀j: ◇(CRASH_j ∨ FAILED_j(i)))
 func FS1(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs1At(x, x.Processes()) })
+	model.ReadIndex(h, func(x *model.Index) { v = fs1At(x, x.Processes()) })
 	return v
 }
 
@@ -103,7 +103,7 @@ func FS1(h model.History) (v Verdict) {
 // (the property would then pass vacuously). Callers that know the true
 // membership pass it here; silent processes count as live.
 func FS1At(h model.History, n int) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs1At(x, n) })
+	model.ReadIndex(h, func(x *model.Index) { v = fs1At(x, n) })
 	return v
 }
 
@@ -131,7 +131,7 @@ func fs1At(x *model.Index, n int) Verdict {
 //
 //	FS2: ∀r,i,j: r ⊨ □(FAILED_j(i) ⇒ CRASH_i)
 func FS2(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = fs2(x) })
+	model.ReadIndex(h, func(x *model.Index) { v = fs2(x) })
 	return v
 }
 
@@ -171,7 +171,7 @@ func Accuracy(h model.History, allowed map[model.ProcID]bool) Verdict {
 //
 // Meaningful on quiescent runs (the crash may be in flight otherwise).
 func SFS2a(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2a(x) })
+	model.ReadIndex(h, func(x *model.Index) { v = sfs2a(x) })
 	return v
 }
 
@@ -187,7 +187,7 @@ func sfs2a(x *model.Index) Verdict {
 
 // SFS2b checks that the failed-before relation is acyclic (Condition 2).
 func SFS2b(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2b(x) })
+	model.ReadIndex(h, func(x *model.Index) { v = sfs2b(x) })
 	return v
 }
 
@@ -202,7 +202,7 @@ func sfs2b(x *model.Index) Verdict {
 //
 //	sFS2c: ∀r,i: r ⊨ □¬FAILED_i(i)
 func SFS2c(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2c(x) })
+	model.ReadIndex(h, func(x *model.Index) { v = sfs2c(x) })
 	return v
 }
 
@@ -222,7 +222,7 @@ func sfs2c(x *model.Index) Verdict {
 //	sFS2d: r ⊨ □[FAILED_i(j) ∧ ¬SEND_i(k,m) ⇒
 //	             □((SEND_i(k,m) ∧ RECV_k(i,m)) ⇒ FAILED_k(j))]
 func SFS2d(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { v = sfs2d(h, x) })
+	model.ReadIndex(h, func(x *model.Index) { v = sfs2d(h, x) })
 	return v
 }
 
@@ -290,15 +290,16 @@ func relabel(v Verdict, prop string) Verdict {
 // Condition3 checks §3.2 Condition 3: there is no event e of process j such
 // that failed_i(j) happens-before e.
 func Condition3(h model.History) (v Verdict) {
-	model.ReadIndex(h, func(x *model.Index, hb *model.HB) { v = condition3(h, x, hb) })
+	model.ReadIndex(h, func(x *model.Index) { v = condition3(h, x) })
 	return v
 }
 
-// condition3 asks hb, happens-before over h, or — if hb is nil — clocks of
-// its own. Either is computed only when a detected process goes on to
-// execute something: a run whose crashes all precede their detections needs
-// no clocks.
-func condition3(h model.History, x *model.Index, hb *model.HB) Verdict {
+// condition3 asks the happens-before a borrowed x lends over h, or — if x
+// is its own — clocks of its own. Either is computed only when a detected
+// process goes on to execute something: a run whose crashes all precede
+// their detections needs no clocks.
+func condition3(h model.History, x *model.Index) Verdict {
+	hb := x.HB()
 	for _, d := range x.Detections() {
 		for idx := d.Index + 1; idx < len(h); idx++ {
 			if h[idx].Proc != d.Detected {
@@ -351,7 +352,7 @@ var tablePool = sync.Pool{New: func() any { return new(tables) }}
 // hence at most t quorum sets — larger subfamilies never matter). A
 // violation names the offending detections, in history order.
 func WitnessProperty(h model.History, suspTag string, t int) (v Verdict) {
-	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan, _ *model.HB) { v = witness(s, t) })
+	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan) { v = witness(s, t) })
 	return v
 }
 
@@ -379,7 +380,7 @@ func witness(s *model.Scan, t int) Verdict {
 // SFS checks the full simulated-fail-stop specification of Figure 1:
 // FS1 + sFS2a + sFS2b + sFS2c + sFS2d.
 func SFS(h model.History) (vs []Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) {
+	model.ReadIndex(h, func(x *model.Index) {
 		vs = []Verdict{fs1At(x, x.Processes()), sfs2a(x), sfs2b(x), sfs2c(x), sfs2d(h, x)}
 	})
 	return vs
@@ -387,7 +388,7 @@ func SFS(h model.History) (vs []Verdict) {
 
 // FS checks the fail-stop specification: FS1 + FS2.
 func FS(h model.History) (vs []Verdict) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { vs = []Verdict{fs1At(x, x.Processes()), fs2(x)} })
+	model.ReadIndex(h, func(x *model.Index) { vs = []Verdict{fs1At(x, x.Processes()), fs2(x)} })
 	return vs
 }
 
@@ -412,7 +413,7 @@ func Abstract(h model.History, suspTag string) model.History {
 // reading it through a borrowed scan (model.ReadScan): AllOf's verdicts,
 // with nothing of the reading kept.
 func All(h model.History, suspTag string, t int) (vs []Verdict) {
-	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan, hb *model.HB) { vs = allOf(s, hb, t) })
+	model.ReadScan(h, suspTag, TransportTags(suspTag), func(s *model.Scan) { vs = AllOf(s, t) })
 	return vs
 }
 
@@ -421,17 +422,13 @@ func All(h model.History, suspTag string, t int) (vs []Verdict) {
 // Witness property from the quorum rows, which needed the full trace.
 // Conditions 1 and 2 restate the sFS2a and sFS2b verdicts they are defined
 // to equal.
-func AllOf(s *model.Scan, t int) []Verdict { return allOf(s, nil, t) }
-
-// allOf is AllOf asking hb, happens-before over s.Abstract, or — if hb is
-// nil — clocks of its own.
-func allOf(s *model.Scan, hb *model.HB, t int) []Verdict {
+func AllOf(s *model.Scan, t int) []Verdict {
 	x := s.Index
 	a, b := sfs2a(x), sfs2b(x)
 	return []Verdict{
 		fs1At(x, x.Processes()), fs2(x),
 		a, b, sfs2c(x), sfs2d(s.Abstract, x),
-		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(s.Abstract, x, hb),
+		relabel(a, "Condition1"), relabel(b, "Condition2"), condition3(s.Abstract, x),
 		witness(s, t),
 	}
 }

@@ -13,9 +13,9 @@ import (
 // borrowed reading's arrays are the workspace's, at any capacity, and nil
 // when empty if the workspace is fresh), every
 // index accessor, failed-before's cycle, and — on a history whose ids are in
-// range — happens-before over the history the reading indexes, hb asked
-// first in the workspace and NewHB in arrays of its own.
-func sameBorrowed(got *Scan, hb *HB, want *Scan, indexed History) error {
+// range — happens-before over the history the reading indexes, the HB its
+// index lends asked first in the workspace and NewHB in arrays of its own.
+func sameBorrowed(got *Scan, want *Scan, indexed History) error {
 	if !slices.Equal(got.Abstract, want.Abstract) {
 		return fmt.Errorf("Abstract = %v, want %v", got.Abstract, want.Abstract)
 	}
@@ -31,7 +31,7 @@ func sameBorrowed(got *Scan, hb *HB, want *Scan, indexed History) error {
 	if want.Index.Err() != nil {
 		return nil
 	}
-	ref := NewHB(indexed)
+	hb, ref := got.Index.HB(), NewHB(indexed)
 	for _, p := range hbPairs(len(indexed)) {
 		if g, w := hb.Before(p[0], p[1]), ref.Before(p[0], p[1]); g != w {
 			return fmt.Errorf("Before(%d, %d) = %v, want %v", p[0], p[1], g, w)
@@ -93,8 +93,7 @@ func TestBorrowedReadingFromPoisonedScratch(t *testing.T) {
 	for k, j := range jobs {
 		poison(w, k)
 		s := w.read(j.h, j.drop, "SUSP", j.r.want(), true)
-		w.hb = HB{h: indexedBy(j.h, j.r, j.want), w: w}
-		if err := sameBorrowed(s, &w.hb, j.want, indexedBy(j.h, j.r, j.want)); err != nil {
+		if err := sameBorrowed(s, j.want, indexedBy(j.h, j.r, j.want)); err != nil {
 			t.Fatalf("%s, scratch in hand: %v", j.name, err)
 		}
 		w.end()
@@ -110,8 +109,8 @@ func TestBorrowedReadingFromPoisonedScratch(t *testing.T) {
 				poison(p, k+g)
 				scratchPool.Put(p)
 				var err error
-				borrow(j.h, j.drop, "SUSP", j.r.want(), func(s *Scan, hb *HB) {
-					err = sameBorrowed(s, hb, j.want, indexedBy(j.h, j.r, j.want))
+				borrow(j.h, j.drop, "SUSP", j.r.want(), func(s *Scan) {
+					err = sameBorrowed(s, j.want, indexedBy(j.h, j.r, j.want))
 				})
 				if err != nil {
 					t.Errorf("%s, goroutine %d: %v", j.name, g, err)
@@ -125,14 +124,14 @@ func TestBorrowedReadingFromPoisonedScratch(t *testing.T) {
 	for name, h := range oracleHistories() {
 		tags := oracleTagLists[2]
 		want := NewScan(h, "SUSP", tags...)
-		ReadScan(h, "SUSP", tags, func(s *Scan, hb *HB) {
-			if err := sameBorrowed(s, hb, want, want.Abstract); err != nil {
+		ReadScan(h, "SUSP", tags, func(s *Scan) {
+			if err := sameBorrowed(s, want, want.Abstract); err != nil {
 				t.Errorf("ReadScan(%s): %v", name, err)
 			}
 		})
 		wantIndex := &Scan{Index: NewIndex(h)}
-		ReadIndex(h, func(x *Index, hb *HB) {
-			if err := sameBorrowed(&Scan{Index: x}, hb, wantIndex, h); err != nil {
+		ReadIndex(h, func(x *Index) {
+			if err := sameBorrowed(&Scan{Index: x}, wantIndex, h); err != nil {
 				t.Errorf("ReadIndex(%s): %v", name, err)
 			}
 		})
@@ -151,8 +150,8 @@ func TestBorrowedReadingEndsWithItsCallback(t *testing.T) {
 		x  *Index
 		hb *HB
 	)
-	ReadScan(h, "SUSP", []string{"SUSP"}, func(bs *Scan, bhb *HB) {
-		s, x, hb = bs, bs.Index, bhb
+	ReadScan(h, "SUSP", []string{"SUSP"}, func(bs *Scan) {
+		s, x, hb = bs, bs.Index, bs.Index.HB()
 		if x.Err() != nil || len(x.Detections()) != 5 || x.FailedBefore().Cycle() == nil || !hb.Before(2, 5) {
 			t.Fatalf("inside the callback: Err %v, %d detections, cycle %v", x.Err(), len(x.Detections()), x.FailedBefore().Cycle())
 		}
@@ -163,7 +162,7 @@ func TestBorrowedReadingEndsWithItsCallback(t *testing.T) {
 	ended := func(what string, x *Index) {
 		t.Helper()
 		if x.Err() != errEnded || x.Processes() != 0 || len(x.Detections()) != 0 || x.Detection(1, 3) != -1 ||
-			x.CrashIndex(3) != -1 || x.DownAtEnd(3) || x.FailedBefore().Cycle() != nil {
+			x.CrashIndex(3) != -1 || x.DownAtEnd(3) || x.FailedBefore().Cycle() != nil || x.HB() != nil {
 			t.Errorf("%s kept past its callback: Err %v, %d processes, %d detections", what, x.Err(), x.Processes(), len(x.Detections()))
 		}
 	}
@@ -179,9 +178,13 @@ func TestBorrowedReadingEndsWithItsCallback(t *testing.T) {
 	}
 	panics("ReadScan's HB", hb)
 
-	ReadIndex(h, func(bx *Index, bhb *HB) { x, hb = bx, bhb })
+	ReadIndex(h, func(bx *Index) { x, hb = bx, bx.HB() })
 	ended("ReadIndex's Index", x)
 	panics("ReadIndex's HB", hb)
+
+	if NewIndex(h).HB() != nil {
+		t.Error("an index of its own lends a happens-before")
+	}
 }
 
 // The scratch holds no map: a pooled map is emptied at the cost of the most
@@ -244,14 +247,14 @@ func TestReadAllocBudget(t *testing.T) {
 	tags := []string{"SUSP", "HB"}
 	asked := 0
 	read := testing.AllocsPerRun(20, func() {
-		ReadScan(h, "SUSP", tags, func(s *Scan, hb *HB) {
-			hb.Before(0, len(s.Abstract)-1) // computes the clocks
+		ReadScan(h, "SUSP", tags, func(s *Scan) {
+			s.Index.HB().Before(0, len(s.Abstract)-1) // computes the clocks
 			if s.Index.FailedBefore().Cycle() == nil && len(s.Index.Detections()) == 27 {
 				asked++
 			}
 		})
-		ReadIndex(h, func(x *Index, hb *HB) {
-			hb.Before(0, len(h)-1)
+		ReadIndex(h, func(x *Index) {
+			x.HB().Before(0, len(h)-1)
 			if x.FailedBefore().Cycle() == nil && len(x.Detections()) == 27 {
 				asked++
 			}

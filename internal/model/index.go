@@ -64,37 +64,40 @@ func NewScan(h History, suspTag string, transport ...string) *Scan {
 func NewIndex(h History) *Index { return scan(h, nil, "", 0).Index }
 
 // ReadScan calls f with the reading NewScan(h, suspTag, transport...)
-// returns, and with happens-before over its Abstract, both borrowed: they
-// live in the pooled workspace the walk ran in and are valid only until f
-// returns. The HB computes its clocks at its first question (so, unlike
-// NewHB's, it is not for concurrent use), and the index's
-// FailedBefore().Cycle() searches, in the same workspace; a caller that
-// keeps what it reads uses NewScan. After f the Scan is empty, its
-// Index reports an error and the HB panics — until another reading reuses
-// the workspace, whose tables they would then be reading.
-func ReadScan(h History, suspTag string, transport []string, f func(*Scan, *HB)) {
+// returns, borrowed: it lives in the pooled workspace the walk ran in and is
+// valid only until f returns. Its Index answers FailedBefore().Cycle() and
+// lends happens-before over the Abstract (HB) in the same workspace; a
+// caller that keeps what it reads uses NewScan. After f the Scan is empty,
+// its Index reports an error and the HB panics — until another reading
+// reuses the workspace, whose tables they would then be reading.
+func ReadScan(h History, suspTag string, transport []string, f func(*Scan)) {
 	borrow(h, transport, suspTag, readAbstract|readQuorums, f)
 }
 
 // ReadIndex is ReadScan for the reading NewIndex(h) returns: f gets h's
-// index and happens-before over h, borrowed, and valid only until it
-// returns.
-func ReadIndex(h History, f func(*Index, *HB)) {
-	borrow(h, nil, "", 0, func(s *Scan, hb *HB) { f(s.Index, hb) })
+// index, borrowed, and valid only until it returns.
+func ReadIndex(h History, f func(*Index)) {
+	borrow(h, nil, "", 0, func(s *Scan) { f(s.Index) })
 }
 
-// borrow is the walk, in a pooled scratch, lending f the reading and
-// happens-before over the history the reading indexes.
-func borrow(h History, drop []string, suspTag string, want int, f func(*Scan, *HB)) {
+// borrow is the walk, in a pooled scratch, lending f the reading.
+func borrow(h History, drop []string, suspTag string, want int, f func(*Scan)) {
 	w := scratchPool.Get().(*scratch)
-	s := w.read(h, drop, suspTag, want, true)
-	w.hb = HB{h: h, w: w}
-	if want&readAbstract != 0 {
-		w.hb.h = s.Abstract
-	}
-	f(s, &w.hb)
+	f(w.read(h, drop, suspTag, want, true))
 	w.end()
 	scratchPool.Put(w)
+}
+
+// HB is happens-before over the history a borrowed index indexes, borrowed
+// with it: it computes its clocks at its first question, in the reading's
+// workspace (so, unlike NewHB's, it is not for concurrent use), and dies
+// with the reading. An index of its own, or one that reports an error, has
+// none: HB returns nil.
+func (x *Index) HB() *HB {
+	if x.w == nil {
+		return nil
+	}
+	return &x.w.hb
 }
 
 // errEnded is what a borrowed index reports once its callback has returned.
@@ -346,9 +349,6 @@ func (w *scratch) read(h History, drop []string, suspTag string, want int, borro
 	*x = Index{n: n, crash: tab[:n+1], col: tab[n+1:], down: cut(&w.idown, n+1, borrow),
 		dets: cut(&w.idets, len(w.dets), borrow)}
 	*s = Scan{Index: x}
-	if borrow {
-		x.w = w
-	}
 	copy(x.crash, w.crash)
 	copy(x.down, w.down)
 	copy(x.dets, w.dets)
@@ -383,6 +383,12 @@ func (w *scratch) read(h History, drop []string, suspTag string, want int, borro
 	}
 	if lat {
 		w.crashedAll(h, x)
+	}
+	if borrow {
+		x.w, w.hb = w, HB{h: h, w: w}
+		if abstract {
+			w.hb.h = s.Abstract // the index's positions are in the abstract history
+		}
 	}
 	return s
 }

@@ -36,8 +36,8 @@ func (hb *HB) clock(k int) VClock { return hb.clocks[k*hb.stride:][:hb.stride] }
 
 // NewHB computes vector clocks for every event of h in a single pass, all
 // carved from one slab. h must be a valid history (ids in range, receives
-// matched to earlier sends); NewHB does not re-validate. ReadScan and
-// ReadIndex hand out a borrowed HB, whose slab is their workspace's.
+// matched to earlier sends); NewHB does not re-validate. A borrowed index
+// lends one (Index.HB) whose slab is its workspace's.
 func NewHB(h History) *HB {
 	hb := &HB{h: h}
 	hb.compute()

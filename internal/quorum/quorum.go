@@ -129,6 +129,9 @@ func EmptySubfamily(quorums []Set, t int) []int {
 // s holds on entry, the result is the same.
 func (s *search) run(quorums []Set, t int) []int {
 	s.fam, s.t, s.words = quorums, t, 0
+	if cap(s.kept) < len(quorums) {
+		s.kept = make([]int, 0, len(quorums)) // one array, not one per doubling
+	}
 	s.kept, s.path = minimal(s.kept[:0], quorums), append(s.path[:0], make([]int, t)...)
 	for _, i := range s.kept {
 		if len(quorums[i]) > s.words {

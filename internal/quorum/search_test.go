@@ -202,10 +202,11 @@ func intersectingFamily(d int) []Set {
 // tuples for the enumerator it replaced, which allocated per tuple). It was
 // three slices a search, the budget 8 and a difference of 2, while the
 // kept indices, the path and the stack of frames were the search's own.
+// Under the race detector, whose pool drops some of what is put back, a
+// search may start from a fresh state; that costs four allocations — the
+// state, its kept indices, path and stack — at any size, so there the
+// budget is 4, 4 and 5.
 func TestSubfamiliesIntersectAllocsIndependentOfSearchSize(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation measurement")
-	}
 	small, large, empty := intersectingFamily(51), intersectingFamily(114), EmptyIntersectionFamily(200, 3)
 	for _, fam := range [][]Set{small, large} {
 		if !SubfamiliesIntersect(fam, 3) || !exhaustiveSubfamiliesIntersect(fam[:12], 3) {
@@ -219,7 +220,11 @@ func TestSubfamiliesIntersectAllocsIndependentOfSearchSize(t *testing.T) {
 	b := testing.AllocsPerRun(10, func() { SubfamiliesIntersect(large, 3) })
 	c := testing.AllocsPerRun(10, func() { EmptySubfamily(empty, 3) })
 	t.Logf("allocs: d=51 %.0f, d=114 %.0f, an empty triple %.0f", a, b, c)
-	if a > 0 || b > 0 || c > 1 {
+	over := a > 0 || b > 0 || c > 1
+	if raceEnabled {
+		over = a > 4 || b > 4 || c > 5
+	}
+	if over {
 		t.Errorf("the search allocated %.0f times at d=51, %.0f at d=114 and %.0f on an empty triple; budget 0, 0 and 1 (the subfamily returned)", a, b, c)
 	}
 }

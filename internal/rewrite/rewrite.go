@@ -60,7 +60,7 @@ type Stats struct {
 // On success the result is valid, isomorphic to h w.r.t. every process, and
 // satisfies FS2.
 func Graph(h model.History) (out model.History, st Stats, err error) {
-	model.ReadIndex(h, func(x *model.Index, _ *model.HB) { out, st, err = graph(h, x) })
+	model.ReadIndex(h, func(x *model.Index) { out, st, err = graph(h, x) })
 	return out, st, err
 }
 
@@ -314,7 +314,7 @@ func Verify(original, rewritten model.History) error {
 		return errors.New("rewrite: result not isomorphic to original")
 	}
 	var err error
-	model.ReadIndex(rewritten, func(x *model.Index, _ *model.HB) {
+	model.ReadIndex(rewritten, func(x *model.Index) {
 		for _, d := range x.Detections() {
 			if ci := x.CrashIndex(d.Detected); ci < 0 || ci > d.Index {
 				err = fmt.Errorf("rewrite: FS2 violated in result: failed_%d(%d) at %d, crash at %d",
